@@ -13,6 +13,7 @@ import (
 
 	"slimstore/internal/container"
 	"slimstore/internal/core"
+	"slimstore/internal/globalindex"
 	"slimstore/internal/gnode"
 	"slimstore/internal/kvstore"
 	"slimstore/internal/lnode"
@@ -28,7 +29,14 @@ func init() {
 // fingerprint-sized keys, container-id-sized values, batched like the
 // L-node's segment commits. The sweep dataset is dedup-heavy (every file
 // shares one big block) so the mark phase resolves many redirects through
-// the global index — the component sharding parallelises.
+// the global index — the component sharding parallelises. Those redirects
+// sit in an index much larger than one version's probe (filler entries,
+// small memtable, so every shard count compacts them into one level with
+// the real keys): each probed key lands in its own 16 KiB block, a probe
+// needs ~65 of them, and that is more than kvstore's concurrent block
+// fetch overlaps under one store mutex. The regime a production index is
+// in, and the one where shards still pay; on a toy index a whole probe is
+// one overlapped round trip at any shard count.
 const (
 	replOverheadBatches = 64
 	replOverheadEntries = 64
@@ -39,6 +47,17 @@ const (
 	replSweepSharedBytes = 1 << 20
 	replSweepUniqueBytes = 64 << 10
 	replSweepReps        = 2 // best-of reps per point, identical datasets
+
+	replSweepFillerEntries = 25000    // ~70 index blocks around the ~450 real keys
+	replSweepFillerBatch   = 4096     // entries per filler PutBatch
+	replSweepMemtableBytes = 64 << 10 // ~18 flushes of filler: L0 compacts on 1 and on 4 shards
+
+	// replSweepPerOp is the injected OSS latency of the sweep: what one
+	// ranged block read costs on the sleeping store of the sdb-cloud
+	// benchmark workload (simclock.DefaultCosts: 2 ms per request plus
+	// transfer), and large enough that the sweep's wall is round trips,
+	// not block decoding, also under -race.
+	replSweepPerOp = 3 * time.Millisecond
 )
 
 // ReplOverhead compares the OSS traffic of one durable batched index
@@ -304,9 +323,10 @@ func replSweepRun(shards int, perOp time.Duration) (ReplSweepPoint, error) {
 
 // replSweepOnce builds the dedup-heavy dataset on an N-shard index
 // (latency-free), runs reverse dedup so most recipe chunks resolve
-// through index redirects, then reopens the repo behind perOp of OSS
-// latency and wall-clocks FullSweep. MaintWorkers is fixed at 4 so the
-// only variable across points is the shard count.
+// through index redirects, buries those entries among filler ones, then
+// reopens the repo behind perOp of OSS latency and wall-clocks FullSweep.
+// MaintWorkers is fixed at 4 so the only variable across points is the
+// shard count.
 func replSweepOnce(shards int, perOp time.Duration) (ReplSweepPoint, error) {
 	pt := ReplSweepPoint{Shards: shards}
 	cfg := benchConfig()
@@ -314,6 +334,7 @@ func replSweepOnce(shards int, perOp time.Duration) (ReplSweepPoint, error) {
 	cfg.MaintWorkers = 4
 	cfg.GlobalShards = shards
 	cfg.GlobalKV.BlockCacheBytes = -1 // every index block read is an OSS read
+	cfg.GlobalKV.MemtableBytes = replSweepMemtableBytes
 
 	mem := oss.NewMem()
 	repo, err := core.OpenRepo(mem, cfg)
@@ -340,6 +361,19 @@ func replSweepOnce(shards int, perOp time.Duration) (ReplSweepPoint, error) {
 	}
 	if rd.DuplicatesRemoved == 0 {
 		return pt, fmt.Errorf("repl bench: degenerate sweep dataset, nothing deduplicated: %+v", rd)
+	}
+	// Filler fingerprints no recipe references: the sweep never probes or
+	// deletes them, they only make the index the size of a real one.
+	rng := rand.New(rand.NewSource(77))
+	for done := 0; done < replSweepFillerEntries; done += replSweepFillerBatch {
+		filler := make([]globalindex.Entry, replSweepFillerBatch)
+		for i := range filler {
+			rng.Read(filler[i].FP[:])
+			filler[i].ID = ids[0]
+		}
+		if err := repo.Global.PutBatch(filler); err != nil {
+			return pt, err
+		}
 	}
 	if err := repo.Global.Flush(); err != nil {
 		return pt, err
@@ -403,7 +437,7 @@ func RunReplBench(shardCounts []int, perOp time.Duration) (*ReplReport, error) {
 // measurements and writes the BENCH_repl.json regression artifact (path
 // via BENCH_REPL_OUT).
 func runReplBench(ctx context.Context, w io.Writer, _ Scale) error {
-	rep, err := RunReplBench([]int{1, 2, 4}, 250*time.Microsecond)
+	rep, err := RunReplBench([]int{1, 2, 4}, replSweepPerOp)
 	if err != nil {
 		return err
 	}
@@ -419,7 +453,7 @@ func runReplBench(ctx context.Context, w io.Writer, _ Scale) error {
 	fmt.Fprintf(w, "failover: %d leader kills → %d elections, %.1fms virtual downtime (%.1fms each)\n",
 		rep.Failover.Kills, rep.Failover.Failovers, rep.Failover.DowntimeVirtualMS, rep.Failover.PerFailoverMS)
 
-	t = newTable(w, "FullSweep wall clock by shard count (4 maintenance workers, 250µs/op OSS latency)")
+	t = newTable(w, fmt.Sprintf("FullSweep wall clock by shard count (4 maintenance workers, %v/op OSS latency)", replSweepPerOp))
 	t.row("shards", "wall ms", "speedup", "marked", "swept", "index ops")
 	for _, p := range rep.Sweep {
 		t.row(fmt.Sprint(p.Shards), f1(p.WallMS), f2(p.Speedup)+"x",

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
 
 	"slimstore/internal/container"
 	"slimstore/internal/fingerprint"
+	"slimstore/internal/globalindex"
 	"slimstore/internal/journal"
 	"slimstore/internal/oss"
 	"slimstore/internal/recipe"
@@ -40,7 +42,7 @@ func (r *Repo) ReplayJournal() (int, error) {
 		}
 		switch rec.Kind {
 		case journal.KindSCC:
-			err = r.ApplySCC(rec, nil, nil)
+			err = r.ApplySCC(rec, nil, nil, nil)
 		case journal.KindGC:
 			_, err = r.ApplyGC(rec, nil, nil)
 		case journal.KindRewrite:
@@ -62,10 +64,14 @@ func (r *Repo) ReplayJournal() (int, error) {
 // ApplySCC performs the committed half of a sparse-container compaction:
 // the moved chunks already live in their new containers; this repoints
 // the global index, rewrites the version's recipe and catalog entry, and
-// marks the moved chunks deleted in the drained sources. Safe to re-run.
-// cs and rs direct the I/O (metered views); nil selects the repo's
-// unmetered stores (the replay path).
-func (r *Repo) ApplySCC(rec *journal.Record, cs *container.Store, rs *recipe.Store) error {
+// marks the moved chunks deleted in the drained sources. Safe to re-run,
+// and deterministic: index puts go out as one fingerprint-sorted batch, so
+// the first apply and a replay of the same record write the same WAL
+// bytes. cs and rs direct the I/O (metered views); nil selects the repo's
+// unmetered stores (the replay path). rcp is the version's recipe when the
+// caller already holds it (the live path, under the file lock); nil
+// fetches it (replay).
+func (r *Repo) ApplySCC(rec *journal.Record, cs *container.Store, rs *recipe.Store, rcp *recipe.Recipe) error {
 	if cs == nil {
 		cs = r.Containers
 	}
@@ -76,24 +82,28 @@ func (r *Repo) ApplySCC(rec *journal.Record, cs *container.Store, rs *recipe.Sto
 	if err != nil {
 		return err
 	}
+	batch := make([]globalindex.Entry, 0, len(moved))
+	for fp, nid := range moved {
+		batch = append(batch, globalindex.Entry{FP: fp, ID: nid})
+	}
+	sort.Slice(batch, func(a, b int) bool { return bytes.Compare(batch[a].FP[:], batch[b].FP[:]) < 0 })
 
 	// Index first: restores redirect relocated chunks through it, so no
 	// window may exist where a redirect would miss.
-	for fp, nid := range moved {
-		if err := r.Global.Put(fp, nid); err != nil {
-			return err
-		}
+	if err := r.Global.PutBatch(batch); err != nil {
+		return err
 	}
 
 	// Recipe: this version's restores stop touching the sparse sources.
 	// A missing recipe means the version was deleted after the commit;
 	// the remaining steps still apply.
-	rcp, err := rs.GetRecipe(rec.FileID, rec.Version)
-	switch {
-	case errors.Is(err, oss.ErrNotFound):
-	case err != nil:
-		return err
-	default:
+	if rcp == nil {
+		rcp, err = rs.GetRecipe(rec.FileID, rec.Version)
+		if err != nil && !errors.Is(err, oss.ErrNotFound) {
+			return err
+		}
+	}
+	if rcp != nil {
 		rcp.Iter(func(_, _ int, cr *recipe.ChunkRecord) bool {
 			if nid, ok := moved[cr.FP]; ok {
 				cr.Container = nid
@@ -138,28 +148,31 @@ func (r *Repo) ApplySCC(rec *journal.Record, cs *container.Store, rs *recipe.Sto
 
 	// Mark the moved chunks deleted in the sources, now that nothing
 	// routes reads to them (the index and recipe point at the copies).
-	for _, id := range journal.IDs(rec.Sparse) {
-		m, err := cs.ReadMeta(id)
+	// Distinct containers, no ordering dependency: fanned out.
+	sources := journal.IDs(rec.Sparse)
+	if err := r.ForEach(len(sources), func(i int) error {
+		m, err := cs.ReadMeta(sources[i])
 		if err != nil {
 			if errors.Is(err, oss.ErrNotFound) {
-				continue // already swept
+				return nil // already swept
 			}
 			return err
 		}
 		cp := *m
 		cp.Chunks = append([]container.ChunkMeta(nil), m.Chunks...)
 		dirty := false
-		for fp := range moved {
-			if cm := cp.Find(fp); cm != nil && !cm.Deleted {
+		for j := range batch {
+			if cm := cp.Find(batch[j].FP); cm != nil && !cm.Deleted {
 				cm.Deleted = true
 				dirty = true
 			}
 		}
-		if dirty {
-			if err := cs.WriteMeta(&cp); err != nil {
-				return err
-			}
+		if !dirty {
+			return nil
 		}
+		return cs.WriteMeta(&cp)
+	}); err != nil {
+		return err
 	}
 	r.BumpMaintEpoch()
 	return r.Global.Flush()
@@ -324,12 +337,22 @@ func (r *Repo) replayRewrite(rec *journal.Record) error {
 // under a journal record: commit {new meta, new data checksum} → put data
 // → put meta → remove record. m supplies the freshest deletion marks; cs
 // directs the I/O (typically a metered view). Returns bytes freed.
-func (r *Repo) RewriteContainer(cs *container.Store, m *container.Meta) (int64, error) {
-	c, err := cs.Read(m.ID)
-	if err != nil {
-		return 0, fmt.Errorf("core: rewrite %s: %w", m.ID, err)
+//
+// held, when non-nil, is a copy of the container the caller already
+// fetched with a verified Read (the SCC prepare). It stands in for a
+// second fetch only while it is still the payload m describes: m's layout
+// must equal the held meta's (no rewrite landed in between) and every
+// chunk m keeps must have been live — hence checksum-verified — when held
+// was read. Otherwise, and with held nil, the container is read afresh.
+func (r *Repo) RewriteContainer(cs *container.Store, m *container.Meta, held *container.Container) (int64, error) {
+	c := held
+	if c == nil || !heldCovers(&c.Meta, m) {
+		var err error
+		if c, err = cs.Read(m.ID); err != nil {
+			return 0, fmt.Errorf("core: rewrite %s: %w", m.ID, err)
+		}
 	}
-	nc := &container.Container{Meta: container.Meta{ID: m.ID}}
+	nc := &container.Container{Meta: container.Meta{ID: m.ID}, Data: make([]byte, 0, m.LiveBytes())}
 	for i := range m.Chunks {
 		cm := &m.Chunks[i]
 		if cm.Deleted {
@@ -347,6 +370,20 @@ func (r *Repo) RewriteContainer(cs *container.Store, m *container.Meta) (int64, 
 		return 0, err
 	}
 	return int64(len(c.Data)) - int64(len(nc.Data)), nil
+}
+
+// heldCovers is the held-payload validity rule of RewriteContainer: same
+// layout, and no chunk live in m that the held read skipped as deleted.
+func heldCovers(held, m *container.Meta) bool {
+	if !held.SameLayout(m) {
+		return false
+	}
+	for i := range m.Chunks {
+		if !m.Chunks[i].Deleted && held.Chunks[i].Deleted {
+			return false
+		}
+	}
+	return true
 }
 
 // WriteRebuilt journals and writes a rebuilt container over its existing

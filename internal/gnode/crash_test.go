@@ -2,14 +2,20 @@ package gnode
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
+	"slimstore/internal/container"
 	"slimstore/internal/core"
+	"slimstore/internal/journal"
 	"slimstore/internal/lnode"
 	"slimstore/internal/oss"
 )
 
-// These tests kill G-node reorganisations at every possible OSS put and
+// These tests kill G-node reorganisations at every possible OSS mutation and
 // verify the intent journal makes each outcome safe: after "reboot"
 // (reopening the repo, which replays the journal), every version restores
 // byte-identical and the audit sweep converges.
@@ -94,29 +100,69 @@ func verifyAfterReboot(t *testing.T, mem *oss.Mem, cfg core.Config, want map[int
 	}
 }
 
+// crashStore models the process dying at a chosen point: the first
+// `budget` mutations (puts and deletes alike) land, every later one is
+// refused — including those of workers still running when the first
+// refusal comes back, so nothing reaches the store after the crash.
+type crashStore struct {
+	oss.Store
+	mu     sync.Mutex
+	budget int
+}
+
+func (s *crashStore) spend(op, key string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.budget == 0 {
+		return fmt.Errorf("%w: crashed before %s %s", oss.ErrInjected, op, key)
+	}
+	s.budget--
+	return nil
+}
+
+func (s *crashStore) Put(key string, data []byte) error {
+	if err := s.spend("put", key); err != nil {
+		return err
+	}
+	return s.Store.Put(key, data)
+}
+
+func (s *crashStore) Delete(key string) error {
+	if err := s.spend("delete", key); err != nil {
+		return err
+	}
+	return s.Store.Delete(key)
+}
+
+// TestCompactSparseCrashAtEveryPut kills a compaction before every OSS
+// mutation it issues — puts and deletes — at the serial width and with
+// the fan-out on, and reboots from what reached the store.
 func TestCompactSparseCrashAtEveryPut(t *testing.T) {
 	baseline, cfg, want, st := sccBaseline(t)
 
-	completed := false
-	for n := 0; n < 300 && !completed; n++ {
-		mem := cloneMem(t, baseline)
-		faulty := oss.NewFaulty(mem)
-		repo, err := core.OpenRepo(faulty, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gn := New(repo)
-		faulty.FailPutsAfter(n)
-		_, err = gn.CompactSparse("f", st.Version, st.SparseContainers)
-		if err == nil {
-			completed = true
-		}
-		// "Crash": abandon the repo object (buffered index state dies with
-		// it) and reboot from what actually reached the store.
-		verifyAfterReboot(t, mem, cfg, want)
-	}
-	if !completed {
-		t.Fatal("compaction never ran to completion within the put budget")
+	for _, workers := range []int{-1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			cfg := cfg
+			cfg.MaintWorkers = workers
+			completed := false
+			for n := 0; n < 400 && !completed; n++ {
+				mem := cloneMem(t, baseline)
+				repo, err := core.OpenRepo(&crashStore{Store: mem, budget: n}, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = New(repo).CompactSparse("f", st.Version, st.SparseContainers)
+				if err == nil {
+					completed = true
+				}
+				// "Crash": abandon the repo object (buffered index state dies with
+				// it) and reboot from what actually reached the store.
+				verifyAfterReboot(t, mem, cfg, want)
+			}
+			if !completed {
+				t.Fatal("compaction never ran to completion within the mutation budget")
+			}
+		})
 	}
 
 	// Sanity: on the fully-compacted state the journal is empty.
@@ -134,6 +180,102 @@ func TestCompactSparseCrashAtEveryPut(t *testing.T) {
 	}
 	if len(keys) != 0 {
 		t.Fatalf("journal records survive a successful compaction: %v", keys)
+	}
+}
+
+// rewriteCrashStore lets a compaction run until its own journal record is
+// removed, then crashes the parallel rewrite phase in the state only the
+// fan-out can reach: it holds back every container put until two rewrite
+// records are committed, then refuses container puts — all of them
+// (payloads never land: replay rolls the rewrites back) or only the
+// metadata ones (payloads land: replay rolls them forward).
+type rewriteCrashStore struct {
+	oss.Store
+	dataLands bool
+
+	mu           sync.Mutex
+	rewriting    bool // the SCC record is gone: journal puts are rewrite commits
+	commits      int
+	twoCommitted chan struct{}
+}
+
+func (s *rewriteCrashStore) Put(key string, data []byte) error {
+	s.mu.Lock()
+	rewriting := s.rewriting
+	if rewriting && strings.HasPrefix(key, journal.Prefix) {
+		if s.commits++; s.commits == 2 {
+			close(s.twoCommitted)
+		}
+	}
+	s.mu.Unlock()
+	if rewriting && strings.HasPrefix(key, container.Prefix) {
+		<-s.twoCommitted
+		if !s.dataLands || strings.HasSuffix(key, ".meta") {
+			return fmt.Errorf("%w: crashed before put %s", oss.ErrInjected, key)
+		}
+	}
+	return s.Store.Put(key, data)
+}
+
+func (s *rewriteCrashStore) Delete(key string) error {
+	s.mu.Lock()
+	rewriting := s.rewriting
+	if strings.HasPrefix(key, journal.Prefix) {
+		s.rewriting = true
+	}
+	s.mu.Unlock()
+	if rewriting {
+		return fmt.Errorf("%w: crashed before delete %s", oss.ErrInjected, key)
+	}
+	return s.Store.Delete(key)
+}
+
+// TestCompactSparseCrashWithRewritesOutstanding crashes with at least two
+// KindRewrite records committed and unfinished — concurrent rewrites are
+// what the fan-out adds to the reachable crash states — and requires the
+// reboot to resolve every one of them.
+func TestCompactSparseCrashWithRewritesOutstanding(t *testing.T) {
+	baseline, cfg, want, st := sccBaseline(t)
+	cfg.MaintWorkers = 4
+	for _, dataLands := range []bool{false, true} {
+		t.Run(fmt.Sprintf("dataLands=%v", dataLands), func(t *testing.T) {
+			mem := cloneMem(t, baseline)
+			repo, err := core.OpenRepo(&rewriteCrashStore{
+				Store: mem, dataLands: dataLands, twoCommitted: make(chan struct{}),
+			}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := New(repo).CompactSparse("f", st.Version, st.SparseContainers); !errors.Is(err, oss.ErrInjected) {
+				t.Fatalf("CompactSparse returned %v, want the injected crash", err)
+			}
+
+			js, err := journal.Open(mem)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys, err := js.List()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range keys {
+				rec, err := js.Get(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rec.Kind != journal.KindRewrite {
+					t.Fatalf("record %s is %s, want only rewrites outstanding", k, rec.Kind)
+				}
+			}
+			if len(keys) < 2 {
+				t.Fatalf("%d rewrite records outstanding at the crash, want >= 2", len(keys))
+			}
+
+			verifyAfterReboot(t, mem, cfg, want)
+			if left, err := js.List(); err != nil || len(left) != 0 {
+				t.Fatalf("journal after reboot: %v (err %v)", left, err)
+			}
+		})
 	}
 }
 

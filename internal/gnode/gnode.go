@@ -5,6 +5,13 @@
 // online deduplicate/restore path, and is deliberately biased toward new
 // versions: storage reorganisation only ever deletes or moves data that
 // old versions reference, never disturbing the newest version's layout.
+//
+// Every pass has the same shape (DESIGN.md §8): reads fan out across the
+// maintenance worker pool (core.Repo.ForEach / ForEachOrdered, width
+// Config.MaintWorkers), one goroutine decides in a canonical order, one
+// commit makes the decision durable, and the physical container rewrites
+// fan out again (rewriteAll). Widths only overlap OSS round trips: any
+// width, including the serial one, produces bit-identical stores.
 package gnode
 
 import (
@@ -125,7 +132,8 @@ func (g *GNode) ReverseDedup(newContainers []container.ID) (*ReverseDedupStats, 
 		if err != nil {
 			return nil, err
 		}
-		if err := g.rdRewrite(cs, stats, rewrites); err != nil {
+		stats.ContainersRewritten, stats.BytesReclaimed, err = g.rewriteAll(cs, rewrites, nil)
+		if err != nil {
 			return nil, err
 		}
 		return stats, nil
@@ -155,7 +163,7 @@ func (g *GNode) rdPrepare(cs *container.Store, ids []container.ID) (*rdPrep, err
 		scans:   make([]*container.Meta, len(ids)),
 		scanned: make(map[container.ID]*container.Meta, len(ids)),
 	}
-	err := g.forEach(len(ids), func(i int) error {
+	err := g.repo.ForEach(len(ids), func(i int) error {
 		m, err := cs.ReadMeta(ids[i])
 		if err != nil {
 			// The list is advisory (captured at backup time); a container
@@ -223,7 +231,7 @@ func (g *GNode) rdPrepare(cs *container.Store, ids []container.ID) (*rdPrep, err
 	p.olds = make(map[container.ID]*container.Meta, len(oldIDs))
 	p.oldErr = make(map[container.ID]error)
 	var mu sync.Mutex
-	err = g.forEach(len(oldIDs), func(i int) error {
+	err = g.repo.ForEach(len(oldIDs), func(i int) error {
 		m, err := cs.ReadMeta(oldIDs[i])
 		mu.Lock()
 		defer mu.Unlock()
@@ -342,7 +350,7 @@ func (g *GNode) rdCommit(cs *container.Store, ids []container.ID, p *rdPrep) (*R
 		dids = append(dids, id)
 	}
 	sort.Slice(dids, func(a, b int) bool { return dids[a] < dids[b] })
-	if err := g.forEach(len(dids), func(i int) error {
+	if err := g.repo.ForEach(len(dids), func(i int) error {
 		return cs.WriteMeta(dirty[dids[i]])
 	}); err != nil {
 		return nil, nil, err
@@ -360,18 +368,23 @@ func (g *GNode) rdCommit(cs *container.Store, ids []container.ID, p *rdPrep) (*R
 	return stats, rewrites, nil
 }
 
-// rdRewrite physically compacts the containers the commit step marked
-// past the stale threshold. It runs outside maintMu — each rewrite is
-// individually journaled and serialised by its container stripe lock, so
-// concurrent maintenance stays correct; a container swept concurrently
-// just loses its compaction opportunity (tolerated NotFound).
-func (g *GNode) rdRewrite(cs *container.Store, stats *ReverseDedupStats, rewrites []*container.Meta) error {
-	if len(rewrites) == 0 {
-		return nil
-	}
+// rewriteAll physically compacts the containers a commit step marked past
+// the stale threshold, across the worker pool; it is the rewrite phase of
+// both reverse dedup and SCC. Each rewrite is individually journaled (its
+// own KindRewrite record) and serialised by its container stripe lock, so
+// it needs no maintenance mutex and concurrent maintenance stays correct;
+// a container swept concurrently just loses its compaction opportunity
+// (tolerated NotFound). held, when non-nil, parallels metas with payloads
+// the caller already fetched and verified (see core.RewriteContainer for
+// when one is used). Returns the containers rewritten and bytes freed.
+func (g *GNode) rewriteAll(cs *container.Store, metas []*container.Meta, held []*container.Container) (rewritten int, freed int64, err error) {
 	var mu sync.Mutex
-	return g.forEach(len(rewrites), func(i int) error {
-		freed, err := g.repo.RewriteContainer(cs, rewrites[i])
+	err = g.repo.ForEach(len(metas), func(i int) error {
+		var h *container.Container
+		if held != nil {
+			h = held[i]
+		}
+		n, err := g.repo.RewriteContainer(cs, metas[i], h)
 		if err != nil {
 			if errors.Is(err, oss.ErrNotFound) {
 				return nil
@@ -379,11 +392,12 @@ func (g *GNode) rdRewrite(cs *container.Store, stats *ReverseDedupStats, rewrite
 			return err
 		}
 		mu.Lock()
-		stats.ContainersRewritten++
-		stats.BytesReclaimed += freed
+		rewritten++
+		freed += n
 		mu.Unlock()
 		return nil
 	})
+	return rewritten, freed, err
 }
 
 // uniqueIDs collapses adjacent duplicates in a sorted ID slice.
@@ -414,6 +428,17 @@ type SCCStats struct {
 // drained sparse containers with the version as garbage. The benefit
 // applies to the *current* version immediately (unlike HAR, which rewrites
 // during the next backup).
+//
+// The pass follows the §8 phase shape under maintMu and the file lock:
+// verified reads of the sources fan out across the worker pool while one
+// goroutine appends the needed chunks in sparse/recipe order (so the new
+// containers, the journal record, the recipe and the stats are
+// bit-identical at any width); one journal commit; an apply whose marks
+// fan out; then the sources past the stale threshold are rewritten in
+// parallel, each from the payload the prepare already fetched — every
+// source's data object is read once. At most MaintWorkers unconsumed
+// payloads are resident at a time, plus those of the sources that will be
+// rewritten.
 func (g *GNode) CompactSparse(fileID string, version int, sparse []container.ID) (*SCCStats, error) {
 	stats := &SCCStats{SparseContainers: len(sparse)}
 	if len(sparse) == 0 {
@@ -447,10 +472,10 @@ func (g *GNode) CompactSparse(fileID string, version int, sparse []container.ID)
 	// Collect the fingerprints this version needs from each sparse
 	// container, in recipe order for locality of the new layout.
 	needed := make(map[container.ID][]fingerprint.FP)
-	seen := make(map[fingerprint.FP]bool)
+	wanted := make(map[fingerprint.FP]bool)
 	r.Iter(func(_, _ int, rec *recipe.ChunkRecord) bool {
-		if sparseSet[rec.Container] && !seen[rec.FP] {
-			seen[rec.FP] = true
+		if sparseSet[rec.Container] && !wanted[rec.FP] {
+			wanted[rec.FP] = true
 			needed[rec.Container] = append(needed[rec.Container], rec.FP)
 		}
 		return true
@@ -460,42 +485,60 @@ func (g *GNode) CompactSparse(fileID string, version int, sparse []container.ID)
 	// stay untouched and nothing references the copies yet, so a crash
 	// here leaks only unreferenced containers — FullSweep reclaims them.
 	// The verified Read aborts on corrupt sources rather than laundering
-	// bad bytes into freshly checksummed containers.
+	// bad bytes into freshly checksummed containers. Reads land in
+	// per-index slots; the builder consumes them in order and is
+	// synchronous, so every destination put is durable before the commit.
 	builder := container.NewBuilder(cs)
 	moved := make(map[fingerprint.FP]container.ID)
 	newSet := make(map[container.ID]bool)
-	for _, id := range sparse {
-		fps := needed[id]
-		if len(fps) == 0 {
-			continue
+	held := make([]*container.Container, len(sparse))
+	err = g.repo.ForEachOrdered(len(sparse), func(i int) error {
+		if len(needed[sparse[i]]) == 0 {
+			return nil
 		}
-		c, err := cs.Read(id)
+		c, err := cs.Read(sparse[i])
 		if err != nil {
 			// A quarantined or already-collected source has no chunks to
 			// move; corrupt sources still abort loudly (no laundering).
 			if errors.Is(err, oss.ErrNotFound) {
-				continue
+				return nil
 			}
-			return nil, fmt.Errorf("gnode: scc read %s: %w", id, err)
+			return fmt.Errorf("gnode: scc read %s: %w", sparse[i], err)
 		}
-		for _, fp := range fps {
+		held[i] = c
+		return nil
+	}, func(i int) error {
+		c := held[i]
+		if c == nil {
+			return nil
+		}
+		for _, fp := range needed[sparse[i]] {
 			cm := c.Meta.Find(fp)
 			if cm == nil || cm.Deleted {
 				continue // already moved by an earlier pass
 			}
 			data, err := c.ChunkData(cm)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			nid, err := builder.Add(fp, data)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			moved[fp] = nid
 			newSet[nid] = true
 			stats.ChunksMoved++
 			stats.BytesMoved += int64(cm.Size)
 		}
+		// Keep the payload only if the apply's marks will push this source
+		// past the rewrite threshold; the fresh meta decides for real below.
+		if staleAfter(&c.Meta, wanted) <= g.repo.Config.RewriteStaleThreshold {
+			held[i] = nil
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := builder.Flush(); err != nil {
 		return nil, err
@@ -525,7 +568,7 @@ func (g *GNode) CompactSparse(fileID string, version int, sparse []container.ID)
 
 	// Apply: repoint index, rewrite recipe and catalog, mark the sources'
 	// moved chunks deleted — all idempotent (shared with journal replay).
-	if err := g.repo.ApplySCC(rec, cs, rs); err != nil {
+	if err := g.repo.ApplySCC(rec, cs, rs, r); err != nil {
 		return nil, err
 	}
 	if err := g.repo.Journal.Remove(key); err != nil {
@@ -535,19 +578,42 @@ func (g *GNode) CompactSparse(fileID string, version int, sparse []container.ID)
 	// The moved bytes are dead weight in the sparse containers; rewrite
 	// any past the stale threshold so the paper's Fig 9 property holds:
 	// compaction shrinks the storage attributable to old versions rather
-	// than growing totals. Each rewrite journals independently.
-	for _, id := range sparse {
+	// than growing totals. Each rewrite journals independently. The fresh
+	// metas are meta-cache hits: the apply has just read or written each.
+	var rewrites []*container.Meta
+	var payloads []*container.Container
+	for i, id := range sparse {
 		m, err := cs.ReadMeta(id)
 		if err != nil {
-			continue // e.g. already swept
+			if errors.Is(err, oss.ErrNotFound) { // swept or quarantined
+				continue
+			}
+			return nil, fmt.Errorf("gnode: scc: %w", err)
 		}
 		if m.StaleProportion() > g.repo.Config.RewriteStaleThreshold {
-			if _, err := g.repo.RewriteContainer(cs, m); err != nil {
-				return nil, err
-			}
+			rewrites = append(rewrites, m)
+			payloads = append(payloads, held[i])
 		}
 	}
+	if _, _, err := g.rewriteAll(cs, rewrites, payloads); err != nil {
+		return nil, err
+	}
 	return stats, nil
+}
+
+// staleAfter predicts a source's stale proportion once the SCC apply has
+// marked every wanted chunk it still holds live.
+func staleAfter(m *container.Meta, wanted map[fingerprint.FP]bool) float64 {
+	if len(m.Chunks) == 0 {
+		return 0
+	}
+	stale := 0
+	for i := range m.Chunks {
+		if cm := &m.Chunks[i]; cm.Deleted || wanted[cm.FP] {
+			stale++
+		}
+	}
+	return float64(stale) / float64(len(m.Chunks))
 }
 
 // ---------------------------------------------------------------------------
@@ -674,7 +740,7 @@ func (g *GNode) FullSweep() (*AuditStats, error) {
 		markMu sync.Mutex
 		marked = make(map[container.ID]bool)
 	)
-	err = g.forEach(len(work), func(wi int) error {
+	err = g.repo.ForEach(len(work), func(wi int) error {
 		r, err := rs.GetRecipe(work[wi].file, work[wi].version)
 		if err != nil {
 			return err
@@ -728,7 +794,7 @@ func (g *GNode) FullSweep() (*AuditStats, error) {
 	// containers, and each index entry is deleted only by the drop whose
 	// container it names, so concurrent drops never interfere.
 	var sweepMu sync.Mutex
-	err = g.forEach(len(unmarked), func(i int) error {
+	err = g.repo.ForEach(len(unmarked), func(i int) error {
 		reclaimed, _, err := g.repo.DropContainer(cs, unmarked[i])
 		if err != nil {
 			return err

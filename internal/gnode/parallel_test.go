@@ -231,3 +231,57 @@ func TestFullSweepParallelMatchesSerial(t *testing.T) {
 	}
 	assertTwinsEqual(t, serial, parallel, []string{"a", "b"})
 }
+
+// TestCompactSparseParallelMatchesSerial runs the same compaction at
+// MaintWorkers −1 and 8 over byte-identical stores. The fan-out only
+// overlaps I/O: stats (new container IDs included), every object left on
+// the store — recipe, catalog, container data and metadata, index tables
+// — the index and metadata dumps, and the restored bytes must all agree.
+func TestCompactSparseParallelMatchesSerial(t *testing.T) {
+	baseline, cfg, want, st := sccBaseline(t)
+
+	type side struct {
+		mem   *oss.Mem
+		repo  *core.Repo
+		stats *SCCStats
+	}
+	run := func(workers int) side {
+		mem := cloneMem(t, baseline)
+		repo, gn := openOver(t, mem, cfg, workers)
+		stats, err := gn.CompactSparse("f", st.Version, st.SparseContainers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return side{mem, repo, stats}
+	}
+	serial, parallel := run(-1), run(8)
+
+	if !reflect.DeepEqual(serial.stats, parallel.stats) {
+		t.Errorf("stats diverge:\nserial:   %+v\nparallel: %+v", serial.stats, parallel.stats)
+	}
+	if serial.stats.ChunksMoved == 0 || len(serial.stats.NewContainers) == 0 {
+		t.Fatalf("degenerate workload, nothing compacted: %+v", serial.stats)
+	}
+	so, po := prefixDump(t, serial.mem, ""), prefixDump(t, parallel.mem, "")
+	for k, sb := range so {
+		pb, ok := po[k]
+		if !ok {
+			t.Errorf("object %s only on the serial store", k)
+		} else if !bytes.Equal(sb, pb) {
+			t.Errorf("object %s differs (%d vs %d bytes)", k, len(sb), len(pb))
+		}
+	}
+	for k := range po {
+		if _, ok := so[k]; !ok {
+			t.Errorf("object %s only on the parallel store", k)
+		}
+	}
+	if si, pi := indexDump(t, serial.repo), indexDump(t, parallel.repo); !reflect.DeepEqual(si, pi) {
+		t.Errorf("global index diverges: serial %d entries, parallel %d", len(si), len(pi))
+	}
+	if sm, pm := metaDump(t, serial.repo), metaDump(t, parallel.repo); sm != pm {
+		t.Errorf("container metadata diverges:\n--- serial ---\n%s--- parallel ---\n%s", sm, pm)
+	}
+	assertRestores(t, serial.repo, want)
+	assertRestores(t, parallel.repo, want)
+}

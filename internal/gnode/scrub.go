@@ -157,7 +157,7 @@ func (g *GNode) ecRepair() (*ecRepairStats, error) {
 		return nil, fmt.Errorf("ec repair: %w", err)
 	}
 	var mu sync.Mutex
-	err = g.forEach(len(ids), func(i int) error {
+	err = g.repo.ForEach(len(ids), func(i int) error {
 		id := ids[i]
 		for _, key := range []string{container.DataKey(id), container.MetaKey(id)} {
 			h, err := ecs.Check(key)
@@ -234,7 +234,7 @@ func (g *GNode) scrubVerify() (*scrubView, error) {
 		return nil, err
 	}
 	sv := &scrubView{ids: ids, verdicts: make([]scrubVerdict, len(ids))}
-	err = g.forEach(len(ids), func(i int) error {
+	err = g.repo.ForEach(len(ids), func(i int) error {
 		v := &sv.verdicts[i]
 		m, err := cs.ReadMeta(ids[i])
 		if err != nil {
@@ -435,9 +435,9 @@ func (g *GNode) scrubRepair(sv *scrubView) (*ScrubStats, error) {
 	// Dead-region rot cleanup: each rebuild touches one container under
 	// its own stripe lock and journal record — independent work, fanned
 	// out across the pool.
-	if err := g.forEach(len(rotOnly), func(k int) error {
+	if err := g.repo.ForEach(len(rotOnly), func(k int) error {
 		v := &sv.verdicts[rotOnly[k]]
-		if _, err := g.repo.RewriteContainer(cs, v.rawMeta); err != nil {
+		if _, err := g.repo.RewriteContainer(cs, v.rawMeta, nil); err != nil {
 			return fmt.Errorf("gnode: scrub rot cleanup %s: %w", v.rawMeta.ID, err)
 		}
 		return nil

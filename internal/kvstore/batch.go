@@ -205,7 +205,11 @@ func (db *DB) GetMulti(keys [][]byte) (values [][]byte, found []bool, err error)
 // tableGetMultiLocked probes one table for refs, filling values/found for
 // the keys it resolves (tombstones resolve with found left false) and
 // returning the refs this table cannot answer. Bloom probes stay per-key;
-// block fetches are grouped so each data block is read at most once.
+// block fetches are grouped so each data block is read at most once, and
+// the blocks the cache does not hold are fetched concurrently, one window
+// of blockFetchWidth ahead of the walk — one round trip per window instead
+// of one per block, and at most a window of decoded blocks held outside
+// the cache.
 func (db *DB) tableGetMultiLocked(meta tableMeta, refs []keyRef, values [][]byte, found []bool) ([]keyRef, error) {
 	r, err := db.readerLocked(meta)
 	if err != nil {
@@ -230,15 +234,22 @@ func (db *DB) tableGetMultiLocked(meta tableMeta, refs []keyRef, values [][]byte
 		}
 		byBlock[bi] = append(byBlock[bi], kr)
 	}
-	for _, bi := range order {
-		entries, err := r.blockEntries(bi)
+	var fetched map[int][]entry
+	ahead := 0 // order[:ahead] is covered by the fetch windows so far
+	for pos, bi := range order {
+		if pos == ahead {
+			if fetched, ahead, err = r.fetchBlocks(order, pos); err != nil {
+				return nil, err
+			}
+		}
+		entries, err := r.blockEntries(bi, fetched)
 		if err != nil {
 			return nil, err
 		}
 		for _, kr := range byBlock[bi] {
 			// searchFrom walks past bi when the key's version run spans a
 			// block boundary; follow-up blocks come from the block cache.
-			e, ok, err := r.searchFrom(bi, entries, kr.key)
+			e, ok, err := r.searchFrom(bi, entries, kr.key, fetched)
 			if err != nil {
 				return nil, err
 			}

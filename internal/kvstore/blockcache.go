@@ -42,6 +42,15 @@ func (c *blockCache) get(k blockKey) ([]entry, bool) {
 	return e.Value.(*blockVal).entries, true
 }
 
+// has reports whether k is cached, without promoting it.
+func (c *blockCache) has(k blockKey) bool {
+	if c == nil {
+		return false
+	}
+	_, ok := c.m[k]
+	return ok
+}
+
 func (c *blockCache) put(k blockKey, entries []entry, size int64) {
 	if c == nil || size > c.capBytes {
 		return

@@ -1,0 +1,230 @@
+package kvstore
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"slimstore/internal/oss"
+)
+
+// rangeStore counts ranged reads, tracks how many are in flight at once,
+// makes each take real time (so concurrent ones overlap observably), and
+// can fail the read of one block offset.
+type rangeStore struct {
+	oss.Store
+	perOp time.Duration
+
+	mu              sync.Mutex
+	calls, inflight int
+	maxInflight     int
+	failKey         string
+	failOff         int64
+	failArmed       bool
+}
+
+var errBlockFetch = errors.New("injected block fetch failure")
+
+func (s *rangeStore) GetRange(key string, off, n int64) ([]byte, error) {
+	s.mu.Lock()
+	s.calls++
+	s.inflight++
+	if s.inflight > s.maxInflight {
+		s.maxInflight = s.inflight
+	}
+	fail := s.failArmed && key == s.failKey && off == s.failOff
+	s.mu.Unlock()
+	time.Sleep(s.perOp)
+	defer func() {
+		s.mu.Lock()
+		s.inflight--
+		s.mu.Unlock()
+	}()
+	if fail {
+		return nil, errBlockFetch
+	}
+	return s.Store.GetRange(key, off, n)
+}
+
+func (s *rangeStore) snapshot() (calls, inflight, maxInflight int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.calls, s.inflight, s.maxInflight
+}
+
+// multiBlockStore persists a layered DB whose tables span many 16 KiB
+// data blocks, and returns the store plus the expected contents.
+func multiBlockStore(t *testing.T) (*oss.Mem, map[string]string) {
+	t.Helper()
+	mem := oss.NewMem()
+	opts := Options{MemtableBytes: 1 << 20, L0Threshold: 8}
+	db, err := Open(mem, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	val := bytes.Repeat([]byte("x"), 100)
+	put := func(i int, tag string) {
+		k := fmt.Sprintf("key%05d", i)
+		v := fmt.Sprintf("%s-%d-%s", tag, i, val)
+		if err := db.Put([]byte(k), []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		want[k] = v
+	}
+	for i := 0; i < 3000; i++ {
+		put(i, "a")
+	}
+	if err := db.Flush(); err != nil { // ~25 blocks
+		t.Fatal(err)
+	}
+	for i := 0; i < 3000; i += 3 { // newer L0 table shadowing a third
+		put(i, "b")
+	}
+	for i := 1; i < 3000; i += 50 {
+		k := fmt.Sprintf("key%05d", i)
+		if err := db.Delete([]byte(k)); err != nil {
+			t.Fatal(err)
+		}
+		delete(want, k)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return mem, want
+}
+
+// TestGetMultiConcurrentBlockFetchMatchesGets: a cold batched probe
+// overlaps its block reads, and its answers equal a loop of Gets — with
+// the default cache, with no cache, and with a cache so small that blocks
+// are evicted while the probe is still walking them.
+func TestGetMultiConcurrentBlockFetchMatchesGets(t *testing.T) {
+	mem, want := multiBlockStore(t)
+	var keys [][]byte
+	for i := 0; i < 3100; i += 2 { // the tail is absent
+		keys = append(keys, []byte(fmt.Sprintf("key%05d", i)))
+	}
+	for _, tc := range []struct {
+		name  string
+		cache int64
+	}{{"default-cache", 0}, {"no-cache", -1}, {"tiny-cache", 40 << 10}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rs := &rangeStore{Store: mem, perOp: time.Millisecond}
+			opts := Options{MemtableBytes: 1 << 20, L0Threshold: 8, BlockCacheBytes: tc.cache}
+			multi, err := Open(rs, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			single, err := Open(mem, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			values, found, err := multi.GetMulti(keys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			calls, inflight, maxInflight := rs.snapshot()
+			if inflight != 0 {
+				t.Fatalf("%d block fetches still in flight after GetMulti returned", inflight)
+			}
+			if maxInflight < 2 {
+				t.Fatalf("cold probe of %d keys never overlapped its block reads (max in flight %d over %d reads)",
+					len(keys), maxInflight, calls)
+			}
+			if maxInflight > blockFetchWidth {
+				t.Fatalf("%d reads in flight, bound is %d", maxInflight, blockFetchWidth)
+			}
+			for i, k := range keys {
+				v, ok, err := single.Get(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ok != found[i] || !bytes.Equal(v, values[i]) {
+					t.Fatalf("key %s: GetMulti (%q, %v), Get (%q, %v)", k, values[i], found[i], v, ok)
+				}
+				if wv, in := want[string(k)]; in != ok || (in && wv != string(v)) {
+					t.Fatalf("key %s: Get (%q, %v), model (%q, %v)", k, v, ok, wv, in)
+				}
+			}
+			// A block is read at most once per table probe while the cache
+			// can hold it: two tables of ~25 and ~9 blocks plus their opens.
+			if tc.cache == 0 && calls > 60 {
+				t.Fatalf("probe issued %d ranged reads", calls)
+			}
+			// Warm repeat: same answers, nothing left to fetch.
+			if tc.cache == 0 {
+				again, foundAgain, err := multi.GetMulti(keys)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range keys {
+					if foundAgain[i] != found[i] || !bytes.Equal(again[i], values[i]) {
+						t.Fatalf("key %s differs on the warm repeat", keys[i])
+					}
+				}
+				if c2, _, _ := rs.snapshot(); c2 != calls {
+					t.Fatalf("warm repeat issued %d more ranged reads", c2-calls)
+				}
+			}
+		})
+	}
+}
+
+// TestGetMultiBlockFetchFailure: when one of the concurrently fetched
+// blocks fails, GetMulti returns that error and no fetch outlives it.
+func TestGetMultiBlockFetchFailure(t *testing.T) {
+	mem, _ := multiBlockStore(t)
+	rs := &rangeStore{Store: mem, perOp: time.Millisecond}
+	db, err := Open(rs, Options{MemtableBytes: 1 << 20, L0Threshold: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Open the big table's reader, then fail a block in its middle.
+	if _, ok, err := db.Get([]byte("key00004")); err != nil || !ok {
+		t.Fatal(err)
+	}
+	var big *tableReader
+	for _, r := range db.readers {
+		if big == nil || len(r.index) > len(big.index) {
+			big = r
+		}
+	}
+	if big == nil || len(big.index) < 8 {
+		t.Fatalf("no multi-block table open: %v", db.readers)
+	}
+	rs.mu.Lock()
+	rs.failKey = db.tableKey(big.meta.Name)
+	rs.failOff = int64(big.index[len(big.index)/2].off)
+	rs.failArmed = true
+	rs.mu.Unlock()
+
+	var keys [][]byte
+	for i := 4; i < 3000; i += 3 { // live only in the big table
+		keys = append(keys, []byte(fmt.Sprintf("key%05d", i)))
+	}
+	_, _, err = db.GetMulti(keys)
+	if !errors.Is(err, errBlockFetch) {
+		t.Fatalf("GetMulti error = %v, want the injected block failure", err)
+	}
+	calls, inflight, _ := rs.snapshot()
+	if inflight != 0 {
+		t.Fatalf("%d block fetches still in flight after the failed GetMulti returned", inflight)
+	}
+	time.Sleep(5 * time.Millisecond)
+	if later, _, _ := rs.snapshot(); later != calls {
+		t.Fatalf("%d ranged reads started after GetMulti returned", later-calls)
+	}
+	// The DB stays usable once the fault clears.
+	rs.mu.Lock()
+	rs.failArmed = false
+	rs.mu.Unlock()
+	if _, found, err := db.GetMulti(keys); err != nil || !found[0] {
+		t.Fatalf("GetMulti after the fault cleared: found[0]=%v err=%v", found[0], err)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math"
 	"sort"
+	"sync"
 )
 
 // SSTable on-disk format (one OSS object per table):
@@ -381,8 +382,8 @@ func (t *tableReader) blockFor(key []byte) int {
 // searchFrom resolves key given the decoded entries of its first
 // candidate block bi (from blockFor), advancing into following blocks as
 // long as they still start at key. The first match in file order is the
-// newest version.
-func (t *tableReader) searchFrom(bi int, entries []entry, key []byte) (entry, bool, error) {
+// newest version. fetched is passed through to blockEntries.
+func (t *tableReader) searchFrom(bi int, entries []entry, key []byte, fetched map[int][]entry) (entry, bool, error) {
 	for {
 		for i := range entries {
 			if bytes.Equal(entries[i].key, key) {
@@ -394,7 +395,7 @@ func (t *tableReader) searchFrom(bi int, entries []entry, key []byte) (entry, bo
 			return entry{}, false, nil
 		}
 		var err error
-		if entries, err = t.blockEntries(bi); err != nil {
+		if entries, err = t.blockEntries(bi, fetched); err != nil {
 			return entry{}, false, err
 		}
 	}
@@ -410,17 +411,32 @@ func (t *tableReader) get(key []byte) (entry, bool, error) {
 	if bi < 0 {
 		return entry{}, false, nil
 	}
-	entries, err := t.blockEntries(bi)
+	entries, err := t.blockEntries(bi, nil)
 	if err != nil {
 		return entry{}, false, err
 	}
-	return t.searchFrom(bi, entries, key)
+	return t.searchFrom(bi, entries, key, nil)
+}
+
+// readBlock fetches and decodes data block bi from OSS. It touches no DB
+// state, so fetchBlocks may call it from several goroutines at once.
+func (t *tableReader) readBlock(bi int) ([]entry, error) {
+	h := t.index[bi]
+	blk, err := t.db.store.GetRange(t.db.tableKey(t.meta.Name), int64(h.off), int64(h.n))
+	if err != nil {
+		return nil, fmt.Errorf("kvstore: read block of %s: %w", t.meta.Name, err)
+	}
+	return decodeBlockEntries(blk)
 }
 
 // blockEntries returns the decoded entries of data block bi, consulting
 // the DB-wide block cache first. Used by the batched read path, which
 // groups keys per block so each block is fetched at most once per probe.
-func (t *tableReader) blockEntries(bi int) ([]entry, error) {
+// On a cache miss a block fetchBlocks already read is taken from fetched
+// (and removed: each fetched block stands in for exactly one OSS read)
+// instead of being read again; either way it is installed in the cache
+// here, so cache order and contents match the one-at-a-time path.
+func (t *tableReader) blockEntries(bi int, fetched map[int][]entry) ([]entry, error) {
 	h := t.index[bi]
 	ck := blockKey{table: t.meta.Name, off: h.off}
 	t.db.stats.TableReads++
@@ -428,16 +444,63 @@ func (t *tableReader) blockEntries(bi int) ([]entry, error) {
 		t.db.stats.BlockCacheHits++
 		return entries, nil
 	}
-	blk, err := t.db.store.GetRange(t.db.tableKey(t.meta.Name), int64(h.off), int64(h.n))
-	if err != nil {
-		return nil, fmt.Errorf("kvstore: read block of %s: %w", t.meta.Name, err)
-	}
-	entries, err := decodeBlockEntries(blk)
-	if err != nil {
-		return nil, err
+	entries, ok := fetched[bi]
+	if ok {
+		delete(fetched, bi)
+	} else {
+		var err error
+		if entries, err = t.readBlock(bi); err != nil {
+			return nil, err
+		}
 	}
 	t.db.blocks.put(ck, entries, int64(h.n))
 	return entries, nil
+}
+
+// blockFetchWidth bounds the ranged reads one table probe keeps in
+// flight, and with them the decoded blocks it holds outside the block
+// cache: enough to hide the per-request latency of a batched probe
+// without opening an unbounded number of OSS channels.
+const blockFetchWidth = 8
+
+// fetchBlocks reads, concurrently, the next window of a probe's blocks:
+// it scans bis from position from until it has found blockFetchWidth
+// blocks the cache does not hold (or bis ends), reads those, and returns
+// them with the position its scan stopped at, so a batched probe pays one
+// OSS round trip per window instead of one per block. It only reads: the
+// cache is neither touched nor filled (blockEntries installs each block
+// when the probe reaches it). Every goroutine has exited before it
+// returns; on failure the error of the earliest failing block in bis
+// order is returned.
+func (t *tableReader) fetchBlocks(bis []int, from int) (fetched map[int][]entry, next int, err error) {
+	var need []int
+	for next = from; next < len(bis) && len(need) < blockFetchWidth; next++ {
+		if !t.db.blocks.has(blockKey{table: t.meta.Name, off: t.index[bis[next]].off}) {
+			need = append(need, bis[next])
+		}
+	}
+	if len(need) < 2 {
+		return nil, next, nil // nothing to overlap; blockEntries reads it in place
+	}
+	blocks := make([][]entry, len(need))
+	errs := make([]error, len(need))
+	var wg sync.WaitGroup
+	for i := range need {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			blocks[i], errs[i] = t.readBlock(need[i])
+		}()
+	}
+	wg.Wait()
+	fetched = make(map[int][]entry, len(need))
+	for i, bi := range need {
+		if errs[i] != nil {
+			return nil, next, errs[i]
+		}
+		fetched[bi] = blocks[i]
+	}
+	return fetched, next, nil
 }
 
 // allEntries streams every entry of the table in order (used by compaction

@@ -26,7 +26,7 @@ BENCHTIME=1x sh ./scripts/bench.sh
 BENCH_RESTOREIO_OUT=/dev/null go run ./cmd/slimbench -exp restoreio >/dev/null
 
 # Replicated-index experiment smoke: overhead and failover columns are
-# deterministic and the sweep is sub-second, so run it whole as a
+# deterministic and the sweep takes a few seconds, so run it whole as a
 # does-it-still-run check for the BENCH_repl.json artifact.
 BENCH_REPL_OUT=/dev/null go run ./cmd/slimbench -exp repl >/dev/null
 
@@ -42,6 +42,15 @@ BENCH_INGEST_OUT=/dev/null go run ./cmd/slimbench -exp ingest >/dev/null
 # Restore fast-path experiment smoke: the serial-vs-pipelined twin sweep,
 # dense range-restore control, and residency row for BENCH_restorefast.json.
 BENCH_RESTOREFAST_OUT=/dev/null go run ./cmd/slimbench -exp restorefast >/dev/null
+
+# Wall-clock benchmark smoke on the two G-node-heavy workloads: ~1 s each,
+# same phases as a full run, and the benchmark's output checks (comparing
+# writer on every restore, Scrub clean, audit before restores, exact
+# rep-to-rep counts) fail the gate. The numbers are discarded — a
+# performance claim is made through benchmark/run.sh, in alternating pairs
+# (benchmark/README.md).
+go run ./benchmark -workload sdb-cloud -smoke >/dev/null
+go run ./benchmark -workload retention-churn -smoke >/dev/null
 
 # Fuzz smoke: seed corpora always run as part of `go test`; the short
 # -fuzz bursts below look for fresh counterexamples without blocking the
