@@ -48,14 +48,10 @@ func TestAllExperimentsRun(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			// Artifact-writing experiments honour BENCH_<EXP>_OUT; point
-			// them at a temp dir so test runs never litter the package
-			// directory (or dirty a checkout) with regenerated JSON.
-			t.Setenv("BENCH_GMAINT_OUT", filepath.Join(t.TempDir(), "gmaint.json"))
-			t.Setenv("BENCH_RESTOREIO_OUT", filepath.Join(t.TempDir(), "restoreio.json"))
-			t.Setenv("BENCH_REPL_OUT", filepath.Join(t.TempDir(), "repl.json"))
-			t.Setenv("BENCH_EC_OUT", filepath.Join(t.TempDir(), "ec.json"))
-			t.Setenv("BENCH_INGEST_OUT", filepath.Join(t.TempDir(), "ingest.json"))
+			// Artifact-writing experiments honour BENCH_<EXP>_OUT (scale's
+			// BENCH_OUT is TestMain's); point it at a temp dir so test runs
+			// never litter the package directory with regenerated JSON.
+			t.Setenv("BENCH_"+strings.ToUpper(e.ID)+"_OUT", filepath.Join(t.TempDir(), e.ID+".json"))
 			var buf bytes.Buffer
 			if err := e.Run(context.Background(), &buf, tinyScale); err != nil {
 				t.Fatalf("%s: %v", e.ID, err)

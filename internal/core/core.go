@@ -101,58 +101,20 @@ type Config struct {
 
 	// PackWorkers is the number of background workers sealing and
 	// uploading filled containers while the dedup loop keeps running (the
-	// pack stage of the backup pipeline). 0 selects the default (4);
-	// negative packs synchronously.
+	// pack stage of the backup pipeline), with at most
+	// 3 × PackWorkers × ContainerCapacity payload bytes sealed or sealing
+	// ahead of them. 0 selects the default (4); negative packs
+	// synchronously.
 	PackWorkers int
-	// HashWorkers is the worker-pool size for parallelisable
-	// fingerprinting: the base-detection probe pass always uses it, and
-	// the main loop does too when both history-aware accelerations are
-	// off (their skip cuts make boundaries depend on dedup decisions).
-	// 0 selects the default (4); negative hashes inline.
+	// HashWorkers is the size of an L-node's persistent fingerprint
+	// worker pool. The base-detection probe pass always hashes through
+	// it; the main loop does when both history-aware accelerations are
+	// off, which is when chunking and hashing run ahead of the dedup
+	// probes on the ingest ring (with either on, cut points depend on
+	// dedup verdicts and each chunk is hashed where it is cut).
+	// 0 selects the default (4); negative hashes inline on the cutting
+	// goroutine.
 	HashWorkers int
-	// VerifyWorkers is the fan-out width of per-chunk fingerprint
-	// verification on the restore fast path (DESIGN.md §14): verify jobs
-	// are spread over a persistent hash worker pool instead of paying one
-	// serial SHA per chunk. 0 selects the default (4, sharing the
-	// HashWorkers pool when the sizes agree); negative verifies inline on
-	// the pipeline's reassembly stage.
-	VerifyWorkers int
-	// RestoreWindow bounds the restore pipeline's in-flight chunk slots
-	// (the reassembly ring depth): how far fetch/decode may run ahead of
-	// the verified, in-order sink writes. It is the restore counterpart
-	// of the ingest ring and caps resident pipeline memory at
-	// O(window × chunk size). 0 selects the default (256); values below 2
-	// are clamped to 2 (the minimum that still overlaps).
-	RestoreWindow int
-	// LegacyRestore selects the pre-fast-path serial restore emit: every
-	// chunk is charged, verified, and written inside one sequential
-	// callback. Default false — the pooled reassembly-ring pipeline
-	// (DESIGN.md §14). The restorefast benchmark uses this as its
-	// measured baseline, the way LegacyIngest serves the ingest
-	// experiment.
-	LegacyRestore bool
-	// LegacyIngest selects the pre-fast-path pipelined ingest on the
-	// content-defined path: materialize every chunk into one []Chunk,
-	// spawn hash workers per call, probe the dedup cache chunk-by-chunk.
-	// Default false — the pooled ring fast path (DESIGN.md §13). The
-	// ingest benchmark uses this as its measured baseline, the way
-	// DisableRangedReads serves the restoreio experiment.
-	LegacyIngest bool
-	// InlineGlobalProbe extends the fast ingest path with batched probes
-	// of the global fingerprint index: chunks that miss the job's local
-	// dedup cache are looked up in the global index (one GetBatch per
-	// ring batch) and recorded as duplicates on a hit. Default false —
-	// the paper's design performs global deduplication offline on the
-	// G-node; enabling this trades index traffic on the backup path for
-	// catching cross-file duplicates the similarity detector misses.
-	// Only hits containers the G-node has already indexed.
-	InlineGlobalProbe bool
-	// PackBudgetBytes bounds the payload bytes of filled containers that
-	// may sit sealed-or-sealing ahead of the pack workers (queued plus
-	// in-flight), the explicit backpressure of the pack stage. 0 selects
-	// the default 3 × PackWorkers × ContainerCapacity; negative disables
-	// the byte budget (the queue's container-count bound still applies).
-	PackBudgetBytes int64
 	// MaintWorkers is the fan-out width of G-node offline maintenance
 	// (reverse dedup scans, scrub verification, sweep marking, container
 	// rewrites). 0 selects the default (4); negative runs serially. Any
@@ -218,8 +180,6 @@ func DefaultConfig() Config {
 		PrefetchThreads:       6,
 		PackWorkers:           4,
 		HashWorkers:           4,
-		VerifyWorkers:         4,
-		RestoreWindow:         256,
 		MaintWorkers:          4,
 		Costs:                 simclock.DefaultCosts(),
 	}
@@ -275,20 +235,8 @@ func (c *Config) fillDefaults() {
 	if c.HashWorkers == 0 {
 		c.HashWorkers = d.HashWorkers
 	}
-	if c.VerifyWorkers == 0 {
-		c.VerifyWorkers = d.VerifyWorkers
-	}
-	if c.RestoreWindow == 0 {
-		c.RestoreWindow = d.RestoreWindow
-	}
-	if c.RestoreWindow < 2 {
-		c.RestoreWindow = 2
-	}
 	if c.MaintWorkers == 0 {
 		c.MaintWorkers = d.MaintWorkers
-	}
-	if c.PackBudgetBytes == 0 && c.PackWorkers > 0 {
-		c.PackBudgetBytes = 3 * int64(c.PackWorkers) * int64(c.ContainerCapacity)
 	}
 	if c.GlobalShards <= 0 {
 		c.GlobalShards = 1

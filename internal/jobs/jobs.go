@@ -141,7 +141,7 @@ type Stats struct {
 	Failed    int64
 	Cancelled int64
 
-	// Restore data-path aggregates (restore fast path, DESIGN.md §14):
+	// Restore data-path aggregates (DESIGN.md §14):
 	// verify-job volume and LAW prefetcher effectiveness summed over every
 	// completed restore and verify job.
 	VerifyJobs         int64 // verify jobs whose chunks all checked out

@@ -221,14 +221,6 @@ func (pr *program) lockSummaryOf(fn *types.Func, depth int) *lockSummary {
 	return sum
 }
 
-// callAcquire is one acquisition reachable from a specific call site:
-// the chain starts at the direct callee.
-type callAcquire struct {
-	chain  []*types.Func
-	family lockFamily
-	key    string
-}
-
 // heldLock is one entry of the walker's held set.
 type heldLock struct {
 	family lockFamily
@@ -239,7 +231,7 @@ type heldLock struct {
 // lockWalker carries per-function analysis state.
 type lockWalker struct {
 	p        *Package
-	resolve  func(call *ast.CallExpr) []callAcquire
+	pr       *program
 	findings *[]Finding
 	reported map[string]bool // (pos, families, held key) dedupe across fan-out
 
@@ -251,78 +243,16 @@ type lockWalker struct {
 	releaseCalls map[string]bool   // lock key → release func invoked/deferred/escaped
 }
 
-// runLockOrder is the v2 engine: call sites resolve through the
-// whole-program call graph to transitive, cross-package summaries.
+// runLockOrder runs the body walker over every function in p. Call
+// sites resolve through the whole-program call graph to transitive,
+// cross-package summaries.
 func runLockOrder(pr *program, p *Package) []Finding {
-	return lockOrderWalk(p, func(call *ast.CallExpr) []callAcquire {
-		var out []callAcquire
-		for _, e := range pr.graph.resolveCall(p, call) {
-			for _, a := range pr.lockSummaryOf(e.callee, 0).acquires {
-				out = append(out, callAcquire{
-					chain:  append([]*types.Func{e.callee}, a.chain...),
-					family: a.family,
-					key:    a.key,
-				})
-			}
-		}
-		return out
-	})
-}
-
-// lockOrderLegacyFindings is the pre-v2 engine: one level of same-package
-// calls only, no transitivity, no interface fan-out. It exists as a test
-// hook so lint_test.go can prove the cross-package fixtures are invisible
-// to it.
-func lockOrderLegacyFindings(p *Package) []Finding {
-	summaries := map[*types.Func]*lockSummary{}
-	for _, f := range p.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := p.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			sum := &lockSummary{}
-			inspectShallow(fd.Body, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					if ev := classifyLockCall(p, call); ev != nil && ev.acquire {
-						sum.acquires = append(sum.acquires, transAcquire{family: ev.family, key: ev.key})
-					}
-				}
-				return true
-			})
-			summaries[fn] = sum
-		}
-	}
-	return lockOrderWalk(p, func(call *ast.CallExpr) []callAcquire {
-		fn := p.calleeFunc(call)
-		if fn == nil || fn.Pkg() != p.Types {
-			return nil
-		}
-		sum := summaries[fn]
-		if sum == nil {
-			return nil
-		}
-		var out []callAcquire
-		for _, a := range sum.acquires {
-			out = append(out, callAcquire{chain: []*types.Func{fn}, family: a.family, key: a.key})
-		}
-		return out
-	})
-}
-
-// lockOrderWalk runs the body walker over every function in p with the
-// given call-site resolver.
-func lockOrderWalk(p *Package, resolve func(*ast.CallExpr) []callAcquire) []Finding {
 	var findings []Finding
 	for _, f := range p.Files {
 		for _, fb := range fileFuncBodies(f) {
 			w := &lockWalker{
 				p:            p,
-				resolve:      resolve,
+				pr:           pr,
 				findings:     &findings,
 				reported:     map[string]bool{},
 				acquired:     map[string]token.Pos{},
@@ -651,17 +581,21 @@ func (w *lockWalker) handleCall(call *ast.CallExpr, held *[]heldLock) {
 	// removed. Fan-out through interface methods can surface the same
 	// family via several chains; report each (site, family pair, held
 	// key) once, with the first chain found.
-	for _, ca := range w.resolve(call) {
-		for _, h := range *held {
-			if ca.family < h.family {
-				dedupe := fmt.Sprintf("%d|%d|%d|%s", call.Pos(), ca.family, h.family, h.key)
+	for _, e := range w.pr.graph.resolveCall(w.p, call) {
+		for _, a := range w.pr.lockSummaryOf(e.callee, 0).acquires {
+			for _, h := range *held {
+				if a.family >= h.family {
+					continue
+				}
+				dedupe := fmt.Sprintf("%d|%d|%d|%s", call.Pos(), a.family, h.family, h.key)
 				if w.reported[dedupe] {
 					continue
 				}
 				w.reported[dedupe] = true
+				chain := append([]*types.Func{e.callee}, a.chain...)
 				*w.findings = append(*w.findings, w.p.finding("lockorder", call.Pos(),
 					"calls %s, which acquires %s (%s) while %s (%s) is held — violates maintMu → FileLocks → ContainerLocks → leaves",
-					w.chainString(ca.chain), ca.family, ca.key, h.family, h.key))
+					w.chainString(chain), a.family, a.key, h.family, h.key))
 			}
 		}
 	}

@@ -31,18 +31,12 @@ type LNode struct {
 	repo *core.Repo
 	name string
 
-	// Ingest fast-path resources (hashpool.go, ingest.go): a persistent
+	// Ingest ring resources (hashpool.go, ingest.go): a persistent
 	// fingerprint worker pool and recycled pipeline runs.
 	mu     sync.Mutex
 	hpool  *hashPool
 	closed bool
 	runs   sync.Pool // *ingestRun
-
-	// Restore fast-path resources (restorefast.go): an optional dedicated
-	// verify pool (nil when verification shares hpool) and recycled
-	// reassembly-ring runs.
-	vpool *hashPool
-	rruns sync.Pool // *restoreRun
 }
 
 // New returns an L-node. name is informational (logs, stats).
@@ -72,9 +66,6 @@ type BackupStats struct {
 	SuperHits, SuperMisses, NewSuperchunks int
 
 	SegmentsFetched int
-	// Inline global-index probing (Config.InlineGlobalProbe): fingerprints
-	// probed against the global index and duplicates found there.
-	GlobalProbes, GlobalHits int
 	// Base file detection (STEP 1): "name", "similarity", or "none".
 	BaseBy      string
 	BaseFile    string
@@ -141,11 +132,6 @@ type backupJob struct {
 	data      []byte
 	sampled   []fingerprint.FP // sampled fingerprints for the sketch
 	lastMatch *dedupEntry
-
-	// Fast-path scratch, reused across batches (ingest.go).
-	verdicts []probeVerdict
-	gfps     []fingerprint.FP
-	gidx     []int
 }
 
 type pendingRec struct {
@@ -176,10 +162,7 @@ func (n *LNode) newBackupJob(data []byte) *backupJob {
 		// computation and multipart upload, realised with real threads).
 		// The byte budget bounds payload bytes buffered ahead of the
 		// uploads, so ingest speed cannot outrun the write path unboundedly.
-		budget := cfg.PackBudgetBytes
-		if budget < 0 {
-			budget = 0
-		}
+		budget := 3 * int64(cfg.PackWorkers) * int64(cfg.ContainerCapacity)
 		j.pool = container.NewPackPoolBudget(j.containers, cfg.PackWorkers, budget)
 		j.builder = container.NewBuilderAsync(j.containers, j.pool)
 	} else {
@@ -222,6 +205,40 @@ func (j *backupJob) finish() *BackupStats {
 // Backup deduplicates one input file version and persists containers,
 // recipe, recipe index, similarity sketch, and catalog entry.
 func (n *LNode) Backup(fileID string, data []byte) (*BackupStats, error) {
+	return n.backup(fileID, data, data, (*backupJob).dedupe)
+}
+
+// BackupStream deduplicates one input version read from r without ever
+// materialising it: resident memory stays O(pipeline window) — head
+// probe + ring slabs + pack budget — regardless of input size.
+// History-aware cuts need random access to the whole version, so with
+// skip chunking or chunk merging on the stream is buffered and handed to
+// Backup.
+func (n *LNode) BackupStream(fileID string, rd io.Reader) (*BackupStats, error) {
+	if n.repo.Config.SkipChunking || n.repo.Config.ChunkMerging {
+		data, err := io.ReadAll(rd)
+		if err != nil {
+			return nil, fmt.Errorf("lnode: read stream: %w", err)
+		}
+		return n.Backup(fileID, data)
+	}
+	// Base detection samples only the head (§IV-A) — the one part of the
+	// stream that must be buffered, and later re-cut as the stream prefix.
+	head := make([]byte, headBytes)
+	hn, err := io.ReadFull(rd, head)
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return nil, fmt.Errorf("lnode: read stream head: %w", err)
+	}
+	head = head[:hn]
+	return n.backup(fileID, nil, head, func(j *backupJob) error {
+		return j.dedupeStream(head, rd)
+	})
+}
+
+// backup is the job body shared by Backup and BackupStream. data is the
+// whole version when it is in memory (nil when streaming), head the
+// prefix base detection samples, step2 the dedupe stage to run.
+func (n *LNode) backup(fileID string, data, head []byte, step2 func(*backupJob) error) (*BackupStats, error) {
 	if fileID == "" {
 		return nil, fmt.Errorf("lnode: empty file ID")
 	}
@@ -238,63 +255,17 @@ func (n *LNode) Backup(fileID string, data []byte) (*BackupStats, error) {
 
 	// STEP 1: detect the latest historical version by name, falling back
 	// to the similar file index.
-	if err := j.detectBase(fileID, data); err != nil {
+	if err := j.detectBase(fileID, head); err != nil {
 		return nil, err
 	}
 
 	// STEP 2: chunk, fingerprint, and deduplicate against prefetched
 	// similar segment recipes.
-	if err := j.dedupe(); err != nil {
+	if err := step2(j); err != nil {
 		return nil, err
 	}
 
 	// STEP 3: persist containers, recipe, recipe index, sketch, catalog.
-	if err := j.persist(fileID); err != nil {
-		return nil, err
-	}
-	return j.finish(), nil
-}
-
-// BackupStream deduplicates one input version read from r without ever
-// materialising it: resident memory stays O(pipeline window) — head
-// probe + ring slabs + pack budget — regardless of input size. Requires
-// the fast-path configuration (history-aware cuts need random access to
-// the whole version); other configurations fall back to buffering the
-// stream and calling Backup.
-func (n *LNode) BackupStream(fileID string, rd io.Reader) (*BackupStats, error) {
-	cfg := &n.repo.Config
-	if cfg.SkipChunking || cfg.ChunkMerging || cfg.HashWorkers <= 0 || cfg.LegacyIngest {
-		data, err := io.ReadAll(rd)
-		if err != nil {
-			return nil, fmt.Errorf("lnode: read stream: %w", err)
-		}
-		return n.Backup(fileID, data)
-	}
-	if fileID == "" {
-		return nil, fmt.Errorf("lnode: empty file ID")
-	}
-	n.repo.Files.Lock(fileID)
-	defer n.repo.Files.Unlock(fileID)
-
-	// Base detection samples only the head (§IV-A) — the one part of the
-	// stream that must be buffered, and later re-cut as the stream prefix.
-	head := make([]byte, headBytes)
-	hn, err := io.ReadFull(rd, head)
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		return nil, fmt.Errorf("lnode: read stream head: %w", err)
-	}
-	head = head[:hn]
-
-	j := n.newBackupJob(nil)
-	defer j.drainPool()
-	j.stats.FileID = fileID
-
-	if err := j.detectBase(fileID, head); err != nil {
-		return nil, err
-	}
-	if err := j.dedupeStream(head, rd); err != nil {
-		return nil, err
-	}
 	if err := j.persist(fileID); err != nil {
 		return nil, err
 	}
@@ -334,14 +305,8 @@ func (j *backupJob) detectBase(fileID string, data []byte) error {
 		}
 		chunks = append(chunks, ch)
 	}
-	var all []fingerprint.FP
-	if j.cfg.LegacyIngest {
-		all = hashChunks(j.cfg.FingerprintAlg, chunks, j.cfg.HashWorkers)
-	} else {
-		all = j.node.hashAll(j.cfg.FingerprintAlg, chunks)
-	}
 	var fps []fingerprint.FP
-	for _, fp := range all {
+	for _, fp := range j.node.hashAll(j.cfg.FingerprintAlg, chunks) {
 		if j.sampler.Sample(fp) {
 			fps = append(fps, fp)
 		}
@@ -448,20 +413,45 @@ func (j *backupJob) successor(e *dedupEntry) (dedupEntry, bool) {
 	return dedupEntry{rec: next.Records[0], segNo: e.segNo + 1, idx: 0}, true
 }
 
-// dedupe implements STEP 2: the main chunk loop with history-aware skip
-// chunking and SuperChunking.
-func (j *backupJob) dedupe() error {
-	// With both history-aware accelerations off, chunk boundaries no longer
-	// depend on dedup decisions, so chunking+fingerprinting can run as a
-	// parallel front stage: the pooled batch pipeline (ingest.go), or the
-	// materialize-everything legacy pipeline (pipeline.go) kept as the
-	// measured baseline behind Config.LegacyIngest.
-	if !j.cfg.SkipChunking && !j.cfg.ChunkMerging && j.cfg.HashWorkers > 0 {
-		if j.cfg.LegacyIngest {
-			return j.dedupeLegacy()
+// lookup is the one dedup probe of STEP 2: the job's dedup cache first,
+// then the base version's recipe index, where a sample match prefetches
+// the whole similar segment recipe (logical locality). Sampling bounds
+// the index size, not the probe cost — the index is already in L-node
+// memory for the duration of the job, so every miss probes it.
+func (j *backupJob) lookup(fp fingerprint.FP) (dedupEntry, bool, error) {
+	j.acct.ChargeCPU(simclock.PhaseIndexQuery, j.cfg.Costs.IndexLookup)
+	e, hit := j.dedupCache[fp]
+	if !hit && j.baseIndex != nil {
+		if segNo, found := j.baseIndex.Samples[fp]; found {
+			if err := j.fetchSegment(int(segNo)); err != nil {
+				return dedupEntry{}, false, err
+			}
+			e, hit = j.dedupCache[fp]
 		}
-		return j.dedupeFast()
 	}
+	return e, hit, nil
+}
+
+// dedupe implements STEP 2 for an in-memory version. The one thing that
+// decides its shape is whether cut points depend on dedup verdicts: skip
+// chunking and chunk merging cut at sizes taken from the matched history
+// (chunker.Stream.SkipCut / Rewind), which serialises cut, hash and probe
+// by construction. Without them boundaries are decided by content alone,
+// so chunking and fingerprinting run ahead of the probes on the ring
+// (ingest.go).
+func (j *backupJob) dedupe() error {
+	if j.cfg.SkipChunking || j.cfg.ChunkMerging {
+		return j.dedupeHistoryAware()
+	}
+	r := j.node.newIngestRun()
+	go r.produceBuffer(j.data)
+	return j.consumeRing(r)
+}
+
+// dedupeHistoryAware is the main chunk loop with history-aware skip
+// chunking and SuperChunking. With both switched off it is the plain
+// serial chunk→hash→probe loop the ring is twin-tested against.
+func (j *backupJob) dedupeHistoryAware() error {
 	cutter := j.node.repo.Cutter()
 	stream := chunker.NewStream(j.data, cutter, j.acct, j.cfg.Costs)
 
@@ -480,7 +470,9 @@ func (j *backupJob) dedupe() error {
 						} else {
 							j.stats.SkipHits++
 						}
-						j.emitDuplicate(next, ch)
+						if err := j.emitDuplicate(next, ch); err != nil {
+							return err
+						}
 						continue
 					}
 					stream.Rewind(ch.Offset)
@@ -496,23 +488,14 @@ func (j *backupJob) dedupe() error {
 			break
 		}
 		fp := j.node.repo.Fingerprint(j.acct, ch.Data)
-		j.acct.ChargeCPU(simclock.PhaseIndexQuery, j.cfg.Costs.IndexLookup)
-		e, hit := j.dedupCache[fp]
-		if !hit && j.baseIndex != nil {
-			// Probe the recipe index; a sample match prefetches the whole
-			// similar segment recipe (logical locality). Sampling bounds
-			// the index size, not the probe cost — the index is already in
-			// L-node memory for the duration of the job, so every miss
-			// probes it.
-			if segNo, found := j.baseIndex.Samples[fp]; found {
-				if err := j.fetchSegment(int(segNo)); err != nil {
-					return err
-				}
-				e, hit = j.dedupCache[fp]
-			}
+		e, hit, err := j.lookup(fp)
+		if err != nil {
+			return err
 		}
 		if hit {
-			j.emitDuplicate(e, ch)
+			if err := j.emitDuplicate(e, ch); err != nil {
+				return err
+			}
 			continue
 		}
 
@@ -526,7 +509,9 @@ func (j *backupJob) dedupe() error {
 					scFP := j.node.repo.Fingerprint(j.acct, scData)
 					if scFP == super.rec.FP {
 						j.stats.SuperHits++
-						j.emitDuplicate(super, chunker.Chunk{Offset: ch.Offset, Data: scData})
+						if err := j.emitDuplicate(super, chunker.Chunk{Offset: ch.Offset, Data: scData}); err != nil {
+							return err
+						}
 						continue
 					}
 					stream.Rewind(ext.Offset)
@@ -547,13 +532,13 @@ func (j *backupJob) dedupe() error {
 }
 
 // emitDuplicate records a confirmed duplicate chunk.
-func (j *backupJob) emitDuplicate(e dedupEntry, ch chunker.Chunk) {
+func (j *backupJob) emitDuplicate(e dedupEntry, ch chunker.Chunk) error {
 	rec := e.rec
 	rec.DuplicateTimes++
 	j.stats.NumDuplicates++
 	j.stats.DuplicateBytes += int64(ch.Size())
 	j.lastMatch = &e
-	j.appendRecord(rec, ch.Offset)
+	return j.appendRecord(rec, ch.Offset)
 }
 
 // emitUnique stores a new chunk and records it.
@@ -564,18 +549,17 @@ func (j *backupJob) emitUnique(fp fingerprint.FP, ch chunker.Chunk) error {
 	}
 	j.stats.StoredBytes += int64(ch.Size())
 	j.lastMatch = nil
-	j.appendRecord(recipe.ChunkRecord{
+	return j.appendRecord(recipe.ChunkRecord{
 		FP:        fp,
 		Container: id,
 		Size:      uint32(ch.Size()),
 	}, ch.Offset)
-	return nil
 }
 
 // appendRecord feeds the history-aware chunk-merging stage (§IV-C):
 // consecutive duplicate records whose duplicateTimes reached the merge
 // threshold accumulate into a pending run that becomes a superchunk.
-func (j *backupJob) appendRecord(rec recipe.ChunkRecord, off int64) {
+func (j *backupJob) appendRecord(rec recipe.ChunkRecord, off int64) error {
 	mergeable := j.cfg.ChunkMerging &&
 		!rec.Super &&
 		rec.DuplicateTimes >= uint32(j.cfg.MergeThreshold) &&
@@ -588,28 +572,33 @@ func (j *backupJob) appendRecord(rec recipe.ChunkRecord, off int64) {
 				runBytes += int64(j.pending[i].rec.Size)
 			}
 			if runBytes+int64(rec.Size) > int64(j.cfg.MaxSuperChunkBytes) {
-				j.mergePendingRun()
+				if err := j.mergePendingRun(); err != nil {
+					return err
+				}
 			}
 		}
 		j.pending = append(j.pending, pendingRec{rec: rec, off: off})
-		return
+		return nil
 	}
-	j.mergePendingRun()
+	if err := j.mergePendingRun(); err != nil {
+		return err
+	}
 	j.commitRecord(rec)
+	return nil
 }
 
 // mergePendingRun converts the pending run into a superchunk (if it has at
 // least two chunks) or commits its records unchanged.
-func (j *backupJob) mergePendingRun() {
+func (j *backupJob) mergePendingRun() error {
 	defer func() { j.pending = j.pending[:0] }()
 	if len(j.pending) == 0 {
-		return
+		return nil
 	}
 	if len(j.pending) < 2 {
 		for i := range j.pending {
 			j.commitRecord(j.pending[i].rec)
 		}
-		return
+		return nil
 	}
 	start := j.pending[0].off
 	var total int64
@@ -627,11 +616,10 @@ func (j *backupJob) mergePendingRun() {
 	// the source of the small deduplication-ratio loss.
 	id, err := j.builder.Add(scFP, scData)
 	if err != nil {
-		// Fall back to the unmerged records; merging is an optimisation.
-		for i := range j.pending {
-			j.commitRecord(j.pending[i].rec)
-		}
-		return
+		// Add fails when sealing the previous container fails, and earlier
+		// records of this version already reference that container, so the
+		// job cannot carry on with the unmerged records.
+		return fmt.Errorf("lnode: store superchunk: %w", err)
 	}
 	j.stats.StoredBytes += total
 	j.stats.NewSuperchunks++
@@ -643,6 +631,7 @@ func (j *backupJob) mergePendingRun() {
 		Super:          true,
 		FirstChunk:     j.pending[0].rec.FP,
 	})
+	return nil
 }
 
 // commitRecord adds a finalized record to the current segment.
@@ -660,7 +649,9 @@ func (j *backupJob) commitRecord(rec recipe.ChunkRecord) {
 }
 
 func (j *backupJob) flushPending() error {
-	j.mergePendingRun()
+	if err := j.mergePendingRun(); err != nil {
+		return err
+	}
 	if len(j.curSegment) > 0 {
 		j.segments = append(j.segments, recipe.Segment{Records: j.curSegment})
 		j.curSegment = nil

@@ -3,7 +3,9 @@ package lnode
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -58,6 +60,54 @@ func TestBackupFailsWhenOSSDies(t *testing.T) {
 	}
 	if !bytes.Equal(restoreBytes(t, n, "f", 0), data) {
 		t.Fatal("post-recovery restore corrupt")
+	}
+}
+
+// failOneContainerPut fails the first containers/ Put after it is armed.
+type failOneContainerPut struct {
+	oss.Store
+	armed bool
+}
+
+func (s *failOneContainerPut) Put(key string, data []byte) error {
+	if s.armed && strings.HasPrefix(key, container.Prefix) {
+		s.armed = false
+		return fmt.Errorf("%w: put %s", oss.ErrInjected, key)
+	}
+	return s.Store.Put(key, data)
+}
+
+// TestBackupFailsWhenSuperchunkContainerFailsToSeal: with synchronous
+// packing, storing a merged superchunk is what seals the previous — already
+// referenced — container, so a failed seal there must fail the backup with
+// the store's error before any recipe object of the version is written.
+func TestBackupFailsWhenSuperchunkContainerFailsToSeal(t *testing.T) {
+	mem := oss.NewMem()
+	store := &failOneContainerPut{Store: mem}
+	cfg := testConfig()
+	cfg.PackWorkers = -1
+	cfg.MergeThreshold = 1 // the second backup merges every duplicate run
+	repo, err := core.OpenRepo(store, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := New(repo, "l0")
+	defer n.Close()
+	data := genData(53, 1<<20)
+	if _, err := n.Backup("f", data); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := mem.List("recipes/")
+
+	store.armed = true
+	if _, err := n.Backup("f", data); !errors.Is(err, oss.ErrInjected) {
+		t.Fatalf("backup error = %v, want injected fault", err)
+	}
+	if store.armed {
+		t.Fatal("second backup never wrote a container")
+	}
+	if after, _ := mem.List("recipes/"); !reflect.DeepEqual(after, before) {
+		t.Fatalf("failed backup left recipe objects behind:\nbefore %v\nafter  %v", before, after)
 	}
 }
 

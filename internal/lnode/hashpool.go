@@ -7,12 +7,11 @@ import (
 	"slimstore/internal/fingerprint"
 )
 
-// This file is the persistent fingerprint worker pool of the ingest fast
-// path (DESIGN.md §13). The pre-fast-path pipeline spawned HashWorkers
-// goroutines per hashChunks call; an L-node now owns one long-lived pool
-// fed over a channel, so the steady-state hot path schedules work without
-// goroutine churn. The pool is lazily created on first use and torn down
-// by Close (the jobs engine closes its L-nodes when a host retires).
+// This file is the persistent fingerprint worker pool of the ingest ring
+// (DESIGN.md §13): an L-node owns one long-lived pool fed over a channel,
+// so the steady-state hot path schedules work without goroutine churn.
+// The pool is lazily created on first use and torn down by Close (the
+// jobs engine closes its L-nodes when a host retires).
 
 // hashJob is one unit of pool work: fingerprint chunks[i] into fps[i]
 // for every i, then signal done. chunks and fps are owned by the
@@ -79,31 +78,33 @@ func (n *LNode) hashers() *hashPool {
 func (n *LNode) Close() {
 	n.mu.Lock()
 	pool := n.hpool
-	vpool := n.vpool
 	n.hpool = nil
-	n.vpool = nil
 	n.closed = true
 	n.mu.Unlock()
 	if pool != nil {
 		pool.close()
 	}
-	if vpool != nil {
-		vpool.close()
-	}
 }
+
+// smallHashBatch is the per-worker chunk count at or below which feeding
+// the pool costs more than hashing inline — measured by
+// BenchmarkHashAllCrossover.
+const smallHashBatch = 2
 
 // hashAll fingerprints chunks in input order through the persistent pool,
 // splitting the slice into one contiguous range per worker. Small inputs
-// (<= smallHashBatch chunks per worker) hash inline — the crossover below
-// which handing work to the pool costs more than the hashing
-// (BenchmarkHashChunksCrossover).
+// (<= smallHashBatch chunks per worker) hash inline. No simclock charges —
+// the caller accounts for the pass (the probe pass bills OtherPerByte).
 func (n *LNode) hashAll(alg fingerprint.Algorithm, chunks []chunker.Chunk) []fingerprint.FP {
 	w := n.repo.Config.HashWorkers
 	pool := n.hashers()
-	if pool == nil || len(chunks) <= smallHashBatch*w {
-		return hashChunks(alg, chunks, 1)
-	}
 	fps := make([]fingerprint.FP, len(chunks))
+	if pool == nil || len(chunks) <= smallHashBatch*w {
+		for i := range chunks {
+			fps[i] = fingerprint.Of(alg, chunks[i].Data)
+		}
+		return fps
+	}
 	stride := (len(chunks) + w - 1) / w
 	var wg sync.WaitGroup
 	for s := 0; s < len(chunks); s += stride {

@@ -7,20 +7,16 @@ import (
 	"time"
 
 	"slimstore/internal/chunker"
-	"slimstore/internal/container"
 	"slimstore/internal/fingerprint"
-	"slimstore/internal/recipe"
 	"slimstore/internal/simclock"
 )
 
-// This file is the allocation-lean ingest fast path (DESIGN.md §13):
-// chunk → fingerprint → dedupe → pack as a bounded pipeline of pooled
-// batches. It replaces the materialize-everything hand-off of the legacy
-// pipeline (pipeline.go) — which buffered every chunk header and
-// fingerprint of the version before the first dedup lookup — with a ring
-// of recycled chunk batches, so a multi-GiB stream ingests in O(window)
-// resident memory and the steady-state hot loop allocates (almost)
-// nothing.
+// This file is the ring front stage of ingest (DESIGN.md §13): chunk →
+// fingerprint → dedupe → pack as a bounded pipeline of pooled batches,
+// used whenever chunk boundaries are decided by content alone. A ring of
+// recycled chunk batches carries the work, so a multi-GiB stream ingests
+// in O(window) resident memory and the steady-state hot loop allocates
+// (almost) nothing.
 //
 // Ownership discipline:
 //   - The producer cuts chunks into batches and hands each batch to the
@@ -314,126 +310,28 @@ func (r *ingestRun) consume(acct *simclock.Account, sink func(*chunkBatch) error
 	return r.prodErr
 }
 
-// probeVerdict is the dedup decision for one chunk, captured before any
-// emission so the emit pass is pure output.
-type probeVerdict struct {
-	e    dedupEntry
-	hit  bool
-	gid  container.ID
-	ghit bool
-}
-
-// consumeBatch is STEP 2 over one batch: probe every chunk in input order
-// (local dedup cache, then recipe-index sample fetch, then — optionally —
-// one batched global-index lookup for the misses), then emit the verdicts
-// in input order. Probing never depends on emission state, so the split
-// produces bit-identical recipes to the interleaved serial loop.
-func (j *backupJob) consumeBatch(b *chunkBatch) error {
-	if cap(j.verdicts) < len(b.chunks) {
-		j.verdicts = make([]probeVerdict, len(b.chunks))
-	}
-	v := j.verdicts[:len(b.chunks)]
-	for i := range b.chunks {
-		fp := b.fps[i]
-		j.acct.ChargeCPU(simclock.PhaseIndexQuery, j.cfg.Costs.IndexLookup)
-		e, hit := j.dedupCache[fp]
-		if !hit && j.baseIndex != nil {
-			if segNo, found := j.baseIndex.Samples[fp]; found {
-				if err := j.fetchSegment(int(segNo)); err != nil {
-					return err
-				}
-				e, hit = j.dedupCache[fp]
+// consumeRing is STEP 2 behind the ring: every chunk of every batch, in
+// input order, through the same lookup and duplicate/unique emit as the
+// history-aware loop. The bytes the producer cut are the version's
+// logical size — the only way a streaming job learns it. Recycles r.
+func (j *backupJob) consumeRing(r *ingestRun) error {
+	err := r.consume(j.acct, func(b *chunkBatch) error {
+		for i := range b.chunks {
+			e, hit, err := j.lookup(b.fps[i])
+			if err != nil {
+				return err
 			}
-		}
-		v[i] = probeVerdict{e: e, hit: hit}
-	}
-	if j.cfg.InlineGlobalProbe && j.node.repo.Global != nil {
-		if err := j.probeGlobal(b, v); err != nil {
-			return err
-		}
-	}
-	for i := range b.chunks {
-		switch {
-		case v[i].hit:
-			j.emitDuplicate(v[i].e, b.chunks[i])
-		case v[i].ghit:
-			j.emitGlobalDuplicate(b.fps[i], v[i].gid, b.chunks[i])
-		default:
-			if err := j.emitUnique(b.fps[i], b.chunks[i]); err != nil {
+			if hit {
+				err = j.emitDuplicate(e, b.chunks[i])
+			} else {
+				err = j.emitUnique(b.fps[i], b.chunks[i])
+			}
+			if err != nil {
 				return err
 			}
 		}
-	}
-	return nil
-}
-
-// probeGlobal resolves local misses against the global fingerprint index
-// in one batched lookup. The paper dedups globally offline (G-node
-// reverse deduplication, §V-A); this optional inline probe only ever hits
-// fingerprints the G-node has already indexed, trading one batched index
-// round-trip per ~ingestBatchChunks chunks for cross-file dedup at
-// backup time.
-func (j *backupJob) probeGlobal(b *chunkBatch, v []probeVerdict) error {
-	j.gfps = j.gfps[:0]
-	j.gidx = j.gidx[:0]
-	for i := range v {
-		if !v[i].hit {
-			j.gfps = append(j.gfps, b.fps[i])
-			j.gidx = append(j.gidx, i)
-		}
-	}
-	if len(j.gfps) == 0 {
 		return nil
-	}
-	ids, found, _, err := j.node.repo.Global.GetBatch(j.gfps)
-	if err != nil {
-		return fmt.Errorf("lnode: global probe: %w", err)
-	}
-	for k := range j.gfps {
-		j.acct.ChargeCPU(simclock.PhaseIndexQuery, j.cfg.Costs.IndexLookup)
-		j.stats.GlobalProbes++
-		if found[k] {
-			v[j.gidx[k]].ghit = true
-			v[j.gidx[k]].gid = ids[k]
-		}
-	}
-	return nil
-}
-
-// emitGlobalDuplicate records a chunk deduplicated against the global
-// index: no new payload is stored, the recipe references the container
-// the G-node indexed.
-func (j *backupJob) emitGlobalDuplicate(fp fingerprint.FP, id container.ID, ch chunker.Chunk) {
-	j.stats.NumDuplicates++
-	j.stats.GlobalHits++
-	j.stats.DuplicateBytes += int64(ch.Size())
-	j.lastMatch = nil
-	j.appendRecord(recipe.ChunkRecord{
-		FP:             fp,
-		Container:      id,
-		Size:           uint32(ch.Size()),
-		DuplicateTimes: 1,
-	}, ch.Offset)
-}
-
-// dedupeFast is STEP 2 on the pooled pipeline for in-memory input.
-func (j *backupJob) dedupeFast() error {
-	r := j.node.newIngestRun()
-	go r.produceBuffer(j.data)
-	err := r.consume(j.acct, j.consumeBatch)
-	j.node.putIngestRun(r)
-	if err != nil {
-		return err
-	}
-	return j.flushPending()
-}
-
-// dedupeStream is STEP 2 on the pooled pipeline for streaming input; it
-// also learns the version's logical size as a side effect of cutting.
-func (j *backupJob) dedupeStream(head []byte, rd io.Reader) error {
-	r := j.node.newIngestRun()
-	go r.produceStream(head, rd)
-	err := r.consume(j.acct, j.consumeBatch)
+	})
 	j.stats.LogicalBytes = r.produced
 	j.node.putIngestRun(r)
 	if err != nil {
@@ -442,9 +340,16 @@ func (j *backupJob) dedupeStream(head []byte, rd io.Reader) error {
 	return j.flushPending()
 }
 
+// dedupeStream is STEP 2 on the ring for streaming input.
+func (j *backupJob) dedupeStream(head []byte, rd io.Reader) error {
+	r := j.node.newIngestRun()
+	go r.produceStream(head, rd)
+	return j.consumeRing(r)
+}
+
 // IngestHandoff drives data through the pooled chunk→hash→ring hand-off
 // with a counting sink — the steady-state allocation and throughput probe
-// used by the ingest benchmark and the allocation-regression tests.
+// used by the benchmark and the allocation-regression test.
 // Returns the number of chunks produced.
 func (n *LNode) IngestHandoff(data []byte) int {
 	r := n.newIngestRun()
@@ -461,13 +366,4 @@ func (n *LNode) IngestHandoff(data []byte) int {
 	}
 	n.putIngestRun(r)
 	return total
-}
-
-// LegacyHandoff is the pre-fast-path hand-off for the same work:
-// materialize every chunk, then fingerprint with per-call spawned
-// workers. Kept as the benchmark baseline IngestHandoff is gated against.
-func LegacyHandoff(alg fingerprint.Algorithm, cutter chunker.Cutter, data []byte, workers int) int {
-	chunks := chunker.SplitAll(data, cutter)
-	fps := hashChunks(alg, chunks, workers)
-	return len(fps)
 }

@@ -13,13 +13,12 @@ import (
 	"slimstore/internal/chunker"
 	"slimstore/internal/container"
 	"slimstore/internal/core"
-	"slimstore/internal/gnode"
 	"slimstore/internal/oss"
 	"slimstore/internal/recipe"
 )
 
 // fastConfig is testConfig with the history-aware accelerations off, which
-// routes STEP 2 through the pooled ingest fast path (ingest.go).
+// routes STEP 2 through the ingest ring (ingest.go).
 func fastConfig() core.Config {
 	cfg := testConfig()
 	cfg.SkipChunking = false
@@ -35,16 +34,17 @@ func comparableStats(s *BackupStats) BackupStats {
 	return c
 }
 
-// backupVersions runs two versions of a file through a fresh repo and
+// backupVersions runs two versions of a file through a fresh repo, with
+// step2 as the dedupe stage ((*backupJob).dedupe is what Backup runs), and
 // returns stats and full recipes.
-func backupVersions(t *testing.T, cfg core.Config, versions [][]byte) ([]BackupStats, []*recipe.Recipe) {
+func backupVersions(t *testing.T, cfg core.Config, versions [][]byte, step2 func(*backupJob) error) ([]BackupStats, []*recipe.Recipe) {
 	t.Helper()
 	n, repo := newNode(t, cfg)
 	defer n.Close()
 	var stats []BackupStats
 	var recs []*recipe.Recipe
 	for i, data := range versions {
-		st, err := n.Backup("twin", data)
+		st, err := n.backup("twin", data, data, step2)
 		if err != nil {
 			t.Fatalf("backup v%d: %v", i, err)
 		}
@@ -58,10 +58,12 @@ func backupVersions(t *testing.T, cfg core.Config, versions [][]byte) ([]BackupS
 	return stats, recs
 }
 
-// TestIngestTwinSerial pins the fast path to the serial reference: same
-// chunk boundaries, fingerprints, recipes, dedup stats, and bit-identical
-// virtual time, for every cutter. Run under -race by scripts/check.sh,
-// which also exercises the pipeline's concurrency.
+// TestIngestTwinSerial pins the ring to the serial reference — the
+// history-aware loop with both accelerations off, which is the plain
+// chunk→hash→probe loop: same chunk boundaries, fingerprints, recipes,
+// dedup stats, and bit-identical virtual time, for every cutter. Run under
+// -race by scripts/check.sh, which also exercises the pipeline's
+// concurrency.
 func TestIngestTwinSerial(t *testing.T) {
 	for _, algo := range []string{"fastcdc", "gear", "rabin", "buzhash", "fixed"} {
 		t.Run(algo, func(t *testing.T) {
@@ -70,12 +72,12 @@ func TestIngestTwinSerial(t *testing.T) {
 
 			fastCfg := fastConfig()
 			fastCfg.ChunkAlgo = algo
-			fastStats, fastRecs := backupVersions(t, fastCfg, versions)
+			fastStats, fastRecs := backupVersions(t, fastCfg, versions, (*backupJob).dedupe)
 
 			serialCfg := fastConfig()
 			serialCfg.ChunkAlgo = algo
-			serialCfg.HashWorkers = -1 // serial STEP 2 reference
-			serialStats, serialRecs := backupVersions(t, serialCfg, versions)
+			serialCfg.HashWorkers = -1 // no pool in base detection either
+			serialStats, serialRecs := backupVersions(t, serialCfg, versions, (*backupJob).dedupeHistoryAware)
 
 			for i := range versions {
 				if !reflect.DeepEqual(fastStats[i], serialStats[i]) {
@@ -86,32 +88,6 @@ func TestIngestTwinSerial(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestIngestTwinLegacy pins the fast path against the legacy pipelined
-// ingest on recipes and dedup counters. (Virtual time is excluded: the
-// legacy path charges fingerprinting as one lump sum, which may round
-// differently from per-chunk charging by a few nanoseconds.)
-func TestIngestTwinLegacy(t *testing.T) {
-	v0 := genData(17, 3<<20)
-	versions := [][]byte{v0, mutate(v0, 18, 150)}
-
-	fastStats, fastRecs := backupVersions(t, fastConfig(), versions)
-
-	legacyCfg := fastConfig()
-	legacyCfg.LegacyIngest = true
-	legacyStats, legacyRecs := backupVersions(t, legacyCfg, versions)
-
-	for i := range versions {
-		f, l := fastStats[i], legacyStats[i]
-		f.Elapsed, l.Elapsed = 0, 0
-		if !reflect.DeepEqual(f, l) {
-			t.Errorf("v%d stats diverge:\nfast:   %+v\nlegacy: %+v", i, f, l)
-		}
-		if !reflect.DeepEqual(fastRecs[i], legacyRecs[i]) {
-			t.Errorf("v%d recipes diverge", i)
-		}
 	}
 }
 
@@ -131,7 +107,7 @@ func TestBackupStreamTwin(t *testing.T) {
 			v0 := genData(71, headBytes+2<<20)
 			versions := [][]byte{v0, mutate(v0, 72, 100)}
 
-			bufStats, bufRecs := backupVersions(t, cfg, versions)
+			bufStats, bufRecs := backupVersions(t, cfg, versions, (*backupJob).dedupe)
 
 			n, repo := newNode(t, cfg)
 			defer n.Close()
@@ -177,49 +153,9 @@ func TestBackupStreamFallback(t *testing.T) {
 	}
 }
 
-// TestInlineGlobalProbe: chunks the local dedup window misses but the
-// G-node has already indexed deduplicate inline via one batched
-// global-index probe per chunk batch.
-func TestInlineGlobalProbe(t *testing.T) {
-	cfg := fastConfig()
-	cfg.InlineGlobalProbe = true
-	cfg.SimilarityMinScore = 2 // force a cold base so only the global index can hit
-	n, repo := newNode(t, cfg)
-	defer n.Close()
-
-	data := genData(29, 2<<20)
-	st1, err := n.Backup("origin", data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st1.GlobalHits != 0 {
-		t.Fatalf("first backup hit the empty global index: %d", st1.GlobalHits)
-	}
-	// Offline reverse dedup indexes the new containers' fingerprints.
-	g := gnode.New(repo)
-	if _, err := g.ReverseDedup(st1.NewContainers); err != nil {
-		t.Fatal(err)
-	}
-
-	st2, err := n.Backup("copy", data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.GlobalProbes == 0 || st2.GlobalHits == 0 {
-		t.Fatalf("want global probes and hits, got probes=%d hits=%d", st2.GlobalProbes, st2.GlobalHits)
-	}
-	if st2.StoredBytes >= st1.StoredBytes/2 {
-		t.Errorf("global dedup stored %d bytes of a fully duplicate file (first version stored %d)",
-			st2.StoredBytes, st1.StoredBytes)
-	}
-	if got := restoreBytes(t, n, "copy", 0); !bytes.Equal(got, data) {
-		t.Error("restore through globally deduped recipe diverges")
-	}
-}
-
-// TestIngestHandoffAllocs is the steady-state allocation gate of the fast
-// path: the pooled chunk→hash→ring hand-off must allocate at least 10x
-// less per pass than the legacy materialize-everything hand-off.
+// TestIngestHandoffAllocs is the steady-state allocation gate of the
+// ring: a pass of the pooled chunk→hash→ring hand-off over ~1000 chunks
+// allocates a handful of objects, not one per chunk or per batch.
 func TestIngestHandoffAllocs(t *testing.T) {
 	cfg := fastConfig()
 	n, repo := newNode(t, cfg)
@@ -234,24 +170,16 @@ func TestIngestHandoffAllocs(t *testing.T) {
 			t.Fatalf("handoff produced %d chunks, want %d", got, want)
 		}
 	}
-	fast := testing.AllocsPerRun(10, func() { n.IngestHandoff(data) })
+	allocs := testing.AllocsPerRun(10, func() { n.IngestHandoff(data) })
 
-	cutter := repo.Cutter()
-	legacy := testing.AllocsPerRun(10, func() {
-		LegacyHandoff(cfg.FingerprintAlg, cutter, data, cfg.HashWorkers)
-	})
-
-	t.Logf("allocs/pass over %d chunks: fast=%.1f legacy=%.1f", want, fast, legacy)
+	t.Logf("allocs/pass over %d chunks: %.1f", want, allocs)
 	if raceEnabled {
 		// Race instrumentation allocates shadow state per goroutine and
 		// channel op; the counts only mean anything uninstrumented.
 		t.Skip("allocation gate skipped under -race")
 	}
-	if fast > 4 {
-		t.Errorf("fast hand-off allocates %.1f/pass, want <= 4", fast)
-	}
-	if fast*10 > legacy {
-		t.Errorf("fast hand-off %.1f allocs/pass is not 10x below legacy %.1f", fast, legacy)
+	if allocs > 4 {
+		t.Errorf("hand-off allocates %.1f/pass, want <= 4", allocs)
 	}
 }
 
@@ -378,40 +306,26 @@ func BenchmarkIngestHandoff(b *testing.B) {
 	}
 }
 
-func BenchmarkLegacyHandoff(b *testing.B) {
-	cfg := fastConfig()
-	repo, err := core.OpenRepo(oss.NewMem(), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cutter := repo.Cutter()
-	data := genData(3, 8<<20)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		LegacyHandoff(cfg.FingerprintAlg, cutter, data, cfg.HashWorkers)
-	}
-}
-
-// BenchmarkHashChunksCrossover locates the input size below which
-// spawning hash workers costs more than hashing inline — the basis for
-// the smallHashBatch threshold.
-func BenchmarkHashChunksCrossover(b *testing.B) {
-	cfg := fastConfig()
-	repo, err := core.OpenRepo(oss.NewMem(), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cutter := repo.Cutter()
-	for _, nchunks := range []int{1, 2, 8, 64, 512} {
-		data := genData(9, nchunks*cfg.ChunkParams.Avg)
-		chunks := chunker.SplitAll(data, cutter)
-		for _, workers := range []int{1, 4} {
+// BenchmarkHashAllCrossover locates the input size below which feeding
+// the hash pool costs more than hashing inline — the basis for the
+// smallHashBatch threshold.
+func BenchmarkHashAllCrossover(b *testing.B) {
+	for _, workers := range []int{1, 4} {
+		cfg := fastConfig()
+		cfg.HashWorkers = workers
+		repo, err := core.OpenRepo(oss.NewMem(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := New(repo, "l0")
+		defer n.Close()
+		for _, nchunks := range []int{1, 2, 8, 64, 512} {
+			data := genData(9, nchunks*cfg.ChunkParams.Avg)
+			chunks := chunker.SplitAll(data, repo.Cutter())
 			b.Run(fmt.Sprintf("chunks=%d/workers=%d", len(chunks), workers), func(b *testing.B) {
 				b.SetBytes(int64(len(data)))
 				for i := 0; i < b.N; i++ {
-					hashChunks(cfg.FingerprintAlg, chunks, workers)
+					n.hashAll(cfg.FingerprintAlg, chunks)
 				}
 			})
 		}

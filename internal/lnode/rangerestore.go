@@ -89,18 +89,12 @@ func (n *LNode) RestoreRange(fileID string, version int, off, length int64, w io
 	defer rio.close()
 	fetch := cache.Fetcher(rio.fetch)
 
-	// The trim arithmetic runs on the emit side in both modes; the fast
-	// path then hands the trimmed payload to the pipeline (charging the
-	// full chunk first, exactly like the serial emit), so the write-behind
-	// sink overlaps the next chunk's fetch. No verification and no
-	// prefetcher here: RestoreRange keeps strictly sequential virtual time
-	// (the ranged-read planner's cost model is calibrated against it).
+	// The emit charges the full chunk, then writes the part of it inside
+	// the range. No verification and no prefetcher here: RestoreRange keeps
+	// strictly sequential virtual time (the ranged-read planner's cost
+	// model is calibrated against it).
 	want := end - off
-	var written int64 // serial mode: sink bytes; fast mode: bytes queued
-	var run *restoreRun
-	if !cfg.LegacyRestore {
-		run = n.newRestoreRun(acct, w, false, seq, fileID, version)
-	}
+	var written int64
 	cstats, err := policy.Restore(seq, fetch, func(data []byte) error {
 		acct.ChargeCPUBytes(simclock.PhaseOther, int64(len(data)), cfg.Costs.RestorePerByte)
 		d := data
@@ -118,17 +112,10 @@ func (n *LNode) RestoreRange(fileID string, version int, off, length int64, w io
 		if len(d) == 0 {
 			return nil
 		}
-		if run != nil {
-			written += int64(len(d))
-			return run.push(d)
-		}
 		nw, werr := w.Write(d)
 		written += int64(nw)
 		return werr
 	})
-	if run != nil {
-		written, err = run.finish(err)
-	}
 	if err != nil {
 		return nil, fmt.Errorf("lnode: restore range %s v%d [%d,%d): %w", fileID, version, off, end, err)
 	}

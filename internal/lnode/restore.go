@@ -23,7 +23,7 @@ type RestoreStats struct {
 	PrefetchThreads int
 	// Prefetch reports LAW prefetcher effectiveness (dispatched/consumed/
 	// direct/cancelled slots). The consumed-vs-direct split depends on
-	// goroutine scheduling; virtual-time accounting does not (DESIGN.md §14).
+	// goroutine scheduling; virtual-time accounting does not.
 	Prefetch cache.PrefetchStats
 	Account  *simclock.Account
 	Elapsed  time.Duration
@@ -95,37 +95,14 @@ func (n *LNode) restore(fileID string, version int, w io.Writer, verify bool) (*
 	if threads > 0 {
 		// LAW prefetching is policy-agnostic: the dispatch sequence derives
 		// from the pinned request sequence, not from the policy, so OSS
-		// reads overlap the restore pipeline for every policy (DESIGN.md
-		// §14) — the policy's own fetches are served from prefetch slots.
+		// reads overlap the emit for every policy — the policy's own
+		// fetches are served from prefetch slots.
 		pf = cache.NewPrefetcher(fetch, seq, threads, threads*2)
 		defer pf.Close()
 		fetch = pf.Fetch
 	}
 
-	var emit cache.Emit
-	var run *restoreRun
-	if cfg.LegacyRestore {
-		pos := 0
-		emit = func(data []byte) error {
-			acct.ChargeCPUBytes(simclock.PhaseOther, int64(len(data)), cfg.Costs.RestorePerByte)
-			if verify {
-				if got := n.repo.Fingerprint(acct, data); got != seq[pos].FP {
-					return fmt.Errorf("lnode: verify %s v%d: chunk %d corrupt (got %s, want %s)",
-						fileID, version, pos, got.Short(), seq[pos].FP.Short())
-				}
-			}
-			pos++
-			_, werr := w.Write(data)
-			return werr
-		}
-	} else {
-		run = n.newRestoreRun(acct, w, verify, seq, fileID, version)
-		emit = run.emit
-	}
-	cstats, err := policy.Restore(seq, fetch, emit)
-	if run != nil {
-		_, err = run.finish(err)
-	}
+	cstats, err := policy.Restore(seq, fetch, n.restoreEmit(acct, w, seq, verify))
 	if err != nil {
 		return nil, fmt.Errorf("lnode: restore %s v%d: %w", fileID, version, err)
 	}
@@ -149,6 +126,42 @@ func (n *LNode) restore(fileID string, version int, w io.Writer, verify bool) (*
 		stats.Elapsed = acct.ElapsedSequential()
 	}
 	return stats, nil
+}
+
+// restoreEmit returns the restore emit: charge, optionally check the
+// chunk against the recipe's fingerprint, write — one chunk at a time on
+// the policy's goroutine, straight from the policy's buffer. Nothing runs
+// behind it: the OSS reads are what a restore waits for and the LAW
+// prefetcher already overlaps those, while the emit itself is memcpy-speed
+// (DESIGN.md §14).
+func (n *LNode) restoreEmit(acct *simclock.Account, w io.Writer, seq []cache.Request, verify bool) cache.Emit {
+	perByte := n.repo.Config.Costs.RestorePerByte
+	pos := 0
+	return func(data []byte) error {
+		acct.ChargeCPUBytes(simclock.PhaseOther, int64(len(data)), perByte)
+		if verify {
+			if got := n.repo.Fingerprint(acct, data); got != seq[pos].FP {
+				return fmt.Errorf("verify: chunk %d corrupt (got %s, want %s)",
+					pos, got.Short(), seq[pos].FP.Short())
+			}
+		}
+		pos++
+		_, err := w.Write(data)
+		return err
+	}
+}
+
+// RestoreHandoff drives payloads through the restore emit into a
+// discarding sink — the throughput probe of the emit stage the benchmark
+// replays. Returns the number of chunks written, -1 on a verify mismatch.
+func (n *LNode) RestoreHandoff(chunks [][]byte, seq []cache.Request, verify bool) int {
+	emit := n.restoreEmit(simclock.NewAccount(), io.Discard, seq, verify)
+	for _, c := range chunks {
+		if err := emit(c); err != nil {
+			return -1
+		}
+	}
+	return len(chunks)
 }
 
 // pinSequence resolves the restore sequence and read-pins every container

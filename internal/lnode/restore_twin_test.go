@@ -2,8 +2,9 @@ package lnode
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
-	"runtime/debug"
+	"strings"
 	"testing"
 
 	"slimstore/internal/cache"
@@ -11,10 +12,11 @@ import (
 	"slimstore/internal/core"
 	"slimstore/internal/fingerprint"
 	"slimstore/internal/oss"
+	"slimstore/internal/recipe"
 )
 
-// restorePolicies are the four cache policies the restore pipeline must
-// be twin-identical under.
+// restorePolicies are the four cache policies every restore property
+// must hold under.
 var restorePolicies = []string{"fv", "opt", "alacc", "lru"}
 
 // comparableRestore strips the account pointer and the prefetcher
@@ -41,107 +43,13 @@ func prefetchConserved(t *testing.T, st *RestoreStats) {
 	}
 }
 
-// restoreTwin runs one restore in the given mode and returns comparable
-// stats plus the restored bytes.
-func restoreTwin(t *testing.T, n *LNode, repo *core.Repo, fileID string, version int, legacy bool) (RestoreStats, []byte) {
-	t.Helper()
-	repo.Config.LegacyRestore = legacy
-	var buf bytes.Buffer
-	st, err := n.Restore(fileID, version, &buf)
-	if err != nil {
-		t.Fatalf("restore %s v%d (legacy=%v): %v", fileID, version, legacy, err)
-	}
-	return comparableRestore(st), buf.Bytes()
-}
-
-// TestRestoreTwinSerial pins the pipelined restore to the serial emit:
-// identical restored bytes and field-for-field identical stats (including
-// bit-identical virtual Elapsed) for every cache policy, with LAW
-// prefetching engaged for all of them. Run under -race by
-// scripts/check.sh, which also exercises the pipeline's concurrency.
-func TestRestoreTwinSerial(t *testing.T) {
-	cfg := testConfig()
-	// The node-wide shared cache would let each run warm the next one;
-	// twin runs must see identical reads, so disable it.
-	cfg.SharedCacheBytes = -1
-	n, repo := newNode(t, cfg)
-	defer n.Close()
-	v0 := genData(61, 3<<20)
-	versions := [][]byte{v0, mutate(v0, 62, 150)}
-	for i, d := range versions {
-		if _, err := n.Backup("twin", d); err != nil {
-			t.Fatalf("backup v%d: %v", i, err)
-		}
-	}
-
-	for _, policy := range restorePolicies {
-		t.Run(policy, func(t *testing.T) {
-			repo.Config.RestorePolicy = policy
-			for v := range versions {
-				fast, fastBytes := restoreTwin(t, n, repo, "twin", v, false)
-				serial, serialBytes := restoreTwin(t, n, repo, "twin", v, true)
-				if !bytes.Equal(fastBytes, versions[v]) {
-					t.Fatalf("v%d: pipelined restore corrupt", v)
-				}
-				if !bytes.Equal(fastBytes, serialBytes) {
-					t.Fatalf("v%d: pipelined and serial restores diverge", v)
-				}
-				if !reflect.DeepEqual(fast, serial) {
-					t.Errorf("v%d stats diverge:\nfast:   %+v\nserial: %+v", v, fast, serial)
-				}
-			}
-		})
-	}
-}
-
-// TestVerifyTwinSerial is the same pin for Verify jobs, which add the
-// per-chunk fingerprint stage the pipeline fans out over the hash pool.
-// The verify worker count sweeps the three pool shapes: shared with the
-// ingest pool, dedicated, and inline on the verifier stage.
-func TestVerifyTwinSerial(t *testing.T) {
-	cfg := testConfig()
-	cfg.SharedCacheBytes = -1 // keep twin runs independent (see above)
-	n, repo := newNode(t, cfg)
-	defer n.Close()
-	data := genData(63, 3<<20)
-	if _, err := n.Backup("twin", data); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, policy := range restorePolicies {
-		t.Run(policy, func(t *testing.T) {
-			repo.Config.RestorePolicy = policy
-			for _, workers := range []int{repo.Config.HashWorkers, 3, -1} {
-				repo.Config.VerifyWorkers = workers
-
-				repo.Config.LegacyRestore = false
-				fastSt, err := n.Verify("twin", 0)
-				if err != nil {
-					t.Fatalf("pipelined verify (W=%d): %v", workers, err)
-				}
-				prefetchConserved(t, fastSt)
-
-				repo.Config.LegacyRestore = true
-				serialSt, err := n.Verify("twin", 0)
-				if err != nil {
-					t.Fatalf("serial verify: %v", err)
-				}
-				fast, serial := comparableRestore(fastSt), comparableRestore(serialSt)
-				if !reflect.DeepEqual(fast, serial) {
-					t.Errorf("W=%d verify stats diverge:\nfast:   %+v\nserial: %+v", workers, fast, serial)
-				}
-			}
-		})
-	}
-}
-
-// TestRestoreRangeTwinSerial pins the pipelined range restore (trimmed
-// pushes, no verification, strictly sequential virtual time) to the
-// serial emit across all policies and window shapes: chunk-unaligned
-// head, mid-chunk tail, single-byte, and to-end-of-file ranges.
+// TestRestoreRangeTwinSerial pins RestoreRange's trim arithmetic to the
+// source bytes for every cache policy: ranges that trim the tail chunk
+// only, both the head and the tail chunk, land inside a single chunk,
+// and trim the head chunk through end of file.
 func TestRestoreRangeTwinSerial(t *testing.T) {
 	cfg := testConfig()
-	cfg.SharedCacheBytes = -1 // keep twin runs independent (see above)
+	cfg.SharedCacheBytes = -1 // every policy fetches for itself
 	n, repo := newNode(t, cfg)
 	defer n.Close()
 	data := genData(64, 3<<20)
@@ -166,30 +74,16 @@ func TestRestoreRangeTwinSerial(t *testing.T) {
 				if rg.length >= 0 && rg.off+rg.length < end {
 					end = rg.off + rg.length
 				}
-
-				repo.Config.LegacyRestore = false
-				var fastBuf bytes.Buffer
-				fastSt, err := n.RestoreRange("twin", 0, rg.off, rg.length, &fastBuf)
+				var buf bytes.Buffer
+				st, err := n.RestoreRange("twin", 0, rg.off, rg.length, &buf)
 				if err != nil {
-					t.Fatalf("pipelined range [%d,+%d): %v", rg.off, rg.length, err)
+					t.Fatalf("range [%d,+%d): %v", rg.off, rg.length, err)
 				}
-
-				repo.Config.LegacyRestore = true
-				var serialBuf bytes.Buffer
-				serialSt, err := n.RestoreRange("twin", 0, rg.off, rg.length, &serialBuf)
-				if err != nil {
-					t.Fatalf("serial range [%d,+%d): %v", rg.off, rg.length, err)
+				if !bytes.Equal(buf.Bytes(), data[rg.off:end]) {
+					t.Fatalf("range [%d,+%d): restored bytes differ from the source", rg.off, rg.length)
 				}
-
-				if !bytes.Equal(fastBuf.Bytes(), data[rg.off:end]) {
-					t.Fatalf("range [%d,+%d): pipelined bytes wrong", rg.off, rg.length)
-				}
-				if !bytes.Equal(fastBuf.Bytes(), serialBuf.Bytes()) {
-					t.Fatalf("range [%d,+%d): pipelined and serial diverge", rg.off, rg.length)
-				}
-				fast, serial := comparableRestore(fastSt), comparableRestore(serialSt)
-				if !reflect.DeepEqual(fast, serial) {
-					t.Errorf("range [%d,+%d) stats diverge:\nfast:   %+v\nserial: %+v", rg.off, rg.length, fast, serial)
+				if st.Bytes != end-rg.off {
+					t.Errorf("range [%d,+%d): stats.Bytes = %d, want %d", rg.off, rg.length, st.Bytes, end-rg.off)
 				}
 			}
 		})
@@ -241,76 +135,65 @@ func TestRestorePrefetchAllPolicies(t *testing.T) {
 	}
 }
 
-// TestRestoreRunVerifyFailure exercises the pipeline's abort path
-// directly: a fingerprint mismatch must surface as the serial path's
-// verify error, leave no goroutines behind (the -race run doubles as the
-// leak check), and leave the pooled run reusable for the next restore.
+// TestRestoreRunVerifyFailure: a chunk whose stored bytes no longer hash to
+// the recipe's fingerprint — with a container checksum that matches the
+// bad bytes, so only the emit's fingerprint check can catch it — fails
+// Verify under every cache policy, and the error names the chunk's index
+// in the restore sequence and both fingerprints.
 func TestRestoreRunVerifyFailure(t *testing.T) {
-	cfg := fastConfig()
+	cfg := testConfig()
+	cfg.SharedCacheBytes = -1 // every Verify reads the store
 	n, repo := newNode(t, cfg)
 	defer n.Close()
-	data := genData(66, 1<<20)
-	chunks := chunker.SplitAll(data, repo.Cutter())
-	bufs := make([][]byte, len(chunks))
-	seq := make([]cache.Request, len(chunks))
-	for i, c := range chunks {
-		bufs[i] = c.Data
-		seq[i] = cache.Request{FP: fingerprint.Of(cfg.FingerprintAlg, c.Data), Size: uint32(len(c.Data))}
+	if _, err := n.Backup("f", genData(66, 1<<20)); err != nil {
+		t.Fatal(err)
 	}
-	if got := n.RestoreHandoff(bufs, seq, true); got != len(chunks) {
-		t.Fatalf("clean handoff = %d, want %d", got, len(chunks))
-	}
-	seq[len(seq)/2].FP = fingerprint.FP{} // poison one chunk
-	if got := n.RestoreHandoff(bufs, seq, true); got != -1 {
-		t.Fatalf("poisoned handoff = %d, want failure", got)
-	}
-	// The run (and its channels) must have been recycled cleanly.
-	seq[len(seq)/2].FP = fingerprint.Of(cfg.FingerprintAlg, bufs[len(seq)/2])
-	if got := n.RestoreHandoff(bufs, seq, true); got != len(chunks) {
-		t.Fatalf("post-failure handoff = %d, want %d", got, len(chunks))
-	}
-}
-
-// TestRestoreHandoffAllocs is the steady-state allocation gate of the
-// restore fast path: the pooled slot hand-off (emit→verify→write over
-// recycled slots) must allocate at least 10x less per pass than the
-// naive per-chunk-copy hand-off.
-func TestRestoreHandoffAllocs(t *testing.T) {
-	cfg := fastConfig()
-	n, repo := newNode(t, cfg)
-	defer n.Close()
-	data := genData(67, 4<<20)
-	chunks := chunker.SplitAll(data, repo.Cutter())
-	bufs := make([][]byte, len(chunks))
-	seq := make([]cache.Request, len(chunks))
-	for i, c := range chunks {
-		bufs[i] = c.Data
-		seq[i] = cache.Request{FP: fingerprint.Of(cfg.FingerprintAlg, c.Data), Size: uint32(len(c.Data))}
-	}
-
-	// Pin the GC so sync.Pool contents survive the measurement.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	for i := 0; i < 3; i++ { // warm the slot/run pools and goroutine cache
-		if got := n.RestoreHandoff(bufs, seq, true); got != len(chunks) {
-			t.Fatalf("handoff produced %d chunks, want %d", got, len(chunks))
+	for _, policy := range restorePolicies {
+		repo.Config.RestorePolicy = policy
+		st, err := n.Verify("f", 0)
+		if err != nil {
+			t.Fatalf("clean verify (%s): %v", policy, err)
 		}
+		prefetchConserved(t, st)
 	}
-	fast := testing.AllocsPerRun(10, func() { n.RestoreHandoff(bufs, seq, true) })
-	legacy := testing.AllocsPerRun(10, func() {
-		LegacyRestoreHandoff(cfg.FingerprintAlg, bufs, seq, true)
-	})
 
-	t.Logf("allocs/pass over %d chunks: fast=%.1f legacy=%.1f", len(chunks), fast, legacy)
-	if raceEnabled {
-		// Race instrumentation allocates shadow state per goroutine and
-		// channel op; the counts only mean anything uninstrumented.
-		t.Skip("allocation gate skipped under -race")
+	// Rewrite the container of a mid-file chunk with one payload byte
+	// flipped; Write re-seals it, so the container's own checksums agree
+	// with the bad bytes.
+	r, err := repo.Recipes.GetRecipe("f", 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if fast > 8 {
-		t.Errorf("fast hand-off allocates %.1f/pass, want <= 8", fast)
+	bad := r.NumChunks() / 2
+	var rec recipe.ChunkRecord
+	pos := 0
+	r.Iter(func(_, _ int, cr *recipe.ChunkRecord) bool {
+		rec = *cr
+		pos++
+		return pos <= bad
+	})
+	c, err := repo.Containers.Read(rec.Container)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if fast*10 > legacy {
-		t.Errorf("fast hand-off %.1f allocs/pass is not 10x below legacy %.1f", fast, legacy)
+	payload, err := c.Get(rec.FP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload[0] ^= 0xff
+	got := fingerprint.Of(cfg.FingerprintAlg, payload)
+	if err := repo.Containers.Write(c); err != nil {
+		t.Fatal(err)
+	}
+
+	want := fmt.Sprintf("chunk %d corrupt (got %s, want %s)", bad, got.Short(), rec.FP.Short())
+	for _, policy := range restorePolicies {
+		t.Run(policy, func(t *testing.T) {
+			repo.Config.RestorePolicy = policy
+			if _, err := n.Verify("f", 0); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("verify error = %v, want it to contain %q", err, want)
+			}
+		})
 	}
 }
 
@@ -342,21 +225,5 @@ func BenchmarkRestoreHandoff(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n.RestoreHandoff(bufs, seq, true)
-	}
-}
-
-func BenchmarkLegacyRestoreHandoff(b *testing.B) {
-	cfg := fastConfig()
-	repo, err := core.OpenRepo(oss.NewMem(), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	data := genData(68, 8<<20)
-	bufs, seq := handoffFixture(cfg, repo, data)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		LegacyRestoreHandoff(cfg.FingerprintAlg, bufs, seq, true)
 	}
 }

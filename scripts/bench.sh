@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # Microbenchmark sweep over the hot primitives: chunker cutters,
 # fingerprint hashing, kvstore point/batch operations, the restore cache
-# policies, and the ingest/restore fast-path hand-offs. BENCHTIME overrides the per-benchmark budget
-# (default 1s); check.sh runs this with BENCHTIME=1x as a
-# does-it-still-run smoke test.
+# policies, and the L-node ingest/restore hand-offs. BENCHTIME overrides
+# the per-benchmark budget (default 1s); check.sh runs this with
+# BENCHTIME=1x as a does-it-still-run smoke test.
 #
 # After the sweep, results are diffed against the committed baseline in
 # scripts/bench_baseline.txt (recorded on the development host). The
@@ -30,7 +30,7 @@ run '^BenchmarkMetaFind$' ./internal/container/
 run '^BenchmarkFingerprint$' ./internal/fingerprint/
 run '^Benchmark(KVPut|KVGet|KVBatchPut|KVGetMulti)$' ./internal/kvstore/
 run '^BenchmarkRestorePolicies$' ./internal/cache/
-run '^Benchmark(IngestHandoff|LegacyHandoff|HashChunksCrossover|RestoreHandoff|LegacyRestoreHandoff)$' ./internal/lnode/
+run '^Benchmark(IngestHandoff|HashAllCrossover|RestoreHandoff)$' ./internal/lnode/
 
 # Baseline compare: ns/op against scripts/bench_baseline.txt, joined on
 # benchmark name (GOMAXPROCS suffix stripped). Informational only.

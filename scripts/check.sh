@@ -35,14 +35,6 @@ BENCH_REPL_OUT=/dev/null go run ./cmd/slimbench -exp repl >/dev/null
 # check for the BENCH_ec.json artifact.
 BENCH_EC_OUT=/dev/null go run ./cmd/slimbench -exp ec >/dev/null
 
-# Ingest fast-path experiment smoke: the worker sweep, hand-off
-# allocation counts, and streaming-residency row for BENCH_ingest.json.
-BENCH_INGEST_OUT=/dev/null go run ./cmd/slimbench -exp ingest >/dev/null
-
-# Restore fast-path experiment smoke: the serial-vs-pipelined twin sweep,
-# dense range-restore control, and residency row for BENCH_restorefast.json.
-BENCH_RESTOREFAST_OUT=/dev/null go run ./cmd/slimbench -exp restorefast >/dev/null
-
 # Wall-clock benchmark smoke on the two G-node-heavy workloads: ~1 s each,
 # same phases as a full run, and the benchmark's output checks (comparing
 # writer on every restore, Scrub clean, audit before restores, exact
