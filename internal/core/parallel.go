@@ -22,15 +22,24 @@ func (r *Repo) maintWidth(n int) int {
 	return w
 }
 
-// ForEach runs fn(0..n-1) across the maintenance worker pool, returning
-// the first error and abandoning undispatched indices once one occurs.
-// With one worker (or n ≤ 1) it degenerates to the plain serial loop.
-// fn must synchronise its own writes to shared state; the helper only
-// guarantees each index is dispatched exactly once and that every
-// in-flight fn has returned before ForEach does (so results written into
-// per-index slots are safe to read without further locking).
+// ForEach runs fn(0..n-1) across the maintenance worker pool (FanOut at
+// the Config.MaintWorkers width).
 func (r *Repo) ForEach(n int, fn func(int) error) error {
-	w := r.maintWidth(n)
+	return FanOut(n, r.maintWidth(n), fn)
+}
+
+// FanOut runs fn(0..n-1) on up to width goroutines, returning the first
+// error and abandoning undispatched indices once one occurs. With width
+// ≤ 1 (or n ≤ 1) it is the plain serial loop on the calling goroutine.
+// fn must synchronise its own writes to shared state; the helper only
+// guarantees each index is dispatched at most once and that every
+// in-flight fn has returned before FanOut does (so results written into
+// per-index slots are safe to read without further locking).
+func FanOut(n, width int, fn func(int) error) error {
+	w := width
+	if w > n {
+		w = n
+	}
 	if w <= 1 {
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {

@@ -11,6 +11,7 @@
 package lnode
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -21,6 +22,7 @@ import (
 	"slimstore/internal/container"
 	"slimstore/internal/core"
 	"slimstore/internal/fingerprint"
+	"slimstore/internal/oss"
 	"slimstore/internal/recipe"
 	"slimstore/internal/simclock"
 	"slimstore/internal/simindex"
@@ -122,6 +124,14 @@ type backupJob struct {
 	fetchedSegs  map[int]*recipe.Segment
 	fetchOrder   []int
 
+	// Segment read-ahead (fetchSegment): base segment reads started ahead
+	// of their demand, by segment number, at most aheadDepth of them.
+	// reads counts every read started, dropped ones included, so join can
+	// wait them all out.
+	ahead      map[int]*segRead
+	aheadDepth int
+	reads      sync.WaitGroup
+
 	stats BackupStats
 
 	// Output assembly.
@@ -140,7 +150,7 @@ type pendingRec struct {
 }
 
 // newBackupJob builds the per-job pipeline state shared by Backup and
-// BackupStream. The caller must `defer j.drainPool()`.
+// BackupStream. The caller must `defer j.join()`.
 func (n *LNode) newBackupJob(data []byte) *backupJob {
 	acct := simclock.NewAccount()
 	cfg := &n.repo.Config
@@ -154,6 +164,8 @@ func (n *LNode) newBackupJob(data []byte) *backupJob {
 		dedupCache:   make(map[fingerprint.FP]dedupEntry),
 		superByFirst: make(map[fingerprint.FP]dedupEntry),
 		fetchedSegs:  make(map[int]*recipe.Segment),
+		ahead:        make(map[int]*segRead),
+		aheadDepth:   segmentReadAhead,
 		data:         data,
 	}
 	if cfg.PackWorkers > 0 {
@@ -172,9 +184,11 @@ func (n *LNode) newBackupJob(data []byte) *backupJob {
 	return j
 }
 
-// drainPool waits out the pack workers on error paths so no goroutine
-// outlives the job. persist() owns the success-path Close and nils j.pool.
-func (j *backupJob) drainPool() {
+// join waits out the segment reads still in flight (read ahead but never
+// demanded) and, on error paths, the pack workers, so no goroutine outlives
+// the job. persist() owns the success-path pool Close and nils j.pool.
+func (j *backupJob) join() {
+	j.reads.Wait()
 	if j.pool != nil {
 		//slimlint:ignore errdiscipline this drain only runs when the job is already returning the original error; persist() owns the success-path Close and checks it
 		j.pool.Close()
@@ -249,7 +263,7 @@ func (n *LNode) backup(fileID string, data, head []byte, step2 func(*backupJob) 
 	defer n.repo.Files.Unlock(fileID)
 
 	j := n.newBackupJob(data)
-	defer j.drainPool()
+	defer j.join()
 	j.stats.FileID = fileID
 	j.stats.LogicalBytes = int64(len(data))
 
@@ -320,36 +334,111 @@ func (j *backupJob) detectBase(fileID string, data []byte) error {
 	if !found {
 		return nil
 	}
+	if err := j.openBase(m.FileID, m.Version); err != nil {
+		if !errors.Is(err, oss.ErrNotFound) {
+			return err
+		}
+		// A sketch without its recipe objects is what a backup that died
+		// inside its commit wave leaves behind (persist): not a base.
+		return nil
+	}
 	j.stats.BaseBy = "similarity"
 	j.stats.BaseFile = m.FileID
 	j.stats.BaseVersion = m.Version
-	return j.openBase(m.FileID, m.Version)
-}
-
-func (j *backupJob) openBase(fileID string, version int) error {
-	idx, err := j.recipes.GetIndex(fileID, version)
-	if err != nil {
-		return fmt.Errorf("lnode: fetch recipe index: %w", err)
-	}
-	rd, err := j.recipes.OpenSegments(fileID, version)
-	if err != nil {
-		return fmt.Errorf("lnode: open base segments: %w", err)
-	}
-	j.baseIndex = idx
-	j.baseReader = rd
 	return nil
 }
 
+// wave issues independent storage round trips together and waits for all
+// of them, returning the first error.
+func wave(ops ...func() error) error {
+	return core.FanOut(len(ops), len(ops), func(i int) error { return ops[i]() })
+}
+
+// openBase fetches the base version's recipe index and segment directory
+// in one wave: two objects, neither needed to find the other. The job has
+// a base only if both arrive.
+func (j *backupJob) openBase(fileID string, version int) error {
+	var idx *recipe.Index
+	var rd *recipe.SegmentReader
+	if err := wave(func() (err error) {
+		if idx, err = j.recipes.GetIndex(fileID, version); err != nil {
+			return fmt.Errorf("lnode: fetch recipe index: %w", err)
+		}
+		return nil
+	}, func() (err error) {
+		if rd, err = j.recipes.OpenSegments(fileID, version); err != nil {
+			return fmt.Errorf("lnode: open base segments: %w", err)
+		}
+		return nil
+	}); err != nil {
+		return err
+	}
+	j.baseIndex, j.baseReader = idx, rd
+	return nil
+}
+
+// segmentReadAhead is how many base segments past a demanded one
+// fetchSegment keeps reading: enough to hide a segment's round trip behind
+// the chunking and hashing of the segments before it (versions of a file
+// demand their base's segments mostly in order), small enough that a
+// demand sequence that jumps wastes a few reads, not a recipe's worth.
+const segmentReadAhead = 4
+
+// segRead is one segment-recipe read, running or finished.
+type segRead struct {
+	done chan struct{} // closed once seg and err are set
+	seg  *recipe.Segment
+	err  error
+}
+
+// startRead reads and decodes base segment segNo on its own goroutine.
+func (j *backupJob) startRead(segNo int) *segRead {
+	rd := &segRead{done: make(chan struct{})}
+	j.reads.Add(1)
+	go func() {
+		defer j.reads.Done()
+		defer close(rd.done)
+		rd.seg, rd.err = j.baseReader.Fetch(segNo)
+	}()
+	return rd
+}
+
 // fetchSegment prefetches one similar segment recipe into the dedup
-// cache, evicting the oldest segment when the cache is full.
+// cache, evicting the oldest segment when the cache is full, and starts
+// reading the aheadDepth segments after it, so the next demands find their
+// round trip already paid (§IV-A's overlap of recipe reads and
+// computation). Only the read and the decode happen early: a segment
+// enters the dedup cache, evicts another, counts as fetched and is charged
+// its inserts when it is demanded, here — so verdicts, cut points and
+// every counter are what a strictly on-demand reader produces. Which
+// reads are issued depends on the demand sequence alone, never on timing:
+// the window after a demand for k is (k, k+aheadDepth], reads outside it
+// are dropped (join still waits for them), and a dropped or failed read
+// matters only if its segment is demanded.
 func (j *backupJob) fetchSegment(segNo int) error {
 	if _, done := j.fetchedSegs[segNo]; done {
 		return nil
 	}
-	seg, err := j.baseReader.Fetch(segNo)
-	if err != nil {
-		return fmt.Errorf("lnode: prefetch segment %d: %w", segNo, err)
+	rd := j.ahead[segNo]
+	if rd == nil {
+		rd = j.startRead(segNo)
 	}
+	last := min(segNo+j.aheadDepth, j.baseReader.NumSegments()-1)
+	for s := range j.ahead {
+		if s <= segNo || s > last {
+			delete(j.ahead, s)
+		}
+	}
+	for s := segNo + 1; s <= last; s++ {
+		if j.fetchedSegs[s] == nil && j.ahead[s] == nil {
+			j.ahead[s] = j.startRead(s)
+		}
+	}
+	<-rd.done
+	if rd.err != nil {
+		return fmt.Errorf("lnode: prefetch segment %d: %w", segNo, rd.err)
+	}
+	seg := rd.seg
 	for len(j.fetchedSegs) >= j.cfg.DedupCacheSegments && len(j.fetchOrder) > 0 {
 		j.evictSegment(j.fetchOrder[0])
 		j.fetchOrder = j.fetchOrder[1:]
@@ -660,7 +749,12 @@ func (j *backupJob) flushPending() error {
 }
 
 // persist implements STEP 3 plus the bookkeeping G-node depends on:
-// sparse-container detection and the version-collection mark phase.
+// sparse-container detection and the version-collection mark phase. After
+// the container durability barrier it is three round trips deep: one wave
+// (recipe, index and sketch out; previous catalog entry and container
+// metadata in), the previous version's catalog entry if the mark phase
+// found garbage, and the new version's catalog entry — last, because it is
+// the commit point (DESIGN.md §6, §13).
 func (j *backupJob) persist(fileID string) error {
 	if err := j.builder.Flush(); err != nil {
 		return fmt.Errorf("lnode: flush containers: %w", err)
@@ -676,19 +770,8 @@ func (j *backupJob) persist(fileID string) error {
 	}
 
 	r := &recipe.Recipe{FileID: fileID, Version: j.stats.Version, Segments: j.segments}
-	if _, err := j.recipes.PutRecipe(r); err != nil {
-		return err
-	}
-	idx := recipe.BuildIndex(r, j.sampler)
-	if err := j.recipes.PutIndex(idx); err != nil {
-		return err
-	}
-	if err := j.node.repo.SimIndex.Put(fileID, j.stats.Version,
-		simindex.SketchOf(j.sampled, simindex.DefaultSketchSize)); err != nil {
-		return err
-	}
 
-	// Containers referenced by this version, and the new ones it created.
+	// Containers referenced by this version.
 	refs := make(map[container.ID]int)
 	r.Iter(func(_, _ int, rec *recipe.ChunkRecord) bool {
 		refs[rec.Container]++
@@ -700,30 +783,66 @@ func (j *backupJob) persist(fileID string) error {
 	}
 	sort.Slice(refList, func(a, b int) bool { return refList[a] < refList[b] })
 
+	// One wave for everything the commit needs that depends on nothing but
+	// the durable containers: the recipe, its index and the sketch go out,
+	// the previous version's catalog entry (mark phase) and the referenced
+	// containers' metadata (sparse detection; mostly cached, read over the
+	// now idle upload channels) come in. None of the three objects is
+	// visible before the version-info put at the end.
+	var prevInfo *recipe.VersionInfo
+	metas := make([]*container.Meta, len(refList))
+	if err := wave(func() error {
+		_, err := j.recipes.PutRecipe(r)
+		return err
+	}, func() error {
+		return j.recipes.PutIndex(recipe.BuildIndex(r, j.sampler))
+	}, func() error {
+		return j.node.repo.SimIndex.Put(fileID, j.stats.Version,
+			simindex.SketchOf(j.sampled, simindex.DefaultSketchSize))
+	}, func() (err error) {
+		if j.stats.BaseBy != "name" {
+			return nil
+		}
+		// Only a missing entry means there is nothing to mark; a fault or
+		// a corrupt entry must not silently leak the garbage candidates.
+		prevInfo, err = j.recipes.GetInfo(fileID, j.stats.Version-1)
+		if err != nil && !errors.Is(err, oss.ErrNotFound) {
+			return fmt.Errorf("lnode: mark phase: %w", err)
+		}
+		return nil
+	}, func() error {
+		return core.FanOut(len(refList), j.cfg.PackWorkers, func(i int) (err error) {
+			if metas[i], err = j.containers.ReadMeta(refList[i]); err != nil {
+				return fmt.Errorf("lnode: sparse detection: %w", err)
+			}
+			return nil
+		})
+	}); err != nil {
+		return err
+	}
+
 	prevSet := make(map[container.ID]bool)
-	if j.stats.BaseBy == "name" {
-		prevInfo, err := j.recipes.GetInfo(fileID, j.stats.Version-1)
-		if err == nil {
-			for _, id := range prevInfo.Containers {
-				prevSet[id] = true
+	if prevInfo != nil {
+		for _, id := range prevInfo.Containers {
+			prevSet[id] = true
+		}
+		// Version-collection mark phase (§VI-B): containers referenced
+		// by the previous version but not this one become garbage
+		// candidates associated with the previous version.
+		var garbage []container.ID
+		for _, id := range prevInfo.Containers {
+			if _, still := refs[id]; !still {
+				garbage = append(garbage, id)
 			}
-			// Version-collection mark phase (§VI-B): containers referenced
-			// by the previous version but not this one become garbage
-			// candidates associated with the previous version.
-			var garbage []container.ID
-			for _, id := range prevInfo.Containers {
-				if _, still := refs[id]; !still {
-					garbage = append(garbage, id)
-				}
-			}
-			if len(garbage) > 0 {
-				prevInfo.Garbage = appendUnique(prevInfo.Garbage, garbage)
-				if err := j.recipes.PutInfo(prevInfo); err != nil {
-					return err
-				}
+		}
+		if len(garbage) > 0 {
+			prevInfo.Garbage = appendUnique(prevInfo.Garbage, garbage)
+			if err := j.recipes.PutInfo(prevInfo); err != nil {
+				return err
 			}
 		}
 	}
+	// The containers this version created.
 	for _, id := range refList {
 		if !prevSet[id] {
 			// Either brand new or newly referenced via similarity.
@@ -735,15 +854,11 @@ func (j *backupJob) persist(fileID string) error {
 
 	// Sparse-container detection (§V-B): utilization of each referenced
 	// container from this version's point of view.
-	for _, id := range refList {
-		m, err := j.containers.ReadMeta(id)
-		if err != nil {
-			return fmt.Errorf("lnode: sparse detection: %w", err)
-		}
-		if len(m.Chunks) == 0 {
+	for i, id := range refList {
+		if len(metas[i].Chunks) == 0 {
 			continue
 		}
-		util := float64(refs[id]) / float64(len(m.Chunks))
+		util := float64(refs[id]) / float64(len(metas[i].Chunks))
 		if util < j.cfg.SparseUtilization {
 			j.stats.SparseContainers = append(j.stats.SparseContainers, id)
 		}

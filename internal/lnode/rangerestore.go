@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"slimstore/internal/cache"
+	"slimstore/internal/recipe"
 	"slimstore/internal/simclock"
 )
 
@@ -37,30 +38,30 @@ func (n *LNode) RestoreRange(fileID string, version int, off, length int64, w io
 		end = off + length
 	}
 
-	full, redirects, _, metas, release, err := n.pinSequence(containers, r, acct)
+	// Select the records overlapping [off, end) from the recipe's sizes and
+	// remember how much to trim from the first chunk; only that window is
+	// resolved and pinned, so a small range of a large version reads the
+	// metadata of the window's containers, not the version's.
+	var recs []*recipe.ChunkRecord
+	var pos int64
+	var headTrim int64
+	r.Iter(func(_, _ int, rec *recipe.ChunkRecord) bool {
+		next := pos + int64(rec.Size)
+		if next > off && pos < end {
+			if len(recs) == 0 {
+				headTrim = off - pos
+			}
+			recs = append(recs, rec)
+		}
+		pos = next
+		return pos < end
+	})
+
+	seq, redirects, _, metas, release, err := n.pinSequence(containers, r, recs, acct)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-
-	// Select the chunk window overlapping [off, end) and remember how much
-	// to trim from the first and last chunks.
-	var seq []cache.Request
-	var pos int64
-	var headTrim int64
-	for _, req := range full {
-		next := pos + int64(req.Size)
-		if next > off && pos < end {
-			if len(seq) == 0 {
-				headTrim = off - pos
-			}
-			seq = append(seq, req)
-		}
-		pos = next
-		if pos >= end {
-			break
-		}
-	}
 
 	stats := &RestoreStats{
 		FileID: fileID, Version: version,

@@ -1,12 +1,16 @@
 package lnode
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"time"
 
 	"slimstore/internal/cache"
 	"slimstore/internal/container"
+	"slimstore/internal/core"
+	"slimstore/internal/fingerprint"
+	"slimstore/internal/oss"
 	"slimstore/internal/recipe"
 	"slimstore/internal/simclock"
 )
@@ -67,7 +71,7 @@ func (n *LNode) restore(fileID string, version int, w io.Writer, verify bool) (*
 		Account:         acct,
 	}
 
-	seq, redirects, rst, metas, release, err := n.pinSequence(containers, r, acct)
+	seq, redirects, rst, metas, release, err := n.pinSequence(containers, r, allRecords(r), acct)
 	if err != nil {
 		return nil, err
 	}
@@ -164,27 +168,39 @@ func (n *LNode) RestoreHandoff(chunks [][]byte, seq []cache.Request, verify bool
 	return len(chunks)
 }
 
-// pinSequence resolves the restore sequence and read-pins every container
-// it references, so G-node maintenance cannot rewrite or drop a container
-// between resolution and the reads. Pinning cannot happen before resolving
-// (the container set is the *output* of resolution), so after taking the
-// pins we re-resolve and check the set is unchanged; if maintenance slid in
-// during the window we release, adopt the new set, and retry. Pins are
-// shared read-locks taken in sorted stripe order (core.ContainerLocks.Pin),
-// so concurrent restores never deadlock and rewrites wait, not fail.
+// allRecords returns r's chunk records in logical order.
+func allRecords(r *recipe.Recipe) []*recipe.ChunkRecord {
+	recs := make([]*recipe.ChunkRecord, 0, r.NumChunks())
+	r.Iter(func(_, _ int, rec *recipe.ChunkRecord) bool {
+		recs = append(recs, rec)
+		return true
+	})
+	return recs
+}
+
+// pinSequence resolves the restore sequence of recs — all of r's records,
+// or the window of them a range restore needs — and read-pins every
+// container it references, so G-node maintenance cannot rewrite or drop a
+// container between resolution and the reads. Pinning cannot happen before
+// resolving (the container set is the *output* of resolution), so after
+// taking the pins we re-resolve and check the set is unchanged; if
+// maintenance slid in during the window we release, adopt the new set, and
+// retry. Pins are shared read-locks taken in sorted stripe order
+// (core.ContainerLocks.Pin), so concurrent restores never deadlock and
+// rewrites wait, not fail.
 // It also returns the metadata memo of the final (pinned) resolution
 // pass: the exact container states the sequence was resolved against,
 // which the restore I/O layer plans its ranged reads from without
 // re-reading any metadata.
-func (n *LNode) pinSequence(containers *container.Store, r *recipe.Recipe, acct *simclock.Account) ([]cache.Request, int, resolveStats, map[container.ID]*container.Meta, func(), error) {
-	seq, _, total, _, err := n.resolveSequence(containers, r, acct)
+func (n *LNode) pinSequence(containers *container.Store, r *recipe.Recipe, recs []*recipe.ChunkRecord, acct *simclock.Account) ([]cache.Request, int, resolveStats, map[container.ID]*container.Meta, func(), error) {
+	seq, _, total, _, err := n.resolveSequence(containers, r, recs, acct)
 	if err != nil {
 		return nil, 0, resolveStats{}, nil, nil, err
 	}
 	const maxAttempts = 8
 	for attempt := 0; ; attempt++ {
 		release := n.repo.CLocks.Pin(requestContainers(seq))
-		seq2, redirects2, rst, metas, err := n.resolveSequence(containers, r, acct)
+		seq2, redirects2, rst, metas, err := n.resolveSequence(containers, r, recs, acct)
 		total.metaReads += rst.metaReads
 		total.memoHits += rst.memoHits
 		if err != nil {
@@ -229,80 +245,103 @@ type resolveStats struct {
 	memoHits  int // per-record lookups served by the pass's memo
 }
 
-// resolveSequence converts a recipe into the restore request sequence,
-// redirecting chunks whose original copy was deleted by reverse
-// deduplication or sparse-container compaction. The redirect pays one
-// global-index query per moved chunk — the cost the paper accepts for old
-// versions (§VI-A).
+// resolveSequence converts recs (records of r, in logical order) into the
+// restore request sequence, redirecting chunks whose original copy was
+// deleted by reverse deduplication or sparse-container compaction. The
+// redirect pays one global-index query per moved chunk — the cost the
+// paper accepts for old versions (§VI-A).
 //
-// Recipes reference the same container for long runs of consecutive
-// chunks, so the metadata read is memoized. The memo lives for ONE pass
-// only: pinSequence re-resolves after pinning precisely to observe any
-// maintenance that slid in, and a memo surviving between the passes
-// would blind that revalidation.
-func (n *LNode) resolveSequence(containers *container.Store, r *recipe.Recipe, acct *simclock.Account) ([]cache.Request, int, resolveStats, map[container.ID]*container.Meta, error) {
-	seq := make([]cache.Request, 0, r.NumChunks())
-	redirects := 0
-	var rst resolveStats
-	memo := make(map[container.ID]*container.Meta) // nil value → unreadable
-	readMeta := func(id container.ID) (*container.Meta, bool) {
-		if m, ok := memo[id]; ok {
-			rst.memoHits++
-			return m, m != nil
+// Resolution is a fixed number of round-trip waves whatever the recipe's
+// length: the metadata of the distinct home containers read together over
+// the job's read channels (Config.PrefetchThreads wide; 0 or 1 runs the
+// same code serially), every record classified against that memo, all
+// moved fingerprints looked up with one Global.GetBatch, and the redirect
+// targets' metadata read together for the read planner. The sequence does
+// not depend on the width.
+//
+// An absent container (compacted away) is memoized as nil and its chunks
+// redirect; any other read failure fails the resolution with the
+// container named — a transient fault must not pass for relocation.
+//
+// The memo lives for ONE pass only: pinSequence re-resolves after pinning
+// precisely to observe any maintenance that slid in, and a memo surviving
+// between the passes would blind that revalidation.
+func (n *LNode) resolveSequence(containers *container.Store, r *recipe.Recipe, recs []*recipe.ChunkRecord, acct *simclock.Account) ([]cache.Request, int, resolveStats, map[container.ID]*container.Meta, error) {
+	memo := make(map[container.ID]*container.Meta) // nil value → absent
+	// readNew reads the metadata of those ids not yet in memo, each once.
+	readNew := func(ids []container.ID) error {
+		var fresh []container.ID
+		for _, id := range ids {
+			if _, seen := memo[id]; !seen {
+				memo[id] = nil
+				fresh = append(fresh, id)
+			}
 		}
-		rst.metaReads++
-		m, err := containers.ReadMeta(id)
+		metas := make([]*container.Meta, len(fresh))
+		err := core.FanOut(len(fresh), n.repo.Config.PrefetchThreads, func(i int) error {
+			m, err := containers.ReadMeta(fresh[i])
+			if err != nil && !errors.Is(err, oss.ErrNotFound) {
+				return fmt.Errorf("lnode: resolve %s v%d: %w", r.FileID, r.Version, err)
+			}
+			metas[i] = m
+			return nil
+		})
+		for i, id := range fresh {
+			memo[id] = metas[i]
+		}
+		return err
+	}
+
+	homes := make([]container.ID, len(recs))
+	for i, rec := range recs {
+		homes[i] = rec.Container
+	}
+	if err := readNew(homes); err != nil {
+		return nil, 0, resolveStats{}, nil, err
+	}
+
+	seq := make([]cache.Request, len(recs))
+	var moved []int // indexes into recs of chunks no longer at their recorded home
+	var movedFPs []fingerprint.FP
+	for i, rec := range recs {
+		seq[i] = cache.Request{FP: rec.FP, Container: rec.Container, Size: rec.Size}
+		if m := memo[rec.Container]; m != nil {
+			if cm := m.Find(rec.FP); cm != nil && !cm.Deleted {
+				continue
+			}
+		}
+		moved = append(moved, i)
+		movedFPs = append(movedFPs, rec.FP)
+	}
+
+	if len(moved) > 0 {
+		acct.ChargeCPU(simclock.PhaseIndexQuery, time.Duration(len(moved))*n.repo.Config.Costs.IndexLookup)
+		ids, found, _, err := n.repo.Global.GetBatch(movedFPs)
 		if err != nil {
-			m = nil
+			return nil, 0, resolveStats{}, nil, err
 		}
-		memo[id] = m
-		return m, m != nil
-	}
-	var iterErr error
-	r.Iter(func(_, _ int, rec *recipe.ChunkRecord) bool {
-		req := cache.Request{FP: rec.FP, Container: rec.Container, Size: rec.Size}
-		m, readable := readMeta(rec.Container)
-		switch {
-		case readable:
-			if cm := m.Find(rec.FP); cm == nil || cm.Deleted {
-				// Moved: consult the global index.
-				acct.ChargeCPU(simclock.PhaseIndexQuery, n.repo.Config.Costs.IndexLookup)
-				id, ok, gerr := n.repo.Global.Get(rec.FP)
-				if gerr != nil {
-					iterErr = gerr
-					return false
-				}
-				if !ok {
-					iterErr = fmt.Errorf("lnode: chunk %s of %s v%d lost (container %s)",
-						rec.FP.Short(), r.FileID, r.Version, rec.Container)
-					return false
-				}
-				req.Container = id
-				redirects++
-				readMeta(id) // memoize the redirect target for the read planner
+		for k, i := range moved {
+			if found[k] {
+				seq[i].Container = ids[k]
+				continue
 			}
-		default:
-			// Container gone entirely (compacted away): redirect.
-			acct.ChargeCPU(simclock.PhaseIndexQuery, n.repo.Config.Costs.IndexLookup)
-			id, ok, gerr := n.repo.Global.Get(rec.FP)
-			if gerr != nil {
-				iterErr = gerr
-				return false
-			}
-			if !ok {
-				iterErr = fmt.Errorf("lnode: chunk %s of %s v%d lost with container %s",
+			rec := recs[i]
+			if memo[rec.Container] == nil {
+				return nil, 0, resolveStats{}, nil, fmt.Errorf("lnode: chunk %s of %s v%d lost with container %s",
 					rec.FP.Short(), r.FileID, r.Version, rec.Container)
-				return false
 			}
-			req.Container = id
-			redirects++
-			readMeta(id) // memoize the redirect target for the read planner
+			return nil, 0, resolveStats{}, nil, fmt.Errorf("lnode: chunk %s of %s v%d lost (container %s)",
+				rec.FP.Short(), r.FileID, r.Version, rec.Container)
 		}
-		seq = append(seq, req)
-		return true
-	})
-	if iterErr != nil {
-		return nil, 0, resolveStats{}, nil, iterErr
+		// Memoize the redirect targets for the read planner.
+		if err := readNew(ids); err != nil {
+			return nil, 0, resolveStats{}, nil, err
+		}
 	}
-	return seq, redirects, rst, memo, nil
+
+	// One lookup per record plus one per redirect; each distinct container
+	// was read once and every other lookup served from the memo.
+	rst := resolveStats{metaReads: len(memo)}
+	rst.memoHits = len(recs) + len(moved) - rst.metaReads
+	return seq, len(moved), rst, memo, nil
 }

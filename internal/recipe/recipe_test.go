@@ -206,6 +206,83 @@ func TestStoreRecipeAndSegments(t *testing.T) {
 	}
 }
 
+// readCounter counts the read requests reaching the store under it.
+type readCounter struct {
+	oss.Store
+	reads int
+}
+
+func (c *readCounter) Get(key string) ([]byte, error) {
+	c.reads++
+	return c.Store.Get(key)
+}
+
+func (c *readCounter) GetRange(key string, off, n int64) ([]byte, error) {
+	c.reads++
+	return c.Store.GetRange(key, off, n)
+}
+
+// TestSegmentReaderServesPrefix: the bytes OpenSegments read to find the
+// directory serve every segment lying inside them. Fetching every segment
+// of a recipe smaller than the prefix is one request in all; of a larger
+// one, one plus the segments that reach beyond the prefix; of one whose
+// directory alone outgrows the prefix (the full-object retry), two.
+func TestSegmentReaderServesPrefix(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		segs, perSeg int
+	}{
+		{"small", 6, 10},
+		{"large", 40, 100},
+		{"huge directory", 5000, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := sampleRecipe("f", 0, tc.segs, tc.perSeg)
+			store := &readCounter{Store: oss.NewMem()}
+			s := NewStore(store)
+			if _, err := s.PutRecipe(r); err != nil {
+				t.Fatal(err)
+			}
+			enc := Encode(r)
+			d, err := decodeDirectory(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := 1
+			switch dirEnd := int(d.segments[0].off); {
+			case dirEnd > segmentHeadBytes:
+				want = 2 // prefix, then the whole object: every segment is in it
+			default:
+				for _, seg := range d.segments {
+					if seg.off+seg.n > segmentHeadBytes {
+						want++
+					}
+				}
+			}
+			if tc.name == "small" && len(enc) >= segmentHeadBytes || tc.name == "large" && want == 1 {
+				t.Fatalf("fixture: %d encoded bytes, %d requests expected", len(enc), want)
+			}
+
+			sr, err := s.OpenSegments("f", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range r.Segments {
+				seg, err := sr.Fetch(i)
+				if err != nil {
+					t.Fatalf("segment %d: %v", i, err)
+				}
+				if !reflect.DeepEqual(seg, &r.Segments[i]) {
+					t.Fatalf("segment %d mismatch", i)
+				}
+			}
+			if store.reads != want {
+				t.Errorf("%d read requests for %d segments, want %d", store.reads, len(r.Segments), want)
+			}
+		})
+	}
+}
+
 func TestCatalog(t *testing.T) {
 	mem := oss.NewMem()
 	s := NewStore(mem)

@@ -70,47 +70,61 @@ func (s *Store) DeleteRecipe(fileID string, version int) error {
 
 // SegmentReader fetches individual segment recipes of one file version
 // with ranged reads, without downloading the whole recipe — the lightweight
-// prefetch L-node performs per matched sample (paper §IV-A STEP 2).
+// prefetch L-node performs per matched sample (paper §IV-A STEP 2). The
+// bytes OpenSegments read to find the directory stay with the reader, and a
+// segment lying wholly inside them is decoded from memory: a recipe smaller
+// than the prefix costs one request however many of its segments are
+// fetched, a larger one 1 + (segments beyond the prefix). Safe for
+// concurrent Fetch calls.
 type SegmentReader struct {
 	store *Store
 	key   string
 	dir   *directory
+	head  []byte // the object's bytes from offset 0, as far as they were read
 }
 
-// OpenSegments reads only the recipe directory (header) of a version.
+// segmentHeadBytes is the prefix OpenSegments reads: the directory of any
+// ordinary recipe, and with it the first segments (all of a small file's).
+const segmentHeadBytes = 64 << 10
+
+// OpenSegments reads the recipe directory (header) of a version and keeps
+// the prefix it came in.
 func (s *Store) OpenSegments(fileID string, version int) (*SegmentReader, error) {
 	key := recipeKey(fileID, version)
 	// The directory is at the head of the object. Fetch a generous fixed
-	// prefix first; fall back to the exact size if the header is larger.
-	const headGuess = 64 << 10
-	b, err := s.oss.GetRange(key, 0, headGuess)
+	// prefix first; fall back to the whole object if the header is larger.
+	head, err := s.oss.GetRange(key, 0, segmentHeadBytes)
 	if err != nil {
 		return nil, fmt.Errorf("recipe: open segments %s v%d: %w", fileID, version, err)
 	}
-	d, err := decodeDirectory(b)
+	d, err := decodeDirectory(head)
 	if err != nil {
-		// Retry with the full object (tiny recipes or huge directories).
-		b, err2 := s.oss.Get(key)
-		if err2 != nil {
-			return nil, fmt.Errorf("recipe: open segments %s v%d: %w", fileID, version, err2)
+		// Retry with the full object (huge directories); head must be the
+		// bytes the directory was decoded from.
+		if head, err = s.oss.Get(key); err != nil {
+			return nil, fmt.Errorf("recipe: open segments %s v%d: %w", fileID, version, err)
 		}
-		d, err = decodeDirectory(b)
-		if err != nil {
+		if d, err = decodeDirectory(head); err != nil {
 			return nil, fmt.Errorf("recipe: open segments %s v%d: %w", fileID, version, err)
 		}
 	}
-	return &SegmentReader{store: s, key: key, dir: d}, nil
+	return &SegmentReader{store: s, key: key, dir: d, head: head}, nil
 }
 
 // NumSegments returns how many segments the recipe has.
 func (r *SegmentReader) NumSegments() int { return len(r.dir.segments) }
 
-// Fetch retrieves one segment recipe by number.
+// Fetch retrieves one segment recipe by number: from the retained prefix
+// when the segment lies inside it, with one ranged read otherwise.
 func (r *SegmentReader) Fetch(seg int) (*Segment, error) {
 	if seg < 0 || seg >= len(r.dir.segments) {
 		return nil, fmt.Errorf("recipe: segment %d out of range [0,%d)", seg, len(r.dir.segments))
 	}
 	s := r.dir.segments[seg]
+	// Checked without s.off+s.n, which can wrap on hostile directories.
+	if s.off <= uint64(len(r.head)) && s.n <= uint64(len(r.head))-s.off {
+		return DecodeSegment(r.head[s.off : s.off+s.n])
+	}
 	b, err := r.store.oss.GetRange(r.key, int64(s.off), int64(s.n))
 	if err != nil {
 		return nil, fmt.Errorf("recipe: fetch segment %d: %w", seg, err)
@@ -247,7 +261,11 @@ func (s *Store) GetInfo(fileID string, version int) (*VersionInfo, error) {
 	if err != nil {
 		return nil, fmt.Errorf("recipe: get info %s v%d: %w", fileID, version, err)
 	}
-	return DecodeInfo(b)
+	v, err := DecodeInfo(b)
+	if err != nil {
+		return nil, fmt.Errorf("recipe: get info %s v%d: %w", fileID, version, err)
+	}
+	return v, nil
 }
 
 // DeleteInfo removes a catalog entry.

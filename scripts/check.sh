@@ -35,7 +35,9 @@ BENCH_REPL_OUT=/dev/null go run ./cmd/slimbench -exp repl >/dev/null
 # check for the BENCH_ec.json artifact.
 BENCH_EC_OUT=/dev/null go run ./cmd/slimbench -exp ec >/dev/null
 
-# Wall-clock benchmark smoke on the two G-node-heavy workloads: ~1 s each,
+# Wall-clock benchmark smoke on the two G-node-heavy workloads and on the
+# one that runs jobs.Engine with two racing clients (per-job round trips
+# under concurrency — the regime the other two do not reach): ~1 s each,
 # same phases as a full run, and the benchmark's output checks (comparing
 # writer on every restore, Scrub clean, audit before restores, exact
 # rep-to-rep counts) fail the gate. The numbers are discarded — a
@@ -43,6 +45,7 @@ BENCH_EC_OUT=/dev/null go run ./cmd/slimbench -exp ec >/dev/null
 # (benchmark/README.md).
 go run ./benchmark -workload sdb-cloud -smoke >/dev/null
 go run ./benchmark -workload retention-churn -smoke >/dev/null
+go run ./benchmark -workload rdata-jobs -smoke >/dev/null
 
 # Fuzz smoke: seed corpora always run as part of `go test`; the short
 # -fuzz bursts below look for fresh counterexamples without blocking the
