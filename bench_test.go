@@ -8,7 +8,6 @@
 package slimstore
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"testing"
@@ -33,7 +32,7 @@ func runExperiment(b *testing.B, id string) {
 		b.Fatalf("experiment %s not registered", id)
 	}
 	for i := 0; i < b.N; i++ {
-		if err := e.Run(context.Background(), io.Discard, benchScale); err != nil {
+		if err := e.Run(io.Discard, benchScale); err != nil {
 			b.Fatal(err)
 		}
 	}

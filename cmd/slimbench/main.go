@@ -11,7 +11,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -54,7 +53,7 @@ func main() {
 
 	run := func(e bench.Experiment) {
 		start := time.Now()
-		if err := e.Run(context.Background(), os.Stdout, s); err != nil {
+		if err := e.Run(os.Stdout, s); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
 			os.Exit(1)
 		}

@@ -25,9 +25,7 @@
 // select the global-index topology (DESIGN §11), and -ec-data K with
 // -ec-parity M arm the erasure-coded container tier (DESIGN §12); every
 // command against a repository must use the same values it was created
-// with. -hash-workers and -pack-workers size the ingest pipeline's
-// fingerprint and container-sealing pools (DESIGN §13); they affect
-// performance only, not the repository layout.
+// with.
 package main
 
 import (
@@ -51,8 +49,6 @@ var (
 	globalReplicas = 1
 	ecData         = 0
 	ecParity       = 0
-	hashWorkers    = 0
-	packWorkers    = 0
 )
 
 func openSystem(repo string) (*slimstore.System, error) {
@@ -61,12 +57,6 @@ func openSystem(repo string) (*slimstore.System, error) {
 	cfg.GlobalReplicas = globalReplicas
 	cfg.ECDataShards = ecData
 	cfg.ECParityShards = ecParity
-	if hashWorkers != 0 {
-		cfg.HashWorkers = hashWorkers
-	}
-	if packWorkers != 0 {
-		cfg.PackWorkers = packWorkers
-	}
 	switch {
 	case strings.HasPrefix(repo, "dir:"):
 		return slimstore.OpenDirectory(strings.TrimPrefix(repo, "dir:"), cfg)
@@ -142,8 +132,6 @@ func main() {
 	fs.IntVar(&globalReplicas, "replicas", 1, "replicas per index shard (2f+1; must match the repository layout)")
 	fs.IntVar(&ecData, "ec-data", 0, "erasure-coding data shards K (0 disables striping; must match the repository layout)")
 	fs.IntVar(&ecParity, "ec-parity", 0, "erasure-coding parity shards M (with -ec-data; must match the repository layout)")
-	fs.IntVar(&hashWorkers, "hash-workers", 0, "fingerprint worker-pool size (0 = default 4, negative = inline hashing)")
-	fs.IntVar(&packWorkers, "pack-workers", 0, "background container-sealing workers (0 = default 4, negative = synchronous writes)")
 
 	switch cmd {
 	case "backup":

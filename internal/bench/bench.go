@@ -8,7 +8,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -36,21 +35,17 @@ var (
 	LargeScale  = Scale{Files: 8, FileBytes: 32 << 20, Versions: 25}
 )
 
-// Experiment is one reproducible table or figure. Run receives the
-// caller's context — the entry point (slimbench's main, a test) owns the
-// root, and experiments that drive the job engine forward it, so a
-// cancelled bench run cancels its queued jobs instead of minting fresh
-// context.Background() roots mid-harness.
+// Experiment is one reproducible table or figure.
 type Experiment struct {
 	ID    string // e.g. "fig5a", "table2"
 	Title string // the paper's caption
-	Run   func(ctx context.Context, w io.Writer, s Scale) error
+	Run   func(w io.Writer, s Scale) error
 }
 
 // registry of all experiments, in paper order.
 var registry []Experiment
 
-func register(id, title string, run func(context.Context, io.Writer, Scale) error) {
+func register(id, title string, run func(io.Writer, Scale) error) {
 	registry = append(registry, Experiment{ID: id, Title: title, Run: run})
 }
 

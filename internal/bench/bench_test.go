@@ -2,8 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"context"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -48,12 +46,8 @@ func TestAllExperimentsRun(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			// Artifact-writing experiments honour BENCH_<EXP>_OUT (scale's
-			// BENCH_OUT is TestMain's); point it at a temp dir so test runs
-			// never litter the package directory with regenerated JSON.
-			t.Setenv("BENCH_"+strings.ToUpper(e.ID)+"_OUT", filepath.Join(t.TempDir(), e.ID+".json"))
 			var buf bytes.Buffer
-			if err := e.Run(context.Background(), &buf, tinyScale); err != nil {
+			if err := e.Run(&buf, tinyScale); err != nil {
 				t.Fatalf("%s: %v", e.ID, err)
 			}
 			out := buf.String()

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"time"
@@ -59,7 +58,7 @@ var errDone = fmt.Errorf("done")
 
 // ---------------------------------------------------------------------------
 
-func runTable1(ctx context.Context, w io.Writer, s Scale) error {
+func runTable1(w io.Writer, s Scale) error {
 	t := newTable(w, "Table I: dataset characteristics (scaled)")
 	t.row("dataset", "total size", "# versions", "# files", "avg dup ratio", "self-reference")
 	for _, spec := range []workload.Spec{
@@ -79,7 +78,7 @@ func runTable1(ctx context.Context, w io.Writer, s Scale) error {
 	return nil
 }
 
-func runFig2(ctx context.Context, w io.Writer, s Scale) error {
+func runFig2(w io.Writer, s Scale) error {
 	gen := workload.New(workload.SDB(s.Files, s.FileBytes))
 	versions := clampVersions(s, 5)
 	t := newTable(w, "Fig 2: CPU & network time breakdown (no skip chunking)")
@@ -129,7 +128,7 @@ func fig5Run(gen *workload.Generator, fileIdx int, algo string, chunkKB int, ski
 
 var fig5ChunkKBs = []int{4, 8, 16, 32, 64}
 
-func runFig5a(ctx context.Context, w io.Writer, s Scale) error {
+func runFig5a(w io.Writer, s Scale) error {
 	gen := workload.New(workload.SDB(s.Files, s.FileBytes))
 	t := newTable(w, "Fig 5(a): dedup throughput (MB/s) vs chunk size")
 	t.row("chunk", "rabin", "rabin+skip", "fastcdc", "fastcdc+skip")
@@ -150,7 +149,7 @@ func runFig5a(ctx context.Context, w io.Writer, s Scale) error {
 	return nil
 }
 
-func runFig5b(ctx context.Context, w io.Writer, s Scale) error {
+func runFig5b(w io.Writer, s Scale) error {
 	gen := workload.New(workload.SDB(s.Files, s.FileBytes))
 	t := newTable(w, "Fig 5(b): dedup ratio vs chunk size")
 	t.row("chunk", "rabin", "rabin+skip", "fastcdc", "fastcdc+skip")
@@ -171,7 +170,7 @@ func runFig5b(ctx context.Context, w io.Writer, s Scale) error {
 	return nil
 }
 
-func runFig5c(ctx context.Context, w io.Writer, s Scale) error {
+func runFig5c(w io.Writer, s Scale) error {
 	gen := workload.New(workload.SDB(s.Files, s.FileBytes))
 	t := newTable(w, "Fig 5(c): throughput (MB/s) vs file duplication ratio")
 	t.row("file dup", "fastcdc", "fastcdc+skip", "speedup")
@@ -191,7 +190,7 @@ func runFig5c(ctx context.Context, w io.Writer, s Scale) error {
 	return nil
 }
 
-func runFig5d(ctx context.Context, w io.Writer, s Scale) error {
+func runFig5d(w io.Writer, s Scale) error {
 	gen := workload.New(workload.SDB(s.Files, s.FileBytes))
 	t := newTable(w, "Fig 5(d): CPU breakdown with skip chunking (version 1)")
 	t.row("algo", "chunking", "fingerprint", "index", "other", "skip hits", "skip misses")
@@ -222,7 +221,7 @@ func fig6Run(gen *workload.Generator, fileIdx, versions int, merge bool) (*lnode
 	return stats[len(stats)-1], nil
 }
 
-func runFig6a(ctx context.Context, w io.Writer, s Scale) error {
+func runFig6a(w io.Writer, s Scale) error {
 	gen := workload.New(workload.SDB(s.Files, s.FileBytes))
 	versions := clampVersions(s, 9)
 	t := newTable(w, "Fig 6(a): chunk-merging throughput & avg chunk size (final version)")
@@ -247,7 +246,7 @@ func runFig6a(ctx context.Context, w io.Writer, s Scale) error {
 	return nil
 }
 
-func runFig6b(ctx context.Context, w io.Writer, s Scale) error {
+func runFig6b(w io.Writer, s Scale) error {
 	gen := workload.New(workload.SDB(s.Files, s.FileBytes))
 	versions := clampVersions(s, 9)
 	t := newTable(w, "Fig 6(b): chunk-merging dedup ratio (final version)")
@@ -350,5 +349,5 @@ func runFig7(w io.Writer, s Scale, metric string) error {
 	return nil
 }
 
-func runFig7a(ctx context.Context, w io.Writer, s Scale) error { return runFig7(w, s, "throughput") }
-func runFig7b(ctx context.Context, w io.Writer, s Scale) error { return runFig7(w, s, "ratio") }
+func runFig7a(w io.Writer, s Scale) error { return runFig7(w, s, "throughput") }
+func runFig7b(w io.Writer, s Scale) error { return runFig7(w, s, "ratio") }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -70,7 +69,7 @@ func restoreWith(repo *core.Repo, ln *lnode.LNode, fileID string, version int,
 	return ln.Restore(fileID, version, io.Discard)
 }
 
-func runFig8ab(ctx context.Context, w io.Writer, s Scale) error {
+func runFig8ab(w io.Writer, s Scale) error {
 	gen := workload.New(workload.SDB(s.Files, s.FileBytes))
 	versions := clampVersions(s, 25)
 	fileIdx := 0 // lowest dup ratio → most churn → most fragmentation
@@ -113,7 +112,7 @@ func versionStep(versions int) int {
 	return 1
 }
 
-func runFig8c(ctx context.Context, w io.Writer, s Scale) error {
+func runFig8c(w io.Writer, s Scale) error {
 	gen := workload.New(workload.SDB(s.Files, s.FileBytes))
 	versions := clampVersions(s, 25)
 	fileIdx := 0
@@ -180,7 +179,7 @@ func runFig8c(ctx context.Context, w io.Writer, s Scale) error {
 	return nil
 }
 
-func runFig8d(ctx context.Context, w io.Writer, s Scale) error {
+func runFig8d(w io.Writer, s Scale) error {
 	gen := workload.New(workload.SDB(s.Files, s.FileBytes))
 	versions := clampVersions(s, 25)
 	fileIdx := 0
@@ -246,7 +245,7 @@ func runFig8d(ctx context.Context, w io.Writer, s Scale) error {
 	return nil
 }
 
-func runTable2(ctx context.Context, w io.Writer, s Scale) error {
+func runTable2(w io.Writer, s Scale) error {
 	gen := workload.New(workload.SDB(s.Files, s.FileBytes))
 	versions := clampVersions(s, 8)
 	fileIdx := s.Files / 2

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sync"
@@ -47,7 +46,7 @@ func fig10Gen(s Scale, files int) *workload.Generator {
 	return workload.New(workload.RData(files, s.FileBytes/2))
 }
 
-func runFig10a(ctx context.Context, w io.Writer, s Scale) error {
+func runFig10a(w io.Writer, s Scale) error {
 	jobCounts := []int{1, 2, 4, 8, 16, 24}
 	totalFiles := 0
 	for _, j := range jobCounts {
@@ -154,7 +153,7 @@ func runFig10a(ctx context.Context, w io.Writer, s Scale) error {
 	return nil
 }
 
-func runFig10b(ctx context.Context, w io.Writer, s Scale) error {
+func runFig10b(w io.Writer, s Scale) error {
 	jobCounts := []int{1, 2, 4, 8, 16, 24}
 	gen := fig10Gen(s, jobCounts[len(jobCounts)-1])
 	costs := simclock.DefaultCosts()
@@ -243,7 +242,7 @@ func runFig10b(ctx context.Context, w io.Writer, s Scale) error {
 	return nil
 }
 
-func runFig10c(ctx context.Context, w io.Writer, s Scale) error {
+func runFig10c(w io.Writer, s Scale) error {
 	versions := clampVersions(s, 13)
 	gen := workload.New(workload.RData(s.Files*2, s.FileBytes))
 	costs := simclock.DefaultCosts()

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"io"
 	"testing"
 
@@ -100,7 +99,7 @@ func TestFig10Shape_ResticIndexCap(t *testing.T) {
 	if !ok {
 		t.Fatal("fig10a missing")
 	}
-	if err := e.Run(context.Background(), out, Scale{Files: 2, FileBytes: 2 << 20, Versions: 3}); err != nil {
+	if err := e.Run(out, Scale{Files: 2, FileBytes: 2 << 20, Versions: 3}); err != nil {
 		t.Fatal(err)
 	}
 }

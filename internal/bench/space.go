@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -38,7 +37,7 @@ func newSpaceChain() (*spaceChain, error) {
 
 func (c *spaceChain) containerBytes() int64 { return c.mem.BytesWithPrefix("containers/") }
 
-func runFig9a(ctx context.Context, w io.Writer, s Scale) error {
+func runFig9a(w io.Writer, s Scale) error {
 	gen := workload.New(workload.SDB(s.Files, s.FileBytes))
 	versions := clampVersions(s, 25)
 	const retain = 10
@@ -133,7 +132,7 @@ func max64(a, b int64) int64 {
 	return b
 }
 
-func runFig9b(ctx context.Context, w io.Writer, s Scale) error {
+func runFig9b(w io.Writer, s Scale) error {
 	gen := workload.New(workload.SDB(s.Files, s.FileBytes))
 	versions := clampVersions(s, 25)
 	fileIdx := 0

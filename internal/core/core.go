@@ -94,10 +94,6 @@ type Config struct {
 	// default (256 MiB); negative disables the cache and singleflight
 	// entirely, making every job fetch for itself.
 	SharedCacheBytes int64
-	// DisableRangedReads turns off the cost-model ranged-read planner, so
-	// every container fetch reads the full object (the pre-planner
-	// behaviour; the restoreio benchmark uses this as its baseline).
-	DisableRangedReads bool
 
 	// PackWorkers is the number of background workers sealing and
 	// uploading filled containers while the dedup loop keeps running (the
@@ -144,13 +140,6 @@ type Config struct {
 	// single-copy layout). K=1 with M>0 is (1+M)-replication.
 	ECDataShards   int
 	ECParityShards int
-	// ECBackends is the backend count; 0 derives K+M. Any other value
-	// must equal K+M (one shard per fault domain).
-	ECBackends int
-	// ECBackendCosts optionally gives backend i its own OSS cost model
-	// (mixing fast and slow fault domains); missing or zero entries use
-	// Costs.
-	ECBackendCosts []simclock.Costs
 
 	// Costs is the virtual-time cost model.
 	Costs simclock.Costs
@@ -247,9 +236,6 @@ func (c *Config) fillDefaults() {
 	if c.Costs == (simclock.Costs{}) {
 		c.Costs = d.Costs
 	}
-	if c.ECDataShards > 0 && c.ECBackends <= 0 {
-		c.ECBackends = c.ECDataShards + c.ECParityShards
-	}
 }
 
 // Repo is the opened storage layer. One Repo is shared by every L-node and
@@ -327,11 +313,7 @@ func OpenRepo(store oss.Store, cfg Config) (*Repo, error) {
 	containerOSS := store
 	if cfg.ECDataShards > 0 {
 		k, m := cfg.ECDataShards, cfg.ECParityShards
-		if cfg.ECBackends != k+m {
-			return nil, fmt.Errorf("core: ECBackends %d must equal ECDataShards+ECParityShards %d",
-				cfg.ECBackends, k+m)
-		}
-		set := oss.NewBackendSet(store, k+m, cfg.Costs, cfg.ECBackendCosts)
+		set := oss.NewBackendSet(store, k+m, cfg.Costs)
 		var err error
 		if tier, err = ec.NewStore(set, k, m, cfg.Costs); err != nil {
 			return nil, fmt.Errorf("core: open redundancy tier: %w", err)

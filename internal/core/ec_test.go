@@ -12,16 +12,6 @@ import (
 )
 
 func TestECConfigDefaults(t *testing.T) {
-	cfg := Config{ECDataShards: 4, ECParityShards: 2}
-	cfg.fillDefaults()
-	if cfg.ECBackends != 6 {
-		t.Fatalf("ECBackends derived as %d, want 6", cfg.ECBackends)
-	}
-	// An explicit mismatched backend count is rejected at open.
-	bad := Config{ECDataShards: 4, ECParityShards: 2, ECBackends: 5}
-	if _, err := OpenRepo(oss.NewMem(), bad); err == nil {
-		t.Fatal("mismatched ECBackends accepted")
-	}
 	// EC off → no tier.
 	repo, err := OpenRepo(oss.NewMem(), Config{})
 	if err != nil {

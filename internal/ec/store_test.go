@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"slimstore/internal/oss"
 	"slimstore/internal/simclock"
@@ -14,7 +15,7 @@ import (
 func newTestTier(t *testing.T, k, m int) (*Store, *oss.Mem) {
 	t.Helper()
 	mem := oss.NewMem()
-	set := oss.NewBackendSet(mem, k+m, simclock.DefaultCosts(), nil)
+	set := oss.NewBackendSet(mem, k+m, simclock.DefaultCosts())
 	s, err := NewStore(set, k, m, simclock.DefaultCosts())
 	if err != nil {
 		t.Fatal(err)
@@ -354,7 +355,7 @@ func TestStoreAccounting(t *testing.T) {
 	const k, m = 2, 1
 	mem := oss.NewMem()
 	costs := simclock.DefaultCosts()
-	set := oss.NewBackendSet(mem, k+m, costs, nil)
+	set := oss.NewBackendSet(mem, k+m, costs)
 	base, err := NewStore(set, k, m, costs)
 	if err != nil {
 		t.Fatal(err)
@@ -403,11 +404,46 @@ func TestStoreAccounting(t *testing.T) {
 	if st := base.Stats(); st.DegradedReads != 2 {
 		t.Fatalf("views do not share stats: %+v", st)
 	}
+
+	// The frontier at matched fault tolerance: RS(4+2) writes fewer
+	// physical bytes than (1+2)-replication and at most 10% over the
+	// (K+M)/K ideal, and a Get with all M backends dark is charged at most
+	// 3x the virtual time of a healthy one.
+	payload := make([]byte, 512<<10)
+	measure := func(k, m int) (physical int64, healthy, degraded time.Duration) {
+		tier, _ := newTestTier(t, k, m)
+		acct := simclock.NewAccount()
+		s := tier.WithAccount(acct)
+		if err := s.Put("containers/y.data", payload); err != nil {
+			t.Fatal(err)
+		}
+		physical = acct.IO().WriteBytes
+		get := func() time.Duration {
+			acct.Reset()
+			if _, err := s.Get("containers/y.data"); err != nil {
+				t.Fatal(err)
+			}
+			return acct.ElapsedSequential()
+		}
+		healthy = get()
+		for i := 0; i < m; i++ {
+			s.Backends()[i].Faulty.SetOutage(true)
+		}
+		return physical, healthy, get()
+	}
+	rs, healthy, degraded := measure(4, 2)
+	rep3, _, _ := measure(1, 2)
+	if ideal := int64(len(payload)) * (4 + 2) / 4; rs >= rep3 || 10*rs > 11*ideal {
+		t.Errorf("RS(4+2) wrote %d physical bytes: want below (1+2)-replication's %d and within 10%% of %d", rs, rep3, ideal)
+	}
+	if healthy <= 0 || degraded > 3*healthy {
+		t.Errorf("degraded Get charged %v, healthy %v, want at most 3x", degraded, healthy)
+	}
 }
 
 func TestRouter(t *testing.T) {
 	mem := oss.NewMem()
-	set := oss.NewBackendSet(mem, 3, simclock.DefaultCosts(), nil)
+	set := oss.NewBackendSet(mem, 3, simclock.DefaultCosts())
 	tier, err := NewStore(set, 2, 1, simclock.DefaultCosts())
 	if err != nil {
 		t.Fatal(err)

@@ -2,11 +2,11 @@ package globalindex
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"slimstore/internal/container"
 	"slimstore/internal/fingerprint"
+	"slimstore/internal/pipe"
 )
 
 // Sharded partitions the global fingerprint index by hash prefix into N
@@ -79,45 +79,7 @@ func (s *Sharded) step() {
 // forEachShard runs fn over every shard id across the fan-out pool,
 // returning the first error (remaining dispatches are abandoned).
 func (s *Sharded) forEachShard(fn func(k int) error) error {
-	n := len(s.shards)
-	w := s.workers
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for k := 0; k < n; k++ {
-			if err := fn(k); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		next    atomic.Int64
-		failed  atomic.Bool
-		errOnce sync.Once
-		firstEr error
-		wg      sync.WaitGroup
-	)
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				k := int(next.Add(1)) - 1
-				if k >= n {
-					return
-				}
-				if err := fn(k); err != nil {
-					errOnce.Do(func() { firstEr = err })
-					failed.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstEr
+	return pipe.FanOut(len(s.shards), s.workers, fn)
 }
 
 // Put records fp → id on its owning shard.

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
+	"time"
 
 	"slimstore/internal/container"
 	"slimstore/internal/core"
@@ -284,4 +286,72 @@ func TestCompactSparseParallelMatchesSerial(t *testing.T) {
 	}
 	assertRestores(t, serial.repo, want)
 	assertRestores(t, parallel.repo, want)
+}
+
+// TestMaintenancePassesOverlapRoundTrips: each pass keeps at least two and
+// at most its width of OSS reads in flight — container reads for reverse
+// dedup and scrub (MaintWorkers wide), index shards probed at once for the
+// sweep (one lane per G-shard). The store sleeps per request, so requests
+// overlap on one core as they do on many; nothing reads the clock.
+func TestMaintenancePassesOverlapRoundTrips(t *testing.T) {
+	const width = 4 // MaintWorkers and GlobalShards
+	tw := buildTwinLayout(t, width, width, 1)
+	if len(tw.new) < 8 {
+		t.Fatalf("only %d new containers; the overlap check would be vacuous", len(tw.new))
+	}
+	containerLane := func(key string) string {
+		if strings.HasPrefix(key, container.Prefix) {
+			return key
+		}
+		return ""
+	}
+	shardLane := func(key string) string { // "gidx/s<k>/…" → "gidx/s<k>"
+		if rest, ok := strings.CutPrefix(key, "gidx/"); ok {
+			shard, _, _ := strings.Cut(rest, "/")
+			return "gidx/" + shard
+		}
+		return ""
+	}
+	for _, pass := range []struct {
+		name string
+		lane func(string) string
+		run  func(*GNode) error
+	}{
+		{"ReverseDedup", containerLane, func(gn *GNode) error {
+			st, err := gn.ReverseDedup(tw.new)
+			if err == nil && st.DuplicatesRemoved == 0 {
+				err = fmt.Errorf("nothing deduplicated: %+v", st)
+			}
+			return err
+		}},
+		{"Scrub", containerLane, func(gn *GNode) error {
+			st, err := gn.Scrub()
+			if err == nil && !st.Clean() {
+				err = fmt.Errorf("damage on a clean repo: %+v", st)
+			}
+			return err
+		}},
+		// Runs after ReverseDedup: the recipes' moved chunks resolve
+		// through index redirects, which is what the shards serve.
+		{"FullSweep", shardLane, func(gn *GNode) error {
+			_, err := gn.FullSweep()
+			return err
+		}},
+	} {
+		rec := newRecStore(&oss.Latency{S: tw.mem, PerOp: 2 * time.Millisecond})
+		rec.lane = pass.lane
+		repo, gn := openOver(t, rec, tw.repo.Config, width)
+		rec.reset()
+		if err := pass.run(gn); err != nil {
+			t.Fatalf("%s: %v", pass.name, err)
+		}
+		if got := rec.maxLanes(); got < 2 || got > width {
+			t.Errorf("%s: %d reads in flight at most, want 2..%d", pass.name, got, width)
+		}
+		// The next pass opens cold and must find this one's index updates
+		// in tables, not in a replayed memtable.
+		if err := repo.Global.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

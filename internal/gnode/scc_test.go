@@ -27,27 +27,56 @@ type storeOp struct {
 }
 
 // recStore records every mutation in order, counts whole-object GETs per
-// key and how many container data GETs are in flight at once, and runs
-// optional hooks after a put or delete has landed.
+// key and how many reads are in flight at once, and runs optional hooks
+// after a put or delete has landed.
 type recStore struct {
 	oss.Store
+
+	// lane names what a read of key occupies while it is in flight (""
+	// = not counted); maxInFlight is the most lanes occupied at once. The
+	// default gives every container data object its own lane.
+	lane func(key string) string
 
 	mu          sync.Mutex
 	ops         []storeOp
 	gets        map[string]int
-	dataInFlt   int
-	maxDataInFl int
+	inFlight    map[string]int
+	maxInFlight int
 
 	afterPut    func(key string)
 	afterDelete func(key string)
 }
 
 func newRecStore(inner oss.Store) *recStore {
-	return &recStore{Store: inner, gets: make(map[string]int)}
+	return &recStore{Store: inner, lane: dataLane, gets: make(map[string]int), inFlight: make(map[string]int)}
 }
 
-func isDataKey(key string) bool {
-	return strings.HasPrefix(key, container.Prefix) && strings.HasSuffix(key, ".data")
+func dataLane(key string) string {
+	if strings.HasPrefix(key, container.Prefix) && strings.HasSuffix(key, ".data") {
+		return key
+	}
+	return ""
+}
+
+// enter marks a read of key in flight until the returned func runs.
+func (s *recStore) enter(key string) (leave func()) {
+	lane := s.lane(key)
+	if lane == "" {
+		return func() {}
+	}
+	s.mu.Lock()
+	s.inFlight[lane]++
+	if n := len(s.inFlight); n > s.maxInFlight {
+		s.maxInFlight = n
+	}
+	s.mu.Unlock()
+	return func() {
+		s.mu.Lock()
+		if s.inFlight[lane]--; s.inFlight[lane] == 0 {
+			delete(s.inFlight, lane)
+		}
+		s.mu.Unlock()
+	}
 }
 
 func (s *recStore) Put(key string, data []byte) error {
@@ -79,31 +108,30 @@ func (s *recStore) Delete(key string) error {
 }
 
 func (s *recStore) Get(key string) ([]byte, error) {
-	data := isDataKey(key)
 	s.mu.Lock()
 	s.gets[key]++
-	if data {
-		s.dataInFlt++
-		if s.dataInFlt > s.maxDataInFl {
-			s.maxDataInFl = s.dataInFlt
-		}
-	}
 	s.mu.Unlock()
-	b, err := s.Store.Get(key)
-	if data {
-		s.mu.Lock()
-		s.dataInFlt--
-		s.mu.Unlock()
-	}
-	return b, err
+	defer s.enter(key)()
+	return s.Store.Get(key)
+}
+
+func (s *recStore) GetRange(key string, off, n int64) ([]byte, error) {
+	defer s.enter(key)()
+	return s.Store.GetRange(key, off, n)
 }
 
 func (s *recStore) reset() {
 	s.mu.Lock()
 	s.ops = nil
 	s.gets = make(map[string]int)
-	s.maxDataInFl = 0
+	s.maxInFlight = 0
 	s.mu.Unlock()
+}
+
+func (s *recStore) maxLanes() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.maxInFlight
 }
 
 func (s *recStore) dataGets(id container.ID) int {
@@ -181,9 +209,7 @@ func TestCompactSparseReadsEachSourceOnce(t *testing.T) {
 			t.Errorf("source %s: %d data-object GETs, want exactly 1", id, got)
 		}
 	}
-	rec.mu.Lock()
-	maxInFlight := rec.maxDataInFl
-	rec.mu.Unlock()
+	maxInFlight := rec.maxLanes()
 	if maxInFlight < 2 {
 		t.Errorf("source reads never overlapped (max %d in flight over %d sources)", maxInFlight, n)
 	}

@@ -7,7 +7,8 @@ import (
 	"hash/fnv"
 	"math"
 	"sort"
-	"sync"
+
+	"slimstore/internal/pipe"
 )
 
 // SSTable on-disk format (one OSS object per table):
@@ -484,15 +485,12 @@ func (t *tableReader) fetchBlocks(bis []int, from int) (fetched map[int][]entry,
 	}
 	blocks := make([][]entry, len(need))
 	errs := make([]error, len(need))
-	var wg sync.WaitGroup
-	for i := range need {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			blocks[i], errs[i] = t.readBlock(need[i])
-		}()
-	}
-	wg.Wait()
+	// fn never fails: every block is read, and the earliest failure in bis
+	// order is picked from the slots below.
+	_ = pipe.FanOut(len(need), len(need), func(i int) error {
+		blocks[i], errs[i] = t.readBlock(need[i])
+		return nil
+	})
 	fetched = make(map[int][]entry, len(need))
 	for i, bi := range need {
 		if errs[i] != nil {

@@ -23,6 +23,7 @@ import (
 	"slimstore/internal/core"
 	"slimstore/internal/fingerprint"
 	"slimstore/internal/oss"
+	"slimstore/internal/pipe"
 	"slimstore/internal/recipe"
 	"slimstore/internal/simclock"
 	"slimstore/internal/simindex"
@@ -351,7 +352,7 @@ func (j *backupJob) detectBase(fileID string, data []byte) error {
 // wave issues independent storage round trips together and waits for all
 // of them, returning the first error.
 func wave(ops ...func() error) error {
-	return core.FanOut(len(ops), len(ops), func(i int) error { return ops[i]() })
+	return pipe.FanOut(len(ops), len(ops), func(i int) error { return ops[i]() })
 }
 
 // openBase fetches the base version's recipe index and segment directory
@@ -811,7 +812,7 @@ func (j *backupJob) persist(fileID string) error {
 		}
 		return nil
 	}, func() error {
-		return core.FanOut(len(refList), j.cfg.PackWorkers, func(i int) (err error) {
+		return pipe.FanOut(len(refList), j.cfg.PackWorkers, func(i int) (err error) {
 			if metas[i], err = j.containers.ReadMeta(refList[i]); err != nil {
 				return fmt.Errorf("lnode: sparse detection: %w", err)
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"slimstore/internal/chunker"
+	"slimstore/internal/container"
 	"slimstore/internal/core"
 	"slimstore/internal/oss"
 )
@@ -388,18 +389,51 @@ func TestDedupCacheEviction(t *testing.T) {
 }
 
 func TestRestoreRange(t *testing.T) {
-	n, _ := newNode(t, testConfig())
-	data := genData(90, 3<<20)
+	cfg := testConfig()
+	cfg.ContainerCapacity = 512 << 10
+	n, repo := newNode(t, cfg)
+	data := genData(90, 4<<20) // unique: every container is dense for a full restore
 	if _, err := n.Backup("f", data); err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct{ off, length int64 }{
-		{0, 100},                     // head
-		{1 << 20, 64 << 10},          // middle, unaligned
-		{int64(len(data)) - 777, -1}, // tail, open-ended
-		{12345, 1},                   // single byte
-		{0, -1},                      // whole file via range API
-		{int64(len(data)), 100},      // empty at EOF
+	r, err := repo.Recipes.GetRecipe("f", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// touchedBytes sums Meta.DataSize over the containers [off, off+length)
+	// has chunks in: what the window would cost in full-object reads.
+	touchedBytes := func(off, length int64) (sum int64) {
+		seen := map[container.ID]bool{}
+		var pos int64
+		for _, rec := range allRecords(r) {
+			if next := pos + int64(rec.Size); next > off && pos < off+length && !seen[rec.Container] {
+				seen[rec.Container] = true
+				m, err := repo.Containers.ReadMeta(rec.Container)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum += int64(m.DataSize)
+			}
+			pos += int64(rec.Size)
+		}
+		return sum
+	}
+	size := int64(len(data))
+	const window = 16 << 10
+	cases := []struct {
+		off, length int64
+		sparse      bool // a sliver of each touched container: the planner must range-read
+	}{
+		{0, 100, false},              // head
+		{1 * size / 8, window, true}, // four scattered windows
+		{3 * size / 8, window, true},
+		{5 * size / 8, window, true},
+		{7 * size / 8, window, true},
+		{1 << 20, 64 << 10, false}, // middle, unaligned
+		{size - 777, -1, false},    // tail, open-ended
+		{12345, 1, false},          // single byte
+		{0, -1, false},             // whole file via range API
+		{size, 100, false},         // empty at EOF
 	}
 	for _, c := range cases {
 		var buf bytes.Buffer
@@ -407,7 +441,7 @@ func TestRestoreRange(t *testing.T) {
 		if err != nil {
 			t.Fatalf("range [%d,+%d): %v", c.off, c.length, err)
 		}
-		end := int64(len(data))
+		end := size
 		if c.length >= 0 && c.off+c.length < end {
 			end = c.off + c.length
 		}
@@ -417,6 +451,13 @@ func TestRestoreRange(t *testing.T) {
 		}
 		if st.Bytes != int64(len(want)) {
 			t.Fatalf("range [%d,+%d): stats.Bytes = %d", c.off, c.length, st.Bytes)
+		}
+		if c.sparse {
+			read, full := st.Account.IO().ReadBytes, touchedBytes(c.off, c.length)
+			if st.Cache.RangedReads == 0 || 3*read > 2*full {
+				t.Errorf("range [%d,+%d): %d ranged reads, %d bytes read from OSS; the touched containers hold %d, want ranged and at most 2/3 of that",
+					c.off, c.length, st.Cache.RangedReads, read, full)
+			}
 		}
 	}
 	// A small middle range must read far fewer containers than the full
@@ -434,6 +475,11 @@ func TestRestoreRange(t *testing.T) {
 	if small.Cache.ContainersRead >= full.Cache.ContainersRead {
 		t.Fatalf("range restore read %d containers, full read %d",
 			small.Cache.ContainersRead, full.Cache.ContainersRead)
+	}
+	// Dense control: a full restore needs every chunk of every container,
+	// so the planner issues no ranged read at all.
+	if full.Cache.RangedSpans != 0 {
+		t.Errorf("full restore issued %d ranged spans", full.Cache.RangedSpans)
 	}
 	// Errors.
 	if _, err := n.RestoreRange("f", 0, -1, 10, &buf); err == nil {

@@ -8,9 +8,9 @@ import (
 
 	"slimstore/internal/cache"
 	"slimstore/internal/container"
-	"slimstore/internal/core"
 	"slimstore/internal/fingerprint"
 	"slimstore/internal/oss"
+	"slimstore/internal/pipe"
 	"slimstore/internal/recipe"
 	"slimstore/internal/simclock"
 )
@@ -278,7 +278,7 @@ func (n *LNode) resolveSequence(containers *container.Store, r *recipe.Recipe, r
 			}
 		}
 		metas := make([]*container.Meta, len(fresh))
-		err := core.FanOut(len(fresh), n.repo.Config.PrefetchThreads, func(i int) error {
+		err := pipe.FanOut(len(fresh), n.repo.Config.PrefetchThreads, func(i int) error {
 			m, err := containers.ReadMeta(fresh[i])
 			if err != nil && !errors.Is(err, oss.ErrNotFound) {
 				return fmt.Errorf("lnode: resolve %s v%d: %w", r.FileID, r.Version, err)

@@ -30,7 +30,6 @@ type restoreIO struct {
 	metas      map[container.ID]*container.Meta
 	need       map[container.ID]map[fingerprint.FP]bool
 	costs      simclock.Costs
-	ranged     bool
 
 	mu          sync.Mutex
 	plans       map[container.ID]cache.ReadPlan
@@ -51,7 +50,6 @@ func newRestoreIO(n *LNode, containers *container.Store, seq []cache.Request, me
 		containers: containers,
 		metas:      metas,
 		costs:      n.repo.Config.Costs,
-		ranged:     !n.repo.Config.DisableRangedReads,
 		plans:      make(map[container.ID]cache.ReadPlan),
 	}
 	if n.repo.RestoreIO != nil {
@@ -87,12 +85,9 @@ func (rio *restoreIO) close() {
 	}
 }
 
-// plan returns the memoized read plan for id (ok=false when planning is
-// off or the resolution pass has no metadata for id).
+// plan returns the memoized read plan for id (ok=false when the
+// resolution pass has no metadata for id).
 func (rio *restoreIO) plan(id container.ID) (cache.ReadPlan, bool) {
-	if !rio.ranged {
-		return cache.ReadPlan{}, false
-	}
 	need, m := rio.need[id], rio.metas[id]
 	if need == nil || m == nil {
 		return cache.ReadPlan{}, false

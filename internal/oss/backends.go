@@ -19,8 +19,8 @@ type Backend struct {
 	Store Store
 	// Faulty is the injection surface behind Store.
 	Faulty *Faulty
-	// Costs is the backend's own latency/bandwidth model, letting
-	// experiments mix fast and slow fault domains.
+	// Costs is the latency/bandwidth model the tier charges this
+	// backend's shard reads and writes with.
 	Costs simclock.Costs
 }
 
@@ -29,24 +29,19 @@ type Backend struct {
 func BackendPrefix(i int) string { return fmt.Sprintf("ec/b%d/", i) }
 
 // NewBackendSet carves n fault-isolated backends out of one base store,
-// backend i living under BackendPrefix(i) with its own Faulty injector.
-// costs[i] overrides backend i's cost model; missing or zero entries fall
-// back to def. Keeping all backends on one base store preserves the chaos
-// harness's crash/reboot semantics: reopening the repo over the same base
-// store resurrects every backend with faults cleared.
-func NewBackendSet(base Store, n int, def simclock.Costs, costs []simclock.Costs) []*Backend {
+// backend i living under BackendPrefix(i) with its own Faulty injector and
+// all charged at costs. Keeping all backends on one base store preserves
+// the chaos harness's crash/reboot semantics: reopening the repo over the
+// same base store resurrects every backend with faults cleared.
+func NewBackendSet(base Store, n int, costs simclock.Costs) []*Backend {
 	set := make([]*Backend, n)
 	for i := 0; i < n; i++ {
-		c := def
-		if i < len(costs) && costs[i] != (simclock.Costs{}) {
-			c = costs[i]
-		}
 		f := NewFaulty(NewPrefixed(base, BackendPrefix(i)))
 		set[i] = &Backend{
 			Name:   fmt.Sprintf("b%d", i),
 			Store:  f,
 			Faulty: f,
-			Costs:  c,
+			Costs:  costs,
 		}
 	}
 	return set

@@ -5,10 +5,11 @@ import "time"
 // Latency wraps a Store, sleeping PerOp of real wall-clock time before
 // every request. Unlike the Metered wrapper — which charges *virtual*
 // time to a simclock account — Latency makes OSS round-trips cost actual
-// elapsed time, so wall-clock benchmarks of concurrent code observe the
-// overlap that parallel request channels buy: N goroutines sleeping on
-// timers progress together even on a single CPU, exactly like N in-flight
-// HTTP requests. Used by the gmaint experiment to measure G-node fan-out.
+// elapsed time, so concurrent code observes the overlap that parallel
+// request channels buy: N goroutines sleeping on timers progress together
+// even on a single CPU, exactly like N in-flight HTTP requests. The
+// overlap tests (G-node passes, SCC source reads, kvstore block fetch)
+// count requests in flight over it.
 type Latency struct {
 	S     Store
 	PerOp time.Duration

@@ -3,6 +3,8 @@ package repl
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"slimstore/internal/kvstore"
@@ -378,5 +380,111 @@ func TestSingleReplicaGroup(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		mustGet(t, g2, i)
+	}
+}
+
+// countingStore counts puts and reads at the base store, underneath the
+// kvstores and the replication log alike.
+type countingStore struct {
+	oss.Store
+	mu                       sync.Mutex
+	putOps, putBytes, getOps int64
+}
+
+func (s *countingStore) Put(key string, data []byte) error {
+	s.mu.Lock()
+	s.putOps++
+	s.putBytes += int64(len(data))
+	s.mu.Unlock()
+	return s.Store.Put(key, data)
+}
+
+func (s *countingStore) Get(key string) ([]byte, error) {
+	s.mu.Lock()
+	s.getOps++
+	s.mu.Unlock()
+	return s.Store.Get(key)
+}
+
+func (s *countingStore) GetRange(key string, off, n int64) ([]byte, error) {
+	s.mu.Lock()
+	s.getOps++
+	s.mu.Unlock()
+	return s.Store.GetRange(key, off, n)
+}
+
+// TestReplicationOverheadBounded: the same index-shaped workload (64
+// batches of 64 fingerprint-sized keys, durable per batch, then read back
+// from tables) on one kvstore synced per batch and on a 3-replica group.
+// Durability through the shared log must cost less than mirroring — puts
+// at most doubled, put bytes less than tripled — and reads stay
+// leader-local.
+func TestReplicationOverheadBounded(t *testing.T) {
+	const batches, entries, replicas = 64, 64, 3
+	run := func(apply func(*kvstore.Batch) error, flush func() error,
+		read func([][]byte) ([][]byte, []bool, error)) {
+		t.Helper()
+		rng := rand.New(rand.NewSource(23)) // both sides see identical batches
+		keys := make([][][]byte, batches)
+		for i := range keys {
+			var b kvstore.Batch
+			for j := 0; j < entries; j++ {
+				k, v := make([]byte, 20), make([]byte, 8)
+				rng.Read(k)
+				rng.Read(v)
+				b.Put(k, v)
+				keys[i] = append(keys[i], k)
+			}
+			if err := apply(&b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := flush(); err != nil {
+			t.Fatal(err)
+		}
+		for i, kb := range keys {
+			_, found, err := read(kb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range kb {
+				if !found[j] {
+					t.Fatalf("batch %d key %d lost after a durable apply", i, j)
+				}
+			}
+		}
+	}
+
+	single := &countingStore{Store: oss.NewMem()}
+	db, err := kvstore.Open(single, kvstore.Options{Prefix: "idx/"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(func(b *kvstore.Batch) error {
+		if err := db.Apply(b); err != nil {
+			return err
+		}
+		return db.Sync() // the durability point the group's log put provides
+	}, db.Flush, db.GetMulti)
+
+	group := &countingStore{Store: oss.NewMem()}
+	g, err := Open(group, Options{Prefix: "grp/", Replicas: replicas})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(g.Apply, g.Flush, g.GetMulti)
+
+	if single.putOps == 0 || single.getOps == 0 {
+		t.Fatalf("degenerate baseline: %+v", single)
+	}
+	ratio := func(a, b int64) float64 { return float64(a) / float64(b) }
+	if r := ratio(group.putOps, single.putOps); r < 1.0 || r > 2.0 {
+		t.Errorf("put ops %d vs %d = %.2fx, want within [1.0, 2.0]", group.putOps, single.putOps, r)
+	}
+	if r := ratio(group.putBytes, single.putBytes); r < 1.0 || r >= replicas {
+		t.Errorf("put bytes %d vs %d = %.2fx, want within [1.0, %d.0)", group.putBytes, single.putBytes, r, replicas)
+	}
+	if r := ratio(group.getOps, single.getOps); r > 1.5 {
+		t.Errorf("get ops %d vs %d = %.2fx, want <= 1.5 (reads must stay leader-local)", group.getOps, single.getOps, r)
 	}
 }

@@ -20,21 +20,6 @@ go test -race ./...
 # the gate without costing real measurement time.
 BENCHTIME=1x sh ./scripts/bench.sh
 
-# Restore I/O layer experiment smoke: the sweep is virtual-time and
-# sub-second, so run it whole as a does-it-still-run check for the
-# BENCH_restoreio.json artifact (discarded here; CI uploads the real one).
-BENCH_RESTOREIO_OUT=/dev/null go run ./cmd/slimbench -exp restoreio >/dev/null
-
-# Replicated-index experiment smoke: overhead and failover columns are
-# deterministic and the sweep takes a few seconds, so run it whole as a
-# does-it-still-run check for the BENCH_repl.json artifact.
-BENCH_REPL_OUT=/dev/null go run ./cmd/slimbench -exp repl >/dev/null
-
-# Erasure-coding experiment smoke: the durability/cost/latency frontier
-# is deterministic and sub-second, so run it whole as a does-it-still-run
-# check for the BENCH_ec.json artifact.
-BENCH_EC_OUT=/dev/null go run ./cmd/slimbench -exp ec >/dev/null
-
 # Wall-clock benchmark smoke on the two G-node-heavy workloads and on the
 # one that runs jobs.Engine with two racing clients (per-job round trips
 # under concurrency — the regime the other two do not reach): ~1 s each,

@@ -210,18 +210,21 @@ func (s *System) Verify(fileID string, version int) (*RestoreStats, error) {
 }
 
 // BackupAll runs one backup job per entry concurrently across the L-node
-// pool, up to `workers` at a time (workers <= 0 uses the pool size). It
-// returns per-file stats; on failures it completes the remaining jobs and
-// returns the first error.
+// pool, up to `workers` at a time (workers <= 0 uses the pool size). Jobs
+// are dispatched in sorted file-ID order — container IDs come from one
+// shared counter, so with one worker the container layout is reproducible.
+// It returns per-file stats; on failures it completes the remaining jobs
+// and returns the first error.
 func (s *System) BackupAll(files map[string][]byte, workers int) (map[string]*BackupStats, error) {
 	if workers <= 0 {
 		workers = s.LNodes()
 	}
-	type job struct {
-		id   string
-		data []byte
+	ids := make([]string, 0, len(files))
+	for id := range files {
+		ids = append(ids, id)
 	}
-	jobs := make(chan job)
+	sort.Strings(ids)
+	jobs := make(chan string)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	out := make(map[string]*BackupStats, len(files))
@@ -230,22 +233,22 @@ func (s *System) BackupAll(files map[string][]byte, workers int) (map[string]*Ba
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
-				st, err := s.Backup(j.id, j.data)
+			for id := range jobs {
+				st, err := s.Backup(id, files[id])
 				mu.Lock()
 				if err != nil {
 					if firstErr == nil {
-						firstErr = fmt.Errorf("backup %s: %w", j.id, err)
+						firstErr = fmt.Errorf("backup %s: %w", id, err)
 					}
 				} else {
-					out[j.id] = st
+					out[id] = st
 				}
 				mu.Unlock()
 			}
 		}()
 	}
-	for id, data := range files {
-		jobs <- job{id: id, data: data}
+	for _, id := range ids {
+		jobs <- id
 	}
 	close(jobs)
 	wg.Wait()

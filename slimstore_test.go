@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -232,6 +233,33 @@ func TestBackupAllAndVerify(t *testing.T) {
 		}
 		if !bytes.Equal(buf.Bytes(), data) {
 			t.Fatalf("%s corrupt after batch backup", id)
+		}
+	}
+}
+
+// TestBackupAllDeterministicLayout: BackupAll dispatches in sorted file-ID
+// order, so with one worker the shared container-ID counter hands every
+// file the same containers on every run.
+func TestBackupAllDeterministicLayout(t *testing.T) {
+	files := map[string][]byte{}
+	for i := 0; i < 12; i++ {
+		files[fmt.Sprintf("batch/file%02d", i)] = genData(int64(80+i), 300<<10)
+	}
+	run := func() map[string]*BackupStats {
+		sys, err := OpenMemory(smallConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := sys.BackupAll(files, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats
+	}
+	a, b := run(), run()
+	for id := range files {
+		if len(a[id].NewContainers) == 0 || !reflect.DeepEqual(a[id].NewContainers, b[id].NewContainers) {
+			t.Errorf("%s: containers %v on one fresh system, %v on another", id, a[id].NewContainers, b[id].NewContainers)
 		}
 	}
 }
