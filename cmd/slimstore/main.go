@@ -9,15 +9,19 @@
 //
 //	slimstore backup  -repo dir:/backups -file <local path> [-as <name>]
 //	slimstore restore -repo dir:/backups -name <name> [-version N] -out <path>
-//	slimstore snapshot -repo dir:/backups -dir <directory> -id <name>
-//	slimstore restore-snapshot -repo dir:/backups -id <name> -out <directory>
+//	slimstore snapshot -repo dir:/backups -dir <directory> -id <name> [-jobs N]
+//	slimstore restore-snapshot -repo dir:/backups -id <name> -out <directory> [-jobs N]
 //	slimstore snapshots -repo dir:/backups
-//	slimstore verify  -repo dir:/backups -name <name> [-version N]
+//	slimstore verify  -repo dir:/backups -name <name> [-version N] [-jobs N]
 //	slimstore list    -repo dir:/backups
 //	slimstore delete  -repo dir:/backups -name <name> -version N
 //	slimstore gc      -repo dir:/backups
 //	slimstore scrub   -repo dir:/backups
 //	slimstore stats   -repo dir:/backups
+//
+// The three multi-job commands (snapshot, restore-snapshot, verify) run one
+// job per file or version through the job engine; -jobs is its width, the
+// only concurrency setting. Everything else is one call on this goroutine.
 //
 // Any subcommand additionally accepts -pprof <path>: a CPU profile of
 // the whole run is written there, for profiling maintenance commands
@@ -32,6 +36,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	iofs "io/fs"
 	"os"
 	"path/filepath"
@@ -241,8 +246,7 @@ func main() {
 	case "snapshot":
 		dir := fs.String("dir", "", "directory to back up")
 		id := fs.String("id", "", "snapshot ID (e.g. a timestamp)")
-		lnodes := fs.Int("lnodes", 4, "L-node pool size")
-		jobsN := fs.Int("jobs", 0, "concurrent backup jobs (0 = L-node count)")
+		jobsN := fs.Int("jobs", 4, "concurrent backup jobs")
 		fs.Parse(args)
 		if *dir == "" || *id == "" {
 			fatalf("snapshot: -dir and -id are required")
@@ -273,7 +277,6 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		sys.ScaleLNodes(*lnodes)
 		snap, err := sys.BackupSnapshot(*id, files, *jobsN)
 		if err != nil {
 			fatalf("%v", err)
@@ -283,7 +286,7 @@ func main() {
 	case "restore-snapshot":
 		id := fs.String("id", "", "snapshot ID")
 		outDir := fs.String("out", "", "output directory")
-		lnodes := fs.Int("lnodes", 4, "L-node pool size (restore jobs run across them)")
+		jobsN := fs.Int("jobs", 4, "concurrent restore jobs")
 		fs.Parse(args)
 		if *id == "" || *outDir == "" {
 			fatalf("restore-snapshot: -id and -out are required")
@@ -292,38 +295,22 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		snap, err := sys.SnapshotInfo(*id)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		// One restore job per member, concurrent across the L-node pool.
-		eng := sys.NewEngine(slimstore.EngineOptions{LNodes: *lnodes})
 		var files []*os.File
-		var restores []slimstore.Job
-		for _, m := range snap.Members {
-			p := filepath.Join(*outDir, filepath.FromSlash(m.FileID))
+		err = sys.RestoreSnapshot(*id, func(fileID string) (io.Writer, error) {
+			p := filepath.Join(*outDir, filepath.FromSlash(fileID))
 			if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-				fatalf("%v", err)
+				return nil, err
 			}
 			f, err := os.Create(p)
 			if err != nil {
-				fatalf("%v", err)
+				return nil, err
 			}
 			files = append(files, f)
-			restores = append(restores, slimstore.Job{
-				Kind: slimstore.JobRestore, FileID: m.FileID, Version: m.Version, Out: f,
-			})
-		}
-		results := eng.Run(context.Background(), restores)
-		eng.Close()
+			return f, nil
+		}, *jobsN)
 		for _, f := range files {
 			if cerr := f.Close(); cerr != nil && err == nil {
 				err = cerr
-			}
-		}
-		for _, r := range results {
-			if r.Err != nil && err == nil {
-				err = fmt.Errorf("%s v%d: %w", r.Job.FileID, r.Job.Version, r.Err)
 			}
 		}
 		if err != nil {

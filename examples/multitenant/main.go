@@ -1,7 +1,7 @@
 // Multi-tenant scalability (the paper's Fig 10 in miniature): many backup
-// jobs run concurrently against one shared storage layer, distributed
-// over an elastic pool of stateless L-nodes. Because L-nodes keep no
-// state, adding nodes scales aggregate throughput linearly — the
+// jobs run concurrently against one shared storage layer, as jobs on one
+// engine whose workers each host a stateless L-node. Because L-nodes keep
+// no state, widening the engine scales aggregate throughput — the
 // architectural property that restic's single shared index cannot match.
 //
 //	go run ./examples/multitenant
@@ -9,10 +9,10 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
-	"sync"
 	"time"
 
 	"slimstore"
@@ -23,32 +23,26 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys.ScaleLNodes(4)
-	fmt.Printf("computing layer: %d L-nodes\n", sys.LNodes())
+	eng := sys.NewEngine(slimstore.EngineOptions{LNodes: 4})
+	defer eng.Close()
+	fmt.Println("computing layer: one engine, 4 L-nodes")
 
 	// 12 tenants, each backing up its own dataset concurrently.
 	const tenants = 12
+	ctx := context.Background()
 	datas := make([][]byte, tenants)
+	backups := make([]slimstore.Job, tenants)
 	for i := range datas {
 		datas[i] = make([]byte, 2<<20)
 		rand.New(rand.NewSource(int64(i))).Read(datas[i])
+		backups[i] = slimstore.Job{Kind: slimstore.JobBackup, FileID: fmt.Sprintf("tenant%02d/data.img", i), Data: datas[i]}
 	}
 
 	start := time.Now()
-	var wg sync.WaitGroup
-	stats := make([]*slimstore.BackupStats, tenants)
-	errs := make([]error, tenants)
-	for i := 0; i < tenants; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			stats[i], errs[i] = sys.Backup(fmt.Sprintf("tenant%02d/data.img", i), datas[i])
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			log.Fatalf("tenant %d: %v", i, err)
+	results := eng.Run(ctx, backups)
+	for i, r := range results {
+		if r.Err != nil {
+			log.Fatalf("tenant %d: %v", i, r.Err)
 		}
 	}
 	fmt.Printf("backed up %d tenants concurrently in %v wall time\n",
@@ -56,7 +50,8 @@ func main() {
 
 	var totalVirtual time.Duration
 	var total int64
-	for _, st := range stats {
+	for _, r := range results {
+		st := r.Backup
 		total += st.LogicalBytes
 		if st.Elapsed > totalVirtual {
 			totalVirtual = st.Elapsed
@@ -67,24 +62,17 @@ func main() {
 		float64(total)/(1<<20)/totalVirtual.Seconds())
 
 	// Concurrent restores, verifying integrity per tenant.
-	for i := 0; i < tenants; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var buf bytes.Buffer
-			if _, err := sys.Restore(fmt.Sprintf("tenant%02d/data.img", i), 0, &buf); err != nil {
-				errs[i] = err
-				return
-			}
-			if !bytes.Equal(buf.Bytes(), datas[i]) {
-				errs[i] = fmt.Errorf("corrupt restore")
-			}
-		}(i)
+	bufs := make([]bytes.Buffer, tenants)
+	restores := make([]slimstore.Job, tenants)
+	for i := range restores {
+		restores[i] = slimstore.Job{Kind: slimstore.JobRestore, FileID: backups[i].FileID, Version: 0, Out: &bufs[i]}
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			log.Fatalf("tenant %d restore: %v", i, err)
+	for i, r := range eng.Run(ctx, restores) {
+		if r.Err != nil {
+			log.Fatalf("tenant %d restore: %v", i, r.Err)
+		}
+		if !bytes.Equal(bufs[i].Bytes(), datas[i]) {
+			log.Fatalf("tenant %d restore: corrupt", i)
 		}
 	}
 	fmt.Println("all tenants restored byte-identically")

@@ -16,7 +16,6 @@ import (
 
 	"slimstore/internal/chunker"
 	"slimstore/internal/core"
-	"slimstore/internal/oss"
 )
 
 // Scale sizes an experiment's workload. Larger scales sharpen the curves
@@ -90,15 +89,10 @@ func (t *table) row(cells ...string) {
 	fmt.Fprintln(t.w, strings.Join(cells, "\t"))
 }
 
-func (t *table) rowf(format string, args ...any) {
-	fmt.Fprintf(t.w, format+"\n", args...)
-}
-
 func (t *table) flush() { t.w.Flush() }
 
 func f1(v float64) string  { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
-func f3(v float64) string  { return fmt.Sprintf("%.3f", v) }
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }
 
 func gib(v int64) string { return fmt.Sprintf("%.2f GiB", float64(v)/(1<<30)) }
@@ -121,15 +115,6 @@ func benchConfig() core.Config {
 	cfg.LAWChunks = 1024
 	cfg.PrefetchThreads = 6
 	return cfg
-}
-
-func newSystemStore() (*core.Repo, *oss.Mem, error) {
-	mem := oss.NewMem()
-	repo, err := core.OpenRepo(mem, benchConfig())
-	if err != nil {
-		return nil, nil, err
-	}
-	return repo, mem, nil
 }
 
 func clampVersions(s Scale, max int) int {

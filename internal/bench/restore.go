@@ -43,10 +43,7 @@ func slimChain(gen *workload.Generator, fileIdx, versions int, optimize bool) (*
 			return err
 		}
 		if optimize {
-			if _, err := gn.ReverseDedup(st.NewContainers); err != nil {
-				return err
-			}
-			if _, err := gn.CompactSparse(fileID, v, st.SparseContainers); err != nil {
+			if _, _, err := gn.Optimize(fileID, v, st.NewContainers, st.SparseContainers); err != nil {
 				return err
 			}
 		}

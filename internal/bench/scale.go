@@ -286,10 +286,7 @@ func runFig10c(w io.Writer, s Scale) error {
 	// Phase 2: the offline G-node pass (the shaded part of Fig 10c).
 	for _, fileID := range gen.FileIDs() {
 		for _, st := range pending[fileID] {
-			if _, err := gn.ReverseDedup(st.NewContainers); err != nil {
-				return err
-			}
-			if _, err := gn.CompactSparse(fileID, st.Version, st.SparseContainers); err != nil {
+			if _, _, err := gn.Optimize(fileID, st.Version, st.NewContainers, st.SparseContainers); err != nil {
 				return err
 			}
 		}

@@ -73,10 +73,7 @@ func runFig9a(w io.Writer, s Scale) error {
 			if err != nil {
 				return err
 			}
-			if _, err := full.gn.ReverseDedup(st.NewContainers); err != nil {
-				return err
-			}
-			if _, err := full.gn.CompactSparse(fileID, v, st.SparseContainers); err != nil {
+			if _, _, err := full.gn.Optimize(fileID, v, st.NewContainers, st.SparseContainers); err != nil {
 				return err
 			}
 
@@ -84,10 +81,7 @@ func runFig9a(w io.Writer, s Scale) error {
 			if err != nil {
 				return err
 			}
-			if _, err := keep10.gn.ReverseDedup(st2.NewContainers); err != nil {
-				return err
-			}
-			if _, err := keep10.gn.CompactSparse(fileID, v, st2.SparseContainers); err != nil {
+			if _, _, err := keep10.gn.Optimize(fileID, v, st2.NewContainers, st2.SparseContainers); err != nil {
 				return err
 			}
 			if v >= retain {
@@ -172,10 +166,7 @@ func runFig9b(w io.Writer, s Scale) error {
 		if v == 0 {
 			v0Containers = st.NewContainers
 		}
-		if _, err := chain.gn.ReverseDedup(st.NewContainers); err != nil {
-			return err
-		}
-		if _, err := chain.gn.CompactSparse(fileID, v, st.SparseContainers); err != nil {
+		if _, _, err := chain.gn.Optimize(fileID, v, st.NewContainers, st.SparseContainers); err != nil {
 			return err
 		}
 		sp, err := v0Space()

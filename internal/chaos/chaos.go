@@ -389,10 +389,7 @@ func (h *harness) opOptimize() error {
 	if crashed {
 		h.faulty.FailPutsAfter(h.rng.Intn(40))
 	}
-	_, err := h.gn.ReverseDedup(st.NewContainers)
-	if err == nil {
-		_, err = h.gn.CompactSparse(st.FileID, st.Version, st.SparseContainers)
-	}
+	_, _, err := h.gn.Optimize(st.FileID, st.Version, st.NewContainers, st.SparseContainers)
 	h.faulty.Clear()
 	if err == nil {
 		h.res.Optimizes++

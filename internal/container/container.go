@@ -246,24 +246,6 @@ func (c *Container) VerifyChunk(cm *ChunkMeta) error {
 	return nil
 }
 
-// VerifyLive checks every non-deleted chunk and returns the fingerprints
-// that fail verification (nil when the container is clean). Corruption
-// confined to deleted regions is not reported here; ScrubContainer-level
-// footer checks cover it.
-func (c *Container) VerifyLive() []fingerprint.FP {
-	var bad []fingerprint.FP
-	for i := range c.Meta.Chunks {
-		cm := &c.Meta.Chunks[i]
-		if cm.Deleted {
-			continue
-		}
-		if err := c.VerifyChunk(cm); err != nil {
-			bad = append(bad, cm.FP)
-		}
-	}
-	return bad
-}
-
 // ---------------------------------------------------------------------------
 // Serialization. Fixed-width little-endian encoding: simple, versioned, and
 // fast to decode without reflection.

@@ -29,13 +29,6 @@ type PackPool struct {
 	err      error
 }
 
-// NewPackPool starts `workers` sealers writing through store with no byte
-// budget; the queue bound (2×workers containers) is the only backpressure,
-// matching the pre-budget behaviour.
-func NewPackPool(store *Store, workers int) *PackPool {
-	return NewPackPoolBudget(store, workers, 0)
-}
-
 // NewPackPoolBudget starts `workers` sealers writing through store.
 // workers < 1 is treated as 1. budget > 0 bounds the payload bytes
 // admitted ahead of the workers: Write blocks while the budget is

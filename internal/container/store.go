@@ -156,9 +156,6 @@ func parseKey(key string) (ID, bool) {
 	return ID(v), true
 }
 
-// Capacity returns the payload capacity for new containers.
-func (s *Store) Capacity() int { return s.shared.capacity }
-
 // AllocateID returns a fresh container ID.
 func (s *Store) AllocateID() ID { return ID(s.shared.nextID.Add(1)) }
 
@@ -469,22 +466,6 @@ func NewBuilder(store *Store) *Builder { return &Builder{store: store} }
 // final Flush) to wait for outstanding writes and collect errors.
 func NewBuilderAsync(store *Store, pool *PackPool) *Builder {
 	return &Builder{store: store, sink: func(c *Container) error { pool.Write(c); return nil }}
-}
-
-// Pending reports whether an unflushed container holds data.
-func (b *Builder) Pending() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.cur != nil && len(b.cur.Data) > 0
-}
-
-// CurrentID returns the ID the next Add will write into, allocating a
-// container if none is open.
-func (b *Builder) CurrentID() ID {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.ensure()
-	return b.cur.Meta.ID
 }
 
 func (b *Builder) ensure() {

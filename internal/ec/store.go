@@ -550,9 +550,6 @@ func NewRouter(tier *Store, plain oss.Store, prefixes ...string) *Router {
 	return &Router{tier: tier, plain: plain, prefixes: prefixes}
 }
 
-// Tier returns the EC store behind the router.
-func (r *Router) Tier() *Store { return r.tier }
-
 func (r *Router) routed(key string) bool {
 	for _, p := range r.prefixes {
 		if strings.HasPrefix(key, p) {

@@ -45,12 +45,6 @@ func NewSharded(shards []*Index, workers int) (*Sharded, error) {
 	return &Sharded{shards: shards, workers: workers}, nil
 }
 
-// NumShards returns the shard count.
-func (s *Sharded) NumShards() int { return len(s.shards) }
-
-// Shard exposes one shard index (tests, stats drill-down).
-func (s *Sharded) Shard(k int) *Index { return s.shards[k] }
-
 // ShardFor maps a fingerprint to its owning shard: contiguous prefix
 // ranges, so global fingerprint order is the concatenation of the
 // shards' orders.

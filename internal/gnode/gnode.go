@@ -616,6 +616,22 @@ func staleAfter(m *container.Meta, wanted map[fingerprint.FP]bool) float64 {
 	return float64(stale) / float64(len(m.Chunks))
 }
 
+// Optimize is the offline pass for one finished backup: reverse
+// deduplication over the containers the backup wrote, then compaction of
+// the containers it flagged sparse. It stops at the first error — SCC does
+// not run on top of a reverse dedup that failed part-way.
+func (g *GNode) Optimize(fileID string, version int, newContainers, sparse []container.ID) (*ReverseDedupStats, *SCCStats, error) {
+	rd, err := g.ReverseDedup(newContainers)
+	if err != nil {
+		return nil, nil, err
+	}
+	scc, err := g.CompactSparse(fileID, version, sparse)
+	if err != nil {
+		return rd, nil, err
+	}
+	return rd, scc, nil
+}
+
 // ---------------------------------------------------------------------------
 // Version collection (§VI-B).
 

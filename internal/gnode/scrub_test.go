@@ -187,30 +187,6 @@ func TestScrubClearsDeadRegionRot(t *testing.T) {
 	}
 }
 
-func TestMaintainerRunsQueuedScrub(t *testing.T) {
-	ln, gn, repo, mem := setup(t, testConfig())
-	st, err := ln.Backup("f", genData(6, 512<<10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	flipChunkAtRest(t, mem, repo, st.NewContainers[0], firstLiveChunk(t, repo, st.NewContainers[0]))
-
-	m := NewMaintainer(gn)
-	m.Start()
-	if err := m.EnqueueScrub(); err != nil {
-		t.Fatal(err)
-	}
-	m.Drain()
-	m.Stop()
-	ms := m.Stats()
-	if ms.Scrubs != 1 || ms.Errors != 0 {
-		t.Fatalf("maintainer stats = %+v", ms)
-	}
-	if ms.Scrub.CorruptChunks != 1 {
-		t.Fatalf("queued scrub missed the corruption: %+v", ms.Scrub)
-	}
-}
-
 // discard is an io.Writer swallowing restore output.
 type discard struct{}
 

@@ -355,10 +355,7 @@ func (e *Engine) run(ln *lnode.LNode, j Job) Result {
 	case Delete:
 		res.GC, res.Err = e.g.DeleteVersion(j.FileID, j.Version)
 	case Optimize:
-		res.Reverse, res.Err = e.g.ReverseDedup(j.NewContainers)
-		if res.Err == nil {
-			res.SCC, res.Err = e.g.CompactSparse(j.FileID, j.Version, j.Sparse)
-		}
+		res.Reverse, res.SCC, res.Err = e.g.Optimize(j.FileID, j.Version, j.NewContainers, j.Sparse)
 	case Scrub:
 		res.Scrub, res.Err = e.g.Scrub()
 	case Sweep:

@@ -500,99 +500,6 @@ func TestBlockCacheEviction(t *testing.T) {
 	nc.drop("x")
 }
 
-func TestIterator(t *testing.T) {
-	db, _ := Open(oss.NewMem(), smallOpts())
-	want := map[string]string{}
-	for i := 0; i < 300; i++ {
-		k := fmt.Sprintf("k%04d", i)
-		v := fmt.Sprintf("v%d", i)
-		db.Put([]byte(k), []byte(v))
-		want[k] = v
-		if i%37 == 0 {
-			db.Flush()
-		}
-	}
-	// Overwrites and deletes across layers.
-	for i := 0; i < 300; i += 3 {
-		k := fmt.Sprintf("k%04d", i)
-		v := fmt.Sprintf("new%d", i)
-		db.Put([]byte(k), []byte(v))
-		want[k] = v
-	}
-	for i := 1; i < 300; i += 10 {
-		k := fmt.Sprintf("k%04d", i)
-		db.Delete([]byte(k))
-		delete(want, k)
-	}
-
-	it, err := db.NewIterator(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[string]string{}
-	var prev string
-	for it.Next() {
-		k := string(it.Key())
-		if prev != "" && k <= prev {
-			t.Fatalf("keys out of order: %q after %q", k, prev)
-		}
-		prev = k
-		got[k] = string(it.Value())
-	}
-	if it.Err() != nil {
-		t.Fatal(it.Err())
-	}
-	if len(got) != len(want) {
-		t.Fatalf("iterated %d keys, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("key %s = %q, want %q", k, got[k], v)
-		}
-	}
-}
-
-func TestIteratorRange(t *testing.T) {
-	db, _ := Open(oss.NewMem(), smallOpts())
-	for i := 0; i < 100; i++ {
-		db.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v"))
-	}
-	db.Flush()
-	it, err := db.NewIterator([]byte("k020"), []byte("k030"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for it.Next() {
-		k := string(it.Key())
-		if k < "k020" || k >= "k030" {
-			t.Fatalf("key %q outside range", k)
-		}
-		n++
-	}
-	if n != 10 {
-		t.Fatalf("range iterated %d keys, want 10", n)
-	}
-	if it.Valid() {
-		t.Fatal("iterator valid after exhaustion")
-	}
-}
-
-func TestIteratorEmptyAndClosed(t *testing.T) {
-	db, _ := Open(oss.NewMem(), smallOpts())
-	it, err := db.NewIterator(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if it.Next() {
-		t.Fatal("empty DB iterated a key")
-	}
-	db.Close()
-	if _, err := db.NewIterator(nil, nil); err != ErrClosed {
-		t.Fatalf("NewIterator after close = %v", err)
-	}
-}
-
 func TestConcurrentReadersAndWriter(t *testing.T) {
 	db, _ := Open(oss.NewMem(), smallOpts())
 	for i := 0; i < 200; i++ {
@@ -626,56 +533,6 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// Property: Iterator and Scan agree on the live keyspace for random
-// workloads with interleaved flushes.
-func TestQuickIteratorMatchesScan(t *testing.T) {
-	f := func(ops []struct {
-		Key byte
-		Del bool
-	}) bool {
-		db, err := Open(oss.NewMem(), smallOpts())
-		if err != nil {
-			return false
-		}
-		for i, op := range ops {
-			k := []byte(fmt.Sprintf("key%d", op.Key%24))
-			if op.Del {
-				db.Delete(k)
-			} else {
-				db.Put(k, []byte(fmt.Sprintf("v%d", i)))
-			}
-			if i%11 == 0 {
-				db.Flush()
-			}
-		}
-		fromScan := map[string]string{}
-		db.Scan(nil, nil, func(k, v []byte) bool {
-			fromScan[string(k)] = string(v)
-			return true
-		})
-		it, err := db.NewIterator(nil, nil)
-		if err != nil {
-			return false
-		}
-		fromIter := map[string]string{}
-		for it.Next() {
-			fromIter[string(it.Key())] = string(it.Value())
-		}
-		if len(fromScan) != len(fromIter) {
-			return false
-		}
-		for k, v := range fromScan {
-			if fromIter[k] != v {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
 	}
 }
 

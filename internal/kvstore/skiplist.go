@@ -107,18 +107,12 @@ func (s *skiplist) first() *skipNode { return s.head.next[0] }
 // memIter iterates a skiplist in internal order.
 type memIter struct {
 	node *skipNode
-	list *skiplist
 }
 
-func (s *skiplist) iter() *memIter { return &memIter{node: s.first(), list: s} }
+func (s *skiplist) iter() *memIter { return &memIter{node: s.first()} }
 
 func (it *memIter) valid() bool { return it.node != nil }
 
 func (it *memIter) cur() *entry { return &it.node.entry }
 
 func (it *memIter) next() { it.node = it.node.next[0] }
-
-// seekGE positions the iterator at the first entry with user key >= key.
-func (it *memIter) seekGE(key []byte) {
-	it.node = it.list.seekGE(&entry{key: key, seq: ^uint64(0)})
-}

@@ -253,6 +253,64 @@ func TestRangeRestoreDetectsCorruption(t *testing.T) {
 	}
 }
 
+// rotUnderCRCs rewrites the chunk holding logical byte `at` of fileID v0
+// with one payload byte flipped and every CRC over it recomputed —
+// corruption the container checks cannot see, only the fingerprint.
+func rotUnderCRCs(t *testing.T, repo *core.Repo, fileID string, at int64) {
+	t.Helper()
+	r, err := repo.Recipes.GetRecipe(fileID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _ := windowRecords(r, at, at+1)
+	hit := recs[0]
+	c, err := repo.Containers.Read(hit.Container)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm := c.Meta.Find(hit.FP)
+	if cm == nil || cm.Deleted {
+		t.Fatalf("fixture: chunk %s is not live in its home container %s", hit.FP.Short(), hit.Container)
+	}
+	c.Data[int(cm.Offset)+int(cm.Size)/2] ^= 0xFF
+	chunk, err := c.ChunkData(cm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm.Sum = container.ChecksumOf(chunk)
+	if err := repo.Containers.PutRaw(hit.Container, container.EncodeData(c.Data), container.EncodeMeta(&c.Meta)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkRangeVerify asserts that a range restore honours
+// Config.VerifyRestore like a full one: with a chunk inside
+// [off, off+length) rotted under its CRCs, the window comes back wrong
+// and silent with verification off, fails naming the chunk with it on,
+// and a verified window elsewhere (cleanOff) still restores.
+func checkRangeVerify(t *testing.T, n *LNode, repo *core.Repo, fileID string, data []byte, off, length, cleanOff int64) {
+	t.Helper()
+	was := repo.Config.VerifyRestore
+	defer func() { repo.Config.VerifyRestore = was }()
+	var buf bytes.Buffer
+	repo.Config.VerifyRestore = false
+	if _, err := n.RestoreRange(fileID, 0, off, length, &buf); err != nil {
+		t.Fatalf("fixture: the rotted chunk fails the container checks: %v", err)
+	}
+	if bytes.Equal(buf.Bytes(), data[off:off+length]) {
+		t.Fatal("fixture: the window does not contain the rotted chunk")
+	}
+	repo.Config.VerifyRestore = true
+	buf.Reset()
+	if _, err := n.RestoreRange(fileID, 0, off, length, &buf); err == nil || !strings.Contains(err.Error(), "verify: chunk") {
+		t.Errorf("verified range restore over a rotted chunk: err = %v, want a verify failure", err)
+	}
+	buf.Reset()
+	if _, err := n.RestoreRange(fileID, 0, cleanOff, length, &buf); err != nil || !bytes.Equal(buf.Bytes(), data[cleanOff:cleanOff+length]) {
+		t.Errorf("verified range restore of a clean window: err = %v", err)
+	}
+}
+
 func TestGnodeFaultPropagation(t *testing.T) {
 	mem := oss.NewMem()
 	faulty := oss.NewFaulty(mem)

@@ -9,6 +9,7 @@ import (
 	"slimstore/internal/container"
 	"slimstore/internal/core"
 	"slimstore/internal/oss"
+	"slimstore/internal/recipe"
 )
 
 // testConfig returns a small-scale config suitable for MB-sized test files.
@@ -24,6 +25,12 @@ func testConfig() core.Config {
 	cfg.LAWChunks = 256
 	cfg.PrefetchThreads = 2
 	return cfg
+}
+
+// allRecords returns r's chunk records in logical order.
+func allRecords(r *recipe.Recipe) []*recipe.ChunkRecord {
+	recs, _ := windowRecords(r, 0, r.LogicalBytes())
+	return recs
 }
 
 func newNode(t *testing.T, cfg core.Config) (*LNode, *core.Repo) {
@@ -488,4 +495,6 @@ func TestRestoreRange(t *testing.T) {
 	if _, err := n.RestoreRange("f", 0, int64(len(data))+1, 10, &buf); err == nil {
 		t.Fatal("offset past EOF accepted")
 	}
+	rotUnderCRCs(t, repo, "f", 5*size/8+window/2)
+	checkRangeVerify(t, n, repo, "f", data, 5*size/8, window, 1*size/8)
 }

@@ -41,16 +41,31 @@ func (s *RestoreStats) ThroughputMBps() float64 {
 // Restore streams a backup version to w, using the configured cache
 // policy and LAW-based prefetching (§V-A).
 func (n *LNode) Restore(fileID string, version int, w io.Writer) (*RestoreStats, error) {
-	return n.restore(fileID, version, w, n.repo.Config.VerifyRestore)
+	return n.restore(fileID, version, 0, -1, w, n.repo.Config.VerifyRestore)
 }
 
 // Verify restores a version to a null sink with per-chunk fingerprint
 // verification forced on, reporting integrity without materialising data.
 func (n *LNode) Verify(fileID string, version int) (*RestoreStats, error) {
-	return n.restore(fileID, version, io.Discard, true)
+	return n.restore(fileID, version, 0, -1, io.Discard, true)
 }
 
-func (n *LNode) restore(fileID string, version int, w io.Writer, verify bool) (*RestoreStats, error) {
+// RestoreRange streams bytes [off, off+length) of a version to w — partial
+// recovery (a corrupted database page, a log tail) without paying for the
+// full restore. Only the containers holding the overlapping chunks are
+// read; length < 0 means to the end of the file.
+func (n *LNode) RestoreRange(fileID string, version int, off, length int64, w io.Writer) (*RestoreStats, error) {
+	if off < 0 {
+		return nil, fmt.Errorf("lnode: restore range: negative offset %d", off)
+	}
+	return n.restore(fileID, version, off, length, w, n.repo.Config.VerifyRestore)
+}
+
+// restore is the one restore body: it streams bytes [off, off+length) of a
+// version to w (length < 0 = to the end; a full restore is the window
+// [0, size)), checking every chunk it reads against the recipe's
+// fingerprint when verify is set.
+func (n *LNode) restore(fileID string, version int, off, length int64, w io.Writer, verify bool) (*RestoreStats, error) {
 	// Shared file lock: the version chain and this version's recipe stay
 	// stable for the duration (backup/delete/compaction of the file wait).
 	n.repo.Files.RLock(fileID)
@@ -65,13 +80,26 @@ func (n *LNode) restore(fileID string, version int, w io.Writer, verify bool) (*
 	if err != nil {
 		return nil, err
 	}
+	total := r.LogicalBytes()
+	if off > total {
+		return nil, fmt.Errorf("lnode: restore range: offset %d beyond file size %d", off, total)
+	}
+	end := total
+	if length >= 0 && off+length < end {
+		end = off + length
+	}
 	stats := &RestoreStats{
 		FileID: fileID, Version: version,
 		PrefetchThreads: cfg.PrefetchThreads,
 		Account:         acct,
 	}
 
-	seq, redirects, rst, metas, release, err := n.pinSequence(containers, r, allRecords(r), acct)
+	// Only the window's records are resolved and pinned, so a small range
+	// of a large version reads the metadata of the window's containers,
+	// not the version's; the need-set the read planner works from comes
+	// from the same windowed sequence.
+	recs, headTrim := windowRecords(r, off, end)
+	seq, redirects, rst, metas, release, err := n.pinSequence(containers, r, recs, acct)
 	if err != nil {
 		return nil, err
 	}
@@ -95,6 +123,12 @@ func (n *LNode) restore(fileID string, version int, w io.Writer, verify bool) (*
 	defer rio.close()
 	fetch := cache.Fetcher(rio.fetch)
 	threads := cfg.PrefetchThreads
+	if off > 0 || end < total {
+		// A windowed restore runs without the prefetcher and reports
+		// strictly sequential virtual time: that is what the ranged-read
+		// planner's cost model (cache.Plan) is calibrated against.
+		threads = 0
+	}
 	var pf *cache.Prefetcher
 	if threads > 0 {
 		// LAW prefetching is policy-agnostic: the dispatch sequence derives
@@ -106,15 +140,18 @@ func (n *LNode) restore(fileID string, version int, w io.Writer, verify bool) (*
 		fetch = pf.Fetch
 	}
 
-	cstats, err := policy.Restore(seq, fetch, n.restoreEmit(acct, w, seq, verify))
+	// The emit charges (and verifies) whole chunks; the window's head and
+	// tail are trimmed beneath it, on the way to w.
+	out := &windowWriter{w: w, skip: headTrim, left: end - off}
+	cstats, err := policy.Restore(seq, fetch, n.restoreEmit(acct, out, seq, verify))
 	if err != nil {
-		return nil, fmt.Errorf("lnode: restore %s v%d: %w", fileID, version, err)
+		return nil, fmt.Errorf("lnode: restore %s v%d [%d,%d): %w", fileID, version, off, end, err)
 	}
 	// Two-layer cache disk traffic costs local-disk time, not OSS time.
 	acct.ChargeCPUBytes(simclock.PhaseOther,
 		cstats.DiskHitBytes+cstats.DiskSwapBytes, cfg.Costs.DiskCachePerByte)
 
-	stats.Bytes = cstats.LogicalBytes
+	stats.Bytes = out.written
 	stats.Cache = cstats
 	stats.Cache.ResolveMetaReads = rst.metaReads
 	stats.Cache.ResolveMetaMemoHits = rst.memoHits
@@ -130,6 +167,54 @@ func (n *LNode) restore(fileID string, version int, w io.Writer, verify bool) (*
 		stats.Elapsed = acct.ElapsedSequential()
 	}
 	return stats, nil
+}
+
+// windowRecords returns r's chunk records overlapping bytes [off, end), in
+// logical order, and how many bytes of the first one precede off.
+func windowRecords(r *recipe.Recipe, off, end int64) (recs []*recipe.ChunkRecord, headTrim int64) {
+	var pos int64
+	r.Iter(func(_, _ int, rec *recipe.ChunkRecord) bool {
+		next := pos + int64(rec.Size)
+		if next > off && pos < end {
+			if len(recs) == 0 {
+				headTrim = off - pos
+			}
+			recs = append(recs, rec)
+		}
+		pos = next
+		return pos < end
+	})
+	return recs, headTrim
+}
+
+// windowWriter passes to w the `left` bytes that follow the first `skip`
+// bytes written to it and drops the rest, counting what it passed on.
+type windowWriter struct {
+	w          io.Writer
+	skip, left int64
+	written    int64
+}
+
+func (t *windowWriter) Write(p []byte) (int, error) {
+	d := p
+	if t.skip > 0 {
+		if t.skip >= int64(len(d)) {
+			t.skip -= int64(len(d))
+			return len(p), nil
+		}
+		d = d[t.skip:]
+		t.skip = 0
+	}
+	if int64(len(d)) > t.left {
+		d = d[:t.left]
+	}
+	if len(d) == 0 {
+		return len(p), nil
+	}
+	nw, err := t.w.Write(d)
+	t.left -= int64(nw)
+	t.written += int64(nw)
+	return len(p), err
 }
 
 // restoreEmit returns the restore emit: charge, optionally check the
@@ -166,16 +251,6 @@ func (n *LNode) RestoreHandoff(chunks [][]byte, seq []cache.Request, verify bool
 		}
 	}
 	return len(chunks)
-}
-
-// allRecords returns r's chunk records in logical order.
-func allRecords(r *recipe.Recipe) []*recipe.ChunkRecord {
-	recs := make([]*recipe.ChunkRecord, 0, r.NumChunks())
-	r.Iter(func(_, _ int, rec *recipe.ChunkRecord) bool {
-		recs = append(recs, rec)
-		return true
-	})
-	return recs
 }
 
 // pinSequence resolves the restore sequence of recs — all of r's records,

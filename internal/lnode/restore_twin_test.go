@@ -88,6 +88,11 @@ func TestRestoreRangeTwinSerial(t *testing.T) {
 			}
 		})
 	}
+	rotUnderCRCs(t, repo, "twin", 1234567+150<<10)
+	for _, policy := range restorePolicies {
+		repo.Config.RestorePolicy = policy
+		checkRangeVerify(t, n, repo, "twin", data, 1234567, 300<<10, 0)
+	}
 }
 
 // TestRestorePrefetchAllPolicies: the prefetcher must engage (dispatch

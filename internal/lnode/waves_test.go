@@ -394,6 +394,8 @@ func TestRestoreRangeResolvesWindowOnly(t *testing.T) {
 	if len(window) >= len(all)/4 {
 		t.Fatalf("fixture: window spans %d of %d containers", len(window), len(all))
 	}
+	rotUnderCRCs(t, repo, "f", off+length/2)
+	checkRangeVerify(t, n, repo, "f", data, off, length, 0)
 }
 
 // readAheadFixture is a base version whose recipe (1 KiB chunks) is

@@ -179,9 +179,6 @@ func NewMetered(inner Store, costs simclock.Costs, acct *simclock.Account) *Mete
 	return &Metered{inner: inner, costs: costs, acct: acct}
 }
 
-// Inner returns the wrapped store.
-func (s *Metered) Inner() Store { return s.inner }
-
 // Account returns the account being charged.
 func (s *Metered) Account() *simclock.Account { return s.acct }
 

@@ -1,7 +1,6 @@
 package oss
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -16,8 +15,9 @@ const DefaultMaxBackoff = 10 * time.Second
 
 // Retry wraps a Store with bounded retries and capped, fully-jittered
 // exponential backoff for transient failures — production resilience for
-// the HTTP backend, whose requests can fail on network blips. Permanent
-// errors (not-found, HTTP 4xx) never retry; 5xx and network errors do.
+// the HTTP backend, whose requests can fail on network blips; the facade's
+// OpenHTTP wraps its client in one. Permanent errors (not-found, HTTP 4xx)
+// never retry; 5xx and network errors do.
 //
 // The sleeper is injectable so tests (and the virtual-time harness) avoid
 // real sleeping.
@@ -27,20 +27,14 @@ type Retry struct {
 	base     time.Duration
 	maxDelay time.Duration
 	sleep    func(time.Duration)
-	ctx      context.Context // nil = never cancelled
-	jit      *jitterSource   // shared across WithContext copies
+
+	jitMu sync.Mutex
+	rng   *rand.Rand // jitter source, guarded by jitMu
 
 	// IsTransient classifies retryable errors; the default treats
 	// ErrNotFound and HTTP client errors (4xx except 429) as permanent and
 	// retries everything else (5xx, network failures).
 	IsTransient func(error) bool
-}
-
-// jitterSource lives behind a pointer so WithContext can copy a Retry by
-// value without copying the mutex.
-type jitterSource struct {
-	mu  sync.Mutex
-	rng *rand.Rand
 }
 
 // retrySeq hands each Retry instance a distinct jitter seed. A process
@@ -69,20 +63,9 @@ func NewRetry(inner Store, attempts int, base time.Duration, sleep func(time.Dur
 		base:        base,
 		maxDelay:    DefaultMaxBackoff,
 		sleep:       sleep,
-		jit:         &jitterSource{rng: rand.New(rand.NewSource(retrySeq.Add(1)))},
+		rng:         rand.New(rand.NewSource(retrySeq.Add(1))),
 		IsTransient: IsTransient,
 	}
-}
-
-// WithContext returns a view of r whose retry loop stops as soon as ctx
-// is cancelled — checked before every attempt, not only inside the
-// backoff sleep, so cancellation still lands when the injected sleeper is
-// a no-op (simclock/virtual-time harnesses). The copy shares the inner
-// store and jitter state with r.
-func (r *Retry) WithContext(ctx context.Context) *Retry {
-	c := *r
-	c.ctx = ctx
-	return &c
 }
 
 // SetMaxBackoff overrides the backoff cap.
@@ -94,9 +77,9 @@ func (r *Retry) SetMaxBackoff(d time.Duration) {
 
 // SetRand injects a deterministic jitter source (tests).
 func (r *Retry) SetRand(rng *rand.Rand) {
-	r.jit.mu.Lock()
-	r.jit.rng = rng
-	r.jit.mu.Unlock()
+	r.jitMu.Lock()
+	r.rng = rng
+	r.jitMu.Unlock()
 }
 
 // IsTransient is the default error classifier: not-found and HTTP 4xx
@@ -116,12 +99,12 @@ func IsTransient(err error) bool {
 // jitter picks a uniform delay in [0, d] — "full jitter", which spreads
 // concurrent retriers instead of synchronising them into waves.
 func (r *Retry) jitter(d time.Duration) time.Duration {
-	r.jit.mu.Lock()
-	defer r.jit.mu.Unlock()
+	r.jitMu.Lock()
+	defer r.jitMu.Unlock()
 	if d <= 0 {
 		return 0
 	}
-	return time.Duration(r.jit.rng.Int63n(int64(d) + 1))
+	return time.Duration(r.rng.Int63n(int64(d) + 1))
 }
 
 // do runs op with retries.
@@ -129,17 +112,6 @@ func (r *Retry) do(what string, op func() error) error {
 	delay := r.base
 	var err error
 	for i := 0; i < r.attempts; i++ {
-		// Check cancellation at the top of every attempt: with a no-op
-		// injected sleeper (virtual time) the backoff never blocks, so
-		// this is the only place a cancelled ctx can stop the loop.
-		if r.ctx != nil {
-			if cerr := r.ctx.Err(); cerr != nil {
-				if err != nil {
-					return fmt.Errorf("oss: %s cancelled after %d attempts (last error: %v): %w", what, i, err, cerr)
-				}
-				return fmt.Errorf("oss: %s: %w", what, cerr)
-			}
-		}
 		if err = op(); err == nil {
 			return nil
 		}

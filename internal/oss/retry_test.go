@@ -1,7 +1,6 @@
 package oss
 
 import (
-	"context"
 	"errors"
 	"math/rand"
 	"sync/atomic"
@@ -136,57 +135,6 @@ func TestRetryNotFoundIsPermanent(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Fatalf("not-found retried %d times", calls)
-	}
-}
-
-// A cancelled context must stop the retry loop immediately even when the
-// injected sleeper never blocks (virtual-time harnesses), instead of
-// burning the whole attempt budget against a store that keeps failing.
-func TestRetryStopsOnCancelledContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-
-	// Pre-cancelled ctx: the store must never be called at all.
-	calls := 0
-	counting := &storeFunc{inner: NewMem(), onGet: func() { calls++ }}
-	r := NewRetry(counting, 5, time.Millisecond, func(time.Duration) {}).WithContext(ctx)
-	if _, err := r.Get("k"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if calls != 0 {
-		t.Fatalf("cancelled retry still called the store %d times", calls)
-	}
-
-	// Cancelled mid-chain: one attempt runs, then the loop stops with the
-	// transient error preserved in the message and Canceled in the chain.
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	attempts := int32(0)
-	failing := &flaky{Store: NewMem(), failures: 100}
-	r2 := NewRetry(failing, 10, time.Millisecond, func(time.Duration) {
-		atomic.AddInt32(&attempts, 1)
-		cancel2()
-	}).WithContext(ctx2)
-	if err := r2.Put("k", []byte("v")); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if got := atomic.LoadInt32(&attempts); got != 1 {
-		t.Fatalf("retry slept %d times after cancellation, want 1", got)
-	}
-}
-
-// WithContext must be a cheap view: the parent keeps working, shares
-// jitter state, and stays usable concurrently.
-func TestRetryWithContextLeavesParentUsable(t *testing.T) {
-	mem := NewMem()
-	mem.Put("k", []byte("v"))
-	r := NewRetry(mem, 3, time.Millisecond, func(time.Duration) {})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := r.WithContext(ctx).Get("k"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("scoped view err = %v, want context.Canceled", err)
-	}
-	if got, err := r.Get("k"); err != nil || string(got) != "v" {
-		t.Fatalf("parent Get = %q, %v after scoped cancellation", got, err)
 	}
 }
 

@@ -16,6 +16,10 @@ sh ./scripts/lint.sh
 
 go test -race ./...
 
+# cmd/slimstore has no Go test: drive every subcommand once against a
+# directory repository and compare what comes back.
+sh ./scripts/cli_smoke.sh
+
 # Microbenchmark smoke: one iteration each, so broken benchmarks fail
 # the gate without costing real measurement time.
 BENCHTIME=1x sh ./scripts/bench.sh

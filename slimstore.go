@@ -23,8 +23,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"sync"
-	"sync/atomic"
+	"strings"
 
 	"slimstore/internal/core"
 	"slimstore/internal/globalindex"
@@ -83,16 +82,16 @@ const (
 // DefaultConfig returns the paper's evaluation configuration.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
-// System is an opened SLIMSTORE deployment: a storage layer plus a pool
-// of L-nodes and one G-node. All methods are safe for concurrent use;
-// concurrent Backup/Restore calls are distributed over the L-node pool.
+// System is an opened SLIMSTORE deployment: a storage layer, one stateless
+// L-node and one G-node. All methods are safe for concurrent use.
+// Synchronous calls (Backup, Restore, Optimize, Scrub, …) run on the
+// caller's goroutine; the batch calls (BackupAll, BackupSnapshot,
+// RestoreSnapshot) and anything meant to run in the background go through
+// a jobs.Engine (NewEngine) — the computing layer's one scheduler.
 type System struct {
-	repo  *core.Repo
-	g     *gnode.GNode
-	maint *gnode.Maintainer
-	mu    sync.Mutex
-	ls    []*lnode.LNode
-	next  atomic.Uint64
+	repo *core.Repo
+	g    *gnode.GNode
+	l    *lnode.LNode
 }
 
 // Open assembles a System over any ObjectStore.
@@ -101,10 +100,7 @@ func Open(store ObjectStore, cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{repo: repo, g: gnode.New(repo)}
-	s.maint = gnode.NewMaintainer(s.g)
-	s.ls = []*lnode.LNode{lnode.New(repo, "L0")}
-	return s, nil
+	return &System{repo: repo, g: gnode.New(repo), l: lnode.New(repo, "L0")}, nil
 }
 
 // OpenMemory opens a System over an in-memory object store (tests,
@@ -123,9 +119,11 @@ func OpenDirectory(dir string, cfg Config) (*System, error) {
 }
 
 // OpenHTTP opens a System backed by a remote object-store server (see
-// cmd/ossserver). hc may be nil for http.DefaultClient.
+// cmd/ossserver). hc may be nil for http.DefaultClient. Requests that fail
+// transiently (5xx, 429, network errors) get up to four attempts with
+// jittered exponential backoff; not-found and other 4xx fail at once.
 func OpenHTTP(baseURL string, hc *http.Client, cfg Config) (*System, error) {
-	return Open(oss.NewClient(baseURL, hc), cfg)
+	return Open(oss.NewRetry(oss.NewClient(baseURL, hc), 4, 0, nil), cfg)
 }
 
 // NewMemoryStore returns a fresh in-memory ObjectStore, for callers that
@@ -139,54 +137,37 @@ func NamespacedStore(store ObjectStore, prefix string) ObjectStore {
 	return oss.NewPrefixed(store, prefix)
 }
 
-// NewEngine starts a concurrent job engine over this deployment: a pool
-// of goroutine-hosted L-nodes pulling from a bounded queue, sharing the
-// repository (and its lock protocol) with the System's own L-nodes and
-// G-node. Close the engine when done; the System remains usable.
+// NewEngine starts a job engine over this deployment: opts.LNodes worker
+// goroutines, each hosting one L-node, pulling from a bounded queue and
+// sharing the repository (and its lock protocol) and the G-node with the
+// System. Submit returns a Ticket to wait on, so background G-node work is
+// Submit(Job{Kind: JobOptimize|JobScrub|JobSweep}); a full queue blocks
+// Submit (backpressure). Close the engine when done — it runs every queued
+// job first; the System remains usable.
 func (s *System) NewEngine(opts EngineOptions) *Engine {
 	return jobs.New(s.repo, s.g, opts)
+}
+
+// runJobs runs js to completion on a private engine `workers` wide
+// (workers <= 0 = the engine's default) and returns the results in order.
+func (s *System) runJobs(js []Job, workers int) []JobResult {
+	eng := s.NewEngine(EngineOptions{LNodes: workers})
+	defer eng.Close()
+	// nil is Submit's documented uncancellable context: the batch calls
+	// have no context to forward and run to completion.
+	return eng.Run(nil, js)
 }
 
 // RestoreRange streams bytes [off, off+length) of a stored version to w
 // (length < 0 means to the end) — partial recovery without a full restore.
 func (s *System) RestoreRange(fileID string, version int, off, length int64, w io.Writer) (*RestoreStats, error) {
-	return s.pick().RestoreRange(fileID, version, off, length, w)
+	return s.l.RestoreRange(fileID, version, off, length, w)
 }
 
-// ScaleLNodes sets the L-node pool size (elastic computing layer). Jobs
-// already running are unaffected.
-func (s *System) ScaleLNodes(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for len(s.ls) < n {
-		s.ls = append(s.ls, lnode.New(s.repo, fmt.Sprintf("L%d", len(s.ls))))
-	}
-	if len(s.ls) > n {
-		s.ls = s.ls[:n]
-	}
-}
-
-// LNodes returns the current pool size.
-func (s *System) LNodes() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.ls)
-}
-
-func (s *System) pick() *lnode.LNode {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ls[int(s.next.Add(1))%len(s.ls)]
-}
-
-// Backup deduplicates and stores one version of a file, assigning the job
-// to an L-node round-robin. The returned stats carry the new version
-// number and the inputs for Optimize.
+// Backup deduplicates and stores one version of a file. The returned stats
+// carry the new version number and the inputs for Optimize.
 func (s *System) Backup(fileID string, data []byte) (*BackupStats, error) {
-	return s.pick().Backup(fileID, data)
+	return s.l.Backup(fileID, data)
 }
 
 // BackupStream deduplicates and stores one version of a file read from
@@ -195,63 +176,53 @@ func (s *System) Backup(fileID string, data []byte) (*BackupStats, error) {
 // chunk merging, inline hashing) buffer the reader and fall back to
 // Backup.
 func (s *System) BackupStream(fileID string, rd io.Reader) (*BackupStats, error) {
-	return s.pick().BackupStream(fileID, rd)
+	return s.l.BackupStream(fileID, rd)
 }
 
 // Restore streams a stored version to w.
 func (s *System) Restore(fileID string, version int, w io.Writer) (*RestoreStats, error) {
-	return s.pick().Restore(fileID, version, w)
+	return s.l.Restore(fileID, version, w)
 }
 
 // Verify reads a stored version end to end, re-fingerprinting every chunk,
 // without materialising the data. It returns an error on any corruption.
 func (s *System) Verify(fileID string, version int) (*RestoreStats, error) {
-	return s.pick().Verify(fileID, version)
+	return s.l.Verify(fileID, version)
 }
 
-// BackupAll runs one backup job per entry concurrently across the L-node
-// pool, up to `workers` at a time (workers <= 0 uses the pool size). Jobs
-// are dispatched in sorted file-ID order — container IDs come from one
+// sortedKeys returns m's file IDs in the order every batch call dispatches.
+func sortedKeys[V any](m map[string]V) []string {
+	ids := make([]string, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+// BackupAll runs one backup job per entry through an engine, up to
+// `workers` at a time (workers <= 0 uses the engine's default width). Jobs
+// are submitted in sorted file-ID order — container IDs come from one
 // shared counter, so with one worker the container layout is reproducible.
 // It returns per-file stats; on failures it completes the remaining jobs
 // and returns the first error.
 func (s *System) BackupAll(files map[string][]byte, workers int) (map[string]*BackupStats, error) {
-	if workers <= 0 {
-		workers = s.LNodes()
+	ids := sortedKeys(files)
+	js := make([]Job, len(ids))
+	for i, id := range ids {
+		js[i] = Job{Kind: JobBackup, FileID: id, Data: files[id]}
 	}
-	ids := make([]string, 0, len(files))
-	for id := range files {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	jobs := make(chan string)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
 	out := make(map[string]*BackupStats, len(files))
 	var firstErr error
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for id := range jobs {
-				st, err := s.Backup(id, files[id])
-				mu.Lock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = fmt.Errorf("backup %s: %w", id, err)
-					}
-				} else {
-					out[id] = st
-				}
-				mu.Unlock()
+	for _, r := range s.runJobs(js, workers) {
+		if r.Err != nil {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("backup %s: %w", r.Job.FileID, r.Err)
 			}
-		}()
+			continue
+		}
+		out[r.Job.FileID] = r.Backup
 	}
-	for _, id := range ids {
-		jobs <- id
-	}
-	close(jobs)
-	wg.Wait()
 	return out, firstErr
 }
 
@@ -259,12 +230,7 @@ func (s *System) BackupAll(files map[string][]byte, workers int) (map[string]*Ba
 // G-node work is serialised (it is one offline node in the paper).
 func (s *System) OptimizeAll(stats map[string]*BackupStats) error {
 	// Deterministic order for reproducible container layouts.
-	ids := make([]string, 0, len(stats))
-	for id := range stats {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range sortedKeys(stats) {
 		if _, _, err := s.Optimize(stats[id]); err != nil {
 			return fmt.Errorf("optimize %s: %w", id, err)
 		}
@@ -274,37 +240,11 @@ func (s *System) OptimizeAll(stats map[string]*BackupStats) error {
 
 // Optimize runs the G-node's offline pass for a finished backup: global
 // reverse deduplication over the backup's new containers, then sparse
-// container compaction for the containers the backup flagged.
+// container compaction for the containers the backup flagged. To run it in
+// the background, submit a JobOptimize to an Engine instead.
 func (s *System) Optimize(st *BackupStats) (*ReverseDedupStats, *SCCStats, error) {
-	rd, err := s.g.ReverseDedup(st.NewContainers)
-	if err != nil {
-		return nil, nil, err
-	}
-	scc, err := s.g.CompactSparse(st.FileID, st.Version, st.SparseContainers)
-	if err != nil {
-		return rd, nil, err
-	}
-	return rd, scc, nil
+	return s.g.Optimize(st.FileID, st.Version, st.NewContainers, st.SparseContainers)
 }
-
-// QueueOptimize hands a finished backup to the background G-node worker
-// and returns immediately — the paper's offline deployment. Call
-// DrainOptimize to wait for the queue, or Optimize for the synchronous
-// path. The worker starts on first use.
-func (s *System) QueueOptimize(st *BackupStats) error {
-	s.maint.Start()
-	return s.maint.Enqueue(st.FileID, st.Version, st.NewContainers, st.SparseContainers)
-}
-
-// DrainOptimize blocks until every queued optimisation completed.
-func (s *System) DrainOptimize() { s.maint.Drain() }
-
-// MaintenanceStats reports the background G-node's accumulated work.
-func (s *System) MaintenanceStats() gnode.MaintStats { return s.maint.Stats() }
-
-// Close drains and stops the background G-node worker. The System remains
-// usable for synchronous operations afterwards.
-func (s *System) Close() { s.maint.Stop() }
 
 // DeleteVersion removes a version and sweeps its garbage containers
 // (version collection). Delete oldest versions first for maximal
@@ -323,23 +263,16 @@ func (s *System) Audit() (*AuditStats, error) { return s.g.FullSweep() }
 // what it reports.
 func (s *System) Scrub() (*ScrubStats, error) { return s.g.Scrub() }
 
-// QueueScrub hands a scrub to the background G-node worker, behind any
-// pending optimisation jobs. DrainOptimize waits for it.
-func (s *System) QueueScrub() error {
-	s.maint.Start()
-	return s.maint.EnqueueScrub()
-}
-
 // Snapshot groups the file versions captured by one backup session.
 type Snapshot = recipe.Snapshot
 
 // SnapshotMember is one file version inside a snapshot.
 type SnapshotMember = recipe.SnapshotMember
 
-// BackupSnapshot backs up a set of files concurrently (see BackupAll) and
-// records them as one named snapshot — the paper's periodic full-volume
-// backup session. The G-node pass runs synchronously before the manifest
-// is written.
+// BackupSnapshot backs up a set of files through an engine (see BackupAll)
+// and records them as one named snapshot — the paper's periodic
+// full-volume backup session. The G-node pass runs synchronously before
+// the manifest is written.
 func (s *System) BackupSnapshot(id string, files map[string][]byte, workers int) (*Snapshot, error) {
 	stats, err := s.BackupAll(files, workers)
 	if err != nil {
@@ -360,20 +293,28 @@ func (s *System) BackupSnapshot(id string, files map[string][]byte, workers int)
 	return s.repo.Recipes.GetSnapshot(id)
 }
 
-// RestoreSnapshot restores every member of a snapshot, obtaining each
-// file's writer from open (which may create files, buffers, …).
-func (s *System) RestoreSnapshot(id string, open func(fileID string) (io.Writer, error)) error {
+// RestoreSnapshot restores every member of a snapshot through an engine, up
+// to `workers` at a time (workers <= 0 uses the engine's default width).
+// Each member's writer comes from open (which may create files, buffers,
+// …), called on the caller's goroutine in file-ID order before any restore
+// starts; the writers are written to concurrently, one job each.
+func (s *System) RestoreSnapshot(id string, open func(fileID string) (io.Writer, error), workers int) error {
 	snap, err := s.repo.Recipes.GetSnapshot(id)
 	if err != nil {
 		return err
 	}
-	for _, m := range snap.Members {
+	// A stored manifest's members are already in file-ID order.
+	js := make([]Job, len(snap.Members))
+	for i, m := range snap.Members {
 		w, err := open(m.FileID)
 		if err != nil {
 			return fmt.Errorf("restore snapshot %s: open %s: %w", id, m.FileID, err)
 		}
-		if _, err := s.Restore(m.FileID, m.Version, w); err != nil {
-			return fmt.Errorf("restore snapshot %s: %s v%d: %w", id, m.FileID, m.Version, err)
+		js[i] = Job{Kind: JobRestore, FileID: m.FileID, Version: m.Version, Out: w}
+	}
+	for _, r := range s.runJobs(js, workers) {
+		if r.Err != nil {
+			return fmt.Errorf("restore snapshot %s: %s v%d: %w", id, r.Job.FileID, r.Job.Version, r.Err)
 		}
 	}
 	return nil
@@ -412,51 +353,35 @@ func (s *System) Versions(fileID string) ([]int, error) {
 
 // SpaceUsage summarises the storage layer.
 type SpaceUsage struct {
-	ContainerBytes int64 // chunk payloads + container metadata
-	RecipeBytes    int64 // recipes, recipe indexes, catalog
+	ContainerBytes int64 // chunk payloads + container metadata, incl. quarantined and erasure-coded shards
+	RecipeBytes    int64 // recipes, recipe indexes, catalog, snapshot manifests
 	IndexBytes     int64 // similar-file index + global index (Rocks-OSS)
-	TotalBytes     int64
+	TotalBytes     int64 // every object in the repository, incl. namespaces not itemised above (journal)
 }
 
 // SpaceUsage measures occupied space by OSS namespace (Fig 9 / Fig 10c).
 func (s *System) SpaceUsage() (SpaceUsage, error) {
 	var u SpaceUsage
-	sum := func(prefix string) (int64, error) {
-		keys, err := s.repo.Base.List(prefix)
+	keys, err := s.repo.Base.List("")
+	if err != nil {
+		return u, err
+	}
+	for _, k := range keys {
+		n, err := s.repo.Base.Head(k)
 		if err != nil {
-			return 0, err
+			return u, err
 		}
-		var t int64
-		for _, k := range keys {
-			n, err := s.repo.Base.Head(k)
-			if err != nil {
-				return 0, err
-			}
-			t += n
+		u.TotalBytes += n
+		ns, _, _ := strings.Cut(k, "/")
+		switch ns {
+		case "containers", "quarantine", "ec":
+			u.ContainerBytes += n
+		case "recipes", "catalog", "snapshots":
+			u.RecipeBytes += n
+		case "simindex", "gidx":
+			u.IndexBytes += n
 		}
-		return t, nil
 	}
-	var err error
-	if u.ContainerBytes, err = sum("containers/"); err != nil {
-		return u, err
-	}
-	var rb, cb int64
-	if rb, err = sum("recipes/"); err != nil {
-		return u, err
-	}
-	if cb, err = sum("catalog/"); err != nil {
-		return u, err
-	}
-	u.RecipeBytes = rb + cb
-	var si, gi int64
-	if si, err = sum("simindex/"); err != nil {
-		return u, err
-	}
-	if gi, err = sum("gidx/"); err != nil {
-		return u, err
-	}
-	u.IndexBytes = si + gi
-	u.TotalBytes = u.ContainerBytes + u.RecipeBytes + u.IndexBytes
 	return u, nil
 }
 
@@ -465,21 +390,18 @@ func (s *System) Config() Config { return s.repo.Config }
 
 // Metrics is an aggregate operational snapshot of the deployment.
 type Metrics struct {
-	LNodes      int
 	Files       int
 	Versions    int
 	Containers  int
 	Snapshots   int
 	GlobalIndex globalindex.Stats
-	Maintenance gnode.MaintStats
 	Space       SpaceUsage
 }
 
 // Metrics gathers an operational snapshot (files, versions, containers,
-// index and maintenance counters, space by namespace).
+// index counters, space by namespace).
 func (s *System) Metrics() (Metrics, error) {
 	var m Metrics
-	m.LNodes = s.LNodes()
 	files, err := s.Files()
 	if err != nil {
 		return m, err
@@ -503,7 +425,6 @@ func (s *System) Metrics() (Metrics, error) {
 	}
 	m.Snapshots = len(snaps)
 	m.GlobalIndex = s.repo.Global.Stats()
-	m.Maintenance = s.maint.Stats()
 	m.Space, err = s.SpaceUsage()
 	return m, err
 }

@@ -2,9 +2,12 @@ package slimstore
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sync"
@@ -70,35 +73,68 @@ func TestSystemEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSpaceUsageCoversEveryNamespace: SpaceUsage accounts for every object
+// in the repository — with the erasure-coded tier on, the container bytes
+// live under ec/, not containers/.
+func TestSpaceUsageCoversEveryNamespace(t *testing.T) {
+	for _, ec := range []bool{false, true} {
+		cfg := smallConfig()
+		if ec {
+			cfg.ECDataShards, cfg.ECParityShards = 4, 2
+		}
+		mem := oss.NewMem()
+		sys, err := Open(mem, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const logical = 2 << 20
+		st, err := sys.Backup("f", genData(2, logical))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := sys.Optimize(st); err != nil {
+			t.Fatal(err)
+		}
+		u, err := sys.SpaceUsage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if u.TotalBytes != mem.TotalBytes() {
+			t.Errorf("ec=%v: TotalBytes = %d, the store holds %d", ec, u.TotalBytes, mem.TotalBytes())
+		}
+		if u.ContainerBytes < logical || (ec && u.ContainerBytes < logical*6/4) {
+			t.Errorf("ec=%v: ContainerBytes = %d for %d unique logical bytes", ec, u.ContainerBytes, logical)
+		}
+		if sum := u.ContainerBytes + u.RecipeBytes + u.IndexBytes; sum > u.TotalBytes || u.RecipeBytes == 0 || u.IndexBytes == 0 {
+			t.Errorf("ec=%v: usage = %+v", ec, u)
+		}
+	}
+}
+
 func TestConcurrentJobsAcrossLNodes(t *testing.T) {
 	sys, err := OpenMemory(smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.ScaleLNodes(4)
-	if sys.LNodes() != 4 {
-		t.Fatalf("LNodes = %d", sys.LNodes())
-	}
+	eng := sys.NewEngine(EngineOptions{LNodes: 4})
+	defer eng.Close()
 
 	const jobs = 8
 	datas := make([][]byte, jobs)
-	var wg sync.WaitGroup
-	errs := make([]error, jobs)
-	for i := 0; i < jobs; i++ {
+	backups := make([]Job, jobs)
+	for i := range backups {
 		datas[i] = genData(int64(10+i), 1<<20)
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = sys.Backup(fmt.Sprintf("file%d", i), datas[i])
-		}(i)
+		backups[i] = Job{Kind: JobBackup, FileID: fmt.Sprintf("file%d", i), Data: datas[i]}
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("job %d: %v", i, err)
+	for i, r := range eng.Run(context.Background(), backups) {
+		if r.Err != nil {
+			t.Fatalf("job %d: %v", i, r.Err)
 		}
 	}
-	// Concurrent restores.
+	// Concurrent restores on the callers' goroutines: the facade's one
+	// L-node is shared, not pooled.
+	var wg sync.WaitGroup
+	errs := make([]error, jobs)
 	for i := 0; i < jobs; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -204,7 +240,6 @@ func TestBackupAllAndVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.ScaleLNodes(3)
 	files := map[string][]byte{}
 	for i := 0; i < 6; i++ {
 		files[fmt.Sprintf("batch/file%d", i)] = genData(int64(60+i), 512<<10)
@@ -264,11 +299,61 @@ func TestBackupAllDeterministicLayout(t *testing.T) {
 	}
 }
 
+// flakyHandler answers 503 to the first two requests of every third
+// distinct path it sees and passes everything else through, counting the
+// 404s each path answered.
+type flakyHandler struct {
+	next http.Handler
+
+	mu       sync.Mutex
+	seen     map[string]int // path -> requests so far
+	flaky    map[string]bool
+	notFound map[string]int
+}
+
+type statusRecorder struct {
+	http.ResponseWriter
+	code int
+}
+
+func (r *statusRecorder) WriteHeader(code int) {
+	r.code = code
+	r.ResponseWriter.WriteHeader(code)
+}
+
+func (h *flakyHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	path := r.URL.Path
+	h.mu.Lock()
+	if _, ok := h.seen[path]; !ok && len(h.seen)%3 == 2 {
+		h.flaky[path] = true
+	}
+	h.seen[path]++
+	fail := h.flaky[path] && h.seen[path] <= 2
+	h.mu.Unlock()
+	if fail {
+		http.Error(w, "try again", http.StatusServiceUnavailable)
+		return
+	}
+	rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
+	h.next.ServeHTTP(rec, r)
+	if rec.code == http.StatusNotFound {
+		h.mu.Lock()
+		h.notFound[path]++
+		h.mu.Unlock()
+	}
+}
+
 func TestSystemOverHTTP(t *testing.T) {
 	// A full deployment against the HTTP object-store server: the
-	// multi-process topology of cmd/ossserver, in-process.
+	// multi-process topology of cmd/ossserver, in-process — behind a front
+	// that drops requests the way a real one does. OpenHTTP's retry layer
+	// must absorb the 503s.
 	backend := NewMemoryStore()
-	srv := httptest.NewServer(oss.NewServer(backend))
+	flaky := &flakyHandler{
+		next: oss.NewServer(backend),
+		seen: map[string]int{}, flaky: map[string]bool{}, notFound: map[string]int{},
+	}
+	srv := httptest.NewServer(flaky)
 	defer srv.Close()
 
 	sys, err := OpenHTTP(srv.URL, srv.Client(), smallConfig())
@@ -299,6 +384,26 @@ func TestSystemOverHTTP(t *testing.T) {
 	}
 	if _, err := sys2.Verify("remote/file", 0); err != nil {
 		t.Fatal(err)
+	}
+	if len(flaky.flaky) == 0 {
+		t.Fatal("fixture: no request was answered 503")
+	}
+
+	// Not-found is permanent: a missing version fails on the first 404 of
+	// each key it asks for, without burning the retry budget.
+	flaky.mu.Lock()
+	flaky.notFound = map[string]int{}
+	flaky.mu.Unlock()
+	if _, err := sys2.Restore("remote/file", 7, &buf); !errors.Is(err, oss.ErrNotFound) {
+		t.Fatalf("restore of a missing version: err = %v, want not-found", err)
+	}
+	if len(flaky.notFound) == 0 {
+		t.Fatal("fixture: the missing version answered no 404")
+	}
+	for path, n := range flaky.notFound {
+		if n != 1 {
+			t.Errorf("%s answered 404 %d times: not-found was retried", path, n)
+		}
 	}
 }
 
@@ -340,19 +445,23 @@ func TestSnapshotLifecycle(t *testing.T) {
 		t.Fatalf("Snapshots = %v, %v", ids, err)
 	}
 
-	// Restore day1 as a unit and compare every member.
-	restored := map[string]*bytes.Buffer{}
-	err = sys.RestoreSnapshot("day1", func(fileID string) (io.Writer, error) {
+	// Restore day1 as a unit, one job at a time and four wide, and compare
+	// every member.
+	var restored map[string]*bytes.Buffer
+	open := func(fileID string) (io.Writer, error) {
 		b := &bytes.Buffer{}
 		restored[fileID] = b
 		return b, nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	for id, want := range day1 {
-		if !bytes.Equal(restored[id].Bytes(), want) {
-			t.Fatalf("snapshot member %s corrupt", id)
+	for _, workers := range []int{1, 4} {
+		restored = map[string]*bytes.Buffer{}
+		if err := sys.RestoreSnapshot("day1", open, workers); err != nil {
+			t.Fatal(err)
+		}
+		for id, want := range day1 {
+			if !bytes.Equal(restored[id].Bytes(), want) {
+				t.Fatalf("workers=%d: snapshot member %s corrupt", workers, id)
+			}
 		}
 	}
 
@@ -367,12 +476,7 @@ func TestSnapshotLifecycle(t *testing.T) {
 		t.Fatal("deleted snapshot still loads")
 	}
 	restored = map[string]*bytes.Buffer{}
-	err = sys.RestoreSnapshot("day2", func(fileID string) (io.Writer, error) {
-		b := &bytes.Buffer{}
-		restored[fileID] = b
-		return b, nil
-	})
-	if err != nil {
+	if err := sys.RestoreSnapshot("day2", open, 0); err != nil {
 		t.Fatal(err)
 	}
 	for id, want := range day2 {
@@ -382,24 +486,34 @@ func TestSnapshotLifecycle(t *testing.T) {
 	}
 }
 
+// TestQueueOptimizeBackground: background G-node work is a job on an
+// engine — Submit returns at once with a ticket, the ticket carries the
+// pass's stats.
 func TestQueueOptimizeBackground(t *testing.T) {
 	sys, err := OpenMemory(smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Close()
+	eng := sys.NewEngine(EngineOptions{LNodes: 1})
+	defer eng.Close()
 	data := genData(200, 1<<20)
 	st, err := sys.Backup("f", data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.QueueOptimize(st); err != nil {
+	tk, err := eng.Submit(context.Background(), Job{
+		Kind: JobOptimize, FileID: st.FileID, Version: st.Version,
+		NewContainers: st.NewContainers, Sparse: st.SparseContainers,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	sys.DrainOptimize()
-	ms := sys.MaintenanceStats()
-	if ms.Processed != 1 || ms.Errors != 0 {
-		t.Fatalf("maintenance stats = %+v", ms)
+	res := tk.Wait()
+	if res.Err != nil || res.Reverse == nil || res.SCC == nil || res.Reverse.IndexInserts == 0 {
+		t.Fatalf("optimize job = %+v", res)
+	}
+	if es := eng.Stats(); es.Completed != 1 || es.Failed != 0 {
+		t.Fatalf("engine stats = %+v", es)
 	}
 	var buf bytes.Buffer
 	if _, err := sys.Restore("f", 0, &buf); err != nil {
@@ -445,7 +559,7 @@ func TestMetricsAndNamespaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Files != 1 || m.Versions != 1 || m.Containers == 0 || m.LNodes != 1 {
+	if m.Files != 1 || m.Versions != 1 || m.Containers == 0 {
 		t.Fatalf("metrics = %+v", m)
 	}
 	if m.Space.TotalBytes == 0 {
