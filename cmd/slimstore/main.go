@@ -19,6 +19,11 @@
 //	slimstore scrub   -repo dir:/backups
 //	slimstore stats   -repo dir:/backups
 //
+// restore and restore-snapshot are atomic at -out: the bytes go to
+// <out>.partial-* beside the target and are renamed over it only when the
+// whole restore (every member, for a snapshot) succeeded; a failed restore
+// removes its partial files and leaves whatever -out held.
+//
 // The three multi-job commands (snapshot, restore-snapshot, verify) run one
 // job per file or version through the job engine; -jobs is its width, the
 // only concurrency setting. Everything else is one call on this goroutine.
@@ -78,6 +83,42 @@ func fatalf(format string, args ...any) {
 	stopProfile()
 	fmt.Fprintf(os.Stderr, "slimstore: "+format+"\n", args...)
 	os.Exit(1)
+}
+
+// partial is a restore's output on its way to path: the bytes go to a
+// temporary file beside it, which commit renames over path and discard
+// removes — so path only ever changes to a whole, successful restore, and
+// a failed one leaves whatever was there.
+type partial struct {
+	*os.File
+	path string
+}
+
+func createPartial(path string) (*partial, error) {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".partial-*")
+	if err != nil {
+		return nil, err
+	}
+	return &partial{File: f, path: path}, nil
+}
+
+func (p *partial) commit() error {
+	err := p.Chmod(0o644) // CreateTemp's 0600 is for secrets, not restored files
+	if cerr := p.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(p.Name(), p.path)
+	}
+	if err != nil {
+		os.Remove(p.Name())
+	}
+	return err
+}
+
+func (p *partial) discard() {
+	p.Close()
+	os.Remove(p.Name())
 }
 
 // stopProfile finalises the CPU profile started by -pprof. Both fatalf
@@ -189,16 +230,16 @@ func main() {
 			}
 			v = vs[len(vs)-1]
 		}
-		f, err := os.Create(*out)
+		f, err := createPartial(*out)
 		if err != nil {
 			fatalf("%v", err)
 		}
 		st, err := sys.Restore(*name, v, f)
 		if err != nil {
-			f.Close()
+			f.discard()
 			fatalf("%v", err)
 		}
-		if err := f.Close(); err != nil {
+		if err := f.commit(); err != nil {
 			fatalf("%v", err)
 		}
 		fmt.Printf("restored %q version %d: %d bytes (%d container reads, %d shared-cache hits, %d singleflight joins, %d ranged reads/%d spans)\n",
@@ -295,22 +336,25 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		var files []*os.File
+		var files []*partial
 		err = sys.RestoreSnapshot(*id, func(fileID string) (io.Writer, error) {
 			p := filepath.Join(*outDir, filepath.FromSlash(fileID))
 			if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 				return nil, err
 			}
-			f, err := os.Create(p)
+			f, err := createPartial(p)
 			if err != nil {
 				return nil, err
 			}
 			files = append(files, f)
 			return f, nil
 		}, *jobsN)
+		// All or nothing: no member lands unless every member restored.
 		for _, f := range files {
-			if cerr := f.Close(); cerr != nil && err == nil {
-				err = cerr
+			if err != nil {
+				f.discard()
+			} else {
+				err = f.commit()
 			}
 		}
 		if err != nil {

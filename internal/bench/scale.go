@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"slimstore/internal/baseline"
 	"slimstore/internal/chunker"
@@ -11,6 +10,7 @@ import (
 	"slimstore/internal/gnode"
 	"slimstore/internal/lnode"
 	"slimstore/internal/oss"
+	"slimstore/internal/pipe"
 	"slimstore/internal/simclock"
 	"slimstore/internal/workload"
 )
@@ -44,6 +44,24 @@ func fig10Config() core.Config {
 // scale's file size (fig 10 sweeps many concurrent jobs).
 func fig10Gen(s Scale, files int) *workload.Generator {
 	return workload.New(workload.RData(files, s.FileBytes/2))
+}
+
+// sumJobs runs `jobs` jobs at once and returns their summed rates (MB/s)
+// and bytes, added in job order so the sums do not depend on which job
+// finished first.
+func sumJobs(jobs int, job func(j int) (mbps float64, bytes int64, err error)) (float64, int64, error) {
+	rates, sizes := make([]float64, jobs), make([]int64, jobs)
+	err := pipe.FanOut(jobs, jobs, func(j int) (err error) {
+		rates[j], sizes[j], err = job(j)
+		return err
+	})
+	var rate float64
+	var size int64
+	for j := range rates {
+		rate += rates[j]
+		size += sizes[j]
+	}
+	return rate, size, err
 }
 
 func runFig10a(w io.Writer, s Scale) error {
@@ -83,61 +101,32 @@ func runFig10a(w io.Writer, s Scale) error {
 	for _, jobs := range jobCounts {
 		// SLIMSTORE: jobs are independent (stateless L-nodes, no shared
 		// bottleneck) — aggregate throughput is the sum of per-job rates.
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		var slimSum float64
-		errs := make([]error, jobs)
-		for j := 0; j < jobs; j++ {
-			wg.Add(1)
-			go func(j int) {
-				defer wg.Done()
-				fi := offset + j
-				data := gen.Version(fi, 1)
-				st, err := ln.Backup(gen.FileIDs()[fi], data)
-				if err != nil {
-					errs[j] = err
-					return
-				}
-				mu.Lock()
-				slimSum += st.ThroughputMBps()
-				mu.Unlock()
-			}(j)
-		}
-		wg.Wait()
-		for _, err := range errs {
+		slimSum, _, err := sumJobs(jobs, func(j int) (float64, int64, error) {
+			fi := offset + j
+			st, err := ln.Backup(gen.FileIDs()[fi], gen.Version(fi, 1))
 			if err != nil {
-				return err
+				return 0, 0, err
 			}
+			return st.ThroughputMBps(), st.LogicalBytes, nil
+		})
+		if err != nil {
+			return err
 		}
 
 		// Restic: per-job rates sum too, but the single shared index
 		// serialises — aggregate is capped at totalBytes / serialised
 		// index time.
 		lockBefore := restic.LockAccount().CPUTime()
-		var resticSum float64
-		var resticBytes int64
-		for j := 0; j < jobs; j++ {
-			wg.Add(1)
-			go func(j int) {
-				defer wg.Done()
-				fi := offset + j
-				data := gen.Version(fi, 1)
-				r, err := restic.Backup(gen.FileIDs()[fi], data)
-				if err != nil {
-					errs[j] = err
-					return
-				}
-				mu.Lock()
-				resticSum += r.ThroughputMBps()
-				resticBytes += r.LogicalBytes
-				mu.Unlock()
-			}(j)
-		}
-		wg.Wait()
-		for _, err := range errs {
+		resticSum, resticBytes, err := sumJobs(jobs, func(j int) (float64, int64, error) {
+			fi := offset + j
+			r, err := restic.Backup(gen.FileIDs()[fi], gen.Version(fi, 1))
 			if err != nil {
-				return err
+				return 0, 0, err
 			}
+			return r.ThroughputMBps(), r.LogicalBytes, nil
+		})
+		if err != nil {
+			return err
 		}
 		lockTime := restic.LockAccount().CPUTime() - lockBefore
 		if cap := simclock.ThroughputMBps(resticBytes, lockTime); cap < resticSum {
@@ -180,54 +169,27 @@ func runFig10b(w io.Writer, s Scale) error {
 	t := newTable(w, "Fig 10(b): aggregate restore throughput (MB/s) vs concurrent jobs")
 	t.row("jobs", "l-nodes", "slimstore", "restic", "slim/restic")
 	for _, jobs := range jobCounts {
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		var slimSum float64
-		errs := make([]error, jobs)
-		for j := 0; j < jobs; j++ {
-			wg.Add(1)
-			go func(j int) {
-				defer wg.Done()
-				st, err := ln.Restore(gen.FileIDs()[j%len(gen.FileIDs())], 0, io.Discard)
-				if err != nil {
-					errs[j] = err
-					return
-				}
-				mu.Lock()
-				slimSum += st.ThroughputMBps()
-				mu.Unlock()
-			}(j)
-		}
-		wg.Wait()
-		for _, err := range errs {
+		slimSum, _, err := sumJobs(jobs, func(j int) (float64, int64, error) {
+			st, err := ln.Restore(gen.FileIDs()[j%len(gen.FileIDs())], 0, io.Discard)
 			if err != nil {
-				return err
+				return 0, 0, err
 			}
+			return st.ThroughputMBps(), st.Bytes, nil
+		})
+		if err != nil {
+			return err
 		}
 
 		lockBefore := restic.LockAccount().CPUTime()
-		var resticSum float64
-		var resticBytes int64
-		for j := 0; j < jobs; j++ {
-			wg.Add(1)
-			go func(j int) {
-				defer wg.Done()
-				rr, err := restic.Restore(gen.FileIDs()[j%len(gen.FileIDs())], 0, func([]byte) error { return nil })
-				if err != nil {
-					errs[j] = err
-					return
-				}
-				mu.Lock()
-				resticSum += simclock.ThroughputMBps(rr.Bytes, rr.Elapsed)
-				resticBytes += rr.Bytes
-				mu.Unlock()
-			}(j)
-		}
-		wg.Wait()
-		for _, err := range errs {
+		resticSum, resticBytes, err := sumJobs(jobs, func(j int) (float64, int64, error) {
+			rr, err := restic.Restore(gen.FileIDs()[j%len(gen.FileIDs())], 0, func([]byte) error { return nil })
 			if err != nil {
-				return err
+				return 0, 0, err
 			}
+			return simclock.ThroughputMBps(rr.Bytes, rr.Elapsed), rr.Bytes, nil
+		})
+		if err != nil {
+			return err
 		}
 		lockTime := restic.LockAccount().CPUTime() - lockBefore
 		if cap := simclock.ThroughputMBps(resticBytes, lockTime); cap < resticSum {

@@ -96,12 +96,9 @@ type Restorer interface {
 type Config struct {
 	// MemBytes is the in-memory cache capacity.
 	MemBytes int64
-	// DiskBytes is the FV disk layer capacity (0 = disabled).
+	// DiskBytes is the FV disk layer capacity (0 = disabled). The layer is
+	// a byte-counted map; the caller charges its local-disk cost.
 	DiskBytes int64
-	// DiskDir, when set, spills the FV disk layer to files in this
-	// directory (the paper's Cache_d on L-node local disk); empty keeps
-	// demoted chunks in memory and only charges the virtual disk cost.
-	DiskDir string
 	// LAW is the look-ahead window length in chunks.
 	LAW int
 	// FAABytes is ALACC's forward assembly area size; defaults to half of

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
 	"strings"
 	"testing"
 
@@ -416,61 +415,28 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
-func TestFVDiskSpillToRealDirectory(t *testing.T) {
-	repo, seq, want := fragmentedScenario(t)
-	dir := t.TempDir()
-	p := NewFV(Config{MemBytes: 32 << 10, DiskBytes: 64 << 20, DiskDir: dir, LAW: 16})
-	stats, out := runPolicy(t, p, seq, repo.fetcher())
-	if !bytes.Equal(out, want) {
-		t.Fatal("output corrupt with on-disk spill")
-	}
-	if stats.DiskSwaps == 0 || stats.DiskHits == 0 {
-		t.Fatalf("spill unused: %+v", stats)
-	}
-	if stats.Rereads != 0 {
-		t.Fatalf("rereads with disk layer: %d", stats.Rereads)
-	}
-	// The spill directory is cleaned up after the restore.
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 0 {
-		t.Fatalf("%d spill files left behind", len(ents))
-	}
-}
-
 func TestSpillStoreModes(t *testing.T) {
-	for _, dir := range []string{"", t.TempDir()} {
-		s := newSpillStore(dir)
-		fp := fingerprint.OfBytes([]byte("x"))
-		if err := s.put(fp, []byte("payload")); err != nil {
-			t.Fatal(err)
-		}
-		if !s.has(fp) || s.bytes != 7 {
-			t.Fatalf("dir=%q: state after put: has=%v bytes=%d", dir, s.has(fp), s.bytes)
-		}
-		// Duplicate put is a no-op.
-		if err := s.put(fp, []byte("other")); err != nil {
-			t.Fatal(err)
-		}
-		d, ok, err := s.take(fp)
-		if err != nil || !ok || string(d) != "payload" {
-			t.Fatalf("dir=%q: take = %q, %v, %v", dir, d, ok, err)
-		}
-		if s.has(fp) || s.bytes != 0 {
-			t.Fatalf("dir=%q: state after take", dir)
-		}
-		if _, ok, _ := s.take(fp); ok {
-			t.Fatalf("dir=%q: double take", dir)
-		}
-		s.put(fp, []byte("again"))
-		s.drop(fp)
-		if s.has(fp) {
-			t.Fatalf("dir=%q: drop failed", dir)
-		}
-		s.put(fp, []byte("tail"))
-		s.close()
+	s := newSpillStore()
+	fp := fingerprint.OfBytes([]byte("x"))
+	s.put(fp, []byte("payload"))
+	if !s.has(fp) || s.bytes != 7 {
+		t.Fatalf("state after put: has=%v bytes=%d", s.has(fp), s.bytes)
+	}
+	s.put(fp, []byte("other")) // duplicate put is a no-op
+	d, ok := s.take(fp)
+	if !ok || string(d) != "payload" {
+		t.Fatalf("take = %q, %v", d, ok)
+	}
+	if s.has(fp) || s.bytes != 0 {
+		t.Fatal("state after take")
+	}
+	if _, ok := s.take(fp); ok {
+		t.Fatal("double take")
+	}
+	s.put(fp, []byte("again"))
+	s.drop(fp)
+	if s.has(fp) || s.bytes != 0 {
+		t.Fatal("drop failed")
 	}
 }
 

@@ -58,10 +58,9 @@ func (f *FV) Restore(seq []Request, fetch Fetcher, emit Emit) (Stats, error) {
 		refs:  cbf.NewCounting(len(seq)+16, 0.001),
 		law:   make(map[fingerprint.FP]int),
 		mem:   make(map[fingerprint.FP][]byte),
-		disk:  newSpillStore(f.cfg.DiskDir),
+		disk:  newSpillStore(),
 		stats: &stats,
 	}
-	defer st.disk.close()
 	// Full vision: the whole sequence populates the CBF up front.
 	for i := range seq {
 		st.refs.Add(seq[i].FP)
@@ -84,9 +83,7 @@ func (f *FV) Restore(seq []Request, fetch Fetcher, emit Emit) (Stats, error) {
 		case ok:
 			stats.MemHits++
 		default:
-			if d, onDisk, derr := st.disk.take(req.FP); derr != nil {
-				return stats, derr
-			} else if onDisk {
+			if d, onDisk := st.disk.take(req.FP); onDisk {
 				stats.DiskHits++
 				stats.DiskHitBytes += int64(len(d))
 				st.insertMem(req.FP, d)
@@ -197,13 +194,9 @@ func (s *fvState) insertMem(fp fingerprint.FP, data []byte) {
 		if s.cfg.DiskBytes > 0 {
 			s.stats.DiskSwaps++
 			s.stats.DiskSwapBytes += int64(len(d))
-			if err := s.disk.put(victim, d); err != nil {
-				// A failing local disk degrades to dropping the chunk
-				// (worst case: one extra OSS read later).
-				continue
-			}
+			s.disk.put(victim, d)
 			s.diskOrder = append(s.diskOrder, victim)
-			for s.disk.bytes > s.cfg.DiskBytes && len(s.disk.sizes) > 0 {
+			for s.disk.bytes > s.cfg.DiskBytes && len(s.disk.mem) > 0 {
 				s.dropOldestDisk()
 			}
 		}
@@ -249,7 +242,7 @@ func (s *fvState) dropOldestDisk() {
 		}
 	}
 	// diskOrder exhausted but entries remain (shouldn't happen): clear one.
-	for fp := range s.disk.sizes {
+	for fp := range s.disk.mem {
 		s.disk.drop(fp)
 		return
 	}

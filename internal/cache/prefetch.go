@@ -1,205 +1,114 @@
 package cache
 
 import (
-	"sync"
-
 	"slimstore/internal/container"
+	"slimstore/internal/pipe"
 )
 
-// Prefetcher implements LAW-based prefetching (paper §V-A): background
-// workers walk the container sequence derived from the recipe and read
-// containers ahead of the restore position, so the restore pipeline finds
-// every container already in memory. With enough workers the prefetch
-// rate exceeds the restore rate and the pipeline never blocks on OSS.
+// Prefetcher implements LAW-based prefetching (paper §V-A): containers are
+// read ahead of the restore position, in the order the recipe first needs
+// them, so the restore pipeline finds every container already in memory.
+// With enough read channels the prefetch rate exceeds the restore rate and
+// the pipeline never blocks on OSS.
 //
 // Wrap a policy's Fetcher with NewPrefetcher's Fetch. Virtual-time
 // experiments additionally model the I/O overlap with
 // simclock.Account.ElapsedOverlapped(threads).
 //
-// The prefetcher is safe for any consumption order: a request for a
-// container that has not been dispatched yet (the consumer ran ahead of
-// the prefetch window, or skipped containers whose chunks it already had)
-// is fetched directly and its slot cancelled, so the pipeline can never
-// deadlock — at worst it degrades to direct fetching.
+// It is a demand-driven window (pipe.Ahead) over the unique containers in
+// first-need order: `buffer` reads are started at construction and every
+// Fetch tops the window back up, so which reads run ahead — and every
+// counter in PrefetchStats — follows from the Fetch sequence alone, never
+// from timing. Any consumption order is safe: a container asked for before
+// the window reached it (the consumer skipped ahead) is fetched on the
+// caller and never started later, so at worst the restore degrades to
+// direct fetching.
+//
+// Fetch, Stats and Close belong to one goroutine, the one running the
+// restore policy; only the wrapped Fetcher runs elsewhere.
 type Prefetcher struct {
-	fetch Fetcher
-
-	mu    sync.Mutex
-	slots map[container.ID]*pfSlot
-	stats PrefetchStats
-
-	jobs chan container.ID
-	sem  chan struct{} // bounds dispatched-but-unconsumed containers
-	wg   sync.WaitGroup
-	stop chan struct{}
+	ahead  *pipe.Ahead[container.ID, *container.Container]
+	order  []container.ID        // unique containers in first-need order
+	next   int                   // order[next:] has not been considered yet
+	asked  map[container.ID]bool // containers Fetch has been called for
+	buffer int                   // started-and-untaken reads to keep
+	stats  PrefetchStats
 }
 
 // PrefetchStats reports how effective a restore's LAW prefetching was:
-// how many container slots the feeder dispatched to workers, how many of
-// those the consumer actually took from their slot, how many requests
-// bypassed the slots entirely (rereads, or the consumer outran the
-// prefetch window), and how many dispatched slots were never consumed
-// (work the workers fetched for nothing — normally zero; early aborts
-// and shutdown races strand slots).
-//
-// The split between Consumed and Direct depends on goroutine scheduling
-// (a fast consumer overtakes the feeder), so these counters are
-// observability, not determinism: virtual-time accounting is unaffected
-// because each container's read is charged exactly once whichever side
-// issues it. Twin tests normalise this field before DeepEqual.
+// how many container reads were started ahead of their demand, how many of
+// those the consumer took, how many requests ran on the consumer instead
+// (rereads, or the consumer skipped past the window), and how many started
+// reads were never taken (work done for nothing — zero unless the restore
+// aborted early). The counters are a function of the request sequence,
+// the thread count and the buffer: the same restore reports the same
+// numbers on any host and core count.
 type PrefetchStats struct {
-	Dispatched int // slots handed to prefetch workers
-	Consumed   int // fetches served from a dispatched slot
-	Direct     int // fetches that bypassed the slots
-	Cancelled  int // dispatched slots never consumed
+	Dispatched int // reads started ahead of their demand
+	Consumed   int // fetches served by a started read
+	Direct     int // fetches run on the caller
+	Cancelled  int // started reads never taken
 }
 
-type pfSlot struct {
-	done       chan struct{}
-	c          *container.Container
-	err        error
-	consumed   bool
-	dispatched bool
-}
-
-// NewPrefetcher starts `threads` workers prefetching the containers of seq
-// in first-need order. buffer bounds how many fetched-but-unconsumed
-// containers may be held (it must be >= 1; it also bounds memory).
-// threads <= 0 disables prefetching (Fetch degenerates to fetch).
+// NewPrefetcher starts prefetching the containers of seq in first-need
+// order, `threads` reads at a time. buffer bounds how many
+// started-but-unconsumed containers may be held (raised to threads if
+// below it; it also bounds memory). threads <= 0 disables prefetching
+// (Fetch degenerates to fetch).
 func NewPrefetcher(fetch Fetcher, seq []Request, threads, buffer int) *Prefetcher {
-	p := &Prefetcher{fetch: fetch, slots: make(map[container.ID]*pfSlot), stop: make(chan struct{})}
+	p := &Prefetcher{
+		ahead:  pipe.NewAhead(threads, fetch),
+		asked:  make(map[container.ID]bool),
+		buffer: max(buffer, threads),
+	}
 	if threads <= 0 {
 		return p
 	}
-	if buffer < threads {
-		buffer = threads
-	}
-	// Unique containers in order of first need.
 	seen := make(map[container.ID]bool)
-	var order []container.ID
 	for i := range seq {
-		id := seq[i].Container
-		if !seen[id] {
+		if id := seq[i].Container; !seen[id] {
 			seen[id] = true
-			order = append(order, id)
+			p.order = append(p.order, id)
 		}
 	}
-	for _, id := range order {
-		p.slots[id] = &pfSlot{done: make(chan struct{})}
-	}
-
-	p.jobs = make(chan container.ID)
-	p.sem = make(chan struct{}, buffer)
-	for w := 0; w < threads; w++ {
-		p.wg.Add(1)
-		go p.worker()
-	}
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		defer close(p.jobs)
-		for _, id := range order {
-			// Acquire the buffer slot in dispatch order so an early
-			// container can never be starved of a slot by later ones.
-			select {
-			case p.sem <- struct{}{}:
-			case <-p.stop:
-				return
-			}
-			p.mu.Lock()
-			s := p.slots[id]
-			if s.consumed {
-				// The consumer already fetched it directly; skip.
-				p.mu.Unlock()
-				<-p.sem
-				continue
-			}
-			s.dispatched = true
-			p.stats.Dispatched++
-			p.mu.Unlock()
-			select {
-			case p.jobs <- id:
-			case <-p.stop:
-				return
-			}
-		}
-	}()
+	p.topUp()
 	return p
 }
 
-func (p *Prefetcher) worker() {
-	defer p.wg.Done()
-	for id := range p.jobs {
-		p.mu.Lock()
-		s := p.slots[id]
-		p.mu.Unlock()
-		s.c, s.err = p.fetch(id)
-		close(s.done)
-	}
-}
-
-// Fetch returns the container: from its prefetch slot when the slot is
-// dispatched or done, directly otherwise (rereads, or requests that
-// outran the prefetch window).
-func (p *Prefetcher) Fetch(id container.ID) (*container.Container, error) {
-	p.mu.Lock()
-	s := p.slots[id]
-	if s == nil || s.consumed {
-		p.stats.Direct++
-		p.mu.Unlock()
-		return p.fetch(id)
-	}
-	s.consumed = true
-	dispatched := s.dispatched
-	if !dispatched {
-		p.stats.Direct++
-	}
-	p.mu.Unlock()
-	if !dispatched {
-		// Not in flight yet: fetch directly; the feeder will skip the
-		// consumed slot without spending a buffer token.
-		return p.fetch(id)
-	}
-	select {
-	case <-s.done:
-	case <-p.stop:
-		// Shutdown race: the feeder marks a slot dispatched before handing
-		// it to a worker, so Close can strand a dispatched slot whose done
-		// channel will never close. Fall back to a direct fetch unless the
-		// worker did complete it.
-		select {
-		case <-s.done:
-		default:
-			p.mu.Lock()
-			p.stats.Direct++
-			p.mu.Unlock()
-			return p.fetch(id)
+// topUp starts reads, in first-need order, until `buffer` are started and
+// untaken. A container already asked for is skipped for good.
+func (p *Prefetcher) topUp() {
+	for ; p.next < len(p.order) && p.stats.Dispatched-p.stats.Consumed < p.buffer; p.next++ {
+		if id := p.order[p.next]; !p.asked[id] {
+			p.ahead.Start(id)
+			p.stats.Dispatched++
 		}
 	}
-	<-p.sem // free the buffer slot
-	p.mu.Lock()
-	p.stats.Consumed++
-	p.mu.Unlock()
-	return s.c, s.err
 }
 
-// Stats snapshots the prefetcher's effectiveness counters. Cancelled is
-// derived: dispatched slots whose fetch no consumer ever took.
+// Fetch returns the container: the started read's result when there is
+// one, else a fetch on the caller (rereads, or requests that skipped past
+// the window).
+func (p *Prefetcher) Fetch(id container.ID) (*container.Container, error) {
+	c, ahead, err := p.ahead.Take(id)
+	if ahead {
+		p.stats.Consumed++
+	} else {
+		p.stats.Direct++
+	}
+	p.asked[id] = true
+	p.topUp()
+	return c, err
+}
+
+// Stats reports the effectiveness counters so far. Cancelled is derived:
+// started reads no Fetch took.
 func (p *Prefetcher) Stats() PrefetchStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	st := p.stats
 	st.Cancelled = st.Dispatched - st.Consumed
 	return st
 }
 
-// Close stops the workers; safe to call multiple times.
-func (p *Prefetcher) Close() {
-	select {
-	case <-p.stop:
-		return
-	default:
-		close(p.stop)
-	}
-	p.wg.Wait()
-}
+// Close waits for every started read to finish; safe to call multiple
+// times.
+func (p *Prefetcher) Close() { p.ahead.Join() }

@@ -3,7 +3,6 @@ package cache
 import (
 	"bytes"
 	"errors"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -393,64 +392,4 @@ func TestPrefetcherMidSequenceErrorShutsDownCleanly(t *testing.T) {
 	if n != 0 {
 		t.Fatalf("%d fetches still in flight after Close", n)
 	}
-}
-
-// TestPrefetcherFetchDuringCloseDoesNotHang reproduces the stranded-slot
-// race: the feeder marks a slot dispatched, then Close wins the race
-// before the slot reaches a worker — its done channel never closes. A
-// concurrent Fetch of that slot must fall back to a direct fetch instead
-// of blocking forever.
-func TestPrefetcherFetchDuringCloseDoesNotHang(t *testing.T) {
-	repo, seq, _ := fragmentedScenario(t)
-
-	// One worker, buffer 2: the worker blocks inside the first container's
-	// fetch while the feeder acquires a buffer token for the second, marks
-	// it dispatched, and blocks handing it over.
-	first := seq[0].Container
-	var second container.ID
-	for i := range seq {
-		if seq[i].Container != first {
-			second = seq[i].Container
-			break
-		}
-	}
-	release := make(chan struct{})
-	base := func(id container.ID) (*container.Container, error) {
-		if id == first {
-			<-release
-		}
-		return repo.cs.Read(id)
-	}
-	pf := NewPrefetcher(base, seq, 1, 2)
-
-	// Wait until the feeder has marked the second container dispatched.
-	for {
-		pf.mu.Lock()
-		d := pf.slots[second].dispatched
-		pf.mu.Unlock()
-		if d {
-			break
-		}
-		runtime.Gosched()
-	}
-
-	closed := make(chan struct{})
-	go func() {
-		defer close(closed)
-		pf.Close() // blocks until the worker's fetch of `first` returns
-	}()
-
-	// Wait for Close to take effect, then fetch the stranded slot: it must
-	// return via the direct path, not hang on the never-closed done channel.
-	<-pf.stop
-	c, err := pf.Fetch(second)
-	if err != nil || c == nil {
-		t.Fatalf("stranded-slot fetch: %v", err)
-	}
-	if c.Meta.ID != second {
-		t.Fatalf("fetched container %d, want %d", c.Meta.ID, second)
-	}
-
-	close(release)
-	<-closed
 }

@@ -1,107 +1,45 @@
 package cache
 
-import (
-	"fmt"
-	"os"
-	"path/filepath"
-
-	"slimstore/internal/fingerprint"
-)
+import "slimstore/internal/fingerprint"
 
 // spillStore is the FV cache's Cache_d layer (paper §V-A): chunks demoted
-// from memory park here until the restore position approaches them. With
-// an empty dir it holds payloads in memory (the default for experiments,
-// where virtual time charges the disk cost); with a directory it spills
-// payloads to one file per chunk — the paper's actual L-node-local-disk
-// deployment.
+// from memory park here until the restore position approaches them. It is
+// a byte-counted map; the local-disk cost of the traffic through it is
+// charged in virtual time (Costs.DiskCachePerByte) by the caller.
 type spillStore struct {
-	dir   string // "" = in-memory
 	mem   map[fingerprint.FP][]byte
-	sizes map[fingerprint.FP]int
 	bytes int64
 }
 
-func newSpillStore(dir string) *spillStore {
-	return &spillStore{
-		dir:   dir,
-		mem:   make(map[fingerprint.FP][]byte),
-		sizes: make(map[fingerprint.FP]int),
-	}
+func newSpillStore() *spillStore {
+	return &spillStore{mem: make(map[fingerprint.FP][]byte)}
 }
 
-func (s *spillStore) path(fp fingerprint.FP) string {
-	return filepath.Join(s.dir, fp.String()+".chunk")
-}
-
-// put parks a chunk. The caller has removed it from the memory layer.
-func (s *spillStore) put(fp fingerprint.FP, data []byte) error {
-	if _, dup := s.sizes[fp]; dup {
-		return nil
+// put parks a chunk; a chunk already parked stays as it is. The caller has
+// removed it from the memory layer.
+func (s *spillStore) put(fp fingerprint.FP, data []byte) {
+	if s.has(fp) {
+		return
 	}
-	if s.dir != "" {
-		if err := os.WriteFile(s.path(fp), data, 0o600); err != nil {
-			return fmt.Errorf("cache: spill %s: %w", fp.Short(), err)
-		}
-	} else {
-		s.mem[fp] = data
-	}
-	s.sizes[fp] = len(data)
+	s.mem[fp] = data
 	s.bytes += int64(len(data))
-	return nil
 }
 
 // has reports whether fp is parked here.
 func (s *spillStore) has(fp fingerprint.FP) bool {
-	_, ok := s.sizes[fp]
+	_, ok := s.mem[fp]
 	return ok
 }
 
 // take retrieves and removes a parked chunk.
-func (s *spillStore) take(fp fingerprint.FP) ([]byte, bool, error) {
-	n, ok := s.sizes[fp]
-	if !ok {
-		return nil, false, nil
-	}
-	var data []byte
-	if s.dir != "" {
-		b, err := os.ReadFile(s.path(fp))
-		if err != nil {
-			return nil, false, fmt.Errorf("cache: read spill %s: %w", fp.Short(), err)
-		}
-		os.Remove(s.path(fp))
-		data = b
-	} else {
-		data = s.mem[fp]
-		delete(s.mem, fp)
-	}
-	delete(s.sizes, fp)
-	s.bytes -= int64(n)
-	return data, true, nil
+func (s *spillStore) take(fp fingerprint.FP) ([]byte, bool) {
+	data, ok := s.mem[fp]
+	s.drop(fp)
+	return data, ok
 }
 
 // drop discards a parked chunk.
 func (s *spillStore) drop(fp fingerprint.FP) {
-	n, ok := s.sizes[fp]
-	if !ok {
-		return
-	}
-	if s.dir != "" {
-		os.Remove(s.path(fp))
-	} else {
-		delete(s.mem, fp)
-	}
-	delete(s.sizes, fp)
-	s.bytes -= int64(n)
-}
-
-// close removes every parked chunk (end of the restore job).
-func (s *spillStore) close() {
-	if s.dir != "" {
-		for fp := range s.sizes {
-			os.Remove(s.path(fp))
-		}
-	}
-	s.mem = nil
-	s.sizes = nil
-	s.bytes = 0
+	s.bytes -= int64(len(s.mem[fp]))
+	delete(s.mem, fp)
 }

@@ -71,19 +71,19 @@ type Config struct {
 	// Default 0.2.
 	RewriteStaleThreshold float64
 
-	// Restore cache sizing (§V-A).
+	// Restore cache sizing (§V-A). The FV cache's disk layer is held in
+	// memory and its local-disk cost charged in virtual time
+	// (Costs.DiskCachePerByte).
 	CacheMemBytes  int64
 	CacheDiskBytes int64
-	// CacheDiskDir, when set, spills the FV cache's disk layer to real
-	// files in this directory (the L-node local disk of the paper);
-	// empty simulates the layer in memory.
-	CacheDiskDir string
-	LAWChunks    int
+	LAWChunks      int
 	// RestorePolicy selects the cache policy: "fv" (default), "opt",
 	// "alacc", "lru".
 	RestorePolicy string
-	// PrefetchThreads is the LAW prefetcher worker count; 0 disables
-	// prefetching (Table II).
+	// PrefetchThreads is how many container reads the LAW prefetcher keeps
+	// running at once (it starts twice as many ahead of the restore
+	// position); 0 disables prefetching (Table II). It is also the width
+	// of the restore's metadata waves.
 	PrefetchThreads int
 	// VerifyRestore re-fingerprints every restored chunk and fails the
 	// restore on any mismatch (end-to-end integrity at fingerprinting

@@ -103,40 +103,55 @@ func (g *GNode) ReverseDedup(newContainers []container.ID) (*ReverseDedupStats, 
 	ids = uniqueIDs(ids)
 	cs := g.containers()
 
-	// Bounded optimism: scan and probe without the lock, then validate
-	// that no maintenance commit invalidated what we read. Under a storm
-	// of concurrent maintenance, fall back to scanning under the lock.
-	const maxOptimistic = 3
+	var rewrites []*container.Meta
+	stats, err := optimistic(g, "reverse dedup", 3, func() (*rdPrep, error) {
+		return g.rdPrepare(cs, ids)
+	}, func(prep *rdPrep) (st *ReverseDedupStats, err error) {
+		st, rewrites, err = g.rdCommit(cs, ids, prep)
+		return st, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	stats.ContainersRewritten, stats.BytesReclaimed, err = g.rewriteAll(cs, rewrites, nil)
+	if err != nil {
+		return nil, err
+	}
+	return stats, nil
+}
+
+// optimistic runs a maintenance pass as read-then-commit with bounded
+// optimism: read runs outside maintMu at a sampled maintenance epoch, and
+// commit runs under maintMu once the epoch is confirmed unchanged — no
+// maintenance commit invalidated what read saw. A read that was raced is
+// redone; after `attempts` of those (a storm of concurrent maintenance)
+// the read itself runs under the lock, which cannot be raced. A read
+// error is returned as "gnode: <pass>: …"; commit's comes back as it is.
+func optimistic[P, R any](g *GNode, pass string, attempts int, read func() (P, error), commit func(P) (R, error)) (R, error) {
 	for attempt := 0; ; attempt++ {
-		locked := attempt >= maxOptimistic
+		locked := attempt >= attempts
 		if locked {
 			g.maintMu.Lock()
 		}
 		epoch := g.repo.MaintEpoch()
-		prep, err := g.rdPrepare(cs, ids)
+		p, err := read()
 		if err != nil {
 			if locked {
 				g.maintMu.Unlock()
 			}
-			return nil, fmt.Errorf("gnode: reverse dedup: %w", err)
+			var none R
+			return none, fmt.Errorf("gnode: %s: %w", pass, err)
 		}
 		if !locked {
 			g.maintMu.Lock()
 			if g.repo.MaintEpoch() != epoch {
 				g.maintMu.Unlock()
-				continue // a maintenance commit raced the scan; redo it
+				continue
 			}
 		}
-		stats, rewrites, err := g.rdCommit(cs, ids, prep)
+		r, err := commit(p)
 		g.maintMu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		stats.ContainersRewritten, stats.BytesReclaimed, err = g.rewriteAll(cs, rewrites, nil)
-		if err != nil {
-			return nil, err
-		}
-		return stats, nil
+		return r, err
 	}
 }
 

@@ -94,40 +94,17 @@ func (g *GNode) Scrub() (*ScrubStats, error) {
 		return nil, fmt.Errorf("gnode: scrub: %w", err)
 	}
 
-	const maxOptimistic = 2
-	for attempt := 0; ; attempt++ {
-		locked := attempt >= maxOptimistic
-		if locked {
-			g.maintMu.Lock()
-		}
-		epoch := g.repo.MaintEpoch()
-		sv, err := g.scrubVerify()
-		if err != nil {
-			if locked {
-				g.maintMu.Unlock()
-			}
-			return nil, fmt.Errorf("gnode: scrub: %w", err)
-		}
-		if !locked {
-			g.maintMu.Lock()
-			if g.repo.MaintEpoch() != epoch {
-				g.maintMu.Unlock()
-				continue // a maintenance commit raced the verify; redo it
-			}
-		}
-		stats, err := g.scrubRepair(sv)
-		g.maintMu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		stats.JournalReplayed = replayed
-		stats.ECStripesChecked = ecStats.checked
-		stats.ECDegradedStripes = ecStats.degraded
-		stats.ECRepairedShards = ecStats.repairedShards
-		stats.ECRepairFailures = ecStats.repairFailed
-		stats.ECUnrecoverable = ecStats.unrecoverable
-		return stats, nil
+	stats, err := optimistic(g, "scrub", 2, g.scrubVerify, g.scrubRepair)
+	if err != nil {
+		return nil, err
 	}
+	stats.JournalReplayed = replayed
+	stats.ECStripesChecked = ecStats.checked
+	stats.ECDegradedStripes = ecStats.degraded
+	stats.ECRepairedShards = ecStats.repairedShards
+	stats.ECRepairFailures = ecStats.repairFailed
+	stats.ECUnrecoverable = ecStats.unrecoverable
+	return stats, nil
 }
 
 // ecRepairStats aggregates the redundancy-tier pass.

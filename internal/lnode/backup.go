@@ -127,11 +127,8 @@ type backupJob struct {
 
 	// Segment read-ahead (fetchSegment): base segment reads started ahead
 	// of their demand, by segment number, at most aheadDepth of them.
-	// reads counts every read started, dropped ones included, so join can
-	// wait them all out.
-	ahead      map[int]*segRead
+	ahead      *pipe.Ahead[int, *recipe.Segment]
 	aheadDepth int
-	reads      sync.WaitGroup
 
 	stats BackupStats
 
@@ -165,10 +162,14 @@ func (n *LNode) newBackupJob(data []byte) *backupJob {
 		dedupCache:   make(map[fingerprint.FP]dedupEntry),
 		superByFirst: make(map[fingerprint.FP]dedupEntry),
 		fetchedSegs:  make(map[int]*recipe.Segment),
-		ahead:        make(map[int]*segRead),
 		aheadDepth:   segmentReadAhead,
 		data:         data,
 	}
+	// One wider than the window: a demanded read started by an earlier
+	// window is in flight beside the whole of its own.
+	j.ahead = pipe.NewAhead(segmentReadAhead+1, func(segNo int) (*recipe.Segment, error) {
+		return j.baseReader.Fetch(segNo)
+	})
 	if cfg.PackWorkers > 0 {
 		// Pack stage: filled containers seal and upload on background
 		// workers while the dedup loop continues (§IV-A's overlap of
@@ -189,7 +190,7 @@ func (n *LNode) newBackupJob(data []byte) *backupJob {
 // demanded) and, on error paths, the pack workers, so no goroutine outlives
 // the job. persist() owns the success-path pool Close and nils j.pool.
 func (j *backupJob) join() {
-	j.reads.Wait()
+	j.ahead.Join()
 	if j.pool != nil {
 		//slimlint:ignore errdiscipline this drain only runs when the job is already returning the original error; persist() owns the success-path Close and checks it
 		j.pool.Close()
@@ -385,25 +386,6 @@ func (j *backupJob) openBase(fileID string, version int) error {
 // demand sequence that jumps wastes a few reads, not a recipe's worth.
 const segmentReadAhead = 4
 
-// segRead is one segment-recipe read, running or finished.
-type segRead struct {
-	done chan struct{} // closed once seg and err are set
-	seg  *recipe.Segment
-	err  error
-}
-
-// startRead reads and decodes base segment segNo on its own goroutine.
-func (j *backupJob) startRead(segNo int) *segRead {
-	rd := &segRead{done: make(chan struct{})}
-	j.reads.Add(1)
-	go func() {
-		defer j.reads.Done()
-		defer close(rd.done)
-		rd.seg, rd.err = j.baseReader.Fetch(segNo)
-	}()
-	return rd
-}
-
 // fetchSegment prefetches one similar segment recipe into the dedup
 // cache, evicting the oldest segment when the cache is full, and starts
 // reading the aheadDepth segments after it, so the next demands find their
@@ -420,26 +402,17 @@ func (j *backupJob) fetchSegment(segNo int) error {
 	if _, done := j.fetchedSegs[segNo]; done {
 		return nil
 	}
-	rd := j.ahead[segNo]
-	if rd == nil {
-		rd = j.startRead(segNo)
-	}
 	last := min(segNo+j.aheadDepth, j.baseReader.NumSegments()-1)
-	for s := range j.ahead {
-		if s <= segNo || s > last {
-			delete(j.ahead, s)
-		}
-	}
+	j.ahead.Forget(func(s int) bool { return s >= segNo && s <= last })
 	for s := segNo + 1; s <= last; s++ {
-		if j.fetchedSegs[s] == nil && j.ahead[s] == nil {
-			j.ahead[s] = j.startRead(s)
+		if j.fetchedSegs[s] == nil {
+			j.ahead.Start(s)
 		}
 	}
-	<-rd.done
-	if rd.err != nil {
-		return fmt.Errorf("lnode: prefetch segment %d: %w", segNo, rd.err)
+	seg, _, err := j.ahead.Take(segNo)
+	if err != nil {
+		return fmt.Errorf("lnode: prefetch segment %d: %w", segNo, err)
 	}
-	seg := rd.seg
 	for len(j.fetchedSegs) >= j.cfg.DedupCacheSegments && len(j.fetchOrder) > 0 {
 		j.evictSegment(j.fetchOrder[0])
 		j.fetchOrder = j.fetchOrder[1:]

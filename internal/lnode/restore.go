@@ -25,9 +25,9 @@ type RestoreStats struct {
 	Redirects int // chunks relocated by reverse dedup / SCC (old versions)
 
 	PrefetchThreads int
-	// Prefetch reports LAW prefetcher effectiveness (dispatched/consumed/
-	// direct/cancelled slots). The consumed-vs-direct split depends on
-	// goroutine scheduling; virtual-time accounting does not.
+	// Prefetch reports LAW prefetcher effectiveness (reads dispatched/
+	// consumed/direct/cancelled): a function of the request sequence and
+	// PrefetchThreads, identical from run to run.
 	Prefetch cache.PrefetchStats
 	Account  *simclock.Account
 	Elapsed  time.Duration
@@ -109,7 +109,6 @@ func (n *LNode) restore(fileID string, version int, off, length int64, w io.Writ
 	policy, err := cache.New(cfg.RestorePolicy, cache.Config{
 		MemBytes:  cfg.CacheMemBytes,
 		DiskBytes: cfg.CacheDiskBytes,
-		DiskDir:   cfg.CacheDiskDir,
 		LAW:       cfg.LAWChunks,
 	})
 	if err != nil {
@@ -131,10 +130,10 @@ func (n *LNode) restore(fileID string, version int, off, length int64, w io.Writ
 	}
 	var pf *cache.Prefetcher
 	if threads > 0 {
-		// LAW prefetching is policy-agnostic: the dispatch sequence derives
+		// LAW prefetching is policy-agnostic: the read-ahead order derives
 		// from the pinned request sequence, not from the policy, so OSS
 		// reads overlap the emit for every policy — the policy's own
-		// fetches are served from prefetch slots.
+		// fetches take the reads the window started.
 		pf = cache.NewPrefetcher(fetch, seq, threads, threads*2)
 		defer pf.Close()
 		fetch = pf.Fetch

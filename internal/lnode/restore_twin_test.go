@@ -3,6 +3,7 @@ package lnode
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -19,10 +20,10 @@ import (
 // must hold under.
 var restorePolicies = []string{"fv", "opt", "alacc", "lru"}
 
-// comparableRestore strips the account pointer and the prefetcher
-// effectiveness counters (the consumed-vs-direct split depends on
-// goroutine scheduling; prefetchConserved checks it separately) so twin
-// stats compare field-for-field, including virtual Elapsed.
+// comparableRestore strips the account pointer and the prefetch counters
+// (zero by construction in the unprefetched twin; for the counters
+// themselves see TestPrefetchStatsDeterministic) so a prefetched run and
+// its unprefetched twin compare field-for-field, including virtual Elapsed.
 func comparableRestore(s *RestoreStats) RestoreStats {
 	c := *s
 	c.Account = nil
@@ -30,9 +31,8 @@ func comparableRestore(s *RestoreStats) RestoreStats {
 	return c
 }
 
-// prefetchConserved asserts the scheduling-dependent counters are at
-// least self-consistent on a successful restore: every dispatched slot
-// was consumed (no worker fetched for nothing).
+// prefetchConserved asserts that on a successful restore every read the
+// prefetcher started was taken (nothing was fetched for nothing).
 func prefetchConserved(t *testing.T, st *RestoreStats) {
 	t.Helper()
 	if st.Prefetch.Cancelled != 0 {
@@ -40,6 +40,62 @@ func prefetchConserved(t *testing.T, st *RestoreStats) {
 	}
 	if st.Prefetch.Dispatched != st.Prefetch.Consumed {
 		t.Errorf("prefetch dispatched %d != consumed %d", st.Prefetch.Dispatched, st.Prefetch.Consumed)
+	}
+}
+
+// TestPrefetchStatsDeterministic: which container reads run ahead is a
+// function of the request sequence, never of scheduling. One fragmented
+// version, restored 20 times per policy and thread count through a cache
+// small enough to force rereads, reports the same RestoreStats — prefetch
+// counters included, nothing normalised — every time; every started read
+// is taken; and the only fetches that run on the policy's goroutine are
+// the rereads, because a policy asks for containers in first-need order
+// and so never outruns the window.
+func TestPrefetchStatsDeterministic(t *testing.T) {
+	cfg := testConfig()
+	cfg.SharedCacheBytes = -1 // every restore reads the store
+	cfg.CacheMemBytes = 640 << 10
+	cfg.CacheDiskBytes = 0
+	n, repo := newNode(t, cfg)
+	defer n.Close()
+	const versions = 6
+	data := genData(66, 1<<20)
+	for v := 0; v < versions; v++ {
+		if _, err := n.Backup("f", data); err != nil {
+			t.Fatal(err)
+		}
+		data = mutate(data, int64(100+v), 100)
+	}
+	rereads := 0
+	for _, policy := range restorePolicies {
+		for _, threads := range []int{1, 6} {
+			repo.Config.RestorePolicy, repo.Config.PrefetchThreads = policy, threads
+			var first RestoreStats
+			for run := 0; run < 20; run++ {
+				st, err := n.Restore("f", versions-1, io.Discard)
+				if err != nil {
+					t.Fatalf("%s/%d run %d: %v", policy, threads, run, err)
+				}
+				got := *st
+				got.Account = nil
+				if run == 0 {
+					first = got
+					rereads += got.Cache.Rereads
+					prefetchConserved(t, st)
+					if got.Prefetch.Dispatched == 0 {
+						t.Errorf("%s/%d: the prefetcher never engaged: %+v", policy, threads, got.Prefetch)
+					}
+					if got.Prefetch.Direct != got.Cache.Rereads {
+						t.Errorf("%s/%d: %d direct fetches, %d rereads", policy, threads, got.Prefetch.Direct, got.Cache.Rereads)
+					}
+				} else if !reflect.DeepEqual(got, first) {
+					t.Fatalf("%s/%d run %d differs from run 0:\n%+v\n%+v", policy, threads, run, got, first)
+				}
+			}
+		}
+	}
+	if rereads == 0 {
+		t.Error("fixture: no policy reread a container, so Direct == Rereads checked nothing")
 	}
 }
 

@@ -2,29 +2,35 @@ package oss
 
 import (
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
+	"syscall"
 )
 
 // Disk is a Store backed by a local directory. Object keys map to files;
 // key path segments are percent-free hex-escaped where needed so arbitrary
-// keys are safe on any filesystem.
+// keys are safe on any filesystem. It holds no lock: an object changes
+// only by a rename over it or a remove, both atomic, so a reader sees one
+// writer's whole value or none.
 type Disk struct {
 	root string
-	mu   sync.RWMutex // serialises multi-step operations (put = write+rename)
 }
+
+// tmpPrefix starts the name of a Put in progress. '~' is outside
+// escapeSeg's safe set, so no object's file name begins with it.
+const tmpPrefix = "~put-"
 
 // NewDisk returns a store rooted at dir, creating it if needed.
 func NewDisk(dir string) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("oss: create root: %w", err)
 	}
-	return &Disk{root: dir}, nil
+	return &Disk{root: filepath.Clean(dir)}, nil
 }
 
 // escapeSeg makes one key segment filesystem-safe.
@@ -64,19 +70,31 @@ func (s *Disk) path(key string) string {
 	return filepath.Join(append([]string{s.root}, segs...)...)
 }
 
-// Put implements Store. Writes are atomic via temp file + rename.
+// Put implements Store. The value is written to a file of its own in the
+// target directory and renamed into place: the rename is the atomic step,
+// and concurrent writers, of one key or of many, share nothing.
 func (s *Disk) Put(key string, data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	p := s.path(key)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+	dir := filepath.Dir(p)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("oss: put %s: %w", key, err)
 	}
-	tmp := p + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.CreateTemp(dir, tmpPrefix+"*")
+	if err != nil {
 		return fmt.Errorf("oss: put %s: %w", key, err)
 	}
-	if err := os.Rename(tmp, p); err != nil {
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), p)
+	}
+	if err != nil {
+		os.Remove(f.Name())
 		return fmt.Errorf("oss: put %s: %w", key, err)
 	}
 	return nil
@@ -84,8 +102,6 @@ func (s *Disk) Put(key string, data []byte) error {
 
 // Get implements Store.
 func (s *Disk) Get(key string) ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	b, err := os.ReadFile(s.path(key))
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -98,8 +114,6 @@ func (s *Disk) Get(key string) ([]byte, error) {
 
 // GetRange implements Store.
 func (s *Disk) GetRange(key string, off, n int64) ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	f, err := os.Open(s.path(key))
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -129,8 +143,6 @@ func (s *Disk) GetRange(key string, off, n int64) ([]byte, error) {
 
 // Head implements Store.
 func (s *Disk) Head(key string) (int64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	st, err := os.Stat(s.path(key))
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -143,8 +155,6 @@ func (s *Disk) Head(key string) (int64, error) {
 
 // Delete implements Store.
 func (s *Disk) Delete(key string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	err := os.Remove(s.path(key))
 	if err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("oss: delete %s: %w", key, err)
@@ -152,16 +162,31 @@ func (s *Disk) Delete(key string) error {
 	return nil
 }
 
-// List implements Store.
+// List implements Store. Only the directory the prefix's complete
+// segments name is walked, and within it only the entries its last,
+// partial segment matches: the cost follows the objects under the prefix,
+// not the repository.
 func (s *Disk) List(prefix string) ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	cut := strings.LastIndexByte(prefix, '/') + 1
+	dir, partial := s.root, prefix[cut:]
+	if cut > 0 {
+		dir = s.path(prefix[:cut-1])
+	}
 	var out []string
-	err := filepath.WalkDir(s.root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
+	err := filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			if p == dir && (errors.Is(err, fs.ErrNotExist) || errors.Is(err, syscall.ENOTDIR)) {
+				return nil // no such directory: nothing was ever put under this prefix
+			}
 			return err
 		}
-		if strings.HasSuffix(p, ".tmp") {
+		if p != dir && filepath.Dir(p) == dir && !strings.HasPrefix(unescapeSeg(d.Name()), partial) {
+			if d.IsDir() {
+				return fs.SkipDir
+			}
+			return nil
+		}
+		if d.IsDir() || strings.HasPrefix(d.Name(), tmpPrefix) {
 			return nil
 		}
 		rel, err := filepath.Rel(s.root, p)
@@ -172,8 +197,7 @@ func (s *Disk) List(prefix string) ([]string, error) {
 		for i, seg := range segs {
 			segs[i] = unescapeSeg(seg)
 		}
-		key := strings.Join(segs, "/")
-		if strings.HasPrefix(key, prefix) {
+		if key := strings.Join(segs, "/"); strings.HasPrefix(key, prefix) {
 			out = append(out, key)
 		}
 		return nil

@@ -16,6 +16,12 @@ sh ./scripts/lint.sh
 
 go test -race ./...
 
+# Scheduler independence: which reads run ahead, and every counter and twin
+# comparison built on that, is a function of the caller's sequence, so it
+# must hold with one P (a 2-vCPU runner's worst case) as well as with four.
+go test -race -count=1 -cpu 1,4 ./internal/pipe/ ./internal/cache/
+go test -race -count=1 -cpu 1,4 -run 'Prefetch|ReadAhead|Twin' ./internal/lnode/
+
 # cmd/slimstore has no Go test: drive every subcommand once against a
 # directory repository and compare what comes back.
 sh ./scripts/cli_smoke.sh

@@ -24,6 +24,20 @@ $s restore $repo -name doc -out "$tmp/r1.bin"
 cmp "$tmp/v0.bin" "$tmp/r0.bin"
 cmp "$tmp/v1.bin" "$tmp/r1.bin"
 
+# restore is atomic at -out: a version that does not exist, restored over
+# the output just verified, fails, leaves that file as it was and leaves no
+# partial file beside it.
+if $s restore $repo -name doc -version 7 -out "$tmp/r1.bin" 2>/dev/null; then
+	echo "cli_smoke: restore of a missing version exited 0" >&2
+	exit 1
+fi
+cmp "$tmp/v1.bin" "$tmp/r1.bin"
+if ls "$tmp" | grep -q '\.partial-'; then
+	echo "cli_smoke: a failed restore left its partial file behind:" >&2
+	ls "$tmp" >&2
+	exit 1
+fi
+
 # A directory snapshot through the job engine, restored three wide.
 mkdir -p "$tmp/tree/sub"
 head -c 400000 /dev/urandom >"$tmp/tree/a.bin"
