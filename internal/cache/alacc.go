@@ -53,12 +53,12 @@ func (a *ALACC) Restore(seq []Request, fetch Fetcher, emit Emit) (Stats, error) 
 			order.MoveToFront(e.elem)
 			return
 		}
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		e := &centry{fp: fp, data: cp}
+		// data is a sub-slice of the read-only fetched container; the
+		// cache keeps it, not a copy (cbytes counts chunk bytes: Config).
+		e := &centry{fp: fp, data: data}
 		e.elem = order.PushFront(e)
 		ccache[fp] = e
-		cbytes += int64(len(cp))
+		cbytes += int64(len(data))
 		for cbytes > ccap && order.Len() > 0 {
 			back := order.Back()
 			v := back.Value.(*centry)

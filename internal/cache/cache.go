@@ -92,7 +92,14 @@ type Restorer interface {
 	Restore(seq []Request, fetch Fetcher, emit Emit) (Stats, error)
 }
 
-// Config sizes a cache policy.
+// Config sizes a cache policy. The budgets count the bytes of the chunks
+// (OPT, LRU: containers) a policy holds, and every admission, eviction and
+// Stats value follows from that count. They do not cap the process's
+// memory for the chunk-granular policies: FV and ALACC keep a chunk as a
+// sub-slice of the read-only fetched container, not a copy, so a
+// container's whole payload stays reachable until the last chunk kept
+// from it is consumed or evicted — at most what the restore has fetched
+// (Stats.OSSBytes), whatever the budgets say (DESIGN.md §14).
 type Config struct {
 	// MemBytes is the in-memory cache capacity.
 	MemBytes int64

@@ -316,6 +316,9 @@ func BenchmarkRestorePolicies(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			// B/op against the bytes restored is the copy-per-chunk gauge:
+			// a policy that copies what it caches allocates what it caches.
+			b.ReportAllocs()
 			var total int64
 			for i := 0; i < b.N; i++ {
 				stats, err := p.Restore(seq, repo.fetcher(), func(d []byte) error { return nil })

@@ -161,13 +161,14 @@ func (f *FV) Restore(seq []Request, fetch Fetcher, emit Emit) (Stats, error) {
 
 // insertMem admits a chunk to the memory layer, demoting S_L chunks to the
 // disk layer (and, under extreme pressure, dropping from disk) to respect
-// capacities.
+// capacities. Both layers hold data itself — a sub-slice of the read-only
+// fetched container — so a chunk is admitted, demoted and promoted without
+// being copied; memBytes and the spill layer count chunk bytes, not the
+// containers those slices keep reachable (see Config).
 func (s *fvState) insertMem(fp fingerprint.FP, data []byte) {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	s.mem[fp] = cp
+	s.mem[fp] = data
 	s.memOrder = append(s.memOrder, fp)
-	s.memBytes += int64(len(cp))
+	s.memBytes += int64(len(data))
 
 	// Compact the order list when stale entries dominate, keeping victim
 	// scans amortised-linear.

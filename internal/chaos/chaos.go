@@ -85,7 +85,7 @@ type harness struct {
 	opts   Options
 	rng    *rand.Rand
 	cfg    core.Config
-	mem    *oss.Mem
+	mem    *oss.Frozen // the store of record; Check proves no one wrote through a read
 	faulty *oss.Faulty
 	repo   *core.Repo
 	ln     *lnode.LNode
@@ -121,7 +121,7 @@ func Run(opts Options) (*Result, error) {
 	cfg.PrefetchThreads = 0 // keep the schedule fully deterministic
 	cfg.SparseUtilization = 0.9
 
-	mem := oss.NewMem()
+	mem := oss.NewFrozen(oss.NewMem())
 	h := &harness{
 		opts:   opts,
 		rng:    rand.New(rand.NewSource(opts.Seed)),
@@ -147,6 +147,9 @@ func Run(opts Options) (*Result, error) {
 	}
 	if err := h.heal(); err != nil {
 		return h.res, fmt.Errorf("chaos: seed %d heal: %w", opts.Seed, err)
+	}
+	if err := h.mem.Check(); err != nil {
+		return h.res, fmt.Errorf("chaos: seed %d: %w", opts.Seed, err)
 	}
 	return h.res, nil
 }
@@ -462,6 +465,7 @@ func (h *harness) opCorrupt() error {
 	if err != nil {
 		return err
 	}
+	raw = bytes.Clone(raw) // a read is read-only: rot is a Put of damaged bytes
 	raw[h.rng.Intn(len(raw))] ^= byte(1 + h.rng.Intn(255))
 	if err := h.mem.Put(key, raw); err != nil {
 		return err

@@ -61,14 +61,14 @@ func ecChaosConfig(k, m int) core.Config {
 
 // ecRepo is one side of the EC twin pair.
 type ecRepo struct {
-	mem  *oss.Mem
+	mem  *oss.Frozen
 	repo *core.Repo
 	ln   *lnode.LNode
 	gn   *gnode.GNode
 }
 
 func openECRepo(cfg core.Config) (*ecRepo, error) {
-	mem := oss.NewMem()
+	mem := oss.NewFrozen(oss.NewMem())
 	repo, err := core.OpenRepo(mem, cfg)
 	if err != nil {
 		return nil, err
@@ -218,6 +218,7 @@ func RunEC(opts ECOptions) (*ECResult, error) {
 				if err != nil {
 					return res, err
 				}
+				raw = bytes.Clone(raw) // a read is read-only: rot is a Put of damaged bytes
 				raw[rng.Intn(len(raw))] ^= byte(1 + rng.Intn(255))
 				if err := fault.mem.Put(key, raw); err != nil {
 					return res, err
@@ -358,6 +359,11 @@ func RunEC(opts ECOptions) (*ECResult, error) {
 		}
 		if fv != tv {
 			return res, fmt.Errorf("chaos ec: repaired shard %s differs from the fault-free twin's", k)
+		}
+	}
+	for _, r := range []*ecRepo{fault, twin} {
+		if err := r.mem.Check(); err != nil {
+			return res, fmt.Errorf("chaos ec: seed %d: %w", opts.Seed, err)
 		}
 	}
 	return res, nil

@@ -63,7 +63,7 @@ func replConfig(shards, replicas int) core.Config {
 
 // replRepo is one side of the twin pair.
 type replRepo struct {
-	mem  *oss.Mem
+	mem  *oss.Frozen
 	repo *core.Repo
 	ln   *lnode.LNode
 	gn   *gnode.GNode
@@ -77,7 +77,7 @@ type fileVersion struct {
 }
 
 func openReplRepo(cfg core.Config) (*replRepo, error) {
-	mem := oss.NewMem()
+	mem := oss.NewFrozen(oss.NewMem())
 	repo, err := core.OpenRepo(mem, cfg)
 	if err != nil {
 		return nil, err
@@ -399,6 +399,11 @@ func RunRepl(opts ReplOptions) (*ReplResult, error) {
 	res.LiveVersions = 0
 	if err := assertTwinEqual(fault, twin, res); err != nil {
 		return res, fmt.Errorf("chaos repl: after process reboot: %w", err)
+	}
+	for _, r := range []*replRepo{fault, twin} {
+		if err := r.mem.Check(); err != nil {
+			return res, fmt.Errorf("chaos repl: seed %d: %w", opts.Seed, err)
+		}
 	}
 	return res, nil
 }

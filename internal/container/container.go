@@ -204,6 +204,11 @@ func (m *Meta) SameLayout(o *Meta) bool {
 }
 
 // Container is a fully materialised container: metadata plus payload.
+// The Data of a container a Store returned (Read, ReadRaw, ReadSpans) is
+// read-only: it may alias the object store's memory (oss.Store.Get), and
+// the node-wide restore cache hands one fetched container to every job
+// that asks for it. Only a container the caller built itself has a Data
+// it may write.
 type Container struct {
 	Meta Meta
 	Data []byte
@@ -399,16 +404,25 @@ func appendFooter(payload []byte) []byte {
 // deleted regions — per-chunk sums decide whether live data is affected).
 // For v1 metas the raw object is the payload and footerOK is true.
 func SplitData(m *Meta, raw []byte) (payload []byte, footerOK bool) {
+	payload, footer := splitData(m, raw)
 	if !m.Checksummed() {
-		return raw, true
+		return payload, true
 	}
-	if len(raw) != int(m.DataSize)+FooterSize {
-		return raw, false
+	return payload, footer != nil &&
+		binary.LittleEndian.Uint32(footer) == footerMagic &&
+		binary.LittleEndian.Uint32(footer[4:]) == ChecksumOf(payload)
+}
+
+// splitData is SplitData without the whole-payload CRC: footer is nil for
+// a v1 object and for one whose length does not match the meta (payload
+// is then the raw object). raw is a fetched object — read-only, possibly
+// the object store's own memory — so the payload's capacity is clipped to
+// its length: Store.Write seals in place whenever a payload has footer
+// headroom, and a fetched payload must never offer the store's footer
+// bytes as that headroom.
+func splitData(m *Meta, raw []byte) (payload, footer []byte) {
+	if !m.Checksummed() || len(raw) != int(m.DataSize)+FooterSize {
+		return raw[:len(raw):len(raw)], nil
 	}
-	payload = raw[:m.DataSize]
-	if binary.LittleEndian.Uint32(raw[m.DataSize:]) != footerMagic {
-		return payload, false
-	}
-	stored := binary.LittleEndian.Uint32(raw[m.DataSize+4:])
-	return payload, ChecksumOf(payload) == stored
+	return raw[:m.DataSize:m.DataSize], raw[m.DataSize:]
 }

@@ -149,9 +149,7 @@ func TestDeadRegionCorruptionTolerated(t *testing.T) {
 
 	// Flip a byte inside the deleted chunk's region, at rest.
 	key := Prefix + id.String() + ".data"
-	raw, _ := mem.Get(key)
-	raw[10] ^= 0xFF
-	mem.Put(key, raw)
+	rotAtRest(t, mem, key, 10)
 
 	c, err := cs.Read(id)
 	if err != nil {

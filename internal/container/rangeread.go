@@ -35,49 +35,55 @@ type Span struct {
 // requests outside the span set fail, so callers must derive the span
 // list from the same request sequence they will serve (see cache.Plan).
 //
-// The partial payload is assembled into a buffer from the store's pool
-// (span totals never exceed the container capacity, so the standard
-// payload size always fits): return it with Release when the restore job
-// is done with the container. Partial containers are never entered into
-// the node-wide shared cache, so their lifetime is the one job's.
+// With one span the partial container's Data is the ranged read's result
+// itself; with several it is one allocation of exactly the spans' total
+// length. Either way it is a plain garbage-collected value, read-only
+// like every fetched container (see Container), that lives as long as
+// something references it — the restore job's caches may keep sub-slices
+// of it. Partial containers are never entered into the node-wide shared
+// cache: they only answer the one job's requests.
 func (s *Store) ReadSpans(id ID, spans []Span) (*Container, error) {
 	m, err := s.ReadMeta(id)
 	if err != nil {
 		return nil, err
 	}
-	part := &Container{
-		Meta: Meta{ID: m.ID, Version: m.Version},
-		Data: s.shared.getBuf(),
-	}
-	// Error paths recycle the pooled buffer; part has not escaped yet.
-	fail := func(err error) (*Container, error) {
-		s.shared.putBuf(part.Data)
-		return nil, err
-	}
+	var total int64
 	for si := range spans {
 		sp := &spans[si]
 		if sp.Off < 0 || sp.Len <= 0 || sp.Off+sp.Len > int64(m.DataSize) {
-			return fail(fmt.Errorf("container %s: span [%d,+%d) outside payload of %d bytes",
-				id, sp.Off, sp.Len, m.DataSize))
+			return nil, fmt.Errorf("container %s: span [%d,+%d) outside payload of %d bytes",
+				id, sp.Off, sp.Len, m.DataSize)
 		}
+		total += sp.Len
+	}
+	part := &Container{Meta: Meta{ID: m.ID, Version: m.Version}}
+	if len(spans) > 1 {
+		part.Data = make([]byte, 0, total)
+	}
+	for si := range spans {
+		sp := &spans[si]
 		data, err := s.oss.GetRange(dataKey(id), sp.Off, sp.Len)
 		if err != nil {
-			return fail(fmt.Errorf("container %s: read span [%d,+%d): %w", id, sp.Off, sp.Len, err))
+			return nil, fmt.Errorf("container %s: read span [%d,+%d): %w", id, sp.Off, sp.Len, err)
 		}
 		if int64(len(data)) != sp.Len {
-			return fail(&CorruptError{Container: id,
-				Detail: fmt.Sprintf("ranged read [%d,+%d) returned %d bytes", sp.Off, sp.Len, len(data))})
+			return nil, &CorruptError{Container: id,
+				Detail: fmt.Sprintf("ranged read [%d,+%d) returned %d bytes", sp.Off, sp.Len, len(data))}
 		}
 		base := int64(len(part.Data))
-		part.Data = append(part.Data, data...)
+		if len(spans) == 1 {
+			part.Data = data[:len(data):len(data)]
+		} else {
+			part.Data = append(part.Data, data...)
+		}
 		for _, ci := range sp.Chunks {
 			if ci < 0 || ci >= len(m.Chunks) {
-				return fail(fmt.Errorf("container %s: span chunk index %d out of %d", id, ci, len(m.Chunks)))
+				return nil, fmt.Errorf("container %s: span chunk index %d out of %d", id, ci, len(m.Chunks))
 			}
 			cm := m.Chunks[ci]
 			if int64(cm.Offset) < sp.Off || int64(cm.Offset)+int64(cm.Size) > sp.Off+sp.Len {
-				return fail(fmt.Errorf("container %s: chunk %s [%d,+%d) escapes span [%d,+%d)",
-					id, cm.FP.Short(), cm.Offset, cm.Size, sp.Off, sp.Len))
+				return nil, fmt.Errorf("container %s: chunk %s [%d,+%d) escapes span [%d,+%d)",
+					id, cm.FP.Short(), cm.Offset, cm.Size, sp.Off, sp.Len)
 			}
 			cm.Offset = uint32(base + int64(cm.Offset) - sp.Off)
 			part.Meta.Chunks = append(part.Meta.Chunks, cm)
@@ -88,7 +94,7 @@ func (s *Store) ReadSpans(id ID, spans []Span) (*Container, error) {
 		for i := range part.Meta.Chunks {
 			cm := &part.Meta.Chunks[i]
 			if verr := part.VerifyChunk(cm); verr != nil {
-				return fail(fmt.Errorf("container %s: read span data: %w", id, verr))
+				return nil, fmt.Errorf("container %s: read span data: %w", id, verr)
 			}
 		}
 	}

@@ -48,6 +48,9 @@ func TestReadSpansReturnsCoveredChunks(t *testing.T) {
 	if got, want := len(part.Data), 4*sz; got != want {
 		t.Fatalf("partial payload %d bytes, want %d", got, want)
 	}
+	if cap(part.Data) != 4*sz {
+		t.Fatalf("partial payload capacity %d: several spans assemble into one buffer of exactly their total, %d", cap(part.Data), 4*sz)
+	}
 	for _, i := range []int{3, 4, 5, 30} {
 		data, err := part.Get(fps[i])
 		if err != nil {
@@ -63,6 +66,39 @@ func TestReadSpansReturnsCoveredChunks(t *testing.T) {
 	}
 }
 
+// lastRange records the result of the latest GetRange.
+type lastRange struct {
+	oss.Store
+	got []byte
+}
+
+func (l *lastRange) GetRange(key string, off, n int64) ([]byte, error) {
+	b, err := l.Store.GetRange(key, off, n)
+	l.got = b
+	return b, err
+}
+
+// With one span there is nothing to assemble: the partial container's
+// payload is the ranged read's result, not a second buffer holding a copy.
+func TestReadSpansOneSpanAliasesTheRead(t *testing.T) {
+	const n, sz = 16, 1024
+	cs, id, fps, payloads := buildSpanContainer(t, n, sz)
+	rec := &lastRange{Store: cs.oss}
+	part, err := cs.View(rec).ReadSpans(id, []Span{{Off: 5 * sz, Len: 2 * sz, Chunks: []int{5, 6}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(part.Data) != 2*sz || cap(part.Data) != 2*sz || &part.Data[0] != &rec.got[0] {
+		t.Fatalf("one-span payload: len %d cap %d, aliases the read: %v; want the %d-byte read itself",
+			len(part.Data), cap(part.Data), &part.Data[0] == &rec.got[0], 2*sz)
+	}
+	for _, i := range []int{5, 6} {
+		if data, err := part.Get(fps[i]); err != nil || !bytes.Equal(data, payloads[i]) {
+			t.Fatalf("covered chunk %d: %v", i, err)
+		}
+	}
+}
+
 func TestReadSpansVerifiesChecksums(t *testing.T) {
 	const n, sz = 8, 512
 	cs, id, _, _ := buildSpanContainer(t, n, sz)
@@ -72,6 +108,7 @@ func TestReadSpansVerifiesChecksums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	raw = bytes.Clone(raw) // a fetched object is read-only
 	raw[2*sz+7] ^= 0x40
 	if err := cs.PutRaw(id, raw, nil); err != nil {
 		t.Fatal(err)

@@ -79,7 +79,10 @@ func (sh *storeShared) putBuf(b []byte) {
 // pool. Callers must not touch the container's Data afterwards; the
 // pack stage calls this after the durable write, the synchronous builder
 // path after Write returns. The OSS Put contract (oss.Store) guarantees
-// no implementation retains the buffer.
+// no implementation retains the buffer. It is for containers a Builder
+// of this store filled: a fetched container's payload is read-only
+// memory the pool must never hand to a builder, and — its capacity being
+// clipped to its length — never matches the pool's buffer size.
 func (s *Store) Release(c *Container) {
 	if c == nil || c.Data == nil {
 		return
@@ -217,12 +220,18 @@ func (s *Store) Write(c *Container) error {
 // Read fetches a full container (metadata + payload) and verifies every
 // live chunk against its checksum. Corruption in live data surfaces as a
 // *CorruptError (errors.Is ErrCorrupt); rot confined to deleted regions
-// does not fail reads — the scrub pass detects and clears it.
+// does not fail reads — the scrub pass detects and clears it, which is
+// why Read does not compute the footer's whole-payload CRC: the per-chunk
+// sums already cover every byte a reader can be served, and the footer
+// verdict is ReadRaw's to report. The result is read-only (see
+// Container) and shared by every job the node-wide cache serves it to.
 func (s *Store) Read(id ID) (*Container, error) {
-	c, _, err := s.ReadRaw(id)
+	m, raw, err := s.fetch(id)
 	if err != nil {
 		return nil, err
 	}
+	payload, _ := splitData(m, raw)
+	c := &Container{Meta: *m, Data: payload}
 	for i := range c.Meta.Chunks {
 		cm := &c.Meta.Chunks[i]
 		if cm.Deleted {
@@ -238,17 +247,28 @@ func (s *Store) Read(id ID) (*Container, error) {
 // ReadRaw fetches a container without chunk verification — the scrub path,
 // which wants the damaged payload to salvage intact chunks from. footerOK
 // reports the data object's whole-payload checksum (always true for v1).
+// The result is read-only, as Read's.
 func (s *Store) ReadRaw(id ID) (c *Container, footerOK bool, err error) {
-	m, err := s.ReadMeta(id)
+	m, raw, err := s.fetch(id)
 	if err != nil {
 		return nil, false, err
 	}
-	raw, err := s.oss.Get(dataKey(id))
-	if err != nil {
-		return nil, false, fmt.Errorf("container %s: read data: %w", id, err)
-	}
 	payload, footerOK := SplitData(m, raw)
 	return &Container{Meta: *m, Data: payload}, footerOK, nil
+}
+
+// fetch reads a container's metadata (through the cache) and its raw data
+// object.
+func (s *Store) fetch(id ID) (*Meta, []byte, error) {
+	m, err := s.ReadMeta(id)
+	if err != nil {
+		return nil, nil, err
+	}
+	raw, err := s.oss.Get(dataKey(id))
+	if err != nil {
+		return nil, nil, fmt.Errorf("container %s: read data: %w", id, err)
+	}
+	return m, raw, nil
 }
 
 // GetRawData fetches a container's encoded data object verbatim (footer

@@ -73,7 +73,10 @@ type Config struct {
 
 	// Restore cache sizing (§V-A). The FV cache's disk layer is held in
 	// memory and its local-disk cost charged in virtual time
-	// (Costs.DiskCachePerByte).
+	// (Costs.DiskCachePerByte). Both budgets count chunk bytes and drive
+	// every cache decision; they do not cap the process's memory, because
+	// the fv and alacc caches keep chunks as views of the fetched
+	// containers (cache.Config, DESIGN.md §14).
 	CacheMemBytes  int64
 	CacheDiskBytes int64
 	LAWChunks      int

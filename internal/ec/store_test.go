@@ -127,6 +127,7 @@ func TestStoreShardRot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		raw = bytes.Clone(raw) // a Get result is read-only
 		raw[off] ^= 0xFF
 		if err := mem.Put(shardKey(i, key), raw); err != nil {
 			t.Fatal(err)

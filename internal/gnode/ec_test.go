@@ -1,6 +1,7 @@
 package gnode
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -108,7 +109,7 @@ func TestScrubRepairsECStripes(t *testing.T) {
 			break
 		}
 	}
-	raw := mustGetMem(t, mem, rotted)
+	raw := bytes.Clone(mustGetMem(t, mem, rotted)) // a Get result is read-only
 	raw[len(raw)-5] ^= 0xFF
 	if err := mem.Put(rotted, raw); err != nil {
 		t.Fatal(err)

@@ -30,11 +30,25 @@ func testConfig() core.Config {
 func setup(t *testing.T, cfg core.Config) (*lnode.LNode, *GNode, *core.Repo, *oss.Mem) {
 	t.Helper()
 	mem := oss.NewMem()
-	repo, err := core.OpenRepo(mem, cfg)
+	repo, err := core.OpenRepo(frozen(t, mem), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return lnode.New(repo, "l0"), New(repo), repo, mem
+}
+
+// frozen puts oss.Frozen between a test's repo and its store and checks it
+// when the test ends: whatever the passes, restores and caches of the test
+// fetched, none of them wrote through it. Every gnode test that opens its
+// repo through setup or openOver runs under it.
+func frozen(t *testing.T, s oss.Store) oss.Store {
+	f := oss.NewFrozen(s)
+	t.Cleanup(func() {
+		if err := f.Check(); err != nil {
+			t.Error(err)
+		}
+	})
+	return f
 }
 
 func genData(seed int64, n int) []byte {

@@ -150,7 +150,7 @@ func (s *recStore) recorded() []storeOp {
 func openOver(t *testing.T, store oss.Store, cfg core.Config, workers int) (*core.Repo, *GNode) {
 	t.Helper()
 	cfg.MaintWorkers = workers
-	repo, err := core.OpenRepo(store, cfg)
+	repo, err := core.OpenRepo(frozen(t, store), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package gnode
 
 import (
+	"bytes"
 	"testing"
 
 	"slimstore/internal/container"
@@ -26,6 +27,7 @@ func flipChunkAtRest(t *testing.T, mem *oss.Mem, repo *core.Repo, id container.I
 	if err != nil {
 		t.Fatal(err)
 	}
+	raw = bytes.Clone(raw) // a Get result is read-only; rot is a Put of changed bytes
 	raw[cm.Offset+cm.Size/2] ^= 0xFF
 	if err := mem.Put(key, raw); err != nil {
 		t.Fatal(err)
@@ -166,6 +168,7 @@ func TestScrubClearsDeadRegionRot(t *testing.T) {
 	// Rot a byte inside the dead region.
 	key := container.Prefix + c.Meta.ID.String() + ".data"
 	raw, _ := mem.Get(key)
+	raw = bytes.Clone(raw)
 	raw[10] ^= 0xFF
 	mem.Put(key, raw)
 

@@ -379,6 +379,7 @@ func TestQueuedScrubFindsFlippedChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	raw = bytes.Clone(raw) // a Get result is read-only; rot is a Put of changed bytes
 	raw[m.Chunks[0].Offset+m.Chunks[0].Size/2] ^= 0xFF
 	if err := mem.Put(container.DataKey(id), raw); err != nil {
 		t.Fatal(err)

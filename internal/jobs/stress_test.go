@@ -66,7 +66,9 @@ func TestStressMixedJobsUnderFaults(t *testing.T) {
 		fileSize = 512 << 10
 	)
 
-	mem := oss.NewMem()
+	// Frozen underneath everything: no job, cache or fault layer may write
+	// through a byte the store returned (checked at the end).
+	mem := oss.NewFrozen(oss.NewMem())
 	faulty := oss.NewFaulty(mem)
 	faulty.SetRand(rand.New(rand.NewSource(1)))
 	// Transient faults under an aggressive retry layer: every operation
@@ -234,5 +236,8 @@ func TestStressMixedJobsUnderFaults(t *testing.T) {
 	}
 	if ops := faulty.Ops(); ops == 0 {
 		t.Fatal("fault layer observed no operations: the stress run bypassed the faulty store")
+	}
+	if err := mem.Check(); err != nil {
+		t.Fatal(err)
 	}
 }

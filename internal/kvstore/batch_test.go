@@ -225,6 +225,7 @@ func TestBatchCRCCorruptionDetected(t *testing.T) {
 	db.Sync()
 	keys, _ := mem.List("kv/wal/")
 	seg, _ := mem.Get(keys[0])
+	seg = bytes.Clone(seg) // a Get result is read-only
 	seg[len(seg)-1] ^= 0xFF
 	mem.Put(keys[0], seg)
 	if _, err := Open(mem, smallOpts()); err == nil {

@@ -182,6 +182,7 @@ func TestWALCorruptionDetected(t *testing.T) {
 		t.Fatalf("wal segments = %v", keys)
 	}
 	seg, _ := mem.Get(keys[0])
+	seg = bytes.Clone(seg) // a Get result is read-only
 	seg[len(seg)-1] ^= 0xFF
 	mem.Put(keys[0], seg)
 	if _, err := Open(mem, smallOpts()); err == nil {

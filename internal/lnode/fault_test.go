@@ -272,6 +272,7 @@ func rotUnderCRCs(t *testing.T, repo *core.Repo, fileID string, at int64) {
 	if cm == nil || cm.Deleted {
 		t.Fatalf("fixture: chunk %s is not live in its home container %s", hit.FP.Short(), hit.Container)
 	}
+	c.Data = bytes.Clone(c.Data) // a fetched container's Data is read-only
 	c.Data[int(cm.Offset)+int(cm.Size)/2] ^= 0xFF
 	chunk, err := c.ChunkData(cm)
 	if err != nil {

@@ -33,9 +33,19 @@ func allRecords(r *recipe.Recipe) []*recipe.ChunkRecord {
 	return recs
 }
 
+// newNode opens a node over an in-memory store behind oss.Frozen, checked
+// when the test ends: whatever the test's backups, restores and caches
+// fetched — under every policy, prefetched or ranged — nothing wrote
+// through it.
 func newNode(t *testing.T, cfg core.Config) (*LNode, *core.Repo) {
 	t.Helper()
-	repo, err := core.OpenRepo(oss.NewMem(), cfg)
+	store := oss.NewFrozen(oss.NewMem())
+	t.Cleanup(func() {
+		if err := store.Check(); err != nil {
+			t.Error(err)
+		}
+	})
+	repo, err := core.OpenRepo(store, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

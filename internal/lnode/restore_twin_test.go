@@ -237,6 +237,7 @@ func TestRestoreRunVerifyFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.Data = bytes.Clone(c.Data) // a fetched container's Data is read-only
 	payload, err := c.Get(rec.FP)
 	if err != nil {
 		t.Fatal(err)

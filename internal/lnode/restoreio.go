@@ -33,7 +33,6 @@ type restoreIO struct {
 
 	mu          sync.Mutex
 	plans       map[container.ID]cache.ReadPlan
-	spanned     []*container.Container // span-assembled partials (pooled payload buffers)
 	sharedHits  int
 	sharedJoins int
 	rangedReads int
@@ -67,21 +66,10 @@ func newRestoreIO(n *LNode, containers *container.Store, seq []cache.Request, me
 	return rio
 }
 
-// close releases the job's shared-cache references and returns the
-// span-assembled partial containers' payload buffers to the container
-// store's pool. Partial containers are scoped to this one job (never
-// shared node-wide), and close runs only after the restore pipeline and
-// prefetch workers have been joined, so nothing references the payloads.
+// close releases the job's shared-cache references.
 func (rio *restoreIO) close() {
 	if rio.session != nil {
 		rio.session.Close()
-	}
-	rio.mu.Lock()
-	spanned := rio.spanned
-	rio.spanned = nil
-	rio.mu.Unlock()
-	for _, c := range spanned {
-		rio.containers.Release(c)
 	}
 }
 
@@ -118,7 +106,6 @@ func (rio *restoreIO) fetch(id container.ID) (*container.Container, error) {
 			return nil, err
 		}
 		rio.mu.Lock()
-		rio.spanned = append(rio.spanned, c)
 		rio.rangedReads++
 		rio.rangedSpans += len(p.Spans)
 		rio.rangedBytes += p.SpanBytes

@@ -1,6 +1,7 @@
 package oss
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -231,6 +232,12 @@ func (f *Faulty) Get(key string) ([]byte, error) {
 	}
 	b, err := f.inner.Get(key)
 	if err == nil && corrupt && len(b) > 0 {
+		// Flip a copy: b is the inner store's read-only result and may be
+		// the stored object itself, so a flip in place would rot the object
+		// at rest and every view of it already handed out. The copy is what
+		// keeps a corrupt read transient; at-rest rot is a Put of damaged
+		// bytes, never a read.
+		b = bytes.Clone(b)
 		b[len(b)/2] ^= 0xFF
 	}
 	return b, err
@@ -244,6 +251,7 @@ func (f *Faulty) GetRange(key string, off, n int64) ([]byte, error) {
 	}
 	b, err := f.inner.GetRange(key, off, n)
 	if err == nil && corrupt && len(b) > 0 {
+		b = bytes.Clone(b) // a copy, as in Get
 		b[len(b)/2] ^= 0xFF
 	}
 	return b, err

@@ -1,10 +1,44 @@
 package oss
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
 )
+
+// TestFaultyCorruptReadIsTransient: a corrupt read damages the bytes that
+// one read returns and nothing else. Over a store that shares its memory
+// (Mem) a flip in place would rot the object at rest — the disarmed read
+// and the inner store would both return the flipped byte.
+func TestFaultyCorruptReadIsTransient(t *testing.T) {
+	want := []byte("0123456789abcdef")
+	mem := NewFrozen(NewMem())
+	mem.Put("k", want)
+	f := NewFaulty(mem)
+	f.CorruptReads("k")
+	for name, read := range map[string]func(Store) ([]byte, error){
+		"Get":      func(s Store) ([]byte, error) { return s.Get("k") },
+		"GetRange": func(s Store) ([]byte, error) { return s.GetRange("k", 4, 8) },
+	} {
+		clean, _ := read(mem)
+		clean = bytes.Clone(clean) // a private copy: the view is what is under test
+		bad, err := read(f)
+		if err != nil || bytes.Equal(bad, clean) {
+			t.Fatalf("%s: armed read = %q, %v; want flipped bytes", name, bad, err)
+		}
+		f.Clear()
+		again, _ := read(f)
+		inner, _ := read(mem)
+		if !bytes.Equal(again, clean) || !bytes.Equal(inner, clean) {
+			t.Fatalf("%s: after disarming, read = %q, inner store = %q, want %q", name, again, inner, clean)
+		}
+		f.CorruptReads("k")
+	}
+	if err := mem.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // corruptSchedule runs a fixed operation sequence against a freshly
 // seeded Faulty and records, per Get, whether the corruption stream

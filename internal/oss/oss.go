@@ -9,6 +9,17 @@
 // experiments), an on-disk directory (durable local runs), and an HTTP
 // client speaking to the S3-like server in this package (multi-process
 // runs).
+//
+// Object bytes cross the Store interface under two mirror-image ownership
+// rules, which together let a byte travel from the store to a restore's
+// writer without being copied. Put does not retain its argument (the
+// caller recycles upload buffers), and what Get/GetRange return is
+// read-only and a snapshot: the caller must not write through it — it may
+// be the store's own memory, shared with every other reader of the key —
+// and no later Put or Delete of the key changes it. Code that wants to
+// alter fetched bytes clones them first (Faulty's corrupt reads, the
+// chaos harness's rot operations); Frozen turns a violation into a test
+// failure.
 package oss
 
 import (
@@ -35,10 +46,16 @@ type Store interface {
 	//
 	//slimlint:contract noretain data
 	Put(key string, data []byte) error
-	// Get retrieves a whole object. The returned slice must not be
-	// modified by the caller if the implementation shares memory.
+	// Get retrieves a whole object. The result is read-only and a
+	// snapshot — the mirror of Put's rule: the caller must not write
+	// through it (an implementation may return its own memory, which
+	// every other reader of the key shares), and a later Put or Delete
+	// of the key never changes it. An implementation that returns its
+	// own memory clips the capacity to the length, so an append cannot
+	// land in bytes the caller does not own.
 	Get(key string) ([]byte, error)
 	// GetRange retrieves n bytes at offset off. n < 0 means to the end.
+	// The result is read-only and a snapshot, exactly as Get's.
 	GetRange(key string, off, n int64) ([]byte, error)
 	// Head returns the object size without reading data.
 	Head(key string) (int64, error)
@@ -48,7 +65,10 @@ type Store interface {
 	List(prefix string) ([]string, error)
 }
 
-// Mem is an in-memory Store.
+// Mem is an in-memory Store. Put stores a private copy that nothing
+// writes to again (a later Put of the key replaces the map entry, never
+// the bytes), which is what lets Get and GetRange hand out
+// capacity-clipped views of it instead of a copy per read.
 type Mem struct {
 	mu sync.RWMutex
 	m  map[string][]byte
@@ -75,9 +95,7 @@ func (s *Mem) Get(key string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	cp := make([]byte, len(v))
-	copy(cp, v)
-	return cp, nil
+	return v[:len(v):len(v)], nil
 }
 
 // GetRange implements Store.
@@ -95,9 +113,7 @@ func (s *Mem) GetRange(key string, off, n int64) ([]byte, error) {
 	if n >= 0 && off+n < end {
 		end = off + n
 	}
-	cp := make([]byte, end-off)
-	copy(cp, v[off:end])
-	return cp, nil
+	return v[off:end:end], nil
 }
 
 // Head implements Store.

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -133,19 +134,66 @@ func TestHTTPStore(t *testing.T) {
 	storeUnderTest(t, NewClient(srv.URL, srv.Client()))
 }
 
+// TestMemIsolation pins both ownership rules at the one store that shares
+// memory: Put copies the caller's buffer, and what Get/GetRange return is a
+// capacity-clipped snapshot that no later Put or Delete of the key changes.
 func TestMemIsolation(t *testing.T) {
 	s := NewMem()
-	data := []byte{1, 2, 3}
+	data := []byte{1, 2, 3, 4}
 	s.Put("k", data)
 	data[0] = 99
 	got, _ := s.Get("k")
 	if got[0] != 1 {
 		t.Fatal("Put did not copy the caller's buffer")
 	}
-	got[1] = 99
-	got2, _ := s.Get("k")
-	if got2[1] != 2 {
-		t.Fatal("Get returned shared memory")
+	mid, _ := s.GetRange("k", 1, 2)
+	tail, _ := s.GetRange("k", 2, -1)
+	for name, v := range map[string][]byte{"Get": got, "GetRange": mid, "GetRange to end": tail} {
+		if cap(v) != len(v) {
+			t.Fatalf("%s: cap %d != len %d: an append would write into the stored object", name, cap(v), len(v))
+		}
+	}
+	if &mid[0] != &got[1] {
+		t.Fatal("GetRange copied: views of one object should share its memory")
+	}
+
+	s.Put("k", []byte{9, 9, 9, 9})
+	if !bytes.Equal(got, []byte{1, 2, 3, 4}) || !bytes.Equal(mid, []byte{2, 3}) || !bytes.Equal(tail, []byte{3, 4}) {
+		t.Fatalf("a later Put changed earlier views: %v %v %v", got, mid, tail)
+	}
+	now, _ := s.Get("k")
+	s.Delete("k")
+	if !bytes.Equal(now, []byte{9, 9, 9, 9}) || !bytes.Equal(got, []byte{1, 2, 3, 4}) {
+		t.Fatalf("Delete changed earlier views: %v %v", now, got)
+	}
+}
+
+// TestFrozenNamesTheWrittenView: Check is quiet while views are only read
+// (Put and Delete of their keys included) and names the key once someone
+// writes through one.
+func TestFrozenNamesTheWrittenView(t *testing.T) {
+	f := NewFrozen(NewMem())
+	f.Put("a", []byte("aaaa"))
+	f.Put("b", []byte("bbbb"))
+	f.Get("a")
+	b, _ := f.GetRange("b", 1, 2)
+	f.Get("a") // the same view again is recorded once
+	if len(f.views) != 2 {
+		t.Fatalf("recorded %d views, want 2", len(f.views))
+	}
+	f.Put("a", []byte("AAAA"))
+	f.Delete("b")
+	if err := f.Check(); err != nil {
+		t.Fatalf("Check after Put/Delete only: %v", err)
+	}
+	b[0] ^= 0xFF
+	err := f.Check()
+	if err == nil || !strings.Contains(err.Error(), " b ") {
+		t.Fatalf("Check after writing through a view of b: %v", err)
+	}
+	b[0] ^= 0xFF
+	if err := f.Check(); err != nil {
+		t.Fatalf("Check after restoring the byte: %v", err)
 	}
 }
 

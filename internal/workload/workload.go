@@ -180,10 +180,9 @@ func (g *Generator) Base(i int) []byte {
 func (g *Generator) Next(i, v int, data []byte) []byte {
 	r := rand.New(rand.NewSource(g.fileSeed(i) ^ int64(v)*104729))
 	dup := g.FileDupRatio(i)
-	out := append([]byte{}, data...)
-	pages := len(out) / PageSize
+	pages := len(data) / PageSize
 	if pages < 4 {
-		return out
+		return append([]byte{}, data...)
 	}
 	// Changed pages ≈ (1-dup) of the file. Overwriting a self-referenced
 	// page leaves its twin intact (the content is still duplicated), so
@@ -206,6 +205,13 @@ func (g *Generator) Next(i, v int, data []byte) []byte {
 	updates := budget * 8 / 10
 	inserts := budget / 10
 	deletes := budget - updates - inserts
+	// The one allocation of a version: the previous bytes plus room for the
+	// insert run, so opening the gap below never reallocates the file.
+	// make-then-copy of one length is the form the compiler allocates
+	// without zeroing what the copy overwrites.
+	out := make([]byte, len(data)+inserts*PageSize)
+	copy(out, data)
+	out = out[:len(data)]
 
 	const runLen = 32 // 256 KiB update ranges
 	hotBudget := int(float64(updates) * g.spec.HotWeight)
@@ -274,10 +280,11 @@ func (g *Generator) Next(i, v int, data []byte) []byte {
 	// hot window like real tables growing and vacuuming at the tail.
 	if inserts > 0 {
 		lo := hotLo
-		p := lo + r.Intn(len(out)/PageSize-lo+1)
-		ins := make([]byte, inserts*PageSize)
-		r.Read(ins)
-		out = append(out[:p*PageSize], append(ins, out[p*PageSize:]...)...)
+		at := (lo + r.Intn(len(out)/PageSize-lo+1)) * PageSize
+		n := inserts * PageSize
+		out = out[:len(out)+n]
+		copy(out[at+n:], out[at:]) // overlapping: copy is a memmove
+		r.Read(out[at : at+n])
 	}
 	if deletes > 0 && len(out) > (deletes+8)*PageSize && len(out)/PageSize-deletes > hotLo {
 		p := hotLo + r.Intn(len(out)/PageSize-deletes-hotLo)

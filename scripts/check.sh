@@ -30,14 +30,18 @@ sh ./scripts/cli_smoke.sh
 # the gate without costing real measurement time.
 BENCHTIME=1x sh ./scripts/bench.sh
 
-# Wall-clock benchmark smoke on the two G-node-heavy workloads and on the
-# one that runs jobs.Engine with two racing clients (per-job round trips
-# under concurrency — the regime the other two do not reach): ~1 s each,
+# Wall-clock benchmark smoke on all four workloads — the two G-node-heavy
+# ones, the one that runs jobs.Engine with two racing clients (per-job
+# round trips under concurrency — the regime the other two do not reach),
+# and sdb-cpu, the free in-memory store whose restores serve bytes that
+# alias the store's own memory, where the comparing writer is the
+# end-to-end proof that aliased bytes are the right bytes: ~1 s each,
 # same phases as a full run, and the benchmark's output checks (comparing
 # writer on every restore, Scrub clean, audit before restores, exact
 # rep-to-rep counts) fail the gate. The numbers are discarded — a
 # performance claim is made through benchmark/run.sh, in alternating pairs
 # (benchmark/README.md).
+go run ./benchmark -workload sdb-cpu -smoke >/dev/null
 go run ./benchmark -workload sdb-cloud -smoke >/dev/null
 go run ./benchmark -workload retention-churn -smoke >/dev/null
 go run ./benchmark -workload rdata-jobs -smoke >/dev/null
