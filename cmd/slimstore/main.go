@@ -464,6 +464,7 @@ func main() {
 		}
 		fmt.Printf("containers: %d bytes\nrecipes:    %d bytes\nindexes:    %d bytes\ntotal:      %d bytes\n",
 			u.ContainerBytes, u.RecipeBytes, u.IndexBytes, u.TotalBytes)
+		fmt.Printf("sha1 kernel: %s\n", slimstore.SHA1Kernel())
 
 	default:
 		fatalf("unknown command %q", cmd)

@@ -45,6 +45,11 @@ func (s *Stream) Reset(data []byte) {
 	s.scanned, s.skipped = 0, 0
 }
 
+// StartAt positions a fresh stream at off: the bytes before it were cut
+// elsewhere (a backup's head probe, lnode) and are neither scanned, skipped
+// nor charged here. Chunk offsets stay relative to the whole buffer.
+func (s *Stream) StartAt(off int) { s.pos = off }
+
 // Pos returns the current offset.
 func (s *Stream) Pos() int { return s.pos }
 

@@ -387,14 +387,15 @@ func EncodeData(payload []byte) []byte {
 	return out
 }
 
-// appendFooter seals a payload into a v2 data object in place. The caller
-// guarantees cap(payload) >= len(payload)+FooterSize; the returned slice
-// shares payload's backing array, extended over the footer bytes.
-func appendFooter(payload []byte) []byte {
+// appendFooter seals a payload whose CRC32C is sum into a v2 data object in
+// place. The caller guarantees cap(payload) >= len(payload)+FooterSize; the
+// returned slice shares payload's backing array, extended over the footer
+// bytes.
+func appendFooter(payload []byte, sum uint32) []byte {
 	n := len(payload)
 	out := payload[:n+FooterSize]
 	binary.LittleEndian.PutUint32(out[n:], footerMagic)
-	binary.LittleEndian.PutUint32(out[n+4:], ChecksumOf(payload))
+	binary.LittleEndian.PutUint32(out[n+4:], sum)
 	return out
 }
 

@@ -84,6 +84,70 @@ func TestDataFooterRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteFooterAnyLayout: Write takes the footer CRC from the seal walk
+// when the chunks tile the payload in order and from a separate pass over
+// the payload otherwise; either way the stored data object is exactly
+// EncodeData(payload), for every chunk layout and with or without footer
+// headroom in the payload buffer.
+func TestWriteFooterAnyLayout(t *testing.T) {
+	payload := make([]byte, 10000)
+	rand.New(rand.NewSource(9)).Read(payload)
+	span := func(off, size uint32) ChunkMeta {
+		return ChunkMeta{FP: fingerprint.OfBytes(payload[off : off+size]), Offset: off, Size: size}
+	}
+	golden := goldenContainer()
+	for _, tc := range []struct {
+		name   string
+		data   []byte
+		chunks []ChunkMeta
+		tiled  bool
+	}{
+		{"tiled", payload, []ChunkMeta{span(0, 4000), span(4000, 1), span(4001, 5999)}, true},
+		{"golden", golden.Data, golden.Meta.Chunks, true},
+		{"one chunk", payload, []ChunkMeta{span(0, 10000)}, true},
+		{"empty chunk inside", payload, []ChunkMeta{span(0, 4000), span(4000, 0), span(4000, 6000)}, true},
+		{"no chunks, no payload", nil, nil, true},
+		{"no chunks", payload, nil, false},
+		{"gap at start", payload, []ChunkMeta{span(10, 3990), span(4000, 6000)}, false},
+		{"gap inside", payload, []ChunkMeta{span(0, 4000), span(4100, 5900)}, false},
+		{"tail uncovered", payload, []ChunkMeta{span(0, 4000), span(4000, 5000)}, false},
+		{"out of order", payload, []ChunkMeta{span(4000, 6000), span(0, 4000)}, false},
+		{"overlap", payload, []ChunkMeta{span(0, 5000), span(4000, 6000)}, false},
+		{"same bytes twice", payload, []ChunkMeta{span(0, 10000), span(0, 10000)}, false},
+	} {
+		for _, headroom := range []int{FooterSize, 0} {
+			mem := oss.NewMem()
+			cs, err := NewStore(mem, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := append(make([]byte, 0, len(tc.data)+headroom), tc.data...)
+			c := &Container{Meta: Meta{ID: 1, Chunks: append([]ChunkMeta(nil), tc.chunks...)}, Data: data}
+			if _, tiled, err := c.seal(); err != nil || tiled != tc.tiled {
+				t.Fatalf("%s: seal reports tiled=%v err=%v, want tiled=%v", tc.name, tiled, err, tc.tiled)
+			}
+			if err := cs.Write(c); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if !bytes.Equal(c.Data, tc.data) {
+				t.Errorf("%s/headroom %d: Write changed the payload view", tc.name, headroom)
+			}
+			got, err := mem.Get(dataKey(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, EncodeData(tc.data)) {
+				t.Errorf("%s/headroom %d: data object is not EncodeData(payload)", tc.name, headroom)
+			}
+			for i := range c.Meta.Chunks {
+				if err := c.VerifyChunk(&c.Meta.Chunks[i]); err != nil {
+					t.Errorf("%s: chunk %d: %v", tc.name, i, err)
+				}
+			}
+		}
+	}
+}
+
 // Read must detect a flipped byte in live chunk data and identify the
 // container and chunk in a typed error.
 func TestReadDetectsCorruption(t *testing.T) {

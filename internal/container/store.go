@@ -3,6 +3,7 @@ package container
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"strconv"
 	"strings"
 	"sync"
@@ -166,18 +167,34 @@ func (s *Store) AllocateID() ID { return ID(s.shared.nextID.Add(1)) }
 // version, the payload size, and every chunk's checksum. Write calls it
 // implicitly; the journaled-rewrite path calls it before encoding.
 func (c *Container) Seal() error {
+	_, _, err := c.seal()
+	return err
+}
+
+// seal is Seal, and on the same walk the footer's whole-payload CRC32C when
+// the chunks tile the payload in order (tiled; every builder container):
+// the running sum is extended by each chunk right after the chunk's own sum,
+// while its bytes are still in cache, so Write does not read the payload a
+// second time. Both sums are taken from the payload buffer.
+func (c *Container) seal() (payloadSum uint32, tiled bool, err error) {
 	c.Meta.Version = MetaV2
 	c.Meta.DataSize = uint32(len(c.Data))
+	tiled = true
+	var next uint32 // where the next chunk starts if the chunks tile
 	for i := range c.Meta.Chunks {
 		cm := &c.Meta.Chunks[i]
 		data, err := c.ChunkData(cm)
 		if err != nil {
-			return fmt.Errorf("container %s: seal: %w", c.Meta.ID, err)
+			return 0, false, fmt.Errorf("container %s: seal: %w", c.Meta.ID, err)
 		}
 		cm.Sum = ChecksumOf(data)
+		if tiled = tiled && cm.Offset == next; tiled {
+			payloadSum = crc32.Update(payloadSum, castagnoli, data)
+			next += cm.Size
+		}
 	}
 	c.Meta.buildFindIndex()
-	return nil
+	return payloadSum, tiled && next == c.Meta.DataSize, nil
 }
 
 // Write persists a container in format v2 (data then metadata, so a
@@ -191,7 +208,8 @@ func (s *Store) Write(c *Container) error {
 	if c.Meta.ID == Invalid {
 		return fmt.Errorf("container: write with invalid ID")
 	}
-	if err := c.Seal(); err != nil {
+	sum, tiled, err := c.seal()
+	if err != nil {
 		return err
 	}
 	// Seal the data object in place when the payload buffer has footer
@@ -201,7 +219,10 @@ func (s *Store) Write(c *Container) error {
 	payload := c.Data
 	var enc []byte
 	if cap(payload) >= len(payload)+FooterSize {
-		enc = appendFooter(payload)
+		if !tiled {
+			sum = ChecksumOf(payload)
+		}
+		enc = appendFooter(payload, sum)
 	} else {
 		enc = EncodeData(payload)
 	}

@@ -107,7 +107,8 @@ type Config struct {
 	PackWorkers int
 	// HashWorkers is the size of an L-node's persistent fingerprint
 	// worker pool. The base-detection probe pass always hashes through
-	// it; the main loop does when both history-aware accelerations are
+	// it (and a job that finds no base keeps those fingerprints for its
+	// main loop); the main loop does when both history-aware accelerations are
 	// off, which is when chunking and hashing run ahead of the dedup
 	// probes on the ingest ring (with either on, cut points depend on
 	// dedup verdicts and each chunk is hashed where it is cut).
@@ -312,6 +313,11 @@ func OpenRepo(store oss.Store, cfg Config) (*Repo, error) {
 	if _, err := chunker.New(cfg.ChunkAlgo, cfg.ChunkParams); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	if !cfg.FingerprintAlg.Valid() {
+		// Hashing under a guessed algorithm would write fingerprints no
+		// correctly configured process can match.
+		return nil, fmt.Errorf("core: unknown fingerprint algorithm %v", cfg.FingerprintAlg)
+	}
 	var tier *ec.Store
 	containerOSS := store
 	if cfg.ECDataShards > 0 {
@@ -477,15 +483,20 @@ func (r *Repo) Cutter() chunker.Cutter {
 	return c
 }
 
+// FingerprintPerByte is the virtual CPU cost of fingerprinting one byte
+// with the configured algorithm.
+func (c *Config) FingerprintPerByte() float64 {
+	if c.FingerprintAlg == fingerprint.SHA256 {
+		return c.Costs.SHA256PerByte
+	}
+	return c.Costs.SHA1PerByte
+}
+
 // Fingerprint hashes a chunk with the configured algorithm, charging the
 // fingerprinting CPU phase.
 func (r *Repo) Fingerprint(acct *simclock.Account, data []byte) fingerprint.FP {
-	per := r.Config.Costs.SHA1PerByte
-	if r.Config.FingerprintAlg == fingerprint.SHA256 {
-		per = r.Config.Costs.SHA256PerByte
-	}
 	if acct != nil {
-		acct.ChargeCPUBytes(simclock.PhaseFingerprint, int64(len(data)), per)
+		acct.ChargeCPUBytes(simclock.PhaseFingerprint, int64(len(data)), r.Config.FingerprintPerByte())
 	}
 	return fingerprint.Of(r.Config.FingerprintAlg, data)
 }

@@ -53,6 +53,13 @@ func TestOpenRepoRejectsBadConfig(t *testing.T) {
 	if _, err := OpenRepo(oss.NewMem(), bad); err == nil {
 		t.Fatal("invalid chunk params accepted")
 	}
+	// An algorithm nobody defined must not open: Of would have to guess a
+	// hash and Fingerprint a price for it.
+	for _, alg := range []fingerprint.Algorithm{-1, fingerprint.SHA256 + 1} {
+		if _, err := OpenRepo(oss.NewMem(), Config{FingerprintAlg: alg}); err == nil {
+			t.Fatalf("fingerprint algorithm %d accepted", int(alg))
+		}
+	}
 }
 
 func TestMeteredViews(t *testing.T) {

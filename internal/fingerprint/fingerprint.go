@@ -45,19 +45,34 @@ func (a Algorithm) String() string {
 	}
 }
 
+// Valid reports whether alg is one of the supported algorithms.
+func (a Algorithm) Valid() bool { return a == SHA1 || a == SHA256 }
+
+// sha1Sum is the SHA-1 behind Of and kernel its name: crypto/sha1 unless
+// this package's init found a faster implementation for the CPU it runs on
+// (sha1block_amd64.go). Both are written at init only.
+var sha1Sum, kernel = sha1.Sum, "crypto/sha1"
+
+// Kernel names the SHA-1 implementation Of runs in this process: "sha-ni"
+// (the x86 SHA extensions) or "crypto/sha1".
+func Kernel() string { return kernel }
+
 // Of computes the fingerprint of data with the given algorithm. For SHA256
-// the digest is truncated to Size bytes.
+// the digest is truncated to Size bytes. alg must be Valid (core.OpenRepo
+// checks the configured one); anything else is a caller's bug and panics
+// rather than fingerprint under a hash nobody chose.
 func Of(alg Algorithm, data []byte) FP {
-	var fp FP
 	switch alg {
+	case SHA1:
+		return sha1Sum(data)
 	case SHA256:
+		var fp FP
 		sum := sha256.Sum256(data)
 		copy(fp[:], sum[:Size])
+		return fp
 	default:
-		sum := sha1.Sum(data)
-		copy(fp[:], sum[:])
+		panic(fmt.Sprintf("fingerprint: unknown algorithm %d", int(alg)))
 	}
-	return fp
 }
 
 // OfBytes computes the default (SHA-1) fingerprint of data.

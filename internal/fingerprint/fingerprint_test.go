@@ -1,6 +1,7 @@
 package fingerprint
 
 import (
+	"crypto/sha1"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -140,18 +141,30 @@ func TestQuickFingerprint(t *testing.T) {
 }
 
 // BenchmarkFingerprint measures chunk hashing at the two deployed sizes:
-// the 4 KiB average chunk and a 64 KiB superchunk.
+// the 4 KiB average chunk and a 64 KiB superchunk. SHA-1 runs once per
+// kernel — what Of dispatches to on this host (Kernel()) and, when that is
+// not crypto/sha1, crypto/sha1 beside it, so one sweep shows the ratio.
 func BenchmarkFingerprint(b *testing.B) {
-	for _, alg := range []Algorithm{SHA1, SHA256} {
+	type hash struct {
+		name string
+		sum  func([]byte)
+	}
+	hashes := []hash{{"sha1/crypto.sha1", func(d []byte) { Of(SHA1, d) }}}
+	if Kernel() != "crypto/sha1" {
+		hashes[0].name = "sha1/" + Kernel()
+		hashes = append(hashes, hash{"sha1/crypto.sha1", func(d []byte) { sha1.Sum(d) }})
+	}
+	hashes = append(hashes, hash{"sha256", func(d []byte) { Of(SHA256, d) }})
+	for _, h := range hashes {
 		for _, size := range []int{4 << 10, 64 << 10} {
 			data := make([]byte, size)
 			for i := range data {
 				data[i] = byte(i * 31)
 			}
-			b.Run(fmt.Sprintf("%s/%dKiB", alg, size>>10), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/%dKiB", h.name, size>>10), func(b *testing.B) {
 				b.SetBytes(int64(size))
 				for i := 0; i < b.N; i++ {
-					Of(alg, data)
+					h.sum(data)
 				}
 			})
 		}

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -40,6 +41,10 @@ type LNode struct {
 	hpool  *hashPool
 	closed bool
 	runs   sync.Pool // *ingestRun
+
+	// wrapCutter, set by tests only, wraps every cutter the node builds, so
+	// a test can see what is offered to Cut.
+	wrapCutter func(chunker.Cutter) chunker.Cutter
 }
 
 // New returns an L-node. name is informational (logs, stats).
@@ -49,6 +54,14 @@ func New(repo *core.Repo, name string) *LNode {
 
 // Name returns the node name.
 func (n *LNode) Name() string { return n.name }
+
+// newCutter constructs the configured chunker.
+func (n *LNode) newCutter() chunker.Cutter {
+	if n.wrapCutter != nil {
+		return n.wrapCutter(n.repo.Cutter())
+	}
+	return n.repo.Cutter()
+}
 
 // BackupStats reports one backup job.
 type BackupStats struct {
@@ -114,9 +127,10 @@ type backupJob struct {
 	pool       *container.PackPool // nil when packing synchronously
 	sampler    fingerprint.Sampler
 
-	// Base file (STEP 1 result).
+	// Base file (STEP 1 result), or the probe's cuts when there is none.
 	baseReader *recipe.SegmentReader
 	baseIndex  *recipe.Index
+	head       headCuts
 
 	// Dedup cache (STEP 2): prefetched segment recipes, bounded by
 	// Config.DedupCacheSegments with FIFO eviction.
@@ -145,6 +159,18 @@ type backupJob struct {
 type pendingRec struct {
 	rec recipe.ChunkRecord
 	off int64
+}
+
+// headCuts is what the head probe of a job that found no base hands STEP 2,
+// so the head is cut and fingerprinted once (DESIGN.md §13): the leading
+// chunks of the version, in order from offset 0, whose boundaries are the
+// ones cutting the whole version would produce, their fingerprints, and the
+// offset they end at, where STEP 2 resumes cutting. Zero when the job has a
+// base.
+type headCuts struct {
+	chunks []chunker.Chunk
+	fps    []fingerprint.FP
+	end    int64
 }
 
 // newBackupJob builds the per-job pipeline state shared by Backup and
@@ -221,40 +247,70 @@ func (j *backupJob) finish() *BackupStats {
 // Backup deduplicates one input file version and persists containers,
 // recipe, recipe index, similarity sketch, and catalog entry.
 func (n *LNode) Backup(fileID string, data []byte) (*BackupStats, error) {
-	return n.backup(fileID, data, data, (*backupJob).dedupe)
+	return n.backup(fileID, data, data, true, (*backupJob).dedupe)
 }
 
-// BackupStream deduplicates one input version read from r without ever
-// materialising it: resident memory stays O(pipeline window) — head
-// probe + ring slabs + pack budget — regardless of input size.
-// History-aware cuts need random access to the whole version, so with
-// skip chunking or chunk merging on the stream is buffered and handed to
-// Backup.
+// BackupStream deduplicates one input version read from r. Only the head
+// base detection samples is read before the job knows whether it has a
+// base. Without one — a first version, a similarity miss — no cut depends
+// on history under any configuration, so the version streams through the
+// ring and is never materialised: resident memory stays O(pipeline window)
+// — head probe + ring slabs + pack budget — regardless of input size. With
+// a base, skip chunking and chunk merging need random access to the whole
+// version, so with either on the rest of the stream is buffered behind the
+// head; with both off a version with history streams too.
 func (n *LNode) BackupStream(fileID string, rd io.Reader) (*BackupStats, error) {
-	if n.repo.Config.SkipChunking || n.repo.Config.ChunkMerging {
-		data, err := io.ReadAll(rd)
-		if err != nil {
-			return nil, fmt.Errorf("lnode: read stream: %w", err)
-		}
-		return n.Backup(fileID, data)
-	}
-	// Base detection samples only the head (§IV-A) — the one part of the
-	// stream that must be buffered, and later re-cut as the stream prefix.
-	head := make([]byte, headBytes)
-	hn, err := io.ReadFull(rd, head)
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+	// One byte past what base detection samples, so that a version of
+	// exactly headBytes is known to end there.
+	head, eof, err := readUpTo(rd, nil, headBytes+1)
+	if err != nil {
 		return nil, fmt.Errorf("lnode: read stream head: %w", err)
 	}
-	head = head[:hn]
-	return n.backup(fileID, nil, head, func(j *backupJob) error {
-		return j.dedupeStream(head, rd)
+	return n.backup(fileID, nil, head, eof, func(j *backupJob) error {
+		if j.baseIndex == nil || !(j.cfg.SkipChunking || j.cfg.ChunkMerging) {
+			return j.dedupeStream(head, eof, rd)
+		}
+		j.data = head
+		if !eof {
+			var err error
+			if j.data, _, err = readUpTo(rd, head, math.MaxInt); err != nil {
+				return fmt.Errorf("lnode: read stream: %w", err)
+			}
+		}
+		j.stats.LogicalBytes = int64(len(j.data))
+		return j.dedupeHistoryAware()
 	})
 }
 
+// readUpTo appends rd to buf until buf holds limit bytes or rd ends (eof),
+// doubling the buffer as it fills — a short input costs a short buffer —
+// and going straight to limit once the doubling after next would pass it.
+func readUpTo(rd io.Reader, buf []byte, limit int) (_ []byte, eof bool, err error) {
+	for len(buf) < limit {
+		if len(buf) == cap(buf) {
+			grow := max(2*cap(buf), 64<<10)
+			if grow > limit/2 {
+				grow = limit
+			}
+			buf = append(make([]byte, 0, grow), buf...)
+		}
+		n, err := rd.Read(buf[len(buf):min(cap(buf), limit)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, true, nil
+		}
+		if err != nil {
+			return buf, false, err
+		}
+	}
+	return buf, false, nil
+}
+
 // backup is the job body shared by Backup and BackupStream. data is the
-// whole version when it is in memory (nil when streaming), head the
-// prefix base detection samples, step2 the dedupe stage to run.
-func (n *LNode) backup(fileID string, data, head []byte, step2 func(*backupJob) error) (*BackupStats, error) {
+// whole version when it is in memory (nil when streaming), head a prefix
+// of it for base detection to sample, eof whether the version ends where
+// head does, step2 the dedupe stage to run.
+func (n *LNode) backup(fileID string, data, head []byte, eof bool, step2 func(*backupJob) error) (*BackupStats, error) {
 	if fileID == "" {
 		return nil, fmt.Errorf("lnode: empty file ID")
 	}
@@ -271,7 +327,7 @@ func (n *LNode) backup(fileID string, data, head []byte, step2 func(*backupJob) 
 
 	// STEP 1: detect the latest historical version by name, falling back
 	// to the similar file index.
-	if err := j.detectBase(fileID, head); err != nil {
+	if err := j.detectBase(fileID, head, eof); err != nil {
 		return nil, err
 	}
 
@@ -288,8 +344,9 @@ func (n *LNode) backup(fileID string, data, head []byte, step2 func(*backupJob) 
 	return j.finish(), nil
 }
 
-// detectBase implements STEP 1 of §IV-A.
-func (j *backupJob) detectBase(fileID string, data []byte) error {
+// detectBase implements STEP 1 of §IV-A. head is a prefix of the version
+// and eof says the version ends where head does.
+func (j *backupJob) detectBase(fileID string, head []byte, eof bool) error {
 	latest, ok, err := j.recipes.LatestVersion(fileID)
 	if err != nil {
 		return fmt.Errorf("lnode: detect base: %w", err)
@@ -307,31 +364,38 @@ func (j *backupJob) detectBase(fileID string, data []byte) error {
 	// Name miss: sample the header chunks and query the similar file
 	// index (large files cannot be fully chunked in memory first, so only
 	// the head is sampled — §IV-A).
-	head := data
 	if len(head) > headBytes {
-		head = head[:headBytes]
+		head, eof = head[:headBytes], false
 	}
-	cutter := j.node.repo.Cutter()
-	stream := chunker.NewStream(head, cutter, nil, j.cfg.Costs) // probe pass: not charged as chunking
-	var chunks []chunker.Chunk
-	for {
-		ch, ok := stream.Next()
-		if !ok {
-			break
-		}
-		chunks = append(chunks, ch)
+	cutter := j.node.newCutter()
+	chunks := chunker.SplitAll(head, cutter) // probe pass: not charged as chunking
+	fps := j.node.hashAll(j.cfg.FingerprintAlg, chunks)
+	// Unless the query below finds a base, STEP 2 starts from these cuts
+	// instead of making them again. It may take only those that cutting the
+	// whole version would also make — the ones whose lookahead reached the
+	// cutter's maximum inside the head, or all of them when the head is the
+	// version (produceStream's rule) — and resumes after the last it took.
+	keep := len(chunks)
+	if !eof {
+		reach := int64(len(head) - cutter.Params().Max)
+		keep = sort.Search(len(chunks), func(i int) bool { return chunks[i].Offset > reach })
 	}
-	var fps []fingerprint.FP
-	for _, fp := range j.node.hashAll(j.cfg.FingerprintAlg, chunks) {
+	j.head = headCuts{chunks: chunks[:keep], fps: fps[:keep], end: int64(len(head))}
+	if keep < len(chunks) {
+		j.head.end = chunks[keep].Offset
+	}
+
+	var sampled []fingerprint.FP
+	for _, fp := range fps {
 		if j.sampler.Sample(fp) {
-			fps = append(fps, fp)
+			sampled = append(sampled, fp)
 		}
 	}
 	j.acct.ChargeCPUBytes(simclock.PhaseOther, int64(len(head)), j.cfg.Costs.OtherPerByte)
-	if len(fps) == 0 {
+	if len(sampled) == 0 {
 		return nil
 	}
-	m, found := j.node.repo.SimIndex.Query(simindex.SketchOf(fps, simindex.DefaultSketchSize), j.cfg.SimilarityMinScore)
+	m, found := j.node.repo.SimIndex.Query(simindex.SketchOf(sampled, simindex.DefaultSketchSize), j.cfg.SimilarityMinScore)
 	j.acct.ChargeCPU(simclock.PhaseIndexQuery, j.cfg.Costs.IndexLookup)
 	if !found {
 		return nil
@@ -344,6 +408,9 @@ func (j *backupJob) detectBase(fileID string, data []byte) error {
 		// inside its commit wave leaves behind (persist): not a base.
 		return nil
 	}
+	// A job with history cuts from byte 0: its cut points may follow the
+	// base's (skip chunking, superchunks), not the probe's.
+	j.head = headCuts{}
 	j.stats.BaseBy = "similarity"
 	j.stats.BaseFile = m.FileID
 	j.stats.BaseVersion = m.Version
@@ -507,7 +574,7 @@ func (j *backupJob) dedupe() error {
 		return j.dedupeHistoryAware()
 	}
 	r := j.node.newIngestRun()
-	go r.produceBuffer(j.data)
+	go r.produceBuffer(j.data, j.head)
 	return j.consumeRing(r)
 }
 
@@ -515,8 +582,20 @@ func (j *backupJob) dedupe() error {
 // chunking and SuperChunking. With both switched off it is the plain
 // serial chunk→hash→probe loop the ring is twin-tested against.
 func (j *backupJob) dedupeHistoryAware() error {
-	cutter := j.node.repo.Cutter()
+	cutter := j.node.newCutter()
 	stream := chunker.NewStream(j.data, cutter, j.acct, j.cfg.Costs)
+
+	// The head probe's cuts (a job without a base only, so every probe
+	// below misses): charged what Next and Fingerprint charge per chunk.
+	cutCost, hashCost := cutter.PerByteCost(j.cfg.Costs), j.cfg.FingerprintPerByte()
+	for i, ch := range j.head.chunks {
+		j.acct.ChargeCPUBytes(simclock.PhaseChunking, int64(ch.Size()), cutCost)
+		j.acct.ChargeCPUBytes(simclock.PhaseFingerprint, int64(ch.Size()), hashCost)
+		if err := j.dedupeChunk(j.head.fps[i], ch); err != nil {
+			return err
+		}
+	}
+	stream.StartAt(int(j.head.end))
 
 	for !stream.Done() {
 		// History-aware skip chunking (§IV-B): after a confirmed
@@ -592,6 +671,19 @@ func (j *backupJob) dedupeHistoryAware() error {
 		}
 	}
 	return j.flushPending()
+}
+
+// dedupeChunk probes one content-defined chunk and records it as a
+// duplicate or stores it as unique.
+func (j *backupJob) dedupeChunk(fp fingerprint.FP, ch chunker.Chunk) error {
+	e, hit, err := j.lookup(fp)
+	if err != nil {
+		return err
+	}
+	if hit {
+		return j.emitDuplicate(e, ch)
+	}
+	return j.emitUnique(fp, ch)
 }
 
 // emitDuplicate records a confirmed duplicate chunk.

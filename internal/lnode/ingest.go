@@ -21,7 +21,9 @@ import (
 // Ownership discipline:
 //   - The producer cuts chunks into batches and hands each batch to the
 //     persistent hash pool, then to the ring. From that point the batch
-//     (chunks, fps, attached slab) belongs to the consumer.
+//     (chunks, fps, attached slab) belongs to the consumer. The cuts the
+//     head probe already made (headCuts) go first, as batches that arrive
+//     fingerprinted and skip the pool.
 //   - The consumer waits for the batch's fingerprints, charges its
 //     virtual CPU, runs the dedup sink (which copies unique payloads into
 //     container buffers), and recycles the batch and its slab.
@@ -45,10 +47,12 @@ const (
 	// ingestSlabBytes is the streaming read-buffer size (grown to 4×Max
 	// for oversized chunk configurations).
 	ingestSlabBytes = 1 << 20
-	// headBytes is how much of the input base detection samples (§IV-A);
-	// also the streaming head-probe size.
-	headBytes = 8 << 20
 )
+
+// headBytes is how much of the input base detection samples (§IV-A); also
+// the streaming head-probe size. A variable only so that tests can put the
+// seam between the probe's cuts and STEP 2's wherever they need it.
+var headBytes = 8 << 20
 
 // chunkBatch is one pipeline unit: a run of consecutive chunks, their
 // fingerprints (filled asynchronously by the hash pool; wait on done),
@@ -129,7 +133,7 @@ func (n *LNode) newIngestRun() *ingestRun {
 		r = &ingestRun{ring: make(chan *chunkBatch, ingestRingDepth)}
 	}
 	if r.cutter == nil {
-		r.cutter = n.repo.Cutter()
+		r.cutter = n.newCutter()
 		r.maxChunk = r.cutter.Params().Max
 		r.slabBytes = ingestSlabBytes
 		if m := 4 * r.maxChunk; m > r.slabBytes {
@@ -139,10 +143,7 @@ func (n *LNode) newIngestRun() *ingestRun {
 	r.node = n
 	r.alg = cfg.FingerprintAlg
 	r.cutCost = r.cutter.PerByteCost(cfg.Costs)
-	r.hashCost = cfg.Costs.SHA1PerByte
-	if cfg.FingerprintAlg == fingerprint.SHA256 {
-		r.hashCost = cfg.Costs.SHA256PerByte
-	}
+	r.hashCost = cfg.FingerprintPerByte()
 	if r.stop == nil || r.stopped {
 		r.stop = make(chan struct{})
 		r.stopped = false
@@ -172,6 +173,12 @@ func (r *ingestRun) emit(b *chunkBatch, owned []byte) bool {
 		}
 		b.done.Done()
 	}
+	return r.send(b)
+}
+
+// send puts a batch whose fingerprints are filled in or being filled in on
+// the ring. Returns false when the consumer aborted.
+func (r *ingestRun) send(b *chunkBatch) bool {
 	select {
 	case r.ring <- b:
 		return true
@@ -182,25 +189,53 @@ func (r *ingestRun) emit(b *chunkBatch, owned []byte) bool {
 	}
 }
 
-// cut appends the next chunk starting at buf[pos] to b, charging its
-// production cost into the batch. Returns the chunk length.
+// seed sends the head probe's cuts down the ring ahead of everything the
+// producer cuts itself, fingerprints attached. Returns false when the
+// consumer aborted.
+func (r *ingestRun) seed(head headCuts) bool {
+	for i := 0; i < len(head.chunks); i += ingestBatchChunks {
+		end := min(i+ingestBatchChunks, len(head.chunks))
+		b := getBatch()
+		for _, ch := range head.chunks[i:end] {
+			r.add(b, ch)
+		}
+		b.fps = append(b.fps, head.fps[i:end]...)
+		if !r.send(b) {
+			return false
+		}
+	}
+	return true
+}
+
+// add appends ch to b, charging its production cost into the batch — the
+// same per-chunk conversions whether ch was cut here or by the head probe.
+func (r *ingestRun) add(b *chunkBatch, ch chunker.Chunk) {
+	b.chunks = append(b.chunks, ch)
+	b.chunkCPU += time.Duration(float64(ch.Size()) * r.cutCost)
+	b.hashCPU += time.Duration(float64(ch.Size()) * r.hashCost)
+}
+
+// cut appends the next chunk starting at buf[pos] to b. Returns the chunk
+// length.
 func (r *ingestRun) cut(b *chunkBatch, buf []byte, pos int, base int64) int {
 	n := r.cutter.Cut(buf[pos:])
 	if n <= 0 { // defensive, mirrors chunker.Stream.Next
 		n = 1
 	}
-	b.chunks = append(b.chunks, chunker.Chunk{Offset: base + int64(pos), Data: buf[pos : pos+n]})
-	b.chunkCPU += time.Duration(float64(n) * r.cutCost)
-	b.hashCPU += time.Duration(float64(n) * r.hashCost)
+	r.add(b, chunker.Chunk{Offset: base + int64(pos), Data: buf[pos : pos+n]})
 	return n
 }
 
-// produceBuffer cuts an in-memory version into batches. Runs as a
-// goroutine; always terminates the ring with the nil sentinel.
-func (r *ingestRun) produceBuffer(data []byte) {
+// produceBuffer cuts an in-memory version into batches, from where head
+// ends. Runs as a goroutine; always terminates the ring with the nil
+// sentinel.
+func (r *ingestRun) produceBuffer(data []byte, head headCuts) {
 	defer func() { r.ring <- nil }()
+	if !r.seed(head) {
+		return
+	}
 	b := getBatch()
-	pos := 0
+	pos := int(head.end)
 	for pos < len(data) {
 		pos += r.cut(b, data, pos, 0)
 		if len(b.chunks) >= ingestBatchChunks {
@@ -220,18 +255,22 @@ func (r *ingestRun) produceBuffer(data []byte) {
 	r.produced = int64(len(data))
 }
 
-// produceStream cuts head followed by rd into batches, reading through
-// recycled slabs. A chunk is cut only when the lookahead covers the
-// cutter's maximum chunk size (or the stream hit EOF), which makes the
-// boundaries identical to cutting the whole input as one buffer. Runs as
-// a goroutine; always terminates the ring with the nil sentinel.
-func (r *ingestRun) produceStream(head []byte, rd io.Reader) {
+// produceStream cuts head followed by rd (nothing, when eof) into batches,
+// from where the cuts already made end, reading through recycled slabs. A
+// chunk is cut only when the lookahead covers the cutter's maximum chunk
+// size (or the stream hit EOF), which makes the boundaries identical to
+// cutting the whole input as one buffer. Runs as a goroutine; always
+// terminates the ring with the nil sentinel.
+func (r *ingestRun) produceStream(head []byte, eof bool, rd io.Reader, cuts headCuts) {
 	defer func() { r.ring <- nil }()
+	if !r.seed(cuts) {
+		return
+	}
 	b := getBatch()
 	buf := head
-	pos := 0
+	pos := int(cuts.end)
+	r.produced = int64(pos)
 	var base int64
-	eof := false
 	for {
 		for pos < len(buf) && (eof || len(buf)-pos >= r.maxChunk) {
 			n := r.cut(b, buf, pos, base)
@@ -317,16 +356,7 @@ func (r *ingestRun) consume(acct *simclock.Account, sink func(*chunkBatch) error
 func (j *backupJob) consumeRing(r *ingestRun) error {
 	err := r.consume(j.acct, func(b *chunkBatch) error {
 		for i := range b.chunks {
-			e, hit, err := j.lookup(b.fps[i])
-			if err != nil {
-				return err
-			}
-			if hit {
-				err = j.emitDuplicate(e, b.chunks[i])
-			} else {
-				err = j.emitUnique(b.fps[i], b.chunks[i])
-			}
-			if err != nil {
+			if err := j.dedupeChunk(b.fps[i], b.chunks[i]); err != nil {
 				return err
 			}
 		}
@@ -341,9 +371,9 @@ func (j *backupJob) consumeRing(r *ingestRun) error {
 }
 
 // dedupeStream is STEP 2 on the ring for streaming input.
-func (j *backupJob) dedupeStream(head []byte, rd io.Reader) error {
+func (j *backupJob) dedupeStream(head []byte, eof bool, rd io.Reader) error {
 	r := j.node.newIngestRun()
-	go r.produceStream(head, rd)
+	go r.produceStream(head, eof, rd, j.head)
 	return j.consumeRing(r)
 }
 
@@ -353,7 +383,7 @@ func (j *backupJob) dedupeStream(head []byte, rd io.Reader) error {
 // Returns the number of chunks produced.
 func (n *LNode) IngestHandoff(data []byte) int {
 	r := n.newIngestRun()
-	go r.produceBuffer(data)
+	go r.produceBuffer(data, headCuts{})
 	total := 0
 	for {
 		b := <-r.ring

@@ -9,6 +9,7 @@ import (
 	"runtime/debug"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"slimstore/internal/chunker"
 	"slimstore/internal/container"
@@ -44,7 +45,7 @@ func backupVersions(t *testing.T, cfg core.Config, versions [][]byte, step2 func
 	var stats []BackupStats
 	var recs []*recipe.Recipe
 	for i, data := range versions {
-		st, err := n.backup("twin", data, data, step2)
+		st, err := n.backup("twin", data, data, true, step2)
 		if err != nil {
 			t.Fatalf("backup v%d: %v", i, err)
 		}
@@ -91,65 +92,82 @@ func TestIngestTwinSerial(t *testing.T) {
 	}
 }
 
+// streamConfigs are the two shapes BackupStream takes: with the
+// history-aware accelerations off every version streams through the ring;
+// under the default configuration a version without a base does, and one
+// with a base is buffered behind its head for the history-aware loop.
+func streamConfigs() map[string]core.Config {
+	return map[string]core.Config{"ring": fastConfig(), "default": core.DefaultConfig()}
+}
+
 // TestBackupStreamTwin pins streaming ingest to buffered ingest: cutting
 // through recycled slabs with bounded lookahead must reproduce the exact
 // whole-buffer chunk boundaries, for every cutter. The input exceeds the
 // head-probe size so the slab refill path (tail carry between buffers) is
-// exercised.
+// exercised, and so is the seam between the probe's cuts and the ring's.
 func TestBackupStreamTwin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-MiB stream per cutter")
 	}
 	for _, algo := range []string{"fastcdc", "gear", "rabin", "buzhash", "fixed"} {
 		t.Run(algo, func(t *testing.T) {
-			cfg := fastConfig()
-			cfg.ChunkAlgo = algo
-			v0 := genData(71, headBytes+2<<20)
-			versions := [][]byte{v0, mutate(v0, 72, 100)}
+			for name, cfg := range streamConfigs() {
+				t.Run(name, func(t *testing.T) {
+					cfg.ChunkAlgo = algo
+					v0 := genData(71, headBytes+2<<20)
+					versions := [][]byte{v0, mutate(v0, 72, 100)}
 
-			bufStats, bufRecs := backupVersions(t, cfg, versions, (*backupJob).dedupe)
+					bufStats, bufRecs := backupVersions(t, cfg, versions, (*backupJob).dedupe)
 
-			n, repo := newNode(t, cfg)
-			defer n.Close()
-			for i, data := range versions {
-				st, err := n.BackupStream("twin", bytes.NewReader(data))
-				if err != nil {
-					t.Fatalf("stream backup v%d: %v", i, err)
-				}
-				if got := comparableStats(st); !reflect.DeepEqual(got, bufStats[i]) {
-					t.Errorf("v%d stats diverge:\nstream: %+v\nbuffer: %+v", i, got, bufStats[i])
-				}
-				r, err := repo.RecipesFor(nil).GetRecipe("twin", st.Version)
-				if err != nil {
-					t.Fatalf("get recipe v%d: %v", i, err)
-				}
-				if !reflect.DeepEqual(r, bufRecs[i]) {
-					t.Errorf("v%d recipes diverge", i)
-				}
-			}
-			if got := restoreBytes(t, n, "twin", 1); !bytes.Equal(got, versions[1]) {
-				t.Error("restore of streamed version diverges from input")
+					n, repo := newNode(t, cfg)
+					defer n.Close()
+					for i, data := range versions {
+						st, err := n.BackupStream("twin", bytes.NewReader(data))
+						if err != nil {
+							t.Fatalf("stream backup v%d: %v", i, err)
+						}
+						if got := comparableStats(st); !reflect.DeepEqual(got, bufStats[i]) {
+							t.Errorf("v%d stats diverge:\nstream: %+v\nbuffer: %+v", i, got, bufStats[i])
+						}
+						r, err := repo.RecipesFor(nil).GetRecipe("twin", st.Version)
+						if err != nil {
+							t.Fatalf("get recipe v%d: %v", i, err)
+						}
+						if !reflect.DeepEqual(r, bufRecs[i]) {
+							t.Errorf("v%d recipes diverge", i)
+						}
+					}
+					if got := restoreBytes(t, n, "twin", 1); !bytes.Equal(got, versions[1]) {
+						t.Error("restore of streamed version diverges from input")
+					}
+				})
 			}
 		})
 	}
 }
 
-// TestBackupStreamFallback covers the buffering fallback for
-// configurations the streaming cutter cannot serve.
+// TestBackupStreamFallback covers the one case BackupStream still
+// materialises: history-aware accelerations on and a base to follow.
 func TestBackupStreamFallback(t *testing.T) {
 	cfg := testConfig() // history-aware accelerations on
 	n, _ := newNode(t, cfg)
 	defer n.Close()
-	data := genData(5, 1<<20)
-	st, err := n.BackupStream("f", bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
+	v0 := genData(5, 1<<20)
+	v1 := mutate(v0, 6, 20)
+	for i, data := range [][]byte{v0, v1} {
+		st, err := n.BackupStream("f", bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.LogicalBytes != int64(len(data)) {
+			t.Fatalf("v%d logical bytes = %d, want %d", i, st.LogicalBytes, len(data))
+		}
+		if got := restoreBytes(t, n, "f", i); !bytes.Equal(got, data) {
+			t.Errorf("v%d restore diverges from input", i)
+		}
 	}
-	if st.LogicalBytes != int64(len(data)) {
-		t.Fatalf("logical bytes = %d, want %d", st.LogicalBytes, len(data))
-	}
-	if got := restoreBytes(t, n, "f", 0); !bytes.Equal(got, data) {
-		t.Error("restore diverges from input")
+	if st, err := n.BackupStream("f", bytes.NewReader(v1)); err != nil || st.SkipHits == 0 {
+		t.Errorf("a streamed version with a base ran without skip chunking: %+v, %v", st, err)
 	}
 }
 
@@ -241,32 +259,37 @@ func (h *heapSampler) Read(p []byte) (int, error) {
 // TestBackupStreamResidentMemory is the O(window) gate: streaming a
 // synthetic unique stream many times larger than the pipeline window must
 // keep live heap bounded by the window (head probe + ring slabs + pack
-// budget + recipe), not the input size. Input and bound are build-tag
-// sized (ingest_norace_test.go / ingest_race_test.go).
+// budget + recipe), not the input size — with the accelerations off and
+// under the default configuration, where a version without a base streams
+// just the same. Input and bound are build-tag sized
+// (ingest_norace_test.go / ingest_race_test.go).
 func TestBackupStreamResidentMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("streams hundreds of MiB")
 	}
-	cfg := fastConfig()
-	repo, err := core.OpenRepo(discardStore{oss.NewMem()}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := New(repo, "l0")
-	defer n.Close()
+	for name, cfg := range streamConfigs() {
+		t.Run(name, func(t *testing.T) {
+			repo, err := core.OpenRepo(discardStore{oss.NewMem()}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := New(repo, "l0")
+			defer n.Close()
 
-	src := &heapSampler{inner: io.LimitReader(&rndReader{state: 1}, streamTestBytes)}
-	st, err := n.BackupStream("big", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.LogicalBytes != streamTestBytes {
-		t.Fatalf("logical bytes = %d, want %d", st.LogicalBytes, int64(streamTestBytes))
-	}
-	t.Logf("peak live heap %.1f MiB over a %d MiB stream (bound %d MiB)",
-		float64(src.peak)/(1<<20), streamTestBytes>>20, int64(streamHeapBound)>>20)
-	if src.peak > streamHeapBound {
-		t.Errorf("peak live heap %d bytes exceeds O(window) bound %d", src.peak, int64(streamHeapBound))
+			src := &heapSampler{inner: io.LimitReader(&rndReader{state: 1}, streamTestBytes)}
+			st, err := n.BackupStream("big", src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.LogicalBytes != streamTestBytes {
+				t.Fatalf("logical bytes = %d, want %d", st.LogicalBytes, int64(streamTestBytes))
+			}
+			t.Logf("peak live heap %.1f MiB over a %d MiB stream (bound %d MiB)",
+				float64(src.peak)/(1<<20), streamTestBytes>>20, int64(streamHeapBound)>>20)
+			if src.peak > streamHeapBound {
+				t.Errorf("peak live heap %d bytes exceeds O(window) bound %d", src.peak, int64(streamHeapBound))
+			}
+		})
 	}
 }
 
@@ -277,17 +300,13 @@ func TestBackupStreamReadError(t *testing.T) {
 	n, _ := newNode(t, cfg)
 	defer n.Close()
 	src := io.MultiReader(
-		io.LimitReader(&rndReader{state: 2}, headBytes+4<<20),
-		iotest{},
+		io.LimitReader(&rndReader{state: 2}, int64(headBytes)+4<<20),
+		iotest.ErrReader(io.ErrClosedPipe),
 	)
 	if _, err := n.BackupStream("bad", src); err == nil {
 		t.Fatal("want read error to surface")
 	}
 }
-
-type iotest struct{}
-
-func (iotest) Read([]byte) (int, error) { return 0, io.ErrClosedPipe }
 
 func BenchmarkIngestHandoff(b *testing.B) {
 	cfg := fastConfig()

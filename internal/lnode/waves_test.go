@@ -493,7 +493,7 @@ func TestSegmentReadAheadTwin(t *testing.T) {
 		probe.mu.Lock()
 		probe.fail = fail
 		probe.mu.Unlock()
-		st, err := n.backup("f", versions[1], versions[1], step2)
+		st, err := n.backup("f", versions[1], versions[1], true, step2)
 		set := map[string]bool{}
 		for _, req := range probe.started(isSegmentRead) {
 			set[req] = true

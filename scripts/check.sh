@@ -16,6 +16,11 @@ sh ./scripts/lint.sh
 
 go test -race ./...
 
+# The SHA-1 kernel's fallback: on a host with the SHA extensions nothing above
+# ran crypto/sha1 behind fingerprint.Of, so run the two packages that hold the
+# kernel and the ingest twins once more without it.
+go test -count=1 -tags purego ./internal/fingerprint/ ./internal/lnode/
+
 # Scheduler independence: which reads run ahead, and every counter and twin
 # comparison built on that, is a function of the caller's sequence, so it
 # must hold with one P (a 2-vCPU runner's worst case) as well as with four.
@@ -57,4 +62,5 @@ if [ "$FUZZTIME" != "0s" ]; then
 	go test -run=NONE -fuzz='^FuzzRecipeDecode$' -fuzztime "$FUZZTIME" ./internal/recipe/
 	go test -run=NONE -fuzz='^FuzzReplRecord$' -fuzztime "$FUZZTIME" ./internal/kvstore/
 	go test -run=NONE -fuzz='^FuzzECDecode$' -fuzztime "$FUZZTIME" ./internal/ec/
+	go test -run=NONE -fuzz='^FuzzSHA1Kernel$' -fuzztime "$FUZZTIME" ./internal/fingerprint/
 fi

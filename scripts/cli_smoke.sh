@@ -62,6 +62,8 @@ positive() { # positive <label> : the stats line "<label> N bytes" has N > 0
 }
 $s stats $repo >"$tmp/stats.txt"
 positive total:
+# Which SHA-1 this host fingerprints with (internal/fingerprint's dispatch).
+grep -Eq '^sha1 kernel: (sha-ni|crypto/sha1)$' "$tmp/stats.txt" || { echo "cli_smoke: stats names no sha1 kernel:" >&2; cat "$tmp/stats.txt" >&2; exit 1; }
 
 # Erasure-coded tier: the containers live under ec/, and stats must see them.
 ec="-repo dir:$tmp/repo-ec -ec-data 2 -ec-parity 1"

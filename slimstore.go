@@ -26,6 +26,7 @@ import (
 	"strings"
 
 	"slimstore/internal/core"
+	"slimstore/internal/fingerprint"
 	"slimstore/internal/globalindex"
 	"slimstore/internal/gnode"
 	"slimstore/internal/jobs"
@@ -171,10 +172,11 @@ func (s *System) Backup(fileID string, data []byte) (*BackupStats, error) {
 }
 
 // BackupStream deduplicates and stores one version of a file read from
-// rd, holding O(window) memory instead of the whole file (DESIGN §13).
-// Configurations the streaming cutter cannot serve (skip chunking,
-// chunk merging, inline hashing) buffer the reader and fall back to
-// Backup.
+// rd. A version without a base (a first version, a similarity miss)
+// streams at O(window) memory under every configuration; one with a base
+// streams too unless skip chunking or chunk merging is on (the default),
+// which need the whole version in memory and buffer the reader
+// (DESIGN §13).
 func (s *System) BackupStream(fileID string, rd io.Reader) (*BackupStats, error) {
 	return s.l.BackupStream(fileID, rd)
 }
@@ -384,6 +386,10 @@ func (s *System) SpaceUsage() (SpaceUsage, error) {
 	}
 	return u, nil
 }
+
+// SHA1Kernel names the SHA-1 implementation chunk fingerprinting runs on in
+// this process: "sha-ni" (the CPU's SHA extensions) or "crypto/sha1".
+func SHA1Kernel() string { return fingerprint.Kernel() }
 
 // Config returns the system's effective configuration.
 func (s *System) Config() Config { return s.repo.Config }
