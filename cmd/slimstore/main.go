@@ -458,12 +458,16 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		u, err := sys.SpaceUsage()
+		m, err := sys.Metrics()
 		if err != nil {
 			fatalf("%v", err)
 		}
+		u, kv := m.Space, m.GlobalIndex.KV
 		fmt.Printf("containers: %d bytes\nrecipes:    %d bytes\nindexes:    %d bytes\ntotal:      %d bytes\n",
 			u.ContainerBytes, u.RecipeBytes, u.IndexBytes, u.TotalBytes)
+		// This process's engine counters, summed over shards.
+		fmt.Printf("global index: %d entries, %d tables, %d wal segments (%d replayed at open), %d syncs, %d flushes, %d compactions\n",
+			m.GlobalIndex.Entries, kv.TablesLive, kv.WALSegments, kv.WALReplayed, kv.Syncs, kv.Flushes, kv.Compactions)
 		fmt.Printf("sha1 kernel: %s\n", slimstore.SHA1Kernel())
 
 	default:

@@ -17,7 +17,7 @@ import (
 // This file holds the apply half of the intent-journal protocol (see
 // package journal). The G-node commits a record and calls the matching
 // Apply*; OpenRepo replays surviving records through the same functions,
-// so every step here must be idempotent. Apply functions end by flushing
+// so every step here must be idempotent. Apply functions end by syncing
 // the global index: its LSM buffers writes, and removing a journal record
 // before the index mutations are durable would lose them to a crash.
 
@@ -175,7 +175,7 @@ func (r *Repo) ApplySCC(rec *journal.Record, cs *container.Store, rs *recipe.Sto
 		return err
 	}
 	r.BumpMaintEpoch()
-	return r.Global.Flush()
+	return r.Global.Sync()
 }
 
 // GCApply reports what a version-deletion apply actually swept.
@@ -236,7 +236,7 @@ func (r *Repo) ApplyGC(rec *journal.Record, cs *container.Store, rs *recipe.Stor
 			out.IndexEntriesRemoved += removed
 		}
 	}
-	return out, r.Global.Flush()
+	return out, r.Global.Sync()
 }
 
 // redirectPins reports which garbage candidates must survive because a

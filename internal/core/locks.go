@@ -83,7 +83,7 @@ const containerLockShards = 128
 // (which replaces or deletes the data object) takes the write side of
 // that container's stripe and therefore waits for in-flight restores.
 // Metadata-only writes (deletion marks) do not need the write side: the
-// global index is flushed before marks land, so a reader that observes a
+// global index is synced before marks land, so a reader that observes a
 // mark redirects through the index.
 type ContainerLocks struct {
 	shards [containerLockShards]sync.RWMutex

@@ -58,7 +58,7 @@ type Backend interface {
 	Apply(b *kvstore.Batch) error
 	Delete(key []byte) error
 	Scan(start, end []byte, fn func(key, value []byte) bool) error
-	Flush() error
+	Sync() error
 	Close() error
 	Stats() kvstore.Stats
 }
@@ -323,8 +323,19 @@ func (x *Index) Stats() Stats {
 	return s
 }
 
-// Flush persists the memtable (cheap durability point for offline jobs).
-func (x *Index) Flush() error { return x.db.Flush() }
+// Sync is the durability point: when it returns, every prior mutation
+// survives a crash. One OSS put on a plain kvstore backend.
+func (x *Index) Sync() error { return x.db.Sync() }
 
-// Close flushes and closes the underlying store.
+// Flush pushes the memtable of an LSM backend out to a table, so that
+// lookups are served from tables. It is not a durability point and no
+// product code calls it; benchmark/replay.go does, on a scratch index.
+func (x *Index) Flush() error {
+	if f, ok := x.db.(interface{ Flush() error }); ok {
+		return f.Flush()
+	}
+	return x.db.Sync()
+}
+
+// Close syncs and closes the underlying store.
 func (x *Index) Close() error { return x.db.Close() }

@@ -204,15 +204,18 @@ func (s *Sharded) Stats() Stats {
 		out.KV.BlockCacheHits += st.KV.BlockCacheHits
 		out.KV.Flushes += st.KV.Flushes
 		out.KV.Compactions += st.KV.Compactions
+		out.KV.Syncs += st.KV.Syncs
+		out.KV.WALReplayed += st.KV.WALReplayed
 		out.KV.TablesLive += st.KV.TablesLive
 		out.KV.WALSegments += st.KV.WALSegments
 	}
 	return out
 }
 
-// Flush persists every shard.
-func (s *Sharded) Flush() error {
-	return s.forEachShard(func(k int) error { return s.shards[k].Flush() })
+// Sync makes every prior mutation on every shard durable: one put per
+// shard with buffered writes, the shards in parallel.
+func (s *Sharded) Sync() error {
+	return s.forEachShard(func(k int) error { return s.shards[k].Sync() })
 }
 
 // Close closes every shard, returning the first error.

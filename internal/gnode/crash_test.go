@@ -81,23 +81,33 @@ func sccBaseline(t *testing.T) (*oss.Mem, core.Config, map[int][]byte, *lnode.Ba
 // byte-identical, then that the audit sweep runs clean.
 func verifyAfterReboot(t *testing.T, mem *oss.Mem, cfg core.Config, want map[int][]byte) {
 	t.Helper()
+	verifyFilesAfterReboot(t, mem, cfg, map[string]map[int][]byte{"f": want})
+}
+
+// verifyFilesAfterReboot is verifyAfterReboot over several files; it
+// returns the rebooted repo so a test can carry on from the crashed state.
+func verifyFilesAfterReboot(t *testing.T, mem *oss.Mem, cfg core.Config, want map[string]map[int][]byte) *core.Repo {
+	t.Helper()
 	repo, err := core.OpenRepo(mem, cfg)
 	if err != nil {
 		t.Fatalf("reboot: %v", err)
 	}
 	ln := lnode.New(repo, "l0")
-	for v, data := range want {
-		var buf bytes.Buffer
-		if _, err := ln.Restore("f", v, &buf); err != nil {
-			t.Fatalf("post-crash restore v%d: %v", v, err)
-		}
-		if !bytes.Equal(buf.Bytes(), data) {
-			t.Fatalf("post-crash restore v%d differs from original", v)
+	for f, versions := range want {
+		for v, data := range versions {
+			var buf bytes.Buffer
+			if _, err := ln.Restore(f, v, &buf); err != nil {
+				t.Fatalf("post-crash restore %s v%d: %v", f, v, err)
+			}
+			if !bytes.Equal(buf.Bytes(), data) {
+				t.Fatalf("post-crash restore %s v%d differs from original", f, v)
+			}
 		}
 	}
 	if _, err := New(repo).FullSweep(); err != nil {
 		t.Fatalf("post-crash sweep: %v", err)
 	}
+	return repo
 }
 
 // crashStore models the process dying at a chosen point: the first
@@ -180,6 +190,55 @@ func TestCompactSparseCrashAtEveryPut(t *testing.T) {
 	}
 	if len(keys) != 0 {
 		t.Fatalf("journal records survive a successful compaction: %v", keys)
+	}
+}
+
+// TestReverseDedupCrashAtEveryPut kills a reverse-dedup pass with real
+// duplicates and physical rewrites before every OSS mutation it issues —
+// the index's WAL put, the metadata marks, each rewrite's journal record,
+// data and meta puts and deletes — at the serial width and with the
+// fan-out on. After the reboot every file restores byte-identical (old
+// copies gone or not, redirects resolve through what the index made
+// durable first), the sweep converges, and the pass re-run on the
+// rebooted repo completes what the crash cut short.
+func TestReverseDedupCrashAtEveryPut(t *testing.T) {
+	tw := buildTwin(t, -1)
+	cfg := tw.repo.Config
+	want := map[string]map[int][]byte{}
+	for _, f := range []string{"a", "b", "c"} {
+		want[f] = map[int][]byte{0: restoreBytes(t, tw.ln, f, 0)}
+	}
+
+	for _, workers := range []int{-1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			cfg := cfg
+			cfg.MaintWorkers = workers
+			completed := false
+			for n := 0; n < 400 && !completed; n++ {
+				mem := cloneMem(t, tw.mem)
+				repo, err := core.OpenRepo(&crashStore{Store: mem, budget: n}, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := New(repo).ReverseDedup(tw.new)
+				if err == nil {
+					completed = true
+					if st.DuplicatesRemoved == 0 || st.ContainersRewritten == 0 {
+						t.Fatalf("degenerate pass, nothing to crash in: %+v", st)
+					}
+				} else if !errors.Is(err, oss.ErrInjected) {
+					t.Fatalf("budget %d: %v, want the injected crash", n, err)
+				}
+				rebooted := verifyFilesAfterReboot(t, mem, cfg, want)
+				if _, err := New(rebooted).ReverseDedup(tw.new); err != nil {
+					t.Fatalf("budget %d: re-run after reboot: %v", n, err)
+				}
+				verifyFilesAfterReboot(t, mem, cfg, want)
+			}
+			if !completed {
+				t.Fatal("reverse dedup never ran to completion within the mutation budget")
+			}
+		})
 	}
 }
 

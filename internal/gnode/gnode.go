@@ -266,7 +266,7 @@ func (g *GNode) rdPrepare(cs *container.Store, ids []container.ID) (*rdPrep, err
 // rdCommit is the single-threaded decide/commit step, run under maintMu
 // over a validated prepare: it replays the serial algorithm over the
 // batched probe results (an overlay map supplies Get-sees-own-Puts
-// semantics), group-commits the index mutations, flushes them durable,
+// semantics), group-commits the index mutations, syncs them durable,
 // persists the metadata marks, and bumps the maintenance epoch. It
 // returns the metas whose stale proportion now warrants a rewrite; the
 // rewrites themselves run after maintMu is released.
@@ -313,7 +313,10 @@ func (g *GNode) rdCommit(cs *container.Store, ids []container.ID, p *rdPrep) (*R
 		stats.ContainersScanned++
 		for j := range m.Chunks {
 			cm := &m.Chunks[j]
-			if cm.Deleted {
+			// A copy this pass already marked (dirty mirrors the scan chunk
+			// for chunk) must not decide again: it would delete the copy it
+			// lost to. A pass re-run after a crash between sync and marks.
+			if d := dirty[id]; cm.Deleted || d != nil && d.Chunks[j].Deleted {
 				continue
 			}
 			stats.ChunksScanned++
@@ -354,7 +357,7 @@ func (g *GNode) rdCommit(cs *container.Store, ids []container.ID, p *rdPrep) (*R
 	// rewrite: a rewrite destroys the old copies, and if a crash lost the
 	// buffered index mutations, restores redirecting through the index
 	// would dangle.
-	if err := gi.Flush(); err != nil {
+	if err := gi.Sync(); err != nil {
 		return nil, nil, err
 	}
 

@@ -448,7 +448,7 @@ func (g *GNode) scrubRepair(sv *scrubView) (*ScrubStats, error) {
 	}
 	sort.Slice(stats.Lost, func(a, b int) bool { return stats.Lost[a].String() < stats.Lost[b].String() })
 	sort.Slice(stats.Quarantined, func(a, b int) bool { return stats.Quarantined[a] < stats.Quarantined[b] })
-	if err := g.repo.Global.Flush(); err != nil {
+	if err := g.repo.Global.Sync(); err != nil {
 		return nil, err
 	}
 	if stats.RebuiltContainers > 0 || len(stats.Quarantined) > 0 || len(moved) > 0 ||

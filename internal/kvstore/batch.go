@@ -105,10 +105,7 @@ func (db *DB) Apply(b *Batch) error {
 		}
 	}
 	if db.mem.bytes >= db.opts.MemtableBytes {
-		if err := db.flushMemLocked(); err != nil {
-			return err
-		}
-		return db.maybeCompactLocked()
+		return db.flushLocked()
 	}
 	return nil
 }

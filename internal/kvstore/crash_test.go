@@ -1,0 +1,337 @@
+package kvstore
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+
+	"slimstore/internal/oss"
+)
+
+// crashStore models the process dying at a chosen point: the first
+// `budget` mutations (puts and deletes alike) land, every later one is
+// refused — including those of fan-out workers still running when the
+// first refusal comes back.
+type crashStore struct {
+	oss.Store
+	mu     sync.Mutex
+	budget int // < 0: never crash
+	spent  int
+}
+
+func (s *crashStore) spend(op, key string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.budget == 0 {
+		return fmt.Errorf("%w: crashed before %s %s", oss.ErrInjected, op, key)
+	}
+	s.budget--
+	s.spent++
+	return nil
+}
+
+func (s *crashStore) Put(key string, data []byte) error {
+	if err := s.spend("put", key); err != nil {
+		return err
+	}
+	return s.Store.Put(key, data)
+}
+
+func (s *crashStore) Delete(key string) error {
+	if err := s.spend("delete", key); err != nil {
+		return err
+	}
+	return s.Store.Delete(key)
+}
+
+// modelOp is one step of a generated schedule: a batch to Apply (ops
+// non-empty), or a Sync, engine Flush or Compact.
+type modelOp struct {
+	kind string // "apply", "sync", "flush", "compact"
+	ops  []Op
+}
+
+// genSchedule draws a schedule over a small key space: mostly batches and
+// syncs (so WAL segments pile up between flushes), the odd explicit flush
+// and compaction, deletes among the puts.
+func genSchedule(rng *rand.Rand, steps int) []modelOp {
+	var out []modelOp
+	for i := 0; i < steps; i++ {
+		switch r := rng.Intn(100); {
+		case r < 50:
+			n := 1 + rng.Intn(24)
+			ops := make([]Op, n)
+			for j := range ops {
+				ops[j].Key = []byte(fmt.Sprintf("key-%03d", rng.Intn(120)))
+				if rng.Intn(5) == 0 {
+					ops[j].Delete = true
+				} else {
+					ops[j].Value = []byte(fmt.Sprintf("v%d.%d-%s", i, j, strings.Repeat("x", rng.Intn(40))))
+				}
+			}
+			out = append(out, modelOp{kind: "apply", ops: ops})
+		case r < 92:
+			out = append(out, modelOp{kind: "sync"})
+		case r < 97:
+			out = append(out, modelOp{kind: "flush"})
+		default:
+			out = append(out, modelOp{kind: "compact"})
+		}
+	}
+	return out
+}
+
+// run plays sched on db until the first error. It returns the number of
+// batches attempted (a batch whose Apply failed may or may not be durable)
+// and the number known durable: those applied before the last Sync, Flush
+// or Compact that returned nil.
+func runSchedule(db *DB, sched []modelOp) (attempted, durable int, err error) {
+	for _, op := range sched {
+		switch op.kind {
+		case "apply":
+			var b Batch
+			for _, o := range op.ops {
+				if o.Delete {
+					b.Delete(o.Key)
+				} else {
+					b.Put(o.Key, o.Value)
+				}
+			}
+			attempted++
+			err = db.Apply(&b)
+		case "sync":
+			err = db.Sync()
+		case "flush":
+			err = db.Flush()
+		case "compact":
+			err = db.Compact()
+		}
+		if err != nil {
+			return attempted, durable, err
+		}
+		if op.kind != "apply" {
+			durable = attempted
+		}
+	}
+	return attempted, durable, nil
+}
+
+// prefixStates returns the model's contents after each prefix of sched's
+// batches: states[k] is the store after the first k batches.
+func prefixStates(sched []modelOp) []map[string]string {
+	cur := map[string]string{}
+	states := []map[string]string{{}}
+	for _, op := range sched {
+		if op.kind != "apply" {
+			continue
+		}
+		for _, o := range op.ops {
+			if o.Delete {
+				delete(cur, string(o.Key))
+			} else {
+				cur[string(o.Key)] = string(o.Value)
+			}
+		}
+		snap := make(map[string]string, len(cur))
+		for k, v := range cur {
+			snap[k] = v
+		}
+		states = append(states, snap)
+	}
+	return states
+}
+
+func scanAll(t *testing.T, db *DB) map[string]string {
+	t.Helper()
+	got := map[string]string{}
+	if err := db.Scan(nil, nil, func(k, v []byte) bool {
+		got[string(k)] = string(v)
+		return true
+	}); err != nil {
+		t.Fatalf("scan: %v", err)
+	}
+	return got
+}
+
+// TestCrashAtEveryMutationMatchesModel runs seeded random schedules of
+// Apply, Sync, Flush and Compact — with memtables small enough to fill and
+// large enough that only the WAL-segment bound flushes them — and kills
+// the process before every OSS mutation of each. After a reopen from the
+// bare store the contents must be exactly the model after some prefix of
+// the batches, no shorter than the last batch a Sync (or flush) vouched
+// for: a synced batch is never lost, no batch is ever half there. Every
+// table the recovery and the checks read must be named by the manifest,
+// and the recovered store must carry on (more batches, a flush, a
+// compaction, another reopen) — a crash's orphaned objects are inert.
+func TestCrashAtEveryMutationMatchesModel(t *testing.T) {
+	var flushes, compactions int64
+	for seed := int64(1); seed <= 6; seed++ {
+		opts := smallOpts()
+		opts.MemtableBytes = 2 << 10
+		opts.WALFlushBytes = 1 << 10
+		opts.TargetFileBytes = 2 << 10
+		opts.L0Threshold = 2
+		if seed%2 == 0 {
+			opts.MemtableBytes = 1 << 20 // only Sync's segment bound and Flush make tables
+			opts.WALFlushBytes = 64 << 10
+		}
+		sched := genSchedule(rand.New(rand.NewSource(seed)), 90)
+		states := prefixStates(sched)
+
+		// Uncrashed reference run: counts the mutations to crash before.
+		ref := &crashStore{Store: oss.NewMem(), budget: -1}
+		db, err := Open(ref, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := runSchedule(db, sched); err != nil {
+			t.Fatalf("seed %d: uncrashed run: %v", seed, err)
+		}
+		if got := scanAll(t, db); !reflect.DeepEqual(got, states[len(states)-1]) {
+			t.Fatalf("seed %d: uncrashed run diverges from the model", seed)
+		}
+		st := db.Stats()
+		flushes += st.Flushes
+		compactions += st.Compactions
+
+		for budget := 0; budget < ref.spent; budget++ {
+			mem := oss.NewMem()
+			db, err := Open(&crashStore{Store: mem, budget: budget}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			attempted, durable, err := runSchedule(db, sched)
+			if !errors.Is(err, oss.ErrInjected) {
+				t.Fatalf("seed %d budget %d: run returned %v, want the injected crash", seed, budget, err)
+			}
+			// The handle dies with the process; reboot from the bare store.
+			checkRecovered(t, fmt.Sprintf("seed %d budget %d", seed, budget), mem, opts, states[durable:attempted+1], durable)
+		}
+	}
+	if flushes == 0 || compactions == 0 {
+		t.Fatalf("schedules made %d flushes and %d compactions; the crash points would be vacuous", flushes, compactions)
+	}
+}
+
+// checkRecovered reopens mem and asserts the contents equal one of the
+// allowed model states (allowed[i] is the model after first+i batches),
+// reads only manifest-named tables, and keeps working.
+func checkRecovered(t *testing.T, what string, mem *oss.Mem, opts Options, allowed []map[string]string, first int) {
+	t.Helper()
+	rec := newReqStore(mem)
+	db, err := Open(rec, opts)
+	if err != nil {
+		t.Fatalf("%s: reopen: %v", what, err)
+	}
+	got := scanAll(t, db)
+	match := -1
+	for i, want := range allowed {
+		if reflect.DeepEqual(got, want) {
+			match = first + i
+		}
+	}
+	if match < 0 {
+		t.Fatalf("%s: recovered %d keys, equal to the model after none of batches %d..%d",
+			what, len(got), first, first+len(allowed)-1)
+	}
+	// Point and batched reads agree with the scan.
+	var keys [][]byte
+	for i := 0; i < 120; i++ {
+		keys = append(keys, []byte(fmt.Sprintf("key-%03d", i)))
+	}
+	vals, found, err := db.GetMulti(keys)
+	if err != nil {
+		t.Fatalf("%s: GetMulti: %v", what, err)
+	}
+	for i, k := range keys {
+		want, ok := got[string(k)]
+		if found[i] != ok || string(vals[i]) != want {
+			t.Fatalf("%s: GetMulti(%s) = %q,%v; scan says %q,%v", what, k, vals[i], found[i], want, ok)
+		}
+	}
+
+	named := map[string]bool{}
+	if b, err := mem.Get(db.manifestKey()); err == nil {
+		var man manifest
+		if err := json.Unmarshal(b, &man); err != nil {
+			t.Fatalf("%s: manifest: %v", what, err)
+		}
+		for _, tm := range man.Tables {
+			named[db.tableKey(tm.Name)] = true
+		}
+	}
+	_, reqs := rec.take()
+	for _, r := range reqs {
+		if strings.Contains(r.key, "/sst/") && !named[r.key] {
+			t.Fatalf("%s: recovery issued %s %s, which the manifest does not name", what, r.op, r.key)
+		}
+	}
+
+	// The recovered store carries on over whatever the crash orphaned.
+	var b Batch
+	b.Put([]byte("after-crash"), []byte("1"))
+	b.Delete([]byte("key-000"))
+	if err := db.Apply(&b); err != nil {
+		t.Fatalf("%s: apply after recovery: %v", what, err)
+	}
+	if err := db.Compact(); err != nil {
+		t.Fatalf("%s: compact after recovery: %v", what, err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got["after-crash"] = "1"
+	delete(got, "key-000")
+	db2, err := Open(mem, opts)
+	if err != nil {
+		t.Fatalf("%s: second reopen: %v", what, err)
+	}
+	if again := scanAll(t, db2); !reflect.DeepEqual(again, got) {
+		t.Fatalf("%s: contents changed across compact + reopen", what)
+	}
+}
+
+// TestReplayIgnoresSegmentsATableCovers: a flush's WAL deletes land in any
+// order, so a crash can leave an older segment behind a newer one that is
+// gone. Its records are already in a table; replaying them must not let a
+// stale value shadow the table's.
+func TestReplayIgnoresSegmentsATableCovers(t *testing.T) {
+	mem := oss.NewMem()
+	db, err := Open(mem, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []string{"old", "new"} {
+		if err := db.Put([]byte("k"), []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oldest, err := mem.Get(db.walKey(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// The state a crash inside the delete wave leaves: segment 1 deleted,
+	// segment 0 not.
+	if err := mem.Put(db.walKey(0), oldest); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, err := Open(mem, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, err := db2.Get([]byte("k")); err != nil || !ok || string(v) != "new" {
+		t.Fatalf("Get after reopen = %q, %v, %v; want the flushed value", v, ok, err)
+	}
+}

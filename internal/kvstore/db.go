@@ -22,6 +22,7 @@ import (
 	"sync"
 
 	"slimstore/internal/oss"
+	"slimstore/internal/pipe"
 )
 
 // ErrClosed is returned by operations on a closed DB.
@@ -82,12 +83,14 @@ type Stats struct {
 	TableReads           int64 // data block fetches from OSS
 	BlockCacheHits       int64 // data block fetches served from the cache
 	Flushes, Compactions int64
+	Syncs                int64 // Sync calls that put a WAL segment
+	WALReplayed          int   // WAL segments replayed by Open
 	TablesLive           int
 	WALSegments          int
 }
 
 // manifest is the persistent level structure, stored as JSON at
-// <prefix>MANIFEST and rewritten atomically on every flush/compaction.
+// <prefix>MANIFEST and rewritten atomically by installLocked.
 type manifest struct {
 	NextTable uint64      `json:"next_table"`
 	LastSeq   uint64      `json:"last_seq"`
@@ -106,6 +109,7 @@ type DB struct {
 	nextWAL uint64
 	seq     uint64
 	man     manifest
+	dead    []string // objects the in-memory manifest replaced, deleted by installLocked
 	readers map[string]*tableReader
 	blocks  *blockCache
 	stats   Stats
@@ -149,12 +153,17 @@ func Open(store oss.Store, opts Options) (*DB, error) {
 		return nil, fmt.Errorf("kvstore: list wal: %w", err)
 	}
 	sort.Strings(walKeys)
-	for i, k := range walKeys {
-		seg, err := store.Get(k)
-		if err != nil {
-			return nil, fmt.Errorf("kvstore: read wal %s: %w", k, err)
+	segs := make([][]byte, len(walKeys))
+	if err := pipe.FanOut(len(walKeys), blockFetchWidth, func(i int) (err error) {
+		if segs[i], err = store.Get(walKeys[i]); err != nil {
+			err = fmt.Errorf("kvstore: read wal %s: %w", walKeys[i], err)
 		}
-		entries, derr := decodeWALSegment(seg)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	for i, k := range walKeys {
+		entries, derr := decodeWALSegment(segs[i])
 		if derr != nil {
 			// A record torn off the end of the FINAL segment is the
 			// signature of a crash mid-append: the decoded prefix is the
@@ -166,6 +175,13 @@ func Open(store oss.Store, opts Options) (*DB, error) {
 			}
 		}
 		for i := range entries {
+			// A record at or below the manifest's LastSeq is in a table: its
+			// segment outlived the flush that covered it (a crash inside
+			// the delete wave, which can leave an older segment behind a
+			// newer one). Replaying it could shadow the table's newer value.
+			if entries[i].seq <= db.man.LastSeq {
+				continue
+			}
 			db.mem.insert(entries[i])
 			if entries[i].seq > db.seq {
 				db.seq = entries[i].seq
@@ -179,6 +195,7 @@ func Open(store oss.Store, opts Options) (*DB, error) {
 			}
 		}
 	}
+	db.stats.WALReplayed = len(db.walSegs)
 	return db, nil
 }
 
@@ -213,22 +230,37 @@ func (db *DB) write(e entry) error {
 		}
 	}
 	if db.mem.bytes >= db.opts.MemtableBytes {
-		if err := db.flushMemLocked(); err != nil {
-			return err
-		}
-		return db.maybeCompactLocked()
+		return db.flushLocked()
 	}
 	return nil
 }
 
-// Sync persists buffered WAL records, making all prior writes durable.
+// maxWALSegments bounds the WAL segments a Sync leaves live: at that many
+// the memtable goes to a table, so a cold Open replays at most this many
+// segments (one read wave) however small the commits between syncs are.
+// Chosen from a 4/8/16 sweep, see DESIGN.md §8.
+const maxWALSegments = 8
+
+// Sync is the durability point: when it returns, every prior write
+// survives a crash. It costs one WAL-segment put (none when nothing is
+// buffered). Tables are not part of the promise — recovery replays the
+// WAL — so Sync flushes the memtable only to keep that replay short.
 func (db *DB) Sync() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
 		return ErrClosed
 	}
-	return db.flushWALLocked()
+	if len(db.walBuf) > 0 {
+		db.stats.Syncs++
+	}
+	if err := db.flushWALLocked(); err != nil {
+		return err
+	}
+	if len(db.walSegs) < maxWALSegments {
+		return nil
+	}
+	return db.flushLocked()
 }
 
 func (db *DB) flushWALLocked() error {
@@ -245,17 +277,56 @@ func (db *DB) flushWALLocked() error {
 	return nil
 }
 
-// Flush persists the memtable as an L0 table.
+// Flush writes the memtable out as an L0 table now instead of when it is
+// full. It manages read amplification and replay length, never
+// durability (that is Sync): Compact, tests and audits call it.
 func (db *DB) Flush() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
 		return ErrClosed
 	}
+	return db.flushLocked()
+}
+
+// flushLocked writes the memtable out as an L0 table, runs the
+// compactions that makes due, and installs the result.
+func (db *DB) flushLocked() error {
 	if err := db.flushMemLocked(); err != nil {
 		return err
 	}
-	return db.maybeCompactLocked()
+	if err := db.maybeCompactLocked(); err != nil {
+		return err
+	}
+	return db.installLocked()
+}
+
+// installLocked makes the tables written since the last install the
+// store's truth: one manifest put naming them, then one wave deleting
+// what they replace — covered WAL segments, compacted tables. Until the
+// manifest lands the store still holds the state before in full (old
+// manifest, its tables, every WAL segment), so a crash at any point
+// reopens into one state or the other; whatever a crash inside the wave
+// leaves behind is inert (Open skips WAL records a table covers, and no
+// manifest names a dead table). A failed install is retried by the next.
+func (db *DB) installLocked() error {
+	if len(db.dead) == 0 {
+		return nil // nothing was flushed or compacted
+	}
+	b, err := json.Marshal(&db.man)
+	if err != nil {
+		return fmt.Errorf("kvstore: encode manifest: %w", err)
+	}
+	if err := db.store.Put(db.manifestKey(), b); err != nil {
+		return fmt.Errorf("kvstore: save manifest: %w", err)
+	}
+	if err := pipe.FanOut(len(db.dead), blockFetchWidth, func(i int) error {
+		return db.store.Delete(db.dead[i])
+	}); err != nil {
+		return fmt.Errorf("kvstore: delete replaced objects: %w", err)
+	}
+	db.dead = db.dead[:0]
+	return nil
 }
 
 func (db *DB) flushMemLocked() error {
@@ -277,14 +348,9 @@ func (db *DB) flushMemLocked() error {
 	}
 	db.man.Tables = append(db.man.Tables, meta)
 	db.man.LastSeq = db.seq
-	if err := db.saveManifestLocked(); err != nil {
-		return err
-	}
-	// The flushed table covers every WAL segment; drop them.
+	// The flushed table covers every WAL segment.
 	for _, n := range db.walSegs {
-		if err := db.store.Delete(db.walKey(n)); err != nil {
-			return fmt.Errorf("kvstore: drop wal segment: %w", err)
-		}
+		db.dead = append(db.dead, db.walKey(n))
 	}
 	db.walSegs = db.walSegs[:0]
 	db.mem = newSkiplist(int64(db.seq))
@@ -299,7 +365,7 @@ func (db *DB) writeTableLocked(b *sstBuilder, level int) (tableMeta, error) {
 	if err := db.store.Put(db.tableKey(name), obj); err != nil {
 		return tableMeta{}, fmt.Errorf("kvstore: write table: %w", err)
 	}
-	return tableMeta{
+	meta := tableMeta{
 		Name:     name,
 		Level:    level,
 		Size:     int64(len(obj)),
@@ -307,18 +373,10 @@ func (db *DB) writeTableLocked(b *sstBuilder, level int) (tableMeta, error) {
 		Smallest: append([]byte(nil), b.smallest...),
 		Largest:  append([]byte(nil), b.largest...),
 		MaxSeq:   b.maxSeq,
-	}, nil
-}
-
-func (db *DB) saveManifestLocked() error {
-	b, err := json.Marshal(&db.man)
-	if err != nil {
-		return fmt.Errorf("kvstore: encode manifest: %w", err)
 	}
-	if err := db.store.Put(db.manifestKey(), b); err != nil {
-		return fmt.Errorf("kvstore: save manifest: %w", err)
-	}
-	return nil
+	// The builder holds what openTable would read back.
+	db.readers[name] = &tableReader{db: db, meta: meta, index: b.index, filter: b.filter}
+	return meta, nil
 }
 
 func (db *DB) readerLocked(meta tableMeta) (*tableReader, error) {
@@ -464,7 +522,7 @@ func (db *DB) Compact() error {
 			}
 		}
 	}
-	return nil
+	return db.installLocked()
 }
 
 func overlaps(aMin, aMax, bMin, bMax []byte) bool {
@@ -528,17 +586,9 @@ func (db *DB) compactLevelLocked(level int) error {
 	}
 
 	// Merge all input entries in internal order.
-	var all []entry
-	for _, meta := range inputs {
-		r, err := db.readerLocked(meta)
-		if err != nil {
-			return err
-		}
-		es, err := r.allEntries()
-		if err != nil {
-			return err
-		}
-		all = append(all, es...)
+	all, err := db.readTablesLocked(inputs)
+	if err != nil {
+		return err
 	}
 	sort.SliceStable(all, func(i, j int) bool { return internalLess(&all[i], &all[j]) })
 
@@ -580,10 +630,13 @@ func (db *DB) compactLevelLocked(level int) error {
 		return err
 	}
 
-	// Install: drop inputs, add outputs, persist, delete input objects.
+	// Drop the inputs, add the outputs; installLocked persists it.
 	dead := make(map[string]bool, len(inputs))
 	for _, t := range inputs {
 		dead[t.Name] = true
+		delete(db.readers, t.Name)
+		db.blocks.drop(t.Name)
+		db.dead = append(db.dead, db.tableKey(t.Name))
 	}
 	kept := db.man.Tables[:0]
 	for _, t := range db.man.Tables {
@@ -592,16 +645,6 @@ func (db *DB) compactLevelLocked(level int) error {
 		}
 	}
 	db.man.Tables = append(kept, outTables...)
-	if err := db.saveManifestLocked(); err != nil {
-		return err
-	}
-	for name := range dead {
-		delete(db.readers, name)
-		db.blocks.drop(name)
-		if err := db.store.Delete(db.tableKey(name)); err != nil {
-			return fmt.Errorf("kvstore: delete compacted table: %w", err)
-		}
-	}
 	db.stats.Compactions++
 	return nil
 }
@@ -627,10 +670,7 @@ func (db *DB) Scan(start, end []byte, fn func(key, value []byte) bool) error {
 	}
 	// Gather all sources into one merged slice. Simple and correct; scans
 	// are used by offline jobs (G-node audits), not the hot path.
-	var all []entry
-	for it := db.mem.iter(); it.valid(); it.next() {
-		all = append(all, *it.cur())
-	}
+	var in []tableMeta
 	for _, meta := range db.man.Tables {
 		if end != nil && bytes.Compare(meta.Smallest, end) >= 0 {
 			continue
@@ -638,15 +678,14 @@ func (db *DB) Scan(start, end []byte, fn func(key, value []byte) bool) error {
 		if start != nil && bytes.Compare(meta.Largest, start) < 0 {
 			continue
 		}
-		r, err := db.readerLocked(meta)
-		if err != nil {
-			return err
-		}
-		es, err := r.allEntries()
-		if err != nil {
-			return err
-		}
-		all = append(all, es...)
+		in = append(in, meta)
+	}
+	all, err := db.readTablesLocked(in)
+	if err != nil {
+		return err
+	}
+	for it := db.mem.iter(); it.valid(); it.next() {
+		all = append(all, *it.cur())
 	}
 	sort.SliceStable(all, func(i, j int) bool { return internalLess(&all[i], &all[j]) })
 	var prevKey []byte

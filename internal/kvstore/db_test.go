@@ -350,9 +350,9 @@ func TestSSTableRoundTrip(t *testing.T) {
 			t.Fatalf("get(%s) wrong entry", e.key)
 		}
 	}
-	all, err := r.allEntries()
+	all, err := db.readTablesLocked([]tableMeta{meta})
 	if err != nil || len(all) != 1000 {
-		t.Fatalf("allEntries = %d, %v", len(all), err)
+		t.Fatalf("readTablesLocked = %d, %v", len(all), err)
 	}
 }
 

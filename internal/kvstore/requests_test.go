@@ -1,0 +1,352 @@
+package kvstore
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"slimstore/internal/oss"
+)
+
+// reqStore logs every request and can hold the requests of a class ("put
+// wal", "get sst", "getrange sst", "delete wal", …) at the door until a
+// given number of them are in flight together — the proof, without
+// reading a clock, that the engine issued them as one wave and not as a
+// chain. A wave that never forms is released after a timeout and reported
+// through serial().
+type reqStore struct {
+	oss.Store
+
+	mu     sync.Mutex
+	log    []req
+	gates  map[string]*gate
+	failed []string
+}
+
+type req struct {
+	op, key string
+	off, n  int64 // of a getrange
+}
+
+// class names a request: the operation and the key's namespace under the
+// DB prefix ("wal", "sst" or "MANIFEST").
+func (r req) class() string {
+	switch {
+	case strings.Contains(r.key, "/wal/"):
+		return r.op + " wal"
+	case strings.Contains(r.key, "/sst/"):
+		return r.op + " sst"
+	}
+	return r.op + " " + r.key[strings.LastIndex(r.key, "/")+1:]
+}
+
+type gate struct {
+	want, arrived int
+	open          chan struct{}
+}
+
+func newReqStore(inner oss.Store) *reqStore {
+	return &reqStore{Store: inner, gates: map[string]*gate{}}
+}
+
+// expectWave holds the next requests of class c until want of them are in
+// flight at once.
+func (s *reqStore) expectWave(c string, want int) {
+	s.mu.Lock()
+	s.gates[c] = &gate{want: want, open: make(chan struct{})}
+	s.mu.Unlock()
+}
+
+func (s *reqStore) enter(r req) {
+	c := r.class()
+	s.mu.Lock()
+	s.log = append(s.log, r)
+	g := s.gates[c]
+	if g != nil {
+		if g.arrived++; g.arrived == g.want {
+			close(g.open)
+			delete(s.gates, c)
+		}
+	}
+	s.mu.Unlock()
+	if g == nil {
+		return
+	}
+	select {
+	case <-g.open:
+	case <-time.After(10 * time.Second):
+		s.mu.Lock()
+		s.failed = append(s.failed, fmt.Sprintf("%s: %d of %d in flight together", c, g.arrived, g.want))
+		s.mu.Unlock()
+	}
+}
+
+func (s *reqStore) Put(key string, data []byte) error {
+	s.enter(req{op: "put", key: key})
+	return s.Store.Put(key, data)
+}
+
+func (s *reqStore) Delete(key string) error {
+	s.enter(req{op: "delete", key: key})
+	return s.Store.Delete(key)
+}
+
+func (s *reqStore) Get(key string) ([]byte, error) {
+	s.enter(req{op: "get", key: key})
+	return s.Store.Get(key)
+}
+
+func (s *reqStore) GetRange(key string, off, n int64) ([]byte, error) {
+	s.enter(req{"getrange", key, off, n})
+	return s.Store.GetRange(key, off, n)
+}
+
+// take returns the requests logged since the last take, and their count
+// by class as "class×n class×n …" (classes sorted).
+func (s *reqStore) take() (string, []req) {
+	s.mu.Lock()
+	log := s.log
+	s.log = nil
+	s.mu.Unlock()
+	counts := map[string]int{}
+	for _, r := range log {
+		counts[r.class()]++
+	}
+	var classes []string
+	for c, n := range counts {
+		classes = append(classes, fmt.Sprintf("%s×%d", c, n))
+	}
+	sort.Strings(classes)
+	return strings.Join(classes, " "), log
+}
+
+// serial reports the waves that never formed.
+func (s *reqStore) serial() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for c, g := range s.gates {
+		s.failed = append(s.failed, fmt.Sprintf("%s: %d of %d ever arrived", c, g.arrived, g.want))
+	}
+	s.gates = map[string]*gate{}
+	return s.failed
+}
+
+// tailReads counts, per table, the ranged reads that end at the object's
+// last byte — openTable's, as against data-block reads.
+func tailReads(t *testing.T, mem *oss.Mem, reqs []req) map[string]int {
+	t.Helper()
+	out := map[string]int{}
+	for _, r := range reqs {
+		if r.op != "getrange" {
+			continue
+		}
+		size, err := mem.Head(r.key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.off+r.n == size {
+			out[r.key]++
+		}
+	}
+	return out
+}
+
+// TestRequestBudget pins what the engine asks of the store, in requests
+// and waves, for the G-node's commit pattern: rounds of one batch and one
+// Sync on a memtable that never fills.
+//
+//   - a round between flushes is exactly one put (the WAL segment);
+//   - every maxWALSegments-th round also flushes: put SST, put MANIFEST,
+//     then the covered segments deleted in one wave;
+//   - every L0Threshold-th flush also compacts before that manifest put:
+//     one whole-object read per input, together, one more SST put, and
+//     the inputs deleted in the same wave as the segments — never a
+//     ranged read, because the inputs are not opened;
+//   - a table this handle wrote is probed with data-block reads only;
+//   - a cold handle opens each table it probes with exactly one tail read,
+//     and with none after a Scan, which reads every table whole in a wave;
+//   - a cold Open reads the live WAL segments in one wave.
+func TestRequestBudget(t *testing.T) {
+	mem := oss.NewMem()
+	rec := newReqStore(mem)
+	db, err := Open(rec, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.take()
+
+	// 64 rounds and three more flushes, so that the cold probe at the end
+	// finds one L1 table and three L0 tables to open.
+	const rounds, perRound = 64 + 3*maxWALSegments, 64
+	l0 := db.opts.L0Threshold
+	rng := rand.New(rand.NewSource(7))
+	var keys [][]byte
+	tables := 0 // live, by the budget's own arithmetic
+	for round := 1; round <= rounds; round++ {
+		var b Batch
+		for i := 0; i < perRound; i++ {
+			k, v := make([]byte, 20), make([]byte, 8)
+			rng.Read(k)
+			rng.Read(v)
+			b.Put(k, v)
+			keys = append(keys, k)
+		}
+		want := "put wal×1"
+		if round%maxWALSegments == 0 {
+			rec.expectWave("delete wal", 2)
+			want = fmt.Sprintf("delete wal×%d put MANIFEST×1 put sst×1 put wal×1", maxWALSegments)
+			tables++
+			if round%(maxWALSegments*l0) == 0 {
+				// Every L0 table plus the one L1 table earlier compactions left.
+				rec.expectWave("get sst", 2)
+				want = fmt.Sprintf("delete sst×%d delete wal×%d get sst×%d put MANIFEST×1 put sst×2 put wal×1",
+					tables, maxWALSegments, tables)
+				tables = 1
+			}
+		}
+		if err := db.Apply(&b); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := rec.take(); got != want {
+			t.Fatalf("round %d issued %q, want %q", round, got, want)
+		}
+	}
+	st := db.Stats()
+	if st.Syncs != rounds || st.Flushes != rounds/maxWALSegments || st.Compactions != int64(rounds/maxWALSegments/l0) || st.TablesLive != tables {
+		t.Fatalf("stats after %d rounds: %+v", rounds, st)
+	}
+
+	// Every key is in a table this handle wrote (the last round flushed):
+	// probing them reads data blocks and nothing else.
+	probe := func(db *DB) map[string]int {
+		t.Helper()
+		_, found, err := db.GetMulti(keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range found {
+			if !found[i] {
+				t.Fatalf("key %d lost", i)
+			}
+		}
+		got, ranges := rec.take()
+		if !strings.HasPrefix(got, "getrange sst×") {
+			t.Fatalf("probe issued %q, want ranged table reads only", got)
+		}
+		return tailReads(t, mem, ranges)
+	}
+	if tails := probe(db); len(tails) != 0 {
+		t.Fatalf("probing tables this handle wrote re-read their tails: %v", tails)
+	}
+
+	// Leave k segments live, then open cold: one manifest read, the k
+	// segments in one wave, no table touched until a probe needs it — and
+	// then one tail read per table.
+	const k = 5
+	for i := 0; i < k; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("tail-%d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec.take()
+	rec.expectWave("get wal", k)
+	cold, err := Open(rec, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := rec.take(); got != fmt.Sprintf("get MANIFEST×1 get wal×%d", k) {
+		t.Fatalf("cold open issued %q", got)
+	}
+	if st := cold.Stats(); st.WALReplayed != k || st.WALSegments != k {
+		t.Fatalf("cold open stats: %+v", st)
+	}
+	tails := probe(cold)
+	if len(tails) != tables {
+		t.Fatalf("cold probe opened %d tables, manifest has %d", len(tails), tables)
+	}
+	for key, n := range tails {
+		if n != 1 {
+			t.Fatalf("cold open of %s took %d tail reads, want 1", key, n)
+		}
+	}
+
+	// A cold handle that scans first — the global index does, to rebuild
+	// its bloom filter — reads every table whole in one wave and probes
+	// them afterwards without opening any.
+	scanned, err := Open(rec, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.take()
+	rec.expectWave("get sst", tables)
+	if err := scanned.Scan(nil, nil, func(_, _ []byte) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := rec.take(); got != fmt.Sprintf("get sst×%d", tables) {
+		t.Fatalf("scan issued %q", got)
+	}
+	if tails := probe(scanned); len(tails) != 0 {
+		t.Fatalf("probing after a scan re-read table tails: %v", tails)
+	}
+
+	if waves := rec.serial(); len(waves) != 0 {
+		t.Fatalf("requests that should overlap went one at a time: %v", waves)
+	}
+}
+
+// TestOpenTableShortTailGuess: keys much longer than the manifest's
+// bounds make the index outgrow the tail guess; the footer says by how
+// much and exactly one more read fetches it.
+func TestOpenTableShortTailGuess(t *testing.T) {
+	mem := oss.NewMem()
+	db, err := Open(mem, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := strings.Repeat("m", 400)
+	want := map[string]string{"a": "first", "z": "last"}
+	for i := 0; i < 300; i++ {
+		want[fmt.Sprintf("%s%04d", long, i)] = strings.Repeat("v", 100)
+	}
+	for k, v := range want {
+		if err := db.Put([]byte(k), []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := newReqStore(mem)
+	cold, err := Open(rec, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.take()
+	r, err := cold.openTable(cold.man.Tables[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.index) < 4 {
+		t.Fatalf("%d blocks; the index would fit any guess", len(r.index))
+	}
+	got, ranges := rec.take()
+	if got != "getrange sst×2" || len(tailReads(t, mem, ranges)) != 1 {
+		t.Fatalf("open issued %q (%v), want the guess and one exact tail read", got, ranges)
+	}
+	for k, v := range want {
+		if got, ok, err := cold.Get([]byte(k)); err != nil || !ok || string(got) != v {
+			t.Fatalf("Get(%.8s…) = %q, %v, %v", k, got, ok, err)
+		}
+	}
+}

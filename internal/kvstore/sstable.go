@@ -39,6 +39,8 @@ const (
 	sstMagic        = uint64(0x534C4D53_53540001) // "SLMSST" + version
 	targetBlockSize = 16 << 10
 	footerSize      = 40
+
+	filterBitsPerKey = 10
 )
 
 // entryKind distinguishes puts from deletion tombstones.
@@ -131,6 +133,9 @@ func decodeKeyBloom(buf []byte) (*keyBloom, error) {
 		k:     binary.LittleEndian.Uint32(buf[4:]),
 		words: make([]uint64, (len(buf)-8)/8),
 	}
+	if b.mBits == 0 || uint64(b.mBits) > 64*uint64(len(b.words)) || b.k == 0 || b.k > 12 {
+		return nil, fmt.Errorf("kvstore: bad filter block: %d bits, %d probes in %d words", b.mBits, b.k, len(b.words))
+	}
 	for i := range b.words {
 		b.words[i] = binary.LittleEndian.Uint64(buf[8+8*i:])
 	}
@@ -152,6 +157,7 @@ type sstBuilder struct {
 	blockKey []byte
 	index    []blockHandle
 	keys     [][]byte
+	filter   *keyBloom // set by finish
 	count    int
 	smallest []byte
 	largest  []byte
@@ -206,12 +212,12 @@ func (b *sstBuilder) finishBlock() {
 func (b *sstBuilder) finish() []byte {
 	b.finishBlock()
 
-	filter := newKeyBloom(len(b.keys), 10)
+	b.filter = newKeyBloom(len(b.keys), filterBitsPerKey)
 	for _, k := range b.keys {
-		filter.add(k)
+		b.filter.add(k)
 	}
 	filterOff := uint64(b.buf.Len())
-	fb := filter.encode()
+	fb := b.filter.encode()
 	b.buf.Write(fb)
 
 	indexOff := uint64(b.buf.Len())
@@ -267,37 +273,113 @@ type tableReader struct {
 	filter *keyBloom
 }
 
+// openTable reads a table's filter and index in one ranged read of the
+// object's tail, sized from what the manifest records: the filter is a
+// function of Count, the index has at most one handle per targetBlockSize
+// of Size, with first keys about as long as the bounds. Keys longer than
+// that make the guess short; the footer says so and a second read fetches
+// exactly the tail.
 func (db *DB) openTable(meta tableMeta) (*tableReader, error) {
-	key := db.tableKey(meta.Name)
-	foot, err := db.store.GetRange(key, meta.Size-footerSize, footerSize)
-	if err != nil {
-		return nil, fmt.Errorf("kvstore: open %s: footer: %w", meta.Name, err)
+	keyLen := max(len(meta.Smallest), len(meta.Largest))
+	words := max(1, (meta.Count*filterBitsPerKey+63)/64)
+	guess := int64(footerSize + 8 + 8*words + 4 + (int(meta.Size/targetBlockSize)+1)*(4+keyLen+16))
+	for {
+		guess = min(guess, meta.Size)
+		tail, err := db.store.GetRange(db.tableKey(meta.Name), meta.Size-guess, guess)
+		if err == nil && int64(len(tail)) != guess {
+			err = fmt.Errorf("read %d of the last %d bytes", len(tail), guess)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("kvstore: open %s: %w", meta.Name, err)
+		}
+		r, need, err := db.readerFromTail(meta, tail)
+		if err != nil {
+			return nil, fmt.Errorf("kvstore: open %s: %w", meta.Name, err)
+		}
+		if r != nil {
+			return r, nil
+		}
+		guess = need
 	}
-	if len(foot) != footerSize || binary.LittleEndian.Uint64(foot[32:]) != sstMagic {
-		return nil, fmt.Errorf("kvstore: open %s: bad footer", meta.Name)
-	}
-	filterOff := binary.LittleEndian.Uint64(foot[0:])
-	filterLen := binary.LittleEndian.Uint64(foot[8:])
-	indexOff := binary.LittleEndian.Uint64(foot[16:])
-	indexLen := binary.LittleEndian.Uint64(foot[24:])
+}
 
-	fb, err := db.store.GetRange(key, int64(filterOff), int64(filterLen))
+// readerFromTail builds meta's reader from tail, the last bytes of its
+// object, and returns need, the length of the tail that holds everything
+// after the data blocks. A shorter tail yields need and no reader.
+func (db *DB) readerFromTail(meta tableMeta, tail []byte) (r *tableReader, need int64, err error) {
+	filterOff, filterLen, err := parseFooter(tail, meta.Size)
 	if err != nil {
-		return nil, fmt.Errorf("kvstore: open %s: filter: %w", meta.Name, err)
+		return nil, 0, err
 	}
-	filter, err := decodeKeyBloom(fb)
+	if need = meta.Size - filterOff; need > int64(len(tail)) {
+		return nil, need, nil
+	}
+	body := tail[int64(len(tail))-need : len(tail)-footerSize]
+	filter, err := decodeKeyBloom(body[:filterLen])
 	if err != nil {
-		return nil, fmt.Errorf("kvstore: open %s: %w", meta.Name, err)
+		return nil, 0, err
 	}
-	ib, err := db.store.GetRange(key, int64(indexOff), int64(indexLen))
+	index, err := decodeIndexBlock(body[filterLen:])
 	if err != nil {
-		return nil, fmt.Errorf("kvstore: open %s: index: %w", meta.Name, err)
+		return nil, 0, err
 	}
-	index, err := decodeIndexBlock(ib)
-	if err != nil {
-		return nil, fmt.Errorf("kvstore: open %s: %w", meta.Name, err)
+	return &tableReader{db: db, meta: meta, index: index, filter: filter}, need, nil
+}
+
+// parseFooter validates the footer that ends tail, the last bytes of a
+// table object size bytes long, and returns where the filter block starts
+// and how long it is; the index block runs from its end to the footer.
+// The offsets come from the store and are trusted only as far as the
+// layout finish writes: data, filter, index, footer, adjacent.
+func parseFooter(tail []byte, size int64) (filterOff, filterLen int64, err error) {
+	if len(tail) < footerSize || int64(len(tail)) > size {
+		return 0, 0, fmt.Errorf("kvstore: %d-byte tail of a %d-byte table", len(tail), size)
 	}
-	return &tableReader{db: db, meta: meta, index: index, filter: filter}, nil
+	foot := tail[len(tail)-footerSize:]
+	if binary.LittleEndian.Uint64(foot[32:]) != sstMagic {
+		return 0, 0, fmt.Errorf("kvstore: bad footer")
+	}
+	fOff, fLen := binary.LittleEndian.Uint64(foot[0:]), binary.LittleEndian.Uint64(foot[8:])
+	iOff, iLen := binary.LittleEndian.Uint64(foot[16:]), binary.LittleEndian.Uint64(foot[24:])
+	if end := uint64(size - footerSize); fOff > iOff || iOff > end || fOff+fLen != iOff || iOff+iLen != end {
+		return 0, 0, fmt.Errorf("kvstore: footer offsets outside the table")
+	}
+	return int64(fOff), int64(fLen), nil
+}
+
+// readTablesLocked returns every entry of the given tables, each table's
+// in order: one whole-object read per table, all in flight together —
+// compaction and Scan decode every block anyway. The object holds the
+// table's filter and index too, so a table without a reader gets one
+// here, for nothing: the Scan that rebuilds the index's bloom filter at
+// open leaves every table ready to probe.
+func (db *DB) readTablesLocked(metas []tableMeta) ([]entry, error) {
+	parts := make([][]entry, len(metas))
+	readers := make([]*tableReader, len(metas))
+	err := pipe.FanOut(len(metas), blockFetchWidth, func(i int) error {
+		obj, err := db.store.Get(db.tableKey(metas[i].Name))
+		if err == nil && int64(len(obj)) != metas[i].Size {
+			err = fmt.Errorf("%d bytes, manifest says %d", len(obj), metas[i].Size)
+		}
+		if err == nil {
+			var need int64
+			if readers[i], need, err = db.readerFromTail(metas[i], obj); err == nil {
+				parts[i], err = decodeBlockEntries(obj[:int64(len(obj))-need])
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("kvstore: read %s: %w", metas[i].Name, err)
+		}
+		return nil
+	})
+	var all []entry
+	for i, es := range parts {
+		all = append(all, es...)
+		if name := metas[i].Name; readers[i] != nil && db.readers[name] == nil {
+			db.readers[name] = readers[i]
+		}
+	}
+	return all, err
 }
 
 func decodeIndexBlock(b []byte) ([]blockHandle, error) {
@@ -306,6 +388,9 @@ func decodeIndexBlock(b []byte) ([]blockHandle, error) {
 	}
 	n := int(binary.LittleEndian.Uint32(b))
 	p := 4
+	if n > (len(b)-p)/20 { // every handle takes ≥ 20 bytes
+		return nil, fmt.Errorf("kvstore: index block of %d bytes claims %d handles", len(b), n)
+	}
 	out := make([]blockHandle, 0, n)
 	for i := 0; i < n; i++ {
 		if len(b) < p+4 {
@@ -499,19 +584,4 @@ func (t *tableReader) fetchBlocks(bis []int, from int) (fetched map[int][]entry,
 		fetched[bi] = blocks[i]
 	}
 	return fetched, next, nil
-}
-
-// allEntries streams every entry of the table in order (used by compaction
-// and range iteration). It reads the whole data region in one request.
-func (t *tableReader) allEntries() ([]entry, error) {
-	if len(t.index) == 0 {
-		return nil, nil
-	}
-	last := t.index[len(t.index)-1]
-	dataLen := int64(last.off + last.n)
-	b, err := t.db.store.GetRange(t.db.tableKey(t.meta.Name), 0, dataLen)
-	if err != nil {
-		return nil, fmt.Errorf("kvstore: read %s: %w", t.meta.Name, err)
-	}
-	return decodeBlockEntries(b)
 }

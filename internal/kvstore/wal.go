@@ -219,6 +219,9 @@ func decodeWALSegment(b []byte) ([]entry, error) {
 		p = start + 13
 
 		if kind == walBatchKind {
+			if n > (len(b)-p)/9 { // every sub-entry takes ≥ 9 bytes
+				return out, fmt.Errorf("%w: batch of %d entries at %d", errTruncatedWAL, n, p)
+			}
 			batch := make([]entry, 0, n)
 			for i := 0; i < n; i++ {
 				if len(b) < p+5 {

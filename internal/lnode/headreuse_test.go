@@ -83,21 +83,50 @@ func storeObjects(t *testing.T, store oss.Store) map[string][]byte {
 	return out
 }
 
-// sameObject compares two stored objects byte for byte — except a recipe
-// index, which is encoded in map order and compared decoded.
-func sameObject(t *testing.T, key string, a, b []byte) bool {
-	if !strings.HasSuffix(key, ".index") {
-		return bytes.Equal(a, b)
+// TestRecipeBytesTwin: the same two versions backed up into two fresh
+// stores leave byte-identical objects under recipes/ — the recipe index
+// included, whose samples live in a map and are encoded in fingerprint
+// order. Scheduling must not show either: check.sh runs it at -cpu 1,4.
+func TestRecipeBytesTwin(t *testing.T) {
+	v0 := genData(3, 2<<20)
+	v1 := mutate(v0, 4, 20)
+	var twins [2]map[string][]byte
+	for i := range twins {
+		store := oss.NewMem()
+		repo, err := core.OpenRepo(store, testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := New(repo, "l0")
+		for _, v := range [][]byte{v0, v1} {
+			if _, err := n.Backup("f", v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n.Close()
+		twins[i] = map[string][]byte{}
+		for k, b := range storeObjects(t, store) {
+			if strings.HasPrefix(k, "recipes/") {
+				twins[i][k] = b
+			}
+		}
 	}
-	ia, err := recipe.DecodeIndex(a)
-	if err != nil {
-		t.Fatal(err)
+	sampled := 0
+	for k, a := range twins[0] {
+		if b, ok := twins[1][k]; !ok || !bytes.Equal(a, b) {
+			t.Errorf("%s differs between two identical backups (%d vs %d bytes)", k, len(a), len(b))
+		}
+		if strings.HasSuffix(k, ".index") {
+			idx, err := recipe.DecodeIndex(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sampled += len(idx.Samples)
+		}
 	}
-	ib, err := recipe.DecodeIndex(b)
-	if err != nil {
-		t.Fatal(err)
+	if len(twins[0]) != len(twins[1]) || sampled < 16 {
+		t.Fatalf("%d vs %d recipe objects holding %d samples; map order would not show", len(twins[0]), len(twins[1]), sampled)
 	}
-	return reflect.DeepEqual(ia, ib)
 }
 
 // setHeadBytes moves the seam between the probe's cuts and STEP 2's for
@@ -234,7 +263,7 @@ func TestHeadReuseTwin(t *testing.T) {
 								t.Errorf("%d objects on the store, recut leaves %d", len(gotObjs), len(wantObjs))
 							}
 							for k, w := range wantObjs {
-								if g, ok := gotObjs[k]; !ok || !sameObject(t, k, g, w) {
+								if g, ok := gotObjs[k]; !ok || !bytes.Equal(g, w) {
 									t.Errorf("object %s differs from the recut job's (present=%v)", k, ok)
 								}
 							}

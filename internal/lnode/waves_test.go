@@ -205,9 +205,6 @@ func optimizedChain(t *testing.T, store oss.Store, cfg core.Config, seed int64, 
 		}
 		data = mutate(data, seed+int64(v)+1, 40)
 	}
-	if err := repo.Global.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	return kept
 }
 

@@ -12,8 +12,10 @@
 package recipe
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"sort"
 
 	"slimstore/internal/container"
 	"slimstore/internal/fingerprint"
@@ -312,7 +314,8 @@ func Decode(b []byte) (*Recipe, error) {
 	return r, nil
 }
 
-// EncodeIndex serialises a recipe index.
+// EncodeIndex serialises a recipe index, samples in fingerprint order so
+// that the same index is the same bytes.
 func EncodeIndex(idx *Index) []byte {
 	buf := make([]byte, 0, 16+len(idx.FileID)+len(idx.Samples)*(fingerprint.Size+4))
 	var u32 [4]byte
@@ -325,9 +328,14 @@ func EncodeIndex(idx *Index) []byte {
 	buf = append(buf, idx.FileID...)
 	put32(uint32(idx.Version))
 	put32(uint32(len(idx.Samples)))
-	for fp, seg := range idx.Samples {
+	fps := make([]fingerprint.FP, 0, len(idx.Samples))
+	for fp := range idx.Samples {
+		fps = append(fps, fp)
+	}
+	sort.Slice(fps, func(i, j int) bool { return bytes.Compare(fps[i][:], fps[j][:]) < 0 })
+	for _, fp := range fps {
 		buf = append(buf, fp[:]...)
-		put32(uint32(seg))
+		put32(uint32(idx.Samples[fp]))
 	}
 	return buf
 }

@@ -456,6 +456,24 @@ func (g *Group) catchUpNodeLocked(n *node, upTo uint64) error {
 	return nil
 }
 
+// syncReplicasLocked syncs every reachable replica's WAL, failing the
+// ones that cannot, and returns how many are now durable up to their
+// applied position.
+func (g *Group) syncReplicasLocked() (ok int) {
+	for _, n := range g.nodes {
+		if !n.alive || n.partitioned {
+			continue
+		}
+		if err := n.db.Sync(); err != nil {
+			g.failNodeLocked(n)
+			continue
+		}
+		n.durable = n.applied
+		ok++
+	}
+	return ok
+}
+
 // maybeSyncTruncateLocked runs the periodic durability and log-size
 // work: sync reachable replicas every SyncEvery commits (advancing
 // their durable watermark), and drop log records every replica has
@@ -465,16 +483,7 @@ func (g *Group) maybeSyncTruncateLocked() {
 	g.sinceSync++
 	if g.sinceSync >= g.opts.SyncEvery {
 		g.sinceSync = 0
-		for _, n := range g.nodes {
-			if !n.alive || n.partitioned {
-				continue
-			}
-			if err := n.db.Sync(); err != nil {
-				g.failNodeLocked(n)
-				continue
-			}
-			n.durable = n.applied
-		}
+		g.syncReplicasLocked()
 	}
 	g.sinceTrunc++
 	if g.sinceTrunc < g.opts.TruncateEvery {
@@ -553,35 +562,17 @@ func (g *Group) Scan(start, end []byte, fn func(key, value []byte) bool) error {
 	})
 }
 
-// Flush makes the group durable beyond the log: the leader flushes its
-// memtable (keeping its read path on SSTables), followers sync their
-// WALs, and the durable watermarks advance so truncation can proceed.
-func (g *Group) Flush() error {
+// Sync makes every reachable replica durable up to what it has applied
+// (one WAL put each), advancing the durable watermarks so truncation can
+// proceed; it fails unless a quorum synced.
+func (g *Group) Sync() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if err := g.ensureLeaderLocked(); err != nil {
 		return err
 	}
-	ok := 0
-	for _, n := range g.nodes {
-		if !n.alive || n.partitioned {
-			continue
-		}
-		var err error
-		if n.id == g.leader {
-			err = n.db.Flush()
-		} else {
-			err = n.db.Sync()
-		}
-		if err != nil {
-			g.failNodeLocked(n)
-			continue
-		}
-		n.durable = n.applied
-		ok++
-	}
-	if ok < g.quorum() {
-		return fmt.Errorf("repl: flush reached %d of %d replicas: %w", ok, len(g.nodes), ErrNoQuorum)
+	if ok := g.syncReplicasLocked(); ok < g.quorum() {
+		return fmt.Errorf("repl: sync reached %d of %d replicas: %w", ok, len(g.nodes), ErrNoQuorum)
 	}
 	return nil
 }
@@ -737,7 +728,7 @@ func (h *Handle) Apply(b *kvstore.Batch) error {
 	return h.g.appendAsLocked(h.term, b)
 }
 
-// Close flushes and closes every live replica.
+// Close syncs and closes every live replica.
 func (g *Group) Close() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -414,11 +414,14 @@ func (s *countingStore) GetRange(key string, off, n int64) ([]byte, error) {
 }
 
 // TestReplicationOverheadBounded: the same index-shaped workload (64
-// batches of 64 fingerprint-sized keys, durable per batch, then read back
-// from tables) on one kvstore synced per batch and on a 3-replica group.
+// batches of 64 fingerprint-sized keys, durable per batch, then read
+// back) on one kvstore synced per batch and on a 3-replica group.
 // Durability through the shared log must cost less than mirroring — puts
 // at most doubled, put bytes less than tripled — and reads stay
-// leader-local.
+// leader-local. The lower bounds only catch a group that stopped writing
+// its log: the single store also turns every eighth segment into a table
+// while the replicas, synced every SyncEvery applies, stay under that
+// bound, so the group may come in a little below 1×.
 func TestReplicationOverheadBounded(t *testing.T) {
 	const batches, entries, replicas = 64, 64, 3
 	run := func(apply func(*kvstore.Batch) error, flush func() error,
@@ -472,17 +475,17 @@ func TestReplicationOverheadBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run(g.Apply, g.Flush, g.GetMulti)
+	run(g.Apply, g.Sync, g.GetMulti)
 
 	if single.putOps == 0 || single.getOps == 0 {
 		t.Fatalf("degenerate baseline: %+v", single)
 	}
 	ratio := func(a, b int64) float64 { return float64(a) / float64(b) }
-	if r := ratio(group.putOps, single.putOps); r < 1.0 || r > 2.0 {
-		t.Errorf("put ops %d vs %d = %.2fx, want within [1.0, 2.0]", group.putOps, single.putOps, r)
+	if r := ratio(group.putOps, single.putOps); r < 0.75 || r > 2.0 {
+		t.Errorf("put ops %d vs %d = %.2fx, want within [0.75, 2.0]", group.putOps, single.putOps, r)
 	}
-	if r := ratio(group.putBytes, single.putBytes); r < 1.0 || r >= replicas {
-		t.Errorf("put bytes %d vs %d = %.2fx, want within [1.0, %d.0)", group.putBytes, single.putBytes, r, replicas)
+	if r := ratio(group.putBytes, single.putBytes); r < 0.75 || r >= replicas {
+		t.Errorf("put bytes %d vs %d = %.2fx, want within [0.75, %d.0)", group.putBytes, single.putBytes, r, replicas)
 	}
 	if r := ratio(group.getOps, single.getOps); r > 1.5 {
 		t.Errorf("get ops %d vs %d = %.2fx, want <= 1.5 (reads must stay leader-local)", group.getOps, single.getOps, r)

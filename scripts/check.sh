@@ -61,6 +61,12 @@ if [ "$FUZZTIME" != "0s" ]; then
 	go test -run=NONE -fuzz='^FuzzRecipeRoundTrip$' -fuzztime "$FUZZTIME" ./internal/recipe/
 	go test -run=NONE -fuzz='^FuzzRecipeDecode$' -fuzztime "$FUZZTIME" ./internal/recipe/
 	go test -run=NONE -fuzz='^FuzzReplRecord$' -fuzztime "$FUZZTIME" ./internal/kvstore/
+	# What index recovery decodes: WAL segments, table tails and blocks, the
+	# manifest. Their seeds are whole objects, which the engine would spend
+	# the burst minimising byte by byte: one minimisation step each.
+	go test -run=NONE -fuzz='^FuzzWALSegment$' -fuzztime "$FUZZTIME" -fuzzminimizetime 1x ./internal/kvstore/
+	go test -run=NONE -fuzz='^FuzzSSTable$' -fuzztime "$FUZZTIME" -fuzzminimizetime 1x ./internal/kvstore/
+	go test -run=NONE -fuzz='^FuzzManifest$' -fuzztime "$FUZZTIME" -fuzzminimizetime 1x ./internal/kvstore/
 	go test -run=NONE -fuzz='^FuzzECDecode$' -fuzztime "$FUZZTIME" ./internal/ec/
 	go test -run=NONE -fuzz='^FuzzSHA1Kernel$' -fuzztime "$FUZZTIME" ./internal/fingerprint/
 fi

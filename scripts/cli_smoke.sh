@@ -64,6 +64,9 @@ $s stats $repo >"$tmp/stats.txt"
 positive total:
 # Which SHA-1 this host fingerprints with (internal/fingerprint's dispatch).
 grep -Eq '^sha1 kernel: (sha-ni|crypto/sha1)$' "$tmp/stats.txt" || { echo "cli_smoke: stats names no sha1 kernel:" >&2; cat "$tmp/stats.txt" >&2; exit 1; }
+# The global index's engine counters: entries it holds, and how this process
+# found and left its WAL (commits sync it; they do not flush).
+grep -Eq '^global index: [1-9][0-9]* entries, [0-9]+ tables, [0-9]+ wal segments \([0-9]+ replayed at open\), [0-9]+ syncs, [0-9]+ flushes, [0-9]+ compactions$' "$tmp/stats.txt" || { echo "cli_smoke: stats has no global index line:" >&2; cat "$tmp/stats.txt" >&2; exit 1; }
 
 # Erasure-coded tier: the containers live under ec/, and stats must see them.
 ec="-repo dir:$tmp/repo-ec -ec-data 2 -ec-parity 1"
