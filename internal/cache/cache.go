@@ -160,7 +160,7 @@ func (f *countingFetcher) get(id container.ID) (*container.Container, error) {
 		return nil, err
 	}
 	f.stats.ContainersRead++
-	f.stats.OSSBytes += int64(len(c.Data))
+	f.stats.OSSBytes += c.Size()
 	if f.seen[id] {
 		f.stats.Rereads++
 	}

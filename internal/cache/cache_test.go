@@ -2,14 +2,17 @@ package cache
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"slimstore/internal/container"
 	"slimstore/internal/fingerprint"
 	"slimstore/internal/oss"
+	"slimstore/internal/pipe"
 )
 
 // testRepo builds containers on a mem store and returns a fetcher plus a
@@ -275,15 +278,48 @@ func TestPrefetcher(t *testing.T) {
 	}
 }
 
+// TestPrefetcherEarlyClose: a restore that gives up stops issuing reads. Of
+// the eight reads the window has started, the two the thread count admits
+// are running when the consumer abandons it without taking one; they finish,
+// the six queued behind them never call the fetcher, and Close returns only
+// then. Close is what abandons: after it — on a window nobody abandoned by
+// hand — a read started late never reaches the fetcher either. Closing
+// again is harmless.
 func TestPrefetcherEarlyClose(t *testing.T) {
 	repo, seq, _ := fragmentedScenario(t)
-	pf := NewPrefetcher(repo.fetcher(), seq, 4, 4)
-	// Consume only the first container, then close; must not deadlock.
-	if _, err := pf.Fetch(seq[0].Container); err != nil {
-		t.Fatal(err)
+	const threads, buffer = 2, 8
+	var calls atomic.Int64
+	entered := make(chan struct{}, buffer)
+	release := make(chan struct{})
+	pf := NewPrefetcher(func(id container.ID) (*container.Container, error) {
+		calls.Add(1)
+		entered <- struct{}{}
+		<-release
+		return repo.cs.Read(id)
+	}, seq, threads, buffer)
+	if got := pf.Stats().Dispatched; got != buffer {
+		t.Fatalf("fixture: %d reads started, want the buffer's %d", got, buffer)
 	}
+	for i := 0; i < threads; i++ {
+		<-entered
+	}
+	// Close would do this itself, but only the test can order it before the
+	// running reads are let go.
+	pf.ahead.Abandon()
+	close(release)
 	pf.Close()
+	if got := calls.Load(); got != threads {
+		t.Fatalf("the fetcher ran %d times, want only the %d reads in flight when the window was abandoned", got, threads)
+	}
 	pf.Close() // idempotent
+
+	pf = NewPrefetcher(repo.fetcher(), seq[:1], threads, buffer)
+	pf.Close()
+	late := seq[len(seq)-1].Container
+	pf.ahead.Start(late)
+	if _, _, err := pf.ahead.Take(late); !errors.Is(err, pipe.ErrAbandoned) {
+		t.Fatalf("a read started after Close returned %v, want pipe.ErrAbandoned", err)
+	}
 }
 
 func TestALACCSpansOversizeChunk(t *testing.T) {

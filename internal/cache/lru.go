@@ -47,13 +47,13 @@ func (l *LRU) Restore(seq []Request, fetch Fetcher, emit Emit) (Stats, error) {
 			s = &slot{id: req.Container, c: c}
 			s.elem = order.PushFront(s)
 			cached[req.Container] = s
-			bytes += int64(len(c.Data))
+			bytes += c.Size()
 			for bytes > l.cfg.MemBytes && order.Len() > 1 {
 				back := order.Back()
 				victim := back.Value.(*slot)
 				order.Remove(back)
 				delete(cached, victim.id)
-				bytes -= int64(len(victim.c.Data))
+				bytes -= victim.c.Size()
 			}
 		}
 		data, err := s.c.Get(req.FP)

@@ -78,7 +78,7 @@ func (o *OPT) Restore(seq []Request, fetch Fetcher, emit Emit) (Stats, error) {
 				victimNext = n
 			}
 		}
-		bytes -= int64(len(cached[victim].Data))
+		bytes -= cached[victim].Size()
 		delete(cached, victim)
 	}
 
@@ -99,7 +99,7 @@ func (o *OPT) Restore(seq []Request, fetch Fetcher, emit Emit) (Stats, error) {
 				return stats, err
 			}
 			cached[req.Container] = c
-			bytes += int64(len(c.Data))
+			bytes += c.Size()
 			for bytes > o.cfg.MemBytes && len(cached) > 1 {
 				evictOne()
 			}

@@ -9,13 +9,14 @@ import (
 	"slimstore/internal/simclock"
 )
 
-// This file is the ranged-read planner (DESIGN.md §10.3). After reverse
+// This file is the ranged-read planner (DESIGN.md §10). After reverse
 // deduplication and SCC, a container referenced by an old version often
 // holds only a few chunks that version still needs; fetching the whole
 // 4 MiB object to serve 32 KiB is read amplification the simclock cost
 // model makes visible. Given the chunks a restore needs from a container
 // and its metadata, Plan chooses between one full GET and k coalesced
-// ranged GETs by comparing the modelled virtual-time cost of each.
+// ranged GETs by comparing the modelled virtual-time cost of each. Split
+// then cuts the long reads among all of a restore's plans (DESIGN.md §10).
 
 // ReadPlan is the planner's verdict for one container.
 type ReadPlan struct {
@@ -25,6 +26,12 @@ type ReadPlan struct {
 	// Spans are the coalesced ranges to fetch when !Full, in ascending
 	// offset order, chunk indexes resolved exactly as Meta.Find would.
 	Spans []container.Span
+	// Reads are the requests that execute the plan, for
+	// container.Store.ReadSpans: nil for one whole-object GET, Spans for a
+	// ranged plan, and after Split either with its long reads cut into
+	// pieces (a Full plan's tile the payload and list no chunks: a whole
+	// read verifies every live one).
+	Reads []container.Span
 	// NeedBytes is the payload actually required (sum of needed chunk
 	// sizes); SpanBytes includes the coalescing gaps fetched alongside.
 	NeedBytes int64
@@ -120,9 +127,112 @@ func Plan(m *container.Meta, need map[fingerprint.FP]bool, costs simclock.Costs)
 	// concurrent job, while span reads serve only this need-set. The bias
 	// keeps near-dense restores on the shareable path.
 	if p.RangedCost < p.FullCost-p.FullCost/8 {
-		p.Spans = spans
+		p.Spans, p.Reads = spans, spans
 	} else {
 		p.Full = true
 	}
 	return p
+}
+
+// Split cuts the long reads of one restore so that its channels share the
+// bytes (DESIGN.md §10). plans are the read plans of the restore's
+// containers in the order it first needs them, metas[i] what plans[i] was
+// made from. Walking the reads in that order with rem = the bytes still to
+// fetch, this read included, a read (a Full plan's payload, or one span)
+// longer than
+//
+//	max(rem/threads, floor),   floor = 8 × OSSRequestLatency × OSSReadBandwidth
+//
+// is cut into ⌈length/that⌉ near-equal pieces at chunk boundaries, none
+// under the floor: guided self-scheduling — nothing is cut while many reads
+// remain, the last few finer and finer, and the channels run dry together.
+// A restore of any size pays about 2 × threads extra requests at most.
+//
+// The result is a function of its arguments alone — never of timing or of
+// what the store is seen to do — so a restore's requests and virtual time
+// repeat exactly. threads ≤ 1 (or a floor of zero) cuts nothing.
+func Split(plans []ReadPlan, metas []*container.Meta, threads int, costs simclock.Costs) {
+	floor := 8 * coalesceGap(costs)
+	if threads <= 1 || floor <= 0 {
+		return
+	}
+	var rem int64
+	for i := range plans {
+		if plans[i].Full {
+			rem += int64(metas[i].DataSize)
+		} else {
+			rem += plans[i].SpanBytes
+		}
+	}
+	// pieces is how many pieces the walk's next read, of this length, is cut
+	// into; it moves the walk past the read.
+	pieces := func(length int64) int {
+		limit := max(rem/int64(threads), floor)
+		rem -= length
+		if length <= limit {
+			return 1
+		}
+		return int(min((length+limit-1)/limit, length/floor))
+	}
+	for i := range plans {
+		p, m := &plans[i], metas[i]
+		if p.Full {
+			if k := pieces(int64(m.DataSize)); k > 1 {
+				live := make([]int, 0, len(m.Chunks)) // in offset order
+				for ci := range m.Chunks {
+					if !m.Chunks[ci].Deleted {
+						live = append(live, ci)
+					}
+				}
+				sort.SliceStable(live, func(a, b int) bool { return m.Chunks[live[a]].Offset < m.Chunks[live[b]].Offset })
+				if cut := cutSpan(m, container.Span{Len: int64(m.DataSize), Chunks: live}, k, floor); len(cut) > 1 {
+					for j := range cut {
+						cut[j].Chunks = nil
+					}
+					p.Reads = cut
+				}
+			}
+			continue
+		}
+		p.Reads = make([]container.Span, 0, len(p.Spans))
+		for _, sp := range p.Spans {
+			if k := pieces(sp.Len); k > 1 {
+				p.Reads = append(p.Reads, cutSpan(m, sp, k, floor)...)
+			} else {
+				p.Reads = append(p.Reads, sp)
+			}
+		}
+	}
+}
+
+// cutSpan cuts sp, a read of m's payload listing its chunks in ascending
+// offset order, into at most k pieces that tile it. A cut falls only on a
+// chunk boundary — the start of a listed chunk that no earlier one reaches
+// past — and the j-th on the boundary nearest j/k of the way through, unless
+// that would leave a piece shorter than floor: then it is not made.
+func cutSpan(m *container.Meta, sp container.Span, k int, floor int64) []container.Span {
+	at := func(n int) int64 { return int64(m.Chunks[sp.Chunks[n]].Offset) }
+	var bounds []int // n such that sp.Chunks[n] starts on a boundary
+	covered := sp.Off
+	for n, ci := range sp.Chunks {
+		if n > 0 && at(n) >= covered {
+			bounds = append(bounds, n)
+		}
+		covered = max(covered, at(n)+int64(m.Chunks[ci].Size))
+	}
+	out := make([]container.Span, 0, k)
+	end := sp.Off + sp.Len
+	cur, first := sp.Off, 0
+	for j := 1; j < k && len(bounds) > 0; j++ {
+		target := sp.Off + sp.Len*int64(j)/int64(k)
+		i := sort.Search(len(bounds), func(i int) bool { return at(bounds[i]) >= target })
+		if i == len(bounds) || i > 0 && target-at(bounds[i-1]) <= at(bounds[i])-target {
+			i--
+		}
+		if n := bounds[i]; at(n)-cur >= floor && end-at(n) >= floor {
+			out = append(out, container.Span{Off: cur, Len: at(n) - cur, Chunks: sp.Chunks[first:n]})
+			cur, first = at(n), n
+		}
+	}
+	return append(out, container.Span{Off: cur, Len: end - cur, Chunks: sp.Chunks[first:]})
 }

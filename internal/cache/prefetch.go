@@ -109,6 +109,10 @@ func (p *Prefetcher) Stats() PrefetchStats {
 	return st
 }
 
-// Close waits for every started read to finish; safe to call multiple
-// times.
-func (p *Prefetcher) Close() { p.ahead.Join() }
+// Close abandons the reads that have not begun — a restore that failed on
+// its first container issues no further GETs — and waits for the running
+// ones to finish; safe to call multiple times.
+func (p *Prefetcher) Close() {
+	p.ahead.Abandon()
+	p.ahead.Join()
+}

@@ -357,7 +357,7 @@ func (s *Shared) promoteLocked(e *sharedEntry) {
 // counts a reject) when referenced entries hold all the space or the
 // container alone exceeds the probation budget.
 func (s *Shared) admitLocked(id container.ID, c *container.Container) *sharedEntry {
-	bytes := int64(len(c.Data))
+	bytes := c.Size()
 	if bytes > s.probCap {
 		s.stats.Rejects++
 		return nil

@@ -203,26 +203,56 @@ func (m *Meta) SameLayout(o *Meta) bool {
 	return true
 }
 
-// Container is a fully materialised container: metadata plus payload.
-// The Data of a container a Store returned (Read, ReadRaw, ReadSpans) is
-// read-only: it may alias the object store's memory (oss.Store.Get), and
-// the node-wide restore cache hands one fetched container to every job
-// that asks for it. Only a container the caller built itself has a Data
-// it may write.
+// Container is a materialised container: metadata plus payload. Data is
+// the payload from offset 0 — what a builder fills and one whole-object
+// read returns. A container fetched as byte ranges (ReadSpans) holds them
+// as parts instead and leaves Data nil: each range stays the buffer its
+// request returned, and ChunkData indexes the part a chunk lies in.
+//
+// The payload of a container a Store returned (Read, ReadRaw, ReadSpans)
+// is read-only: it may alias the object store's memory (oss.Store.Get),
+// and the node-wide restore cache hands one fetched container to every job
+// that asks for it. Only a container the caller built itself has a Data it
+// may write.
 type Container struct {
-	Meta Meta
-	Data []byte
+	Meta  Meta
+	Data  []byte
+	parts []part // ascending, disjoint; nil when Data is the payload
+}
+
+// part is one fetched byte range of a container's payload.
+type part struct {
+	off  int64
+	data []byte
+}
+
+// Size is the number of payload bytes the container holds.
+func (c *Container) Size() int64 {
+	n := int64(len(c.Data))
+	for i := range c.parts {
+		n += int64(len(c.parts[i].data))
+	}
+	return n
 }
 
 // ChunkData returns the payload of the chunk described by cm. The slice
-// aliases the container buffer.
+// aliases the container's payload; a chunk outside the fetched ranges of a
+// container read in parts is an error, never other bytes.
 func (c *Container) ChunkData(cm *ChunkMeta) ([]byte, error) {
-	end := int64(cm.Offset) + int64(cm.Size)
-	if end > int64(len(c.Data)) {
-		return nil, fmt.Errorf("container %s: chunk %s range [%d,%d) exceeds data size %d",
-			c.Meta.ID, cm.FP.Short(), cm.Offset, end, len(c.Data))
+	off, end := int64(cm.Offset), int64(cm.Offset)+int64(cm.Size)
+	if c.parts == nil && end <= int64(len(c.Data)) {
+		return c.Data[off:end], nil
 	}
-	return c.Data[cm.Offset:end], nil
+	for i := len(c.parts) - 1; i >= 0; i-- { // the last part starting at or before the chunk
+		if p := &c.parts[i]; p.off <= off {
+			if end <= p.off+int64(len(p.data)) {
+				return p.data[off-p.off : end-p.off], nil
+			}
+			break
+		}
+	}
+	return nil, fmt.Errorf("container %s: chunk %s range [%d,%d) exceeds the %d payload bytes held",
+		c.Meta.ID, cm.FP.Short(), off, end, c.Size())
 }
 
 // Get returns the payload of the chunk with fingerprint fp.

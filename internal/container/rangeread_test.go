@@ -3,7 +3,11 @@ package container
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"slimstore/internal/fingerprint"
 	"slimstore/internal/oss"
@@ -45,11 +49,11 @@ func TestReadSpansReturnsCoveredChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(part.Data), 4*sz; got != want {
+	if got, want := part.Size(), int64(4*sz); got != want {
 		t.Fatalf("partial payload %d bytes, want %d", got, want)
 	}
-	if cap(part.Data) != 4*sz {
-		t.Fatalf("partial payload capacity %d: several spans assemble into one buffer of exactly their total, %d", cap(part.Data), 4*sz)
+	if part.Data != nil || len(part.parts) != 2 {
+		t.Fatalf("two spans came back as Data of %d bytes and %d parts, want the two reads kept apart", len(part.Data), len(part.parts))
 	}
 	for _, i := range []int{3, 4, 5, 30} {
 		data, err := part.Get(fps[i])
@@ -59,42 +63,287 @@ func TestReadSpansReturnsCoveredChunks(t *testing.T) {
 		if !bytes.Equal(data, payloads[i]) {
 			t.Fatalf("covered chunk %d: payload differs", i)
 		}
+		// No remap: a covered chunk keeps the offset it has in the object.
+		if cm := part.Meta.Find(fps[i]); int(cm.Offset) != i*sz {
+			t.Fatalf("covered chunk %d: offset %d, want the data object's %d", i, cm.Offset, i*sz)
+		}
 	}
-	// Uncovered chunks must fail loudly, not silently return wrong bytes.
+	// Uncovered chunks must fail loudly, not silently return wrong bytes —
+	// neither by fingerprint nor by a record of the full metadata.
 	if _, err := part.Get(fps[0]); err == nil {
 		t.Fatal("uncovered chunk resolved from a partial container")
 	}
+	for _, i := range []int{0, 2, 6, 29, 31} {
+		if _, err := part.ChunkData(&ChunkMeta{FP: fps[i], Offset: uint32(i * sz), Size: sz}); err == nil {
+			t.Fatalf("chunk %d lies outside the fetched ranges and was served", i)
+		}
+	}
+	// Nor a range that starts in one part and would end past it.
+	if _, err := part.ChunkData(&ChunkMeta{Offset: 5 * sz, Size: 2 * sz}); err == nil {
+		t.Fatal("a range running off the end of a part was served")
+	}
 }
 
-// lastRange records the result of the latest GetRange.
-type lastRange struct {
+// rangeLog records the result of every GetRange, and how many requests of
+// any kind were in flight at once.
+type rangeLog struct {
 	oss.Store
-	got []byte
+	mu       sync.Mutex
+	got      [][]byte
+	inflight int
+	high     int
 }
 
-func (l *lastRange) GetRange(key string, off, n int64) ([]byte, error) {
+func (l *rangeLog) track(d int) {
+	l.mu.Lock()
+	l.inflight += d
+	l.high = max(l.high, l.inflight)
+	l.mu.Unlock()
+}
+
+func (l *rangeLog) Get(key string) ([]byte, error) {
+	l.track(1)
+	defer l.track(-1)
+	return l.Store.Get(key)
+}
+
+func (l *rangeLog) GetRange(key string, off, n int64) ([]byte, error) {
+	l.track(1)
+	defer l.track(-1)
 	b, err := l.Store.GetRange(key, off, n)
-	l.got = b
+	l.mu.Lock()
+	l.got = append(l.got, b)
+	l.mu.Unlock()
 	return b, err
 }
 
-// With one span there is nothing to assemble: the partial container's
-// payload is the ranged read's result, not a second buffer holding a copy.
+// aliases reports whether data starts inside one of the logged reads.
+func (l *rangeLog) aliases(data []byte) bool {
+	for _, b := range l.got {
+		for off := range b {
+			if &b[off] == &data[0] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// Nothing is assembled: every chunk of a container read in parts, one span
+// or several, is a view of the ranged read that fetched it, and the parts
+// are clipped like every fetched payload.
 func TestReadSpansOneSpanAliasesTheRead(t *testing.T) {
 	const n, sz = 16, 1024
 	cs, id, fps, payloads := buildSpanContainer(t, n, sz)
-	rec := &lastRange{Store: cs.oss}
-	part, err := cs.View(rec).ReadSpans(id, []Span{{Off: 5 * sz, Len: 2 * sz, Chunks: []int{5, 6}}})
+	for _, spans := range [][]Span{
+		{{Off: 5 * sz, Len: 2 * sz, Chunks: []int{5, 6}}},
+		{{Off: 0, Len: sz, Chunks: []int{0}}, {Off: 5 * sz, Len: 2 * sz, Chunks: []int{5, 6}}, {Off: 9 * sz, Len: sz, Chunks: []int{9}}},
+	} {
+		rec := &rangeLog{Store: cs.oss}
+		part, err := cs.View(rec).ReadSpans(id, spans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.got) != len(spans) || len(part.parts) != len(spans) {
+			t.Fatalf("%d spans: %d ranged reads, %d parts", len(spans), len(rec.got), len(part.parts))
+		}
+		for _, p := range part.parts {
+			if cap(p.data) != len(p.data) {
+				t.Fatalf("part at %d has %d bytes of headroom", p.off, cap(p.data)-len(p.data))
+			}
+		}
+		for _, sp := range spans {
+			for _, i := range sp.Chunks {
+				data, err := part.Get(fps[i])
+				if err != nil || !bytes.Equal(data, payloads[i]) {
+					t.Fatalf("covered chunk %d: %v", i, err)
+				}
+				if !rec.aliases(data) {
+					t.Fatalf("chunk %d of a %d-span read is a copy, not a view of its ranged read", i, len(spans))
+				}
+			}
+		}
+	}
+}
+
+// Spans that tile the payload are a whole read in pieces: the full
+// container comes back — every chunk answered, the complete metadata, a
+// deleted chunk's rot tolerated and a live chunk's caught whatever the
+// spans list — exactly as from the one-GET Read.
+func TestReadSpansTilingIsAWholeRead(t *testing.T) {
+	const n, sz = 16, 1024
+	cs, id, fps, payloads := buildSpanContainer(t, n, sz)
+	tiling := []Span{{Off: 0, Len: 5 * sz}, {Off: 5 * sz, Len: 7 * sz}, {Off: 12 * sz, Len: 4 * sz}}
+	whole, err := cs.Read(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(part.Data) != 2*sz || cap(part.Data) != 2*sz || &part.Data[0] != &rec.got[0] {
-		t.Fatalf("one-span payload: len %d cap %d, aliases the read: %v; want the %d-byte read itself",
-			len(part.Data), cap(part.Data), &part.Data[0] == &rec.got[0], 2*sz)
+	c, err := cs.ReadSpans(id, tiling)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, i := range []int{5, 6} {
-		if data, err := part.Get(fps[i]); err != nil || !bytes.Equal(data, payloads[i]) {
-			t.Fatalf("covered chunk %d: %v", i, err)
+	if c.Size() != whole.Size() || !c.Meta.SameLayout(&whole.Meta) || c.Data != nil {
+		t.Fatalf("tiling read: %d bytes, same layout %v, Data %d bytes; want the %d-byte container in parts",
+			c.Size(), c.Meta.SameLayout(&whole.Meta), len(c.Data), whole.Size())
+	}
+	for i := range fps {
+		if data, err := c.Get(fps[i]); err != nil || !bytes.Equal(data, payloads[i]) {
+			t.Fatalf("chunk %d: %v", i, err)
+		}
+	}
+	// One span short of the payload's end is a partial read again.
+	if c, err := cs.ReadSpans(id, tiling[:2]); err != nil || len(c.Meta.Chunks) != 0 {
+		t.Fatalf("two of three tiles listing no chunks: %v, %d chunks", err, len(c.Meta.Chunks))
+	}
+
+	rot := func(i int, deleted bool) {
+		t.Helper()
+		m, err := cs.ReadMeta(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp := *m
+		cp.Chunks = append([]ChunkMeta(nil), m.Chunks...)
+		cp.Chunks[i].Deleted = deleted
+		if err := cs.WriteMeta(&cp); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := cs.GetRawData(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw = bytes.Clone(raw)
+		raw[i*sz+3] ^= 0x10
+		if err := cs.PutRaw(id, raw, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rot(7, true)
+	if _, err := cs.ReadSpans(id, tiling); err != nil {
+		t.Fatalf("rot in a deleted chunk failed a whole read in pieces: %v", err)
+	}
+	rot(13, false)
+	if _, err := cs.ReadSpans(id, tiling); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("rot in a live chunk no span lists: got %v, want ErrCorrupt", err)
+	}
+	if _, err := cs.Read(id); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("the one-GET read of the same object: got %v, want ErrCorrupt", err)
+	}
+}
+
+// barrierStore holds every GetRange until `want` of them wait together —
+// a read whose requests went out one at a time never gets past the first —
+// and fails the request at index failAt (in arrival order) if ≥ 0.
+type barrierStore struct {
+	oss.Store
+	want int
+
+	mu      sync.Mutex
+	waiting int
+	seen    int
+	high    int
+	failAt  int
+	short   bool
+	release chan struct{}
+}
+
+var errInjected = errors.New("injected read failure")
+
+func (b *barrierStore) GetRange(key string, off, n int64) ([]byte, error) {
+	b.mu.Lock()
+	k := b.seen
+	b.seen++
+	b.waiting++
+	b.high = max(b.high, b.waiting)
+	wait := b.release
+	if b.waiting == b.want {
+		close(b.release)
+		b.release = make(chan struct{})
+		wait = nil
+	}
+	b.mu.Unlock()
+	if wait != nil {
+		select {
+		case <-wait:
+		case <-time.After(10 * time.Second):
+			return nil, fmt.Errorf("getrange %s@%d waited alone: the requests of one read were not issued together", key, off)
+		}
+	}
+	defer func() { b.mu.Lock(); b.waiting--; b.mu.Unlock() }()
+	if k == b.failAt {
+		if !b.short {
+			return nil, errInjected
+		}
+		n--
+	}
+	return b.Store.GetRange(key, off, n)
+}
+
+// The requests of one read run side by side, at most the gate's width at
+// once however many views' callers share the gate, and an ungated view
+// issues them one after another on the caller.
+func TestGatedReadSpansOverlapsUpToTheGate(t *testing.T) {
+	const n, sz, width = 16, 1024, 3
+	cs, id, _, _ := buildSpanContainer(t, n, sz)
+	spans := make([]Span, 6)
+	for i := range spans {
+		spans[i] = Span{Off: int64(2 * i * sz), Len: sz, Chunks: []int{2 * i}}
+	}
+	bar := &barrierStore{Store: cs.oss, want: width, failAt: -1, release: make(chan struct{})}
+	gated := cs.View(bar).Gated(width)
+	// Two reads at once through one gate: six requests each, three tokens.
+	errs := make(chan error, 2)
+	for r := 0; r < 2; r++ {
+		go func() {
+			_, err := gated.ReadSpans(id, spans)
+			errs <- err
+		}()
+	}
+	for r := 0; r < 2; r++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bar.high != width {
+		t.Fatalf("%d requests in flight at the high-water mark, want exactly the gate's %d", bar.high, width)
+	}
+
+	rec := &rangeLog{Store: cs.oss}
+	if _, err := cs.View(rec).ReadSpans(id, spans); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cs.View(rec).Gated(1).Read(id); err != nil {
+		t.Fatal(err)
+	}
+	if rec.high != 1 {
+		t.Fatalf("ungated and width-1 views had %d requests in flight, want 1", rec.high)
+	}
+}
+
+// A failed or short piece fails the whole read, naming the container and
+// the byte range, whichever piece it is; nothing is returned, and every
+// request issued has come back by then (the barrier store would otherwise
+// still count it waiting).
+func TestGatedReadSpansFailsWholeOnAnyPiece(t *testing.T) {
+	const n, sz, width = 16, 1024, 4
+	cs, id, _, _ := buildSpanContainer(t, n, sz)
+	tiling := []Span{{Off: 0, Len: 4 * sz}, {Off: 4 * sz, Len: 4 * sz}, {Off: 8 * sz, Len: 4 * sz}, {Off: 12 * sz, Len: 4 * sz}}
+	for _, short := range []bool{false, true} {
+		for k := range tiling {
+			bar := &barrierStore{Store: cs.oss, want: width, failAt: k, short: short, release: make(chan struct{})}
+			c, err := cs.View(bar).Gated(width).ReadSpans(id, tiling)
+			if err == nil || c != nil {
+				t.Fatalf("piece %d (short=%v): read succeeded", k, short)
+			}
+			if short != errors.Is(err, ErrCorrupt) || short == errors.Is(err, errInjected) {
+				t.Fatalf("piece %d (short=%v): %v", k, short, err)
+			}
+			if msg := err.Error(); !strings.Contains(msg, id.String()) || !strings.Contains(msg, fmt.Sprintf(",+%d)", 4*sz)) {
+				t.Fatalf("piece %d (short=%v): error %q does not name the container and the range", k, short, msg)
+			}
+			if bar.waiting != 0 {
+				t.Fatalf("piece %d (short=%v): %d requests still in flight after the read returned", k, short, bar.waiting)
+			}
 		}
 	}
 }
@@ -133,6 +382,15 @@ func TestReadSpansRejectsOutOfBounds(t *testing.T) {
 		{Off: int64(n*sz) - 10, Len: 20, Chunks: nil}, // runs past the payload into the footer
 		{Off: 0, Len: sz, Chunks: []int{2}},           // chunk escapes its span
 		{Off: 0, Len: sz, Chunks: []int{99}},          // bogus index
+	}
+	// Spans out of order or overlapping: ChunkData searches them by offset.
+	for _, spans := range [][]Span{
+		{{Off: 2 * sz, Len: sz, Chunks: []int{2}}, {Off: 0, Len: sz, Chunks: []int{0}}},
+		{{Off: 0, Len: 2 * sz, Chunks: []int{0}}, {Off: sz, Len: sz, Chunks: []int{1}}},
+	} {
+		if _, err := cs.ReadSpans(id, spans); err == nil {
+			t.Errorf("accepted span list %+v", spans)
+		}
 	}
 	for i, sp := range cases {
 		if _, err := cs.ReadSpans(id, []Span{sp}); err == nil {

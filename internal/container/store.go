@@ -40,6 +40,7 @@ func MetaKey(id ID) string { return metaKey(id) }
 type Store struct {
 	oss    oss.Store
 	shared *storeShared
+	gate   chan struct{} // one token per data-object read in flight; nil = ungated (see Gated)
 }
 
 // storeShared is the state common to all views of one container store.
@@ -144,6 +145,33 @@ func (s *Store) View(o oss.Store) *Store {
 	return &Store{oss: o, shared: s.shared}
 }
 
+// Gated returns a view of s that keeps at most n of its data-object reads
+// (Read, ReadSpans) in flight, whichever goroutines issue them, and runs
+// the requests of one ReadSpans up to n at a time. A token is held across
+// exactly one object-store call and never while waiting for another. n < 1
+// returns s: an ungated view issues a read's requests one after another on
+// the caller.
+func (s *Store) Gated(n int) *Store {
+	if n < 1 {
+		return s
+	}
+	return &Store{oss: s.oss, shared: s.shared, gate: make(chan struct{}, n)}
+}
+
+// enter takes one of the view's read tokens and leave returns it; both are
+// no-ops on an ungated view.
+func (s *Store) enter() {
+	if s.gate != nil {
+		s.gate <- struct{}{}
+	}
+}
+
+func (s *Store) leave() {
+	if s.gate != nil {
+		<-s.gate
+	}
+}
+
 // parseKey extracts the container ID from an OSS key.
 func parseKey(key string) (ID, bool) {
 	name := strings.TrimPrefix(key, Prefix)
@@ -238,58 +266,25 @@ func (s *Store) Write(c *Container) error {
 	return nil
 }
 
-// Read fetches a full container (metadata + payload) and verifies every
-// live chunk against its checksum. Corruption in live data surfaces as a
-// *CorruptError (errors.Is ErrCorrupt); rot confined to deleted regions
-// does not fail reads — the scrub pass detects and clears it, which is
-// why Read does not compute the footer's whole-payload CRC: the per-chunk
-// sums already cover every byte a reader can be served, and the footer
-// verdict is ReadRaw's to report. The result is read-only (see
-// Container) and shared by every job the node-wide cache serves it to.
-func (s *Store) Read(id ID) (*Container, error) {
-	m, raw, err := s.fetch(id)
-	if err != nil {
-		return nil, err
-	}
-	payload, _ := splitData(m, raw)
-	c := &Container{Meta: *m, Data: payload}
-	for i := range c.Meta.Chunks {
-		cm := &c.Meta.Chunks[i]
-		if cm.Deleted {
-			continue
-		}
-		if verr := c.VerifyChunk(cm); verr != nil {
-			return nil, fmt.Errorf("container %s: read data: %w", id, verr)
-		}
-	}
-	return c, nil
-}
+// Read fetches a full container (metadata + payload) with one request and
+// verifies every live chunk against its checksum: ReadSpans with no spans.
+func (s *Store) Read(id ID) (*Container, error) { return s.ReadSpans(id, nil) }
 
 // ReadRaw fetches a container without chunk verification — the scrub path,
 // which wants the damaged payload to salvage intact chunks from. footerOK
 // reports the data object's whole-payload checksum (always true for v1).
 // The result is read-only, as Read's.
 func (s *Store) ReadRaw(id ID) (c *Container, footerOK bool, err error) {
-	m, raw, err := s.fetch(id)
+	m, err := s.ReadMeta(id)
 	if err != nil {
 		return nil, false, err
 	}
-	payload, footerOK := SplitData(m, raw)
-	return &Container{Meta: *m, Data: payload}, footerOK, nil
-}
-
-// fetch reads a container's metadata (through the cache) and its raw data
-// object.
-func (s *Store) fetch(id ID) (*Meta, []byte, error) {
-	m, err := s.ReadMeta(id)
-	if err != nil {
-		return nil, nil, err
-	}
 	raw, err := s.oss.Get(dataKey(id))
 	if err != nil {
-		return nil, nil, fmt.Errorf("container %s: read data: %w", id, err)
+		return nil, false, fmt.Errorf("container %s: read data: %w", id, err)
 	}
-	return m, raw, nil
+	payload, footerOK := SplitData(m, raw)
+	return &Container{Meta: *m, Data: payload}, footerOK, nil
 }
 
 // GetRawData fetches a container's encoded data object verbatim (footer
@@ -354,31 +349,23 @@ func (s *Store) WriteMeta(m *Meta) error {
 
 // ReadChunk fetches a single chunk via a ranged read; cheaper than Read
 // when only one chunk of a cold container is needed (old-version restore
-// after reverse deduplication).
+// after reverse deduplication). It is ReadSpans of the one span that is the
+// chunk Meta.Find would return.
 func (s *Store) ReadChunk(id ID, fp fingerprint.FP) ([]byte, error) {
 	m, err := s.ReadMeta(id)
 	if err != nil {
 		return nil, err
 	}
-	cm := m.Find(fp)
-	if cm == nil {
-		return nil, fmt.Errorf("container %s: chunk %s not found", id, fp.Short())
-	}
-	data, err := s.oss.GetRange(dataKey(id), int64(cm.Offset), int64(cm.Size))
-	if err != nil {
-		return nil, fmt.Errorf("container %s: read chunk %s: %w", id, fp.Short(), err)
-	}
-	if m.Checksummed() {
-		if int64(len(data)) != int64(cm.Size) {
-			return nil, &CorruptError{Container: id, FP: fp,
-				Detail: fmt.Sprintf("ranged read returned %d bytes, want %d", len(data), cm.Size)}
-		}
-		if got := ChecksumOf(data); got != cm.Sum {
-			return nil, &CorruptError{Container: id, FP: fp,
-				Detail: fmt.Sprintf("checksum %08x, want %08x", got, cm.Sum)}
+	for i := range m.Chunks {
+		if cm := &m.Chunks[i]; cm.FP == fp {
+			c, err := s.ReadSpans(id, []Span{{Off: int64(cm.Offset), Len: int64(cm.Size), Chunks: []int{i}}})
+			if err != nil {
+				return nil, err
+			}
+			return c.ChunkData(cm)
 		}
 	}
-	return data, nil
+	return nil, fmt.Errorf("container %s: chunk %s not found", id, fp.Short())
 }
 
 // Quarantine moves a container's objects under QuarantinePrefix and drops

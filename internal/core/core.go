@@ -83,10 +83,11 @@ type Config struct {
 	// RestorePolicy selects the cache policy: "fv" (default), "opt",
 	// "alacc", "lru".
 	RestorePolicy string
-	// PrefetchThreads is how many container reads the LAW prefetcher keeps
-	// running at once (it starts twice as many ahead of the restore
-	// position); 0 disables prefetching (Table II). It is also the width
-	// of the restore's metadata waves.
+	// PrefetchThreads is how many container reads a restore keeps in
+	// flight at once — data-object requests, whichever containers they
+	// belong to; the LAW prefetcher starts twice as many containers ahead
+	// of the restore position. 0 disables prefetching (Table II). It is
+	// also the width of the restore's metadata waves.
 	PrefetchThreads int
 	// VerifyRestore re-fingerprints every restored chunk and fails the
 	// restore on any mismatch (end-to-end integrity at fingerprinting
@@ -341,7 +342,7 @@ func OpenRepo(store oss.Store, cfg Config) (*Repo, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: open global index: %w", err)
 	}
-	js, err := journal.Open(store)
+	js, pending, err := journal.Open(store)
 	if err != nil {
 		return nil, fmt.Errorf("core: open journal: %w", err)
 	}
@@ -363,7 +364,7 @@ func OpenRepo(store oss.Store, cfg Config) (*Repo, error) {
 	}
 	// Roll forward any reorganisation a previous process crashed in the
 	// middle of, before this process does new work against the repo.
-	if _, err := r.ReplayJournal(); err != nil {
+	if _, err := r.replay(pending); err != nil {
 		return nil, fmt.Errorf("core: replay journal: %w", err)
 	}
 	return r, nil

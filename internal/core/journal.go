@@ -23,14 +23,20 @@ import (
 
 // ReplayJournal rolls forward (or, for rewrites whose payload never
 // landed, rolls back) every surviving journal record, in commit order. It
-// returns the number of records replayed. OpenRepo calls it before the
-// repo does any new work; FullSweep calls it to reclaim half-committed
-// operations from a crashed peer.
+// returns the number of records replayed. OpenRepo does the same, from the
+// listing that opened the journal, before the repo does any new work;
+// FullSweep calls it to reclaim half-committed operations from a crashed
+// peer.
 func (r *Repo) ReplayJournal() (int, error) {
 	keys, err := r.Journal.List()
 	if err != nil {
 		return 0, err
 	}
+	return r.replay(keys)
+}
+
+// replay is ReplayJournal over the given record keys.
+func (r *Repo) replay(keys []string) (int, error) {
 	n := 0
 	for _, k := range keys {
 		rec, err := r.Journal.Get(k)

@@ -309,7 +309,7 @@ func TestCompactSparseCrashWithRewritesOutstanding(t *testing.T) {
 				t.Fatalf("CompactSparse returned %v, want the injected crash", err)
 			}
 
-			js, err := journal.Open(mem)
+			js, _, err := journal.Open(mem)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -511,19 +511,18 @@ func (g *GNode) CompactSparse(fileID string, version int, sparse []container.ID)
 	newSet := make(map[container.ID]bool)
 	held := make([]*container.Container, len(sparse))
 	err = g.repo.ForEachOrdered(len(sparse), func(i int) error {
-		if len(needed[sparse[i]]) == 0 {
-			return nil
+		// The metadata (cached) says whether anything needed is still
+		// live here: a source an earlier pass drained — the recipe still
+		// names it, its chunks have moved — is not read to move nothing.
+		m, err := cs.ReadMeta(sparse[i])
+		if err == nil && anyLive(m, needed[sparse[i]]) {
+			held[i], err = cs.Read(sparse[i])
 		}
-		c, err := cs.Read(sparse[i])
-		if err != nil {
-			// A quarantined or already-collected source has no chunks to
-			// move; corrupt sources still abort loudly (no laundering).
-			if errors.Is(err, oss.ErrNotFound) {
-				return nil
-			}
+		// A quarantined or already-collected source has no chunks to move;
+		// corrupt sources still abort loudly (no laundering).
+		if err != nil && !errors.Is(err, oss.ErrNotFound) {
 			return fmt.Errorf("gnode: scc read %s: %w", sparse[i], err)
 		}
-		held[i] = c
 		return nil
 	}, func(i int) error {
 		c := held[i]
@@ -617,6 +616,16 @@ func (g *GNode) CompactSparse(fileID string, version int, sparse []container.ID)
 		return nil, err
 	}
 	return stats, nil
+}
+
+// anyLive reports whether m still holds one of fps live.
+func anyLive(m *container.Meta, fps []fingerprint.FP) bool {
+	for _, fp := range fps {
+		if cm := m.Find(fp); cm != nil && !cm.Deleted {
+			return true
+		}
+	}
+	return false
 }
 
 // staleAfter predicts a source's stale proportion once the SCC apply has

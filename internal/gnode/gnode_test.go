@@ -278,8 +278,8 @@ func TestVersionCollection(t *testing.T) {
 	if vs, _ := repo.Recipes.Versions("f"); len(vs) != 2 || vs[0] != 1 {
 		t.Fatalf("versions after delete = %v", vs)
 	}
-	if got := repo.SimIndex.VersionsOf("f"); len(got) != 2 {
-		t.Fatalf("simindex versions after delete = %v", got)
+	if got, err := repo.SimIndex.VersionsOf("f"); len(got) != 2 || err != nil {
+		t.Fatalf("simindex versions after delete = %v, %v", got, err)
 	}
 
 	// Remaining versions still restore byte-identically.

@@ -219,6 +219,47 @@ func TestCompactSparseReadsEachSourceOnce(t *testing.T) {
 	assertRestores(t, repo, want)
 }
 
+// TestCompactSparseSkipsDrainedSources: a version whose recipe still names
+// sparse sources that an earlier compaction already drained of everything
+// it needs — here v2, a byte-identical twin of v1, compacted after v1 — is
+// compacted without fetching one of those sources' data objects: the
+// metadata says nothing needed is live. Nothing moves, nothing is written,
+// and every version still restores.
+func TestCompactSparseSkipsDrainedSources(t *testing.T) {
+	mem, cfg, want, st := sccBaseline(t)
+	rec := newRecStore(mem)
+	repo, gn := openOver(t, rec, cfg, 4)
+	st2, err := lnode.New(repo, "l0").Backup("f", want[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want[st2.Version] = want[1]
+	if !reflect.DeepEqual(st2.SparseContainers, st.SparseContainers) {
+		t.Fatalf("fixture: the twin flags %v sparse, the original %v", st2.SparseContainers, st.SparseContainers)
+	}
+	if scc, err := gn.CompactSparse("f", st.Version, st.SparseContainers); err != nil || scc.ChunksMoved == 0 {
+		t.Fatalf("first compaction: %+v, %v", scc, err)
+	}
+
+	rec.reset()
+	scc, err := gn.CompactSparse("f", st2.Version, st2.SparseContainers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scc.ChunksMoved != 0 || scc.BytesMoved != 0 || len(scc.NewContainers) != 0 || scc.SparseContainers != len(st2.SparseContainers) {
+		t.Fatalf("compacting the twin moved something: %+v", scc)
+	}
+	for _, id := range st2.SparseContainers {
+		if got := rec.dataGets(id); got != 0 {
+			t.Errorf("drained source %s: %d data-object GETs, want none", id, got)
+		}
+	}
+	if ops := rec.recorded(); len(ops) != 0 {
+		t.Errorf("a compaction with nothing to move wrote to the store: %v", ops)
+	}
+	assertRestores(t, repo, want)
+}
+
 // padWithDeadChunk rewrites container id with one extra chunk already
 // marked deleted, so an in-place rewrite has something to drop (changing
 // the layout) without touching any live byte.

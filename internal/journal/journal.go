@@ -129,21 +129,19 @@ type Store struct {
 	next atomic.Uint64
 }
 
-// Open opens the journal namespace on an OSS store.
-func Open(s oss.Store) (*Store, error) {
-	js := &Store{oss: s}
-	keys, err := s.List(Prefix)
-	if err != nil {
-		return nil, fmt.Errorf("journal: scan: %w", err)
+// Open opens the journal namespace on an OSS store. pending is what List
+// would return now — the records earlier processes left behind, in commit
+// order — so that a caller who replays at open lists the namespace once.
+func Open(s oss.Store) (js *Store, pending []string, err error) {
+	js = &Store{oss: s}
+	if pending, err = js.List(); err != nil {
+		return nil, nil, err
 	}
-	var max uint64
-	for _, k := range keys {
-		if seq, ok := parseKey(k); ok && seq > max {
-			max = seq
-		}
+	if n := len(pending); n > 0 {
+		max, _ := parseKey(pending[n-1])
+		js.next.Store(max)
 	}
-	js.next.Store(max)
-	return js, nil
+	return js, pending, nil
 }
 
 func key(seq uint64) string { return fmt.Sprintf("%s%016d.json", Prefix, seq) }

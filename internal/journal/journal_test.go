@@ -11,7 +11,7 @@ import (
 
 func TestRecordRoundTrip(t *testing.T) {
 	mem := oss.NewMem()
-	js, err := Open(mem)
+	js, _, err := Open(mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,14 +60,21 @@ func TestRecordRoundTrip(t *testing.T) {
 
 func TestSequencesResumeAndOrder(t *testing.T) {
 	mem := oss.NewMem()
-	js, _ := Open(mem)
+	js, pending, _ := Open(mem)
+	if len(pending) != 0 {
+		t.Fatalf("an empty namespace opened with pending records %v", pending)
+	}
 	k1, _ := js.Commit(&Record{Kind: KindGC, FileID: "a"})
 	k2, _ := js.Commit(&Record{Kind: KindGC, FileID: "b"})
 
-	// A reopened journal must not reuse live sequence numbers.
-	js2, err := Open(mem)
+	// A reopened journal hands over what survives, in commit order, and
+	// must not reuse live sequence numbers.
+	js2, pending, err := Open(mem)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(pending, []string{k1, k2}) {
+		t.Fatalf("pending at open = %v, want %v", pending, []string{k1, k2})
 	}
 	k3, _ := js2.Commit(&Record{Kind: KindGC, FileID: "c"})
 	keys, err := js2.List()

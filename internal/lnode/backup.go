@@ -395,7 +395,10 @@ func (j *backupJob) detectBase(fileID string, head []byte, eof bool) error {
 	if len(sampled) == 0 {
 		return nil
 	}
-	m, found := j.node.repo.SimIndex.Query(simindex.SketchOf(sampled, simindex.DefaultSketchSize), j.cfg.SimilarityMinScore)
+	m, found, err := j.node.repo.SimIndex.Query(simindex.SketchOf(sampled, simindex.DefaultSketchSize), j.cfg.SimilarityMinScore)
+	if err != nil {
+		return err
+	}
 	j.acct.ChargeCPU(simclock.PhaseIndexQuery, j.cfg.Costs.IndexLookup)
 	if !found {
 		return nil

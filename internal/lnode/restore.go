@@ -115,12 +115,6 @@ func (n *LNode) restore(fileID string, version int, off, length int64, w io.Writ
 		return nil, err
 	}
 
-	// All container reads go through the node-level restore I/O layer:
-	// shared cache + singleflight across jobs, cost-model ranged reads for
-	// sparse need-sets (DESIGN.md §10).
-	rio := newRestoreIO(n, containers, seq, metas)
-	defer rio.close()
-	fetch := cache.Fetcher(rio.fetch)
 	threads := cfg.PrefetchThreads
 	if off > 0 || end < total {
 		// A windowed restore runs without the prefetcher and reports
@@ -128,6 +122,13 @@ func (n *LNode) restore(fileID string, version int, off, length int64, w io.Writ
 		// planner's cost model (cache.Plan) is calibrated against.
 		threads = 0
 	}
+	// All container reads go through the node-level restore I/O layer:
+	// shared cache + singleflight across jobs, cost-model ranged reads for
+	// sparse need-sets, long reads cut to share the channels, at most
+	// `threads` requests in flight (DESIGN.md §10).
+	rio := newRestoreIO(n, containers, seq, metas, threads)
+	defer rio.close()
+	fetch := cache.Fetcher(rio.fetch)
 	var pf *cache.Prefetcher
 	if threads > 0 {
 		// LAW prefetching is policy-agnostic: the read-ahead order derives

@@ -12,6 +12,7 @@ import (
 	"slimstore/internal/chunker"
 	"slimstore/internal/core"
 	"slimstore/internal/fingerprint"
+	"slimstore/internal/gnode"
 	"slimstore/internal/oss"
 	"slimstore/internal/recipe"
 )
@@ -43,59 +44,153 @@ func prefetchConserved(t *testing.T, st *RestoreStats) {
 	}
 }
 
-// TestPrefetchStatsDeterministic: which container reads run ahead is a
-// function of the request sequence, never of scheduling. One fragmented
-// version, restored 20 times per policy and thread count through a cache
-// small enough to force rereads, reports the same RestoreStats — prefetch
-// counters included, nothing normalised — every time; every started read
-// is taken; and the only fetches that run on the policy's goroutine are
-// the rereads, because a policy asks for containers in first-need order
-// and so never outruns the window.
+// TestPrefetchStatsDeterministic: which container reads run ahead, and which
+// requests a restore issues at all, is a function of the request sequence,
+// never of scheduling. Two fixtures. One fragmented version behind 256 KiB
+// containers, through a cache small enough to force rereads: every started
+// read is taken, and the only fetches that run on the policy's goroutine are
+// the rereads, because a policy asks for containers in first-need order and
+// so never outruns the window. And one version behind 4 MiB containers, part
+// of it left sparse by an optimize pass: full reads that get cut, ranged
+// reads beside them. On both, 20 restores per policy and thread count report
+// the same RestoreStats — prefetch counters and virtual Elapsed included,
+// nothing normalised — the same read count on the account and the same
+// data-object requests (as a multiset: which, not when). With no more than
+// one channel, and for a range restore whatever the thread count, the
+// requests are exactly the planner's — one GET per full container, one
+// ranged read per planned span; with six channels over 4 MiB containers
+// there are more.
 func TestPrefetchStatsDeterministic(t *testing.T) {
-	cfg := testConfig()
-	cfg.SharedCacheBytes = -1 // every restore reads the store
-	cfg.CacheMemBytes = 640 << 10
-	cfg.CacheDiskBytes = 0
-	n, repo := newNode(t, cfg)
-	defer n.Close()
-	const versions = 6
-	data := genData(66, 1<<20)
-	for v := 0; v < versions; v++ {
-		if _, err := n.Backup("f", data); err != nil {
-			t.Fatal(err)
-		}
-		data = mutate(data, int64(100+v), 100)
+	type fixture struct {
+		name    string
+		cfg     core.Config
+		backups func(t *testing.T, n *LNode, repo *core.Repo) (version int)
+		cuts    bool
 	}
-	rereads := 0
-	for _, policy := range restorePolicies {
-		for _, threads := range []int{1, 6} {
-			repo.Config.RestorePolicy, repo.Config.PrefetchThreads = policy, threads
-			var first RestoreStats
-			for run := 0; run < 20; run++ {
-				st, err := n.Restore("f", versions-1, io.Discard)
-				if err != nil {
-					t.Fatalf("%s/%d run %d: %v", policy, threads, run, err)
+	small := testConfig()
+	small.CacheMemBytes = 640 << 10
+	small.CacheDiskBytes = 0
+	fixtures := []fixture{
+		{name: "rereads", cfg: small, backups: func(t *testing.T, n *LNode, _ *core.Repo) int {
+			const versions = 6
+			data := genData(66, 1<<20)
+			for v := 0; v < versions; v++ {
+				if _, err := n.Backup("f", data); err != nil {
+					t.Fatal(err)
 				}
-				got := *st
-				got.Account = nil
-				if run == 0 {
-					first = got
-					rereads += got.Cache.Rereads
-					prefetchConserved(t, st)
-					if got.Prefetch.Dispatched == 0 {
-						t.Errorf("%s/%d: the prefetcher never engaged: %+v", policy, threads, got.Prefetch)
+				data = mutate(data, int64(100+v), 100)
+			}
+			return versions - 1
+		}},
+		{name: "cuts", cfg: core.DefaultConfig(), cuts: true, backups: func(t *testing.T, n *LNode, repo *core.Repo) int {
+			data := genData(7, 12<<20)
+			if _, err := n.Backup("f", data); err != nil {
+				t.Fatal(err)
+			}
+			// v1 keeps a slice from the middle of each of v0's containers:
+			// optimizing it leaves v0 reading the two live ends of each.
+			var v1 []byte
+			for k := 0; k < 3; k++ {
+				mid := k<<22 + 1600<<10
+				v1 = append(append(v1, genData(int64(100+k), 1<<20)...), data[mid:mid+696<<10]...)
+			}
+			bs, err := n.Backup("f", v1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := gnode.New(repo).Optimize("f", bs.Version, bs.NewContainers, bs.SparseContainers); err != nil {
+				t.Fatal(err)
+			}
+			return 0
+		}},
+	}
+
+	type outcome struct {
+		Stats RestoreStats
+		Reads int64
+		Reqs  []string
+	}
+	planned := func(o outcome) int { // the requests of the plan, uncut
+		c := o.Stats.Cache
+		return c.ContainersRead - c.RangedReads + c.RangedSpans
+	}
+	for _, fx := range fixtures {
+		t.Run(fx.name, func(t *testing.T) {
+			frozen := oss.NewFrozen(oss.NewMem())
+			defer func() {
+				if err := frozen.Check(); err != nil {
+					t.Error(err)
+				}
+			}()
+			log := &reqLog{Store: frozen, failAt: -1}
+			fx.cfg.SharedCacheBytes = -1 // every restore reads the store
+			repo, err := core.OpenRepo(log, fx.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := New(repo, "l0")
+			defer n.Close()
+			version := fx.backups(t, n, repo)
+			log.sorted()
+			run := func(restore func() (*RestoreStats, error)) outcome {
+				t.Helper()
+				st, err := restore()
+				if err != nil {
+					t.Fatal(err)
+				}
+				o := outcome{Stats: *st, Reads: st.Account.IO().Reads, Reqs: log.sorted()}
+				o.Stats.Account = nil
+				return o
+			}
+			rereads := 0
+			for _, policy := range restorePolicies {
+				for _, threads := range []int{0, 1, 6} {
+					repo.Config.RestorePolicy, repo.Config.PrefetchThreads = policy, threads
+					name := fmt.Sprintf("%s/%d", policy, threads)
+					var first outcome
+					for i := 0; i < 20; i++ {
+						got := run(func() (*RestoreStats, error) { return n.Restore("f", version, io.Discard) })
+						if i == 0 {
+							first = got
+						} else if !reflect.DeepEqual(got, first) {
+							t.Fatalf("%s run %d differs from run 0:\n%+v\n%+v", name, i, got, first)
+						}
 					}
-					if got.Prefetch.Direct != got.Cache.Rereads {
-						t.Errorf("%s/%d: %d direct fetches, %d rereads", policy, threads, got.Prefetch.Direct, got.Cache.Rereads)
+					pf, c := first.Stats.Prefetch, first.Stats.Cache
+					rereads += c.Rereads
+					if threads > 0 {
+						prefetchConserved(t, &first.Stats)
+						if pf.Dispatched == 0 {
+							t.Errorf("%s: the prefetcher never engaged: %+v", name, pf)
+						}
+						if pf.Direct != c.Rereads {
+							t.Errorf("%s: %d direct fetches, %d rereads", name, pf.Direct, c.Rereads)
+						}
 					}
-				} else if !reflect.DeepEqual(got, first) {
-					t.Fatalf("%s/%d run %d differs from run 0:\n%+v\n%+v", policy, threads, run, got, first)
+					if threads <= 1 && len(first.Reqs) != planned(first) {
+						t.Errorf("%s: %d data requests, the plan has %d: a read was cut with one channel", name, len(first.Reqs), planned(first))
+					}
+					if fx.cuts {
+						if c.RangedReads == 0 || c.ContainersRead == c.RangedReads {
+							t.Fatalf("%s: fixture: want full and ranged reads both: %+v", name, c)
+						}
+						if threads == 6 && len(first.Reqs) <= planned(first) {
+							t.Errorf("%s: %d data requests for a plan of %d: nothing was cut", name, len(first.Reqs), planned(first))
+						}
+					}
+					size := first.Stats.Bytes
+					ranged := run(func() (*RestoreStats, error) {
+						return n.RestoreRange("f", version, size/10, size*3/4, io.Discard)
+					})
+					if len(ranged.Reqs) != planned(ranged) {
+						t.Errorf("%s: a range restore issued %d data requests, its plan has %d", name, len(ranged.Reqs), planned(ranged))
+					}
 				}
 			}
-		}
-	}
-	if rereads == 0 {
-		t.Error("fixture: no policy reread a container, so Direct == Rereads checked nothing")
+			if !fx.cuts && rereads == 0 {
+				t.Error("fixture: no policy reread a container, so Direct == Rereads checked nothing")
+			}
+		})
 	}
 }
 

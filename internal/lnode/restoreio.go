@@ -6,7 +6,6 @@ import (
 	"slimstore/internal/cache"
 	"slimstore/internal/container"
 	"slimstore/internal/fingerprint"
-	"slimstore/internal/simclock"
 )
 
 // restoreIO is the node-level fetch layer every restore's container reads
@@ -20,19 +19,23 @@ import (
 //     fetched with coalesced ranged reads, charged to this job, and NOT
 //     shared (a partial container only answers this job's requests).
 //  3. Everything else is a full-object read through the shared cache's
-//     singleflight: one OSS GET per container node-wide, charged to the
+//     singleflight: one OSS read per container node-wide, charged to the
 //     one job that runs it; concurrent requesters join for free.
+//
+// Either kind of read is issued as the requests its plan lists — one, or
+// the pieces cache.Split cut it into — through the job's gated store view,
+// so what the job keeps in flight is requests, PrefetchThreads of them,
+// whichever containers they belong to.
 //
 // The layer is safe for concurrent use by the LAW prefetch workers.
 type restoreIO struct {
-	containers *container.Store     // this job's metered view
+	containers *container.Store     // this job's metered view, gated at the job's read channels
 	session    *cache.SharedSession // nil = shared cache disabled
-	metas      map[container.ID]*container.Meta
-	need       map[container.ID]map[fingerprint.FP]bool
-	costs      simclock.Costs
+	// plans holds every container of the pinned sequence that has
+	// metadata, planned and cut before the first read; read-only after.
+	plans map[container.ID]cache.ReadPlan
 
-	mu          sync.Mutex
-	plans       map[container.ID]cache.ReadPlan
+	mu          sync.Mutex // the counters below
 	sharedHits  int
 	sharedJoins int
 	rangedReads int
@@ -40,28 +43,44 @@ type restoreIO struct {
 	rangedBytes int64
 }
 
-// newRestoreIO builds the fetch layer for one pinned request sequence.
-// metas is the metadata memo of the pinned resolution pass — exactly the
-// state the sequence was resolved against, so plans derived from it match
-// what the spans will serve. close the returned layer when the job ends.
-func newRestoreIO(n *LNode, containers *container.Store, seq []cache.Request, metas map[container.ID]*container.Meta) *restoreIO {
-	rio := &restoreIO{
-		containers: containers,
-		metas:      metas,
-		costs:      n.repo.Config.Costs,
-		plans:      make(map[container.ID]cache.ReadPlan),
-	}
+// newRestoreIO builds the fetch layer for one pinned request sequence read
+// over `threads` channels. metas is the metadata memo of the pinned
+// resolution pass — exactly the state the sequence was resolved against,
+// so plans derived from it match what the spans will serve. Every container
+// is planned here, in first-need order, and the long reads among them cut
+// (cache.Split): the requests a restore issues are a function of the
+// sequence, the metas, threads and the cost model, fixed before it reads a
+// byte. close the returned layer when the job ends.
+func newRestoreIO(n *LNode, containers *container.Store, seq []cache.Request, metas map[container.ID]*container.Meta, threads int) *restoreIO {
+	rio := &restoreIO{containers: containers.Gated(threads)}
 	if n.repo.RestoreIO != nil {
 		rio.session = n.repo.RestoreIO.NewSession()
 	}
-	rio.need = make(map[container.ID]map[fingerprint.FP]bool)
+	need := make(map[container.ID]map[fingerprint.FP]bool)
+	var order []container.ID // containers with metadata, in first-need order
 	for i := range seq {
-		set := rio.need[seq[i].Container]
+		id := seq[i].Container
+		set := need[id]
 		if set == nil {
 			set = make(map[fingerprint.FP]bool)
-			rio.need[seq[i].Container] = set
+			need[id] = set
+			if metas[id] != nil {
+				order = append(order, id)
+			}
 		}
 		set[seq[i].FP] = true
+	}
+	costs := n.repo.Config.Costs
+	plans := make([]cache.ReadPlan, len(order))
+	ms := make([]*container.Meta, len(order))
+	for i, id := range order {
+		ms[i] = metas[id]
+		plans[i] = cache.Plan(ms[i], need[id], costs)
+	}
+	cache.Split(plans, ms, threads, costs)
+	rio.plans = make(map[container.ID]cache.ReadPlan, len(order))
+	for i, id := range order {
+		rio.plans[id] = plans[i]
 	}
 	return rio
 }
@@ -73,24 +92,9 @@ func (rio *restoreIO) close() {
 	}
 }
 
-// plan returns the memoized read plan for id (ok=false when the
-// resolution pass has no metadata for id).
-func (rio *restoreIO) plan(id container.ID) (cache.ReadPlan, bool) {
-	need, m := rio.need[id], rio.metas[id]
-	if need == nil || m == nil {
-		return cache.ReadPlan{}, false
-	}
-	rio.mu.Lock()
-	defer rio.mu.Unlock()
-	p, ok := rio.plans[id]
-	if !ok {
-		p = cache.Plan(m, need, rio.costs)
-		rio.plans[id] = p
-	}
-	return p, true
-}
-
-// fetch is the cache.Fetcher the restore policy (and prefetcher) use.
+// fetch is the cache.Fetcher the restore policy (and prefetcher) use. A
+// container the resolution pass has no metadata for has no plan and is
+// read whole.
 func (rio *restoreIO) fetch(id container.ID) (*container.Container, error) {
 	if rio.session != nil {
 		if c, ok := rio.session.Get(id); ok {
@@ -100,8 +104,10 @@ func (rio *restoreIO) fetch(id container.ID) (*container.Container, error) {
 			return c, nil
 		}
 	}
-	if p, ok := rio.plan(id); ok && !p.Full {
-		c, err := rio.containers.ReadSpans(id, p.Spans)
+	p, planned := rio.plans[id]
+	read := func() (*container.Container, error) { return rio.containers.ReadSpans(id, p.Reads) }
+	if planned && !p.Full {
+		c, err := read()
 		if err != nil {
 			return nil, err
 		}
@@ -113,11 +119,9 @@ func (rio *restoreIO) fetch(id container.ID) (*container.Container, error) {
 		return c, nil
 	}
 	if rio.session == nil {
-		return rio.containers.Read(id)
+		return read()
 	}
-	c, src, err := rio.session.Fetch(id, func() (*container.Container, error) {
-		return rio.containers.Read(id)
-	})
+	c, src, err := rio.session.Fetch(id, read)
 	if err != nil {
 		return nil, err
 	}

@@ -1,0 +1,233 @@
+package lnode
+
+import (
+	"errors"
+	"fmt"
+	"io"
+	"runtime"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"slimstore/internal/container"
+	"slimstore/internal/core"
+	"slimstore/internal/oss"
+)
+
+// These tests pin how a restore schedules its reads (DESIGN.md §10): the
+// unit is the request, PrefetchThreads of them in flight whichever
+// containers they belong to, long reads cut by a rule that looks at nothing
+// but the plan. None reads a clock to decide.
+
+func isDataRead(req string) bool {
+	return (strings.HasPrefix(req, "get containers/") || strings.HasPrefix(req, "getrange containers/")) &&
+		strings.Contains(req, ".data")
+}
+
+// denseFixture backs up one 16 MiB version of random data under the default
+// configuration — 4 MiB containers, six read channels — over store: four
+// full containers and a short fifth, every one of them read whole, and the
+// later ones cut.
+func denseFixture(t *testing.T, store oss.Store) (core.Config, []byte) {
+	t.Helper()
+	cfg := core.DefaultConfig()
+	repo, err := core.OpenRepo(store, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := New(repo, "writer")
+	defer n.Close()
+	data := genData(7, 16<<20)
+	if _, err := n.Backup("f", data); err != nil {
+		t.Fatal(err)
+	}
+	return cfg, data
+}
+
+// TestRestoreKeepsItsChannelsFull: at PrefetchThreads 6 a dense 4-container
+// version has six data-object requests in flight together — the store holds
+// every one back until six wait at once, twice over, so a restore that kept
+// fewer in flight would hang — and never a seventh; and among those that
+// run together are two ranged reads of one container.
+func TestRestoreKeepsItsChannelsFull(t *testing.T) {
+	mem := oss.NewMem()
+	cfg, data := denseFixture(t, mem)
+	probe := newProbe(t, mem)
+	repo, err := core.OpenRepo(probe, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := New(repo, "l0")
+	defer n.Close()
+
+	probe.reset()
+	probe.watch = isDataRead
+	probe.expectWaves(isDataRead, 6, 6)
+	st, err := n.Restore("f", 0, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Bytes != int64(len(data)) || probe.pendingWaves() != 0 {
+		t.Fatalf("restored %d bytes with %d waves of six still unfilled", st.Bytes, probe.pendingWaves())
+	}
+	if probe.peak != 6 {
+		t.Fatalf("%d data-object requests in flight at the peak, want PrefetchThreads = 6", probe.peak)
+	}
+	// Two pieces of one container open at once, from the log.
+	open := map[string]int{} // data key → ranged reads in flight
+	overlapped := false
+	for _, e := range probe.log() {
+		req, end := strings.CutPrefix(e, "/")
+		if !strings.HasPrefix(req, "getrange containers/") {
+			continue
+		}
+		key, _, _ := strings.Cut(strings.TrimPrefix(req, "getrange "), "@")
+		if end {
+			open[key]--
+		} else if open[key]++; open[key] > 1 {
+			overlapped = true
+		}
+	}
+	if !overlapped {
+		t.Fatal("no two ranged reads of one container were ever in flight together")
+	}
+	if reads := len(probe.started(isDataRead)); reads <= st.Cache.ContainersRead {
+		t.Fatalf("%d data requests for %d containers: nothing was cut", reads, st.Cache.ContainersRead)
+	}
+}
+
+// reqLog records every data-object request under it and can fail or shorten
+// the k-th ranged one.
+type reqLog struct {
+	oss.Store
+	mu     sync.Mutex
+	reqs   []string
+	ranged int
+	failAt int // index among ranged data reads; < 0 = none
+	short  bool
+}
+
+func (l *reqLog) Get(key string) ([]byte, error) {
+	if isDataRead("get " + key) {
+		l.mu.Lock()
+		l.reqs = append(l.reqs, "get "+key)
+		l.mu.Unlock()
+	}
+	return l.Store.Get(key)
+}
+
+func (l *reqLog) GetRange(key string, off, n int64) ([]byte, error) {
+	if !isDataRead("getrange " + key) {
+		return l.Store.GetRange(key, off, n)
+	}
+	l.mu.Lock()
+	l.reqs = append(l.reqs, fmt.Sprintf("getrange %s [%d,+%d)", key, off, n))
+	k := l.ranged
+	l.ranged++
+	l.mu.Unlock()
+	if k == l.failAt {
+		if !l.short {
+			return nil, oss.ErrInjected
+		}
+		n--
+	}
+	return l.Store.GetRange(key, off, n)
+}
+
+// sorted returns the requests logged so far as a multiset, and forgets them.
+func (l *reqLog) sorted() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := l.reqs
+	l.reqs, l.ranged = nil, 0
+	sort.Strings(out)
+	return out
+}
+
+// TestRestoreFailsWholeOnAnyPiece: whichever ranged read of a cut restore
+// fails or comes back short, the restore fails with the container and the
+// byte range named; when it returns no goroutine of it is left; and the
+// shared cache holds whole containers only — never the one with the bad
+// piece.
+func TestRestoreFailsWholeOnAnyPiece(t *testing.T) {
+	mem := oss.NewMem()
+	cfg, _ := denseFixture(t, mem)
+	log := &reqLog{Store: mem, failAt: -1}
+	open := func() (*LNode, *core.Repo) {
+		repo, err := core.OpenRepo(log, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return New(repo, "l0"), repo
+	}
+	n, _ := open()
+	if _, err := n.Restore("f", 0, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	n.Close()
+	pieces := log.ranged
+	log.sorted()
+	if pieces < 6 {
+		t.Fatalf("fixture: a clean restore issued %d ranged reads; want a cut restore", pieces)
+	}
+
+	for _, short := range []bool{false, true} {
+		for k := 0; k < pieces; k++ {
+			baseline := runtime.NumGoroutine()
+			log.failAt, log.short = k, short
+			n, repo := open() // a cold shared cache: the same requests every time
+			_, err := n.Restore("f", 0, io.Discard)
+			log.failAt = -1
+			if err == nil {
+				t.Fatalf("piece %d (short=%v): the restore succeeded", k, short)
+			}
+			if short && !errors.Is(err, container.ErrCorrupt) || !short && !errors.Is(err, oss.ErrInjected) {
+				t.Fatalf("piece %d (short=%v): %v", k, short, err)
+			}
+			msg := err.Error()
+			named := false
+			for _, req := range log.sorted() {
+				// "getrange containers/C….data [off,+len)"
+				key, rng, _ := strings.Cut(strings.TrimPrefix(req, "getrange "), " ")
+				id := strings.TrimSuffix(strings.TrimPrefix(key, "containers/"), ".data")
+				named = named || rng != "" && strings.Contains(msg, id) && strings.Contains(msg, rng)
+			}
+			if !named {
+				t.Fatalf("piece %d (short=%v): error %q names no container and byte range that was read", k, short, msg)
+			}
+			// Everything the restore started has returned: FanOut joins a
+			// read's pieces and Prefetcher.Close its containers.
+			for try := 0; runtime.NumGoroutine() > baseline; try++ {
+				if try == 100 {
+					buf := make([]byte, 1<<16)
+					t.Fatalf("piece %d (short=%v): %d goroutines, %d before the restore:\n%s", k, short,
+						runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+				}
+				time.Sleep(time.Millisecond)
+			}
+			ids, err := repo.Containers.List()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess := repo.RestoreIO.NewSession()
+			for _, id := range ids {
+				c, ok := sess.Get(id)
+				if !ok {
+					continue
+				}
+				if strings.Contains(msg, id.String()) {
+					t.Fatalf("piece %d (short=%v): container %s failed its read and is in the shared cache", k, short, id)
+				}
+				for i := range c.Meta.Chunks {
+					if err := c.VerifyChunk(&c.Meta.Chunks[i]); err != nil {
+						t.Fatalf("piece %d (short=%v): shared cache holds a container that is not whole: %v", k, short, err)
+					}
+				}
+			}
+			sess.Close()
+			n.Close()
+		}
+	}
+}

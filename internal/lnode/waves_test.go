@@ -37,8 +37,11 @@ type probeStore struct {
 	events   []string
 	inflight int
 	fail     func(req string) error // nil = fail nothing
-	hold     func(req string) bool  // which requests the waves below are made of
-	waves    []int                  // sizes of the successive waves still to be seen
+	watch    func(req string) bool  // nil = none; else peak is the most such requests in flight at once
+	watched  int
+	peak     int
+	hold     func(req string) bool // which requests the waves below are made of
+	waves    []int                 // sizes of the successive waves still to be seen
 	waiting  int
 	release  chan struct{}
 	timedOut bool
@@ -99,6 +102,10 @@ func (p *probeStore) enter(req string) error {
 	p.mu.Lock()
 	p.events = append(p.events, req)
 	p.inflight++
+	if p.watch != nil && p.watch(req) {
+		p.watched++
+		p.peak = max(p.peak, p.watched)
+	}
 	var err error
 	if p.fail != nil {
 		err = p.fail(req)
@@ -135,6 +142,9 @@ func (p *probeStore) leave(req string) {
 	p.mu.Lock()
 	p.events = append(p.events, "/"+req)
 	p.inflight--
+	if p.watch != nil && p.watch(req) {
+		p.watched--
+	}
 	p.mu.Unlock()
 }
 

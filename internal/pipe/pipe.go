@@ -8,6 +8,7 @@
 package pipe
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 )
@@ -60,6 +61,10 @@ func FanOut(n, width int, fn func(int) error) error {
 	return firstEr
 }
 
+// ErrAbandoned is the result of a started call that had not entered when
+// its window was abandoned.
+var ErrAbandoned = errors.New("pipe: call abandoned before it ran")
+
 // Ahead runs calls of fn ahead of the demand for their results: Start(k)
 // begins fn(k) on its own goroutine, at most width of them running at
 // once and entering in Start order, and Take(k) hands the result over,
@@ -68,11 +73,12 @@ func FanOut(n, width int, fn func(int) error) error {
 // runs anywhere else — so which calls run ahead, and in what order, is a
 // function of that goroutine's call sequence and never of timing.
 type Ahead[K comparable, V any] struct {
-	fn    func(K) (V, error)
-	sem   chan struct{} // width tokens: the calls running at once
-	calls map[K]*aheadCall[V]
-	last  chan struct{}  // closed once the latest started call holds its token
-	wg    sync.WaitGroup // every call started, forgotten ones included
+	fn        func(K) (V, error)
+	sem       chan struct{} // width tokens: the calls running at once
+	calls     map[K]*aheadCall[V]
+	last      chan struct{}  // closed once the latest started call holds its token
+	wg        sync.WaitGroup // every call started, forgotten ones included
+	abandoned atomic.Bool    // a call entering from now on skips fn (Abandon)
 }
 
 type aheadCall[V any] struct {
@@ -112,7 +118,11 @@ func (a *Ahead[K, V]) Start(k K) {
 		}
 		a.sem <- struct{}{}
 		close(entered)
-		c.v, c.err = a.fn(k)
+		if a.abandoned.Load() {
+			c.err = ErrAbandoned
+		} else {
+			c.v, c.err = a.fn(k)
+		}
 		<-a.sem
 		close(c.done)
 	}()
@@ -146,6 +156,13 @@ func (a *Ahead[K, V]) Forget(keep func(K) bool) {
 // Join waits until no call is running, taken or not. Untaken results stay
 // takeable.
 func (a *Ahead[K, V]) Join() { a.wg.Wait() }
+
+// Abandon is for a caller that has stopped taking results — an aborted
+// restore, a failed walk: from now on a started call that has not entered
+// yet returns ErrAbandoned without running fn, so the work queued behind the
+// width is not done for nothing. The calls already running finish; Join
+// still waits for them.
+func (a *Ahead[K, V]) Abandon() { a.abandoned.Store(true) }
 
 // ForEachOrdered is FanOut for work whose results must be consumed in
 // index order: produce(i) runs on up to width goroutines, consume(i) runs

@@ -232,6 +232,43 @@ func TestAheadForgetAndRestart(t *testing.T) {
 	}
 }
 
+// TestAheadAbandon: once a window is abandoned the calls that are running
+// finish, fn runs for none of those still queued behind the width nor for
+// any started later, and ErrAbandoned — not a zero value — is what taking
+// such a key returns.
+func TestAheadAbandon(t *testing.T) {
+	const width, n = 2, 10
+	var m meter
+	var calls atomic.Int64
+	entered := make(chan int, n)
+	release := make(chan struct{})
+	a := NewAhead(width, func(k int) (int, error) {
+		m.enter()
+		defer m.leave()
+		calls.Add(1)
+		entered <- k
+		<-release
+		return k, nil
+	})
+	for k := 0; k < n; k++ {
+		a.Start(k)
+	}
+	await(t, entered, width, "the calls the width admits")
+	a.Abandon()
+	a.Start(n)
+	close(release)
+	a.Join()
+	if got := calls.Load(); got != width || m.running() != 0 {
+		t.Fatalf("fn ran %d times with %d still running after Join, want the %d that had entered and none", got, m.running(), width)
+	}
+	for k := 0; k <= n; k++ {
+		v, ahead, err := a.Take(k)
+		if k < width && (v != k || err != nil) || k >= width && !errors.Is(err, ErrAbandoned) || !ahead {
+			t.Fatalf("Take(%d) of an abandoned window = %d, %v, %v", k, v, ahead, err)
+		}
+	}
+}
+
 // TestFanOutDispatchesEachIndexOnce: every index runs exactly once, at most
 // width at a time, and width of them really do overlap.
 func TestFanOutDispatchesEachIndexOnce(t *testing.T) {

@@ -10,11 +10,14 @@
 //
 // The index resides in the storage layer (one small OSS object per file
 // version) and is mirrored in memory so queries cost no OSS round trips;
-// L-nodes stay stateless — any node can reload the mirror from OSS.
+// L-nodes stay stateless — any node can reload the mirror from OSS. The
+// mirror is loaded by the first call that reads it, not at Open: a handle
+// that only restores never asks for a sketch.
 package simindex
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -23,6 +26,7 @@ import (
 
 	"slimstore/internal/fingerprint"
 	"slimstore/internal/oss"
+	"slimstore/internal/pipe"
 )
 
 // DefaultSketchSize is the number of min-hash values kept per file version.
@@ -146,47 +150,80 @@ type Index struct {
 	store oss.Store
 
 	mu      sync.RWMutex
-	entries map[string]*Entry // keyed by fileID\x00version
+	entries map[string]*Entry // keyed by fileID\x00version; nil until loaded
 }
 
 func memKey(fileID string, version int) string {
 	return fileID + "\x00" + strconv.Itoa(version)
 }
 
-// Open loads the index mirror from OSS.
+// loadWidth is how many sketch objects the load reads at once.
+const loadWidth = 16
+
+// Open returns the index over store. It asks the store for nothing: the
+// mirror is read by the first Query, Len or VersionsOf.
 func Open(store oss.Store) (*Index, error) {
-	idx := &Index{store: store, entries: make(map[string]*Entry)}
-	keys, err := store.List(Prefix)
-	if err != nil {
-		return nil, fmt.Errorf("simindex: open: %w", err)
-	}
-	for _, k := range keys {
-		b, err := store.Get(k)
-		if err != nil {
-			return nil, fmt.Errorf("simindex: open %s: %w", k, err)
-		}
-		e, err := decodeEntry(b)
-		if err != nil {
-			return nil, fmt.Errorf("simindex: open %s: %w", k, err)
-		}
-		idx.entries[memKey(e.FileID, e.Version)] = e
-	}
-	return idx, nil
+	return &Index{store: store}, nil
 }
 
-// Put indexes a file version's sketch, persisting it to OSS.
+// load reads the mirror if no call has yet: the namespace listed, then
+// every sketch in one wave, all under the write lock — so a Put or Remove
+// that runs beside the load finds the mirror either absent (and leaves its
+// key to the listing) or complete (and updates it). A failed load leaves
+// the mirror absent for the next call to retry.
+func (x *Index) load() error {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if x.entries != nil {
+		return nil
+	}
+	keys, err := x.store.List(Prefix)
+	if err != nil {
+		return fmt.Errorf("simindex: load: %w", err)
+	}
+	read := make([]*Entry, len(keys))
+	err = pipe.FanOut(len(keys), loadWidth, func(i int) error {
+		b, err := x.store.Get(keys[i])
+		if errors.Is(err, oss.ErrNotFound) {
+			return nil // removed since the listing
+		}
+		if err == nil {
+			read[i], err = decodeEntry(b)
+		}
+		if err != nil {
+			return fmt.Errorf("simindex: load %s: %w", keys[i], err)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	x.entries = make(map[string]*Entry, len(keys))
+	for _, e := range read {
+		if e != nil {
+			x.entries[memKey(e.FileID, e.Version)] = e
+		}
+	}
+	return nil
+}
+
+// Put indexes a file version's sketch, persisting it to OSS. Before the
+// mirror is loaded only the store is written: the load will list the key.
 func (x *Index) Put(fileID string, version int, sk Sketch) error {
 	e := &Entry{FileID: fileID, Version: version, Sketch: sk}
 	if err := x.store.Put(entryKey(fileID, version), encodeEntry(e)); err != nil {
 		return fmt.Errorf("simindex: put %s v%d: %w", fileID, version, err)
 	}
 	x.mu.Lock()
-	x.entries[memKey(fileID, version)] = e
+	if x.entries != nil {
+		x.entries[memKey(fileID, version)] = e
+	}
 	x.mu.Unlock()
 	return nil
 }
 
-// Remove drops a file version from the index.
+// Remove drops a file version from the index (from the store alone while
+// the mirror is not loaded).
 func (x *Index) Remove(fileID string, version int) error {
 	if err := x.store.Delete(entryKey(fileID, version)); err != nil {
 		return fmt.Errorf("simindex: remove %s v%d: %w", fileID, version, err)
@@ -207,8 +244,11 @@ type Match struct {
 // Query returns the most similar indexed file version for a sketch, with
 // ok=false when nothing scores above minScore. When several versions tie,
 // the newest version of the lexicographically smallest file wins, so
-// results are deterministic.
-func (x *Index) Query(sk Sketch, minScore float64) (Match, bool) {
+// results are deterministic. The error is the mirror's load failing.
+func (x *Index) Query(sk Sketch, minScore float64) (m Match, ok bool, err error) {
+	if err := x.load(); err != nil {
+		return Match{}, false, err
+	}
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	best := Match{Score: -1}
@@ -223,19 +263,25 @@ func (x *Index) Query(sk Sketch, minScore float64) (Match, bool) {
 			best = Match{FileID: e.FileID, Version: e.Version, Score: s}
 		}
 	}
-	return best, best.Score >= 0
+	return best, best.Score >= 0, nil
 }
 
 // Len returns the number of indexed file versions.
-func (x *Index) Len() int {
+func (x *Index) Len() (int, error) {
+	if err := x.load(); err != nil {
+		return 0, err
+	}
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	return len(x.entries)
+	return len(x.entries), nil
 }
 
 // VersionsOf returns indexed versions of a file, ascending; used by
 // version collection to trim old entries.
-func (x *Index) VersionsOf(fileID string) []int {
+func (x *Index) VersionsOf(fileID string) ([]int, error) {
+	if err := x.load(); err != nil {
+		return nil, err
+	}
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	var out []int
@@ -249,5 +295,5 @@ func (x *Index) VersionsOf(fileID string) []int {
 		}
 	}
 	sort.Ints(out)
-	return out
+	return out, nil
 }

@@ -1,8 +1,11 @@
 package simindex
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"slimstore/internal/fingerprint"
 	"slimstore/internal/oss"
@@ -85,25 +88,25 @@ func TestIndexQuery(t *testing.T) {
 
 	// A stream overlapping f1's newer version strongly.
 	q := SketchOf(seqFPs(15, 300), 32)
-	m, ok := idx.Query(q, 0.05)
-	if !ok {
-		t.Fatal("no match found")
+	m, ok, err := idx.Query(q, 0.05)
+	if !ok || err != nil {
+		t.Fatalf("no match found (%v)", err)
 	}
 	if m.FileID != "f1" || m.Version != 1 {
 		t.Fatalf("Query = %+v, want f1 v1", m)
 	}
 
 	// A stream unlike anything indexed.
-	if m, ok := idx.Query(SketchOf(seqFPs(500000, 300), 32), 0.05); ok {
+	if m, ok, _ := idx.Query(SketchOf(seqFPs(500000, 300), 32), 0.05); ok {
 		t.Fatalf("unexpected match %+v", m)
 	}
 
-	if idx.Len() != 3 {
-		t.Fatalf("Len = %d", idx.Len())
+	if n, err := idx.Len(); n != 3 || err != nil {
+		t.Fatalf("Len = %d, %v", n, err)
 	}
-	vs := idx.VersionsOf("f1")
-	if len(vs) != 2 || vs[0] != 0 || vs[1] != 1 {
-		t.Fatalf("VersionsOf = %v", vs)
+	vs, err := idx.VersionsOf("f1")
+	if err != nil || len(vs) != 2 || vs[0] != 0 || vs[1] != 1 {
+		t.Fatalf("VersionsOf = %v, %v", vs, err)
 	}
 }
 
@@ -120,10 +123,10 @@ func TestIndexPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx2.Len() != 1 {
-		t.Fatalf("reloaded Len = %d", idx2.Len())
+	if n, err := idx2.Len(); n != 1 || err != nil {
+		t.Fatalf("reloaded Len = %d, %v", n, err)
 	}
-	m, ok := idx2.Query(sk, 0.5)
+	m, ok, _ := idx2.Query(sk, 0.5)
 	if !ok || m.FileID != "file with spaces/and-slash" || m.Version != 7 {
 		t.Fatalf("reloaded Query = %+v, %v", m, ok)
 	}
@@ -133,8 +136,8 @@ func TestIndexPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx3, _ := Open(mem)
-	if idx3.Len() != 0 {
-		t.Fatalf("Len after remove = %d", idx3.Len())
+	if n, err := idx3.Len(); n != 0 || err != nil {
+		t.Fatalf("Len after remove = %d, %v", n, err)
 	}
 }
 
@@ -145,7 +148,7 @@ func TestQueryDeterministicTieBreak(t *testing.T) {
 	idx.Put("b", 0, sk)
 	idx.Put("a", 0, sk)
 	idx.Put("a", 1, sk)
-	m, ok := idx.Query(sk, 0.5)
+	m, ok, _ := idx.Query(sk, 0.5)
 	if !ok || m.FileID != "a" || m.Version != 1 {
 		t.Fatalf("tie break = %+v", m)
 	}
@@ -162,5 +165,148 @@ func TestEntryRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeEntry([]byte{1}); err == nil {
 		t.Fatal("short entry accepted")
+	}
+}
+
+// countStore counts requests by kind and tracks how many Gets overlap.
+type countStore struct {
+	oss.Store
+	mu               sync.Mutex
+	lists, gets      int
+	inflight, high   int
+	failGets         bool
+	removeDuringLoad func()        // run once, inside the first Get
+	together         chan struct{} // non-nil: the first Get waits here for a second to arrive
+}
+
+func (c *countStore) List(prefix string) ([]string, error) {
+	c.mu.Lock()
+	c.lists++
+	c.mu.Unlock()
+	return c.Store.List(prefix)
+}
+
+func (c *countStore) Get(key string) ([]byte, error) {
+	c.mu.Lock()
+	c.gets++
+	c.inflight++
+	c.high = max(c.high, c.inflight)
+	hook, fail := c.removeDuringLoad, c.failGets
+	c.removeDuringLoad = nil
+	wait := c.together
+	if c.gets == 2 && wait != nil {
+		close(wait)
+	}
+	first := c.gets == 1
+	c.mu.Unlock()
+	defer func() { c.mu.Lock(); c.inflight--; c.mu.Unlock() }()
+	if first && wait != nil {
+		select {
+		case <-wait:
+		case <-time.After(10 * time.Second):
+			return nil, errors.New("the first sketch read waited alone: the load is not a wave")
+		}
+	}
+	if hook != nil {
+		hook()
+	}
+	if fail {
+		return nil, errors.New("injected get failure")
+	}
+	return c.Store.Get(key)
+}
+
+// TestOpenAsksForNothing: a handle that never queries never lists or reads
+// a sketch; Put and Remove before the first query touch only the store, and
+// the first query then loads what the store holds — in one listing and one
+// overlapped wave of reads — once.
+func TestOpenAsksForNothing(t *testing.T) {
+	mem := oss.NewMem()
+	seed, _ := Open(mem)
+	const n = 40
+	for v := 0; v < n; v++ {
+		if err := seed.Put("f", v, SketchOf(seqFPs(100*v, 50), 16)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	cs := &countStore{Store: mem, together: make(chan struct{})}
+	idx, err := Open(cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.Put("g", 0, SketchOf(seqFPs(9000, 50), 16)); err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.Remove("f", 0); err != nil {
+		t.Fatal(err)
+	}
+	if cs.lists != 0 || cs.gets != 0 {
+		t.Fatalf("open + put + remove issued %d lists and %d gets, want none", cs.lists, cs.gets)
+	}
+	for q := 0; q < 3; q++ {
+		m, ok, err := idx.Query(SketchOf(seqFPs(9000, 50), 16), 0.5)
+		if err != nil || !ok || m.FileID != "g" {
+			t.Fatalf("query %d after a pre-load put: %+v, %v, %v", q, m, ok, err)
+		}
+	}
+	if got, err := idx.Len(); got != n || err != nil { // n - 1 removed + 1 put
+		t.Fatalf("Len = %d, %v, want %d", got, err, n)
+	}
+	if vs, _ := idx.VersionsOf("f"); len(vs) != n-1 || vs[0] != 1 {
+		t.Fatalf("the version removed before the load is indexed: %v", vs)
+	}
+	if cs.lists != 1 || cs.gets != n {
+		t.Fatalf("three queries, Len and VersionsOf issued %d lists and %d gets, want 1 and %d", cs.lists, cs.gets, n)
+	}
+	if cs.high < 2 || cs.high > loadWidth {
+		t.Fatalf("the load had %d reads in flight at most, want a wave of up to %d", cs.high, loadWidth)
+	}
+}
+
+// TestLoadFailureIsReportedAndRetried: a failed load is the query's error,
+// not an empty index, and the next query loads again.
+func TestLoadFailureIsReportedAndRetried(t *testing.T) {
+	mem := oss.NewMem()
+	seed, _ := Open(mem)
+	sk := SketchOf(seqFPs(0, 50), 16)
+	if err := seed.Put("f", 0, sk); err != nil {
+		t.Fatal(err)
+	}
+	cs := &countStore{Store: mem, failGets: true}
+	idx, _ := Open(cs)
+	if _, _, err := idx.Query(sk, 0.5); err == nil {
+		t.Fatal("a query over an unreadable index reported no error")
+	}
+	if _, err := idx.Len(); err == nil {
+		t.Fatal("Len over an unreadable index reported no error")
+	}
+	cs.failGets = false
+	if m, ok, err := idx.Query(sk, 0.5); err != nil || !ok || m.FileID != "f" {
+		t.Fatalf("query after the store healed: %+v, %v, %v", m, ok, err)
+	}
+}
+
+// TestRemoveDuringLoad: a sketch deleted between the load's listing and its
+// read is skipped, not an error, and stays out of the mirror.
+func TestRemoveDuringLoad(t *testing.T) {
+	mem := oss.NewMem()
+	seed, _ := Open(mem)
+	for v := 0; v < 4; v++ {
+		if err := seed.Put("f", v, SketchOf(seqFPs(100*v, 50), 16)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cs := &countStore{Store: mem}
+	cs.removeDuringLoad = func() {
+		for v := 0; v < 4; v++ {
+			if err := mem.Delete(entryKey("f", v)); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	idx, _ := Open(cs)
+	if n, err := idx.Len(); n != 0 || err != nil {
+		t.Fatalf("Len = %d, %v after every listed sketch vanished, want 0 and no error", n, err)
 	}
 }

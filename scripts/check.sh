@@ -21,11 +21,12 @@ go test -race ./...
 # kernel and the ingest twins once more without it.
 go test -count=1 -tags purego ./internal/fingerprint/ ./internal/lnode/
 
-# Scheduler independence: which reads run ahead, and every counter and twin
-# comparison built on that, is a function of the caller's sequence, so it
-# must hold with one P (a 2-vCPU runner's worst case) as well as with four.
-go test -race -count=1 -cpu 1,4 ./internal/pipe/ ./internal/cache/
-go test -race -count=1 -cpu 1,4 -run 'Prefetch|ReadAhead|Twin' ./internal/lnode/
+# Scheduler independence: which reads run ahead, which requests a restore
+# issues, and every counter and twin comparison built on that, is a function
+# of the caller's sequence, so it must hold with one P (a 2-vCPU runner's
+# worst case) as well as with four.
+go test -race -count=1 -cpu 1,4 ./internal/pipe/ ./internal/cache/ ./internal/container/
+go test -race -count=1 -cpu 1,4 -run 'Prefetch|ReadAhead|Twin|RestoreKeeps|RestoreFailsWhole' ./internal/lnode/
 
 # cmd/slimstore has no Go test: drive every subcommand once against a
 # directory repository and compare what comes back.
@@ -69,4 +70,6 @@ if [ "$FUZZTIME" != "0s" ]; then
 	go test -run=NONE -fuzz='^FuzzManifest$' -fuzztime "$FUZZTIME" -fuzzminimizetime 1x ./internal/kvstore/
 	go test -run=NONE -fuzz='^FuzzECDecode$' -fuzztime "$FUZZTIME" ./internal/ec/
 	go test -run=NONE -fuzz='^FuzzSHA1Kernel$' -fuzztime "$FUZZTIME" ./internal/fingerprint/
+	# Container metadata as decoded, planned and split (whole-object seeds).
+	go test -run=NONE -fuzz='^FuzzReadPlan$' -fuzztime "$FUZZTIME" -fuzzminimizetime 1x ./internal/cache/
 fi
