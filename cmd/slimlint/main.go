@@ -1,28 +1,22 @@
 // Command slimlint runs the project-invariant static analyzers over the
-// module: lock ordering (whole-program, call-graph-aware), sync.Pool
-// lifetime safety, goroutine join/stop edges, determinism in
-// simclock-charged packages, error discipline at the storage boundary,
-// and context plumbing. It is part of the verify gate (scripts/check.sh)
-// — a nonzero exit means the tree violates an invariant the system's
-// correctness depends on.
+// module: lock ordering (whole-program, call-graph-aware), determinism in
+// simclock-charged and store-encoding packages, error discipline at the
+// storage boundary, and context plumbing. It is part of the verify gate
+// (scripts/check.sh) — a nonzero exit means the tree violates an
+// invariant the system's correctness depends on.
 //
 // Usage:
 //
-//	slimlint [-json] [-stats] [-only a,b] [-pkg dir] [-fix=suppress] [packages...]
+//	slimlint [packages...]
 //
 // Packages are directories or `dir/...` patterns relative to the working
 // directory; the default is ./... (every package in the module, testdata
 // excluded — fixture packages are linted by naming them explicitly).
-// -pkg dir is shorthand for a single positional directory; -only
-// restricts the run to a comma-separated subset of analyzers (their
-// suppressions stay untouched — skipping an analyzer must not flag its
-// directives as stale).
 //
 // Exit codes: 0 clean, 1 findings, 2 load/usage errors.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"strings"
@@ -31,40 +25,15 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array (machine-readable, CI artifact)")
-	stats := flag.Bool("stats", false, "print per-analyzer finding counts and wall time to stderr")
-	only := flag.String("only", "", "comma-separated analyzer subset to run (default: all)")
-	pkgDir := flag.String("pkg", "", "single package directory to lint (shorthand for one positional pattern)")
-	fix := flag.String("fix", "", `"suppress" inserts //slimlint:ignore stubs above each finding for triage`)
-	flag.Parse()
-
-	patterns := flag.Args()
-	if *pkgDir != "" {
-		patterns = append(patterns, *pkgDir)
-	}
+	patterns := os.Args[1:]
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-
-	var selected []string
-	if *only != "" {
-		known := map[string]bool{}
-		for _, name := range lint.AnalyzerNames() {
-			known[name] = true
-		}
-		for _, name := range strings.Split(*only, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			if !known[name] {
-				fatal(fmt.Errorf("slimlint: unknown analyzer %q in -only (have: %s)",
-					name, strings.Join(lint.AnalyzerNames(), ", ")))
-			}
-			selected = append(selected, name)
+	for _, p := range patterns {
+		if strings.HasPrefix(p, "-") {
+			fatal(fmt.Errorf("slimlint: takes no flags (got %s); usage: slimlint [packages...]", p))
 		}
 	}
-
 	cwd, err := os.Getwd()
 	if err != nil {
 		fatal(err)
@@ -80,36 +49,8 @@ func main() {
 	if len(pkgs) == 0 {
 		fatal(fmt.Errorf("slimlint: no packages matched %v", patterns))
 	}
-	findings, runStats := lint.RunSelected(pkgs, selected)
-
-	switch *fix {
-	case "":
-	case "suppress":
-		edited, err := lint.InsertSuppressions(loader.ModuleDir, findings)
-		if err != nil {
-			fatal(err)
-		}
-		for rel, content := range edited {
-			if err := os.WriteFile(loader.ModuleDir+"/"+rel, content, 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "slimlint: stubbed suppressions in %s (edit the TODO reasons)\n", rel)
-		}
-		return
-	default:
-		fatal(fmt.Errorf("slimlint: unknown -fix mode %q (only \"suppress\")", *fix))
-	}
-
-	if *jsonOut {
-		if err := lint.WriteJSON(os.Stdout, findings); err != nil {
-			fatal(err)
-		}
-	} else {
-		lint.WriteHuman(os.Stdout, findings)
-	}
-	if *stats {
-		lint.WriteStats(os.Stderr, runStats)
-	}
+	findings := lint.Run(pkgs)
+	lint.WriteHuman(os.Stdout, findings)
 	if len(findings) > 0 {
 		os.Exit(1)
 	}

@@ -39,6 +39,12 @@ func TestTable2Shape_PrefetchSaturation(t *testing.T) {
 	if tput[2] < tput[0]*1.5 {
 		t.Errorf("2 threads (%.1f) did not clearly beat 0 threads (%.1f)", tput[2], tput[0])
 	}
+	// A ramp, not a step: two channels cannot be worth more than three
+	// times none unless the later rows were served from a cache the first
+	// one filled.
+	if tput[2] > tput[0]*3 {
+		t.Errorf("2 threads (%.1f) more than 3x 0 threads (%.1f): restores after the first are not paying for their reads", tput[2], tput[0])
+	}
 	if tput[6] < tput[2] {
 		t.Errorf("6 threads (%.1f) slower than 2 (%.1f)", tput[6], tput[2])
 	}
@@ -48,6 +54,37 @@ func TestTable2Shape_PrefetchSaturation(t *testing.T) {
 	}
 	if tput[10] < 150 || tput[10] > 250 {
 		t.Errorf("ceiling %.1f MB/s, want ~208 (calibration drift?)", tput[10])
+	}
+}
+
+// TestFig8abShape_FVLeadsAtSmallCache holds the driver to the paper's
+// Fig 8(a,b) result at the small cache: the full-vision cache restores no
+// slower than OPT or ALACC at any version past the first. The three
+// policies restore one after another through one handle, so the order is
+// also what fails if a restore finds the previous one's reads cached.
+func TestFig8abShape_FVLeadsAtSmallCache(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow shape test")
+	}
+	const fileBytes, versions = 8 << 20, 8
+	gen := workload.New(workload.SDB(2, fileBytes))
+	repo, ln, err := slimChain(gen, 0, versions, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fileID := gen.FileIDs()[0]
+	for v := 1; v < versions; v++ {
+		tput := map[string]float64{}
+		for _, policy := range []string{"fv", "opt", "alacc"} {
+			st, err := restoreWith(repo, ln, fileID, v, policy, fileBytes/8, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tput[policy] = st.ThroughputMBps()
+		}
+		if tput["fv"] < tput["opt"] || tput["fv"] < tput["alacc"] {
+			t.Errorf("v%d: fv %.1f MB/s behind opt %.1f or alacc %.1f", v, tput["fv"], tput["opt"], tput["alacc"])
+		}
 	}
 }
 

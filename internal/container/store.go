@@ -12,6 +12,7 @@ import (
 	"slimstore/internal/ec"
 	"slimstore/internal/fingerprint"
 	"slimstore/internal/oss"
+	"slimstore/internal/poison"
 )
 
 // Prefix is the OSS key namespace for containers.
@@ -62,18 +63,23 @@ type storeShared struct {
 // getBuf returns an empty payload buffer with room for the footer.
 func (sh *storeShared) getBuf() []byte {
 	if v := sh.bufPool.Get(); v != nil {
-		return v.([]byte)[:0]
+		b := v.([]byte)[:0]
+		poison.Take(b)
+		return b
 	}
 	return make([]byte, 0, sh.capacity+FooterSize)
 }
 
 // putBuf recycles a payload buffer. Foreign buffers (a chunk larger than
 // the capacity forced a reallocation, or the container was built outside
-// this store's builder) are left to the garbage collector.
+// this store's builder) are left to the garbage collector. In a test
+// binary the buffer is poisoned first and a second put of it panics
+// (package poison).
 func (sh *storeShared) putBuf(b []byte) {
 	if cap(b) != sh.capacity+FooterSize {
 		return
 	}
+	poison.Put(b)
 	sh.bufPool.Put(b[:0]) //nolint — []byte in a Pool boxes once per put; containers are MBs, the box is bytes
 }
 
@@ -230,8 +236,6 @@ func (c *Container) seal() (payloadSum uint32, tiled bool, err error) {
 // recomputed from the payload, so rewriting a v1 container upgrades it.
 // Write does not retain c or its payload: callers (the pack pool) hand
 // the container straight back to Release, which recycles c.Data.
-//
-//slimlint:contract noretain c
 func (s *Store) Write(c *Container) error {
 	if c.Meta.ID == Invalid {
 		return fmt.Errorf("container: write with invalid ID")

@@ -106,13 +106,16 @@ type Config struct {
 	// ahead of them. 0 selects the default (4); negative packs
 	// synchronously.
 	PackWorkers int
-	// HashWorkers is the size of an L-node's persistent fingerprint
-	// worker pool. The base-detection probe pass always hashes through
-	// it (and a job that finds no base keeps those fingerprints for its
-	// main loop); the main loop does when both history-aware accelerations are
-	// off, which is when chunking and hashing run ahead of the dedup
-	// probes on the ingest ring (with either on, cut points depend on
-	// dedup verdicts and each chunk is hashed where it is cut).
+	// HashWorkers is how many goroutines fingerprint the base-detection
+	// probe's chunks side by side, for the length of that pass (a job
+	// that finds no base keeps those fingerprints for its main loop).
+	// The main loop hashes off the cutting goroutine when both
+	// history-aware accelerations are off, which is when chunking and
+	// hashing run ahead of the dedup probes on the ingest ring: any
+	// positive value gives each ring batch a goroutine of its own, the
+	// ring's depth bounding how many run at once (with either
+	// acceleration on, cut points depend on dedup verdicts and each
+	// chunk is hashed where it is cut). No goroutine outlives the job.
 	// 0 selects the default (4); negative hashes inline on the cutting
 	// goroutine.
 	HashWorkers int

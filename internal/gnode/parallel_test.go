@@ -339,7 +339,7 @@ func TestMaintenancePassesOverlapRoundTrips(t *testing.T) {
 			return err
 		}},
 	} {
-		rec := newRecStore(&oss.Latency{S: tw.mem, PerOp: 2 * time.Millisecond})
+		rec := newRecStore(sleepStore{tw.mem, 2 * time.Millisecond})
 		rec.lane = pass.lane
 		_, gn := openOver(t, rec, tw.repo.Config, width)
 		rec.reset()

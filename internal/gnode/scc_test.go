@@ -18,6 +18,46 @@ import (
 	"slimstore/internal/oss"
 )
 
+// sleepStore sleeps perOp of wall-clock time before every request, so that
+// concurrent code sees the overlap parallel request channels buy: N
+// goroutines sleeping on timers progress together even on one CPU, as N
+// HTTP requests in flight do. The overlap tests count reads in flight
+// over it.
+type sleepStore struct {
+	oss.Store
+	perOp time.Duration
+}
+
+func (s sleepStore) Put(key string, data []byte) error {
+	time.Sleep(s.perOp)
+	return s.Store.Put(key, data)
+}
+
+func (s sleepStore) Get(key string) ([]byte, error) {
+	time.Sleep(s.perOp)
+	return s.Store.Get(key)
+}
+
+func (s sleepStore) GetRange(key string, off, n int64) ([]byte, error) {
+	time.Sleep(s.perOp)
+	return s.Store.GetRange(key, off, n)
+}
+
+func (s sleepStore) Head(key string) (int64, error) {
+	time.Sleep(s.perOp)
+	return s.Store.Head(key)
+}
+
+func (s sleepStore) Delete(key string) error {
+	time.Sleep(s.perOp)
+	return s.Store.Delete(key)
+}
+
+func (s sleepStore) List(prefix string) ([]string, error) {
+	time.Sleep(s.perOp)
+	return s.Store.List(prefix)
+}
+
 // storeOp is one recorded mutation: the operation, its key, and (for
 // puts) the checksum of the bytes written.
 type storeOp struct {
@@ -174,7 +214,7 @@ func assertRestores(t *testing.T, repo *core.Repo, want map[int][]byte) {
 // overlap.
 func TestCompactSparseReadsEachSourceOnce(t *testing.T) {
 	mem, cfg, want, st := sccBaseline(t)
-	rec := newRecStore(&oss.Latency{S: mem, PerOp: 2 * time.Millisecond})
+	rec := newRecStore(sleepStore{mem, 2 * time.Millisecond})
 	repo, gn := openOver(t, rec, cfg, 4)
 
 	before := map[container.ID]uint32{}

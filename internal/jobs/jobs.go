@@ -277,8 +277,6 @@ func (e *Engine) SharedCacheStats() cache.SharedStats {
 // executes queued jobs on it.
 func (e *Engine) host(ln *lnode.LNode) {
 	defer e.wg.Done()
-	// Tear down the node's persistent hash workers when the host retires.
-	defer ln.Close()
 	for t := range e.queue {
 		if err := t.ctx.Err(); err != nil {
 			e.cancelled.Add(1)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"reflect"
 	"runtime"
@@ -110,11 +111,20 @@ func FuzzWALSegment(f *testing.F) {
 	f.Add(flipped, uint16(3))
 
 	f.Fuzz(func(t *testing.T, data []byte, cut uint16) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		entries, err := decodeWALSegment(data)
-		runtime.ReadMemStats(&after)
-		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+4096); got > limit {
+		// TotalAlloc is the process's, and a fuzz worker has goroutines of
+		// its own: a decode over the limit is measured once more, since
+		// what somebody else allocated does not land in both windows.
+		var entries []entry
+		var err error
+		got, limit := uint64(math.MaxUint64), uint64(64*len(data)+4096)
+		for try := 0; try < 2 && got > limit; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			entries, err = decodeWALSegment(data)
+			runtime.ReadMemStats(&after)
+			got = min(got, after.TotalAlloc-before.TotalAlloc)
+		}
+		if got > limit {
 			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(data), got, limit)
 		}
 		if err != nil {

@@ -1,5 +1,5 @@
-// Whole-program call graph: the engine the cross-package analyzers sit
-// on. A Run builds one program over the target packages plus every
+// Whole-program call graph: the engine lockorder's cross-package check
+// sits on. A Run builds one program over the target packages plus every
 // in-module package they (transitively) import — all of which the loader
 // already parsed and type-checked to satisfy the imports — and a call
 // graph whose nodes are the declared functions and methods of those
@@ -15,18 +15,14 @@
 //     approximation that makes a `container` helper reached through an
 //     `oss.Store` value visible to lockorder;
 //   - calls through plain function values stay unresolved (a documented
-//     gap; the analyzers treat them conservatively where it matters).
+//     gap).
 //
-// A function's SYNCHRONOUS edge set deliberately excludes two things:
-// calls inside nested function literals (each literal is analyzed as a
-// body of its own, and whether it ever runs is not this graph's claim)
-// and the spawned call of a `go` statement (it runs on another
-// goroutine, so it does not execute under the caller's lock set). The
-// `go` calls are kept as async edges for the goroutineleak analyzer.
-//
-// Summary queries over the graph (lock acquisitions, pool recycling,
-// parameter retention) are memoized depth-bounded DFS walks — bounded so
-// a pathological call chain cannot make the linter super-linear, deep
+// The graph has nodes and a resolver, no stored edges: lockorder, its one
+// client, resolves the calls of a body as it walks it, skipping nested
+// function literals (each is analyzed as a body of its own) and the
+// spawned call of a `go` statement (it does not run under the caller's
+// lock set). Its summaries are memoized depth-bounded DFS walks — bounded
+// so a pathological call chain cannot make the linter super-linear, deep
 // enough (maxSummaryDepth) that every real chain in this repository
 // resolves.
 package lint
@@ -37,38 +33,26 @@ import (
 	"sort"
 )
 
-// maxSummaryDepth bounds every transitive summary walk (lock
-// acquisitions, retention inference, goroutine join/stop edges). The
-// deepest real chain in this tree is 4 frames; 8 leaves headroom without
-// letting recursion run away.
+// maxSummaryDepth bounds the transitive lock-summary walk. The deepest
+// real chain in this tree is 4 frames; 8 leaves headroom without letting
+// recursion run away.
 const maxSummaryDepth = 8
 
 // program is one analysis scope: the packages findings are reported for,
 // plus every in-module dependency those packages can call into.
 type program struct {
-	targets []*Package
-	all     []*Package // targets ∪ transitive in-module imports, sorted by path
+	all []*Package // the target packages ∪ transitive in-module imports, sorted by path
 
 	graph *callGraph
 
-	// Program-wide indexes built once and shared by the analyzers.
-	closedChans map[types.Object]bool // channel fields/vars passed to close() anywhere
-	waitedWGs   map[types.Object]bool // sync.WaitGroup fields/vars with a .Wait() call anywhere
-
 	lockSums   map[*types.Func]*lockSummary
 	lockActive map[*types.Func]bool // cycle guard for lock summaries
-	poolSums   map[*types.Func]*poolSummary
-	poolActive map[*types.Func]bool
-	retSums    map[*types.Func]*retainSummary
-	retActive  map[*types.Func]bool
-
-	contracts map[*types.Func][]int // fn → noretain parameter indices (receiver = -1)
 }
 
 // newProgram collects the transitive in-module closure of pkgs from the
 // loader cache and builds the call graph over it.
 func newProgram(pkgs []*Package) *program {
-	pr := &program{targets: pkgs}
+	pr := &program{}
 	seen := map[*Package]bool{}
 	var visit func(p *Package)
 	visit = func(p *Package) {
@@ -89,31 +73,15 @@ func newProgram(pkgs []*Package) *program {
 	}
 	sort.Slice(pr.all, func(i, j int) bool { return pr.all[i].Path < pr.all[j].Path })
 	pr.graph = buildCallGraph(pr.all)
-	pr.buildSignalIndexes()
 	pr.lockSums = map[*types.Func]*lockSummary{}
 	pr.lockActive = map[*types.Func]bool{}
-	pr.poolSums = map[*types.Func]*poolSummary{}
-	pr.poolActive = map[*types.Func]bool{}
-	pr.retSums = map[*types.Func]*retainSummary{}
-	pr.retActive = map[*types.Func]bool{}
-	pr.contracts = parseContracts(pr.all)
 	return pr
-}
-
-// cgEdge is one resolved call site inside a function body.
-type cgEdge struct {
-	callee *types.Func
-	call   *ast.CallExpr
-	async  bool // the spawned call of a `go` statement
-	viaIfc bool // resolved through interface method-set fan-out
 }
 
 // cgNode is one declared function or method with a body in the program.
 type cgNode struct {
-	fn    *types.Func
-	pkg   *Package
-	decl  *ast.FuncDecl
-	edges []cgEdge
+	pkg  *Package
+	decl *ast.FuncDecl
 }
 
 type callGraph struct {
@@ -122,10 +90,8 @@ type callGraph struct {
 	implCache map[*types.Func][]*types.Func
 	// concrete holds every non-interface named type declared in the
 	// program — the "types we instantiate" the method-set resolution
-	// considers. ifaces holds the named interface types, for the inverse
-	// lookup (contract inheritance).
+	// considers.
 	concrete []*types.Named
-	ifaces   []*types.Named
 }
 
 // nodeFor returns the graph node holding fn's body, or nil for functions
@@ -135,8 +101,8 @@ func (g *callGraph) nodeFor(fn *types.Func) *cgNode { return g.nodes[fn] }
 func buildCallGraph(all []*Package) *callGraph {
 	g := &callGraph{nodes: map[*types.Func]*cgNode{}, implCache: map[*types.Func][]*types.Func{}}
 
-	// Pass 1: nodes for every declared function/method with a body, and
-	// the program's concrete named types.
+	// Nodes for every declared function/method with a body, and the
+	// program's concrete named types.
 	for _, p := range all {
 		for _, f := range p.Files {
 			for _, d := range f.Decls {
@@ -146,7 +112,7 @@ func buildCallGraph(all []*Package) *callGraph {
 						continue
 					}
 					if fn, ok := p.Info.Defs[dd.Name].(*types.Func); ok {
-						g.nodes[fn] = &cgNode{fn: fn, pkg: p, decl: dd}
+						g.nodes[fn] = &cgNode{pkg: p, decl: dd}
 					}
 				case *ast.GenDecl:
 					for _, spec := range dd.Specs {
@@ -162,9 +128,7 @@ func buildCallGraph(all []*Package) *callGraph {
 						if !ok {
 							continue
 						}
-						if types.IsInterface(named) {
-							g.ifaces = append(g.ifaces, named)
-						} else {
+						if !types.IsInterface(named) {
 							g.concrete = append(g.concrete, named)
 						}
 					}
@@ -172,42 +136,14 @@ func buildCallGraph(all []*Package) *callGraph {
 			}
 		}
 	}
-
-	// Pass 2: edges. Calls under a nested FuncLit belong to the literal,
-	// not to the declared function; the spawned call of a `go` statement
-	// is async.
-	for _, n := range g.nodes {
-		n.edges = collectEdges(g, n.pkg, n.decl.Body)
-	}
 	return g
 }
 
-// collectEdges walks body shallowly (literals excluded) and resolves
-// every call expression, marking `go` spawns async.
-func collectEdges(g *callGraph, p *Package, body *ast.BlockStmt) []cgEdge {
-	var edges []cgEdge
-	var asyncCalls = map[*ast.CallExpr]bool{}
-	inspectShallow(body, func(n ast.Node) bool {
-		if gs, ok := n.(*ast.GoStmt); ok {
-			asyncCalls[gs.Call] = true
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		for _, e := range g.resolveCall(p, call) {
-			e.async = asyncCalls[call]
-			edges = append(edges, e)
-		}
-		return true
-	})
-	return edges
-}
-
-// resolveCall maps one call expression to its callee set: one edge for a
-// static call, a fan-out for an interface method, nothing for builtins,
+// resolveCall maps one call expression to its callee set: the function
+// for a static call, the interface method and its fan-out to the matching
+// concrete methods for an interface call, nothing for builtins,
 // conversions and func-value calls.
-func (g *callGraph) resolveCall(p *Package, call *ast.CallExpr) []cgEdge {
+func (g *callGraph) resolveCall(p *Package, call *ast.CallExpr) []*types.Func {
 	fn := p.calleeFunc(call)
 	if fn == nil {
 		return nil
@@ -216,16 +152,10 @@ func (g *callGraph) resolveCall(p *Package, call *ast.CallExpr) []cgEdge {
 	if !ok {
 		return nil
 	}
-	recv := sig.Recv()
-	if recv == nil || !types.IsInterface(recv.Type()) {
-		return []cgEdge{{callee: fn, call: call}}
+	if recv := sig.Recv(); recv != nil && types.IsInterface(recv.Type()) {
+		return append([]*types.Func{fn}, g.implsOf(fn)...)
 	}
-	// Interface dispatch: fan out to the matching concrete methods.
-	edges := []cgEdge{{callee: fn, call: call, viaIfc: true}}
-	for _, impl := range g.implsOf(fn) {
-		edges = append(edges, cgEdge{callee: impl, call: call, viaIfc: true})
-	}
-	return edges
+	return []*types.Func{fn}
 }
 
 // implsOf resolves an interface method to the same-named method of every
@@ -252,106 +182,6 @@ func (g *callGraph) implsOf(ifaceMethod *types.Func) []*types.Func {
 	sort.Slice(impls, func(i, j int) bool { return impls[i].FullName() < impls[j].FullName() })
 	g.implCache[ifaceMethod] = impls
 	return impls
-}
-
-// interfaceMethodsOf returns the program interface methods a concrete
-// method implements — the inverse of implsOf, used to inherit noretain
-// contracts declared on interfaces (oss.Store.Put) down to every
-// implementation.
-func (g *callGraph) interfaceMethodsOf(fn *types.Func) []*types.Func {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return nil
-	}
-	recvT := sig.Recv().Type()
-	var out []*types.Func
-	for _, named := range g.ifaces {
-		iface, ok := named.Underlying().(*types.Interface)
-		if !ok {
-			continue
-		}
-		if !types.Implements(recvT, iface) && !types.Implements(types.NewPointer(recvT), iface) {
-			continue
-		}
-		for i := 0; i < iface.NumExplicitMethods(); i++ {
-			m := iface.ExplicitMethod(i)
-			if m.Name() == fn.Name() {
-				out = append(out, m)
-			}
-		}
-	}
-	return out
-}
-
-// buildSignalIndexes records, program-wide, which channel objects are
-// ever closed and which WaitGroup objects are ever waited on. Object
-// identity (the *types.Var of the field or variable) is the key, so
-// `close(p.jobs)` in one method pairs with `range p.jobs` in another —
-// across packages when the field is exported.
-func (pr *program) buildSignalIndexes() {
-	pr.closedChans = map[types.Object]bool{}
-	pr.waitedWGs = map[types.Object]bool{}
-	for _, p := range pr.all {
-		for _, f := range p.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				switch fun := ast.Unparen(call.Fun).(type) {
-				case *ast.Ident:
-					if fun.Name == "close" && len(call.Args) == 1 {
-						if _, isBuiltin := p.Info.Uses[fun].(*types.Builtin); isBuiltin {
-							if obj := p.baseObject(call.Args[0]); obj != nil {
-								pr.closedChans[obj] = true
-							}
-						}
-					}
-				case *ast.SelectorExpr:
-					if fun.Sel.Name == "Wait" {
-						if s := p.Info.Selections[fun]; s != nil && s.Kind() == types.MethodVal {
-							if named := namedRecv(s.Recv()); named != nil && isSyncType(named, "WaitGroup") {
-								if obj := p.baseObject(fun.X); obj != nil {
-									pr.waitedWGs[obj] = true
-								}
-							}
-						}
-					}
-				}
-				return true
-			})
-		}
-	}
-}
-
-// isSyncType reports whether n is sync.<name>.
-func isSyncType(n *types.Named, name string) bool {
-	obj := n.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == name
-}
-
-// baseObject resolves the variable or field object an expression is
-// rooted at: `p.jobs` → the jobs field var, `stop` → the stop var.
-// Returns nil for expressions with no stable object (map index, call
-// result).
-func (p *Package) baseObject(e ast.Expr) types.Object {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		if obj := p.Info.Uses[x]; obj != nil {
-			return obj
-		}
-		return p.Info.Defs[x]
-	case *ast.SelectorExpr:
-		if s := p.Info.Selections[x]; s != nil && s.Kind() == types.FieldVal {
-			return s.Obj()
-		}
-		if obj := p.Info.Uses[x.Sel]; obj != nil {
-			return obj
-		}
-	case *ast.UnaryExpr:
-		return p.baseObject(x.X)
-	}
-	return nil
 }
 
 // displayName renders fn for findings: the bare name within the reported

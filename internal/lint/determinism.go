@@ -1,6 +1,6 @@
-// determinism guards the virtual-time contract: simclock-charged packages
-// must compute identical results (stats, recipes, encoded artifacts)
-// given identical inputs, regardless of host, wall clock, or map seed.
+// determinism guards two contracts. Virtual time: simclock-charged
+// packages must compute identical results (stats, recipes, encoded
+// artifacts) given identical inputs, regardless of host or wall clock.
 // Inside the charged packages (lnode, gnode, oss, jobs, bench, repl, ec)
 // it flags:
 //
@@ -9,13 +9,19 @@
 //     they draw from the process-global, randomly-seeded source;
 //     explicitly seeded rand.New(rand.NewSource(seed)) is fine;
 //   - os.Getenv / os.LookupEnv / os.Environ — ambient configuration that
-//     makes results host-dependent;
+//     makes results host-dependent.
+//
+// Same input, same bytes: there and in the packages that encode what goes
+// to the store (recipe, container, kvstore, journal, simindex,
+// globalindex, core, cache) it flags
+//
 //   - `for k := range m` over a map whose iteration order escapes: the
 //     body appends to a slice that is never sorted afterwards in the
 //     same function, or writes directly to an output sink (Put, Write,
-//     Encode, Marshal, Fprint*) from inside the loop. This is the exact
-//     bug class the G-node serial-decide phase had to design around
-//     (DESIGN.md §8: decisions are made in sorted container order).
+//     Encode, Marshal, Fprint*) from inside the loop. This is the bug
+//     class the G-node serial-decide phase is designed around (DESIGN.md
+//     §8: decisions are made in sorted container order) and the one a
+//     recipe index encoded in map order was.
 package lint
 
 import (
@@ -34,6 +40,14 @@ var chargedPackages = map[string]bool{
 	"bench": true,
 	"repl":  true, // replicated index groups charge failover downtime to simclock
 	"ec":    true, // erasure-coded tier charges shard I/O and reconstruction CPU
+}
+
+// encodingPackages are the packages, beyond the charged ones, whose output
+// is bytes on the store: the map-order rule applies to them, the wall
+// clock, rand and environment rules do not.
+var encodingPackages = map[string]bool{
+	"recipe": true, "container": true, "kvstore": true, "journal": true,
+	"simindex": true, "globalindex": true, "core": true, "cache": true,
 }
 
 // allowedRandFuncs construct explicitly seeded generators and are
@@ -57,25 +71,28 @@ var sinkMethods = map[string]bool{
 func determinismAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "determinism",
-		Doc:  "no wall clock, global rand, env vars, or unsorted map iteration flowing into output inside simclock-charged packages",
+		Doc:  "no wall clock, global rand or env vars inside simclock-charged packages; no unsorted map iteration flowing into output there or where store objects are encoded",
 		Run:  runDeterminism,
 	}
 }
 
 func runDeterminism(_ *program, p *Package) []Finding {
-	if !chargedPackages[p.Name] {
+	charged := chargedPackages[p.Name]
+	if !charged && !encodingPackages[p.Name] {
 		return nil
 	}
 	var findings []Finding
 	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if fd := p.nondeterministicCall(call); fd != nil {
-					findings = append(findings, *fd)
+		if charged {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if fd := p.nondeterministicCall(call); fd != nil {
+						findings = append(findings, *fd)
+					}
 				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 		// Map-iteration analysis needs the enclosing function for the
 		// "sorted later" escape hatch, so it walks per body.
 		for _, fb := range fileFuncBodies(f) {

@@ -15,21 +15,20 @@
 //     transitively through the whole-program call graph (cross-package,
 //     interface-method fan-out); a Lock must have a reachable Unlock
 //     (directly, deferred, or via a returned release closure).
-//   - poolsafe: sync.Pool lifetime discipline — no use after Put, no
-//     double Put, no Put while an alias has escaped into longer-lived
-//     state, and //slimlint:contract noretain parameters must not be
-//     retained by any implementation.
-//   - goroutineleak: every `go` statement needs a reachable join or stop
-//     edge — a WaitGroup Done paired with a Wait, a receive/range over a
-//     channel that is closed somewhere, or a ctx.Done select.
 //   - determinism: no time.Now, global math/rand, or os.Getenv inside
-//     simclock-charged packages (lnode, gnode, oss, jobs, bench), and no
+//     simclock-charged packages (lnode, gnode, oss, jobs, bench, repl,
+//     ec), and — there and in the packages that encode store objects — no
 //     map iteration flowing into encoded output without a sort.
 //   - errdiscipline: no discarded error results from the oss, kvstore,
 //     journal, or container APIs; `_ =` needs a //slimlint:ignore with a
 //     reason.
 //   - ctxflow: no context.Background()/TODO() outside package main and
 //     tests; a function that receives a ctx forwards that ctx.
+//
+// What is observable at run time is checked there instead, under the
+// suites that already run: pool lifetimes by internal/poison, goroutine
+// lifetimes by internal/leakcheck, the read-only contract of fetched bytes
+// by oss.Frozen (DESIGN.md §9 has the table).
 //
 // Findings are suppressed line-by-line with
 //
@@ -44,22 +43,39 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"io"
 	"sort"
-	"time"
 )
 
 // Finding is one rule violation at a position.
 type Finding struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"` // module-relative path
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
+	Analyzer string
+	File     string // module-relative path
+	Line     int
+	Col      int
+	Message  string
 }
 
 // String renders the conventional file:line:col form.
 func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.File, f.Line, f.Col, f.Analyzer, f.Message)
+}
+
+// WriteHuman renders findings one per line in the file:line:col layout
+// editors hyperlink, grouped under a diff-style per-file header, with a
+// trailing count.
+func WriteHuman(w io.Writer, findings []Finding) {
+	lastFile := ""
+	for _, f := range findings {
+		if f.File != lastFile {
+			fmt.Fprintf(w, "--- %s\n", f.File)
+			lastFile = f.File
+		}
+		fmt.Fprintln(w, f)
+	}
+	if len(findings) > 0 {
+		fmt.Fprintf(w, "\nslimlint: %d finding(s)\n", len(findings))
+	}
 }
 
 // Analyzer is one named rule set. Run receives the whole program (for
@@ -75,8 +91,6 @@ type Analyzer struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		lockOrderAnalyzer(),
-		poolSafeAnalyzer(),
-		goroutineLeakAnalyzer(),
 		determinismAnalyzer(),
 		errDisciplineAnalyzer(),
 		ctxFlowAnalyzer(),
@@ -92,55 +106,19 @@ func AnalyzerNames() []string {
 	return names
 }
 
-// Stat is one row of the per-run accounting: findings and wall time per
-// analyzer, plus a synthetic "callgraph" row for program construction.
-type Stat struct {
-	Analyzer string        `json:"analyzer"`
-	Findings int           `json:"findings"`
-	Elapsed  time.Duration `json:"elapsed"`
-}
-
 // Run executes every analyzer over pkgs, applies //slimlint:ignore
 // suppressions, and returns the surviving findings sorted by position.
 // Invalid directives (missing reason) and unused directives are reported
 // as findings of the synthetic "suppression" analyzer.
 func Run(pkgs []*Package) []Finding {
-	findings, _ := RunSelected(pkgs, nil)
-	return findings
-}
-
-// RunSelected is Run restricted to the named analyzers (nil or empty =
-// all), returning per-analyzer stats alongside the findings. Directives
-// naming a known but unselected analyzer are left alone — skipping an
-// analyzer must not make its suppressions look stale.
-func RunSelected(pkgs []*Package, only []string) ([]Finding, []Stat) {
-	active := map[string]bool{}
-	if len(only) == 0 {
-		for _, a := range Analyzers() {
-			active[a.Name] = true
-		}
-	} else {
-		for _, name := range only {
-			active[name] = true
-		}
-	}
-
-	start := time.Now()
 	pr := newProgram(pkgs)
-	stats := []Stat{{Analyzer: "callgraph", Elapsed: time.Since(start)}}
-
 	var all []Finding
 	for _, a := range Analyzers() {
-		if !active[a.Name] {
-			continue
-		}
-		aStart := time.Now()
 		for _, pkg := range pkgs {
 			all = append(all, a.Run(pr, pkg)...)
 		}
-		stats = append(stats, Stat{Analyzer: a.Name, Elapsed: time.Since(aStart)})
 	}
-	all = applySuppressions(pkgs, all, active)
+	all = applySuppressions(pkgs, all)
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].File != all[j].File {
 			return all[i].File < all[j].File
@@ -156,18 +134,7 @@ func RunSelected(pkgs []*Package, only []string) ([]Finding, []Stat) {
 		}
 		return all[i].Message < all[j].Message
 	})
-	// Count what SURVIVED suppression — the stats must match the report
-	// the user sees, not the raw pre-filter tallies (every finding a
-	// valid //slimlint:ignore excuses is not a finding).
-	byAnalyzer := map[string]int{}
-	for _, f := range all {
-		byAnalyzer[f.Analyzer]++
-	}
-	for i := range stats {
-		stats[i].Findings = byAnalyzer[stats[i].Analyzer]
-	}
-	stats = append(stats, Stat{Analyzer: "suppression", Findings: byAnalyzer["suppression"]})
-	return all, stats
+	return all
 }
 
 // finding builds a Finding at pos within pkg.

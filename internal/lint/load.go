@@ -53,10 +53,10 @@ type Loader struct {
 	ModulePath string
 
 	fset    *token.FileSet
-	byDir   map[string]*Package       // loaded packages, keyed by absolute dir
+	byDir   map[string]*Package         // loaded packages, keyed by absolute dir
 	byTypes map[*types.Package]*Package // the same packages, keyed by type object
-	loading map[string]bool           // import-cycle guard, keyed by absolute dir
-	std     types.ImporterFrom        // source importer for out-of-module paths
+	loading map[string]bool             // import-cycle guard, keyed by absolute dir
+	std     types.ImporterFrom          // source importer for out-of-module paths
 }
 
 // NewLoader locates the enclosing module from dir (walking up to go.mod)

@@ -205,12 +205,12 @@ func (pr *program) lockSummaryOf(fn *types.Func, depth int) *lockSummary {
 			}
 			return true
 		}
-		for _, e := range pr.graph.resolveCall(node.pkg, call) {
-			for _, a := range pr.lockSummaryOf(e.callee, depth+1).acquires {
+		for _, callee := range pr.graph.resolveCall(node.pkg, call) {
+			for _, a := range pr.lockSummaryOf(callee, depth+1).acquires {
 				add(transAcquire{
 					family: a.family,
 					key:    a.key,
-					chain:  append([]*types.Func{e.callee}, a.chain...),
+					chain:  append([]*types.Func{callee}, a.chain...),
 				})
 			}
 		}
@@ -581,8 +581,8 @@ func (w *lockWalker) handleCall(call *ast.CallExpr, held *[]heldLock) {
 	// removed. Fan-out through interface methods can surface the same
 	// family via several chains; report each (site, family pair, held
 	// key) once, with the first chain found.
-	for _, e := range w.pr.graph.resolveCall(w.p, call) {
-		for _, a := range w.pr.lockSummaryOf(e.callee, 0).acquires {
+	for _, callee := range w.pr.graph.resolveCall(w.p, call) {
+		for _, a := range w.pr.lockSummaryOf(callee, 0).acquires {
 			for _, h := range *held {
 				if a.family >= h.family {
 					continue
@@ -592,7 +592,7 @@ func (w *lockWalker) handleCall(call *ast.CallExpr, held *[]heldLock) {
 					continue
 				}
 				w.reported[dedupe] = true
-				chain := append([]*types.Func{e.callee}, a.chain...)
+				chain := append([]*types.Func{callee}, a.chain...)
 				*w.findings = append(*w.findings, w.p.finding("lockorder", call.Pos(),
 					"calls %s, which acquires %s (%s) while %s (%s) is held — violates maintMu → FileLocks → ContainerLocks → leaves",
 					w.chainString(chain), a.family, a.key, h.family, h.key))

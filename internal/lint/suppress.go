@@ -13,8 +13,6 @@ package lint
 import (
 	"fmt"
 	"go/token"
-	"os"
-	"sort"
 	"strings"
 )
 
@@ -57,11 +55,8 @@ func parseDirectives(p *Package) []*directive {
 }
 
 // applySuppressions filters findings covered by a valid directive and
-// appends findings for invalid or unused directives. active names the
-// analyzers that actually ran this invocation: a directive for a known
-// analyzer that was deselected (-only) is skipped outright, neither
-// suppressing nor counting as stale.
-func applySuppressions(pkgs []*Package, findings []Finding, active map[string]bool) []Finding {
+// appends findings for invalid or unused directives.
+func applySuppressions(pkgs []*Package, findings []Finding) []Finding {
 	byFileLine := map[string][]*directive{}
 	var all []*directive
 	for _, p := range pkgs {
@@ -110,8 +105,6 @@ func applySuppressions(pkgs []*Package, findings []Finding, active map[string]bo
 				Analyzer: "suppression", File: d.file, Line: d.line, Col: 1,
 				Message: fmt.Sprintf("unknown analyzer %q in directive (have: %s)", d.analyzer, strings.Join(AnalyzerNames(), ", ")),
 			})
-		case active != nil && !active[d.analyzer]:
-			// The analyzer this directive excuses did not run; no verdict.
 		case !d.used:
 			kept = append(kept, Finding{
 				Analyzer: "suppression", File: d.file, Line: d.line, Col: 1,
@@ -120,44 +113,4 @@ func applySuppressions(pkgs []*Package, findings []Finding, active map[string]bo
 		}
 	}
 	return kept
-}
-
-// InsertSuppressions implements -fix=suppress: for each finding it
-// inserts a //slimlint:ignore stub (with a TODO reason to be edited into
-// a real justification) on the line above the finding, preserving
-// indentation. Returns the new content per module-relative file path;
-// callers decide whether to write.
-func InsertSuppressions(moduleDir string, findings []Finding) (map[string][]byte, error) {
-	byFile := map[string][]Finding{}
-	for _, f := range findings {
-		if f.Analyzer == "suppression" {
-			continue // directives are fixed by editing, not by more directives
-		}
-		byFile[f.File] = append(byFile[f.File], f)
-	}
-	out := map[string][]byte{}
-	for rel, fs := range byFile {
-		data, err := os.ReadFile(moduleDir + "/" + rel)
-		if err != nil {
-			return nil, err
-		}
-		lines := strings.Split(string(data), "\n")
-		// Insert bottom-up so earlier line numbers stay valid; one stub
-		// per (line, analyzer).
-		sort.Slice(fs, func(i, j int) bool { return fs[i].Line > fs[j].Line })
-		seen := map[string]bool{}
-		for _, f := range fs {
-			key := fmt.Sprintf("%d/%s", f.Line, f.Analyzer)
-			if seen[key] || f.Line < 1 || f.Line > len(lines) {
-				continue
-			}
-			seen[key] = true
-			target := lines[f.Line-1]
-			indent := target[:len(target)-len(strings.TrimLeft(target, " \t"))]
-			stub := fmt.Sprintf("%s//%s %s TODO(triage): %s", indent, ignorePrefix, f.Analyzer, f.Message)
-			lines = append(lines[:f.Line-1], append([]string{stub}, lines[f.Line-1:]...)...)
-		}
-		out[rel] = []byte(strings.Join(lines, "\n"))
-	}
-	return out, nil
 }

@@ -1,7 +1,6 @@
 // Package clean is the all-negative fixture: correct lock ordering with
 // defers and release closures, checked storage errors, forwarded
-// contexts, sorted map iteration, balanced pool Get/Put, and goroutines
-// with join or stop edges. slimlint must exit 0 here.
+// contexts and sorted map iteration. slimlint must exit 0 here.
 package clean
 
 import (
@@ -47,40 +46,4 @@ func (s *system) store(ctx context.Context, st oss.Store, keys map[string]bool) 
 		}
 	}
 	return nil
-}
-
-type pooledBuf struct {
-	b []byte
-}
-
-var bufPool = sync.Pool{New: func() any { return &pooledBuf{} }}
-
-// roundTrip takes a buffer, uses it, and recycles it exactly once — the
-// balanced pool idiom poolsafe must keep accepting.
-func roundTrip(data []byte) int {
-	b := bufPool.Get().(*pooledBuf)
-	b.b = append(b.b[:0], data...)
-	n := len(b.b)
-	bufPool.Put(b)
-	return n
-}
-
-// fanOut runs joined workers draining a channel that is closed after
-// the send loop — both goroutineleak exit edges in one function.
-func fanOut(items []string) {
-	ch := make(chan string)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for range ch {
-			}
-		}()
-	}
-	for _, it := range items {
-		ch <- it
-	}
-	close(ch)
-	wg.Wait()
 }

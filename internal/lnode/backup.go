@@ -35,12 +35,7 @@ type LNode struct {
 	repo *core.Repo
 	name string
 
-	// Ingest ring resources (hashpool.go, ingest.go): a persistent
-	// fingerprint worker pool and recycled pipeline runs.
-	mu     sync.Mutex
-	hpool  *hashPool
-	closed bool
-	runs   sync.Pool // *ingestRun
+	runs sync.Pool // *ingestRun: recycled ingest ring runs (ingest.go)
 
 	// wrapCutter, set by tests only, wraps every cutter the node builds, so
 	// a test can see what is offered to Cut.
@@ -54,6 +49,10 @@ func New(repo *core.Repo, name string) *LNode {
 
 // Name returns the node name.
 func (n *LNode) Name() string { return n.name }
+
+// Close releases nothing: no goroutine of an L-node outlives the call
+// that started it, and its pooled memory is the garbage collector's.
+func (n *LNode) Close() {}
 
 // newCutter constructs the configured chunker.
 func (n *LNode) newCutter() chunker.Cutter {

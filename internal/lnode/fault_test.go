@@ -92,7 +92,6 @@ func TestBackupFailsWhenSuperchunkContainerFailsToSeal(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := New(repo, "l0")
-	defer n.Close()
 	data := genData(53, 1<<20)
 	if _, err := n.Backup("f", data); err != nil {
 		t.Fatal(err)

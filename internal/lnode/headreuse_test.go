@@ -103,7 +103,6 @@ func TestRecipeBytesTwin(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		n.Close()
 		twins[i] = map[string][]byte{}
 		for k, b := range storeObjects(t, store) {
 			if strings.HasPrefix(k, "recipes/") {
@@ -223,7 +222,6 @@ func TestHeadReuseTwin(t *testing.T) {
 									t.Fatal(err)
 								}
 								n := New(repo, "l0")
-								defer n.Close()
 								var outs []jobOutcome
 								for _, b := range scenario.backups {
 									var st *BackupStats
@@ -342,6 +340,7 @@ func (c *onceCutter) Cut(data []byte) int {
 // cuts those again. A version that ends with the head, exactly or earlier,
 // has no such region.
 func TestNoHistoryVersionIsCutOnce(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("cuts tens of MiB")
 	}
@@ -352,7 +351,6 @@ func TestNoHistoryVersionIsCutOnce(t *testing.T) {
 					cfg := testConfig()
 					cfg.SkipChunking, cfg.ChunkMerging = accel, accel
 					n, _ := newNode(t, cfg)
-					defer n.Close()
 					data := genData(int64(size), size)
 					once := &onceCutter{t: t, version: data, seen: map[string]bool{}}
 					if size > headBytes {

@@ -8,6 +8,8 @@ import (
 
 	"slimstore/internal/chunker"
 	"slimstore/internal/fingerprint"
+	"slimstore/internal/pipe"
+	"slimstore/internal/poison"
 	"slimstore/internal/simclock"
 )
 
@@ -19,11 +21,11 @@ import (
 // (almost) nothing.
 //
 // Ownership discipline:
-//   - The producer cuts chunks into batches and hands each batch to the
-//     persistent hash pool, then to the ring. From that point the batch
-//     (chunks, fps, attached slab) belongs to the consumer. The cuts the
-//     head probe already made (headCuts) go first, as batches that arrive
-//     fingerprinted and skip the pool.
+//   - The producer cuts chunks into batches, starts a goroutine that
+//     fingerprints the batch, and puts the batch on the ring. From that
+//     point the batch (chunks, fps, attached slab) belongs to the
+//     consumer. The cuts the head probe already made (headCuts) go first,
+//     as batches that arrive fingerprinted.
 //   - The consumer waits for the batch's fingerprints, charges its
 //     virtual CPU, runs the dedup sink (which copies unique payloads into
 //     container buffers), and recycles the batch and its slab.
@@ -38,11 +40,14 @@ import (
 // account total is bit-identical to the serial path regardless of worker
 // count or interleaving.
 const (
-	// ingestBatchChunks is the hand-off granularity: one hash-pool job and
-	// one ring slot per this many chunks (~1 MiB at the default 4 KiB avg).
+	// ingestBatchChunks is the hand-off granularity: one hashing goroutine
+	// and one ring slot per this many chunks (~1 MiB at the default 4 KiB
+	// avg, ~0.7 ms of SHA-1 — the spawn is noise beside it).
 	ingestBatchChunks = 256
 	// ingestRingDepth bounds batches in flight between producer and
-	// consumer — the pipeline's window, and its backpressure on the cutter.
+	// consumer — the pipeline's window, its backpressure on the cutter, and
+	// (one in the producer's hand, one in the consumer's) the bound on
+	// batches being hashed at once.
 	ingestRingDepth = 4
 	// ingestSlabBytes is the streaming read-buffer size (grown to 4×Max
 	// for oversized chunk configurations).
@@ -55,9 +60,9 @@ const (
 var headBytes = 8 << 20
 
 // chunkBatch is one pipeline unit: a run of consecutive chunks, their
-// fingerprints (filled asynchronously by the hash pool; wait on done),
-// the virtual CPU its production cost, and optionally the input buffer
-// this batch is the last user of.
+// fingerprints (filled asynchronously by the batch's hashing goroutine;
+// wait on done), the virtual CPU its production cost, and optionally the
+// input buffer this batch is the last user of.
 type chunkBatch struct {
 	chunks   []chunker.Chunk
 	fps      []fingerprint.FP
@@ -65,16 +70,37 @@ type chunkBatch struct {
 	chunkCPU time.Duration
 	hashCPU  time.Duration
 	slab     []byte
+	pooled   bool // in batchPool and not taken since; kept where poison.On
 }
 
 var batchPool = sync.Pool{New: func() any { return new(chunkBatch) }}
 
-func getBatch() *chunkBatch { return batchPool.Get().(*chunkBatch) }
+func getBatch() *chunkBatch {
+	b := batchPool.Get().(*chunkBatch)
+	b.pooled = false
+	return b
+}
 
+// putBatch recycles b and the slab attached to it. Where poison.On it
+// scribbles over the chunk and fingerprint arrays first, to their
+// capacity, and panics on a batch already in the pool.
 func putBatch(b *chunkBatch) {
 	if b.slab != nil {
 		putSlab(b.slab)
 		b.slab = nil
+	}
+	if poison.On() {
+		if b.pooled {
+			panic("lnode: chunk batch returned to its pool twice")
+		}
+		b.pooled = true
+		clear(b.chunks[:cap(b.chunks)])
+		fps := b.fps[:cap(b.fps)]
+		for i := range fps {
+			for k := range fps[i] {
+				fps[i][k] = poison.Byte
+			}
+		}
 	}
 	b.chunks = b.chunks[:0]
 	b.fps = b.fps[:0]
@@ -88,6 +114,7 @@ var slabPool = sync.Pool{New: func() any { return (*[]byte)(nil) }}
 
 func getSlab(n int) []byte {
 	if p, _ := slabPool.Get().(*[]byte); p != nil && cap(*p) >= n {
+		poison.Take(*p)
 		return (*p)[:n]
 	}
 	return make([]byte, n)
@@ -98,6 +125,7 @@ func putSlab(b []byte) {
 		return
 	}
 	b = b[:cap(b)]
+	poison.Put(b)
 	slabPool.Put(&b)
 }
 
@@ -153,27 +181,76 @@ func (n *LNode) newIngestRun() *ingestRun {
 	return r
 }
 
-func (n *LNode) putIngestRun(r *ingestRun) { n.runs.Put(r) }
+// putIngestRun recycles r, whose producer has sent its sentinel. Where
+// poison.On a run in the pool has no node — a second put panics on that —
+// and has produced -1 bytes, so that a job reading its size from a
+// recycled run reports one no job has.
+func (n *LNode) putIngestRun(r *ingestRun) {
+	if poison.On() {
+		if r.node == nil {
+			panic("lnode: ingest run returned to its pool twice")
+		}
+		r.node, r.produced = nil, -1
+	}
+	n.runs.Put(r)
+}
 
-// emit hands a finished batch to the hash pool and the ring. owned, if
-// non-nil, is an input buffer whose last chunks live in this batch; it is
-// recycled when the batch is. Returns false when the consumer aborted.
+// emit starts fingerprinting a finished batch and puts it on the ring.
+// With HashWorkers > 0 the batch is hashed on a goroutine of its own, which
+// ends before whoever takes the batch off the ring (consume, or send on
+// abort) gets past done.Wait — none outlives the job; otherwise inline.
+// owned, if non-nil, is an input buffer whose last chunks live in this
+// batch; it is recycled when the batch is. Returns false when the
+// consumer aborted.
 func (r *ingestRun) emit(b *chunkBatch, owned []byte) bool {
 	b.slab = owned
 	if cap(b.fps) < len(b.chunks) {
 		b.fps = make([]fingerprint.FP, len(b.chunks))
 	}
 	b.fps = b.fps[:len(b.chunks)]
-	b.done.Add(1)
-	if pool := r.node.hashers(); pool != nil && len(b.chunks) > 0 {
-		pool.submit(hashJob{alg: r.alg, chunks: b.chunks, fps: b.fps, done: &b.done})
+	if r.node.repo.Config.HashWorkers > 0 && len(b.chunks) > 0 {
+		b.done.Add(1)
+		go func() {
+			defer b.done.Done()
+			hashInto(b.fps, r.alg, b.chunks)
+		}()
 	} else {
-		for i := range b.chunks {
-			b.fps[i] = fingerprint.Of(r.alg, b.chunks[i].Data)
-		}
-		b.done.Done()
+		hashInto(b.fps, r.alg, b.chunks)
 	}
 	return r.send(b)
+}
+
+// hashInto fingerprints chunks[i] into fps[i].
+func hashInto(fps []fingerprint.FP, alg fingerprint.Algorithm, chunks []chunker.Chunk) {
+	for i := range chunks {
+		fps[i] = fingerprint.Of(alg, chunks[i].Data)
+	}
+}
+
+// smallHashBatch is the per-worker chunk count at or below which fanning
+// out costs more than hashing inline — measured by
+// BenchmarkHashAllCrossover.
+const smallHashBatch = 2
+
+// hashAll fingerprints chunks in input order, one contiguous range per
+// HashWorkers goroutine; they end before it returns. Small inputs
+// (<= smallHashBatch chunks per worker) and HashWorkers <= 0 hash inline.
+// No simclock charges — the caller accounts for the pass (the probe pass
+// bills OtherPerByte).
+func (n *LNode) hashAll(alg fingerprint.Algorithm, chunks []chunker.Chunk) []fingerprint.FP {
+	w := n.repo.Config.HashWorkers
+	fps := make([]fingerprint.FP, len(chunks))
+	if w <= 0 || len(chunks) <= smallHashBatch*w {
+		hashInto(fps, alg, chunks)
+		return fps
+	}
+	stride := (len(chunks) + w - 1) / w
+	_ = pipe.FanOut(w, w, func(k int) error { // hashing cannot fail
+		s, e := min(k*stride, len(chunks)), min((k+1)*stride, len(chunks))
+		hashInto(fps[s:e], alg, chunks[s:e])
+		return nil
+	})
+	return fps
 }
 
 // send puts a batch whose fingerprints are filled in or being filled in on

@@ -73,7 +73,9 @@ func mutate(data []byte, seed int64, changes int) []byte {
 			off := r.Intn(len(out))
 			ins := make([]byte, 16+r.Intn(128))
 			r.Read(ins)
-			out = append(out[:off], append(ins, out[off:]...)...)
+			out = append(out, ins...)
+			copy(out[off+len(ins):], out[off:])
+			copy(out[off:], ins)
 		case 2: // delete
 			if len(out) < 2000 {
 				break

@@ -60,6 +60,7 @@ func resolveReference(repo *core.Repo, r *recipe.Recipe, recs []*recipe.ChunkRec
 // every version, at any read width and index sharding — and charges one
 // index lookup per moved chunk.
 func TestResolveSequenceEqualsReference(t *testing.T) {
+	t.Parallel()
 	for _, shards := range []int{1, 4} {
 		for _, threads := range []int{0, 1, 6} {
 			t.Run(fmt.Sprintf("shards=%d/threads=%d", shards, threads), func(t *testing.T) {
@@ -75,7 +76,6 @@ func TestResolveSequenceEqualsReference(t *testing.T) {
 				}
 				repo.Config.PrefetchThreads = threads // after the open: 0 stays 0, the serial run
 				n := New(repo, "l0")
-				defer n.Close()
 				// Out-of-order deletion: v1 goes, v0 keeps redirecting.
 				if _, err := gnode.New(repo).DeleteVersion("f", 1); err != nil {
 					t.Fatal(err)

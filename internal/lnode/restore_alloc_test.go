@@ -39,7 +39,6 @@ func TestRestoreAllocatesNoPayloadCopies(t *testing.T) {
 		t.Skip("the race allocator pads and sync.Pool drops: allocation totals are not comparable")
 	}
 	n, repo := newNode(t, core.DefaultConfig())
-	defer n.Close()
 	data := genData(7, 16<<20)
 	if _, err := n.Backup("f", data); err != nil {
 		t.Fatal(err)

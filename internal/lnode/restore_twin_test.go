@@ -61,6 +61,7 @@ func prefetchConserved(t *testing.T, st *RestoreStats) {
 // ranged read per planned span; with six channels over 4 MiB containers
 // there are more.
 func TestPrefetchStatsDeterministic(t *testing.T) {
+	t.Parallel()
 	type fixture struct {
 		name    string
 		cfg     core.Config
@@ -129,7 +130,6 @@ func TestPrefetchStatsDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 			n := New(repo, "l0")
-			defer n.Close()
 			version := fx.backups(t, n, repo)
 			log.sorted()
 			run := func(restore func() (*RestoreStats, error)) outcome {
@@ -202,7 +202,6 @@ func TestRestoreRangeTwinSerial(t *testing.T) {
 	cfg := testConfig()
 	cfg.SharedCacheBytes = -1 // every policy fetches for itself
 	n, repo := newNode(t, cfg)
-	defer n.Close()
 	data := genData(64, 3<<20)
 	if _, err := n.Backup("twin", data); err != nil {
 		t.Fatal(err)
@@ -259,7 +258,6 @@ func TestRestorePrefetchAllPolicies(t *testing.T) {
 			cfg.RestorePolicy = policy
 			cfg.SharedCacheBytes = -1 // keep the two runs independent
 			n, repo := newNode(t, cfg)
-			defer n.Close()
 			if _, err := n.Backup("f", data); err != nil {
 				t.Fatal(err)
 			}
@@ -300,7 +298,6 @@ func TestRestoreRunVerifyFailure(t *testing.T) {
 	cfg := testConfig()
 	cfg.SharedCacheBytes = -1 // every Verify reads the store
 	n, repo := newNode(t, cfg)
-	defer n.Close()
 	if _, err := n.Backup("f", genData(66, 1<<20)); err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +371,6 @@ func BenchmarkRestoreHandoff(b *testing.B) {
 		b.Fatal(err)
 	}
 	n := New(repo, "l0")
-	defer n.Close()
 	data := genData(68, 8<<20)
 	bufs, seq := handoffFixture(cfg, repo, data)
 	b.SetBytes(int64(len(data)))

@@ -4,15 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"slimstore/internal/container"
 	"slimstore/internal/core"
+	"slimstore/internal/leakcheck"
 	"slimstore/internal/oss"
 )
 
@@ -38,7 +37,6 @@ func denseFixture(t *testing.T, store oss.Store) (core.Config, []byte) {
 		t.Fatal(err)
 	}
 	n := New(repo, "writer")
-	defer n.Close()
 	data := genData(7, 16<<20)
 	if _, err := n.Backup("f", data); err != nil {
 		t.Fatal(err)
@@ -60,7 +58,6 @@ func TestRestoreKeepsItsChannelsFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := New(repo, "l0")
-	defer n.Close()
 
 	probe.reset()
 	probe.watch = isDataRead
@@ -166,7 +163,6 @@ func TestRestoreFailsWholeOnAnyPiece(t *testing.T) {
 	if _, err := n.Restore("f", 0, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	n.Close()
 	pieces := log.ranged
 	log.sorted()
 	if pieces < 6 {
@@ -175,7 +171,6 @@ func TestRestoreFailsWholeOnAnyPiece(t *testing.T) {
 
 	for _, short := range []bool{false, true} {
 		for k := 0; k < pieces; k++ {
-			baseline := runtime.NumGoroutine()
 			log.failAt, log.short = k, short
 			n, repo := open() // a cold shared cache: the same requests every time
 			_, err := n.Restore("f", 0, io.Discard)
@@ -199,13 +194,8 @@ func TestRestoreFailsWholeOnAnyPiece(t *testing.T) {
 			}
 			// Everything the restore started has returned: FanOut joins a
 			// read's pieces and Prefetcher.Close its containers.
-			for try := 0; runtime.NumGoroutine() > baseline; try++ {
-				if try == 100 {
-					buf := make([]byte, 1<<16)
-					t.Fatalf("piece %d (short=%v): %d goroutines, %d before the restore:\n%s", k, short,
-						runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
-				}
-				time.Sleep(time.Millisecond)
+			if leakcheck.Settled(t); t.Failed() {
+				t.Fatalf("piece %d (short=%v): goroutines outlive the failed restore", k, short)
 			}
 			ids, err := repo.Containers.List()
 			if err != nil {
@@ -227,7 +217,6 @@ func TestRestoreFailsWholeOnAnyPiece(t *testing.T) {
 				}
 			}
 			sess.Close()
-			n.Close()
 		}
 	}
 }

@@ -197,7 +197,6 @@ func optimizedChain(t *testing.T, store oss.Store, cfg core.Config, seed int64, 
 		t.Fatal(err)
 	}
 	n := New(repo, "l0")
-	defer n.Close()
 	gn := gnode.New(repo)
 	data := genData(seed, size)
 	var kept [][]byte
@@ -264,7 +263,6 @@ func TestResolveWaves(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := New(repo, "l0")
-	defer n.Close()
 	probe.reset()
 	probe.expectWaves(isMetaGet, len(homes), len(targets))
 	opsBefore := repo.Global.Ops()
@@ -316,7 +314,6 @@ func TestResolveSequenceMemoized(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := New(repo, "l0")
-	defer n.Close()
 	r, err := repo.Recipes.GetRecipe("f", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -366,7 +363,6 @@ func TestRestoreRangeResolvesWindowOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := New(repo, "l0")
-	defer n.Close()
 	r, err := repo.Recipes.GetRecipe("f", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -430,7 +426,6 @@ func TestSegmentReadAheadOverlapsDedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := New(repo, "l0")
-	defer n.Close()
 	if _, err := n.Backup("f", versions[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +487,6 @@ func TestSegmentReadAheadTwin(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := New(repo, "l0")
-		defer n.Close()
 		if _, err := n.Backup("f", versions[0]); err != nil {
 			t.Fatal(err)
 		}
@@ -585,7 +579,6 @@ func TestCommitWave(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := New(repo, "l0")
-	defer n.Close()
 	data := genData(85, 2<<20)
 	if _, err := n.Backup("f", data); err != nil {
 		t.Fatal(err)
@@ -630,7 +623,6 @@ func TestOpenBaseWave(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := New(repo, "l0")
-	defer n.Close()
 	data := genData(87, 1<<20)
 	if _, err := n.Backup("f", data); err != nil {
 		t.Fatal(err)
@@ -677,7 +669,6 @@ func TestBackupCrashAtEveryPut(t *testing.T) {
 		n := New(repo, "l0")
 		faulty.FailPutsAfter(budget)
 		_, berr := n.Backup("f", v1)
-		n.Close()
 
 		repo, err = core.OpenRepo(mem, cfg)
 		if err != nil {
@@ -716,7 +707,6 @@ func TestBackupCrashAtEveryPut(t *testing.T) {
 				t.Fatalf("budget %d: retried version restores wrong", budget)
 			}
 		}
-		n.Close()
 		if berr == nil {
 			break
 		}
@@ -738,7 +728,6 @@ func TestRestoreFailsOnMetaReadFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := New(repo, "l0")
-	defer n.Close()
 	keys, _ := mem.List(container.Prefix)
 	var metaKey string
 	for _, k := range keys {
@@ -771,7 +760,6 @@ func TestBackupFailsOnPreviousInfoFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := New(repo, "l0")
-	defer n.Close()
 	data := genData(91, 1<<20)
 	if _, err := n.Backup("f", data); err != nil {
 		t.Fatal(err)
@@ -803,7 +791,6 @@ func TestSimilarityIgnoresUncommittedSketch(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := New(repo, "l0")
-	defer n.Close()
 	data := genData(93, 1<<20)
 	if _, err := n.Backup("dead", data); err != nil {
 		t.Fatal(err)

@@ -41,10 +41,10 @@ type Store interface {
 	// Put stores an object, replacing any existing value. Implementations
 	// must not retain data after Put returns (copy it, write it out, or
 	// send it) — callers recycle upload buffers, e.g. the container pack
-	// stage pools sealed payloads. slimlint enforces this on every
-	// implementation in the module.
-	//
-	//slimlint:contract noretain data
+	// stage pools sealed payloads. The store contract test overwrites
+	// the buffer after Put returns and reads the object back, on every
+	// implementation in the module; under the other suites the recycled
+	// buffer is poisoned (package poison).
 	Put(key string, data []byte) error
 	// Get retrieves a whole object. The result is read-only and a
 	// snapshot — the mirror of Put's rule: the caller must not write

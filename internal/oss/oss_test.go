@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -17,7 +18,7 @@ import (
 )
 
 // storeUnderTest runs the full Store contract against an implementation.
-func storeUnderTest(t *testing.T, s Store) {
+func storeUnderTest(t testing.TB, s Store) {
 	t.Helper()
 
 	// Missing key behaviour.
@@ -31,17 +32,23 @@ func storeUnderTest(t *testing.T, s Store) {
 		t.Fatalf("Delete(missing) = %v, want nil", err)
 	}
 
-	// Round trip.
+	// Round trip. Put does not retain its buffer: the caller overwrites it
+	// as soon as Put returns (the pack stage recycles it) and the object
+	// still reads back as it was put.
 	data := []byte("hello, object storage")
-	if err := s.Put("a/b/c", data); err != nil {
+	buf := bytes.Clone(data)
+	if err := s.Put("a/b/c", buf); err != nil {
 		t.Fatal(err)
+	}
+	for i := range buf {
+		buf[i] = 0xDB
 	}
 	got, err := s.Get("a/b/c")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
-		t.Fatalf("Get = %q, want %q", got, data)
+		t.Fatalf("Get = %q, want %q (did Put keep the caller's buffer?)", got, data)
 	}
 	n, err := s.Head("a/b/c")
 	if err != nil || n != int64(len(data)) {
@@ -119,6 +126,54 @@ func storeUnderTest(t *testing.T, s Store) {
 
 func TestMemStore(t *testing.T) { storeUnderTest(t, NewMem()) }
 
+// retainingStore breaks Put's contract: it keeps the caller's slice and
+// serves it back.
+type retainingStore struct {
+	*Mem
+	kept map[string][]byte
+}
+
+func (s retainingStore) Put(key string, data []byte) error {
+	s.kept[key] = data
+	return s.Mem.Put(key, data)
+}
+
+func (s retainingStore) Get(key string) ([]byte, error) {
+	if b, ok := s.kept[key]; ok {
+		return b, nil
+	}
+	return s.Mem.Get(key)
+}
+
+// fatalRecorder is a testing.TB that notes the first Fatal instead of
+// failing the test that runs it.
+type fatalRecorder struct {
+	testing.TB
+	msg string
+}
+
+func (r *fatalRecorder) Helper() {}
+func (r *fatalRecorder) Fatal(args ...any) {
+	r.msg = fmt.Sprint(args...)
+	runtime.Goexit()
+}
+func (r *fatalRecorder) Fatalf(format string, args ...any) { r.Fatal(fmt.Sprintf(format, args...)) }
+
+// TestContractCatchesARetainingStore: the contract fails, at its Put
+// check, on a store that keeps the buffer it was handed.
+func TestContractCatchesARetainingStore(t *testing.T) {
+	rec := &fatalRecorder{}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		storeUnderTest(rec, retainingStore{NewMem(), map[string][]byte{}})
+	}()
+	<-done
+	if !strings.Contains(rec.msg, "did Put keep the caller's buffer?") {
+		t.Errorf("the contract said %q of a store that retains Put's buffer", rec.msg)
+	}
+}
+
 func TestDiskStore(t *testing.T) {
 	s, err := NewDisk(t.TempDir())
 	if err != nil {
@@ -132,6 +187,20 @@ func TestHTTPStore(t *testing.T) {
 	srv := httptest.NewServer(NewServer(backend))
 	defer srv.Close()
 	storeUnderTest(t, NewClient(srv.URL, srv.Client()))
+}
+
+// TestWrapperStores holds every wrapper to the contract of what it wraps
+// (Prefixed and Retry run it from their own tests, ec.Store and ec.Router
+// from contract_ec_test.go).
+func TestWrapperStores(t *testing.T) {
+	for name, s := range map[string]Store{
+		"Metered": NewMetered(NewMem(), simclock.DefaultCosts(), simclock.NewAccount()),
+		"Faulty":  NewFaulty(NewMem()),
+		"Frozen":  NewFrozen(NewMem()),
+		"Backend": NewBackendSet(NewMem(), 3, simclock.DefaultCosts())[1].Store,
+	} {
+		t.Run(name, func(t *testing.T) { storeUnderTest(t, s) })
+	}
 }
 
 // TestMemIsolation pins both ownership rules at the one store that shares

@@ -175,7 +175,7 @@ type countStore struct {
 	lists, gets      int
 	inflight, high   int
 	failGets         bool
-	removeDuringLoad func()        // run once, inside the first Get
+	removeDuringLoad func()        // run once, inside the first Get, before any other Get reads
 	together         chan struct{} // non-nil: the first Get waits here for a second to arrive
 }
 
@@ -191,8 +191,11 @@ func (c *countStore) Get(key string) ([]byte, error) {
 	c.gets++
 	c.inflight++
 	c.high = max(c.high, c.inflight)
-	hook, fail := c.removeDuringLoad, c.failGets
-	c.removeDuringLoad = nil
+	if hook := c.removeDuringLoad; hook != nil {
+		c.removeDuringLoad = nil
+		hook() // under mu: the wave's other Gets are still waiting for it
+	}
+	fail := c.failGets
 	wait := c.together
 	if c.gets == 2 && wait != nil {
 		close(wait)
@@ -206,9 +209,6 @@ func (c *countStore) Get(key string) ([]byte, error) {
 		case <-time.After(10 * time.Second):
 			return nil, errors.New("the first sketch read waited alone: the load is not a wave")
 		}
-	}
-	if hook != nil {
-		hook()
 	}
 	if fail {
 		return nil, errors.New("injected get failure")

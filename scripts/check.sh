@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
-# Full verification gate: build, vet, the race-enabled test suite, and a
-# short-budget fuzz smoke over the committed seed corpora plus a few
-# seconds of fresh exploration per target.
+# Full verification gate: build, vet, slimlint, the race-enabled test
+# suite, and a short-budget fuzz smoke over the committed seed corpora plus
+# a few seconds of fresh exploration per target.
 # CI and pre-commit both run this; keep it the single source of truth.
 set -eu
 cd "$(dirname "$0")/.."
@@ -14,6 +14,13 @@ go vet ./...
 # Zero findings is the bar; see DESIGN.md §9 for suppression rules.
 sh ./scripts/lint.sh
 
+# Every `go test` below also runs the run-time invariant checks (DESIGN.md
+# §9) beside the race detector, with nothing to switch on: pooled buffers
+# are poisoned on recycle and a second put panics (internal/poison), each
+# package's TestMain fails if a goroutine outlives its tests
+# (internal/leakcheck), and the stores under the twin, stress and chaos
+# suites are oss.Frozen. The product binaries further down (CLI smoke,
+# workload smokes) run without the first two.
 go test -race ./...
 
 # The SHA-1 kernel's fallback: on a host with the SHA extensions nothing above

@@ -1,46 +1,9 @@
 #!/usr/bin/env sh
 # slimlint entry point: the project-invariant static analyzer (lock
-# order, pool lifetime, goroutine leaks, determinism, error discipline,
-# context flow). Exits nonzero on any finding; see DESIGN.md §9 for the
-# invariants and the suppression syntax.
-#
-# Always prints the per-analyzer finding counts and wall times (on
-# stderr, so -json stdout stays machine-readable), and warns when the
-# whole-tree run exceeds the 60s lint-timing budget.
+# order, determinism, error discipline, context flow). Takes packages,
+# no flags; with none it lints the whole module. Exits nonzero on any
+# finding; see DESIGN.md §9 for the invariants, for what is checked at run
+# time instead, and for the suppression syntax.
 set -eu
 cd "$(dirname "$0")/.."
-
-usage() {
-	cat <<'EOF'
-Usage: ./scripts/lint.sh [options] [packages...]
-
-  -json               machine-readable findings on stdout
-  -only a,b           run only the named analyzers (lockorder, poolsafe,
-                      goroutineleak, determinism, errdiscipline, ctxflow)
-  -pkg dir            add one package directory to the lint set
-  -fix=suppress       insert //slimlint:ignore stubs for current findings
-  -h, -help           show this help
-
-With no packages, lints the whole module (./...). Per-analyzer finding
-counts and wall times print to stderr after every run; a note is emitted
-if the whole-tree run exceeds the 60s budget (see DESIGN.md §9).
-EOF
-}
-
-for a in "$@"; do
-	case "$a" in
-	-h | -help | --help)
-		usage
-		exit 0
-		;;
-	esac
-done
-
-START=$(date +%s)
-STATUS=0
-go run ./cmd/slimlint -stats "$@" || STATUS=$?
-ELAPSED=$(($(date +%s) - START))
-if [ $# -eq 0 ] && [ "$ELAPSED" -gt 60 ]; then
-	echo "lint.sh: whole-tree slimlint took ${ELAPSED}s — over the 60s budget; profile with 'go run ./cmd/slimlint -stats ./...' before adding more summaries" >&2
-fi
-exit $STATUS
+go run ./cmd/slimlint "$@"

@@ -10,10 +10,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
 	"slimstore/internal/chunker"
+	"slimstore/internal/leakcheck"
 	"slimstore/internal/oss"
 )
 
@@ -586,5 +588,26 @@ func TestRestoreRangeFacade(t *testing.T) {
 	}
 	if st.Bytes != 64<<10 {
 		t.Fatalf("range bytes = %d", st.Bytes)
+	}
+}
+
+// TestDroppedSystemLeavesNoGoroutine: a System has no Close, so it must
+// need none — ten handles opened, used and dropped leave the process with
+// the goroutines it started with.
+func TestDroppedSystemLeavesNoGoroutine(t *testing.T) {
+	leakcheck.Settled(t) // earlier tests' stragglers are not this test's
+	before := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		sys, err := OpenMemory(smallConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Backup("f", genData(int64(320+i), 1<<20)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leakcheck.Settled(t)
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines before ten dropped handles, %d after", before, after)
 	}
 }
