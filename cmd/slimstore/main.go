@@ -7,6 +7,7 @@
 //
 // Subcommands:
 //
+//	slimstore init    -repo dir:/backups [-shards N] [-replicas M] [-ec-data K -ec-parity M]
 //	slimstore backup  -repo dir:/backups -file <local path> [-as <name>]
 //	slimstore restore -repo dir:/backups -name <name> [-version N] -out <path>
 //	slimstore snapshot -repo dir:/backups -dir <directory> -id <name> [-jobs N]
@@ -28,13 +29,17 @@
 // job per file or version through the job engine; -jobs is its width, the
 // only concurrency setting. Everything else is one call on this goroutine.
 //
+// A repository records its layout in a header when it is created and every
+// command reads it from there. init creates one with a chosen layout
+// (-shards, -replicas: the global-index topology, DESIGN §11; -ec-data,
+// -ec-parity: the erasure-coded container tier, DESIGN §12); against an
+// existing repository it succeeds when the values given equal the recorded
+// ones and names the field that differs otherwise. Any other command
+// against an empty location creates a default-layout repository.
+//
 // Any subcommand additionally accepts -pprof <path>: a CPU profile of
 // the whole run is written there, for profiling maintenance commands
-// (scrub, gc) against real repositories. -shards N and -replicas M
-// select the global-index topology (DESIGN §11), and -ec-data K with
-// -ec-parity M arm the erasure-coded container tier (DESIGN §12); every
-// command against a repository must use the same values it was created
-// with.
+// (scrub, gc) against real repositories.
 package main
 
 import (
@@ -51,32 +56,34 @@ import (
 	"slimstore"
 )
 
-// Repository topology shared by every subcommand; set from the -shards
-// and -replicas flags before openSystem runs. The values must match the
-// repository's existing layout (they pick the on-store key prefixes).
-var (
-	globalShards   = 1
-	globalReplicas = 1
-	ecData         = 0
-	ecParity       = 0
-)
-
-func openSystem(repo string) (*slimstore.System, error) {
-	cfg := slimstore.DefaultConfig()
-	cfg.GlobalShards = globalShards
-	cfg.GlobalReplicas = globalReplicas
-	cfg.ECDataShards = ecData
-	cfg.ECParityShards = ecParity
+// openSystem opens the repository or exits. cfg's layout fields are zero —
+// the repository's header supplies them, the defaults for an empty
+// location — except what init was given.
+func openSystem(repo string, cfg slimstore.Config) *slimstore.System {
+	var sys *slimstore.System
+	var err error
 	switch {
 	case strings.HasPrefix(repo, "dir:"):
-		return slimstore.OpenDirectory(strings.TrimPrefix(repo, "dir:"), cfg)
+		sys, err = slimstore.OpenDirectory(strings.TrimPrefix(repo, "dir:"), cfg)
 	case strings.HasPrefix(repo, "http://"), strings.HasPrefix(repo, "https://"):
-		return slimstore.OpenHTTP(repo, nil, cfg)
+		sys, err = slimstore.OpenHTTP(repo, nil, cfg)
 	case repo == "mem:":
-		return slimstore.OpenMemory(cfg)
+		sys, err = slimstore.OpenMemory(cfg)
 	default:
-		return nil, fmt.Errorf("repo %q: want dir:<path>, http(s)://..., or mem:", repo)
+		err = fmt.Errorf("repo %q: want dir:<path>, http(s)://..., or mem:", repo)
 	}
+	if err != nil {
+		fatalf("%v", err)
+	}
+	return sys
+}
+
+// printLayout prints what the repository's header records.
+func printLayout(sys *slimstore.System) {
+	c := sys.Config()
+	fmt.Printf("layout: fingerprint=%v chunking=%s/%d-%d-%d shards=%d replicas=%d ec-data=%d ec-parity=%d\n",
+		c.FingerprintAlg, c.ChunkAlgo, c.ChunkParams.Min, c.ChunkParams.Avg, c.ChunkParams.Max,
+		c.GlobalShards, c.GlobalReplicas, c.ECDataShards, c.ECParityShards)
 }
 
 func fatalf(format string, args ...any) {
@@ -167,19 +174,25 @@ func startPProf(args []string) []string {
 
 func main() {
 	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: slimstore <backup|restore|verify|snapshot|restore-snapshot|snapshots|list|delete|gc|scrub|stats> [flags]")
+		fmt.Fprintln(os.Stderr, "usage: slimstore <init|backup|restore|verify|snapshot|restore-snapshot|snapshots|list|delete|gc|scrub|stats> [flags]")
 		os.Exit(2)
 	}
 	cmd, args := os.Args[1], startPProf(os.Args[2:])
 	defer stopProfile()
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	repo := fs.String("repo", "dir:./slimstore-repo", "repository location")
-	fs.IntVar(&globalShards, "shards", 1, "global index shards (must match the repository layout)")
-	fs.IntVar(&globalReplicas, "replicas", 1, "replicas per index shard (2f+1; must match the repository layout)")
-	fs.IntVar(&ecData, "ec-data", 0, "erasure-coding data shards K (0 disables striping; must match the repository layout)")
-	fs.IntVar(&ecParity, "ec-parity", 0, "erasure-coding parity shards M (with -ec-data; must match the repository layout)")
+	cfg := slimstore.DefaultConfig()
+	cfg.ChunkAlgo, cfg.ChunkParams = "", slimstore.Config{}.ChunkParams // the repository's
 
 	switch cmd {
+	case "init":
+		fs.IntVar(&cfg.GlobalShards, "shards", 0, "global index shards (0 = the repository's, 1 for a new one)")
+		fs.IntVar(&cfg.GlobalReplicas, "replicas", 0, "replicas per index shard, 2f+1 (0 = the repository's, 1 for a new one)")
+		fs.IntVar(&cfg.ECDataShards, "ec-data", 0, "erasure-coding data shards K (0 = the repository's, no striping for a new one)")
+		fs.IntVar(&cfg.ECParityShards, "ec-parity", 0, "erasure-coding parity shards M, with -ec-data (0 = the repository's)")
+		fs.Parse(args)
+		printLayout(openSystem(*repo, cfg))
+
 	case "backup":
 		file := fs.String("file", "", "local file to back up")
 		as := fs.String("as", "", "backup name (defaults to the file path)")
@@ -195,10 +208,7 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		sys, err := openSystem(*repo)
-		if err != nil {
-			fatalf("%v", err)
-		}
+		sys := openSystem(*repo, cfg)
 		st, err := sys.BackupStream(name, f)
 		f.Close()
 		if err != nil {
@@ -218,10 +228,7 @@ func main() {
 		if *name == "" || *out == "" {
 			fatalf("restore: -name and -out are required")
 		}
-		sys, err := openSystem(*repo)
-		if err != nil {
-			fatalf("%v", err)
-		}
+		sys := openSystem(*repo, cfg)
 		v := *version
 		if v < 0 {
 			vs, err := sys.Versions(*name)
@@ -250,10 +257,7 @@ func main() {
 
 	case "list":
 		fs.Parse(args)
-		sys, err := openSystem(*repo)
-		if err != nil {
-			fatalf("%v", err)
-		}
+		sys := openSystem(*repo, cfg)
 		files, err := sys.Files()
 		if err != nil {
 			fatalf("%v", err)
@@ -273,10 +277,7 @@ func main() {
 		if *name == "" || *version < 0 {
 			fatalf("delete: -name and -version are required")
 		}
-		sys, err := openSystem(*repo)
-		if err != nil {
-			fatalf("%v", err)
-		}
+		sys := openSystem(*repo, cfg)
 		gc, err := sys.DeleteVersion(*name, *version)
 		if err != nil {
 			fatalf("%v", err)
@@ -314,10 +315,7 @@ func main() {
 		if len(files) == 0 {
 			fatalf("snapshot: %s contains no files", *dir)
 		}
-		sys, err := openSystem(*repo)
-		if err != nil {
-			fatalf("%v", err)
-		}
+		sys := openSystem(*repo, cfg)
 		snap, err := sys.BackupSnapshot(*id, files, *jobsN)
 		if err != nil {
 			fatalf("%v", err)
@@ -332,12 +330,9 @@ func main() {
 		if *id == "" || *outDir == "" {
 			fatalf("restore-snapshot: -id and -out are required")
 		}
-		sys, err := openSystem(*repo)
-		if err != nil {
-			fatalf("%v", err)
-		}
+		sys := openSystem(*repo, cfg)
 		var files []*partial
-		err = sys.RestoreSnapshot(*id, func(fileID string) (io.Writer, error) {
+		err := sys.RestoreSnapshot(*id, func(fileID string) (io.Writer, error) {
 			p := filepath.Join(*outDir, filepath.FromSlash(fileID))
 			if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 				return nil, err
@@ -364,10 +359,7 @@ func main() {
 
 	case "snapshots":
 		fs.Parse(args)
-		sys, err := openSystem(*repo)
-		if err != nil {
-			fatalf("%v", err)
-		}
+		sys := openSystem(*repo, cfg)
 		ids, err := sys.Snapshots()
 		if err != nil {
 			fatalf("%v", err)
@@ -388,16 +380,11 @@ func main() {
 		if *name == "" {
 			fatalf("verify: -name is required")
 		}
-		sys, err := openSystem(*repo)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		var versions []int
-		if *version >= 0 {
-			versions = []int{*version}
-		} else {
-			versions, err = sys.Versions(*name)
-			if err != nil {
+		sys := openSystem(*repo, cfg)
+		versions := []int{*version}
+		if *version < 0 {
+			var err error
+			if versions, err = sys.Versions(*name); err != nil {
 				fatalf("%v", err)
 			}
 		}
@@ -422,10 +409,7 @@ func main() {
 
 	case "gc":
 		fs.Parse(args)
-		sys, err := openSystem(*repo)
-		if err != nil {
-			fatalf("%v", err)
-		}
+		sys := openSystem(*repo, cfg)
 		audit, err := sys.Audit()
 		if err != nil {
 			fatalf("%v", err)
@@ -435,10 +419,7 @@ func main() {
 
 	case "scrub":
 		fs.Parse(args)
-		sys, err := openSystem(*repo)
-		if err != nil {
-			fatalf("%v", err)
-		}
+		sys := openSystem(*repo, cfg)
 		st, err := sys.Scrub()
 		if err != nil {
 			fatalf("scrub: %v", err)
@@ -454,10 +435,7 @@ func main() {
 
 	case "stats":
 		fs.Parse(args)
-		sys, err := openSystem(*repo)
-		if err != nil {
-			fatalf("%v", err)
-		}
+		sys := openSystem(*repo, cfg)
 		m, err := sys.Metrics()
 		if err != nil {
 			fatalf("%v", err)
@@ -469,6 +447,7 @@ func main() {
 		fmt.Printf("global index: %d entries, %d tables, %d wal segments (%d replayed at open), %d syncs, %d flushes, %d compactions\n",
 			m.GlobalIndex.Entries, kv.TablesLive, kv.WALSegments, kv.WALReplayed, kv.Syncs, kv.Flushes, kv.Compactions)
 		fmt.Printf("sha1 kernel: %s\n", slimstore.SHA1Kernel())
+		printLayout(sys)
 
 	default:
 		fatalf("unknown command %q", cmd)

@@ -356,9 +356,9 @@ func FuzzReadPlan(f *testing.F) {
 	tiled := planMeta(700, 6000)
 	f.Add(container.EncodeMeta(tiled), uint8(6), uint64(0xFFFF_FFFF_FFFF_FFFF))
 	f.Add(container.EncodeMeta(tiled), uint8(3), uint64(0x8000_0001_0000_8001))
-	v1 := *planMeta(40, 100<<10)
-	v1.Version = container.MetaV1
-	f.Add(container.EncodeMeta(&v1), uint8(2), uint64(0x5555_5555_5555_5555))
+	v1 := container.EncodeMeta(planMeta(40, 100<<10))
+	v1[4] = 1 // the retired meta version: DecodeMeta refuses it
+	f.Add(v1, uint8(2), uint64(0x5555_5555_5555_5555))
 	hostile := planMeta(64, 64<<10)
 	hostile.Chunks[3].Offset = 1 << 31            // far past the payload
 	hostile.Chunks[9].Size = 3 << 20              // overlaps everything after it

@@ -78,14 +78,13 @@ type ChunkMeta struct {
 	Offset  uint32
 	Size    uint32
 	Deleted bool
-	Sum     uint32 // CRC32C of the chunk payload (format v2; 0 in v1 metas)
+	Sum     uint32 // CRC32C of the chunk payload
 }
 
 // Meta is a container's metadata: the chunk directory plus summary
 // counters used by sparse-container detection and deferred compaction.
 type Meta struct {
 	ID       ID
-	Version  uint32 // on-wire format version; 0 is treated as current
 	Chunks   []ChunkMeta
 	DataSize uint32 // payload bytes including deleted chunks
 
@@ -124,10 +123,6 @@ func (m *Meta) buildFindIndex() {
 	})
 	m.fpIdx = idx
 }
-
-// Checksummed reports whether the container carries per-chunk checksums
-// and a data footer (format v2).
-func (m *Meta) Checksummed() bool { return m.Version != MetaV1 }
 
 // Find returns the metadata of the chunk with fingerprint fp, or nil.
 // With duplicates the record with the lowest chunk index wins (matching
@@ -264,15 +259,12 @@ func (c *Container) Get(fp fingerprint.FP) ([]byte, error) {
 	return c.ChunkData(cm)
 }
 
-// VerifyChunk checks one chunk's bounds and (for checksummed containers)
-// its CRC against the payload. It returns a *CorruptError on mismatch.
+// VerifyChunk checks one chunk's bounds and its CRC against the payload. It
+// returns a *CorruptError on mismatch.
 func (c *Container) VerifyChunk(cm *ChunkMeta) error {
 	data, err := c.ChunkData(cm)
 	if err != nil {
 		return &CorruptError{Container: c.Meta.ID, FP: cm.FP, Detail: err.Error()}
-	}
-	if !c.Meta.Checksummed() {
-		return nil
 	}
 	if got := ChecksumOf(data); got != cm.Sum {
 		return &CorruptError{Container: c.Meta.ID, FP: cm.FP,
@@ -285,52 +277,35 @@ func (c *Container) VerifyChunk(cm *ChunkMeta) error {
 // Serialization. Fixed-width little-endian encoding: simple, versioned, and
 // fast to decode without reflection.
 //
-// Format v1 carried no integrity metadata. Format v2 adds a CRC32C per
-// chunk record, a CRC32C trailer over the whole metadata object, and an
-// 8-byte footer (magic + payload CRC32C) on the data object. v1 containers
-// remain readable; every rewrite upgrades them to v2.
+// A metadata object carries a CRC32C per chunk record and a CRC32C trailer
+// over the whole object; the data object ends in an 8-byte footer (magic +
+// payload CRC32C).
 
 const metaMagic = uint32(0x534C4D43) // "SLMC"
 
-// Metadata format versions.
-const (
-	MetaV1 = 1
-	MetaV2 = 2
-)
+// MetaV2 is the one metadata format version; DecodeMeta refuses any other.
+const MetaV2 = 2
 
-// Data object footer (format v2): magic then CRC32C of the full payload.
+// Data object footer: magic then CRC32C of the full payload.
 const (
 	footerMagic = uint32(0x534C4D46) // "SLMF"
 	FooterSize  = 8
 )
 
-// chunkMetaWireV1/V2 are the on-wire sizes of one ChunkMeta record.
-const (
-	chunkMetaWireV1 = fingerprint.Size + 4 + 4 + 1
-	chunkMetaWireV2 = chunkMetaWireV1 + 4
-)
+// chunkMetaWire is the on-wire size of one ChunkMeta record.
+const chunkMetaWire = fingerprint.Size + 4 + 4 + 1 + 4
 
-// EncodeMeta serialises container metadata. Version 0 encodes as the
-// current format; MetaV1 preserves the legacy layout (so marking chunks
-// deleted in an old container does not claim checksums it lacks).
+// EncodeMeta serialises container metadata.
 func EncodeMeta(m *Meta) []byte {
-	version := m.Version
-	if version == 0 {
-		version = MetaV2
-	}
-	wire := chunkMetaWireV2
-	if version == MetaV1 {
-		wire = chunkMetaWireV1
-	}
-	buf := make([]byte, 0, 24+len(m.Chunks)*wire+4)
+	buf := make([]byte, 0, 24+len(m.Chunks)*chunkMetaWire+4)
 	var hdr [24]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], metaMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], version)
+	binary.LittleEndian.PutUint32(hdr[4:8], MetaV2)
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(m.ID))
 	binary.LittleEndian.PutUint32(hdr[16:20], uint32(len(m.Chunks)))
 	binary.LittleEndian.PutUint32(hdr[20:24], m.DataSize)
 	buf = append(buf, hdr[:]...)
-	var rec [chunkMetaWireV2]byte
+	var rec [chunkMetaWire]byte
 	for i := range m.Chunks {
 		cm := &m.Chunks[i]
 		copy(rec[:fingerprint.Size], cm.FP[:])
@@ -341,21 +316,16 @@ func EncodeMeta(m *Meta) []byte {
 		} else {
 			rec[fingerprint.Size+8] = 0
 		}
-		if version >= MetaV2 {
-			binary.LittleEndian.PutUint32(rec[fingerprint.Size+9:], cm.Sum)
-		}
-		buf = append(buf, rec[:wire]...)
+		binary.LittleEndian.PutUint32(rec[fingerprint.Size+9:], cm.Sum)
+		buf = append(buf, rec[:]...)
 	}
-	if version >= MetaV2 {
-		var crc [4]byte
-		binary.LittleEndian.PutUint32(crc[:], ChecksumOf(buf))
-		buf = append(buf, crc[:]...)
-	}
-	return buf
+	var crc [4]byte
+	binary.LittleEndian.PutUint32(crc[:], ChecksumOf(buf))
+	return append(buf, crc[:]...)
 }
 
-// DecodeMeta parses container metadata (either format version). A v2
-// object failing its trailer checksum returns a *CorruptError.
+// DecodeMeta parses container metadata. An object failing its trailer
+// checksum returns a *CorruptError.
 func DecodeMeta(b []byte) (*Meta, error) {
 	if len(b) < 24 {
 		return nil, fmt.Errorf("container: meta too short (%d bytes)", len(b))
@@ -363,33 +333,21 @@ func DecodeMeta(b []byte) (*Meta, error) {
 	if binary.LittleEndian.Uint32(b[0:4]) != metaMagic {
 		return nil, fmt.Errorf("container: bad meta magic")
 	}
-	version := binary.LittleEndian.Uint32(b[4:8])
-	if version != MetaV1 && version != MetaV2 {
+	if version := binary.LittleEndian.Uint32(b[4:8]); version != MetaV2 {
 		return nil, fmt.Errorf("container: unsupported meta version %d", version)
 	}
 	m := &Meta{
 		ID:       ID(binary.LittleEndian.Uint64(b[8:16])),
-		Version:  version,
 		DataSize: binary.LittleEndian.Uint32(b[20:24]),
 	}
 	n := int(binary.LittleEndian.Uint32(b[16:20]))
-	wire := chunkMetaWireV2
-	if version == MetaV1 {
-		wire = chunkMetaWireV1
+	if len(b) != 24+n*chunkMetaWire+4 {
+		return nil, fmt.Errorf("container: meta size %d does not match %d chunks", len(b), n)
 	}
-	want := 24 + n*wire
-	if version >= MetaV2 {
-		want += 4
-	}
-	if len(b) != want {
-		return nil, fmt.Errorf("container: meta size %d does not match %d chunks (v%d)", len(b), n, version)
-	}
-	if version >= MetaV2 {
-		stored := binary.LittleEndian.Uint32(b[len(b)-4:])
-		if got := ChecksumOf(b[:len(b)-4]); got != stored {
-			return nil, &CorruptError{Container: m.ID,
-				Detail: fmt.Sprintf("meta checksum %08x, want %08x", got, stored)}
-		}
+	stored := binary.LittleEndian.Uint32(b[len(b)-4:])
+	if got := ChecksumOf(b[:len(b)-4]); got != stored {
+		return nil, &CorruptError{Container: m.ID,
+			Detail: fmt.Sprintf("meta checksum %08x, want %08x", got, stored)}
 	}
 	m.Chunks = make([]ChunkMeta, n)
 	off := 24
@@ -399,16 +357,14 @@ func DecodeMeta(b []byte) (*Meta, error) {
 		cm.Offset = binary.LittleEndian.Uint32(b[off+fingerprint.Size:])
 		cm.Size = binary.LittleEndian.Uint32(b[off+fingerprint.Size+4:])
 		cm.Deleted = b[off+fingerprint.Size+8] == 1
-		if version >= MetaV2 {
-			cm.Sum = binary.LittleEndian.Uint32(b[off+fingerprint.Size+9:])
-		}
-		off += wire
+		cm.Sum = binary.LittleEndian.Uint32(b[off+fingerprint.Size+9:])
+		off += chunkMetaWire
 	}
 	m.buildFindIndex()
 	return m, nil
 }
 
-// EncodeData frames a payload as a v2 data object: payload plus footer.
+// EncodeData frames a payload as a data object: payload plus footer.
 func EncodeData(payload []byte) []byte {
 	out := make([]byte, len(payload)+FooterSize)
 	copy(out, payload)
@@ -417,7 +373,7 @@ func EncodeData(payload []byte) []byte {
 	return out
 }
 
-// appendFooter seals a payload whose CRC32C is sum into a v2 data object in
+// appendFooter seals a payload whose CRC32C is sum into a data object in
 // place. The caller guarantees cap(payload) >= len(payload)+FooterSize; the
 // returned slice shares payload's backing array, extended over the footer
 // bytes.
@@ -433,26 +389,22 @@ func appendFooter(payload []byte, sum uint32) []byte {
 // footerOK reports whether the footer magic and whole-payload CRC check
 // out; false with a valid length means at-rest rot (possibly confined to
 // deleted regions — per-chunk sums decide whether live data is affected).
-// For v1 metas the raw object is the payload and footerOK is true.
 func SplitData(m *Meta, raw []byte) (payload []byte, footerOK bool) {
 	payload, footer := splitData(m, raw)
-	if !m.Checksummed() {
-		return payload, true
-	}
 	return payload, footer != nil &&
 		binary.LittleEndian.Uint32(footer) == footerMagic &&
 		binary.LittleEndian.Uint32(footer[4:]) == ChecksumOf(payload)
 }
 
 // splitData is SplitData without the whole-payload CRC: footer is nil for
-// a v1 object and for one whose length does not match the meta (payload
-// is then the raw object). raw is a fetched object — read-only, possibly
-// the object store's own memory — so the payload's capacity is clipped to
-// its length: Store.Write seals in place whenever a payload has footer
-// headroom, and a fetched payload must never offer the store's footer
-// bytes as that headroom.
+// an object whose length does not match the meta (payload is then the raw
+// object). raw is a fetched object — read-only, possibly the object
+// store's own memory — so the payload's capacity is clipped to its length:
+// Store.Write seals in place whenever a payload has footer headroom, and a
+// fetched payload must never offer the store's footer bytes as that
+// headroom.
 func splitData(m *Meta, raw []byte) (payload, footer []byte) {
-	if !m.Checksummed() || len(raw) != int(m.DataSize)+FooterSize {
+	if len(raw) != int(m.DataSize)+FooterSize {
 		return raw[:len(raw):len(raw)], nil
 	}
 	return raw[:m.DataSize:m.DataSize], raw[m.DataSize:]

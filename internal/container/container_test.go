@@ -2,10 +2,12 @@ package container
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -21,7 +23,7 @@ func chunkOf(seed int64, n int) (fingerprint.FP, []byte) {
 }
 
 func TestMetaRoundTrip(t *testing.T) {
-	m := &Meta{ID: 42, Version: MetaV2, DataSize: 300}
+	m := &Meta{ID: 42, DataSize: 300}
 	for i := 0; i < 10; i++ {
 		fp, _ := chunkOf(int64(i), 8)
 		m.Chunks = append(m.Chunks, ChunkMeta{FP: fp, Offset: uint32(i * 30), Size: 30, Deleted: i%3 == 0, Sum: uint32(i * 7)})
@@ -35,19 +37,34 @@ func TestMetaRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMetaV1RoundTrip(t *testing.T) {
-	m := &Meta{ID: 9, Version: MetaV1, DataSize: 60}
+// v1Meta hand-encodes m in the retired v1 layout: no per-chunk sums, no
+// trailer.
+func v1Meta(m *Meta) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, metaMagic)
+	b = binary.LittleEndian.AppendUint32(b, 1)
+	b = binary.LittleEndian.AppendUint64(b, uint64(m.ID))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.Chunks)))
+	b = binary.LittleEndian.AppendUint32(b, m.DataSize)
+	for _, cm := range m.Chunks {
+		b = append(b, cm.FP[:]...)
+		b = binary.LittleEndian.AppendUint32(b, cm.Offset)
+		b = binary.LittleEndian.AppendUint32(b, cm.Size)
+		b = append(b, 0)
+	}
+	return b
+}
+
+func TestMetaV1Rejected(t *testing.T) {
+	m := &Meta{ID: 9, DataSize: 60}
 	fp, _ := chunkOf(3, 8)
 	m.Chunks = append(m.Chunks, ChunkMeta{FP: fp, Offset: 0, Size: 60})
-	got, err := DecodeMeta(EncodeMeta(m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, m) {
-		t.Fatalf("v1 round trip mismatch:\n got %+v\nwant %+v", got, m)
-	}
-	if got.Checksummed() {
-		t.Fatal("v1 meta must not claim checksums")
+	for _, version := range []uint32{0, 1, 3} {
+		b := v1Meta(m)
+		binary.LittleEndian.PutUint32(b[4:8], version)
+		_, err := DecodeMeta(b)
+		if want := fmt.Sprintf("unsupported meta version %d", version); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version %d: got %v, want an error containing %q", version, err, want)
+		}
 	}
 }
 
@@ -73,7 +90,7 @@ func TestMetaTrailerDetectsCorruption(t *testing.T) {
 func TestDataFooterRoundTrip(t *testing.T) {
 	payload := []byte("hello container payload")
 	raw := EncodeData(payload)
-	m := &Meta{ID: 1, Version: MetaV2, DataSize: uint32(len(payload))}
+	m := &Meta{ID: 1, DataSize: uint32(len(payload))}
 	got, ok := SplitData(m, raw)
 	if !ok || !bytes.Equal(got, payload) {
 		t.Fatalf("SplitData = %q, %v", got, ok)
@@ -228,30 +245,30 @@ func TestDeadRegionCorruptionTolerated(t *testing.T) {
 	}
 }
 
-func TestV1ContainerStillReads(t *testing.T) {
+// A container whose metadata is in the retired v1 layout (bare payload, no
+// checksums) is refused by every read, never served unverified.
+func TestV1ContainerRefused(t *testing.T) {
 	mem := oss.NewMem()
-	// Hand-write a v1 container: bare payload, v1 meta, no checksums.
 	fp, data := chunkOf(7, 512)
 	id := ID(1)
-	m := &Meta{ID: id, Version: MetaV1, DataSize: uint32(len(data)),
+	m := &Meta{ID: id, DataSize: uint32(len(data)),
 		Chunks: []ChunkMeta{{FP: fp, Offset: 0, Size: uint32(len(data))}}}
 	mem.Put(Prefix+id.String()+".data", data)
-	mem.Put(Prefix+id.String()+".meta", EncodeMeta(m))
+	mem.Put(Prefix+id.String()+".meta", v1Meta(m))
 
 	cs, err := NewStore(mem, DefaultCapacity)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := cs.Read(id)
-	if err != nil {
-		t.Fatal(err)
+	const want = "unsupported meta version 1"
+	if _, err := cs.Read(id); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Read = %v, want an error containing %q", err, want)
 	}
-	got, err := c.Get(fp)
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("v1 read mismatch: %v", err)
+	if _, err := cs.ReadChunk(id, fp); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("ReadChunk = %v, want an error containing %q", err, want)
 	}
-	if got, err := cs.ReadChunk(id, fp); err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("v1 ranged read mismatch: %v", err)
+	if _, _, err := cs.ReadRaw(id); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("ReadRaw = %v, want an error containing %q", err, want)
 	}
 }
 

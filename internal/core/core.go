@@ -17,6 +17,7 @@ import (
 	"slimstore/internal/journal"
 	"slimstore/internal/kvstore"
 	"slimstore/internal/oss"
+	"slimstore/internal/pipe"
 	"slimstore/internal/recipe"
 	"slimstore/internal/repl"
 	"slimstore/internal/simclock"
@@ -25,6 +26,12 @@ import (
 
 // Config holds every tunable of the system. The defaults reproduce the
 // paper's evaluation setup (§VII-A).
+//
+// Seven fields are the repository's layout — FingerprintAlg, ChunkAlgo,
+// ChunkParams, GlobalShards, GlobalReplicas, ECDataShards, ECParityShards —
+// fixed in its header at creation. Opened with one of them zero a handle
+// takes the repository's value; a non-zero value must equal it or the open
+// is refused. Repo.Config reports the settled values.
 type Config struct {
 	// ChunkAlgo selects the CDC algorithm: "rabin", "gear", "fastcdc",
 	// "fixed". Default "fastcdc".
@@ -99,26 +106,6 @@ type Config struct {
 	// entirely, making every job fetch for itself.
 	SharedCacheBytes int64
 
-	// PackWorkers is the number of background workers sealing and
-	// uploading filled containers while the dedup loop keeps running (the
-	// pack stage of the backup pipeline), with at most
-	// 3 × PackWorkers × ContainerCapacity payload bytes sealed or sealing
-	// ahead of them. 0 selects the default (4); negative packs
-	// synchronously.
-	PackWorkers int
-	// HashWorkers is how many goroutines fingerprint the base-detection
-	// probe's chunks side by side, for the length of that pass (a job
-	// that finds no base keeps those fingerprints for its main loop).
-	// The main loop hashes off the cutting goroutine when both
-	// history-aware accelerations are off, which is when chunking and
-	// hashing run ahead of the dedup probes on the ingest ring: any
-	// positive value gives each ring batch a goroutine of its own, the
-	// ring's depth bounding how many run at once (with either
-	// acceleration on, cut points depend on dedup verdicts and each
-	// chunk is hashed where it is cut). No goroutine outlives the job.
-	// 0 selects the default (4); negative hashes inline on the cutting
-	// goroutine.
-	HashWorkers int
 	// MaintWorkers is the fan-out width of G-node offline maintenance
 	// (reverse dedup scans, scrub verification, sweep marking, container
 	// rewrites). 0 selects the default (4); negative runs serially. Any
@@ -128,14 +115,12 @@ type Config struct {
 	// GlobalShards partitions the global fingerprint index by hash
 	// prefix into this many G-shards (DESIGN.md §11); shard operations
 	// proceed concurrently instead of serialising on one LSM mutex.
-	// Default 1 — the original single-G-node layout, byte-compatible
-	// with existing repositories. Maximum 256 (one shard per prefix
-	// byte value).
+	// Default 1; maximum 256 (one shard per prefix byte value).
 	GlobalShards int
 	// GlobalReplicas replicates each index shard across 2f+1 kvstore
 	// instances behind a quorum-committed batch log with leader
 	// failover (internal/repl). Default 1: unreplicated, no
-	// replication log, identical to the pre-repl layout.
+	// replication log.
 	GlobalReplicas int
 	// GlobalKV tunes each index shard's LSM engine; the shard map
 	// manages key prefixes. Zero values select kvstore defaults.
@@ -144,8 +129,9 @@ type Config struct {
 	// ECDataShards (K) and ECParityShards (M) arm the erasure-coded
 	// redundancy tier (DESIGN.md §12): every container object is striped
 	// RS(K+M) across K+M fault-isolated OSS backends, surviving any M
-	// backend losses. 0 data shards disables the tier (the default
-	// single-copy layout). K=1 with M>0 is (1+M)-replication.
+	// backend losses. A repository created with 0 data shards has no tier
+	// (single-copy containers); parity without data shards is refused.
+	// K=1 with M>0 is (1+M)-replication.
 	ECDataShards   int
 	ECParityShards int
 
@@ -175,72 +161,42 @@ func DefaultConfig() Config {
 		LAWChunks:             4096,
 		RestorePolicy:         "fv",
 		PrefetchThreads:       6,
-		PackWorkers:           4,
-		HashWorkers:           4,
 		MaintWorkers:          4,
 		Costs:                 simclock.DefaultCosts(),
 	}
 }
 
+// orDefault gives a field left unset (zero or negative) its default.
+func orDefault[T int | int64 | float64 | string](v *T, d T) {
+	var zero T
+	if *v <= zero {
+		*v = d
+	}
+}
+
 func (c *Config) fillDefaults() {
 	d := DefaultConfig()
-	if c.ChunkAlgo == "" {
-		c.ChunkAlgo = d.ChunkAlgo
-	}
+	orDefault(&c.ChunkAlgo, d.ChunkAlgo)
 	if c.ChunkParams == (chunker.Params{}) {
 		c.ChunkParams = d.ChunkParams
 	}
-	if c.SegmentChunks <= 0 {
-		c.SegmentChunks = d.SegmentChunks
-	}
-	if c.SampleRatio <= 0 {
-		c.SampleRatio = d.SampleRatio
-	}
-	if c.SimilarityMinScore <= 0 {
-		c.SimilarityMinScore = d.SimilarityMinScore
-	}
-	if c.DedupCacheSegments <= 0 {
-		c.DedupCacheSegments = d.DedupCacheSegments
-	}
-	if c.MergeThreshold <= 0 {
-		c.MergeThreshold = d.MergeThreshold
-	}
-	if c.MaxSuperChunkBytes <= 0 {
-		c.MaxSuperChunkBytes = d.MaxSuperChunkBytes
-	}
-	if c.ContainerCapacity <= 0 {
-		c.ContainerCapacity = d.ContainerCapacity
-	}
-	if c.SparseUtilization <= 0 {
-		c.SparseUtilization = d.SparseUtilization
-	}
-	if c.RewriteStaleThreshold <= 0 {
-		c.RewriteStaleThreshold = d.RewriteStaleThreshold
-	}
-	if c.CacheMemBytes <= 0 {
-		c.CacheMemBytes = d.CacheMemBytes
-	}
-	if c.LAWChunks <= 0 {
-		c.LAWChunks = d.LAWChunks
-	}
-	if c.RestorePolicy == "" {
-		c.RestorePolicy = d.RestorePolicy
-	}
-	if c.PackWorkers == 0 {
-		c.PackWorkers = d.PackWorkers
-	}
-	if c.HashWorkers == 0 {
-		c.HashWorkers = d.HashWorkers
-	}
+	orDefault(&c.SegmentChunks, d.SegmentChunks)
+	orDefault(&c.SampleRatio, d.SampleRatio)
+	orDefault(&c.SimilarityMinScore, d.SimilarityMinScore)
+	orDefault(&c.DedupCacheSegments, d.DedupCacheSegments)
+	orDefault(&c.MergeThreshold, d.MergeThreshold)
+	orDefault(&c.MaxSuperChunkBytes, d.MaxSuperChunkBytes)
+	orDefault(&c.ContainerCapacity, d.ContainerCapacity)
+	orDefault(&c.SparseUtilization, d.SparseUtilization)
+	orDefault(&c.RewriteStaleThreshold, d.RewriteStaleThreshold)
+	orDefault(&c.CacheMemBytes, d.CacheMemBytes)
+	orDefault(&c.LAWChunks, d.LAWChunks)
+	orDefault(&c.RestorePolicy, d.RestorePolicy)
 	if c.MaintWorkers == 0 {
 		c.MaintWorkers = d.MaintWorkers
 	}
-	if c.GlobalShards <= 0 {
-		c.GlobalShards = 1
-	}
-	if c.GlobalReplicas <= 0 {
-		c.GlobalReplicas = 1
-	}
+	orDefault(&c.GlobalShards, 1)
+	orDefault(&c.GlobalReplicas, 1)
 	if c.Costs == (simclock.Costs{}) {
 		c.Costs = d.Costs
 	}
@@ -261,7 +217,7 @@ type Repo struct {
 	SimIndex   *simindex.Index
 	// Global is the (possibly sharded, possibly replicated) global
 	// fingerprint index. With GlobalShards=GlobalReplicas=1 it is one
-	// plain Index behind a pass-through view — the original layout.
+	// plain Index behind a pass-through view.
 	Global *globalindex.Sharded
 	// ReplGroups holds shard k's replica group when GlobalReplicas > 1
 	// (nil otherwise) — the chaos harness's kill/restart surface.
@@ -308,19 +264,11 @@ func (r *Repo) MaintEpoch() uint64 { return r.maintEpoch.Load() }
 // optimistic scan concurrently in flight.
 func (r *Repo) BumpMaintEpoch() { r.maintEpoch.Add(1) }
 
-// OpenRepo opens (or initialises) the storage layer on an OSS store.
+// OpenRepo opens the storage layer on an OSS store, or initialises an empty
+// one, first settling cfg's layout against the repository header (Config).
 func OpenRepo(store oss.Store, cfg Config) (*Repo, error) {
-	cfg.fillDefaults()
-	if err := cfg.ChunkParams.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if _, err := chunker.New(cfg.ChunkAlgo, cfg.ChunkParams); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if !cfg.FingerprintAlg.Valid() {
-		// Hashing under a guessed algorithm would write fingerprints no
-		// correctly configured process can match.
-		return nil, fmt.Errorf("core: unknown fingerprint algorithm %v", cfg.FingerprintAlg)
+	if err := openHeader(store, &cfg); err != nil {
+		return nil, err
 	}
 	var tier *ec.Store
 	containerOSS := store
@@ -333,9 +281,21 @@ func OpenRepo(store oss.Store, cfg Config) (*Repo, error) {
 		}
 		containerOSS = ecRouter(tier, store)
 	}
-	cs, err := container.NewStore(containerOSS, cfg.ContainerCapacity)
-	if err != nil {
-		return nil, fmt.Errorf("core: open containers: %w", err)
+	// The two listings depend on nothing but the header: one wave.
+	var (
+		cs      *container.Store
+		js      *journal.Store
+		pending []string
+	)
+	if err := pipe.FanOut(2, 2, func(i int) (err error) {
+		if i == 0 {
+			cs, err = container.NewStore(containerOSS, cfg.ContainerCapacity)
+		} else {
+			js, pending, err = journal.Open(store)
+		}
+		return err
+	}); err != nil {
+		return nil, fmt.Errorf("core: open containers and journal: %w", err)
 	}
 	si, err := simindex.Open(store)
 	if err != nil {
@@ -344,10 +304,6 @@ func OpenRepo(store oss.Store, cfg Config) (*Repo, error) {
 	gi, groups, downtime, err := openGlobal(store, &cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: open global index: %w", err)
-	}
-	js, pending, err := journal.Open(store)
-	if err != nil {
-		return nil, fmt.Errorf("core: open journal: %w", err)
 	}
 	r := &Repo{
 		Config:       cfg,
@@ -373,34 +329,13 @@ func OpenRepo(store oss.Store, cfg Config) (*Repo, error) {
 	return r, nil
 }
 
-// openGlobal builds the global index for the configured layout. The
-// 1-shard/1-replica default opens the index at the historic "gidx/"
-// prefix — byte-compatible with repositories written before sharding
-// existed. Sharded layouts place shard k at "gidx/s<k>/" (replicas
-// under "gidx/s<k>/n<i>/" with the log at "gidx/s<k>/log/").
+// openGlobal builds the global index for the configured layout: one shard
+// unreplicated lives at "gidx/", any other layout places shard k at
+// "gidx/s<k>/" (replicas under "gidx/s<k>/n<i>/" with the log at
+// "gidx/s<k>/log/").
 func openGlobal(store oss.Store, cfg *Config) (*globalindex.Sharded, []*repl.Group, *simclock.Account, error) {
 	shards := cfg.GlobalShards
-	if shards > 256 {
-		return nil, nil, nil, fmt.Errorf("GlobalShards %d exceeds the 256 prefix ranges", shards)
-	}
-	bloomPerShard := (1 << 22) / shards
-	if bloomPerShard < 1<<16 {
-		bloomPerShard = 1 << 16
-	}
-	workers := cfg.MaintWorkers
-	if workers < 1 {
-		workers = 1
-	}
-
-	if shards == 1 && cfg.GlobalReplicas == 1 {
-		idx, err := globalindex.Open(store, globalindex.Options{KV: cfg.GlobalKV})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		s, err := globalindex.NewSharded([]*globalindex.Index{idx}, workers)
-		return s, nil, nil, err
-	}
-
+	bloomPerShard := max((1<<22)/shards, 1<<16)
 	var (
 		idxs     []*globalindex.Index
 		groups   []*repl.Group
@@ -410,7 +345,10 @@ func openGlobal(store oss.Store, cfg *Config) (*globalindex.Sharded, []*repl.Gro
 		downtime = simclock.NewAccount()
 	}
 	for k := 0; k < shards; k++ {
-		prefix := fmt.Sprintf("gidx/s%d/", k)
+		prefix := "gidx/"
+		if shards > 1 || cfg.GlobalReplicas > 1 {
+			prefix = fmt.Sprintf("gidx/s%d/", k)
+		}
 		opts := globalindex.Options{BloomCapacity: bloomPerShard}
 		var idx *globalindex.Index
 		if cfg.GlobalReplicas > 1 {
@@ -438,7 +376,7 @@ func openGlobal(store oss.Store, cfg *Config) (*globalindex.Sharded, []*repl.Gro
 		}
 		idxs = append(idxs, idx)
 	}
-	s, err := globalindex.NewSharded(idxs, workers)
+	s, err := globalindex.NewSharded(idxs, cfg.MaintWorkers)
 	return s, groups, downtime, err
 }
 

@@ -85,12 +85,6 @@ func Open(store oss.Store, opts Options) (*Index, error) {
 	if opts.KV.Prefix == "" {
 		opts.KV.Prefix = "gidx/"
 	}
-	if opts.BloomCapacity <= 0 {
-		opts.BloomCapacity = 1 << 22
-	}
-	if opts.BloomFPRate <= 0 {
-		opts.BloomFPRate = 0.01
-	}
 	db, err := kvstore.Open(store, opts.KV)
 	if err != nil {
 		return nil, fmt.Errorf("globalindex: %w", err)

@@ -322,7 +322,7 @@ func (g *GNode) scrubRepair(sv *scrubView) (*ScrubStats, error) {
 		stats.ChunksVerified += v.live
 
 		if len(v.corrupt) == 0 {
-			if !v.footerOK && v.rawMeta.Checksummed() {
+			if !v.footerOK {
 				rotOnly = append(rotOnly, i)
 			}
 			continue

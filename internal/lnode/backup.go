@@ -172,6 +172,13 @@ type headCuts struct {
 	end    int64
 }
 
+// packWorkers is how many background workers seal and upload a job's
+// filled containers while the dedup loop continues (§IV-A's overlap of
+// computation and multipart upload), with at most 3 × packWorkers ×
+// ContainerCapacity payload bytes ahead of them, so ingest cannot outrun
+// the write path. Also the width of persist's container-metadata wave.
+const packWorkers = 4
+
 // newBackupJob builds the per-job pipeline state shared by Backup and
 // BackupStream. The caller must `defer j.join()`.
 func (n *LNode) newBackupJob(data []byte) *backupJob {
@@ -195,18 +202,8 @@ func (n *LNode) newBackupJob(data []byte) *backupJob {
 	j.ahead = pipe.NewAhead(segmentReadAhead+1, func(segNo int) (*recipe.Segment, error) {
 		return j.baseReader.Fetch(segNo)
 	})
-	if cfg.PackWorkers > 0 {
-		// Pack stage: filled containers seal and upload on background
-		// workers while the dedup loop continues (§IV-A's overlap of
-		// computation and multipart upload, realised with real threads).
-		// The byte budget bounds payload bytes buffered ahead of the
-		// uploads, so ingest speed cannot outrun the write path unboundedly.
-		budget := 3 * int64(cfg.PackWorkers) * int64(cfg.ContainerCapacity)
-		j.pool = container.NewPackPoolBudget(j.containers, cfg.PackWorkers, budget)
-		j.builder = container.NewBuilderAsync(j.containers, j.pool)
-	} else {
-		j.builder = container.NewBuilder(j.containers)
-	}
+	j.pool = container.NewPackPoolBudget(j.containers, packWorkers, 3*packWorkers*int64(cfg.ContainerCapacity))
+	j.builder = container.NewBuilderAsync(j.containers, j.pool)
 	j.stats.Account = acct
 	return j
 }
@@ -368,7 +365,7 @@ func (j *backupJob) detectBase(fileID string, head []byte, eof bool) error {
 	}
 	cutter := j.node.newCutter()
 	chunks := chunker.SplitAll(head, cutter) // probe pass: not charged as chunking
-	fps := j.node.hashAll(j.cfg.FingerprintAlg, chunks)
+	fps := hashAll(hashWorkers, j.cfg.FingerprintAlg, chunks)
 	// Unless the query below finds a base, STEP 2 starts from these cuts
 	// instead of making them again. It may take only those that cutting the
 	// whole version would also make — the ones whose lookahead reached the
@@ -827,14 +824,12 @@ func (j *backupJob) persist(fileID string) error {
 	if err := j.builder.Flush(); err != nil {
 		return fmt.Errorf("lnode: flush containers: %w", err)
 	}
-	if j.pool != nil {
-		// Barrier: every container must be durable before the recipe that
-		// references it lands (and before sparse detection reads metas back).
-		pool := j.pool
-		j.pool = nil
-		if err := pool.Close(); err != nil {
-			return fmt.Errorf("lnode: pack containers: %w", err)
-		}
+	// Barrier: every container must be durable before the recipe that
+	// references it lands (and before sparse detection reads metas back).
+	pool := j.pool
+	j.pool = nil
+	if err := pool.Close(); err != nil {
+		return fmt.Errorf("lnode: pack containers: %w", err)
 	}
 
 	r := &recipe.Recipe{FileID: fileID, Version: j.stats.Version, Segments: j.segments}
@@ -879,7 +874,7 @@ func (j *backupJob) persist(fileID string) error {
 		}
 		return nil
 	}, func() error {
-		return pipe.FanOut(len(refList), j.cfg.PackWorkers, func(i int) (err error) {
+		return pipe.FanOut(len(refList), packWorkers, func(i int) (err error) {
 			if metas[i], err = j.containers.ReadMeta(refList[i]); err != nil {
 				return fmt.Errorf("lnode: sparse detection: %w", err)
 			}

@@ -77,15 +77,14 @@ func (s *failOneContainerPut) Put(key string, data []byte) error {
 	return s.Store.Put(key, data)
 }
 
-// TestBackupFailsWhenSuperchunkContainerFailsToSeal: with synchronous
-// packing, storing a merged superchunk is what seals the previous — already
-// referenced — container, so a failed seal there must fail the backup with
-// the store's error before any recipe object of the version is written.
+// TestBackupFailsWhenSuperchunkContainerFailsToSeal: a container the
+// version's merged superchunks already reference fails to upload on a pack
+// worker; the pool's barrier in persist must return the store's error
+// before any recipe object of the version is written.
 func TestBackupFailsWhenSuperchunkContainerFailsToSeal(t *testing.T) {
 	mem := oss.NewMem()
 	store := &failOneContainerPut{Store: mem}
 	cfg := testConfig()
-	cfg.PackWorkers = -1
 	cfg.MergeThreshold = 1 // the second backup merges every duplicate run
 	repo, err := core.OpenRepo(store, cfg)
 	if err != nil {

@@ -195,10 +195,11 @@ func (n *LNode) putIngestRun(r *ingestRun) {
 	n.runs.Put(r)
 }
 
-// emit starts fingerprinting a finished batch and puts it on the ring.
-// With HashWorkers > 0 the batch is hashed on a goroutine of its own, which
-// ends before whoever takes the batch off the ring (consume, or send on
-// abort) gets past done.Wait — none outlives the job; otherwise inline.
+// emit starts fingerprinting a finished batch and puts it on the ring. The
+// batch is hashed on a goroutine of its own, which ends before whoever
+// takes the batch off the ring (consume, or send on abort) gets past
+// done.Wait — none outlives the job, and the ring's depth bounds how many
+// run at once.
 // owned, if non-nil, is an input buffer whose last chunks live in this
 // batch; it is recycled when the batch is. Returns false when the
 // consumer aborted.
@@ -208,14 +209,12 @@ func (r *ingestRun) emit(b *chunkBatch, owned []byte) bool {
 		b.fps = make([]fingerprint.FP, len(b.chunks))
 	}
 	b.fps = b.fps[:len(b.chunks)]
-	if r.node.repo.Config.HashWorkers > 0 && len(b.chunks) > 0 {
+	if len(b.chunks) > 0 {
 		b.done.Add(1)
 		go func() {
 			defer b.done.Done()
 			hashInto(b.fps, r.alg, b.chunks)
 		}()
-	} else {
-		hashInto(b.fps, r.alg, b.chunks)
 	}
 	return r.send(b)
 }
@@ -232,15 +231,17 @@ func hashInto(fps []fingerprint.FP, alg fingerprint.Algorithm, chunks []chunker.
 // BenchmarkHashAllCrossover.
 const smallHashBatch = 2
 
+// hashWorkers is the w base detection hashes its probe at.
+const hashWorkers = 4
+
 // hashAll fingerprints chunks in input order, one contiguous range per
-// HashWorkers goroutine; they end before it returns. Small inputs
-// (<= smallHashBatch chunks per worker) and HashWorkers <= 0 hash inline.
-// No simclock charges — the caller accounts for the pass (the probe pass
-// bills OtherPerByte).
-func (n *LNode) hashAll(alg fingerprint.Algorithm, chunks []chunker.Chunk) []fingerprint.FP {
-	w := n.repo.Config.HashWorkers
+// goroutine of w (the crossover benchmark moves it); they end before it
+// returns. Small inputs (<= smallHashBatch chunks per worker)
+// hash inline. No simclock charges — the caller accounts for the pass (the
+// probe pass bills OtherPerByte).
+func hashAll(w int, alg fingerprint.Algorithm, chunks []chunker.Chunk) []fingerprint.FP {
 	fps := make([]fingerprint.FP, len(chunks))
-	if w <= 0 || len(chunks) <= smallHashBatch*w {
+	if len(chunks) <= smallHashBatch*w {
 		hashInto(fps, alg, chunks)
 		return fps
 	}

@@ -77,7 +77,6 @@ func TestIngestTwinSerial(t *testing.T) {
 
 			serialCfg := fastConfig()
 			serialCfg.ChunkAlgo = algo
-			serialCfg.HashWorkers = -1 // no fan-out in base detection either
 			serialStats, serialRecs := backupVersions(t, serialCfg, versions, (*backupJob).dedupeHistoryAware)
 
 			for i := range versions {
@@ -326,19 +325,17 @@ func BenchmarkIngestHandoff(b *testing.B) {
 func BenchmarkHashAllCrossover(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		cfg := fastConfig()
-		cfg.HashWorkers = workers
 		repo, err := core.OpenRepo(oss.NewMem(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		n := New(repo, "l0")
 		for _, nchunks := range []int{1, 2, 8, 64, 512} {
 			data := genData(9, nchunks*cfg.ChunkParams.Avg)
 			chunks := chunker.SplitAll(data, repo.Cutter())
 			b.Run(fmt.Sprintf("chunks=%d/workers=%d", len(chunks), workers), func(b *testing.B) {
 				b.SetBytes(int64(len(data)))
 				for i := 0; i < b.N; i++ {
-					n.hashAll(cfg.FingerprintAlg, chunks)
+					hashAll(workers, cfg.FingerprintAlg, chunks)
 				}
 			})
 		}

@@ -35,8 +35,8 @@ go test -count=1 -tags purego ./internal/fingerprint/ ./internal/lnode/
 go test -race -count=1 -cpu 1,4 ./internal/pipe/ ./internal/cache/ ./internal/container/
 go test -race -count=1 -cpu 1,4 -run 'Prefetch|ReadAhead|Twin|RestoreKeeps|RestoreFailsWhole' ./internal/lnode/
 
-# cmd/slimstore has no Go test: drive every subcommand once against a
-# directory repository and compare what comes back.
+# cmd/slimstore has no Go test: drive every subcommand once against
+# directory repositories of three layouts and compare what comes back.
 sh ./scripts/cli_smoke.sh
 
 # Microbenchmark smoke: one iteration each, so broken benchmarks fail
@@ -79,4 +79,6 @@ if [ "$FUZZTIME" != "0s" ]; then
 	go test -run=NONE -fuzz='^FuzzSHA1Kernel$' -fuzztime "$FUZZTIME" ./internal/fingerprint/
 	# Container metadata as decoded, planned and split (whole-object seeds).
 	go test -run=NONE -fuzz='^FuzzReadPlan$' -fuzztime "$FUZZTIME" -fuzzminimizetime 1x ./internal/cache/
+	# The repository header: the one object every open trusts first.
+	go test -run=NONE -fuzz='^FuzzDecodeHeader$' -fuzztime "$FUZZTIME" ./internal/core/
 fi

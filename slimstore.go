@@ -95,7 +95,8 @@ type System struct {
 	l    *lnode.LNode
 }
 
-// Open assembles a System over any ObjectStore.
+// Open assembles a System over any ObjectStore. Leave cfg's layout fields
+// zero to take an existing repository's; set, they must equal its header's.
 func Open(store ObjectStore, cfg Config) (*System, error) {
 	repo, err := core.OpenRepo(store, cfg)
 	if err != nil {
