@@ -1,34 +1,12 @@
 package container
 
 import (
-	"bytes"
-	"sync"
-	"sync/atomic"
+	"strings"
 	"testing"
 
 	"slimstore/internal/fingerprint"
 	"slimstore/internal/oss"
 )
-
-// slowStore delays every data Put until released, so a test can hold the
-// pack workers mid-write and observe queue/budget backpressure.
-type slowStore struct {
-	oss.Store
-	mu      sync.Mutex
-	gate    chan struct{}
-	writing atomic.Int64
-}
-
-func (s *slowStore) Put(key string, data []byte) error {
-	s.mu.Lock()
-	gate := s.gate
-	s.mu.Unlock()
-	if gate != nil && bytes.HasSuffix([]byte(key), []byte(".data")) {
-		s.writing.Add(1)
-		<-gate
-	}
-	return s.Store.Put(key, data)
-}
 
 func fillContainer(t *testing.T, cs *Store, n int) *Container {
 	t.Helper()
@@ -52,7 +30,15 @@ func fillContainer(t *testing.T, cs *Store, n int) *Container {
 // workers drain — and an oversized container must still be admitted when
 // the pool is empty (no deadlock).
 func TestPackPoolBudgetBackpressure(t *testing.T) {
-	slow := &slowStore{Store: oss.NewMem(), gate: make(chan struct{})}
+	// Every data put waits at the gate, so the test can hold the pack
+	// workers mid-write and observe the budget's backpressure.
+	gate := make(chan struct{})
+	slow := oss.With(oss.NewMem(), oss.LayerFunc(func(op oss.Op, next oss.Store) (oss.Op, error) {
+		if op.Kind == oss.KindPut && strings.HasSuffix(op.Key, ".data") {
+			<-gate
+		}
+		return oss.Do(next, op)
+	}))
 	cs, err := NewStore(slow, 64<<10)
 	if err != nil {
 		t.Fatal(err)
@@ -75,10 +61,7 @@ func TestPackPoolBudgetBackpressure(t *testing.T) {
 	default:
 	}
 	// Release the worker: each completed write frees budget for the next.
-	close(slow.gate)
-	slow.mu.Lock()
-	slow.gate = nil
-	slow.mu.Unlock()
+	close(gate)
 	<-third
 	if err := p.Close(); err != nil {
 		t.Fatal(err)

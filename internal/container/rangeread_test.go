@@ -5,9 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"slimstore/internal/fingerprint"
 	"slimstore/internal/oss"
@@ -84,44 +83,13 @@ func TestReadSpansReturnsCoveredChunks(t *testing.T) {
 	}
 }
 
-// rangeLog records the result of every GetRange, and how many requests of
-// any kind were in flight at once.
-type rangeLog struct {
-	oss.Store
-	mu       sync.Mutex
-	got      [][]byte
-	inflight int
-	high     int
-}
+func isRanged(op oss.Op) bool { return op.Kind == oss.KindGetRange }
 
-func (l *rangeLog) track(d int) {
-	l.mu.Lock()
-	l.inflight += d
-	l.high = max(l.high, l.inflight)
-	l.mu.Unlock()
-}
-
-func (l *rangeLog) Get(key string) ([]byte, error) {
-	l.track(1)
-	defer l.track(-1)
-	return l.Store.Get(key)
-}
-
-func (l *rangeLog) GetRange(key string, off, n int64) ([]byte, error) {
-	l.track(1)
-	defer l.track(-1)
-	b, err := l.Store.GetRange(key, off, n)
-	l.mu.Lock()
-	l.got = append(l.got, b)
-	l.mu.Unlock()
-	return b, err
-}
-
-// aliases reports whether data starts inside one of the logged reads.
-func (l *rangeLog) aliases(data []byte) bool {
-	for _, b := range l.got {
-		for off := range b {
-			if &b[off] == &data[0] {
+// aliases reports whether data starts inside what one of reqs returned.
+func aliases(reqs []oss.Request, data []byte) bool {
+	for _, q := range reqs {
+		for off := range q.Data {
+			if &q.Data[off] == &data[0] {
 				return true
 			}
 		}
@@ -139,13 +107,14 @@ func TestReadSpansOneSpanAliasesTheRead(t *testing.T) {
 		{{Off: 5 * sz, Len: 2 * sz, Chunks: []int{5, 6}}},
 		{{Off: 0, Len: sz, Chunks: []int{0}}, {Off: 5 * sz, Len: 2 * sz, Chunks: []int{5, 6}}, {Off: 9 * sz, Len: sz, Chunks: []int{9}}},
 	} {
-		rec := &rangeLog{Store: cs.oss}
-		part, err := cs.View(rec).ReadSpans(id, spans)
+		var rec oss.Recorder
+		part, err := cs.View(oss.With(cs.oss, &rec)).ReadSpans(id, spans)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rec.got) != len(spans) || len(part.parts) != len(spans) {
-			t.Fatalf("%d spans: %d ranged reads, %d parts", len(spans), len(rec.got), len(part.parts))
+		got := rec.Requests(isRanged)
+		if len(got) != len(spans) || len(part.parts) != len(spans) {
+			t.Fatalf("%d spans: %d ranged reads, %d parts", len(spans), len(got), len(part.parts))
 		}
 		for _, p := range part.parts {
 			if cap(p.data) != len(p.data) {
@@ -158,7 +127,7 @@ func TestReadSpansOneSpanAliasesTheRead(t *testing.T) {
 				if err != nil || !bytes.Equal(data, payloads[i]) {
 					t.Fatalf("covered chunk %d: %v", i, err)
 				}
-				if !rec.aliases(data) {
+				if !aliases(got, data) {
 					t.Fatalf("chunk %d of a %d-span read is a copy, not a view of its ranged read", i, len(spans))
 				}
 			}
@@ -231,52 +200,21 @@ func TestReadSpansTilingIsAWholeRead(t *testing.T) {
 	}
 }
 
-// barrierStore holds every GetRange until `want` of them wait together —
-// a read whose requests went out one at a time never gets past the first —
-// and fails the request at index failAt (in arrival order) if ≥ 0.
-type barrierStore struct {
-	oss.Store
-	want int
-
-	mu      sync.Mutex
-	waiting int
-	seen    int
-	high    int
-	failAt  int
-	short   bool
-	release chan struct{}
-}
-
 var errInjected = errors.New("injected read failure")
 
-func (b *barrierStore) GetRange(key string, off, n int64) ([]byte, error) {
-	b.mu.Lock()
-	k := b.seen
-	b.seen++
-	b.waiting++
-	b.high = max(b.high, b.waiting)
-	wait := b.release
-	if b.waiting == b.want {
-		close(b.release)
-		b.release = make(chan struct{})
-		wait = nil
-	}
-	b.mu.Unlock()
-	if wait != nil {
-		select {
-		case <-wait:
-		case <-time.After(10 * time.Second):
-			return nil, fmt.Errorf("getrange %s@%d waited alone: the requests of one read were not issued together", key, off)
+// failNth fails the k-th ranged read to reach it, or hands it on a byte
+// short.
+func failNth(k int64, short bool) oss.Layer {
+	var seen atomic.Int64
+	return oss.LayerFunc(func(op oss.Op, next oss.Store) (oss.Op, error) {
+		if isRanged(op) && seen.Add(1)-1 == k {
+			if !short {
+				return op, errInjected
+			}
+			op.N--
 		}
-	}
-	defer func() { b.mu.Lock(); b.waiting--; b.mu.Unlock() }()
-	if k == b.failAt {
-		if !b.short {
-			return nil, errInjected
-		}
-		n--
-	}
-	return b.Store.GetRange(key, off, n)
+		return oss.Do(next, op)
+	})
 }
 
 // The requests of one read run side by side, at most the gate's width at
@@ -289,8 +227,12 @@ func TestGatedReadSpansOverlapsUpToTheGate(t *testing.T) {
 	for i := range spans {
 		spans[i] = Span{Off: int64(2 * i * sz), Len: sz, Chunks: []int{2 * i}}
 	}
-	bar := &barrierStore{Store: cs.oss, want: width, failAt: -1, release: make(chan struct{})}
-	gated := cs.View(bar).Gated(width)
+	// Every ranged read is held until `width` of them wait together — a read
+	// whose requests went out one at a time never gets past the first.
+	var rec oss.Recorder
+	var bar oss.Barrier
+	bar.Expect(isRanged, width, width, width, width)
+	gated := cs.View(oss.With(cs.oss, &rec, &bar)).Gated(width)
 	// Two reads at once through one gate: six requests each, three tokens.
 	errs := make(chan error, 2)
 	for r := 0; r < 2; r++ {
@@ -304,34 +246,39 @@ func TestGatedReadSpansOverlapsUpToTheGate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if bar.high != width {
-		t.Fatalf("%d requests in flight at the high-water mark, want exactly the gate's %d", bar.high, width)
+	if err := bar.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if _, high := rec.InFlight(nil); high != width {
+		t.Fatalf("%d requests in flight at the high-water mark, want exactly the gate's %d", high, width)
 	}
 
-	rec := &rangeLog{Store: cs.oss}
-	if _, err := cs.View(rec).ReadSpans(id, spans); err != nil {
+	rec.Take()
+	if _, err := cs.View(oss.With(cs.oss, &rec)).ReadSpans(id, spans); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cs.View(rec).Gated(1).Read(id); err != nil {
+	if _, err := cs.View(oss.With(cs.oss, &rec)).Gated(1).Read(id); err != nil {
 		t.Fatal(err)
 	}
-	if rec.high != 1 {
-		t.Fatalf("ungated and width-1 views had %d requests in flight, want 1", rec.high)
+	if _, high := rec.InFlight(nil); high != 1 {
+		t.Fatalf("ungated and width-1 views had %d requests in flight, want 1", high)
 	}
 }
 
 // A failed or short piece fails the whole read, naming the container and
 // the byte range, whichever piece it is; nothing is returned, and every
-// request issued has come back by then (the barrier store would otherwise
-// still count it waiting).
+// request issued has come back by then (the recorder would otherwise
+// still count it in flight).
 func TestGatedReadSpansFailsWholeOnAnyPiece(t *testing.T) {
 	const n, sz, width = 16, 1024, 4
 	cs, id, _, _ := buildSpanContainer(t, n, sz)
 	tiling := []Span{{Off: 0, Len: 4 * sz}, {Off: 4 * sz, Len: 4 * sz}, {Off: 8 * sz, Len: 4 * sz}, {Off: 12 * sz, Len: 4 * sz}}
 	for _, short := range []bool{false, true} {
 		for k := range tiling {
-			bar := &barrierStore{Store: cs.oss, want: width, failAt: k, short: short, release: make(chan struct{})}
-			c, err := cs.View(bar).Gated(width).ReadSpans(id, tiling)
+			var rec oss.Recorder
+			var bar oss.Barrier
+			bar.Expect(isRanged, width)
+			c, err := cs.View(oss.With(cs.oss, &rec, &bar, failNth(int64(k), short))).Gated(width).ReadSpans(id, tiling)
 			if err == nil || c != nil {
 				t.Fatalf("piece %d (short=%v): read succeeded", k, short)
 			}
@@ -341,8 +288,8 @@ func TestGatedReadSpansFailsWholeOnAnyPiece(t *testing.T) {
 			if msg := err.Error(); !strings.Contains(msg, id.String()) || !strings.Contains(msg, fmt.Sprintf(",+%d)", 4*sz)) {
 				t.Fatalf("piece %d (short=%v): error %q does not name the container and the range", k, short, msg)
 			}
-			if bar.waiting != 0 {
-				t.Fatalf("piece %d (short=%v): %d requests still in flight after the read returned", k, short, bar.waiting)
+			if n, _ := rec.InFlight(nil); n != 0 || bar.Err() != nil {
+				t.Fatalf("piece %d (short=%v): %d requests still in flight after the read returned (%v)", k, short, n, bar.Err())
 			}
 		}
 	}

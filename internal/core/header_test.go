@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 
 	"slimstore/internal/chunker"
@@ -16,27 +15,16 @@ import (
 	"slimstore/internal/oss"
 )
 
-// recorder notes every request that reaches the store, in order.
-type recorder struct {
-	oss.Store
-	mu  sync.Mutex
-	ops []string
-}
-
-func (r *recorder) note(op, key string) {
-	r.mu.Lock()
-	r.ops = append(r.ops, op+" "+key)
-	r.mu.Unlock()
-}
-
-func (r *recorder) Put(k string, d []byte) error    { r.note("put", k); return r.Store.Put(k, d) }
-func (r *recorder) Get(k string) ([]byte, error)    { r.note("get", k); return r.Store.Get(k) }
-func (r *recorder) Head(k string) (int64, error)    { r.note("head", k); return r.Store.Head(k) }
-func (r *recorder) Delete(k string) error           { r.note("delete", k); return r.Store.Delete(k) }
-func (r *recorder) List(p string) ([]string, error) { r.note("list", p); return r.Store.List(p) }
-func (r *recorder) GetRange(k string, off, n int64) ([]byte, error) {
-	r.note("getrange", k)
-	return r.Store.GetRange(k, off, n)
+// issued opens store under cfg through a recorder and returns every
+// request that reached the store, in order, with the open's error.
+func issued(store oss.Store, cfg Config) ([]string, error) {
+	var rec oss.Recorder
+	_, err := OpenRepo(oss.With(store, &rec), cfg)
+	var ops []string
+	for _, q := range rec.Take() {
+		ops = append(ops, q.Op.String())
+	}
+	return ops, err
 }
 
 // refused opens mem under cfg, which must fail with an error containing
@@ -45,8 +33,7 @@ func (r *recorder) GetRange(k string, off, n int64) ([]byte, error) {
 func refused(t *testing.T, mem *oss.Mem, cfg Config, want ...string) {
 	t.Helper()
 	before := dump(t, mem)
-	rec := &recorder{Store: mem}
-	_, err := OpenRepo(rec, cfg)
+	ops, err := issued(mem, cfg)
 	if err == nil {
 		t.Fatalf("open succeeded, want an error containing %q", want)
 	}
@@ -55,8 +42,8 @@ func refused(t *testing.T, mem *oss.Mem, cfg Config, want ...string) {
 			t.Errorf("error %q does not contain %q", err, w)
 		}
 	}
-	if got := []string{"get " + HeaderKey}; !reflect.DeepEqual(rec.ops, got) {
-		t.Errorf("a refused open issued %q, want only %q", rec.ops, got)
+	if got := []string{"get " + HeaderKey}; !reflect.DeepEqual(ops, got) {
+		t.Errorf("a refused open issued %q, want only %q", ops, got)
 	}
 	if !reflect.DeepEqual(dump(t, mem), before) {
 		t.Error("a refused open changed the store")
@@ -204,25 +191,24 @@ func TestHeaderDamage(t *testing.T) {
 // refused untouched; a crash before the header put leaves an empty store
 // the next open initialises.
 func TestHeaderIsFirstObject(t *testing.T) {
-	rec := &recorder{Store: oss.NewMem()}
-	if _, err := OpenRepo(rec, Config{}); err != nil {
+	ops, err := issued(oss.NewMem(), Config{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"get " + HeaderKey, "list ", "put " + HeaderKey}; len(rec.ops) < 3 || !reflect.DeepEqual(rec.ops[:3], want) {
-		t.Fatalf("a new repository began with %q, want %q", rec.ops, want)
+	if want := []string{"get " + HeaderKey, "list ", "put " + HeaderKey}; len(ops) < 3 || !reflect.DeepEqual(ops[:3], want) {
+		t.Fatalf("a new repository began with %q, want %q", ops, want)
 	}
 
 	mem := oss.NewMem()
 	if err := mem.Put("containers/stray", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	rec = &recorder{Store: mem}
-	_, err := OpenRepo(rec, Config{})
+	ops, err = issued(mem, Config{})
 	if err == nil || !strings.Contains(err.Error(), "store holds objects but no repository header") {
 		t.Fatalf("a store with keys and no header opened: %v", err)
 	}
-	if want := []string{"get " + HeaderKey, "list "}; !reflect.DeepEqual(rec.ops, want) {
-		t.Errorf("the refusal issued %q, want %q", rec.ops, want)
+	if want := []string{"get " + HeaderKey, "list "}; !reflect.DeepEqual(ops, want) {
+		t.Errorf("the refusal issued %q, want %q", ops, want)
 	}
 
 	mem = oss.NewMem()

@@ -341,12 +341,9 @@ func (s *Store) GetRange(key string, off, n int64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if off < 0 || off > h.ObjLen {
-		return nil, fmt.Errorf("oss: range [%d,+%d) out of bounds for %s (size %d)", off, n, key, h.ObjLen)
-	}
-	end := h.ObjLen
-	if n >= 0 && off+n < end {
-		end = off + n
+	end, err := oss.RangeEnd(key, off, n, h.ObjLen)
+	if err != nil {
+		return nil, err
 	}
 	if end == off {
 		s.bump(func(x *Stats) { x.RangedReads++ })
@@ -539,15 +536,17 @@ func (s *Store) Repair(key string) (repaired int, err error) {
 // so the whole container path — backup, restore, quarantine, rewrite —
 // stripes transparently.
 type Router struct {
-	tier     *Store
-	plain    oss.Store
-	prefixes []string
+	oss.Store // plain seen through Do
+	tier      *Store
+	prefixes  []string
 }
 
 // NewRouter routes keys under any of prefixes to tier and the rest to
 // plain.
 func NewRouter(tier *Store, plain oss.Store, prefixes ...string) *Router {
-	return &Router{tier: tier, plain: plain, prefixes: prefixes}
+	r := &Router{tier: tier, prefixes: prefixes}
+	r.Store = oss.With(plain, r)
+	return r
 }
 
 func (r *Router) routed(key string) bool {
@@ -559,43 +558,20 @@ func (r *Router) routed(key string) bool {
 	return false
 }
 
-func (r *Router) store(key string) oss.Store {
-	if r.routed(key) {
-		return r.tier
+// Do implements oss.Layer: a request for a routed key (a listing prefix
+// inside a routed namespace included) goes to the tier and never reaches
+// plain. A broader listing merges both sides, hiding the tier's physical
+// shard objects behind their logical keys.
+func (r *Router) Do(op oss.Op, plain oss.Store) (oss.Op, error) {
+	if r.routed(op.Key) {
+		return oss.Do(r.tier, op)
 	}
-	return r.plain
-}
-
-// Put implements oss.Store.
-func (r *Router) Put(key string, data []byte) error { return r.store(key).Put(key, data) }
-
-// Get implements oss.Store.
-func (r *Router) Get(key string) ([]byte, error) { return r.store(key).Get(key) }
-
-// GetRange implements oss.Store.
-func (r *Router) GetRange(key string, off, n int64) ([]byte, error) {
-	return r.store(key).GetRange(key, off, n)
-}
-
-// Head implements oss.Store.
-func (r *Router) Head(key string) (int64, error) { return r.store(key).Head(key) }
-
-// Delete implements oss.Store.
-func (r *Router) Delete(key string) error { return r.store(key).Delete(key) }
-
-// List implements oss.Store. A listing prefix inside a routed namespace
-// serves from the tier; a broader prefix merges both sides, hiding the
-// tier's physical shard objects behind their logical keys.
-func (r *Router) List(prefix string) ([]string, error) {
-	if r.routed(prefix) {
-		return r.tier.List(prefix)
+	op, err := oss.Do(plain, op)
+	if err != nil || op.Kind != oss.KindList {
+		return op, err
 	}
-	keys, err := r.plain.List(prefix)
-	if err != nil {
-		return nil, err
-	}
-	out := keys[:0]
-	for _, k := range keys {
+	out := make([]string, 0, len(op.Keys))
+	for _, k := range op.Keys {
 		// Physical shard namespaces live on the plain base store; hide
 		// them from logical listings.
 		if !strings.HasPrefix(k, "ec/") && !r.routed(k) {
@@ -604,10 +580,10 @@ func (r *Router) List(prefix string) ([]string, error) {
 	}
 	merged := false
 	for _, p := range r.prefixes {
-		if strings.HasPrefix(p, prefix) {
+		if strings.HasPrefix(p, op.Key) {
 			tk, err := r.tier.List(p)
 			if err != nil {
-				return nil, err
+				return op, err
 			}
 			out = append(out, tk...)
 			merged = true
@@ -616,5 +592,6 @@ func (r *Router) List(prefix string) ([]string, error) {
 	if merged {
 		sort.Strings(out)
 	}
-	return out, nil
+	op.Keys = out
+	return op, nil
 }

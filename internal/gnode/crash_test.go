@@ -110,40 +110,6 @@ func verifyFilesAfterReboot(t *testing.T, mem *oss.Mem, cfg core.Config, want ma
 	return repo
 }
 
-// crashStore models the process dying at a chosen point: the first
-// `budget` mutations (puts and deletes alike) land, every later one is
-// refused — including those of workers still running when the first
-// refusal comes back, so nothing reaches the store after the crash.
-type crashStore struct {
-	oss.Store
-	mu     sync.Mutex
-	budget int
-}
-
-func (s *crashStore) spend(op, key string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.budget == 0 {
-		return fmt.Errorf("%w: crashed before %s %s", oss.ErrInjected, op, key)
-	}
-	s.budget--
-	return nil
-}
-
-func (s *crashStore) Put(key string, data []byte) error {
-	if err := s.spend("put", key); err != nil {
-		return err
-	}
-	return s.Store.Put(key, data)
-}
-
-func (s *crashStore) Delete(key string) error {
-	if err := s.spend("delete", key); err != nil {
-		return err
-	}
-	return s.Store.Delete(key)
-}
-
 // TestCompactSparseCrashAtEveryPut kills a compaction before every OSS
 // mutation it issues — puts and deletes — at the serial width and with
 // the fan-out on, and reboots from what reached the store.
@@ -157,7 +123,7 @@ func TestCompactSparseCrashAtEveryPut(t *testing.T) {
 			completed := false
 			for n := 0; n < 400 && !completed; n++ {
 				mem := cloneMem(t, baseline)
-				repo, err := core.OpenRepo(&crashStore{Store: mem, budget: n}, cfg)
+				repo, err := core.OpenRepo(oss.With(mem, oss.CrashAfter(n)), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -216,7 +182,7 @@ func TestReverseDedupCrashAtEveryPut(t *testing.T) {
 			completed := false
 			for n := 0; n < 400 && !completed; n++ {
 				mem := cloneMem(t, tw.mem)
-				repo, err := core.OpenRepo(&crashStore{Store: mem, budget: n}, cfg)
+				repo, err := core.OpenRepo(oss.With(mem, oss.CrashAfter(n)), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -242,51 +208,43 @@ func TestReverseDedupCrashAtEveryPut(t *testing.T) {
 	}
 }
 
-// rewriteCrashStore lets a compaction run until its own journal record is
+// rewriteCrash lets a compaction run until its own journal record is
 // removed, then crashes the parallel rewrite phase in the state only the
 // fan-out can reach: it holds back every container put until two rewrite
 // records are committed, then refuses container puts — all of them
 // (payloads never land: replay rolls the rewrites back) or only the
-// metadata ones (payloads land: replay rolls them forward).
-type rewriteCrashStore struct {
-	oss.Store
-	dataLands bool
-
-	mu           sync.Mutex
-	rewriting    bool // the SCC record is gone: journal puts are rewrite commits
-	commits      int
-	twoCommitted chan struct{}
-}
-
-func (s *rewriteCrashStore) Put(key string, data []byte) error {
-	s.mu.Lock()
-	rewriting := s.rewriting
-	if rewriting && strings.HasPrefix(key, journal.Prefix) {
-		if s.commits++; s.commits == 2 {
-			close(s.twoCommitted)
+// metadata ones (payloads land: replay rolls them forward) — and every
+// delete.
+func rewriteCrash(dataLands bool) oss.Layer {
+	var (
+		mu           sync.Mutex
+		rewriting    bool // the SCC record is gone: journal puts are rewrite commits
+		commits      int
+		twoCommitted = make(chan struct{})
+	)
+	return oss.LayerFunc(func(op oss.Op, next oss.Store) (oss.Op, error) {
+		put, del := op.Kind == oss.KindPut, op.Kind == oss.KindDelete
+		mu.Lock()
+		crashing := rewriting
+		if strings.HasPrefix(op.Key, journal.Prefix) {
+			if put && rewriting {
+				if commits++; commits == 2 {
+					close(twoCommitted)
+				}
+			}
+			rewriting = rewriting || del
 		}
-	}
-	s.mu.Unlock()
-	if rewriting && strings.HasPrefix(key, container.Prefix) {
-		<-s.twoCommitted
-		if !s.dataLands || strings.HasSuffix(key, ".meta") {
-			return fmt.Errorf("%w: crashed before put %s", oss.ErrInjected, key)
+		mu.Unlock()
+		refused := crashing && del
+		if crashing && put && strings.HasPrefix(op.Key, container.Prefix) {
+			<-twoCommitted
+			refused = !dataLands || strings.HasSuffix(op.Key, ".meta")
 		}
-	}
-	return s.Store.Put(key, data)
-}
-
-func (s *rewriteCrashStore) Delete(key string) error {
-	s.mu.Lock()
-	rewriting := s.rewriting
-	if strings.HasPrefix(key, journal.Prefix) {
-		s.rewriting = true
-	}
-	s.mu.Unlock()
-	if rewriting {
-		return fmt.Errorf("%w: crashed before delete %s", oss.ErrInjected, key)
-	}
-	return s.Store.Delete(key)
+		if refused {
+			return op, fmt.Errorf("%w: crashed before %s", oss.ErrInjected, op)
+		}
+		return oss.Do(next, op)
+	})
 }
 
 // TestCompactSparseCrashWithRewritesOutstanding crashes with at least two
@@ -299,9 +257,7 @@ func TestCompactSparseCrashWithRewritesOutstanding(t *testing.T) {
 	for _, dataLands := range []bool{false, true} {
 		t.Run(fmt.Sprintf("dataLands=%v", dataLands), func(t *testing.T) {
 			mem := cloneMem(t, baseline)
-			repo, err := core.OpenRepo(&rewriteCrashStore{
-				Store: mem, dataLands: dataLands, twoCommitted: make(chan struct{}),
-			}, cfg)
+			repo, err := core.OpenRepo(oss.With(mem, rewriteCrash(dataLands)), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -338,7 +294,9 @@ func TestCompactSparseCrashWithRewritesOutstanding(t *testing.T) {
 	}
 }
 
-func TestDeleteVersionCrashAtEveryPut(t *testing.T) {
+// TestDeleteVersionCrashAtEveryMutation kills a deletion — a pass that is
+// mostly deletes — before every put and delete it issues.
+func TestDeleteVersionCrashAtEveryMutation(t *testing.T) {
 	baseline, cfg, want, st := sccBaseline(t)
 	// Compact first so version 0 owns garbage containers worth sweeping.
 	{
@@ -354,16 +312,16 @@ func TestDeleteVersionCrashAtEveryPut(t *testing.T) {
 	completed := false
 	for n := 0; n < 300 && !completed; n++ {
 		mem := cloneMem(t, baseline)
-		faulty := oss.NewFaulty(mem)
-		repo, err := core.OpenRepo(faulty, cfg)
+		// The open spends none of the budget: it mutates nothing.
+		repo, err := core.OpenRepo(oss.With(mem, oss.CrashAfter(n)), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		faulty.FailPutsAfter(n)
 		_, err = New(repo).DeleteVersion("f", 0)
-		faulty.Clear()
 		if err == nil {
 			completed = true
+		} else if !errors.Is(err, oss.ErrInjected) {
+			t.Fatalf("budget %d: %v, want the injected crash", n, err)
 		}
 
 		// Reboot. Version 0 is in limbo only until replay: afterwards it
@@ -390,6 +348,6 @@ func TestDeleteVersionCrashAtEveryPut(t *testing.T) {
 		verifyAfterReboot(t, mem, cfg, surviving)
 	}
 	if !completed {
-		t.Fatal("deletion never ran to completion within the put budget")
+		t.Fatal("deletion never ran to completion within the mutation budget")
 	}
 }

@@ -339,14 +339,13 @@ func TestMaintenancePassesOverlapRoundTrips(t *testing.T) {
 			return err
 		}},
 	} {
-		rec := newRecStore(sleepStore{tw.mem, 2 * time.Millisecond})
-		rec.lane = pass.lane
-		_, gn := openOver(t, rec, tw.repo.Config, width)
+		rec := newRecStore(tw.mem, 2*time.Millisecond)
+		_, gn := openOver(t, rec.store, tw.repo.Config, width)
 		rec.reset()
 		if err := pass.run(gn); err != nil {
 			t.Fatalf("%s: %v", pass.name, err)
 		}
-		if got := rec.maxLanes(); got < 2 || got > width {
+		if got := rec.maxLanes(pass.lane); got < 2 || got > width {
 			t.Errorf("%s: %d reads in flight at most, want 2..%d", pass.name, got, width)
 		}
 		// The next pass opens cold and must find this one's index updates

@@ -18,79 +18,62 @@ import (
 	"slimstore/internal/oss"
 )
 
-// sleepStore sleeps perOp of wall-clock time before every request, so that
-// concurrent code sees the overlap parallel request channels buy: N
-// goroutines sleeping on timers progress together even on one CPU, as N
-// HTTP requests in flight do. The overlap tests count reads in flight
-// over it.
-type sleepStore struct {
-	oss.Store
-	perOp time.Duration
-}
-
-func (s sleepStore) Put(key string, data []byte) error {
-	time.Sleep(s.perOp)
-	return s.Store.Put(key, data)
-}
-
-func (s sleepStore) Get(key string) ([]byte, error) {
-	time.Sleep(s.perOp)
-	return s.Store.Get(key)
-}
-
-func (s sleepStore) GetRange(key string, off, n int64) ([]byte, error) {
-	time.Sleep(s.perOp)
-	return s.Store.GetRange(key, off, n)
-}
-
-func (s sleepStore) Head(key string) (int64, error) {
-	time.Sleep(s.perOp)
-	return s.Store.Head(key)
-}
-
-func (s sleepStore) Delete(key string) error {
-	time.Sleep(s.perOp)
-	return s.Store.Delete(key)
-}
-
-func (s sleepStore) List(prefix string) ([]string, error) {
-	time.Sleep(s.perOp)
-	return s.Store.List(prefix)
-}
-
 // storeOp is one recorded mutation: the operation, its key, and (for
 // puts) the checksum of the bytes written.
 type storeOp struct {
-	Op  string
-	Key string
-	Sum uint32
+	Kind oss.Kind
+	Key  string
+	Sum  uint32
 }
 
-// recStore records every mutation in order, counts whole-object GETs per
-// key and how many reads are in flight at once, and runs optional hooks
-// after a put or delete has landed.
+// recStore is a store under a recorder — every mutation in order, the
+// whole-object GETs per key, the reads in flight at once — with optional
+// hooks that run after a put or delete has landed.
 type recStore struct {
-	oss.Store
-
-	// lane names what a read of key occupies while it is in flight (""
-	// = not counted); maxInFlight is the most lanes occupied at once. The
-	// default gives every container data object its own lane.
-	lane func(key string) string
-
-	mu          sync.Mutex
-	ops         []storeOp
-	gets        map[string]int
-	inFlight    map[string]int
-	maxInFlight int
-
+	store       oss.Store
+	rec         oss.Recorder
 	afterPut    func(key string)
 	afterDelete func(key string)
 }
 
-func newRecStore(inner oss.Store) *recStore {
-	return &recStore{Store: inner, lane: dataLane, gets: make(map[string]int), inFlight: make(map[string]int)}
+// newRecStore records over inner; with perOp > 0 every request under the
+// recorder also sleeps that long, so that concurrent reads overlap
+// observably (oss.Sleep).
+func newRecStore(inner oss.Store, perOp time.Duration) *recStore {
+	s := &recStore{}
+	hooks := oss.LayerFunc(func(op oss.Op, next oss.Store) (oss.Op, error) {
+		op, err := oss.Do(next, op)
+		if err == nil && op.Kind == oss.KindPut && s.afterPut != nil {
+			s.afterPut(op.Key)
+		}
+		if err == nil && op.Kind == oss.KindDelete && s.afterDelete != nil {
+			s.afterDelete(op.Key)
+		}
+		return op, err
+	})
+	s.store = oss.With(inner, &s.rec, hooks, oss.Sleep(perOp))
+	return s
 }
 
+// maxLanes is the most lanes that had a read in flight at once, lane
+// naming what a read of key occupies ("" = not counted). The peak is at
+// some read's arrival.
+func (s *recStore) maxLanes(lane func(key string) string) int {
+	reads := s.rec.Requests(func(op oss.Op) bool { return op.Kind == oss.KindGet || op.Kind == oss.KindGetRange })
+	peak := 0
+	for _, at := range reads {
+		open := map[string]bool{}
+		for _, q := range reads {
+			if l := lane(q.Key); l != "" && q.Begin <= at.Begin && (q.End == 0 || q.End > at.Begin) {
+				open[l] = true
+			}
+		}
+		peak = max(peak, len(open))
+	}
+	return peak
+}
+
+// dataLane gives every container data object its own lane.
 func dataLane(key string) string {
 	if strings.HasPrefix(key, container.Prefix) && strings.HasSuffix(key, ".data") {
 		return key
@@ -98,92 +81,22 @@ func dataLane(key string) string {
 	return ""
 }
 
-// enter marks a read of key in flight until the returned func runs.
-func (s *recStore) enter(key string) (leave func()) {
-	lane := s.lane(key)
-	if lane == "" {
-		return func() {}
-	}
-	s.mu.Lock()
-	s.inFlight[lane]++
-	if n := len(s.inFlight); n > s.maxInFlight {
-		s.maxInFlight = n
-	}
-	s.mu.Unlock()
-	return func() {
-		s.mu.Lock()
-		if s.inFlight[lane]--; s.inFlight[lane] == 0 {
-			delete(s.inFlight, lane)
-		}
-		s.mu.Unlock()
-	}
-}
+func (s *recStore) reset() { s.rec.Take() }
 
-func (s *recStore) Put(key string, data []byte) error {
-	if err := s.Store.Put(key, data); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.ops = append(s.ops, storeOp{"put", key, container.ChecksumOf(data)})
-	hook := s.afterPut
-	s.mu.Unlock()
-	if hook != nil {
-		hook(key)
-	}
-	return nil
-}
-
-func (s *recStore) Delete(key string) error {
-	if err := s.Store.Delete(key); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.ops = append(s.ops, storeOp{Op: "delete", Key: key})
-	hook := s.afterDelete
-	s.mu.Unlock()
-	if hook != nil {
-		hook(key)
-	}
-	return nil
-}
-
-func (s *recStore) Get(key string) ([]byte, error) {
-	s.mu.Lock()
-	s.gets[key]++
-	s.mu.Unlock()
-	defer s.enter(key)()
-	return s.Store.Get(key)
-}
-
-func (s *recStore) GetRange(key string, off, n int64) ([]byte, error) {
-	defer s.enter(key)()
-	return s.Store.GetRange(key, off, n)
-}
-
-func (s *recStore) reset() {
-	s.mu.Lock()
-	s.ops = nil
-	s.gets = make(map[string]int)
-	s.maxInFlight = 0
-	s.mu.Unlock()
-}
-
-func (s *recStore) maxLanes() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.maxInFlight
-}
-
+// dataGets is the number of whole-object GETs of id's data object.
 func (s *recStore) dataGets(id container.ID) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.gets[container.DataKey(id)]
+	return len(s.rec.Requests(func(op oss.Op) bool { return op.Kind == oss.KindGet && op.Key == container.DataKey(id) }))
 }
 
+// recorded returns the mutations that landed, in order.
 func (s *recStore) recorded() []storeOp {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]storeOp(nil), s.ops...)
+	var ops []storeOp
+	for _, q := range s.rec.Requests(func(op oss.Op) bool { return op.Kind == oss.KindPut || op.Kind == oss.KindDelete }) {
+		if q.Err == nil {
+			ops = append(ops, storeOp{q.Kind, q.Key, q.Sum})
+		}
+	}
+	return ops
 }
 
 // openOver opens a repo with the given width over store.
@@ -214,8 +127,8 @@ func assertRestores(t *testing.T, repo *core.Repo, want map[int][]byte) {
 // overlap.
 func TestCompactSparseReadsEachSourceOnce(t *testing.T) {
 	mem, cfg, want, st := sccBaseline(t)
-	rec := newRecStore(sleepStore{mem, 2 * time.Millisecond})
-	repo, gn := openOver(t, rec, cfg, 4)
+	rec := newRecStore(mem, 2*time.Millisecond)
+	repo, gn := openOver(t, rec.store, cfg, 4)
 
 	before := map[container.ID]uint32{}
 	for _, id := range st.SparseContainers {
@@ -249,7 +162,7 @@ func TestCompactSparseReadsEachSourceOnce(t *testing.T) {
 			t.Errorf("source %s: %d data-object GETs, want exactly 1", id, got)
 		}
 	}
-	maxInFlight := rec.maxLanes()
+	maxInFlight := rec.maxLanes(dataLane)
 	if maxInFlight < 2 {
 		t.Errorf("source reads never overlapped (max %d in flight over %d sources)", maxInFlight, n)
 	}
@@ -267,8 +180,8 @@ func TestCompactSparseReadsEachSourceOnce(t *testing.T) {
 // and every version still restores.
 func TestCompactSparseSkipsDrainedSources(t *testing.T) {
 	mem, cfg, want, st := sccBaseline(t)
-	rec := newRecStore(mem)
-	repo, gn := openOver(t, rec, cfg, 4)
+	rec := newRecStore(mem, 0)
+	repo, gn := openOver(t, rec.store, cfg, 4)
 	st2, err := lnode.New(repo, "l0").Backup("f", want[1])
 	if err != nil {
 		t.Fatal(err)
@@ -329,8 +242,8 @@ func TestCompactSparseHeldPayloadLayoutMismatch(t *testing.T) {
 	for _, workers := range []int{-1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			mem, cfg, want, st := sccBaseline(t)
-			rec := newRecStore(mem)
-			repo, gn := openOver(t, rec, cfg, workers)
+			rec := newRecStore(mem, 0)
+			repo, gn := openOver(t, rec.store, cfg, workers)
 			victim := st.SparseContainers[1]
 			padWithDeadChunk(t, repo, victim)
 
@@ -400,8 +313,8 @@ func TestCompactSparsePostApplyMetaFault(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			mem, cfg, _, st := sccBaseline(t)
 			faulty := oss.NewFaulty(mem)
-			rec := newRecStore(faulty)
-			repo, gn := openOver(t, rec, cfg, 4)
+			rec := newRecStore(faulty, 0)
+			repo, gn := openOver(t, rec.store, cfg, 4)
 			victim := st.SparseContainers[0]
 			// The SCC record's removal is the first journal delete: the
 			// apply is complete, the rewrite loop is next.
@@ -438,12 +351,12 @@ func applyWindow(ops []storeOp, commitSeen bool) []storeOp {
 		isJournal := strings.HasPrefix(op.Key, journal.Prefix)
 		switch {
 		case !commitSeen:
-			if isJournal && op.Op == "put" {
+			if isJournal && op.Kind == oss.KindPut {
 				commitSeen, rec = true, op.Key
 			}
 		default:
 			out = append(out, op)
-			if isJournal && op.Op == "delete" && (rec == "" || op.Key == rec) {
+			if isJournal && op.Kind == oss.KindDelete && (rec == "" || op.Key == rec) {
 				return out
 			}
 		}
@@ -479,8 +392,8 @@ func TestApplySCCDeterministic(t *testing.T) {
 
 	run := func() (*oss.Mem, []storeOp) {
 		mem := cloneMem(t, baseline)
-		rec := newRecStore(mem)
-		_, gn := openOver(t, rec, cfg, -1)
+		rec := newRecStore(mem, 0)
+		_, gn := openOver(t, rec.store, cfg, -1)
 		rec.reset()
 		if _, err := gn.CompactSparse("f", st.Version, st.SparseContainers); err != nil {
 			t.Fatal(err)
@@ -503,19 +416,19 @@ func TestApplySCCDeterministic(t *testing.T) {
 	// Crash right after the commit, then let OpenRepo replay the record.
 	memC := cloneMem(t, baseline)
 	faulty := oss.NewFaulty(memC)
-	recC := newRecStore(faulty)
+	recC := newRecStore(faulty, 0)
 	var once sync.Once
 	recC.afterPut = func(key string) {
 		if strings.HasPrefix(key, journal.Prefix) {
 			once.Do(func() { faulty.FailPutsAfter(0) })
 		}
 	}
-	_, gnC := openOver(t, recC, cfg, -1)
+	_, gnC := openOver(t, recC.store, cfg, -1)
 	if _, err := gnC.CompactSparse("f", st.Version, st.SparseContainers); !errors.Is(err, oss.ErrInjected) {
 		t.Fatalf("crashed run returned %v", err)
 	}
-	replay := newRecStore(memC)
-	repoC, _ := openOver(t, replay, cfg, -1) // replays the journal
+	replay := newRecStore(memC, 0)
+	repoC, _ := openOver(t, replay.store, cfg, -1) // replays the journal
 	wantApply, gotApply := applyWindow(opsA, false), applyWindow(replay.recorded(), true)
 	if len(wantApply) < 4 {
 		t.Fatalf("apply window suspiciously short: %v", wantApply)

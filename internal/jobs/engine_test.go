@@ -24,16 +24,15 @@ import (
 // mid-job — so nothing here sleeps or compares durations; the only clock
 // is the hang timeout.
 
-// gateStore passes requests through to the wrapped store and logs them; it
-// can hold the Put that completes one file's backup.
+// gateStore is a store under a recorder that can hold the Put that
+// completes one file's backup.
 type gateStore struct {
-	oss.Store
+	rec oss.Recorder
 
 	mu      sync.Mutex
 	holdKey string        // prefix of the Put to hold; "" = none
 	held    chan struct{} // closed when that Put has arrived
 	release chan struct{} // closed by open
-	log     []string      // "op key" of every request, in arrival order
 }
 
 // hold makes the store hold the next backup of fileID at its catalog put
@@ -57,30 +56,11 @@ func (g *gateStore) open() {
 	}
 }
 
-// requests returns the log entries containing substr.
-func (g *gateStore) requests(substr string) []string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	var out []string
-	for _, e := range g.log {
-		if strings.Contains(e, substr) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-func (g *gateStore) note(op, key string) {
-	g.mu.Lock()
-	g.log = append(g.log, op+" "+key)
-	g.mu.Unlock()
-}
-
-func (g *gateStore) Put(key string, data []byte) error {
-	g.note("put", key)
+// Do implements oss.Layer.
+func (g *gateStore) Do(op oss.Op, next oss.Store) (oss.Op, error) {
 	g.mu.Lock()
 	var held, release chan struct{}
-	if g.holdKey != "" && strings.HasPrefix(key, g.holdKey) {
+	if op.Kind == oss.KindPut && g.holdKey != "" && strings.HasPrefix(op.Key, g.holdKey) {
 		held, release, g.holdKey = g.held, g.release, ""
 	}
 	g.mu.Unlock()
@@ -88,17 +68,7 @@ func (g *gateStore) Put(key string, data []byte) error {
 		close(held)
 		<-release
 	}
-	return g.Store.Put(key, data)
-}
-
-func (g *gateStore) Get(key string) ([]byte, error) {
-	g.note("get", key)
-	return g.Store.Get(key)
-}
-
-func (g *gateStore) GetRange(key string, off, n int64) ([]byte, error) {
-	g.note("get", key)
-	return g.Store.GetRange(key, off, n)
+	return oss.Do(next, op)
 }
 
 const hangTimeout = 10 * time.Second
@@ -140,8 +110,8 @@ func spinUntil(t *testing.T, what string, cond func() bool) {
 
 func newGatedEngine(t *testing.T, inner oss.Store, opts Options) (*Engine, *gateStore, *core.Repo) {
 	t.Helper()
-	g := &gateStore{Store: inner}
-	repo, err := core.OpenRepo(g, stressConfig())
+	g := &gateStore{}
+	repo, err := core.OpenRepo(oss.With(inner, &g.rec, g), stressConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +386,7 @@ func TestOptimizeStopsAtReverseDedupFailure(t *testing.T) {
 	if !errors.Is(r.Err, oss.ErrInjected) || r.Reverse != nil || r.SCC != nil {
 		t.Fatalf("optimize = %+v, want the injected reverse-dedup failure and no stats", r)
 	}
-	if reads := gate.requests("recipes/"); len(reads) != 0 {
+	if reads := gate.rec.Requests(func(op oss.Op) bool { return strings.HasPrefix(op.Key, "recipes/") }); len(reads) != 0 {
 		t.Errorf("SCC ran after reverse dedup failed: %v", reads)
 	}
 	if st := eng.Stats(); st.Failed != 1 || st.Completed != 0 {

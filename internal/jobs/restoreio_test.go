@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"io"
 	"strings"
-	"sync"
 	"testing"
 
 	"slimstore/internal/core"
@@ -12,46 +11,11 @@ import (
 	"slimstore/internal/oss"
 )
 
-// countingStore counts container data-object reads issued to the base
+// isDataRead selects the container data-object reads issued to the base
 // store — the true OSS traffic underneath every per-job metered view and
 // the node-wide shared cache.
-type countingStore struct {
-	oss.Store
-	mu        sync.Mutex
-	dataGets  int
-	dataBytes int64
-}
-
-func (s *countingStore) countData(key string, n int) {
-	if !strings.HasSuffix(key, ".data") {
-		return
-	}
-	s.mu.Lock()
-	s.dataGets++
-	s.dataBytes += int64(n)
-	s.mu.Unlock()
-}
-
-func (s *countingStore) Get(key string) ([]byte, error) {
-	b, err := s.Store.Get(key)
-	if err == nil {
-		s.countData(key, len(b))
-	}
-	return b, err
-}
-
-func (s *countingStore) GetRange(key string, off, n int64) ([]byte, error) {
-	b, err := s.Store.GetRange(key, off, n)
-	if err == nil {
-		s.countData(key, len(b))
-	}
-	return b, err
-}
-
-func (s *countingStore) snapshot() (int, int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dataGets, s.dataBytes
+func isDataRead(op oss.Op) bool {
+	return (op.Kind == oss.KindGet || op.Kind == oss.KindGetRange) && strings.HasSuffix(op.Key, ".data")
 }
 
 // TestConcurrentOverlappingRestoresShareFetches drives the node-level
@@ -63,8 +27,8 @@ func (s *countingStore) snapshot() (int, int64) {
 func TestConcurrentOverlappingRestoresShareFetches(t *testing.T) {
 	const jobs = 6
 
-	cs := &countingStore{Store: oss.NewMem()}
-	repo, err := core.OpenRepo(cs, stressConfig())
+	var base oss.Recorder
+	repo, err := core.OpenRepo(oss.With(oss.NewMem(), &base), stressConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +45,7 @@ func TestConcurrentOverlappingRestoresShareFetches(t *testing.T) {
 		t.Fatalf("scenario too small: %d containers", uniques)
 	}
 
-	preGets, _ := cs.snapshot()
+	base.Take()
 	bufs := make([]bytes.Buffer, jobs)
 	batch := make([]Job, jobs)
 	for i := range batch {
@@ -99,11 +63,10 @@ func TestConcurrentOverlappingRestoresShareFetches(t *testing.T) {
 				i, st.ContainersRead, st.SharedHits, st.SharedJoins, uniques)
 		}
 	}
-	postGets, _ := cs.snapshot()
 
 	// The collapse property: jobs × uniques fetch demands, at most uniques
 	// actual OSS reads (each unique container fetched by exactly one job).
-	if got := postGets - preGets; got > uniques {
+	if got := len(base.Requests(isDataRead)); got > uniques {
 		t.Fatalf("%d concurrent restores issued %d OSS data reads over %d unique containers — singleflight/shared cache not collapsing",
 			jobs, got, uniques)
 	}
@@ -127,8 +90,7 @@ func TestConcurrentOverlappingRestoresShareFetches(t *testing.T) {
 // and deleting v0 sweeps them — while the warming restore has left exactly
 // those containers resident in the shared cache.
 func TestRestoreAfterInvalidationRefetches(t *testing.T) {
-	cs := &countingStore{Store: oss.NewMem()}
-	repo, err := core.OpenRepo(cs, stressConfig())
+	repo, err := core.OpenRepo(oss.NewMem(), stressConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,55 +4,21 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
 	"slimstore/internal/oss"
 )
 
-// rangeStore counts ranged reads, tracks how many are in flight at once,
-// makes each take real time (so concurrent ones overlap observably), and
-// can fail the read of one block offset.
-type rangeStore struct {
-	oss.Store
-	perOp time.Duration
-
-	mu              sync.Mutex
-	calls, inflight int
-	maxInflight     int
-	failKey         string
-	failOff         int64
-	failArmed       bool
-}
-
 var errBlockFetch = errors.New("injected block fetch failure")
 
-func (s *rangeStore) GetRange(key string, off, n int64) ([]byte, error) {
-	s.mu.Lock()
-	s.calls++
-	s.inflight++
-	if s.inflight > s.maxInflight {
-		s.maxInflight = s.inflight
-	}
-	fail := s.failArmed && key == s.failKey && off == s.failOff
-	s.mu.Unlock()
-	time.Sleep(s.perOp)
-	defer func() {
-		s.mu.Lock()
-		s.inflight--
-		s.mu.Unlock()
-	}()
-	if fail {
-		return nil, errBlockFetch
-	}
-	return s.Store.GetRange(key, off, n)
-}
+func isRanged(op oss.Op) bool { return op.Kind == oss.KindGetRange }
 
-func (s *rangeStore) snapshot() (calls, inflight, maxInflight int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.calls, s.inflight, s.maxInflight
+// slowRanged returns inner under a layer that makes each request take real
+// time (so concurrent ones overlap observably) and a recorder over it.
+func slowRanged(inner oss.Store, under ...oss.Layer) (oss.Store, *oss.Recorder) {
+	rec := &oss.Recorder{}
+	return oss.With(inner, append([]oss.Layer{rec, oss.Sleep(time.Millisecond)}, under...)...), rec
 }
 
 // multiBlockStore persists a layered DB whose tables span many 16 KiB
@@ -115,9 +81,9 @@ func TestGetMultiConcurrentBlockFetchMatchesGets(t *testing.T) {
 		cache int64
 	}{{"default-cache", 0}, {"no-cache", -1}, {"tiny-cache", 40 << 10}} {
 		t.Run(tc.name, func(t *testing.T) {
-			rs := &rangeStore{Store: mem, perOp: time.Millisecond}
+			store, rec := slowRanged(mem)
 			opts := Options{MemtableBytes: 1 << 20, L0Threshold: 8, BlockCacheBytes: tc.cache}
-			multi, err := Open(rs, opts)
+			multi, err := Open(store, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,7 +95,8 @@ func TestGetMultiConcurrentBlockFetchMatchesGets(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			calls, inflight, maxInflight := rs.snapshot()
+			calls := len(rec.Requests(isRanged))
+			inflight, maxInflight := rec.InFlight(isRanged)
 			if inflight != 0 {
 				t.Fatalf("%d block fetches still in flight after GetMulti returned", inflight)
 			}
@@ -168,7 +135,7 @@ func TestGetMultiConcurrentBlockFetchMatchesGets(t *testing.T) {
 						t.Fatalf("key %s differs on the warm repeat", keys[i])
 					}
 				}
-				if c2, _, _ := rs.snapshot(); c2 != calls {
+				if c2 := len(rec.Requests(isRanged)); c2 != calls {
 					t.Fatalf("warm repeat issued %d more ranged reads", c2-calls)
 				}
 			}
@@ -180,8 +147,17 @@ func TestGetMultiConcurrentBlockFetchMatchesGets(t *testing.T) {
 // blocks fails, GetMulti returns that error and no fetch outlives it.
 func TestGetMultiBlockFetchFailure(t *testing.T) {
 	mem, _ := multiBlockStore(t)
-	rs := &rangeStore{Store: mem, perOp: time.Millisecond}
-	db, err := Open(rs, Options{MemtableBytes: 1 << 20, L0Threshold: 8})
+	// The ranged read of failKey at failOff fails; both are set between
+	// calls into the DB, never while one runs.
+	var failKey string
+	var failOff int64
+	store, rec := slowRanged(mem, oss.LayerFunc(func(op oss.Op, next oss.Store) (oss.Op, error) {
+		if isRanged(op) && op.Key == failKey && op.Off == failOff {
+			return op, errBlockFetch
+		}
+		return oss.Do(next, op)
+	}))
+	db, err := Open(store, Options{MemtableBytes: 1 << 20, L0Threshold: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,11 +174,7 @@ func TestGetMultiBlockFetchFailure(t *testing.T) {
 	if big == nil || len(big.index) < 8 {
 		t.Fatalf("no multi-block table open: %v", db.readers)
 	}
-	rs.mu.Lock()
-	rs.failKey = db.tableKey(big.meta.Name)
-	rs.failOff = int64(big.index[len(big.index)/2].off)
-	rs.failArmed = true
-	rs.mu.Unlock()
+	failKey, failOff = db.tableKey(big.meta.Name), int64(big.index[len(big.index)/2].off)
 
 	var keys [][]byte
 	for i := 4; i < 3000; i += 3 { // live only in the big table
@@ -212,18 +184,16 @@ func TestGetMultiBlockFetchFailure(t *testing.T) {
 	if !errors.Is(err, errBlockFetch) {
 		t.Fatalf("GetMulti error = %v, want the injected block failure", err)
 	}
-	calls, inflight, _ := rs.snapshot()
-	if inflight != 0 {
+	calls := len(rec.Requests(isRanged))
+	if inflight, _ := rec.InFlight(isRanged); inflight != 0 {
 		t.Fatalf("%d block fetches still in flight after the failed GetMulti returned", inflight)
 	}
 	time.Sleep(5 * time.Millisecond)
-	if later, _, _ := rs.snapshot(); later != calls {
+	if later := len(rec.Requests(isRanged)); later != calls {
 		t.Fatalf("%d ranged reads started after GetMulti returned", later-calls)
 	}
 	// The DB stays usable once the fault clears.
-	rs.mu.Lock()
-	rs.failArmed = false
-	rs.mu.Unlock()
+	failKey = ""
 	if _, found, err := db.GetMulti(keys); err != nil || !found[0] {
 		t.Fatalf("GetMulti after the fault cleared: found[0]=%v err=%v", found[0], err)
 	}

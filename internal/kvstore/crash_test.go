@@ -7,47 +7,10 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"slimstore/internal/oss"
 )
-
-// crashStore models the process dying at a chosen point: the first
-// `budget` mutations (puts and deletes alike) land, every later one is
-// refused — including those of fan-out workers still running when the
-// first refusal comes back.
-type crashStore struct {
-	oss.Store
-	mu     sync.Mutex
-	budget int // < 0: never crash
-	spent  int
-}
-
-func (s *crashStore) spend(op, key string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.budget == 0 {
-		return fmt.Errorf("%w: crashed before %s %s", oss.ErrInjected, op, key)
-	}
-	s.budget--
-	s.spent++
-	return nil
-}
-
-func (s *crashStore) Put(key string, data []byte) error {
-	if err := s.spend("put", key); err != nil {
-		return err
-	}
-	return s.Store.Put(key, data)
-}
-
-func (s *crashStore) Delete(key string) error {
-	if err := s.spend("delete", key); err != nil {
-		return err
-	}
-	return s.Store.Delete(key)
-}
 
 // modelOp is one step of a generated schedule: a batch to Apply (ops
 // non-empty), or a Sync, engine Flush or Compact.
@@ -184,8 +147,8 @@ func TestCrashAtEveryMutationMatchesModel(t *testing.T) {
 		states := prefixStates(sched)
 
 		// Uncrashed reference run: counts the mutations to crash before.
-		ref := &crashStore{Store: oss.NewMem(), budget: -1}
-		db, err := Open(ref, opts)
+		ref := oss.CrashAfter(-1)
+		db, err := Open(oss.With(oss.NewMem(), ref), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,9 +162,9 @@ func TestCrashAtEveryMutationMatchesModel(t *testing.T) {
 		flushes += st.Flushes
 		compactions += st.Compactions
 
-		for budget := 0; budget < ref.spent; budget++ {
+		for budget := 0; budget < ref.Spent(); budget++ {
 			mem := oss.NewMem()
-			db, err := Open(&crashStore{Store: mem, budget: budget}, opts)
+			db, err := Open(oss.With(mem, oss.CrashAfter(budget)), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -224,7 +187,7 @@ func TestCrashAtEveryMutationMatchesModel(t *testing.T) {
 func checkRecovered(t *testing.T, what string, mem *oss.Mem, opts Options, allowed []map[string]string, first int) {
 	t.Helper()
 	rec := newReqStore(mem)
-	db, err := Open(rec, opts)
+	db, err := Open(rec.store, opts)
 	if err != nil {
 		t.Fatalf("%s: reopen: %v", what, err)
 	}
@@ -267,8 +230,8 @@ func checkRecovered(t *testing.T, what string, mem *oss.Mem, opts Options, allow
 	}
 	_, reqs := rec.take()
 	for _, r := range reqs {
-		if strings.Contains(r.key, "/sst/") && !named[r.key] {
-			t.Fatalf("%s: recovery issued %s %s, which the manifest does not name", what, r.op, r.key)
+		if strings.Contains(r.Key, "/sst/") && !named[r.Key] {
+			t.Fatalf("%s: recovery issued %s, which the manifest does not name", what, r.Op)
 		}
 	}
 

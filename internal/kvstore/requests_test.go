@@ -1,13 +1,12 @@
 package kvstore
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"slimstore/internal/oss"
 )
@@ -19,102 +18,47 @@ import (
 // chain. A wave that never forms is released after a timeout and reported
 // through serial().
 type reqStore struct {
-	oss.Store
-
-	mu     sync.Mutex
-	log    []req
-	gates  map[string]*gate
-	failed []string
-}
-
-type req struct {
-	op, key string
-	off, n  int64 // of a getrange
+	store oss.Store // inner seen through the recorder and the gates
+	rec   oss.Recorder
+	gates map[string]*oss.Barrier // by class
 }
 
 // class names a request: the operation and the key's namespace under the
 // DB prefix ("wal", "sst" or "MANIFEST").
-func (r req) class() string {
+func class(op oss.Op) string {
 	switch {
-	case strings.Contains(r.key, "/wal/"):
-		return r.op + " wal"
-	case strings.Contains(r.key, "/sst/"):
-		return r.op + " sst"
+	case strings.Contains(op.Key, "/wal/"):
+		return op.Kind.String() + " wal"
+	case strings.Contains(op.Key, "/sst/"):
+		return op.Kind.String() + " sst"
 	}
-	return r.op + " " + r.key[strings.LastIndex(r.key, "/")+1:]
-}
-
-type gate struct {
-	want, arrived int
-	open          chan struct{}
+	return op.Kind.String() + " " + op.Key[strings.LastIndex(op.Key, "/")+1:]
 }
 
 func newReqStore(inner oss.Store) *reqStore {
-	return &reqStore{Store: inner, gates: map[string]*gate{}}
+	s := &reqStore{gates: map[string]*oss.Barrier{}}
+	layers := []oss.Layer{&s.rec}
+	for _, c := range []string{"delete wal", "get sst", "get wal"} {
+		s.gates[c] = &oss.Barrier{}
+		layers = append(layers, s.gates[c])
+	}
+	s.store = oss.With(inner, layers...)
+	return s
 }
 
 // expectWave holds the next requests of class c until want of them are in
 // flight at once.
 func (s *reqStore) expectWave(c string, want int) {
-	s.mu.Lock()
-	s.gates[c] = &gate{want: want, open: make(chan struct{})}
-	s.mu.Unlock()
-}
-
-func (s *reqStore) enter(r req) {
-	c := r.class()
-	s.mu.Lock()
-	s.log = append(s.log, r)
-	g := s.gates[c]
-	if g != nil {
-		if g.arrived++; g.arrived == g.want {
-			close(g.open)
-			delete(s.gates, c)
-		}
-	}
-	s.mu.Unlock()
-	if g == nil {
-		return
-	}
-	select {
-	case <-g.open:
-	case <-time.After(10 * time.Second):
-		s.mu.Lock()
-		s.failed = append(s.failed, fmt.Sprintf("%s: %d of %d in flight together", c, g.arrived, g.want))
-		s.mu.Unlock()
-	}
-}
-
-func (s *reqStore) Put(key string, data []byte) error {
-	s.enter(req{op: "put", key: key})
-	return s.Store.Put(key, data)
-}
-
-func (s *reqStore) Delete(key string) error {
-	s.enter(req{op: "delete", key: key})
-	return s.Store.Delete(key)
-}
-
-func (s *reqStore) Get(key string) ([]byte, error) {
-	s.enter(req{op: "get", key: key})
-	return s.Store.Get(key)
-}
-
-func (s *reqStore) GetRange(key string, off, n int64) ([]byte, error) {
-	s.enter(req{"getrange", key, off, n})
-	return s.Store.GetRange(key, off, n)
+	s.gates[c].Expect(func(op oss.Op) bool { return class(op) == c }, want)
 }
 
 // take returns the requests logged since the last take, and their count
 // by class as "class×n class×n …" (classes sorted).
-func (s *reqStore) take() (string, []req) {
-	s.mu.Lock()
-	log := s.log
-	s.log = nil
-	s.mu.Unlock()
+func (s *reqStore) take() (string, []oss.Request) {
+	log := s.rec.Take()
 	counts := map[string]int{}
 	for _, r := range log {
-		counts[r.class()]++
+		counts[class(r.Op)]++
 	}
 	var classes []string
 	for c, n := range counts {
@@ -125,31 +69,29 @@ func (s *reqStore) take() (string, []req) {
 }
 
 // serial reports the waves that never formed.
-func (s *reqStore) serial() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for c, g := range s.gates {
-		s.failed = append(s.failed, fmt.Sprintf("%s: %d of %d ever arrived", c, g.arrived, g.want))
+func (s *reqStore) serial() error {
+	var errs []error
+	for _, g := range s.gates {
+		errs = append(errs, g.Err())
 	}
-	s.gates = map[string]*gate{}
-	return s.failed
+	return errors.Join(errs...)
 }
 
 // tailReads counts, per table, the ranged reads that end at the object's
 // last byte — openTable's, as against data-block reads.
-func tailReads(t *testing.T, mem *oss.Mem, reqs []req) map[string]int {
+func tailReads(t *testing.T, mem *oss.Mem, reqs []oss.Request) map[string]int {
 	t.Helper()
 	out := map[string]int{}
 	for _, r := range reqs {
-		if r.op != "getrange" {
+		if r.Kind != oss.KindGetRange {
 			continue
 		}
-		size, err := mem.Head(r.key)
+		size, err := mem.Head(r.Key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.off+r.n == size {
-			out[r.key]++
+		if r.Off+r.N == size {
+			out[r.Key]++
 		}
 	}
 	return out
@@ -169,11 +111,11 @@ func tailReads(t *testing.T, mem *oss.Mem, reqs []req) map[string]int {
 //   - a table this handle wrote is probed with data-block reads only;
 //   - a cold handle opens each table it probes with exactly one tail read,
 //     and with none after a Scan, which reads every table whole in a wave;
-//   - a cold Open reads the live WAL segments in one wave.
+//   - a cold Open lists the live WAL segments and reads them in one wave.
 func TestRequestBudget(t *testing.T) {
 	mem := oss.NewMem()
 	rec := newReqStore(mem)
-	db, err := Open(rec, Options{})
+	db, err := Open(rec.store, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,8 +188,8 @@ func TestRequestBudget(t *testing.T) {
 		t.Fatalf("probing tables this handle wrote re-read their tails: %v", tails)
 	}
 
-	// Leave k segments live, then open cold: one manifest read, the k
-	// segments in one wave, no table touched until a probe needs it — and
+	// Leave k segments live, then open cold: one manifest read, one listing,
+	// the k segments in one wave, no table touched until a probe needs it — and
 	// then one tail read per table.
 	const k = 5
 	for i := 0; i < k; i++ {
@@ -260,11 +202,11 @@ func TestRequestBudget(t *testing.T) {
 	}
 	rec.take()
 	rec.expectWave("get wal", k)
-	cold, err := Open(rec, Options{})
+	cold, err := Open(rec.store, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := rec.take(); got != fmt.Sprintf("get MANIFEST×1 get wal×%d", k) {
+	if got, _ := rec.take(); got != fmt.Sprintf("get MANIFEST×1 get wal×%d list wal×1", k) {
 		t.Fatalf("cold open issued %q", got)
 	}
 	if st := cold.Stats(); st.WALReplayed != k || st.WALSegments != k {
@@ -283,7 +225,7 @@ func TestRequestBudget(t *testing.T) {
 	// A cold handle that scans first — the global index does, to rebuild
 	// its bloom filter — reads every table whole in one wave and probes
 	// them afterwards without opening any.
-	scanned, err := Open(rec, Options{})
+	scanned, err := Open(rec.store, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,8 +241,8 @@ func TestRequestBudget(t *testing.T) {
 		t.Fatalf("probing after a scan re-read table tails: %v", tails)
 	}
 
-	if waves := rec.serial(); len(waves) != 0 {
-		t.Fatalf("requests that should overlap went one at a time: %v", waves)
+	if err := rec.serial(); err != nil {
+		t.Fatalf("requests that should overlap went one at a time: %v", err)
 	}
 }
 
@@ -328,7 +270,7 @@ func TestOpenTableShortTailGuess(t *testing.T) {
 	}
 
 	rec := newReqStore(mem)
-	cold, err := Open(rec, Options{})
+	cold, err := Open(rec.store, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

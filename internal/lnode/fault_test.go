@@ -7,6 +7,7 @@ import (
 	"io"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"slimstore/internal/container"
@@ -63,27 +64,19 @@ func TestBackupFailsWhenOSSDies(t *testing.T) {
 	}
 }
 
-// failOneContainerPut fails the first containers/ Put after it is armed.
-type failOneContainerPut struct {
-	oss.Store
-	armed bool
-}
-
-func (s *failOneContainerPut) Put(key string, data []byte) error {
-	if s.armed && strings.HasPrefix(key, container.Prefix) {
-		s.armed = false
-		return fmt.Errorf("%w: put %s", oss.ErrInjected, key)
-	}
-	return s.Store.Put(key, data)
-}
-
 // TestBackupFailsWhenSuperchunkContainerFailsToSeal: a container the
 // version's merged superchunks already reference fails to upload on a pack
 // worker; the pool's barrier in persist must return the store's error
 // before any recipe object of the version is written.
 func TestBackupFailsWhenSuperchunkContainerFailsToSeal(t *testing.T) {
 	mem := oss.NewMem()
-	store := &failOneContainerPut{Store: mem}
+	var armed atomic.Bool // fail the next containers/ put, once
+	store := oss.With(mem, oss.LayerFunc(func(op oss.Op, next oss.Store) (oss.Op, error) {
+		if op.Kind == oss.KindPut && strings.HasPrefix(op.Key, container.Prefix) && armed.CompareAndSwap(true, false) {
+			return op, fmt.Errorf("%w: %s", oss.ErrInjected, op)
+		}
+		return oss.Do(next, op)
+	}))
 	cfg := testConfig()
 	cfg.MergeThreshold = 1 // the second backup merges every duplicate run
 	repo, err := core.OpenRepo(store, cfg)
@@ -97,11 +90,11 @@ func TestBackupFailsWhenSuperchunkContainerFailsToSeal(t *testing.T) {
 	}
 	before, _ := mem.List("recipes/")
 
-	store.armed = true
+	armed.Store(true)
 	if _, err := n.Backup("f", data); !errors.Is(err, oss.ErrInjected) {
 		t.Fatalf("backup error = %v, want injected fault", err)
 	}
-	if store.armed {
+	if armed.Load() {
 		t.Fatal("second backup never wrote a container")
 	}
 	if after, _ := mem.List("recipes/"); !reflect.DeepEqual(after, before) {

@@ -123,9 +123,9 @@ func TestPrefetchStatsDeterministic(t *testing.T) {
 					t.Error(err)
 				}
 			}()
-			log := &reqLog{Store: frozen, failAt: -1}
+			log := newReqLog(frozen)
 			fx.cfg.SharedCacheBytes = -1 // every restore reads the store
-			repo, err := core.OpenRepo(log, fx.cfg)
+			repo, err := core.OpenRepo(log.store, fx.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,11 +2,10 @@ package lnode
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"sort"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 
 	"slimstore/internal/container"
@@ -20,9 +19,8 @@ import (
 // containers they belong to, long reads cut by a rule that looks at nothing
 // but the plan. None reads a clock to decide.
 
-func isDataRead(req string) bool {
-	return (strings.HasPrefix(req, "get containers/") || strings.HasPrefix(req, "getrange containers/")) &&
-		strings.Contains(req, ".data")
+func isDataRead(op oss.Op) bool {
+	return (op.Kind == oss.KindGet || op.Kind == oss.KindGetRange) && strings.HasPrefix(op.Key, container.Prefix) && isData(op)
 }
 
 // denseFixture backs up one 16 MiB version of random data under the default
@@ -52,40 +50,30 @@ func denseFixture(t *testing.T, store oss.Store) (core.Config, []byte) {
 func TestRestoreKeepsItsChannelsFull(t *testing.T) {
 	mem := oss.NewMem()
 	cfg, data := denseFixture(t, mem)
-	probe := newProbe(t, mem)
-	repo, err := core.OpenRepo(probe, cfg)
+	probe := newProbe(mem)
+	repo, err := core.OpenRepo(probe.store, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := New(repo, "l0")
 
-	probe.reset()
-	probe.watch = isDataRead
-	probe.expectWaves(isDataRead, 6, 6)
+	probe.rec.Take()
+	probe.bar.Expect(isDataRead, 6, 6)
 	st, err := n.Restore("f", 0, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Bytes != int64(len(data)) || probe.pendingWaves() != 0 {
-		t.Fatalf("restored %d bytes with %d waves of six still unfilled", st.Bytes, probe.pendingWaves())
+	if err := probe.bar.Err(); err != nil || st.Bytes != int64(len(data)) {
+		t.Fatalf("restored %d bytes, the two waves of six: %v", st.Bytes, err)
 	}
-	if probe.peak != 6 {
-		t.Fatalf("%d data-object requests in flight at the peak, want PrefetchThreads = 6", probe.peak)
+	if _, peak := probe.rec.InFlight(isDataRead); peak != 6 {
+		t.Fatalf("%d data-object requests in flight at the peak, want PrefetchThreads = 6", peak)
 	}
-	// Two pieces of one container open at once, from the log.
-	open := map[string]int{} // data key → ranged reads in flight
+	// Two pieces of one container open at once.
 	overlapped := false
-	for _, e := range probe.log() {
-		req, end := strings.CutPrefix(e, "/")
-		if !strings.HasPrefix(req, "getrange containers/") {
-			continue
-		}
-		key, _, _ := strings.Cut(strings.TrimPrefix(req, "getrange "), "@")
-		if end {
-			open[key]--
-		} else if open[key]++; open[key] > 1 {
-			overlapped = true
-		}
+	for _, q := range probe.rec.Requests(isDataRead) {
+		_, peak := probe.rec.InFlight(func(op oss.Op) bool { return op.Kind == oss.KindGetRange && op.Key == q.Key })
+		overlapped = overlapped || peak > 1
 	}
 	if !overlapped {
 		t.Fatal("no two ranged reads of one container were ever in flight together")
@@ -98,47 +86,38 @@ func TestRestoreKeepsItsChannelsFull(t *testing.T) {
 // reqLog records every data-object request under it and can fail or shorten
 // the k-th ranged one.
 type reqLog struct {
-	oss.Store
-	mu     sync.Mutex
-	reqs   []string
-	ranged int
-	failAt int // index among ranged data reads; < 0 = none
+	store  oss.Store
+	rec    oss.Recorder
+	ranged atomic.Int64 // ranged data reads seen since the last sorted()
+	// Set between restores, never during one:
+	failAt int64 // index among them; < 0 = none
 	short  bool
 }
 
-func (l *reqLog) Get(key string) ([]byte, error) {
-	if isDataRead("get " + key) {
-		l.mu.Lock()
-		l.reqs = append(l.reqs, "get "+key)
-		l.mu.Unlock()
-	}
-	return l.Store.Get(key)
-}
-
-func (l *reqLog) GetRange(key string, off, n int64) ([]byte, error) {
-	if !isDataRead("getrange " + key) {
-		return l.Store.GetRange(key, off, n)
-	}
-	l.mu.Lock()
-	l.reqs = append(l.reqs, fmt.Sprintf("getrange %s [%d,+%d)", key, off, n))
-	k := l.ranged
-	l.ranged++
-	l.mu.Unlock()
-	if k == l.failAt {
-		if !l.short {
-			return nil, oss.ErrInjected
+func newReqLog(inner oss.Store) *reqLog {
+	l := &reqLog{failAt: -1}
+	l.store = oss.With(inner, &l.rec, oss.LayerFunc(func(op oss.Op, next oss.Store) (oss.Op, error) {
+		if op.Kind == oss.KindGetRange && isDataRead(op) && l.ranged.Add(1)-1 == l.failAt {
+			if !l.short {
+				return op, oss.ErrInjected
+			}
+			op.N--
 		}
-		n--
-	}
-	return l.Store.GetRange(key, off, n)
+		return oss.Do(next, op)
+	}))
+	return l
 }
 
-// sorted returns the requests logged so far as a multiset, and forgets them.
+// sorted returns the data-object requests logged so far as a multiset, and
+// forgets them.
 func (l *reqLog) sorted() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := l.reqs
-	l.reqs, l.ranged = nil, 0
+	l.ranged.Store(0)
+	var out []string
+	for _, q := range l.rec.Take() {
+		if isDataRead(q.Op) {
+			out = append(out, q.Op.String())
+		}
+	}
 	sort.Strings(out)
 	return out
 }
@@ -151,9 +130,9 @@ func (l *reqLog) sorted() []string {
 func TestRestoreFailsWholeOnAnyPiece(t *testing.T) {
 	mem := oss.NewMem()
 	cfg, _ := denseFixture(t, mem)
-	log := &reqLog{Store: mem, failAt: -1}
+	log := newReqLog(mem)
 	open := func() (*LNode, *core.Repo) {
-		repo, err := core.OpenRepo(log, cfg)
+		repo, err := core.OpenRepo(log.store, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +142,7 @@ func TestRestoreFailsWholeOnAnyPiece(t *testing.T) {
 	if _, err := n.Restore("f", 0, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	pieces := log.ranged
+	pieces := int(log.ranged.Load())
 	log.sorted()
 	if pieces < 6 {
 		t.Fatalf("fixture: a clean restore issued %d ranged reads; want a cut restore", pieces)
@@ -171,7 +150,7 @@ func TestRestoreFailsWholeOnAnyPiece(t *testing.T) {
 
 	for _, short := range []bool{false, true} {
 		for k := 0; k < pieces; k++ {
-			log.failAt, log.short = k, short
+			log.failAt, log.short = int64(k), short
 			n, repo := open() // a cold shared cache: the same requests every time
 			_, err := n.Restore("f", 0, io.Discard)
 			log.failAt = -1

@@ -7,9 +7,7 @@ import (
 	"io"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"slimstore/internal/chunker"
 	"slimstore/internal/container"
@@ -25,164 +23,41 @@ import (
 // flight at once, so code that issued them one at a time would never get
 // past the first — the timeout only turns that hang into a failure.
 
-// probeStore logs every request under it, in order, as "op key" at its
-// start and "/op key" at its end (ranged reads as "getrange key@off"), can
-// fail chosen requests, and can hold matching requests until a given number
-// of them are waiting together.
+// probeStore is a store under a recorder (every request, in arrival
+// order, with when it returned) and a barrier that can hold matching
+// requests until a given number of them wait together, over any further
+// layers a test puts beneath them.
 type probeStore struct {
-	oss.Store
-	t *testing.T
-
-	mu       sync.Mutex
-	events   []string
-	inflight int
-	fail     func(req string) error // nil = fail nothing
-	watch    func(req string) bool  // nil = none; else peak is the most such requests in flight at once
-	watched  int
-	peak     int
-	hold     func(req string) bool // which requests the waves below are made of
-	waves    []int                 // sizes of the successive waves still to be seen
-	waiting  int
-	release  chan struct{}
-	timedOut bool
+	store oss.Store
+	rec   oss.Recorder
+	bar   oss.Barrier
 }
 
-func newProbe(t *testing.T, inner oss.Store) *probeStore {
-	return &probeStore{Store: inner, t: t, release: make(chan struct{})}
+func newProbe(inner oss.Store, under ...oss.Layer) *probeStore {
+	p := &probeStore{}
+	p.store = oss.With(inner, append([]oss.Layer{&p.rec, &p.bar}, under...)...)
+	return p
 }
 
-// expectWaves arms the gate: the next requests matching hold are released
-// only once sizes[0] of them wait together, then sizes[1], and so on; after
-// the last wave nothing is held.
-func (p *probeStore) expectWaves(hold func(req string) bool, sizes ...int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.hold, p.waves, p.waiting = hold, sizes, 0
-}
-
-// pendingWaves is how many armed waves never filled.
-func (p *probeStore) pendingWaves() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.waves)
-}
-
-func (p *probeStore) reset() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.events = nil
-}
-
-// started returns the logged request starts matching pred, in order.
-func (p *probeStore) started(pred func(req string) bool) []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+// started returns the logged requests matching pred as strings, in order.
+func (p *probeStore) started(pred func(oss.Op) bool) []string {
 	var out []string
-	for _, e := range p.events {
-		if !strings.HasPrefix(e, "/") && pred(e) {
-			out = append(out, e)
-		}
+	for _, q := range p.rec.Requests(pred) {
+		out = append(out, q.Op.String())
 	}
 	return out
 }
 
-func (p *probeStore) log() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]string(nil), p.events...)
-}
+func isData(op oss.Op) bool { return strings.HasSuffix(op.Key, ".data") }
 
-func (p *probeStore) inFlight() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.inflight
-}
-
-func (p *probeStore) enter(req string) error {
-	p.mu.Lock()
-	p.events = append(p.events, req)
-	p.inflight++
-	if p.watch != nil && p.watch(req) {
-		p.watched++
-		p.peak = max(p.peak, p.watched)
-	}
-	var err error
-	if p.fail != nil {
-		err = p.fail(req)
-	}
-	var wait chan struct{}
-	if err == nil && len(p.waves) > 0 && p.hold(req) {
-		p.waiting++
-		if p.waiting == p.waves[0] {
-			close(p.release)
-			p.release = make(chan struct{})
-			p.waves, p.waiting = p.waves[1:], 0
-		} else {
-			wait = p.release
-		}
-	}
-	p.mu.Unlock()
-	if wait != nil {
-		select {
-		case <-wait:
-		case <-time.After(10 * time.Second):
-			p.mu.Lock()
-			first := !p.timedOut
-			p.timedOut = true
-			p.mu.Unlock()
-			if first {
-				p.t.Errorf("%s waited alone: the requests of its wave were not issued together", req)
-			}
-		}
-	}
-	return err
-}
-
-func (p *probeStore) leave(req string) {
-	p.mu.Lock()
-	p.events = append(p.events, "/"+req)
-	p.inflight--
-	if p.watch != nil && p.watch(req) {
-		p.watched--
-	}
-	p.mu.Unlock()
-}
-
-func (p *probeStore) Put(key string, data []byte) error {
-	req := "put " + key
-	defer p.leave(req)
-	if err := p.enter(req); err != nil {
-		return err
-	}
-	return p.Store.Put(key, data)
-}
-
-func (p *probeStore) Get(key string) ([]byte, error) {
-	req := "get " + key
-	defer p.leave(req)
-	if err := p.enter(req); err != nil {
-		return nil, err
-	}
-	return p.Store.Get(key)
-}
-
-func (p *probeStore) GetRange(key string, off, n int64) ([]byte, error) {
-	req := fmt.Sprintf("getrange %s@%d", key, off)
-	defer p.leave(req)
-	if err := p.enter(req); err != nil {
-		return nil, err
-	}
-	return p.Store.GetRange(key, off, n)
-}
-
-func isMetaGet(req string) bool {
-	return strings.HasPrefix(req, "get containers/") && strings.HasSuffix(req, ".meta")
+func isMetaGet(op oss.Op) bool {
+	return op.Kind == oss.KindGet && strings.HasPrefix(op.Key, container.Prefix) && strings.HasSuffix(op.Key, ".meta")
 }
 
 // isSegmentRead matches the ranged read of one segment recipe (not the
 // prefix read at offset 0 that opens the reader).
-func isSegmentRead(req string) bool {
-	return strings.HasPrefix(req, "getrange recipes/") && strings.Contains(req, ".recipe@") && !strings.HasSuffix(req, "@0")
+func isSegmentRead(op oss.Op) bool {
+	return op.Kind == oss.KindGetRange && strings.HasPrefix(op.Key, "recipes/") && strings.HasSuffix(op.Key, ".recipe") && op.Off != 0
 }
 
 // optimizedChain backs up versions of one file over store, running the
@@ -257,14 +132,14 @@ func TestResolveWaves(t *testing.T) {
 		t.Fatalf("fixture has no redirects into new containers (redirects %d, targets %d)", redirects, len(targets))
 	}
 
-	probe := newProbe(t, mem)
-	repo, err := core.OpenRepo(probe, cfg) // cold caches
+	probe := newProbe(mem)
+	repo, err := core.OpenRepo(probe.store, cfg) // cold caches
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := New(repo, "l0")
-	probe.reset()
-	probe.expectWaves(isMetaGet, len(homes), len(targets))
+	probe.rec.Take()
+	probe.bar.Expect(isMetaGet, len(homes), len(targets))
 	opsBefore := repo.Global.Ops()
 	var buf bytes.Buffer
 	st, err := n.Restore("f", 0, &buf)
@@ -274,8 +149,8 @@ func TestResolveWaves(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), kept[0]) {
 		t.Fatal("restored bytes differ")
 	}
-	if left := probe.pendingWaves(); left != 0 {
-		t.Fatalf("%d of the 2 expected metadata waves never formed", left)
+	if err := probe.bar.Err(); err != nil {
+		t.Fatalf("the two metadata waves: %v", err)
 	}
 	if got, want := len(probe.started(isMetaGet)), len(homes)+len(targets); got != want {
 		t.Errorf("%d metadata reads, want %d (each container once, in the first pass only)", got, want)
@@ -288,12 +163,10 @@ func TestResolveWaves(t *testing.T) {
 	}
 	// No data byte is requested before resolution finished.
 	sawData := false
-	for _, e := range probe.log() {
-		if strings.HasSuffix(e, ".data") || strings.Contains(e, ".data@") {
-			sawData = true
-		}
-		if sawData && isMetaGet(e) {
-			t.Fatalf("metadata read %q after the first data read", e)
+	for _, q := range probe.rec.Requests(nil) {
+		sawData = sawData || isData(q.Op)
+		if sawData && isMetaGet(q.Op) {
+			t.Fatalf("metadata read %q after the first data read", q.Op)
 		}
 	}
 }
@@ -308,8 +181,8 @@ func TestResolveSequenceMemoized(t *testing.T) {
 	mem := oss.NewMem()
 	data := optimizedChain(t, mem, cfg, 3, 1<<20, 1)[0]
 
-	probe := newProbe(t, mem)
-	repo, err := core.OpenRepo(probe, cfg)
+	probe := newProbe(mem)
+	repo, err := core.OpenRepo(probe.store, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +196,7 @@ func TestResolveSequenceMemoized(t *testing.T) {
 		distinct[rec.Container] = true
 	}
 
-	probe.reset()
+	probe.rec.Take()
 	var buf bytes.Buffer
 	st, err := n.Restore("f", 0, &buf)
 	if err != nil {
@@ -357,8 +230,8 @@ func TestRestoreRangeResolvesWindowOnly(t *testing.T) {
 	mem := oss.NewMem()
 	data := optimizedChain(t, mem, cfg, 82, 16<<20, 1)[0]
 
-	probe := newProbe(t, mem)
-	repo, err := core.OpenRepo(probe, cfg)
+	probe := newProbe(mem)
+	repo, err := core.OpenRepo(probe.store, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +252,7 @@ func TestRestoreRangeResolvesWindowOnly(t *testing.T) {
 		pos += int64(rec.Size)
 	}
 
-	probe.reset()
+	probe.rec.Take()
 	var buf bytes.Buffer
 	if _, err := n.RestoreRange("f", 0, off, length, &buf); err != nil {
 		t.Fatal(err)
@@ -420,8 +293,8 @@ func readAheadFixture() (core.Config, [][]byte) {
 // dedup loop is still working through the earlier ones.
 func TestSegmentReadAheadOverlapsDedup(t *testing.T) {
 	cfg, versions := readAheadFixture()
-	probe := newProbe(t, oss.NewMem())
-	repo, err := core.OpenRepo(probe, cfg)
+	probe := newProbe(oss.NewMem())
+	repo, err := core.OpenRepo(probe.store, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,21 +302,21 @@ func TestSegmentReadAheadOverlapsDedup(t *testing.T) {
 	if _, err := n.Backup("f", versions[0]); err != nil {
 		t.Fatal(err)
 	}
-	probe.reset()
-	probe.expectWaves(isSegmentRead, 1+segmentReadAhead)
+	probe.rec.Take()
+	probe.bar.Expect(isSegmentRead, 1+segmentReadAhead)
 	st, err := n.Backup("f", versions[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if probe.pendingWaves() != 0 {
-		t.Fatal("no segment read was ever in flight beside the demanded one")
+	if err := probe.bar.Err(); err != nil {
+		t.Fatalf("no segment read was ever in flight beside the demanded one: %v", err)
 	}
 	reads := len(probe.started(isSegmentRead))
 	if reads == 0 || reads > st.SegmentsFetched {
 		t.Errorf("%d segment reads for %d demanded segments: the prefix must serve the first ones", reads, st.SegmentsFetched)
 	}
-	if probe.inFlight() != 0 {
-		t.Errorf("%d requests still in flight after Backup returned", probe.inFlight())
+	if n, _ := probe.rec.InFlight(nil); n != 0 {
+		t.Errorf("%d requests still in flight after Backup returned", n)
 	}
 }
 
@@ -478,11 +351,17 @@ func TestSegmentReadAheadTwin(t *testing.T) {
 		})
 	}
 
-	// Which segment reads each mode issues for v1.
+	// Which segment reads each mode issues for v1, with the one named
+	// failing (if any) failed.
 	cfg, versions := readAheadFixture()
-	issued := func(step2 func(*backupJob) error, fail func(string) error) (map[string]bool, *BackupStats, *probeStore, error) {
-		probe := newProbe(t, oss.NewMem())
-		repo, err := core.OpenRepo(probe, cfg)
+	issued := func(step2 func(*backupJob) error, failing string) (map[string]bool, *BackupStats, *probeStore, error) {
+		probe := newProbe(oss.NewMem(), oss.LayerFunc(func(op oss.Op, next oss.Store) (oss.Op, error) {
+			if op.String() == failing {
+				return op, fmt.Errorf("%w: %s", oss.ErrInjected, op)
+			}
+			return oss.Do(next, op)
+		}))
+		repo, err := core.OpenRepo(probe.store, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -490,10 +369,7 @@ func TestSegmentReadAheadTwin(t *testing.T) {
 		if _, err := n.Backup("f", versions[0]); err != nil {
 			t.Fatal(err)
 		}
-		probe.reset()
-		probe.mu.Lock()
-		probe.fail = fail
-		probe.mu.Unlock()
+		probe.rec.Take()
 		st, err := n.backup("f", versions[1], versions[1], true, step2)
 		set := map[string]bool{}
 		for _, req := range probe.started(isSegmentRead) {
@@ -501,11 +377,11 @@ func TestSegmentReadAheadTwin(t *testing.T) {
 		}
 		return set, st, probe, err
 	}
-	demanded, want, _, err := issued(onDemand, nil)
+	demanded, want, _, err := issued(onDemand, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ahead, _, _, err := issued((*backupJob).dedupe, nil)
+	ahead, _, _, err := issued((*backupJob).dedupe, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,16 +405,7 @@ func TestSegmentReadAheadTwin(t *testing.T) {
 	if extra := len(ahead) - len(demanded); extra > 2*segmentReadAhead {
 		t.Errorf("%d unconsumed read-ahead reads for one gap in the demand sequence", extra)
 	}
-	failOn := func(target string) func(string) error {
-		return func(req string) error {
-			if req == target {
-				return fmt.Errorf("%w: %s", oss.ErrInjected, req)
-			}
-			return nil
-		}
-	}
-
-	_, got, probe, err := issued((*backupJob).dedupe, failOn(wasted))
+	_, got, probe, err := issued((*backupJob).dedupe, wasted)
 	if err != nil {
 		t.Fatalf("a failed read of a segment nobody demanded failed the job: %v", err)
 	}
@@ -555,16 +422,16 @@ func TestSegmentReadAheadTwin(t *testing.T) {
 	if got.Account.CPUTime() != want.Account.CPUTime() {
 		t.Errorf("virtual CPU %v with read-ahead, %v on demand", got.Account.CPUTime(), want.Account.CPUTime())
 	}
-	if probe.inFlight() != 0 {
-		t.Errorf("%d requests in flight after a successful job", probe.inFlight())
+	if n, _ := probe.rec.InFlight(nil); n != 0 {
+		t.Errorf("%d requests in flight after a successful job", n)
 	}
 
-	_, _, probe, err = issued((*backupJob).dedupe, failOn(needed))
+	_, _, probe, err = issued((*backupJob).dedupe, needed)
 	if !errors.Is(err, oss.ErrInjected) {
 		t.Fatalf("backup error = %v, want the injected fault of the demanded segment", err)
 	}
-	if probe.inFlight() != 0 {
-		t.Errorf("%d requests in flight after the failed job returned", probe.inFlight())
+	if n, _ := probe.rec.InFlight(nil); n != 0 {
+		t.Errorf("%d requests in flight after the failed job returned", n)
 	}
 }
 
@@ -573,8 +440,8 @@ func TestSegmentReadAheadTwin(t *testing.T) {
 // catalog put starts before all of them have returned — the version-info
 // object stays the last write and the commit point (DESIGN.md §6).
 func TestCommitWave(t *testing.T) {
-	probe := newProbe(t, oss.NewMem())
-	repo, err := core.OpenRepo(probe, testConfig())
+	probe := newProbe(oss.NewMem())
+	repo, err := core.OpenRepo(probe.store, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -583,42 +450,47 @@ func TestCommitWave(t *testing.T) {
 	if _, err := n.Backup("f", data); err != nil {
 		t.Fatal(err)
 	}
-	commitReq := func(req string) bool {
-		return strings.HasPrefix(req, "put recipes/") || strings.HasPrefix(req, "put simindex/") ||
-			strings.HasPrefix(req, "get catalog/")
+	commitReq := func(op oss.Op) bool {
+		return op.Kind == oss.KindPut && (strings.HasPrefix(op.Key, "recipes/") || strings.HasPrefix(op.Key, "simindex/")) ||
+			op.Kind == oss.KindGet && strings.HasPrefix(op.Key, "catalog/")
 	}
-	probe.reset()
-	probe.expectWaves(commitReq, 4)
+	probe.rec.Take()
+	probe.bar.Expect(commitReq, 4)
 	if _, err := n.Backup("f", mutate(data, 86, 60)); err != nil {
 		t.Fatal(err)
 	}
-	if probe.pendingWaves() != 0 {
-		t.Fatal("the commit's independent round trips were not issued together")
+	if err := probe.bar.Err(); err != nil {
+		t.Fatalf("the commit's independent round trips were not issued together: %v", err)
 	}
-	open, seen := 0, 0
-	for _, e := range probe.log() {
-		switch {
-		case commitReq(e):
-			open++
-			seen++
-		case strings.HasPrefix(e, "/") && commitReq(e[1:]):
-			open--
-		case strings.HasPrefix(e, "put catalog/"):
-			if seen != 4 || open != 0 {
-				t.Fatalf("%s started with %d of 4 commit requests issued, %d unfinished", e, seen, open)
+	commit := probe.rec.Requests(commitReq)
+	puts := probe.rec.Requests(func(op oss.Op) bool { return op.Kind == oss.KindPut })
+	for _, put := range puts {
+		if !strings.HasPrefix(put.Key, "catalog/") {
+			continue
+		}
+		seen, open := 0, 0
+		for _, q := range commit {
+			if q.Begin < put.Begin {
+				seen++
+				if q.End == 0 || q.End > put.Begin {
+					open++
+				}
 			}
 		}
+		if seen != 4 || open != 0 {
+			t.Fatalf("%s started with %d of 4 commit requests issued, %d unfinished", put.Op, seen, open)
+		}
 	}
-	if got := probe.started(func(req string) bool { return strings.HasPrefix(req, "put ") }); !strings.HasSuffix(got[len(got)-1], "00000001.info") {
-		t.Errorf("last put of the backup is %q, want the new version's info", got[len(got)-1])
+	if last := puts[len(puts)-1]; !strings.HasSuffix(last.Key, "00000001.info") {
+		t.Errorf("last put of the backup is %q, want the new version's info", last.Op)
 	}
 }
 
 // TestOpenBaseWave: the base version's recipe index and segment directory
 // are fetched together.
 func TestOpenBaseWave(t *testing.T) {
-	probe := newProbe(t, oss.NewMem())
-	repo, err := core.OpenRepo(probe, testConfig())
+	probe := newProbe(oss.NewMem())
+	repo, err := core.OpenRepo(probe.store, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -627,22 +499,23 @@ func TestOpenBaseWave(t *testing.T) {
 	if _, err := n.Backup("f", data); err != nil {
 		t.Fatal(err)
 	}
-	probe.expectWaves(func(req string) bool {
-		return strings.HasSuffix(req, ".index") || strings.HasSuffix(req, ".recipe@0")
+	probe.bar.Expect(func(op oss.Op) bool {
+		return strings.HasSuffix(op.Key, ".index") || strings.HasSuffix(op.Key, ".recipe") && op.Off == 0
 	}, 2)
 	if _, err := n.Backup("f", data); err != nil {
 		t.Fatal(err)
 	}
-	if probe.pendingWaves() != 0 {
-		t.Fatal("index and segment directory were not fetched together")
+	if err := probe.bar.Err(); err != nil {
+		t.Fatalf("index and segment directory were not fetched together: %v", err)
 	}
 }
 
-// TestBackupCrashAtEveryPut: a backup killed at any of its OSS puts —
-// every put of persist's waves among them — leaves, after a reopen, a new
-// version that is either absent from the catalog or restores byte for
-// byte; the previous version always restores, and a retry succeeds.
-func TestBackupCrashAtEveryPut(t *testing.T) {
+// TestBackupCrashAtEveryMutation: a backup killed at any of its OSS
+// mutations — every put of persist's waves among them, and every delete —
+// leaves, after a reopen, a new version that is either absent from the
+// catalog or restores byte for byte; the previous version always restores,
+// and a retry succeeds.
+func TestBackupCrashAtEveryMutation(t *testing.T) {
 	cfg := testConfig()
 	baseline := oss.NewMem()
 	v0 := optimizedChain(t, baseline, cfg, 88, 1<<20, 1)[0]
@@ -651,7 +524,7 @@ func TestBackupCrashAtEveryPut(t *testing.T) {
 	committed := 0
 	for budget := 0; ; budget++ {
 		if budget > 200 {
-			t.Fatal("backup still failing with a budget of 200 puts")
+			t.Fatal("backup still failing with a budget of 200 mutations")
 		}
 		mem := oss.NewMem()
 		keys, _ := baseline.List("")
@@ -661,13 +534,12 @@ func TestBackupCrashAtEveryPut(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		faulty := oss.NewFaulty(mem)
-		repo, err := core.OpenRepo(faulty, cfg)
+		// The open spends none of the budget: it mutates nothing.
+		repo, err := core.OpenRepo(oss.With(mem, oss.CrashAfter(budget)), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		n := New(repo, "l0")
-		faulty.FailPutsAfter(budget)
 		_, berr := n.Backup("f", v1)
 
 		repo, err = core.OpenRepo(mem, cfg)

@@ -126,13 +126,9 @@ func (s *Disk) GetRange(key string, off, n int64) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("oss: get range %s: %w", key, err)
 	}
-	size := st.Size()
-	if off < 0 || off > size {
-		return nil, fmt.Errorf("oss: range [%d,+%d) out of bounds for %s (size %d)", off, n, key, size)
-	}
-	end := size
-	if n >= 0 && off+n < end {
-		end = off + n
+	end, err := RangeEnd(key, off, n, st.Size())
+	if err != nil {
+		return nil, err
 	}
 	buf := make([]byte, end-off)
 	if _, err := f.ReadAt(buf, off); err != nil {

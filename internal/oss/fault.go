@@ -11,7 +11,7 @@ import (
 // ErrInjected marks failures produced by a Faulty store.
 var ErrInjected = errors.New("oss: injected fault")
 
-// Salts deriving the per-mode RNG streams from one seed (see Seed).
+// Salts of the per-mode RNG streams a Faulty that was never seeded draws from.
 const (
 	failSeedSalt    int64 = 0x5f3759df
 	corruptSeedSalt int64 = 0x2545f491
@@ -22,7 +22,7 @@ const (
 // flaky read, a store that dies after N operations, a whole backend going
 // dark). All knobs are safe for concurrent use.
 type Faulty struct {
-	inner Store
+	Store // inner seen through Do
 
 	mu       sync.Mutex
 	failPuts map[string]bool // keys whose Put fails
@@ -45,13 +45,14 @@ type Faulty struct {
 
 // NewFaulty wraps inner with no faults armed.
 func NewFaulty(inner Store) *Faulty {
-	return &Faulty{
-		inner:    inner,
+	f := &Faulty{
 		failPuts: make(map[string]bool),
 		failGets: make(map[string]bool),
 		putsLeft: -1,
 		corrupt:  make(map[string]bool),
 	}
+	f.Store = With(inner, f)
+	return f
 }
 
 // FailPut arms a failure for every Put of key.
@@ -101,19 +102,9 @@ func (f *Faulty) Outage() bool {
 	return f.down
 }
 
-// Seed arms both probabilistic RNG streams deterministically from one
-// seed. Each mode gets its own derived stream, so arming or disarming one
-// mode never perturbs the fault sequence of another.
-func (f *Faulty) Seed(seed int64) {
-	f.mu.Lock()
-	f.failRng = rand.New(rand.NewSource(seed ^ failSeedSalt))
-	f.corruptRng = rand.New(rand.NewSource(seed ^ corruptSeedSalt))
-	f.mu.Unlock()
-}
-
-// SetRand seeds the probabilistic modes from an injected RNG (two child
-// streams are derived, one per mode). Kept for callers that already hold
-// a *rand.Rand; Seed is the single-integer equivalent.
+// SetRand seeds the probabilistic modes from an injected RNG: two child
+// streams are derived, one per mode, so arming or disarming one mode
+// never perturbs the fault sequence of the other.
 func (f *Faulty) SetRand(r *rand.Rand) {
 	f.mu.Lock()
 	f.failRng = rand.New(rand.NewSource(r.Int63()))
@@ -170,121 +161,52 @@ func (f *Faulty) Ops() int64 {
 	return f.opCount
 }
 
-func (f *Faulty) putAllowed(key string) error {
+// gate counts op and decides its fate: an error to fail it with, or
+// whether its bytes come back flipped. The streams advance by kind alone
+// — a put draws the fail stream once, a get, getrange or head the fail and
+// the corrupt stream once each, a delete or list nothing — and before any
+// early return, so a mode's schedule is a function of the operation
+// sequence, never of which fault fired or what else is armed.
+func (f *Faulty) gate(op Op) (corrupt bool, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.opCount++
-	// Draw before any early return so the stream position depends only on
-	// the operation sequence, never on which fault fired.
-	failRoll := f.roll(&f.failRng, failSeedSalt, f.failRate)
-	if f.down {
-		return fmt.Errorf("%w: put %s (backend down)", ErrInjected, key)
+	put := op.Kind == KindPut
+	read := op.Kind == KindGet || op.Kind == KindGetRange || op.Kind == KindHead
+	failRoll := (put || read) && f.roll(&f.failRng, failSeedSalt, f.failRate)
+	corruptRoll := read && f.roll(&f.corruptRng, corruptSeedSalt, f.corruptRate)
+	switch {
+	case f.down:
+		return false, fmt.Errorf("%w: %s (backend down)", ErrInjected, op)
+	case put && f.failPuts[op.Key], read && f.failGets[op.Key]:
+		return false, fmt.Errorf("%w: %s", ErrInjected, op)
+	case put && f.putsLeft == 0:
+		return false, fmt.Errorf("%w: put budget exhausted at %s", ErrInjected, op.Key)
 	}
-	if f.failPuts[key] {
-		return fmt.Errorf("%w: put %s", ErrInjected, key)
-	}
-	if f.putsLeft == 0 {
-		return fmt.Errorf("%w: put budget exhausted at %s", ErrInjected, key)
-	}
-	if f.putsLeft > 0 {
+	if put && f.putsLeft > 0 {
 		f.putsLeft--
 	}
 	if failRoll {
-		return fmt.Errorf("%w: put %s (probabilistic)", ErrInjected, key)
+		return false, fmt.Errorf("%w: %s (probabilistic)", ErrInjected, op)
 	}
-	return nil
+	return read && (f.corrupt[op.Key] || corruptRoll), nil
 }
 
-func (f *Faulty) getCheck(key string) (corrupt bool, err error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.opCount++
-	// Both armed streams advance unconditionally: each mode's decision
-	// sequence is independent of the other mode's outcome and of the
-	// targeted maps, so schedules compose deterministically from one seed.
-	failRoll := f.roll(&f.failRng, failSeedSalt, f.failRate)
-	corruptRoll := f.roll(&f.corruptRng, corruptSeedSalt, f.corruptRate)
-	if f.down {
-		return false, fmt.Errorf("%w: get %s (backend down)", ErrInjected, key)
-	}
-	if f.failGets[key] {
-		return false, fmt.Errorf("%w: get %s", ErrInjected, key)
-	}
-	if failRoll {
-		return false, fmt.Errorf("%w: get %s (probabilistic)", ErrInjected, key)
-	}
-	return f.corrupt[key] || corruptRoll, nil
-}
-
-// Put implements Store.
-func (f *Faulty) Put(key string, data []byte) error {
-	if err := f.putAllowed(key); err != nil {
-		return err
-	}
-	return f.inner.Put(key, data)
-}
-
-// Get implements Store.
-func (f *Faulty) Get(key string) ([]byte, error) {
-	corrupt, err := f.getCheck(key)
+// Do implements Layer.
+func (f *Faulty) Do(op Op, next Store) (Op, error) {
+	corrupt, err := f.gate(op)
 	if err != nil {
-		return nil, err
+		return op, err
 	}
-	b, err := f.inner.Get(key)
-	if err == nil && corrupt && len(b) > 0 {
-		// Flip a copy: b is the inner store's read-only result and may be
-		// the stored object itself, so a flip in place would rot the object
-		// at rest and every view of it already handed out. The copy is what
-		// keeps a corrupt read transient; at-rest rot is a Put of damaged
+	op, err = Do(next, op)
+	if err == nil && corrupt && len(op.Data) > 0 {
+		// Flip a copy: the result is the inner store's read-only bytes and
+		// may be the stored object itself, so a flip in place would rot the
+		// object at rest and every view of it already handed out. The copy is
+		// what keeps a corrupt read transient; at-rest rot is a Put of damaged
 		// bytes, never a read.
-		b = bytes.Clone(b)
-		b[len(b)/2] ^= 0xFF
+		op.Data = bytes.Clone(op.Data)
+		op.Data[len(op.Data)/2] ^= 0xFF
 	}
-	return b, err
-}
-
-// GetRange implements Store.
-func (f *Faulty) GetRange(key string, off, n int64) ([]byte, error) {
-	corrupt, err := f.getCheck(key)
-	if err != nil {
-		return nil, err
-	}
-	b, err := f.inner.GetRange(key, off, n)
-	if err == nil && corrupt && len(b) > 0 {
-		b = bytes.Clone(b) // a copy, as in Get
-		b[len(b)/2] ^= 0xFF
-	}
-	return b, err
-}
-
-// Head implements Store.
-func (f *Faulty) Head(key string) (int64, error) {
-	if _, err := f.getCheck(key); err != nil {
-		return 0, err
-	}
-	return f.inner.Head(key)
-}
-
-// Delete implements Store.
-func (f *Faulty) Delete(key string) error {
-	f.mu.Lock()
-	f.opCount++
-	down := f.down
-	f.mu.Unlock()
-	if down {
-		return fmt.Errorf("%w: delete %s (backend down)", ErrInjected, key)
-	}
-	return f.inner.Delete(key)
-}
-
-// List implements Store.
-func (f *Faulty) List(prefix string) ([]string, error) {
-	f.mu.Lock()
-	f.opCount++
-	down := f.down
-	f.mu.Unlock()
-	if down {
-		return nil, fmt.Errorf("%w: list %s (backend down)", ErrInjected, prefix)
-	}
-	return f.inner.List(prefix)
+	return op, err
 }

@@ -14,7 +14,7 @@ import (
 // beside Faulty because the suites of five packages run over it; it keeps
 // every returned slice alive, so it is not for production stores.
 type Frozen struct {
-	Store
+	Store // inner seen through Do
 
 	mu    sync.Mutex
 	views []frozenView
@@ -32,35 +32,28 @@ var frozenTable = crc32.MakeTable(crc32.Castagnoli)
 
 // NewFrozen wraps inner.
 func NewFrozen(inner Store) *Frozen {
-	return &Frozen{Store: inner, seen: make(map[*byte]int)}
+	f := &Frozen{seen: make(map[*byte]int)}
+	f.Store = With(inner, f)
+	return f
 }
 
-// record remembers b. A sharing store returns the same view on every read
-// of an unchanged object, so a view is kept once (and a shorter view from
-// the same first byte is covered by the longer one).
-func (f *Frozen) record(key string, b []byte, err error) ([]byte, error) {
-	if err != nil || len(b) == 0 {
-		return b, err
+// Do implements Layer: what a get or getrange returned is remembered. A
+// sharing store returns the same view on every read of an unchanged
+// object, so a view is kept once (and a shorter view from the same first
+// byte is covered by the longer one).
+func (f *Frozen) Do(op Op, next Store) (Op, error) {
+	op, err := Do(next, op)
+	b := op.Data
+	if err != nil || len(b) == 0 || op.Kind == KindPut {
+		return op, err
 	}
 	f.mu.Lock()
 	if f.seen[&b[0]] < len(b) {
 		f.seen[&b[0]] = len(b)
-		f.views = append(f.views, frozenView{key, b, crc32.Checksum(b, frozenTable)})
+		f.views = append(f.views, frozenView{op.Key, b, crc32.Checksum(b, frozenTable)})
 	}
 	f.mu.Unlock()
-	return b, nil
-}
-
-// Get implements Store.
-func (f *Frozen) Get(key string) ([]byte, error) {
-	b, err := f.Store.Get(key)
-	return f.record(key, b, err)
-}
-
-// GetRange implements Store.
-func (f *Frozen) GetRange(key string, off, n int64) ([]byte, error) {
-	b, err := f.Store.GetRange(key, off, n)
-	return f.record(key, b, err)
+	return op, nil
 }
 
 // Check re-hashes every view returned so far, oldest first, and names the

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"sort"
@@ -151,14 +152,19 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 func writeStoreErr(w http.ResponseWriter, err error) {
-	if strings.Contains(err.Error(), "key not found") {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
+	code := http.StatusInternalServerError
+	switch {
+	case errors.Is(err, ErrNotFound):
+		code = http.StatusNotFound
+	case errors.Is(err, errRange):
+		code = http.StatusRequestedRangeNotSatisfiable
 	}
-	http.Error(w, err.Error(), http.StatusInternalServerError)
+	http.Error(w, err.Error(), code)
 }
 
-// parseRange parses "bytes=a-b" (inclusive b) or "bytes=a-".
+// parseRange parses "bytes=a-b" (inclusive b) or "bytes=a-" into GetRange's
+// (off, n). A b at the top of int64 means "to the end": its length would
+// not fit, and no object reaches it.
 func parseRange(h string) (off, n int64, ok bool) {
 	h = strings.TrimPrefix(h, "bytes=")
 	parts := strings.SplitN(h, "-", 2)
@@ -175,6 +181,9 @@ func parseRange(h string) (off, n int64, ok bool) {
 	end, err := strconv.ParseInt(parts[1], 10, 64)
 	if err != nil || end < off {
 		return 0, 0, false
+	}
+	if end == math.MaxInt64 {
+		return off, -1, true
 	}
 	return off, end - off + 1, true
 }

@@ -4,11 +4,18 @@
 //
 // The deduplication and restore algorithms only observe OSS through three
 // properties — per-request latency, per-channel bandwidth, and request
-// counts — so the simulation models exactly those, via the Metered wrapper
-// charging a simclock.Account. Backends: an in-memory map (tests,
+// counts — so the simulation models exactly those, via the Metered layer
+// charging a simclock.Account. Back ends: an in-memory map (tests,
 // experiments), an on-disk directory (durable local runs), and an HTTP
 // client speaking to the S3-like server in this package (multi-process
 // runs).
+//
+// Everything between a caller and a back end is a Layer: a request is an
+// Op value, With(base, layers...) is the one composition, and Metered,
+// Prefixed, Retry, Faulty and Frozen are each one Do. A layer may rewrite
+// the op before handing it on. It may issue it to the store beneath zero
+// or more times. It must not retain a put's Data past its return, and must
+// not write through a result.
 //
 // Object bytes cross the Store interface under two mirror-image ownership
 // rules, which together let a byte travel from the store to a restore's
@@ -34,6 +41,10 @@ import (
 
 // ErrNotFound is returned when a key does not exist.
 var ErrNotFound = errors.New("oss: key not found")
+
+// errRange marks a GetRange whose offset lies outside the object: the
+// server's 416, which a client does not retry.
+var errRange = errors.New("oss: range out of bounds")
 
 // Store is the object-store abstraction. Keys are slash-separated paths.
 // Implementations must be safe for concurrent use.
@@ -106,14 +117,26 @@ func (s *Mem) GetRange(key string, off, n int64) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	if off < 0 || off > int64(len(v)) {
-		return nil, fmt.Errorf("oss: range [%d,+%d) out of bounds for %s (size %d)", off, n, key, len(v))
-	}
-	end := int64(len(v))
-	if n >= 0 && off+n < end {
-		end = off + n
+	end, err := RangeEnd(key, off, n, int64(len(v)))
+	if err != nil {
+		return nil, err
 	}
 	return v[off:end:end], nil
+}
+
+// RangeEnd resolves GetRange's (off, n) against an object of size bytes:
+// the offset one past the last byte to return, or an error when off lies
+// outside the object. n < 0, and any n reaching past the end, mean "to
+// the end"; n is compared with what is left, never added to off, so no
+// request can make the arithmetic wrap.
+func RangeEnd(key string, off, n, size int64) (int64, error) {
+	if off < 0 || off > size {
+		return 0, fmt.Errorf("%w: [%d,+%d) of %s (size %d)", errRange, off, n, key, size)
+	}
+	if n < 0 || n > size-off {
+		return size, nil
+	}
+	return off + n, nil
 }
 
 // Head implements Store.
@@ -181,78 +204,37 @@ func (s *Mem) Len() int {
 	return len(s.m)
 }
 
-// Metered wraps a Store and charges every operation to a simclock.Account
-// under a cost model. All SLIMSTORE components access OSS through a Metered
-// store so experiments can attribute I/O time and bytes.
+// Metered charges every operation to a simclock.Account under a cost
+// model. All SLIMSTORE components access OSS through a Metered store so
+// experiments can attribute I/O time and bytes.
 type Metered struct {
-	inner Store
+	Store // inner seen through Do
 	costs simclock.Costs
 	acct  *simclock.Account
 }
 
-// NewMetered wraps inner; acct may be nil to disable accounting.
+// NewMetered wraps inner; acct may be nil to disable accounting. Jobs
+// running in parallel charge separate accounts through separate Metered
+// views of one shared store.
 func NewMetered(inner Store, costs simclock.Costs, acct *simclock.Account) *Metered {
-	return &Metered{inner: inner, costs: costs, acct: acct}
+	s := &Metered{costs: costs, acct: acct}
+	s.Store = With(inner, s)
+	return s
 }
 
-// Account returns the account being charged.
-func (s *Metered) Account() *simclock.Account { return s.acct }
-
-// WithAccount returns a view of the same underlying store charging a
-// different account. Jobs running in parallel on separate L-nodes use
-// separate accounts over one shared store.
-func (s *Metered) WithAccount(acct *simclock.Account) *Metered {
-	return &Metered{inner: s.inner, costs: s.costs, acct: acct}
-}
-
-// Put implements Store.
-func (s *Metered) Put(key string, data []byte) error {
-	if s.acct != nil {
-		s.acct.ChargeWrite(s.costs, int64(len(data)))
+// Do implements Layer: a put or delete is charged as a write when issued,
+// anything else as a read of the bytes it returned once it succeeds.
+func (s *Metered) Do(op Op, next Store) (Op, error) {
+	if s.acct == nil {
+		return Do(next, op)
 	}
-	return s.inner.Put(key, data)
-}
-
-// Get implements Store.
-func (s *Metered) Get(key string) ([]byte, error) {
-	v, err := s.inner.Get(key)
-	if err == nil && s.acct != nil {
-		s.acct.ChargeRead(s.costs, int64(len(v)))
+	if op.Kind == KindPut || op.Kind == KindDelete {
+		s.acct.ChargeWrite(s.costs, int64(len(op.Data)))
+		return Do(next, op)
 	}
-	return v, err
-}
-
-// GetRange implements Store.
-func (s *Metered) GetRange(key string, off, n int64) ([]byte, error) {
-	v, err := s.inner.GetRange(key, off, n)
-	if err == nil && s.acct != nil {
-		s.acct.ChargeRead(s.costs, int64(len(v)))
+	op, err := Do(next, op)
+	if err == nil {
+		s.acct.ChargeRead(s.costs, int64(len(op.Data)))
 	}
-	return v, err
-}
-
-// Head implements Store.
-func (s *Metered) Head(key string) (int64, error) {
-	n, err := s.inner.Head(key)
-	if err == nil && s.acct != nil {
-		s.acct.ChargeRead(s.costs, 0)
-	}
-	return n, err
-}
-
-// Delete implements Store.
-func (s *Metered) Delete(key string) error {
-	if s.acct != nil {
-		s.acct.ChargeWrite(s.costs, 0)
-	}
-	return s.inner.Delete(key)
-}
-
-// List implements Store.
-func (s *Metered) List(prefix string) ([]string, error) {
-	keys, err := s.inner.List(prefix)
-	if err == nil && s.acct != nil {
-		s.acct.ChargeRead(s.costs, 0)
-	}
-	return keys, err
+	return op, err
 }

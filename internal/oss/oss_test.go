@@ -160,17 +160,25 @@ func (r *fatalRecorder) Fatal(args ...any) {
 func (r *fatalRecorder) Fatalf(format string, args ...any) { r.Fatal(fmt.Sprintf(format, args...)) }
 
 // TestContractCatchesARetainingStore: the contract fails, at its Put
-// check, on a store that keeps the buffer it was handed.
+// check, on a store that keeps the buffer it was handed — bare, and seen
+// through the layers the product stacks, none of which may mask it.
 func TestContractCatchesARetainingStore(t *testing.T) {
-	rec := &fatalRecorder{}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		storeUnderTest(rec, retainingStore{NewMem(), map[string][]byte{}})
-	}()
-	<-done
-	if !strings.Contains(rec.msg, "did Put keep the caller's buffer?") {
-		t.Errorf("the contract said %q of a store that retains Put's buffer", rec.msg)
+	for name, wrap := range map[string]func(Store) Store{
+		"bare": func(s Store) Store { return s },
+		"layered": func(s Store) Store {
+			return NewMetered(NewPrefixed(NewRetry(s, 2, time.Millisecond, nil), "ns"), simclock.DefaultCosts(), simclock.NewAccount())
+		},
+	} {
+		rec := &fatalRecorder{}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			storeUnderTest(rec, wrap(retainingStore{NewMem(), map[string][]byte{}}))
+		}()
+		<-done
+		if !strings.Contains(rec.msg, "did Put keep the caller's buffer?") {
+			t.Errorf("%s: the contract said %q of a store that retains Put's buffer", name, rec.msg)
+		}
 	}
 }
 
@@ -189,15 +197,25 @@ func TestHTTPStore(t *testing.T) {
 	storeUnderTest(t, NewClient(srv.URL, srv.Client()))
 }
 
-// TestWrapperStores holds every wrapper to the contract of what it wraps
-// (Prefixed and Retry run it from their own tests, ec.Store and ec.Router
-// from contract_ec_test.go).
+// TestWrapperStores holds every layer, alone over a Mem, and every
+// composition the product builds to the contract of what it wraps
+// (Metered over the ec.Router, ec.Store and ec.Router run it from
+// contract_ec_test.go).
 func TestWrapperStores(t *testing.T) {
+	costs := simclock.DefaultCosts()
+	srv := httptest.NewServer(NewServer(NewMem()))
+	defer srv.Close()
 	for name, s := range map[string]Store{
-		"Metered": NewMetered(NewMem(), simclock.DefaultCosts(), simclock.NewAccount()),
-		"Faulty":  NewFaulty(NewMem()),
-		"Frozen":  NewFrozen(NewMem()),
-		"Backend": NewBackendSet(NewMem(), 3, simclock.DefaultCosts())[1].Store,
+		"Metered":    NewMetered(NewMem(), costs, simclock.NewAccount()),
+		"Prefixed":   NewPrefixed(NewMem(), "x"),
+		"Retry":      NewRetry(NewMem(), 2, time.Millisecond, func(time.Duration) {}),
+		"Faulty":     NewFaulty(NewMem()),
+		"Frozen":     NewFrozen(NewMem()),
+		"TestLayers": With(NewMem(), &Recorder{}, &Barrier{}, CrashAfter(-1), Sleep(0)),
+		"NoLayers":   With(NewMem()),
+		"Backend":    NewBackendSet(NewMem(), 3, costs)[1].Store,                                // Faulty over Prefixed
+		"Namespaced": NewMetered(NewPrefixed(NewMem(), "tenant"), costs, simclock.NewAccount()), // slimstore.NamespacedStore under a repo
+		"OpenHTTP":   NewRetry(NewClient(srv.URL, srv.Client()), 4, 0, nil),                     // slimstore.OpenHTTP
 	} {
 		t.Run(name, func(t *testing.T) { storeUnderTest(t, s) })
 	}
@@ -293,7 +311,8 @@ func TestMemConcurrency(t *testing.T) {
 func TestMeteredAccounting(t *testing.T) {
 	costs := simclock.DefaultCosts()
 	acct := simclock.NewAccount()
-	s := NewMetered(NewMem(), costs, acct)
+	mem := NewMem()
+	s := NewMetered(mem, costs, acct)
 
 	payload := make([]byte, 1<<20)
 	if err := s.Put("obj", payload); err != nil {
@@ -322,17 +341,13 @@ func TestMeteredAccounting(t *testing.T) {
 		t.Fatal("failed Get was charged")
 	}
 
-	// WithAccount charges the other account against the same data.
+	// A second view charges its own account against the same data.
 	acct2 := simclock.NewAccount()
-	s2 := s.WithAccount(acct2)
-	if _, err := s2.Get("obj"); err != nil {
+	if _, err := NewMetered(mem, costs, acct2).Get("obj"); err != nil {
 		t.Fatal(err)
 	}
-	if acct2.IO().Reads != 1 {
-		t.Fatal("WithAccount did not charge the new account")
-	}
-	if acct.IO().Reads != before {
-		t.Fatal("WithAccount still charged the old account")
+	if acct2.IO().Reads != 1 || acct.IO().Reads != before {
+		t.Fatalf("a second view charged %d reads to its account and %d to the first's", acct2.IO().Reads, acct.IO().Reads-before)
 	}
 }
 
@@ -429,8 +444,6 @@ func TestPrefixedIsolation(t *testing.T) {
 	if len(phys) != 1 || phys[0] != "tenant-a/containers/C1" {
 		t.Fatalf("physical keys = %v", phys)
 	}
-	// The full Store contract holds under a prefix.
-	storeUnderTest(t, NewPrefixed(NewMem(), "x"))
 }
 
 func TestHTTPOversizePutRejected(t *testing.T) {

@@ -6,7 +6,7 @@ import "strings"
 // on one physical object store (the paper's global index is per user; one
 // bucket-per-user deployment maps to one Prefixed view per user).
 type Prefixed struct {
-	inner  Store
+	Store  // inner seen through Do
 	prefix string
 }
 
@@ -16,37 +16,23 @@ func NewPrefixed(inner Store, prefix string) *Prefixed {
 	if prefix != "" && !strings.HasSuffix(prefix, "/") {
 		prefix += "/"
 	}
-	return &Prefixed{inner: inner, prefix: prefix}
+	p := &Prefixed{prefix: prefix}
+	p.Store = With(inner, p)
+	return p
 }
 
-func (p *Prefixed) key(k string) string { return p.prefix + k }
-
-// Put implements Store.
-func (p *Prefixed) Put(key string, data []byte) error { return p.inner.Put(p.key(key), data) }
-
-// Get implements Store.
-func (p *Prefixed) Get(key string) ([]byte, error) { return p.inner.Get(p.key(key)) }
-
-// GetRange implements Store.
-func (p *Prefixed) GetRange(key string, off, n int64) ([]byte, error) {
-	return p.inner.GetRange(p.key(key), off, n)
-}
-
-// Head implements Store.
-func (p *Prefixed) Head(key string) (int64, error) { return p.inner.Head(p.key(key)) }
-
-// Delete implements Store.
-func (p *Prefixed) Delete(key string) error { return p.inner.Delete(p.key(key)) }
-
-// List implements Store.
-func (p *Prefixed) List(prefix string) ([]string, error) {
-	keys, err := p.inner.List(p.key(prefix))
-	if err != nil {
-		return nil, err
+// Do implements Layer: the key (a list's prefix) goes down prefixed, and
+// a list's keys come back without it.
+func (p *Prefixed) Do(op Op, next Store) (Op, error) {
+	op.Key = p.prefix + op.Key
+	op, err := Do(next, op)
+	if err != nil || op.Kind != KindList {
+		return op, err
 	}
-	out := make([]string, 0, len(keys))
-	for _, k := range keys {
+	out := make([]string, 0, len(op.Keys))
+	for _, k := range op.Keys {
 		out = append(out, strings.TrimPrefix(k, p.prefix))
 	}
-	return out, nil
+	op.Keys = out
+	return op, nil
 }

@@ -9,9 +9,9 @@ import (
 	"time"
 )
 
-// DefaultMaxBackoff caps the exponential backoff delay so long retry
-// chains degrade to steady polling instead of unbounded sleeps.
-const DefaultMaxBackoff = 10 * time.Second
+// maxBackoff caps the exponential backoff delay so long retry chains
+// degrade to steady polling instead of unbounded sleeps.
+const maxBackoff = 10 * time.Second
 
 // Retry wraps a Store with bounded retries and capped, fully-jittered
 // exponential backoff for transient failures — production resilience for
@@ -22,10 +22,9 @@ const DefaultMaxBackoff = 10 * time.Second
 // The sleeper is injectable so tests (and the virtual-time harness) avoid
 // real sleeping.
 type Retry struct {
-	inner    Store
+	Store    // inner seen through Do
 	attempts int
 	base     time.Duration
-	maxDelay time.Duration
 	sleep    func(time.Duration)
 
 	jitMu sync.Mutex
@@ -45,7 +44,7 @@ type Retry struct {
 var retrySeq atomic.Int64
 
 // NewRetry wraps inner with `attempts` total tries (minimum 1) and
-// exponential backoff starting at base, capped at DefaultMaxBackoff.
+// exponential backoff starting at base, capped at maxBackoff.
 // sleep may be nil for time.Sleep.
 func NewRetry(inner Store, attempts int, base time.Duration, sleep func(time.Duration)) *Retry {
 	if attempts < 1 {
@@ -57,22 +56,15 @@ func NewRetry(inner Store, attempts int, base time.Duration, sleep func(time.Dur
 	if sleep == nil {
 		sleep = time.Sleep
 	}
-	return &Retry{
-		inner:       inner,
+	r := &Retry{
 		attempts:    attempts,
 		base:        base,
-		maxDelay:    DefaultMaxBackoff,
 		sleep:       sleep,
 		rng:         rand.New(rand.NewSource(retrySeq.Add(1))),
 		IsTransient: IsTransient,
 	}
-}
-
-// SetMaxBackoff overrides the backoff cap.
-func (r *Retry) SetMaxBackoff(d time.Duration) {
-	if d > 0 {
-		r.maxDelay = d
-	}
+	r.Store = With(inner, r)
+	return r
 }
 
 // SetRand injects a deterministic jitter source (tests).
@@ -107,71 +99,20 @@ func (r *Retry) jitter(d time.Duration) time.Duration {
 	return time.Duration(r.rng.Int63n(int64(d) + 1))
 }
 
-// do runs op with retries.
-func (r *Retry) do(what string, op func() error) error {
+// Do implements Layer: the request is issued until it succeeds, fails
+// permanently (not found, 4xx — the caller sees that error as it is) or
+// has used its attempts (the last error, wrapped with their number).
+func (r *Retry) Do(op Op, next Store) (Op, error) {
 	delay := r.base
-	var err error
-	for i := 0; i < r.attempts; i++ {
-		if err = op(); err == nil {
-			return nil
+	for i := 1; ; i++ {
+		res, err := Do(next, op)
+		if err == nil || !r.IsTransient(err) {
+			return res, err
 		}
-		if !r.IsTransient(err) {
-			return err // permanent (e.g. not found, 4xx): caller sees it as-is
-		}
-		if i == r.attempts-1 {
-			break
+		if i >= r.attempts {
+			return res, fmt.Errorf("oss: %s failed after %d attempts: %w", op, r.attempts, err)
 		}
 		r.sleep(r.jitter(delay))
-		delay *= 2
-		if delay > r.maxDelay {
-			delay = r.maxDelay
-		}
+		delay = min(2*delay, maxBackoff)
 	}
-	return fmt.Errorf("oss: %s failed after %d attempts: %w", what, r.attempts, err)
-}
-
-// Put implements Store.
-func (r *Retry) Put(key string, data []byte) error {
-	return r.do("put "+key, func() error { return r.inner.Put(key, data) })
-}
-
-// Get implements Store.
-func (r *Retry) Get(key string) (b []byte, err error) {
-	err = r.do("get "+key, func() error {
-		b, err = r.inner.Get(key)
-		return err
-	})
-	return b, err
-}
-
-// GetRange implements Store.
-func (r *Retry) GetRange(key string, off, n int64) (b []byte, err error) {
-	err = r.do("get range "+key, func() error {
-		b, err = r.inner.GetRange(key, off, n)
-		return err
-	})
-	return b, err
-}
-
-// Head implements Store.
-func (r *Retry) Head(key string) (n int64, err error) {
-	err = r.do("head "+key, func() error {
-		n, err = r.inner.Head(key)
-		return err
-	})
-	return n, err
-}
-
-// Delete implements Store.
-func (r *Retry) Delete(key string) error {
-	return r.do("delete "+key, func() error { return r.inner.Delete(key) })
-}
-
-// List implements Store.
-func (r *Retry) List(prefix string) (keys []string, err error) {
-	err = r.do("list "+prefix, func() error {
-		keys, err = r.inner.List(prefix)
-		return err
-	})
-	return keys, err
 }

@@ -2,37 +2,30 @@ package oss
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// flaky fails the first n calls of each operation, then succeeds.
-type flaky struct {
-	Store
-	failures int32
-}
-
-func (f *flaky) Get(key string) ([]byte, error) {
-	if atomic.AddInt32(&f.failures, -1) >= 0 {
-		return nil, errors.New("transient blip")
-	}
-	return f.Store.Get(key)
-}
-
-func (f *flaky) Put(key string, data []byte) error {
-	if atomic.AddInt32(&f.failures, -1) >= 0 {
-		return errors.New("transient blip")
-	}
-	return f.Store.Put(key, data)
+// flaky fails the first n requests, whatever their kind, then passes
+// everything through to s.
+func flaky(s Store, n int32) Store {
+	return With(s, LayerFunc(func(op Op, next Store) (Op, error) {
+		if atomic.AddInt32(&n, -1) >= 0 {
+			return op, errors.New("transient blip")
+		}
+		return Do(next, op)
+	}))
 }
 
 func TestRetryRecoversTransient(t *testing.T) {
 	mem := NewMem()
 	mem.Put("k", []byte("v"))
 	var slept []time.Duration
-	r := NewRetry(&flaky{Store: mem, failures: 2}, 4, 10*time.Millisecond,
+	r := NewRetry(flaky(mem, 2), 4, 10*time.Millisecond,
 		func(d time.Duration) { slept = append(slept, d) })
 	r.SetRand(rand.New(rand.NewSource(7)))
 	got, err := r.Get("k")
@@ -50,18 +43,15 @@ func TestRetryRecoversTransient(t *testing.T) {
 }
 
 func TestRetryBackoffCapped(t *testing.T) {
-	mem := NewMem()
 	var slept []time.Duration
-	r := NewRetry(&flaky{Store: mem, failures: 100}, 10, 100*time.Millisecond,
-		func(d time.Duration) { slept = append(slept, d) })
-	r.SetMaxBackoff(300 * time.Millisecond)
+	r := NewRetry(flaky(NewMem(), 100), 10, 2*time.Second, func(d time.Duration) { slept = append(slept, d) })
 	r.SetRand(rand.New(rand.NewSource(7)))
-	r.Put("k", []byte("v")) // exhausts
+	r.Put("k", []byte("v")) // exhausts: uncapped, the ninth delay is drawn from [0, 512 s]
 	if len(slept) != 9 {
 		t.Fatalf("slept %d times, want 9", len(slept))
 	}
 	for i, d := range slept {
-		if d > 300*time.Millisecond {
+		if d > maxBackoff {
 			t.Fatalf("sleep %d = %v exceeds the cap", i, d)
 		}
 	}
@@ -91,50 +81,50 @@ func TestRetryClassifiesHTTPStatus(t *testing.T) {
 // A 4xx from the server must surface immediately instead of burning the
 // retry budget.
 func TestRetryDoesNotRetryPermanentStatus(t *testing.T) {
-	calls := 0
-	bad := &storeFunc{inner: NewMem(), onGet: func() { calls++ }}
-	r := NewRetry(&statusFailing{Store: bad, code: 403}, 5, time.Millisecond, func(time.Duration) {})
+	r, reached := failing(&StatusError{Op: "get", Key: "k", Code: 403})
 	_, err := r.Get("k")
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != 403 {
 		t.Fatalf("err = %v, want StatusError 403", err)
 	}
-	if calls != 1 {
+	if calls := len(reached.Take()); calls != 1 {
 		t.Fatalf("permanent status retried %d times", calls)
 	}
 }
 
-// statusFailing responds to every Get with an HTTP status error after
-// delegating the call count.
-type statusFailing struct {
-	Store
-	code int
+// sixKinds is one request of each kind.
+var sixKinds = []Op{{Kind: KindPut, Key: "k"}, {Kind: KindGet, Key: "k"}, {Kind: KindGetRange, Key: "k", N: 1},
+	{Kind: KindHead, Key: "k"}, {Kind: KindDelete, Key: "k"}, {Kind: KindList, Key: "k"}}
+
+// failing is a Retry of three attempts over a store every request to which
+// fails with err, and the recorder of what reached it.
+func failing(err error) (*Retry, *Recorder) {
+	reached := &Recorder{}
+	fail := LayerFunc(func(op Op, _ Store) (Op, error) { return op, err })
+	return NewRetry(With(NewMem(), reached, fail), 3, time.Millisecond, func(time.Duration) {}), reached
 }
 
-func (s *statusFailing) Get(key string) ([]byte, error) {
-	s.Store.Get(key)
-	return nil, &StatusError{Op: "get", Key: key, Code: s.code}
-}
-
+// Exhausted retries return the last error wrapped with the request and the
+// number of attempts, whatever the kind.
 func TestRetryExhausts(t *testing.T) {
-	mem := NewMem()
-	r := NewRetry(&flaky{Store: mem, failures: 100}, 3, time.Millisecond, func(time.Duration) {})
-	if err := r.Put("k", []byte("v")); err == nil {
-		t.Fatal("exhausted retries did not error")
+	blip := errors.New("transient blip")
+	for _, op := range sixKinds {
+		r, reached := failing(blip)
+		_, err := Do(r, op)
+		if !errors.Is(err, blip) || !strings.Contains(err.Error(), op.String()+" failed after 3 attempts") || len(reached.Take()) != 3 {
+			t.Errorf("%s: exhausted retries came back as %v", op, err)
+		}
 	}
 }
 
+// A permanent error is returned as it is, after one attempt.
 func TestRetryNotFoundIsPermanent(t *testing.T) {
-	calls := 0
-	mem := NewMem()
-	counting := storeFunc{inner: mem, onGet: func() { calls++ }}
-	r := NewRetry(&counting, 5, time.Millisecond, func(time.Duration) {})
-	_, err := r.Get("missing")
-	if !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v, want ErrNotFound", err)
-	}
-	if calls != 1 {
-		t.Fatalf("not-found retried %d times", calls)
+	gone := fmt.Errorf("%w: gone", ErrNotFound)
+	for _, op := range sixKinds {
+		r, reached := failing(gone)
+		if _, err := Do(r, op); err != gone || len(reached.Take()) != 1 {
+			t.Errorf("%s: a permanent error came back as %v", op, err)
+		}
 	}
 }
 
@@ -142,24 +132,6 @@ func TestRetryPassthrough(t *testing.T) {
 	r := NewRetry(NewMem(), 2, time.Millisecond, func(time.Duration) {})
 	storeUnderTest(t, r)
 }
-
-// storeFunc counts Get calls.
-type storeFunc struct {
-	inner Store
-	onGet func()
-}
-
-func (s *storeFunc) Put(key string, data []byte) error { return s.inner.Put(key, data) }
-func (s *storeFunc) Get(key string) ([]byte, error) {
-	s.onGet()
-	return s.inner.Get(key)
-}
-func (s *storeFunc) GetRange(key string, off, n int64) ([]byte, error) {
-	return s.inner.GetRange(key, off, n)
-}
-func (s *storeFunc) Head(key string) (int64, error)       { return s.inner.Head(key) }
-func (s *storeFunc) Delete(key string) error              { return s.inner.Delete(key) }
-func (s *storeFunc) List(prefix string) ([]string, error) { return s.inner.List(prefix) }
 
 func TestFaultyBasics(t *testing.T) {
 	mem := NewMem()

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"slimstore/internal/kvstore"
@@ -383,34 +382,19 @@ func TestSingleReplicaGroup(t *testing.T) {
 	}
 }
 
-// countingStore counts puts and reads at the base store, underneath the
-// kvstores and the replication log alike.
-type countingStore struct {
-	oss.Store
-	mu                       sync.Mutex
-	putOps, putBytes, getOps int64
-}
-
-func (s *countingStore) Put(key string, data []byte) error {
-	s.mu.Lock()
-	s.putOps++
-	s.putBytes += int64(len(data))
-	s.mu.Unlock()
-	return s.Store.Put(key, data)
-}
-
-func (s *countingStore) Get(key string) ([]byte, error) {
-	s.mu.Lock()
-	s.getOps++
-	s.mu.Unlock()
-	return s.Store.Get(key)
-}
-
-func (s *countingStore) GetRange(key string, off, n int64) ([]byte, error) {
-	s.mu.Lock()
-	s.getOps++
-	s.mu.Unlock()
-	return s.Store.GetRange(key, off, n)
+// traffic sums what a recorder at the base store saw, underneath the
+// kvstores and the replication log alike: puts, their bytes, and reads.
+func traffic(rec *oss.Recorder) (putOps, putBytes, getOps int64) {
+	for _, q := range rec.Requests(nil) {
+		switch q.Kind {
+		case oss.KindPut:
+			putOps++
+			putBytes += q.Bytes
+		case oss.KindGet, oss.KindGetRange:
+			getOps++
+		}
+	}
+	return
 }
 
 // TestReplicationOverheadBounded: the same index-shaped workload (64
@@ -458,8 +442,8 @@ func TestReplicationOverheadBounded(t *testing.T) {
 		}
 	}
 
-	single := &countingStore{Store: oss.NewMem()}
-	db, err := kvstore.Open(single, kvstore.Options{Prefix: "idx/"})
+	var single, group oss.Recorder
+	db, err := kvstore.Open(oss.With(oss.NewMem(), &single), kvstore.Options{Prefix: "idx/"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,24 +454,25 @@ func TestReplicationOverheadBounded(t *testing.T) {
 		return db.Sync() // the durability point the group's log put provides
 	}, db.Flush, db.GetMulti)
 
-	group := &countingStore{Store: oss.NewMem()}
-	g, err := Open(group, Options{Prefix: "grp/", Replicas: replicas})
+	g, err := Open(oss.With(oss.NewMem(), &group), Options{Prefix: "grp/", Replicas: replicas})
 	if err != nil {
 		t.Fatal(err)
 	}
 	run(g.Apply, g.Sync, g.GetMulti)
 
-	if single.putOps == 0 || single.getOps == 0 {
-		t.Fatalf("degenerate baseline: %+v", single)
+	sPuts, sBytes, sGets := traffic(&single)
+	gPuts, gBytes, gGets := traffic(&group)
+	if sPuts == 0 || sGets == 0 {
+		t.Fatalf("degenerate baseline: %d puts, %d gets", sPuts, sGets)
 	}
 	ratio := func(a, b int64) float64 { return float64(a) / float64(b) }
-	if r := ratio(group.putOps, single.putOps); r < 0.75 || r > 2.0 {
-		t.Errorf("put ops %d vs %d = %.2fx, want within [0.75, 2.0]", group.putOps, single.putOps, r)
+	if r := ratio(gPuts, sPuts); r < 0.75 || r > 2.0 {
+		t.Errorf("put ops %d vs %d = %.2fx, want within [0.75, 2.0]", gPuts, sPuts, r)
 	}
-	if r := ratio(group.putBytes, single.putBytes); r < 0.75 || r >= replicas {
-		t.Errorf("put bytes %d vs %d = %.2fx, want within [0.75, %d.0)", group.putBytes, single.putBytes, r, replicas)
+	if r := ratio(gBytes, sBytes); r < 0.75 || r >= replicas {
+		t.Errorf("put bytes %d vs %d = %.2fx, want within [0.75, %d.0)", gBytes, sBytes, r, replicas)
 	}
-	if r := ratio(group.getOps, single.getOps); r > 1.5 {
-		t.Errorf("get ops %d vs %d = %.2fx, want <= 1.5 (reads must stay leader-local)", group.getOps, single.getOps, r)
+	if r := ratio(gGets, sGets); r > 1.5 {
+		t.Errorf("get ops %d vs %d = %.2fx, want <= 1.5 (reads must stay leader-local)", gGets, sGets, r)
 	}
 }

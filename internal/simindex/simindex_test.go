@@ -1,11 +1,9 @@
 package simindex
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"slimstore/internal/fingerprint"
 	"slimstore/internal/oss"
@@ -168,53 +166,7 @@ func TestEntryRoundTrip(t *testing.T) {
 	}
 }
 
-// countStore counts requests by kind and tracks how many Gets overlap.
-type countStore struct {
-	oss.Store
-	mu               sync.Mutex
-	lists, gets      int
-	inflight, high   int
-	failGets         bool
-	removeDuringLoad func()        // run once, inside the first Get, before any other Get reads
-	together         chan struct{} // non-nil: the first Get waits here for a second to arrive
-}
-
-func (c *countStore) List(prefix string) ([]string, error) {
-	c.mu.Lock()
-	c.lists++
-	c.mu.Unlock()
-	return c.Store.List(prefix)
-}
-
-func (c *countStore) Get(key string) ([]byte, error) {
-	c.mu.Lock()
-	c.gets++
-	c.inflight++
-	c.high = max(c.high, c.inflight)
-	if hook := c.removeDuringLoad; hook != nil {
-		c.removeDuringLoad = nil
-		hook() // under mu: the wave's other Gets are still waiting for it
-	}
-	fail := c.failGets
-	wait := c.together
-	if c.gets == 2 && wait != nil {
-		close(wait)
-	}
-	first := c.gets == 1
-	c.mu.Unlock()
-	defer func() { c.mu.Lock(); c.inflight--; c.mu.Unlock() }()
-	if first && wait != nil {
-		select {
-		case <-wait:
-		case <-time.After(10 * time.Second):
-			return nil, errors.New("the first sketch read waited alone: the load is not a wave")
-		}
-	}
-	if fail {
-		return nil, errors.New("injected get failure")
-	}
-	return c.Store.Get(key)
-}
+func isKind(k oss.Kind) func(oss.Op) bool { return func(op oss.Op) bool { return op.Kind == k } }
 
 // TestOpenAsksForNothing: a handle that never queries never lists or reads
 // a sketch; Put and Remove before the first query touch only the store, and
@@ -230,8 +182,11 @@ func TestOpenAsksForNothing(t *testing.T) {
 		}
 	}
 
-	cs := &countStore{Store: mem, together: make(chan struct{})}
-	idx, err := Open(cs)
+	// The load's first two sketch reads are held until they wait together.
+	var rec oss.Recorder
+	var bar oss.Barrier
+	bar.Expect(isKind(oss.KindGet), 2)
+	idx, err := Open(oss.With(mem, &rec, &bar))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,8 +196,10 @@ func TestOpenAsksForNothing(t *testing.T) {
 	if err := idx.Remove("f", 0); err != nil {
 		t.Fatal(err)
 	}
-	if cs.lists != 0 || cs.gets != 0 {
-		t.Fatalf("open + put + remove issued %d lists and %d gets, want none", cs.lists, cs.gets)
+	lists := func() int { return len(rec.Requests(isKind(oss.KindList))) }
+	gets := func() int { return len(rec.Requests(isKind(oss.KindGet))) }
+	if lists() != 0 || gets() != 0 {
+		t.Fatalf("open + put + remove issued %d lists and %d gets, want none", lists(), gets())
 	}
 	for q := 0; q < 3; q++ {
 		m, ok, err := idx.Query(SketchOf(seqFPs(9000, 50), 16), 0.5)
@@ -256,11 +213,14 @@ func TestOpenAsksForNothing(t *testing.T) {
 	if vs, _ := idx.VersionsOf("f"); len(vs) != n-1 || vs[0] != 1 {
 		t.Fatalf("the version removed before the load is indexed: %v", vs)
 	}
-	if cs.lists != 1 || cs.gets != n {
-		t.Fatalf("three queries, Len and VersionsOf issued %d lists and %d gets, want 1 and %d", cs.lists, cs.gets, n)
+	if lists() != 1 || gets() != n {
+		t.Fatalf("three queries, Len and VersionsOf issued %d lists and %d gets, want 1 and %d", lists(), gets(), n)
 	}
-	if cs.high < 2 || cs.high > loadWidth {
-		t.Fatalf("the load had %d reads in flight at most, want a wave of up to %d", cs.high, loadWidth)
+	if err := bar.Err(); err != nil {
+		t.Fatalf("the load is not a wave: %v", err)
+	}
+	if _, high := rec.InFlight(isKind(oss.KindGet)); high < 2 || high > loadWidth {
+		t.Fatalf("the load had %d reads in flight at most, want a wave of up to %d", high, loadWidth)
 	}
 }
 
@@ -273,15 +233,16 @@ func TestLoadFailureIsReportedAndRetried(t *testing.T) {
 	if err := seed.Put("f", 0, sk); err != nil {
 		t.Fatal(err)
 	}
-	cs := &countStore{Store: mem, failGets: true}
-	idx, _ := Open(cs)
+	faulty := oss.NewFaulty(mem)
+	faulty.FailGet(entryKey("f", 0))
+	idx, _ := Open(faulty)
 	if _, _, err := idx.Query(sk, 0.5); err == nil {
 		t.Fatal("a query over an unreadable index reported no error")
 	}
 	if _, err := idx.Len(); err == nil {
 		t.Fatal("Len over an unreadable index reported no error")
 	}
-	cs.failGets = false
+	faulty.Clear()
 	if m, ok, err := idx.Query(sk, 0.5); err != nil || !ok || m.FileID != "f" {
 		t.Fatalf("query after the store healed: %+v, %v, %v", m, ok, err)
 	}
@@ -297,15 +258,20 @@ func TestRemoveDuringLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cs := &countStore{Store: mem}
-	cs.removeDuringLoad = func() {
-		for v := 0; v < 4; v++ {
-			if err := mem.Delete(entryKey("f", v)); err != nil {
-				t.Error(err)
-			}
+	// Inside the first read, before any other read of the wave proceeds.
+	var once sync.Once
+	idx, _ := Open(oss.With(mem, oss.LayerFunc(func(op oss.Op, next oss.Store) (oss.Op, error) {
+		if op.Kind == oss.KindGet {
+			once.Do(func() {
+				for v := 0; v < 4; v++ {
+					if err := mem.Delete(entryKey("f", v)); err != nil {
+						t.Error(err)
+					}
+				}
+			})
 		}
-	}
-	idx, _ := Open(cs)
+		return oss.Do(next, op)
+	})))
 	if n, err := idx.Len(); n != 0 || err != nil {
 		t.Fatalf("Len = %d, %v after every listed sketch vanished, want 0 and no error", n, err)
 	}

@@ -13,6 +13,11 @@ go vet ./...
 # simclock-charged packages, storage error discipline, context flow.
 # Zero findings is the bar; see DESIGN.md §9 for suppression rules.
 sh ./scripts/lint.sh
+# One interposition point on the store (DESIGN.md §6): the types that spell
+# out GetRange, and the test types that embed a store to override methods.
+[ "$(grep -rhE '^func \([a-z_]+ \*?[A-Za-z_]+\) GetRange\(' --include=*.go . | wc -l)" -le 10 ] &&
+	[ "$(grep -rhE '^\s*\*?(oss\.)?(Store|Mem)\s*(//.*)?$|struct\s*\{\s*\*?(oss\.)?(Store|Mem)\s*\}' --include=*_test.go . | wc -l)" -le 8 ] ||
+	{ echo "check: too many oss.Store implementations: wrap with oss.With(…) and a Layer instead of forwarding six methods" >&2; exit 1; }
 
 # Every `go test` below also runs the run-time invariant checks (DESIGN.md
 # §9) beside the race detector, with nothing to switch on: pooled buffers
@@ -81,4 +86,6 @@ if [ "$FUZZTIME" != "0s" ]; then
 	go test -run=NONE -fuzz='^FuzzReadPlan$' -fuzztime "$FUZZTIME" -fuzzminimizetime 1x ./internal/cache/
 	# The repository header: the one object every open trusts first.
 	go test -run=NONE -fuzz='^FuzzDecodeHeader$' -fuzztime "$FUZZTIME" ./internal/core/
+	# What the object server parses off the wire: method, path, Range header.
+	go test -run=NONE -fuzz='^FuzzServerRequest$' -fuzztime "$FUZZTIME" ./internal/oss/
 fi
