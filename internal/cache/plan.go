@@ -13,10 +13,12 @@ import (
 // deduplication and SCC, a container referenced by an old version often
 // holds only a few chunks that version still needs; fetching the whole
 // 4 MiB object to serve 32 KiB is read amplification the simclock cost
-// model makes visible. Given the chunks a restore needs from a container
-// and its metadata, Plan chooses between one full GET and k coalesced
-// ranged GETs by comparing the modelled virtual-time cost of each. Split
-// then cuts the long reads among all of a restore's plans (DESIGN.md §10).
+// model makes visible. Given the chunks a job needs from a container and
+// its metadata, Plan chooses between one full GET and k coalesced ranged
+// GETs by comparing the modelled virtual-time cost of each. Split then
+// cuts the long reads among all of the job's plans (DESIGN.md §10). It has
+// two clients: a restore (lnode.newRestoreIO) and the G-node's compaction
+// and rewrite reads (gnode.schedule).
 
 // ReadPlan is the planner's verdict for one container.
 type ReadPlan struct {
@@ -134,22 +136,22 @@ func Plan(m *container.Meta, need map[fingerprint.FP]bool, costs simclock.Costs)
 	return p
 }
 
-// Split cuts the long reads of one restore so that its channels share the
-// bytes (DESIGN.md §10). plans are the read plans of the restore's
-// containers in the order it first needs them, metas[i] what plans[i] was
-// made from. Walking the reads in that order with rem = the bytes still to
-// fetch, this read included, a read (a Full plan's payload, or one span)
-// longer than
+// Split cuts the long reads of one job — a restore, a G-node pass — so
+// that its channels share the bytes (DESIGN.md §10). plans are the read
+// plans of the job's containers in the order it first needs them, metas[i]
+// what plans[i] was made from. Walking the reads in that order with rem =
+// the bytes still to fetch, this read included, a read (a Full plan's
+// payload, or one span) longer than
 //
 //	max(rem/threads, floor),   floor = 8 × OSSRequestLatency × OSSReadBandwidth
 //
 // is cut into ⌈length/that⌉ near-equal pieces at chunk boundaries, none
 // under the floor: guided self-scheduling — nothing is cut while many reads
 // remain, the last few finer and finer, and the channels run dry together.
-// A restore of any size pays about 2 × threads extra requests at most.
+// A job of any size pays about 2 × threads extra requests at most.
 //
 // The result is a function of its arguments alone — never of timing or of
-// what the store is seen to do — so a restore's requests and virtual time
+// what the store is seen to do — so a job's requests and virtual time
 // repeat exactly. threads ≤ 1 (or a floor of zero) cuts nothing.
 func Split(plans []ReadPlan, metas []*container.Meta, threads int, costs simclock.Costs) {
 	floor := 8 * coalesceGap(costs)

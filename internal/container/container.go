@@ -179,25 +179,6 @@ func (m *Meta) StaleProportion() float64 {
 	return float64(len(m.Chunks)-m.LiveChunks()) / float64(len(m.Chunks))
 }
 
-// SameLayout reports whether o describes the same payload bytes as m: the
-// same data size and, chunk for chunk, the same fingerprint, offset, size
-// and checksum. Deletion marks are not layout — they flip in place without
-// touching the data object. A payload fetched under one meta is valid
-// under another exactly when their layouts match (an in-place rewrite
-// changes the layout; a mark does not).
-func (m *Meta) SameLayout(o *Meta) bool {
-	if m.DataSize != o.DataSize || len(m.Chunks) != len(o.Chunks) {
-		return false
-	}
-	for i := range m.Chunks {
-		a, b := &m.Chunks[i], &o.Chunks[i]
-		if a.FP != b.FP || a.Offset != b.Offset || a.Size != b.Size || a.Sum != b.Sum {
-			return false
-		}
-	}
-	return true
-}
-
 // Container is a materialised container: metadata plus payload. Data is
 // the payload from offset 0 — what a builder fills and one whole-object
 // read returns. A container fetched as byte ranges (ReadSpans) holds them

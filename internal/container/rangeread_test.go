@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -151,9 +152,9 @@ func TestReadSpansTilingIsAWholeRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Size() != whole.Size() || !c.Meta.SameLayout(&whole.Meta) || c.Data != nil {
-		t.Fatalf("tiling read: %d bytes, same layout %v, Data %d bytes; want the %d-byte container in parts",
-			c.Size(), c.Meta.SameLayout(&whole.Meta), len(c.Data), whole.Size())
+	if same := reflect.DeepEqual(c.Meta, whole.Meta); c.Size() != whole.Size() || !same || c.Data != nil {
+		t.Fatalf("tiling read: %d bytes, same metadata %v, Data %d bytes; want the %d-byte container in parts",
+			c.Size(), same, len(c.Data), whole.Size())
 	}
 	for i := range fps {
 		if data, err := c.Get(fps[i]); err != nil || !bytes.Equal(data, payloads[i]) {

@@ -344,12 +344,11 @@ func (r *Repo) replayRewrite(rec *journal.Record) error {
 // → put meta → remove record. m supplies the freshest deletion marks; cs
 // directs the I/O (typically a metered view). Returns bytes freed.
 //
-// held, when non-nil, is a copy of the container the caller already
-// fetched with a verified Read (the SCC prepare). It stands in for a
-// second fetch only while it is still the payload m describes: m's layout
-// must equal the held meta's (no rewrite landed in between) and every
-// chunk m keeps must have been live — hence checksum-verified — when held
-// was read. Otherwise, and with held nil, the container is read afresh.
+// held, when non-nil, is what the caller already fetched of the container
+// with a verified read — whole, in pieces, or only the ranges of the chunks
+// it wanted (the G-node's planned reads). It stands in for a second fetch
+// only while it covers the payload m describes (heldCovers). Otherwise, and
+// with held nil, the container is read afresh, whole.
 func (r *Repo) RewriteContainer(cs *container.Store, m *container.Meta, held *container.Container) (int64, error) {
 	c := held
 	if c == nil || !heldCovers(&c.Meta, m) {
@@ -364,7 +363,10 @@ func (r *Repo) RewriteContainer(cs *container.Store, m *container.Meta, held *co
 		if cm.Deleted {
 			continue
 		}
-		data := c.Data[cm.Offset : int64(cm.Offset)+int64(cm.Size)]
+		data, err := c.ChunkData(cm)
+		if err != nil {
+			return 0, fmt.Errorf("core: rewrite: %w", err)
+		}
 		nc.Meta.Chunks = append(nc.Meta.Chunks, container.ChunkMeta{
 			FP:     cm.FP,
 			Offset: uint32(len(nc.Data)),
@@ -375,17 +377,28 @@ func (r *Repo) RewriteContainer(cs *container.Store, m *container.Meta, held *co
 	if err := r.WriteRebuilt(cs, nc); err != nil {
 		return 0, err
 	}
-	return int64(len(c.Data)) - int64(len(nc.Data)), nil
+	return int64(c.Meta.DataSize) - int64(len(nc.Data)), nil
 }
 
-// heldCovers is the held-payload validity rule of RewriteContainer: same
-// layout, and no chunk live in m that the held read skipped as deleted.
+// heldCovers is the held-payload validity rule of RewriteContainer: the
+// data object is the size it was, and every chunk record m keeps is one
+// the held read listed live — so fetched and verified — with the same
+// fingerprint, offset, size and checksum: no rewrite landed in between (a
+// mark changes none of them). held may list fewer chunks than m (a ranged
+// read lists what it fetched); records, not fingerprints, are matched
+// because a container may hold one fingerprint twice.
 func heldCovers(held, m *container.Meta) bool {
-	if !held.SameLayout(m) {
+	if held.DataSize != m.DataSize {
 		return false
 	}
-	for i := range m.Chunks {
-		if !m.Chunks[i].Deleted && held.Chunks[i].Deleted {
+	verified := make(map[container.ChunkMeta]bool, len(held.Chunks))
+	for _, h := range held.Chunks {
+		if !h.Deleted {
+			verified[h] = true
+		}
+	}
+	for _, cm := range m.Chunks {
+		if !cm.Deleted && !verified[cm] {
 			return false
 		}
 	}

@@ -46,9 +46,30 @@ func cloneMem(t *testing.T, src *oss.Mem) *oss.Mem {
 // real work. Returns the store, config, version data and the stats of the
 // compactable version.
 func sccBaseline(t *testing.T) (*oss.Mem, core.Config, map[int][]byte, *lnode.BackupStats) {
+	return sccFixture(t, false)
+}
+
+// rangedCosts prices a request forty times cheaper than the default model,
+// so that the read planner's coalescing gap (~2 KiB) and cut floor
+// (~16 KiB) sit below this suite's 128 KiB containers as the default ones
+// (80 KiB, 640 KiB) sit below 4 MiB: under it the G-node's reads come out
+// ranged and cut, under the default every source here is one GET.
+func rangedCosts(cfg *core.Config) { cfg.Costs.OSSRequestLatency /= 40 }
+
+// sccFixture is sccBaseline when ranged is false: v1 uses most of every
+// one of v0's containers, so every source of its compaction is rewritten.
+// With ranged, v1 leans on them unevenly — most of the first, second and
+// fourth, two short runs of the third, the first chunk of the fifth, none
+// of the rest — under rangedCosts: the third and fifth stay and are read
+// in ranges, the others are rewritten and read whole, in pieces at width
+// 4 and more (assertRangedAndCut holds a test to that).
+func sccFixture(t *testing.T, ranged bool) (*oss.Mem, core.Config, map[int][]byte, *lnode.BackupStats) {
 	t.Helper()
 	cfg := testConfig()
 	cfg.SparseUtilization = 0.99 // flag aggressively so SCC always has input
+	if ranged {
+		rangedCosts(&cfg)
+	}
 	mem := oss.NewMem()
 	repo, err := core.OpenRepo(mem, cfg)
 	if err != nil {
@@ -64,7 +85,15 @@ func sccBaseline(t *testing.T) (*oss.Mem, core.Config, map[int][]byte, *lnode.Ba
 	// each of v0's containers only partially, so they are flagged sparse.
 	v1 := append([]byte{}, v0...)
 	for off := 32 << 10; off < len(v1); off += 32 << 10 {
-		v1[off] ^= 0xFF
+		v1[off] = ^v0[off]
+	}
+	if ranged {
+		for off := 258 << 10; off < 384<<10; off += 2 << 10 { // the third container's bytes
+			if k := off >> 10; (k < 288 || k >= 298) && (k < 340 || k >= 350) {
+				v1[off] = ^v0[off]
+			}
+		}
+		copy(v1[511<<10:], genData(11, len(v1)))
 	}
 	st, err := ln.Backup("f", v1)
 	if err != nil {
@@ -114,34 +143,42 @@ func verifyFilesAfterReboot(t *testing.T, mem *oss.Mem, cfg core.Config, want ma
 // mutation it issues — puts and deletes — at the serial width and with
 // the fan-out on, and reboots from what reached the store.
 func TestCompactSparseCrashAtEveryPut(t *testing.T) {
-	baseline, cfg, want, st := sccBaseline(t)
-
-	for _, workers := range []int{-1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			cfg := cfg
-			cfg.MaintWorkers = workers
-			completed := false
-			for n := 0; n < 400 && !completed; n++ {
-				mem := cloneMem(t, baseline)
-				repo, err := core.OpenRepo(oss.With(mem, oss.CrashAfter(n)), cfg)
-				if err != nil {
-					t.Fatal(err)
+	for _, ranged := range []bool{false, true} {
+		baseline, cfg, want, st := sccFixture(t, ranged)
+		for _, workers := range []int{-1, 4} {
+			t.Run(variantName(workers, ranged), func(t *testing.T) {
+				cfg := cfg
+				cfg.MaintWorkers = workers
+				completed := false
+				for n := 0; n < 400 && !completed; n++ {
+					mem := cloneMem(t, baseline)
+					var rec oss.Recorder
+					repo, err := core.OpenRepo(oss.With(mem, &rec, oss.CrashAfter(n)), cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sizes := payloadSizes(t, repo)
+					rec.Take()
+					_, err = New(repo).CompactSparse("f", st.Version, st.SparseContainers)
+					if err == nil {
+						completed = true
+						if ranged {
+							assertRangedAndCut(t, &rec, sizes, workers > 1)
+						}
+					}
+					// "Crash": abandon the repo object (buffered index state dies with
+					// it) and reboot from what actually reached the store.
+					verifyAfterReboot(t, mem, cfg, want)
 				}
-				_, err = New(repo).CompactSparse("f", st.Version, st.SparseContainers)
-				if err == nil {
-					completed = true
+				if !completed {
+					t.Fatal("compaction never ran to completion within the mutation budget")
 				}
-				// "Crash": abandon the repo object (buffered index state dies with
-				// it) and reboot from what actually reached the store.
-				verifyAfterReboot(t, mem, cfg, want)
-			}
-			if !completed {
-				t.Fatal("compaction never ran to completion within the mutation budget")
-			}
-		})
+			})
+		}
 	}
 
 	// Sanity: on the fully-compacted state the journal is empty.
+	baseline, cfg, _, st := sccBaseline(t)
 	repo, err := core.OpenRepo(baseline, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -157,6 +194,15 @@ func TestCompactSparseCrashAtEveryPut(t *testing.T) {
 	if len(keys) != 0 {
 		t.Fatalf("journal records survive a successful compaction: %v", keys)
 	}
+}
+
+// variantName names a subtest run at a width and, when ranged, under the
+// fixture and costs that make the G-node's reads ranged and cut.
+func variantName(workers int, ranged bool) string {
+	if ranged {
+		return fmt.Sprintf("workers=%d,ranged", workers)
+	}
+	return fmt.Sprintf("workers=%d", workers)
 }
 
 // TestReverseDedupCrashAtEveryPut kills a reverse-dedup pass with real
@@ -252,45 +298,57 @@ func rewriteCrash(dataLands bool) oss.Layer {
 // what the fan-out adds to the reachable crash states — and requires the
 // reboot to resolve every one of them.
 func TestCompactSparseCrashWithRewritesOutstanding(t *testing.T) {
-	baseline, cfg, want, st := sccBaseline(t)
-	cfg.MaintWorkers = 4
-	for _, dataLands := range []bool{false, true} {
-		t.Run(fmt.Sprintf("dataLands=%v", dataLands), func(t *testing.T) {
-			mem := cloneMem(t, baseline)
-			repo, err := core.OpenRepo(oss.With(mem, rewriteCrash(dataLands)), cfg)
-			if err != nil {
-				t.Fatal(err)
+	for _, ranged := range []bool{false, true} {
+		baseline, cfg, want, st := sccFixture(t, ranged)
+		cfg.MaintWorkers = 4
+		for _, dataLands := range []bool{false, true} {
+			name := fmt.Sprintf("dataLands=%v", dataLands)
+			if ranged {
+				name += ",ranged"
 			}
-			if _, err := New(repo).CompactSparse("f", st.Version, st.SparseContainers); !errors.Is(err, oss.ErrInjected) {
-				t.Fatalf("CompactSparse returned %v, want the injected crash", err)
-			}
-
-			js, _, err := journal.Open(mem)
-			if err != nil {
-				t.Fatal(err)
-			}
-			keys, err := js.List()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, k := range keys {
-				rec, err := js.Get(k)
+			t.Run(name, func(t *testing.T) {
+				mem := cloneMem(t, baseline)
+				var rec oss.Recorder
+				repo, err := core.OpenRepo(oss.With(mem, &rec, rewriteCrash(dataLands)), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if rec.Kind != journal.KindRewrite {
-					t.Fatalf("record %s is %s, want only rewrites outstanding", k, rec.Kind)
+				sizes := payloadSizes(t, repo)
+				rec.Take()
+				if _, err := New(repo).CompactSparse("f", st.Version, st.SparseContainers); !errors.Is(err, oss.ErrInjected) {
+					t.Fatalf("CompactSparse returned %v, want the injected crash", err)
 				}
-			}
-			if len(keys) < 2 {
-				t.Fatalf("%d rewrite records outstanding at the crash, want >= 2", len(keys))
-			}
+				if ranged {
+					assertRangedAndCut(t, &rec, sizes, true)
+				}
 
-			verifyAfterReboot(t, mem, cfg, want)
-			if left, err := js.List(); err != nil || len(left) != 0 {
-				t.Fatalf("journal after reboot: %v (err %v)", left, err)
-			}
-		})
+				js, _, err := journal.Open(mem)
+				if err != nil {
+					t.Fatal(err)
+				}
+				keys, err := js.List()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, k := range keys {
+					rec, err := js.Get(k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if rec.Kind != journal.KindRewrite {
+						t.Fatalf("record %s is %s, want only rewrites outstanding", k, rec.Kind)
+					}
+				}
+				if len(keys) < 2 {
+					t.Fatalf("%d rewrite records outstanding at the crash, want >= 2", len(keys))
+				}
+
+				verifyAfterReboot(t, mem, cfg, want)
+				if left, err := js.List(); err != nil || len(left) != 0 {
+					t.Fatalf("journal after reboot: %v (err %v)", left, err)
+				}
+			})
+		}
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"sort"
 	"sync"
 
+	"slimstore/internal/cache"
 	"slimstore/internal/container"
 	"slimstore/internal/core"
 	"slimstore/internal/fingerprint"
@@ -394,20 +395,47 @@ func (g *GNode) rdCommit(cs *container.Store, ids []container.ID, p *rdPrep) (*R
 // a container swept concurrently just loses its compaction opportunity
 // (tolerated NotFound). held, when non-nil, parallels metas with payloads
 // the caller already fetched and verified (see core.RewriteContainer for
-// when one is used). Returns the containers rewritten and bytes freed.
+// when one is used); a payload nobody holds — reverse dedup's, an SCC
+// source predicted to stay — is read here, by a plan over its live chunks
+// cut like any other (schedule). Returns the containers rewritten and
+// bytes freed.
 func (g *GNode) rewriteAll(cs *container.Store, metas []*container.Meta, held []*container.Container) (rewritten int, freed int64, err error) {
+	if held == nil {
+		held = make([]*container.Container, len(metas))
+	}
+	plans := make([]cache.ReadPlan, len(metas))
+	for i, m := range metas {
+		if held[i] != nil {
+			continue
+		}
+		// The planner fetches one record per fingerprint: a container that
+		// holds one twice is read whole, or the rewrite would miss a record.
+		live := make(map[fingerprint.FP]bool, len(m.Chunks)) // true: a chunk to keep
+		for j := range m.Chunks {
+			cm := &m.Chunks[j]
+			_, twice := live[cm.FP]
+			plans[i].Full = plans[i].Full || twice
+			live[cm.FP] = !cm.Deleted
+		}
+		if !plans[i].Full {
+			plans[i] = cache.Plan(m, live, g.repo.Config.Costs)
+		}
+	}
+	gated := g.schedule(cs, plans, metas)
 	var mu sync.Mutex
 	err = g.repo.ForEach(len(metas), func(i int) error {
-		var h *container.Container
-		if held != nil {
-			h = held[i]
+		n, err := int64(0), error(nil)
+		if held[i] == nil {
+			held[i], err = gated.ReadSpans(metas[i].ID, plans[i].Reads)
 		}
-		n, err := g.repo.RewriteContainer(cs, metas[i], h)
+		if err == nil {
+			n, err = g.repo.RewriteContainer(gated, metas[i], held[i])
+		}
 		if err != nil {
 			if errors.Is(err, oss.ErrNotFound) {
 				return nil
 			}
-			return err
+			return fmt.Errorf("gnode: rewrite %s: %w", metas[i].ID, err)
 		}
 		mu.Lock()
 		rewritten++
@@ -416,6 +444,19 @@ func (g *GNode) rewriteAll(cs *container.Store, metas []*container.Meta, held []
 		return nil
 	})
 	return rewritten, freed, err
+}
+
+// schedule cuts the long reads among one pass's plans so that its channels
+// share the bytes (cache.Split over MaintWorkers; plans[i] was made from
+// metas[i], and a zero plan — a container the pass does not read — adds
+// nothing) and returns the view of cs every read of the pass goes through:
+// one gate, so at most MaintWorkers data requests are in flight however
+// the pool and a read's own requests multiply out. A serial pool cuts
+// nothing and reads through cs itself, one request after another.
+func (g *GNode) schedule(cs *container.Store, plans []cache.ReadPlan, metas []*container.Meta) *container.Store {
+	w := g.repo.Config.MaintWorkers
+	cache.Split(plans, metas, w, g.repo.Config.Costs)
+	return cs.Gated(w)
 }
 
 // uniqueIDs collapses adjacent duplicates in a sorted ID slice.
@@ -448,15 +489,15 @@ type SCCStats struct {
 // during the next backup).
 //
 // The pass follows the §8 phase shape under maintMu and the file lock:
-// verified reads of the sources fan out across the worker pool while one
-// goroutine appends the needed chunks in sparse/recipe order (so the new
-// containers, the journal record, the recipe and the stats are
-// bit-identical at any width); one journal commit; an apply whose marks
-// fan out; then the sources past the stale threshold are rewritten in
-// parallel, each from the payload the prepare already fetched — every
-// source's data object is read once. At most MaintWorkers unconsumed
-// payloads are resident at a time, plus those of the sources that will be
-// rewritten.
+// the planned, verified reads of the sources share the maintenance
+// channels while one goroutine appends the needed chunks in sparse/recipe
+// order (so the new containers, the journal record, the recipe and the
+// stats are bit-identical at any width); one journal commit; an apply
+// whose marks fan out; then the sources past the stale threshold are
+// rewritten in parallel, each from the payload the prepare already fetched
+// — no byte of a source is read twice. At most MaintWorkers unconsumed
+// reads are resident at a time, plus the payloads of the sources that will
+// be rewritten.
 func (g *GNode) CompactSparse(fileID string, version int, sparse []container.ID) (*SCCStats, error) {
 	stats := &SCCStats{SparseContainers: len(sparse)}
 	if len(sparse) == 0 {
@@ -502,24 +543,63 @@ func (g *GNode) CompactSparse(fileID string, version int, sparse []container.ID)
 	// Prepare: copy the needed chunks into fresh containers. The sources
 	// stay untouched and nothing references the copies yet, so a crash
 	// here leaks only unreferenced containers — FullSweep reclaims them.
-	// The verified Read aborts on corrupt sources rather than laundering
-	// bad bytes into freshly checksummed containers. Reads land in
-	// per-index slots; the builder consumes them in order and is
-	// synchronous, so every destination put is durable before the commit.
+	// Every source read is planned from the (cached) metadata before the
+	// first byte moves, as a restore's are (DESIGN.md §8): a source the
+	// apply's marks will push past the rewrite threshold is read whole —
+	// every live chunk verified, the payload held for the rewrite — and one
+	// that stays only where the chunks it gives up lie, when the planner
+	// prices that cheaper. A read verifies what it returns, so a corrupt
+	// chunk aborts the pass rather than being laundered into a freshly
+	// checksummed container. The sources are pinned meanwhile: a plan is good
+	// for the layout it was made from. Reads land in per-index slots; the
+	// builder consumes them in order and is synchronous, so every
+	// destination put is durable before the commit.
 	builder := container.NewBuilder(cs)
 	moved := make(map[fingerprint.FP]container.ID)
 	newSet := make(map[container.ID]bool)
 	held := make([]*container.Container, len(sparse))
-	err = g.repo.ForEachOrdered(len(sparse), func(i int) error {
-		// The metadata (cached) says whether anything needed is still
-		// live here: a source an earlier pass drained — the recipe still
-		// names it, its chunks have moved — is not read to move nothing.
-		m, err := cs.ReadMeta(sparse[i])
-		if err == nil && anyLive(m, needed[sparse[i]]) {
-			held[i], err = cs.Read(sparse[i])
+	metas := make([]*container.Meta, len(sparse)) // nil: nothing to read
+	plans := make([]cache.ReadPlan, len(sparse))
+	rewrite := make([]bool, len(sparse)) // predicted; the fresh meta decides below
+	release := g.repo.CLocks.Pin(sparse)
+	err = g.repo.ForEach(len(sparse), func(i int) (err error) {
+		// A quarantined or already-collected source has no chunks to move.
+		if metas[i], err = cs.ReadMeta(sparse[i]); errors.Is(err, oss.ErrNotFound) {
+			return nil
 		}
-		// A quarantined or already-collected source has no chunks to move;
-		// corrupt sources still abort loudly (no laundering).
+		return err
+	})
+	if err != nil {
+		release()
+		return nil, fmt.Errorf("gnode: scc: %w", err)
+	}
+	for i, m := range metas {
+		if m == nil {
+			continue
+		}
+		// A source an earlier pass drained — the recipe still names it, its
+		// chunks have moved — is not read to move nothing.
+		need := make(map[fingerprint.FP]bool)
+		for _, fp := range needed[sparse[i]] {
+			if cm := m.Find(fp); cm != nil && !cm.Deleted {
+				need[fp] = true
+			}
+		}
+		rewrite[i] = staleAfter(m, wanted) > g.repo.Config.RewriteStaleThreshold
+		switch {
+		case len(need) == 0:
+			metas[i] = nil
+		case rewrite[i]:
+			plans[i].Full = true
+		default:
+			plans[i] = cache.Plan(m, need, g.repo.Config.Costs)
+		}
+	}
+	gated := g.schedule(cs, plans, metas)
+	err = g.repo.ForEachOrdered(len(sparse), func(i int) (err error) {
+		if metas[i] != nil {
+			held[i], err = gated.ReadSpans(sparse[i], plans[i].Reads)
+		}
 		if err != nil && !errors.Is(err, oss.ErrNotFound) {
 			return fmt.Errorf("gnode: scc read %s: %w", sparse[i], err)
 		}
@@ -528,6 +608,9 @@ func (g *GNode) CompactSparse(fileID string, version int, sparse []container.ID)
 		c := held[i]
 		if c == nil {
 			return nil
+		}
+		if !rewrite[i] {
+			held[i] = nil // only a payload the rewrite will want stays resident
 		}
 		for _, fp := range needed[sparse[i]] {
 			cm := c.Meta.Find(fp)
@@ -547,13 +630,9 @@ func (g *GNode) CompactSparse(fileID string, version int, sparse []container.ID)
 			stats.ChunksMoved++
 			stats.BytesMoved += int64(cm.Size)
 		}
-		// Keep the payload only if the apply's marks will push this source
-		// past the rewrite threshold; the fresh meta decides for real below.
-		if staleAfter(&c.Meta, wanted) <= g.repo.Config.RewriteStaleThreshold {
-			held[i] = nil
-		}
 		return nil
 	})
+	release()
 	if err != nil {
 		return nil, err
 	}
@@ -616,16 +695,6 @@ func (g *GNode) CompactSparse(fileID string, version int, sparse []container.ID)
 		return nil, err
 	}
 	return stats, nil
-}
-
-// anyLive reports whether m still holds one of fps live.
-func anyLive(m *container.Meta, fps []fingerprint.FP) bool {
-	for _, fp := range fps {
-		if cm := m.Find(fp); cm != nil && !cm.Deleted {
-			return true
-		}
-	}
-	return false
 }
 
 // staleAfter predicts a source's stale proportion once the SCC apply has

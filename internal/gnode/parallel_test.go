@@ -18,35 +18,45 @@ import (
 )
 
 // twin is one of two identically seeded repos maintained at different
-// worker widths.
+// worker widths. rec sees every request its repo issues.
 type twin struct {
 	ln   *lnode.LNode
 	gn   *GNode
 	repo *core.Repo
 	mem  *oss.Mem
+	rec  oss.Recorder
 	new  []container.ID
+}
+
+// twinConfig is the configuration buildTwin seeds a twin under.
+func twinConfig(workers int) core.Config {
+	cfg := testConfig()
+	cfg.SimilarityMinScore = 1.1 // force the L-node to miss cross-file dups
+	cfg.MaintWorkers = workers
+	return cfg
 }
 
 // buildTwin seeds a repo with cross-file duplicate backups the L-node is
 // forced to miss, so reverse dedup has marks, repoints, and rewrites to
 // do. Deterministic: every twin holds byte-identical state.
-func buildTwin(t *testing.T, workers int) *twin {
+func buildTwin(t *testing.T, workers int) *twin { return buildTwinCfg(t, twinConfig(workers)) }
+
+// buildTwinCfg is buildTwin under cfg, which may differ from twinConfig
+// in what does not change the bytes backed up: widths, index layout, costs.
+func buildTwinCfg(t *testing.T, cfg core.Config) *twin {
 	t.Helper()
-	cfg := testConfig()
-	cfg.SimilarityMinScore = 1.1 // force the L-node to miss cross-file dups
-	cfg.MaintWorkers = workers
-	ln, gn, repo, mem := setup(t, cfg)
+	tw := &twin{mem: oss.NewMem()}
+	tw.repo, tw.gn = openOver(t, oss.With(tw.mem, &tw.rec), cfg, cfg.MaintWorkers)
+	tw.ln = lnode.New(tw.repo, "l0")
 
 	shared := genData(5, 1<<20)
-	other := genData(6, 512<<10)
+	other := genData(6, 448<<10) // ends mid-container: reverse dedup leaves that container half live
 	mixed := append(append([]byte(nil), other...), shared[:512<<10]...)
-
-	tw := &twin{ln: ln, gn: gn, repo: repo, mem: mem}
 	for _, f := range []struct {
 		name string
 		data []byte
 	}{{"a", shared}, {"b", mixed}, {"c", shared}} {
-		st, err := ln.Backup(f.name, f.data)
+		st, err := tw.ln.Backup(f.name, f.data)
 		if err != nil {
 			t.Fatalf("backup %s: %v", f.name, err)
 		}
@@ -112,34 +122,51 @@ func assertTwinsEqual(t *testing.T, serial, parallel *twin, files []string) {
 
 // TestReverseDedupParallelMatchesSerial is the determinism contract of
 // the fan-out pipeline: any MaintWorkers width must produce bit-identical
-// stats, index state, container metadata, and restored bytes.
+// stats, index state, container metadata, and restored bytes — also when
+// the rewrites' reads come out ranged and cut (rangedCosts).
 func TestReverseDedupParallelMatchesSerial(t *testing.T) {
-	serial := buildTwin(t, -1) // negative → strictly serial pool
-	parallel := buildTwin(t, 8)
+	for _, ranged := range []bool{false, true} {
+		t.Run(fmt.Sprintf("ranged=%v", ranged), func(t *testing.T) {
+			build := func(workers int) *twin {
+				cfg := twinConfig(workers)
+				if ranged {
+					rangedCosts(&cfg)
+				}
+				return buildTwinCfg(t, cfg)
+			}
+			serial := build(-1) // negative → strictly serial pool
+			parallel := build(8)
+			sizes := payloadSizes(t, parallel.repo)
+			parallel.rec.Take()
 
-	ss, err := serial.gn.ReverseDedup(serial.new)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps, err := parallel.gn.ReverseDedup(parallel.new)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ss, ps) {
-		t.Errorf("stats diverge:\nserial:   %+v\nparallel: %+v", ss, ps)
-	}
-	if ss.DuplicatesRemoved == 0 || ss.ContainersRewritten == 0 {
-		t.Fatalf("degenerate workload, nothing deduplicated: %+v", ss)
-	}
-	assertTwinsEqual(t, serial, parallel, []string{"a", "b", "c"})
+			ss, err := serial.gn.ReverseDedup(serial.new)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps, err := parallel.gn.ReverseDedup(parallel.new)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(ss, ps) {
+				t.Errorf("stats diverge:\nserial:   %+v\nparallel: %+v", ss, ps)
+			}
+			if ss.DuplicatesRemoved == 0 || ss.ContainersRewritten == 0 {
+				t.Fatalf("degenerate workload, nothing deduplicated: %+v", ss)
+			}
+			if ranged {
+				assertRangedAndCut(t, &parallel.rec, sizes, true)
+			}
+			assertTwinsEqual(t, serial, parallel, []string{"a", "b", "c"})
 
-	// Idempotence holds for the parallel pass too.
-	again, err := parallel.gn.ReverseDedup(parallel.new)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.DuplicatesRemoved != 0 || again.IndexInserts != 0 {
-		t.Errorf("parallel rerun not idempotent: %+v", again)
+			// Idempotence holds for the parallel pass too.
+			again, err := parallel.gn.ReverseDedup(parallel.new)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again.DuplicatesRemoved != 0 || again.IndexInserts != 0 {
+				t.Errorf("parallel rerun not idempotent: %+v", again)
+			}
+		})
 	}
 }
 
@@ -236,57 +263,71 @@ func TestFullSweepParallelMatchesSerial(t *testing.T) {
 }
 
 // TestCompactSparseParallelMatchesSerial runs the same compaction at
-// MaintWorkers −1 and 8 over byte-identical stores. The fan-out only
+// MaintWorkers −1, 4 and 8 over byte-identical stores. The fan-out only
 // overlaps I/O: stats (new container IDs included), every object left on
 // the store — recipe, catalog, container data and metadata, index tables
-// — the index and metadata dumps, and the restored bytes must all agree.
+// — the index and metadata dumps, and the restored bytes must all agree,
+// whichever way the sources were read (sccFixture).
 func TestCompactSparseParallelMatchesSerial(t *testing.T) {
-	baseline, cfg, want, st := sccBaseline(t)
+	for _, ranged := range []bool{false, true} {
+		t.Run(fmt.Sprintf("ranged=%v", ranged), func(t *testing.T) {
+			baseline, cfg, want, st := sccFixture(t, ranged)
 
-	type side struct {
-		mem   *oss.Mem
-		repo  *core.Repo
-		stats *SCCStats
+			type side struct {
+				mem   *oss.Mem
+				repo  *core.Repo
+				stats *SCCStats
+			}
+			run := func(workers int) side {
+				mem := cloneMem(t, baseline)
+				var rec oss.Recorder
+				repo, gn := openOver(t, oss.With(mem, &rec), cfg, workers)
+				sizes := payloadSizes(t, repo)
+				rec.Take()
+				stats, err := gn.CompactSparse("f", st.Version, st.SparseContainers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ranged {
+					assertRangedAndCut(t, &rec, sizes, workers > 1)
+				}
+				return side{mem, repo, stats}
+			}
+			serial := run(-1)
+			if serial.stats.ChunksMoved == 0 || len(serial.stats.NewContainers) == 0 {
+				t.Fatalf("degenerate workload, nothing compacted: %+v", serial.stats)
+			}
+			so := prefixDump(t, serial.mem, "")
+			for _, workers := range []int{4, 8} {
+				parallel := run(workers)
+				if !reflect.DeepEqual(serial.stats, parallel.stats) {
+					t.Errorf("width %d: stats diverge:\nserial:   %+v\nparallel: %+v", workers, serial.stats, parallel.stats)
+				}
+				po := prefixDump(t, parallel.mem, "")
+				for k, sb := range so {
+					pb, ok := po[k]
+					if !ok {
+						t.Errorf("width %d: object %s only on the serial store", workers, k)
+					} else if !bytes.Equal(sb, pb) {
+						t.Errorf("width %d: object %s differs (%d vs %d bytes)", workers, k, len(sb), len(pb))
+					}
+				}
+				for k := range po {
+					if _, ok := so[k]; !ok {
+						t.Errorf("width %d: object %s only on the parallel store", workers, k)
+					}
+				}
+				if si, pi := indexDump(t, serial.repo), indexDump(t, parallel.repo); !reflect.DeepEqual(si, pi) {
+					t.Errorf("width %d: global index diverges: serial %d entries, parallel %d", workers, len(si), len(pi))
+				}
+				if sm, pm := metaDump(t, serial.repo), metaDump(t, parallel.repo); sm != pm {
+					t.Errorf("width %d: container metadata diverges:\n--- serial ---\n%s--- parallel ---\n%s", workers, sm, pm)
+				}
+				assertRestores(t, parallel.repo, want)
+			}
+			assertRestores(t, serial.repo, want)
+		})
 	}
-	run := func(workers int) side {
-		mem := cloneMem(t, baseline)
-		repo, gn := openOver(t, mem, cfg, workers)
-		stats, err := gn.CompactSparse("f", st.Version, st.SparseContainers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return side{mem, repo, stats}
-	}
-	serial, parallel := run(-1), run(8)
-
-	if !reflect.DeepEqual(serial.stats, parallel.stats) {
-		t.Errorf("stats diverge:\nserial:   %+v\nparallel: %+v", serial.stats, parallel.stats)
-	}
-	if serial.stats.ChunksMoved == 0 || len(serial.stats.NewContainers) == 0 {
-		t.Fatalf("degenerate workload, nothing compacted: %+v", serial.stats)
-	}
-	so, po := prefixDump(t, serial.mem, ""), prefixDump(t, parallel.mem, "")
-	for k, sb := range so {
-		pb, ok := po[k]
-		if !ok {
-			t.Errorf("object %s only on the serial store", k)
-		} else if !bytes.Equal(sb, pb) {
-			t.Errorf("object %s differs (%d vs %d bytes)", k, len(sb), len(pb))
-		}
-	}
-	for k := range po {
-		if _, ok := so[k]; !ok {
-			t.Errorf("object %s only on the parallel store", k)
-		}
-	}
-	if si, pi := indexDump(t, serial.repo), indexDump(t, parallel.repo); !reflect.DeepEqual(si, pi) {
-		t.Errorf("global index diverges: serial %d entries, parallel %d", len(si), len(pi))
-	}
-	if sm, pm := metaDump(t, serial.repo), metaDump(t, parallel.repo); sm != pm {
-		t.Errorf("container metadata diverges:\n--- serial ---\n%s--- parallel ---\n%s", sm, pm)
-	}
-	assertRestores(t, serial.repo, want)
-	assertRestores(t, parallel.repo, want)
 }
 
 // TestMaintenancePassesOverlapRoundTrips: each pass keeps at least two and

@@ -16,29 +16,10 @@ import (
 // repo state.
 func buildTwinLayout(t *testing.T, workers, shards, replicas int) *twin {
 	t.Helper()
-	cfg := testConfig()
-	cfg.SimilarityMinScore = 1.1 // force the L-node to miss cross-file dups
-	cfg.MaintWorkers = workers
+	cfg := twinConfig(workers)
 	cfg.GlobalShards = shards
 	cfg.GlobalReplicas = replicas
-	ln, gn, repo, mem := setup(t, cfg)
-
-	shared := genData(5, 1<<20)
-	other := genData(6, 512<<10)
-	mixed := append(append([]byte(nil), other...), shared[:512<<10]...)
-
-	tw := &twin{ln: ln, gn: gn, repo: repo, mem: mem}
-	for _, f := range []struct {
-		name string
-		data []byte
-	}{{"a", shared}, {"b", mixed}, {"c", shared}} {
-		st, err := ln.Backup(f.name, f.data)
-		if err != nil {
-			t.Fatalf("backup %s: %v", f.name, err)
-		}
-		tw.new = append(tw.new, st.NewContainers...)
-	}
-	return tw
+	return buildTwinCfg(t, cfg)
 }
 
 // normalizeBloom zeroes the one stat that legitimately varies with the

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,9 +14,11 @@ import (
 
 	"slimstore/internal/container"
 	"slimstore/internal/core"
+	"slimstore/internal/fingerprint"
 	"slimstore/internal/journal"
 	"slimstore/internal/lnode"
 	"slimstore/internal/oss"
+	"slimstore/internal/recipe"
 )
 
 // storeOp is one recorded mutation: the operation, its key, and (for
@@ -27,8 +30,8 @@ type storeOp struct {
 }
 
 // recStore is a store under a recorder — every mutation in order, the
-// whole-object GETs per key, the reads in flight at once — with optional
-// hooks that run after a put or delete has landed.
+// byte ranges read of each data object, the reads in flight at once — with
+// optional hooks that run after a put or delete has landed.
 type recStore struct {
 	store       oss.Store
 	rec         oss.Recorder
@@ -83,9 +86,93 @@ func dataLane(key string) string {
 
 func (s *recStore) reset() { s.rec.Take() }
 
-// dataGets is the number of whole-object GETs of id's data object.
-func (s *recStore) dataGets(id container.ID) int {
-	return len(s.rec.Requests(func(op oss.Op) bool { return op.Kind == oss.KindGet && op.Key == container.DataKey(id) }))
+// isDataRead selects the reads of container data objects, whole or ranged.
+func isDataRead(op oss.Op) bool {
+	return (op.Kind == oss.KindGet || op.Kind == oss.KindGetRange) && dataLane(op.Key) != ""
+}
+
+// extent is the byte range [Off, End) of a data object's payload.
+type extent struct{ Off, End int64 }
+
+// dataReads returns the ranges of id's payload that rec saw read, by
+// offset; a whole GET is [0, payload size).
+func dataReads(rec *oss.Recorder, id container.ID) []extent {
+	var out []extent
+	for _, q := range rec.Requests(func(op oss.Op) bool { return isDataRead(op) && op.Key == container.DataKey(id) }) {
+		switch {
+		case q.Err != nil:
+		case q.Kind == oss.KindGet:
+			out = append(out, extent{0, q.Bytes - container.FooterSize})
+		default:
+			out = append(out, extent{q.Off, q.Off + q.N})
+		}
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].Off < out[b].Off })
+	return out
+}
+
+// tiles reports whether exts, ordered by offset, cover [0, size) and no
+// byte twice.
+func tiles(exts []extent, size int64) bool {
+	next := int64(0)
+	for _, e := range exts {
+		if e.Off != next {
+			return false
+		}
+		next = e.End
+	}
+	return next == size
+}
+
+// readBytes is the number of bytes exts fetched.
+func readBytes(exts []extent) (n int64) {
+	for _, e := range exts {
+		n += e.End - e.Off
+	}
+	return n
+}
+
+// payloadSizes returns the payload size of every container of repo.
+func payloadSizes(t *testing.T, repo *core.Repo) map[container.ID]int64 {
+	t.Helper()
+	ids, err := repo.Containers.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := make(map[container.ID]int64, len(ids))
+	for _, id := range ids {
+		m, err := repo.Containers.ReadMeta(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes[id] = int64(m.DataSize)
+	}
+	return sizes
+}
+
+// assertRangedAndCut fails unless the pass rec recorded read one of the
+// containers in ranges — fewer bytes than its payload, sizes being the
+// payloads when the pass began — and, with wantCut, one read in pieces:
+// two requests that abut, which the planner's spans never do. A test that
+// means to run the planned reads must not pass on one GET per source.
+func assertRangedAndCut(t *testing.T, rec *oss.Recorder, sizes map[container.ID]int64, wantCut bool) {
+	t.Helper()
+	ranged, cut := 0, 0
+	for id, size := range sizes {
+		reads := dataReads(rec, id)
+		if len(reads) > 0 && readBytes(reads) < size {
+			ranged++
+		}
+		for i := 1; i < len(reads); i++ {
+			if reads[i-1].End == reads[i].Off {
+				cut++
+				break
+			}
+		}
+	}
+	if ranged == 0 || wantCut && cut == 0 {
+		t.Errorf("%d containers read in ranges, %d in pieces: the fixture no longer exercises the planned reads", ranged, cut)
+	}
 }
 
 // recorded returns the mutations that landed, in order.
@@ -121,62 +208,94 @@ func assertRestores(t *testing.T, repo *core.Repo, want map[int][]byte) {
 	}
 }
 
-// TestCompactSparseReadsEachSourceOnce: an SCC whose N sources all cross
-// the rewrite threshold fetches each source's data object exactly once —
-// the rewrite reuses the payload the prepare verified — and the fetches
-// overlap.
+// TestCompactSparseReadsEachSourceOnce: a compaction reads what it moves,
+// once. A source it rewrites is read whole and only once across prepare
+// and rewrite — the ranges fetched tile its payload, no byte twice: the
+// rewrite reuses what the prepare verified; a source that stays is read
+// only where the needed chunks lie, give or take a coalescing gap per
+// request; and the whole pass keeps between two and MaintWorkers data
+// requests in flight. Under the default costs every source of sccBaseline
+// is rewritten from one GET; the ranged fixture has both kinds.
 func TestCompactSparseReadsEachSourceOnce(t *testing.T) {
-	mem, cfg, want, st := sccBaseline(t)
-	rec := newRecStore(mem, 2*time.Millisecond)
-	repo, gn := openOver(t, rec.store, cfg, 4)
+	for _, ranged := range []bool{false, true} {
+		t.Run(fmt.Sprintf("ranged=%v", ranged), func(t *testing.T) {
+			mem, cfg, want, st := sccFixture(t, ranged)
+			rec := newRecStore(mem, 2*time.Millisecond)
+			repo, gn := openOver(t, rec.store, cfg, 4)
+			n := len(st.SparseContainers)
+			if n < 4 {
+				t.Fatalf("only %d sparse sources; the overlap check would be vacuous", n)
+			}
+			before := payloadSizes(t, repo)
+			needed := map[container.ID]int64{} // bytes v1 references, per source
+			r, err := repo.Recipes.GetRecipe("f", st.Version)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := map[fingerprint.FP]bool{}
+			r.Iter(func(_, _ int, cr *recipe.ChunkRecord) bool {
+				if !seen[cr.FP] {
+					seen[cr.FP] = true
+					needed[cr.Container] += int64(cr.Size)
+				}
+				return true
+			})
 
-	before := map[container.ID]uint32{}
-	for _, id := range st.SparseContainers {
-		m, err := repo.Containers.ReadMeta(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		before[id] = m.DataSize
+			rec.reset()
+			scc, err := gn.CompactSparse("f", st.Version, st.SparseContainers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if scc.ChunksMoved == 0 {
+				t.Fatalf("nothing moved: %+v", scc)
+			}
+			gap := int64(cfg.Costs.OSSRequestLatency.Seconds() * cfg.Costs.OSSReadBandwidth)
+			rewritten, sparseStays := 0, 0
+			for _, id := range st.SparseContainers {
+				m, err := repo.Containers.ReadMeta(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reads := dataReads(&rec.rec, id)
+				if int64(m.DataSize) < before[id] {
+					rewritten++
+					if m.StaleProportion() != 0 || !tiles(reads, before[id]) {
+						t.Errorf("rewritten source %s (stale %.2f now): read %v, want [0,%d) once", id, m.StaleProportion(), reads, before[id])
+					}
+					continue
+				}
+				if ranged && needed[id]*10 <= before[id] {
+					sparseStays++
+					if got := readBytes(reads); got*4 >= before[id] {
+						t.Errorf("source %s, used to a tenth: read %d of %d bytes, want under a quarter", id, got, before[id])
+					}
+				}
+				if got, most := readBytes(reads), needed[id]+int64(len(reads))*gap; got > most {
+					t.Errorf("source %s stays: read %d bytes in %d requests, want at most the %d needed and a %d-byte gap each", id, got, len(reads), needed[id], gap)
+				}
+			}
+			if !ranged && rewritten != n {
+				t.Errorf("%d of %d sources rewritten, want all", rewritten, n)
+			}
+			if ranged {
+				if rewritten == 0 || sparseStays == 0 {
+					t.Errorf("%d sources rewritten, %d used to a tenth or less and staying: the fixture wants both", rewritten, sparseStays)
+				}
+				assertRangedAndCut(t, &rec.rec, before, true)
+			}
+			if _, peak := rec.rec.InFlight(isDataRead); peak < 2 || peak > 4 {
+				t.Errorf("%d data requests in flight at most, want 2..4 (MaintWorkers is 4)", peak)
+			}
+			assertRestores(t, repo, want)
+		})
 	}
-	rec.reset()
-	scc, err := gn.CompactSparse("f", st.Version, st.SparseContainers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scc.ChunksMoved == 0 {
-		t.Fatalf("nothing moved: %+v", scc)
-	}
-	n := len(st.SparseContainers)
-	if n < 4 {
-		t.Fatalf("only %d sparse sources; the overlap check would be vacuous", n)
-	}
-	for _, id := range st.SparseContainers {
-		m, err := repo.Containers.ReadMeta(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.DataSize >= before[id] || m.StaleProportion() != 0 {
-			t.Fatalf("source %s was not rewritten (size %d -> %d, stale %.2f)", id, before[id], m.DataSize, m.StaleProportion())
-		}
-		if got := rec.dataGets(id); got != 1 {
-			t.Errorf("source %s: %d data-object GETs, want exactly 1", id, got)
-		}
-	}
-	maxInFlight := rec.maxLanes(dataLane)
-	if maxInFlight < 2 {
-		t.Errorf("source reads never overlapped (max %d in flight over %d sources)", maxInFlight, n)
-	}
-	if maxInFlight > 4 {
-		t.Errorf("%d source reads in flight, MaintWorkers is 4", maxInFlight)
-	}
-	assertRestores(t, repo, want)
 }
 
 // TestCompactSparseSkipsDrainedSources: a version whose recipe still names
 // sparse sources that an earlier compaction already drained of everything
 // it needs — here v2, a byte-identical twin of v1, compacted after v1 — is
-// compacted without fetching one of those sources' data objects: the
-// metadata says nothing needed is live. Nothing moves, nothing is written,
+// compacted without fetching a byte of those sources' data objects, whole
+// or in ranges: the metadata says nothing needed is live. Nothing moves, nothing is written,
 // and every version still restores.
 func TestCompactSparseSkipsDrainedSources(t *testing.T) {
 	mem, cfg, want, st := sccBaseline(t)
@@ -203,14 +322,124 @@ func TestCompactSparseSkipsDrainedSources(t *testing.T) {
 		t.Fatalf("compacting the twin moved something: %+v", scc)
 	}
 	for _, id := range st2.SparseContainers {
-		if got := rec.dataGets(id); got != 0 {
-			t.Errorf("drained source %s: %d data-object GETs, want none", id, got)
+		if got := dataReads(&rec.rec, id); len(got) != 0 {
+			t.Errorf("drained source %s: read %v, want no read of either kind", id, got)
 		}
 	}
 	if ops := rec.recorded(); len(ops) != 0 {
 		t.Errorf("a compaction with nothing to move wrote to the store: %v", ops)
 	}
 	assertRestores(t, repo, want)
+}
+
+// TestCompactSparseVerifiesWhatItMoves is the no-laundering rule for
+// planned reads: SCC verifies every chunk it copies into a new container
+// and every chunk a rewrite will re-checksum, and nothing else. A flipped
+// bit in a chunk the version needs from a source that stays, or in any
+// live chunk of a source about to be rewritten, fails the pass before its
+// journal commit with the container and chunk named, having written
+// nothing but unreferenced destination containers; a flipped bit in a
+// live chunk the version does not need, in a source that stays, is not
+// read — the pass succeeds, the source's data object is untouched, and
+// the rot is still there for Scrub to find.
+func TestCompactSparseVerifiesWhatItMoves(t *testing.T) {
+	baseline, cfg, _, st := sccFixture(t, true)
+	probe, err := core.OpenRepo(cloneMem(t, baseline), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := probe.Recipes.GetRecipe("f", st.Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	needs := map[fingerprint.FP]bool{}
+	r.Iter(func(_, _ int, cr *recipe.ChunkRecord) bool {
+		needs[cr.FP] = true
+		return true
+	})
+	// pick returns the source with the most (rewritten) or fewest (stays)
+	// needed chunks and the last chunk of it that is, or is not, needed.
+	pick := func(rewritten, needed bool) (container.ID, fingerprint.FP) {
+		var best *container.Meta
+		bestN := 0
+		for _, id := range st.SparseContainers {
+			m, err := probe.Containers.ReadMeta(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			for i := range m.Chunks {
+				if needs[m.Chunks[i].FP] {
+					n++
+				}
+			}
+			if best == nil || rewritten && n > bestN || !rewritten && n < bestN {
+				best, bestN = m, n
+			}
+		}
+		for i := len(best.Chunks) - 1; i >= 0; i-- {
+			if needs[best.Chunks[i].FP] == needed {
+				return best.ID, best.Chunks[i].FP
+			}
+		}
+		t.Fatalf("source %s has no chunk with needed=%v", best.ID, needed)
+		return 0, fingerprint.FP{}
+	}
+
+	for _, tc := range []struct {
+		name              string
+		rewritten, needed bool
+		fails             bool
+	}{
+		{"needed-chunk-of-a-source-that-stays", false, true, true},
+		{"surviving-chunk-of-a-source-to-rewrite", true, false, true},
+		{"unneeded-chunk-of-a-source-that-stays", false, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			id, fp := pick(tc.rewritten, tc.needed)
+			mem := cloneMem(t, baseline)
+			rec := newRecStore(mem, 0)
+			repo, gn := openOver(t, rec.store, cfg, 4)
+			flipChunkAtRest(t, mem, repo, id, fp)
+			rotten, err := mem.Get(container.DataKey(id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			existed := payloadSizes(t, repo)
+			rec.reset()
+
+			_, err = gn.CompactSparse("f", st.Version, st.SparseContainers)
+			if !tc.fails {
+				if err != nil {
+					t.Fatalf("rot in a chunk the pass has no business reading failed it: %v", err)
+				}
+				if after, err := mem.Get(container.DataKey(id)); err != nil || !bytes.Equal(after, rotten) {
+					t.Fatalf("the source that stays was rewritten (err %v)", err)
+				}
+				scrub, err := gn.Scrub()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if scrub.CorruptChunks != 1 {
+					t.Fatalf("scrub after the pass: %+v, want the one rotten chunk found", scrub)
+				}
+				return
+			}
+			var ce *container.CorruptError
+			if !errors.As(err, &ce) || ce.Container != id || ce.FP != fp {
+				t.Fatalf("CompactSparse error = %v, want a CorruptError naming %s chunk %s", err, id, fp.Short())
+			}
+			old := map[string]bool{}
+			for id := range existed {
+				old[container.DataKey(id)], old[container.MetaKey(id)] = true, true
+			}
+			for _, op := range rec.recorded() {
+				if op.Kind != oss.KindPut || !strings.HasPrefix(op.Key, container.Prefix) || old[op.Key] {
+					t.Errorf("a pass that failed on rot wrote %s %s", op.Kind, op.Key)
+				}
+			}
+		})
+	}
 }
 
 // padWithDeadChunk rewrites container id with one extra chunk already
@@ -239,56 +468,66 @@ func padWithDeadChunk(t *testing.T, repo *core.Repo, id container.ID) {
 // someone else between SCC's read and SCC's own rewrite no longer matches
 // the held payload; the rewrite must notice and read it afresh.
 func TestCompactSparseHeldPayloadLayoutMismatch(t *testing.T) {
-	for _, workers := range []int{-1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			mem, cfg, want, st := sccBaseline(t)
-			rec := newRecStore(mem, 0)
-			repo, gn := openOver(t, rec.store, cfg, workers)
-			victim := st.SparseContainers[1]
-			padWithDeadChunk(t, repo, victim)
+	for _, ranged := range []bool{false, true} {
+		for _, workers := range []int{-1, 4} {
+			t.Run(variantName(workers, ranged), func(t *testing.T) {
+				mem, cfg, want, st := sccFixture(t, ranged)
+				rec := newRecStore(mem, 0)
+				repo, gn := openOver(t, rec.store, cfg, workers)
+				victim := st.SparseContainers[1]
+				padWithDeadChunk(t, repo, victim)
+				sizes := payloadSizes(t, repo)
 
-			// The SCC record's commit is the first journal put: every source
-			// has been read by then, none rewritten yet.
-			// (Not a sync.Once: the interloper's own journal commit re-enters
-			// the hook.)
-			var fired atomic.Bool
-			rec.afterPut = func(key string) {
-				if !strings.HasPrefix(key, journal.Prefix) || !fired.CompareAndSwap(false, true) {
-					return
+				// The SCC record's commit is the first journal put: every source
+				// has been read by then, none rewritten yet.
+				// (Not a sync.Once: the interloper's own journal commit re-enters
+				// the hook.)
+				var fired atomic.Bool
+				var rewrote int64 // the victim's payload once the interloper is done
+				rec.afterPut = func(key string) {
+					if !strings.HasPrefix(key, journal.Prefix) || !fired.CompareAndSwap(false, true) {
+						return
+					}
+					m, err := repo.Containers.ReadMeta(victim)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					freed, err := repo.RewriteContainer(repo.Containers, m, nil)
+					if err != nil {
+						t.Error(err)
+					}
+					rewrote = int64(m.DataSize) - freed
 				}
-				m, err := repo.Containers.ReadMeta(victim)
+				rec.reset()
+				if _, err := gn.CompactSparse("f", st.Version, st.SparseContainers); err != nil {
+					t.Fatal(err)
+				}
+				// Prepare's read and the interloper's, then the fallback's of
+				// what the interloper left.
+				if got, want := readBytes(dataReads(&rec.rec, victim)), 2*sizes[victim]+rewrote; got != want || rewrote == 0 {
+					t.Errorf("victim %s: %d payload bytes read, want %d twice and %d once", victim, got, sizes[victim], rewrote)
+				}
+				if other := st.SparseContainers[0]; !tiles(dataReads(&rec.rec, other), sizes[other]) {
+					t.Errorf("undisturbed source: read %v, want [0,%d) once", dataReads(&rec.rec, other), sizes[other])
+				}
+				if ranged {
+					assertRangedAndCut(t, &rec.rec, sizes, workers > 1)
+				}
+				c, err := repo.Containers.Read(victim) // verifies every live chunk
 				if err != nil {
-					t.Error(err)
-					return
+					t.Fatal(err)
 				}
-				if _, err := repo.RewriteContainer(repo.Containers, m, nil); err != nil {
-					t.Error(err)
+				if c.Meta.StaleProportion() != 0 {
+					t.Errorf("victim not compacted: stale %.2f", c.Meta.StaleProportion())
 				}
-			}
-			rec.reset()
-			if _, err := gn.CompactSparse("f", st.Version, st.SparseContainers); err != nil {
-				t.Fatal(err)
-			}
-			// Prepare's read, the interloper's, and the fallback.
-			if got := rec.dataGets(victim); got != 3 {
-				t.Errorf("victim %s: %d data-object GETs, want 3", victim, got)
-			}
-			if got := rec.dataGets(st.SparseContainers[0]); got != 1 {
-				t.Errorf("undisturbed source: %d data-object GETs, want 1", got)
-			}
-			c, err := repo.Containers.Read(victim) // verifies every live chunk
-			if err != nil {
-				t.Fatal(err)
-			}
-			if c.Meta.StaleProportion() != 0 {
-				t.Errorf("victim not compacted: stale %.2f", c.Meta.StaleProportion())
-			}
-			assertRestores(t, repo, want)
-			if _, err := gn.FullSweep(); err != nil {
-				t.Fatal(err)
-			}
-			assertRestores(t, repo, want)
-		})
+				assertRestores(t, repo, want)
+				if _, err := gn.FullSweep(); err != nil {
+					t.Fatal(err)
+				}
+				assertRestores(t, repo, want)
+			})
+		}
 	}
 }
 

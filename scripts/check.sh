@@ -34,11 +34,13 @@ go test -race ./...
 go test -count=1 -tags purego ./internal/fingerprint/ ./internal/lnode/
 
 # Scheduler independence: which reads run ahead, which requests a restore
-# issues, and every counter and twin comparison built on that, is a function
-# of the caller's sequence, so it must hold with one P (a 2-vCPU runner's
-# worst case) as well as with four.
+# or a G-node pass issues (its plans and cuts are a function of metas,
+# MaintWorkers and Costs), and every counter and twin comparison built on
+# that, is a function of the caller's sequence, so it must hold with one P
+# (a 2-vCPU runner's worst case) as well as with four.
 go test -race -count=1 -cpu 1,4 ./internal/pipe/ ./internal/cache/ ./internal/container/
 go test -race -count=1 -cpu 1,4 -run 'Prefetch|ReadAhead|Twin|RestoreKeeps|RestoreFailsWhole' ./internal/lnode/
+go test -race -count=1 -cpu 1,4 -run 'CompactSparse|MatchesSerial' ./internal/gnode/
 
 # cmd/slimstore has no Go test: drive every subcommand once against
 # directory repositories of three layouts and compare what comes back.
