@@ -103,6 +103,13 @@ func (s *Store) ReadSpans(id ID, spans []Span) (*Container, error) {
 			continue
 		}
 		if verr := c.VerifyChunk(cm); verr != nil {
+			if len(spans) > 0 {
+				// Ranged bytes are not verified by the store beneath: a striped
+				// tier serves a range of a rotted or stale shard as it lies, and
+				// only the whole read meets the shards' own checksums and
+				// reconstructs around them.
+				return s.ReadSpans(id, nil)
+			}
 			return nil, fmt.Errorf("container %s: read data: %w", id, verr)
 		}
 	}

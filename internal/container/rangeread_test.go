@@ -9,15 +9,22 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"slimstore/internal/ec"
 	"slimstore/internal/fingerprint"
 	"slimstore/internal/oss"
+	"slimstore/internal/simclock"
 )
 
 // buildSpanContainer writes one container of n chunks and returns the
 // store, the ID, and the chunks in order.
 func buildSpanContainer(t *testing.T, n, chunkBytes int) (*Store, ID, []fingerprint.FP, [][]byte) {
 	t.Helper()
-	cs, err := NewStore(oss.NewMem(), n*chunkBytes)
+	return buildSpanContainerOn(t, oss.NewMem(), n, chunkBytes)
+}
+
+func buildSpanContainerOn(t *testing.T, store oss.Store, n, chunkBytes int) (*Store, ID, []fingerprint.FP, [][]byte) {
+	t.Helper()
+	cs, err := NewStore(store, n*chunkBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,6 +325,39 @@ func TestReadSpansVerifiesChecksums(t *testing.T) {
 	// whole point of ranged reads is not touching those bytes.
 	if _, err := cs.ReadSpans(id, []Span{{Off: 0, Len: sz, Chunks: []int{0}}}); err != nil {
 		t.Fatalf("span away from the rot must verify: %v", err)
+	}
+}
+
+// TestReadSpansOverRottedShard: over the striped tier a ranged read is
+// served from the covering shard as it lies — the tier cannot check part of
+// a shard against the shard's checksum — so a rotted shard shows up here, as
+// a chunk that fails to verify. That is rot within the tier's redundancy,
+// and the read must not fail on it: the whole read reconstructs around the
+// shard.
+func TestReadSpansOverRottedShard(t *testing.T) {
+	const n, sz = 8, 512
+	mem := oss.NewMem()
+	tier, err := ec.NewStore(oss.NewBackendSet(mem, 3, simclock.DefaultCosts()), 2, 1, simclock.DefaultCosts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, id, fps, payloads := buildSpanContainerOn(t, ec.NewRouter(tier, mem, Prefix), n, sz)
+	shard := oss.BackendPrefix(0) + DataKey(id)
+	raw, err := mem.Get(shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw = bytes.Clone(raw) // a fetched object is read-only
+	raw[ec.HeaderSize+sz+7] ^= 0x40
+	if err := mem.Put(shard, raw); err != nil {
+		t.Fatal(err)
+	}
+	c, err := cs.ReadSpans(id, []Span{{Off: sz, Len: sz, Chunks: []int{1}}})
+	if err != nil {
+		t.Fatalf("ranged read over a rotted shard: %v", err)
+	}
+	if got, err := c.Get(fps[1]); err != nil || !bytes.Equal(got, payloads[1]) {
+		t.Fatalf("chunk 1 after the fallback: %v", err)
 	}
 }
 

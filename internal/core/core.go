@@ -220,7 +220,7 @@ type Repo struct {
 	// plain Index behind a pass-through view.
 	Global *globalindex.Sharded
 	// ReplGroups holds shard k's replica group when GlobalReplicas > 1
-	// (nil otherwise) — the chaos harness's kill/restart surface.
+	// (nil otherwise): where replicas are killed and restarted.
 	ReplGroups []*repl.Group
 	// ReplDowntime accumulates the virtual failover cost charged by
 	// every shard group (PhaseFailover).
@@ -230,9 +230,8 @@ type Repo struct {
 	Journal *journal.Store
 
 	// EC is the erasure-coded redundancy tier (nil when ECDataShards is
-	// 0): container objects are striped across EC.Backends(), whose
-	// Faulty wrappers are the chaos injection surface for whole-backend
-	// outages and shard rot.
+	// 0): container objects are striped across K+M backends, backend i
+	// under oss.BackendPrefix(i) of the base store.
 	EC *ec.Store
 
 	// Files serialises per-file mutations across concurrent jobs

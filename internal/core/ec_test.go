@@ -27,13 +27,14 @@ func TestECConfigDefaults(t *testing.T) {
 // everything else stays plain.
 func TestECWiring(t *testing.T) {
 	mem := oss.NewMem()
+	faulty := oss.NewFaulty(mem)
 	cfg := Config{ECDataShards: 2, ECParityShards: 1}
-	repo, err := OpenRepo(mem, cfg)
+	repo, err := OpenRepo(faulty, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if repo.EC == nil || len(repo.EC.Backends()) != 3 {
-		t.Fatalf("EC tier not armed with 3 backends")
+	if repo.EC == nil || repo.EC.Codec().K() != 2 || repo.EC.Codec().M() != 1 {
+		t.Fatalf("EC tier not armed as RS(2+1)")
 	}
 
 	acct := simclock.NewAccount()
@@ -56,12 +57,12 @@ func TestECWiring(t *testing.T) {
 	}
 	// One backend dark: the tier still serves the exact bytes and charges
 	// reconstruction CPU on the account.
-	repo.EC.Backends()[2].Faulty.SetOutage(true)
+	faulty.SetOutage(oss.BackendPrefix(2), true)
 	got, err := tier.Get(key)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("degraded read through repo tier: %v", err)
 	}
-	repo.EC.Backends()[2].Faulty.SetOutage(false)
+	faulty.SetOutage(oss.BackendPrefix(2), false)
 
 	// Non-container keys bypass the tier entirely.
 	if err := repo.Metered(acct).Put("recipes/f/1", []byte("r")); err != nil {
@@ -79,8 +80,7 @@ func TestECWiring(t *testing.T) {
 			t.Fatalf("stray physical key %s", k)
 		}
 	}
-	// Reopening over the same base store sees the same stripes (fresh
-	// Faulty wrappers, faults cleared) — crash/reboot semantics.
+	// Reopening over the same base store sees the same stripes.
 	repo2, err := OpenRepo(mem, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -11,14 +11,14 @@ import (
 //
 //	offset size field
 //	 0     4    magic "SLES" (0x53454C53 LE)
-//	 4     4    version (1)
+//	 4     4    version (2)
 //	 8     8    stripe ID (FNV-1a 64 of the object key)
 //	16     1    shard index
 //	17     1    K (data shards)
 //	18     1    M (parity shards)
 //	19     1    reserved (0)
 //	20     8    object length (bytes of the original, pre-split object)
-//	28     4    object CRC32C (checksum of the whole original object)
+//	28     4    object CRC-32/IEEE (checksum of the whole original object)
 //	32     4    header CRC32C (over bytes 0..32)
 //	36     …    shard payload (ShardSize(objLen) bytes)
 //	end-4  4    payload CRC32C
@@ -26,10 +26,16 @@ import (
 // The (stripeID, objLen, objCRC) triple identifies one write generation:
 // shards from an interrupted overwrite disagree on it, so readers can
 // group survivors by generation instead of mixing incompatible shards.
+// The object checksum is IEEE where every other checksum in the system is
+// Castagnoli, because it must depend on the contents of an object that
+// carries its own: a container meta ends in the CRC-32C of all before it,
+// so the CRC-32C of the whole is the polynomial's residue 0x48674BC7
+// whatever the meta says, and version 1 — which used it — joined the two
+// sides of a torn same-length rewrite into one unreadable object.
 
 const (
 	envMagic   = 0x53454C53 // "SLES"
-	envVersion = 1
+	envVersion = 2
 
 	// HeaderSize is the fixed envelope prefix before the shard payload.
 	HeaderSize = 36
@@ -40,6 +46,9 @@ const (
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// objCRC is the generation identity's object checksum: not crcTable's (above).
+func objCRC(data []byte) uint32 { return crc32.ChecksumIEEE(data) }
 
 // ErrEnvelope marks a shard whose envelope failed validation (bad magic,
 // header CRC, or payload CRC) — the read path treats it as an erasure.
@@ -102,7 +111,7 @@ func DecodeShardHeader(b []byte) (ShardHeader, error) {
 		return h, fmt.Errorf("%w: bad magic %#x", ErrEnvelope, binary.LittleEndian.Uint32(b[0:]))
 	}
 	if v := binary.LittleEndian.Uint32(b[4:]); v != envVersion {
-		return h, fmt.Errorf("%w: unsupported version %d", ErrEnvelope, v)
+		return h, fmt.Errorf("%w: unsupported shard envelope version %d (this build reads %d)", ErrEnvelope, v, envVersion)
 	}
 	if got, want := crc32.Checksum(b[:32], crcTable), binary.LittleEndian.Uint32(b[32:]); got != want {
 		return h, fmt.Errorf("%w: header CRC mismatch (got %#x want %#x)", ErrEnvelope, got, want)

@@ -2,10 +2,14 @@ package ec
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"flag"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -32,7 +36,7 @@ func goldenShard() (ShardHeader, []byte) {
 func TestGoldenShardEnvelope(t *testing.T) {
 	h, payload := goldenShard()
 	got := EncodeShard(h, payload)
-	path := filepath.Join("testdata", "golden", "shard_v1.bin")
+	path := filepath.Join("testdata", "golden", "shard_v2.bin")
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -76,7 +80,7 @@ func TestGoldenHeaderFields(t *testing.T) {
 		want []byte
 	}{
 		{"magic", 0, []byte{'S', 'L', 'E', 'S'}},
-		{"version", 4, []byte{1, 0, 0, 0}},
+		{"version", 4, []byte{2, 0, 0, 0}},
 		{"shard index", 16, []byte{3}},
 		{"k", 17, []byte{4}},
 		{"m", 18, []byte{2}},
@@ -115,6 +119,19 @@ func TestEnvelopeCorruptionDetected(t *testing.T) {
 		if _, _, err := DecodeShard(good[:n]); err == nil {
 			t.Fatalf("truncation to %d bytes not detected", n)
 		}
+	}
+}
+
+// TestEnvelopeV1Refused: a version-1 shard — whose object checksum was a
+// CRC-32C, blind to the contents of a self-checksummed object — is refused
+// by name, header CRC re-taken so nothing else is wrong with it.
+func TestEnvelopeV1Refused(t *testing.T) {
+	b := EncodeShard(goldenShard())
+	binary.LittleEndian.PutUint32(b[4:], 1)
+	binary.LittleEndian.PutUint32(b[32:], crc32.Checksum(b[:32], crcTable))
+	_, _, err := DecodeShard(b)
+	if want := "unsupported shard envelope version 1"; !errors.Is(err, ErrEnvelope) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("got %v, want an ErrEnvelope containing %q", err, want)
 	}
 }
 

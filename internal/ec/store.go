@@ -3,7 +3,6 @@ package ec
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"sort"
 	"strings"
 	"sync"
@@ -71,9 +70,6 @@ func (s *Store) WithAccount(acct *simclock.Account) *Store {
 // Codec exposes the tier's codec geometry.
 func (s *Store) Codec() *Codec { return s.codec }
 
-// Backends exposes the backend set (the chaos injection surface).
-func (s *Store) Backends() []*oss.Backend { return s.backends }
-
 // Stats snapshots the tier counters.
 func (s *Store) Stats() Stats {
 	s.sh.mu.Lock()
@@ -112,7 +108,7 @@ func (s *Store) header(key string, data []byte) ShardHeader {
 		K:        s.codec.K(),
 		M:        s.codec.M(),
 		ObjLen:   int64(len(data)),
-		ObjCRC:   crc32.Checksum(data, crcTable),
+		ObjCRC:   objCRC(data),
 	}
 }
 
@@ -193,16 +189,22 @@ func (s *Store) fetchStripe(key string, upto int) *stripe {
 	return st
 }
 
-// winner picks the write generation with the most surviving shards
-// (deterministic tie-break on the generation tuple) and returns its
-// header plus the count of shards belonging to it.
-func (st *stripe) winner() (ShardHeader, int) {
+// counts is the number of readable shards of each write generation.
+func (st *stripe) counts() map[[2]uint64]int {
 	counts := make(map[[2]uint64]int)
 	for _, h := range st.hdrs {
 		if h != nil {
 			counts[h.gen()]++
 		}
 	}
+	return counts
+}
+
+// winner picks the write generation with the most surviving shards
+// (deterministic tie-break on the generation tuple) and returns its
+// header plus the count of shards belonging to it.
+func (st *stripe) winner() (ShardHeader, int) {
+	counts := st.counts()
 	var best ShardHeader
 	bestN := 0
 	for _, h := range st.hdrs {
@@ -216,6 +218,20 @@ func (st *stripe) winner() (ShardHeader, int) {
 		}
 	}
 	return best, bestN
+}
+
+// insufficient is the loud end of a stripe no generation of which has K
+// readable shards — more than M lost, or an overwrite torn so that neither
+// side has K (possible only when K > M+1: DESIGN.md §12). It names the key
+// and how many shards each generation holds, most first.
+func (s *Store) insufficient(op, key string, st *stripe) error {
+	var census []int
+	for _, n := range st.counts() {
+		census = append(census, n)
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(census)))
+	return fmt.Errorf("ec: %s %s: %w (generations hold %v of %d shards, %d unreadable; need %d of one)",
+		op, key, ErrInsufficient, census, s.codec.K()+s.codec.M(), st.failed, s.codec.K())
 }
 
 // slots returns the winning generation's payloads in codec order (nil for
@@ -244,7 +260,7 @@ func (s *Store) Get(key string) ([]byte, error) {
 	if st.failed == 0 && st.notFound == 0 {
 		if gen, n := st.winner(); n == k {
 			data, err := s.codec.Join(st.payloads[:k], int(gen.ObjLen))
-			if err == nil && crc32.Checksum(data, crcTable) == gen.ObjCRC {
+			if err == nil && objCRC(data) == gen.ObjCRC {
 				s.bump(func(x *Stats) { x.Reads++ })
 				return data, nil
 			}
@@ -267,13 +283,15 @@ func (s *Store) Get(key string) ([]byte, error) {
 		}
 	}
 	gen, n := st.winner()
-	if n == 0 && st.failed == 0 {
+	// A written object has a shard on every backend: one that shows none
+	// with at most M unreadable is absent, and an outage the tier tolerates
+	// must not turn the "not found" a reader is prepared for into a failure.
+	if n == 0 && st.failed <= m {
 		return nil, fmt.Errorf("%w: %s", oss.ErrNotFound, key)
 	}
 	if n < k {
 		s.bump(func(x *Stats) { x.ShardFailures += int64(k + m - n) })
-		return nil, fmt.Errorf("ec: get %s: %w (%d of %d shards of the best generation, %d unreadable)",
-			key, ErrInsufficient, n, k+m, st.failed)
+		return nil, s.insufficient("get", key, st)
 	}
 	shards, bad := st.slots(gen)
 	missingData := 0
@@ -289,7 +307,7 @@ func (s *Store) Get(key string) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ec: get %s: %w", key, err)
 	}
-	if crc32.Checksum(data, crcTable) != gen.ObjCRC {
+	if objCRC(data) != gen.ObjCRC {
 		return nil, fmt.Errorf("ec: get %s: reconstructed object fails its checksum", key)
 	}
 	s.chargeReconstruct(missingData * len(shards[0]))
@@ -342,8 +360,10 @@ func (s *Store) GetRange(key string, off, n int64) ([]byte, error) {
 		return nil, err
 	}
 	end, err := oss.RangeEnd(key, off, n, h.ObjLen)
-	if err != nil {
-		return nil, err
+	if err != nil || end-off < n {
+		// The range does not fit the object the probed header describes:
+		// that header may be the losing side of a torn overwrite.
+		return s.rangeOfGet(key, off, n)
 	}
 	if end == off {
 		s.bump(func(x *Stats) { x.RangedReads++ })
@@ -364,19 +384,28 @@ func (s *Store) GetRange(key string, off, n int64) ([]byte, error) {
 		}
 		part, err := s.backends[j].Store.GetRange(key, HeaderSize+lo-j*sz, hi-lo)
 		if err != nil || int64(len(part)) != hi-lo {
-			// Covering shard unreachable — reconstruct the whole object.
-			s.bump(func(x *Stats) { x.RangedFallbacks++ })
-			full, gerr := s.Get(key)
-			if gerr != nil {
-				return nil, gerr
-			}
-			return full[off:end], nil
+			return s.rangeOfGet(key, off, n) // covering shard unreachable
 		}
 		s.chargeRead(int(j), len(part))
 		out = append(out, part...)
 	}
 	s.bump(func(x *Stats) { x.RangedReads++ })
 	return out, nil
+}
+
+// rangeOfGet is GetRange's fallback: the range of the whole, reconstructed
+// object, whose generation Get settles.
+func (s *Store) rangeOfGet(key string, off, n int64) ([]byte, error) {
+	s.bump(func(x *Stats) { x.RangedFallbacks++ })
+	full, err := s.Get(key)
+	if err != nil {
+		return nil, err
+	}
+	end, err := oss.RangeEnd(key, off, n, int64(len(full)))
+	if err != nil {
+		return nil, err
+	}
+	return full[off:end], nil
 }
 
 // Head implements oss.Store.
@@ -486,7 +515,7 @@ func (s *Store) Repair(key string) (repaired int, err error) {
 	st := s.fetchStripe(key, k+m)
 	gen, n := st.winner()
 	if n < k {
-		return 0, fmt.Errorf("ec: repair %s: %w (%d of %d shards)", key, ErrInsufficient, n, k+m)
+		return 0, s.insufficient("repair", key, st)
 	}
 	shards, bad := st.slots(gen)
 	if len(bad) == 0 {
@@ -500,7 +529,7 @@ func (s *Store) Repair(key string) (repaired int, err error) {
 	if err != nil {
 		return 0, fmt.Errorf("ec: repair %s: %w", key, err)
 	}
-	if crc32.Checksum(data, crcTable) != gen.ObjCRC {
+	if objCRC(data) != gen.ObjCRC {
 		return 0, fmt.Errorf("ec: repair %s: reconstructed object fails its checksum", key)
 	}
 	s.chargeReconstruct(len(bad) * len(shards[0]))

@@ -2,9 +2,13 @@ package ec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,15 +16,26 @@ import (
 	"slimstore/internal/simclock"
 )
 
-func newTestTier(t *testing.T, k, m int) (*Store, *oss.Mem) {
+// testTier is a tier over a Faulty over the Mem beside it: faults enter
+// where a test puts them, the product wraps no backend in an injector.
+type testTier struct {
+	*Store
+	faulty *oss.Faulty
+}
+
+// outage takes backend i down or brings it back.
+func (t testTier) outage(i int, down bool) { t.faulty.SetOutage(oss.BackendPrefix(i), down) }
+
+func newTestTier(t *testing.T, k, m int) (testTier, *oss.Mem) {
 	t.Helper()
 	mem := oss.NewMem()
-	set := oss.NewBackendSet(mem, k+m, simclock.DefaultCosts())
+	faulty := oss.NewFaulty(mem)
+	set := oss.NewBackendSet(faulty, k+m, simclock.DefaultCosts())
 	s, err := NewStore(set, k, m, simclock.DefaultCosts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, mem
+	return testTier{s, faulty}, mem
 }
 
 func shardKey(i int, key string) string { return oss.BackendPrefix(i) + key }
@@ -67,6 +82,17 @@ func TestStoreGetNotFound(t *testing.T) {
 	if _, err := s.Check("containers/nope.data"); !errors.Is(err, oss.ErrNotFound) {
 		t.Fatalf("Check: want ErrNotFound, got %v", err)
 	}
+	// An outage within the tier's tolerance must not turn the "not found" a
+	// reader is prepared for (a restore whose home container was compacted
+	// away) into a failure: a written object would still show a shard.
+	s.outage(0, true)
+	if _, err := s.Get("containers/nope.data"); !errors.Is(err, oss.ErrNotFound) {
+		t.Fatalf("one backend dark: want ErrNotFound, got %v", err)
+	}
+	s.outage(1, true)
+	if _, err := s.Get("containers/nope.data"); !errors.Is(err, ErrInsufficient) {
+		t.Fatalf("two backends dark: nobody can say, want ErrInsufficient, got %v", err)
+	}
 }
 
 // TestStoreDegradedReads kills every ≤M subset of backends in turn and
@@ -91,7 +117,7 @@ func TestStoreDegradedReads(t *testing.T) {
 			}
 		}
 		for _, i := range down {
-			s.Backends()[i].Faulty.SetOutage(true)
+			s.outage(i, true)
 		}
 		got, err := s.Get(key)
 		if len(down) <= m {
@@ -102,7 +128,7 @@ func TestStoreDegradedReads(t *testing.T) {
 			t.Fatalf("down=%v (> M): want ErrInsufficient, got %v", down, err)
 		}
 		for _, i := range down {
-			s.Backends()[i].Faulty.SetOutage(false)
+			s.outage(i, false)
 		}
 	}
 	if st := s.Stats(); st.DegradedReads == 0 || st.ReconstructedShards == 0 {
@@ -175,12 +201,12 @@ func TestStoreGetRange(t *testing.T) {
 		}
 		// Degraded ranged read: kill a backend holding a covering shard;
 		// the fallback must still return exact bytes.
-		s.Backends()[0].Faulty.SetOutage(true)
+		s.outage(0, true)
 		got, err := s.GetRange(key, 10, 50)
 		if err != nil || !bytes.Equal(got, data[10:60]) {
 			t.Fatalf("RS(%d+%d) degraded range: err=%v", g[0], g[1], err)
 		}
-		s.Backends()[0].Faulty.SetOutage(false)
+		s.outage(0, false)
 	}
 }
 
@@ -200,7 +226,7 @@ func TestStoreHeadDeleteList(t *testing.T) {
 		t.Fatalf("List = %v, %v", got, err)
 	}
 	// One backend down: listing still sees every stripe.
-	s.Backends()[3].Faulty.SetOutage(true)
+	s.outage(3, true)
 	if got, err = s.List("containers/"); err != nil || !reflect.DeepEqual(got, keys) {
 		t.Fatalf("List with outage = %v, %v", got, err)
 	}
@@ -209,7 +235,7 @@ func TestStoreHeadDeleteList(t *testing.T) {
 	if err := s.Delete(keys[0]); err == nil {
 		t.Fatal("delete during outage must fail")
 	}
-	s.Backends()[3].Faulty.SetOutage(false)
+	s.outage(3, false)
 	// …and succeeds after the heal, clearing every backend.
 	if err := s.Delete(keys[0]); err != nil {
 		t.Fatal(err)
@@ -289,12 +315,12 @@ func TestStoreRepair(t *testing.T) {
 	if err := mem.Delete(shardKey(3, key)); err != nil {
 		t.Fatal(err)
 	}
-	s.Backends()[3].Faulty.SetOutage(true)
+	s.outage(3, true)
 	n, err := s.Repair(key)
 	if n != 1 || err == nil {
 		t.Fatalf("partial repair = %d, %v; want 1 shard and an error", n, err)
 	}
-	s.Backends()[3].Faulty.SetOutage(false)
+	s.outage(3, false)
 	if n, err = s.Repair(key); n != 1 || err != nil {
 		t.Fatalf("post-heal repair = %d, %v", n, err)
 	}
@@ -349,18 +375,101 @@ func TestStoreStaleGeneration(t *testing.T) {
 	}
 }
 
+// TestStoreTornRewrite: an overwrite interrupted after a of K+M shard puts
+// — a crash, or backends dark during the put — leaves a shards of the new
+// generation beside K+M−a of the old. The objects are what a container meta
+// is: same length before and after (a deletion mark flips a byte) and ending
+// in the CRC-32C of everything before, so the CRC-32C of the whole is the
+// polynomial's residue whatever the contents — under envelope version 1 the
+// two sides were one generation, were joined, and failed the final checksum
+// for good. For every geometry and every split the read serves exactly one
+// side that has K shards (there is one whenever K ≤ M+1) and Repair then
+// settles the whole stripe on one; otherwise it is loud — ErrInsufficient naming
+// the key and what each generation holds — and never bytes.
+func TestStoreTornRewrite(t *testing.T) {
+	selfSummed := func(seed int64) []byte {
+		b := make([]byte, 1018)
+		rand.New(rand.NewSource(seed)).Read(b[:len(b)-4])
+		binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.Checksum(b[:len(b)-4], crcTable))
+		if crc32.Checksum(b, crcTable) != 0x48674BC7 {
+			t.Fatal("a CRC-32C-trailed object must sum to the residue")
+		}
+		return b
+	}
+	before, after := selfSummed(1), selfSummed(2)
+	const key = "containers/C0000000000000009.meta"
+	for k := 1; k <= 4; k++ {
+		for m := 1; m <= 2; m++ {
+			n := k + m
+			for a := 0; a <= n; a++ {
+				s, mem := newTestTier(t, k, m)
+				s2, mem2 := newTestTier(t, k, m)
+				if err := errors.Join(s.Put(key, before), s2.Put(key, after)); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < a; i++ {
+					if err := mem.Put(shardKey(i, key), mustGet(t, mem2, shardKey(i, key))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				got, err := s.Get(key)
+				if max(a, n-a) < k {
+					census := fmt.Sprint([]int{max(a, n-a), min(a, n-a)})
+					if !errors.Is(err, ErrInsufficient) || !strings.Contains(err.Error(), key) || !strings.Contains(err.Error(), census) {
+						t.Fatalf("RS(%d+%d) torn %d/%d: got %d bytes and %v, want ErrInsufficient naming %s and %s", k, m, a, n-a, len(got), err, key, census)
+					}
+					continue
+				}
+				whole := func(b []byte) bool { // a side that has its K shards, and all of it
+					return (a >= k && bytes.Equal(b, after)) || (n-a >= k && bytes.Equal(b, before))
+				}
+				if err != nil || !whole(got) {
+					t.Fatalf("RS(%d+%d) torn %d/%d: err=%v, served neither side whole", k, m, a, n-a, err)
+				}
+				if _, err := s.Repair(key); err != nil {
+					t.Fatalf("RS(%d+%d) torn %d/%d: repair: %v", k, m, a, n-a, err)
+				}
+				if h, err := s.Check(key); err != nil || h.Present != n {
+					t.Fatalf("RS(%d+%d) torn %d/%d: after repair %+v, %v", k, m, a, n-a, h, err)
+				}
+				if got, err = s.Get(key); err != nil || !whole(got) {
+					t.Fatalf("RS(%d+%d) torn %d/%d: unreadable after repair: %v", k, m, a, n-a, err)
+				}
+			}
+		}
+	}
+}
+
+// TestStoreGetRangeOfTornRewrite: a compaction rewrites a payload in place
+// and shorter. Torn after one of three shard puts, the object is still the
+// old one (two shards), but the first header a ranged read probes describes
+// the new: a range that does not fit it must come from the full read, not
+// fail.
+func TestStoreGetRangeOfTornRewrite(t *testing.T) {
+	s, mem := newTestTier(t, 2, 1)
+	s2, mem2 := newTestTier(t, 2, 1)
+	const key = "containers/C0000000000000001.data"
+	before, after := bytes.Repeat([]byte("old!"), 250), bytes.Repeat([]byte("new"), 200)
+	if err := errors.Join(s.Put(key, before), s2.Put(key, after)); err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Put(shardKey(0, key), mustGet(t, mem2, shardKey(0, key))); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range [][2]int64{{700, 100}, {550, 100}, {0, 1000}} {
+		got, err := s.GetRange(key, r[0], r[1])
+		if err != nil || !bytes.Equal(got, before[r[0]:r[0]+r[1]]) {
+			t.Fatalf("GetRange(%d,+%d) of a torn rewrite: %d bytes, %v", r[0], r[1], len(got), err)
+		}
+	}
+}
+
 // TestStoreAccounting pins the metering contract: per-shard I/O lands on
 // the view's account under each backend's cost model, and degraded reads
 // charge PhaseECReconstruct CPU.
 func TestStoreAccounting(t *testing.T) {
 	const k, m = 2, 1
-	mem := oss.NewMem()
-	costs := simclock.DefaultCosts()
-	set := oss.NewBackendSet(mem, k+m, costs)
-	base, err := NewStore(set, k, m, costs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base, _ := newTestTier(t, k, m)
 	acct := simclock.NewAccount()
 	s := base.WithAccount(acct)
 	data := make([]byte, 10_000)
@@ -391,7 +500,7 @@ func TestStoreAccounting(t *testing.T) {
 	}
 
 	acct.Reset()
-	s.Backends()[0].Faulty.SetOutage(true)
+	base.outage(0, true)
 	if _, err := s.Get("containers/x.data"); err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +537,7 @@ func TestStoreAccounting(t *testing.T) {
 		}
 		healthy = get()
 		for i := 0; i < m; i++ {
-			s.Backends()[i].Faulty.SetOutage(true)
+			tier.outage(i, true)
 		}
 		return physical, healthy, get()
 	}

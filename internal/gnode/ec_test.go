@@ -19,14 +19,17 @@ func ecConfig() core.Config {
 	return cfg
 }
 
-func ecSetup(t *testing.T) (*lnode.LNode, *GNode, *core.Repo, *oss.Mem) {
+// ecSetup opens an EC repository over a Faulty over the Mem it returns;
+// outage takes one backend of the tier down or brings it back.
+func ecSetup(t *testing.T) (ln *lnode.LNode, gn *GNode, repo *core.Repo, mem *oss.Mem, outage func(i int, down bool)) {
 	t.Helper()
-	mem := oss.NewMem()
-	repo, err := core.OpenRepo(mem, ecConfig())
+	mem = oss.NewMem()
+	faulty := oss.NewFaulty(mem)
+	repo, err := core.OpenRepo(faulty, ecConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return lnode.New(repo, "l0"), New(repo), repo, mem
+	return lnode.New(repo, "l0"), New(repo), repo, mem, func(i int, down bool) { faulty.SetOutage(oss.BackendPrefix(i), down) }
 }
 
 // killBackend deletes every shard object a backend holds, simulating the
@@ -48,7 +51,7 @@ func killBackend(t *testing.T, mem *oss.Mem, i int) int {
 // TestBackupRestoreWithEC proves the striped tier is transparent to the
 // backup/restore pipeline, including while ≤ M backends are dark.
 func TestBackupRestoreWithEC(t *testing.T) {
-	ln, _, repo, mem := ecSetup(t)
+	ln, _, _, mem, outage := ecSetup(t)
 	data := genData(11, 1<<20)
 	st, err := ln.Backup("f", data)
 	if err != nil {
@@ -71,13 +74,13 @@ func TestBackupRestoreWithEC(t *testing.T) {
 	// Any two of four backends dark (M=2): restores still exact.
 	for _, down := range [][]int{{0}, {3}, {0, 1}, {1, 3}} {
 		for _, i := range down {
-			repo.EC.Backends()[i].Faulty.SetOutage(true)
+			outage(i, true)
 		}
 		if got := restoreBytes(t, ln, "f", st.Version); !bytesEqual(got, data) {
 			t.Fatalf("restore with backends %v down not byte-identical", down)
 		}
 		for _, i := range down {
-			repo.EC.Backends()[i].Faulty.SetOutage(false)
+			outage(i, false)
 		}
 	}
 }
@@ -86,7 +89,7 @@ func TestBackupRestoreWithEC(t *testing.T) {
 // another, runs Scrub, and requires every stripe rebuilt to full K+M
 // redundancy with byte-identical restores.
 func TestScrubRepairsECStripes(t *testing.T) {
-	ln, gn, repo, mem := ecSetup(t)
+	ln, gn, repo, mem, _ := ecSetup(t)
 	data := genData(12, 1<<20)
 	st, err := ln.Backup("f", data)
 	if err != nil {
@@ -168,13 +171,13 @@ func TestScrubRepairsECStripes(t *testing.T) {
 // pass repairs what it can, counts the failure, and a later scrub (after
 // the outage lifts) completes the rebuild.
 func TestScrubECRepairFailure(t *testing.T) {
-	ln, gn, repo, mem := ecSetup(t)
+	ln, gn, _, mem, outage := ecSetup(t)
 	data := genData(13, 512<<10)
 	if _, err := ln.Backup("f", data); err != nil {
 		t.Fatal(err)
 	}
 	killBackend(t, mem, 0)
-	repo.EC.Backends()[0].Faulty.SetOutage(true)
+	outage(0, true)
 	sc, err := gn.Scrub()
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +185,7 @@ func TestScrubECRepairFailure(t *testing.T) {
 	if sc.ECDegradedStripes == 0 || sc.ECRepairFailures == 0 {
 		t.Fatalf("outage scrub did not count repair failures: %+v", sc)
 	}
-	repo.EC.Backends()[0].Faulty.SetOutage(false)
+	outage(0, false)
 	sc, err = gn.Scrub()
 	if err != nil {
 		t.Fatal(err)

@@ -336,14 +336,18 @@ func (g *GNode) rdCommit(cs *container.Store, ids []container.ID, p *rdPrep) (*R
 			default:
 				// Exact duplicate. Reverse rule: delete the OLD copy, keep
 				// the new version's layout intact.
+				// An index entry may outlive its container (a crash after a
+				// drop loses the unsynced deletes): nothing to mark, repoint.
 				om, err := getDirty(oldID)
-				if err != nil {
+				if err != nil && !errors.Is(err, oss.ErrNotFound) {
 					return nil, nil, err
 				}
-				if ocm := om.Find(cm.FP); ocm != nil && !ocm.Deleted {
-					ocm.Deleted = true
-					stats.DuplicatesRemoved++
-					stats.BytesDeduplicated += int64(ocm.Size)
+				if err == nil {
+					if ocm := om.Find(cm.FP); ocm != nil && !ocm.Deleted {
+						ocm.Deleted = true
+						stats.DuplicatesRemoved++
+						stats.BytesDeduplicated += int64(ocm.Size)
+					}
 				}
 				batch = append(batch, globalindex.Entry{FP: cm.FP, ID: id})
 				overlay[cm.FP] = id

@@ -120,6 +120,56 @@ func TestReverseDedupFindsMissedDuplicates(t *testing.T) {
 	}
 }
 
+// TestReverseDedupOverStaleIndexEntry: a drop's index deletes are not
+// synced before its objects go, so a crash brings back entries naming a
+// container that no longer exists. A pass that meets one for a chunk it
+// scans has nothing to mark in the old home and repoints; it used to fail,
+// and with it every later optimize of a version holding that chunk.
+func TestReverseDedupOverStaleIndexEntry(t *testing.T) {
+	cfg := testConfig()
+	cfg.SimilarityMinScore = 1.1 // force the L-node to miss cross-file dups
+	ln, gn, repo, _ := setup(t, cfg)
+	shared := genData(1, 512<<10)
+	stA, err := ln.Backup("a", shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gn.ReverseDedup(stA.NewContainers); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range stA.NewContainers { // dropped; the index deletes were lost
+		if err := repo.Containers.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stB, err := ln.Backup("b", shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := gn.ReverseDedup(stB.NewContainers)
+	if err != nil {
+		t.Fatalf("reverse dedup over stale index entries: %v", err)
+	}
+	if rd.DuplicatesRemoved != 0 {
+		t.Fatalf("removed duplicates of containers that are gone: %+v", rd)
+	}
+	if !bytes.Equal(restoreBytes(t, ln, "b", 0), shared) {
+		t.Fatal("file b corrupt after reverse dedup")
+	}
+	if id, ok, err := repo.Global.Get(mustFirstFP(t, repo, stB.NewContainers[0])); err != nil || !ok || id != stB.NewContainers[0] {
+		t.Fatalf("index not repointed at the surviving copy: %v %v %v", id, ok, err)
+	}
+}
+
+func mustFirstFP(t *testing.T, repo *core.Repo, id container.ID) fingerprint.FP {
+	t.Helper()
+	m, err := repo.Containers.ReadMeta(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.Chunks[0].FP
+}
+
 func TestReverseDedupIdempotent(t *testing.T) {
 	cfg := testConfig()
 	ln, gn, _, _ := setup(t, cfg)

@@ -875,13 +875,41 @@ func (j *backupJob) persist(fileID string) error {
 		return nil
 	}, func() error {
 		return pipe.FanOut(len(refList), packWorkers, func(i int) (err error) {
-			if metas[i], err = j.containers.ReadMeta(refList[i]); err != nil {
+			// A container carried over from the base's records may be gone:
+			// another file's compaction moved its last chunks out. What is
+			// gone cannot be sparse; its chunks must resolve (below).
+			if metas[i], err = j.containers.ReadMeta(refList[i]); err != nil && !errors.Is(err, oss.ErrNotFound) {
 				return fmt.Errorf("lnode: sparse detection: %w", err)
 			}
 			return nil
 		})
 	}); err != nil {
 		return err
+	}
+	// No version is acknowledged over a lost container: every record naming
+	// a missing one must resolve, as a restore resolves it, to a live chunk.
+	var moved []*recipe.ChunkRecord
+	for i, id := range refList {
+		if metas[i] != nil {
+			continue
+		}
+		r.Iter(func(_, _ int, rec *recipe.ChunkRecord) bool {
+			if rec.Container == id {
+				moved = append(moved, rec)
+			}
+			return true
+		})
+	}
+	if len(moved) > 0 {
+		seq, _, _, memo, err := j.node.resolveSequence(j.containers, r, moved, j.acct)
+		if err != nil {
+			return err
+		}
+		for i, q := range seq {
+			if m := memo[q.Container]; m == nil || m.Find(q.FP) == nil || m.Find(q.FP).Deleted {
+				return fmt.Errorf("lnode: chunk %s lost with container %s (the index names %s)", q.FP.Short(), moved[i].Container, q.Container)
+			}
+		}
 	}
 
 	prevSet := make(map[container.ID]bool)
@@ -918,7 +946,7 @@ func (j *backupJob) persist(fileID string) error {
 	// Sparse-container detection (§V-B): utilization of each referenced
 	// container from this version's point of view.
 	for i, id := range refList {
-		if len(metas[i].Chunks) == 0 {
+		if metas[i] == nil || len(metas[i].Chunks) == 0 {
 			continue
 		}
 		util := float64(refs[id]) / float64(len(metas[i].Chunks))

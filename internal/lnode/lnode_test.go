@@ -2,12 +2,16 @@ package lnode
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"slimstore/internal/chunker"
 	"slimstore/internal/container"
 	"slimstore/internal/core"
+	"slimstore/internal/gnode"
 	"slimstore/internal/oss"
 	"slimstore/internal/recipe"
 )
@@ -509,4 +513,53 @@ func TestRestoreRange(t *testing.T) {
 	}
 	rotUnderCRCs(t, repo, "f", 5*size/8+window/2)
 	checkRangeVerify(t, n, repo, "f", data, 5*size/8, window, 1*size/8)
+}
+
+// TestBackupOverVanishedBaseContainer: a version dedupes against its base,
+// so its records name the containers the base's do — and one of those may be
+// gone: another file sharing its chunks was compacted, the index repointed,
+// and a sweep dropped the emptied container (restores follow the index).
+// Sparse detection reads the metadata of every container the new version
+// references; what is gone cannot be sparse and must not fail the backup — it
+// used to, for every later backup of the file. A container that is gone and
+// was NOT moved is lost: no backup is acknowledged over it.
+func TestBackupOverVanishedBaseContainer(t *testing.T) {
+	ln, repo := newNode(t, testConfig())
+	gn := gnode.New(repo)
+	v0 := genData(61, 1<<20)
+	st, err := ln.Backup("f", v0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ln.Backup("g", v0); err != nil {
+		t.Fatal(err)
+	}
+	moved, kept := st.NewContainers[0], st.NewContainers[1]
+	if _, err := gn.CompactSparse("g", 0, []container.ID{moved}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gn.FullSweep(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := repo.Containers.ReadMeta(moved); !errors.Is(err, oss.ErrNotFound) {
+		t.Fatalf("fixture: the compacted container is still there (%v)", err)
+	}
+	v1 := mutate(v0, 62, 4)
+	st1, err := ln.Backup("f", v1)
+	if err != nil {
+		t.Fatalf("backup over a base whose container was compacted away: %v", err)
+	}
+	if slices.Contains(st1.SparseContainers, moved) {
+		t.Fatalf("a container that does not exist was reported sparse: %v", st1.SparseContainers)
+	}
+	if !bytes.Equal(restoreBytes(t, ln, "f", st1.Version), v1) {
+		t.Fatal("the version backed up over the moved container does not restore")
+	}
+
+	if err := repo.Containers.Delete(kept); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ln.Backup("f", mutate(v1, 63, 4)); err == nil || !strings.Contains(err.Error(), kept.String()) {
+		t.Fatalf("backup over a lost container: %v, want an error naming %s", err, kept)
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 )
 
@@ -19,8 +20,9 @@ const (
 
 // Faulty wraps a Store and injects deterministic failures, for testing
 // error propagation and crash-recovery paths (a put that never lands, a
-// flaky read, a store that dies after N operations, a whole backend going
-// dark). All knobs are safe for concurrent use.
+// flaky read, a store that dies after N operations, a key prefix — one
+// backend of the erasure-coded tier, or the whole store — going dark). All
+// knobs are safe for concurrent use.
 type Faulty struct {
 	Store // inner seen through Do
 
@@ -30,7 +32,7 @@ type Faulty struct {
 	putsLeft int             // if >= 0, number of Puts allowed before all fail
 	opCount  int64
 	corrupt  map[string]bool // keys whose reads return flipped bytes
-	down     bool            // whole-backend outage: every operation fails
+	down     map[string]bool // key prefixes in outage: every operation under one fails
 
 	// Probabilistic modes. Each mode draws from its own seeded RNG stream,
 	// and an armed mode draws exactly once per operation regardless of the
@@ -50,6 +52,7 @@ func NewFaulty(inner Store) *Faulty {
 		failGets: make(map[string]bool),
 		putsLeft: -1,
 		corrupt:  make(map[string]bool),
+		down:     make(map[string]bool),
 	}
 	f.Store = With(inner, f)
 	return f
@@ -85,21 +88,15 @@ func (f *Faulty) CorruptReads(key string) {
 	f.mu.Unlock()
 }
 
-// SetOutage switches the whole-backend outage mode: while down, every
-// operation (reads, writes, deletes, lists) fails with ErrInjected. This
-// models one fault domain of a multi-backend deployment going dark; the
-// erasure-coded tier must keep serving through it.
-func (f *Faulty) SetOutage(down bool) {
+// SetOutage switches the outage of one key prefix: while it is down, every
+// operation on a key under it (reads, writes, deletes, and lists of a
+// prefix under it) fails with ErrInjected. "" is the whole store;
+// BackendPrefix(i) is one fault domain of the erasure-coded tier going
+// dark, which the tier must keep serving through.
+func (f *Faulty) SetOutage(prefix string, down bool) {
 	f.mu.Lock()
-	f.down = down
+	f.down[prefix] = down
 	f.mu.Unlock()
-}
-
-// Outage reports whether the whole-backend outage mode is armed.
-func (f *Faulty) Outage() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.down
 }
 
 // SetRand seeds the probabilistic modes from an injected RNG: two child
@@ -150,7 +147,7 @@ func (f *Faulty) Clear() {
 	f.putsLeft = -1
 	f.failRate = 0
 	f.corruptRate = 0
-	f.down = false
+	f.down = make(map[string]bool)
 	f.mu.Unlock()
 }
 
@@ -175,8 +172,12 @@ func (f *Faulty) gate(op Op) (corrupt bool, err error) {
 	read := op.Kind == KindGet || op.Kind == KindGetRange || op.Kind == KindHead
 	failRoll := (put || read) && f.roll(&f.failRng, failSeedSalt, f.failRate)
 	corruptRoll := read && f.roll(&f.corruptRng, corruptSeedSalt, f.corruptRate)
+	dark := false
+	for p, down := range f.down {
+		dark = dark || down && strings.HasPrefix(op.Key, p)
+	}
 	switch {
-	case f.down:
+	case dark:
 		return false, fmt.Errorf("%w: %s (backend down)", ErrInjected, op)
 	case put && f.failPuts[op.Key], read && f.failGets[op.Key]:
 		return false, fmt.Errorf("%w: %s", ErrInjected, op)

@@ -134,7 +134,7 @@ func TestFaultSeedDeterminism(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		op := Op{Kind: Kind(r.Intn(6)), Key: fmt.Sprint("k", r.Intn(8)), Off: 2, N: 8}
 		mem.Put(op.Key, []byte("0123456789abcdef"))
-		f.SetOutage(i/100 == 7)
+		f.SetOutage("", i/100 == 7)
 		res, err := Do(f, op)
 		if err != nil && !errors.Is(err, ErrInjected) {
 			t.Fatalf("%s: unexpected error class %v", op, err)
@@ -146,32 +146,42 @@ func TestFaultSeedDeterminism(t *testing.T) {
 	}
 }
 
-// TestFaultOutage pins the whole-backend outage mode: every operation
-// class fails with ErrInjected while down, and the store heals cleanly
-// when the outage lifts.
+// TestFaultOutage pins the outage mode: every operation class on a key
+// under a dark prefix fails with ErrInjected ("" is the whole store), keys
+// outside it are served, and the store heals cleanly when the outage
+// lifts.
 func TestFaultOutage(t *testing.T) {
 	mem := NewMem()
 	f := NewFaulty(mem)
 	if err := f.Put("a", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
-	f.SetOutage(true)
-	if !f.Outage() {
-		t.Fatal("Outage() false after SetOutage(true)")
+	dark := func(key string) bool {
+		_, err := f.Get(key)
+		return errors.Is(err, ErrInjected)
 	}
+	f.SetOutage("", true)
 	for _, op := range sixKinds {
 		if _, err := Do(f, op); !errors.Is(err, ErrInjected) {
 			t.Fatalf("%s during outage: %v", op, err)
 		}
 	}
-	f.SetOutage(false)
+	f.SetOutage("", false)
 	if b, err := f.Get("a"); err != nil || string(b) != "1" {
 		t.Fatalf("Get after heal: %q, %v", b, err)
 	}
+	// An outage is scoped by key prefix: one backend of a set goes dark,
+	// its neighbours and the rest of the store do not.
+	f.SetOutage(BackendPrefix(1), true)
+	if _, err := f.List(BackendPrefix(1) + "x/"); !errors.Is(err, ErrInjected) {
+		t.Fatalf("list under the dark prefix: %v", err)
+	}
+	if !dark(BackendPrefix(1)+"k") || dark(BackendPrefix(0)+"k") || dark("a") {
+		t.Fatal("an outage of backend 1 must fail its keys and no others")
+	}
 	// Clear() also lifts an outage.
-	f.SetOutage(true)
 	f.Clear()
-	if f.Outage() {
+	if dark(BackendPrefix(1) + "k") {
 		t.Fatal("Clear() left the outage armed")
 	}
 }

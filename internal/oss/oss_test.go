@@ -213,7 +213,7 @@ func TestWrapperStores(t *testing.T) {
 		"Frozen":     NewFrozen(NewMem()),
 		"TestLayers": With(NewMem(), &Recorder{}, &Barrier{}, CrashAfter(-1), Sleep(0)),
 		"NoLayers":   With(NewMem()),
-		"Backend":    NewBackendSet(NewMem(), 3, costs)[1].Store,                                // Faulty over Prefixed
+		"Backend":    NewBackendSet(NewMem(), 3, costs)[1].Store,
 		"Namespaced": NewMetered(NewPrefixed(NewMem(), "tenant"), costs, simclock.NewAccount()), // slimstore.NamespacedStore under a repo
 		"OpenHTTP":   NewRetry(NewClient(srv.URL, srv.Client()), 4, 0, nil),                     // slimstore.OpenHTTP
 	} {

@@ -1,6 +1,6 @@
 // Package repl implements a minimal replicated batch log under the global
-// fingerprint index (ROADMAP open item 2; the shared-nothing clustered
-// dedup design of Khan et al. is the blueprint).
+// fingerprint index (the shared-nothing clustered dedup design of Khan et
+// al. is the blueprint).
 //
 // One Group is a shard of the fingerprint index: 2f+1 kvstore replicas
 // plus a shared, durable replication log of WriteBatch records on OSS.
@@ -92,9 +92,6 @@ type Options struct {
 	// Downtime, when set, receives the virtual failover cost under
 	// PhaseFailover (in addition to Stats).
 	Downtime *simclock.Account
-	// WrapNode, when set, wraps replica i's view of the store — the
-	// fault-injection seam (chaos wraps single replicas in oss.Faulty).
-	WrapNode func(id int, s oss.Store) oss.Store
 }
 
 func (o *Options) fillDefaults() {
@@ -119,7 +116,6 @@ func (o *Options) fillDefaults() {
 // replication position.
 type node struct {
 	id          int
-	store       oss.Store // possibly fault-wrapped view
 	db          *kvstore.DB
 	alive       bool
 	partitioned bool
@@ -203,25 +199,18 @@ func Open(store oss.Store, opts Options) (*Group, error) {
 
 	maxApplied := uint64(0)
 	for i := 0; i < opts.Replicas; i++ {
-		ns := store
-		if opts.WrapNode != nil {
-			ns = opts.WrapNode(i, store)
-		}
 		kv := opts.KV
 		kv.Prefix = fmt.Sprintf("%sn%d/", opts.Prefix, i)
-		db, err := kvstore.Open(ns, kv)
+		db, err := kvstore.Open(store, kv)
 		if err != nil {
 			return nil, fmt.Errorf("repl: open replica %d: %w", i, err)
 		}
-		n := &node{id: i, store: ns, db: db, alive: true}
+		n := &node{id: i, db: db, alive: true}
 		if v, ok, err := db.Get(stateKey); err != nil {
 			return nil, fmt.Errorf("repl: read replica %d state: %w", i, err)
 		} else if ok {
 			n.term, n.applied = decodeState(v)
 			n.durable = n.applied
-		}
-		if n.term > g.term {
-			g.term = n.term
 		}
 		if n.applied > maxApplied {
 			maxApplied = n.applied
@@ -257,11 +246,15 @@ func Open(store oss.Store, opts Options) (*Group, error) {
 
 	// Bring every replica to the log tail so the group starts
 	// converged; this also completes any record a crashed leader
-	// appended to the log but never fanned out.
+	// appended to the log but never fanned out. The group's term is
+	// taken after the replay, not from what the replicas had persisted:
+	// records appended after a failover carry the later term, and a
+	// group behind its own replicas is fenced by all of them for good.
 	for _, n := range g.nodes {
 		if err := g.catchUpNodeLocked(n, g.logNext-1); err != nil {
 			return nil, fmt.Errorf("repl: recover replica %d: %w", n.id, err)
 		}
+		g.term = max(g.term, n.term)
 	}
 	g.commit = g.logNext - 1
 	if err := g.electLocked(false); err != nil {
@@ -380,11 +373,13 @@ func (g *Group) appendAsLocked(term uint64, b *kvstore.Batch) error {
 	g.stats.Appends++
 
 	acks := 0
+	var why []string // each reached replica's reason for not acknowledging
 	for _, n := range g.nodes {
 		if !n.alive || n.partitioned {
 			continue
 		}
 		if err := g.appendToNodeLocked(n, term, idx, b); err != nil {
+			why = append(why, err.Error())
 			g.failNodeLocked(n)
 			continue
 		}
@@ -392,7 +387,7 @@ func (g *Group) appendAsLocked(term uint64, b *kvstore.Batch) error {
 	}
 	if acks < g.quorum() {
 		g.leader = -1
-		return fmt.Errorf("repl: record %d acked by %d of %d: %w", idx, acks, len(g.nodes), ErrNoQuorum)
+		return fmt.Errorf("repl: record %d acked by %d of %d: %w (%d unreachable; %s)", idx, acks, len(g.nodes), ErrNoQuorum, len(g.nodes)-acks-len(why), strings.Join(why, "; "))
 	}
 	g.commit = idx
 	g.maybeSyncTruncateLocked()
@@ -653,7 +648,7 @@ func (g *Group) Restart(id int) error {
 	}
 	kv := g.opts.KV
 	kv.Prefix = fmt.Sprintf("%sn%d/", g.opts.Prefix, id)
-	db, err := kvstore.Open(n.store, kv)
+	db, err := kvstore.Open(g.store, kv)
 	if err != nil {
 		return fmt.Errorf("repl: reopen replica %d: %w", id, err)
 	}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"slimstore/internal/kvstore"
@@ -247,28 +249,72 @@ func TestReopenRecovers(t *testing.T) {
 	}
 }
 
+// TestReopenAfterFailoverIsNotBehindItsReplicas: records appended after a
+// failover carry the later term, and replaying them at open raises every
+// replica's term past the one the replicas had persisted. A group that
+// settled its own term before the replay was fenced by all of its replicas
+// on the first append, for good — the error must also say so.
+func TestReopenAfterFailoverIsNotBehindItsReplicas(t *testing.T) {
+	store := oss.NewMem()
+	opts := testOpts()
+	opts.KV = kvstore.Options{} // nothing of the first process is synced
+	g, err := Open(store, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.KillLeader()
+	if err := g.Apply(putBatch(0)); err != nil {
+		t.Fatal(err)
+	}
+	g2, err := Open(store, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g2.Apply(putBatch(1)); err != nil {
+		t.Fatalf("apply after reopen: %v", err)
+	}
+	for _, n := range g2.nodes {
+		if term := g2.ReplStats().Term; term < n.term {
+			t.Fatalf("group at term %d behind replica %d at term %d", term, n.id, n.term)
+		}
+	}
+	mustGet(t, g2, 0)
+	mustGet(t, g2, 1)
+
+	// A lost quorum says why each replica did not acknowledge.
+	h, err := g2.Handle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2.Kill(0)
+	g2.nodes[1].term += 5
+	err = h.Apply(putBatch(2))
+	if !errors.Is(err, ErrNoQuorum) || !strings.Contains(err.Error(), "1 unreachable") || !strings.Contains(err.Error(), "rejects term") {
+		t.Fatalf("got %v, want ErrNoQuorum naming the dead and the fencing replica", err)
+	}
+}
+
 // TestFollowerCrashMidApply is the replicated extension of the kvstore
 // torn-batch cases: a follower whose storage dies mid-stream must, when
 // inspected directly, expose all-or-nothing batch visibility — its
 // persisted position marker and its data always agree — and must
 // converge after a restart plus log catch-up.
 func TestFollowerCrashMidApply(t *testing.T) {
-	store := oss.NewMem()
-	var faulty *oss.Faulty
+	faulty := oss.NewFaulty(oss.NewMem())
 	opts := testOpts()
 	opts.KV.WALFlushBytes = 1 // every apply syncs, so the fault lands mid-stream
-	opts.WrapNode = func(id int, s oss.Store) oss.Store {
-		if id != 2 {
-			return s
+	// Replica 2's storage goes dark after its twelfth put, wherever in an
+	// apply that falls: the cut is drawn by the store, not between applies.
+	var puts atomic.Int32
+	g, err := Open(oss.With(faulty, oss.LayerFunc(func(op oss.Op, next oss.Store) (oss.Op, error) {
+		if op.Kind == oss.KindPut && strings.HasPrefix(op.Key, "grp/n2/") && puts.Add(1) == 13 {
+			faulty.SetOutage("grp/n2/", true)
 		}
-		faulty = oss.NewFaulty(s)
-		return faulty
-	}
-	g, err := Open(store, opts)
+		return oss.Do(next, op)
+	})), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty.FailPutsAfter(12) // crash replica 2 partway through the run
 	for i := 0; i < 20; i++ {
 		if err := g.Apply(putBatch(i)); err != nil {
 			t.Fatalf("apply %d: %v", i, err) // quorum of 2 must survive

@@ -19,6 +19,13 @@ sh ./scripts/lint.sh
 	[ "$(grep -rhE '^\s*\*?(oss\.)?(Store|Mem)\s*(//.*)?$|struct\s*\{\s*\*?(oss\.)?(Store|Mem)\s*\}' --include=*_test.go . | wc -l)" -le 8 ] ||
 	{ echo "check: too many oss.Store implementations: wrap with oss.With(…) and a Layer instead of forwarding six methods" >&2; exit 1; }
 
+# The product constructs no fault injector (DESIGN.md §6): faults enter
+# through the one oss.Faulty a test, or the chaos runner, puts over a store.
+if grep -rlw Faulty --include='*.go' . | grep -v '_test\.go$' | grep -qvE '^\./internal/(oss|chaos)/'; then
+	echo "check: a non-test file outside internal/oss and internal/chaos names oss.Faulty" >&2
+	exit 1
+fi
+
 # Every `go test` below also runs the run-time invariant checks (DESIGN.md
 # §9) beside the race detector, with nothing to switch on: pooled buffers
 # are poisoned on recycle and a second put panics (internal/poison), each
