@@ -17,9 +17,11 @@ import (
 // This file holds the apply half of the intent-journal protocol (see
 // package journal). The G-node commits a record and calls the matching
 // Apply*; OpenRepo replays surviving records through the same functions,
-// so every step here must be idempotent. Apply functions end by syncing
-// the global index: its LSM buffers writes, and removing a journal record
-// before the index mutations are durable would lose them to a crash.
+// so every step here must be idempotent. Every index mutation here is
+// synced before the step that depends on it — ApplySCC ends with a Sync,
+// ApplyGC's drop syncs before it deletes an object — since the index buffers
+// writes, and removing a journal record (or a container) before the index
+// mutations are durable would lose them to a crash.
 
 // ReplayJournal rolls forward (or, for rewrites whose payload never
 // landed, rolls back) every surviving journal record, in commit order. It
@@ -219,30 +221,28 @@ func (r *Repo) ApplyGC(rec *journal.Record, cs *container.Store, rs *recipe.Stor
 		if err != nil {
 			return nil, err
 		}
-		cands := make(map[container.ID]bool)
+		var cands []container.ID
 		for _, id := range journal.IDs(rec.Garbage) {
 			if !live[id] {
-				cands[id] = true
+				cands = append(cands, id)
 			}
 		}
 		pinned, err := r.redirectPins(cs, rs, cands)
 		if err != nil {
 			return nil, err
 		}
-		for _, id := range journal.IDs(rec.Garbage) {
-			if live[id] || pinned[id] {
-				continue // still referenced (e.g. out-of-order deletion)
+		var drop []container.ID
+		for _, id := range cands {
+			if !pinned[id] { // a pinned one is still referenced (e.g. out-of-order deletion)
+				drop = append(drop, id)
 			}
-			reclaimed, removed, err := r.DropContainer(cs, id)
-			if err != nil {
-				return nil, err
-			}
-			out.ContainersCollected++
-			out.BytesReclaimed += reclaimed
-			out.IndexEntriesRemoved += removed
+		}
+		out.ContainersCollected = len(drop)
+		if out.BytesReclaimed, out.IndexEntriesRemoved, err = r.DropContainers(cs, drop); err != nil {
+			return nil, err
 		}
 	}
-	return out, r.Global.Sync()
+	return out, nil
 }
 
 // redirectPins reports which garbage candidates must survive because a
@@ -256,26 +256,35 @@ func (r *Repo) ApplyGC(rec *journal.Record, cs *container.Store, rs *recipe.Stor
 // This pass catches exactly those: a candidate is pinned when it is the
 // index-canonical home of a fingerprint that some live recipe references
 // via a different container.
-func (r *Repo) redirectPins(cs *container.Store, rs *recipe.Store, cands map[container.ID]bool) (map[container.ID]bool, error) {
-	// Fingerprints whose canonical copy sits in a candidate.
-	own := make(map[fingerprint.FP]container.ID)
-	for id := range cands {
-		m, err := cs.ReadMeta(id)
-		if err != nil {
-			continue // unreadable meta: DropContainer will no-op it anyway
+func (r *Repo) redirectPins(cs *container.Store, rs *recipe.Store, cands []container.ID) (map[container.ID]bool, error) {
+	// Fingerprints whose canonical copy sits in a candidate: one probe over
+	// the live chunks of every candidate whose meta reads (an unreadable one
+	// is already gone; the drop skips it too).
+	metas, err := r.readMetas(cs, cands)
+	if err != nil {
+		return nil, err
+	}
+	var fps []fingerprint.FP
+	var homes []container.ID
+	for j, m := range metas {
+		if m == nil {
+			continue
 		}
 		for i := range m.Chunks {
-			cm := &m.Chunks[i]
-			if cm.Deleted {
-				continue
+			if cm := &m.Chunks[i]; !cm.Deleted {
+				fps = append(fps, cm.FP)
+				homes = append(homes, cands[j])
 			}
-			cur, found, err := r.Global.Get(cm.FP)
-			if err != nil {
-				return nil, err
-			}
-			if found && cur == id {
-				own[cm.FP] = id
-			}
+		}
+	}
+	cur, found, _, err := r.Global.GetBatch(fps)
+	if err != nil {
+		return nil, err
+	}
+	own := make(map[fingerprint.FP]container.ID)
+	for i, fp := range fps {
+		if found[i] && cur[i] == homes[i] {
+			own[fp] = homes[i]
 		}
 	}
 	if len(own) == 0 {
@@ -464,36 +473,79 @@ func (r *Repo) LiveContainerRefs(rs *recipe.Store) (map[container.ID]bool, error
 	return live, nil
 }
 
-// DropContainer deletes a container and its global-index entries,
-// returning the bytes reclaimed and index entries removed. Dropping an
-// already-dropped container is a no-op.
-func (r *Repo) DropContainer(cs *container.Store, id container.ID) (int64, int, error) {
-	m, err := cs.ReadMeta(id)
-	if err != nil {
-		// Already gone (e.g. swept via another version's garbage list).
+// readMetas reads the metas of ids in one fan-out; metas[i] is nil when
+// the meta of ids[i] cannot be read — the container is gone.
+func (r *Repo) readMetas(cs *container.Store, ids []container.ID) ([]*container.Meta, error) {
+	metas := make([]*container.Meta, len(ids))
+	return metas, r.ForEach(len(ids), func(i int) error {
+		if m, err := cs.ReadMeta(ids[i]); err == nil {
+			metas[i] = m
+		}
+		return nil
+	})
+}
+
+// DropContainers deletes a set of containers and the global-index entries
+// that still name one of them, returning the bytes reclaimed and the
+// entries removed. The metas are read in one fan-out — a container whose
+// meta cannot be read is already gone (swept through another version's
+// garbage list, say) and is skipped — then one lookup covers their distinct
+// fingerprints and one batch deletes the entries naming a container of the
+// set. That batch is synced before any object goes: a crash can leave
+// objects no entry names, which the next drop or sweep removes, never an
+// entry naming a container that no longer exists. A fingerprint a
+// container holds twice is one entry, removed once.
+func (r *Repo) DropContainers(cs *container.Store, ids []container.ID) (int64, int, error) {
+	if len(ids) == 0 {
 		return 0, 0, nil
 	}
-	removed := 0
-	for i := range m.Chunks {
-		cm := &m.Chunks[i]
-		cur, found, err := r.Global.Get(cm.FP)
-		if err != nil {
-			return 0, 0, err
-		}
-		if found && cur == id {
-			if err := r.Global.Delete(cm.FP); err != nil {
-				return 0, 0, err
-			}
-			removed++
-		}
-	}
-	reclaimed := int64(m.DataSize) + int64(len(container.EncodeMeta(m)))
-	r.CLocks.Lock(id)
-	err = cs.Delete(id)
-	r.CLocks.Unlock(id)
+	metas, err := r.readMetas(cs, ids)
 	if err != nil {
 		return 0, 0, err
 	}
+	var reclaimed int64
+	var fps []fingerprint.FP
+	dropping := make(map[container.ID]bool, len(ids))
+	seen := make(map[fingerprint.FP]bool)
+	for i, m := range metas {
+		if m == nil {
+			continue
+		}
+		dropping[ids[i]] = true
+		reclaimed += int64(m.DataSize) + int64(len(container.EncodeMeta(m)))
+		for j := range m.Chunks {
+			if fp := m.Chunks[j].FP; !seen[fp] {
+				seen[fp] = true
+				fps = append(fps, fp)
+			}
+		}
+	}
+	cur, found, _, err := r.Global.GetBatch(fps)
+	if err != nil {
+		return 0, 0, err
+	}
+	var dels []globalindex.Entry
+	for i, fp := range fps {
+		if found[i] && dropping[cur[i]] {
+			dels = append(dels, globalindex.Entry{FP: fp, ID: container.Invalid})
+		}
+	}
+	if err := r.Global.PutBatch(dels); err != nil {
+		return 0, 0, err
+	}
+	if err := r.Global.Sync(); err != nil {
+		return 0, 0, err
+	}
+	if err := r.ForEach(len(ids), func(i int) error {
+		if metas[i] == nil {
+			return nil
+		}
+		r.CLocks.Lock(ids[i])
+		defer r.CLocks.Unlock(ids[i])
+		return cs.Delete(ids[i])
+	}); err != nil {
+		return 0, 0, err
+	}
 	r.BumpMaintEpoch()
-	return reclaimed, removed, nil
+	return reclaimed, len(dels), nil
 }

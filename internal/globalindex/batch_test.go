@@ -9,9 +9,9 @@ import (
 	"slimstore/internal/oss"
 )
 
-// Property: PutBatch+GetBatch behave exactly like the loop of singles —
-// same visible mappings, same bloom distinct-entry estimate, and the same
-// number of lookups short-circuited by the filter.
+// Property: PutBatch+GetBatch over many entries behave exactly like
+// batches of one — same visible mappings, same bloom distinct-entry
+// estimate, and the same number of lookups short-circuited by the filter.
 func TestBatchMatchesSingles(t *testing.T) {
 	opts := Options{BloomCapacity: 4096}
 	single, err := Open(oss.NewMem(), opts)
@@ -28,9 +28,7 @@ func TestBatchMatchesSingles(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		// Overlapping fingerprints force relocations and bloom dup hits.
 		e := Entry{FP: fpN(rng.Intn(250)), ID: container.ID(rng.Intn(40) + 1)}
-		if err := single.Put(e.FP, e.ID); err != nil {
-			t.Fatal(err)
-		}
+		put(t, single, e.FP, e.ID)
 		pending = append(pending, e)
 		if len(pending) >= 53 {
 			if err := batched.PutBatch(pending); err != nil {
@@ -86,10 +84,7 @@ func TestBatchMatchesSingles(t *testing.T) {
 	singleSkips := 0
 	for i, fp := range fps {
 		before := single.Stats().BloomSkips
-		id, ok, err := single.Get(fp)
-		if err != nil {
-			t.Fatal(err)
-		}
+		id, ok := get(t, single, fp)
 		if single.Stats().BloomSkips > before {
 			singleSkips++
 		}

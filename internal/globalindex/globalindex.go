@@ -48,15 +48,13 @@ type bloomShard struct {
 
 // Backend is the persistent KV engine an Index runs on: a plain
 // kvstore.DB for the single-node layout, or a repl.Group replicating
-// the same operations across a quorum of kvstores. The method set is
-// exactly the slice of the kvstore API the index uses, so the DB
-// satisfies it without adaptation.
+// the same batches across a quorum of kvstores. Its one write is a batch
+// (Apply) and its one lookup a multi-get (GetMulti) — exactly the slice of
+// the kvstore API the index uses, so the DB satisfies it without
+// adaptation.
 type Backend interface {
-	Put(key, value []byte) error
-	Get(key []byte) (value []byte, found bool, err error)
 	GetMulti(keys [][]byte) (values [][]byte, found []bool, err error)
 	Apply(b *kvstore.Batch) error
-	Delete(key []byte) error
 	Scan(start, end []byte, fn func(key, value []byte) bool) error
 	Sync() error
 	Close() error
@@ -127,76 +125,42 @@ func OpenBackend(db Backend, opts Options) (*Index, error) {
 	return x, nil
 }
 
-// Put records that fp is stored in container id (insert or relocation).
-func (x *Index) Put(fp fingerprint.FP, id container.ID) error {
-	var v [8]byte
-	binary.LittleEndian.PutUint64(v[:], uint64(id))
-	if err := x.db.Put(fp[:], v[:]); err != nil {
-		return fmt.Errorf("globalindex: put %s: %w", fp.Short(), err)
-	}
-	s := x.shard(fp)
-	s.mu.Lock()
-	if !s.bloom.MayContain(fp) {
-		s.n++
-	}
-	s.bloom.Add(fp)
-	s.mu.Unlock()
-	return nil
-}
-
-// Get returns the container currently holding fp. The bloom filter answers
-// definite misses without touching the LSM store.
-func (x *Index) Get(fp fingerprint.FP) (container.ID, bool, error) {
-	x.lookups.Add(1)
-	s := x.shard(fp)
-	s.mu.RLock()
-	miss := !s.bloom.MayContain(fp)
-	s.mu.RUnlock()
-	if miss {
-		x.bloomSkips.Add(1)
-		return container.Invalid, false, nil
-	}
-	v, ok, err := x.db.Get(fp[:])
-	if err != nil {
-		return container.Invalid, false, fmt.Errorf("globalindex: get %s: %w", fp.Short(), err)
-	}
-	if !ok || len(v) != 8 {
-		return container.Invalid, false, nil
-	}
-	return container.ID(binary.LittleEndian.Uint64(v)), true, nil
-}
-
-// Entry is one batched index mutation: fp is (now) stored in container ID.
+// Entry is one index mutation: fp is (now) stored in container ID, or,
+// when ID is container.Invalid, fp is stored nowhere and its entry goes.
 type Entry struct {
 	FP fingerprint.FP
 	ID container.ID
 }
 
-// PutBatch records a set of fingerprint→container mappings in one
-// group-committed kvstore batch: one WAL record, one lock acquisition.
-// The sharded blooms stay coherent with the serial path — each bloom
-// shard is locked once, and the distinct-entry estimate n counts exactly
-// the fingerprints a loop of Puts would have counted. Entries applied in
-// slice order, so a batch writing the same fingerprint twice resolves
-// like the equivalent loop (last write wins).
+// PutBatch applies a set of mutations — the index's only write — in one
+// group-committed kvstore batch: one WAL record (one replicated log record
+// on a repl backend), one lock acquisition. Entries apply in slice order,
+// so a batch naming the same fingerprint twice resolves like the
+// equivalent sequence of batches (last write wins). Each bloom shard is
+// locked once, and its distinct-entry estimate n counts every fingerprint
+// put for the first time. The filter cannot delete, so a deleted
+// fingerprint keeps a stale positive until the next Open; that costs one
+// wasted lookup, never a wrong answer.
 func (x *Index) PutBatch(entries []Entry) error {
 	if len(entries) == 0 {
 		return nil
 	}
 	var b kvstore.Batch
 	var v [8]byte
+	var byShard [bloomShards][]fingerprint.FP
 	for i := range entries {
-		binary.LittleEndian.PutUint64(v[:], uint64(entries[i].ID))
-		b.Put(entries[i].FP[:], v[:])
+		e := &entries[i]
+		if e.ID == container.Invalid {
+			b.Delete(e.FP[:])
+			continue
+		}
+		binary.LittleEndian.PutUint64(v[:], uint64(e.ID))
+		b.Put(e.FP[:], v[:])
+		si := int(e.FP[0]) % bloomShards
+		byShard[si] = append(byShard[si], e.FP)
 	}
 	if err := x.db.Apply(&b); err != nil {
 		return fmt.Errorf("globalindex: put batch of %d: %w", len(entries), err)
-	}
-	// Group bloom updates per shard so each stripe is locked once.
-	var byShard [bloomShards][]fingerprint.FP
-	for i := range entries {
-		si := int(entries[i].FP[0]) % bloomShards
-		byShard[si] = append(byShard[si], entries[i].FP)
 	}
 	for si := range byShard {
 		if len(byShard[si]) == 0 {
@@ -215,13 +179,13 @@ func (x *Index) PutBatch(entries []Entry) error {
 	return nil
 }
 
-// GetBatch resolves many fingerprints in one pass: bloom probes grouped
-// per shard (one RLock each), then a single kvstore GetMulti for the
-// bloom-positive survivors. Results are parallel slices; found[i] is
-// false for unknown fingerprints. bloomSkips reports how many of THESE
-// lookups the filter answered alone — callers tracking per-pass filter
-// effectiveness (G-node stats) need the local count, not a delta of the
-// global counter, which concurrent jobs also advance.
+// GetBatch resolves many fingerprints in one pass — the index's only
+// lookup: bloom probes grouped per shard (one RLock each), then a single
+// kvstore GetMulti for the bloom-positive survivors. Results are parallel
+// slices; found[i] is false for unknown fingerprints. bloomSkips reports
+// how many of THESE lookups the filter answered alone — callers tracking
+// per-pass filter effectiveness (G-node stats) need the local count, not a
+// delta of the global counter, which concurrent jobs also advance.
 func (x *Index) GetBatch(fps []fingerprint.FP) (ids []container.ID, found []bool, bloomSkips int, err error) {
 	ids = make([]container.ID, len(fps))
 	found = make([]bool, len(fps))
@@ -272,16 +236,6 @@ func (x *Index) GetBatch(fps []fingerprint.FP) (ids []container.ID, found []bool
 		}
 	}
 	return ids, found, bloomSkips, nil
-}
-
-// Delete removes fp (its chunk no longer exists in any container). The
-// bloom filter cannot delete, so it retains a stale positive until the
-// next Open; correctness is unaffected, only one wasted lookup.
-func (x *Index) Delete(fp fingerprint.FP) error {
-	if err := x.db.Delete(fp[:]); err != nil {
-		return fmt.Errorf("globalindex: delete %s: %w", fp.Short(), err)
-	}
-	return nil
 }
 
 // Scan visits all (fingerprint, container) pairs in fingerprint order.

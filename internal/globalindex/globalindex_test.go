@@ -13,41 +13,56 @@ func fpN(n int) fingerprint.FP {
 	return fingerprint.OfBytes([]byte(fmt.Sprintf("chunk-%d", n)))
 }
 
+// put writes one mapping (a deletion when id is container.Invalid): a
+// PutBatch of one.
+func put(t *testing.T, x *Index, fp fingerprint.FP, id container.ID) {
+	t.Helper()
+	if err := x.PutBatch([]Entry{{FP: fp, ID: id}}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// get resolves one fingerprint: a GetBatch of one.
+func get(t *testing.T, x *Index, fp fingerprint.FP) (container.ID, bool) {
+	t.Helper()
+	ids, found, _, err := x.GetBatch([]fingerprint.FP{fp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ids[0], found[0]
+}
+
 func TestPutGetDelete(t *testing.T) {
 	x, err := Open(oss.NewMem(), Options{BloomCapacity: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if err := x.Put(fpN(i), container.ID(i+1)); err != nil {
-			t.Fatal(err)
-		}
+		put(t, x, fpN(i), container.ID(i+1))
 	}
 	for i := 0; i < 100; i++ {
-		id, ok, err := x.Get(fpN(i))
-		if err != nil || !ok || id != container.ID(i+1) {
-			t.Fatalf("Get(%d) = %v, %v, %v", i, id, ok, err)
+		if id, ok := get(t, x, fpN(i)); !ok || id != container.ID(i+1) {
+			t.Fatalf("Get(%d) = %v, %v", i, id, ok)
 		}
 	}
 	// Relocation (reverse dedup moves the pointer to the new container).
-	if err := x.Put(fpN(5), 999); err != nil {
-		t.Fatal(err)
-	}
-	id, ok, _ := x.Get(fpN(5))
-	if !ok || id != 999 {
+	put(t, x, fpN(5), 999)
+	if id, ok := get(t, x, fpN(5)); !ok || id != 999 {
 		t.Fatalf("after relocation Get = %v, %v", id, ok)
 	}
-	// Delete.
-	if err := x.Delete(fpN(7)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, _ := x.Get(fpN(7)); ok {
+	// Delete: an entry naming no container.
+	entries := x.Stats().Entries
+	put(t, x, fpN(7), container.Invalid)
+	if _, ok := get(t, x, fpN(7)); ok {
 		t.Fatal("deleted fingerprint still resolves")
+	}
+	if x.Stats().Entries != entries {
+		t.Fatalf("a deletion moved the entry estimate %d → %d", entries, x.Stats().Entries)
 	}
 	// Unique chunks short-circuit via the bloom filter.
 	before := x.Stats().BloomSkips
 	for i := 1000; i < 1500; i++ {
-		if _, ok, _ := x.Get(fpN(i)); ok {
+		if _, ok := get(t, x, fpN(i)); ok {
 			t.Fatalf("phantom hit for %d", i)
 		}
 	}
@@ -60,7 +75,7 @@ func TestReopenRebuildsBloom(t *testing.T) {
 	mem := oss.NewMem()
 	x, _ := Open(mem, Options{BloomCapacity: 1000})
 	for i := 0; i < 50; i++ {
-		x.Put(fpN(i), container.ID(i+1))
+		put(t, x, fpN(i), container.ID(i+1))
 	}
 	if err := x.Close(); err != nil {
 		t.Fatal(err)
@@ -74,9 +89,8 @@ func TestReopenRebuildsBloom(t *testing.T) {
 		t.Fatalf("reopened Entries = %d", x2.Stats().Entries)
 	}
 	for i := 0; i < 50; i++ {
-		id, ok, err := x2.Get(fpN(i))
-		if err != nil || !ok || id != container.ID(i+1) {
-			t.Fatalf("reopened Get(%d) = %v, %v, %v", i, id, ok, err)
+		if id, ok := get(t, x2, fpN(i)); !ok || id != container.ID(i+1) {
+			t.Fatalf("reopened Get(%d) = %v, %v", i, id, ok)
 		}
 	}
 }
@@ -86,7 +100,7 @@ func TestScan(t *testing.T) {
 	want := map[fingerprint.FP]container.ID{}
 	for i := 0; i < 30; i++ {
 		want[fpN(i)] = container.ID(i + 1)
-		x.Put(fpN(i), container.ID(i+1))
+		put(t, x, fpN(i), container.ID(i+1))
 	}
 	got := map[fingerprint.FP]container.ID{}
 	err := x.Scan(func(fp fingerprint.FP, id container.ID) bool {

@@ -18,15 +18,18 @@ import (
 // group) — so shard operations proceed concurrently instead of
 // serialising on one LSM mutex.
 //
-// With one shard every method delegates straight to it, keeping the
-// single-G-node configuration byte-identical to the unsharded code path.
+// It has one write, PutBatch (deletions are entries naming
+// container.Invalid), and one lookup, GetBatch; a caller with one
+// fingerprint passes a batch of one. With one shard every method delegates
+// straight to it, keeping the single-G-node configuration byte-identical
+// to the unsharded code path.
 type Sharded struct {
 	shards  []*Index
 	workers int
 
-	// ops counts routed operations; the chaos harness registers an OnOp
-	// hook to fire shard-kill/leader-kill schedules at exact op counts
-	// mid-maintenance.
+	// ops counts routed operations — one per PutBatch or GetBatch, whatever
+	// its size; the chaos harness registers an OnOp hook to fire
+	// shard-kill/leader-kill schedules at exact op counts mid-maintenance.
 	ops  atomic.Int64
 	onOp atomic.Value // func(int64)
 }
@@ -76,27 +79,22 @@ func (s *Sharded) forEachShard(fn func(k int) error) error {
 	return pipe.FanOut(len(s.shards), s.workers, fn)
 }
 
-// Put records fp → id on its owning shard.
-func (s *Sharded) Put(fp fingerprint.FP, id container.ID) error {
-	s.step()
-	return s.shards[s.ShardFor(fp)].Put(fp, id)
-}
-
-// Get resolves fp through its owning shard.
+// Get resolves fp through its owning shard: GetBatch of one fingerprint.
+// Nothing in the product probes one fingerprint at a time; benchmark/
+// resolves a restore's moved chunks with it.
 func (s *Sharded) Get(fp fingerprint.FP) (container.ID, bool, error) {
-	s.step()
-	return s.shards[s.ShardFor(fp)].Get(fp)
+	ids, found, _, err := s.GetBatch([]fingerprint.FP{fp})
+	if err != nil {
+		return container.Invalid, false, err
+	}
+	return ids[0], found[0], nil
 }
 
-// Delete removes fp from its owning shard.
-func (s *Sharded) Delete(fp fingerprint.FP) error {
-	s.step()
-	return s.shards[s.ShardFor(fp)].Delete(fp)
-}
-
-// PutBatch splits the entries per shard (preserving relative order, so
+// PutBatch — the one write: puts, and deletions naming container.Invalid —
+// splits the entries per shard (preserving relative order, so
 // same-fingerprint conflicts still resolve last-write-wins like the
-// unsharded path) and commits the sub-batches concurrently.
+// unsharded path) and commits the sub-batches concurrently: one batch, and
+// on a replicated shard one log record, per shard touched.
 func (s *Sharded) PutBatch(entries []Entry) error {
 	s.step()
 	if len(entries) == 0 {
@@ -118,9 +116,9 @@ func (s *Sharded) PutBatch(entries []Entry) error {
 	})
 }
 
-// GetBatch fans the lookup out per shard. Result slices are positional
-// (shard workers write disjoint indexes), so the answer is identical to
-// the unsharded call; bloomSkips is the sum over shards.
+// GetBatch — the one lookup — fans out per shard. Result slices are
+// positional (shard workers write disjoint indexes), so the answer is
+// identical to the unsharded call; bloomSkips is the sum over shards.
 func (s *Sharded) GetBatch(fps []fingerprint.FP) (ids []container.ID, found []bool, bloomSkips int, err error) {
 	s.step()
 	if len(s.shards) == 1 {

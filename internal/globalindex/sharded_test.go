@@ -85,24 +85,25 @@ func TestShardedMatchesSingle(t *testing.T) {
 		batch = append(batch, Entry{FP: testFP(i), ID: container.ID(i)})
 	}
 	for name, v := range views {
-		// Mix batch and single-op writes, then move some, delete some.
+		// Mix a large batch and batches of one, then move some and delete
+		// some in one batch that names some fingerprints twice.
 		if err := v.PutBatch(batch[:N/2]); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for i := N / 2; i < N; i++ {
-			if err := v.Put(batch[i].FP, batch[i].ID); err != nil {
+			if err := v.PutBatch(batch[i : i+1]); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 		}
+		var fixes []Entry
 		for i := 0; i < N; i += 7 {
-			if err := v.Put(batch[i].FP, container.ID(i+1000)); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
+			fixes = append(fixes, Entry{FP: batch[i].FP, ID: container.ID(i + 1000)})
 		}
 		for i := 3; i < N; i += 11 {
-			if err := v.Delete(batch[i].FP); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
+			fixes = append(fixes, Entry{FP: batch[i].FP, ID: container.Invalid})
+		}
+		if err := v.PutBatch(fixes); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 		if err := v.Sync(); err != nil {
 			t.Fatalf("%s: sync: %v", name, err)
@@ -192,7 +193,7 @@ func TestShardedOnOpHook(t *testing.T) {
 		}
 	})
 	for i := 0; i < 10; i++ {
-		if err := s.Put(testFP(i), container.ID(i)); err != nil {
+		if err := s.PutBatch([]Entry{{FP: testFP(i), ID: container.ID(i + 1)}}); err != nil {
 			t.Fatal(err)
 		}
 	}

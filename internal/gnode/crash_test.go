@@ -351,61 +351,3 @@ func TestCompactSparseCrashWithRewritesOutstanding(t *testing.T) {
 		}
 	}
 }
-
-// TestDeleteVersionCrashAtEveryMutation kills a deletion — a pass that is
-// mostly deletes — before every put and delete it issues.
-func TestDeleteVersionCrashAtEveryMutation(t *testing.T) {
-	baseline, cfg, want, st := sccBaseline(t)
-	// Compact first so version 0 owns garbage containers worth sweeping.
-	{
-		repo, err := core.OpenRepo(baseline, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := New(repo).CompactSparse("f", st.Version, st.SparseContainers); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	completed := false
-	for n := 0; n < 300 && !completed; n++ {
-		mem := cloneMem(t, baseline)
-		// The open spends none of the budget: it mutates nothing.
-		repo, err := core.OpenRepo(oss.With(mem, oss.CrashAfter(n)), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = New(repo).DeleteVersion("f", 0)
-		if err == nil {
-			completed = true
-		} else if !errors.Is(err, oss.ErrInjected) {
-			t.Fatalf("budget %d: %v, want the injected crash", n, err)
-		}
-
-		// Reboot. Version 0 is in limbo only until replay: afterwards it
-		// either fully exists or is fully gone.
-		repo2, err := core.OpenRepo(mem, cfg)
-		if err != nil {
-			t.Fatalf("reboot: %v", err)
-		}
-		vs, err := repo2.Recipes.Versions("f")
-		if err != nil {
-			t.Fatal(err)
-		}
-		surviving := map[int][]byte{}
-		for _, v := range vs {
-			data, ok := want[v]
-			if !ok {
-				t.Fatalf("unknown version %d after crash", v)
-			}
-			surviving[v] = data
-		}
-		if _, ok := surviving[1]; !ok {
-			t.Fatal("deleting v0 took v1 with it")
-		}
-		verifyAfterReboot(t, mem, cfg, surviving)
-	}
-	if !completed {
-		t.Fatal("deletion never ran to completion within the mutation budget")
-	}
-}

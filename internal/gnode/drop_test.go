@@ -1,0 +1,326 @@
+package gnode
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"slimstore/internal/container"
+	"slimstore/internal/core"
+	"slimstore/internal/fingerprint"
+	"slimstore/internal/lnode"
+	"slimstore/internal/oss"
+)
+
+// A drop — DeleteVersion's garbage, FullSweep's unmarked containers — is one
+// index commit: one lookup over the distinct fingerprints of every container
+// in the set, one batch deleting the entries that name one of them, one
+// Sync, and only then the objects. These tests pin what that buys: the
+// traffic on a replicated index, and the invariant a crash cannot break.
+
+// twoVersions backs up v0 and then v1 of file "f" on a fresh store under
+// cfg, each optimized (which puts its chunks in the index). When they share
+// no chunk, v1's backup makes every container v0 wrote a garbage candidate
+// of v0.
+func twoVersions(t *testing.T, cfg core.Config, v0, v1 []byte) *oss.Mem {
+	t.Helper()
+	mem := oss.NewMem()
+	repo, err := core.OpenRepo(mem, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, gn := lnode.New(repo, "l0"), New(repo)
+	for _, data := range [][]byte{v0, v1} {
+		st, err := ln.Backup("f", data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := gn.Optimize("f", st.Version, st.NewContainers, st.SparseContainers); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return mem
+}
+
+// assertIndexSound holds the invariant that no index entry points at a
+// deleted container: every entry names a container whose meta lists the
+// fingerprint.
+func assertIndexSound(t *testing.T, what string, repo *core.Repo) {
+	t.Helper()
+	metas := map[container.ID]*container.Meta{}
+	var stale []string
+	var rerr error
+	if err := repo.Global.Scan(func(fp fingerprint.FP, id container.ID) bool {
+		m, read := metas[id]
+		if !read {
+			var err error
+			if m, err = repo.Containers.ReadMeta(id); err != nil && !errors.Is(err, oss.ErrNotFound) {
+				rerr = err
+				return false
+			}
+			metas[id] = m
+		}
+		if m == nil || m.Find(fp) == nil {
+			stale = append(stale, fmt.Sprintf("%s -> %s", fp.Short(), id))
+		}
+		return true
+	}); err != nil || rerr != nil {
+		t.Fatalf("%s: scan the index: %v %v", what, err, rerr)
+	}
+	if len(stale) > 0 {
+		t.Fatalf("%s: %d index entries name a container that does not list them, first %s", what, len(stale), stale[0])
+	}
+}
+
+// TestDeleteVersionCrashAtEveryMutation kills a deletion that drops
+// garbage — two versions with no chunk in common, so every container v0
+// wrote is a candidate — before every put and delete it issues. After each
+// reboot the index names only containers that list the fingerprint, v0 is
+// whole or gone, v1 restores and the sweep converges, index still sound.
+func TestDeleteVersionCrashAtEveryMutation(t *testing.T) {
+	cfg := core.DefaultConfig()
+	want := map[int][]byte{0: genData(20, 8<<20), 1: genData(21, 8<<20)}
+	baseline := twoVersions(t, cfg, want[0], want[1])
+
+	completed := false
+	for n := 0; n < 300 && !completed; n++ {
+		mem := cloneMem(t, baseline)
+		// The open spends none of the budget: it mutates nothing.
+		repo, err := core.OpenRepo(oss.With(mem, oss.CrashAfter(n)), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := New(repo).DeleteVersion("f", 0)
+		if err == nil {
+			completed = true
+			if st.GarbageCandidates < 2 || st.ContainersCollected != st.GarbageCandidates || st.IndexEntriesRemoved == 0 {
+				t.Fatalf("degenerate deletion, nothing to crash inside a drop: %+v", st)
+			}
+		} else if !errors.Is(err, oss.ErrInjected) {
+			t.Fatalf("budget %d: %v, want the injected crash", n, err)
+		}
+
+		// Reboot. Version 0 is in limbo only until replay: afterwards it
+		// either fully exists or is fully gone.
+		repo2, err := core.OpenRepo(mem, cfg)
+		if err != nil {
+			t.Fatalf("reboot: %v", err)
+		}
+		assertIndexSound(t, fmt.Sprintf("budget %d, rebooted", n), repo2)
+		vs, err := repo2.Recipes.Versions("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		surviving := map[int][]byte{}
+		for _, v := range vs {
+			data, ok := want[v]
+			if !ok {
+				t.Fatalf("unknown version %d after crash", v)
+			}
+			surviving[v] = data
+		}
+		if _, ok := surviving[1]; !ok {
+			t.Fatal("deleting v0 took v1 with it")
+		}
+		swept := verifyFilesAfterReboot(t, mem, cfg, map[string]map[int][]byte{"f": surviving})
+		assertIndexSound(t, fmt.Sprintf("budget %d, swept", n), swept)
+	}
+	if !completed {
+		t.Fatal("deletion never ran to completion within the mutation budget")
+	}
+}
+
+// TestFullSweepCrashAtEveryMutation kills a sweep that drops containers —
+// v0's recipe and catalog entry removed behind the G-node's back, as a lost
+// peer's deletion leaves them, so every container v0 wrote is unmarked —
+// before every put and delete it issues, and holds every reboot to the
+// index invariant before and after the next sweep.
+func TestFullSweepCrashAtEveryMutation(t *testing.T) {
+	cfg := core.DefaultConfig()
+	want := map[int][]byte{0: genData(22, 6<<20), 1: genData(23, 6<<20)}
+	baseline := twoVersions(t, cfg, want[0], want[1])
+	{
+		repo, err := core.OpenRepo(baseline, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := repo.Recipes.DeleteRecipe("f", 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := repo.Recipes.DeleteInfo("f", 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	completed := false
+	for n := 0; n < 100 && !completed; n++ {
+		mem := cloneMem(t, baseline)
+		repo, err := core.OpenRepo(oss.With(mem, oss.CrashAfter(n)), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := New(repo).FullSweep()
+		if err == nil {
+			completed = true
+			if st.ContainersSwept < 2 {
+				t.Fatalf("degenerate sweep, nothing to crash inside a drop: %+v", st)
+			}
+		} else if !errors.Is(err, oss.ErrInjected) {
+			t.Fatalf("budget %d: %v, want the injected crash", n, err)
+		}
+		repo2, err := core.OpenRepo(mem, cfg)
+		if err != nil {
+			t.Fatalf("reboot: %v", err)
+		}
+		assertIndexSound(t, fmt.Sprintf("budget %d, rebooted", n), repo2)
+		swept := verifyFilesAfterReboot(t, mem, cfg, map[string]map[int][]byte{"f": {1: want[1]}})
+		assertIndexSound(t, fmt.Sprintf("budget %d, swept", n), swept)
+	}
+	if !completed {
+		t.Fatal("sweep never ran to completion within the mutation budget")
+	}
+}
+
+// replLayouts are the replicated index layouts a drop's traffic is pinned on.
+var replLayouts = []struct {
+	name             string
+	shards, replicas int
+}{{"1x3", 1, 3}, {"2x3", 2, 3}}
+
+// TestDropIsOneIndexCommit deletes a version whose containers list
+// fingerprints twice (v0 is one block written twice) on a replicated index:
+// the drop appends at most one log record per shard — not one per
+// fingerprint — and syncs each replica once, and a fingerprint a container
+// lists twice is removed, and counted, once.
+func TestDropIsOneIndexCommit(t *testing.T) {
+	block := genData(30, 3<<20)
+	for _, layout := range replLayouts {
+		t.Run(layout.name, func(t *testing.T) {
+			cfg := core.DefaultConfig()
+			cfg.GlobalShards, cfg.GlobalReplicas = layout.shards, layout.replicas
+			mem := twoVersions(t, cfg, append(append([]byte(nil), block...), block...), genData(31, 2<<20))
+			var rec oss.Recorder
+			repo, err := core.OpenRepo(oss.With(mem, &rec), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// What the drop must remove: the distinct fingerprints v0's
+			// containers list, and how many of them a container lists twice.
+			info, err := repo.Recipes.GetInfo("f", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			distinct, twice := map[fingerprint.FP]bool{}, 0
+			for _, id := range info.Garbage {
+				m, err := repo.Containers.ReadMeta(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				seen := map[fingerprint.FP]bool{}
+				for _, cm := range m.Chunks {
+					if seen[cm.FP] {
+						twice++
+					}
+					seen[cm.FP], distinct[cm.FP] = true, true
+				}
+			}
+			if len(info.Garbage) < 2 || twice == 0 {
+				t.Fatalf("degenerate fixture: %d candidates, %d fingerprints listed twice", len(info.Garbage), twice)
+			}
+
+			rec.Take()
+			st, err := New(repo).DeleteVersion("f", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.ContainersCollected != len(info.Garbage) || st.IndexEntriesRemoved != len(distinct) {
+				t.Fatalf("%+v, want %d containers collected and %d entries removed", *st, len(info.Garbage), len(distinct))
+			}
+			appends, syncs := 0, 0
+			for _, q := range rec.Take() {
+				if q.Kind == oss.KindPut && strings.Contains(q.Key, "/log/") {
+					appends++
+				}
+				if q.Kind == oss.KindPut && strings.Contains(q.Key, "/wal/") {
+					syncs++
+				}
+			}
+			if appends > layout.shards || syncs > layout.shards*layout.replicas {
+				t.Fatalf("the drop appended %d log records and put %d replica WAL segments, want at most %d and %d",
+					appends, syncs, layout.shards, layout.shards*layout.replicas)
+			}
+			assertIndexSound(t, "after the drop", repo)
+		})
+	}
+}
+
+// TestFullSweepSameAtAnyWidth sweeps the same unmarked containers at
+// MaintWorkers 1 and 4 on a replicated index: equal AuditStats, indexes
+// that scan equal, and every index object — log records, replica WAL
+// segments — byte for byte the same, since the drop is one batch whatever
+// the width.
+func TestFullSweepSameAtAnyWidth(t *testing.T) {
+	for _, layout := range replLayouts {
+		t.Run(layout.name, func(t *testing.T) {
+			cfg := core.DefaultConfig()
+			cfg.GlobalShards, cfg.GlobalReplicas = layout.shards, layout.replicas
+			baseline := twoVersions(t, cfg, genData(32, 6<<20), genData(33, 2<<20))
+			{
+				repo, err := core.OpenRepo(baseline, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := repo.Recipes.DeleteRecipe("f", 0); err != nil {
+					t.Fatal(err)
+				}
+				if err := repo.Recipes.DeleteInfo("f", 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			type side struct {
+				stats *AuditStats
+				index map[fingerprint.FP]container.ID
+				gidx  map[string]string
+			}
+			sweep := func(workers int) side {
+				mem := cloneMem(t, baseline)
+				repo, gn := openOver(t, mem, cfg, workers)
+				st, err := gn.FullSweep()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := repo.Global.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				s := side{stats: st, index: indexDump(t, repo), gidx: map[string]string{}}
+				keys, err := mem.List("gidx/")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, k := range keys {
+					b, err := mem.Get(k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s.gidx[k] = string(b)
+				}
+				return s
+			}
+			one, four := sweep(1), sweep(4)
+			if one.stats.ContainersSwept < 2 {
+				t.Fatalf("degenerate sweep: %+v", one.stats)
+			}
+			if !reflect.DeepEqual(one.stats, four.stats) {
+				t.Errorf("AuditStats diverge: width 1 %+v, width 4 %+v", one.stats, four.stats)
+			}
+			if !reflect.DeepEqual(one.index, four.index) {
+				t.Errorf("indexes diverge: width 1 %d entries, width 4 %d", len(one.index), len(four.index))
+			}
+			if !reflect.DeepEqual(one.gidx, four.gidx) {
+				t.Errorf("index objects diverge between widths 1 and 4 (%d and %d objects)", len(one.gidx), len(four.gidx))
+			}
+		})
+	}
+}

@@ -905,24 +905,12 @@ func (g *GNode) FullSweep() (*AuditStats, error) {
 			unmarked = append(unmarked, id)
 		}
 	}
-	stats := &AuditStats{ContainersMarked: len(marked), JournalReplayed: replayed}
-	// Sweep phase, fanned out per container: drops touch disjoint
-	// containers, and each index entry is deleted only by the drop whose
-	// container it names, so concurrent drops never interfere.
-	var sweepMu sync.Mutex
-	err = g.repo.ForEach(len(unmarked), func(i int) error {
-		reclaimed, _, err := g.repo.DropContainer(cs, unmarked[i])
-		if err != nil {
-			return err
-		}
-		sweepMu.Lock()
-		stats.ContainersSwept++
-		stats.BytesReclaimed += reclaimed
-		sweepMu.Unlock()
-		return nil
-	})
+	// Sweep phase: one drop of the whole set — its index deletes one synced
+	// batch, whatever the width, then the objects fanned out.
+	reclaimed, _, err := g.repo.DropContainers(cs, unmarked)
 	if err != nil {
 		return nil, err
 	}
-	return stats, nil
+	return &AuditStats{ContainersMarked: len(marked), ContainersSwept: len(unmarked),
+		BytesReclaimed: reclaimed, JournalReplayed: replayed}, nil
 }

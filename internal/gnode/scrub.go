@@ -460,40 +460,36 @@ func (g *GNode) scrubRepair(sv *scrubView) (*ScrubStats, error) {
 
 // scrubFixIndex repoints global-index entries that reference quarantined
 // containers at surviving copies, and purges entries for lost chunks so
-// restore redirects fail loudly instead of dangling. Repoints are applied
-// as one group-committed batch.
+// restore redirects fail loudly instead of dangling: repoints and purges
+// (entries naming container.Invalid) in one group-committed batch.
 func (g *GNode) scrubFixIndex(stats *ScrubStats, sv *scrubView, bad, quarantined map[container.ID]bool,
 	moved map[fingerprint.FP]container.ID, lost map[fingerprint.FP]bool) error {
 
-	var repoints []globalindex.Entry
-	var purges []fingerprint.FP
+	var fixes []globalindex.Entry
+	purged := 0
 	err := g.repo.Global.Scan(func(fp fingerprint.FP, id container.ID) bool {
 		if !quarantined[id] {
 			return true
 		}
-		if nid, ok := moved[fp]; ok {
-			repoints = append(repoints, globalindex.Entry{FP: fp, ID: nid})
-		} else if nid, ok := g.intactOwner(fp, sv, bad, quarantined); ok {
-			repoints = append(repoints, globalindex.Entry{FP: fp, ID: nid})
-		} else {
-			purges = append(purges, fp)
-			lost[fp] = true
+		nid, ok := moved[fp]
+		if !ok {
+			nid, ok = g.intactOwner(fp, sv, bad, quarantined)
 		}
+		if !ok { // nid is container.Invalid: the entry goes
+			lost[fp] = true
+			purged++
+		}
+		fixes = append(fixes, globalindex.Entry{FP: fp, ID: nid})
 		return true
 	})
 	if err != nil {
 		return err
 	}
-	if err := g.repo.Global.PutBatch(repoints); err != nil {
+	if err := g.repo.Global.PutBatch(fixes); err != nil {
 		return err
 	}
-	stats.IndexRepointed += len(repoints)
-	for _, fp := range purges {
-		if err := g.repo.Global.Delete(fp); err != nil {
-			return err
-		}
-		stats.IndexPurged++
-	}
+	stats.IndexRepointed += len(fixes) - purged
+	stats.IndexPurged += purged
 	return nil
 }
 

@@ -53,30 +53,11 @@ func (b *Batch) Clone() *Batch {
 	return c
 }
 
-// Op is one queued batch operation, exposed for callers (replication,
-// tests) that need to inspect a batch without coupling to the internal
-// entry representation.
-type Op struct {
-	Key, Value []byte
-	Delete     bool
-}
-
-// Ops returns the queued operations in application order. The returned
-// slices alias the batch's copies; treat them as read-only.
-func (b *Batch) Ops() []Op {
-	out := make([]Op, len(b.entries))
-	for i := range b.entries {
-		e := &b.entries[i]
-		out[i] = Op{Key: e.key, Value: e.value, Delete: e.kind == kindDelete}
-	}
-	return out
-}
-
 // Apply commits the batch: one lock acquisition, one WAL record, one
-// memtable insertion pass. Entries receive contiguous sequence numbers in
-// batch order, so a batch that writes the same key twice resolves exactly
-// like the equivalent loop of singles (last write wins). An empty or nil
-// batch is a no-op.
+// memtable insertion pass — the engine's only write. Entries receive
+// contiguous sequence numbers in batch order, so a batch that writes the
+// same key twice resolves exactly like the equivalent sequence of one-entry
+// batches (last write wins). An empty or nil batch is a no-op.
 func (db *DB) Apply(b *Batch) error {
 	if b == nil || len(b.entries) == 0 {
 		return nil
@@ -88,7 +69,7 @@ func (db *DB) Apply(b *Batch) error {
 	}
 	base := db.seq + 1
 	db.seq += uint64(len(b.entries))
-	db.walBuf = appendWALBatchRecord(db.walBuf, base, b.entries)
+	db.walBuf = appendRecord(db.walBuf, walBatchKind, b.entries, base)
 	for i := range b.entries {
 		e := b.entries[i]
 		e.seq = base + uint64(i)
@@ -117,14 +98,14 @@ type keyRef struct {
 	pos int
 }
 
-// GetMulti looks up many keys under one lock acquisition. It returns
-// parallel slices: values[i]/found[i] answer keys[i], with found[i] false
-// for missing or deleted keys. Keys are probed memtable-first, then L0
-// newest-first, then the disjoint deeper levels; unresolved keys are
-// sorted so neighbouring keys land in the same SSTable data block and
-// each needed block is fetched exactly once per table, amortizing OSS
-// reads that the equivalent loop of Gets would repeat. Per-key bloom
-// probes are preserved, so filter effectiveness stats match the loop.
+// GetMulti looks up many keys under one lock acquisition — the engine's
+// only lookup. It returns parallel slices: values[i]/found[i] answer
+// keys[i], with found[i] false for missing or deleted keys. Keys are probed
+// memtable-first, then L0 newest-first, then the disjoint deeper levels;
+// unresolved keys are sorted so neighbouring keys land in the same SSTable
+// data block and each needed block is fetched exactly once per table,
+// amortizing OSS reads that one-key lookups would repeat. Bloom probes stay
+// per key, so filter statistics do not depend on how keys are grouped.
 func (db *DB) GetMulti(keys [][]byte) (values [][]byte, found []bool, err error) {
 	values = make([][]byte, len(keys))
 	found = make([]bool, len(keys))

@@ -185,12 +185,11 @@ func TestTornBatchIsAllOrNothing(t *testing.T) {
 	}
 }
 
-// walEncodeSingle computes the encoded length of the "before" record used
-// by the torn-batch test, so tears start strictly inside the batch record.
+// walEncodeSingle encodes the "before" record (a Put: a batch of one) of
+// the torn-batch test, so tears start strictly inside the batch record.
 func walEncodeSingle(t *testing.T) []byte {
 	t.Helper()
-	e := entry{key: []byte("before"), value: []byte("ok"), kind: kindPut, seq: 1}
-	return appendWALRecord(nil, &e)
+	return appendRecord(nil, walBatchKind, []entry{{key: []byte("before"), value: []byte("ok"), kind: kindPut}}, 1)
 }
 
 // A torn tail is only forgiven on the final segment; truncation of an

@@ -16,7 +16,13 @@ import (
 // non-empty), or a Sync, engine Flush or Compact.
 type modelOp struct {
 	kind string // "apply", "sync", "flush", "compact"
-	ops  []Op
+	ops  []modelKV
+}
+
+// modelKV is one operation of a batch in a schedule.
+type modelKV struct {
+	Key, Value []byte
+	Delete     bool
 }
 
 // genSchedule draws a schedule over a small key space: mostly batches and
@@ -28,7 +34,7 @@ func genSchedule(rng *rand.Rand, steps int) []modelOp {
 		switch r := rng.Intn(100); {
 		case r < 50:
 			n := 1 + rng.Intn(24)
-			ops := make([]Op, n)
+			ops := make([]modelKV, n)
 			for j := range ops {
 				ops[j].Key = []byte(fmt.Sprintf("key-%03d", rng.Intn(120)))
 				if rng.Intn(5) == 0 {

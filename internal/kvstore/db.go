@@ -170,7 +170,7 @@ func Open(store oss.Store, opts Options) (*DB, error) {
 			// durable part, the tail was never acknowledged. Anywhere
 			// else (earlier segment, or a CRC mismatch on a complete
 			// record) it is corruption and must fail recovery.
-			if !errors.Is(derr, errTruncatedWAL) || i != len(walKeys)-1 {
+			if !errors.Is(derr, errTruncated) || i != len(walKeys)-1 {
 				return nil, fmt.Errorf("kvstore: replay %s: %w", k, derr)
 			}
 		}
@@ -199,40 +199,18 @@ func Open(store oss.Store, opts Options) (*DB, error) {
 	return db, nil
 }
 
-// Put stores a key-value pair.
+// Put stores a key-value pair: a batch of one.
 func (db *DB) Put(key, value []byte) error {
-	return db.write(entry{key: append([]byte{}, key...), value: append([]byte{}, value...), kind: kindPut})
+	var b Batch
+	b.Put(key, value)
+	return db.Apply(&b)
 }
 
-// Delete removes a key (writes a tombstone).
+// Delete removes a key (writes a tombstone): a batch of one.
 func (db *DB) Delete(key []byte) error {
-	return db.write(entry{key: append([]byte{}, key...), kind: kindDelete})
-}
-
-func (db *DB) write(e entry) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	db.seq++
-	e.seq = db.seq
-	db.walBuf = appendWALRecord(db.walBuf, &e)
-	db.mem.insert(e)
-	if e.kind == kindPut {
-		db.stats.Puts++
-	} else {
-		db.stats.Deletes++
-	}
-	if len(db.walBuf) >= db.opts.WALFlushBytes {
-		if err := db.flushWALLocked(); err != nil {
-			return err
-		}
-	}
-	if db.mem.bytes >= db.opts.MemtableBytes {
-		return db.flushLocked()
-	}
-	return nil
+	var b Batch
+	b.Delete(key)
+	return db.Apply(&b)
 }
 
 // maxWALSegments bounds the WAL segments a Sync leaves live: at that many
@@ -391,67 +369,14 @@ func (db *DB) readerLocked(meta tableMeta) (*tableReader, error) {
 	return r, nil
 }
 
-// Get returns the value for key. found is false for missing or deleted keys.
+// Get returns the value for key: GetMulti of one key. found is false for
+// missing or deleted keys.
 func (db *DB) Get(key []byte) (value []byte, found bool, err error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return nil, false, ErrClosed
-	}
-	db.stats.Gets++
-	if e, ok := db.mem.get(key); ok {
-		if e.kind == kindDelete {
-			return nil, false, nil
-		}
-		return append([]byte{}, e.value...), true, nil
-	}
-	// L0: newest table first.
-	l0 := db.tablesAtLocked(0)
-	sort.Slice(l0, func(i, j int) bool { return l0[i].MaxSeq > l0[j].MaxSeq })
-	for _, meta := range l0 {
-		e, ok, err := db.tableGetLocked(meta, key)
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			if e.kind == kindDelete {
-				return nil, false, nil
-			}
-			return e.value, true, nil
-		}
-	}
-	// Deeper levels: tables are disjoint; binary search by range.
-	for level := 1; level < db.opts.MaxLevels; level++ {
-		tables := db.tablesAtLocked(level)
-		i := sort.Search(len(tables), func(i int) bool {
-			return bytes.Compare(tables[i].Largest, key) >= 0
-		})
-		if i < len(tables) && bytes.Compare(tables[i].Smallest, key) <= 0 {
-			e, ok, err := db.tableGetLocked(tables[i], key)
-			if err != nil {
-				return nil, false, err
-			}
-			if ok {
-				if e.kind == kindDelete {
-					return nil, false, nil
-				}
-				return e.value, true, nil
-			}
-		}
-	}
-	return nil, false, nil
-}
-
-func (db *DB) tableGetLocked(meta tableMeta, key []byte) (entry, bool, error) {
-	r, err := db.readerLocked(meta)
+	values, ok, err := db.GetMulti([][]byte{key})
 	if err != nil {
-		return entry{}, false, err
+		return nil, false, err
 	}
-	if !r.filter.mayContain(key) {
-		db.stats.BloomNegative++
-		return entry{}, false, nil
-	}
-	return r.get(key)
+	return values[0], ok[0], nil
 }
 
 // tablesAtLocked returns the tables at a level sorted by smallest key.

@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -64,36 +65,68 @@ func mustGet(t testing.TB, s oss.Store, key string) []byte {
 	return b
 }
 
-// TestOnStoreFormatsUnchanged: the committed seed of each target below is
-// an object the engine wrote before Sync became the commit point (same
-// operations as fuzzSeedStore). Today's engine must write the same bytes:
-// only when objects are written has changed, never what is in them, so
-// either version opens the other's repository.
+// seedBytes returns the []byte argument of a committed fuzz seed.
+func seedBytes(t *testing.T, seed string) []byte {
+	t.Helper()
+	file, err := os.ReadFile("testdata/fuzz/" + seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit := strings.Split(string(file), "\n")[1] // []byte("…"), after the version line
+	b, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", seed, err)
+	}
+	return []byte(b)
+}
+
+// TestOnStoreFormatsUnchanged: the committed seeds are objects the engine
+// wrote for the operations of fuzzSeedStore. Today's engine must write the
+// table and the manifest byte for byte as the engine did before Sync became
+// the commit point, so either version opens the other's repository.
+//
+// The WAL segment is the one exception, and only where a one-entry write
+// lands: a Put or Delete used to be a single-entry record and is now a
+// batch record of one (seed-batch-segment, re-taken for that). The batch
+// record ahead of it is unchanged, and the segment written before the change
+// (seed-synced-segment, which ends in a single-entry record) still replays
+// to exactly the same entries, sequence numbers included: Open reads both.
 func TestOnStoreFormatsUnchanged(t *testing.T) {
 	mem, db := fuzzSeedStore(t)
 	for seed, key := range map[string]string{
-		"FuzzWALSegment/seed-synced-segment": db.walKey(db.walSegs[0]),
-		"FuzzSSTable/seed-flushed-table":     db.tableKey(db.man.Tables[0].Name),
-		"FuzzManifest/seed-saved-manifest":   db.manifestKey(),
+		"FuzzWALSegment/seed-batch-segment": db.walKey(db.walSegs[0]),
+		"FuzzSSTable/seed-flushed-table":    db.tableKey(db.man.Tables[0].Name),
+		"FuzzManifest/seed-saved-manifest":  db.manifestKey(),
 	} {
-		file, err := os.ReadFile("testdata/fuzz/" + seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lit := strings.Split(string(file), "\n")[1] // []byte("…"), after the version line
-		want, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
-		if err != nil {
-			t.Fatalf("%s: %v", seed, err)
-		}
-		if got := mustGet(t, mem, key); string(got) != want {
+		if got, want := mustGet(t, mem, key), seedBytes(t, seed); string(got) != string(want) {
 			t.Errorf("%s is no longer what the engine writes at %s:\n got  %q\n want %q", seed, key, got, want)
 		}
+	}
+
+	older, now := seedBytes(t, "FuzzWALSegment/seed-synced-segment"), mustGet(t, mem, db.walKey(db.walSegs[0]))
+	var b Batch
+	b.Put([]byte("fp-0123456789abcdef"), []byte("C0000012"))
+	b.Delete([]byte("fp-fedcba9876543210"))
+	shared := appendRecord(nil, walBatchKind, b.entries, db.man.LastSeq+1)
+	if !bytes.HasPrefix(older, shared) || !bytes.HasPrefix(now, shared) {
+		t.Fatalf("the batch record differs between the segments:\n older %q\n now   %q\n want a prefix %q", older, now, shared)
+	}
+	was, err := decodeWALSegment(older)
+	if err != nil {
+		t.Fatalf("the segment an older engine wrote no longer decodes: %v", err)
+	}
+	is, err := decodeWALSegment(now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(was) != 3 || !reflect.DeepEqual(was, is) {
+		t.Fatalf("the two segments replay differently:\n older %+v\n now   %+v", was, is)
 	}
 }
 
 // FuzzWALSegment: decodeWALSegment never panics, allocates in proportion
 // to its input (a hostile batch count cannot size a slice), rejects with
-// errTruncatedWAL only what runs off the end, and on a segment that does
+// errTruncated only what runs off the end, and on a segment that does
 // decode, every cut of it yields a prefix of the same records — the torn
 // tail Open tolerates on the final segment.
 func FuzzWALSegment(f *testing.F) {
@@ -111,34 +144,40 @@ func FuzzWALSegment(f *testing.F) {
 	f.Add(flipped, uint16(3))
 
 	f.Fuzz(func(t *testing.T, data []byte, cut uint16) {
-		// TotalAlloc is the process's, and a fuzz worker has goroutines of
-		// its own: a decode over the limit is measured once more, since
-		// what somebody else allocated does not land in both windows.
 		var entries []entry
 		var err error
-		got, limit := uint64(math.MaxUint64), uint64(64*len(data)+4096)
-		for try := 0; try < 2 && got > limit; try++ {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			entries, err = decodeWALSegment(data)
-			runtime.ReadMemStats(&after)
-			got = min(got, after.TotalAlloc-before.TotalAlloc)
-		}
-		if got > limit {
-			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(data), got, limit)
-		}
+		boundedAlloc(t, len(data), func() { entries, err = decodeWALSegment(data) })
 		if err != nil {
 			return // the prefix decoded so far came back; nothing more to hold it to
 		}
 		c := int(cut) % (len(data) + 1)
 		prefix, perr := decodeWALSegment(data[:c])
-		if perr != nil && !errors.Is(perr, errTruncatedWAL) {
+		if perr != nil && !errors.Is(perr, errTruncated) {
 			t.Fatalf("cut at %d of a valid segment: %v, want a truncation", c, perr)
 		}
 		if len(prefix) > len(entries) || len(prefix) > 0 && !reflect.DeepEqual(prefix, entries[:len(prefix)]) {
 			t.Fatalf("cut at %d decodes %d records that are no prefix of the segment's %d", c, len(prefix), len(entries))
 		}
 	})
+}
+
+// boundedAlloc runs decode, which decodes n bytes, and fails t if it
+// allocated more than in proportion to them: a hostile count or length must
+// not size an allocation. TotalAlloc is the process's, and a fuzz worker has
+// goroutines of its own: a decode over the limit is measured once more,
+// since what somebody else allocated does not land in both windows.
+func boundedAlloc(t *testing.T, n int, decode func()) {
+	got, limit := uint64(math.MaxUint64), uint64(64*n+4096)
+	for try := 0; try < 2 && got > limit; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		decode()
+		runtime.ReadMemStats(&after)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+	}
+	if got > limit {
+		t.Fatalf("decoding %d bytes allocated %d, limit %d", n, got, limit)
+	}
 }
 
 // FuzzSSTable opens a hostile object as a table exactly as a cold handle
@@ -180,17 +219,20 @@ func FuzzSSTable(f *testing.F) {
 			t.Fatal(err)
 		}
 		r, err := db.openTable(m)
+		if err == nil {
+			db.readers[m.Name] = r // the probes below use this reader
+		}
 		if string(data) == string(obj) {
 			if err != nil {
 				t.Fatalf("a table the engine wrote does not open with Count %d: %v", m.Count, err)
 			}
-			if e, ok, err := r.get(meta.Smallest); err != nil || !ok || string(e.key) != string(meta.Smallest) {
+			if _, ok, err := tableGet(db, m, meta.Smallest); err != nil || !ok {
 				t.Fatalf("get(smallest) = %v, %v", ok, err)
 			}
 		}
 		if err == nil {
 			for _, k := range [][]byte{meta.Smallest, meta.Largest, []byte("absent")} {
-				_, _, _ = r.get(k) // errors are fine; panics are not
+				_, _, _ = tableGet(db, m, k) // errors are fine; panics are not
 			}
 		}
 		_, _ = db.readTablesLocked([]tableMeta{m})

@@ -14,11 +14,12 @@ func fuzzSeedReplRecord() []byte {
 	return AppendReplRecord(nil, 3, 17, &b)
 }
 
-// FuzzReplRecord drives the replication log decoder with arbitrary bytes.
-// Invariants: it never panics, every rejection wraps ErrBadReplRecord, and
-// the encoding is canonical — any accepted input re-encodes byte-identical
-// (so a torn tail, flipped bit, or trailing garbage can never silently
-// alias another record).
+// FuzzReplRecord drives the replication log decoder — the WAL's entry
+// decoder behind a replication header — with arbitrary bytes. Invariants:
+// it never panics, allocates in proportion to its input, every rejection
+// wraps ErrBadReplRecord, and the encoding is canonical — any accepted
+// input re-encodes byte-identical (so a torn tail, flipped bit, or trailing
+// garbage can never silently alias another record).
 func FuzzReplRecord(f *testing.F) {
 	valid := fuzzSeedReplRecord()
 	f.Add([]byte{})
@@ -31,7 +32,10 @@ func FuzzReplRecord(f *testing.F) {
 	f.Add(flipped)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		term, index, b, err := DecodeReplRecord(data)
+		var term, index uint64
+		var b *Batch
+		var err error
+		boundedAlloc(t, len(data), func() { term, index, b, err = DecodeReplRecord(data) })
 		if err != nil {
 			if !errors.Is(err, ErrBadReplRecord) {
 				t.Fatalf("rejection does not wrap ErrBadReplRecord: %v", err)

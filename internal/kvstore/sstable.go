@@ -487,23 +487,6 @@ func (t *tableReader) searchFrom(bi int, entries []entry, key []byte, fetched ma
 	}
 }
 
-// get looks up the newest entry for key in this table, consulting the
-// DB-wide block cache before reading blocks from OSS.
-func (t *tableReader) get(key []byte) (entry, bool, error) {
-	if !t.filter.mayContain(key) {
-		return entry{}, false, nil
-	}
-	bi := t.blockFor(key)
-	if bi < 0 {
-		return entry{}, false, nil
-	}
-	entries, err := t.blockEntries(bi, nil)
-	if err != nil {
-		return entry{}, false, err
-	}
-	return t.searchFrom(bi, entries, key, nil)
-}
-
 // readBlock fetches and decodes data block bi from OSS. It touches no DB
 // state, so fetchBlocks may call it from several goroutines at once.
 func (t *tableReader) readBlock(bi int) ([]entry, error) {
@@ -516,12 +499,12 @@ func (t *tableReader) readBlock(bi int) ([]entry, error) {
 }
 
 // blockEntries returns the decoded entries of data block bi, consulting
-// the DB-wide block cache first. Used by the batched read path, which
-// groups keys per block so each block is fetched at most once per probe.
-// On a cache miss a block fetchBlocks already read is taken from fetched
-// (and removed: each fetched block stands in for exactly one OSS read)
-// instead of being read again; either way it is installed in the cache
-// here, so cache order and contents match the one-at-a-time path.
+// the DB-wide block cache first. The lookup groups keys per block so each
+// block is fetched at most once per probe. On a cache miss a block
+// fetchBlocks already read is taken from fetched (and removed: each fetched
+// block stands in for exactly one OSS read) instead of being read again;
+// either way it is installed in the cache here, in the order the probe
+// reaches it, so cache contents do not depend on the fetch window.
 func (t *tableReader) blockEntries(bi int, fetched map[int][]entry) ([]entry, error) {
 	h := t.index[bi]
 	ck := blockKey{table: t.meta.Name, off: h.off}

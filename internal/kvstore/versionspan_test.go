@@ -58,17 +58,13 @@ func TestGetNewestAcrossBlockBoundary(t *testing.T) {
 	if len(r.index) < len(keys)+1 {
 		t.Fatalf("only %d blocks, version runs do not span boundaries", len(r.index))
 	}
-	for i, k := range keys {
-		got, ok, err := r.get([]byte(k))
+	for _, k := range keys {
+		got, ok, err := tableGet(db, meta, []byte(k))
 		if err != nil || !ok {
 			t.Fatalf("get(%s) = %v, %v", k, ok, err)
 		}
-		wantSeq := uint64(1000*(i+1) + versions)
-		if got.seq != wantSeq {
-			t.Errorf("get(%s) returned stale version seq=%d, want newest seq=%d", k, got.seq, wantSeq)
-		}
-		if want := spanValue(k, versions); !bytes.Equal(got.value, want) {
-			t.Errorf("get(%s) value = %.12q..., want %.12q...", k, got.value, want)
+		if want := spanValue(k, versions); !bytes.Equal(got, want) {
+			t.Errorf("get(%s) returned a stale version %.12q..., want the newest %.12q...", k, got, want)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"slimstore/internal/cache"
 	"slimstore/internal/container"
 	"slimstore/internal/core"
+	"slimstore/internal/globalindex"
 	"slimstore/internal/gnode"
 	"slimstore/internal/oss"
 	"slimstore/internal/recipe"
@@ -140,7 +141,7 @@ func TestResolveSequenceEqualsReference(t *testing.T) {
 						break
 					}
 				}
-				if err := repo.Global.Delete(recs[lost].FP); err != nil {
+				if err := repo.Global.PutBatch([]globalindex.Entry{{FP: recs[lost].FP, ID: container.Invalid}}); err != nil {
 					t.Fatal(err)
 				}
 				if _, err := check(0); err == nil {
@@ -149,7 +150,7 @@ func TestResolveSequenceEqualsReference(t *testing.T) {
 				if err := repo.Containers.Delete(recs[0].Container); err != nil {
 					t.Fatal(err)
 				}
-				if err := repo.Global.Delete(recs[0].FP); err != nil {
+				if err := repo.Global.PutBatch([]globalindex.Entry{{FP: recs[0].FP, ID: container.Invalid}}); err != nil {
 					t.Fatal(err)
 				}
 				if _, err := check(0); err == nil {

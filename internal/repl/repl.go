@@ -507,16 +507,6 @@ func (g *Group) maybeSyncTruncateLocked() {
 	}
 }
 
-// Get reads a key through the current leader.
-func (g *Group) Get(key []byte) ([]byte, bool, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if err := g.ensureLeaderLocked(); err != nil {
-		return nil, false, err
-	}
-	return g.nodes[g.leader].db.Get(key)
-}
-
 // GetMulti resolves many keys through the current leader.
 func (g *Group) GetMulti(keys [][]byte) ([][]byte, []bool, error) {
 	g.mu.Lock()
@@ -525,20 +515,6 @@ func (g *Group) GetMulti(keys [][]byte) ([][]byte, []bool, error) {
 		return nil, nil, err
 	}
 	return g.nodes[g.leader].db.GetMulti(keys)
-}
-
-// Put stores one key through the replicated log.
-func (g *Group) Put(key, value []byte) error {
-	var b kvstore.Batch
-	b.Put(key, value)
-	return g.Apply(&b)
-}
-
-// Delete removes one key through the replicated log.
-func (g *Group) Delete(key []byte) error {
-	var b kvstore.Batch
-	b.Delete(key)
-	return g.Apply(&b)
 }
 
 // Scan visits the leader's live keys in order, hiding the reserved

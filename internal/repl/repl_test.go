@@ -35,10 +35,19 @@ func putBatch(i int) *kvstore.Batch {
 	return &b
 }
 
+// get resolves one key through the group: a GetMulti of one.
+func get(g *Group, k []byte) ([]byte, bool, error) {
+	vals, found, err := g.GetMulti([][]byte{k})
+	if err != nil {
+		return nil, false, err
+	}
+	return vals[0], found[0], nil
+}
+
 // mustGet asserts the group resolves key(i) to val(i).
 func mustGet(t *testing.T, g *Group, i int) {
 	t.Helper()
-	v, ok, err := g.Get(key(i))
+	v, ok, err := get(g, key(i))
 	if err != nil {
 		t.Fatalf("get %d: %v", i, err)
 	}
@@ -177,7 +186,7 @@ func TestFencingStaleLeader(t *testing.T) {
 	if s.FencingRejects == 0 {
 		t.Fatal("fencing reject not counted")
 	}
-	if _, ok, err := g.Get(key(99)); err != nil || ok {
+	if _, ok, err := get(g, key(99)); err != nil || ok {
 		t.Fatalf("fenced write visible: ok=%v err=%v", ok, err)
 	}
 	// A fresh handle at the current term works.
@@ -205,7 +214,7 @@ func TestNoQuorumFailsLoudly(t *testing.T) {
 	if err := g.Apply(putBatch(1)); !errors.Is(err, ErrNoQuorum) {
 		t.Fatalf("apply err = %v, want ErrNoQuorum", err)
 	}
-	if _, _, err := g.Get(key(0)); !errors.Is(err, ErrNoQuorum) {
+	if _, _, err := get(g, key(0)); !errors.Is(err, ErrNoQuorum) {
 		t.Fatalf("get err = %v, want ErrNoQuorum", err)
 	}
 	// Restarts restore the quorum; the group resumes where it stopped.
