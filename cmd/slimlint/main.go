@@ -1,9 +1,8 @@
 // Command slimlint runs the project-invariant static analyzers over the
-// module: lock ordering (whole-program, call-graph-aware), determinism in
-// simclock-charged and store-encoding packages, error discipline at the
-// storage boundary, and context plumbing. It is part of the verify gate
-// (scripts/check.sh) — a nonzero exit means the tree violates an
-// invariant the system's correctness depends on.
+// module: determinism in simclock-charged and store-encoding packages,
+// error discipline at the storage boundary, and context plumbing. It is
+// part of the verify gate (scripts/check.sh) — a nonzero exit means the
+// tree violates an invariant the system's correctness depends on.
 //
 // Usage:
 //

@@ -48,18 +48,3 @@ type System interface {
 	Name() string
 	Backup(fileID string, data []byte) (*Result, error)
 }
-
-// finishElapsed computes a job's virtual elapsed time with the same
-// three-way overlap model as lnode (reads, compute, and writes pipeline
-// independently), so baseline comparisons isolate algorithmic costs.
-func finishElapsed(acct *simclock.Account) time.Duration {
-	io := acct.IO()
-	elapsed := acct.CPUTime()
-	if io.ReadTime > elapsed {
-		elapsed = io.ReadTime
-	}
-	if io.WriteTime > elapsed {
-		elapsed = io.WriteTime
-	}
-	return elapsed
-}

@@ -166,7 +166,7 @@ func (h *HAR) BackupHAR(fileID string, data []byte) (*HARResult, error) {
 	h.mu.Unlock()
 	res.SparseDetected = len(newSparse)
 
-	res.Elapsed = finishElapsed(acct)
+	res.Elapsed = acct.ElapsedPipelined()
 	return res, nil
 }
 

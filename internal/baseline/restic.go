@@ -143,7 +143,7 @@ func (r *Restic) Backup(fileID string, data []byte) (*Result, error) {
 	if err := metered.Put(r.snapshotKey(fileID, res.Version), encodeBlock(out)); err != nil {
 		return nil, err
 	}
-	res.Elapsed = finishElapsed(acct)
+	res.Elapsed = acct.ElapsedPipelined()
 	return res, nil
 }
 

@@ -258,6 +258,6 @@ func (s *SiLO) Backup(fileID string, data []byte) (*Result, error) {
 	} else {
 		s.mu.Unlock()
 	}
-	res.Elapsed = finishElapsed(acct)
+	res.Elapsed = acct.ElapsedPipelined()
 	return res, nil
 }

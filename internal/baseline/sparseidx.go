@@ -207,6 +207,6 @@ func (s *SparseIndexing) Backup(fileID string, data []byte) (*Result, error) {
 	if err := builder.Flush(); err != nil {
 		return nil, err
 	}
-	res.Elapsed = finishElapsed(acct)
+	res.Elapsed = acct.ElapsedPipelined()
 	return res, nil
 }

@@ -155,10 +155,6 @@ type harness struct {
 	dark   []int // backends in outage (EC); with rotted, at most M
 	rotted []int // backends holding rotted shards since the last scrub (EC)
 	torn   bool  // a failed mutation may have torn stripe writes since the last scrub (EC)
-	// Containers a scrub that failed quarantined: it may not have repointed
-	// the index entries that name them, and no later scrub does (ROADMAP).
-	cutQuarantine map[container.ID]bool
-	preScrub      []container.ID // the containers listed when the last scrub began
 }
 
 // row is one operation of the schedule's table — one mix, plus what the layout
@@ -405,9 +401,6 @@ func (h *harness) finish(m mutation, err error, crashed bool) (bool, error) {
 		h.torn = h.w.tier != nil // by the crash, or by the puts a dark backend refused
 		serr = h.reboot()
 	}
-	if serr == nil && err != nil && m.name == "scrub" {
-		serr = h.cutScrub()
-	}
 	if serr == nil {
 		done, serr = h.settle(m)
 	}
@@ -563,30 +556,9 @@ func (h *harness) flip(s oss.Store, key string) error {
 // scrub is the scrub as a mutation.
 func (h *harness) scrub() mutation {
 	return mutation{name: "scrub", budget: 60, count: &h.res.Scrubs, call: func() (err error) {
-		if h.preScrub, err = h.w.repo.Containers.List(); err != nil {
-			return err
-		}
 		h.sc, err = h.w.gn.Scrub()
 		return err
 	}}
-}
-
-// cutScrub notes what a scrub that failed quarantined: the containers it
-// listed when it began that the store no longer lists (a scrub drops none).
-func (h *harness) cutScrub() error {
-	now, err := h.w.repo.Containers.List()
-	if err != nil {
-		return err
-	}
-	if h.cutQuarantine == nil {
-		h.cutQuarantine = map[container.ID]bool{}
-	}
-	for _, id := range h.preScrub {
-		if !slices.Contains(now, id) {
-			h.cutQuarantine[id] = true
-		}
-	}
-	return nil
 }
 
 func (h *harness) opScrub() error {
@@ -949,10 +921,10 @@ func (h *harness) check(swept bool) error {
 		return err
 	}
 	for fp, id := range st.index {
-		// A drop syncs its index deletes before its objects go, so no crash
-		// leaves an entry naming a dropped container. A scrub cut short between
-		// quarantining a container and repointing the entries naming it does.
-		if _, lists := st.live[id][fp]; !lists && !h.cutQuarantine[id] {
+		// A drop syncs its index deletes before its objects go, and a scrub
+		// its repoints before it quarantines, so no crash leaves an entry
+		// naming a container that is gone.
+		if _, lists := st.live[id][fp]; !lists {
 			return fmt.Errorf("index entry %s names %s, which does not list it", fp.Short(), id)
 		}
 	}

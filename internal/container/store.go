@@ -423,28 +423,57 @@ func (s *Store) Delete(id ID) error {
 	return nil
 }
 
-// List returns all container IDs in ascending order.
+// List returns all container IDs in ascending order: those whose
+// metadata object exists.
 func (s *Store) List() ([]ID, error) {
+	live, _, err := s.Scan()
+	return live, err
+}
+
+// Scan lists the container namespace once, splitting it into containers
+// (a metadata object exists), as List returns them, and orphaned payloads:
+// a data object with no metadata beside it, what a crash between Write's
+// two puts leaves.
+func (s *Store) Scan() (live, orphans []ID, err error) {
 	keys, err := s.oss.List(Prefix)
 	if err != nil {
-		return nil, fmt.Errorf("container: list: %w", err)
+		return nil, nil, fmt.Errorf("container: list: %w", err)
 	}
-	seen := make(map[ID]struct{}, len(keys)/2)
-	var out []ID
+	hasMeta := make(map[ID]bool, len(keys)/2)
+	var data []ID
 	for _, k := range keys {
-		if !strings.HasSuffix(k, ".meta") {
-			continue
-		}
 		id, ok := parseKey(k)
-		if !ok {
-			continue
-		}
-		if _, dup := seen[id]; !dup {
-			seen[id] = struct{}{}
-			out = append(out, id)
+		switch {
+		case !ok:
+		case strings.HasSuffix(k, ".meta"):
+			if !hasMeta[id] {
+				hasMeta[id] = true
+				live = append(live, id)
+			}
+		case strings.HasSuffix(k, ".data"):
+			data = append(data, id)
 		}
 	}
-	return out, nil
+	for _, id := range data {
+		if !hasMeta[id] {
+			orphans = append(orphans, id)
+		}
+	}
+	return live, orphans, nil
+}
+
+// DropOrphan deletes an orphaned payload Scan returned and reports its
+// size. The caller excludes every writer (FullSweep stops the world), so
+// no Write is between its two puts.
+func (s *Store) DropOrphan(id ID) (int64, error) {
+	size, err := s.oss.Head(dataKey(id))
+	if err != nil {
+		return 0, fmt.Errorf("container %s: orphan: %w", id, err)
+	}
+	if err := s.oss.Delete(dataKey(id)); err != nil {
+		return 0, fmt.Errorf("container %s: drop orphan: %w", id, err)
+	}
+	return size, nil
 }
 
 // InvalidateMeta drops a cached metadata entry (e.g. after an external

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"slimstore/internal/container"
+	"slimstore/internal/lockrank"
 )
 
 // This file is the repo's concurrency-control layer. The paper runs many
@@ -14,14 +15,30 @@ import (
 // shared substrate needs explicit synchronisation. Three lock families
 // cover it, with a fixed acquisition order (see DESIGN.md §7):
 //
-//  1. the G-node maintenance mutex (held by gnode, not here),
+//  1. the G-node maintenance mutex (a MaintLock, owned by gnode),
 //  2. per-file locks — backup/delete/compaction of a file are exclusive,
 //     restores of the same file share,
 //  3. per-container striped RW locks — restores pin the containers they
 //     read; physical rewrites/drops take the write side.
 //
-// Nothing below these acquires anything above them, so the order is
-// acyclic by construction.
+// A goroutine takes them in that order and at most one acquisition of each
+// at a time; under a test, internal/lockrank panics on any acquisition out
+// of rank and on a release by a goroutine that holds nothing of the rank.
+
+// MaintLock is the G-node's maintenance mutex, the top of the order.
+type MaintLock struct{ mu sync.Mutex }
+
+// Lock acquires the maintenance mutex.
+func (l *MaintLock) Lock() {
+	lockrank.Acquire(lockrank.Maint)
+	l.mu.Lock()
+}
+
+// Unlock releases the maintenance mutex.
+func (l *MaintLock) Unlock() {
+	lockrank.Release(lockrank.Maint)
+	l.mu.Unlock()
+}
 
 // fileLockShards is the per-file lock-table stripe count. Two distinct
 // files hashing to one stripe serialise unnecessarily; with jobs counted
@@ -43,16 +60,28 @@ func (l *FileLocks) shard(fileID string) *sync.RWMutex {
 }
 
 // Lock acquires the exclusive (writer) lock for fileID.
-func (l *FileLocks) Lock(fileID string) { l.shard(fileID).Lock() }
+func (l *FileLocks) Lock(fileID string) {
+	lockrank.Acquire(lockrank.File)
+	l.shard(fileID).Lock()
+}
 
 // Unlock releases the exclusive lock for fileID.
-func (l *FileLocks) Unlock(fileID string) { l.shard(fileID).Unlock() }
+func (l *FileLocks) Unlock(fileID string) {
+	lockrank.Release(lockrank.File)
+	l.shard(fileID).Unlock()
+}
 
 // RLock acquires the shared (reader) lock for fileID.
-func (l *FileLocks) RLock(fileID string) { l.shard(fileID).RLock() }
+func (l *FileLocks) RLock(fileID string) {
+	lockrank.Acquire(lockrank.File)
+	l.shard(fileID).RLock()
+}
 
 // RUnlock releases the shared lock for fileID.
-func (l *FileLocks) RUnlock(fileID string) { l.shard(fileID).RUnlock() }
+func (l *FileLocks) RUnlock(fileID string) {
+	lockrank.Release(lockrank.File)
+	l.shard(fileID).RUnlock()
+}
 
 // LockAll acquires every stripe exclusively, in index order, and returns a
 // release function. FullSweep uses it as a stop-the-world barrier: a
@@ -61,10 +90,12 @@ func (l *FileLocks) RUnlock(fileID string) { l.shard(fileID).RUnlock() }
 // LockAll deadlock-free against per-file Lock/RLock (single-stripe
 // acquisitions cannot form a cycle with an ordered sweep).
 func (l *FileLocks) LockAll() (release func()) {
+	lockrank.Acquire(lockrank.File)
 	for i := range l.shards {
 		l.shards[i].Lock()
 	}
 	return func() {
+		lockrank.Release(lockrank.File)
 		for i := range l.shards {
 			l.shards[i].Unlock()
 		}
@@ -96,10 +127,16 @@ func (l *ContainerLocks) shard(id container.ID) *sync.RWMutex {
 // Lock acquires the write side for one container (rewrite, drop,
 // quarantine). Writers take one container at a time, so they can never
 // deadlock against pinned readers.
-func (l *ContainerLocks) Lock(id container.ID) { l.shard(id).Lock() }
+func (l *ContainerLocks) Lock(id container.ID) {
+	lockrank.Acquire(lockrank.Container)
+	l.shard(id).Lock()
+}
 
 // Unlock releases the write side.
-func (l *ContainerLocks) Unlock(id container.ID) { l.shard(id).Unlock() }
+func (l *ContainerLocks) Unlock(id container.ID) {
+	lockrank.Release(lockrank.Container)
+	l.shard(id).Unlock()
+}
 
 // Pin read-locks the stripes covering ids and returns a release function.
 // Stripes are acquired in ascending order and all up front — a pinned
@@ -116,10 +153,12 @@ func (l *ContainerLocks) Pin(ids []container.ID) (release func()) {
 		}
 	}
 	sort.Ints(order)
+	lockrank.Acquire(lockrank.Container)
 	for _, s := range order {
 		l.shards[s].RLock()
 	}
 	return func() {
+		lockrank.Release(lockrank.Container)
 		// Release order is irrelevant for correctness; mirror acquisition.
 		for _, s := range order {
 			l.shards[s].RUnlock()

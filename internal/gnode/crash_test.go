@@ -351,3 +351,67 @@ func TestCompactSparseCrashWithRewritesOutstanding(t *testing.T) {
 		}
 	}
 }
+
+// TestFullSweepReclaimsOrphanedPayload crashes a backup between a
+// container's data put and its metadata put, reboots, and sweeps: the
+// payload no list shows is deleted, and the sweep counts its bytes.
+func TestFullSweepReclaimsOrphanedPayload(t *testing.T) {
+	cfg := testConfig()
+	for n := 0; n < 100; n++ {
+		mem := oss.NewMem()
+		if _, err := core.OpenRepo(mem, cfg); err != nil { // the repository header
+			t.Fatal(err)
+		}
+		repo, err := core.OpenRepo(oss.With(mem, oss.CrashAfter(n)), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lnode.New(repo, "l0").Backup("f", genData(1, 512<<10)); !errors.Is(err, oss.ErrInjected) {
+			t.Fatalf("budget %d: backup returned %v before a payload was orphaned", n, err)
+		}
+		orphan, size := orphanedPayload(t, mem)
+		if orphan == "" {
+			continue // the crash fell before a payload put or after its metadata put
+		}
+
+		rebooted, err := core.OpenRepo(mem, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := New(rebooted).FullSweep()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if left, _ := mem.List(strings.TrimSuffix(orphan, ".data")); len(left) != 0 {
+			t.Fatalf("after the sweep %v remain", left)
+		}
+		if st.BytesReclaimed < size {
+			t.Fatalf("sweep reclaimed %d bytes, want at least the orphan's %d", st.BytesReclaimed, size)
+		}
+		return
+	}
+	t.Fatal("no crash point fell between a payload put and its metadata put")
+}
+
+// orphanedPayload returns the key and size of a container payload object
+// with no metadata object beside it, or "" if there is none.
+func orphanedPayload(t *testing.T, mem *oss.Mem) (string, int64) {
+	t.Helper()
+	keys, err := mem.List(container.Prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		if !strings.HasSuffix(k, ".data") {
+			continue
+		}
+		if _, err := mem.Head(strings.TrimSuffix(k, ".data") + ".meta"); errors.Is(err, oss.ErrNotFound) {
+			size, err := mem.Head(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return k, size
+		}
+	}
+	return "", 0
+}

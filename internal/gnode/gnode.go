@@ -49,7 +49,7 @@ import (
 type GNode struct {
 	repo    *core.Repo
 	acct    *simclock.Account
-	maintMu sync.Mutex
+	maintMu core.MaintLock
 }
 
 // New returns a G-node. Its I/O is charged to an internal account
@@ -811,8 +811,8 @@ type AuditStats struct {
 // marks every container reachable from any live recipe — resolving
 // reverse-dedup and SCC redirects through the global index — and deletes
 // the rest (including containers a crash stranded before their operation
-// committed). It is an audit/repair tool; normal operation uses the
-// per-version garbage lists.
+// committed, and payloads a crash left without their metadata). It is an
+// audit/repair tool; normal operation uses the per-version garbage lists.
 func (g *GNode) FullSweep() (*AuditStats, error) {
 	g.maintMu.Lock()
 	defer g.maintMu.Unlock()
@@ -895,7 +895,7 @@ func (g *GNode) FullSweep() (*AuditStats, error) {
 		return nil, err
 	}
 
-	all, err := cs.List()
+	all, orphans, err := cs.Scan()
 	if err != nil {
 		return nil, err
 	}
@@ -911,6 +911,15 @@ func (g *GNode) FullSweep() (*AuditStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &AuditStats{ContainersMarked: len(marked), ContainersSwept: len(unmarked),
+	// Payloads whose metadata never landed: no list names them, so no
+	// index entry or recipe can.
+	for _, id := range orphans {
+		size, err := cs.DropOrphan(id)
+		if err != nil {
+			return nil, err
+		}
+		reclaimed += size
+	}
+	return &AuditStats{ContainersMarked: len(marked), ContainersSwept: len(unmarked) + len(orphans),
 		BytesReclaimed: reclaimed, JournalReplayed: replayed}, nil
 }

@@ -65,9 +65,11 @@ func (s *ScrubStats) Clean() bool { return len(s.Quarantined) == 0 && len(s.Lost
 // Afterwards the global index is repointed at surviving copies (entries
 // for lost chunks are purged so restores fail loudly instead of chasing
 // dangling references) and recipes referencing quarantined containers are
-// rewritten. Scrub is re-runnable: a crash mid-scrub leaves state a
-// subsequent Scrub (or FullSweep) finishes cleaning; in-place rebuilds go
-// through the intent journal.
+// rewritten — all before the damaged containers leave the namespace, so
+// that no crash leaves an index entry or recipe naming a container no
+// later scrub lists. Scrub is re-runnable: a crash mid-scrub leaves state
+// a subsequent Scrub (or FullSweep) finishes cleaning; in-place rebuilds
+// go through the intent journal.
 //
 // The expensive part — reading and checksumming every payload — fans out
 // across the maintenance worker pool OUTSIDE maintMu at a sampled
@@ -263,8 +265,10 @@ func (g *GNode) scrubVerify() (*scrubView, error) {
 }
 
 // scrubRepair applies the verdicts under maintMu, in container-ID order:
-// quarantines, donor repairs, salvages, then the index and recipe fixes.
-// Only the independent rot-cleanup rewrites fan back out to the pool.
+// it decides the quarantine set while making donor repairs and salvages,
+// then fixes the index and recipes, syncs the index, and only then
+// quarantines. Only the independent rot-cleanup rewrites fan back out to
+// the pool.
 func (g *GNode) scrubRepair(sv *scrubView) (*ScrubStats, error) {
 	stats := &ScrubStats{}
 	cs := g.containers()
@@ -281,18 +285,11 @@ func (g *GNode) scrubRepair(sv *scrubView) (*ScrubStats, error) {
 	lost := make(map[fingerprint.FP]bool)
 	builder := container.NewBuilder(cs)
 
-	quarantine := func(id container.ID) error {
-		// Write side of the container lock: wait out restores that pinned
-		// this container before its damage was known.
-		g.repo.CLocks.Lock(id)
-		err := cs.Quarantine(id)
-		g.repo.CLocks.Unlock(id)
-		if err != nil {
-			return fmt.Errorf("gnode: scrub: %w", err)
-		}
+	// quarantine decides; the container leaves the namespace only once the
+	// index and recipes no longer name it (see the end of this function).
+	quarantine := func(id container.ID) {
 		quarantined[id] = true
 		stats.Quarantined = append(stats.Quarantined, id)
-		return nil
 	}
 
 	// donor returns verified bytes for fp from any intact container other
@@ -314,9 +311,7 @@ func (g *GNode) scrubRepair(sv *scrubView) (*ScrubStats, error) {
 		v := &sv.verdicts[i]
 		stats.ContainersScanned++
 		if v.meta == nil || v.readErr {
-			if err := quarantine(id); err != nil {
-				return nil, err
-			}
+			quarantine(id)
 			continue
 		}
 		stats.ChunksVerified += v.live
@@ -401,9 +396,7 @@ func (g *GNode) scrubRepair(sv *scrubView) (*ScrubStats, error) {
 			}
 			moved[cm.FP] = nid
 		}
-		if err := quarantine(id); err != nil {
-			return nil, err
-		}
+		quarantine(id)
 	}
 	if err := builder.Flush(); err != nil {
 		return nil, err
@@ -450,6 +443,18 @@ func (g *GNode) scrubRepair(sv *scrubView) (*ScrubStats, error) {
 	sort.Slice(stats.Quarantined, func(a, b int) bool { return stats.Quarantined[a] < stats.Quarantined[b] })
 	if err := g.repo.Global.Sync(); err != nil {
 		return nil, err
+	}
+	// Only now, with nothing durable naming them, do the containers go: a
+	// crash before this point leaves them listed for the next scrub to
+	// decide again. The write side waits out restores that pinned one
+	// before its damage was known.
+	for _, id := range stats.Quarantined {
+		g.repo.CLocks.Lock(id)
+		err := cs.Quarantine(id)
+		g.repo.CLocks.Unlock(id)
+		if err != nil {
+			return nil, fmt.Errorf("gnode: scrub: %w", err)
+		}
 	}
 	if stats.RebuiltContainers > 0 || len(stats.Quarantined) > 0 || len(moved) > 0 ||
 		stats.IndexRepointed > 0 || stats.IndexPurged > 0 || stats.RecipesRewritten > 0 {

@@ -2,11 +2,14 @@ package gnode
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
 
 	"slimstore/internal/container"
 	"slimstore/internal/core"
 	"slimstore/internal/fingerprint"
+	"slimstore/internal/lnode"
 	"slimstore/internal/oss"
 )
 
@@ -205,4 +208,99 @@ func bytesEqual(a, b []byte) bool {
 		}
 	}
 	return true
+}
+
+// TestScrubCrashAtEveryMutation kills a scrub that salvages a damaged
+// container's intact chunks and quarantines it before every OSS mutation
+// it issues. The container is a compaction's output, so index entries
+// name it. After each reboot every index entry names a container that
+// lists its fingerprint — the scrub repoints before it quarantines — and
+// after a second scrub every version restores byte-identical or fails
+// naming the lost chunk.
+func TestScrubCrashAtEveryMutation(t *testing.T) {
+	baseline, cfg, want, st := sccBaseline(t)
+	repo, err := core.OpenRepo(baseline, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(repo).CompactSparse("f", st.Version, st.SparseContainers); err != nil {
+		t.Fatal(err)
+	}
+	victim := container.Invalid
+	if err := repo.Global.Scan(func(_ fingerprint.FP, id container.ID) bool {
+		victim = id
+		return false
+	}); err != nil || victim == container.Invalid {
+		t.Fatalf("compaction left no index entry to repoint (%v)", err)
+	}
+	lostFP := firstLiveChunk(t, repo, victim)
+	flipChunkAtRest(t, baseline, repo, victim, lostFP)
+
+	completed := false
+	for n := 0; n < 400 && !completed; n++ {
+		mem := cloneMem(t, baseline)
+		repo, err := core.OpenRepo(oss.With(mem, oss.CrashAfter(n)), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := New(repo).Scrub()
+		if err == nil {
+			completed = true
+			if len(sc.Quarantined) != 1 || len(sc.Lost) != 1 || sc.IndexRepointed == 0 {
+				t.Fatalf("degenerate scrub, nothing salvaged, repointed and quarantined: %+v", sc)
+			}
+		} else if !errors.Is(err, oss.ErrInjected) {
+			t.Fatalf("budget %d: %v, want the injected crash", n, err)
+		}
+
+		rebooted, err := core.OpenRepo(mem, cfg)
+		if err != nil {
+			t.Fatalf("budget %d: reboot: %v", n, err)
+		}
+		assertIndexListed(t, rebooted, n)
+		if _, err := New(rebooted).Scrub(); err != nil {
+			t.Fatalf("budget %d: second scrub: %v", n, err)
+		}
+		assertIndexListed(t, rebooted, n)
+		rl := lnode.New(rebooted, "l0")
+		for v, data := range want {
+			var buf bytes.Buffer
+			_, err := rl.Restore("f", v, &buf)
+			if err == nil && !bytes.Equal(buf.Bytes(), data) {
+				t.Fatalf("budget %d: f v%d restored different bytes", n, v)
+			}
+			if err != nil && !strings.Contains(err.Error(), lostFP.Short()) {
+				t.Fatalf("budget %d: f v%d: %v, want a failure naming %s", n, v, err, lostFP.Short())
+			}
+		}
+	}
+	if !completed {
+		t.Fatal("scrub never ran to completion within the mutation budget")
+	}
+}
+
+// assertIndexListed fails unless every global-index entry names a listed
+// container whose metadata holds a live copy of the fingerprint.
+func assertIndexListed(t *testing.T, repo *core.Repo, budget int) {
+	t.Helper()
+	ids, err := repo.Containers.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	metas := map[container.ID]*container.Meta{}
+	for _, id := range ids {
+		if metas[id], err = repo.Containers.ReadMeta(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err = repo.Global.Scan(func(fp fingerprint.FP, id container.ID) bool {
+		if m := metas[id]; m == nil || m.Find(fp) == nil || m.Find(fp).Deleted {
+			t.Errorf("budget %d: index entry %s names %s, which does not list it", budget, fp.Short(), id)
+			return false
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }

@@ -1,8 +1,9 @@
 // Package leakcheck is the run-time check on goroutine lifetimes
 // (DESIGN.md §9): once the tests of a package have run, nothing may still
-// be running the module's code. It observes whether every goroutine
-// reached its stop or join edge, on every test the package has, where a
-// static check can only say such an edge exists somewhere.
+// be running the module's code, and nothing may still hold a ranked lock
+// (internal/lockrank). It observes whether every goroutine reached its
+// stop or join edge, and every Lock its Unlock, on every test the package
+// has, where a static check can only say such an edge exists somewhere.
 //
 //	func TestMain(m *testing.M) { leakcheck.Main(m) }
 package leakcheck
@@ -14,6 +15,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"slimstore/internal/lockrank"
 )
 
 // module prefixes the function names of this module's code in a stack
@@ -25,12 +28,17 @@ const module = "slimstore"
 var limit = 2 * time.Second
 
 // Main runs the tests and then fails the binary, printing the stacks, if
-// goroutines are still running module code after the limit.
+// goroutines are still running module code after the limit, or printing
+// the sites, if a ranked lock is still held.
 func Main(m *testing.M) {
 	code := m.Run()
 	if code == 0 {
 		if left := settle(); len(left) > 0 {
 			fmt.Fprintln(os.Stderr, report(left))
+			code = 1
+		}
+		if held := lockrank.Held(); len(held) > 0 {
+			fmt.Fprintf(os.Stderr, "leakcheck: %d ranked lock(s) never released:\n\t%s\n", len(held), strings.Join(held, "\n\t"))
 			code = 1
 		}
 	}

@@ -20,7 +20,7 @@ func ctxFlowAnalyzer() *Analyzer {
 	}
 }
 
-func runCtxFlow(_ *program, p *Package) []Finding {
+func runCtxFlow(p *Package) []Finding {
 	if p.Name == "main" {
 		return nil
 	}

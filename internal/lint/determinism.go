@@ -76,7 +76,7 @@ func determinismAnalyzer() *Analyzer {
 	}
 }
 
-func runDeterminism(_ *program, p *Package) []Finding {
+func runDeterminism(p *Package) []Finding {
 	charged := chargedPackages[p.Name]
 	if !charged && !encodingPackages[p.Name] {
 		return nil

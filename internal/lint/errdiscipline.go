@@ -34,7 +34,7 @@ func errDisciplineAnalyzer() *Analyzer {
 	}
 }
 
-func runErrDiscipline(_ *program, p *Package) []Finding {
+func runErrDiscipline(p *Package) []Finding {
 	var findings []Finding
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {

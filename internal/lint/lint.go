@@ -1,20 +1,13 @@
 // Package lint is slimlint: a project-invariant static analyzer for this
-// repository. The concurrency and determinism rules the system stakes its
-// correctness on — the acyclic lock hierarchy of DESIGN.md §7, the
-// virtual-time determinism contract of internal/simclock, the error
-// discipline of the storage layer — live in prose and in whichever tests
-// happen to exercise the bad interleaving. slimlint checks them at
-// compile time, over plain go/ast + go/types (no x/tools), so a refactor
-// that silently inverts a lock order or sneaks wall-clock time into a
-// charged path fails the gate instead of surfacing later under -race.
+// repository. The rules the system stakes its correctness on that no test
+// can observe — the virtual-time determinism contract of internal/simclock,
+// the error discipline of the storage layer, context plumbing — are
+// checked at compile time, over plain go/ast + go/types (no x/tools), so a
+// refactor that sneaks wall-clock time into a charged path fails the gate
+// instead of surfacing later as a drifting number.
 //
 // Analyzers (see DESIGN.md §9 for the invariant each one guards):
 //
-//   - lockorder: Lock/RLock acquisitions must respect
-//     maintMu → FileLocks → ContainerLocks → leaf mutexes, including
-//     transitively through the whole-program call graph (cross-package,
-//     interface-method fan-out); a Lock must have a reachable Unlock
-//     (directly, deferred, or via a returned release closure).
 //   - determinism: no time.Now, global math/rand, or os.Getenv inside
 //     simclock-charged packages (lnode, gnode, oss, jobs, bench, repl,
 //     ec), and — there and in the packages that encode store objects — no
@@ -26,9 +19,10 @@
 //     tests; a function that receives a ctx forwards that ctx.
 //
 // What is observable at run time is checked there instead, under the
-// suites that already run: pool lifetimes by internal/poison, goroutine
-// lifetimes by internal/leakcheck, the read-only contract of fetched bytes
-// by oss.Frozen (DESIGN.md §9 has the table).
+// suites that already run: the lock hierarchy by internal/lockrank, pool
+// lifetimes by internal/poison, goroutine lifetimes by internal/leakcheck,
+// the read-only contract of fetched bytes by oss.Frozen (DESIGN.md §9 has
+// the table).
 //
 // Findings are suppressed line-by-line with
 //
@@ -78,19 +72,16 @@ func WriteHuman(w io.Writer, findings []Finding) {
 	}
 }
 
-// Analyzer is one named rule set. Run receives the whole program (for
-// call-graph queries) plus the single target package findings are
-// reported for.
+// Analyzer is one named rule set, run over one package at a time.
 type Analyzer struct {
 	Name string
 	Doc  string
-	Run  func(*program, *Package) []Finding
+	Run  func(*Package) []Finding
 }
 
 // Analyzers returns the full suite, in report order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		lockOrderAnalyzer(),
 		determinismAnalyzer(),
 		errDisciplineAnalyzer(),
 		ctxFlowAnalyzer(),
@@ -111,11 +102,10 @@ func AnalyzerNames() []string {
 // Invalid directives (missing reason) and unused directives are reported
 // as findings of the synthetic "suppression" analyzer.
 func Run(pkgs []*Package) []Finding {
-	pr := newProgram(pkgs)
 	var all []Finding
 	for _, a := range Analyzers() {
 		for _, pkg := range pkgs {
-			all = append(all, a.Run(pr, pkg)...)
+			all = append(all, a.Run(pkg)...)
 		}
 	}
 	all = applySuppressions(pkgs, all)
@@ -197,15 +187,12 @@ func (p *Package) calleeFunc(call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// enclosingFuncs yields every function body in the file: declared
-// functions and methods plus each function literal, paired with the
-// parameter list in scope for it. Literals are visited as independent
-// bodies: a goroutine or deferred closure does not inherit the lock/ctx
-// state of its lexical parent, and treating them separately keeps the
-// analyzers conservative.
+// funcBody is one function body in a file — a declared function or
+// method, or a function literal — paired with the parameter list in scope
+// for it. Literals are bodies of their own: a goroutine or deferred
+// closure does not inherit the ctx of its lexical parent, and treating
+// them separately keeps the analyzers conservative.
 type funcBody struct {
-	decl *ast.FuncDecl // nil for literals
-	lit  *ast.FuncLit  // nil for declarations
 	typ  *ast.FuncType
 	body *ast.BlockStmt
 }
@@ -217,10 +204,10 @@ func fileFuncBodies(f *ast.File) []funcBody {
 		if !ok || fd.Body == nil {
 			continue
 		}
-		out = append(out, funcBody{decl: fd, typ: fd.Type, body: fd.Body})
+		out = append(out, funcBody{typ: fd.Type, body: fd.Body})
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			if fl, ok := n.(*ast.FuncLit); ok {
-				out = append(out, funcBody{lit: fl, typ: fl.Type, body: fl.Body})
+				out = append(out, funcBody{typ: fl.Type, body: fl.Body})
 			}
 			return true
 		})

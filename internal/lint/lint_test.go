@@ -41,8 +41,7 @@ func lintFixture(t *testing.T, name string) []Finding {
 // every positive fixture package, one golden file per analyzer's fixture.
 func TestFixtureGoldens(t *testing.T) {
 	for _, name := range []string{
-		"lockorder_bad", "lnode", "errdisc_bad", "ctxflow_bad",
-		"xlock_bad", "oss_retry", "recipe",
+		"lnode", "errdisc_bad", "ctxflow_bad", "oss_retry", "recipe",
 	} {
 		t.Run(name, func(t *testing.T) {
 			findings := lintFixture(t, name)
@@ -86,21 +85,9 @@ func TestNegativeFixtures(t *testing.T) {
 }
 
 // TestSpecificInvariants pins the acceptance-critical detections
-// independently of golden formatting: lockorder must flag the synthetic
-// ContainerLocks-before-FileLocks acquisition, and determinism must flag
-// the synthetic time.Now in the lnode fixture and the two historical bugs.
+// independently of golden formatting: determinism must flag the synthetic
+// time.Now in the lnode fixture and the two historical bugs.
 func TestSpecificInvariants(t *testing.T) {
-	lockFindings := lintFixture(t, "lockorder_bad")
-	if !hasFinding(lockFindings, "lockorder", "acquires FileLocks") {
-		t.Error("lockorder did not flag the ContainerLocks-before-FileLocks inversion")
-	}
-	if !hasFinding(lockFindings, "lockorder", "calls lockFile") {
-		t.Error("lockorder did not see through the one-level call graph")
-	}
-	if !hasFinding(lockFindings, "lockorder", "no reachable Unlock") {
-		t.Error("lockorder did not flag the leaked Lock")
-	}
-
 	detFindings := lintFixture(t, "lnode")
 	if !hasFinding(detFindings, "determinism", "time.Now") {
 		t.Error("determinism did not flag time.Now in the lnode fixture")
@@ -122,20 +109,6 @@ func TestSpecificInvariants(t *testing.T) {
 	recipeFindings := lintFixture(t, "recipe")
 	if len(recipeFindings) != 1 || !hasFinding(recipeFindings, "determinism", `map iteration appends to "buf"`) {
 		t.Errorf("determinism on the recipe fixture: want exactly the EncodeIndex map-order finding, got %v", recipeFindings)
-	}
-}
-
-// TestCrossPackageInversion: the seeded FileLocks-under-ContainerLocks
-// inversion in xlock_bad routes through the xlock_dep package, so only
-// whole-program resolution can see it; the engine reports both call
-// chains.
-func TestCrossPackageInversion(t *testing.T) {
-	findings := lintFixture(t, "xlock_bad")
-	if !hasFinding(findings, "lockorder", "calls xlock_dep.TouchFile, which acquires FileLocks") {
-		t.Error("call-graph engine missed the one-frame cross-package inversion")
-	}
-	if !hasFinding(findings, "lockorder", "calls xlock_dep.TouchViaHelper → xlock_dep.TouchFile") {
-		t.Error("call-graph engine missed the two-frame cross-package inversion chain")
 	}
 }
 

@@ -34,7 +34,6 @@ type Package struct {
 	Info  *types.Info
 
 	moduleDir string
-	loader    *Loader // back-reference for program construction (call graph)
 }
 
 // relPath renders filename relative to the module root, for stable output
@@ -53,10 +52,9 @@ type Loader struct {
 	ModulePath string
 
 	fset    *token.FileSet
-	byDir   map[string]*Package         // loaded packages, keyed by absolute dir
-	byTypes map[*types.Package]*Package // the same packages, keyed by type object
-	loading map[string]bool             // import-cycle guard, keyed by absolute dir
-	std     types.ImporterFrom          // source importer for out-of-module paths
+	byDir   map[string]*Package // loaded packages, keyed by absolute dir
+	loading map[string]bool     // import-cycle guard, keyed by absolute dir
+	std     types.ImporterFrom  // source importer for out-of-module paths
 }
 
 // NewLoader locates the enclosing module from dir (walking up to go.mod)
@@ -91,7 +89,6 @@ func NewLoader(dir string) (*Loader, error) {
 		ModulePath: modPath,
 		fset:       fset,
 		byDir:      map[string]*Package{},
-		byTypes:    map[*types.Package]*Package{},
 		loading:    map[string]bool{},
 		std:        std,
 	}, nil
@@ -272,16 +269,10 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 		Types:     tpkg,
 		Info:      info,
 		moduleDir: l.ModuleDir,
-		loader:    l,
 	}
 	l.byDir[dir] = pkg
-	l.byTypes[tpkg] = pkg
 	return pkg, nil
 }
-
-// packageFor maps a type-checker package object back to the loaded source
-// package, or nil for out-of-module (standard library) packages.
-func (l *Loader) packageFor(t *types.Package) *Package { return l.byTypes[t] }
 
 // Import implements types.Importer.
 func (l *Loader) Import(path string) (*types.Package, error) {

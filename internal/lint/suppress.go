@@ -5,7 +5,7 @@
 // placed on the flagged line or on the line immediately above it. The
 // analyzer name must match the finding ("suppression" directives are
 // per-analyzer on purpose: a line excused from determinism is still
-// checked for lock order). The reason is mandatory and free-form; a
+// checked for error discipline). The reason is mandatory and free-form; a
 // directive without one does not suppress and is itself reported, as is a
 // directive that matches nothing — stale excuses rot into lies.
 package lint

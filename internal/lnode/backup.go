@@ -37,6 +37,10 @@ type LNode struct {
 
 	runs sync.Pool // *ingestRun: recycled ingest ring runs (ingest.go)
 
+	// headBytes is the head base detection samples: the constant, except
+	// where a test puts the seam between the probe's cuts and STEP 2's.
+	headBytes int
+
 	// wrapCutter, set by tests only, wraps every cutter the node builds, so
 	// a test can see what is offered to Cut.
 	wrapCutter func(chunker.Cutter) chunker.Cutter
@@ -44,7 +48,7 @@ type LNode struct {
 
 // New returns an L-node. name is informational (logs, stats).
 func New(repo *core.Repo, name string) *LNode {
-	return &LNode{repo: repo, name: name}
+	return &LNode{repo: repo, name: name, headBytes: headBytes}
 }
 
 // Name returns the node name.
@@ -222,21 +226,11 @@ func (j *backupJob) join() {
 
 // finish computes virtual elapsed time from the account.
 func (j *backupJob) finish() *BackupStats {
-	io := j.acct.IO()
-	cpu := j.acct.CPUTime()
 	// The backup pipeline overlaps three resources (paper §IV-A/Fig 2):
 	// segment-recipe prefetching (OSS reads), computation, and multipart
-	// container upload (OSS writes). Elapsed time is the longest of the
-	// three timelines; Fig 2's bottleneck flips from network (version 0
-	// uploads everything) to CPU (later versions upload little).
-	elapsed := cpu
-	if io.ReadTime > elapsed {
-		elapsed = io.ReadTime
-	}
-	if io.WriteTime > elapsed {
-		elapsed = io.WriteTime
-	}
-	j.stats.Elapsed = elapsed
+	// container upload (OSS writes). Fig 2's bottleneck flips from network
+	// (version 0 uploads everything) to CPU (later versions upload little).
+	j.stats.Elapsed = j.acct.ElapsedPipelined()
 	return &j.stats
 }
 
@@ -257,8 +251,8 @@ func (n *LNode) Backup(fileID string, data []byte) (*BackupStats, error) {
 // head; with both off a version with history streams too.
 func (n *LNode) BackupStream(fileID string, rd io.Reader) (*BackupStats, error) {
 	// One byte past what base detection samples, so that a version of
-	// exactly headBytes is known to end there.
-	head, eof, err := readUpTo(rd, nil, headBytes+1)
+	// exactly the head size is known to end there.
+	head, eof, err := readUpTo(rd, nil, n.headBytes+1)
 	if err != nil {
 		return nil, fmt.Errorf("lnode: read stream head: %w", err)
 	}
@@ -360,8 +354,8 @@ func (j *backupJob) detectBase(fileID string, head []byte, eof bool) error {
 	// Name miss: sample the header chunks and query the similar file
 	// index (large files cannot be fully chunked in memory first, so only
 	// the head is sampled — §IV-A).
-	if len(head) > headBytes {
-		head, eof = head[:headBytes], false
+	if hb := j.node.headBytes; len(head) > hb {
+		head, eof = head[:hb], false
 	}
 	cutter := j.node.newCutter()
 	chunks := chunker.SplitAll(head, cutter) // probe pass: not charged as chunking

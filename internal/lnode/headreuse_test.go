@@ -39,7 +39,7 @@ func recutBackupStream(n *LNode, fileID string, rd io.Reader) (*BackupStats, err
 		}
 		return n.backup(fileID, data, data, true, recut((*backupJob).dedupe))
 	}
-	head := make([]byte, headBytes)
+	head := make([]byte, n.headBytes)
 	hn, err := io.ReadFull(rd, head)
 	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 		return nil, err
@@ -128,14 +128,6 @@ func TestRecipeBytesTwin(t *testing.T) {
 	}
 }
 
-// setHeadBytes moves the seam between the probe's cuts and STEP 2's for
-// the rest of the test.
-func setHeadBytes(t *testing.T, n int) {
-	old := headBytes
-	headBytes = n
-	t.Cleanup(func() { headBytes = old })
-}
-
 // nextVersion is a lightly edited successor of v, similar enough for the
 // similarity index to find v as its base.
 func nextVersion(v []byte, seed int64) []byte {
@@ -163,6 +155,7 @@ type twinBackup struct {
 // so the matrix stays cheap; TestBackupStreamTwin and TestIngestTwinSerial
 // run the real size.
 func TestHeadReuseTwin(t *testing.T) {
+	t.Parallel()
 	const testHead = 128 << 10
 	for _, algo := range []string{"fastcdc", "gear", "rabin", "buzhash", "fixed"} {
 		for _, accel := range []bool{true, false} {
@@ -214,7 +207,6 @@ func TestHeadReuseTwin(t *testing.T) {
 					for _, stream := range []bool{false, true} {
 						name := fmt.Sprintf("%s/accel=%v/%s/%s/stream=%v", algo, accel, sc.name, scenario.name, stream)
 						t.Run(name, func(t *testing.T) {
-							setHeadBytes(t, sc.head)
 							run := func(reference bool) ([]jobOutcome, map[string][]byte) {
 								store := oss.NewMem()
 								repo, err := core.OpenRepo(store, cfg)
@@ -222,6 +214,7 @@ func TestHeadReuseTwin(t *testing.T) {
 									t.Fatal(err)
 								}
 								n := New(repo, "l0")
+								n.headBytes = sc.head // the seam between the probe's cuts and STEP 2's
 								var outs []jobOutcome
 								for _, b := range scenario.backups {
 									var st *BackupStats

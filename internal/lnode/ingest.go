@@ -55,9 +55,8 @@ const (
 )
 
 // headBytes is how much of the input base detection samples (§IV-A); also
-// the streaming head-probe size. A variable only so that tests can put the
-// seam between the probe's cuts and STEP 2's wherever they need it.
-var headBytes = 8 << 20
+// the streaming head-probe size: the default of LNode.headBytes.
+const headBytes = 8 << 20
 
 // chunkBatch is one pipeline unit: a run of consecutive chunks, their
 // fingerprints (filled asynchronously by the batch's hashing goroutine;

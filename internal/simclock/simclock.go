@@ -287,6 +287,16 @@ func (a *Account) ElapsedSequential() time.Duration {
 	return a.CPUTime() + io.ReadTime + io.WriteTime
 }
 
+// ElapsedPipelined models a pipeline whose reads, computation and writes
+// each run on a timeline of their own — prefetching, the CPU, multipart
+// upload (paper §IV-A, Fig 2): elapsed time is the longest of the three.
+func (a *Account) ElapsedPipelined() time.Duration {
+	cpu := a.CPUTime()
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return max(cpu, a.ioRTime, a.ioWTime)
+}
+
 // ElapsedOverlapped models a pipeline where I/O is performed by `channels`
 // parallel background workers overlapping with computation (LAW prefetching,
 // multi-channel OSS upload). Elapsed time is the maximum of the CPU timeline

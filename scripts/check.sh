@@ -9,10 +9,20 @@ cd "$(dirname "$0")/.."
 go build ./...
 go vet ./...
 
-# Project-invariant static analysis: lock ordering, determinism in
-# simclock-charged packages, storage error discipline, context flow.
-# Zero findings is the bar; see DESIGN.md §9 for suppression rules.
+# Project-invariant static analysis: determinism in simclock-charged
+# packages, storage error discipline, context flow. Zero findings is the
+# bar; see DESIGN.md §9 for suppression rules.
 sh ./scripts/lint.sh
+# Leaf mutexes beside the ranked locks (DESIGN.md §9): the lock order is
+# checked at run time on maintMu, FileLocks and ContainerLocks only. In the
+# packages that can name those (they import core), every other mutex guards
+# counters or a flag and is held across no call; their number only shrinks.
+leaf=$(grep -rl '"slimstore/internal/core"' --include=*.go . | grep -vE '_test\.go$|^\./benchmark/|/testdata/' |
+	xargs -n1 dirname | sort -u | while read -r d; do
+		ls "$d"/*.go | grep -v '_test\.go$' | xargs grep -hE 'sync\.(RW)?Mutex' || true
+	done | wc -l)
+[ "$leaf" -le 7 ] ||
+	{ echo "check: $leaf leaf mutexes in packages that import core, want at most 7: rank a new lock or keep it off every call (DESIGN.md §9)" >&2; exit 1; }
 # One interposition point on the store (DESIGN.md §6): the types that spell
 # out GetRange, and the test types that embed a store to override methods.
 [ "$(grep -rhE '^func \([a-z_]+ \*?[A-Za-z_]+\) GetRange\(' --include=*.go . | wc -l)" -le 10 ] &&
@@ -27,12 +37,13 @@ if grep -rlw Faulty --include='*.go' . | grep -v '_test\.go$' | grep -qvE '^\./i
 fi
 
 # Every `go test` below also runs the run-time invariant checks (DESIGN.md
-# §9) beside the race detector, with nothing to switch on: pooled buffers
-# are poisoned on recycle and a second put panics (internal/poison), each
-# package's TestMain fails if a goroutine outlives its tests
-# (internal/leakcheck), and the stores under the twin, stress and chaos
-# suites are oss.Frozen. The product binaries further down (CLI smoke,
-# workload smokes) run without the first two.
+# §9) beside the race detector, with nothing to switch on: a ranked lock
+# taken out of order panics (internal/lockrank), pooled buffers are
+# poisoned on recycle and a second put panics (internal/poison), each
+# package's TestMain fails if a goroutine outlives its tests or a ranked
+# lock is still held (internal/leakcheck), and the stores under the twin,
+# stress and chaos suites are oss.Frozen. The product binaries further
+# down (CLI smoke, workload smokes) run without the first three.
 go test -race ./...
 
 # The SHA-1 kernel's fallback: on a host with the SHA extensions nothing above

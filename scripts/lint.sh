@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
-# slimlint entry point: the project-invariant static analyzer (lock
-# order, determinism, error discipline, context flow). Takes packages,
+# slimlint entry point: the project-invariant static analyzer
+# (determinism, error discipline, context flow). Takes packages,
 # no flags; with none it lints the whole module. Exits nonzero on any
 # finding; see DESIGN.md §9 for the invariants, for what is checked at run
 # time instead, and for the suppression syntax.
