@@ -8,13 +8,14 @@
 //
 // Each container persists as two OSS objects:
 //
-//	containers/<id>.data — concatenated chunk payloads
-//	containers/<id>.meta — per-chunk records (fp, offset, size, deleted)
+//	containers/<id>.meta  — per-chunk records (fp, offset, size, deleted), payload ID
+//	containers/<pid>.data — concatenated chunk payloads, written once
 //
 // Splitting metadata from data lets G-node's reverse deduplication mark
-// chunks deleted by rewriting only the small metadata object (§VI-A); the
-// data object is rewritten only when the stale proportion crosses the
-// compaction threshold.
+// chunks deleted by rewriting only the small metadata object (§VI-A); past
+// the compaction threshold the payload is rewritten beside the old under a
+// fresh ID and one meta put switches to it. The meta, the one object that
+// changes, never rides the striped tier (ec.Router).
 package container
 
 import (
@@ -85,12 +86,13 @@ type ChunkMeta struct {
 // counters used by sparse-container detection and deferred compaction.
 type Meta struct {
 	ID       ID
+	Payload  ID // the ID the data object is stored under (DataKey)
 	Chunks   []ChunkMeta
 	DataSize uint32 // payload bytes including deleted chunks
 
 	// fpIdx is a permutation of chunk indexes sorted by (FP, index),
 	// giving Find a binary search instead of a linear scan. It is built
-	// once — DecodeMeta and Seal, both single-goroutine points after
+	// once — DecodeMeta and seal, both single-goroutine points after
 	// which Chunks no longer gains or reorders records — and never
 	// mutated, so Meta value copies share it safely. Deletion marks only
 	// flip Chunks[i].Deleted in place, which the index is insensitive
@@ -264,8 +266,11 @@ func (c *Container) VerifyChunk(cm *ChunkMeta) error {
 
 const metaMagic = uint32(0x534C4D43) // "SLMC"
 
-// MetaV2 is the one metadata format version; DecodeMeta refuses any other.
-const MetaV2 = 2
+// MetaV3 is the one metadata format version; DecodeMeta refuses any other.
+const MetaV3 = 3
+
+// metaHeader is a meta's fixed prefix: magic, version, ID, payload ID, count, size.
+const metaHeader = 32
 
 // Data object footer: magic then CRC32C of the full payload.
 const (
@@ -278,14 +283,13 @@ const chunkMetaWire = fingerprint.Size + 4 + 4 + 1 + 4
 
 // EncodeMeta serialises container metadata.
 func EncodeMeta(m *Meta) []byte {
-	buf := make([]byte, 0, 24+len(m.Chunks)*chunkMetaWire+4)
-	var hdr [24]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], metaMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], MetaV2)
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(m.ID))
-	binary.LittleEndian.PutUint32(hdr[16:20], uint32(len(m.Chunks)))
-	binary.LittleEndian.PutUint32(hdr[20:24], m.DataSize)
-	buf = append(buf, hdr[:]...)
+	buf := make([]byte, metaHeader, metaHeader+len(m.Chunks)*chunkMetaWire+4)
+	binary.LittleEndian.PutUint32(buf[0:], metaMagic)
+	binary.LittleEndian.PutUint32(buf[4:], MetaV3)
+	binary.LittleEndian.PutUint64(buf[8:], uint64(m.ID))
+	binary.LittleEndian.PutUint64(buf[16:], uint64(m.Payload))
+	binary.LittleEndian.PutUint32(buf[24:], uint32(len(m.Chunks)))
+	binary.LittleEndian.PutUint32(buf[28:], m.DataSize)
 	var rec [chunkMetaWire]byte
 	for i := range m.Chunks {
 		cm := &m.Chunks[i]
@@ -308,21 +312,22 @@ func EncodeMeta(m *Meta) []byte {
 // DecodeMeta parses container metadata. An object failing its trailer
 // checksum returns a *CorruptError.
 func DecodeMeta(b []byte) (*Meta, error) {
-	if len(b) < 24 {
+	if len(b) < 8 || binary.LittleEndian.Uint32(b[0:4]) != metaMagic {
+		return nil, fmt.Errorf("container: not a meta: bad magic, or %d bytes", len(b))
+	}
+	if v := binary.LittleEndian.Uint32(b[4:8]); v != MetaV3 {
+		return nil, fmt.Errorf("container: unsupported meta version %d (this build reads %d, which names the payload's ID)", v, MetaV3)
+	}
+	if len(b) < metaHeader+4 {
 		return nil, fmt.Errorf("container: meta too short (%d bytes)", len(b))
-	}
-	if binary.LittleEndian.Uint32(b[0:4]) != metaMagic {
-		return nil, fmt.Errorf("container: bad meta magic")
-	}
-	if version := binary.LittleEndian.Uint32(b[4:8]); version != MetaV2 {
-		return nil, fmt.Errorf("container: unsupported meta version %d", version)
 	}
 	m := &Meta{
 		ID:       ID(binary.LittleEndian.Uint64(b[8:16])),
-		DataSize: binary.LittleEndian.Uint32(b[20:24]),
+		Payload:  ID(binary.LittleEndian.Uint64(b[16:24])),
+		DataSize: binary.LittleEndian.Uint32(b[28:32]),
 	}
-	n := int(binary.LittleEndian.Uint32(b[16:20]))
-	if len(b) != 24+n*chunkMetaWire+4 {
+	n := int(binary.LittleEndian.Uint32(b[24:28]))
+	if len(b) != metaHeader+n*chunkMetaWire+4 {
 		return nil, fmt.Errorf("container: meta size %d does not match %d chunks", len(b), n)
 	}
 	stored := binary.LittleEndian.Uint32(b[len(b)-4:])
@@ -331,7 +336,7 @@ func DecodeMeta(b []byte) (*Meta, error) {
 			Detail: fmt.Sprintf("meta checksum %08x, want %08x", got, stored)}
 	}
 	m.Chunks = make([]ChunkMeta, n)
-	off := 24
+	off := metaHeader
 	for i := 0; i < n; i++ {
 		cm := &m.Chunks[i]
 		copy(cm.FP[:], b[off:off+fingerprint.Size])

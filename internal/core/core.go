@@ -127,7 +127,7 @@ type Config struct {
 	GlobalKV kvstore.Options
 
 	// ECDataShards (K) and ECParityShards (M) arm the erasure-coded
-	// redundancy tier (DESIGN.md §12): every container object is striped
+	// redundancy tier (DESIGN.md §12): every container payload is striped
 	// RS(K+M) across K+M fault-isolated OSS backends, surviving any M
 	// backend losses. A repository created with 0 data shards has no tier
 	// (single-copy containers); parity without data shards is refused.
@@ -230,7 +230,7 @@ type Repo struct {
 	Journal *journal.Store
 
 	// EC is the erasure-coded redundancy tier (nil when ECDataShards is
-	// 0): container objects are striped across K+M backends, backend i
+	// 0): container payloads are striped across K+M backends, backend i
 	// under oss.BackendPrefix(i) of the base store.
 	EC *ec.Store
 
@@ -384,15 +384,15 @@ func (r *Repo) Metered(acct *simclock.Account) *oss.Metered {
 	return oss.NewMetered(r.Base, r.Config.Costs, acct)
 }
 
-// ecRouter routes the container namespaces through the redundancy tier
-// and everything else to plain.
+// ecRouter routes the container payloads, live and quarantined, through
+// the redundancy tier and everything else — their metas included — to plain.
 func ecRouter(tier *ec.Store, plain oss.Store) *ec.Router {
-	return ec.NewRouter(tier, plain, container.Prefix, container.QuarantinePrefix)
+	return ec.NewRouter(tier, plain, ".data", container.Prefix, container.QuarantinePrefix)
 }
 
 // ContainersFor returns a container-store view charging acct. With the
-// redundancy tier armed, container I/O stripes through a per-account EC
-// view (charging per-shard, per-backend costs) while recipes, indexes and
+// redundancy tier armed, payload I/O stripes through a per-account EC view
+// (charging per-shard, per-backend costs) while metas, recipes, indexes and
 // the journal keep using the plain metered store.
 func (r *Repo) ContainersFor(acct *simclock.Account) *container.Store {
 	if r.EC == nil {

@@ -21,10 +21,12 @@ import (
 //	0 "SLIMREPO" | 8 version | 12 FingerprintAlg | 16 ChunkAlgo [16]
 //	| 32 ChunkParams Min, Avg, Max | 44 GlobalShards | 48 GlobalReplicas
 //	| 52 ECDataShards | 56 ECParityShards | 60 CRC32C of all before
+//
+// Format 2 has write-once payloads (container.Meta.Payload); 1 is refused.
 const (
 	HeaderKey     = "repo/header"
 	headerMagic   = "SLIMREPO"
-	headerVersion = 1
+	headerVersion = 2
 	headerSize    = 64
 )
 
@@ -52,7 +54,7 @@ func decodeHeader(b []byte) (Config, error) {
 	}
 	if len(b) >= 12 {
 		if v := binary.LittleEndian.Uint32(b[8:]); v != headerVersion {
-			return c, fmt.Errorf("core: repository header: unknown format version %d (this build reads %d)", v, headerVersion)
+			return c, fmt.Errorf("core: repository header: format %d, this build reads %d (container metas plain, payloads written once)", v, headerVersion)
 		}
 	}
 	if len(b) != headerSize {

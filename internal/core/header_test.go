@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"slimstore/internal/chunker"
+	"slimstore/internal/container"
 	"slimstore/internal/fingerprint"
 	"slimstore/internal/oss"
 )
@@ -171,7 +172,14 @@ func TestHeaderDamage(t *testing.T) {
 		"unknown version": {mutate(func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[len(headerMagic):], 9)
 			return b
-		}), "unknown format version 9"},
+		}), "format 9, this build reads 2"},
+		// What the build before write-once payloads wrote: whole, checksum
+		// and all, and refused by name.
+		"format 1": {mutate(func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[len(headerMagic):], 1)
+			binary.LittleEndian.PutUint32(b[60:], container.ChecksumOf(b[:60]))
+			return b
+		}), "format 1, this build reads 2"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			mem := oss.NewMem()

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"slimstore/internal/container"
@@ -63,22 +65,22 @@ func rewriteFixture(t *testing.T) (*Repo, *oss.Recorder, *oss.Mem, *container.Me
 // read as spans has no Data: indexing it used to panic.)
 func TestRewriteContainerFromHeldSpans(t *testing.T) {
 	const sz = 1024
-	dataReads := func(rec *oss.Recorder, id container.ID) int {
+	dataReads := func(rec *oss.Recorder, m *container.Meta) int {
 		return len(rec.Requests(func(op oss.Op) bool {
-			return op.Key == container.DataKey(id) && (op.Kind == oss.KindGet || op.Kind == oss.KindGetRange)
+			return op.Key == container.DataKey(m.Payload) && (op.Kind == oss.KindGet || op.Kind == oss.KindGetRange)
 		}))
 	}
 	var want []byte
 	{
 		repo, rec, mem, m := rewriteFixture(t)
-		freed, err := repo.RewriteContainer(repo.Containers, m, nil)
+		freed, err := repo.RewriteContainer(repo.Containers, m, nil, repo.Containers.AllocateID())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if freed != 8*sz || dataReads(rec, m.ID) != 1 {
-			t.Fatalf("reference rewrite: freed %d bytes with %d reads, want %d with 1", freed, dataReads(rec, m.ID), 8*sz)
+		if freed != 8*sz || dataReads(rec, m) != 1 {
+			t.Fatalf("reference rewrite: freed %d bytes with %d reads, want %d with 1", freed, dataReads(rec, m), 8*sz)
 		}
-		if want, err = mem.Get(container.DataKey(m.ID)); err != nil {
+		if want, err = mem.Get(switched(t, repo, mem, m)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -115,17 +117,17 @@ func TestRewriteContainerFromHeldSpans(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec.Take()
-			freed, err := repo.RewriteContainer(repo.Containers, m, held)
+			freed, err := repo.RewriteContainer(repo.Containers, m, held, repo.Containers.AllocateID())
 			if err != nil {
 				t.Fatal(err)
 			}
 			if freed != 8*sz {
 				t.Errorf("freed %d bytes, want %d", freed, 8*sz)
 			}
-			if got := dataReads(rec, m.ID); (got != 0) != tc.fallback {
+			if got := dataReads(rec, m); (got != 0) != tc.fallback {
 				t.Errorf("%d reads of the data object during the rewrite, fallback expected: %v", got, tc.fallback)
 			}
-			got, err := mem.Get(container.DataKey(m.ID))
+			got, err := mem.Get(switched(t, repo, mem, m))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,5 +138,45 @@ func TestRewriteContainerFromHeldSpans(t *testing.T) {
 				t.Fatalf("rebuilt container does not read back clean and dense: %v", err)
 			}
 		})
+	}
+}
+
+// switched checks that a rewrite of m left the container's meta naming a
+// new payload and the old one deleted, and returns the new payload's key.
+func switched(t *testing.T, repo *Repo, mem *oss.Mem, m *container.Meta) string {
+	t.Helper()
+	cur, err := repo.Containers.ReadMeta(m.ID)
+	if err != nil || cur.Payload == m.Payload {
+		t.Fatalf("the meta still names payload %s (%v)", m.Payload, err)
+	}
+	if _, err := mem.Head(container.DataKey(m.Payload)); !errors.Is(err, oss.ErrNotFound) {
+		t.Fatalf("the old payload is still there: %v", err)
+	}
+	return container.DataKey(cur.Payload)
+}
+
+// TestRewriteSwitchesOnlyFromWhatItRead: two rewrites built from the same
+// meta — a second pass that read the container before the first switched
+// it — leave the first one's payload in place, and the second deletes its
+// own: one payload stays, the one the meta names.
+func TestRewriteSwitchesOnlyFromWhatItRead(t *testing.T) {
+	repo, _, mem, m := rewriteFixture(t)
+	held, err := repo.Containers.Read(m.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := repo.RewriteContainer(repo.Containers, m, nil, repo.Containers.AllocateID()); err != nil {
+		t.Fatal(err)
+	}
+	first := switched(t, repo, mem, m)
+	if _, err := repo.RewriteContainer(repo.Containers, m, held, repo.Containers.AllocateID()); !errors.Is(err, oss.ErrNotFound) {
+		t.Fatalf("the second rewrite returned %v, want it to lose its opportunity", err)
+	}
+	keys, err := mem.List(container.Prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{container.MetaKey(m.ID), first}; !reflect.DeepEqual(keys, want) {
+		t.Fatalf("the store holds %v, want %v", keys, want)
 	}
 }

@@ -23,15 +23,14 @@ import (
 //	36     …    shard payload (ShardSize(objLen) bytes)
 //	end-4  4    payload CRC32C
 //
-// The (stripeID, objLen, objCRC) triple identifies one write generation:
-// shards from an interrupted overwrite disagree on it, so readers can
-// group survivors by generation instead of mixing incompatible shards.
-// The object checksum is IEEE where every other checksum in the system is
-// Castagnoli, because it must depend on the contents of an object that
-// carries its own: a container meta ends in the CRC-32C of all before it,
-// so the CRC-32C of the whole is the polynomial's residue 0x48674BC7
-// whatever the meta says, and version 1 — which used it — joined the two
-// sides of a torn same-length rewrite into one unreadable object.
+// The (stripeID, objLen, objCRC) triple identifies the object a shard
+// belongs to: a shard whose triple disagrees with the first valid one is an
+// erasure, never joined with the rest. The object checksum is IEEE where
+// every other checksum in the system is Castagnoli, because it must depend
+// on the contents of an object that carries its own: an object ending in
+// the CRC-32C of all before it has a CRC-32C that is the polynomial's
+// residue 0x48674BC7 whatever it holds, and version 1 — which used it —
+// could not tell two such objects of one length apart.
 
 const (
 	envMagic   = 0x53454C53 // "SLES"
@@ -47,7 +46,7 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// objCRC is the generation identity's object checksum: not crcTable's (above).
+// objCRC is the object identity's checksum: not crcTable's (above).
 func objCRC(data []byte) uint32 { return crc32.ChecksumIEEE(data) }
 
 // ErrEnvelope marks a shard whose envelope failed validation (bad magic,
@@ -61,11 +60,6 @@ type ShardHeader struct {
 	K, M     int
 	ObjLen   int64
 	ObjCRC   uint32
-}
-
-// gen returns the write-generation identity of the header.
-func (h ShardHeader) gen() [2]uint64 {
-	return [2]uint64{h.StripeID, uint64(h.ObjLen)<<32 | uint64(h.ObjCRC)}
 }
 
 // StripeIDOf derives the stripe ID of an object key (FNV-1a 64).

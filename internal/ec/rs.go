@@ -5,7 +5,7 @@ import (
 	"fmt"
 )
 
-// ErrInsufficient is returned when fewer than K shards of one generation
+// ErrInsufficient is returned when fewer than K shards of the object
 // survive — the stripe is unrecoverable and the loss must surface loudly.
 var ErrInsufficient = errors.New("ec: insufficient shards to reconstruct")
 

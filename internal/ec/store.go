@@ -16,8 +16,11 @@ import (
 // backends. Reads reconstruct transparently while at most M shards are
 // unavailable (whole-backend outage, missing object, or checksum-failed
 // envelope), charging reconstruction CPU to the job's account; more than
-// M losses surface loudly as ErrInsufficient. Views from WithAccount
-// share the backends and stats, mirroring oss.Metered.
+// M losses surface loudly as ErrInsufficient. A key is written once — a
+// put is K+M puts a crash can tear, so an overwrite could leave no whole
+// object — and the first valid shard header a read meets describes the
+// object. Views from WithAccount share the backends and stats, mirroring
+// oss.Metered.
 type Store struct {
 	codec    *Codec
 	backends []*oss.Backend
@@ -40,7 +43,7 @@ type Stats struct {
 	Reads               int64 // Get calls served
 	DegradedReads       int64 // Gets that needed reconstruction
 	ReconstructedShards int64 // shards rebuilt by reads and repairs
-	ShardFailures       int64 // shard reads lost to outage, rot, or staleness
+	ShardFailures       int64 // shard reads lost to outage, rot, or a foreign header
 	RangedReads         int64 // GetRange calls served from shard sub-ranges
 	RangedFallbacks     int64 // GetRanges that fell back to full reconstruction
 	RepairedShards      int64 // shards rewritten to a backend by Repair
@@ -112,11 +115,12 @@ func (s *Store) header(key string, data []byte) ShardHeader {
 	}
 }
 
-// Put implements oss.Store: encode and write one shard per backend. Every
-// backend is attempted even after a failure (leaving the stripe as
-// complete as possible for later repair), but any failure makes the whole
-// Put fail loudly — callers treat the object as not written and the
-// container data-then-meta protocol keeps partial stripes invisible.
+// Put implements oss.Store: encode and write one shard per backend, under
+// a key that holds nothing. Every backend is attempted even after a
+// failure (leaving the stripe as complete as possible for later repair),
+// but any failure makes the whole Put fail loudly — callers treat the
+// object as not written, and a payload is put before the meta that names
+// it, so a partial stripe is one no meta names.
 func (s *Store) Put(key string, data []byte) error {
 	shards := s.codec.Encode(data)
 	h := s.header(key, data)
@@ -146,7 +150,7 @@ func (s *Store) Put(key string, data []byte) error {
 
 // fetchShard reads and validates shard i of key. ok=false with notFound
 // reporting whether the miss was a plain absent object (as opposed to an
-// outage, rot, or a shard from a different stripe).
+// outage, rot, or a shard of another stripe).
 func (s *Store) fetchShard(key string, i int) (h ShardHeader, payload []byte, ok, notFound bool) {
 	raw, err := s.backends[i].Store.Get(key)
 	if err != nil {
@@ -161,139 +165,87 @@ func (s *Store) fetchShard(key string, i int) (h ShardHeader, payload []byte, ok
 	return h, payload, true, false
 }
 
-// stripe is the validated view of one key across all backends.
+// stripe is the validated view of one key across the backends. The first
+// valid header describes the object; a shard whose header disagrees with it
+// is an erasure like any other, since a key is written once.
 type stripe struct {
-	hdrs     []*ShardHeader // by shard index, nil if unreadable
-	payloads [][]byte
-	notFound int // slots where the shard object simply does not exist
-	failed   int // slots lost to outage, rot, or mismatched envelopes
+	hdr      *ShardHeader // the first valid header; nil while none was read
+	payloads [][]byte     // by shard index; nil where the shard is unusable or unread
+	present  int          // shards that agree with hdr
+	notFound int          // slots where the shard object simply does not exist
+	failed   int          // slots lost to outage, rot, or a disagreeing header
 }
 
-// fetchStripe reads shards [0, upto) of key. Slots beyond upto stay nil.
-func (s *Store) fetchStripe(key string, upto int) *stripe {
-	n := s.codec.K() + s.codec.M()
-	st := &stripe{hdrs: make([]*ShardHeader, n), payloads: make([][]byte, n)}
-	for i := 0; i < upto; i++ {
+// fetch reads shards [lo, hi) of key into st.
+func (s *Store) fetch(key string, st *stripe, lo, hi int) {
+	if st.payloads == nil {
+		st.payloads = make([][]byte, s.codec.K()+s.codec.M())
+	}
+	for i := lo; i < hi; i++ {
 		h, payload, ok, notFound := s.fetchShard(key, i)
+		if ok && st.hdr == nil {
+			st.hdr = &h
+		}
 		switch {
-		case ok:
-			hc := h
-			st.hdrs[i] = &hc
+		case ok && h.ObjLen == st.hdr.ObjLen && h.ObjCRC == st.hdr.ObjCRC:
 			st.payloads[i] = payload
+			st.present++
 		case notFound:
 			st.notFound++
 		default:
 			st.failed++
 		}
 	}
-	return st
 }
 
-// counts is the number of readable shards of each write generation.
-func (st *stripe) counts() map[[2]uint64]int {
-	counts := make(map[[2]uint64]int)
-	for _, h := range st.hdrs {
-		if h != nil {
-			counts[h.gen()]++
-		}
-	}
-	return counts
-}
-
-// winner picks the write generation with the most surviving shards
-// (deterministic tie-break on the generation tuple) and returns its
-// header plus the count of shards belonging to it.
-func (st *stripe) winner() (ShardHeader, int) {
-	counts := st.counts()
-	var best ShardHeader
-	bestN := 0
-	for _, h := range st.hdrs {
-		if h == nil {
-			continue
-		}
-		n := counts[h.gen()]
-		g, bg := h.gen(), best.gen()
-		if n > bestN || (n == bestN && (g[0] < bg[0] || (g[0] == bg[0] && g[1] < bg[1]))) {
-			best, bestN = *h, n
-		}
-	}
-	return best, bestN
-}
-
-// insufficient is the loud end of a stripe no generation of which has K
-// readable shards — more than M lost, or an overwrite torn so that neither
-// side has K (possible only when K > M+1: DESIGN.md §12). It names the key
-// and how many shards each generation holds, most first.
+// insufficient is the loud end of a stripe with fewer than K shards that
+// agree: more than M lost.
 func (s *Store) insufficient(op, key string, st *stripe) error {
-	var census []int
-	for _, n := range st.counts() {
-		census = append(census, n)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(census)))
-	return fmt.Errorf("ec: %s %s: %w (generations hold %v of %d shards, %d unreadable; need %d of one)",
-		op, key, ErrInsufficient, census, s.codec.K()+s.codec.M(), st.failed, s.codec.K())
+	return fmt.Errorf("ec: %s %s: %w (%d of %d shards readable, %d unreadable; need %d)",
+		op, key, ErrInsufficient, st.present, s.codec.K()+s.codec.M(), st.failed, s.codec.K())
 }
 
-// slots returns the winning generation's payloads in codec order (nil for
-// every other slot) and the list of slots needing a rewrite.
-func (st *stripe) slots(gen ShardHeader) (shards [][]byte, bad []int) {
-	shards = make([][]byte, len(st.payloads))
-	want := gen.gen()
-	for i, h := range st.hdrs {
-		if h != nil && h.gen() == want {
-			shards[i] = st.payloads[i]
-		} else {
-			bad = append(bad, i)
+// bad lists the slots of st holding no usable shard.
+func (st *stripe) bad() []int {
+	var out []int
+	for i, p := range st.payloads {
+		if p == nil {
+			out = append(out, i)
 		}
 	}
-	return shards, bad
+	return out
 }
 
 // Get implements oss.Store: fetch the K data shards, reconstructing from
-// parity when any are missing, rotted, or stale.
+// parity when any are missing, rotted, or foreign.
 func (s *Store) Get(key string) ([]byte, error) {
 	k, m := s.codec.K(), s.codec.M()
-	st := s.fetchStripe(key, k)
+	var st stripe
+	s.fetch(key, &st, 0, k)
 
-	// Fast path: every data shard intact and from one generation — no GF
-	// arithmetic, just join and verify the object checksum.
-	if st.failed == 0 && st.notFound == 0 {
-		if gen, n := st.winner(); n == k {
-			data, err := s.codec.Join(st.payloads[:k], int(gen.ObjLen))
-			if err == nil && objCRC(data) == gen.ObjCRC {
-				s.bump(func(x *Stats) { x.Reads++ })
-				return data, nil
-			}
+	// Fast path: every data shard intact — no GF arithmetic, just join and
+	// verify the object checksum.
+	if st.present == k {
+		data, err := s.codec.Join(st.payloads[:k], int(st.hdr.ObjLen))
+		if err == nil && objCRC(data) == st.hdr.ObjCRC {
+			s.bump(func(x *Stats) { x.Reads++ })
+			return data, nil
 		}
 	}
 
-	// Degraded: fetch the parity shards too and decode the winning
-	// generation.
-	for i := k; i < k+m; i++ {
-		h, payload, ok, notFound := s.fetchShard(key, i)
-		switch {
-		case ok:
-			hc := h
-			st.hdrs[i] = &hc
-			st.payloads[i] = payload
-		case notFound:
-			st.notFound++
-		default:
-			st.failed++
-		}
-	}
-	gen, n := st.winner()
+	// Degraded: fetch the parity shards too and decode.
+	s.fetch(key, &st, k, k+m)
 	// A written object has a shard on every backend: one that shows none
 	// with at most M unreadable is absent, and an outage the tier tolerates
 	// must not turn the "not found" a reader is prepared for into a failure.
-	if n == 0 && st.failed <= m {
+	if st.present == 0 && st.failed <= m {
 		return nil, fmt.Errorf("%w: %s", oss.ErrNotFound, key)
 	}
-	if n < k {
-		s.bump(func(x *Stats) { x.ShardFailures += int64(k + m - n) })
-		return nil, s.insufficient("get", key, st)
+	if st.present < k {
+		s.bump(func(x *Stats) { x.ShardFailures += int64(k + m - st.present) })
+		return nil, s.insufficient("get", key, &st)
 	}
-	shards, bad := st.slots(gen)
+	shards := st.payloads
 	missingData := 0
 	for i := 0; i < k; i++ {
 		if shards[i] == nil {
@@ -303,11 +255,11 @@ func (s *Store) Get(key string) ([]byte, error) {
 	if err := s.codec.Reconstruct(shards); err != nil {
 		return nil, fmt.Errorf("ec: get %s: %w", key, err)
 	}
-	data, err := s.codec.Join(shards[:k], int(gen.ObjLen))
+	data, err := s.codec.Join(shards[:k], int(st.hdr.ObjLen))
 	if err != nil {
 		return nil, fmt.Errorf("ec: get %s: %w", key, err)
 	}
-	if objCRC(data) != gen.ObjCRC {
+	if objCRC(data) != st.hdr.ObjCRC {
 		return nil, fmt.Errorf("ec: get %s: reconstructed object fails its checksum", key)
 	}
 	s.chargeReconstruct(missingData * len(shards[0]))
@@ -315,7 +267,7 @@ func (s *Store) Get(key string) ([]byte, error) {
 		x.Reads++
 		x.DegradedReads++
 		x.ReconstructedShards += int64(missingData)
-		x.ShardFailures += int64(len(bad))
+		x.ShardFailures += int64(k + m - st.present)
 	})
 	return data, nil
 }
@@ -360,10 +312,8 @@ func (s *Store) GetRange(key string, off, n int64) ([]byte, error) {
 		return nil, err
 	}
 	end, err := oss.RangeEnd(key, off, n, h.ObjLen)
-	if err != nil || end-off < n {
-		// The range does not fit the object the probed header describes:
-		// that header may be the losing side of a torn overwrite.
-		return s.rangeOfGet(key, off, n)
+	if err != nil {
+		return nil, err
 	}
 	if end == off {
 		s.bump(func(x *Stats) { x.RangedReads++ })
@@ -394,7 +344,7 @@ func (s *Store) GetRange(key string, off, n int64) ([]byte, error) {
 }
 
 // rangeOfGet is GetRange's fallback: the range of the whole, reconstructed
-// object, whose generation Get settles.
+// object.
 func (s *Store) rangeOfGet(key string, off, n int64) ([]byte, error) {
 	s.bump(func(x *Stats) { x.RangedFallbacks++ })
 	full, err := s.Get(key)
@@ -468,11 +418,11 @@ func (s *Store) List(prefix string) ([]string, error) {
 // StripeHealth is the scrub-facing view of one striped object.
 type StripeHealth struct {
 	Key string
-	// Present counts shards of the winning generation that are readable
-	// and checksum-valid.
+	// Present counts shards that are readable, checksum-valid and agree
+	// with the first valid header.
 	Present int
-	// Bad lists shard slots needing a rewrite: missing, rotted, stale
-	// generation, or on an unreachable backend.
+	// Bad lists shard slots needing a rewrite: missing, rotted, foreign,
+	// or on an unreachable backend.
 	Bad []int
 	// Recoverable is Present >= K: Repair can rebuild the stripe.
 	Recoverable bool
@@ -481,43 +431,29 @@ type StripeHealth struct {
 // Check reads every shard of key and classifies the stripe. A key with no
 // shard anywhere returns oss.ErrNotFound.
 func (s *Store) Check(key string) (*StripeHealth, error) {
-	k, m := s.codec.K(), s.codec.M()
-	st := s.fetchStripe(key, k+m)
-	gen, n := st.winner()
-	if n == 0 {
-		if st.failed == 0 {
-			return nil, fmt.Errorf("%w: %s", oss.ErrNotFound, key)
-		}
-		return &StripeHealth{Key: key, Present: 0, Bad: allSlots(k + m)}, nil
+	var st stripe
+	s.fetch(key, &st, 0, s.codec.K()+s.codec.M())
+	if st.present == 0 && st.failed == 0 {
+		return nil, fmt.Errorf("%w: %s", oss.ErrNotFound, key)
 	}
-	_, bad := st.slots(gen)
-	return &StripeHealth{Key: key, Present: n, Bad: bad, Recoverable: n >= k}, nil
-}
-
-func allSlots(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
+	return &StripeHealth{Key: key, Present: st.present, Bad: st.bad(), Recoverable: st.present >= s.codec.K()}, nil
 }
 
 // Repair rebuilds a degraded stripe back to full K+M redundancy:
-// reconstruct the winning generation from its survivors and rewrite every
-// bad slot. Reconstruction is deterministic, so repaired shard objects
-// are byte-identical to the originals. Rewrites that fail (backend still
-// down) leave the stripe degraded for the next scrub; the returned count
-// says how many shards actually landed. Repair is idempotent and safe to
-// crash out of at any point — it only ever writes bytes the stripe
-// already logically contains.
+// reconstruct the object from its survivors and rewrite every bad slot.
+// Reconstruction is deterministic, so repaired shard objects are
+// byte-identical to the originals. Rewrites that fail (backend still down)
+// leave the stripe degraded for the next scrub; the returned count says how
+// many shards actually landed. Repair is idempotent and safe to crash out
+// of at any point — it only ever writes bytes the stripe already holds.
 func (s *Store) Repair(key string) (repaired int, err error) {
-	k, m := s.codec.K(), s.codec.M()
-	st := s.fetchStripe(key, k+m)
-	gen, n := st.winner()
-	if n < k {
-		return 0, s.insufficient("repair", key, st)
+	k := s.codec.K()
+	var st stripe
+	s.fetch(key, &st, 0, k+s.codec.M())
+	if st.present < k {
+		return 0, s.insufficient("repair", key, &st)
 	}
-	shards, bad := st.slots(gen)
+	shards, bad := st.payloads, st.bad()
 	if len(bad) == 0 {
 		return 0, nil
 	}
@@ -525,15 +461,15 @@ func (s *Store) Repair(key string) (repaired int, err error) {
 		return 0, fmt.Errorf("ec: repair %s: %w", key, err)
 	}
 	// Never write a repair whose reconstructed object fails its checksum.
-	data, err := s.codec.Join(shards[:k], int(gen.ObjLen))
+	h := *st.hdr
+	data, err := s.codec.Join(shards[:k], int(h.ObjLen))
 	if err != nil {
 		return 0, fmt.Errorf("ec: repair %s: %w", key, err)
 	}
-	if objCRC(data) != gen.ObjCRC {
+	if objCRC(data) != h.ObjCRC {
 		return 0, fmt.Errorf("ec: repair %s: reconstructed object fails its checksum", key)
 	}
 	s.chargeReconstruct(len(bad) * len(shards[0]))
-	h := gen
 	var errs []error
 	for _, i := range bad {
 		h.Index = i
@@ -559,38 +495,40 @@ func (s *Store) Repair(key string) (repaired int, err error) {
 }
 
 // Router splits one OSS namespace between the striped tier and a plain
-// store: keys under the routed prefixes (the container namespaces) ride
-// the redundancy tier, everything else (recipes, indexes, journal, LSM
-// segments) stays on the plain store. container.Store opens over a Router
-// so the whole container path — backup, restore, quarantine, rewrite —
-// stripes transparently.
+// store: a key under one of the routed prefixes that ends in the routed
+// suffix (a container payload, written once) rides the redundancy tier;
+// everything else — container metas, recipes, indexes, journal, LSM
+// segments — stays on the plain store, whose put replaces an object
+// atomically. container.Store opens over a Router, so backup, restore,
+// quarantine and rewrite stripe their payloads transparently.
 type Router struct {
 	oss.Store // plain seen through Do
 	tier      *Store
+	suffix    string
 	prefixes  []string
 }
 
-// NewRouter routes keys under any of prefixes to tier and the rest to
-// plain.
-func NewRouter(tier *Store, plain oss.Store, prefixes ...string) *Router {
-	r := &Router{tier: tier, prefixes: prefixes}
+// NewRouter routes the keys under any of prefixes that end in suffix to
+// tier, and the rest to plain.
+func NewRouter(tier *Store, plain oss.Store, suffix string, prefixes ...string) *Router {
+	r := &Router{tier: tier, suffix: suffix, prefixes: prefixes}
 	r.Store = oss.With(plain, r)
 	return r
 }
 
 func (r *Router) routed(key string) bool {
 	for _, p := range r.prefixes {
-		if strings.HasPrefix(key, p) {
+		if strings.HasPrefix(key, p) && strings.HasSuffix(key, r.suffix) {
 			return true
 		}
 	}
 	return false
 }
 
-// Do implements oss.Layer: a request for a routed key (a listing prefix
-// inside a routed namespace included) goes to the tier and never reaches
-// plain. A broader listing merges both sides, hiding the tier's physical
-// shard objects behind their logical keys.
+// Do implements oss.Layer: a request for a routed key goes to the tier and
+// never reaches plain. A listing merges both sides — the tier's keys under
+// the listed prefix or a routed prefix inside it — hiding the tier's
+// physical shard objects behind their logical keys.
 func (r *Router) Do(op oss.Op, plain oss.Store) (oss.Op, error) {
 	if r.routed(op.Key) {
 		return oss.Do(r.tier, op)
@@ -609,14 +547,17 @@ func (r *Router) Do(op oss.Op, plain oss.Store) (oss.Op, error) {
 	}
 	merged := false
 	for _, p := range r.prefixes {
-		if strings.HasPrefix(p, op.Key) {
-			tk, err := r.tier.List(p)
-			if err != nil {
-				return op, err
-			}
-			out = append(out, tk...)
-			merged = true
+		if strings.HasPrefix(op.Key, p) {
+			p = op.Key
+		} else if !strings.HasPrefix(p, op.Key) {
+			continue
 		}
+		tk, err := r.tier.List(p)
+		if err != nil {
+			return op, err
+		}
+		out = append(out, tk...)
+		merged = true
 	}
 	if merged {
 		sort.Strings(out)

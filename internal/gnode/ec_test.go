@@ -2,7 +2,6 @@ package gnode
 
 import (
 	"bytes"
-	"errors"
 	"strings"
 	"testing"
 
@@ -60,13 +59,27 @@ func TestBackupRestoreWithEC(t *testing.T) {
 	if len(st.NewContainers) == 0 {
 		t.Fatal("backup created no containers")
 	}
-	// No plain container objects may exist: everything is striped.
+	// Every payload is striped, every meta plain.
 	plain, err := mem.List(container.Prefix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plain) != 0 {
-		t.Fatalf("container keys stored outside the EC tier: %v", plain)
+	striped, err := mem.List("ec/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range plain {
+		if !strings.HasSuffix(k, ".meta") {
+			t.Fatalf("a payload stored outside the EC tier: %s", k)
+		}
+	}
+	for _, k := range striped {
+		if !strings.HasSuffix(k, ".data") {
+			t.Fatalf("a meta striped: %s", k)
+		}
+	}
+	if len(plain) != len(st.NewContainers) || len(striped) != 4*len(st.NewContainers) {
+		t.Fatalf("%d plain metas and %d shards for %d containers", len(plain), len(striped), len(st.NewContainers))
 	}
 	if got := restoreBytes(t, ln, "f", st.Version); !bytesEqual(got, data) {
 		t.Fatal("healthy EC restore not byte-identical")
@@ -105,13 +118,7 @@ func TestScrubRepairsECStripes(t *testing.T) {
 	if err != nil || len(keys) == 0 {
 		t.Fatalf("no shards on backend 2: %v", err)
 	}
-	var rotted string
-	for _, k := range keys {
-		if strings.HasSuffix(k, ".data") {
-			rotted = k
-			break
-		}
-	}
+	rotted := keys[0]
 	raw := bytes.Clone(mustGetMem(t, mem, rotted)) // a Get result is read-only
 	raw[len(raw)-5] ^= 0xFF
 	if err := mem.Put(rotted, raw); err != nil {
@@ -144,14 +151,13 @@ func TestScrubRepairsECStripes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range ids {
-		for _, key := range []string{container.DataKey(id), container.MetaKey(id)} {
-			h, err := ecs.Check(key)
-			if errors.Is(err, oss.ErrNotFound) {
-				continue
-			}
-			if err != nil || len(h.Bad) != 0 || h.Present != 4 {
-				t.Fatalf("stripe %s not fully repaired: %+v, %v", key, h, err)
-			}
+		m, err := repo.Containers.ReadMeta(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := container.DataKey(m.Payload)
+		if h, err := ecs.Check(key); err != nil || len(h.Bad) != 0 || h.Present != 4 {
+			t.Fatalf("stripe %s not fully repaired: %+v, %v", key, h, err)
 		}
 	}
 	if got := restoreBytes(t, ln, "f", st.Version); !bytesEqual(got, data) {

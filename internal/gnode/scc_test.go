@@ -94,8 +94,8 @@ func isDataRead(op oss.Op) bool {
 // extent is the byte range [Off, End) of a data object's payload.
 type extent struct{ Off, End int64 }
 
-// dataReads returns the ranges of id's payload that rec saw read, by
-// offset; a whole GET is [0, payload size).
+// dataReads returns the ranges of the payload stored under id that rec saw
+// read, by offset; a whole GET is [0, payload size).
 func dataReads(rec *oss.Recorder, id container.ID) []extent {
 	var out []extent
 	for _, q := range rec.Requests(func(op oss.Op) bool { return isDataRead(op) && op.Key == container.DataKey(id) }) {
@@ -483,7 +483,8 @@ func TestCompactSparseHeldPayloadLayoutMismatch(t *testing.T) {
 				// (Not a sync.Once: the interloper's own journal commit re-enters
 				// the hook.)
 				var fired atomic.Bool
-				var rewrote int64 // the victim's payload once the interloper is done
+				var rewrote int64      // the victim's payload once the interloper is done
+				var moved container.ID // the ID the interloper stored it under
 				rec.afterPut = func(key string) {
 					if !strings.HasPrefix(key, journal.Prefix) || !fired.CompareAndSwap(false, true) {
 						return
@@ -493,7 +494,8 @@ func TestCompactSparseHeldPayloadLayoutMismatch(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					freed, err := repo.RewriteContainer(repo.Containers, m, nil)
+					moved = repo.Containers.AllocateID()
+					freed, err := repo.RewriteContainer(repo.Containers, m, nil, moved)
 					if err != nil {
 						t.Error(err)
 					}
@@ -505,7 +507,7 @@ func TestCompactSparseHeldPayloadLayoutMismatch(t *testing.T) {
 				}
 				// Prepare's read and the interloper's, then the fallback's of
 				// what the interloper left.
-				if got, want := readBytes(dataReads(&rec.rec, victim)), 2*sizes[victim]+rewrote; got != want || rewrote == 0 {
+				if got, want := readBytes(dataReads(&rec.rec, victim))+readBytes(dataReads(&rec.rec, moved)), 2*sizes[victim]+rewrote; got != want || rewrote == 0 {
 					t.Errorf("victim %s: %d payload bytes read, want %d twice and %d once", victim, got, sizes[victim], rewrote)
 				}
 				if other := st.SparseContainers[0]; !tiles(dataReads(&rec.rec, other), sizes[other]) {

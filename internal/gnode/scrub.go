@@ -19,7 +19,7 @@ type ScrubStats struct {
 	ChunksVerified    int
 	CorruptChunks     int // live chunks failing their checksum
 	RepairedChunks    int // corrupt chunks restored from intact copies
-	RebuiltContainers int // containers rewritten in place (repair or rot cleanup)
+	RebuiltContainers int // containers switched to a rebuilt payload (repair or rot cleanup)
 	FooterRepairs     int // dead-region rot cleared by rebuilding
 	RecipesRewritten  int // recipes repointed away from quarantined containers
 	IndexRepointed    int // global-index entries moved to surviving copies
@@ -27,10 +27,10 @@ type ScrubStats struct {
 	JournalReplayed   int
 
 	// Redundancy-tier counters (zero when the EC tier is off). The EC
-	// pass runs before chunk verification: every container stripe is
-	// checked across all K+M backends and degraded-but-recoverable
+	// pass runs before chunk verification: every container's payload stripe
+	// is checked across all K+M backends and degraded-but-recoverable
 	// stripes are rebuilt to full redundancy.
-	ECStripesChecked  int // striped objects checked across all backends
+	ECStripesChecked  int // striped payloads checked across all backends
 	ECDegradedStripes int // stripes missing at least one healthy shard
 	ECRepairedShards  int // shards reconstructed and rewritten
 	ECRepairFailures  int // stripes whose rewrite failed (backend still down)
@@ -54,10 +54,9 @@ func (s *ScrubStats) Clean() bool { return len(s.Quarantined) == 0 && len(s.Lost
 // needs the bytes). Per container:
 //
 //   - live chunks all verify, footer stale → dead-region rot; the
-//     container is rebuilt in place, dropping the rotten dead bytes.
+//     container is rebuilt, dropping the rotten dead bytes.
 //   - some live chunks corrupt, every one has an intact copy (same
-//     fingerprint) in another container → rebuilt in place with donor
-//     bytes.
+//     fingerprint) in another container → rebuilt with donor bytes.
 //   - otherwise → intact chunks are salvaged into fresh containers and
 //     the damaged container is quarantined; chunks with no intact copy
 //     anywhere are reported Lost.
@@ -68,8 +67,8 @@ func (s *ScrubStats) Clean() bool { return len(s.Quarantined) == 0 && len(s.Lost
 // rewritten — all before the damaged containers leave the namespace, so
 // that no crash leaves an index entry or recipe naming a container no
 // later scrub lists. Scrub is re-runnable: a crash mid-scrub leaves state
-// a subsequent Scrub (or FullSweep) finishes cleaning; in-place rebuilds
-// go through the intent journal.
+// a subsequent Scrub (or FullSweep) finishes cleaning; a rebuild is a new
+// payload beside the old and one meta put (core.WriteRebuilt).
 //
 // The expensive part — reading and checksumming every payload — fans out
 // across the maintenance worker pool OUTSIDE maintMu at a sampled
@@ -114,16 +113,16 @@ type ecRepairStats struct {
 	checked, degraded, repairedShards, repairFailed, unrecoverable int
 }
 
-// ecRepair is the redundancy-tier pass of Scrub (DESIGN.md §12): every
-// container stripe is checked across all K+M backends, and degraded but
-// recoverable stripes are rebuilt to full redundancy. Each repair runs
-// under the container's stripe write lock (waiting out restores that
-// pinned it) and rewrites only missing, rotted, or stale shards with
-// byte-identical reconstructions — no logical change, so no journal
-// record or maintenance-epoch bump is needed, and a crash mid-repair
-// simply leaves fewer shards for the next scrub to rewrite. Stripes
-// below K healthy shards are counted unrecoverable and left to the
-// chunk-level quarantine/salvage machinery.
+// ecRepair is the redundancy-tier pass of Scrub (DESIGN.md §12): the
+// payload of every container is checked across all K+M backends, and
+// degraded but recoverable stripes are rebuilt to full redundancy. Each
+// repair runs under the container's stripe write lock (waiting out restores
+// that pinned it) and rewrites only missing, rotted, or foreign shards with
+// byte-identical reconstructions — no logical change, so no maintenance-
+// epoch bump is needed, and a crash mid-repair simply leaves fewer shards
+// for the next scrub to rewrite. Stripes below K healthy shards are
+// counted unrecoverable and left to the chunk-level quarantine/salvage
+// machinery, as a meta that does not read is.
 func (g *GNode) ecRepair() (*ecRepairStats, error) {
 	st := &ecRepairStats{}
 	ecs := g.repo.ECFor(g.acct)
@@ -138,39 +137,39 @@ func (g *GNode) ecRepair() (*ecRepairStats, error) {
 	var mu sync.Mutex
 	err = g.repo.ForEach(len(ids), func(i int) error {
 		id := ids[i]
-		for _, key := range []string{container.DataKey(id), container.MetaKey(id)} {
-			h, err := ecs.Check(key)
-			if err != nil {
-				if errors.Is(err, oss.ErrNotFound) {
-					continue // half never written or already swept
-				}
-				return fmt.Errorf("ec check %s: %w", key, err)
+		m, err := cs.ReadMeta(id)
+		if err != nil {
+			return nil // swept since the listing, or for the verification pass to judge
+		}
+		key := container.DataKey(m.Payload)
+		h, err := ecs.Check(key)
+		if err != nil {
+			if errors.Is(err, oss.ErrNotFound) {
+				return nil // swept or rewritten since the meta was read
 			}
-			mu.Lock()
-			st.checked++
-			mu.Unlock()
-			if len(h.Bad) == 0 {
-				continue
-			}
-			if !h.Recoverable {
-				mu.Lock()
-				st.degraded++
-				st.unrecoverable++
-				mu.Unlock()
-				continue
-			}
+			return fmt.Errorf("ec check %s: %w", key, err)
+		}
+		n, rerr := 0, error(nil)
+		if len(h.Bad) > 0 && h.Recoverable {
 			g.repo.CLocks.Lock(id)
-			n, rerr := ecs.Repair(key)
+			n, rerr = ecs.Repair(key)
 			g.repo.CLocks.Unlock(id)
-			mu.Lock()
-			st.degraded++
-			st.repairedShards += n
-			if rerr != nil {
-				// Rewrite failed (backend still down): the stripe stays
-				// degraded for the next scrub — not fatal.
-				st.repairFailed++
-			}
-			mu.Unlock()
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		st.checked++
+		if len(h.Bad) == 0 {
+			return nil
+		}
+		st.degraded++
+		st.repairedShards += n
+		switch {
+		case !h.Recoverable:
+			st.unrecoverable++
+		case rerr != nil:
+			// Rewrite failed (backend still down): the stripe stays
+			// degraded for the next scrub — not fatal.
+			st.repairFailed++
 		}
 		return nil
 	})
@@ -340,9 +339,10 @@ func (g *GNode) scrubRepair(sv *scrubView) (*ScrubStats, error) {
 		}
 
 		if len(repaired) == len(corrupt) {
-			// Full repair: rebuild in place from local intact bytes plus
-			// donor copies; recipes and the index stay valid as-is.
-			nc := &container.Container{Meta: container.Meta{ID: id}}
+			// Full repair: rebuild from local intact bytes plus donor copies,
+			// beside the damaged payload; recipes and the index stay valid
+			// as-is.
+			nc := &container.Container{Meta: container.Meta{ID: id, Payload: cs.AllocateID()}}
 			for j := range c.Meta.Chunks {
 				cm := &c.Meta.Chunks[j]
 				if cm.Deleted {
@@ -362,7 +362,7 @@ func (g *GNode) scrubRepair(sv *scrubView) (*ScrubStats, error) {
 				})
 				nc.Data = append(nc.Data, data...)
 			}
-			if err := g.repo.WriteRebuilt(cs, nc); err != nil {
+			if err := g.repo.WriteRebuilt(cs, nc, c.Meta.Payload); err != nil {
 				return nil, fmt.Errorf("gnode: scrub repair %s: %w", id, err)
 			}
 			stats.RepairedChunks += len(repaired)
@@ -402,12 +402,12 @@ func (g *GNode) scrubRepair(sv *scrubView) (*ScrubStats, error) {
 		return nil, err
 	}
 
-	// Dead-region rot cleanup: each rebuild touches one container under
-	// its own stripe lock and journal record — independent work, fanned
-	// out across the pool.
+	// Dead-region rot cleanup: each rebuild switches one container under
+	// its own stripe lock — independent work, fanned out across the pool.
+	first := cs.AllocateIDs(len(rotOnly))
 	if err := g.repo.ForEach(len(rotOnly), func(k int) error {
 		v := &sv.verdicts[rotOnly[k]]
-		if _, err := g.repo.RewriteContainer(cs, v.rawMeta, nil); err != nil {
+		if _, err := g.repo.RewriteContainer(cs, v.rawMeta, nil, first+container.ID(k)); err != nil {
 			return fmt.Errorf("gnode: scrub rot cleanup %s: %w", v.rawMeta.ID, err)
 		}
 		return nil

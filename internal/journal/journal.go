@@ -18,9 +18,9 @@
 //
 // core.OpenRepo replays surviving records before any new work: a record's
 // presence means the operation committed, so replay re-runs Apply to roll
-// it forward. In-place container rewrites are the one case that can roll
-// *back*: their record carries the expected payload checksum, and replay
-// only applies the new metadata if the payload actually landed.
+// it forward. A one-container rewrite needs no record: its new payload goes
+// beside the old under a fresh ID and one meta put switches to it
+// (core.WriteRebuilt), so every crash point is before or after that put.
 package journal
 
 import (
@@ -50,10 +50,6 @@ const (
 	// KindGC commits a version deletion: the record preserves the garbage
 	// list so the sweep can resume after the catalog entry is gone.
 	KindGC Kind = "gc"
-	// KindRewrite commits an in-place container rewrite (same ID, deleted
-	// chunks dropped): the record carries the new metadata and the new
-	// payload's checksum, letting replay decide roll-forward vs roll-back.
-	KindRewrite Kind = "rewrite"
 )
 
 // Record is one journaled intent. Only the fields relevant to its Kind
@@ -74,13 +70,6 @@ type Record struct {
 
 	// GC: containers associated with the deleted version as garbage.
 	Garbage []uint64 `json:"garbage,omitempty"`
-
-	// Rewrite: target container, its new metadata (encoded), and the
-	// checksum/length of the new data *object* (footer included).
-	Target  uint64 `json:"target,omitempty"`
-	Meta    []byte `json:"meta,omitempty"`
-	DataCRC uint32 `json:"data_crc,omitempty"`
-	DataLen int64  `json:"data_len,omitempty"`
 }
 
 // SetMoved records a fingerprint→container relocation map.

@@ -346,7 +346,7 @@ func (j *backupJob) detectBase(fileID string, head []byte, eof bool) error {
 		j.stats.BaseBy = "name"
 		j.stats.BaseFile = fileID
 		j.stats.BaseVersion = latest
-		return j.openBase(fileID, latest)
+		return j.openBase(fileID, latest, false)
 	}
 	j.stats.Version = 0
 	j.stats.BaseBy = "none"
@@ -393,12 +393,13 @@ func (j *backupJob) detectBase(fileID string, head []byte, eof bool) error {
 	if !found {
 		return nil
 	}
-	if err := j.openBase(m.FileID, m.Version); err != nil {
+	if err := j.openBase(m.FileID, m.Version, true); err != nil {
 		if !errors.Is(err, oss.ErrNotFound) {
 			return err
 		}
-		// A sketch without its recipe objects is what a backup that died
-		// inside its commit wave leaves behind (persist): not a base.
+		// A sketch without its recipe objects or its catalog entry is what a
+		// backup that failed before its commit point leaves behind
+		// (persist): not a version, and its containers nobody's to keep.
 		return nil
 	}
 	// A job with history cuts from byte 0: its cut points may follow the
@@ -417,9 +418,10 @@ func wave(ops ...func() error) error {
 }
 
 // openBase fetches the base version's recipe index and segment directory
-// in one wave: two objects, neither needed to find the other. The job has
-// a base only if both arrive.
-func (j *backupJob) openBase(fileID string, version int) error {
+// in one wave: two objects, neither needed to find the other — and, for a
+// base found by similarity (not through the catalog), its catalog entry in
+// the same wave. The job has a base only if all arrive.
+func (j *backupJob) openBase(fileID string, version int, similar bool) error {
 	var idx *recipe.Index
 	var rd *recipe.SegmentReader
 	if err := wave(func() (err error) {
@@ -432,6 +434,11 @@ func (j *backupJob) openBase(fileID string, version int) error {
 			return fmt.Errorf("lnode: open base segments: %w", err)
 		}
 		return nil
+	}, func() (err error) {
+		if similar {
+			_, err = j.recipes.GetInfo(fileID, version)
+		}
+		return err
 	}); err != nil {
 		return err
 	}

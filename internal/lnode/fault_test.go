@@ -265,12 +265,10 @@ func rotUnderCRCs(t *testing.T, repo *core.Repo, fileID string, at int64) {
 	}
 	c.Data = bytes.Clone(c.Data) // a fetched container's Data is read-only
 	c.Data[int(cm.Offset)+int(cm.Size)/2] ^= 0xFF
-	chunk, err := c.ChunkData(cm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cm.Sum = container.ChecksumOf(chunk)
-	if err := repo.Containers.PutRaw(hit.Container, container.EncodeData(c.Data), container.EncodeMeta(&c.Meta)); err != nil {
+	// The rewrite reseals: every chunk sum is taken from the rotted bytes.
+	was := c.Meta.Payload
+	c.Meta.Payload = repo.Containers.AllocateID()
+	if err := repo.WriteRebuilt(repo.Containers, c, was); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -653,36 +653,40 @@ func TestBackupFailsOnPreviousInfoFault(t *testing.T) {
 	}
 }
 
-// TestSimilarityIgnoresUncommittedSketch: the commit wave can die with the
-// sketch written and the recipe or its index not; a later backup whose
-// similarity query finds that sketch must go on without a base.
+// TestSimilarityIgnoresUncommittedSketch: a backup can stop before its
+// commit point with the sketch written — and the recipe or its index not (a
+// crash inside the commit wave), or both (a crash, or a lost container,
+// after it); a later backup whose similarity query finds that sketch must
+// go on without a base, whose containers no version keeps.
 func TestSimilarityIgnoresUncommittedSketch(t *testing.T) {
-	mem := oss.NewMem()
-	repo, err := core.OpenRepo(mem, testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := New(repo, "l0")
-	data := genData(93, 1<<20)
-	if _, err := n.Backup("dead", data); err != nil {
-		t.Fatal(err)
-	}
-	for _, prefix := range []string{"catalog/", "recipes/"} {
-		keys, _ := mem.List(prefix)
-		for _, k := range keys {
-			if err := mem.Delete(k); err != nil {
-				t.Fatal(err)
+	for _, left := range [][]string{{"catalog/", "recipes/"}, {"catalog/"}} {
+		mem := oss.NewMem()
+		repo, err := core.OpenRepo(mem, testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := New(repo, "l0")
+		data := genData(93, 1<<20)
+		if _, err := n.Backup("dead", data); err != nil {
+			t.Fatal(err)
+		}
+		for _, prefix := range left {
+			keys, _ := mem.List(prefix)
+			for _, k := range keys {
+				if err := mem.Delete(k); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-	}
-	st, err := n.Backup("other", data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.BaseBy != "none" {
-		t.Errorf("BaseBy = %q, want none", st.BaseBy)
-	}
-	if !bytes.Equal(restoreBytes(t, n, "other", 0), data) {
-		t.Error("restore differs")
+		st, err := n.Backup("other", data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.BaseBy != "none" {
+			t.Errorf("%v deleted: BaseBy = %q, want none", left, st.BaseBy)
+		}
+		if !bytes.Equal(restoreBytes(t, n, "other", 0), data) {
+			t.Error("restore differs")
+		}
 	}
 }

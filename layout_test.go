@@ -12,8 +12,9 @@ import (
 
 // TestSecondHandleTakesTheRepositorysLayout: a handle that names no layout
 // against an erasure-coded repository — the forgotten -ec-data flags —
-// backs up into the same striped containers and restores byte for byte
-// through either handle; a handle that asks for another layout is refused.
+// backs up into the same striped payloads, their metas on the plain store,
+// and restores byte for byte through either handle; a handle that asks for
+// another layout is refused.
 func TestSecondHandleTakesTheRepositorysLayout(t *testing.T) {
 	mem := oss.NewMem()
 	cfg := smallConfig()
@@ -42,8 +43,20 @@ func TestSecondHandleTakesTheRepositorysLayout(t *testing.T) {
 	if st.DedupRatio() < 0.4 {
 		t.Errorf("second handle deduplicated %.2f of a half-shared file", st.DedupRatio())
 	}
-	if plain, _ := mem.List("containers/"); len(plain) != 0 {
-		t.Errorf("containers written outside the redundancy tier: %v", plain)
+	plain, _ := mem.List("containers/")
+	striped, _ := mem.List("ec/")
+	if len(plain) == 0 || 3*len(plain) != len(striped) {
+		t.Errorf("%d plain container objects beside %d shards, want a 2+1 stripe of each one's payload", len(plain), len(striped))
+	}
+	for _, k := range plain {
+		if !strings.HasSuffix(k, ".meta") {
+			t.Errorf("a payload written outside the redundancy tier: %s", k)
+		}
+	}
+	for _, k := range striped {
+		if !strings.HasSuffix(k, ".data") {
+			t.Errorf("a meta striped: %s", k)
+		}
 	}
 	for _, sys := range []*System{first, second} {
 		for name, want := range map[string][]byte{"a": a, "b": b} {
@@ -64,29 +77,38 @@ func TestSecondHandleTakesTheRepositorysLayout(t *testing.T) {
 	}
 }
 
-// TestStoreBytesTwin: the same serial sequence of backups, G-node passes, a
-// deletion and a scrub on two fresh stores leaves the same keys holding the
-// same bytes, header included.
+// TestStoreBytesTwin: the same sequence of backups, G-node passes, a
+// deletion and a scrub on two fresh stores, one with the G-node serial and
+// one four wide, leaves the same keys holding the same bytes, header
+// included — on the plain layout and over RS(2+2). The fixture's reverse
+// dedup rewrites containers, so the fresh IDs their payloads go under are
+// among what must not depend on the width.
 func TestStoreBytesTwin(t *testing.T) {
-	run := func() *oss.Mem {
+	run := func(ec, workers int) (*oss.Mem, int) {
 		mem := oss.NewMem()
-		sys, err := Open(mem, smallConfig())
+		cfg := smallConfig()
+		cfg.SimilarityMinScore = 1.1 // miss the duplicates across files: reverse dedup's
+		cfg.ECDataShards, cfg.ECParityShards, cfg.MaintWorkers = ec, ec, workers
+		sys, err := Open(mem, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for f, seed := range []int64{21, 22} {
+		rewritten := 0
+		shared := genData(21, 1<<20)
+		for f, data := range [][]byte{shared, append(genData(22, 448<<10), shared[:576<<10]...)} {
 			name := []string{"db/a", "db/b"}[f]
-			data := genData(seed, 1<<20)
 			for v := 0; v < 3; v++ {
 				st, err := sys.Backup(name, data)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, _, err := sys.Optimize(st); err != nil {
+				rd, _, err := sys.Optimize(st)
+				if err != nil {
 					t.Fatal(err)
 				}
+				rewritten += rd.ContainersRewritten
 				data = bytes.Clone(data)
-				copy(data[(v+1)*200_000:], genData(seed*10+int64(v), 50_000))
+				copy(data[(v+1)*200_000:], genData(int64(f*10+v), 50_000))
 			}
 		}
 		if _, err := sys.DeleteVersion("db/a", 0); err != nil {
@@ -95,22 +117,31 @@ func TestStoreBytesTwin(t *testing.T) {
 		if _, err := sys.Scrub(); err != nil {
 			t.Fatal(err)
 		}
-		return mem
+		return mem, rewritten
 	}
-	x, y := run(), run()
-	xk, _ := x.List("")
-	yk, _ := y.List("")
-	if strings.Join(xk, "\n") != strings.Join(yk, "\n") {
-		t.Fatalf("key sets differ:\n%v\n%v", xk, yk)
-	}
-	if len(xk) < 20 || !slices.Contains(xk, core.HeaderKey) {
-		t.Fatalf("fixture: %d keys, or no %s among them: %v", len(xk), core.HeaderKey, xk)
-	}
-	for _, k := range xk {
-		xb, _ := x.Get(k)
-		yb, _ := y.Get(k)
-		if !bytes.Equal(xb, yb) {
-			t.Errorf("%s: %d and %d bytes, contents differ", k, len(xb), len(yb))
-		}
+	for _, ec := range []int{0, 2} {
+		t.Run(map[int]string{0: "plain", 2: "2+2"}[ec], func(t *testing.T) {
+			x, rewritten := run(ec, -1)
+			y, _ := run(ec, 4)
+			if rewritten == 0 {
+				t.Fatal("fixture: reverse dedup rewrote no container")
+			}
+			xk, _ := x.List("")
+			yk, _ := y.List("")
+			if strings.Join(xk, "\n") != strings.Join(yk, "\n") {
+				t.Fatalf("key sets differ:\n%v\n%v", xk, yk)
+			}
+			if len(xk) < 20 || !slices.Contains(xk, core.HeaderKey) {
+				t.Fatalf("fixture: %d keys, or no %s among them: %v", len(xk), core.HeaderKey, xk)
+			}
+			for _, k := range xk {
+				xb, _ := x.Get(k)
+				yb, _ := y.Get(k)
+				if !bytes.Equal(xb, yb) {
+					t.Errorf("%s: %d and %d bytes, contents differ", k, len(xb), len(yb))
+				}
+			}
+			t.Logf("%d keys, %d containers rewritten by reverse dedup", len(xk), rewritten)
+		})
 	}
 }

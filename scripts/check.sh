@@ -59,6 +59,9 @@ go test -count=1 -tags purego ./internal/fingerprint/ ./internal/lnode/
 go test -race -count=1 -cpu 1,4 ./internal/pipe/ ./internal/cache/ ./internal/container/
 go test -race -count=1 -cpu 1,4 -run 'Prefetch|ReadAhead|Twin|RestoreKeeps|RestoreFailsWhole' ./internal/lnode/
 go test -race -count=1 -cpu 1,4 -run 'CompactSparse|MatchesSerial' ./internal/gnode/
+# Store bytes at G-node widths -1 and 4, plain and striped: the rewrites'
+# fresh payload IDs are drawn in container order, whatever the scheduler does.
+go test -count=3 -cpu 1,4 -run 'StoreBytesTwin' .
 
 # cmd/slimstore has no Go test: drive every subcommand once against
 # directory repositories of three layouts and compare what comes back.
@@ -104,6 +107,9 @@ if [ "$FUZZTIME" != "0s" ]; then
 	go test -run=NONE -fuzz='^FuzzSHA1Kernel$' -fuzztime "$FUZZTIME" ./internal/fingerprint/
 	# Container metadata as decoded, planned and split (whole-object seeds).
 	go test -run=NONE -fuzz='^FuzzReadPlan$' -fuzztime "$FUZZTIME" -fuzzminimizetime 1x ./internal/cache/
+	# A container's meta and data object as a read decodes, splits and
+	# verifies them (the v3 goldens are the seeds).
+	go test -run=NONE -fuzz='^FuzzContainerDecode$' -fuzztime "$FUZZTIME" -fuzzminimizetime 1x ./internal/container/
 	# The repository header: the one object every open trusts first.
 	go test -run=NONE -fuzz='^FuzzDecodeHeader$' -fuzztime "$FUZZTIME" ./internal/core/
 	# What the object server parses off the wire: method, path, Range header.
