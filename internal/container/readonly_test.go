@@ -33,7 +33,7 @@ func staleFooterContainer(t *testing.T) (*oss.Frozen, *Store, ID, fingerprint.FP
 	if err := cs.WriteMeta(m); err != nil {
 		t.Fatal(err)
 	}
-	rotAtRest(t, mem, dataKey(id), 10)
+	rotAtRest(t, mem, DataKey(id), 10)
 	return mem, cs, id, live, d2
 }
 
@@ -69,7 +69,7 @@ func TestReadSkipsFooterButNotChunks(t *testing.T) {
 		t.Fatalf("ReadRaw footerOK = %v, %v; want false: scrub finds dead-region rot by it", footerOK, err)
 	}
 
-	rotAtRest(t, mem, dataKey(id), 400+7) // inside the live chunk
+	rotAtRest(t, mem, DataKey(id), 400+7) // inside the live chunk
 	_, err = cs.Read(id)
 	var ce *CorruptError
 	if !errors.As(err, &ce) || ce.Container != id || ce.FP != live {
