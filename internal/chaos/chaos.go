@@ -12,7 +12,7 @@
 // crash (oss.CrashAfter: no mutation lands after it), payload rot, a write
 // while a backend is dark, a dead quorum, transient read faults — may fail
 // the operation with an error that names its cause, never with wrong bytes;
-// a failed mutation is followed by a reboot (journal and WAL replay), after
+// a failed mutation is followed by a reboot (the index's WAL replay), after
 // which it has committed whole or not at all.
 //
 // After the schedule a heal phase reboots, scrubs and sweeps; every version
@@ -46,6 +46,7 @@ import (
 	"slimstore/internal/kvstore"
 	"slimstore/internal/lnode"
 	"slimstore/internal/oss"
+	"slimstore/internal/recipe"
 	"slimstore/internal/repl"
 )
 
@@ -65,7 +66,7 @@ type Result struct {
 	Backups, Restores, RangeRestores, Optimizes, Deletes, Scrubs, Sweeps, Storms int
 
 	Crashes             int // mutations killed by oss.CrashAfter
-	Reboots             int // repository reopens (journal and WAL replay run each time)
+	Reboots             int // repository reopens (the index's WAL replay runs each time)
 	FaultedReads        int // restores under a transient read-fault rate
 	CorruptionsInjected int // payloads rotted at rest, beyond any redundancy
 
@@ -165,7 +166,7 @@ func open(mem *oss.Mem, cfg core.Config) (*world, error) {
 
 // boot is a process start: every fault is cleared, what the last process
 // held in memory (buffered index writes, caches, which replicas it thought
-// dead) is gone, and the open replays the intent journal and the index's logs.
+// dead) is gone, and the open replays the index's logs.
 func (w *world) boot(cfg core.Config) error {
 	w.faulty.Clear()
 	w.crash.Store(nil)
@@ -930,15 +931,21 @@ func (w *world) state() (*state, error) {
 }
 
 // check holds the live repository to the structural invariants: the store
-// holds exactly the model's versions; every index entry names a container
-// that lists that fingerprint; every chunk record of every version resolves
-// — at its home or through the index — to a live chunk of an existing
-// container; after a sweep no container is left that no record resolves to;
-// and, with no damage outstanding, every payload's stripe is K+M shards that
-// a fresh encode of the object reproduces byte for byte.
+// holds exactly the model's versions; after a sweep no recipe, recipe index
+// or sketch is left of any other; every index entry names a container that
+// lists that fingerprint; every chunk record of every version resolves — at
+// its home or through the index — to a live chunk of an existing container;
+// after a sweep no container is left that no record resolves to; and, with
+// no damage outstanding, every payload's stripe is K+M shards that a fresh
+// encode of the object reproduces byte for byte.
 func (h *harness) check(swept bool) error {
 	if _, err := h.settle(mutation{}); err != nil {
 		return err
+	}
+	if swept {
+		if err := h.uncatalogued(); err != nil {
+			return err
+		}
 	}
 	if h.dirty { // metadata waits for the scrub that settles the rot
 		return nil
@@ -996,6 +1003,36 @@ func (h *harness) check(swept bool) error {
 			if hdr.Index = i; err != nil || !bytes.Equal(raw, ec.EncodeShard(hdr, payload)) {
 				return fmt.Errorf("stripe %s shard %d is not the encoding of the object shard 0 describes, %+v (%v)", key, i, hdr, err)
 			}
+		}
+	}
+	return nil
+}
+
+// uncatalogued fails if a recipe, recipe index or sketch is left of a
+// version the model — which settle holds equal to the catalog — does not
+// hold: a backup crashed before its catalog put, or a deletion after its
+// catalog delete, leaves them for the sweep.
+func (h *harness) uncatalogued() error {
+	held := map[recipe.Ref]bool{}
+	for _, f := range h.files {
+		for _, v := range f.versions {
+			held[recipe.Ref{FileID: f.id, Version: v.ver}] = true
+		}
+	}
+	refs, err := h.w.repo.Recipes.Stored()
+	if err != nil {
+		return err
+	}
+	sketches, err := h.w.repo.SimIndex.Stored()
+	if err != nil {
+		return err
+	}
+	for _, e := range sketches {
+		refs = append(refs, recipe.Ref{FileID: e.FileID, Version: e.Version})
+	}
+	for _, r := range refs {
+		if !held[r] {
+			return fmt.Errorf("the sweep left a recipe or sketch of %s v%d, which has no catalog entry", r.FileID, r.Version)
 		}
 	}
 	return nil

@@ -14,10 +14,8 @@ import (
 	"slimstore/internal/ec"
 	"slimstore/internal/fingerprint"
 	"slimstore/internal/globalindex"
-	"slimstore/internal/journal"
 	"slimstore/internal/kvstore"
 	"slimstore/internal/oss"
-	"slimstore/internal/pipe"
 	"slimstore/internal/recipe"
 	"slimstore/internal/repl"
 	"slimstore/internal/simclock"
@@ -225,9 +223,6 @@ type Repo struct {
 	// ReplDowntime accumulates the virtual failover cost charged by
 	// every shard group (PhaseFailover).
 	ReplDowntime *simclock.Account
-	// Journal is the intent journal for multi-object reorganisations;
-	// OpenRepo replays surviving records before returning.
-	Journal *journal.Store
 
 	// EC is the erasure-coded redundancy tier (nil when ECDataShards is
 	// 0): container payloads are striped across K+M backends, backend i
@@ -280,21 +275,9 @@ func OpenRepo(store oss.Store, cfg Config) (*Repo, error) {
 		}
 		containerOSS = ecRouter(tier, store)
 	}
-	// The two listings depend on nothing but the header: one wave.
-	var (
-		cs      *container.Store
-		js      *journal.Store
-		pending []string
-	)
-	if err := pipe.FanOut(2, 2, func(i int) (err error) {
-		if i == 0 {
-			cs, err = container.NewStore(containerOSS, cfg.ContainerCapacity)
-		} else {
-			js, pending, err = journal.Open(store)
-		}
-		return err
-	}); err != nil {
-		return nil, fmt.Errorf("core: open containers and journal: %w", err)
+	cs, err := container.NewStore(containerOSS, cfg.ContainerCapacity)
+	if err != nil {
+		return nil, fmt.Errorf("core: open containers: %w", err)
 	}
 	si, err := simindex.Open(store)
 	if err != nil {
@@ -314,16 +297,10 @@ func OpenRepo(store oss.Store, cfg Config) (*Repo, error) {
 		Global:       gi,
 		ReplGroups:   groups,
 		ReplDowntime: downtime,
-		Journal:      js,
 	}
 	if cfg.SharedCacheBytes >= 0 {
 		r.RestoreIO = cache.NewShared(cfg.SharedCacheBytes)
 		cs.OnInvalidate(r.RestoreIO.Invalidate)
-	}
-	// Roll forward any reorganisation a previous process crashed in the
-	// middle of, before this process does new work against the repo.
-	if _, err := r.replay(pending); err != nil {
-		return nil, fmt.Errorf("core: replay journal: %w", err)
 	}
 	return r, nil
 }
@@ -392,8 +369,8 @@ func ecRouter(tier *ec.Store, plain oss.Store) *ec.Router {
 
 // ContainersFor returns a container-store view charging acct. With the
 // redundancy tier armed, payload I/O stripes through a per-account EC view
-// (charging per-shard, per-backend costs) while metas, recipes, indexes and
-// the journal keep using the plain metered store.
+// (charging per-shard, per-backend costs) while metas, recipes and indexes
+// keep using the plain metered store.
 func (r *Repo) ContainersFor(acct *simclock.Account) *container.Store {
 	if r.EC == nil {
 		return r.Containers.View(r.Metered(acct))

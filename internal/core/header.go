@@ -22,11 +22,14 @@ import (
 //	| 32 ChunkParams Min, Avg, Max | 44 GlobalShards | 48 GlobalReplicas
 //	| 52 ECDataShards | 56 ECParityShards | 60 CRC32C of all before
 //
-// Format 2 has write-once payloads (container.Meta.Payload); 1 is refused.
+// Format 3 has no intent journal and a checksummed catalog entry; 2, whose
+// store may hold a committed journal record this build would not roll
+// forward, and 1, before write-once payloads (container.Meta.Payload), are
+// refused.
 const (
 	HeaderKey     = "repo/header"
 	headerMagic   = "SLIMREPO"
-	headerVersion = 2
+	headerVersion = 3
 	headerSize    = 64
 )
 
@@ -54,7 +57,7 @@ func decodeHeader(b []byte) (Config, error) {
 	}
 	if len(b) >= 12 {
 		if v := binary.LittleEndian.Uint32(b[8:]); v != headerVersion {
-			return c, fmt.Errorf("core: repository header: format %d, this build reads %d (container metas plain, payloads written once)", v, headerVersion)
+			return c, fmt.Errorf("core: repository header: format %d, this build reads %d (no intent journal, checksummed catalog entries)", v, headerVersion)
 		}
 	}
 	if len(b) != headerSize {

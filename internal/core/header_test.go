@@ -172,14 +172,21 @@ func TestHeaderDamage(t *testing.T) {
 		"unknown version": {mutate(func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[len(headerMagic):], 9)
 			return b
-		}), "format 9, this build reads 2"},
+		}), "format 9, this build reads 3"},
 		// What the build before write-once payloads wrote: whole, checksum
 		// and all, and refused by name.
 		"format 1": {mutate(func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[len(headerMagic):], 1)
 			binary.LittleEndian.PutUint32(b[60:], container.ChecksumOf(b[:60]))
 			return b
-		}), "format 1, this build reads 2"},
+		}), "format 1, this build reads 3"},
+		// Format 2 may hold a committed intent-journal record, which this
+		// build would leave unapplied: refused by name too.
+		"format 2": {mutate(func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[len(headerMagic):], 2)
+			binary.LittleEndian.PutUint32(b[60:], container.ChecksumOf(b[:60]))
+			return b
+		}), "format 2, this build reads 3"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			mem := oss.NewMem()

@@ -1,0 +1,192 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+
+	"slimstore/internal/container"
+	"slimstore/internal/fingerprint"
+	"slimstore/internal/globalindex"
+	"slimstore/internal/oss"
+)
+
+// This file holds the multi-object steps the G-node's passes share: a
+// container rewrite, which switches to a payload written beside the old
+// one, and a drop, which syncs its index deletes before any object goes.
+// Each orders its puts so that a crash leaves only objects nothing names,
+// which FullSweep reclaims (DESIGN.md §6).
+
+// RewriteContainer physically removes deleted chunks from a container,
+// keeping its ID (recipes referencing surviving chunks stay valid): the
+// compacted payload goes under payload, a fresh ID (AllocateID), and
+// WriteRebuilt switches the container to it. m supplies the freshest
+// deletion marks; cs directs the I/O (typically a metered view). Returns
+// bytes freed.
+//
+// held, when non-nil, is what the caller already fetched of the container
+// with a verified read — whole, in pieces, or only the ranges of the chunks
+// it wanted (the G-node's planned reads). It stands in for a second fetch
+// only while it covers the payload m describes (heldCovers). Otherwise, and
+// with held nil, the container is read afresh, whole.
+func (r *Repo) RewriteContainer(cs *container.Store, m *container.Meta, held *container.Container, payload container.ID) (int64, error) {
+	c := held
+	if c == nil || !heldCovers(&c.Meta, m) {
+		var err error
+		if c, err = cs.Read(m.ID); err != nil {
+			return 0, fmt.Errorf("core: rewrite %s: %w", m.ID, err)
+		}
+	}
+	nc := &container.Container{Meta: container.Meta{ID: m.ID, Payload: payload}, Data: make([]byte, 0, m.LiveBytes())}
+	for i := range m.Chunks {
+		cm := &m.Chunks[i]
+		if cm.Deleted {
+			continue
+		}
+		data, err := c.ChunkData(cm)
+		if err != nil {
+			return 0, fmt.Errorf("core: rewrite: %w", err)
+		}
+		nc.Meta.Chunks = append(nc.Meta.Chunks, container.ChunkMeta{
+			FP:     cm.FP,
+			Offset: uint32(len(nc.Data)),
+			Size:   cm.Size,
+		})
+		nc.Data = append(nc.Data, data...)
+	}
+	if err := r.WriteRebuilt(cs, nc, m.Payload); err != nil {
+		return 0, err
+	}
+	return int64(c.Meta.DataSize) - int64(len(nc.Data)), nil
+}
+
+// heldCovers is the held-payload validity rule of RewriteContainer: held
+// was read from the payload m names — a payload is written once, so no
+// rewrite landed in between — and every chunk record m keeps is one the
+// held read listed live, so fetched and verified. held may list fewer
+// chunks than m (a ranged read lists what it fetched); records, not
+// fingerprints, are matched because a container may hold one fingerprint
+// twice.
+func heldCovers(held, m *container.Meta) bool {
+	if held.Payload != m.Payload {
+		return false
+	}
+	verified := make(map[container.ChunkMeta]bool, len(held.Chunks))
+	for _, h := range held.Chunks {
+		if !h.Deleted {
+			verified[h] = true
+		}
+	}
+	for _, cm := range m.Chunks {
+		if !cm.Deleted && !verified[cm] {
+			return false
+		}
+	}
+	return true
+}
+
+// WriteRebuilt switches a container to a rebuilt payload written beside the
+// one it replaces, was: the payload goes under nc.Meta.Payload, a fresh ID;
+// the meta naming it replaces the old under the container's write lock
+// (restores that resolved the old layout finish first) — only if the meta
+// still names was, else this payload is deleted instead — and the old
+// payload is deleted last. A crash leaves at most a payload no meta names.
+func (r *Repo) WriteRebuilt(cs *container.Store, nc *container.Container, was container.ID) error {
+	if err := cs.WritePayload(nc); err != nil {
+		return err
+	}
+	id := nc.Meta.ID
+	r.CLocks.Lock(id)
+	cur, err := cs.ReadMeta(id)
+	switched := err == nil && cur.Payload == was
+	if switched {
+		err = cs.WriteMeta(&nc.Meta)
+		r.BumpMaintEpoch()
+	}
+	r.CLocks.Unlock(id)
+	switch {
+	case err != nil:
+		return err
+	case !switched:
+		return errors.Join(fmt.Errorf("core: rewrite %s: switched to payload %s meanwhile: %w", id, cur.Payload, oss.ErrNotFound),
+			cs.DeletePayload(nc.Meta.Payload))
+	}
+	return cs.DeletePayload(was)
+}
+
+// ReadMetas reads the metas of ids in one fan-out; metas[i] is nil when the
+// meta of ids[i] is not found — the container is gone. Any other failure is
+// returned: no delete may follow from a read that failed.
+func (r *Repo) ReadMetas(cs *container.Store, ids []container.ID) ([]*container.Meta, error) {
+	metas := make([]*container.Meta, len(ids))
+	return metas, r.ForEach(len(ids), func(i int) (err error) {
+		if metas[i], err = cs.ReadMeta(ids[i]); errors.Is(err, oss.ErrNotFound) {
+			return nil
+		}
+		return err
+	})
+}
+
+// DropContainers deletes a set of containers and the global-index entries
+// that still name one of them, returning the bytes reclaimed and the
+// entries removed. The metas are read in one fan-out — a container whose
+// meta is not found is already gone (swept through another version's
+// garbage list, say) and is skipped — then one lookup covers their distinct
+// fingerprints and one batch deletes the entries naming a container of the
+// set. That batch is synced before any object goes: a crash can leave
+// objects no entry names, which the next drop or sweep removes, never an
+// entry naming a container that no longer exists. A fingerprint a
+// container holds twice is one entry, removed once.
+func (r *Repo) DropContainers(cs *container.Store, ids []container.ID) (int64, int, error) {
+	if len(ids) == 0 {
+		return 0, 0, nil
+	}
+	metas, err := r.ReadMetas(cs, ids)
+	if err != nil {
+		return 0, 0, err
+	}
+	var reclaimed int64
+	var fps []fingerprint.FP
+	dropping := make(map[container.ID]bool, len(ids))
+	seen := make(map[fingerprint.FP]bool)
+	for i, m := range metas {
+		if m == nil {
+			continue
+		}
+		dropping[ids[i]] = true
+		reclaimed += int64(m.DataSize) + int64(len(container.EncodeMeta(m)))
+		for j := range m.Chunks {
+			if fp := m.Chunks[j].FP; !seen[fp] {
+				seen[fp] = true
+				fps = append(fps, fp)
+			}
+		}
+	}
+	cur, found, _, err := r.Global.GetBatch(fps)
+	if err != nil {
+		return 0, 0, err
+	}
+	var dels []globalindex.Entry
+	for i, fp := range fps {
+		if found[i] && dropping[cur[i]] {
+			dels = append(dels, globalindex.Entry{FP: fp, ID: container.Invalid})
+		}
+	}
+	if err := r.Global.PutBatch(dels); err != nil {
+		return 0, 0, err
+	}
+	if err := r.Global.Sync(); err != nil {
+		return 0, 0, err
+	}
+	if err := r.ForEach(len(ids), func(i int) error {
+		if metas[i] == nil {
+			return nil
+		}
+		r.CLocks.Lock(ids[i])
+		defer r.CLocks.Unlock(ids[i])
+		return cs.Delete(ids[i])
+	}); err != nil {
+		return 0, 0, err
+	}
+	r.BumpMaintEpoch()
+	return reclaimed, len(dels), nil
+}

@@ -3,8 +3,8 @@ package core
 import "slimstore/internal/pipe"
 
 // This file is the offline-maintenance worker pool (DESIGN.md §8). It
-// lives in core, not gnode, because the apply half of the journal protocol
-// (ApplySCC) fans out too and is shared with journal replay.
+// lives in core, not gnode, because core's own shared steps (ReadMetas,
+// DropContainers) fan out too.
 
 // ForEach runs fn(0..n-1) across the maintenance worker pool
 // (pipe.FanOut at the Config.MaintWorkers width: 0 → default, negative →

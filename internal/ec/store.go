@@ -369,8 +369,8 @@ func (s *Store) Head(key string) (int64, error) {
 
 // Delete implements oss.Store: the shard must disappear from every
 // backend, so a deletion during an outage fails loudly rather than
-// leaving resurrectable stale shards behind (journal-driven GC retries
-// after the heal).
+// leaving resurrectable stale shards behind (a FullSweep after the heal
+// reclaims the payload no meta names).
 func (s *Store) Delete(key string) error {
 	var errs []error
 	for i := range s.backends {
@@ -497,7 +497,7 @@ func (s *Store) Repair(key string) (repaired int, err error) {
 // Router splits one OSS namespace between the striped tier and a plain
 // store: a key under one of the routed prefixes that ends in the routed
 // suffix (a container payload, written once) rides the redundancy tier;
-// everything else — container metas, recipes, indexes, journal, LSM
+// everything else — container metas, recipes, catalog, indexes, LSM
 // segments — stays on the plain store, whose put replaces an object
 // atomically. container.Store opens over a Router, so backup, restore,
 // quarantine and rewrite stripe their payloads transparently.

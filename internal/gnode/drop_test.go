@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -110,6 +111,30 @@ func unnamedPayloads(t *testing.T, mem *oss.Mem, repo *core.Repo) []string {
 	return out
 }
 
+// assertVersionsCatalogued holds a swept store to its catalog: every recipe,
+// recipe index and sketch belongs to a version that has a catalog entry.
+func assertVersionsCatalogued(t *testing.T, what string, mem *oss.Mem) {
+	t.Helper()
+	keys, err := mem.List("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := map[string]bool{} // "<hex file>/<version>"
+	for _, k := range keys {
+		if name, ok := strings.CutPrefix(k, "catalog/"); ok {
+			entries[strings.TrimSuffix(name, ".info")] = true
+		}
+	}
+	for _, k := range keys {
+		name, recipe := strings.CutPrefix(k, "recipes/")
+		name, sketch := strings.CutPrefix(name, "simindex/")
+		name = strings.TrimSuffix(strings.TrimSuffix(name, ".recipe"), ".index")
+		if (recipe || sketch) && !entries[name] {
+			t.Fatalf("%s: %s belongs to a version with no catalog entry", what, k)
+		}
+	}
+}
+
 // assertPayloadsNamed holds a swept store to the write-once layout: every
 // listed container's meta reads, and every payload — a plain data object,
 // or any key under ec/ — is the one a live meta names.
@@ -124,9 +149,10 @@ func assertPayloadsNamed(t *testing.T, what string, mem *oss.Mem, repo *core.Rep
 // file "a" shares with "b" out of a's containers, so a's recipe reaches them
 // through the index, in b's. Deleting b's first version makes those
 // containers garbage, and GC pins them from their metas. One GET of such a
-// meta failing fails the deletion: the container is not dropped because a
-// second read of its meta succeeds. The reboot's replay pins it, and "a"
-// restores throughout.
+// meta failing fails the deletion after its commit: the container is not
+// dropped because a second read of its meta succeeds. The sweep after the
+// reboot reaches it through a's redirects and keeps it, and "a" restores
+// throughout.
 func TestDeleteVersionFailsOnAnUnreadablePin(t *testing.T) {
 	ln, gn, repo, mem := setup(t, twinConfig(-1)) // the L-node misses cross-file duplicates
 	shared := genData(30, 512<<10)
@@ -163,8 +189,16 @@ func TestDeleteVersionFailsOnAnUnreadablePin(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(restoreBytes(t, lnode.New(rebooted, "l2"), "a", 0), shared) {
-		t.Fatal(`"a" does not restore after the replayed deletion`)
+		t.Fatal(`"a" does not restore after the reboot`)
 	}
+	if vs, err := rebooted.Recipes.Versions("b"); err != nil || slices.Contains(vs, 0) {
+		t.Fatalf("b's versions after the failed deletion: %v, %v; want v0 gone, its catalog entry the commit", vs, err)
+	}
+	swept := verifyFilesAfterReboot(t, mem, repo.Config, map[string]map[int][]byte{"a": {0: shared}})
+	if !bytes.Equal(restoreBytes(t, lnode.New(swept, "l3"), "a", 0), shared) {
+		t.Fatal(`"a" does not restore after the sweep`)
+	}
+	assertPayloadsNamed(t, "after the sweep", mem, swept)
 }
 
 // ecLayout is RS(4+2), the striped layout the crash tests add to the plain
@@ -178,7 +212,8 @@ func ecLayout(cfg core.Config) core.Config {
 // garbage — two versions with no chunk in common, so every container v0
 // wrote is a candidate — before every put and delete it issues. After each
 // reboot the index names only containers that list the fingerprint, v0 is
-// whole or gone, v1 restores and the sweep converges, index still sound.
+// listed and whole or not listed, v1 restores and the sweep converges,
+// index still sound, leaving no garbage and no recipe of v0.
 func TestDeleteVersionCrashAtEveryMutation(t *testing.T) {
 	for _, cfg := range []core.Config{core.DefaultConfig(), ecLayout(core.DefaultConfig())} {
 		t.Run(layoutName(cfg), func(t *testing.T) {
@@ -204,8 +239,8 @@ func TestDeleteVersionCrashAtEveryMutation(t *testing.T) {
 					t.Fatalf("budget %d: %v, want the injected crash", n, err)
 				}
 
-				// Reboot. Version 0 is in limbo only until replay: afterwards it
-				// either fully exists or is fully gone.
+				// Reboot. The catalog delete is the commit: version 0 is either
+				// listed and whole or not listed.
 				repo2, err := core.OpenRepo(mem, cfg)
 				if err != nil {
 					t.Fatalf("reboot: %v", err)

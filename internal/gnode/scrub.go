@@ -24,7 +24,6 @@ type ScrubStats struct {
 	RecipesRewritten  int // recipes repointed away from quarantined containers
 	IndexRepointed    int // global-index entries moved to surviving copies
 	IndexPurged       int // global-index entries for unrecoverable chunks
-	JournalReplayed   int
 
 	// Redundancy-tier counters (zero when the EC tier is off). The EC
 	// pass runs before chunk verification: every container's payload stripe
@@ -77,15 +76,6 @@ func (s *ScrubStats) Clean() bool { return len(s.Quarantined) == 0 && len(s.Lost
 // worker width produces identical repairs, stats, and final state
 // (DESIGN.md §8).
 func (g *GNode) Scrub() (*ScrubStats, error) {
-	// Journal replay mutates shared state; do it under the lock, before
-	// the verification pass reads anything.
-	g.maintMu.Lock()
-	replayed, err := g.repo.ReplayJournal()
-	g.maintMu.Unlock()
-	if err != nil {
-		return nil, fmt.Errorf("gnode: scrub: %w", err)
-	}
-
 	// Redundancy-tier repair first: rebuilding degraded stripes to full
 	// K+M redundancy lets the chunk-level verification below read through
 	// clean stripes instead of paying degraded reconstructions, and
@@ -99,7 +89,6 @@ func (g *GNode) Scrub() (*ScrubStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	stats.JournalReplayed = replayed
 	stats.ECStripesChecked = ecStats.checked
 	stats.ECDegradedStripes = ecStats.degraded
 	stats.ECRepairedShards = ecStats.repairedShards
@@ -583,24 +572,8 @@ func (g *GNode) scrubFixFile(stats *ScrubStats, f string, sv *scrubView, bad, qu
 		if !changed {
 			continue
 		}
-		if _, err := rs.PutRecipe(r); err != nil {
+		if err := commitRecipe(rs, r, nil); err != nil {
 			return err
-		}
-		info, err := rs.GetInfo(f, v)
-		if err == nil {
-			refs := make(map[container.ID]bool)
-			r.Iter(func(_, _ int, rec *recipe.ChunkRecord) bool {
-				refs[rec.Container] = true
-				return true
-			})
-			info.Containers = info.Containers[:0]
-			for id := range refs {
-				info.Containers = append(info.Containers, id)
-			}
-			sort.Slice(info.Containers, func(a, b int) bool { return info.Containers[a] < info.Containers[b] })
-			if err := rs.PutInfo(info); err != nil {
-				return err
-			}
 		}
 		stats.RecipesRewritten++
 	}

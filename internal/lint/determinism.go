@@ -12,8 +12,8 @@
 //     makes results host-dependent.
 //
 // Same input, same bytes: there and in the packages that encode what goes
-// to the store (recipe, container, kvstore, journal, simindex,
-// globalindex, core, cache) it flags
+// to the store (recipe, container, kvstore, simindex, globalindex, core,
+// cache) it flags
 //
 //   - `for k := range m` over a map whose iteration order escapes: the
 //     body appends to a slice that is never sorted afterwards in the
@@ -46,8 +46,8 @@ var chargedPackages = map[string]bool{
 // is bytes on the store: the map-order rule applies to them, the wall
 // clock, rand and environment rules do not.
 var encodingPackages = map[string]bool{
-	"recipe": true, "container": true, "kvstore": true, "journal": true,
-	"simindex": true, "globalindex": true, "core": true, "cache": true,
+	"recipe": true, "container": true, "kvstore": true, "simindex": true,
+	"globalindex": true, "core": true, "cache": true,
 }
 
 // allowedRandFuncs construct explicitly seeded generators and are

@@ -1,7 +1,7 @@
 // errdiscipline enforces that errors from the storage layer are handled.
-// The oss, kvstore, journal, and container packages are the durability
-// boundary: a swallowed error there is silent data loss (an unacked OSS
-// put, a dropped journal record, an unflushed WAL batch). Every call into
+// The oss, kvstore and container packages are the durability boundary: a
+// swallowed error there is silent data loss (an unacked OSS put, a lost
+// container meta, an unflushed WAL batch). Every call into
 // those APIs whose last result is an error must consume it:
 //
 //   - a bare expression statement discarding the result is flagged;
@@ -22,14 +22,13 @@ import (
 var errTargetPkgs = map[string]bool{
 	"slimstore/internal/oss":       true,
 	"slimstore/internal/kvstore":   true,
-	"slimstore/internal/journal":   true,
 	"slimstore/internal/container": true,
 }
 
 func errDisciplineAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "errdiscipline",
-		Doc:  "errors returned by the oss/kvstore/journal/container APIs must be consumed; `_ =` needs an ignore directive with a reason",
+		Doc:  "errors returned by the oss/kvstore/container APIs must be consumed; `_ =` needs an ignore directive with a reason",
 		Run:  runErrDiscipline,
 	}
 }

@@ -12,9 +12,8 @@
 //     simclock-charged packages (lnode, gnode, oss, jobs, bench, repl,
 //     ec), and — there and in the packages that encode store objects — no
 //     map iteration flowing into encoded output without a sort.
-//   - errdiscipline: no discarded error results from the oss, kvstore,
-//     journal, or container APIs; `_ =` needs a //slimlint:ignore with a
-//     reason.
+//   - errdiscipline: no discarded error results from the oss, kvstore or
+//     container APIs; `_ =` needs a //slimlint:ignore with a reason.
 //   - ctxflow: no context.Background()/TODO() outside package main and
 //     tests; a function that receives a ctx forwards that ctx.
 //

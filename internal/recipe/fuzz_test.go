@@ -2,9 +2,12 @@ package recipe
 
 import (
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"slimstore/internal/container"
+	"slimstore/internal/oss"
 )
 
 // randRecipe builds a structurally valid recipe from a seed, exercising
@@ -117,4 +120,95 @@ func FuzzRecipeDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzCatalogDecode: whatever a catalog entry holds, DecodeInfo never panics
+// and allocates in proportion to the input, never as a hostile count says;
+// what it accepts re-encodes to the same bytes.
+func FuzzCatalogDecode(f *testing.F) {
+	good := EncodeInfo(&VersionInfo{FileID: "db/a", Version: 3, LogicalSize: 1 << 30, StoredSize: 1 << 20,
+		NumChunks: 4096, Containers: []container.ID{1, 5, 8}, Garbage: []container.ID{2}})
+	f.Add(good)
+	f.Add(good[:len(good)-1])
+	f.Add(EncodeInfo(&VersionInfo{}))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var (
+			v   *VersionInfo
+			err error
+		)
+		boundedAlloc(t, len(b), func() { v, err = DecodeInfo(b) })
+		if err != nil {
+			return
+		}
+		if again := EncodeInfo(v); !reflect.DeepEqual(again, b) {
+			t.Fatalf("an accepted entry re-encodes to other bytes:\n%x\n%x", b, again)
+		}
+	})
+}
+
+// FuzzSegmentReader: whatever a recipe object holds, OpenSegments over it
+// and a Fetch of every segment its directory lists that lies in the prefix
+// the open read never panic and allocate in proportion to the object; a
+// segment fetched is what Decode of the whole object holds there.
+func FuzzSegmentReader(f *testing.F) {
+	f.Add(Encode(randRecipe(5, 3, 9)))
+	f.Add(Encode(randRecipe(6, 0, 0)))
+	trunc := Encode(randRecipe(7, 2, 20))
+	f.Add(trunc[:len(trunc)/2])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		mem := oss.NewMem()
+		if err := mem.Put(recipeKey("f", 0), b); err != nil {
+			t.Fatal(err)
+		}
+		s := NewStore(mem)
+		var segs []*Segment
+		boundedAlloc(t, len(b), func() {
+			segs = nil
+			sr, err := s.OpenSegments("f", 0)
+			if err != nil {
+				return
+			}
+			for i := 0; i < sr.NumSegments(); i++ {
+				if d := sr.dir.segments[i]; d.off > uint64(len(sr.head)) || d.n > uint64(len(sr.head))-d.off {
+					segs = append(segs, nil) // would be a ranged read past the prefix
+					continue
+				}
+				seg, err := sr.Fetch(i)
+				if err != nil {
+					seg = nil
+				}
+				segs = append(segs, seg)
+			}
+		})
+		whole, err := Decode(b)
+		if err != nil {
+			return
+		}
+		for i, seg := range segs {
+			if seg != nil && !reflect.DeepEqual(seg.Records, whole.Segments[i].Records) {
+				t.Fatalf("segment %d fetched from the prefix differs from the whole object's", i)
+			}
+		}
+	})
+}
+
+// boundedAlloc runs decode over n bytes of input and fails t if it allocated
+// more than in proportion to them. TotalAlloc is the process's, and a fuzz
+// worker has goroutines of its own: a decode over the limit is measured
+// once more, since what somebody else allocated does not land in both
+// windows.
+func boundedAlloc(t *testing.T, n int, decode func()) {
+	got, limit := ^uint64(0), uint64(64*n+4096)
+	for try := 0; try < 2 && got > limit; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		decode()
+		runtime.ReadMemStats(&after)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+	}
+	if got > limit {
+		t.Fatalf("decoding %d bytes allocated %d, limit %d", n, got, limit)
+	}
 }

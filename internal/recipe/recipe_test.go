@@ -1,9 +1,11 @@
 package recipe
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -348,6 +350,43 @@ func TestInfoRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeInfo([]byte{1, 2}); err == nil {
 		t.Fatal("short info accepted")
+	}
+}
+
+// TestInfoRefusesDamage: a catalog entry commits a version and decides
+// which containers are live, so a damaged one is refused whole — at every
+// truncation point, under every single-bit flip, with trailing bytes, and
+// in another format — never decoded into a wrong live set.
+func TestInfoRefusesDamage(t *testing.T) {
+	enc := EncodeInfo(&VersionInfo{
+		FileID: "db/a", Version: 7, LogicalSize: 5 << 20, StoredSize: 1 << 20, NumChunks: 1280,
+		Containers: []container.ID{3, 4, 9}, Garbage: []container.ID{1, 2},
+	})
+	for cut := 0; cut < len(enc); cut++ {
+		if _, err := DecodeInfo(enc[:cut]); err == nil {
+			t.Fatalf("cut at %d of %d accepted", cut, len(enc))
+		}
+	}
+	for pos := 0; pos < len(enc); pos++ {
+		for bit := 0; bit < 8; bit++ {
+			mut := append([]byte(nil), enc...)
+			mut[pos] ^= 1 << bit
+			if _, err := DecodeInfo(mut); err == nil {
+				t.Fatalf("flip at byte %d bit %d accepted", pos, bit)
+			}
+		}
+	}
+	for _, extra := range [][]byte{{0}, {0xFE}, make([]byte, 8)} {
+		if _, err := DecodeInfo(append(append([]byte(nil), enc...), extra...)); err == nil {
+			t.Fatalf("%d trailing bytes accepted", len(extra))
+		}
+	}
+	// Another format word, with a checksum that matches it.
+	mut := append([]byte(nil), enc...)
+	mut[3]++
+	binary.LittleEndian.PutUint32(mut[len(mut)-4:], container.ChecksumOf(mut[:len(mut)-4]))
+	if _, err := DecodeInfo(mut); err == nil || !strings.Contains(err.Error(), "format") {
+		t.Fatalf("another format: err = %v, want it named", err)
 	}
 }
 

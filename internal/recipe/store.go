@@ -68,6 +68,37 @@ func (s *Store) DeleteRecipe(fileID string, version int) error {
 	return s.oss.Delete(indexKey(fileID, version))
 }
 
+// Ref names one version of one file.
+type Ref struct {
+	FileID  string
+	Version int
+}
+
+// Stored lists the versions that have a recipe or a recipe index object,
+// each once, in key order. What the catalog lists, not this, is what
+// exists: a backup puts its recipe before its catalog entry, a deletion
+// deletes the entry first.
+func (s *Store) Stored() ([]Ref, error) {
+	keys, err := s.oss.List(recipePrefix)
+	if err != nil {
+		return nil, fmt.Errorf("recipe: list recipes: %w", err)
+	}
+	var out []Ref
+	for _, k := range keys {
+		rest := strings.TrimPrefix(k, recipePrefix)
+		enc, name, ok := strings.Cut(rest, "/")
+		raw, herr := hex.DecodeString(enc)
+		v, verr := strconv.Atoi(strings.TrimSuffix(strings.TrimSuffix(name, ".recipe"), ".index"))
+		if !ok || herr != nil || verr != nil {
+			continue
+		}
+		if r := (Ref{string(raw), v}); len(out) == 0 || out[len(out)-1] != r {
+			out = append(out, r)
+		}
+	}
+	return out, nil
+}
+
 // SegmentReader fetches individual segment recipes of one file version
 // with ranged reads, without downloading the whole recipe — the lightweight
 // prefetch L-node performs per matched sample (paper §IV-A STEP 2). The
@@ -172,77 +203,99 @@ type VersionInfo struct {
 	Garbage []container.ID
 }
 
-// EncodeInfo serialises a VersionInfo.
+// infoFormat opens every catalog entry: "SLV" and the entry's format, 1.
+// The entry commits a backup and a deletion and decides liveness, so it
+// ends in a CRC32C of everything before it, and a decoder takes it whole
+// or not at all.
+const infoFormat = uint32(0x01564C53)
+
+// EncodeInfo serialises a VersionInfo, little-endian:
+//
+//	format | name len, name | version | logical size u64 | stored size u64
+//	| chunks | n, n container IDs u64 | m, m garbage IDs u64 | CRC32C
 func EncodeInfo(v *VersionInfo) []byte {
-	buf := make([]byte, 0, 64+len(v.FileID)+8*(len(v.Containers)+len(v.Garbage)))
-	var tmp [8]byte
-	put32 := func(x uint32) {
-		binary.LittleEndian.PutUint32(tmp[:4], x)
-		buf = append(buf, tmp[:4]...)
-	}
-	put64 := func(x uint64) {
-		binary.LittleEndian.PutUint64(tmp[:], x)
-		buf = append(buf, tmp[:]...)
-	}
-	put32(uint32(len(v.FileID)))
+	buf := make([]byte, 0, 48+len(v.FileID)+8*(len(v.Containers)+len(v.Garbage)))
+	buf = binary.LittleEndian.AppendUint32(buf, infoFormat)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.FileID)))
 	buf = append(buf, v.FileID...)
-	put32(uint32(v.Version))
-	put64(uint64(v.LogicalSize))
-	put64(uint64(v.StoredSize))
-	put32(uint32(v.NumChunks))
-	put32(uint32(len(v.Containers)))
-	for _, id := range v.Containers {
-		put64(uint64(id))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(v.Version))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(v.LogicalSize))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(v.StoredSize))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(v.NumChunks))
+	for _, ids := range [][]container.ID{v.Containers, v.Garbage} {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ids)))
+		for _, id := range ids {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(id))
+		}
 	}
-	put32(uint32(len(v.Garbage)))
-	for _, id := range v.Garbage {
-		put64(uint64(id))
-	}
-	return buf
+	return binary.LittleEndian.AppendUint32(buf, container.ChecksumOf(buf))
 }
 
-// DecodeInfo parses a VersionInfo.
+// DecodeInfo parses a VersionInfo, refusing one of another format, of
+// another length than its counts say, or whose checksum does not match.
 func DecodeInfo(b []byte) (*VersionInfo, error) {
 	p := 0
-	need := func(n int) error {
-		if len(b)-p < n {
-			return fmt.Errorf("recipe: truncated version info")
+	u32 := func() (uint32, error) {
+		if len(b)-p < 4 {
+			return 0, fmt.Errorf("recipe: version info truncated at %d of %d bytes", p, len(b))
 		}
-		return nil
+		p += 4
+		return binary.LittleEndian.Uint32(b[p-4:]), nil
 	}
-	if err := need(4); err != nil {
+	// ids reads a count and that many IDs, checking the length before the
+	// count sizes an allocation.
+	ids := func() ([]container.ID, error) {
+		n, err := u32()
+		if err != nil {
+			return nil, err
+		}
+		if uint64(len(b)-p) < 8*uint64(n) {
+			return nil, fmt.Errorf("recipe: version info claims %d IDs in %d bytes", n, len(b)-p)
+		}
+		out := make([]container.ID, n)
+		for i := range out {
+			out[i] = container.ID(binary.LittleEndian.Uint64(b[p:]))
+			p += 8
+		}
+		return out, nil
+	}
+	format, err := u32()
+	if err != nil {
 		return nil, err
 	}
-	nameLen := int(binary.LittleEndian.Uint32(b[p:]))
-	p += 4
-	if err := need(nameLen + 28); err != nil {
+	if format != infoFormat {
+		return nil, fmt.Errorf("recipe: version info format %08x, want %08x", format, infoFormat)
+	}
+	nameLen, err := u32()
+	if err != nil {
 		return nil, err
 	}
-	v := &VersionInfo{FileID: string(b[p : p+nameLen])}
-	p += nameLen
+	if uint64(len(b)-p) < uint64(nameLen)+28 {
+		return nil, fmt.Errorf("recipe: version info truncated in its header")
+	}
+	v := &VersionInfo{FileID: string(b[p : p+int(nameLen)])}
+	p += int(nameLen)
 	v.Version = int(binary.LittleEndian.Uint32(b[p:]))
 	v.LogicalSize = int64(binary.LittleEndian.Uint64(b[p+4:]))
 	v.StoredSize = int64(binary.LittleEndian.Uint64(b[p+12:]))
 	v.NumChunks = int(binary.LittleEndian.Uint32(b[p+20:]))
-	nc := int(binary.LittleEndian.Uint32(b[p+24:]))
-	p += 28
-	if err := need(nc*8 + 4); err != nil {
+	p += 24
+	if v.Containers, err = ids(); err != nil {
 		return nil, err
 	}
-	v.Containers = make([]container.ID, nc)
-	for i := 0; i < nc; i++ {
-		v.Containers[i] = container.ID(binary.LittleEndian.Uint64(b[p:]))
-		p += 8
-	}
-	ng := int(binary.LittleEndian.Uint32(b[p:]))
-	p += 4
-	if err := need(ng * 8); err != nil {
+	if v.Garbage, err = ids(); err != nil {
 		return nil, err
 	}
-	v.Garbage = make([]container.ID, ng)
-	for i := 0; i < ng; i++ {
-		v.Garbage[i] = container.ID(binary.LittleEndian.Uint64(b[p:]))
-		p += 8
+	body := p
+	sum, err := u32()
+	if err != nil {
+		return nil, err
+	}
+	if p != len(b) {
+		return nil, fmt.Errorf("recipe: %d trailing bytes after version info", len(b)-p)
+	}
+	if got := container.ChecksumOf(b[:body]); got != sum {
+		return nil, fmt.Errorf("recipe: version info checksum %08x, want %08x", got, sum)
 	}
 	return v, nil
 }

@@ -17,6 +17,7 @@ package simindex
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"sort"
@@ -232,6 +233,25 @@ func (x *Index) Remove(fileID string, version int) error {
 	delete(x.entries, memKey(fileID, version))
 	x.mu.Unlock()
 	return nil
+}
+
+// Stored lists the file versions that have a sketch in the store, read
+// from the namespace's listing alone (Sketch nil), whatever the mirror holds.
+func (x *Index) Stored() ([]Entry, error) {
+	keys, err := x.store.List(Prefix)
+	if err != nil {
+		return nil, fmt.Errorf("simindex: list: %w", err)
+	}
+	var out []Entry
+	for _, k := range keys {
+		enc, ver, ok := strings.Cut(strings.TrimPrefix(k, Prefix), "/")
+		raw, herr := hex.DecodeString(enc)
+		v, verr := strconv.Atoi(ver)
+		if ok && herr == nil && verr == nil {
+			out = append(out, Entry{FileID: string(raw), Version: v})
+		}
+	}
+	return out, nil
 }
 
 // Match is a similarity query result.

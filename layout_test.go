@@ -80,7 +80,8 @@ func TestSecondHandleTakesTheRepositorysLayout(t *testing.T) {
 // TestStoreBytesTwin: the same sequence of backups, G-node passes, a
 // deletion and a scrub on two fresh stores, one with the G-node serial and
 // one four wide, leaves the same keys holding the same bytes, header
-// included — on the plain layout and over RS(2+2). The fixture's reverse
+// included, every key in one of the repository's namespaces — on the plain
+// layout and over RS(2+2). The fixture's reverse
 // dedup rewrites containers, so the fresh IDs their payloads go under are
 // among what must not depend on the width.
 func TestStoreBytesTwin(t *testing.T) {
@@ -133,6 +134,17 @@ func TestStoreBytesTwin(t *testing.T) {
 			}
 			if len(xk) < 20 || !slices.Contains(xk, core.HeaderKey) {
 				t.Fatalf("fixture: %d keys, or no %s among them: %v", len(xk), core.HeaderKey, xk)
+			}
+			// The namespaces a repository has, and no other: a journal/ key,
+			// or one of a namespace nobody listed here, fails the twin.
+			namespaces := []string{"repo", "containers", "quarantine", "recipes", "catalog", "simindex", "gidx"}
+			if ec > 0 {
+				namespaces = append(namespaces, "ec")
+			}
+			for _, k := range xk {
+				if top, _, _ := strings.Cut(k, "/"); !slices.Contains(namespaces, top) {
+					t.Errorf("%s: namespace %q is not one of %v", k, top, namespaces)
+				}
 			}
 			for _, k := range xk {
 				xb, _ := x.Get(k)

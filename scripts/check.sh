@@ -96,6 +96,10 @@ if [ "$FUZZTIME" != "0s" ]; then
 	go test -run=NONE -fuzz='^FuzzStreamSkip$' -fuzztime "$FUZZTIME" ./internal/chunker/
 	go test -run=NONE -fuzz='^FuzzRecipeRoundTrip$' -fuzztime "$FUZZTIME" ./internal/recipe/
 	go test -run=NONE -fuzz='^FuzzRecipeDecode$' -fuzztime "$FUZZTIME" ./internal/recipe/
+	# The catalog entry, which commits a version, and the segment reader
+	# over a recipe's prefix (whole-object seeds).
+	go test -run=NONE -fuzz='^FuzzCatalogDecode$' -fuzztime "$FUZZTIME" -fuzzminimizetime 1x ./internal/recipe/
+	go test -run=NONE -fuzz='^FuzzSegmentReader$' -fuzztime "$FUZZTIME" -fuzzminimizetime 1x ./internal/recipe/
 	go test -run=NONE -fuzz='^FuzzReplRecord$' -fuzztime "$FUZZTIME" ./internal/kvstore/
 	# What index recovery decodes: WAL segments, table tails and blocks, the
 	# manifest. Their seeds are whole objects, which the engine would spend

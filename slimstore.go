@@ -359,7 +359,7 @@ type SpaceUsage struct {
 	ContainerBytes int64 // chunk payloads + container metadata, incl. quarantined and erasure-coded shards
 	RecipeBytes    int64 // recipes, recipe indexes, catalog, snapshot manifests
 	IndexBytes     int64 // similar-file index + global index (Rocks-OSS)
-	TotalBytes     int64 // every object in the repository, incl. namespaces not itemised above (journal)
+	TotalBytes     int64 // every object in the repository, incl. namespaces not itemised above (the header)
 }
 
 // SpaceUsage measures occupied space by OSS namespace (Fig 9 / Fig 10c).
