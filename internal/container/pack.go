@@ -3,8 +3,10 @@ package container
 import "sync"
 
 // PackPool is the pack stage of the backup pipeline: filled containers
-// are handed to background workers that seal (checksum + encode) and
-// upload them, while the dedup loop keeps cutting and deduplicating.
+// are handed to background workers that seal (checksum + encode) them and
+// put their payloads, while the dedup loop keeps cutting and deduplicating.
+// The metas are the caller's to put, once Close has returned: no meta is
+// stored before every payload of the job is.
 // This overlaps the two expensive tails of a backup — CRC32C/encoding CPU
 // and OSS PUT latency — with the hot loop, the way the paper's multipart
 // upload overlaps network with computation (§IV-A, Fig 2).
@@ -15,7 +17,7 @@ import "sync"
 // dedup loop can never buffer unboundedly in front of slow uploads.
 //
 // Errors are sticky: the first failed write is remembered and returned by
-// Close; later writes still drain (they may succeed — each container is
+// Close; later writes still drain (they may succeed — each payload is
 // an independent object) so the queue can never wedge. Written containers
 // have their payload buffers released back to the store's pool.
 type PackPool struct {
@@ -27,6 +29,7 @@ type PackPool struct {
 	inflight int64 // payload bytes queued or being written
 	budget   int64 // 0 = no byte budget
 	err      error
+	sealed   []*Meta // metas of the payloads put
 }
 
 // NewPackPoolBudget starts `workers` sealers writing through store.
@@ -46,12 +49,14 @@ func NewPackPoolBudget(store *Store, workers int, budget int64) *PackPool {
 			defer p.wg.Done()
 			for c := range p.jobs {
 				sz := int64(len(c.Data))
-				err := store.Write(c)
+				c.Meta.Payload = c.Meta.ID
+				err := store.WritePayload(c)
 				store.Release(c)
 				p.mu.Lock()
 				if err != nil && p.err == nil {
 					p.err = err
 				}
+				p.sealed = append(p.sealed, &c.Meta)
 				p.inflight -= sz
 				p.cond.Broadcast()
 				p.mu.Unlock()
@@ -76,12 +81,11 @@ func (p *PackPool) Write(c *Container) {
 	p.jobs <- c
 }
 
-// Close waits for every queued container to be written and returns the
-// first write error. The pool is not reusable afterwards.
-func (p *PackPool) Close() error {
+// Close waits for every queued payload to be put and returns the sealed
+// metas, in the order their payloads landed, or the first write error. The
+// pool is not reusable afterwards.
+func (p *PackPool) Close() ([]*Meta, error) {
 	close(p.jobs)
 	p.wg.Wait()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.err
+	return p.sealed, p.err
 }

@@ -1,6 +1,8 @@
 package container
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -63,19 +65,21 @@ func TestPackPoolBudgetBackpressure(t *testing.T) {
 	// Release the worker: each completed write frees budget for the next.
 	close(gate)
 	<-third
-	if err := p.Close(); err != nil {
+	if _, err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Oversized container on an idle pool: admitted alone.
 	p2 := NewPackPoolBudget(cs, 1, 1024)
 	p2.Write(fillContainer(t, cs, payload))
-	if err := p2.Close(); err != nil {
+	if _, err := p2.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestPackPoolWritesLand: everything queued before Close is durable after.
+// TestPackPoolWritesLand: every payload queued before Close is durable
+// after it, the pool puts no meta, and Close returns one sealed meta per
+// container, naming the payload it put.
 func TestPackPoolWritesLand(t *testing.T) {
 	mem := oss.NewMem()
 	cs, err := NewStore(mem, 64<<10)
@@ -89,16 +93,31 @@ func TestPackPoolWritesLand(t *testing.T) {
 		ids = append(ids, c.Meta.ID)
 		p.Write(c)
 	}
-	if err := p.Close(); err != nil {
+	sealed, err := p.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range ids {
-		m, err := cs.ReadMeta(id)
-		if err != nil {
-			t.Fatalf("container %v not durable: %v", id, err)
+	keys, _ := mem.List(Prefix)
+	for _, k := range keys {
+		if strings.HasSuffix(k, ".meta") {
+			t.Fatalf("the pack pool put meta %s", k)
 		}
-		if len(m.Chunks) != 1 {
-			t.Fatalf("container %v: %d chunks, want 1", id, len(m.Chunks))
+	}
+	if len(keys) != len(ids) || len(sealed) != len(ids) {
+		t.Fatalf("%d objects stored, %d metas sealed for %d containers", len(keys), len(sealed), len(ids))
+	}
+	slices.SortFunc(sealed, func(a, b *Meta) int { return cmp.Compare(a.ID, b.ID) })
+	for i, id := range ids {
+		m := sealed[i]
+		if m.ID != id || m.Payload != id || len(m.Chunks) != 1 || m.DataSize != 8<<10 {
+			t.Fatalf("sealed meta %d: ID %v payload %v, %d chunks, %d bytes; want container %v", i, m.ID, m.Payload, len(m.Chunks), m.DataSize, id)
+		}
+		raw, err := mem.Get(DataKey(id))
+		if err != nil {
+			t.Fatalf("payload of container %v not durable: %v", id, err)
+		}
+		if _, ok := SplitData(m, raw); !ok {
+			t.Fatalf("payload of container %v fails its footer checksum", id)
 		}
 	}
 }

@@ -231,8 +231,8 @@ func (c *Container) seal() (payloadSum uint32, tiled bool, err error) {
 
 // Write persists a new container, its payload under its own ID: WritePayload,
 // then WriteMeta, so a meta never names a payload that is not there.
-// Write does not retain c or its payload: callers (the pack pool) hand
-// the container straight back to Release, which recycles c.Data.
+// Write does not retain c or its payload: the synchronous Builder hands the
+// container straight back to Release, which recycles c.Data.
 func (s *Store) Write(c *Container) error {
 	c.Meta.Payload = c.Meta.ID
 	if err := s.WritePayload(c); err != nil {

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -134,6 +135,9 @@ type backupJob struct {
 	baseReader *recipe.SegmentReader
 	baseIndex  *recipe.Index
 	head       headCuts
+	// The base's catalog entry: a name base's is the one the mark phase
+	// extends, written by no one else under the job's file lock.
+	baseInfo *recipe.VersionInfo
 
 	// Dedup cache (STEP 2): prefetched segment recipes, bounded by
 	// Config.DedupCacheSegments with FIFO eviction.
@@ -176,12 +180,17 @@ type headCuts struct {
 	end    int64
 }
 
-// packWorkers is how many background workers seal and upload a job's
-// filled containers while the dedup loop continues (§IV-A's overlap of
-// computation and multipart upload), with at most 3 × packWorkers ×
-// ContainerCapacity payload bytes ahead of them, so ingest cannot outrun
-// the write path. Also the width of persist's container-metadata wave.
+// packWorkers is how many background workers seal a job's filled
+// containers and put their payloads while the dedup loop continues (§IV-A's
+// overlap of computation and multipart upload), with at most 3 ×
+// packWorkers × ContainerCapacity payload bytes ahead of them, so ingest
+// cannot outrun the write path.
 const packWorkers = 4
+
+// metaWave is how many metas persist puts (a container the job wrote) or
+// reads (one it references) at once: a version of up to 64 containers in
+// one round trip.
+const metaWave = 64
 
 // newBackupJob builds the per-job pipeline state shared by Backup and
 // BackupStream. The caller must `defer j.join()`.
@@ -417,13 +426,14 @@ func wave(ops ...func() error) error {
 	return pipe.FanOut(len(ops), len(ops), func(i int) error { return ops[i]() })
 }
 
-// openBase fetches the base version's recipe index and segment directory
-// in one wave: two objects, neither needed to find the other — and, for a
-// base found by similarity (not through the catalog), its catalog entry in
-// the same wave. The job has a base only if all arrive.
+// openBase fetches the base version's recipe index, segment directory and
+// catalog entry in one wave: three objects, none needed to find another.
+// The job has a base only if all arrive — except that a name base's entry,
+// kept for the mark phase, may be missing: then there is nothing to mark.
 func (j *backupJob) openBase(fileID string, version int, similar bool) error {
 	var idx *recipe.Index
 	var rd *recipe.SegmentReader
+	var info *recipe.VersionInfo
 	if err := wave(func() (err error) {
 		if idx, err = j.recipes.GetIndex(fileID, version); err != nil {
 			return fmt.Errorf("lnode: fetch recipe index: %w", err)
@@ -435,14 +445,16 @@ func (j *backupJob) openBase(fileID string, version int, similar bool) error {
 		}
 		return nil
 	}, func() (err error) {
-		if similar {
-			_, err = j.recipes.GetInfo(fileID, version)
+		// Only a missing entry means there is nothing to mark; a fault or a
+		// corrupt entry must not silently leak the garbage candidates.
+		if info, err = j.recipes.GetInfo(fileID, version); !similar && errors.Is(err, oss.ErrNotFound) {
+			return nil
 		}
 		return err
 	}); err != nil {
 		return err
 	}
-	j.baseIndex, j.baseReader = idx, rd
+	j.baseIndex, j.baseReader, j.baseInfo = idx, rd, info
 	return nil
 }
 
@@ -816,20 +828,22 @@ func (j *backupJob) flushPending() error {
 
 // persist implements STEP 3 plus the bookkeeping G-node depends on:
 // sparse-container detection and the version-collection mark phase. After
-// the container durability barrier it is three round trips deep: one wave
-// (recipe, index and sketch out; previous catalog entry and container
-// metadata in), the previous version's catalog entry if the mark phase
-// found garbage, and the new version's catalog entry — last, because it is
-// the commit point (DESIGN.md §6, §13).
+// the payload barrier it is two round trips deep, three when the mark phase
+// finds garbage: one wave (the new containers' metas, the recipe, its index
+// and the sketch out; the metas of containers the job did not write in),
+// the previous version's catalog entry if it is marked, and the new
+// version's catalog entry — last, because it is the commit point
+// (DESIGN.md §6, §13).
 func (j *backupJob) persist(fileID string) error {
 	if err := j.builder.Flush(); err != nil {
 		return fmt.Errorf("lnode: flush containers: %w", err)
 	}
-	// Barrier: every container must be durable before the recipe that
-	// references it lands (and before sparse detection reads metas back).
+	// Barrier: every payload is durable before any meta names it, and every
+	// meta before the catalog entry of the recipe that references it.
 	pool := j.pool
 	j.pool = nil
-	if err := pool.Close(); err != nil {
+	sealed, err := pool.Close()
+	if err != nil {
 		return fmt.Errorf("lnode: pack containers: %w", err)
 	}
 
@@ -847,13 +861,14 @@ func (j *backupJob) persist(fileID string) error {
 	}
 	sort.Slice(refList, func(a, b int) bool { return refList[a] < refList[b] })
 
-	// One wave for everything the commit needs that depends on nothing but
-	// the durable containers: the recipe, its index and the sketch go out,
-	// the previous version's catalog entry (mark phase) and the referenced
-	// containers' metadata (sparse detection; mostly cached, read over the
-	// now idle upload channels) come in. None of the three objects is
-	// visible before the version-info put at the end.
-	var prevInfo *recipe.VersionInfo
+	// One wave of everything that depends only on the durable payloads: the
+	// new metas, the recipe, its index and the sketch go out, the other
+	// referenced containers' metas (sparse detection; mostly cached) come in.
+	// No catalog entry names any of them before the put at the end.
+	fresh := make(map[container.ID]*container.Meta, len(sealed))
+	for _, m := range sealed {
+		fresh[m.ID] = m
+	}
 	metas := make([]*container.Meta, len(refList))
 	if err := wave(func() error {
 		_, err := j.recipes.PutRecipe(r)
@@ -863,19 +878,11 @@ func (j *backupJob) persist(fileID string) error {
 	}, func() error {
 		return j.node.repo.SimIndex.Put(fileID, j.stats.Version,
 			simindex.SketchOf(j.sampled, simindex.DefaultSketchSize))
-	}, func() (err error) {
-		if j.stats.BaseBy != "name" {
-			return nil
-		}
-		// Only a missing entry means there is nothing to mark; a fault or
-		// a corrupt entry must not silently leak the garbage candidates.
-		prevInfo, err = j.recipes.GetInfo(fileID, j.stats.Version-1)
-		if err != nil && !errors.Is(err, oss.ErrNotFound) {
-			return fmt.Errorf("lnode: mark phase: %w", err)
-		}
-		return nil
 	}, func() error {
-		return pipe.FanOut(len(refList), packWorkers, func(i int) (err error) {
+		return pipe.FanOut(len(refList), metaWave, func(i int) (err error) {
+			if metas[i] = fresh[refList[i]]; metas[i] != nil {
+				return j.containers.WriteMeta(metas[i])
+			}
 			// A container carried over from the base's records may be gone:
 			// another file's compaction moved its last chunks out. What is
 			// gone cannot be sparse; its chunks must resolve (below).
@@ -913,23 +920,25 @@ func (j *backupJob) persist(fileID string) error {
 		}
 	}
 
+	// Version-collection mark phase (§VI-B): containers referenced by the
+	// previous version but not this one become garbage candidates associated
+	// with the previous version. The put is not in the wave: there a crash
+	// could land it without the commit, and which of the wave's puts landed
+	// first would decide what the previous entry lists after the next commit.
 	prevSet := make(map[container.ID]bool)
-	if prevInfo != nil {
-		for _, id := range prevInfo.Containers {
+	if prev := j.baseInfo; prev != nil && j.stats.BaseBy == "name" {
+		marked := false
+		for _, id := range prev.Containers {
 			prevSet[id] = true
-		}
-		// Version-collection mark phase (§VI-B): containers referenced
-		// by the previous version but not this one become garbage
-		// candidates associated with the previous version.
-		var garbage []container.ID
-		for _, id := range prevInfo.Containers {
-			if _, still := refs[id]; !still {
-				garbage = append(garbage, id)
+			if refs[id] == 0 {
+				marked = true
+				if !slices.Contains(prev.Garbage, id) {
+					prev.Garbage = append(prev.Garbage, id)
+				}
 			}
 		}
-		if len(garbage) > 0 {
-			prevInfo.Garbage = appendUnique(prevInfo.Garbage, garbage)
-			if err := j.recipes.PutInfo(prevInfo); err != nil {
+		if marked {
+			if err := j.recipes.PutInfo(prev); err != nil {
 				return err
 			}
 		}
@@ -965,18 +974,4 @@ func (j *backupJob) persist(fileID string) error {
 		Containers:  refList,
 	}
 	return j.recipes.PutInfo(info)
-}
-
-func appendUnique(dst []container.ID, add []container.ID) []container.ID {
-	seen := make(map[container.ID]bool, len(dst))
-	for _, id := range dst {
-		seen[id] = true
-	}
-	for _, id := range add {
-		if !seen[id] {
-			seen[id] = true
-			dst = append(dst, id)
-		}
-	}
-	return dst
 }

@@ -435,59 +435,80 @@ func TestSegmentReadAheadTwin(t *testing.T) {
 	}
 }
 
-// TestCommitWave: the recipe, index and sketch puts of a commit, and the
-// read of the previous catalog entry, are in flight together, and no
-// catalog put starts before all of them have returned — the version-info
-// object stays the last write and the commit point (DESIGN.md §6).
+// TestCommitWave: a backup's commit begins only after its payloads. Every
+// new container's meta put and the recipe, index and sketch puts are in
+// flight together; none begins before the job's last payload put has
+// returned, so each meta names a payload already stored. The previous
+// version's garbage mark begins after all of them have returned, and the new
+// version's catalog put after the mark, as the backup's last put — the
+// commit point (DESIGN.md §6).
 func TestCommitWave(t *testing.T) {
-	probe := newProbe(oss.NewMem())
-	repo, err := core.OpenRepo(probe.store, testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := New(repo, "l0")
 	data := genData(85, 2<<20)
-	if _, err := n.Backup("f", data); err != nil {
-		t.Fatal(err)
-	}
+	// The second half is new: v0's containers of it become garbage (a mark
+	// put) and v1 writes containers of its own.
+	next := append(bytes.Clone(data[:1<<20]), genData(86, 1<<20)...)
+	isMetaPut := func(op oss.Op) bool { return op.Kind == oss.KindPut && strings.HasSuffix(op.Key, ".meta") }
 	commitReq := func(op oss.Op) bool {
-		return op.Kind == oss.KindPut && (strings.HasPrefix(op.Key, "recipes/") || strings.HasPrefix(op.Key, "simindex/")) ||
-			op.Kind == oss.KindGet && strings.HasPrefix(op.Key, "catalog/")
+		return isMetaPut(op) || op.Kind == oss.KindPut && (strings.HasPrefix(op.Key, "recipes/") || strings.HasPrefix(op.Key, "simindex/"))
 	}
-	probe.rec.Take()
-	probe.bar.Expect(commitReq, 4)
-	if _, err := n.Backup("f", mutate(data, 86, 60)); err != nil {
-		t.Fatal(err)
-	}
-	if err := probe.bar.Err(); err != nil {
-		t.Fatalf("the commit's independent round trips were not issued together: %v", err)
-	}
-	commit := probe.rec.Requests(commitReq)
-	puts := probe.rec.Requests(func(op oss.Op) bool { return op.Kind == oss.KindPut })
-	for _, put := range puts {
-		if !strings.HasPrefix(put.Key, "catalog/") {
+	// A first run counts the metas the held one must wait for.
+	metas := 0
+	for _, held := range []bool{false, true} {
+		probe := newProbe(oss.NewMem())
+		repo, err := core.OpenRepo(probe.store, testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := New(repo, "l0")
+		if _, err := n.Backup("f", data); err != nil {
+			t.Fatal(err)
+		}
+		probe.rec.Take()
+		if held {
+			probe.bar.Expect(commitReq, metas+3)
+		}
+		if _, err := n.Backup("f", next); err != nil {
+			t.Fatal(err)
+		}
+		if !held {
+			if metas = len(probe.rec.Requests(isMetaPut)); metas == 0 {
+				t.Fatal("fixture: the second backup wrote no container")
+			}
 			continue
 		}
-		seen, open := 0, 0
-		for _, q := range commit {
-			if q.Begin < put.Begin {
-				seen++
-				if q.End == 0 || q.End > put.Begin {
-					open++
-				}
+		if err := probe.bar.Err(); err != nil {
+			t.Fatalf("the commit's independent puts were not issued together: %v", err)
+		}
+		puts := probe.rec.Requests(func(op oss.Op) bool { return op.Kind == oss.KindPut })
+		lastData, payloads := 0, map[string]int{} // payload key → when its put returned
+		for _, q := range puts {
+			if isData(q.Op) {
+				lastData, payloads[q.Key] = max(lastData, q.End), q.End
 			}
 		}
-		if seen != 4 || open != 0 {
-			t.Fatalf("%s started with %d of 4 commit requests issued, %d unfinished", put.Op, seen, open)
+		if len(puts) < 2 || !strings.HasSuffix(puts[len(puts)-2].Key, "00000000.info") || !strings.HasSuffix(puts[len(puts)-1].Key, "00000001.info") {
+			t.Fatalf("the backup's puts do not end with v0's mark, then v1's catalog entry: %v", puts[max(0, len(puts)-2):])
 		}
-	}
-	if last := puts[len(puts)-1]; !strings.HasSuffix(last.Key, "00000001.info") {
-		t.Errorf("last put of the backup is %q, want the new version's info", last.Op)
+		mark, commit := puts[len(puts)-2], puts[len(puts)-1]
+		for _, q := range probe.rec.Requests(commitReq) {
+			if q.Begin < lastData {
+				t.Errorf("%s began before the job's last payload put returned", q.Op)
+			}
+			if end, ok := payloads[strings.TrimSuffix(q.Key, ".meta")+".data"]; isMetaPut(q.Op) && (!ok || end == 0 || end > q.Begin) {
+				t.Errorf("%s began before its payload put returned", q.Op)
+			}
+			if q.End == 0 || q.End > mark.Begin {
+				t.Errorf("%s had not returned when the mark put began", q.Op)
+			}
+		}
+		if mark.End == 0 || mark.End > commit.Begin {
+			t.Errorf("%s had not returned when the catalog put began", mark.Op)
+		}
 	}
 }
 
-// TestOpenBaseWave: the base version's recipe index and segment directory
-// are fetched together.
+// TestOpenBaseWave: the base version's recipe index, segment directory and
+// catalog entry — the mark phase's input — are fetched together.
 func TestOpenBaseWave(t *testing.T) {
 	probe := newProbe(oss.NewMem())
 	repo, err := core.OpenRepo(probe.store, testConfig())
@@ -500,92 +521,151 @@ func TestOpenBaseWave(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe.bar.Expect(func(op oss.Op) bool {
-		return strings.HasSuffix(op.Key, ".index") || strings.HasSuffix(op.Key, ".recipe") && op.Off == 0
-	}, 2)
+		return strings.HasSuffix(op.Key, ".index") || strings.HasSuffix(op.Key, ".recipe") && op.Off == 0 ||
+			op.Kind == oss.KindGet && strings.HasPrefix(op.Key, "catalog/")
+	}, 3)
 	if _, err := n.Backup("f", data); err != nil {
 		t.Fatal(err)
 	}
 	if err := probe.bar.Err(); err != nil {
-		t.Fatalf("index and segment directory were not fetched together: %v", err)
+		t.Fatalf("index, segment directory and catalog entry were not fetched together: %v", err)
 	}
 }
 
 // TestBackupCrashAtEveryMutation: a backup killed at any of its OSS
-// mutations — every put of persist's waves among them, and every delete —
-// leaves, after a reopen, a new version that is either absent from the
-// catalog or restores byte for byte; the previous version always restores,
-// and a retry succeeds.
+// mutations — every payload put and every put of persist's waves among
+// them, and every delete — leaves, plain and over RS(4+2), where a payload
+// put is six puts a crash can cut anywhere: only metas that name a stored,
+// whole payload; after a reopen, a new version that is either absent from
+// the catalog or restores byte for byte; a previous version that always
+// restores; when the new version is absent, a store one FullSweep returns
+// to the baseline's containers, recipes and sketches; and a retry that
+// succeeds.
 func TestBackupCrashAtEveryMutation(t *testing.T) {
-	cfg := testConfig()
-	baseline := oss.NewMem()
-	v0 := optimizedChain(t, baseline, cfg, 88, 1<<20, 1)[0]
-	v1 := mutate(v0, 89, 30)
+	striped := testConfig()
+	striped.ECDataShards, striped.ECParityShards = 4, 2
+	for _, cfg := range []core.Config{testConfig(), striped} {
+		t.Run(fmt.Sprintf("ec=%d+%d", cfg.ECDataShards, cfg.ECParityShards), func(t *testing.T) {
+			t.Parallel()
+			baseline := oss.NewMem()
+			v0 := optimizedChain(t, baseline, cfg, 88, 1<<20, 1)[0]
+			// Edits in the head and a new tail: new containers, and v0's of the
+			// old tail become garbage (a mark put).
+			v1 := append(mutate(v0[:640<<10], 89, 10), genData(89, 512<<10)...)
+			namespaces := []string{container.Prefix, "recipes/", "simindex/", "ec/"}
+			want := keySet(t, baseline, namespaces)
 
-	committed := 0
-	for budget := 0; ; budget++ {
-		if budget > 200 {
-			t.Fatal("backup still failing with a budget of 200 mutations")
-		}
-		mem := oss.NewMem()
-		keys, _ := baseline.List("")
-		for _, k := range keys {
-			b, _ := baseline.Get(k)
-			if err := mem.Put(k, b); err != nil {
-				t.Fatal(err)
+			committed := 0
+			for budget := 0; ; budget++ {
+				if budget > 200 {
+					t.Fatal("backup still failing with a budget of 200 mutations")
+				}
+				mem := cloneMem(t, baseline)
+				// The open spends none of the budget: it mutates nothing.
+				repo, err := core.OpenRepo(oss.With(mem, oss.CrashAfter(budget)), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := New(repo, "l0")
+				_, berr := n.Backup("f", v1)
+
+				repo, err = core.OpenRepo(mem, cfg)
+				if err != nil {
+					t.Fatalf("budget %d: reopen: %v", budget, err)
+				}
+				ids, err := repo.Containers.List()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, id := range ids {
+					if _, err := repo.Containers.Read(id); err != nil {
+						t.Fatalf("budget %d: listed container %s: %v", budget, id, err)
+					}
+				}
+				n = New(repo, "l0")
+				vs, err := repo.Recipes.Versions("f")
+				if err != nil {
+					t.Fatal(err)
+				}
+				switch {
+				case reflect.DeepEqual(vs, []int{0}):
+					if berr == nil {
+						t.Fatalf("budget %d: backup succeeded but registered no version", budget)
+					}
+					swept := cloneMem(t, mem)
+					srepo, err := core.OpenRepo(swept, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := gnode.New(srepo).FullSweep(); err != nil {
+						t.Fatalf("budget %d: sweep: %v", budget, err)
+					}
+					if got := keySet(t, swept, namespaces); !reflect.DeepEqual(got, want) {
+						t.Fatalf("budget %d: swept store differs from the baseline:\ngot  %v\nwant %v", budget, got, want)
+					}
+				case reflect.DeepEqual(vs, []int{0, 1}):
+					committed++
+					if !bytes.Equal(restoreBytes(t, n, "f", 1), v1) {
+						t.Fatalf("budget %d: v1 is registered but restores wrong", budget)
+					}
+				default:
+					t.Fatalf("budget %d: versions %v", budget, vs)
+				}
+				if !bytes.Equal(restoreBytes(t, n, "f", 0), v0) {
+					t.Fatalf("budget %d: v0 no longer restores", budget)
+				}
+				if berr != nil {
+					if !errors.Is(berr, oss.ErrInjected) {
+						t.Fatalf("budget %d: backup error = %v, want the injected fault", budget, berr)
+					}
+					st, err := n.Backup("f", v1)
+					if err != nil {
+						t.Fatalf("budget %d: retry: %v", budget, err)
+					}
+					if !bytes.Equal(restoreBytes(t, n, "f", st.Version), v1) {
+						t.Fatalf("budget %d: retried version restores wrong", budget)
+					}
+				}
+				if berr == nil {
+					break
+				}
 			}
+			if committed == 0 {
+				t.Fatal("no budget let the backup commit")
+			}
+		})
+	}
+}
+
+// cloneMem copies every object of src into a new store.
+func cloneMem(t *testing.T, src *oss.Mem) *oss.Mem {
+	t.Helper()
+	dst := oss.NewMem()
+	keys, err := src.List("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		b, _ := src.Get(k)
+		if err := dst.Put(k, b); err != nil {
+			t.Fatal(err)
 		}
-		// The open spends none of the budget: it mutates nothing.
-		repo, err := core.OpenRepo(oss.With(mem, oss.CrashAfter(budget)), cfg)
+	}
+	return dst
+}
+
+// keySet lists the keys of mem under the given prefixes.
+func keySet(t *testing.T, mem *oss.Mem, prefixes []string) []string {
+	t.Helper()
+	var out []string
+	for _, p := range prefixes {
+		keys, err := mem.List(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := New(repo, "l0")
-		_, berr := n.Backup("f", v1)
-
-		repo, err = core.OpenRepo(mem, cfg)
-		if err != nil {
-			t.Fatalf("budget %d: reopen: %v", budget, err)
-		}
-		n = New(repo, "l0")
-		vs, err := repo.Recipes.Versions("f")
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch {
-		case reflect.DeepEqual(vs, []int{0}):
-			if berr == nil {
-				t.Fatalf("budget %d: backup succeeded but registered no version", budget)
-			}
-		case reflect.DeepEqual(vs, []int{0, 1}):
-			committed++
-			if !bytes.Equal(restoreBytes(t, n, "f", 1), v1) {
-				t.Fatalf("budget %d: v1 is registered but restores wrong", budget)
-			}
-		default:
-			t.Fatalf("budget %d: versions %v", budget, vs)
-		}
-		if !bytes.Equal(restoreBytes(t, n, "f", 0), v0) {
-			t.Fatalf("budget %d: v0 no longer restores", budget)
-		}
-		if berr != nil {
-			if !errors.Is(berr, oss.ErrInjected) {
-				t.Fatalf("budget %d: backup error = %v, want the injected fault", budget, berr)
-			}
-			st, err := n.Backup("f", v1)
-			if err != nil {
-				t.Fatalf("budget %d: retry: %v", budget, err)
-			}
-			if !bytes.Equal(restoreBytes(t, n, "f", st.Version), v1) {
-				t.Fatalf("budget %d: retried version restores wrong", budget)
-			}
-		}
-		if berr == nil {
-			break
-		}
+		out = append(out, keys...)
 	}
-	if committed == 0 {
-		t.Fatal("no budget let the backup commit")
-	}
+	return out
 }
 
 // TestRestoreFailsOnMetaReadFault: only an absent container redirects
@@ -622,8 +702,9 @@ func TestRestoreFailsOnMetaReadFault(t *testing.T) {
 }
 
 // TestBackupFailsOnPreviousInfoFault: a fault reading the previous
-// version's catalog entry fails the backup before its commit point instead
-// of silently skipping the mark phase.
+// version's catalog entry surfaces in the open wave, beside the base's
+// recipe index and segment directory, and fails the backup before it puts
+// anything, instead of silently skipping the mark phase.
 func TestBackupFailsOnPreviousInfoFault(t *testing.T) {
 	mem := oss.NewMem()
 	faulty := oss.NewFaulty(mem)
@@ -640,6 +721,7 @@ func TestBackupFailsOnPreviousInfoFault(t *testing.T) {
 	if len(infos) != 1 {
 		t.Fatalf("catalog: %v", infos)
 	}
+	before, _ := mem.List("")
 	faulty.FailGet(infos[0])
 	_, err = n.Backup("f", mutate(data, 92, 20))
 	if !errors.Is(err, oss.ErrInjected) {
@@ -648,8 +730,8 @@ func TestBackupFailsOnPreviousInfoFault(t *testing.T) {
 	if !strings.Contains(err.Error(), "f v0") {
 		t.Errorf("error %q does not name the previous version", err)
 	}
-	if after, _ := mem.List("catalog/"); !reflect.DeepEqual(after, infos) {
-		t.Fatalf("failed backup changed the catalog: %v", after)
+	if after, _ := mem.List(""); !reflect.DeepEqual(after, before) {
+		t.Fatalf("failed backup stored objects:\nbefore %v\nafter  %v", before, after)
 	}
 }
 

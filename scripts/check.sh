@@ -62,6 +62,10 @@ go test -race -count=1 -cpu 1,4 -run 'CompactSparse|MatchesSerial' ./internal/gn
 # Store bytes at G-node widths -1 and 4, plain and striped: the rewrites'
 # fresh payload IDs are drawn in container order, whatever the scheduler does.
 go test -count=3 -cpu 1,4 -run 'StoreBytesTwin' .
+# A chaos seed replays one schedule at one P and at four: which mutation a
+# crash cuts does not depend on how a backup's puts race (~15 s; under
+# -race the same line takes ~200 s, so it runs without).
+go test -count=3 -cpu 1,4 -run SameSeedSameSchedule ./internal/chaos/
 
 # cmd/slimstore has no Go test: drive every subcommand once against
 # directory repositories of three layouts and compare what comes back.
