@@ -94,9 +94,6 @@ func (b *Bloom) MayContain(fp fingerprint.FP) bool {
 // Len returns the number of Add calls.
 func (b *Bloom) Len() int { return b.n }
 
-// Bits returns the filter size in bits.
-func (b *Bloom) Bits() int { return b.m }
-
 // Reset clears the filter.
 func (b *Bloom) Reset() {
 	for i := range b.bits {

@@ -67,7 +67,7 @@ type Result struct {
 
 	Crashes             int // mutations killed by oss.CrashAfter
 	Reboots             int // repository reopens (the index's WAL replay runs each time)
-	FaultedReads        int // restores under a transient read-fault rate
+	FaultedReads        int // restores, scrubs and sweeps under a transient read-fault rate
 	CorruptionsInjected int // payloads rotted at rest, beyond any redundancy
 
 	Outages, ShardsRotted           int           // backends taken dark, shard objects bit-flipped at rest (EC)
@@ -80,7 +80,7 @@ type Result struct {
 
 	LoudFailures                int // operations that failed with a cause outstanding
 	RepairedChunks, Quarantined int
-	DataLossDetected            int // versions scrub declared unrecoverable (loudly)
+	DataLossDetected            int // versions lost to rot, retired after the scrub that met it
 	SilentCorruptions           int // restores returning wrong bytes — must stay 0
 	LiveVersions                int // versions alive and verified byte-identical after heal
 }
@@ -391,7 +391,8 @@ func (h *harness) excuse(op string, err error, armed bool) error {
 // to) or, with data nil, vanish; f nil changes no version.
 type mutation struct {
 	name   string
-	budget int // the crash lands before mutation rand(budget) of the store
+	budget int  // the crash lands before mutation rand(budget) of the store
+	reads  bool // one time in five, run under a transient read-fault rate
 	call   func() error
 	count  *int // of the calls that succeeded
 	f      *file
@@ -405,6 +406,7 @@ type mutation struct {
 // K+M shard requests, and that stripe is one no meta names: a payload is
 // written once, before the meta that names it, and deleted after.
 func (h *harness) mutate(m mutation) (ok bool, err error) {
+	faulted := m.reads && h.faultReads()
 	n, crash := h.rng.Intn(m.budget), (*oss.Crash)(nil)
 	if h.rng.Intn(4) == 0 && !h.healing {
 		crash = oss.CrashAfter(n)
@@ -412,14 +414,27 @@ func (h *harness) mutate(m mutation) (ok bool, err error) {
 	}
 	err = m.call()
 	h.w.crash.Store(nil)
+	h.w.faulty.FailRate(0)
 	// A spent budget is a dead process, whatever the call returned.
-	return h.finish(m, err, crash != nil && crash.Spent() == n)
+	return h.finish(m, err, crash != nil && crash.Spent() == n, faulted)
+}
+
+// faultReads arms a transient read-fault rate one time in five, never while
+// healing, and reports whether it did; the caller disarms it.
+func (h *harness) faultReads() bool {
+	if h.healing || h.rng.Intn(5) != 0 {
+		return false
+	}
+	h.w.faulty.SetRand(rand.New(rand.NewSource(h.rng.Int63())))
+	h.w.faulty.FailRate(0.05)
+	h.res.FaultedReads++
+	return true
 }
 
 // finish settles a mutation that returned err: a failure must have a cause,
 // the process is restarted, and the store says what became of the version.
-func (h *harness) finish(m mutation, err error, crashed bool) (bool, error) {
-	if xerr := h.excuse(m.name, err, crashed || len(h.dark) > 0); xerr != nil {
+func (h *harness) finish(m mutation, err error, crashed, faulted bool) (bool, error) {
+	if xerr := h.excuse(m.name, err, crashed || faulted || len(h.dark) > 0); xerr != nil {
 		return false, xerr
 	}
 	if crashed {
@@ -501,11 +516,8 @@ func (h *harness) opRestore(ranged bool) error {
 	}
 	v := f.versions[h.rng.Intn(len(f.versions))]
 	// One in five runs under a transient read-fault rate: it may fail loudly, not inexactly.
-	faulted := h.rng.Intn(5) == 0
+	faulted := h.faultReads()
 	if faulted {
-		h.w.faulty.SetRand(rand.New(rand.NewSource(h.rng.Int63())))
-		h.w.faulty.FailRate(0.05)
-		h.res.FaultedReads++
 		defer h.w.faulty.FailRate(0)
 	}
 	var off, n int64
@@ -586,7 +598,7 @@ func (h *harness) flip(s oss.Store, key string) error {
 
 // scrub is the scrub as a mutation.
 func (h *harness) scrub() mutation {
-	return mutation{name: "scrub", budget: 60, count: &h.res.Scrubs, call: func() (err error) {
+	return mutation{name: "scrub", budget: 60, reads: true, count: &h.res.Scrubs, call: func() (err error) {
 		h.sc, err = h.w.gn.Scrub()
 		return err
 	}}
@@ -601,8 +613,10 @@ func (h *harness) opScrub() error {
 
 // scrubbed accounts for a scrub that ran to its end: every outstanding
 // flip is now repaired or quarantined, every shard it could reach
-// rewritten, and the versions it declared lost are retired.
+// rewritten, and the versions rot cost are retired. Only rot may cost one:
+// a version lost after a scrub that met no payload or shard rot fails the run.
 func (h *harness) scrubbed() error {
+	rot := h.dirty || len(h.rotted) > 0
 	h.opts.Log("  scrub: %+v", *h.sc)
 	h.res.RepairedChunks += h.sc.RepairedChunks
 	h.res.Quarantined += len(h.sc.Quarantined)
@@ -619,15 +633,15 @@ func (h *harness) scrubbed() error {
 	}
 	h.dirty = false
 	h.lift()
-	_, err := h.audit(h.w, true)
+	_, err := h.audit(h.w, rot)
 	return err
 }
 
 // audit restores every model version on w, whole and by range, no fault armed,
 // and counts the ones that live. A loud failure is an error unless rot is
-// outstanding or — after a scrub — retire is set: then it is detected data loss,
-// and the version is retired from the store too, as an operator would (left
-// registered, it would keep the store numbering above it).
+// outstanding or — after a scrub that met rot — retire is set: then it is
+// detected data loss, and the version is retired from the store too, as an
+// operator would (left registered, it would keep the store numbering above it).
 func (h *harness) audit(w *world, retire bool) (live int, err error) {
 	for _, f := range h.files {
 		for i := len(f.versions) - 1; i >= 0; i-- {
@@ -655,7 +669,7 @@ func (h *harness) audit(w *world, retire bool) (live int, err error) {
 }
 
 func (h *harness) opSweep() error {
-	ok, err := h.mutate(mutation{name: "sweep", budget: 40, count: &h.res.Sweeps, call: func() error {
+	ok, err := h.mutate(mutation{name: "sweep", budget: 40, reads: true, count: &h.res.Sweeps, call: func() error {
 		_, err := h.w.gn.FullSweep()
 		return err
 	}})
@@ -695,7 +709,7 @@ func (h *harness) opStorm() error {
 	if err := errors.Join(errs...); err != nil {
 		return err
 	}
-	if ok, err := h.finish(m, err, false); !ok {
+	if ok, err := h.finish(m, err, false, false); !ok {
 		return err
 	}
 	return h.scrubbed()

@@ -210,8 +210,8 @@ func TestStreamSkipCut(t *testing.T) {
 	}
 	// Failed skip: rewind restores the position.
 	s.Rewind(ch.Offset)
-	if s.Pos() != 0 || s.BytesSkipped() != 0 {
-		t.Fatalf("Rewind failed: pos=%d skipped=%d", s.Pos(), s.BytesSkipped())
+	if s.Pos() != 0 {
+		t.Fatalf("Rewind failed: pos=%d", s.Pos())
 	}
 	// Skip past the end fails without consuming.
 	if _, ok := s.SkipCut(len(data) + 1); ok {
@@ -236,9 +236,6 @@ func TestStreamSkipCut(t *testing.T) {
 	}
 	if total != len(data) {
 		t.Fatalf("consumed %d bytes, want %d", total, len(data))
-	}
-	if got := s.BytesScanned() + s.BytesSkipped(); got != int64(len(data)) {
-		t.Fatalf("scanned+skipped = %d, want %d", got, len(data))
 	}
 }
 

@@ -23,9 +23,6 @@ type Stream struct {
 	cutter Cutter
 	acct   *simclock.Account
 	costs  simclock.Costs
-
-	scanned int64 // bytes scanned by the CDC sliding window
-	skipped int64 // bytes consumed by skip cuts
 }
 
 // NewStream returns a stream over data. acct may be nil to disable
@@ -37,12 +34,10 @@ func NewStream(data []byte, c Cutter, acct *simclock.Account, costs simclock.Cos
 // Reset rewinds the stream onto a new buffer, keeping the cutter and
 // accounting configuration. Per-version streams reuse one Stream value
 // instead of reallocating; a reset stream produces exactly the cuts a
-// fresh NewStream over the same buffer would. The scanned/skipped
-// counters restart at zero.
+// fresh NewStream over the same buffer would.
 func (s *Stream) Reset(data []byte) {
 	s.data = data
 	s.pos = 0
-	s.scanned, s.skipped = 0, 0
 }
 
 // StartAt positions a fresh stream at off: the bytes before it were cut
@@ -59,12 +54,6 @@ func (s *Stream) Remaining() int { return len(s.data) - s.pos }
 // Done reports whether the whole file has been consumed.
 func (s *Stream) Done() bool { return s.pos >= len(s.data) }
 
-// BytesScanned returns how many bytes were scanned byte-by-byte by CDC.
-func (s *Stream) BytesScanned() int64 { return s.scanned }
-
-// BytesSkipped returns how many bytes were consumed by skip cuts.
-func (s *Stream) BytesSkipped() int64 { return s.skipped }
-
 // Next cuts the next chunk with the CDC algorithm, charging the cutter's
 // per-byte cost for the scanned bytes. It returns false when the stream is
 // exhausted.
@@ -78,7 +67,6 @@ func (s *Stream) Next() (Chunk, bool) {
 	}
 	ch := Chunk{Offset: int64(s.pos), Data: s.data[s.pos : s.pos+n]}
 	s.pos += n
-	s.scanned += int64(n)
 	if s.acct != nil {
 		s.acct.ChargeCPUBytes(simclock.PhaseChunking, int64(n), s.cutter.PerByteCost(s.costs))
 	}
@@ -96,7 +84,6 @@ func (s *Stream) SkipCut(n int) (Chunk, bool) {
 	}
 	ch := Chunk{Offset: int64(s.pos), Data: s.data[s.pos : s.pos+n]}
 	s.pos += n
-	s.skipped += int64(n)
 	if s.acct != nil {
 		s.acct.ChargeCPUBytes(simclock.PhaseChunking, int64(n), s.costs.SkipVerifyPerByte)
 	}
@@ -109,7 +96,6 @@ func (s *Stream) Rewind(off int64) {
 	if int(off) < 0 || int(off) > s.pos {
 		return
 	}
-	s.skipped -= int64(s.pos) - off
 	s.pos = int(off)
 }
 

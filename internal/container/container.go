@@ -309,17 +309,17 @@ func EncodeMeta(m *Meta) []byte {
 	return append(buf, crc[:]...)
 }
 
-// DecodeMeta parses container metadata. An object failing its trailer
-// checksum returns a *CorruptError.
+// DecodeMeta parses container metadata. Every rejection wraps ErrCorrupt;
+// an object failing its trailer checksum returns a *CorruptError.
 func DecodeMeta(b []byte) (*Meta, error) {
 	if len(b) < 8 || binary.LittleEndian.Uint32(b[0:4]) != metaMagic {
-		return nil, fmt.Errorf("container: not a meta: bad magic, or %d bytes", len(b))
+		return nil, fmt.Errorf("%w: not a meta: bad magic, or %d bytes", ErrCorrupt, len(b))
 	}
 	if v := binary.LittleEndian.Uint32(b[4:8]); v != MetaV3 {
-		return nil, fmt.Errorf("container: unsupported meta version %d (this build reads %d, which names the payload's ID)", v, MetaV3)
+		return nil, fmt.Errorf("%w: unsupported meta version %d (this build reads %d, which names the payload's ID)", ErrCorrupt, v, MetaV3)
 	}
 	if len(b) < metaHeader+4 {
-		return nil, fmt.Errorf("container: meta too short (%d bytes)", len(b))
+		return nil, fmt.Errorf("%w: meta too short (%d bytes)", ErrCorrupt, len(b))
 	}
 	m := &Meta{
 		ID:       ID(binary.LittleEndian.Uint64(b[8:16])),
@@ -328,7 +328,7 @@ func DecodeMeta(b []byte) (*Meta, error) {
 	}
 	n := int(binary.LittleEndian.Uint32(b[24:28]))
 	if len(b) != metaHeader+n*chunkMetaWire+4 {
-		return nil, fmt.Errorf("container: meta size %d does not match %d chunks", len(b), n)
+		return nil, fmt.Errorf("%w: meta size %d does not match %d chunks", ErrCorrupt, len(b), n)
 	}
 	stored := binary.LittleEndian.Uint32(b[len(b)-4:])
 	if got := ChecksumOf(b[:len(b)-4]); got != stored {

@@ -68,6 +68,27 @@ func TestMetaV1Rejected(t *testing.T) {
 	}
 }
 
+// TestMetaRejectionsAreCorrupt: every way DecodeMeta refuses an object wraps
+// ErrCorrupt, which scrub takes for damage — never for a read that failed.
+func TestMetaRejectionsAreCorrupt(t *testing.T) {
+	m := &Meta{ID: 5, Payload: 6, DataSize: 30}
+	fp, _ := chunkOf(1, 8)
+	m.Chunks = append(m.Chunks, ChunkMeta{FP: fp, Size: 30, Sum: 123})
+	good := EncodeMeta(m)
+	damage := map[string]func(b []byte) []byte{
+		"bad magic":   func(b []byte) []byte { b[0] ^= 1; return b },
+		"old version": func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:8], 2); return b },
+		"too short":   func(b []byte) []byte { return b[:12] },
+		"size":        func(b []byte) []byte { return b[:len(b)-1] },
+		"checksum":    func(b []byte) []byte { b[30] ^= 1; return b },
+	}
+	for name, damage := range damage {
+		if _, err := DecodeMeta(damage(bytes.Clone(good))); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: %v, want an error wrapping ErrCorrupt", name, err)
+		}
+	}
+}
+
 func TestMetaTrailerDetectsCorruption(t *testing.T) {
 	m := &Meta{ID: 5, DataSize: 30}
 	fp, _ := chunkOf(1, 8)

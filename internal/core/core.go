@@ -71,10 +71,6 @@ type Config struct {
 	// referenced by the current backup is recorded as sparse (§V-B).
 	// Default 0.3.
 	SparseUtilization float64
-	// RewriteStaleThreshold is the deleted-chunk proportion at which
-	// reverse deduplication physically rewrites a container (§VI-A).
-	// Default 0.2.
-	RewriteStaleThreshold float64
 
 	// Restore cache sizing (§V-A). The FV cache's disk layer is held in
 	// memory and its local-disk cost charged in virtual time
@@ -140,27 +136,26 @@ type Config struct {
 // DefaultConfig returns the paper's evaluation configuration.
 func DefaultConfig() Config {
 	return Config{
-		ChunkAlgo:             "fastcdc",
-		ChunkParams:           chunker.DefaultParams(),
-		FingerprintAlg:        fingerprint.SHA1,
-		SegmentChunks:         256,
-		SampleRatio:           32,
-		SimilarityMinScore:    0.1,
-		DedupCacheSegments:    256,
-		SkipChunking:          true,
-		ChunkMerging:          true,
-		MergeThreshold:        5,
-		MaxSuperChunkBytes:    2 << 20,
-		ContainerCapacity:     4 << 20,
-		SparseUtilization:     0.3,
-		RewriteStaleThreshold: 0.2,
-		CacheMemBytes:         256 << 20,
-		CacheDiskBytes:        1 << 30,
-		LAWChunks:             4096,
-		RestorePolicy:         "fv",
-		PrefetchThreads:       6,
-		MaintWorkers:          4,
-		Costs:                 simclock.DefaultCosts(),
+		ChunkAlgo:          "fastcdc",
+		ChunkParams:        chunker.DefaultParams(),
+		FingerprintAlg:     fingerprint.SHA1,
+		SegmentChunks:      256,
+		SampleRatio:        32,
+		SimilarityMinScore: 0.1,
+		DedupCacheSegments: 256,
+		SkipChunking:       true,
+		ChunkMerging:       true,
+		MergeThreshold:     5,
+		MaxSuperChunkBytes: 2 << 20,
+		ContainerCapacity:  4 << 20,
+		SparseUtilization:  0.3,
+		CacheMemBytes:      256 << 20,
+		CacheDiskBytes:     1 << 30,
+		LAWChunks:          4096,
+		RestorePolicy:      "fv",
+		PrefetchThreads:    6,
+		MaintWorkers:       4,
+		Costs:              simclock.DefaultCosts(),
 	}
 }
 
@@ -186,7 +181,6 @@ func (c *Config) fillDefaults() {
 	orDefault(&c.MaxSuperChunkBytes, d.MaxSuperChunkBytes)
 	orDefault(&c.ContainerCapacity, d.ContainerCapacity)
 	orDefault(&c.SparseUtilization, d.SparseUtilization)
-	orDefault(&c.RewriteStaleThreshold, d.RewriteStaleThreshold)
 	orDefault(&c.CacheMemBytes, d.CacheMemBytes)
 	orDefault(&c.LAWChunks, d.LAWChunks)
 	orDefault(&c.RestorePolicy, d.RestorePolicy)

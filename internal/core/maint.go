@@ -8,6 +8,7 @@ import (
 	"slimstore/internal/fingerprint"
 	"slimstore/internal/globalindex"
 	"slimstore/internal/oss"
+	"slimstore/internal/pipe"
 )
 
 // This file holds the multi-object steps the G-node's passes share: a
@@ -113,12 +114,14 @@ func (r *Repo) WriteRebuilt(cs *container.Store, nc *container.Container, was co
 	return cs.DeletePayload(was)
 }
 
-// ReadMetas reads the metas of ids in one fan-out; metas[i] is nil when the
-// meta of ids[i] is not found — the container is gone. Any other failure is
-// returned: no delete may follow from a read that failed.
-func (r *Repo) ReadMetas(cs *container.Store, ids []container.ID) ([]*container.Meta, error) {
+// ReadMetas reads the metas of ids in one fan-out, width wide (pipe.FanOut:
+// ≤ 1 is the serial loop); metas[i] is nil when the meta of ids[i] is not
+// found — the container is gone. Any other failure is returned: no delete,
+// redirect or quarantine may follow from a read that failed. It is the one
+// reader of a set of metas (DESIGN.md §6).
+func (r *Repo) ReadMetas(cs *container.Store, ids []container.ID, width int) ([]*container.Meta, error) {
 	metas := make([]*container.Meta, len(ids))
-	return metas, r.ForEach(len(ids), func(i int) (err error) {
+	return metas, pipe.FanOut(len(ids), width, func(i int) (err error) {
 		if metas[i], err = cs.ReadMeta(ids[i]); errors.Is(err, oss.ErrNotFound) {
 			return nil
 		}
@@ -140,7 +143,7 @@ func (r *Repo) DropContainers(cs *container.Store, ids []container.ID) (int64, i
 	if len(ids) == 0 {
 		return 0, 0, nil
 	}
-	metas, err := r.ReadMetas(cs, ids)
+	metas, err := r.ReadMetas(cs, ids, r.Config.MaintWorkers)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -9,6 +9,11 @@ import (
 // survive — the stripe is unrecoverable and the loss must surface loudly.
 var ErrInsufficient = errors.New("ec: insufficient shards to reconstruct")
 
+// ErrUnavailable marks an ErrInsufficient read that reads which failed on
+// the way — a backend dark, a transient fault — kept short of K shards:
+// nothing says the object is damaged, and a later read may succeed.
+var ErrUnavailable = errors.New("ec: shards unavailable")
+
 // Codec is a systematic RS(K+M) erasure codec: shards 0..K-1 carry the
 // data verbatim (contiguous split), shards K..K+M-1 carry parity. Any K of
 // the K+M shards reconstruct the original. Safe for concurrent use.

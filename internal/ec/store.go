@@ -148,21 +148,21 @@ func (s *Store) Put(key string, data []byte) error {
 	return nil
 }
 
-// fetchShard reads and validates shard i of key. ok=false with notFound
-// reporting whether the miss was a plain absent object (as opposed to an
-// outage, rot, or a shard of another stripe).
-func (s *Store) fetchShard(key string, i int) (h ShardHeader, payload []byte, ok, notFound bool) {
+// fetchShard reads and validates shard i of key. ok=false with err nil is
+// a shard that was read and is unusable (rot, a shard of another stripe);
+// err is the read's own failure — not found, or failed on the way.
+func (s *Store) fetchShard(key string, i int) (h ShardHeader, payload []byte, ok bool, err error) {
 	raw, err := s.backends[i].Store.Get(key)
 	if err != nil {
-		return h, nil, false, errors.Is(err, oss.ErrNotFound)
+		return h, nil, false, err
 	}
-	h, payload, err = DecodeShard(raw)
-	if err != nil || h.Index != i || h.K != s.codec.K() || h.M != s.codec.M() ||
+	h, payload, derr := DecodeShard(raw)
+	if derr != nil || h.Index != i || h.K != s.codec.K() || h.M != s.codec.M() ||
 		h.StripeID != StripeIDOf(key) {
-		return h, nil, false, false
+		return h, nil, false, nil
 	}
 	s.chargeRead(i, len(raw))
-	return h, payload, true, false
+	return h, payload, true, nil
 }
 
 // stripe is the validated view of one key across the backends. The first
@@ -174,6 +174,7 @@ type stripe struct {
 	present  int          // shards that agree with hdr
 	notFound int          // slots where the shard object simply does not exist
 	failed   int          // slots lost to outage, rot, or a disagreeing header
+	unread   int          // of failed, the slots whose read failed on the way
 }
 
 // fetch reads shards [lo, hi) of key into st.
@@ -182,7 +183,7 @@ func (s *Store) fetch(key string, st *stripe, lo, hi int) {
 		st.payloads = make([][]byte, s.codec.K()+s.codec.M())
 	}
 	for i := lo; i < hi; i++ {
-		h, payload, ok, notFound := s.fetchShard(key, i)
+		h, payload, ok, err := s.fetchShard(key, i)
 		if ok && st.hdr == nil {
 			st.hdr = &h
 		}
@@ -190,8 +191,11 @@ func (s *Store) fetch(key string, st *stripe, lo, hi int) {
 		case ok && h.ObjLen == st.hdr.ObjLen && h.ObjCRC == st.hdr.ObjCRC:
 			st.payloads[i] = payload
 			st.present++
-		case notFound:
+		case errors.Is(err, oss.ErrNotFound):
 			st.notFound++
+		case err != nil:
+			st.unread++
+			fallthrough
 		default:
 			st.failed++
 		}
@@ -199,10 +203,15 @@ func (s *Store) fetch(key string, st *stripe, lo, hi int) {
 }
 
 // insufficient is the loud end of a stripe with fewer than K shards that
-// agree: more than M lost.
+// agree: more than M lost — or, ErrUnavailable, kept short of K by reads
+// that failed on the way, which a later read may not meet.
 func (s *Store) insufficient(op, key string, st *stripe) error {
-	return fmt.Errorf("ec: %s %s: %w (%d of %d shards readable, %d unreadable; need %d)",
+	err := fmt.Errorf("ec: %s %s: %w (%d of %d shards readable, %d unreadable; need %d)",
 		op, key, ErrInsufficient, st.present, s.codec.K()+s.codec.M(), st.failed, s.codec.K())
+	if st.present+st.unread >= s.codec.K() {
+		return fmt.Errorf("%w: %w", ErrUnavailable, err)
+	}
+	return err
 }
 
 // bad lists the slots of st holding no usable shard.
@@ -273,32 +282,30 @@ func (s *Store) Get(key string) ([]byte, error) {
 }
 
 // probeHeader reads one shard header from the first backend that serves a
-// valid one.
+// valid one. It is not found only when no backend holds the key; otherwise
+// its error names every failure other than a missing shard, so a read that
+// failed on the way is never taken for a stripe that is gone.
 func (s *Store) probeHeader(key string) (ShardHeader, error) {
-	var lastErr error
-	allMissing := true
+	var errs []error
 	for i := range s.backends {
 		raw, err := s.backends[i].Store.GetRange(key, 0, HeaderSize)
-		if err != nil {
-			if !errors.Is(err, oss.ErrNotFound) {
-				allMissing = false
+		if errors.Is(err, oss.ErrNotFound) {
+			continue
+		}
+		if err == nil {
+			var h ShardHeader
+			if h, err = DecodeShardHeader(raw); err == nil && h.StripeID == StripeIDOf(key) {
+				s.chargeRead(i, len(raw))
+				return h, nil
 			}
-			lastErr = err
-			continue
+			err = fmt.Errorf("ec: probe %s on backend %s: invalid header", key, s.backends[i].Name)
 		}
-		allMissing = false
-		h, err := DecodeShardHeader(raw)
-		if err != nil || h.StripeID != StripeIDOf(key) {
-			lastErr = fmt.Errorf("ec: probe %s on backend %s: invalid header", key, s.backends[i].Name)
-			continue
-		}
-		s.chargeRead(i, len(raw))
-		return h, nil
+		errs = append(errs, err)
 	}
-	if allMissing {
+	if len(errs) == 0 {
 		return ShardHeader{}, fmt.Errorf("%w: %s", oss.ErrNotFound, key)
 	}
-	return ShardHeader{}, fmt.Errorf("ec: probe %s: no backend served a header: %w", key, lastErr)
+	return ShardHeader{}, fmt.Errorf("ec: probe %s: no backend served a header: %w", key, errors.Join(errs...))
 }
 
 // GetRange implements oss.Store. The contiguous split maps a byte range

@@ -171,6 +171,51 @@ func TestStoreShardRot(t *testing.T) {
 	}
 }
 
+// TestStoreUnavailableIsNotDamage: a stripe short of K shards is
+// ErrInsufficient either way, and ErrUnavailable exactly when reads that
+// failed on the way — not rot, not absence — kept it short: a backend dark,
+// a transient fault. Scrub quarantines the one and not the other.
+func TestStoreUnavailableIsNotDamage(t *testing.T) {
+	const k, m = 2, 1
+	s, mem := newTestTier(t, k, m)
+	key := "containers/u.data"
+	if err := s.Put(key, bytes.Repeat([]byte("slim"), 1000)); err != nil {
+		t.Fatal(err)
+	}
+	rot := func(i int) {
+		raw := bytes.Clone(mustGetShard(t, mem, shardKey(i, key)))
+		raw[HeaderSize] ^= 0xFF
+		if err := mem.Put(shardKey(i, key), raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get := func(what string, unavailable bool) {
+		t.Helper()
+		_, err := s.Get(key)
+		if !errors.Is(err, ErrInsufficient) || errors.Is(err, ErrUnavailable) != unavailable {
+			t.Fatalf("%s: %v, want ErrInsufficient, ErrUnavailable %v", what, err, unavailable)
+		}
+	}
+	s.outage(0, true)
+	s.outage(1, true)
+	get("two of three dark", true)
+	s.outage(1, false)
+	rot(1)
+	get("one dark, one rotted", true)
+	s.outage(0, false)
+	rot(0)
+	get("two rotted", false)
+}
+
+func mustGetShard(t *testing.T, mem *oss.Mem, key string) []byte {
+	t.Helper()
+	raw, err := mem.Get(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
 func TestStoreGetRange(t *testing.T) {
 	for _, g := range [][2]int{{1, 1}, {3, 2}, {4, 2}} {
 		s, _ := newTestTier(t, g[0], g[1])

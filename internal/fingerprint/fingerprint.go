@@ -125,56 +125,5 @@ func NewSampler(r int) Sampler {
 	return Sampler{mask: uint64(p - 1)}
 }
 
-// R returns the effective sampling divisor.
-func (s Sampler) R() int { return int(s.mask) + 1 }
-
 // Sample reports whether fp is representative (fp mod R == 0).
 func (s Sampler) Sample(fp FP) bool { return fp.Uint64()&s.mask == 0 }
-
-// Set is an in-memory fingerprint set.
-type Set map[FP]struct{}
-
-// NewSet returns an empty set with room for n entries.
-func NewSet(n int) Set { return make(Set, n) }
-
-// Add inserts fp and reports whether it was absent.
-func (s Set) Add(fp FP) bool {
-	if _, ok := s[fp]; ok {
-		return false
-	}
-	s[fp] = struct{}{}
-	return true
-}
-
-// Has reports membership.
-func (s Set) Has(fp FP) bool {
-	_, ok := s[fp]
-	return ok
-}
-
-// Len returns the set cardinality.
-func (s Set) Len() int { return len(s) }
-
-// Jaccard estimates the resemblance of two fingerprint sets, |a∩b| / |a∪b|.
-// By Broder's theorem the resemblance of two files is well estimated by the
-// resemblance of their representative samples (paper §III-B).
-func Jaccard(a, b Set) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	small, large := a, b
-	if len(small) > len(large) {
-		small, large = large, small
-	}
-	inter := 0
-	for fp := range small {
-		if large.Has(fp) {
-			inter++
-		}
-	}
-	union := len(a) + len(b) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
-}

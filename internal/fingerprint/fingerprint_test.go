@@ -60,11 +60,11 @@ func TestParseRoundTrip(t *testing.T) {
 
 func TestSampler(t *testing.T) {
 	// R rounds down to a power of two; R<1 clamps to 1.
-	if r := NewSampler(0).R(); r != 1 {
-		t.Fatalf("R(0) = %d", r)
+	if NewSampler(0) != NewSampler(1) {
+		t.Fatal("R=0 is not R=1")
 	}
-	if r := NewSampler(33).R(); r != 32 {
-		t.Fatalf("R(33) = %d", r)
+	if NewSampler(33) != NewSampler(32) {
+		t.Fatal("R=33 is not R=32")
 	}
 	// R=1 samples everything.
 	all := NewSampler(1)
@@ -85,42 +85,6 @@ func TestSampler(t *testing.T) {
 	want := total / 16
 	if n < want/2 || n > want*2 {
 		t.Fatalf("sampled %d of %d, want ≈%d", n, total, want)
-	}
-}
-
-func TestSet(t *testing.T) {
-	s := NewSet(4)
-	fp := OfBytes([]byte("a"))
-	if !s.Add(fp) {
-		t.Fatal("first Add returned false")
-	}
-	if s.Add(fp) {
-		t.Fatal("duplicate Add returned true")
-	}
-	if !s.Has(fp) || s.Len() != 1 {
-		t.Fatalf("set state wrong: has=%v len=%d", s.Has(fp), s.Len())
-	}
-}
-
-func TestJaccard(t *testing.T) {
-	mk := func(ids ...int) Set {
-		s := NewSet(len(ids))
-		for _, id := range ids {
-			s.Add(OfBytes([]byte{byte(id), byte(id >> 8)}))
-		}
-		return s
-	}
-	if j := Jaccard(mk(1, 2, 3), mk(1, 2, 3)); j != 1 {
-		t.Fatalf("identical sets Jaccard = %f", j)
-	}
-	if j := Jaccard(mk(1, 2), mk(3, 4)); j != 0 {
-		t.Fatalf("disjoint sets Jaccard = %f", j)
-	}
-	if j := Jaccard(mk(1, 2, 3, 4), mk(3, 4, 5, 6)); j != 1.0/3 {
-		t.Fatalf("half-overlap Jaccard = %f", j)
-	}
-	if j := Jaccard(NewSet(0), NewSet(0)); j != 1 {
-		t.Fatalf("empty sets Jaccard = %f", j)
 	}
 }
 

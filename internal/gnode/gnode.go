@@ -69,6 +69,16 @@ func (g *GNode) Account() *simclock.Account { return g.acct }
 func (g *GNode) containers() *container.Store { return g.repo.ContainersFor(g.acct) }
 func (g *GNode) recipes() *recipe.Store       { return g.repo.RecipesFor(g.acct) }
 
+// readMetas is core.Repo.ReadMetas across the maintenance worker pool: nil
+// for a container gone, any other failure returned.
+func (g *GNode) readMetas(cs *container.Store, ids []container.ID) ([]*container.Meta, error) {
+	return g.repo.ReadMetas(cs, ids, g.repo.Config.MaintWorkers)
+}
+
+// rewriteStale is the deleted-chunk proportion past which a container is
+// physically rewritten: the paper's 20 % (§VI-A).
+const rewriteStale = 0.2
+
 // ---------------------------------------------------------------------------
 // Global reverse deduplication (§VI-A).
 
@@ -182,27 +192,14 @@ type rdPrep struct {
 // index probe over the unique live fingerprints, then parallel meta
 // prefetches of the old homes those probes point at.
 func (g *GNode) rdPrepare(cs *container.Store, ids []container.ID) (*rdPrep, error) {
-	p := &rdPrep{
-		scans:   make([]*container.Meta, len(ids)),
-		scanned: make(map[container.ID]*container.Meta, len(ids)),
-	}
-	err := g.repo.ForEach(len(ids), func(i int) error {
-		m, err := cs.ReadMeta(ids[i])
-		if err != nil {
-			// The list is advisory (captured at backup time); a container
-			// scrub-quarantined or swept since then simply has nothing left
-			// to deduplicate.
-			if errors.Is(err, oss.ErrNotFound) {
-				return nil
-			}
-			return err
-		}
-		p.scans[i] = m
-		return nil
-	})
+	// The list is advisory (captured at backup time); a container
+	// scrub-quarantined or swept since then simply has nothing left to
+	// deduplicate.
+	scans, err := g.readMetas(cs, ids)
 	if err != nil {
 		return nil, err
 	}
+	p := &rdPrep{scans: scans, scanned: make(map[container.ID]*container.Meta, len(ids))}
 	for i, id := range ids {
 		if p.scans[i] != nil {
 			p.scanned[id] = p.scans[i]
@@ -391,7 +388,7 @@ func (g *GNode) rdCommit(cs *container.Store, ids []container.ID, p *rdPrep) (*R
 
 	var rewrites []*container.Meta
 	for _, id := range dids {
-		if m := dirty[id]; m.StaleProportion() > g.repo.Config.RewriteStaleThreshold {
+		if m := dirty[id]; m.StaleProportion() > rewriteStale {
 			rewrites = append(rewrites, m)
 		}
 	}
@@ -576,17 +573,12 @@ func (g *GNode) CompactSparse(fileID string, version int, sparse []container.ID)
 	moved := make(map[fingerprint.FP]container.ID)
 	newSet := make(map[container.ID]bool)
 	held := make([]*container.Container, len(sparse))
-	metas := make([]*container.Meta, len(sparse)) // nil: nothing to read
 	plans := make([]cache.ReadPlan, len(sparse))
 	rewrite := make([]bool, len(sparse)) // predicted; the fresh meta decides below
 	release := g.repo.CLocks.Pin(sparse)
-	err = g.repo.ForEach(len(sparse), func(i int) (err error) {
-		// A quarantined or already-collected source has no chunks to move.
-		if metas[i], err = cs.ReadMeta(sparse[i]); errors.Is(err, oss.ErrNotFound) {
-			return nil
-		}
-		return err
-	})
+	// nil: nothing to read — a quarantined or already-collected source has no
+	// chunks to move.
+	metas, err := g.readMetas(cs, sparse)
 	if err != nil {
 		release()
 		return nil, fmt.Errorf("gnode: scc: %w", err)
@@ -603,7 +595,7 @@ func (g *GNode) CompactSparse(fileID string, version int, sparse []container.ID)
 				need[fp] = true
 			}
 		}
-		rewrite[i] = staleAfter(m, wanted) > g.repo.Config.RewriteStaleThreshold
+		rewrite[i] = staleAfter(m, wanted) > rewriteStale
 		switch {
 		case len(need) == 0:
 			metas[i] = nil
@@ -725,17 +717,14 @@ func (g *GNode) CompactSparse(fileID string, version int, sparse []container.ID)
 	// compaction shrinks the storage attributable to old versions rather
 	// than growing totals. Each rewrite switches independently. The fresh
 	// metas are meta-cache hits: the marks have just read or written each.
+	fresh, err := g.readMetas(cs, sparse)
+	if err != nil {
+		return nil, fmt.Errorf("gnode: scc: %w", err)
+	}
 	var rewrites []*container.Meta
 	var payloads []*container.Container
-	for i, id := range sparse {
-		m, err := cs.ReadMeta(id)
-		if err != nil {
-			if errors.Is(err, oss.ErrNotFound) { // swept or quarantined
-				continue
-			}
-			return nil, fmt.Errorf("gnode: scc: %w", err)
-		}
-		if m.StaleProportion() > g.repo.Config.RewriteStaleThreshold {
+	for i, m := range fresh {
+		if m != nil && m.StaleProportion() > rewriteStale { // nil: swept or quarantined
 			rewrites = append(rewrites, m)
 			payloads = append(payloads, held[i])
 		}
@@ -899,7 +888,7 @@ func (g *GNode) redirectPins(cs *container.Store, rs *recipe.Store, cands []cont
 	// Fingerprints whose canonical copy sits in a candidate: one probe over
 	// the live chunks of every candidate still there (the drop skips one
 	// whose meta is gone).
-	metas, err := g.repo.ReadMetas(cs, cands)
+	metas, err := g.readMetas(cs, cands)
 	if err != nil {
 		return nil, err
 	}
@@ -1005,11 +994,13 @@ func (g *GNode) FullSweep() (*AuditStats, error) {
 		}
 	}
 
-	// Mark phase, fanned out per version: each worker walks one recipe,
-	// marking home containers directly and batching the global-index
-	// redirect lookups for chunks whose home no longer holds them. The
-	// world is stopped (LockAll above), so the walks are pure reads; the
-	// union of the per-version mark sets is order-independent.
+	// Mark phase, fanned out per version: each worker resolves one recipe's
+	// records as a restore resolves them (core.Repo.Resolve, serially within
+	// the worker) and marks the containers they resolve to — the home, or
+	// where the global index moved the chunk. A lost chunk marks nothing; a
+	// meta that does not read fails the sweep, never passing for a container
+	// gone. The world is stopped (LockAll above), so the walks are pure
+	// reads; the union of the per-version mark sets is order-independent.
 	var (
 		markMu sync.Mutex
 		marked = make(map[container.ID]bool)
@@ -1019,34 +1010,22 @@ func (g *GNode) FullSweep() (*AuditStats, error) {
 		if err != nil {
 			return err
 		}
-		local := make(map[container.ID]bool)
-		var misses []fingerprint.FP
+		var recs []*recipe.ChunkRecord
 		r.Iter(func(_, _ int, rec *recipe.ChunkRecord) bool {
-			m, err := cs.ReadMeta(rec.Container)
-			if err == nil {
-				if cm := m.Find(rec.FP); cm != nil && !cm.Deleted {
-					local[rec.Container] = true
-					return true
-				}
-			}
-			misses = append(misses, rec.FP)
+			recs = append(recs, rec)
 			return true
 		})
-		// Redirected chunks: mark the relocation targets in one probe.
-		nids, found, _, err := g.repo.Global.GetBatch(misses)
+		res, err := g.repo.Resolve(cs, recs, 1, g.acct)
 		if err != nil {
-			return err
-		}
-		for i := range misses {
-			if found[i] {
-				local[nids[i]] = true
-			}
+			return fmt.Errorf("gnode: sweep: mark %s v%d: %w", r.FileID, r.Version, err)
 		}
 		markMu.Lock()
-		for id := range local {
-			marked[id] = true
+		defer markMu.Unlock()
+		for _, q := range res.Seq {
+			if q.Container != container.Invalid {
+				marked[q.Container] = true
+			}
 		}
-		markMu.Unlock()
 		return nil
 	})
 	if err != nil {
@@ -1057,7 +1036,7 @@ func (g *GNode) FullSweep() (*AuditStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	metas, err := g.repo.ReadMetas(cs, all)
+	metas, err := g.readMetas(cs, all)
 	if err != nil {
 		return nil, err
 	}

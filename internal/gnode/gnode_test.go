@@ -328,8 +328,8 @@ func TestVersionCollection(t *testing.T) {
 	if vs, _ := repo.Recipes.Versions("f"); len(vs) != 2 || vs[0] != 1 {
 		t.Fatalf("versions after delete = %v", vs)
 	}
-	if got, err := repo.SimIndex.VersionsOf("f"); len(got) != 2 || err != nil {
-		t.Fatalf("simindex versions after delete = %v, %v", got, err)
+	if got, err := repo.SimIndex.Stored(); len(got) != 2 || err != nil {
+		t.Fatalf("simindex versions after delete = %+v, %v", got, err)
 	}
 
 	// Remaining versions still restore byte-identically.
@@ -438,13 +438,14 @@ func TestSCCIdempotent(t *testing.T) {
 }
 
 func TestReverseDedupRewriteThreshold(t *testing.T) {
-	// With a threshold of ~1.0 the stale containers are never rewritten:
-	// duplicates are only marked, so physical space stays put while the
-	// metadata records the logical reclamation.
+	// A container is rewritten only once more than rewriteStale (the paper's
+	// 20 %) of its chunks are stale. b repeats 16 KiB of every 128 KiB of a
+	// and is fresh elsewhere, so reverse dedup leaves each of a's containers
+	// stale, under the threshold: the duplicates are only marked, physical
+	// space stays put while the metadata records the logical reclamation.
 	cfg := testConfig()
 	cfg.SimilarityMinScore = 1.1
-	cfg.RewriteStaleThreshold = 0.99
-	ln, gn, _, mem := setup(t, cfg)
+	ln, gn, repo, mem := setup(t, cfg)
 
 	dataA := genData(95, 1<<20)
 	stA, err := ln.Backup("a", dataA)
@@ -455,11 +456,9 @@ func TestReverseDedupRewriteThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := mem.BytesWithPrefix("containers/")
-	// b duplicates only every second 64 KiB block of a, so a's containers
-	// end up ~50% stale — below the 0.99 rewrite threshold.
-	dataB := append([]byte{}, dataA...)
+	dataB := genData(96, len(dataA))
 	for off := 0; off+(128<<10) <= len(dataB); off += 128 << 10 {
-		copy(dataB[off:off+(64<<10)], genData(int64(9000+off), 64<<10))
+		copy(dataB[off:off+(16<<10)], dataA[off:off+(16<<10)])
 	}
 	stB, err := ln.Backup("b", dataB)
 	if err != nil {
@@ -472,10 +471,23 @@ func TestReverseDedupRewriteThreshold(t *testing.T) {
 	if rd.DuplicatesRemoved == 0 {
 		t.Fatal("no duplicates found")
 	}
-	// Only a fully-duplicated container may cross a 0.99 threshold; with
-	// 50% overlap that is at most the short tail container.
-	if rd.ContainersRewritten > 1 {
-		t.Fatalf("rewrites happened despite 0.99 threshold: %+v", rd)
+	if rd.ContainersRewritten != 0 {
+		t.Fatalf("rewrites happened under the %.0f %% threshold: %+v", 100*rewriteStale, rd)
+	}
+	stale := 0
+	for _, id := range stA.NewContainers {
+		m, err := repo.Containers.ReadMeta(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := m.StaleProportion(); p > rewriteStale {
+			t.Fatalf("fixture: %s is %.2f stale, past the threshold", id, p)
+		} else if p > 0 {
+			stale++
+		}
+	}
+	if stale == 0 {
+		t.Fatal("fixture: no container of a was marked")
 	}
 	// Physical space grew by b's copy (marks only, no rewrite).
 	after := mem.BytesWithPrefix("containers/")

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"slimstore/internal/container"
+	"slimstore/internal/ec"
 	"slimstore/internal/fingerprint"
 	"slimstore/internal/globalindex"
 	"slimstore/internal/oss"
@@ -36,8 +37,8 @@ type ScrubStats struct {
 	ECUnrecoverable   int // stripes below K shards (left to quarantine/salvage)
 
 	// Quarantined lists containers moved out of the live namespace:
-	// unreadable metadata, missing payload, or live corruption with no
-	// donor for every damaged chunk.
+	// damaged metadata, a damaged or missing payload, or live corruption
+	// with no donor for every damaged chunk.
 	Quarantined []container.ID
 	// Lost lists fingerprints with no intact copy anywhere. Restores
 	// needing them fail loudly; everything else remains restorable.
@@ -168,15 +169,28 @@ func (g *GNode) ecRepair() (*ecRepairStats, error) {
 	return st, nil
 }
 
+// damage reports whether a failed read failed on the object itself: a
+// payload a live meta names that is not found, an object that does not
+// decode or fails a checksum, a stripe short of K shards that hold it.
+// Damage is quarantined and salvaged; any other failure — a read that
+// failed on the way, a stripe those kept short (ec.ErrUnavailable) — fails
+// the scrub, which can be re-run (DESIGN.md §6).
+func damage(err error) bool {
+	return !errors.Is(err, ec.ErrUnavailable) &&
+		(errors.Is(err, oss.ErrNotFound) || errors.Is(err, container.ErrCorrupt) || errors.Is(err, ec.ErrInsufficient))
+}
+
 // scrubVerdict is one container's verification result.
 type scrubVerdict struct {
-	meta *container.Meta // from ReadMeta; nil → metadata unreadable
+	// meta is nil for a container gone since the listing (its meta not
+	// found), which the scrub skips, or — damaged — one whose meta is.
+	meta *container.Meta
 	// rawMeta is the payload's own metadata copy (what repairs rebuild
 	// from); the payload itself is released unless repair needs it.
 	rawMeta  *container.Meta
 	c        *container.Container // retained only when chunks need repairing
 	footerOK bool
-	readErr  bool // metadata decodes but the payload is unreadable
+	damaged  bool // the meta, or the payload it names, is damaged
 	live     int  // live chunks checksummed
 	corrupt  []int
 }
@@ -204,14 +218,22 @@ func (g *GNode) scrubVerify() (*scrubView, error) {
 	err = g.repo.ForEach(len(ids), func(i int) error {
 		v := &sv.verdicts[i]
 		m, err := cs.ReadMeta(ids[i])
-		if err != nil {
-			return nil // metadata unreadable → quarantine verdict
+		switch {
+		case errors.Is(err, oss.ErrNotFound): // gone since the listing
+			return nil
+		case err != nil:
+			if v.damaged = damage(err); v.damaged {
+				return nil
+			}
+			return err
 		}
 		v.meta = m
 		c, footerOK, err := cs.ReadRaw(ids[i])
 		if err != nil {
-			v.readErr = true
-			return nil
+			if v.damaged = damage(err); v.damaged {
+				return nil
+			}
+			return err
 		}
 		v.footerOK = footerOK
 		for j := range c.Meta.Chunks {
@@ -261,9 +283,9 @@ func (g *GNode) scrubRepair(sv *scrubView) (*ScrubStats, error) {
 	stats := &ScrubStats{}
 	cs := g.containers()
 
-	bad := make(map[container.ID]bool)
+	bad := make(map[container.ID]bool) // the containers whose meta is damaged
 	for i := range sv.verdicts {
-		if sv.verdicts[i].meta == nil {
+		if v := &sv.verdicts[i]; v.meta == nil && v.damaged {
 			bad[sv.ids[i]] = true
 		}
 	}
@@ -281,24 +303,29 @@ func (g *GNode) scrubRepair(sv *scrubView) (*ScrubStats, error) {
 	}
 
 	// donor returns verified bytes for fp from any intact container other
-	// than exclude.
-	donor := func(fp fingerprint.FP, exclude container.ID) ([]byte, bool) {
+	// than exclude: nil when none holds them, an error when a read failed
+	// other than on damage.
+	donor := func(fp fingerprint.FP, exclude container.ID) ([]byte, error) {
 		for _, oid := range sv.owners[fp] {
 			if oid == exclude || bad[oid] || quarantined[oid] {
 				continue
 			}
-			if data, err := cs.ReadChunk(oid, fp); err == nil {
-				return data, true
+			data, err := cs.ReadChunk(oid, fp)
+			if err == nil || !damage(err) {
+				return data, err
 			}
 		}
-		return nil, false
+		return nil, nil
 	}
 
 	var rotOnly []int // verdict indices needing a dead-region rot rebuild
 	for i, id := range sv.ids {
 		v := &sv.verdicts[i]
+		if v.meta == nil && !v.damaged {
+			continue // gone since the listing
+		}
 		stats.ContainersScanned++
-		if v.meta == nil || v.readErr {
+		if v.damaged {
 			quarantine(id)
 			continue
 		}
@@ -322,7 +349,11 @@ func (g *GNode) scrubRepair(sv *scrubView) (*ScrubStats, error) {
 
 		repaired := make(map[fingerprint.FP][]byte, len(corrupt))
 		for _, cm := range corrupt {
-			if data, ok := donor(cm.FP, id); ok {
+			data, err := donor(cm.FP, id)
+			if err != nil {
+				return nil, fmt.Errorf("gnode: scrub repair %s: %w", id, err)
+			}
+			if data != nil {
 				repaired[cm.FP] = data
 			}
 		}
@@ -412,7 +443,11 @@ func (g *GNode) scrubRepair(sv *scrubView) (*ScrubStats, error) {
 			delete(lost, fp)
 			continue
 		}
-		if _, ok := donor(fp, container.Invalid); ok {
+		data, err := donor(fp, container.Invalid)
+		if err != nil {
+			return nil, fmt.Errorf("gnode: scrub: %w", err)
+		}
+		if data != nil {
 			delete(lost, fp)
 		}
 	}
@@ -461,22 +496,25 @@ func (g *GNode) scrubFixIndex(stats *ScrubStats, sv *scrubView, bad, quarantined
 
 	var fixes []globalindex.Entry
 	purged := 0
+	var ownerErr error
 	err := g.repo.Global.Scan(func(fp fingerprint.FP, id container.ID) bool {
 		if !quarantined[id] {
 			return true
 		}
 		nid, ok := moved[fp]
 		if !ok {
-			nid, ok = g.intactOwner(fp, sv, bad, quarantined)
+			if nid, ownerErr = g.intactOwner(fp, sv, bad, quarantined); ownerErr != nil {
+				return false
+			}
 		}
-		if !ok { // nid is container.Invalid: the entry goes
+		if nid == container.Invalid { // the entry goes
 			lost[fp] = true
 			purged++
 		}
 		fixes = append(fixes, globalindex.Entry{FP: fp, ID: nid})
 		return true
 	})
-	if err != nil {
+	if err = errors.Join(err, ownerErr); err != nil {
 		return err
 	}
 	if err := g.repo.Global.PutBatch(fixes); err != nil {
@@ -489,18 +527,23 @@ func (g *GNode) scrubFixIndex(stats *ScrubStats, sv *scrubView, bad, quarantined
 
 // intactOwner finds a non-quarantined container holding a live, verified
 // copy of fp, consulting the owners map the verification pass built
-// instead of rescanning the namespace.
-func (g *GNode) intactOwner(fp fingerprint.FP, sv *scrubView, bad, quarantined map[container.ID]bool) (container.ID, bool) {
+// instead of rescanning the namespace: container.Invalid when none does, an
+// error when a read failed other than on damage.
+func (g *GNode) intactOwner(fp fingerprint.FP, sv *scrubView, bad, quarantined map[container.ID]bool) (container.ID, error) {
 	cs := g.containers()
 	for _, id := range sv.owners[fp] {
 		if bad[id] || quarantined[id] {
 			continue
 		}
-		if _, err := cs.ReadChunk(id, fp); err == nil {
-			return id, true
+		_, err := cs.ReadChunk(id, fp)
+		switch {
+		case err == nil:
+			return id, nil
+		case !damage(err):
+			return container.Invalid, fmt.Errorf("gnode: scrub: owner %s: %w", id, err)
 		}
 	}
-	return container.Invalid, false
+	return container.Invalid, nil
 }
 
 // scrubFixRecipes rewrites recipes (and their catalog container lists)
@@ -559,7 +602,10 @@ func (g *GNode) scrubFixFile(stats *ScrubStats, f string, sv *scrubView, bad, qu
 			}
 			nid, ok := resolved[rec.FP]
 			if !ok {
-				if nid, ok = g.intactOwner(rec.FP, sv, bad, quarantined); ok {
+				if nid, err = g.intactOwner(rec.FP, sv, bad, quarantined); err != nil {
+					return false
+				}
+				if ok = nid != container.Invalid; ok {
 					resolved[rec.FP] = nid
 				}
 			}
@@ -569,6 +615,9 @@ func (g *GNode) scrubFixFile(stats *ScrubStats, f string, sv *scrubView, bad, qu
 			}
 			return true
 		})
+		if err != nil {
+			return err
+		}
 		if !changed {
 			continue
 		}

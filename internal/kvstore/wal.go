@@ -23,14 +23,10 @@ import (
 //	crc u32 | baseSeq u64 | 0xFF u8 | count u32 | entry*
 //	entry = kind u8 | klen u32 | key | vlen u32 | value
 //
-// Entry i carries sequence baseSeq+i. Segments written by older builds may
-// also hold single-entry records, which recovery still reads and nothing
-// writes any more:
-//
-//	crc u32 | seq u64 | entry
-//
-// told apart from a batch by the byte after seq (an entry kind is 0 or 1).
-// The CRC covers everything after the crc field in both.
+// Entry i carries sequence baseSeq+i. The CRC covers everything after the
+// crc field. (Builds before repository header format 3 also wrote
+// single-entry records; the header refuses every repository that can hold
+// one, so recovery reads batch records only.)
 
 // walBatchKind marks a batch record; it cannot collide with entryKind
 // values, which are small iota constants.
@@ -120,20 +116,18 @@ func decodeWALSegment(b []byte) ([]entry, error) {
 		crc := binary.LittleEndian.Uint32(b[p:])
 		start := p + 4
 		seq := binary.LittleEndian.Uint64(b[start:])
-		var rec []entry
-		var err error
-		if b[start+8] == walBatchKind {
-			rec, p, err = decodeEntries(b, start+13, int(binary.LittleEndian.Uint32(b[start+9:])), seq)
-		} else {
-			rec, p, err = decodeEntries(b, start+8, 1, seq) // a single-entry record
+		if b[start+8] != walBatchKind {
+			return out, fmt.Errorf("kvstore: WAL record kind %#x at %d is not a batch", b[start+8], start)
 		}
+		rec, end, err := decodeEntries(b, start+13, int(binary.LittleEndian.Uint32(b[start+9:])), seq)
 		if err != nil {
 			return out, err
 		}
-		if crc32.Checksum(b[start:p], crcTable) != crc {
+		if crc32.Checksum(b[start:end], crcTable) != crc {
 			return out, fmt.Errorf("kvstore: WAL CRC mismatch at %d", start)
 		}
 		out = append(out, rec...)
+		p = end
 	}
 	return out, nil
 }

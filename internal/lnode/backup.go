@@ -909,12 +909,12 @@ func (j *backupJob) persist(fileID string) error {
 		})
 	}
 	if len(moved) > 0 {
-		seq, _, _, memo, err := j.node.resolveSequence(j.containers, r, moved, j.acct)
+		res, err := j.node.resolve(j.containers, r, moved, j.acct)
 		if err != nil {
 			return err
 		}
-		for i, q := range seq {
-			if m := memo[q.Container]; m == nil || m.Find(q.FP) == nil || m.Find(q.FP).Deleted {
+		for i, q := range res.Seq {
+			if m := res.Metas[q.Container]; m == nil || m.Find(q.FP) == nil || m.Find(q.FP).Deleted {
 				return fmt.Errorf("lnode: chunk %s lost with container %s (the index names %s)", q.FP.Short(), moved[i].Container, q.Container)
 			}
 		}

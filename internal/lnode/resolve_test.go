@@ -16,9 +16,10 @@ import (
 	"slimstore/internal/simclock"
 )
 
-// resolveReference is the obviously-right resolver resolveSequence is
-// pinned to: one record at a time, one metadata read per container, one
-// global-index Get per moved chunk, in recipe order.
+// resolveReference is the obviously-right resolver core.Repo.Resolve, as
+// the restore calls it (LNode.resolve), is pinned to: one record at a time,
+// one metadata read per container, one global-index Get per moved chunk, in
+// recipe order.
 func resolveReference(repo *core.Repo, r *recipe.Recipe, recs []*recipe.ChunkRecord) ([]cache.Request, int, error) {
 	var seq []cache.Request
 	redirects := 0
@@ -91,13 +92,14 @@ func TestResolveSequenceEqualsReference(t *testing.T) {
 					recs := allRecords(r)
 					wantSeq, wantRedirects, wantErr := resolveReference(repo, r, recs)
 					acct := simclock.NewAccount()
-					seq, redirects, _, memo, err := n.resolveSequence(repo.Containers, r, recs, acct)
+					res, err := n.resolve(repo.Containers, r, recs, acct)
 					if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 						t.Fatalf("v%d: error %v, reference %v", v, err, wantErr)
 					}
 					if err != nil {
 						return 0, wantErr
 					}
+					seq, redirects, memo := res.Seq, res.Redirects, res.Metas
 					if !reflect.DeepEqual(seq, wantSeq) {
 						t.Errorf("v%d: request sequence differs from the reference", v)
 					}

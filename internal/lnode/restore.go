@@ -1,16 +1,13 @@
 package lnode
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"time"
 
 	"slimstore/internal/cache"
 	"slimstore/internal/container"
-	"slimstore/internal/fingerprint"
-	"slimstore/internal/oss"
-	"slimstore/internal/pipe"
+	"slimstore/internal/core"
 	"slimstore/internal/recipe"
 	"slimstore/internal/simclock"
 )
@@ -99,12 +96,13 @@ func (n *LNode) restore(fileID string, version int, off, length int64, w io.Writ
 	// not the version's; the need-set the read planner works from comes
 	// from the same windowed sequence.
 	recs, headTrim := windowRecords(r, off, end)
-	seq, redirects, rst, metas, release, err := n.pinSequence(containers, r, recs, acct)
+	res, release, err := n.pinSequence(containers, r, recs, acct)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	stats.Redirects = redirects
+	seq := res.Seq
+	stats.Redirects = res.Redirects
 
 	policy, err := cache.New(cfg.RestorePolicy, cache.Config{
 		MemBytes:  cfg.CacheMemBytes,
@@ -126,7 +124,7 @@ func (n *LNode) restore(fileID string, version int, off, length int64, w io.Writ
 	// shared cache + singleflight across jobs, cost-model ranged reads for
 	// sparse need-sets, long reads cut to share the channels, at most
 	// `threads` requests in flight (DESIGN.md §10).
-	rio := newRestoreIO(n, containers, seq, metas, threads)
+	rio := newRestoreIO(n, containers, seq, res.Metas, threads)
 	defer rio.close()
 	fetch := cache.Fetcher(rio.fetch)
 	var pf *cache.Prefetcher
@@ -153,8 +151,8 @@ func (n *LNode) restore(fileID string, version int, off, length int64, w io.Writ
 
 	stats.Bytes = out.written
 	stats.Cache = cstats
-	stats.Cache.ResolveMetaReads = rst.metaReads
-	stats.Cache.ResolveMetaMemoHits = rst.memoHits
+	stats.Cache.ResolveMetaReads = res.MetaReads
+	stats.Cache.ResolveMetaMemoHits = res.MemoHits
 	rio.addTo(&stats.Cache)
 	if pf != nil {
 		stats.Prefetch = pf.Stats()
@@ -263,34 +261,35 @@ func (n *LNode) RestoreHandoff(chunks [][]byte, seq []cache.Request, verify bool
 // retry. Pins are shared read-locks taken in sorted stripe order
 // (core.ContainerLocks.Pin), so concurrent restores never deadlock and
 // rewrites wait, not fail.
-// It also returns the metadata memo of the final (pinned) resolution
-// pass: the exact container states the sequence was resolved against,
-// which the restore I/O layer plans its ranged reads from without
-// re-reading any metadata.
-func (n *LNode) pinSequence(containers *container.Store, r *recipe.Recipe, recs []*recipe.ChunkRecord, acct *simclock.Account) ([]cache.Request, int, resolveStats, map[container.ID]*container.Meta, func(), error) {
-	seq, _, total, _, err := n.resolveSequence(containers, r, recs, acct)
+// The resolution returned is the final (pinned) pass's — its Metas are the
+// exact container states the sequence was resolved against, which the
+// restore I/O layer plans its ranged reads from without re-reading any
+// metadata — with MetaReads and MemoHits summed over every pass.
+func (n *LNode) pinSequence(containers *container.Store, r *recipe.Recipe, recs []*recipe.ChunkRecord, acct *simclock.Account) (*core.Resolution, func(), error) {
+	res, err := n.resolve(containers, r, recs, acct)
 	if err != nil {
-		return nil, 0, resolveStats{}, nil, nil, err
+		return nil, nil, err
 	}
+	reads, hits := res.MetaReads, res.MemoHits
 	const maxAttempts = 8
 	for attempt := 0; ; attempt++ {
-		release := n.repo.CLocks.Pin(requestContainers(seq))
-		seq2, redirects2, rst, metas, err := n.resolveSequence(containers, r, recs, acct)
-		total.metaReads += rst.metaReads
-		total.memoHits += rst.memoHits
+		release := n.repo.CLocks.Pin(requestContainers(res.Seq))
+		again, err := n.resolve(containers, r, recs, acct)
 		if err != nil {
 			release()
-			return nil, 0, resolveStats{}, nil, nil, err
+			return nil, nil, err
 		}
-		if sameContainers(seq, seq2) {
-			return seq2, redirects2, total, metas, release, nil
+		reads, hits = reads+again.MetaReads, hits+again.MemoHits
+		if sameContainers(res.Seq, again.Seq) {
+			again.MetaReads, again.MemoHits = reads, hits
+			return again, release, nil
 		}
 		release()
 		if attempt+1 >= maxAttempts {
-			return nil, 0, resolveStats{}, nil, nil, fmt.Errorf("lnode: restore %s v%d: container set unstable after %d attempts",
+			return nil, nil, fmt.Errorf("lnode: restore %s v%d: container set unstable after %d attempts",
 				r.FileID, r.Version, maxAttempts)
 		}
-		seq = seq2
+		res = again
 	}
 }
 
@@ -314,109 +313,31 @@ func sameContainers(a, b []cache.Request) bool {
 	return true
 }
 
-// resolveStats counts the metadata traffic of sequence resolution.
-type resolveStats struct {
-	metaReads int // container-metadata fetches actually issued
-	memoHits  int // per-record lookups served by the pass's memo
-}
-
-// resolveSequence converts recs (records of r, in logical order) into the
-// restore request sequence, redirecting chunks whose original copy was
-// deleted by reverse deduplication or sparse-container compaction. The
-// redirect pays one global-index query per moved chunk — the cost the
-// paper accepts for old versions (§VI-A).
+// resolve resolves recs (records of r, in logical order) into the restore
+// request sequence through core.Repo.Resolve, the job's read channels wide
+// (Config.PrefetchThreads; 0 or 1 is the serial loop), and fails on a lost
+// chunk, naming it. It is also persist's check that a version names no lost
+// container.
 //
-// Resolution is a fixed number of round-trip waves whatever the recipe's
-// length: the metadata of the distinct home containers read together over
-// the job's read channels (Config.PrefetchThreads wide; 0 or 1 runs the
-// same code serially), every record classified against that memo, all
-// moved fingerprints looked up with one Global.GetBatch, and the redirect
-// targets' metadata read together for the read planner. The sequence does
-// not depend on the width.
-//
-// An absent container (compacted away) is memoized as nil and its chunks
-// redirect; any other read failure fails the resolution with the
-// container named — a transient fault must not pass for relocation.
-//
-// The memo lives for ONE pass only: pinSequence re-resolves after pinning
+// Its metas live for ONE pass only: pinSequence re-resolves after pinning
 // precisely to observe any maintenance that slid in, and a memo surviving
 // between the passes would blind that revalidation.
-func (n *LNode) resolveSequence(containers *container.Store, r *recipe.Recipe, recs []*recipe.ChunkRecord, acct *simclock.Account) ([]cache.Request, int, resolveStats, map[container.ID]*container.Meta, error) {
-	memo := make(map[container.ID]*container.Meta) // nil value → absent
-	// readNew reads the metadata of those ids not yet in memo, each once.
-	readNew := func(ids []container.ID) error {
-		var fresh []container.ID
-		for _, id := range ids {
-			if _, seen := memo[id]; !seen {
-				memo[id] = nil
-				fresh = append(fresh, id)
-			}
-		}
-		metas := make([]*container.Meta, len(fresh))
-		err := pipe.FanOut(len(fresh), n.repo.Config.PrefetchThreads, func(i int) error {
-			m, err := containers.ReadMeta(fresh[i])
-			if err != nil && !errors.Is(err, oss.ErrNotFound) {
-				return fmt.Errorf("lnode: resolve %s v%d: %w", r.FileID, r.Version, err)
-			}
-			metas[i] = m
-			return nil
-		})
-		for i, id := range fresh {
-			memo[id] = metas[i]
-		}
-		return err
+func (n *LNode) resolve(containers *container.Store, r *recipe.Recipe, recs []*recipe.ChunkRecord, acct *simclock.Account) (*core.Resolution, error) {
+	res, err := n.repo.Resolve(containers, recs, n.repo.Config.PrefetchThreads, acct)
+	if err != nil {
+		return nil, fmt.Errorf("lnode: resolve %s v%d: %w", r.FileID, r.Version, err)
 	}
-
-	homes := make([]container.ID, len(recs))
-	for i, rec := range recs {
-		homes[i] = rec.Container
-	}
-	if err := readNew(homes); err != nil {
-		return nil, 0, resolveStats{}, nil, err
-	}
-
-	seq := make([]cache.Request, len(recs))
-	var moved []int // indexes into recs of chunks no longer at their recorded home
-	var movedFPs []fingerprint.FP
-	for i, rec := range recs {
-		seq[i] = cache.Request{FP: rec.FP, Container: rec.Container, Size: rec.Size}
-		if m := memo[rec.Container]; m != nil {
-			if cm := m.Find(rec.FP); cm != nil && !cm.Deleted {
-				continue
-			}
+	for i, q := range res.Seq {
+		if q.Container != container.Invalid {
+			continue
 		}
-		moved = append(moved, i)
-		movedFPs = append(movedFPs, rec.FP)
-	}
-
-	if len(moved) > 0 {
-		acct.ChargeCPU(simclock.PhaseIndexQuery, time.Duration(len(moved))*n.repo.Config.Costs.IndexLookup)
-		ids, found, _, err := n.repo.Global.GetBatch(movedFPs)
-		if err != nil {
-			return nil, 0, resolveStats{}, nil, err
-		}
-		for k, i := range moved {
-			if found[k] {
-				seq[i].Container = ids[k]
-				continue
-			}
-			rec := recs[i]
-			if memo[rec.Container] == nil {
-				return nil, 0, resolveStats{}, nil, fmt.Errorf("lnode: chunk %s of %s v%d lost with container %s",
-					rec.FP.Short(), r.FileID, r.Version, rec.Container)
-			}
-			return nil, 0, resolveStats{}, nil, fmt.Errorf("lnode: chunk %s of %s v%d lost (container %s)",
+		rec := recs[i]
+		if res.Metas[rec.Container] == nil {
+			return nil, fmt.Errorf("lnode: chunk %s of %s v%d lost with container %s",
 				rec.FP.Short(), r.FileID, r.Version, rec.Container)
 		}
-		// Memoize the redirect targets for the read planner.
-		if err := readNew(ids); err != nil {
-			return nil, 0, resolveStats{}, nil, err
-		}
+		return nil, fmt.Errorf("lnode: chunk %s of %s v%d lost (container %s)",
+			rec.FP.Short(), r.FileID, r.Version, rec.Container)
 	}
-
-	// One lookup per record plus one per redirect; each distinct container
-	// was read once and every other lookup served from the memo.
-	rst := resolveStats{metaReads: len(memo)}
-	rst.memoHits = len(recs) + len(moved) - rst.metaReads
-	return seq, len(moved), rst, memo, nil
+	return res, nil
 }

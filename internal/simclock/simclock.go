@@ -186,34 +186,6 @@ func (a *Account) ChargeWrite(c Costs, n int64) {
 	a.mu.Unlock()
 }
 
-// Merge adds every counter from b into a.
-func (a *Account) Merge(b *Account) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	cpu := make(map[Phase]time.Duration, len(b.cpu))
-	for k, v := range b.cpu {
-		cpu[k] = v
-	}
-	reads, writes := b.ioReads, b.ioWrites
-	rb, wb := b.ioRBytes, b.ioWBytes
-	rt, wt := b.ioRTime, b.ioWTime
-	b.mu.Unlock()
-
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for k, v := range cpu {
-		a.cpu[k] += v
-	}
-	a.ioReads += reads
-	a.ioWrites += writes
-	a.ioRBytes += rb
-	a.ioWBytes += wb
-	a.ioRTime += rt
-	a.ioWTime += wt
-}
-
 // Reset zeroes every counter.
 func (a *Account) Reset() {
 	a.mu.Lock()

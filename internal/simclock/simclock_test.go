@@ -83,17 +83,13 @@ func TestElapsedModels(t *testing.T) {
 	}
 }
 
-func TestMergeAndReset(t *testing.T) {
-	c := DefaultCosts()
-	a, b := NewAccount(), NewAccount()
+func TestReset(t *testing.T) {
+	a := NewAccount()
 	a.ChargeCPU(PhaseChunking, time.Millisecond)
-	b.ChargeCPU(PhaseChunking, 2*time.Millisecond)
-	b.ChargeRead(c, 1000)
-	a.Merge(b)
-	if a.CPUTime() != 3*time.Millisecond || a.IO().Reads != 1 {
-		t.Fatalf("after merge: cpu=%v io=%+v", a.CPUTime(), a.IO())
+	a.ChargeRead(DefaultCosts(), 1000)
+	if a.CPUTime() != time.Millisecond || a.IO().Reads != 1 {
+		t.Fatalf("charged: cpu=%v io=%+v", a.CPUTime(), a.IO())
 	}
-	a.Merge(nil) // no-op
 	a.Reset()
 	if a.CPUTime() != 0 || a.IO().Reads != 0 {
 		t.Fatal("Reset incomplete")

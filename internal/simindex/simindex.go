@@ -162,7 +162,7 @@ func memKey(fileID string, version int) string {
 const loadWidth = 16
 
 // Open returns the index over store. It asks the store for nothing: the
-// mirror is read by the first Query, Len or VersionsOf.
+// mirror is read by the first Query.
 func Open(store oss.Store) (*Index, error) {
 	return &Index{store: store}, nil
 }
@@ -284,36 +284,4 @@ func (x *Index) Query(sk Sketch, minScore float64) (m Match, ok bool, err error)
 		}
 	}
 	return best, best.Score >= 0, nil
-}
-
-// Len returns the number of indexed file versions.
-func (x *Index) Len() (int, error) {
-	if err := x.load(); err != nil {
-		return 0, err
-	}
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	return len(x.entries), nil
-}
-
-// VersionsOf returns indexed versions of a file, ascending; used by
-// version collection to trim old entries.
-func (x *Index) VersionsOf(fileID string) ([]int, error) {
-	if err := x.load(); err != nil {
-		return nil, err
-	}
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	var out []int
-	prefix := fileID + "\x00"
-	for k := range x.entries {
-		if strings.HasPrefix(k, prefix) {
-			v, err := strconv.Atoi(k[len(prefix):])
-			if err == nil {
-				out = append(out, v)
-			}
-		}
-	}
-	sort.Ints(out)
-	return out, nil
 }

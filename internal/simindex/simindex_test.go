@@ -99,12 +99,9 @@ func TestIndexQuery(t *testing.T) {
 		t.Fatalf("unexpected match %+v", m)
 	}
 
-	if n, err := idx.Len(); n != 3 || err != nil {
-		t.Fatalf("Len = %d, %v", n, err)
-	}
-	vs, err := idx.VersionsOf("f1")
-	if err != nil || len(vs) != 2 || vs[0] != 0 || vs[1] != 1 {
-		t.Fatalf("VersionsOf = %v, %v", vs, err)
+	stored, err := idx.Stored()
+	if err != nil || len(stored) != 3 {
+		t.Fatalf("Stored = %+v, %v", stored, err)
 	}
 }
 
@@ -121,9 +118,6 @@ func TestIndexPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := idx2.Len(); n != 1 || err != nil {
-		t.Fatalf("reloaded Len = %d, %v", n, err)
-	}
 	m, ok, _ := idx2.Query(sk, 0.5)
 	if !ok || m.FileID != "file with spaces/and-slash" || m.Version != 7 {
 		t.Fatalf("reloaded Query = %+v, %v", m, ok)
@@ -134,8 +128,8 @@ func TestIndexPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx3, _ := Open(mem)
-	if n, err := idx3.Len(); n != 0 || err != nil {
-		t.Fatalf("Len after remove = %d, %v", n, err)
+	if m, ok, err := idx3.Query(sk, 0.5); ok || err != nil {
+		t.Fatalf("reloaded Query after remove = %+v, %v, %v", m, ok, err)
 	}
 }
 
@@ -207,14 +201,14 @@ func TestOpenAsksForNothing(t *testing.T) {
 			t.Fatalf("query %d after a pre-load put: %+v, %v, %v", q, m, ok, err)
 		}
 	}
-	if got, err := idx.Len(); got != n || err != nil { // n - 1 removed + 1 put
-		t.Fatalf("Len = %d, %v, want %d", got, err, n)
+	if m, ok, err := idx.Query(SketchOf(seqFPs(0, 50), 16), 0.5); ok || err != nil {
+		t.Fatalf("the version removed before the load is indexed: %+v, %v, %v", m, ok, err)
 	}
-	if vs, _ := idx.VersionsOf("f"); len(vs) != n-1 || vs[0] != 1 {
-		t.Fatalf("the version removed before the load is indexed: %v", vs)
+	if m, ok, err := idx.Query(SketchOf(seqFPs(100*(n-1), 50), 16), 0.5); err != nil || !ok || m.FileID != "f" || m.Version != n-1 {
+		t.Fatalf("query for the last version stored before the load: %+v, %v, %v", m, ok, err)
 	}
-	if lists() != 1 || gets() != n {
-		t.Fatalf("three queries, Len and VersionsOf issued %d lists and %d gets, want 1 and %d", lists(), gets(), n)
+	if lists() != 1 || gets() != n { // n - 1 stored before the open + 1 put
+		t.Fatalf("five queries issued %d lists and %d gets, want 1 and %d", lists(), gets(), n)
 	}
 	if err := bar.Err(); err != nil {
 		t.Fatalf("the load is not a wave: %v", err)
@@ -239,8 +233,8 @@ func TestLoadFailureIsReportedAndRetried(t *testing.T) {
 	if _, _, err := idx.Query(sk, 0.5); err == nil {
 		t.Fatal("a query over an unreadable index reported no error")
 	}
-	if _, err := idx.Len(); err == nil {
-		t.Fatal("Len over an unreadable index reported no error")
+	if _, _, err := idx.Query(sk, 0.5); err == nil {
+		t.Fatal("a second query over an unreadable index reported no error")
 	}
 	faulty.Clear()
 	if m, ok, err := idx.Query(sk, 0.5); err != nil || !ok || m.FileID != "f" {
@@ -272,7 +266,9 @@ func TestRemoveDuringLoad(t *testing.T) {
 		}
 		return oss.Do(next, op)
 	})))
-	if n, err := idx.Len(); n != 0 || err != nil {
-		t.Fatalf("Len = %d, %v after every listed sketch vanished, want 0 and no error", n, err)
+	for v := 0; v < 4; v++ {
+		if m, ok, err := idx.Query(SketchOf(seqFPs(100*v, 50), 16), 0.5); ok || err != nil {
+			t.Fatalf("query for v%d after every listed sketch vanished: %+v, %v, %v; want no match and no error", v, m, ok, err)
+		}
 	}
 }

@@ -29,6 +29,15 @@ leaf=$(grep -rl '"slimstore/internal/core"' --include=*.go . | grep -vE '_test\.
 	[ "$(grep -rhE '^\s*\*?(oss\.)?(Store|Mem)\s*(//.*)?$|struct\s*\{\s*\*?(oss\.)?(Store|Mem)\s*\}' --include=*_test.go . | wc -l)" -le 8 ] ||
 	{ echo "check: too many oss.Store implementations: wrap with oss.With(…) and a Layer instead of forwarding six methods" >&2; exit 1; }
 
+# One reader of container state (DESIGN.md §6): a set of metas is read
+# through core.Repo.ReadMetas and a recipe's records are resolved through
+# core.Repo.Resolve, which take only a meta not found for a container gone.
+# The G-node and L-node keep their few single-meta reads; a new private
+# reader fails here.
+metareads=$(ls internal/gnode/*.go internal/lnode/*.go | grep -v '_test\.go$' | xargs grep -o '\.ReadMeta(' | wc -l)
+[ "$metareads" -le 6 ] ||
+	{ echo "check: $metareads .ReadMeta( call sites in internal/gnode and internal/lnode, want at most 6: read metas through core.Repo.ReadMetas or Resolve (DESIGN.md §6)" >&2; exit 1; }
+
 # The product constructs no fault injector (DESIGN.md §6): faults enter
 # through the one oss.Faulty a test, or the chaos runner, puts over a store.
 if grep -rlw Faulty --include='*.go' . | grep -v '_test\.go$' | grep -qvE '^\./internal/(oss|chaos)/'; then
