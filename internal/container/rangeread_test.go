@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -415,5 +416,87 @@ func TestOnInvalidateFires(t *testing.T) {
 		if got != id {
 			t.Fatalf("invalidation for %s, want %s", got, id)
 		}
+	}
+}
+
+// TestReadMetaRacingAWriteCachesNothing: a meta read that fetched the old
+// object while a write replaced it, or a delete removed it, does not
+// install what it fetched over the change: the next read sees the change.
+func TestReadMetaRacingAWriteCachesNothing(t *testing.T) {
+	for _, del := range []bool{false, true} {
+		var cs *Store
+		var armed atomic.Bool
+		var changeErr error
+		store := oss.With(oss.NewMem(), oss.LayerFunc(func(op oss.Op, next oss.Store) (oss.Op, error) {
+			op, err := oss.Do(next, op)
+			if op.Kind == oss.KindGet && strings.HasSuffix(op.Key, ".meta") && armed.CompareAndSwap(true, false) {
+				m, _ := DecodeMeta(op.Data)
+				if m.Chunks[0].Deleted = true; del {
+					changeErr = cs.Delete(m.ID)
+				} else {
+					changeErr = cs.WriteMeta(m)
+				}
+			}
+			return op, err
+		}))
+		cs, id, _, _ := buildSpanContainerOn(t, store, 4, 128)
+		cs.InvalidateMeta(id)
+		armed.Store(true)
+		if m, err := cs.ReadMeta(id); err != nil || m.Chunks[0].Deleted {
+			t.Fatalf("delete=%v: the racing read: %v, %+v", del, err, m)
+		}
+		if changeErr != nil {
+			t.Fatal(changeErr)
+		}
+		m, err := cs.ReadMeta(id)
+		if del && !errors.Is(err, oss.ErrNotFound) || !del && (err != nil || !m.Chunks[0].Deleted) {
+			t.Errorf("delete=%v: the read after the change: %v, %+v (a stale meta was cached)", del, err, m)
+		}
+	}
+}
+
+// TestWriteMetaCachesWhatItWrote: a meta write installs its meta whatever
+// other writes run beside it. Each goroutine owns one ID (all equal mod
+// 256), caches the stored meta, then writes versions and reads each back;
+// a write whose install gave way to another's would leave the older meta
+// cached.
+func TestWriteMetaCachesWhatItWrote(t *testing.T) {
+	cs, err := NewStore(oss.NewMem(), 1<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, rounds = 8, 2000
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		id := ID(1 + 256*w)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := cs.WriteMeta(&Meta{ID: id, Payload: 0}); err != nil {
+				errs <- err
+				return
+			}
+			cs.InvalidateMeta(id)
+			for v := ID(1); v <= rounds; v++ {
+				if _, err := cs.ReadMeta(id); err != nil {
+					errs <- err
+					return
+				}
+				if err := cs.WriteMeta(&Meta{ID: id, Payload: v}); err != nil {
+					errs <- err
+					return
+				}
+				if m, err := cs.ReadMeta(id); err != nil || m.Payload != v {
+					errs <- fmt.Errorf("container %s: wrote payload %s, read back %+v, %v", id, v, m, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -49,6 +49,7 @@ type storeShared struct {
 	mu        sync.Mutex
 	metaCache map[ID]*Meta // small write-through cache of container metadata
 	metaCap   int
+	metaGen   uint64     // meta writes and invalidations so far (ReadMeta)
 	inval     []func(ID) // invalidation subscribers (shared restore cache)
 
 	// bufPool recycles container payload buffers between builders and the
@@ -294,23 +295,31 @@ func (s *Store) ReadRaw(id ID) (c *Container, footerOK bool, err error) {
 	return &Container{Meta: *m, Data: payload}, footerOK, nil
 }
 
-// ReadMeta fetches container metadata, through the cache.
+// ReadMeta fetches container metadata, through the cache. A fetched meta
+// is cached only if no meta write or invalidation came after the read
+// began: a read that raced one may hold the older object, and installing
+// it over the write's would serve that to every later reader.
 func (s *Store) ReadMeta(id ID) (*Meta, error) {
-	s.shared.mu.Lock()
-	if m, ok := s.shared.metaCache[id]; ok {
-		s.shared.mu.Unlock()
+	sh := s.shared
+	sh.mu.Lock()
+	m, ok := sh.metaCache[id]
+	gen := sh.metaGen
+	sh.mu.Unlock()
+	if ok {
 		return m, nil
 	}
-	s.shared.mu.Unlock()
 	b, err := s.oss.Get(MetaKey(id))
 	if err != nil {
 		return nil, fmt.Errorf("container %s: read meta: %w", id, err)
 	}
-	m, err := DecodeMeta(b)
-	if err != nil {
+	if m, err = DecodeMeta(b); err != nil {
 		return nil, fmt.Errorf("container %s: %w", id, err)
 	}
-	s.cacheMeta(m)
+	sh.mu.Lock()
+	if gen == sh.metaGen {
+		sh.cacheMetaLocked(m)
+	}
+	sh.mu.Unlock()
 	return m, nil
 }
 
@@ -320,7 +329,10 @@ func (s *Store) WriteMeta(m *Meta) error {
 	if err := s.oss.Put(MetaKey(m.ID), EncodeMeta(m)); err != nil {
 		return fmt.Errorf("container %s: write meta: %w", m.ID, err)
 	}
-	s.cacheMeta(m)
+	s.shared.mu.Lock()
+	s.shared.metaGen++
+	s.shared.cacheMetaLocked(m)
+	s.shared.mu.Unlock()
 	s.notifyInvalidate(m.ID)
 	return nil
 }
@@ -458,14 +470,13 @@ func (s *Store) DeletePayload(payload ID) error {
 func (s *Store) InvalidateMeta(id ID) {
 	s.shared.mu.Lock()
 	delete(s.shared.metaCache, id)
+	s.shared.metaGen++
 	s.shared.mu.Unlock()
 	s.notifyInvalidate(id)
 }
 
-func (s *Store) cacheMeta(m *Meta) {
-	sh := s.shared
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+// cacheMetaLocked installs a copy of m; sh.mu is held.
+func (sh *storeShared) cacheMetaLocked(m *Meta) {
 	if len(sh.metaCache) >= sh.metaCap {
 		// Random eviction of one entry keeps the cache bounded without an
 		// LRU list; metadata is tiny and re-fetchable.

@@ -87,8 +87,7 @@ type Config struct {
 	// PrefetchThreads is how many container reads a restore keeps in
 	// flight at once — data-object requests, whichever containers they
 	// belong to; the LAW prefetcher starts twice as many containers ahead
-	// of the restore position. 0 disables prefetching (Table II). It is
-	// also the width of the restore's metadata waves.
+	// of the restore position. 0 disables prefetching (Table II).
 	PrefetchThreads int
 	// VerifyRestore re-fingerprints every restored chunk and fails the
 	// restore on any mismatch (end-to-end integrity at fingerprinting

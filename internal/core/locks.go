@@ -4,6 +4,7 @@ import (
 	"hash/fnv"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"slimstore/internal/container"
 	"slimstore/internal/lockrank"
@@ -115,9 +116,13 @@ const containerLockShards = 128
 // that container's stripe and therefore waits for in-flight restores.
 // Metadata-only writes (deletion marks) do not need the write side: the
 // global index is synced before marks land, so a reader that observes a
-// mark redirects through the index.
+// mark redirects through the index, and one that does not still finds the
+// bytes. Every write-side section bumps one counter before it releases its
+// stripe, so a restore that samples Writes before resolving and finds it
+// unchanged once pinned knows no container it pinned was written since.
 type ContainerLocks struct {
 	shards [containerLockShards]sync.RWMutex
+	writes atomic.Uint64
 }
 
 func (l *ContainerLocks) shard(id container.ID) *sync.RWMutex {
@@ -132,11 +137,16 @@ func (l *ContainerLocks) Lock(id container.ID) {
 	l.shard(id).Lock()
 }
 
-// Unlock releases the write side.
+// Unlock counts the write-side section, then releases it: a pin that
+// waited for the stripe sees the count moved.
 func (l *ContainerLocks) Unlock(id container.ID) {
+	l.writes.Add(1)
 	lockrank.Release(lockrank.Container)
 	l.shard(id).Unlock()
 }
+
+// Writes returns how many write-side sections have ended.
+func (l *ContainerLocks) Writes() uint64 { return l.writes.Load() }
 
 // Pin read-locks the stripes covering ids and returns a release function.
 // Stripes are acquired in ascending order and all up front — a pinned

@@ -21,12 +21,20 @@ func slowRanged(inner oss.Store, under ...oss.Layer) (oss.Store, *oss.Recorder) 
 	return oss.With(inner, append([]oss.Layer{rec, oss.Sleep(time.Millisecond)}, under...)...), rec
 }
 
+// multiBlockKeys is how many keys the older table of multiBlockStore
+// holds: ~170 16 KiB blocks, more than two fetch windows.
+const multiBlockKeys = 20000
+
+// multiBlockOpts are the options multiBlockStore writes under: a memtable
+// large enough that each table is one flush.
+var multiBlockOpts = Options{MemtableBytes: 8 << 20, L0Threshold: 8}
+
 // multiBlockStore persists a layered DB whose tables span many 16 KiB
 // data blocks, and returns the store plus the expected contents.
 func multiBlockStore(t *testing.T) (*oss.Mem, map[string]string) {
 	t.Helper()
 	mem := oss.NewMem()
-	opts := Options{MemtableBytes: 1 << 20, L0Threshold: 8}
+	opts := multiBlockOpts
 	db, err := Open(mem, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -41,16 +49,16 @@ func multiBlockStore(t *testing.T) (*oss.Mem, map[string]string) {
 		}
 		want[k] = v
 	}
-	for i := 0; i < 3000; i++ {
+	for i := 0; i < multiBlockKeys; i++ {
 		put(i, "a")
 	}
-	if err := db.Flush(); err != nil { // ~25 blocks
+	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3000; i += 3 { // newer L0 table shadowing a third
+	for i := 0; i < multiBlockKeys; i += 3 { // newer L0 table shadowing a third
 		put(i, "b")
 	}
-	for i := 1; i < 3000; i += 50 {
+	for i := 1; i < multiBlockKeys; i += 50 {
 		k := fmt.Sprintf("key%05d", i)
 		if err := db.Delete([]byte(k)); err != nil {
 			t.Fatal(err)
@@ -73,7 +81,7 @@ func multiBlockStore(t *testing.T) (*oss.Mem, map[string]string) {
 func TestGetMultiConcurrentBlockFetchMatchesGets(t *testing.T) {
 	mem, want := multiBlockStore(t)
 	var keys [][]byte
-	for i := 0; i < 3100; i += 2 { // the tail is absent
+	for i := 0; i < multiBlockKeys+100; i += 2 { // the tail is absent
 		keys = append(keys, []byte(fmt.Sprintf("key%05d", i)))
 	}
 	for _, tc := range []struct {
@@ -82,7 +90,8 @@ func TestGetMultiConcurrentBlockFetchMatchesGets(t *testing.T) {
 	}{{"default-cache", 0}, {"no-cache", -1}, {"tiny-cache", 40 << 10}} {
 		t.Run(tc.name, func(t *testing.T) {
 			store, rec := slowRanged(mem)
-			opts := Options{MemtableBytes: 1 << 20, L0Threshold: 8, BlockCacheBytes: tc.cache}
+			opts := multiBlockOpts
+			opts.BlockCacheBytes = tc.cache
 			multi, err := Open(store, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -120,9 +129,13 @@ func TestGetMultiConcurrentBlockFetchMatchesGets(t *testing.T) {
 				}
 			}
 			// A block is read at most once per table probe while the cache
-			// can hold it: two tables of ~25 and ~9 blocks plus their opens.
-			if tc.cache == 0 && calls > 60 {
-				t.Fatalf("probe issued %d ranged reads", calls)
+			// can hold it: two tables of ~160 and ~55 blocks plus their opens.
+			blocks := 0
+			for _, r := range multi.readers {
+				blocks += len(r.index)
+			}
+			if tc.cache == 0 && calls > blocks+2*len(multi.readers) {
+				t.Fatalf("probe issued %d ranged reads over %d blocks", calls, blocks)
 			}
 			// Warm repeat: same answers, nothing left to fetch.
 			if tc.cache == 0 {
@@ -157,11 +170,12 @@ func TestGetMultiBlockFetchFailure(t *testing.T) {
 		}
 		return oss.Do(next, op)
 	}))
-	db, err := Open(store, Options{MemtableBytes: 1 << 20, L0Threshold: 8})
+	db, err := Open(store, multiBlockOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Open the big table's reader, then fail a block in its middle.
+	// Open the big table's reader, then fail a block in its middle, which
+	// lies in the second fetch window or later.
 	if _, ok, err := db.Get([]byte("key00004")); err != nil || !ok {
 		t.Fatal(err)
 	}
@@ -171,13 +185,13 @@ func TestGetMultiBlockFetchFailure(t *testing.T) {
 			big = r
 		}
 	}
-	if big == nil || len(big.index) < 8 {
-		t.Fatalf("no multi-block table open: %v", db.readers)
+	if big == nil || len(big.index) <= 2*blockFetchWidth {
+		t.Fatalf("no table of more than two fetch windows open: %v", db.readers)
 	}
 	failKey, failOff = db.tableKey(big.meta.Name), int64(big.index[len(big.index)/2].off)
 
 	var keys [][]byte
-	for i := 4; i < 3000; i += 3 { // live only in the big table
+	for i := 4; i < multiBlockKeys; i += 3 { // live only in the big table
 		keys = append(keys, []byte(fmt.Sprintf("key%05d", i)))
 	}
 	_, _, err = db.GetMulti(keys)

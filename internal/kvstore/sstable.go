@@ -467,14 +467,15 @@ func (t *tableReader) blockFor(key []byte) int {
 
 // searchFrom resolves key given the decoded entries of its first
 // candidate block bi (from blockFor), advancing into following blocks as
-// long as they still start at key. The first match in file order is the
-// newest version. fetched is passed through to blockEntries.
+// long as they still start at key. A block is sorted key ascending, seq
+// descending, so a binary search lands on the key's first entry in the
+// block, and the first match in file order is the newest version. fetched
+// is passed through to blockEntries.
 func (t *tableReader) searchFrom(bi int, entries []entry, key []byte, fetched map[int][]entry) (entry, bool, error) {
 	for {
-		for i := range entries {
-			if bytes.Equal(entries[i].key, key) {
-				return entries[i], true, nil
-			}
+		i := sort.Search(len(entries), func(i int) bool { return bytes.Compare(entries[i].key, key) >= 0 })
+		if i < len(entries) && bytes.Equal(entries[i].key, key) {
+			return entries[i], true, nil
 		}
 		bi++
 		if bi >= len(t.index) || !bytes.Equal(t.index[bi].firstKey, key) {
@@ -528,9 +529,11 @@ func (t *tableReader) blockEntries(bi int, fetched map[int][]entry) ([]entry, er
 
 // blockFetchWidth bounds the ranged reads one table probe keeps in
 // flight, and with them the decoded blocks it holds outside the block
-// cache: enough to hide the per-request latency of a batched probe
-// without opening an unbounded number of OSS channels.
-const blockFetchWidth = 8
+// cache: wide enough that a restore's batched probe reads each table's
+// missing blocks in one round trip (a cold probe of a few dozen blocks),
+// without opening an unbounded number of OSS channels. The whole-object
+// reads and deletes of open, compaction and Scan fan out as wide.
+const blockFetchWidth = 64
 
 // fetchBlocks reads, concurrently, the next window of a probe's blocks:
 // it scans bis from position from until it has found blockFetchWidth

@@ -187,9 +187,9 @@ type headCuts struct {
 // cannot outrun the write path.
 const packWorkers = 4
 
-// metaWave is how many metas persist puts (a container the job wrote) or
-// reads (one it references) at once: a version of up to 64 containers in
-// one round trip.
+// metaWave is how many metas a job puts (persist: the containers it wrote)
+// or reads (each resolution wave, restore and persist alike) at once: a
+// version of up to 64 containers in one round trip.
 const metaWave = 64
 
 // newBackupJob builds the per-job pipeline state shared by Backup and

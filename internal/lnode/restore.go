@@ -255,25 +255,33 @@ func (n *LNode) RestoreHandoff(chunks [][]byte, seq []cache.Request, verify bool
 // or the window of them a range restore needs — and read-pins every
 // container it references, so G-node maintenance cannot rewrite or drop a
 // container between resolution and the reads. Pinning cannot happen before
-// resolving (the container set is the *output* of resolution), so after
-// taking the pins we re-resolve and check the set is unchanged; if
-// maintenance slid in during the window we release, adopt the new set, and
-// retry. Pins are shared read-locks taken in sorted stripe order
-// (core.ContainerLocks.Pin), so concurrent restores never deadlock and
-// rewrites wait, not fail.
-// The resolution returned is the final (pinned) pass's — its Metas are the
-// exact container states the sequence was resolved against, which the
-// restore I/O layer plans its ranged reads from without re-reading any
-// metadata — with MetaReads and MemoHits summed over every pass.
+// resolving (the container set is the *output* of resolution), so the
+// container write counter is sampled before the pass and checked once the
+// pins are held: a pinned container's bytes change only under the write
+// side, whose sections all bump the counter before they release, so an
+// unchanged counter means the one pass already describes what is pinned.
+// A moved counter keeps the pins and re-resolves under them until two
+// passes agree on the set (at most 8 times), releasing and re-pinning only
+// when the set itself moved. Pins are shared read-locks taken in sorted
+// stripe order (core.ContainerLocks.Pin), so concurrent restores never
+// deadlock and rewrites wait, not fail.
+// The resolution returned is the last pass's — its Metas are the exact
+// container states the sequence was resolved against, which the restore
+// I/O layer plans its ranged reads from without re-reading any metadata —
+// with MetaReads and MemoHits summed over every pass.
 func (n *LNode) pinSequence(containers *container.Store, r *recipe.Recipe, recs []*recipe.ChunkRecord, acct *simclock.Account) (*core.Resolution, func(), error) {
+	writes := n.repo.CLocks.Writes()
 	res, err := n.resolve(containers, r, recs, acct)
 	if err != nil {
 		return nil, nil, err
 	}
+	release := n.repo.CLocks.Pin(requestContainers(res.Seq))
+	if n.repo.CLocks.Writes() == writes {
+		return res, release, nil
+	}
 	reads, hits := res.MetaReads, res.MemoHits
 	const maxAttempts = 8
 	for attempt := 0; ; attempt++ {
-		release := n.repo.CLocks.Pin(requestContainers(res.Seq))
 		again, err := n.resolve(containers, r, recs, acct)
 		if err != nil {
 			release()
@@ -290,6 +298,7 @@ func (n *LNode) pinSequence(containers *container.Store, r *recipe.Recipe, recs 
 				r.FileID, r.Version, maxAttempts)
 		}
 		res = again
+		release = n.repo.CLocks.Pin(requestContainers(res.Seq))
 	}
 }
 
@@ -314,16 +323,15 @@ func sameContainers(a, b []cache.Request) bool {
 }
 
 // resolve resolves recs (records of r, in logical order) into the restore
-// request sequence through core.Repo.Resolve, the job's read channels wide
-// (Config.PrefetchThreads; 0 or 1 is the serial loop), and fails on a lost
-// chunk, naming it. It is also persist's check that a version names no lost
-// container.
+// request sequence through core.Repo.Resolve, each metadata wave metaWave
+// wide, and fails on a lost chunk, naming it. It is also persist's check
+// that a version names no lost container.
 //
-// Its metas live for ONE pass only: pinSequence re-resolves after pinning
-// precisely to observe any maintenance that slid in, and a memo surviving
-// between the passes would blind that revalidation.
+// Its metas live for ONE pass only: when pinSequence re-resolves, it is to
+// observe a write that slid in, and a memo surviving between the passes
+// would blind that revalidation.
 func (n *LNode) resolve(containers *container.Store, r *recipe.Recipe, recs []*recipe.ChunkRecord, acct *simclock.Account) (*core.Resolution, error) {
-	res, err := n.repo.Resolve(containers, recs, n.repo.Config.PrefetchThreads, acct)
+	res, err := n.repo.Resolve(containers, recs, metaWave, acct)
 	if err != nil {
 		return nil, fmt.Errorf("lnode: resolve %s v%d: %w", r.FileID, r.Version, err)
 	}

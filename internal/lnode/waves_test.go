@@ -94,12 +94,12 @@ func optimizedChain(t *testing.T, store oss.Store, cfg core.Config, seed int64, 
 
 // TestResolveWaves: a cold resolve of an old, redirected version costs two
 // waves of metadata reads — the home containers together, then the
-// redirect targets together — and one batched index probe per pass,
-// whatever the number of records; the revalidation pass under the pins
-// reads no metadata at all (the store's cache is warm by then).
+// redirect targets together, each one round trip at the default
+// PrefetchThreads, which bounds data reads only — and one batched index
+// probe, whatever the number of records: with no maintenance running, the
+// pinned first pass is the only one.
 func TestResolveWaves(t *testing.T) {
 	cfg := testConfig()
-	cfg.PrefetchThreads = 64 // wider than any wave here: a wave is one round trip
 	cfg.SparseUtilization = 0.9
 	mem := oss.NewMem()
 	kept := optimizedChain(t, mem, cfg, 81, 3<<20, 5)
@@ -153,10 +153,10 @@ func TestResolveWaves(t *testing.T) {
 		t.Fatalf("the two metadata waves: %v", err)
 	}
 	if got, want := len(probe.started(isMetaGet)), len(homes)+len(targets); got != want {
-		t.Errorf("%d metadata reads, want %d (each container once, in the first pass only)", got, want)
+		t.Errorf("%d metadata reads, want %d (each container once)", got, want)
 	}
-	if got := repo.Global.Ops() - opsBefore; got != 2 {
-		t.Errorf("%d global-index operations for %d redirects, want 2 (one batched probe per pass)", got, redirects)
+	if got := repo.Global.Ops() - opsBefore; got != 1 {
+		t.Errorf("%d global-index operations for %d redirects, want 1 (one batched probe, one pass)", got, redirects)
 	}
 	if st.Redirects != redirects {
 		t.Errorf("Redirects = %d, want %d", st.Redirects, redirects)
@@ -173,9 +173,8 @@ func TestResolveWaves(t *testing.T) {
 
 // TestResolveSequenceMemoized: a resolution pass reads each distinct
 // container's metadata once however many records reference it, and pays
-// for every other lookup from its memo; pinSequence resolves twice
-// (resolve, then revalidate under pins) and the second pass reaches the
-// store for none of them.
+// for every other lookup from its memo; with no container written since
+// the pass began, pinSequence accepts it once pinned and resolves no more.
 func TestResolveSequenceMemoized(t *testing.T) {
 	cfg := testConfig()
 	mem := oss.NewMem()
@@ -207,13 +206,13 @@ func TestResolveSequenceMemoized(t *testing.T) {
 	}
 	c := st.Cache
 	if got := len(probe.started(isMetaGet)); got != len(distinct) {
-		t.Errorf("%d metadata requests over two passes, want %d (one per distinct container)", got, len(distinct))
+		t.Errorf("%d metadata requests, want %d (one per distinct container)", got, len(distinct))
 	}
-	if c.ResolveMetaReads != 2*len(distinct) {
-		t.Errorf("ResolveMetaReads = %d, want %d (each pass consults each container once)", c.ResolveMetaReads, 2*len(distinct))
+	if c.ResolveMetaReads != len(distinct) {
+		t.Errorf("ResolveMetaReads = %d, want %d (one pass consults each container once)", c.ResolveMetaReads, len(distinct))
 	}
-	if got, want := c.ResolveMetaReads+c.ResolveMetaMemoHits, 2*c.Requests; got != want {
-		t.Errorf("lookups %d over two passes, want %d (2×%d records)", got, want, c.Requests)
+	if got, want := c.ResolveMetaReads+c.ResolveMetaMemoHits, c.Requests; got != want {
+		t.Errorf("%d lookups, want %d (one per record)", got, want)
 	}
 	// A 1 MiB file spans few containers but ~256 chunks: the memo must
 	// absorb the overwhelming majority of the lookups.

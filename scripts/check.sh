@@ -68,6 +68,10 @@ go test -count=1 -tags purego ./internal/fingerprint/ ./internal/lnode/
 go test -race -count=1 -cpu 1,4 ./internal/pipe/ ./internal/cache/ ./internal/container/
 go test -race -count=1 -cpu 1,4 -run 'Prefetch|ReadAhead|Twin|RestoreKeeps|RestoreFailsWhole' ./internal/lnode/
 go test -race -count=1 -cpu 1,4 -run 'CompactSparse|MatchesSerial' ./internal/gnode/
+# A restore accepts its first resolution pass only while no container write
+# section has ended since it began: a rewrite under the first pass forces
+# the second, deletion marks do not (DESIGN.md §7).
+go test -race -count=20 -cpu 1,4 -run 'TestPinFallsBackAfterRewrite|TestPinAcceptsFirstPassUnderMarks' ./internal/lnode/
 # Store bytes at G-node widths -1 and 4, plain and striped: the rewrites'
 # fresh payload IDs are drawn in container order, whatever the scheduler does.
 go test -count=3 -cpu 1,4 -run 'StoreBytesTwin' .
