@@ -1,9 +1,9 @@
-// Package cbf provides a standard Bloom filter and a counting Bloom filter.
+// Package cbf provides a counting Bloom filter.
 //
-// SLIMSTORE uses a counting Bloom filter per restoring file to track how
-// many times each chunk will still be referenced (the full-vision restore
-// cache, paper §V-A), and a plain Bloom filter in front of the global index
-// to filter out unique chunks cheaply during reverse deduplication (§VI-A).
+// SLIMSTORE uses one per restoring file to track how many times each chunk
+// will still be referenced (the full-vision restore cache, paper §V-A).
+// The global index has no filter of its own: its lookups go through the
+// per-table key filters of internal/kvstore.
 package cbf
 
 import (
@@ -15,7 +15,7 @@ import (
 // hashPair derives the two base hashes of the Kirsch-Mitzenmacher
 // double-hashing construction; slot i is (h1 + i*h2) mod m. Callers
 // compute slots inline rather than through a scratch slice so that the
-// read-only probes (MayContain, Count) stay safe under a shared RLock.
+// read-only probes (MayContain, Count) stay safe between concurrent readers.
 func hashPair(fp fingerprint.FP) (h1, h2 uint64) {
 	h1 = fp.Uint64()
 	// Second independent hash from the trailing bytes.
@@ -49,57 +49,6 @@ func params(n int, fpRate float64) (m, k int) {
 		k = 16
 	}
 	return m, k
-}
-
-// Bloom is a fixed-size Bloom filter over chunk fingerprints. Add
-// mutates; MayContain is read-only, so any number of concurrent
-// MayContain calls may share the filter with each other (writers still
-// need external exclusion).
-type Bloom struct {
-	bits []uint64
-	m, k int
-	n    int
-}
-
-// NewBloom sizes a filter for n expected items at the given false-positive
-// rate (0 < fpRate < 1).
-func NewBloom(n int, fpRate float64) *Bloom {
-	m, k := params(n, fpRate)
-	return &Bloom{bits: make([]uint64, (m+63)/64), m: m, k: k}
-}
-
-// Add inserts fp.
-func (b *Bloom) Add(fp fingerprint.FP) {
-	h1, h2 := hashPair(fp)
-	for i := 0; i < b.k; i++ {
-		s := int((h1 + uint64(i)*h2) % uint64(b.m))
-		b.bits[s/64] |= 1 << uint(s%64)
-	}
-	b.n++
-}
-
-// MayContain reports whether fp may have been added (false positives
-// possible, false negatives impossible).
-func (b *Bloom) MayContain(fp fingerprint.FP) bool {
-	h1, h2 := hashPair(fp)
-	for i := 0; i < b.k; i++ {
-		s := int((h1 + uint64(i)*h2) % uint64(b.m))
-		if b.bits[s/64]&(1<<uint(s%64)) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Len returns the number of Add calls.
-func (b *Bloom) Len() int { return b.n }
-
-// Reset clears the filter.
-func (b *Bloom) Reset() {
-	for i := range b.bits {
-		b.bits[i] = 0
-	}
-	b.n = 0
 }
 
 // Counting is a counting Bloom filter: Add increments k counters, Remove

@@ -3,7 +3,6 @@ package cbf
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"slimstore/internal/fingerprint"
 )
@@ -13,52 +12,6 @@ func fpOf(seed int64) fingerprint.FP {
 	r := rand.New(rand.NewSource(seed))
 	r.Read(b[:])
 	return fingerprint.OfBytes(b[:])
-}
-
-func TestBloomNoFalseNegatives(t *testing.T) {
-	b := NewBloom(1000, 0.01)
-	var fps []fingerprint.FP
-	for i := 0; i < 1000; i++ {
-		fp := fpOf(int64(i))
-		fps = append(fps, fp)
-		b.Add(fp)
-	}
-	for i, fp := range fps {
-		if !b.MayContain(fp) {
-			t.Fatalf("false negative for item %d", i)
-		}
-	}
-	if b.Len() != 1000 {
-		t.Fatalf("Len = %d, want 1000", b.Len())
-	}
-}
-
-func TestBloomFalsePositiveRate(t *testing.T) {
-	b := NewBloom(10000, 0.01)
-	for i := 0; i < 10000; i++ {
-		b.Add(fpOf(int64(i)))
-	}
-	fp := 0
-	const probes = 10000
-	for i := 0; i < probes; i++ {
-		if b.MayContain(fpOf(int64(100000 + i))) {
-			fp++
-		}
-	}
-	rate := float64(fp) / probes
-	if rate > 0.03 {
-		t.Fatalf("false positive rate %.4f, want <= 0.03", rate)
-	}
-}
-
-func TestBloomReset(t *testing.T) {
-	b := NewBloom(100, 0.01)
-	fp := fpOf(1)
-	b.Add(fp)
-	b.Reset()
-	if b.MayContain(fp) || b.Len() != 0 {
-		t.Fatal("Reset did not clear the filter")
-	}
 }
 
 func TestCountingAddRemove(t *testing.T) {
@@ -116,37 +69,11 @@ func TestCountingReferenceTracking(t *testing.T) {
 	}
 }
 
-func TestQuickBloomMembership(t *testing.T) {
-	f := func(items [][]byte) bool {
-		b := NewBloom(len(items)+1, 0.01)
-		for _, it := range items {
-			b.Add(fingerprint.OfBytes(it))
-		}
-		for _, it := range items {
-			if !b.MayContain(fingerprint.OfBytes(it)) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestParamsClamp(t *testing.T) {
-	b := NewBloom(0, 2.0) // degenerate inputs clamp to sane defaults
-	b.Add(fpOf(1))
-	if !b.MayContain(fpOf(1)) {
+	c := NewCounting(0, 2.0) // degenerate inputs clamp to sane defaults
+	c.Add(fpOf(1))
+	if !c.MayContain(fpOf(1)) {
 		t.Fatal("degenerate-params filter dropped an item")
-	}
-}
-
-func BenchmarkBloomAdd(b *testing.B) {
-	bl := NewBloom(1<<20, 0.01)
-	fp := fpOf(1)
-	for i := 0; i < b.N; i++ {
-		bl.Add(fp)
 	}
 }
 

@@ -304,7 +304,6 @@ func OpenRepo(store oss.Store, cfg Config) (*Repo, error) {
 // "gidx/s<k>/log/").
 func openGlobal(store oss.Store, cfg *Config) (*globalindex.Sharded, []*repl.Group, *simclock.Account, error) {
 	shards := cfg.GlobalShards
-	bloomPerShard := max((1<<22)/shards, 1<<16)
 	var (
 		idxs     []*globalindex.Index
 		groups   []*repl.Group
@@ -318,7 +317,6 @@ func openGlobal(store oss.Store, cfg *Config) (*globalindex.Sharded, []*repl.Gro
 		if shards > 1 || cfg.GlobalReplicas > 1 {
 			prefix = fmt.Sprintf("gidx/s%d/", k)
 		}
-		opts := globalindex.Options{BloomCapacity: bloomPerShard}
 		var idx *globalindex.Index
 		if cfg.GlobalReplicas > 1 {
 			grp, err := repl.Open(store, repl.Options{
@@ -331,15 +329,12 @@ func openGlobal(store oss.Store, cfg *Config) (*globalindex.Sharded, []*repl.Gro
 				return nil, nil, nil, fmt.Errorf("shard %d: %w", k, err)
 			}
 			groups = append(groups, grp)
-			if idx, err = globalindex.OpenBackend(grp, opts); err != nil {
-				return nil, nil, nil, fmt.Errorf("shard %d: %w", k, err)
-			}
+			idx = globalindex.OpenBackend(grp)
 		} else {
 			kv := cfg.GlobalKV
 			kv.Prefix = prefix
-			opts.KV = kv
 			var err error
-			if idx, err = globalindex.Open(store, opts); err != nil {
+			if idx, err = globalindex.Open(store, globalindex.Options{KV: kv}); err != nil {
 				return nil, nil, nil, fmt.Errorf("shard %d: %w", k, err)
 			}
 		}

@@ -10,10 +10,10 @@ import (
 )
 
 // Property: PutBatch+GetBatch over many entries behave exactly like
-// batches of one — same visible mappings, same bloom distinct-entry
-// estimate, and the same number of lookups short-circuited by the filter.
+// batches of one — same visible mappings, same held-entry count, and the
+// same number of misses.
 func TestBatchMatchesSingles(t *testing.T) {
-	opts := Options{BloomCapacity: 4096}
+	var opts Options
 	single, err := Open(oss.NewMem(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +26,7 @@ func TestBatchMatchesSingles(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var pending []Entry
 	for i := 0; i < 600; i++ {
-		// Overlapping fingerprints force relocations and bloom dup hits.
+		// Overlapping fingerprints force relocations.
 		e := Entry{FP: fpN(rng.Intn(250)), ID: container.ID(rng.Intn(40) + 1)}
 		put(t, single, e.FP, e.ID)
 		pending = append(pending, e)
@@ -43,7 +43,7 @@ func TestBatchMatchesSingles(t *testing.T) {
 
 	ss, bs := single.Stats(), batched.Stats()
 	if ss.Entries != bs.Entries {
-		t.Fatalf("bloom entry estimate diverges: singles %d, batched %d", ss.Entries, bs.Entries)
+		t.Fatalf("held entries diverge: singles %d, batched %d", ss.Entries, bs.Entries)
 	}
 	if ss.KV.Puts != bs.KV.Puts {
 		t.Fatalf("kv puts diverge: singles %d, batched %d", ss.KV.Puts, bs.KV.Puts)
@@ -72,49 +72,48 @@ func TestBatchMatchesSingles(t *testing.T) {
 
 	// Probe a mix of present and absent fingerprints both ways on the
 	// batched index, and compare against singles lookups: same answers,
-	// same bloom skip count.
+	// same miss count.
 	var fps []fingerprint.FP
 	for i := 0; i < 400; i++ {
 		fps = append(fps, fpN(i)) // 250 present at most, rest absent
 	}
-	ids, found, skips, err := batched.GetBatch(fps)
+	ids, found, misses, err := batched.GetBatch(fps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	singleSkips := 0
+	singleMisses := 0
 	for i, fp := range fps {
-		before := single.Stats().BloomSkips
 		id, ok := get(t, single, fp)
-		if single.Stats().BloomSkips > before {
-			singleSkips++
+		if !ok {
+			singleMisses++
 		}
 		if ok != found[i] || (ok && id != ids[i]) {
 			t.Fatalf("fp %s: GetBatch = (%d,%v), Get = (%d,%v)", fp.Short(), ids[i], found[i], id, ok)
 		}
 	}
-	if skips != singleSkips {
-		t.Fatalf("bloom skips diverge: GetBatch %d, singles %d", skips, singleSkips)
+	if misses != singleMisses {
+		t.Fatalf("misses diverge: GetBatch %d, singles %d", misses, singleMisses)
 	}
 }
 
 func TestGetBatchEmptyAndUnknown(t *testing.T) {
-	x, err := Open(oss.NewMem(), Options{BloomCapacity: 1000})
+	x, err := Open(oss.NewMem(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, found, skips, err := x.GetBatch(nil)
-	if err != nil || len(ids) != 0 || len(found) != 0 || skips != 0 {
-		t.Fatalf("empty GetBatch = %v %v %d %v", ids, found, skips, err)
+	ids, found, misses, err := x.GetBatch(nil)
+	if err != nil || len(ids) != 0 || len(found) != 0 || misses != 0 {
+		t.Fatalf("empty GetBatch = %v %v %d %v", ids, found, misses, err)
 	}
 	if err := x.PutBatch(nil); err != nil {
 		t.Fatal(err)
 	}
-	// All-absent batch: every lookup must short-circuit in the filter.
+	// All-absent batch: every lookup misses.
 	var fps []fingerprint.FP
 	for i := 0; i < 50; i++ {
 		fps = append(fps, fpN(i))
 	}
-	_, found, skips, err = x.GetBatch(fps)
+	_, found, misses, err = x.GetBatch(fps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +122,7 @@ func TestGetBatchEmptyAndUnknown(t *testing.T) {
 			t.Fatalf("absent fp %d reported found", i)
 		}
 	}
-	if skips != len(fps) {
-		t.Fatalf("empty index skipped %d of %d lookups in the bloom", skips, len(fps))
+	if misses != len(fps) {
+		t.Fatalf("empty index reported %d misses of %d lookups", misses, len(fps))
 	}
 }

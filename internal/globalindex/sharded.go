@@ -13,10 +13,10 @@ import (
 // G-shards (the shared-nothing clustered layout): shard k owns the
 // contiguous fingerprint range where int(fp[0])*N/256 == k, so shard
 // boundaries nest as N grows and a full Scan over shards 0..N-1 visits
-// fingerprints in global order. Each shard is a complete Index — its own
-// bloom stripes, its own backend (a plain kvstore or a replicated
-// group) — so shard operations proceed concurrently instead of
-// serialising on one LSM mutex.
+// fingerprints in global order. Each shard is a complete Index over its
+// own backend (a plain kvstore or a replicated group), so shard
+// operations proceed concurrently instead of serialising on one LSM
+// mutex.
 //
 // It has one write, PutBatch (deletions are entries naming
 // container.Invalid), and one lookup, GetBatch; a caller with one
@@ -118,8 +118,8 @@ func (s *Sharded) PutBatch(entries []Entry) error {
 
 // GetBatch — the one lookup — fans out per shard. Result slices are
 // positional (shard workers write disjoint indexes), so the answer is
-// identical to the unsharded call; bloomSkips is the sum over shards.
-func (s *Sharded) GetBatch(fps []fingerprint.FP) (ids []container.ID, found []bool, bloomSkips int, err error) {
+// identical to the unsharded call.
+func (s *Sharded) GetBatch(fps []fingerprint.FP) (ids []container.ID, found []bool, misses int, err error) {
 	s.step()
 	if len(s.shards) == 1 {
 		return s.shards[0].GetBatch(fps)
@@ -134,7 +134,6 @@ func (s *Sharded) GetBatch(fps []fingerprint.FP) (ids []container.ID, found []bo
 		k := s.ShardFor(fps[i])
 		groups[k] = append(groups[k], i)
 	}
-	skips := make([]int, len(s.shards))
 	err = s.forEachShard(func(k int) error {
 		if len(groups[k]) == 0 {
 			return nil
@@ -143,7 +142,7 @@ func (s *Sharded) GetBatch(fps []fingerprint.FP) (ids []container.ID, found []bo
 		for j, i := range groups[k] {
 			sub[j] = fps[i]
 		}
-		sids, sfound, sskips, serr := s.shards[k].GetBatch(sub)
+		sids, sfound, _, serr := s.shards[k].GetBatch(sub)
 		if serr != nil {
 			return serr
 		}
@@ -151,16 +150,17 @@ func (s *Sharded) GetBatch(fps []fingerprint.FP) (ids []container.ID, found []bo
 			ids[i] = sids[j]
 			found[i] = sfound[j]
 		}
-		skips[k] = sskips
 		return nil
 	})
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	for _, n := range skips {
-		bloomSkips += n
+	for _, ok := range found {
+		if !ok {
+			misses++
+		}
 	}
-	return ids, found, bloomSkips, nil
+	return ids, found, misses, nil
 }
 
 // Scan visits all entries in global fingerprint order: shards own
@@ -185,15 +185,14 @@ func (s *Sharded) Scan(fn func(fp fingerprint.FP, id container.ID) bool) error {
 	return nil
 }
 
-// Stats sums the per-shard snapshots (entries, lookups, bloom skips and
-// the KV engine counters are all additive).
+// Stats sums the per-shard snapshots (the entry count and the KV engine
+// counters are all additive).
 func (s *Sharded) Stats() Stats {
 	var out Stats
 	for _, sh := range s.shards {
 		st := sh.Stats()
 		out.Entries += st.Entries
-		out.Lookups += st.Lookups
-		out.BloomSkips += st.BloomSkips
+		out.KV.Entries += st.KV.Entries
 		out.KV.Puts += st.KV.Puts
 		out.KV.Gets += st.KV.Gets
 		out.KV.Deletes += st.KV.Deletes

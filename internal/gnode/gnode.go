@@ -86,7 +86,7 @@ const rewriteStale = 0.2
 type ReverseDedupStats struct {
 	ContainersScanned   int
 	ChunksScanned       int
-	BloomSkips          int64 // unique chunks filtered without an index read
+	BloomSkips          int64 // probed fingerprints the index did not hold
 	DuplicatesRemoved   int   // old copies marked deleted
 	BytesDeduplicated   int64 // payload bytes of removed old copies
 	IndexInserts        int   // first-copy registrations
@@ -181,7 +181,7 @@ type rdPrep struct {
 
 	probeFPs []fingerprint.FP // unique live fingerprints, first-encounter order
 	probeID  map[fingerprint.FP]container.ID
-	skips    int
+	misses   int // probeFPs the index did not hold
 
 	olds   map[container.ID]*container.Meta // old homes the decide phase may mark
 	oldErr map[container.ID]error
@@ -221,11 +221,11 @@ func (g *GNode) rdPrepare(cs *container.Store, ids []container.ID) (*rdPrep, err
 			}
 		}
 	}
-	gids, found, skips, err := g.repo.Global.GetBatch(p.probeFPs)
+	gids, found, misses, err := g.repo.Global.GetBatch(p.probeFPs)
 	if err != nil {
 		return nil, err
 	}
-	p.skips = skips
+	p.misses = misses
 	p.probeID = make(map[fingerprint.FP]container.ID)
 	for i, fp := range p.probeFPs {
 		if found[i] {
@@ -276,7 +276,7 @@ func (g *GNode) rdPrepare(cs *container.Store, ids []container.ID) (*rdPrep, err
 // returns the metas whose stale proportion now warrants a rewrite; the
 // rewrites themselves run after maintMu is released.
 func (g *GNode) rdCommit(cs *container.Store, ids []container.ID, p *rdPrep) (*ReverseDedupStats, []*container.Meta, error) {
-	stats := &ReverseDedupStats{BloomSkips: int64(p.skips)}
+	stats := &ReverseDedupStats{BloomSkips: int64(p.misses)}
 	gi := g.repo.Global
 
 	dirty := make(map[container.ID]*container.Meta)

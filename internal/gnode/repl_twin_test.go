@@ -22,17 +22,6 @@ func buildTwinLayout(t *testing.T, workers, shards, replicas int) *twin {
 	return buildTwinCfg(t, cfg)
 }
 
-// normalizeBloom zeroes the one stat that legitimately varies with the
-// index layout: each shard sizes its own bloom filter, so false-positive
-// patterns — and therefore how many index reads the filter saves — differ
-// across shard counts. Dedup outcomes never depend on it (a false
-// positive only costs a wasted lookup).
-func normalizeBloom(s *ReverseDedupStats) *ReverseDedupStats {
-	c := *s
-	c.BloomSkips = 0
-	return &c
-}
-
 // TestShardedMaintenanceMatchesSingle is the clustered-G-node twin
 // contract: reverse dedup and a full mark-and-sweep over an N-shard
 // (optionally quorum-replicated) global index must leave exactly the
@@ -57,7 +46,7 @@ func TestShardedMaintenanceMatchesSingle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !reflect.DeepEqual(normalizeBloom(ss), normalizeBloom(ps)) {
+		if !reflect.DeepEqual(ss, ps) {
 			t.Errorf("%s: dedup stats diverge:\nserial:  %+v\nsharded: %+v", name, ss, ps)
 		}
 		assertTwinsEqual(t, serial, tw, []string{"a", "b", "c"})
@@ -149,8 +138,8 @@ func TestShardedScrubMatchesSingle(t *testing.T) {
 }
 
 // TestReopenShardedRepo closes a replicated repo mid-life and reopens it
-// through core.OpenRepo, exercising group log recovery plus per-shard
-// bloom rebuilds; the reopened repo must serve identical restores.
+// through core.OpenRepo, exercising group log recovery; the reopened repo
+// must serve identical restores.
 func TestReopenShardedRepo(t *testing.T) {
 	tw := buildTwinLayout(t, 4, 4, 3)
 	if _, err := tw.gn.ReverseDedup(tw.new); err != nil {

@@ -78,6 +78,10 @@ func (o *Options) fillDefaults() {
 
 // Stats counts engine activity.
 type Stats struct {
+	// Entries is what the engine holds: the live tables' counts plus the
+	// memtable's. Shadowed versions and tombstones count until a
+	// compaction drops them.
+	Entries              int64
 	Puts, Gets, Deletes  int64
 	BloomNegative        int64 // table lookups short-circuited by the filter
 	TableReads           int64 // data block fetches from OSS
@@ -641,6 +645,10 @@ func (db *DB) Stats() Stats {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	s := db.stats
+	s.Entries = int64(db.mem.count)
+	for _, t := range db.man.Tables {
+		s.Entries += int64(t.Count)
+	}
 	s.TablesLive = len(db.man.Tables)
 	s.WALSegments = len(db.walSegs)
 	return s

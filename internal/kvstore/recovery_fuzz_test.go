@@ -86,7 +86,9 @@ func seedBytes(t *testing.T, seed string) []byte {
 // WAL segment was re-taken when a one-entry write became a batch record of
 // one; seed-synced-segment, which ends in the single-entry record older
 // builds wrote, stays a fuzz seed only: no repository this build opens can
-// hold one.)
+// hold one. The table and the manifest that records its size were re-taken
+// when the filter went from 10 to 16 bits per key; seed-10bit-table keeps
+// the older table, which TestOpensTenBitTables reads.)
 func TestOnStoreFormatsUnchanged(t *testing.T) {
 	mem, db := fuzzSeedStore(t)
 	for seed, key := range map[string]string{
@@ -97,6 +99,45 @@ func TestOnStoreFormatsUnchanged(t *testing.T) {
 		if got, want := mustGet(t, mem, key), seedBytes(t, seed); string(got) != string(want) {
 			t.Errorf("%s is no longer what the engine writes at %s:\n got  %q\n want %q", seed, key, got, want)
 		}
+	}
+}
+
+// TestOpensTenBitTables: seed-10bit-table is the table fuzzSeedStore
+// wrote while the filter took 10 bits per key. Its filter block records
+// its own bit and probe counts, so a repository written then still reads:
+// a cold handle opens the table with one tail read (the guess, sized for
+// today's filter, overshoots) and finds every key.
+func TestOpensTenBitTables(t *testing.T) {
+	_, seeded := fuzzSeedStore(t)
+	old := seedBytes(t, "FuzzSSTable/seed-10bit-table")
+	meta := seeded.man.Tables[0]
+	meta.Size = int64(len(old))
+	man, err := json.Marshal(&manifest{NextTable: 1, LastSeq: meta.MaxSeq, Tables: []tableMeta{meta}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := oss.NewMem()
+	if err := mem.Put(seeded.tableKey(meta.Name), old); err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Put(seeded.manifestKey(), man); err != nil {
+		t.Fatal(err)
+	}
+	rec := newReqStore(mem)
+	db, err := Open(rec.store, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.take()
+	for i := 0; i < 8; i++ {
+		v, ok, err := db.Get([]byte(fmt.Sprintf("\xff\xfe-key-%03d", i)))
+		if err != nil || ok != (i != 3) || ok && string(v) != strings.Repeat("v", i) {
+			t.Fatalf("Get(key-%03d) = %q, %v, %v", i, v, ok, err)
+		}
+	}
+	_, reqs := rec.take()
+	if tails := tailReads(t, mem, reqs); tails[seeded.tableKey(meta.Name)] != 1 || len(tails) != 1 {
+		t.Fatalf("opening the 10-bit table took tail reads %v, want one", tails)
 	}
 }
 

@@ -222,9 +222,8 @@ func TestRequestBudget(t *testing.T) {
 		}
 	}
 
-	// A cold handle that scans first — the global index does, to rebuild
-	// its bloom filter — reads every table whole in one wave and probes
-	// them afterwards without opening any.
+	// A cold handle that scans first — an audit does — reads every table
+	// whole in one wave and probes them afterwards without opening any.
 	scanned, err := Open(rec.store, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -40,7 +40,11 @@ const (
 	targetBlockSize = 16 << 10
 	footerSize      = 40
 
-	filterBitsPerKey = 10
+	// filterBitsPerKey sizes each table's key filter: 16 bits, 11 probes,
+	// about 0.05 % false positives. A unique fingerprint is checked
+	// against every L0 table and one table per deeper level, so each
+	// false positive is a data-block read.
+	filterBitsPerKey = 16
 )
 
 // entryKind distinguishes puts from deletion tombstones.
@@ -351,8 +355,7 @@ func parseFooter(tail []byte, size int64) (filterOff, filterLen int64, err error
 // in order: one whole-object read per table, all in flight together —
 // compaction and Scan decode every block anyway. The object holds the
 // table's filter and index too, so a table without a reader gets one
-// here, for nothing: the Scan that rebuilds the index's bloom filter at
-// open leaves every table ready to probe.
+// here, for nothing: an audit's Scan leaves every table ready to probe.
 func (db *DB) readTablesLocked(metas []tableMeta) ([]entry, error) {
 	parts := make([][]entry, len(metas))
 	readers := make([]*tableReader, len(metas))

@@ -45,6 +45,14 @@ if grep -rlw Faulty --include='*.go' . | grep -v '_test\.go$' | grep -qvE '^\./i
 	exit 1
 fi
 
+# One fingerprint filter (DESIGN.md §8): a global index lookup is answered
+# by kvstore's per-table key filters; the counting filter in internal/cbf
+# belongs to the full-vision restore cache alone.
+if grep -rl '"slimstore/internal/cbf"' --include='*.go' . | grep -qvE '^\./internal/cache/'; then
+	echo "check: a package other than internal/cache imports internal/cbf: the global index keeps no filter of its own" >&2
+	exit 1
+fi
+
 # Every `go test` below also runs the run-time invariant checks (DESIGN.md
 # §9) beside the race detector, with nothing to switch on: a ranked lock
 # taken out of order panics (internal/lockrank), pooled buffers are
