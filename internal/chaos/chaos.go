@@ -821,18 +821,7 @@ func (h *harness) sweepBesideTwin(quorum bool) error {
 	if err := h.reboot(); err != nil {
 		return err
 	}
-	fork := oss.NewMem()
-	keys, err := h.w.mem.List("")
-	for i := 0; err == nil && i < len(keys); i++ {
-		var b []byte
-		if b, err = h.w.mem.Get(keys[i]); err == nil {
-			err = fork.Put(keys[i], b)
-		}
-	}
-	if err != nil {
-		return err
-	}
-	tw, err := open(fork, h.cfg)
+	tw, err := open(h.w.once.mem.Clone(), h.cfg)
 	if err != nil {
 		return fmt.Errorf("twin: %w", err)
 	}

@@ -30,11 +30,18 @@ func testConfig() core.Config {
 func setup(t *testing.T, cfg core.Config) (*lnode.LNode, *GNode, *core.Repo, *oss.Mem) {
 	t.Helper()
 	mem := oss.NewMem()
-	repo, err := core.OpenRepo(frozen(t, mem), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	repo := mustOpen(t, frozen(t, mem), cfg)
 	return lnode.New(repo, "l0"), New(repo), repo, mem
+}
+
+// mustOpen opens the repository on s, failing t if it does not open.
+func mustOpen(t *testing.T, s oss.Store, cfg core.Config) *core.Repo {
+	t.Helper()
+	repo, err := core.OpenRepo(s, cfg)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	return repo
 }
 
 // frozen puts oss.Frozen between a test's repo and its store and checks it

@@ -3,6 +3,7 @@ package gnode
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -19,39 +20,20 @@ import (
 // would drop a live one; a scrub that took it for damage would quarantine
 // one (DESIGN.md §6).
 
-// storeText is every object of mem, key and bytes, as one comparable string.
-func storeText(t *testing.T, mem *oss.Mem) string {
-	t.Helper()
-	keys, err := mem.List("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	for _, k := range keys {
-		v, err := mem.Get(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.WriteString(k + "=" + string(v) + "\n")
-	}
-	return b.String()
-}
-
 // assertStoreUnchanged fails the test if mem no longer holds exactly what
-// storeText returned as before, naming the first key that differs.
-func assertStoreUnchanged(t *testing.T, what string, mem *oss.Mem, before string) {
+// before, a Clone of it, does, naming an object that changed.
+func assertStoreUnchanged(t *testing.T, what string, mem, before *oss.Mem) {
 	t.Helper()
-	after := storeText(t, mem)
-	if after == before {
+	was, is := prefixDump(t, before, ""), prefixDump(t, mem, "")
+	if reflect.DeepEqual(was, is) {
 		return
 	}
-	a, b := strings.Split(before, "\n"), strings.Split(after, "\n")
-	for i := 0; i < min(len(a), len(b)); i++ {
-		if a[i] != b[i] {
-			t.Fatalf("%s changed the store: %.60q became %.60q", what, a[i], b[i])
+	for k, v := range is {
+		if old, ok := was[k]; !ok || !bytes.Equal(old, v) {
+			t.Fatalf("%s changed the store: %s was put", what, k)
 		}
 	}
-	t.Fatalf("%s changed the store: %d objects, were %d", what, len(b), len(a))
+	t.Fatalf("%s changed the store: %d objects, were %d", what, len(is), len(was))
 }
 
 // failOnce is a layer that fails the first request match accepts once armed.
@@ -78,7 +60,7 @@ func TestFullSweepFailsOnMetaOutage(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := st.NewContainers[0]
-	before := storeText(t, mem)
+	before := mem.Clone()
 
 	var outage atomic.Bool
 	fault := oss.LayerFunc(func(op oss.Op, next oss.Store) (oss.Op, error) {
@@ -176,7 +158,7 @@ func TestScrubReadFaultQuarantinesNothing(t *testing.T) {
 		{"donor", true, func(op oss.Op) bool { return op.Kind == oss.KindGetRange && op.Key == container.DataKey(dm.Payload) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			mem := cloneMem(t, mem)
+			mem := mem.Clone()
 			if tc.rot {
 				key := container.DataKey(vm.Payload)
 				raw, err := mem.Get(key)
@@ -190,7 +172,7 @@ func TestScrubReadFaultQuarantinesNothing(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			before := storeText(t, mem)
+			before := mem.Clone()
 			var armed atomic.Bool
 			armed.Store(true)
 			_, gn := openOver(t, oss.With(mem, failOnce(&armed, tc.match)), cfg, -1) // a cold meta cache

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"slimstore/internal/container"
-	"slimstore/internal/core"
 	"slimstore/internal/lnode"
 )
 
@@ -156,10 +155,7 @@ func TestReopenShardedRepo(t *testing.T) {
 	cfg.MaintWorkers = 4
 	cfg.GlobalShards = 4
 	cfg.GlobalReplicas = 3
-	repo, err := core.OpenRepo(tw.mem, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	repo := mustOpen(t, tw.mem, cfg)
 	if len(repo.ReplGroups) != 4 {
 		t.Fatalf("reopened repo has %d replica groups, want 4", len(repo.ReplGroups))
 	}

@@ -128,8 +128,11 @@ func (g *GNode) ecRepair() (*ecRepairStats, error) {
 	err = g.repo.ForEach(len(ids), func(i int) error {
 		id := ids[i]
 		m, err := cs.ReadMeta(id)
-		if err != nil {
+		switch {
+		case damage(err):
 			return nil // swept since the listing, or for the verification pass to judge
+		case err != nil:
+			return fmt.Errorf("ec repair: meta %s: %w", id, err)
 		}
 		key := container.DataKey(m.Payload)
 		h, err := ecs.Check(key)
@@ -326,6 +329,16 @@ func (g *GNode) scrubRepair(sv *scrubView) (*ScrubStats, error) {
 		}
 		stats.ContainersScanned++
 		if v.damaged {
+			// A payload that does not read takes the live chunks its meta
+			// lists with it, unless a copy survives elsewhere (checked
+			// below); a meta that does not read, those recipes name.
+			if v.meta != nil {
+				for j := range v.meta.Chunks {
+					if cm := &v.meta.Chunks[j]; !cm.Deleted {
+						lost[cm.FP] = true
+					}
+				}
+			}
 			quarantine(id)
 			continue
 		}
@@ -456,7 +469,7 @@ func (g *GNode) scrubRepair(sv *scrubView) (*ScrubStats, error) {
 		if err := g.scrubFixIndex(stats, sv, bad, quarantined, moved, lost); err != nil {
 			return nil, err
 		}
-		if err := g.scrubFixRecipes(stats, sv, bad, quarantined, moved); err != nil {
+		if err := g.scrubFixRecipes(stats, sv, bad, quarantined, moved, lost); err != nil {
 			return nil, err
 		}
 	}
@@ -549,9 +562,10 @@ func (g *GNode) intactOwner(fp fingerprint.FP, sv *scrubView, bad, quarantined m
 // scrubFixRecipes rewrites recipes (and their catalog container lists)
 // that reference quarantined containers, pointing each record at the
 // chunk's surviving home. Records whose chunks are lost keep their stale
-// reference — the restore path reports them loudly.
+// reference — the restore path reports them loudly — and add the chunk to
+// lost.
 func (g *GNode) scrubFixRecipes(stats *ScrubStats, sv *scrubView, bad, quarantined map[container.ID]bool,
-	moved map[fingerprint.FP]container.ID) error {
+	moved map[fingerprint.FP]container.ID, lost map[fingerprint.FP]bool) error {
 
 	rs := g.recipes()
 	files, err := rs.Files()
@@ -568,7 +582,7 @@ func (g *GNode) scrubFixRecipes(stats *ScrubStats, sv *scrubView, bad, quarantin
 		// Exclusive per-file: recipes are rewritten in place and must not
 		// race a backup appending a version or a restore resolving one.
 		g.repo.Files.Lock(f)
-		if err := g.scrubFixFile(stats, f, sv, bad, quarantined, resolved); err != nil {
+		if err := g.scrubFixFile(stats, f, sv, bad, quarantined, resolved, lost); err != nil {
 			g.repo.Files.Unlock(f)
 			return err
 		}
@@ -580,7 +594,7 @@ func (g *GNode) scrubFixRecipes(stats *ScrubStats, sv *scrubView, bad, quarantin
 // scrubFixFile rewrites one file's recipes away from quarantined
 // containers; the caller holds the file's exclusive lock.
 func (g *GNode) scrubFixFile(stats *ScrubStats, f string, sv *scrubView, bad, quarantined map[container.ID]bool,
-	resolved map[fingerprint.FP]container.ID) error {
+	resolved map[fingerprint.FP]container.ID, lost map[fingerprint.FP]bool) error {
 
 	rs := g.recipes()
 	versions, err := rs.Versions(f)
@@ -612,6 +626,8 @@ func (g *GNode) scrubFixFile(stats *ScrubStats, f string, sv *scrubView, bad, qu
 			if ok {
 				rec.Container = nid
 				changed = true
+			} else {
+				lost[rec.FP] = true
 			}
 			return true
 		})

@@ -2,7 +2,9 @@ package gnode
 
 import (
 	"bytes"
-	"errors"
+	"fmt"
+	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,6 +13,7 @@ import (
 	"slimstore/internal/fingerprint"
 	"slimstore/internal/lnode"
 	"slimstore/internal/oss"
+	"slimstore/internal/recipe"
 )
 
 // flipChunkAtRest corrupts one byte of a live chunk directly in the
@@ -81,7 +84,7 @@ func TestScrubRepairsFromDonor(t *testing.T) {
 	if !sc.Clean() {
 		t.Fatalf("scrub not clean: quarantined %v, lost %v", sc.Quarantined, sc.Lost)
 	}
-	if got := restoreBytes(t, ln, "a", stA.Version); !bytesEqual(got, shared) {
+	if got := restoreBytes(t, ln, "a", stA.Version); !bytes.Equal(got, shared) {
 		t.Fatal("restore after repair is not byte-identical")
 	}
 	// A second scrub finds nothing to do.
@@ -127,11 +130,11 @@ func TestScrubQuarantinesWithoutDonor(t *testing.T) {
 	}
 
 	// The damaged version must fail loudly, never return wrong bytes.
-	if _, err := ln.Restore("solo", st.Version, discard{}); err == nil {
+	if _, err := ln.Restore("solo", st.Version, io.Discard); err == nil {
 		t.Fatal("restore of a version with a lost chunk succeeded silently")
 	}
 	// Untouched versions stay restorable (their chunks were elsewhere).
-	if got := restoreBytes(t, ln, "other", stOther.Version); !bytesEqual(got, other) {
+	if got := restoreBytes(t, ln, "other", stOther.Version); !bytes.Equal(got, other) {
 		t.Fatal("unaffected version no longer restores byte-identical")
 	}
 
@@ -142,6 +145,93 @@ func TestScrubQuarantinesWithoutDonor(t *testing.T) {
 	}
 	if len(keys) != 2 {
 		t.Fatalf("quarantine namespace holds %d objects, want data+meta", len(keys))
+	}
+}
+
+// TestScrubReportsLostChunksOfDamagedContainer: versions backed up and
+// never optimized leave no index entry naming their containers. v1 keeps
+// the tail of v0's first container and v0 is deleted, so that container
+// holds live chunks v1 names and live chunks no recipe names. When it is
+// damaged past repair the scrub quarantines it and reports as Lost what it
+// can know was there and no other container holds: with its payload gone
+// every live chunk of its meta, with its meta rotten every chunk v1's
+// recipe names in it. v1 then fails loudly.
+func TestScrubReportsLostChunksOfDamagedContainer(t *testing.T) {
+	for _, damaged := range []string{"payload", "meta"} {
+		t.Run(damaged, func(t *testing.T) {
+			ln, gn, repo, mem := setup(t, testConfig())
+			v0 := genData(6, 1<<20)
+			st, err := ln.Backup("f", v0)
+			if err == nil {
+				_, err = ln.Backup("f", append(genData(7, 64<<10), v0[64<<10:]...))
+			}
+			if err == nil {
+				_, err = gn.DeleteVersion("f", 0)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			victim := st.NewContainers[0]
+			m, err := repo.Containers.ReadMeta(victim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := repo.Recipes.GetRecipe("f", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			named, elsewhere := map[fingerprint.FP]bool{}, map[fingerprint.FP]bool{}
+			r.Iter(func(_, _ int, cr *recipe.ChunkRecord) bool {
+				named[cr.FP] = named[cr.FP] || cr.Container == victim
+				return true
+			})
+			ids, err := repo.Containers.List()
+			if err != nil {
+				t.Fatal(err)
+			}
+			metas, err := repo.ReadMetas(repo.Containers, slices.DeleteFunc(ids, func(id container.ID) bool { return id == victim }), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, om := range metas {
+				for _, cm := range om.Chunks {
+					elsewhere[cm.FP] = elsewhere[cm.FP] || !cm.Deleted
+				}
+			}
+			var want []fingerprint.FP // what has no intact copy in another container
+			for _, cm := range m.Chunks {
+				if !cm.Deleted && !elsewhere[cm.FP] && (damaged == "payload" || named[cm.FP]) {
+					want = append(want, cm.FP)
+				}
+			}
+			if len(want) == 0 || damaged == "meta" && len(want) == len(m.Chunks) {
+				t.Fatalf("fixture: v1 names %d of the %d chunks of %s", len(want), len(m.Chunks), victim)
+			}
+			slices.SortFunc(want, func(a, b fingerprint.FP) int { return bytes.Compare(a[:], b[:]) })
+			if damaged == "payload" {
+				err = mem.Delete(container.DataKey(m.Payload))
+			} else {
+				err = mem.Put(container.MetaKey(victim), []byte("not a meta"))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			repo.Containers.InvalidateMeta(victim)
+
+			sc, err := gn.Scrub()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(sc.Quarantined, []container.ID{victim}) {
+				t.Fatalf("quarantined = %v, want [%s]", sc.Quarantined, victim)
+			}
+			if !slices.Equal(sc.Lost, want) {
+				t.Fatalf("lost %d chunks, want %d of the %d of %s", len(sc.Lost), len(want), len(m.Chunks), victim)
+			}
+			if _, err := ln.Restore("f", 1, io.Discard); err == nil {
+				t.Fatal("restore of a version with lost chunks succeeded silently")
+			}
+		})
 	}
 }
 
@@ -184,30 +274,13 @@ func TestScrubClearsDeadRegionRot(t *testing.T) {
 	}
 	// The rebuild dropped the dead region; the survivor still verifies.
 	got, err := cs.ReadChunk(c.Meta.ID, fingerprint.OfBytes(b))
-	if err != nil || !bytesEqual(got, b) {
+	if err != nil || !bytes.Equal(got, b) {
 		t.Fatalf("survivor chunk after rot cleanup: %v", err)
 	}
 	sc2, _ := gn.Scrub()
 	if sc2.FooterRepairs != 0 {
 		t.Fatal("rot cleanup did not converge")
 	}
-}
-
-// discard is an io.Writer swallowing restore output.
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestScrubCrashAtEveryMutation kills a scrub that salvages a damaged
@@ -218,11 +291,8 @@ func bytesEqual(a, b []byte) bool {
 // after a second scrub every version restores byte-identical or fails
 // naming the lost chunk.
 func TestScrubCrashAtEveryMutation(t *testing.T) {
-	baseline, cfg, want, st := sccBaseline(t)
-	repo, err := core.OpenRepo(baseline, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	baseline, cfg, want, st := sccFixture(t, false)
+	repo := mustOpen(t, baseline, cfg)
 	if _, err := New(repo).CompactSparse("f", st.Version, st.SparseContainers); err != nil {
 		t.Fatal(err)
 	}
@@ -236,71 +306,25 @@ func TestScrubCrashAtEveryMutation(t *testing.T) {
 	lostFP := firstLiveChunk(t, repo, victim)
 	flipChunkAtRest(t, baseline, repo, victim, lostFP)
 
-	completed := false
-	for n := 0; n < 400 && !completed; n++ {
-		mem := cloneMem(t, baseline)
-		repo, err := core.OpenRepo(oss.With(mem, oss.CrashAfter(n)), cfg)
-		if err != nil {
-			t.Fatal(err)
+	oss.CrashAtEvery(t, baseline, 1, 400, func(s oss.Store) error {
+		sc, err := New(mustOpen(t, s, cfg)).Scrub()
+		if err == nil && (len(sc.Quarantined) != 1 || len(sc.Lost) != 1 || sc.IndexRepointed == 0) {
+			t.Fatalf("degenerate scrub, nothing salvaged, repointed and quarantined: %+v", sc)
 		}
-		sc, err := New(repo).Scrub()
-		if err == nil {
-			completed = true
-			if len(sc.Quarantined) != 1 || len(sc.Lost) != 1 || sc.IndexRepointed == 0 {
-				t.Fatalf("degenerate scrub, nothing salvaged, repointed and quarantined: %+v", sc)
-			}
-		} else if !errors.Is(err, oss.ErrInjected) {
-			t.Fatalf("budget %d: %v, want the injected crash", n, err)
-		}
-
-		rebooted, err := core.OpenRepo(mem, cfg)
-		if err != nil {
-			t.Fatalf("budget %d: reboot: %v", n, err)
-		}
-		assertIndexListed(t, rebooted, n)
+		return err
+	}, func(mem *oss.Mem, n int, _ error) bool {
+		rebooted := mustOpen(t, mem, cfg)
+		assertIndexSound(t, fmt.Sprintf("budget %d, rebooted", n), rebooted)
 		if _, err := New(rebooted).Scrub(); err != nil {
 			t.Fatalf("budget %d: second scrub: %v", n, err)
 		}
-		assertIndexListed(t, rebooted, n)
+		assertIndexSound(t, fmt.Sprintf("budget %d, scrubbed", n), rebooted)
 		rl := lnode.New(rebooted, "l0")
 		for v, data := range want {
-			var buf bytes.Buffer
-			_, err := rl.Restore("f", v, &buf)
-			if err == nil && !bytes.Equal(buf.Bytes(), data) {
-				t.Fatalf("budget %d: f v%d restored different bytes", n, v)
-			}
-			if err != nil && !strings.Contains(err.Error(), lostFP.Short()) {
-				t.Fatalf("budget %d: f v%d: %v, want a failure naming %s", n, v, err, lostFP.Short())
+			if err := restoreMatches(rl, "f", v, data); err != nil && !strings.Contains(err.Error(), lostFP.Short()) {
+				t.Fatalf("budget %d: f v%d: %v, want the original bytes or a failure naming %s", n, v, err, lostFP.Short())
 			}
 		}
-	}
-	if !completed {
-		t.Fatal("scrub never ran to completion within the mutation budget")
-	}
-}
-
-// assertIndexListed fails unless every global-index entry names a listed
-// container whose metadata holds a live copy of the fingerprint.
-func assertIndexListed(t *testing.T, repo *core.Repo, budget int) {
-	t.Helper()
-	ids, err := repo.Containers.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	metas := map[container.ID]*container.Meta{}
-	for _, id := range ids {
-		if metas[id], err = repo.Containers.ReadMeta(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	err = repo.Global.Scan(func(fp fingerprint.FP, id container.ID) bool {
-		if m := metas[id]; m == nil || m.Find(fp) == nil || m.Find(fp).Deleted {
-			t.Errorf("budget %d: index entry %s names %s, which does not list it", budget, fp.Short(), id)
-			return false
-		}
-		return true
+		return false
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }

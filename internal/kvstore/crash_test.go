@@ -2,7 +2,6 @@ package kvstore
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -152,35 +151,32 @@ func TestCrashAtEveryMutationMatchesModel(t *testing.T) {
 		sched := genSchedule(rand.New(rand.NewSource(seed)), 90)
 		states := prefixStates(sched)
 
-		// Uncrashed reference run: counts the mutations to crash before.
-		ref := oss.CrashAfter(-1)
-		db, err := Open(oss.With(oss.NewMem(), ref), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := runSchedule(db, sched); err != nil {
-			t.Fatalf("seed %d: uncrashed run: %v", seed, err)
-		}
-		if got := scanAll(t, db); !reflect.DeepEqual(got, states[len(states)-1]) {
-			t.Fatalf("seed %d: uncrashed run diverges from the model", seed)
-		}
-		st := db.Stats()
-		flushes += st.Flushes
-		compactions += st.Compactions
-
-		for budget := 0; budget < ref.Spent(); budget++ {
-			mem := oss.NewMem()
-			db, err := Open(oss.With(mem, oss.CrashAfter(budget)), opts)
-			if err != nil {
+		// Crash before every mutation of the schedule; the run that
+		// completes is the uncrashed one, held to the whole model.
+		var db *DB
+		var attempted, durable int
+		oss.CrashAtEvery(t, oss.NewMem(), 1, 5000, func(s oss.Store) error {
+			var err error
+			if db, err = Open(s, opts); err != nil {
 				t.Fatal(err)
 			}
-			attempted, durable, err := runSchedule(db, sched)
-			if !errors.Is(err, oss.ErrInjected) {
-				t.Fatalf("seed %d budget %d: run returned %v, want the injected crash", seed, budget, err)
+			attempted, durable, err = runSchedule(db, sched)
+			return err
+		}, func(mem *oss.Mem, budget int, err error) bool {
+			what := fmt.Sprintf("seed %d budget %d", seed, budget)
+			if err == nil {
+				if got := scanAll(t, db); !reflect.DeepEqual(got, states[len(states)-1]) {
+					t.Fatalf("%s: uncrashed run diverges from the model", what)
+				}
+				st := db.Stats()
+				flushes += st.Flushes
+				compactions += st.Compactions
+				return true
 			}
 			// The handle dies with the process; reboot from the bare store.
-			checkRecovered(t, fmt.Sprintf("seed %d budget %d", seed, budget), mem, opts, states[durable:attempted+1], durable)
-		}
+			checkRecovered(t, what, mem, opts, states[durable:attempted+1], durable)
+			return false
+		})
 	}
 	if flushes == 0 || compactions == 0 {
 		t.Fatalf("schedules made %d flushes and %d compactions; the crash points would be vacuous", flushes, compactions)

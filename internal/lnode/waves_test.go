@@ -67,10 +67,7 @@ func isSegmentRead(op oss.Op) bool {
 // compacted away, and redirects into containers they never referenced.
 func optimizedChain(t *testing.T, store oss.Store, cfg core.Config, seed int64, size, versions int) [][]byte {
 	t.Helper()
-	repo, err := core.OpenRepo(store, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	repo := mustOpen(t, store, cfg)
 	n := New(repo, "l0")
 	gn := gnode.New(repo)
 	data := genData(seed, size)
@@ -105,10 +102,7 @@ func TestResolveWaves(t *testing.T) {
 	kept := optimizedChain(t, mem, cfg, 81, 3<<20, 5)
 
 	// What the waves must be, from the serial reference on a scratch handle.
-	ref, err := core.OpenRepo(mem, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := mustOpen(t, mem, cfg)
 	r, err := ref.Recipes.GetRecipe("f", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -181,10 +175,7 @@ func TestResolveSequenceMemoized(t *testing.T) {
 	data := optimizedChain(t, mem, cfg, 3, 1<<20, 1)[0]
 
 	probe := newProbe(mem)
-	repo, err := core.OpenRepo(probe.store, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	repo := mustOpen(t, probe.store, cfg)
 	n := New(repo, "l0")
 	r, err := repo.Recipes.GetRecipe("f", 0)
 	if err != nil {
@@ -230,10 +221,7 @@ func TestRestoreRangeResolvesWindowOnly(t *testing.T) {
 	data := optimizedChain(t, mem, cfg, 82, 16<<20, 1)[0]
 
 	probe := newProbe(mem)
-	repo, err := core.OpenRepo(probe.store, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	repo := mustOpen(t, probe.store, cfg)
 	n := New(repo, "l0")
 	r, err := repo.Recipes.GetRecipe("f", 0)
 	if err != nil {
@@ -293,10 +281,7 @@ func readAheadFixture() (core.Config, [][]byte) {
 func TestSegmentReadAheadOverlapsDedup(t *testing.T) {
 	cfg, versions := readAheadFixture()
 	probe := newProbe(oss.NewMem())
-	repo, err := core.OpenRepo(probe.store, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	repo := mustOpen(t, probe.store, cfg)
 	n := New(repo, "l0")
 	if _, err := n.Backup("f", versions[0]); err != nil {
 		t.Fatal(err)
@@ -360,10 +345,7 @@ func TestSegmentReadAheadTwin(t *testing.T) {
 			}
 			return oss.Do(next, op)
 		}))
-		repo, err := core.OpenRepo(probe.store, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		repo := mustOpen(t, probe.store, cfg)
 		n := New(repo, "l0")
 		if _, err := n.Backup("f", versions[0]); err != nil {
 			t.Fatal(err)
@@ -454,10 +436,7 @@ func TestCommitWave(t *testing.T) {
 	metas := 0
 	for _, held := range []bool{false, true} {
 		probe := newProbe(oss.NewMem())
-		repo, err := core.OpenRepo(probe.store, testConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
+		repo := mustOpen(t, probe.store, testConfig())
 		n := New(repo, "l0")
 		if _, err := n.Backup("f", data); err != nil {
 			t.Fatal(err)
@@ -510,10 +489,7 @@ func TestCommitWave(t *testing.T) {
 // catalog entry — the mark phase's input — are fetched together.
 func TestOpenBaseWave(t *testing.T) {
 	probe := newProbe(oss.NewMem())
-	repo, err := core.OpenRepo(probe.store, testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	repo := mustOpen(t, probe.store, testConfig())
 	n := New(repo, "l0")
 	data := genData(87, 1<<20)
 	if _, err := n.Backup("f", data); err != nil {
@@ -555,23 +531,12 @@ func TestBackupCrashAtEveryMutation(t *testing.T) {
 			want := keySet(t, baseline, namespaces)
 
 			committed := 0
-			for budget := 0; ; budget++ {
-				if budget > 200 {
-					t.Fatal("backup still failing with a budget of 200 mutations")
-				}
-				mem := cloneMem(t, baseline)
+			oss.CrashAtEvery(t, baseline, 1, 201, func(s oss.Store) error {
 				// The open spends none of the budget: it mutates nothing.
-				repo, err := core.OpenRepo(oss.With(mem, oss.CrashAfter(budget)), cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				n := New(repo, "l0")
-				_, berr := n.Backup("f", v1)
-
-				repo, err = core.OpenRepo(mem, cfg)
-				if err != nil {
-					t.Fatalf("budget %d: reopen: %v", budget, err)
-				}
+				_, err := New(mustOpen(t, s, cfg), "l0").Backup("f", v1)
+				return err
+			}, func(mem *oss.Mem, budget int, berr error) bool {
+				repo := mustOpen(t, mem, cfg)
 				ids, err := repo.Containers.List()
 				if err != nil {
 					t.Fatal(err)
@@ -581,7 +546,7 @@ func TestBackupCrashAtEveryMutation(t *testing.T) {
 						t.Fatalf("budget %d: listed container %s: %v", budget, id, err)
 					}
 				}
-				n = New(repo, "l0")
+				n := New(repo, "l0")
 				vs, err := repo.Recipes.Versions("f")
 				if err != nil {
 					t.Fatal(err)
@@ -591,11 +556,8 @@ func TestBackupCrashAtEveryMutation(t *testing.T) {
 					if berr == nil {
 						t.Fatalf("budget %d: backup succeeded but registered no version", budget)
 					}
-					swept := cloneMem(t, mem)
-					srepo, err := core.OpenRepo(swept, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
+					swept := mem.Clone()
+					srepo := mustOpen(t, swept, cfg)
 					if _, err := gnode.New(srepo).FullSweep(); err != nil {
 						t.Fatalf("budget %d: sweep: %v", budget, err)
 					}
@@ -604,53 +566,31 @@ func TestBackupCrashAtEveryMutation(t *testing.T) {
 					}
 				case reflect.DeepEqual(vs, []int{0, 1}):
 					committed++
-					if !bytes.Equal(restoreBytes(t, n, "f", 1), v1) {
-						t.Fatalf("budget %d: v1 is registered but restores wrong", budget)
+					if err := restoreMatches(n, "f", 1, v1); err != nil {
+						t.Fatalf("budget %d: v1 is registered but restores wrong: %v", budget, err)
 					}
 				default:
 					t.Fatalf("budget %d: versions %v", budget, vs)
 				}
-				if !bytes.Equal(restoreBytes(t, n, "f", 0), v0) {
-					t.Fatalf("budget %d: v0 no longer restores", budget)
+				if err := restoreMatches(n, "f", 0, v0); err != nil {
+					t.Fatalf("budget %d: v0 no longer restores: %v", budget, err)
 				}
 				if berr != nil {
-					if !errors.Is(berr, oss.ErrInjected) {
-						t.Fatalf("budget %d: backup error = %v, want the injected fault", budget, berr)
-					}
 					st, err := n.Backup("f", v1)
 					if err != nil {
 						t.Fatalf("budget %d: retry: %v", budget, err)
 					}
-					if !bytes.Equal(restoreBytes(t, n, "f", st.Version), v1) {
-						t.Fatalf("budget %d: retried version restores wrong", budget)
+					if err := restoreMatches(n, "f", st.Version, v1); err != nil {
+						t.Fatalf("budget %d: retried version restores wrong: %v", budget, err)
 					}
 				}
-				if berr == nil {
-					break
-				}
-			}
+				return false
+			})
 			if committed == 0 {
 				t.Fatal("no budget let the backup commit")
 			}
 		})
 	}
-}
-
-// cloneMem copies every object of src into a new store.
-func cloneMem(t *testing.T, src *oss.Mem) *oss.Mem {
-	t.Helper()
-	dst := oss.NewMem()
-	keys, err := src.List("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range keys {
-		b, _ := src.Get(k)
-		if err := dst.Put(k, b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dst
 }
 
 // keySet lists the keys of mem under the given prefixes.
@@ -674,10 +614,7 @@ func TestRestoreFailsOnMetaReadFault(t *testing.T) {
 	cfg := testConfig()
 	optimizedChain(t, mem, cfg, 90, 2<<20, 1)
 	faulty := oss.NewFaulty(mem)
-	repo, err := core.OpenRepo(faulty, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	repo := mustOpen(t, faulty, cfg)
 	n := New(repo, "l0")
 	keys, _ := mem.List(container.Prefix)
 	var metaKey string
@@ -687,7 +624,7 @@ func TestRestoreFailsOnMetaReadFault(t *testing.T) {
 		}
 	}
 	faulty.FailGet(metaKey)
-	_, err = n.Restore("f", 0, io.Discard)
+	_, err := n.Restore("f", 0, io.Discard)
 	if !errors.Is(err, oss.ErrInjected) {
 		t.Fatalf("restore error = %v, want the injected fault", err)
 	}
@@ -707,10 +644,7 @@ func TestRestoreFailsOnMetaReadFault(t *testing.T) {
 func TestBackupFailsOnPreviousInfoFault(t *testing.T) {
 	mem := oss.NewMem()
 	faulty := oss.NewFaulty(mem)
-	repo, err := core.OpenRepo(faulty, testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	repo := mustOpen(t, faulty, testConfig())
 	n := New(repo, "l0")
 	data := genData(91, 1<<20)
 	if _, err := n.Backup("f", data); err != nil {
@@ -722,7 +656,7 @@ func TestBackupFailsOnPreviousInfoFault(t *testing.T) {
 	}
 	before, _ := mem.List("")
 	faulty.FailGet(infos[0])
-	_, err = n.Backup("f", mutate(data, 92, 20))
+	_, err := n.Backup("f", mutate(data, 92, 20))
 	if !errors.Is(err, oss.ErrInjected) {
 		t.Fatalf("backup error = %v, want the injected fault", err)
 	}
@@ -742,10 +676,7 @@ func TestBackupFailsOnPreviousInfoFault(t *testing.T) {
 func TestSimilarityIgnoresUncommittedSketch(t *testing.T) {
 	for _, left := range [][]string{{"catalog/", "recipes/"}, {"catalog/"}} {
 		mem := oss.NewMem()
-		repo, err := core.OpenRepo(mem, testConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
+		repo := mustOpen(t, mem, testConfig())
 		n := New(repo, "l0")
 		data := genData(93, 1<<20)
 		if _, err := n.Backup("dead", data); err != nil {

@@ -32,6 +32,7 @@ package oss
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -87,6 +88,15 @@ type Mem struct {
 
 // NewMem returns an empty in-memory store.
 func NewMem() *Mem { return &Mem{m: make(map[string][]byte)} }
+
+// Clone returns a store holding the objects of s. It copies the key map
+// and shares the bytes, which Put's rule — a stored value is never written
+// to again — makes safe.
+func (s *Mem) Clone() *Mem {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return &Mem{m: maps.Clone(s.m)}
+}
 
 // Put implements Store.
 func (s *Mem) Put(key string, data []byte) error {

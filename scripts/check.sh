@@ -45,6 +45,14 @@ if grep -rlw Faulty --include='*.go' . | grep -v '_test\.go$' | grep -qvE '^\./i
 	exit 1
 fi
 
+# One crash harness (DESIGN.md §9): a crash-at-every-mutation loop runs
+# through oss.CrashAtEvery, which clones the baseline per crash point and
+# holds every run it cut to ErrInjected; no test builds a loop of its own.
+if grep -rlE 'oss\.CrashAfter\(|func cloneMem\(' --include='*_test.go' . | grep -qvE '^\./internal/oss/'; then
+	echo "check: a test outside internal/oss calls oss.CrashAfter or defines cloneMem: crash loops go through oss.CrashAtEvery" >&2
+	exit 1
+fi
+
 # One fingerprint filter (DESIGN.md §8): a global index lookup is answered
 # by kvstore's per-table key filters; the counting filter in internal/cbf
 # belongs to the full-vision restore cache alone.
