@@ -49,8 +49,9 @@ type storeShared struct {
 	mu        sync.Mutex
 	metaCache map[ID]*Meta // small write-through cache of container metadata
 	metaCap   int
-	metaGen   uint64     // meta writes and invalidations so far (ReadMeta)
-	inval     []func(ID) // invalidation subscribers (shared restore cache)
+	metaGen   uint64         // meta writes and invalidations so far (ReadMeta)
+	inval     []func(ID)     // invalidation subscribers (shared restore cache)
+	updating  [64]sync.Mutex // UpdateMeta's, striped by container ID
 
 	// bufPool recycles container payload buffers between builders and the
 	// pack stage. Buffers are sized capacity+FooterSize so Write can seal
@@ -323,8 +324,8 @@ func (s *Store) ReadMeta(id ID) (*Meta, error) {
 	return m, nil
 }
 
-// WriteMeta puts the metadata object, replacing the one there: reverse
-// dedup's deletion marks, and the switch of a rewrite to its new payload.
+// WriteMeta puts the metadata object of a container that has none yet
+// (Write, an L-node's commit); an existing one changes through UpdateMeta.
 func (s *Store) WriteMeta(m *Meta) error {
 	if err := s.oss.Put(MetaKey(m.ID), EncodeMeta(m)); err != nil {
 		return fmt.Errorf("container %s: write meta: %w", m.ID, err)
@@ -335,6 +336,28 @@ func (s *Store) WriteMeta(m *Meta) error {
 	s.shared.mu.Unlock()
 	s.notifyInvalidate(m.ID)
 	return nil
+}
+
+// UpdateMeta is the one read-modify-write of an existing container's meta:
+// apply gets a copy of the meta current at the put and returns the meta to
+// put, or nil for none. A striped mutex, under which no other lock is taken,
+// serialises the updates of a container, so a mark and a rewrite's switch
+// never put a copy taken before the other landed. Returns the meta current
+// afterwards, or the read's error.
+func (s *Store) UpdateMeta(id ID, apply func(*Meta) *Meta) (*Meta, error) {
+	mu := &s.shared.updating[uint64(id)%uint64(len(s.shared.updating))]
+	mu.Lock()
+	defer mu.Unlock()
+	cur, err := s.ReadMeta(id)
+	if err != nil {
+		return nil, err
+	}
+	cp := *cur
+	cp.Chunks = append([]ChunkMeta(nil), cur.Chunks...)
+	if next := apply(&cp); next != nil {
+		return next, s.WriteMeta(next)
+	}
+	return cur, nil
 }
 
 // ReadChunk fetches a single chunk via a ranged read; cheaper than Read

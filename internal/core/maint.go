@@ -18,23 +18,28 @@ import (
 // which FullSweep reclaims (DESIGN.md §6).
 
 // RewriteContainer physically removes deleted chunks from a container,
-// keeping its ID (recipes referencing surviving chunks stay valid): the
-// compacted payload goes under payload, a fresh ID (AllocateID), and
-// WriteRebuilt switches the container to it. m supplies the freshest
-// deletion marks; cs directs the I/O (typically a metered view). Returns
-// bytes freed.
-//
-// held, when non-nil, is what the caller already fetched of the container
-// with a verified read — whole, in pieces, or only the ranges of the chunks
-// it wanted (the G-node's planned reads). It stands in for a second fetch
-// only while it covers the payload m describes (heldCovers). Otherwise, and
-// with held nil, the container is read afresh, whole.
+// keeping its ID (recipes referencing surviving chunks stay valid): Rebuild
+// from the marks of m, then Switch. Returns bytes freed.
 func (r *Repo) RewriteContainer(cs *container.Store, m *container.Meta, held *container.Container, payload container.ID) (int64, error) {
+	nm, freed, err := r.Rebuild(cs, m, held, payload)
+	if err == nil {
+		err = r.Switch(cs, nm, m.Payload)
+	}
+	return freed, err
+}
+
+// Rebuild is a rewrite's first half: it puts the live chunks of m, compacted,
+// under payload, a fresh ID no meta names yet, and returns the meta for
+// Switch and the bytes freed. held, when non-nil, is what the caller fetched
+// of the container with a verified read — whole, in pieces, or ranges; it
+// stands in for a fetch only while it covers the payload m describes
+// (heldCovers), else the container is read afresh, whole.
+func (r *Repo) Rebuild(cs *container.Store, m *container.Meta, held *container.Container, payload container.ID) (*container.Meta, int64, error) {
 	c := held
 	if c == nil || !heldCovers(&c.Meta, m) {
 		var err error
 		if c, err = cs.Read(m.ID); err != nil {
-			return 0, fmt.Errorf("core: rewrite %s: %w", m.ID, err)
+			return nil, 0, fmt.Errorf("core: rewrite %s: %w", m.ID, err)
 		}
 	}
 	nc := &container.Container{Meta: container.Meta{ID: m.ID, Payload: payload}, Data: make([]byte, 0, m.LiveBytes())}
@@ -45,7 +50,7 @@ func (r *Repo) RewriteContainer(cs *container.Store, m *container.Meta, held *co
 		}
 		data, err := c.ChunkData(cm)
 		if err != nil {
-			return 0, fmt.Errorf("core: rewrite: %w", err)
+			return nil, 0, fmt.Errorf("core: rewrite: %w", err)
 		}
 		nc.Meta.Chunks = append(nc.Meta.Chunks, container.ChunkMeta{
 			FP:     cm.FP,
@@ -54,10 +59,11 @@ func (r *Repo) RewriteContainer(cs *container.Store, m *container.Meta, held *co
 		})
 		nc.Data = append(nc.Data, data...)
 	}
-	if err := r.WriteRebuilt(cs, nc, m.Payload); err != nil {
-		return 0, err
+	if err := cs.WritePayload(nc); err != nil {
+		return nil, 0, err
 	}
-	return int64(c.Meta.DataSize) - int64(len(nc.Data)), nil
+	nm := nc.Meta // not &nc.Meta, which would keep the payload resident
+	return &nm, int64(c.Meta.DataSize) - int64(len(nc.Data)), nil
 }
 
 // heldCovers is the held-payload validity rule of RewriteContainer: held
@@ -85,31 +91,35 @@ func heldCovers(held, m *container.Meta) bool {
 	return true
 }
 
-// WriteRebuilt switches a container to a rebuilt payload written beside the
-// one it replaces, was: the payload goes under nc.Meta.Payload, a fresh ID;
-// the meta naming it replaces the old under the container's write lock
-// (restores that resolved the old layout finish first) — only if the meta
-// still names was, else this payload is deleted instead — and the old
-// payload is deleted last. A crash leaves at most a payload no meta names.
-func (r *Repo) WriteRebuilt(cs *container.Store, nc *container.Container, was container.ID) error {
-	if err := cs.WritePayload(nc); err != nil {
-		return err
-	}
-	id := nc.Meta.ID
-	r.CLocks.Lock(id)
-	cur, err := cs.ReadMeta(id)
-	switched := err == nil && cur.Payload == was
-	if switched {
-		err = cs.WriteMeta(&nc.Meta)
+// Switch is a rewrite's second half: under the container's write lock
+// (restores of the old layout finish first) nm, which names a payload put
+// beside was, replaces the meta if that still names was, carrying its marks
+// (a fingerprint it holds nowhere live is marked); else nm's payload is
+// deleted and an error wrapping oss.ErrNotFound returned. was goes last.
+func (r *Repo) Switch(cs *container.Store, nm *container.Meta, was container.ID) error {
+	r.CLocks.Lock(nm.ID)
+	cur, err := cs.UpdateMeta(nm.ID, func(cur *container.Meta) *container.Meta {
+		if cur.Payload != was {
+			return nil
+		}
+		live := make(map[fingerprint.FP]bool, len(cur.Chunks))
+		for _, cm := range cur.Chunks {
+			live[cm.FP] = live[cm.FP] || !cm.Deleted
+		}
+		for i := range nm.Chunks {
+			nm.Chunks[i].Deleted = !live[nm.Chunks[i].FP]
+		}
+		return nm
+	})
+	if cur == nm {
 		r.BumpMaintEpoch()
 	}
-	r.CLocks.Unlock(id)
+	r.CLocks.Unlock(nm.ID)
 	switch {
-	case err != nil:
+	case err != nil && !errors.Is(err, oss.ErrNotFound):
 		return err
-	case !switched:
-		return errors.Join(fmt.Errorf("core: rewrite %s: switched to payload %s meanwhile: %w", id, cur.Payload, oss.ErrNotFound),
-			cs.DeletePayload(nc.Meta.Payload))
+	case cur != nm:
+		return errors.Join(fmt.Errorf("core: rewrite %s: switched meanwhile: %w", nm.ID, oss.ErrNotFound), cs.DeletePayload(nm.Payload))
 	}
 	return cs.DeletePayload(was)
 }

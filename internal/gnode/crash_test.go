@@ -13,6 +13,7 @@ import (
 
 	"slimstore/internal/container"
 	"slimstore/internal/core"
+	"slimstore/internal/fingerprint"
 	"slimstore/internal/lnode"
 	"slimstore/internal/oss"
 	"slimstore/internal/recipe"
@@ -236,19 +237,14 @@ func TestReverseDedupCrashAtEveryPut(t *testing.T) {
 	}
 }
 
-// rewriteCrash lets a compaction run past its commit — the catalog puts
-// around the recipe's, then the sources' marks — into its parallel rewrite
-// phase, which the first payload put after the commit opens, and crashes it
-// in a state only the fan-out reaches. Each rewrite puts its new payload,
-// puts the meta that
-// switches to it and deletes the old payload; the mutations at matches —
-// one of those three — are held until two rewrites have reached one, then
-// refused, and so is every mutation after.
-func rewriteCrash(at func(oss.Op) bool) oss.Layer {
+// commitCrash lets a compaction run into its commit, which the first
+// catalog put opens, and crashes it in a state that order and the fan-out
+// reach: the mutations of the commit at matches are held until n of them
+// wait together, then refused, and so is every mutation after.
+func commitCrash(at func(oss.Op) bool, n int) oss.Layer {
 	var (
 		mu        sync.Mutex
-		committed bool // the catalog entry lists the copies
-		rewriting bool // and a payload has gone out since: what follows is the rewrites'
+		committed bool
 		arrived   int
 		crashed   = make(chan struct{})
 	)
@@ -257,11 +253,10 @@ func rewriteCrash(at func(oss.Op) bool) oss.Layer {
 			return oss.Do(next, op)
 		}
 		mu.Lock()
-		rewriting = rewriting || committed && op.Kind == oss.KindPut && strings.HasSuffix(op.Key, ".data")
 		committed = committed || op.Kind == oss.KindPut && strings.HasPrefix(op.Key, "catalog/")
-		hold := rewriting && at(op)
+		hold := committed && at(op)
 		if hold {
-			if arrived++; arrived == 2 {
+			if arrived++; arrived == n {
 				close(crashed)
 			}
 		}
@@ -278,28 +273,24 @@ func rewriteCrash(at func(oss.Op) bool) oss.Layer {
 	})
 }
 
-// TestCompactSparseCrashWithRewritesOutstanding crashes with two rewrites in
-// flight at once — what the fan-out adds to the reachable crash states — at
-// each of a rewrite's three mutations: before either new payload lands
-// (dataLands=false), with both landed and neither meta switched to them
-// (dataLands=true), and with both metas switched and neither old payload
-// deleted (switched). The crash leaves the payloads it says no meta names;
-// after the reboot and a sweep every version restores and none is left.
+// TestCompactSparseCrashWithRewritesOutstanding crashes a compaction whose
+// rewrites are outstanding, at width 4, in the two states their place in
+// the order adds: with the rewritten payloads landed and the recipe not yet
+// put — the first catalog put refused (dataLands=true) — and with two
+// sources switched to them and neither old payload deleted (switched). The
+// crash leaves the payloads it says no meta names; after the reboot and a
+// sweep every version restores and none is left.
 func TestCompactSparseCrashWithRewritesOutstanding(t *testing.T) {
-	isPut := func(suffix string) func(oss.Op) bool {
-		return func(op oss.Op) bool { return op.Kind == oss.KindPut && strings.HasSuffix(op.Key, suffix) }
-	}
 	for _, ranged := range []bool{false, true} {
 		baseline, cfg, want, st := sccFixture(t, ranged)
 		cfg.MaintWorkers = 4
 		for _, tc := range []struct {
 			name              string
-			at                func(oss.Op) bool
+			crash             oss.Layer
 			unnamed, switched int // at least, at the crash
 		}{
-			{"dataLands=false", isPut(".data"), 0, 0},
-			{"dataLands=true", isPut(".meta"), 2, 0},
-			{"switched", func(op oss.Op) bool { return op.Kind == oss.KindDelete }, 2, 2},
+			{"dataLands=true", commitCrash(func(oss.Op) bool { return true }, 1), 2, 0},
+			{"switched", commitCrash(func(op oss.Op) bool { return op.Kind == oss.KindDelete }, 2), 2, 2},
 		} {
 			name := tc.name
 			if ranged {
@@ -308,7 +299,7 @@ func TestCompactSparseCrashWithRewritesOutstanding(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				mem := baseline.Clone()
 				var rec oss.Recorder
-				repo := mustOpen(t, oss.With(mem, &rec, rewriteCrash(tc.at)), cfg)
+				repo := mustOpen(t, oss.With(mem, &rec, tc.crash), cfg)
 				sizes := payloadSizes(t, repo)
 				rec.Take()
 				if _, err := New(repo).CompactSparse("f", st.Version, st.SparseContainers); !errors.Is(err, oss.ErrInjected) {
@@ -325,7 +316,7 @@ func TestCompactSparseCrashWithRewritesOutstanding(t *testing.T) {
 						switched++
 					}
 				}
-				if len(unnamed) < tc.unnamed || switched < tc.switched || tc.unnamed == 0 && len(unnamed) > 0 {
+				if len(unnamed) < tc.unnamed || switched < tc.switched || tc.switched == 0 && switched > 0 {
 					t.Fatalf("the crash left %d payloads no meta names and %d metas switched, want %d and %d", len(unnamed), switched, tc.unnamed, tc.switched)
 				}
 
@@ -459,6 +450,141 @@ func TestFullSweepWaitsForRewritesInFlight(t *testing.T) {
 		}
 	}
 	assertPayloadsNamed(t, "after the sweep", tw.mem, repo)
+}
+
+// stop holds the first put match selects once armed, until release closes.
+type stop struct {
+	armed         atomic.Bool
+	match         func(key string) bool
+	held, release chan struct{}
+}
+
+func newStop(match func(key string) bool) *stop {
+	return &stop{match: match, held: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (s *stop) at(op oss.Op) {
+	if op.Kind == oss.KindPut && s.armed.Load() && s.match(op.Key) && s.armed.CompareAndSwap(true, false) {
+		close(s.held)
+		<-s.release
+	}
+}
+
+// TestReverseDedupMarksKeepASwitch: a reverse-dedup pass's rewrites run
+// outside maintMu, so the next pass can commit meanwhile, and its marks and
+// the rewrites' switches update the same metas. Pass b runs to a stop in
+// its rewrite phase, then pass c runs to one; b finishes, then c. Where b
+// stops at its first switch and c at its index put, c's marks come after
+// the switch: they must land on the meta b switched to — a copy taken
+// before it names the payload b deleted, and loses a version for good.
+// Where both stop at their first payload put, c's marks land before b's
+// switches: each switch must carry them, or a chunk stays live where the
+// index no longer names it. Every version restores, before and after a
+// reopen, and every live chunk is its fingerprint's index entry.
+func TestReverseDedupMarksKeepASwitch(t *testing.T) {
+	isData := func(key string) bool { return strings.HasSuffix(key, ".data") }
+	for _, tc := range []struct {
+		name string
+		b, c func(key string) bool
+	}{
+		{"marks-after-switch", func() func(string) bool {
+			var sawPayload atomic.Bool
+			return func(key string) bool {
+				if isData(key) {
+					sawPayload.Store(true)
+				}
+				return strings.HasSuffix(key, ".meta") && sawPayload.Load()
+			}
+		}(), func(key string) bool { return strings.HasPrefix(key, "gidx/") }},
+		{"switch-after-marks", isData, isData},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.SimilarityMinScore = 1.1 // no base: b and c store copies of a's chunks for reverse dedup to find
+			stopB, stopC := newStop(tc.b), newStop(tc.c)
+			mem := oss.NewMem()
+			repo, gn := openOver(t, oss.With(mem, oss.LayerFunc(func(op oss.Op, next oss.Store) (oss.Op, error) {
+				stopB.at(op)
+				stopC.at(op)
+				return oss.Do(next, op)
+			})), cfg, -1)
+			ln := lnode.New(repo, "l0")
+			// b copies the first half of each 128 KiB of a, c a stretch of the
+			// second half of the first: c marks only the first container.
+			a := genData(95, 1<<20)
+			var b []byte
+			for w := 0; w < len(a); w += 128 << 10 {
+				b = append(b, a[w:w+64<<10]...)
+			}
+			c := a[72<<10 : 120<<10]
+			want := map[string]map[int][]byte{"a": {0: a}, "b": {0: b}, "c": {0: c}}
+			news := map[string][]container.ID{}
+			for _, f := range []string{"a", "b", "c"} {
+				st, err := ln.Backup(f, want[f][0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				news[f] = st.NewContainers
+			}
+			if _, err := gn.ReverseDedup(news["a"]); err != nil {
+				t.Fatal(err)
+			}
+
+			done := make(chan error, 2)
+			for _, p := range []struct {
+				f    string
+				stop *stop
+			}{{"b", stopB}, {"c", stopC}} {
+				p.stop.armed.Store(true)
+				go func() {
+					st, err := gn.ReverseDedup(news[p.f])
+					if err == nil && st.DuplicatesRemoved == 0 {
+						err = fmt.Errorf("pass %s marked nothing: %+v", p.f, st)
+					}
+					done <- err
+				}()
+				<-p.stop.held
+			}
+			close(stopB.release)
+			errB := <-done
+			close(stopC.release)
+			if err := errors.Join(errB, <-done); err != nil {
+				t.Fatal(err)
+			}
+			for f, vs := range want {
+				if err := restoreMatches(lnode.New(repo, "l1"), f, 0, vs[0]); err != nil {
+					t.Errorf("%s v0: %v", f, err)
+				}
+			}
+			assertLiveIsCanonical(t, verifyFilesAfterReboot(t, mem, cfg, want))
+		})
+	}
+}
+
+// assertLiveIsCanonical fails unless every live chunk of every container is
+// where the global index says its fingerprint lives: what holds once
+// reverse dedup has run over every container of files that share nothing
+// but copies of each other's chunks.
+func assertLiveIsCanonical(t *testing.T, repo *core.Repo) {
+	t.Helper()
+	var fps []fingerprint.FP
+	var homes []container.ID
+	for _, m := range listedMetas(t, repo) {
+		for _, cm := range m.Chunks {
+			if !cm.Deleted {
+				fps, homes = append(fps, cm.FP), append(homes, m.ID)
+			}
+		}
+	}
+	ids, found, _, err := repo.Global.GetBatch(fps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range fps {
+		if !found[i] || ids[i] != homes[i] {
+			t.Fatalf("chunk %s is live in %s, the index names %s (found %v): a mark was lost", fps[i].Short(), homes[i], ids[i], found[i])
+		}
+	}
 }
 
 // TestFullSweepReclaimsOrphanedPayload crashes a backup between a

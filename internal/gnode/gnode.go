@@ -37,16 +37,15 @@ import (
 // maintMu serialises the decide/commit step of every maintenance job
 // (reverse dedup, SCC, version collection, full sweep, scrub) — the
 // paper's deployment has exactly one G-node (§III-B), so offline commits
-// are sequential by design, and serialising them keeps their
-// read-modify-write cycles over container metadata trivially safe. The
-// read-heavy phases (container scans, index probes, scrub verification)
-// run OUTSIDE the mutex across a bounded worker pool, validated by the
-// repo's maintenance epoch before their results are committed
-// (DESIGN.md §8). Online L-node traffic is NOT behind this mutex; it
-// synchronises with maintenance through the file and container locks
-// (core.FileLocks / core.ContainerLocks). maintMu remains the top of the
-// lock order: it is taken before any file or container lock and never
-// the other way around.
+// are sequential by design; their metadata writes, like the rewrites'
+// outside it, go through container.Store.UpdateMeta. The read-heavy
+// phases (container scans, index probes, scrub verification) run OUTSIDE
+// the mutex across a bounded worker pool, validated by the repo's
+// maintenance epoch before their results are committed (DESIGN.md §8).
+// Online L-node traffic is NOT behind this mutex; it synchronises with
+// maintenance through the file and container locks (core.FileLocks /
+// core.ContainerLocks). maintMu remains the top of the lock order: it is
+// taken before any file or container lock and never the other way around.
 type GNode struct {
 	repo    *core.Repo
 	acct    *simclock.Account
@@ -113,9 +112,9 @@ func (g *GNode) ReverseDedup(newContainers []container.ID) (*ReverseDedupStats, 
 	// Canonicalise the work list: the decide phase follows sorted unique
 	// container order, so the outcome is independent of list order and of
 	// how the scan fan-out interleaves.
-	ids := append([]container.ID(nil), newContainers...)
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	ids = uniqueIDs(ids)
+	ids := slices.Clone(newContainers)
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
 	cs := g.containers()
 
 	var rewrites []*container.Meta
@@ -130,7 +129,7 @@ func (g *GNode) ReverseDedup(newContainers []container.ID) (*ReverseDedupStats, 
 	if err != nil {
 		return nil, err
 	}
-	stats.ContainersRewritten, stats.BytesReclaimed, err = g.rewriteAll(cs, rewrites, nil)
+	stats.ContainersRewritten, stats.BytesReclaimed, err = g.rewriteAll(cs, rewrites)
 	g.rewriting.Done()
 	if err != nil {
 		return nil, err
@@ -280,6 +279,7 @@ func (g *GNode) rdCommit(cs *container.Store, ids []container.ID, p *rdPrep) (*R
 	gi := g.repo.Global
 
 	dirty := make(map[container.ID]*container.Meta)
+	marked := make(map[container.ID][]fingerprint.FP) // what this pass marked, per old home
 	getDirty := func(id container.ID) (*container.Meta, error) {
 		if m := dirty[id]; m != nil {
 			return m, nil
@@ -349,6 +349,7 @@ func (g *GNode) rdCommit(cs *container.Store, ids []container.ID, p *rdPrep) (*R
 				if err == nil {
 					if ocm := om.Find(cm.FP); ocm != nil && !ocm.Deleted {
 						ocm.Deleted = true
+						marked[oldID] = append(marked[oldID], cm.FP)
 						stats.DuplicatesRemoved++
 						stats.BytesDeduplicated += int64(ocm.Size)
 					}
@@ -370,15 +371,17 @@ func (g *GNode) rdCommit(cs *container.Store, ids []container.ID, p *rdPrep) (*R
 		return nil, nil, err
 	}
 
-	// Persist metadata marks (fan-out: distinct containers, no ordering
-	// dependency between them).
+	// Persist the marks (fan-out: distinct containers, no ordering
+	// dependency between them) on the metas current at their puts.
 	dids := make([]container.ID, 0, len(dirty))
 	for id := range dirty {
 		dids = append(dids, id)
 	}
 	sort.Slice(dids, func(a, b int) bool { return dids[a] < dids[b] })
-	if err := g.repo.ForEach(len(dids), func(i int) error {
-		return cs.WriteMeta(dirty[dids[i]])
+	metas := make([]*container.Meta, len(dids))
+	if err := g.repo.ForEach(len(dids), func(i int) (err error) {
+		metas[i], err = cs.UpdateMeta(dids[i], func(m *container.Meta) *container.Meta { return markAll(m, marked[dids[i]]) })
+		return err
 	}); err != nil {
 		return nil, nil, err
 	}
@@ -387,27 +390,48 @@ func (g *GNode) rdCommit(cs *container.Store, ids []container.ID, p *rdPrep) (*R
 	}
 
 	var rewrites []*container.Meta
-	for _, id := range dids {
-		if m := dirty[id]; m.StaleProportion() > rewriteStale {
+	for _, m := range metas {
+		if m.StaleProportion() > rewriteStale {
 			rewrites = append(rewrites, m)
 		}
 	}
 	return stats, rewrites, nil
 }
 
-// rewriteAll physically compacts the containers a commit step marked past
-// the stale threshold, across the worker pool; it is the rewrite phase of
-// both reverse dedup and SCC. Each rewrite switches to a payload written
-// beside the old, under an ID drawn in container order before the fan-out
-// (core.WriteRebuilt), so it needs no maintenance mutex and the store's
-// bytes do not depend on the width; a container swept or rewritten
-// concurrently just loses its compaction opportunity (tolerated NotFound).
-// held, when non-nil, parallels metas with payloads the caller already
-// fetched and verified (see core.RewriteContainer for when one is used); a
-// payload nobody holds — reverse dedup's, an SCC source predicted to stay —
-// is read here, by a plan over its live chunks cut like any other
-// (schedule). Returns the containers rewritten and bytes freed.
-func (g *GNode) rewriteAll(cs *container.Store, metas []*container.Meta, held []*container.Container) (rewritten int, freed int64, err error) {
+// rewriteAll is reverse dedup's rewrite phase: each container marked past
+// the stale threshold is rebuilt and switched back to back, across the pool
+// and outside maintMu; one swept or switched meanwhile loses its compaction
+// opportunity (tolerated NotFound). Returns the containers rewritten and
+// bytes freed.
+func (g *GNode) rewriteAll(cs *container.Store, metas []*container.Meta) (rewritten int, freed int64, err error) {
+	rebuild := g.rebuilder(cs, metas, nil)
+	var mu sync.Mutex
+	err = g.repo.ForEach(len(metas), func(i int) error {
+		nm, n, err := rebuild(i)
+		if err == nil {
+			err = g.repo.Switch(cs, nm, metas[i].Payload)
+		}
+		if err != nil {
+			if errors.Is(err, oss.ErrNotFound) {
+				return nil
+			}
+			return fmt.Errorf("gnode: rewrite %s: %w", metas[i].ID, err)
+		}
+		mu.Lock()
+		rewritten++
+		freed += n
+		mu.Unlock()
+		return nil
+	})
+	return rewritten, freed, err
+}
+
+// rebuilder plans the first halves of the rewrites of metas: rebuild(i)
+// puts metas[i] compacted beside its payload (core.Repo.Rebuild) under an ID
+// drawn here, in container order, so the store's bytes do not depend on the
+// width. held, when non-nil, parallels metas with payloads already fetched
+// and verified; one nobody holds is read by a plan over its live chunks.
+func (g *GNode) rebuilder(cs *container.Store, metas []*container.Meta, held []*container.Container) func(i int) (*container.Meta, int64, error) {
 	if held == nil {
 		held = make([]*container.Container, len(metas))
 	}
@@ -431,28 +455,28 @@ func (g *GNode) rewriteAll(cs *container.Store, metas []*container.Meta, held []
 	}
 	gated := g.schedule(cs, plans, metas)
 	first := cs.AllocateIDs(len(metas))
-	var mu sync.Mutex
-	err = g.repo.ForEach(len(metas), func(i int) error {
-		n, err := int64(0), error(nil)
-		if held[i] == nil {
-			held[i], err = gated.ReadSpans(metas[i].ID, plans[i].Reads)
-		}
-		if err == nil {
-			n, err = g.repo.RewriteContainer(gated, metas[i], held[i], first+container.ID(i))
-		}
-		if err != nil {
-			if errors.Is(err, oss.ErrNotFound) {
-				return nil
+	return func(i int) (*container.Meta, int64, error) {
+		c := held[i]
+		if c == nil {
+			var err error
+			if c, err = gated.ReadSpans(metas[i].ID, plans[i].Reads); err != nil {
+				return nil, 0, err
 			}
-			return fmt.Errorf("gnode: rewrite %s: %w", metas[i].ID, err)
 		}
-		mu.Lock()
-		rewritten++
-		freed += n
-		mu.Unlock()
-		return nil
-	})
-	return rewritten, freed, err
+		return g.repo.Rebuild(gated, metas[i], c, first+container.ID(i))
+	}
+}
+
+// markAll applies a pass's marks by fingerprint to m, the meta current at
+// the put (container.Store.UpdateMeta): it marks the chunk Meta.Find returns
+// for each of fps, where live, and returns m if it marked one, else nil.
+func markAll(m *container.Meta, fps []fingerprint.FP) (marked *container.Meta) {
+	for _, fp := range fps {
+		if cm := m.Find(fp); cm != nil && !cm.Deleted {
+			cm.Deleted, marked = true, m
+		}
+	}
+	return marked
 }
 
 // schedule cuts the long reads among one pass's plans so that its channels
@@ -466,17 +490,6 @@ func (g *GNode) schedule(cs *container.Store, plans []cache.ReadPlan, metas []*c
 	w := g.repo.Config.MaintWorkers
 	cache.Split(plans, metas, w, g.repo.Config.Costs)
 	return cs.Gated(w)
-}
-
-// uniqueIDs collapses adjacent duplicates in a sorted ID slice.
-func uniqueIDs(ids []container.ID) []container.ID {
-	out := ids[:0]
-	for i, id := range ids {
-		if i == 0 || id != ids[i-1] {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -497,17 +510,17 @@ type SCCStats struct {
 // applies to the *current* version immediately (unlike HAR, which rewrites
 // during the next backup).
 //
-// The pass follows the §8 phase shape under maintMu and the file lock:
-// the planned, verified reads of the sources share the maintenance
-// channels while one goroutine appends the needed chunks in sparse/recipe
-// order (so the new containers, the index batch, the recipe and the stats
-// are bit-identical at any width); the commit, in reverse dedup's order —
-// the repoints synced, then the recipe and catalog entry (commitRecipe),
-// then the sources' marks, which fan out; then the sources past the stale
-// threshold are rewritten in parallel, each from the payload the prepare
-// already fetched — no byte of a source is read twice. At most
-// MaintWorkers unconsumed reads are resident at a time, plus the payloads
-// of the sources that will be rewritten. Every crash prefix is a state
+// The pass follows the §8 phase shape under maintMu and the file lock: the
+// planned, verified reads of the sources share the maintenance channels
+// while one goroutine appends the needed chunks in sparse/recipe order, so
+// the new containers, the index batch, the recipe and the stats are
+// bit-identical at any width. The reads done, every mark is known: the
+// sources past the stale threshold are compacted from the payloads the
+// prepare holds — no byte is read twice — and put, unnamed, beside the last
+// new container. Then the commit, in reverse dedup's order: the repoints
+// synced, the catalog entry and recipe (commitRecipe), whose last put goes
+// out beside one meta put per source — its marks, or the switch carrying
+// them — and the old payloads' deletes. Every crash prefix is a state
 // reverse dedup's commit or scrub's recipe fix also leaves: it loses no
 // byte and at most leaks what FullSweep reclaims. A re-run before the
 // recipe put redoes the pass; after it the recipe names no source, so the
@@ -533,10 +546,13 @@ func (g *GNode) CompactSparse(fileID string, version int, sparse []container.ID)
 		sparseSet[id] = true
 	}
 
-	r, err := rs.GetRecipe(fileID, version)
-	if err != nil {
+	var r *recipe.Recipe
+	var info *recipe.VersionInfo
+	if err := g.wave(func() (err error) { r, err = rs.GetRecipe(fileID, version); return err },
+		func() (err error) { info, err = rs.GetInfo(fileID, version); return err }); err != nil {
 		// Compaction requests are advisory; the version may have been
-		// deleted since the backup that queued it.
+		// deleted since the backup that queued it, or be one a crash left
+		// uncatalogued, which FullSweep removes.
 		if errors.Is(err, oss.ErrNotFound) {
 			return stats, nil
 		}
@@ -547,42 +563,37 @@ func (g *GNode) CompactSparse(fileID string, version int, sparse []container.ID)
 	// container, in recipe order for locality of the new layout.
 	needed := make(map[container.ID][]fingerprint.FP)
 	wanted := make(map[fingerprint.FP]bool)
+	var wantedFPs []fingerprint.FP
 	r.Iter(func(_, _ int, rec *recipe.ChunkRecord) bool {
 		if sparseSet[rec.Container] && !wanted[rec.FP] {
 			wanted[rec.FP] = true
+			wantedFPs = append(wantedFPs, rec.FP)
 			needed[rec.Container] = append(needed[rec.Container], rec.FP)
 		}
 		return true
 	})
 
-	// Prepare: copy the needed chunks into fresh containers. The sources
-	// stay untouched and nothing references the copies yet, so a crash
-	// here leaks only unreferenced containers — FullSweep reclaims them.
-	// Every source read is planned from the (cached) metadata before the
-	// first byte moves, as a restore's are (DESIGN.md §8): a source the
-	// apply's marks will push past the rewrite threshold is read whole —
-	// every live chunk verified, the payload held for the rewrite — and one
+	// Prepare: copy the needed chunks into fresh containers, which nothing
+	// references yet — a crash here leaks only what FullSweep reclaims. Every
+	// source read is planned from the (cached) metadata first (DESIGN.md §8):
+	// a source the marks will push past the rewrite threshold is read whole,
+	// every live chunk verified and the payload held for the rewrite, one
 	// that stays only where the chunks it gives up lie, when the planner
-	// prices that cheaper. A read verifies what it returns, so a corrupt
-	// chunk aborts the pass rather than being laundered into a freshly
-	// checksummed container. The sources are pinned meanwhile: a plan is good
-	// for the layout it was made from. Reads land in per-index slots; the
-	// builder consumes them in order and is synchronous, so every
-	// destination put is durable before the commit.
+	// prices that cheaper. A corrupt chunk aborts the pass rather than being
+	// laundered into a freshly checksummed container. The sources are pinned
+	// meanwhile: a plan is good for the layout it was made from. The builder
+	// consumes the reads in order and puts every full container at once.
 	builder := container.NewBuilder(cs)
 	moved := make(map[fingerprint.FP]container.ID)
-	newSet := make(map[container.ID]bool)
 	held := make([]*container.Container, len(sparse))
 	plans := make([]cache.ReadPlan, len(sparse))
-	rewrite := make([]bool, len(sparse)) // predicted; the fresh meta decides below
 	release := g.repo.CLocks.Pin(sparse)
-	// nil: nothing to read — a quarantined or already-collected source has no
-	// chunks to move.
-	metas, err := g.readMetas(cs, sparse)
+	srcs, err := g.readMetas(cs, sparse) // nil: a source gone
 	if err != nil {
 		release()
 		return nil, fmt.Errorf("gnode: scc: %w", err)
 	}
+	metas := slices.Clone(srcs) // nil: not read
 	for i, m := range metas {
 		if m == nil {
 			continue
@@ -595,11 +606,10 @@ func (g *GNode) CompactSparse(fileID string, version int, sparse []container.ID)
 				need[fp] = true
 			}
 		}
-		rewrite[i] = staleAfter(m, wanted) > rewriteStale
 		switch {
 		case len(need) == 0:
 			metas[i] = nil
-		case rewrite[i]:
+		case markedCopy(m, wantedFPs).StaleProportion() > rewriteStale: // the marks decide below
 			plans[i].Full = true
 		default:
 			plans[i] = cache.Plan(m, need, g.repo.Config.Costs)
@@ -619,7 +629,7 @@ func (g *GNode) CompactSparse(fileID string, version int, sparse []container.ID)
 		if c == nil {
 			return nil
 		}
-		if !rewrite[i] {
+		if !plans[i].Full {
 			held[i] = nil // only a payload the rewrite will want stays resident
 		}
 		for _, fp := range needed[sparse[i]] {
@@ -636,7 +646,6 @@ func (g *GNode) CompactSparse(fileID string, version int, sparse []container.ID)
 				return err
 			}
 			moved[fp] = nid
-			newSet[nid] = true
 			stats.ChunksMoved++
 			stats.BytesMoved += int64(cm.Size)
 		}
@@ -646,26 +655,51 @@ func (g *GNode) CompactSparse(fileID string, version int, sparse []container.ID)
 	if err != nil {
 		return nil, err
 	}
-	if err := builder.Flush(); err != nil {
-		return nil, err
-	}
 	if len(moved) == 0 {
 		return stats, nil
 	}
-	for id := range newSet {
-		stats.NewContainers = append(stats.NewContainers, id)
+	batch := make([]globalindex.Entry, 0, len(moved))
+	fps := make([]fingerprint.FP, 0, len(moved))
+	for fp, nid := range moved {
+		batch = append(batch, globalindex.Entry{FP: fp, ID: nid})
+		fps = append(fps, fp)
+		stats.NewContainers = append(stats.NewContainers, nid)
 	}
-	sort.Slice(stats.NewContainers, func(a, b int) bool { return stats.NewContainers[a] < stats.NewContainers[b] })
+	sort.Slice(batch, func(a, b int) bool { return bytes.Compare(batch[a].FP[:], batch[b].FP[:]) < 0 })
+	slices.SortFunc(fps, func(a, b fingerprint.FP) int { return bytes.Compare(a[:], b[:]) })
+	slices.Sort(stats.NewContainers)
+	stats.NewContainers = slices.Compact(stats.NewContainers)
+
+	// The marks are the moved chunks, wherever a source holds one live. A
+	// source they push past the threshold — compaction shrinks what old
+	// versions hold (Fig 9), not the totals — is rebuilt without them now;
+	// no meta names its payload until the source's switch.
+	var rewrites []*container.Meta
+	var payloads []*container.Container
+	var of []int // the source each rewrite compacts
+	for i, m := range srcs {
+		if m == nil {
+			continue
+		}
+		if f := markedCopy(m, fps); f.StaleProportion() > rewriteStale {
+			rewrites, payloads, of = append(rewrites, f), append(payloads, held[i]), append(of, i)
+		}
+	}
+	rebuild := g.rebuilder(cs, rewrites, payloads)
+	rebuilt := make([]*container.Meta, len(sparse))
+	if err := g.wave(builder.Flush, func() error {
+		return g.repo.ForEach(len(rewrites), func(k int) (err error) {
+			rebuilt[of[k]], _, err = rebuild(k)
+			return err
+		})
+	}); err != nil {
+		return nil, err
+	}
 
 	// Index first, synced at once: restores redirect relocated chunks
 	// through it, so neither the recipe nor a mark may get ahead of it. A
 	// crash after the sync leaves copies only the index names; a redirect
 	// that needs one keeps it through FullSweep, which drops the rest.
-	batch := make([]globalindex.Entry, 0, len(moved))
-	for fp, nid := range moved {
-		batch = append(batch, globalindex.Entry{FP: fp, ID: nid})
-	}
-	sort.Slice(batch, func(a, b int) bool { return bytes.Compare(batch[a].FP[:], batch[b].FP[:]) < 0 })
 	if err := g.repo.Global.PutBatch(batch); err != nil {
 		return nil, err
 	}
@@ -673,81 +707,45 @@ func (g *GNode) CompactSparse(fileID string, version int, sparse []container.ID)
 		return nil, err
 	}
 	// Recipe and catalog: this version's restores stop touching the sparse
-	// sources, which become its garbage (§VI-B).
+	// sources, which become its garbage (§VI-B); then each source's marks.
+	// A crash part-way leaves live duplicates, which only waste space, or
+	// payloads no meta names. A source a concurrent rewrite switched is
+	// marked on its current meta and, past the threshold, rewritten afresh.
 	r.Iter(func(_, _ int, cr *recipe.ChunkRecord) bool {
 		if nid, ok := moved[cr.FP]; ok {
 			cr.Container = nid
 		}
 		return true
 	})
-	if err := commitRecipe(rs, r, sparse); err != nil {
-		return nil, err
-	}
-	// Mark the moved chunks deleted in the sources, now that nothing routes
-	// reads to them. A crash part-way leaves live duplicates, which only
-	// waste space. Distinct containers, no ordering dependency: fanned out.
-	if err := g.repo.ForEach(len(sparse), func(i int) error {
-		m, err := cs.ReadMeta(sparse[i])
-		if err != nil {
+	if err := g.commitRecipe(rs, r, info, sparse, func() error {
+		return g.repo.ForEach(len(sparse), func(i int) error {
+			if nm := rebuilt[i]; nm != nil {
+				if err := g.repo.Switch(cs, nm, srcs[i].Payload); !errors.Is(err, oss.ErrNotFound) {
+					return err
+				}
+			}
+			m, err := cs.UpdateMeta(sparse[i], func(m *container.Meta) *container.Meta { return markAll(m, fps) })
+			if err == nil && m.StaleProportion() > rewriteStale {
+				_, err = g.repo.RewriteContainer(cs, m, nil, cs.AllocateID())
+			}
 			if errors.Is(err, oss.ErrNotFound) {
-				return nil // already swept
+				return nil // swept or rewritten meanwhile
 			}
 			return err
-		}
-		cp := *m
-		cp.Chunks = append([]container.ChunkMeta(nil), m.Chunks...)
-		dirty := false
-		for j := range batch {
-			if cm := cp.Find(batch[j].FP); cm != nil && !cm.Deleted {
-				cm.Deleted = true
-				dirty = true
-			}
-		}
-		if !dirty {
-			return nil
-		}
-		return cs.WriteMeta(&cp)
+		})
 	}); err != nil {
 		return nil, err
 	}
 	g.repo.BumpMaintEpoch()
-
-	// The moved bytes are dead weight in the sparse containers; rewrite
-	// any past the stale threshold so the paper's Fig 9 property holds:
-	// compaction shrinks the storage attributable to old versions rather
-	// than growing totals. Each rewrite switches independently. The fresh
-	// metas are meta-cache hits: the marks have just read or written each.
-	fresh, err := g.readMetas(cs, sparse)
-	if err != nil {
-		return nil, fmt.Errorf("gnode: scc: %w", err)
-	}
-	var rewrites []*container.Meta
-	var payloads []*container.Container
-	for i, m := range fresh {
-		if m != nil && m.StaleProportion() > rewriteStale { // nil: swept or quarantined
-			rewrites = append(rewrites, m)
-			payloads = append(payloads, held[i])
-		}
-	}
-	if _, _, err := g.rewriteAll(cs, rewrites, payloads); err != nil {
-		return nil, err
-	}
 	return stats, nil
 }
 
-// staleAfter predicts a source's stale proportion once the SCC apply has
-// marked every wanted chunk it still holds live.
-func staleAfter(m *container.Meta, wanted map[fingerprint.FP]bool) float64 {
-	if len(m.Chunks) == 0 {
-		return 0
-	}
-	stale := 0
-	for i := range m.Chunks {
-		if cm := &m.Chunks[i]; cm.Deleted || wanted[cm.FP] {
-			stale++
-		}
-	}
-	return float64(stale) / float64(len(m.Chunks))
+// markedCopy returns a copy of m with fps marked (markAll).
+func markedCopy(m *container.Meta, fps []fingerprint.FP) *container.Meta {
+	f := *m
+	f.Chunks = slices.Clone(m.Chunks)
+	markAll(&f, fps)
+	return &f
 }
 
 // Optimize is the offline pass for one finished backup: reverse
@@ -1111,25 +1109,17 @@ func (g *GNode) dropUncatalogued(rs *recipe.Store, catalogued []recipe.Ref) erro
 }
 
 // commitRecipe puts a version's repointed recipe between two puts of its
-// catalog entry, so that at every crash point the entry's container list
-// names every container the stored recipe names — a deletion's liveness
-// check (liveContainerRefs) reads only the lists, and would take a container
-// missing from them for garbage. The first put, skipped when the old list
-// already covers the new recipe, lists the old containers and the new
-// recipe's; the second, after the recipe, the new recipe's alone. Both add
-// garbage to the garbage list. A crash between the puts keeps the extra
-// containers live until the version is deleted, or leaks them to FullSweep;
-// it loses nothing. A version with no catalog entry is left to FullSweep,
-// recipe untouched. It is the one recipe repoint: SCC's, which adds its
-// drained sources as garbage, and scrub's, which adds none.
-func commitRecipe(rs *recipe.Store, r *recipe.Recipe, garbage []container.ID) error {
-	info, err := rs.GetInfo(r.FileID, r.Version)
-	if err != nil {
-		if errors.Is(err, oss.ErrNotFound) {
-			return nil
-		}
-		return err
-	}
+// catalog entry info, so that at every crash point the entry's container
+// list names every container the stored recipe names — a deletion's
+// liveness check (liveContainerRefs) reads only the lists, and would take a
+// container missing from them for garbage. The first put, skipped when the
+// old list already covers the new recipe, lists the old containers and the
+// new recipe's; the second, beside the caller's step, the new recipe's
+// alone. Both add garbage to the garbage list. A crash between the puts
+// keeps the extra containers live until the version is deleted, or leaks
+// them to FullSweep; it loses nothing. It is the one recipe repoint: SCC's,
+// which adds its drained sources as garbage, and scrub's.
+func (g *GNode) commitRecipe(rs *recipe.Store, r *recipe.Recipe, info *recipe.VersionInfo, garbage []container.ID, beside func() error) error {
 	for _, id := range garbage {
 		if !slices.Contains(info.Garbage, id) {
 			info.Garbage = append(info.Garbage, id)
@@ -1166,5 +1156,11 @@ func commitRecipe(rs *recipe.Store, r *recipe.Recipe, garbage []container.ID) er
 		return err
 	}
 	info.Containers = exact
-	return rs.PutInfo(info)
+	return g.wave(func() error { return rs.PutInfo(info) }, beside)
+}
+
+// wave runs independent steps side by side across the maintenance pool —
+// one after another at width ≤ 1 — and returns the first error.
+func (g *GNode) wave(steps ...func() error) error {
+	return g.repo.ForEach(len(steps), func(i int) error { return steps[i]() })
 }

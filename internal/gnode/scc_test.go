@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -450,8 +451,9 @@ func padWithDeadChunk(t *testing.T, repo *core.Repo, id container.ID) {
 }
 
 // TestCompactSparseHeldPayloadLayoutMismatch: a source rewritten by
-// someone else between SCC's read and SCC's own rewrite no longer matches
-// the held payload; the rewrite must notice and read it afresh.
+// someone else between SCC's read and SCC's switch no longer names the
+// payload SCC compacted; the switch must notice, drop that payload, mark the
+// source's current meta and rewrite it from a fresh read.
 func TestCompactSparseHeldPayloadLayoutMismatch(t *testing.T) {
 	for _, ranged := range []bool{false, true} {
 		for _, workers := range []int{-1, 4} {
@@ -464,7 +466,8 @@ func TestCompactSparseHeldPayloadLayoutMismatch(t *testing.T) {
 				sizes := payloadSizes(t, repo)
 
 				// The first catalog put opens the compaction's commit: every
-				// source has been read by then, none marked or rewritten yet.
+				// source has been read and its rewrite put by then, none
+				// marked or switched yet.
 				// (Not a sync.Once: the interloper's own puts re-enter the hook.)
 				var fired atomic.Bool
 				var rewrote int64      // the victim's payload once the interloper is done
@@ -541,8 +544,8 @@ func TestCompactSparsePostApplyMetaFault(t *testing.T) {
 			rec := newRecStore(faulty, 0)
 			repo, gn := openOver(t, rec.store, cfg, 4)
 			victim := st.SparseContainers[0]
-			// The first catalog put opens the compaction's commit: the marks
-			// and the rewrite loop are the next to read the sources' metas.
+			// The first catalog put opens the compaction's commit: the
+			// sources' switches and marks are the next to read their metas.
 			var once sync.Once
 			rec.afterPut = func(key string) {
 				if !strings.HasPrefix(key, "catalog/") {
@@ -583,33 +586,89 @@ func prefixDump(t *testing.T, s oss.Store, prefix string) map[string][]byte {
 	return out
 }
 
-// TestApplySCCDeterministic: the commit writes the same bytes in the same
-// order every time — two identical runs agree on every mutation and on
-// the index objects. (Ranging over the moved map used to shuffle the index
-// puts, so WAL and table bytes differed from run to run.)
+// TestApplySCCDeterministic: the commit writes the same bytes every time —
+// two identical runs issue the same mutations, in the same order at width
+// −1, and leave the same store, index objects included. (Ranging over the
+// moved map used to shuffle the index puts, so WAL and table bytes differed
+// from run to run.) At width 4 the order of the puts side by side is the
+// scheduler's; what they are, and the store they leave, are not.
 func TestApplySCCDeterministic(t *testing.T) {
 	baseline, cfg, _, st := sccFixture(t, false)
 
-	run := func() (*oss.Mem, []storeOp) {
+	run := func(workers int) (*oss.Mem, []storeOp) {
 		mem := baseline.Clone()
 		rec := newRecStore(mem, 0)
-		_, gn := openOver(t, rec.store, cfg, -1)
+		_, gn := openOver(t, rec.store, cfg, workers)
 		rec.reset()
 		if _, err := gn.CompactSparse("f", st.Version, st.SparseContainers); err != nil {
 			t.Fatal(err)
 		}
 		return mem, rec.recorded()
 	}
-	memA, opsA := run()
-	memB, opsB := run()
-	if !reflect.DeepEqual(opsA, opsB) {
-		t.Fatalf("two identical SCC runs issued different mutations:\n%v\n%v", opsA, opsB)
+	for _, workers := range []int{-1, 4} {
+		memA, opsA := run(workers)
+		memB, opsB := run(workers)
+		if workers > 1 {
+			for _, ops := range [][]storeOp{opsA, opsB} {
+				sort.Slice(ops, func(i, j int) bool { return fmt.Sprint(ops[i]) < fmt.Sprint(ops[j]) })
+			}
+		}
+		if !reflect.DeepEqual(opsA, opsB) {
+			t.Fatalf("width %d: two identical SCC runs issued different mutations:\n%v\n%v", workers, opsA, opsB)
+		}
+		if len(prefixDump(t, memA, "gidx/")) == 0 {
+			t.Fatal("no index objects written; the comparison would be vacuous")
+		}
+		if !reflect.DeepEqual(prefixDump(t, memA, ""), prefixDump(t, memB, "")) {
+			t.Fatalf("width %d: the stores differ between two identical SCC runs", workers)
+		}
 	}
-	gidxA := prefixDump(t, memA, "gidx/")
-	if len(gidxA) == 0 {
-		t.Fatal("no index objects written; the comparison would be vacuous")
+}
+
+// TestCompactSparseOverlapsRewrites pins where a compaction's rewrites go:
+// once the reads are done every mark is known, so the rewritten sources'
+// payloads are put beside the last new container's, before the commit,
+// and each source's meta is put once, in the commit — its marks, or the
+// switch that carries them. No clock decides: the barrier holds those
+// payload puts until all of them wait together, which a pass that put the
+// rewrites after its commit never reaches. Width 4 on the ranged fixture:
+// three sources rewritten, two that stay.
+func TestCompactSparseOverlapsRewrites(t *testing.T) {
+	baseline, cfg, want, st := sccFixture(t, true)
+	// A run on a copy names the payloads: IDs are drawn in the same order at
+	// any width, so the measured run puts the same keys.
+	dry, gn := openOver(t, baseline.Clone(), cfg, 4)
+	scc, err := gn.CompactSparse("f", st.Version, st.SparseContainers)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(gidxA, prefixDump(t, memB, "gidx/")) {
-		t.Fatal("index objects differ between two identical SCC runs")
+	together := map[string]bool{container.DataKey(slices.Max(scc.NewContainers)): true}
+	rewritten := map[container.ID]bool{}
+	for _, id := range st.SparseContainers {
+		if m, err := dry.Containers.ReadMeta(id); err == nil && m.Payload != id {
+			together[container.DataKey(m.Payload)], rewritten[id] = true, true
+		}
 	}
+	if len(rewritten) < 2 || len(rewritten) == len(st.SparseContainers) || len(together) > 4 {
+		t.Fatalf("%d of %d sources rewritten, %d payloads to put together at width 4: the fixture wants some of each and at most 4",
+			len(rewritten), len(st.SparseContainers), len(together))
+	}
+
+	var rec oss.Recorder
+	bar := oss.Barrier{Timeout: 5 * time.Second}
+	repo, gn := openOver(t, oss.With(baseline.Clone(), &rec, &bar), cfg, 4)
+	bar.Expect(func(op oss.Op) bool { return op.Kind == oss.KindPut && together[op.Key] }, len(together))
+	if _, err := gn.CompactSparse("f", st.Version, st.SparseContainers); err != nil {
+		t.Fatal(err)
+	}
+	if err := bar.Err(); err != nil {
+		t.Errorf("the new container's and the rewrites' payload puts were not in flight together: %v", err)
+	}
+	for _, id := range st.SparseContainers {
+		puts := rec.Requests(func(op oss.Op) bool { return op.Kind == oss.KindPut && op.Key == container.MetaKey(id) })
+		if len(puts) != 1 {
+			t.Errorf("source %s (rewritten %v): meta put %d times, want once", id, rewritten[id], len(puts))
+		}
+	}
+	assertRestores(t, repo, want)
 }

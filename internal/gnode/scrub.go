@@ -68,7 +68,7 @@ func (s *ScrubStats) Clean() bool { return len(s.Quarantined) == 0 && len(s.Lost
 // that no crash leaves an index entry or recipe naming a container no
 // later scrub lists. Scrub is re-runnable: a crash mid-scrub leaves state
 // a subsequent Scrub (or FullSweep) finishes cleaning; a rebuild is a new
-// payload beside the old and one meta put (core.WriteRebuilt).
+// payload beside the old and one meta put (core.Repo.Switch).
 //
 // The expensive part — reading and checksumming every payload — fans out
 // across the maintenance worker pool OUTSIDE maintMu at a sampled
@@ -395,7 +395,11 @@ func (g *GNode) scrubRepair(sv *scrubView) (*ScrubStats, error) {
 				})
 				nc.Data = append(nc.Data, data...)
 			}
-			if err := g.repo.WriteRebuilt(cs, nc, c.Meta.Payload); err != nil {
+			err := cs.WritePayload(nc)
+			if err == nil {
+				err = g.repo.Switch(cs, &nc.Meta, c.Meta.Payload)
+			}
+			if err != nil {
 				return nil, fmt.Errorf("gnode: scrub repair %s: %w", id, err)
 			}
 			stats.RepairedChunks += len(repaired)
@@ -637,7 +641,11 @@ func (g *GNode) scrubFixFile(stats *ScrubStats, f string, sv *scrubView, bad, qu
 		if !changed {
 			continue
 		}
-		if err := commitRecipe(rs, r, nil); err != nil {
+		info, err := rs.GetInfo(f, v)
+		if err != nil {
+			return err
+		}
+		if err := g.commitRecipe(rs, r, info, nil, func() error { return nil }); err != nil {
 			return err
 		}
 		stats.RecipesRewritten++

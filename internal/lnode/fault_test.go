@@ -268,7 +268,10 @@ func rotUnderCRCs(t *testing.T, repo *core.Repo, fileID string, at int64) {
 	// The rewrite reseals: every chunk sum is taken from the rotted bytes.
 	was := c.Meta.Payload
 	c.Meta.Payload = repo.Containers.AllocateID()
-	if err := repo.WriteRebuilt(repo.Containers, c, was); err != nil {
+	if err := repo.Containers.WritePayload(c); err != nil {
+		t.Fatal(err)
+	}
+	if err := repo.Switch(repo.Containers, &c.Meta, was); err != nil {
 		t.Fatal(err)
 	}
 }

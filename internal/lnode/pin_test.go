@@ -79,7 +79,9 @@ func TestPinFallsBackAfterRewrite(t *testing.T) {
 		c.Data = bytes.Clone(c.Data) // a fetched container's Data is read-only
 		was, c.Meta.Payload = c.Meta.Payload, repo.Containers.AllocateID()
 		now = c.Meta.Payload
-		rewriteErr = repo.WriteRebuilt(repo.Containers, c, was)
+		if rewriteErr = repo.Containers.WritePayload(c); rewriteErr == nil {
+			rewriteErr = repo.Switch(repo.Containers, &c.Meta, was)
+		}
 	}))
 	repo, err := core.OpenRepo(probe.store, cfg)
 	if err != nil {

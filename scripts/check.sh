@@ -38,6 +38,15 @@ metareads=$(ls internal/gnode/*.go internal/lnode/*.go | grep -v '_test\.go$' | 
 [ "$metareads" -le 6 ] ||
 	{ echo "check: $metareads .ReadMeta( call sites in internal/gnode and internal/lnode, want at most 6: read metas through core.Repo.ReadMetas or Resolve (DESIGN.md §6)" >&2; exit 1; }
 
+# One writer of an existing container's meta (DESIGN.md §6): a mark or a
+# switch goes through container.Store.UpdateMeta, which puts what it applies
+# to the meta current at the put; WriteMeta is left to the container package
+# and to an L-node's commit of the containers it packed.
+if grep -rl '\.WriteMeta(' --include='*.go' . | grep -vE '_test\.go$|^\./internal/container/|^\./internal/lnode/backup\.go$' | grep -q .; then
+	echo "check: a non-test file outside internal/container and internal/lnode/backup.go calls .WriteMeta(: update an existing meta through container.Store.UpdateMeta" >&2
+	exit 1
+fi
+
 # The product constructs no fault injector (DESIGN.md §6): faults enter
 # through the one oss.Faulty a test, or the chaos runner, puts over a store.
 if grep -rlw Faulty --include='*.go' . | grep -v '_test\.go$' | grep -qvE '^\./internal/(oss|chaos)/'; then
