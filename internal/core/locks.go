@@ -17,8 +17,8 @@ import (
 // cover it, with a fixed acquisition order (see DESIGN.md §7):
 //
 //  1. the G-node maintenance mutex (a MaintLock, owned by gnode),
-//  2. per-file locks — backup/delete/compaction of a file are exclusive,
-//     restores of the same file share,
+//  2. per-file writer locks — backup, SCC, deletion and scrub's repoint of
+//     a file are exclusive; a restore takes none,
 //  3. per-container striped RW locks — restores pin the containers they
 //     read; physical rewrites/drops take the write side.
 //
@@ -46,50 +46,38 @@ func (l *MaintLock) Unlock() {
 // in dozens, 64 stripes make that vanishingly rare.
 const fileLockShards = 64
 
-// FileLocks serialises mutations per backup file: concurrent backups of
-// the same file would race on the version counter and the previous
-// version's garbage list, so writers are exclusive; restores take the
-// shared side (they must not observe a half-written version chain).
+// FileLocks serialises the writers of a backup file — backup, SCC,
+// scrub's repoint, DeleteVersion — over version allocation and the base's
+// catalog entry. A restore takes none: it pins what its one recipe object
+// resolves to (DESIGN.md §7).
 type FileLocks struct {
-	shards [fileLockShards]sync.RWMutex
+	shards [fileLockShards]sync.Mutex
 }
 
-func (l *FileLocks) shard(fileID string) *sync.RWMutex {
+func (l *FileLocks) shard(fileID string) *sync.Mutex {
 	h := fnv.New32a()
 	h.Write([]byte(fileID))
 	return &l.shards[h.Sum32()%fileLockShards]
 }
 
-// Lock acquires the exclusive (writer) lock for fileID.
+// Lock acquires the lock for fileID.
 func (l *FileLocks) Lock(fileID string) {
 	lockrank.Acquire(lockrank.File)
 	l.shard(fileID).Lock()
 }
 
-// Unlock releases the exclusive lock for fileID.
+// Unlock releases the lock for fileID.
 func (l *FileLocks) Unlock(fileID string) {
 	lockrank.Release(lockrank.File)
 	l.shard(fileID).Unlock()
 }
 
-// RLock acquires the shared (reader) lock for fileID.
-func (l *FileLocks) RLock(fileID string) {
-	lockrank.Acquire(lockrank.File)
-	l.shard(fileID).RLock()
-}
-
-// RUnlock releases the shared lock for fileID.
-func (l *FileLocks) RUnlock(fileID string) {
-	lockrank.Release(lockrank.File)
-	l.shard(fileID).RUnlock()
-}
-
-// LockAll acquires every stripe exclusively, in index order, and returns a
+// LockAll acquires every stripe, in index order, and returns a
 // release function. FullSweep uses it as a stop-the-world barrier: a
 // container written by an in-flight backup is unreachable until the recipe
 // lands, and the sweep would reclaim it as garbage. Index order makes
-// LockAll deadlock-free against per-file Lock/RLock (single-stripe
-// acquisitions cannot form a cycle with an ordered sweep).
+// LockAll deadlock-free against per-file Lock (single-stripe acquisitions
+// cannot form a cycle with an ordered sweep).
 func (l *FileLocks) LockAll() (release func()) {
 	lockrank.Acquire(lockrank.File)
 	for i := range l.shards {

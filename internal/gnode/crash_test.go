@@ -499,50 +499,21 @@ func TestReverseDedupMarksKeepASwitch(t *testing.T) {
 		{"switch-after-marks", isData, isData},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := testConfig()
-			cfg.SimilarityMinScore = 1.1 // no base: b and c store copies of a's chunks for reverse dedup to find
 			stopB, stopC := newStop(tc.b), newStop(tc.c)
-			mem := oss.NewMem()
-			repo, gn := openOver(t, oss.With(mem, oss.LayerFunc(func(op oss.Op, next oss.Store) (oss.Op, error) {
+			// c copies a stretch of the second half of a's first 128 KiB: it
+			// marks only the first container.
+			fx := newTwoPasses(t, oss.LayerFunc(func(op oss.Op, next oss.Store) (oss.Op, error) {
 				stopB.at(op)
 				stopC.at(op)
 				return oss.Do(next, op)
-			})), cfg, -1)
-			ln := lnode.New(repo, "l0")
-			// b copies the first half of each 128 KiB of a, c a stretch of the
-			// second half of the first: c marks only the first container.
-			a := genData(95, 1<<20)
-			var b []byte
-			for w := 0; w < len(a); w += 128 << 10 {
-				b = append(b, a[w:w+64<<10]...)
-			}
-			c := a[72<<10 : 120<<10]
-			want := map[string]map[int][]byte{"a": {0: a}, "b": {0: b}, "c": {0: c}}
-			news := map[string][]container.ID{}
-			for _, f := range []string{"a", "b", "c"} {
-				st, err := ln.Backup(f, want[f][0])
-				if err != nil {
-					t.Fatal(err)
-				}
-				news[f] = st.NewContainers
-			}
-			if _, err := gn.ReverseDedup(news["a"]); err != nil {
-				t.Fatal(err)
-			}
-
+			}), [2]int{72 << 10, 120 << 10})
 			done := make(chan error, 2)
 			for _, p := range []struct {
 				f    string
 				stop *stop
 			}{{"b", stopB}, {"c", stopC}} {
 				p.stop.armed.Store(true)
-				go func() {
-					st, err := gn.ReverseDedup(news[p.f])
-					if err == nil && st.DuplicatesRemoved == 0 {
-						err = fmt.Errorf("pass %s marked nothing: %+v", p.f, st)
-					}
-					done <- err
-				}()
+				go func() { done <- fx.pass(p.f) }()
 				<-p.stop.held
 			}
 			close(stopB.release)
@@ -551,14 +522,119 @@ func TestReverseDedupMarksKeepASwitch(t *testing.T) {
 			if err := errors.Join(errB, <-done); err != nil {
 				t.Fatal(err)
 			}
-			for f, vs := range want {
-				if err := restoreMatches(lnode.New(repo, "l1"), f, 0, vs[0]); err != nil {
-					t.Errorf("%s v0: %v", f, err)
-				}
-			}
-			assertLiveIsCanonical(t, verifyFilesAfterReboot(t, mem, cfg, want))
+			fx.check(t)
 		})
 	}
+}
+
+// TestReverseDedupRewritesOfOneContainer: two reverse-dedup passes both
+// rewrite a's first container. b stops at its first payload put, having
+// read the container; c commits, its marks landing on the meta b read, and
+// stops at its mark of a's second container. b switches the first one and
+// deletes the payload c planned from; then c runs on. Its rewrite of that
+// container is lost, as one swept meanwhile is — the plan's spans and
+// chunks are those of a deleted payload — and both passes succeed.
+func TestReverseDedupRewritesOfOneContainer(t *testing.T) {
+	stopB, stopC := newStop(func(key string) bool { return strings.HasSuffix(key, ".data") }), newStop(func(string) bool { return true })
+	var cMetaPuts atomic.Int32
+	var deleteArmed atomic.Bool
+	deleted := make(chan struct{})
+	// c copies stretches of the second halves of a's first two 128 KiB: with
+	// b's marks, both containers are past the stale threshold for both passes.
+	fx := newTwoPasses(t, oss.LayerFunc(func(op oss.Op, next oss.Store) (oss.Op, error) {
+		stopB.at(op)
+		if op.Kind == oss.KindPut && strings.HasSuffix(op.Key, ".meta") && stopC.armed.Load() && cMetaPuts.Add(1) == 2 {
+			stopC.at(op)
+		}
+		op, err := oss.Do(next, op)
+		if op.Kind == oss.KindDelete && strings.HasSuffix(op.Key, ".data") && deleteArmed.CompareAndSwap(true, false) {
+			close(deleted)
+		}
+		return op, err
+	}), [2]int{72 << 10, 120 << 10}, [2]int{200 << 10, 248 << 10})
+
+	done := make(chan error, 2)
+	stopB.armed.Store(true)
+	go func() { done <- fx.pass("b") }()
+	<-stopB.held
+	stopC.armed.Store(true)
+	go func() { done <- fx.pass("c") }()
+	<-stopC.held
+	deleteArmed.Store(true)
+	close(stopB.release)
+	select {
+	case <-deleted: // b switched the first container and deleted what c planned from
+	case err := <-done:
+		t.Fatalf("a pass ended before b switched the first container: %v", err)
+	}
+	close(stopC.release)
+	if err := errors.Join(<-done, <-done); err != nil {
+		t.Fatal(err)
+	}
+	fx.check(t)
+}
+
+// twoPasses is the fixture of the tests above: a, b and c are backed up
+// with no base, so b and c store copies of a's chunks, and a is
+// reverse-deduplicated; pass runs reverse dedup over b's or c's containers.
+type twoPasses struct {
+	repo *core.Repo
+	gn   *GNode
+	mem  *oss.Mem
+	cfg  core.Config
+	want map[string]map[int][]byte
+	news map[string][]container.ID
+}
+
+// newTwoPasses builds the fixture over layer: a is 1 MiB, b copies the
+// first half of each 128 KiB of a, c the ranges of a given.
+func newTwoPasses(t *testing.T, layer oss.Layer, cRanges ...[2]int) *twoPasses {
+	t.Helper()
+	fx := &twoPasses{cfg: testConfig(), mem: oss.NewMem(), news: map[string][]container.ID{}}
+	fx.cfg.SimilarityMinScore = 1.1 // no base
+	fx.repo, fx.gn = openOver(t, oss.With(fx.mem, layer), fx.cfg, -1)
+	ln := lnode.New(fx.repo, "l0")
+	a := genData(95, 1<<20)
+	var b, c []byte
+	for w := 0; w < len(a); w += 128 << 10 {
+		b = append(b, a[w:w+64<<10]...)
+	}
+	for _, r := range cRanges {
+		c = append(c, a[r[0]:r[1]]...)
+	}
+	fx.want = map[string]map[int][]byte{"a": {0: a}, "b": {0: b}, "c": {0: c}}
+	for _, f := range []string{"a", "b", "c"} {
+		st, err := ln.Backup(f, fx.want[f][0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		fx.news[f] = st.NewContainers
+	}
+	if _, err := fx.gn.ReverseDedup(fx.news["a"]); err != nil {
+		t.Fatal(err)
+	}
+	return fx
+}
+
+// pass reverse-dedups f's containers; one that marks nothing is an error.
+func (fx *twoPasses) pass(f string) error {
+	st, err := fx.gn.ReverseDedup(fx.news[f])
+	if err == nil && st.DuplicatesRemoved == 0 {
+		err = fmt.Errorf("pass %s marked nothing: %+v", f, st)
+	}
+	return err
+}
+
+// check restores every version, before and after a reopen, and holds every
+// live chunk to its fingerprint's index entry.
+func (fx *twoPasses) check(t *testing.T) {
+	t.Helper()
+	for f, vs := range fx.want {
+		if err := restoreMatches(lnode.New(fx.repo, "l1"), f, 0, vs[0]); err != nil {
+			t.Errorf("%s v0: %v", f, err)
+		}
+	}
+	assertLiveIsCanonical(t, verifyFilesAfterReboot(t, fx.mem, fx.cfg, fx.want))
 }
 
 // assertLiveIsCanonical fails unless every live chunk of every container is

@@ -16,6 +16,7 @@ package gnode
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -42,10 +43,11 @@ import (
 // phases (container scans, index probes, scrub verification) run OUTSIDE
 // the mutex across a bounded worker pool, validated by the repo's
 // maintenance epoch before their results are committed (DESIGN.md §8).
-// Online L-node traffic is NOT behind this mutex; it synchronises with
-// maintenance through the file and container locks (core.FileLocks /
-// core.ContainerLocks). maintMu remains the top of the lock order: it is
-// taken before any file or container lock and never the other way around.
+// Online L-node traffic is NOT behind this mutex; a backup synchronises
+// with maintenance through the file lock (core.FileLocks), a restore
+// through its container pins (core.ContainerLocks). maintMu remains the
+// top of the lock order: it is taken before any file or container lock and
+// never the other way around.
 type GNode struct {
 	repo    *core.Repo
 	acct    *simclock.Account
@@ -458,9 +460,21 @@ func (g *GNode) rebuilder(cs *container.Store, metas []*container.Meta, held []*
 	return func(i int) (*container.Meta, int64, error) {
 		c := held[i]
 		if c == nil {
-			var err error
-			if c, err = gated.ReadSpans(metas[i].ID, plans[i].Reads); err != nil {
-				return nil, 0, err
+			// A container another pass switched since metas[i] was read is
+			// lost to this rewrite, as one swept is: the plan describes a
+			// deleted payload. A failed read is checked again, after it.
+			moved := func() error {
+				if cur, err := cs.ReadMeta(metas[i].ID); err != nil || cur.Payload == metas[i].Payload {
+					return err
+				}
+				return fmt.Errorf("gnode: rewrite %s: switched since planned: %w", metas[i].ID, oss.ErrNotFound)
+			}
+			err := moved()
+			if err == nil {
+				c, err = gated.ReadSpans(metas[i].ID, plans[i].Reads)
+			}
+			if err != nil {
+				return nil, 0, cmp.Or(moved(), err)
 			}
 		}
 		return g.repo.Rebuild(gated, metas[i], c, first+container.ID(i))
@@ -533,8 +547,8 @@ func (g *GNode) CompactSparse(fileID string, version int, sparse []container.ID)
 	}
 	g.maintMu.Lock()
 	defer g.maintMu.Unlock()
-	// SCC rewrites the version's recipe in place; exclusive vs backups and
-	// restores of the file.
+	// SCC rewrites the version's recipe in place, before it switches a
+	// source (a restore resolves either recipe); exclusive vs other writers.
 	g.repo.Files.Lock(fileID)
 	defer g.repo.Files.Unlock(fileID)
 

@@ -329,6 +329,42 @@ func TestOptimizeRunsBesideBackupOfSameFile(t *testing.T) {
 	}
 }
 
+// TestRestoreRunsBesideBackupOfSameFile: a restore and a verify of v0
+// take no file lock, so both complete, byte-exact, while the backup of v1
+// of the same file is held at its catalog put.
+func TestRestoreRunsBesideBackupOfSameFile(t *testing.T) {
+	eng, gate, _ := newGatedEngine(t, oss.NewMem(), Options{LNodes: 2})
+	defer eng.Close()
+	ctx := context.Background()
+	v0 := stressData(90, 1<<20)
+	if r := await(t, submit(t, eng, ctx, Job{Kind: Backup, FileID: "f", Data: v0})); r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	held := gate.hold("f")
+	defer gate.open()
+	backup1 := submit(t, eng, ctx, Job{Kind: Backup, FileID: "f", Data: stressMutate(v0, 91)})
+	awaitHeld(t, held)
+	var buf bytes.Buffer
+	restore := await(t, submit(t, eng, ctx, Job{Kind: Restore, FileID: "f", Version: 0, Out: &buf}))
+	verify := await(t, submit(t, eng, ctx, Job{Kind: Verify, FileID: "f", Version: 0}))
+	if err := errors.Join(restore.Err, verify.Err); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), v0) || verify.Restore.Bytes != int64(len(v0)) {
+		t.Fatalf("beside the held backup: restore bytes equal = %v, verified %d of %d bytes",
+			bytes.Equal(buf.Bytes(), v0), verify.Restore.Bytes, len(v0))
+	}
+	select {
+	case <-backup1.Done():
+		t.Fatal("fixture: the second backup finished under a closed gate")
+	default:
+	}
+	gate.open()
+	if r := await(t, backup1); r.Err != nil || r.Backup.Version != 1 {
+		t.Fatalf("held backup = %+v", r)
+	}
+}
+
 // TestQueuedScrubFindsFlippedChunk: a scrub submitted as a job reports the
 // corruption in its ticket.
 func TestQueuedScrubFindsFlippedChunk(t *testing.T) {

@@ -125,20 +125,23 @@ func TestStressMixedJobsUnderFaults(t *testing.T) {
 			})
 
 			// Read back an already-stored version of another file while
-			// its neighbours are being written.
+			// its neighbours are being written, and one of this file while
+			// its next version is: a restore takes no file lock.
 			if wave > 0 {
-				rf := (i + wave) % files
-				rv := rand.New(rand.NewSource(int64(wave*100 + i))).Intn(wave)
-				var buf bytes.Buffer
-				add(Job{Kind: Restore, FileID: fileID(rf), Version: rv, Out: &buf}, func(r Result) error {
-					if r.Err != nil {
-						return fmt.Errorf("restore %s v%d: %w", fileID(rf), rv, r.Err)
-					}
-					if !bytes.Equal(buf.Bytes(), kept[rf][rv]) {
-						return fmt.Errorf("restore %s v%d: bytes differ mid-stress", fileID(rf), rv)
-					}
-					return nil
-				})
+				pick := rand.New(rand.NewSource(int64(wave*100 + i)))
+				for _, rf := range []int{(i + wave) % files, i} {
+					rv := pick.Intn(wave)
+					var buf bytes.Buffer
+					add(Job{Kind: Restore, FileID: fileID(rf), Version: rv, Out: &buf}, func(r Result) error {
+						if r.Err != nil {
+							return fmt.Errorf("restore %s v%d: %w", fileID(rf), rv, r.Err)
+						}
+						if !bytes.Equal(buf.Bytes(), kept[rf][rv]) {
+							return fmt.Errorf("restore %s v%d: bytes differ mid-stress", fileID(rf), rv)
+						}
+						return nil
+					})
+				}
 			}
 		}
 		for _, j := range pendingOpt {

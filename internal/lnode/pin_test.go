@@ -2,8 +2,12 @@ package lnode
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"slimstore/internal/container"
 	"slimstore/internal/core"
@@ -177,4 +181,133 @@ func TestPinAcceptsFirstPassUnderMarks(t *testing.T) {
 	if st.Redirects == 0 {
 		t.Error("the restore after the marks redirects nothing: it resolved against a stale meta")
 	}
+}
+
+// deletionFixture backs up two unrelated versions of f over layer, so a
+// deletion of v0 drops every container v0's restore reads, and returns the
+// repository, v0's bytes and the key of v0's recipe.
+func deletionFixture(t *testing.T, layer oss.Layer) (*core.Repo, []byte, string) {
+	t.Helper()
+	repo, err := core.OpenRepo(oss.With(oss.NewMem(), layer), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := New(repo, "l0")
+	v0 := genData(97, 1<<20)
+	for _, data := range [][]byte{v0, genData(98, 1<<20)} {
+		if _, err := n.Backup("f", data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return repo, v0, fmt.Sprintf("recipes/%x/%08d.recipe", "f", 0)
+}
+
+// TestRestoreRacingDeletionOfItsVersion: a restore takes no file lock, so
+// a deletion of the version it restores can run beside it. Run to
+// completion after the restore read its recipe, the deletion makes the
+// restore fail as a deleted version, wrapping oss.ErrNotFound, never as a
+// lost chunk. Started while a restore holds its pins, at its first data
+// read, the deletion commits but its drop waits for the pins: the restore
+// returns the exact bytes.
+func TestRestoreRacingDeletionOfItsVersion(t *testing.T) {
+	const hang = 10 * time.Second
+	deleteV0 := func(repo *core.Repo) chan error {
+		done := make(chan error, 1)
+		go func() {
+			st, err := gnode.New(repo).DeleteVersion("f", 0)
+			if err == nil && st.ContainersCollected == 0 {
+				err = errors.New("fixture: the deletion dropped no container")
+			}
+			done <- err
+		}()
+		return done
+	}
+
+	t.Run("after-recipe", func(t *testing.T) {
+		var repo *core.Repo
+		var deleted error
+		var recipeKey string
+		var fired atomic.Bool
+		layer := oss.LayerFunc(func(op oss.Op, next oss.Store) (oss.Op, error) {
+			op, err := oss.Do(next, op)
+			if err == nil && op.Kind == oss.KindGet && op.Key == recipeKey && fired.CompareAndSwap(false, true) {
+				select {
+				case deleted = <-deleteV0(repo):
+				case <-time.After(hang):
+					deleted = errors.New("the deletion did not complete while a restore of its version held its recipe")
+				}
+			}
+			return op, err
+		})
+		repo, _, recipeKey = deletionFixture(t, layer)
+		var buf bytes.Buffer
+		_, err := New(repo, "l1").Restore("f", 0, &buf)
+		if deleted != nil {
+			t.Fatal(deleted)
+		}
+		if !errors.Is(err, oss.ErrNotFound) || strings.Contains(err.Error(), "lost") {
+			t.Fatalf("restore of a version deleted after its recipe was read: %v, want a deleted version wrapping oss.ErrNotFound", err)
+		}
+	})
+
+	t.Run("pinned", func(t *testing.T) {
+		var armed atomic.Bool
+		held, release := make(chan struct{}), make(chan struct{})
+		uncatalogued := make(chan struct{})
+		var dropped atomic.Int32 // container objects deleted while the restore is held
+		var catalogKey string
+		layer := oss.LayerFunc(func(op oss.Op, next oss.Store) (oss.Op, error) {
+			if isDataRead(op) && armed.CompareAndSwap(true, false) {
+				close(held)
+				<-release
+			}
+			op, err := oss.Do(next, op)
+			if err == nil && op.Kind == oss.KindDelete {
+				switch {
+				case op.Key == catalogKey:
+					close(uncatalogued)
+				case strings.HasPrefix(op.Key, container.Prefix):
+					select {
+					case <-release:
+					default:
+						dropped.Add(1)
+					}
+				}
+			}
+			return op, err
+		})
+		catalogKey = fmt.Sprintf("catalog/%x/%08d.info", "f", 0)
+		repo, want, _ := deletionFixture(t, layer)
+		armed.Store(true)
+		restored := make(chan error, 1)
+		var buf bytes.Buffer
+		go func() {
+			_, err := New(repo, "l1").Restore("f", 0, &buf)
+			restored <- err
+		}()
+		<-held
+		done := deleteV0(repo)
+		select {
+		case <-uncatalogued:
+		case <-time.After(hang):
+			t.Error("the deletion did not commit while a restore of its version was reading")
+		}
+		// The drop comes within moments of the commit; it must not land.
+		select {
+		case err := <-done:
+			t.Errorf("the deletion finished while the restore held its pins (err %v)", err)
+			done <- err
+		case <-time.After(200 * time.Millisecond):
+		}
+		if n := dropped.Load(); n != 0 {
+			t.Errorf("%d container objects deleted under a restore's pins", n)
+		}
+		close(release)
+		if err := errors.Join(<-restored, <-done); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatal("the pinned restore returned other bytes")
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package lnode
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"slimstore/internal/cache"
 	"slimstore/internal/container"
 	"slimstore/internal/core"
+	"slimstore/internal/oss"
 	"slimstore/internal/recipe"
 	"slimstore/internal/simclock"
 )
@@ -63,11 +65,8 @@ func (n *LNode) RestoreRange(fileID string, version int, off, length int64, w io
 // [0, size)), checking every chunk it reads against the recipe's
 // fingerprint when verify is set.
 func (n *LNode) restore(fileID string, version int, off, length int64, w io.Writer, verify bool) (*RestoreStats, error) {
-	// Shared file lock: the version chain and this version's recipe stay
-	// stable for the duration (backup/delete/compaction of the file wait).
-	n.repo.Files.RLock(fileID)
-	defer n.repo.Files.RUnlock(fileID)
-
+	// No file lock: the recipe is one object and what it resolves to is
+	// pinned, so the file's writers change no byte this reads (DESIGN.md §7).
 	acct := simclock.NewAccount()
 	cfg := &n.repo.Config
 	recipes := n.repo.RecipesFor(acct)
@@ -98,6 +97,11 @@ func (n *LNode) restore(fileID string, version int, off, length int64, w io.Writ
 	recs, headTrim := windowRecords(r, off, end)
 	res, release, err := n.pinSequence(containers, r, recs, acct)
 	if err != nil {
+		// A deletion that ran since the recipe was read leaves chunks lost:
+		// that is a version deleted, if its catalog entry is gone.
+		if _, ierr := recipes.GetInfo(fileID, version); errors.Is(ierr, oss.ErrNotFound) {
+			err = fmt.Errorf("lnode: restore %s v%d: version deleted meanwhile: %w", fileID, version, ierr)
+		}
 		return nil, err
 	}
 	defer release()
@@ -252,23 +256,16 @@ func (n *LNode) RestoreHandoff(chunks [][]byte, seq []cache.Request, verify bool
 }
 
 // pinSequence resolves the restore sequence of recs — all of r's records,
-// or the window of them a range restore needs — and read-pins every
-// container it references, so G-node maintenance cannot rewrite or drop a
-// container between resolution and the reads. Pinning cannot happen before
-// resolving (the container set is the *output* of resolution), so the
-// container write counter is sampled before the pass and checked once the
-// pins are held: a pinned container's bytes change only under the write
-// side, whose sections all bump the counter before they release, so an
-// unchanged counter means the one pass already describes what is pinned.
-// A moved counter keeps the pins and re-resolves under them until two
-// passes agree on the set (at most 8 times), releasing and re-pinning only
-// when the set itself moved. Pins are shared read-locks taken in sorted
-// stripe order (core.ContainerLocks.Pin), so concurrent restores never
-// deadlock and rewrites wait, not fail.
-// The resolution returned is the last pass's — its Metas are the exact
-// container states the sequence was resolved against, which the restore
-// I/O layer plans its ranged reads from without re-reading any metadata —
-// with MetaReads and MemoHits summed over every pass.
+// or a range restore's window of them — and read-pins every container it
+// references, so no rewrite or drop of one lands before the reads. The set
+// is the output of resolution, so the container write counter is sampled
+// before the pass and checked once pinned: every write-side section bumps
+// it before it releases, so an unchanged counter means the pass describes
+// what is pinned. A moved one keeps the pins and re-resolves under them
+// until two passes agree (at most 8), re-pinning only when the set moved.
+// The resolution returned is the last pass's — its Metas are the states
+// the restore I/O layer plans its ranged reads from — with MetaReads and
+// MemoHits summed over every pass.
 func (n *LNode) pinSequence(containers *container.Store, r *recipe.Recipe, recs []*recipe.ChunkRecord, acct *simclock.Account) (*core.Resolution, func(), error) {
 	writes := n.repo.CLocks.Writes()
 	res, err := n.resolve(containers, r, recs, acct)

@@ -47,6 +47,13 @@ if grep -rl '\.WriteMeta(' --include='*.go' . | grep -vE '_test\.go$|^\./interna
 	exit 1
 fi
 
+# A restore takes no file lock (DESIGN.md §7): it reads one atomic recipe
+# and pins what that resolves to, so the restore path never names one.
+if grep -lE 'repo\.Files\b' internal/lnode/restore*.go internal/cache/*.go | grep -q .; then
+	echo "check: internal/lnode/restore*.go or internal/cache names repo.Files: a restore takes no file lock" >&2
+	exit 1
+fi
+
 # The product constructs no fault injector (DESIGN.md §6): faults enter
 # through the one oss.Faulty a test, or the chaos runner, puts over a store.
 if grep -rlw Faulty --include='*.go' . | grep -v '_test\.go$' | grep -qvE '^\./internal/(oss|chaos)/'; then
@@ -95,8 +102,10 @@ go test -race -count=1 -cpu 1,4 -run 'Prefetch|ReadAhead|Twin|RestoreKeeps|Resto
 go test -race -count=1 -cpu 1,4 -run 'CompactSparse|MatchesSerial' ./internal/gnode/
 # A restore accepts its first resolution pass only while no container write
 # section has ended since it began: a rewrite under the first pass forces
-# the second, deletion marks do not (DESIGN.md §7).
-go test -race -count=20 -cpu 1,4 -run 'TestPinFallsBackAfterRewrite|TestPinAcceptsFirstPassUnderMarks' ./internal/lnode/
+# the second, deletion marks do not. It takes no file lock: it completes
+# beside a held backup of its file, and a deletion of its version either
+# waits for its pins or leaves it a deleted version (DESIGN.md §7).
+go test -race -count=20 -cpu 1,4 -run 'TestPinFallsBackAfterRewrite|TestPinAcceptsFirstPassUnderMarks|TestRestoreRacingDeletionOfItsVersion|TestRestoreRunsBesideBackupOfSameFile' ./internal/lnode/ ./internal/jobs/
 # Store bytes at G-node widths -1 and 4, plain and striped: the rewrites'
 # fresh payload IDs are drawn in container order, whatever the scheduler does.
 go test -count=3 -cpu 1,4 -run 'StoreBytesTwin' .
