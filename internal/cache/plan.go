@@ -141,21 +141,24 @@ func Plan(m *container.Meta, need map[fingerprint.FP]bool, costs simclock.Costs)
 // plans of the job's containers in the order it first needs them, metas[i]
 // what plans[i] was made from. Walking the reads in that order with rem =
 // the bytes still to fetch, this read included, a read (a Full plan's
-// payload, or one span) longer than
+// payload, or one span) longer than its fair share
 //
-//	max(rem/threads, floor),   floor = 8 × OSSRequestLatency × OSSReadBandwidth
+//	share = max(rem/threads, L·B)   L·B = OSSRequestLatency × OSSReadBandwidth
 //
-// is cut into ⌈length/that⌉ near-equal pieces at chunk boundaries, none
-// under the floor: guided self-scheduling — nothing is cut while many reads
-// remain, the last few finer and finer, and the channels run dry together.
-// A job of any size pays about 2 × threads extra requests at most.
+// is cut into min(⌈length/share⌉, pmax) near-equal pieces at chunk
+// boundaries, none under L·B. pmax is the largest count whose last piece
+// still saves two request latencies of modelled wall time,
+// length/B·(1/(p−1) − 1/p) ≥ 2L, that is 2·p(p−1) ≤ length/(L·B): a lone
+// 1 MiB read at the default costs becomes 3 pieces, a 4 MiB one 5. This is
+// guided self-scheduling: nothing is cut while many reads remain, the last
+// few finer and finer, and the channels run dry together.
 //
 // The result is a function of its arguments alone — never of timing or of
 // what the store is seen to do — so a job's requests and virtual time
-// repeat exactly. threads ≤ 1 (or a floor of zero) cuts nothing.
+// repeat exactly. threads ≤ 1 (or an L·B of zero) cuts nothing.
 func Split(plans []ReadPlan, metas []*container.Meta, threads int, costs simclock.Costs) {
-	floor := 8 * coalesceGap(costs)
-	if threads <= 1 || floor <= 0 {
+	lb := coalesceGap(costs)
+	if threads <= 1 || lb <= 0 {
 		return
 	}
 	var rem int64
@@ -169,12 +172,16 @@ func Split(plans []ReadPlan, metas []*container.Meta, threads int, costs simcloc
 	// pieces is how many pieces the walk's next read, of this length, is cut
 	// into; it moves the walk past the read.
 	pieces := func(length int64) int {
-		limit := max(rem/int64(threads), floor)
+		share := max(rem/int64(threads), lb)
 		rem -= length
-		if length <= limit {
+		if length <= share {
 			return 1
 		}
-		return int(min((length+limit-1)/limit, length/floor))
+		p := int64(1)
+		for 2*(p+1)*p*lb <= length {
+			p++
+		}
+		return int(min((length+share-1)/share, p))
 	}
 	for i := range plans {
 		p, m := &plans[i], metas[i]
@@ -187,7 +194,7 @@ func Split(plans []ReadPlan, metas []*container.Meta, threads int, costs simcloc
 					}
 				}
 				sort.SliceStable(live, func(a, b int) bool { return m.Chunks[live[a]].Offset < m.Chunks[live[b]].Offset })
-				if cut := cutSpan(m, container.Span{Len: int64(m.DataSize), Chunks: live}, k, floor); len(cut) > 1 {
+				if cut := cutSpan(m, container.Span{Len: int64(m.DataSize), Chunks: live}, k, lb); len(cut) > 1 {
 					for j := range cut {
 						cut[j].Chunks = nil
 					}
@@ -199,7 +206,7 @@ func Split(plans []ReadPlan, metas []*container.Meta, threads int, costs simcloc
 		p.Reads = make([]container.Span, 0, len(p.Spans))
 		for _, sp := range p.Spans {
 			if k := pieces(sp.Len); k > 1 {
-				p.Reads = append(p.Reads, cutSpan(m, sp, k, floor)...)
+				p.Reads = append(p.Reads, cutSpan(m, sp, k, lb)...)
 			} else {
 				p.Reads = append(p.Reads, sp)
 			}

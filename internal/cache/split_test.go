@@ -155,10 +155,11 @@ func dataPhase(rp restorePlans, plans []ReadPlan, channels int, costs simclock.C
 // restores of sdb-cloud under the default costs, six channels, in-order list
 // scheduling. This is the place a better deterministic rule has to show
 // itself. Held here: every restore's modelled data phase shrinks, by 15 %
-// in the mean, for at most ten extra requests each; the outcome repeats
-// exactly. (Cut anywhere the rule would reach 0.80 in the mean; the recorded
-// containers hold merged chunks of up to 2 MiB, so near-equal pieces are
-// not always there to be had, and three restores stay above 0.9.)
+// in the mean (104.4 → 83.7 ms), for at most ten extra requests each; the
+// outcome repeats exactly. (Cut anywhere the rule would reach 0.80 in the
+// mean; the recorded containers hold merged chunks of up to 2 MiB, so
+// near-equal pieces are not always there to be had, and three restores
+// stay above 0.9.)
 func TestSplitRecordedPlans(t *testing.T) {
 	const channels = 6
 	costs := simclock.DefaultCosts()
@@ -195,15 +196,69 @@ func TestSplitRecordedPlans(t *testing.T) {
 	}
 }
 
+// TestSplitSmallJob: a restore of one container has no other read to share
+// its channels with, so its one read is cut as far as the last piece still
+// pays for its request — and no further, and never where a piece would cost
+// more than it saves or the cost model cannot price one.
+func TestSplitSmallJob(t *testing.T) {
+	costs := simclock.DefaultCosts()
+	noLatency, noBandwidth := costs, costs
+	noLatency.OSSRequestLatency = 0
+	noBandwidth.OSSReadBandwidth = 0
+	for _, tc := range []struct {
+		name     string
+		size     uint32 // bytes of 8 KiB chunks, all needed
+		threads  int
+		costs    simclock.Costs
+		pieces   int     // 1: left whole
+		maxRatio float64 // modelled data phase, cut ÷ whole
+	}{
+		{"1MiB", 1 << 20, 6, costs, 3, 0.45},
+		{"4MiB", 4 << 20, 6, costs, 5, 0.30},
+		{"1MiB-two-channels", 1 << 20, 2, costs, 2, 0.60},
+		{"120KiB", 120 << 10, 6, costs, 1, 1},
+		{"1MiB-one-channel", 1 << 20, 1, costs, 1, 1},
+		{"1MiB-no-channels", 1 << 20, 0, costs, 1, 1},
+		{"1MiB-no-latency", 1 << 20, 6, noLatency, 1, 1},
+		{"1MiB-no-bandwidth", 1 << 20, 6, noBandwidth, 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := planMeta(int(tc.size/(8<<10)), 8<<10)
+			need := make(map[fingerprint.FP]bool)
+			for _, cm := range m.Chunks {
+				need[cm.FP] = true
+			}
+			rp := restorePlans{name: tc.name, metas: []*container.Meta{m}}
+			rp.plans = []ReadPlan{Plan(m, need, tc.costs)}
+			if !rp.plans[0].Full {
+				t.Fatalf("fixture: a container whose every chunk is needed planned ranged")
+			}
+			cut := clonePlans(rp.plans)
+			Split(cut, rp.metas, tc.threads, tc.costs)
+			checkSplit(t, tc.name, rp, cut, tc.threads, tc.costs)
+			if got := max(len(cut[0].Reads), 1); got != tc.pieces {
+				t.Fatalf("read cut into %d pieces, want %d", got, tc.pieces)
+			}
+			before, _ := dataPhase(rp, rp.plans, max(tc.threads, 1), costs, true)
+			after, _ := dataPhase(rp, cut, max(tc.threads, 1), costs, true)
+			t.Logf("%v -> %v (%.2f)", before, after, float64(after)/float64(before))
+			if float64(after) > tc.maxRatio*float64(before) {
+				t.Fatalf("modelled data phase %v -> %v, want at most %.2f of it", before, after, tc.maxRatio)
+			}
+		})
+	}
+}
+
 // checkSplit holds cut, Split's output for rp at `threads`, to what every
 // output must satisfy: the pieces of a read tile it exactly, in order; a
 // cut falls only where a listed (for a Full plan: live) chunk starts and no
 // other one straddles it; every needed chunk is listed by exactly one piece,
-// the one it lies in; no piece is shorter than the floor unless the read it
-// was cut from is; and with threads ≤ 1 nothing changes at all.
+// the one it lies in; no piece is shorter than L·B unless the read it was
+// cut from is, and no read is cut into more pieces than pieceLimit allows;
+// and with threads ≤ 1 nothing changes at all.
 func checkSplit(t testing.TB, name string, rp restorePlans, cut []ReadPlan, threads int, costs simclock.Costs) {
 	t.Helper()
-	floor := 8 * coalesceGap(costs)
+	lb := coalesceGap(costs)
 	for i := range cut {
 		orig, p, m := &rp.plans[i], &cut[i], rp.metas[i]
 		fail := func(format string, args ...any) {
@@ -213,7 +268,7 @@ func checkSplit(t testing.TB, name string, rp restorePlans, cut []ReadPlan, thre
 		if p.Full != orig.Full || !reflect.DeepEqual(p.Spans, orig.Spans) || p.SpanBytes != orig.SpanBytes {
 			fail("Split changed the plan itself, not only its reads")
 		}
-		if threads <= 1 || floor <= 0 {
+		if threads <= 1 || lb <= 0 {
 			if !reflect.DeepEqual(p.Reads, orig.Reads) {
 				fail("reads changed: %v -> %v", orig.Reads, p.Reads)
 			}
@@ -223,13 +278,13 @@ func checkSplit(t testing.TB, name string, rp restorePlans, cut []ReadPlan, thre
 			if p.Reads == nil {
 				continue
 			}
-			if len(p.Reads) < 2 {
-				fail("a whole read cut into %d pieces", len(p.Reads))
+			if n, limit := len(p.Reads), pieceLimit(int64(m.DataSize), lb); n < 2 || n > limit {
+				fail("a whole read of %d bytes cut into %d pieces, want 2 to %d", m.DataSize, n, limit)
 			}
 			var at int64
 			for _, r := range p.Reads {
-				if r.Off != at || r.Len < floor || r.Chunks != nil {
-					fail("piece %+v does not continue at %d, is under the floor %d, or lists chunks", r, at, floor)
+				if r.Off != at || r.Len < lb || r.Chunks != nil {
+					fail("piece %+v does not continue at %d, is under L·B %d, or lists chunks", r, at, lb)
 				}
 				at += r.Len
 			}
@@ -257,7 +312,7 @@ func checkSplit(t testing.TB, name string, rp restorePlans, cut []ReadPlan, thre
 		// Ranged: the reads, walked in order, regroup into the planned spans.
 		reads := p.Reads
 		for _, sp := range orig.Spans {
-			at, listed := sp.Off, []int(nil)
+			at, listed, n := sp.Off, []int(nil), 0
 			for first := true; first || at < sp.Off+sp.Len; first = false { // a span of no bytes (a chunk of none) is still one read
 				if len(reads) == 0 || reads[0].Off != at || reads[0].Len <= 0 && sp.Len > 0 {
 					fail("span [%d,+%d): no piece continues at %d", sp.Off, sp.Len, at)
@@ -275,9 +330,13 @@ func checkSplit(t testing.TB, name string, rp restorePlans, cut []ReadPlan, thre
 				}
 				listed = append(listed, r.Chunks...)
 				at += r.Len
-				if r.Len < floor && sp.Len >= floor {
-					fail("piece [%d,+%d) under the floor %d, cut from a span of %d", r.Off, r.Len, floor, sp.Len)
+				n++
+				if r.Len < lb && sp.Len >= lb {
+					fail("piece [%d,+%d) under L·B %d, cut from a span of %d", r.Off, r.Len, lb, sp.Len)
 				}
+			}
+			if limit := pieceLimit(sp.Len, lb); n > limit {
+				fail("span [%d,+%d) cut into %d pieces, want at most %d", sp.Off, sp.Len, n, limit)
 			}
 			if at != sp.Off+sp.Len || !reflect.DeepEqual(listed, sp.Chunks) {
 				fail("span [%d,+%d) with chunks %v became pieces ending at %d with chunks %v", sp.Off, sp.Len, sp.Chunks, at, listed)
@@ -287,6 +346,17 @@ func checkSplit(t testing.TB, name string, rp restorePlans, cut []ReadPlan, thre
 			fail("%d reads belong to no planned span", len(reads))
 		}
 	}
+}
+
+// pieceLimit is the most pieces a read of length bytes may be cut into:
+// the largest p whose last piece still saves two request latencies,
+// length/B·(1/(p−1) − 1/p) ≥ 2L, that is 2·p(p−1)·L·B ≤ length.
+func pieceLimit(length, lb int64) int {
+	p := int64(1)
+	for 2*p*(p+1)*lb <= length {
+		p++
+	}
+	return int(p)
 }
 
 // randomRestore builds a restore of n containers: chunk sizes from a few

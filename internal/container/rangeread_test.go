@@ -336,7 +336,9 @@ func TestReadSpansVerifiesChecksums(t *testing.T) {
 // a shard against the shard's checksum — so a rotted shard shows up here, as
 // a chunk that fails to verify. That is rot within the tier's redundancy,
 // and the read must not fail on it: the whole read reconstructs around the
-// shard.
+// shard. That holds for a few spans and for spans that tile the payload (a
+// whole container read in pieces, as a cut restore reads it), which must
+// come back as the full container, every chunk exact.
 func TestReadSpansOverRottedShard(t *testing.T) {
 	const n, sz = 8, 512
 	mem := oss.NewMem()
@@ -361,6 +363,20 @@ func TestReadSpansOverRottedShard(t *testing.T) {
 	}
 	if got, err := c.Get(fps[1]); err != nil || !bytes.Equal(got, payloads[1]) {
 		t.Fatalf("chunk 1 after the fallback: %v", err)
+	}
+
+	tiling := []Span{{Off: 0, Len: 3 * sz}, {Off: 3 * sz, Len: 3 * sz}, {Off: 6 * sz, Len: 2 * sz}}
+	c, err = cs.ReadSpans(id, tiling)
+	if err != nil {
+		t.Fatalf("pieces tiling the payload over a rotted shard: %v", err)
+	}
+	if c.Data == nil || len(c.Meta.Chunks) != n {
+		t.Fatalf("pieces over a rotted shard: got %d chunks, whole read %v; want the full container from the whole read", len(c.Meta.Chunks), c.Data != nil)
+	}
+	for i, fp := range fps {
+		if got, err := c.Get(fp); err != nil || !bytes.Equal(got, payloads[i]) {
+			t.Fatalf("chunk %d of the pieces' fallback: %v", i, err)
+		}
 	}
 }
 

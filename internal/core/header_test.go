@@ -281,3 +281,50 @@ func FuzzDecodeHeader(f *testing.F) {
 		}
 	})
 }
+
+// TestOpenCrashAtEveryMutation: the open that creates a repository, on
+// every layout, cut at any of its mutations (today the header put is the
+// only one), leaves a store that the next open under the same config
+// completes to the objects and Config a clean open makes, and that then
+// refuses a different FingerprintAlg after one GET.
+func TestOpenCrashAtEveryMutation(t *testing.T) {
+	for _, row := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"plain", Config{}},
+		{"4x3", Config{GlobalShards: 4, GlobalReplicas: 3}},
+		{"2+2", Config{ECDataShards: 2, ECParityShards: 2}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cleanMem := oss.NewMem()
+			clean, err := OpenRepo(cleanMem, row.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := dump(t, cleanMem)
+			other := row.cfg
+			other.FingerprintAlg = fingerprint.SHA256
+			if clean.Config.FingerprintAlg == other.FingerprintAlg {
+				t.Fatalf("fixture: the default FingerprintAlg is %v already", other.FingerprintAlg)
+			}
+			oss.CrashAtEvery(t, oss.NewMem(), 1, 64, func(s oss.Store) error {
+				_, err := OpenRepo(s, row.cfg)
+				return err
+			}, func(mem *oss.Mem, n int, _ error) bool {
+				repo, err := OpenRepo(mem, row.cfg)
+				if err != nil {
+					t.Fatalf("budget %d: the open after the crash: %v", n, err)
+				}
+				if !reflect.DeepEqual(repo.Config, clean.Config) {
+					t.Fatalf("budget %d: reopened as\n%+v\nwant\n%+v", n, repo.Config, clean.Config)
+				}
+				if got := dump(t, mem); !reflect.DeepEqual(got, want) {
+					t.Fatalf("budget %d: the reopened store holds %d objects, a clean open's %d, or other bytes", n, len(got), len(want))
+				}
+				refused(t, mem, other, "repository has FingerprintAlg=")
+				return false
+			})
+		})
+	}
+}

@@ -27,10 +27,10 @@ import (
 // names.
 
 // rangedCosts prices a request forty times cheaper than the default model,
-// so that the read planner's coalescing gap (~2 KiB) and cut floor
-// (~16 KiB) sit below this suite's 128 KiB containers as the default ones
-// (80 KiB, 640 KiB) sit below 4 MiB: under it the G-node's reads come out
-// ranged and cut, under the default every source here is one GET.
+// so that the read planner's coalescing gap and least piece (both L·B,
+// ~2 KiB) sit below this suite's 128 KiB containers as the default one
+// (80 KiB) sits below 4 MiB: under it the G-node's reads come out ranged
+// and cut, under the default every source here is one GET.
 func rangedCosts(cfg *core.Config) { cfg.Costs.OSSRequestLatency /= 40 }
 
 // sccFixture builds a repo with two versions of one file where the second

@@ -1,6 +1,7 @@
 package lnode
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"sort"
@@ -10,6 +11,7 @@ import (
 
 	"slimstore/internal/container"
 	"slimstore/internal/core"
+	"slimstore/internal/ec"
 	"slimstore/internal/leakcheck"
 	"slimstore/internal/oss"
 )
@@ -80,6 +82,54 @@ func TestRestoreKeepsItsChannelsFull(t *testing.T) {
 	}
 	if reads := len(probe.started(isDataRead)); reads <= st.Cache.ContainersRead {
 		t.Fatalf("%d data requests for %d containers: nothing was cut", reads, st.Cache.ContainersRead)
+	}
+}
+
+// TestColdSmallRestoreOverRottedShard: a cold restore of a 1 MiB version on
+// RS(4+2) reads its one container in pieces, and the striped tier serves a
+// piece of a rotted shard as it lies. The pieces fail to verify, the read
+// falls back to the whole read, which reconstructs around the shard, and
+// the restore returns exact bytes.
+func TestColdSmallRestoreOverRottedShard(t *testing.T) {
+	mem := oss.NewMem()
+	cfg := core.DefaultConfig()
+	cfg.ECDataShards, cfg.ECParityShards = 4, 2
+	data := genData(40, 1<<20)
+	if _, err := New(mustOpen(t, mem, cfg), "writer").Backup("f", data); err != nil {
+		t.Fatal(err)
+	}
+	repo := mustOpen(t, mem, cfg)
+	ids, err := repo.Containers.List()
+	if err != nil || len(ids) != 1 {
+		t.Fatalf("fixture: containers %v (%v), want one", ids, err)
+	}
+	m, err := repo.Containers.ReadMeta(ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := container.DataKey(m.Payload)
+	shard := oss.BackendPrefix(1) + key
+	raw, err := mem.Get(shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw = bytes.Clone(raw) // a fetched object is read-only
+	raw[ec.HeaderSize+len(raw)/2] ^= 0x20
+	if err := mem.Put(shard, raw); err != nil {
+		t.Fatal(err)
+	}
+
+	var rec oss.Recorder
+	n := New(mustOpen(t, oss.With(mem, &rec), cfg), "l0") // a cold shared cache
+	if err := restoreMatches(n, "f", 0, data); err != nil {
+		t.Fatalf("restore over a rotted shard: %v", err)
+	}
+	// The recorder sits under the tier: it sees shard requests.
+	shardReads := func(kind oss.Kind) int {
+		return len(rec.Requests(func(op oss.Op) bool { return op.Kind == kind && strings.HasSuffix(op.Key, "/"+key) }))
+	}
+	if ranged, whole := shardReads(oss.KindGetRange), shardReads(oss.KindGet); ranged < 2 || whole < cfg.ECDataShards {
+		t.Fatalf("%d ranged and %d whole shard reads of %s; want the pieces, then the whole read", ranged, whole, key)
 	}
 }
 

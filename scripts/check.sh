@@ -8,6 +8,8 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+# The alternating-pairs script is run by hand, not here: parse it only.
+sh -n scripts/ab.sh
 
 # Project-invariant static analysis: determinism in simclock-charged
 # packages, storage error discipline, context flow. Zero findings is the
