@@ -17,7 +17,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"slimstore/internal/chunker"
@@ -35,8 +34,6 @@ import (
 type LNode struct {
 	repo *core.Repo
 	name string
-
-	runs sync.Pool // *ingestRun: recycled ingest ring runs (ingest.go)
 
 	// headBytes is the head base detection samples: the constant, except
 	// where a test puts the seam between the probe's cuts and STEP 2's.
@@ -131,6 +128,9 @@ type backupJob struct {
 	pool       *container.PackPool // nil when packing synchronously
 	sampler    fingerprint.Sampler
 
+	// The version's bytes, as STEP 2 cuts them (ingest.go).
+	win window
+
 	// Base file (STEP 1 result), or the probe's cuts when there is none.
 	baseReader *recipe.SegmentReader
 	baseIndex  *recipe.Index
@@ -158,7 +158,6 @@ type backupJob struct {
 	curSegment []recipe.ChunkRecord
 	// Pending run of merge-eligible records (history-aware chunk merging).
 	pending   []pendingRec
-	data      []byte
 	sampled   []fingerprint.FP // sampled fingerprints for the sketch
 	lastMatch *dedupEntry
 }
@@ -193,8 +192,8 @@ const packWorkers = 4
 const metaWave = 64
 
 // newBackupJob builds the per-job pipeline state shared by Backup and
-// BackupStream. The caller must `defer j.join()`.
-func (n *LNode) newBackupJob(data []byte) *backupJob {
+// BackupStream over the window win. The caller must `defer j.join()`.
+func (n *LNode) newBackupJob(win window) *backupJob {
 	acct := simclock.NewAccount()
 	cfg := &n.repo.Config
 	j := &backupJob{
@@ -208,7 +207,7 @@ func (n *LNode) newBackupJob(data []byte) *backupJob {
 		superByFirst: make(map[fingerprint.FP]dedupEntry),
 		fetchedSegs:  make(map[int]*recipe.Segment),
 		aheadDepth:   segmentReadAhead,
-		data:         data,
+		win:          win,
 	}
 	// One wider than the window: a demanded read started by an earlier
 	// window is in flight beside the whole of its own.
@@ -246,18 +245,18 @@ func (j *backupJob) finish() *BackupStats {
 // Backup deduplicates one input file version and persists containers,
 // recipe, recipe index, similarity sketch, and catalog entry.
 func (n *LNode) Backup(fileID string, data []byte) (*BackupStats, error) {
-	return n.backup(fileID, data, data, true, (*backupJob).dedupe)
+	return n.backup(fileID, window{data: data, eof: true}, (*backupJob).dedupe)
 }
 
 // BackupStream deduplicates one input version read from r. Only the head
 // base detection samples is read before the job knows whether it has a
 // base. Without one — a first version, a similarity miss — no cut depends
-// on history under any configuration, so the version streams through the
-// ring and is never materialised: resident memory stays O(pipeline window)
-// — head probe + ring slabs + pack budget — regardless of input size. With
-// a base, skip chunking and chunk merging need random access to the whole
-// version, so with either on the rest of the stream is buffered behind the
-// head; with both off a version with history streams too.
+// on history under any configuration, so the rest of the version streams
+// through the head's buffer and is never materialised: resident memory
+// stays O(head + pack budget) regardless of input size. With a base, skip
+// chunking and chunk merging need random access to the whole version, so
+// with either on the rest of the stream is buffered behind the head; with
+// both off a version with history streams too.
 func (n *LNode) BackupStream(fileID string, rd io.Reader) (*BackupStats, error) {
 	// One byte past what base detection samples, so that a version of
 	// exactly the head size is known to end there.
@@ -265,20 +264,7 @@ func (n *LNode) BackupStream(fileID string, rd io.Reader) (*BackupStats, error) 
 	if err != nil {
 		return nil, fmt.Errorf("lnode: read stream head: %w", err)
 	}
-	return n.backup(fileID, nil, head, eof, func(j *backupJob) error {
-		if j.baseIndex == nil || !(j.cfg.SkipChunking || j.cfg.ChunkMerging) {
-			return j.dedupeStream(head, eof, rd)
-		}
-		j.data = head
-		if !eof {
-			var err error
-			if j.data, _, err = readUpTo(rd, head, math.MaxInt); err != nil {
-				return fmt.Errorf("lnode: read stream: %w", err)
-			}
-		}
-		j.stats.LogicalBytes = int64(len(j.data))
-		return j.dedupeHistoryAware()
-	})
+	return n.backup(fileID, window{data: head, rd: rd, eof: eof}, (*backupJob).dedupe)
 }
 
 // readUpTo appends rd to buf until buf holds limit bytes or rd ends (eof),
@@ -305,11 +291,11 @@ func readUpTo(rd io.Reader, buf []byte, limit int) (_ []byte, eof bool, err erro
 	return buf, false, nil
 }
 
-// backup is the job body shared by Backup and BackupStream. data is the
-// whole version when it is in memory (nil when streaming), head a prefix
-// of it for base detection to sample, eof whether the version ends where
-// head does, step2 the dedupe stage to run.
-func (n *LNode) backup(fileID string, data, head []byte, eof bool, step2 func(*backupJob) error) (*BackupStats, error) {
+// backup is the job body shared by Backup and BackupStream. win holds the
+// version from its first byte: all of it when win is at eof, else the head
+// base detection samples. step2 is STEP 2: (*backupJob).dedupe, or a
+// test's wrapper of it.
+func (n *LNode) backup(fileID string, win window, step2 func(*backupJob) error) (*BackupStats, error) {
 	if fileID == "" {
 		return nil, fmt.Errorf("lnode: empty file ID")
 	}
@@ -319,14 +305,14 @@ func (n *LNode) backup(fileID string, data, head []byte, eof bool, step2 func(*b
 	n.repo.Files.Lock(fileID)
 	defer n.repo.Files.Unlock(fileID)
 
-	j := n.newBackupJob(data)
+	j := n.newBackupJob(win)
 	defer j.join()
 	j.stats.FileID = fileID
-	j.stats.LogicalBytes = int64(len(data))
+	j.stats.LogicalBytes = int64(len(win.data))
 
 	// STEP 1: detect the latest historical version by name, falling back
 	// to the similar file index.
-	if err := j.detectBase(fileID, head, eof); err != nil {
+	if err := j.detectBase(fileID, win.data, win.eof); err != nil {
 		return nil, err
 	}
 
@@ -373,7 +359,7 @@ func (j *backupJob) detectBase(fileID string, head []byte, eof bool) error {
 	// instead of making them again. It may take only those that cutting the
 	// whole version would also make — the ones whose lookahead reached the
 	// cutter's maximum inside the head, or all of them when the head is the
-	// version (produceStream's rule) — and resumes after the last it took.
+	// version (the window's refill rule) — and resumes after the last it took.
 	keep := len(chunks)
 	if !eof {
 		reach := int64(len(head) - cutter.Params().Max)
@@ -574,31 +560,28 @@ func (j *backupJob) lookup(fp fingerprint.FP) (dedupEntry, bool, error) {
 	return e, hit, nil
 }
 
-// dedupe implements STEP 2 for an in-memory version. The one thing that
-// decides its shape is whether cut points depend on dedup verdicts: skip
-// chunking and chunk merging cut at sizes taken from the matched history
-// (chunker.Stream.SkipCut / Rewind), which serialises cut, hash and probe
-// by construction. Without them boundaries are decided by content alone,
-// so chunking and fingerprinting run ahead of the probes on the ring
-// (ingest.go).
+// dedupe is STEP 2, the one chunk loop for every version and
+// configuration: cut, fingerprint, probe, emit, with history-aware skip
+// chunking (§IV-B) and SuperChunking (Algorithm 1) where they apply. Those
+// cut at sizes taken from the matched history (chunker.Stream.SkipCut /
+// Rewind) and merge runs of records back over the version, so a streamed
+// version with a base under either is first buffered behind its head. Any
+// other version's cuts depend on content alone, and it is cut through the
+// refilling window (ingest.go).
 func (j *backupJob) dedupe() error {
-	if j.cfg.SkipChunking || j.cfg.ChunkMerging {
-		return j.dedupeHistoryAware()
+	w := &j.win
+	if !w.eof && j.baseIndex != nil && (j.cfg.SkipChunking || j.cfg.ChunkMerging) {
+		data, _, err := readUpTo(w.rd, w.data, math.MaxInt)
+		if err != nil {
+			return fmt.Errorf("lnode: read stream: %w", err)
+		}
+		w.data, w.eof = data, true
+		j.stats.LogicalBytes = int64(len(data))
 	}
-	r := j.node.newIngestRun()
-	go r.produceBuffer(j.data, j.head)
-	return j.consumeRing(r)
-}
-
-// dedupeHistoryAware is the main chunk loop with history-aware skip
-// chunking and SuperChunking. With both switched off it is the plain
-// serial chunk→hash→probe loop the ring is twin-tested against.
-func (j *backupJob) dedupeHistoryAware() error {
-	cutter := j.node.newCutter()
-	stream := chunker.NewStream(j.data, cutter, j.acct, j.cfg.Costs)
 
 	// The head probe's cuts (a job without a base only, so every probe
 	// below misses): charged what Next and Fingerprint charge per chunk.
+	cutter := j.node.newCutter()
 	cutCost, hashCost := cutter.PerByteCost(j.cfg.Costs), j.cfg.FingerprintPerByte()
 	for i, ch := range j.head.chunks {
 		j.acct.ChargeCPUBytes(simclock.PhaseChunking, int64(ch.Size()), cutCost)
@@ -607,9 +590,17 @@ func (j *backupJob) dedupeHistoryAware() error {
 			return err
 		}
 	}
-	stream.StartAt(int(j.head.end))
+	stream := w.stream(cutter, j.acct, j.cfg.Costs, int(j.head.end))
 
-	for !stream.Done() {
+	for {
+		n, err := w.fill()
+		j.stats.LogicalBytes += int64(n)
+		if err != nil {
+			return err
+		}
+		if stream.Done() {
+			break
+		}
 		// History-aware skip chunking (§IV-B): after a confirmed
 		// duplicate, try cutting the historical successor's size directly
 		// and verifying by fingerprint comparison alone.
@@ -637,10 +628,7 @@ func (j *backupJob) dedupeHistoryAware() error {
 		}
 
 		// Regular CDC path.
-		ch, ok := stream.Next()
-		if !ok {
-			break
-		}
+		ch, _ := stream.Next()
 		fp := j.node.repo.Fingerprint(j.acct, ch.Data)
 		e, hit, err := j.lookup(fp)
 		if err != nil {
@@ -659,7 +647,7 @@ func (j *backupJob) dedupeHistoryAware() error {
 			if super, ok := j.superByFirst[fp]; ok && int(super.rec.Size) > ch.Size() {
 				ext, cut := stream.SkipCut(int(super.rec.Size) - ch.Size())
 				if cut {
-					scData := j.data[ch.Offset : ch.Offset+int64(super.rec.Size)]
+					scData := w.data[ch.Offset : ch.Offset+int64(super.rec.Size)]
 					scFP := j.node.repo.Fingerprint(j.acct, scData)
 					if scFP == super.rec.FP {
 						j.stats.SuperHits++
@@ -776,7 +764,7 @@ func (j *backupJob) mergePendingRun() error {
 			minDup = d
 		}
 	}
-	scData := j.data[start : start+total]
+	scData := j.win.data[start : start+total]
 	scFP := j.node.repo.Fingerprint(j.acct, scData)
 	// The merged blob must be stored: no existing container holds it
 	// contiguously. This one-time write is the Fig 7 version-6 dip and

@@ -37,7 +37,7 @@ func recutBackupStream(n *LNode, fileID string, rd io.Reader) (*BackupStats, err
 		if err != nil {
 			return nil, err
 		}
-		return n.backup(fileID, data, data, true, recut((*backupJob).dedupe))
+		return n.backup(fileID, window{data: data, eof: true}, recut((*backupJob).dedupe))
 	}
 	head := make([]byte, n.headBytes)
 	hn, err := io.ReadFull(rd, head)
@@ -45,9 +45,7 @@ func recutBackupStream(n *LNode, fileID string, rd io.Reader) (*BackupStats, err
 		return nil, err
 	}
 	head = head[:hn]
-	return n.backup(fileID, nil, head, false, recut(func(j *backupJob) error {
-		return j.dedupeStream(head, false, rd)
-	}))
+	return n.backup(fileID, window{data: head, rd: rd}, recut((*backupJob).dedupe))
 }
 
 // jobOutcome is everything a backup job reports: every BackupStats field
@@ -152,8 +150,7 @@ type twinBackup struct {
 // byte either side of the head size and exactly it, two heads and an odd
 // tail, and a version with a cut exactly headBytes−Max bytes in (the last
 // offset whose lookahead still fits the head). The head is shrunk to 128 KiB
-// so the matrix stays cheap; TestBackupStreamTwin and TestIngestTwinSerial
-// run the real size.
+// so the matrix stays cheap; TestBackupStreamTwin runs the real size.
 func TestHeadReuseTwin(t *testing.T) {
 	t.Parallel()
 	const testHead = 128 << 10
@@ -224,7 +221,7 @@ func TestHeadReuseTwin(t *testing.T) {
 									case stream:
 										st, err = n.BackupStream(b.id, bytes.NewReader(b.data))
 									case reference:
-										st, err = n.backup(b.id, b.data, b.data, true, recut((*backupJob).dedupe))
+										st, err = n.backup(b.id, window{data: b.data, eof: true}, recut((*backupJob).dedupe))
 									default:
 										st, err = n.Backup(b.id, b.data)
 									}

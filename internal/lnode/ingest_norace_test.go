@@ -3,8 +3,8 @@
 package lnode
 
 // Sizing for TestBackupStreamResidentMemory: a 192 MiB unique stream must
-// fit the pipeline window (head probe 8 MiB + ring slabs + pack budget +
-// accumulated recipe), far below the input size.
+// fit the window (the head's 8 MiB buffer + pack budget + accumulated
+// recipe), far below the input size.
 const (
 	streamTestBytes = 192 << 20
 	streamHeapBound = 96 << 20

@@ -6,7 +6,6 @@ import (
 	"io"
 	"reflect"
 	"runtime"
-	"runtime/debug"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -18,8 +17,9 @@ import (
 	"slimstore/internal/recipe"
 )
 
-// fastConfig is testConfig with the history-aware accelerations off, which
-// routes STEP 2 through the ingest ring (ingest.go).
+// fastConfig is testConfig with the history-aware accelerations off: every
+// cut is content's, so every version, with a base or not, streams through
+// the window (ingest.go).
 func fastConfig() core.Config {
 	cfg := testConfig()
 	cfg.SkipChunking = false
@@ -44,7 +44,7 @@ func backupVersions(t *testing.T, cfg core.Config, versions [][]byte, step2 func
 	var stats []BackupStats
 	var recs []*recipe.Recipe
 	for i, data := range versions {
-		st, err := n.backup("twin", data, data, true, step2)
+		st, err := n.backup("twin", window{data: data, eof: true}, step2)
 		if err != nil {
 			t.Fatalf("backup v%d: %v", i, err)
 		}
@@ -58,52 +58,61 @@ func backupVersions(t *testing.T, cfg core.Config, versions [][]byte, step2 func
 	return stats, recs
 }
 
-// TestIngestTwinSerial pins the ring to the serial reference — the
-// history-aware loop with both accelerations off, which is the plain
-// chunk→hash→probe loop: same chunk boundaries, fingerprints, recipes,
-// dedup stats, and bit-identical virtual time, for every cutter. Run under
-// -race by scripts/check.sh, which also exercises the pipeline's
-// concurrency.
-func TestIngestTwinSerial(t *testing.T) {
-	t.Parallel()
-	for _, algo := range []string{"fastcdc", "gear", "rabin", "buzhash", "fixed"} {
-		t.Run(algo, func(t *testing.T) {
-			v0 := genData(42, 3<<20)
-			versions := [][]byte{v0, mutate(v0, 43, 150)}
-
-			fastCfg := fastConfig()
-			fastCfg.ChunkAlgo = algo
-			fastStats, fastRecs := backupVersions(t, fastCfg, versions, (*backupJob).dedupe)
-
-			serialCfg := fastConfig()
-			serialCfg.ChunkAlgo = algo
-			serialStats, serialRecs := backupVersions(t, serialCfg, versions, (*backupJob).dedupeHistoryAware)
-
-			for i := range versions {
-				if !reflect.DeepEqual(fastStats[i], serialStats[i]) {
-					t.Errorf("v%d stats diverge:\nfast:   %+v\nserial: %+v", i, fastStats[i], serialStats[i])
-				}
-				if !reflect.DeepEqual(fastRecs[i], serialRecs[i]) {
-					t.Errorf("v%d recipes diverge", i)
-				}
-			}
-		})
-	}
-}
-
 // streamConfigs are the two shapes BackupStream takes: with the
-// history-aware accelerations off every version streams through the ring;
-// under the default configuration a version without a base does, and one
-// with a base is buffered behind its head for the history-aware loop.
+// history-aware accelerations off ("ring", named for the ingest ring that
+// once served it) every version streams through the window; under the
+// default configuration a version without a base does, and one with a base
+// is buffered behind its head.
 func streamConfigs() map[string]core.Config {
 	return map[string]core.Config{"ring": fastConfig(), "default": core.DefaultConfig()}
 }
 
+// streamTwin backs versions up as one file twice, on nodes whose head is
+// head bytes: through Backup, and through BackupStream reading from
+// wrap(versions[i]). Every version must get Backup's stats, virtual time
+// included, and recipe. Returns the streaming node.
+func streamTwin(t *testing.T, cfg core.Config, head int, versions [][]byte, wrap func(io.Reader) io.Reader) *LNode {
+	t.Helper()
+	buf, bufRepo := newNode(t, cfg)
+	str, strRepo := newNode(t, cfg)
+	buf.headBytes, str.headBytes = head, head
+	for i, data := range versions {
+		want, err := buf.Backup("twin", data)
+		if err != nil {
+			t.Fatalf("backup v%d: %v", i, err)
+		}
+		got, err := str.BackupStream("twin", wrap(bytes.NewReader(data)))
+		if err != nil {
+			t.Fatalf("stream backup v%d: %v", i, err)
+		}
+		if g, w := comparableStats(got), comparableStats(want); !reflect.DeepEqual(g, w) {
+			t.Errorf("v%d stats diverge:\nstream: %+v\nbuffer: %+v", i, g, w)
+		}
+		wantRec, err := bufRepo.RecipesFor(nil).GetRecipe("twin", want.Version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotRec, err := strRepo.RecipesFor(nil).GetRecipe("twin", got.Version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotRec, wantRec) {
+			t.Errorf("v%d recipes diverge", i)
+		}
+	}
+	return str
+}
+
 // TestBackupStreamTwin pins streaming ingest to buffered ingest: cutting
-// through recycled slabs with bounded lookahead must reproduce the exact
-// whole-buffer chunk boundaries, for every cutter. The input exceeds the
-// head-probe size so the slab refill path (tail carry between buffers) is
-// exercised, and so is the seam between the probe's cuts and the ring's.
+// through the refilling window must reproduce the exact whole-buffer chunk
+// boundaries, for every cutter. The input exceeds the head-probe size so
+// the refill (tail carry to the front of the buffer) is exercised, and so
+// is the seam between the probe's cuts and the window's. Then, at a 128 KiB
+// head, readers that return short reads (one byte, half the request, data
+// with EOF) at version sizes around every seam of the window: the head
+// probe's last Max bytes (head ± Max), and the first refill's buffer ending
+// one byte before, at and after the version's end; and a head of one
+// maximal chunk, which the window outgrows.
 func TestBackupStreamTwin(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
@@ -111,33 +120,49 @@ func TestBackupStreamTwin(t *testing.T) {
 	}
 	v0 := genData(71, headBytes+2<<20)
 	versions := [][]byte{v0, mutate(v0, 72, 100)}
+	const testHead = 128 << 10
+	long := genData(73, 3*testHead)
+	readers := []struct {
+		name string
+		wrap func(io.Reader) io.Reader
+	}{{"one-byte", iotest.OneByteReader}, {"half", iotest.HalfReader}, {"data+eof", iotest.DataErrReader}}
 	for _, algo := range []string{"fastcdc", "gear", "rabin", "buzhash", "fixed"} {
 		t.Run(algo, func(t *testing.T) {
 			for name, cfg := range streamConfigs() {
 				t.Run(name, func(t *testing.T) {
 					cfg.ChunkAlgo = algo
-					bufStats, bufRecs := backupVersions(t, cfg, versions, (*backupJob).dedupe)
-
-					n, repo := newNode(t, cfg)
-					for i, data := range versions {
-						st, err := n.BackupStream("twin", bytes.NewReader(data))
-						if err != nil {
-							t.Fatalf("stream backup v%d: %v", i, err)
-						}
-						if got := comparableStats(st); !reflect.DeepEqual(got, bufStats[i]) {
-							t.Errorf("v%d stats diverge:\nstream: %+v\nbuffer: %+v", i, got, bufStats[i])
-						}
-						r, err := repo.RecipesFor(nil).GetRecipe("twin", st.Version)
-						if err != nil {
-							t.Fatalf("get recipe v%d: %v", i, err)
-						}
-						if !reflect.DeepEqual(r, bufRecs[i]) {
-							t.Errorf("v%d recipes diverge", i)
-						}
-					}
+					n := streamTwin(t, cfg, headBytes, versions, func(r io.Reader) io.Reader { return r })
 					if got := restoreBytes(t, n, "twin", 1); !bytes.Equal(got, versions[1]) {
 						t.Error("restore of streamed version diverges from input")
 					}
+
+					// The first refill comes at the first cut past the head's
+					// last Max bytes (the head is read testHead+1 bytes long,
+					// and so is the buffer), and reads to the buffer's end.
+					cutter, err := chunker.New(algo, cfg.ChunkParams)
+					if err != nil {
+						t.Fatal(err)
+					}
+					maxCut, refill := cfg.ChunkParams.Max, 0
+					for _, ch := range chunker.SplitAll(long, cutter) {
+						if ch.Offset > int64(testHead+1-maxCut) {
+							refill = int(ch.Offset)
+							break
+						}
+					}
+					seam := refill + testHead + 1
+					for _, size := range []int{testHead - maxCut, testHead + maxCut, seam - 1, seam, seam + 1} {
+						v := long[:size]
+						for _, rd := range readers {
+							t.Run(fmt.Sprintf("%s/size=%d", rd.name, size), func(t *testing.T) {
+								streamTwin(t, cfg, testHead, [][]byte{v, mutate(v, 74, 10)}, rd.wrap)
+							})
+						}
+					}
+					// A head under two maximal chunks: the window outgrows it.
+					t.Run("head=max", func(t *testing.T) {
+						streamTwin(t, cfg, maxCut, [][]byte{long, mutate(long, 75, 10)}, iotest.HalfReader)
+					})
 				})
 			}
 		})
@@ -168,32 +193,28 @@ func TestBackupStreamFallback(t *testing.T) {
 	}
 }
 
-// TestIngestHandoffAllocs is the steady-state allocation gate of the
-// ring: a pass of the pooled chunk→hash→ring hand-off over ~1000 chunks
-// allocates a handful of objects and one goroutine closure per batch of
-// 256, not one per chunk.
+// TestIngestHandoffAllocs is the steady-state allocation gate of the front
+// of ingest: a cut+fingerprint pass over ~1000 chunks allocates a handful
+// of objects, not one per chunk — held to the bound the ingest ring had, a
+// couple of objects plus one per 256 chunks.
 func TestIngestHandoffAllocs(t *testing.T) {
 	cfg := fastConfig()
 	n, repo := newNode(t, cfg)
 	data := genData(3, 4<<20)
 	want := len(chunker.SplitAll(data, repo.Cutter()))
 
-	// Pin the GC so sync.Pool contents survive the measurement.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	for i := 0; i < 3; i++ { // warm the batch/run pools and goroutine cache
-		if got := n.IngestHandoff(data); got != want {
-			t.Fatalf("handoff produced %d chunks, want %d", got, want)
-		}
+	if got := n.IngestHandoff(data); got != want {
+		t.Fatalf("handoff produced %d chunks, want %d", got, want)
 	}
 	allocs := testing.AllocsPerRun(10, func() { n.IngestHandoff(data) })
 
 	t.Logf("allocs/pass over %d chunks: %.1f", want, allocs)
 	if raceEnabled {
-		// Race instrumentation allocates shadow state per goroutine and
-		// channel op; the counts only mean anything uninstrumented.
+		// Race instrumentation allocates shadow state; the counts only
+		// mean anything uninstrumented.
 		t.Skip("allocation gate skipped under -race")
 	}
-	if batches := (want + ingestBatchChunks - 1) / ingestBatchChunks; allocs > float64(2+batches) {
+	if batches := (want + 255) / 256; allocs > float64(2+batches) {
 		t.Errorf("hand-off allocates %.1f/pass, want <= 2 + %d batches", allocs, batches)
 	}
 }
@@ -254,12 +275,12 @@ func (h *heapSampler) Read(p []byte) (int, error) {
 }
 
 // TestBackupStreamResidentMemory is the O(window) gate: streaming a
-// synthetic unique stream many times larger than the pipeline window must
-// keep live heap bounded by the window (head probe + ring slabs + pack
-// budget + recipe), not the input size — with the accelerations off and
-// under the default configuration, where a version without a base streams
-// just the same. Input and bound are build-tag sized
-// (ingest_norace_test.go / ingest_race_test.go).
+// synthetic unique stream many times larger than the window must keep live
+// heap bounded by the window (the head's buffer + pack budget + recipe),
+// not the input size — with the accelerations off and under the default
+// configuration, where a version without a base streams just the same.
+// Input and bound are build-tag sized (ingest_norace_test.go /
+// ingest_race_test.go).
 func TestBackupStreamResidentMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("streams hundreds of MiB")
@@ -290,7 +311,7 @@ func TestBackupStreamResidentMemory(t *testing.T) {
 }
 
 // TestBackupStreamReadError: a mid-stream read failure must surface and
-// leave no goroutines wedged (the -race run doubles as the leak check).
+// leave no goroutine behind (each package's TestMain checks for leaks).
 func TestBackupStreamReadError(t *testing.T) {
 	cfg := fastConfig()
 	n, _ := newNode(t, cfg)
@@ -316,6 +337,28 @@ func BenchmarkIngestHandoff(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n.IngestHandoff(data)
+	}
+}
+
+// BenchmarkBackupStreamFirstVersion streams a 64 MiB unique first version,
+// the shape of a first `slimstore backup`, through BackupStream under the
+// default configuration, into a fresh in-memory repository each iteration.
+func BenchmarkBackupStreamFirstVersion(b *testing.B) {
+	const size = 64 << 20
+	b.SetBytes(size)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		repo, err := core.OpenRepo(oss.NewMem(), core.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := New(repo, "l0")
+		src := io.LimitReader(&rndReader{state: uint64(i) + 1}, size)
+		b.StartTimer()
+		if _, err := n.BackupStream("big", src); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -496,6 +496,14 @@ func TestRestoreRange(t *testing.T) {
 		if st.Bytes != int64(len(want)) {
 			t.Fatalf("range [%d,+%d): stats.Bytes = %d", c.off, c.length, st.Bytes)
 		}
+		// A window runs without the prefetcher, and says so.
+		wantThreads := cfg.PrefetchThreads
+		if c.off > 0 || end < size {
+			wantThreads = 0
+		}
+		if st.PrefetchThreads != wantThreads {
+			t.Errorf("range [%d,+%d): reports %d prefetch threads, ran with %d", c.off, c.length, st.PrefetchThreads, wantThreads)
+		}
 		if c.sparse {
 			read, full := st.Account.IO().ReadBytes, touchedBytes(c.off, c.length)
 			if st.Cache.RangedReads == 0 || 3*read > 2*full {

@@ -84,11 +84,7 @@ func (n *LNode) restore(fileID string, version int, off, length int64, w io.Writ
 	if length >= 0 && off+length < end {
 		end = off + length
 	}
-	stats := &RestoreStats{
-		FileID: fileID, Version: version,
-		PrefetchThreads: cfg.PrefetchThreads,
-		Account:         acct,
-	}
+	stats := &RestoreStats{FileID: fileID, Version: version, Account: acct}
 
 	// Only the window's records are resolved and pinned, so a small range
 	// of a large version reads the metadata of the window's containers,
@@ -124,6 +120,7 @@ func (n *LNode) restore(fileID string, version int, off, length int64, w io.Writ
 		// planner's cost model (cache.Plan) is calibrated against.
 		threads = 0
 	}
+	stats.PrefetchThreads = threads
 	// All container reads go through the node-level restore I/O layer:
 	// shared cache + singleflight across jobs, cost-model ranged reads for
 	// sparse need-sets, long reads cut to share the channels, at most

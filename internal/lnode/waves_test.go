@@ -351,7 +351,7 @@ func TestSegmentReadAheadTwin(t *testing.T) {
 			t.Fatal(err)
 		}
 		probe.rec.Take()
-		st, err := n.backup("f", versions[1], versions[1], true, step2)
+		st, err := n.backup("f", window{data: versions[1], eof: true}, step2)
 		set := map[string]bool{}
 		for _, req := range probe.started(isSegmentRead) {
 			set[req] = true

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Microbenchmark sweep over the hot primitives: chunker cutters,
 # fingerprint hashing, kvstore point/batch operations, the restore cache
-# policies, and the L-node ingest/restore hand-offs. BENCHTIME overrides
+# policies, the L-node ingest/restore hand-offs and a streamed first
+# version. BENCHTIME overrides
 # the per-benchmark budget (default 1s); check.sh runs this with
 # BENCHTIME=1x as a does-it-still-run smoke test.
 #
@@ -22,4 +23,4 @@ run '^BenchmarkMetaFind$' ./internal/container/
 run '^BenchmarkFingerprint$' ./internal/fingerprint/
 run '^Benchmark(KVPut|KVGet|KVBatchPut|KVGetMulti)$' ./internal/kvstore/
 run '^BenchmarkRestorePolicies$' ./internal/cache/
-run '^Benchmark(IngestHandoff|HashAllCrossover|RestoreHandoff)$' ./internal/lnode/
+run '^Benchmark(IngestHandoff|BackupStreamFirstVersion|HashAllCrossover|RestoreHandoff)$' ./internal/lnode/

@@ -56,6 +56,14 @@ if grep -lE 'repo\.Files\b' internal/lnode/restore*.go internal/cache/*.go | gre
 	exit 1
 fi
 
+# One STEP-2 body (DESIGN.md §13): a backup cuts, fingerprints and probes in
+# one loop, and the L-node starts no goroutine of its own; what it runs
+# concurrently goes through internal/pipe and container.PackPool.
+if ls internal/lnode/*.go | grep -v '_test\.go$' | xargs grep -nE '(^|[;{])[[:space:]]*go[[:space:]]+(func|[A-Za-z_][A-Za-z0-9_.]*[(])'; then
+	echo "check: a non-test file in internal/lnode has a go statement: run concurrent work through pipe or container.PackPool" >&2
+	exit 1
+fi
+
 # The product constructs no fault injector (DESIGN.md §6): faults enter
 # through the one oss.Faulty a test, or the chaos runner, puts over a store.
 if grep -rlw Faulty --include='*.go' . | grep -v '_test\.go$' | grep -qvE '^\./internal/(oss|chaos)/'; then
@@ -91,7 +99,7 @@ go test -race ./...
 
 # The SHA-1 kernel's fallback: on a host with the SHA extensions nothing above
 # ran crypto/sha1 behind fingerprint.Of, so run the two packages that hold the
-# kernel and the ingest twins once more without it.
+# kernel and the backup twins once more without it.
 go test -count=1 -tags purego ./internal/fingerprint/ ./internal/lnode/
 
 # Scheduler independence: which reads run ahead, which requests a restore
