@@ -330,10 +330,23 @@ func (n *LNode) backup(fileID string, win window, step2 func(*backupJob) error) 
 }
 
 // detectBase implements STEP 1 of §IV-A. head is a prefix of the version
-// and eof says the version ends where head does.
+// and eof says the version ends where head does. The base's open goes out
+// beside the catalog listing on the similarity mirror's guess, whose
+// results and error are the job's only if the listing names it (DESIGN.md
+// §13); otherwise the listed version is opened after.
 func (j *backupJob) detectBase(fileID string, head []byte, eof bool) error {
-	latest, ok, err := j.recipes.LatestVersion(fileID)
-	if err != nil {
+	var latest int
+	var ok bool
+	var guessErr error
+	ops := []func() error{func() (err error) {
+		latest, ok, err = j.recipes.LatestVersion(fileID)
+		return err
+	}}
+	guess, guessed := j.node.repo.SimIndex.Latest(fileID)
+	if guessed {
+		ops = append(ops, func() error { guessErr = j.openBase(fileID, guess, false); return nil })
+	}
+	if err := wave(ops...); err != nil {
 		return fmt.Errorf("lnode: detect base: %w", err)
 	}
 	if ok {
@@ -341,8 +354,12 @@ func (j *backupJob) detectBase(fileID string, head []byte, eof bool) error {
 		j.stats.BaseBy = "name"
 		j.stats.BaseFile = fileID
 		j.stats.BaseVersion = latest
+		if guessed && guess == latest {
+			return guessErr
+		}
 		return j.openBase(fileID, latest, false)
 	}
+	j.baseIndex, j.baseReader, j.baseInfo = nil, nil, nil // an overruled guess's open
 	j.stats.Version = 0
 	j.stats.BaseBy = "none"
 

@@ -486,8 +486,16 @@ func TestCommitWave(t *testing.T) {
 }
 
 // TestOpenBaseWave: the base version's recipe index, segment directory and
-// catalog entry — the mark phase's input — are fetched together.
+// catalog entry — the mark phase's input — are fetched together. On a
+// handle whose similarity mirror holds a sketch of the file, they go out
+// beside the catalog listing that confirms the guess; on a cold handle the
+// listing returns before any of them begins.
 func TestOpenBaseWave(t *testing.T) {
+	isBaseRead := func(op oss.Op) bool {
+		return op.Kind != oss.KindPut && (strings.HasSuffix(op.Key, ".index") || strings.HasSuffix(op.Key, ".recipe") && op.Off == 0 ||
+			op.Kind == oss.KindGet && strings.HasPrefix(op.Key, "catalog/"))
+	}
+	isListing := func(op oss.Op) bool { return op.Kind == oss.KindList && strings.HasPrefix(op.Key, "catalog/") }
 	probe := newProbe(oss.NewMem())
 	repo := mustOpen(t, probe.store, testConfig())
 	n := New(repo, "l0")
@@ -495,15 +503,39 @@ func TestOpenBaseWave(t *testing.T) {
 	if _, err := n.Backup("f", data); err != nil {
 		t.Fatal(err)
 	}
-	probe.bar.Expect(func(op oss.Op) bool {
-		return strings.HasSuffix(op.Key, ".index") || strings.HasSuffix(op.Key, ".recipe") && op.Off == 0 ||
-			op.Kind == oss.KindGet && strings.HasPrefix(op.Key, "catalog/")
-	}, 3)
-	if _, err := n.Backup("f", data); err != nil {
+	if _, known := repo.SimIndex.Latest("f"); !known {
+		t.Fatal("fixture: the first backup left the mirror without the file's sketch")
+	}
+	for _, w := range []struct {
+		match func(oss.Op) bool
+		size  int
+		what  string
+	}{
+		{isBaseRead, 3, "index, segment directory and catalog entry"},
+		{func(op oss.Op) bool { return isListing(op) || isBaseRead(op) }, 4, "the catalog listing and the guessed base's three objects"},
+	} {
+		probe.bar.Expect(w.match, w.size)
+		_, err := n.Backup("f", data)
+		if err := probe.bar.Err(); err != nil {
+			t.Fatalf("%s were not fetched together: %v", w.what, err)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	probe.rec.Take()
+	if _, err := New(mustOpen(t, probe.store, testConfig()), "l1").Backup("f", data); err != nil {
 		t.Fatal(err)
 	}
-	if err := probe.bar.Err(); err != nil {
-		t.Fatalf("index, segment directory and catalog entry were not fetched together: %v", err)
+	listings, reads := probe.rec.Requests(isListing), probe.rec.Requests(isBaseRead)
+	if len(listings) != 1 || len(reads) != 3 {
+		t.Fatalf("cold handle: %d catalog listings and %d base reads, want 1 and 3", len(listings), len(reads))
+	}
+	for _, q := range reads {
+		if q.Begin < listings[0].End {
+			t.Errorf("cold handle: %s began before the catalog listing returned", q.Op)
+		}
 	}
 }
 
@@ -515,12 +547,21 @@ func TestOpenBaseWave(t *testing.T) {
 // the catalog or restores byte for byte; a previous version that always
 // restores; when the new version is absent, a store one FullSweep returns
 // to the baseline's containers, recipes and sketches; and a retry that
-// succeeds.
+// succeeds. The warm-mirror arms load the handle's similarity mirror first
+// — reads only, no budget spent — so the backup opens the base it guesses
+// beside the catalog listing.
 func TestBackupCrashAtEveryMutation(t *testing.T) {
 	striped := testConfig()
 	striped.ECDataShards, striped.ECParityShards = 4, 2
-	for _, cfg := range []core.Config{testConfig(), striped} {
-		t.Run(fmt.Sprintf("ec=%d+%d", cfg.ECDataShards, cfg.ECParityShards), func(t *testing.T) {
+	for _, arm := range []struct {
+		cfg  core.Config
+		warm bool
+	}{{testConfig(), false}, {striped, false}, {testConfig(), true}, {striped, true}} {
+		cfg, name := arm.cfg, fmt.Sprintf("ec=%d+%d", arm.cfg.ECDataShards, arm.cfg.ECParityShards)
+		if arm.warm {
+			name += ",warm-mirror"
+		}
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			baseline := oss.NewMem()
 			v0 := optimizedChain(t, baseline, cfg, 88, 1<<20, 1)[0]
@@ -532,8 +573,18 @@ func TestBackupCrashAtEveryMutation(t *testing.T) {
 
 			committed := 0
 			oss.CrashAtEvery(t, baseline, 1, 201, func(s oss.Store) error {
-				// The open spends none of the budget: it mutates nothing.
-				_, err := New(mustOpen(t, s, cfg), "l0").Backup("f", v1)
+				// The open and the mirror's load spend none of the budget: they
+				// mutate nothing.
+				repo := mustOpen(t, s, cfg)
+				if arm.warm {
+					if _, _, err := repo.SimIndex.Query(nil, 1); err != nil {
+						return err
+					}
+					if v, known := repo.SimIndex.Latest("f"); !known || v != 0 {
+						t.Fatalf("fixture: the loaded mirror guesses v%d, %v; want v0", v, known)
+					}
+				}
+				_, err := New(repo, "l0").Backup("f", v1)
 				return err
 			}, func(mem *oss.Mem, budget int, berr error) bool {
 				repo := mustOpen(t, mem, cfg)
@@ -640,7 +691,8 @@ func TestRestoreFailsOnMetaReadFault(t *testing.T) {
 // TestBackupFailsOnPreviousInfoFault: a fault reading the previous
 // version's catalog entry surfaces in the open wave, beside the base's
 // recipe index and segment directory, and fails the backup before it puts
-// anything, instead of silently skipping the mark phase.
+// anything, instead of silently skipping the mark phase — also when the
+// open went out on the mirror's guess, which the listing confirms.
 func TestBackupFailsOnPreviousInfoFault(t *testing.T) {
 	mem := oss.NewMem()
 	faulty := oss.NewFaulty(mem)
@@ -653,6 +705,9 @@ func TestBackupFailsOnPreviousInfoFault(t *testing.T) {
 	infos, _ := mem.List("catalog/")
 	if len(infos) != 1 {
 		t.Fatalf("catalog: %v", infos)
+	}
+	if v, known := repo.SimIndex.Latest("f"); !known || v != 0 {
+		t.Fatalf("fixture: the mirror guesses v%d, %v; want v0", v, known)
 	}
 	before, _ := mem.List("")
 	faulty.FailGet(infos[0])

@@ -150,12 +150,16 @@ func decodeEntry(b []byte) (*Entry, error) {
 type Index struct {
 	store oss.Store
 
-	mu      sync.RWMutex
-	entries map[string]*Entry // keyed by fileID\x00version; nil until loaded
+	mu    sync.RWMutex
+	files map[string]map[int]*Entry // file → version → entry; nil until loaded
 }
 
-func memKey(fileID string, version int) string {
-	return fileID + "\x00" + strconv.Itoa(version)
+// add puts e in the loaded mirror. The caller holds the write lock.
+func (x *Index) add(e *Entry) {
+	if x.files[e.FileID] == nil {
+		x.files[e.FileID] = make(map[int]*Entry)
+	}
+	x.files[e.FileID][e.Version] = e
 }
 
 // loadWidth is how many sketch objects the load reads at once.
@@ -175,7 +179,7 @@ func Open(store oss.Store) (*Index, error) {
 func (x *Index) load() error {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if x.entries != nil {
+	if x.files != nil {
 		return nil
 	}
 	keys, err := x.store.List(Prefix)
@@ -199,10 +203,10 @@ func (x *Index) load() error {
 	if err != nil {
 		return err
 	}
-	x.entries = make(map[string]*Entry, len(keys))
+	x.files = make(map[string]map[int]*Entry)
 	for _, e := range read {
 		if e != nil {
-			x.entries[memKey(e.FileID, e.Version)] = e
+			x.add(e)
 		}
 	}
 	return nil
@@ -216,8 +220,8 @@ func (x *Index) Put(fileID string, version int, sk Sketch) error {
 		return fmt.Errorf("simindex: put %s v%d: %w", fileID, version, err)
 	}
 	x.mu.Lock()
-	if x.entries != nil {
-		x.entries[memKey(fileID, version)] = e
+	if x.files != nil {
+		x.add(e)
 	}
 	x.mu.Unlock()
 	return nil
@@ -230,7 +234,7 @@ func (x *Index) Remove(fileID string, version int) error {
 		return fmt.Errorf("simindex: remove %s v%d: %w", fileID, version, err)
 	}
 	x.mu.Lock()
-	delete(x.entries, memKey(fileID, version))
+	delete(x.files[fileID], version)
 	x.mu.Unlock()
 	return nil
 }
@@ -272,16 +276,32 @@ func (x *Index) Query(sk Sketch, minScore float64) (m Match, ok bool, err error)
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	best := Match{Score: -1}
-	for _, e := range x.entries {
-		s := Resemblance(sk, e.Sketch)
-		if s < minScore {
-			continue
-		}
-		if s > best.Score ||
-			(s == best.Score && (e.FileID < best.FileID ||
-				e.FileID == best.FileID && e.Version > best.Version)) {
-			best = Match{FileID: e.FileID, Version: e.Version, Score: s}
+	for _, vs := range x.files {
+		for _, e := range vs {
+			s := Resemblance(sk, e.Sketch)
+			if s < minScore {
+				continue
+			}
+			if s > best.Score ||
+				(s == best.Score && (e.FileID < best.FileID ||
+					e.FileID == best.FileID && e.Version > best.Version)) {
+				best = Match{FileID: e.FileID, Version: e.Version, Score: s}
+			}
 		}
 	}
 	return best, best.Score >= 0, nil
+}
+
+// Latest returns the newest version of fileID the mirror holds a sketch
+// of, known=false when it holds none or is not loaded. It reads nothing
+// from the store and never loads the mirror: a backup's guess at its base
+// (lnode), which the catalog listing confirms or overrules.
+func (x *Index) Latest(fileID string) (v int, known bool) {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	v = -1
+	for ver := range x.files[fileID] {
+		v, known = max(v, ver), true
+	}
+	return v, known
 }

@@ -2,6 +2,7 @@ package simindex
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -269,6 +270,117 @@ func TestRemoveDuringLoad(t *testing.T) {
 	for v := 0; v < 4; v++ {
 		if m, ok, err := idx.Query(SketchOf(seqFPs(100*v, 50), 16), 0.5); ok || err != nil {
 			t.Fatalf("query for v%d after every listed sketch vanished: %+v, %v, %v; want no match and no error", v, m, ok, err)
+		}
+	}
+}
+
+// TestLatest: Latest answers from the loaded mirror alone — nothing before
+// the load, whatever the store holds — tracks Put and Remove after it, and
+// never issues a request.
+func TestLatest(t *testing.T) {
+	mem := oss.NewMem()
+	seed, _ := Open(mem)
+	for v := 0; v < 3; v++ {
+		if err := seed.Put("f", v, SketchOf(seqFPs(100*v, 50), 16)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var rec oss.Recorder
+	idx, _ := Open(oss.With(mem, &rec))
+	latest := func(fileID string) (int, bool) {
+		before := len(rec.Requests(nil))
+		v, known := idx.Latest(fileID)
+		if n := len(rec.Requests(nil)) - before; n != 0 {
+			t.Fatalf("Latest(%q) issued %d requests", fileID, n)
+		}
+		return v, known
+	}
+	if err := idx.Put("f", 3, SketchOf(seqFPs(300, 50), 16)); err != nil {
+		t.Fatal(err)
+	}
+	for q := 0; q < 2; q++ {
+		if v, known := latest("f"); known {
+			t.Fatalf("before the load: Latest = %d, true; want unknown", v)
+		}
+	}
+	if _, _, err := idx.Query(nil, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		op    func() error
+		file  string
+		want  int
+		known bool
+	}{
+		{nil, "f", 3, true},
+		{nil, "g", -1, false},
+		{func() error { return idx.Put("f", 7, SketchOf(seqFPs(700, 50), 16)) }, "f", 7, true},
+		{func() error { return idx.Put("f", 5, SketchOf(seqFPs(500, 50), 16)) }, "f", 7, true},
+		{func() error { return idx.Remove("f", 7) }, "f", 5, true},
+		{func() error { return idx.Remove("f", 4) }, "f", 5, true},
+		{func() error { return idx.Put("g", 0, SketchOf(seqFPs(900, 50), 16)) }, "g", 0, true},
+		{func() error { return idx.Remove("g", 0) }, "g", -1, false},
+	} {
+		if step.op != nil {
+			if err := step.op(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if v, known := latest(step.file); v != step.want || known != step.known {
+			t.Fatalf("Latest(%q) = %d, %v; want %d, %v", step.file, v, known, step.want, step.known)
+		}
+	}
+	for _, v := range []int{5, 3, 2, 1, 0} {
+		if err := idx.Remove("f", v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v, known := latest("f"); known {
+		t.Fatalf("every version removed: Latest = %d, true", v)
+	}
+}
+
+// TestQueryMatchesFlatScan: the mirror keyed by file answers every query
+// as a scan of one flat list of versions does, ties included: the newest
+// version of the lexicographically smallest file.
+func TestQueryMatchesFlatScan(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	idx, _ := Open(oss.NewMem())
+	if _, _, err := idx.Query(nil, 1); err != nil {
+		t.Fatal(err)
+	}
+	// Sketches over a small pool of regions, so many scores tie exactly.
+	region := func() Sketch { return SketchOf(seqFPs(40*r.Intn(6), 40+r.Intn(3)*20), 16) }
+	flat := map[string]Entry{}
+	for i := 0; i < 300; i++ {
+		file, v := fmt.Sprintf("f%d", r.Intn(8)), r.Intn(12)
+		key := fmt.Sprintf("%s/%d", file, v)
+		if r.Intn(4) == 0 {
+			if err := idx.Remove(file, v); err != nil {
+				t.Fatal(err)
+			}
+			delete(flat, key)
+			continue
+		}
+		sk := region()
+		if err := idx.Put(file, v, sk); err != nil {
+			t.Fatal(err)
+		}
+		flat[key] = Entry{FileID: file, Version: v, Sketch: sk}
+	}
+	for q := 0; q < 200; q++ {
+		sk, minScore := region(), []float64{0, 0.3, 0.6, 1}[r.Intn(4)]
+		want := Match{Score: -1}
+		for _, e := range flat {
+			s := Resemblance(sk, e.Sketch)
+			if s >= minScore && (s > want.Score || s == want.Score && (e.FileID < want.FileID ||
+				e.FileID == want.FileID && e.Version > want.Version)) {
+				want = Match{FileID: e.FileID, Version: e.Version, Score: s}
+			}
+		}
+		got, ok, err := idx.Query(sk, minScore)
+		if err != nil || ok != (want.Score >= 0) || ok && got != want {
+			t.Fatalf("query %d: got %+v, %v, %v; want %+v", q, got, ok, err, want)
 		}
 	}
 }

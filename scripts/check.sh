@@ -114,8 +114,11 @@ go test -race -count=1 -cpu 1,4 -run 'CompactSparse|MatchesSerial' ./internal/gn
 # section has ended since it began: a rewrite under the first pass forces
 # the second, deletion marks do not. It takes no file lock: it completes
 # beside a held backup of its file, and a deletion of its version either
-# waits for its pins or leaves it a deleted version (DESIGN.md §7).
-go test -race -count=20 -cpu 1,4 -run 'TestPinFallsBackAfterRewrite|TestPinAcceptsFirstPassUnderMarks|TestRestoreRacingDeletionOfItsVersion|TestRestoreRunsBesideBackupOfSameFile' ./internal/lnode/ ./internal/jobs/
+# waits for its pins or leaves it a deleted version (DESIGN.md §7). A
+# backup opens the base its handle's similarity mirror guesses beside the
+# catalog listing, and a guess the listing overrules leaves no trace
+# (DESIGN.md §13).
+go test -race -count=20 -cpu 1,4 -run 'TestPinFallsBackAfterRewrite|TestPinAcceptsFirstPassUnderMarks|TestRestoreRacingDeletionOfItsVersion|TestRestoreRunsBesideBackupOfSameFile|TestOpenBaseWave|TestStaleGuessMatchesColdHandle' ./internal/lnode/ ./internal/jobs/
 # Store bytes at G-node widths -1 and 4, plain and striped: the rewrites'
 # fresh payload IDs are drawn in container order, whatever the scheduler does.
 go test -count=3 -cpu 1,4 -run 'StoreBytesTwin' .
