@@ -70,7 +70,7 @@ type Stats struct {
 	SharedHits  int
 	SharedJoins int
 	RangedReads int   // containers fetched via span reads
-	RangedSpans int   // total GetRange calls those reads issued
+	RangedSpans int   // total GetRange calls those reads issued: spans cut where a part ends and by Split
 	RangedBytes int64 // total span bytes fetched
 }
 

@@ -29,10 +29,10 @@ type ReadPlan struct {
 	// offset order, chunk indexes resolved exactly as Meta.Find would.
 	Spans []container.Span
 	// Reads are the requests that execute the plan, for
-	// container.Store.ReadSpans: nil for one whole-object GET, Spans for a
-	// ranged plan, and after Split either with its long reads cut into
-	// pieces (a Full plan's tile the payload and list no chunks: a whole
-	// read verifies every live one).
+	// container.Store.ReadSpans: nil for one GET per part of the payload,
+	// Spans cut where a part ends for a ranged plan, and after Split either
+	// with its long reads cut into pieces (a Full plan's tile the payload
+	// and list no chunks: a whole read verifies every live one).
 	Reads []container.Span
 	// NeedBytes is the payload actually required (sum of needed chunk
 	// sizes); SpanBytes includes the coalescing gaps fetched alongside.
@@ -65,9 +65,11 @@ func readCost(costs simclock.Costs, k int, n int64) time.Duration {
 // return (the first, in chunk order), coalesces the resulting payload
 // ranges when the gap between them is cheaper to read through than a new
 // request (gap ≤ latency×bandwidth), and compares the modelled cost of
-// the span reads against one full-object read. Fingerprints absent from m
-// are ignored — the caller resolved the sequence under pins, so absence
-// means the request is served by a different container.
+// the span reads against a full read, each priced by its requests: one GET
+// per part of the payload, one ranged read per span and part it touches.
+// Fingerprints absent from m are ignored — the caller resolved the
+// sequence under pins, so absence means the request is served by a
+// different container.
 //
 // The output is deterministic: chunk order drives resolution and span
 // order, so equal (meta, need) inputs always produce the same plan.
@@ -83,7 +85,7 @@ func Plan(m *container.Meta, need map[fingerprint.FP]bool, costs simclock.Costs)
 	}
 	var p ReadPlan
 	fullBytes := int64(m.DataSize) + container.FooterSize
-	p.FullCost = readCost(costs, 1, fullBytes)
+	p.FullCost = readCost(costs, m.NumParts(), fullBytes) // one GET per part
 	if len(idxs) == 0 {
 		// Nothing needed here; degenerate full plan so callers that fetch
 		// anyway still behave.
@@ -118,10 +120,12 @@ func Plan(m *container.Meta, need map[fingerprint.FP]bool, costs simclock.Costs)
 		}
 		spans = append(spans, container.Span{Off: off, Len: end - off, Chunks: []int{i}})
 	}
-	for i := range spans {
-		p.SpanBytes += spans[i].Len
+	var reads []container.Span // spans, cut where a part ends: one request each
+	for _, sp := range spans {
+		p.SpanBytes += sp.Len
+		reads = append(reads, byPart(m, sp)...)
 	}
-	p.RangedCost = readCost(costs, len(spans), p.SpanBytes)
+	p.RangedCost = readCost(costs, len(reads), p.SpanBytes)
 	// Ranged must beat full by a clear margin, not a hair: with the gap
 	// threshold at the latency/bandwidth break-even, greedy coalescing
 	// makes RangedCost ≤ FullCost almost always, but a full object is
@@ -129,7 +133,7 @@ func Plan(m *container.Meta, need map[fingerprint.FP]bool, costs simclock.Costs)
 	// concurrent job, while span reads serve only this need-set. The bias
 	// keeps near-dense restores on the shareable path.
 	if p.RangedCost < p.FullCost-p.FullCost/8 {
-		p.Spans, p.Reads = spans, spans
+		p.Spans, p.Reads = spans, reads
 	} else {
 		p.Full = true
 	}
@@ -145,11 +149,12 @@ func Plan(m *container.Meta, need map[fingerprint.FP]bool, costs simclock.Costs)
 //
 //	share = max(rem/threads, L·B)   L·B = OSSRequestLatency × OSSReadBandwidth
 //
-// is cut into min(⌈length/share⌉, pmax) near-equal pieces at chunk
-// boundaries, none under L·B. pmax is the largest count whose last piece
-// still saves two request latencies of modelled wall time,
-// length/B·(1/(p−1) − 1/p) ≥ 2L, that is 2·p(p−1) ≤ length/(L·B): a lone
-// 1 MiB read at the default costs becomes 3 pieces, a 4 MiB one 5. This is
+// is cut into k = min(⌈length/share⌉, container.Pieces(length, L·B))
+// near-equal pieces at chunk boundaries, none under L·B: no piece is cut
+// whose last would not save two request latencies; a lone 1 MiB read at
+// the default costs becomes 3 pieces, a 4 MiB one 5. The first cuts are
+// where a part of the payload ends, which the read takes anyway; each part
+// is then cut so that no piece is longer than a k-th of the read. This is
 // guided self-scheduling: nothing is cut while many reads remain, the last
 // few finer and finer, and the channels run dry together.
 //
@@ -169,79 +174,49 @@ func Split(plans []ReadPlan, metas []*container.Meta, threads int, costs simcloc
 			rem += plans[i].SpanBytes
 		}
 	}
-	// pieces is how many pieces the walk's next read, of this length, is cut
-	// into; it moves the walk past the read.
-	pieces := func(length int64) int {
+	// cut cuts sp, the walk's next read, into its pieces, moving the walk on.
+	cut := func(m *container.Meta, sp container.Span) []container.Span {
 		share := max(rem/int64(threads), lb)
-		rem -= length
-		if length <= share {
-			return 1
+		rem -= sp.Len
+		k := min((sp.Len+share-1)/share, int64(container.Pieces(sp.Len, lb)))
+		var out []container.Span
+		for _, seg := range byPart(m, sp) { // no piece longer than a k-th of sp
+			n := (k*seg.Len + sp.Len - 1) / max(sp.Len, 1)
+			out = append(out, container.CutSpan(m, seg, int(max(n, 1)), lb)...)
 		}
-		p := int64(1)
-		for 2*(p+1)*p*lb <= length {
-			p++
-		}
-		return int(min((length+share-1)/share, p))
+		return out
 	}
 	for i := range plans {
 		p, m := &plans[i], metas[i]
-		if p.Full {
-			if k := pieces(int64(m.DataSize)); k > 1 {
-				live := make([]int, 0, len(m.Chunks)) // in offset order
-				for ci := range m.Chunks {
-					if !m.Chunks[ci].Deleted {
-						live = append(live, ci)
-					}
-				}
-				sort.SliceStable(live, func(a, b int) bool { return m.Chunks[live[a]].Offset < m.Chunks[live[b]].Offset })
-				if cut := cutSpan(m, container.Span{Len: int64(m.DataSize), Chunks: live}, k, lb); len(cut) > 1 {
-					for j := range cut {
-						cut[j].Chunks = nil
-					}
-					p.Reads = cut
-				}
+		if !p.Full {
+			p.Reads = make([]container.Span, 0, len(p.Spans))
+			for _, sp := range p.Spans {
+				p.Reads = append(p.Reads, cut(m, sp)...)
 			}
 			continue
 		}
-		p.Reads = make([]container.Span, 0, len(p.Spans))
-		for _, sp := range p.Spans {
-			if k := pieces(sp.Len); k > 1 {
-				p.Reads = append(p.Reads, cutSpan(m, sp, k, lb)...)
-			} else {
-				p.Reads = append(p.Reads, sp)
+		// A whole read is one GET per part: only when a part is cut further
+		// do the pieces of every part become the reads, which list no chunks.
+		reads := cut(m, container.Span{Len: int64(m.DataSize), Chunks: container.InOffsetOrder(m, true)})
+		if len(reads) > m.NumParts() {
+			for j := range reads {
+				reads[j].Chunks = nil
 			}
+			p.Reads = reads
 		}
 	}
 }
 
-// cutSpan cuts sp, a read of m's payload listing its chunks in ascending
-// offset order, into at most k pieces that tile it. A cut falls only on a
-// chunk boundary — the start of a listed chunk that no earlier one reaches
-// past — and the j-th on the boundary nearest j/k of the way through, unless
-// that would leave a piece shorter than floor: then it is not made.
-func cutSpan(m *container.Meta, sp container.Span, k int, floor int64) []container.Span {
-	at := func(n int) int64 { return int64(m.Chunks[sp.Chunks[n]].Offset) }
-	var bounds []int // n such that sp.Chunks[n] starts on a boundary
-	covered := sp.Off
-	for n, ci := range sp.Chunks {
-		if n > 0 && at(n) >= covered {
-			bounds = append(bounds, n)
-		}
-		covered = max(covered, at(n)+int64(m.Chunks[ci].Size))
-	}
-	out := make([]container.Span, 0, k)
-	end := sp.Off + sp.Len
-	cur, first := sp.Off, 0
-	for j := 1; j < k && len(bounds) > 0; j++ {
-		target := sp.Off + sp.Len*int64(j)/int64(k)
-		i := sort.Search(len(bounds), func(i int) bool { return at(bounds[i]) >= target })
-		if i == len(bounds) || i > 0 && target-at(bounds[i-1]) <= at(bounds[i])-target {
-			i--
-		}
-		if n := bounds[i]; at(n)-cur >= floor && end-at(n) >= floor {
-			out = append(out, container.Span{Off: cur, Len: at(n) - cur, Chunks: sp.Chunks[first:n]})
-			cur, first = at(n), n
+// byPart cuts sp, a read of m's payload listing its chunks in ascending
+// offset order, where a part of the payload ends.
+func byPart(m *container.Meta, sp container.Span) []container.Span {
+	var out []container.Span
+	for _, at := range m.Parts {
+		if end := int64(at); end > sp.Off && end < sp.Off+sp.Len {
+			n := sort.Search(len(sp.Chunks), func(n int) bool { return int64(m.Chunks[sp.Chunks[n]].Offset) >= end })
+			out = append(out, container.Span{Off: sp.Off, Len: end - sp.Off, Chunks: sp.Chunks[:n]})
+			sp = container.Span{Off: end, Len: sp.Off + sp.Len - end, Chunks: sp.Chunks[n:]}
 		}
 	}
-	return append(out, container.Span{Off: cur, Len: end - cur, Chunks: sp.Chunks[first:]})
+	return append(out, sp)
 }

@@ -465,3 +465,110 @@ func FuzzReadPlan(f *testing.F) {
 		checkSplit(t, "fuzz", rp, cut, int(threads%16), costs)
 	})
 }
+
+// TestSplitCutsAtPartsFirst: over a payload put in parts, Split cuts every
+// read where a part ends before it cuts anywhere else, as the container read
+// would clip it: a lone whole read becomes pieces inside the parts, none
+// across a boundary and none longer than the longest of the same payload
+// in one object, one more than those at most for each cut; a whole read
+// among many stays one GET per part (Reads nil); a span across a boundary
+// is cut there, its chunks shared out by where they lie; and one channel
+// cuts nothing.
+func TestSplitCutsAtPartsFirst(t *testing.T) {
+	costs := simclock.DefaultCosts()
+	m := planMeta(512, 8<<10) // 4 MiB
+	m.Parts = []uint32{192 * 8 << 10, 384 * 8 << 10}
+	all := make(map[fingerprint.FP]bool)
+	for _, cm := range m.Chunks {
+		all[cm.FP] = true
+	}
+	inPart := func(r container.Span) bool {
+		for i := 0; i < m.NumParts(); i++ {
+			if off, end := m.PartRange(i); r.Off >= off && r.Off+r.Len <= end {
+				return true
+			}
+		}
+		return false
+	}
+
+	lone := []ReadPlan{Plan(m, all, costs)}
+	Split(lone, []*container.Meta{m}, 6, costs)
+	if len(lone[0].Reads) <= m.NumParts() {
+		t.Fatalf("a lone whole read of three parts became %d reads, want more", len(lone[0].Reads))
+	}
+	var at int64
+	for _, r := range lone[0].Reads {
+		if r.Off != at || !inPart(r) || r.Chunks != nil {
+			t.Fatalf("piece %+v does not continue at %d inside one part listing no chunks", r, at)
+		}
+		at += r.Len
+	}
+	if at != int64(m.DataSize) {
+		t.Fatalf("pieces end at %d, payload at %d", at, m.DataSize)
+	}
+	one := planMeta(512, 8<<10)
+	whole := []ReadPlan{Plan(one, all, costs)}
+	Split(whole, []*container.Meta{one}, 6, costs)
+	longest := func(reads []container.Span) (n int64) {
+		for _, r := range reads {
+			n = max(n, r.Len)
+		}
+		return n
+	}
+	if n, one := len(lone[0].Reads), len(whole[0].Reads); n > one+len(m.Parts) || longest(lone[0].Reads) > longest(whole[0].Reads) {
+		t.Fatalf("a lone whole read of three parts became %d reads, the longest %d bytes; of one object %d, the longest %d",
+			n, longest(lone[0].Reads), one, longest(whole[0].Reads))
+	}
+
+	many := make([]ReadPlan, 12)
+	metas := make([]*container.Meta, len(many))
+	for i := range many {
+		many[i], metas[i] = Plan(m, all, costs), m
+	}
+	Split(many, metas, 6, costs)
+	if many[0].Reads != nil {
+		t.Fatalf("the first of twelve whole reads was cut: %v", many[0].Reads)
+	}
+
+	need := needOf(m, 190, 191, 192, 193) // two chunks each side of the first boundary
+	ranged := []ReadPlan{Plan(m, need, costs)}
+	if ranged[0].Full || len(ranged[0].Spans) != 1 {
+		t.Fatalf("fixture: plan %+v, want one span", ranged[0])
+	}
+	for _, threads := range []int{1, 6} {
+		cut := clonePlans(ranged)
+		Split(cut, []*container.Meta{m}, threads, costs)
+		if threads == 1 {
+			if !reflect.DeepEqual(cut[0].Reads, ranged[0].Reads) {
+				t.Fatalf("one channel cut %v", cut[0].Reads)
+			}
+			continue
+		}
+		want := []container.Span{{Off: 190 * 8 << 10, Len: 16 << 10, Chunks: []int{190, 191}}, {Off: 192 * 8 << 10, Len: 16 << 10, Chunks: []int{192, 193}}}
+		if !reflect.DeepEqual(cut[0].Reads, want) {
+			t.Fatalf("a span across a part boundary became %+v, want %+v", cut[0].Reads, want)
+		}
+	}
+}
+
+// TestPlanPricesParts: the planner prices each read by the requests it
+// takes. A whole read of a payload in three parts costs two request
+// latencies more than of the same payload in one object, and a span across
+// a part boundary one more, cut there in the plan's reads.
+func TestPlanPricesParts(t *testing.T) {
+	costs := simclock.DefaultCosts()
+	m := planMeta(512, 8<<10)
+	need := needOf(m, 190, 191, 192, 193)
+	one := Plan(m, need, costs)
+	m.Parts = []uint32{192 * 8 << 10, 384 * 8 << 10}
+	parts := Plan(m, need, costs)
+	if d := parts.FullCost - one.FullCost; d != 2*costs.OSSRequestLatency {
+		t.Errorf("a whole read of three parts costs %v more than of one object, want two latencies", d)
+	}
+	if d := parts.RangedCost - one.RangedCost; d != costs.OSSRequestLatency {
+		t.Errorf("a span across a part boundary costs %v more, want one latency", d)
+	}
+	if len(parts.Spans) != 1 || len(parts.Reads) != 2 || parts.Reads[1].Off != int64(m.Parts[0]) {
+		t.Errorf("plan %+v: want one span, read as two requests cut at %d", parts, m.Parts[0])
+	}
+}

@@ -6,10 +6,15 @@
 // physical locality: chunks stored together were adjacent in some backup
 // file, so one read serves many nearby chunk accesses.
 //
-// Each container persists as two OSS objects:
+// Each container persists as a metadata object and a payload of one or
+// more part objects, each written once:
 //
-//	containers/<id>.meta  — per-chunk records (fp, offset, size, deleted), payload ID
-//	containers/<pid>.data — concatenated chunk payloads, written once
+//	containers/<id>.meta      — per-chunk records (fp, offset, size, deleted), payload ID, part offsets
+//	containers/<pid>.data     — the payload, or its first part
+//	containers/<pid>.<i>.data — part i of a payload a PackPool put in parts (Pieces)
+//
+// Parts are cut on chunk boundaries and the last ends in the footer, so
+// laid end to end they are the one-object data object byte for byte.
 //
 // Splitting metadata from data lets G-node's reverse deduplication mark
 // chunks deleted by rewriting only the small metadata object (§VI-A); past
@@ -20,10 +25,12 @@ package container
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 
 	"slimstore/internal/fingerprint"
@@ -88,7 +95,8 @@ type Meta struct {
 	ID       ID
 	Payload  ID // the ID the data object is stored under (DataKey)
 	Chunks   []ChunkMeta
-	DataSize uint32 // payload bytes including deleted chunks
+	DataSize uint32   // payload bytes including deleted chunks
+	Parts    []uint32 // where parts 1, 2, … start, ascending; nil for one object
 
 	// fpIdx is a permutation of chunk indexes sorted by (FP, index),
 	// giving Find a binary search instead of a linear scan. It is built
@@ -181,11 +189,86 @@ func (m *Meta) StaleProportion() float64 {
 	return float64(len(m.Chunks)-m.LiveChunks()) / float64(len(m.Chunks))
 }
 
+// NumParts is the number of part objects the payload is stored as.
+func (m *Meta) NumParts() int { return len(m.Parts) + 1 }
+
+// PartRange returns the payload bytes [off, end) part i holds.
+func (m *Meta) PartRange(i int) (off, end int64) {
+	end = int64(m.DataSize)
+	if i > 0 {
+		off = int64(m.Parts[i-1])
+	}
+	if i < len(m.Parts) {
+		end = int64(m.Parts[i])
+	}
+	return off, end
+}
+
+// Pieces is the one piece-count rule (DESIGN.md §10): the most pieces, on
+// channels of their own, a transfer of length bytes is cut into while the
+// last still saves two request latencies: 2·p(p−1)·lb ≤ length, lb = L·B.
+func Pieces(length, lb int64) int {
+	p := int64(1)
+	for lb > 0 && 2*(p+1)*p*lb <= length {
+		p++
+	}
+	return int(p)
+}
+
+// CutSpan cuts sp, a read of m's payload listing its chunks in ascending
+// offset order, into at most k pieces that tile it. A cut falls only on a
+// chunk boundary — the start of a listed chunk that no earlier one reaches
+// past — and the j-th on the boundary nearest j/k of the way through,
+// unless that would leave a piece shorter than floor: then it is not made.
+func CutSpan(m *Meta, sp Span, k int, floor int64) []Span {
+	at := func(n int) int64 { return int64(m.Chunks[sp.Chunks[n]].Offset) }
+	var bounds []int // n such that sp.Chunks[n] starts on a boundary
+	covered := sp.Off
+	for n, ci := range sp.Chunks {
+		if n > 0 && at(n) >= covered {
+			bounds = append(bounds, n)
+		}
+		covered = max(covered, at(n)+int64(m.Chunks[ci].Size))
+	}
+	out := make([]Span, 0, k)
+	end := sp.Off + sp.Len
+	cur, first := sp.Off, 0
+	for j := 1; j < k && len(bounds) > 0; j++ {
+		target := sp.Off + sp.Len*int64(j)/int64(k)
+		i := sort.Search(len(bounds), func(i int) bool { return at(bounds[i]) >= target })
+		if i == len(bounds) || i > 0 && target-at(bounds[i-1]) <= at(bounds[i])-target {
+			i--
+		}
+		if n := bounds[i]; at(n)-cur >= floor && end-at(n) >= floor {
+			out = append(out, Span{Off: cur, Len: at(n) - cur, Chunks: sp.Chunks[first:n]})
+			cur, first = at(n), n
+		}
+	}
+	return append(out, Span{Off: cur, Len: end - cur, Chunks: sp.Chunks[first:]})
+}
+
+// InOffsetOrder returns the indexes of m's chunks — all of them, or the
+// live ones only — in ascending offset order, ties in chunk order.
+func InOffsetOrder(m *Meta, liveOnly bool) []int {
+	idx := make([]int, 0, len(m.Chunks))
+	for i := range m.Chunks {
+		if !liveOnly || !m.Chunks[i].Deleted {
+			idx = append(idx, i)
+		}
+	}
+	byOffset := func(a, b int) int { return cmp.Compare(m.Chunks[a].Offset, m.Chunks[b].Offset) }
+	if !slices.IsSortedFunc(idx, byOffset) { // a builder's or a rewrite's chunks are
+		slices.SortStableFunc(idx, byOffset)
+	}
+	return idx
+}
+
 // Container is a materialised container: metadata plus payload. Data is
-// the payload from offset 0 — what a builder fills and one whole-object
-// read returns. A container fetched as byte ranges (ReadSpans) holds them
-// as parts instead and leaves Data nil: each range stays the buffer its
-// request returned, and ChunkData indexes the part a chunk lies in.
+// the payload from offset 0 — what a builder fills and one GET of a
+// one-part payload returns. A container fetched in several requests — the
+// parts of a payload put in parts, or byte ranges (ReadSpans) — holds them
+// as parts instead and leaves Data nil: each stays the buffer its request
+// returned, and ChunkData indexes the part a chunk lies in.
 //
 // The payload of a container a Store returned (Read, ReadRaw, ReadSpans)
 // is read-only: it may alias the object store's memory (oss.Store.Get),
@@ -266,8 +349,12 @@ func (c *Container) VerifyChunk(cm *ChunkMeta) error {
 
 const metaMagic = uint32(0x534C4D43) // "SLMC"
 
-// MetaV3 is the one metadata format version; DecodeMeta refuses any other.
-const MetaV3 = 3
+// The metadata versions DecodeMeta reads. MetaV4 adds the part offsets
+// after the header, written only for a payload in parts.
+const (
+	MetaV3 = 3
+	MetaV4 = 4
+)
 
 // metaHeader is a meta's fixed prefix: magic, version, ID, payload ID, count, size.
 const metaHeader = 32
@@ -283,13 +370,20 @@ const chunkMetaWire = fingerprint.Size + 4 + 4 + 1 + 4
 
 // EncodeMeta serialises container metadata.
 func EncodeMeta(m *Meta) []byte {
-	buf := make([]byte, metaHeader, metaHeader+len(m.Chunks)*chunkMetaWire+4)
+	buf := make([]byte, metaHeader, metaHeader+4+4*len(m.Parts)+len(m.Chunks)*chunkMetaWire+4)
 	binary.LittleEndian.PutUint32(buf[0:], metaMagic)
 	binary.LittleEndian.PutUint32(buf[4:], MetaV3)
 	binary.LittleEndian.PutUint64(buf[8:], uint64(m.ID))
 	binary.LittleEndian.PutUint64(buf[16:], uint64(m.Payload))
 	binary.LittleEndian.PutUint32(buf[24:], uint32(len(m.Chunks)))
 	binary.LittleEndian.PutUint32(buf[28:], m.DataSize)
+	if len(m.Parts) > 0 {
+		binary.LittleEndian.PutUint32(buf[4:], MetaV4)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Parts)))
+		for _, off := range m.Parts {
+			buf = binary.LittleEndian.AppendUint32(buf, off)
+		}
+	}
 	var rec [chunkMetaWire]byte
 	for i := range m.Chunks {
 		cm := &m.Chunks[i]
@@ -310,15 +404,18 @@ func EncodeMeta(m *Meta) []byte {
 }
 
 // DecodeMeta parses container metadata. Every rejection wraps ErrCorrupt;
-// an object failing its trailer checksum returns a *CorruptError.
+// an object failing its trailer checksum returns a *CorruptError. A v4
+// meta names two parts or more, at ascending offsets that cut no chunk.
 func DecodeMeta(b []byte) (*Meta, error) {
 	if len(b) < 8 || binary.LittleEndian.Uint32(b[0:4]) != metaMagic {
 		return nil, fmt.Errorf("%w: not a meta: bad magic, or %d bytes", ErrCorrupt, len(b))
 	}
-	if v := binary.LittleEndian.Uint32(b[4:8]); v != MetaV3 {
-		return nil, fmt.Errorf("%w: unsupported meta version %d (this build reads %d, which names the payload's ID)", ErrCorrupt, v, MetaV3)
+	v := binary.LittleEndian.Uint32(b[4:8])
+	if v != MetaV3 && v != MetaV4 {
+		return nil, fmt.Errorf("%w: unsupported meta version %d (this build reads %d and %d, which name the payload's ID)", ErrCorrupt, v, MetaV3, MetaV4)
 	}
-	if len(b) < metaHeader+4 {
+	off := metaHeader + 4*int(v-MetaV3) // v4 counts its part offsets here
+	if len(b) < off+4 {
 		return nil, fmt.Errorf("%w: meta too short (%d bytes)", ErrCorrupt, len(b))
 	}
 	m := &Meta{
@@ -326,18 +423,30 @@ func DecodeMeta(b []byte) (*Meta, error) {
 		Payload:  ID(binary.LittleEndian.Uint64(b[16:24])),
 		DataSize: binary.LittleEndian.Uint32(b[28:32]),
 	}
-	n := int(binary.LittleEndian.Uint32(b[24:28]))
-	if len(b) != metaHeader+n*chunkMetaWire+4 {
-		return nil, fmt.Errorf("%w: meta size %d does not match %d chunks", ErrCorrupt, len(b), n)
+	n, cuts := int64(binary.LittleEndian.Uint32(b[24:28])), int64(0)
+	if v == MetaV4 {
+		cuts = int64(binary.LittleEndian.Uint32(b[metaHeader:]))
+	}
+	if int64(len(b)) != int64(off)+4*cuts+n*chunkMetaWire+4 {
+		return nil, fmt.Errorf("%w: meta size %d does not match %d parts and %d chunks", ErrCorrupt, len(b), cuts+1, n)
 	}
 	stored := binary.LittleEndian.Uint32(b[len(b)-4:])
 	if got := ChecksumOf(b[:len(b)-4]); got != stored {
 		return nil, &CorruptError{Container: m.ID,
 			Detail: fmt.Sprintf("meta checksum %08x, want %08x", got, stored)}
 	}
+	if v == MetaV4 && cuts == 0 {
+		return nil, fmt.Errorf("%w: v4 meta of container %s names one part", ErrCorrupt, m.ID)
+	}
+	for i := int64(0); i < cuts; i, off = i+1, off+4 {
+		at := binary.LittleEndian.Uint32(b[off:])
+		if at == 0 || at >= m.DataSize || i > 0 && at <= m.Parts[i-1] {
+			return nil, fmt.Errorf("%w: container %s: part offset %d out of order or outside the payload of %d bytes", ErrCorrupt, m.ID, at, m.DataSize)
+		}
+		m.Parts = append(m.Parts, at)
+	}
 	m.Chunks = make([]ChunkMeta, n)
-	off := metaHeader
-	for i := 0; i < n; i++ {
+	for i := range m.Chunks {
 		cm := &m.Chunks[i]
 		copy(cm.FP[:], b[off:off+fingerprint.Size])
 		cm.Offset = binary.LittleEndian.Uint32(b[off+fingerprint.Size:])
@@ -345,6 +454,11 @@ func DecodeMeta(b []byte) (*Meta, error) {
 		cm.Deleted = b[off+fingerprint.Size+8] == 1
 		cm.Sum = binary.LittleEndian.Uint32(b[off+fingerprint.Size+9:])
 		off += chunkMetaWire
+		// The first cut past the chunk's start must not fall before its end.
+		if j := sort.Search(len(m.Parts), func(j int) bool { return m.Parts[j] > cm.Offset }); j < len(m.Parts) &&
+			uint64(m.Parts[j]) < uint64(cm.Offset)+uint64(cm.Size) {
+			return nil, fmt.Errorf("%w: container %s: part offset %d cuts through chunk %s", ErrCorrupt, m.ID, m.Parts[j], cm.FP.Short())
+		}
 	}
 	m.buildFindIndex()
 	return m, nil
@@ -369,29 +483,4 @@ func appendFooter(payload []byte, sum uint32) []byte {
 	binary.LittleEndian.PutUint32(out[n:], footerMagic)
 	binary.LittleEndian.PutUint32(out[n+4:], sum)
 	return out
-}
-
-// SplitData separates a raw data object into payload and footer status.
-// footerOK reports whether the footer magic and whole-payload CRC check
-// out; false with a valid length means at-rest rot (possibly confined to
-// deleted regions — per-chunk sums decide whether live data is affected).
-func SplitData(m *Meta, raw []byte) (payload []byte, footerOK bool) {
-	payload, footer := splitData(m, raw)
-	return payload, footer != nil &&
-		binary.LittleEndian.Uint32(footer) == footerMagic &&
-		binary.LittleEndian.Uint32(footer[4:]) == ChecksumOf(payload)
-}
-
-// splitData is SplitData without the whole-payload CRC: footer is nil for
-// an object whose length does not match the meta (payload is then the raw
-// object). raw is a fetched object — read-only, possibly the object
-// store's own memory — so the payload's capacity is clipped to its length:
-// Store.Write seals in place whenever a payload has footer headroom, and a
-// fetched payload must never offer the store's footer bytes as that
-// headroom.
-func splitData(m *Meta, raw []byte) (payload, footer []byte) {
-	if len(raw) != int(m.DataSize)+FooterSize {
-		return raw[:len(raw):len(raw)], nil
-	}
-	return raw[:m.DataSize:m.DataSize], raw[m.DataSize:]
 }

@@ -58,7 +58,7 @@ func TestMetaV1Rejected(t *testing.T) {
 	m := &Meta{ID: 9, DataSize: 60}
 	fp, _ := chunkOf(3, 8)
 	m.Chunks = append(m.Chunks, ChunkMeta{FP: fp, Offset: 0, Size: 60})
-	for _, version := range []uint32{0, 1, 2, 4} {
+	for _, version := range []uint32{0, 1, 2, 5} {
 		b := v1Meta(m)
 		binary.LittleEndian.PutUint32(b[4:8], version)
 		_, err := DecodeMeta(b)

@@ -110,8 +110,8 @@ func TestGoldenContainerV3(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode pinned meta: %v", err)
 	}
-	if m.ID != c.Meta.ID || m.Payload != c.Meta.Payload || len(m.Chunks) != len(c.Meta.Chunks) {
-		t.Fatalf("pinned meta decoded to %+v", m)
+	if m.ID != c.Meta.ID || m.Payload != c.Meta.Payload || len(m.Chunks) != len(c.Meta.Chunks) || m.Parts != nil || m.NumParts() != 1 {
+		t.Fatalf("pinned meta decoded to %+v, want one part", m)
 	}
 	payload, footerOK := SplitData(m, encData)
 	if !footerOK {
@@ -136,11 +136,113 @@ func TestGoldenContainerV3(t *testing.T) {
 	}
 }
 
+// TestGoldenContainerV4 pins the v4 layout of a payload put in parts: the
+// meta is v3's with the part offsets after the header, and the part objects
+// laid end to end are the one-object data object, so container_v4.data is
+// that object. The pinned pair decodes, splits into its parts at the
+// offsets, and reads back through a store one part per key.
+func TestGoldenContainerV4(t *testing.T) {
+	c := goldenV4()
+	encData := EncodeData(c.Data)
+	encMeta := EncodeMeta(&c.Meta)
+	for _, g := range []struct {
+		name string
+		got  []byte
+	}{
+		{"container_v4.data", encData},
+		{"container_v4.meta", encMeta},
+	} {
+		p := filepath.Join("testdata", "golden", g.name)
+		if *update {
+			if err := os.WriteFile(p, g.got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatalf("missing golden fixture %s (regenerate with -update): %v", p, err)
+		}
+		if !bytes.Equal(g.got, want) {
+			t.Errorf("%s: encoding diverged from the pinned v4 layout: len %d want %d, first difference at byte %d",
+				g.name, len(g.got), len(want), firstDiff(g.got, want))
+		}
+	}
+	if *update {
+		return
+	}
+	m, err := DecodeMeta(encMeta)
+	if err != nil {
+		t.Fatalf("decode pinned meta: %v", err)
+	}
+	if !reflect.DeepEqual(m.Parts, c.Meta.Parts) {
+		t.Fatalf("pinned meta names parts %v, want %v", m.Parts, c.Meta.Parts)
+	}
+	cs := storeParts(t, m, encMeta, encData)
+	got, footerOK, err := cs.ReadRaw(m.ID)
+	if err != nil || !footerOK {
+		t.Fatalf("the pinned parts read raw: footerOK %v, %v", footerOK, err)
+	}
+	for i := range m.Chunks {
+		if err := got.VerifyChunk(&m.Chunks[i]); err != nil {
+			t.Errorf("chunk %d: %v", i, err)
+		}
+	}
+}
+
+// goldenV4 is goldenContainer sealed with its payload cut into three parts,
+// where its third and fourth chunks start.
+func goldenV4() *Container {
+	c := goldenContainer()
+	if _, _, err := c.seal(); err != nil {
+		panic(err)
+	}
+	c.Meta.Parts = []uint32{c.Meta.Chunks[2].Offset, c.Meta.Chunks[3].Offset}
+	return c
+}
+
+// storeParts stores a meta and the data object it was decoded beside, cut
+// into m's parts, in a fresh store.
+func storeParts(t *testing.T, m *Meta, meta, data []byte) *Store {
+	t.Helper()
+	mem := oss.NewMem()
+	err := mem.Put(MetaKey(m.ID), meta)
+	for i, key := range m.DataKeys() {
+		off, end := m.PartRange(i)
+		if i == len(m.Parts) {
+			end = int64(len(data))
+		}
+		err = errors.Join(err, mem.Put(key, data[off:end]))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := NewStore(mem, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cs
+}
+
+// SplitData separates a raw data object — a payload's parts laid end to
+// end — into payload and footer status. footerOK reports whether the
+// footer magic and whole-payload CRC check out; false with a valid length
+// means at-rest rot (possibly confined to deleted regions — per-chunk sums
+// decide whether live data is affected).
+func SplitData(m *Meta, raw []byte) (payload []byte, footerOK bool) {
+	if len(raw) != int(m.DataSize)+FooterSize {
+		return raw, false
+	}
+	payload = raw[:m.DataSize:m.DataSize]
+	return payload, bytes.Equal(raw[m.DataSize:], appendFooter(make([]byte, 0, FooterSize), ChecksumOf(payload)))
+}
+
 // FuzzContainerDecode: whatever a meta and a data object hold, DecodeMeta
 // and then SplitData and the verification of every chunk the meta lists
-// over the pair never panic and allocate in proportion to the input, never
-// as a hostile count says; a pair that splits with its footer intact and
-// whose chunks all verify reads back the same chunks through a store.
+// over the pair — the data object being a payload's parts end to end —
+// never panic and allocate in proportion to the input, never as a hostile
+// count says; a pair that splits with its footer intact and whose chunks
+// all verify reads back the same chunks through a store.
 func FuzzContainerDecode(f *testing.F) {
 	meta, err := os.ReadFile(filepath.Join("testdata", "golden", "container_v3.meta"))
 	if err != nil {
@@ -157,6 +259,19 @@ func FuzzContainerDecode(f *testing.F) {
 	binary.LittleEndian.PutUint32(hostile[24:], ^uint32(0)) // a chunk count no object could hold
 	f.Add(hostile, data)
 	f.Add([]byte{}, []byte{})
+	for _, name := range []string{"container_v4.meta", "container_v4.data"} {
+		b, err := os.ReadFile(filepath.Join("testdata", "golden", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		if name == "container_v4.meta" {
+			meta = b
+		} else {
+			data = b
+		}
+	}
+	f.Add(meta, data)
+	f.Add(meta, data[:len(data)-9])
 	f.Fuzz(func(t *testing.T, meta, data []byte) {
 		var (
 			m        *Meta
@@ -186,15 +301,7 @@ func FuzzContainerDecode(f *testing.F) {
 		if _, footerOK := SplitData(m, data); !footerOK || verified != len(m.Chunks) || m.ID == Invalid || m.Payload == Invalid {
 			return
 		}
-		mem := oss.NewMem()
-		if err := errors.Join(mem.Put(MetaKey(m.ID), meta), mem.Put(DataKey(m.Payload), data)); err != nil {
-			t.Fatal(err)
-		}
-		cs, err := NewStore(mem, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := cs.Read(m.ID)
+		c, err := storeParts(t, m, meta, data).Read(m.ID)
 		if err != nil {
 			t.Fatalf("a pair that verifies does not read: %v", err)
 		}

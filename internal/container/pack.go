@@ -2,14 +2,21 @@ package container
 
 import "sync"
 
+// maxParts caps the parts of a payload: a third part saves a sixth of a
+// full container's put and costs every later whole read (restore, scrub,
+// G-node pass) and the deletion a request, which measured more than the
+// backup time it bought.
+const maxParts = 2
+
 // PackPool is the pack stage of the backup pipeline: filled containers
 // are handed to background workers that seal (checksum + encode) them and
 // put their payloads, while the dedup loop keeps cutting and deduplicating.
 // The metas are the caller's to put, once Close has returned: no meta is
-// stored before every payload of the job is.
+// stored before every part of every payload of the job is.
 // This overlaps the two expensive tails of a backup — CRC32C/encoding CPU
-// and OSS PUT latency — with the hot loop, the way the paper's multipart
-// upload overlaps network with computation (§IV-A, Fig 2).
+// and OSS PUT latency — with the hot loop, and puts a payload as parts side
+// by side (Pieces at the write bandwidth, Store.SplitWrites, up to
+// maxParts): the paper's multipart upload (§IV-A, Fig 2).
 //
 // Backpressure is explicit and two-level: the job queue bounds the
 // container count, and an optional byte budget bounds the payload bytes
@@ -50,7 +57,7 @@ func NewPackPoolBudget(store *Store, workers int, budget int64) *PackPool {
 			for c := range p.jobs {
 				sz := int64(len(c.Data))
 				c.Meta.Payload = c.Meta.ID
-				err := store.WritePayload(c)
+				err := store.writePayload(c, min(Pieces(sz, store.shared.partLB), maxParts))
 				store.Release(c)
 				p.mu.Lock()
 				if err != nil && p.err == nil {

@@ -2,14 +2,15 @@ package container
 
 import (
 	"fmt"
+	"sort"
 	"sync/atomic"
 
 	"slimstore/internal/pipe"
 )
 
-// This file is the container read: one whole-object GET, or the byte
-// ranges of the data object a caller asks for, each its own request. The
-// paper motivates partial reads (§IV, §VI): after reverse deduplication
+// This file is the container read: one GET per part of the payload, or the
+// byte ranges of it a caller asks for, a request in each part each touches.
+// The paper motivates partial reads (§IV, §VI): after reverse deduplication
 // and SCC, old-version restores reference a handful of live chunks inside
 // otherwise-stale containers, and reading the full object per container is
 // pure read amplification. Which ranges to read — whether a full read is
@@ -28,11 +29,11 @@ type Span struct {
 }
 
 // ReadSpans is the one container read. With no spans it fetches the whole
-// data object in one GET. Otherwise it fetches exactly the given spans —
-// inside the payload (never the v2 footer), ascending and disjoint — with
-// one ranged read each, up to the view's gate width at a time (Gated), and
-// keeps each result as it arrived: chunk offsets stay the data object's,
-// nothing is copied together.
+// payload, one GET per part. Otherwise it fetches exactly the given spans —
+// inside the payload (never the footer), ascending and disjoint — with one
+// ranged read each, clipped at part boundaries, and keeps each result as it
+// arrived: chunk offsets stay the payload's, nothing is copied together.
+// Either way the requests run up to the view's gate width at a time (Gated).
 //
 // What comes back depends on what was fetched, not on how many requests it
 // took. Spans that tile the payload are a whole read in pieces: like the
@@ -58,13 +59,9 @@ func (s *Store) ReadSpans(id ID, spans []Span) (*Container, error) {
 	c := &Container{Meta: *m}
 	whole := len(spans) == 0
 	if whole {
-		s.enter()
-		raw, err := s.oss.Get(DataKey(m.Payload))
-		s.leave()
-		if err != nil {
-			return nil, fmt.Errorf("container %s: read data: %w", id, err)
+		if c, _, err = s.readWhole(m); err != nil {
+			return nil, err
 		}
-		c.Data, _ = splitData(m, raw)
 	} else {
 		var listed []ChunkMeta
 		next := int64(0) // where the spans so far end: whole while they tile
@@ -93,7 +90,7 @@ func (s *Store) ReadSpans(id ID, spans []Span) (*Container, error) {
 			c.Meta.Chunks = listed
 			c.Meta.buildFindIndex()
 		}
-		if c.parts, err = s.fetchParts(id, m.Payload, spans); err != nil {
+		if c.parts, err = s.fetchSpans(m, spans); err != nil {
 			return nil, err
 		}
 	}
@@ -116,33 +113,93 @@ func (s *Store) ReadSpans(id ID, spans []Span) (*Container, error) {
 	return c, nil
 }
 
-// fetchParts issues one ranged read per span of container id's payload, a
-// gate token held across each. The first failure stops the requests not yet
-// issued.
-func (s *Store) fetchParts(id, payload ID, spans []Span) ([]part, error) {
-	parts := make([]part, len(spans))
+// request is one call of a read: payload bytes [off, off+n) of part object
+// part, by a ranged read, or by one GET of the part object when whole.
+type request struct {
+	part   int
+	off, n int64
+	whole  bool
+}
+
+// readWhole fetches every part of m's payload, one GET each, into Data (one
+// part) or parts, capacity clipped. footer is the last part's, nil when a
+// part object is not the length m gives it (a chunk past it then fails).
+func (s *Store) readWhole(m *Meta) (c *Container, footer []byte, err error) {
+	reqs := make([]request, m.NumParts())
+	for i := range reqs {
+		off, end := m.PartRange(i)
+		reqs[i] = request{part: i, off: off, n: end - off, whole: true}
+	}
+	c = &Container{Meta: *m}
+	if c.parts, err = s.fetch(m, reqs); err != nil {
+		return nil, nil, err
+	}
+	last := &c.parts[len(c.parts)-1]
+	if n := reqs[len(reqs)-1].n; int64(len(last.data)) == n+FooterSize {
+		last.data, footer = last.data[:n:n], last.data[n:]
+	}
+	for i := range c.parts {
+		if int64(len(c.parts[i].data)) != reqs[i].n {
+			footer = nil
+		}
+	}
+	if len(c.parts) == 1 {
+		c.Data, c.parts = c.parts[0].data, nil
+	}
+	return c, footer, nil
+}
+
+// fetchSpans issues one ranged read per span and part it touches.
+func (s *Store) fetchSpans(m *Meta, spans []Span) ([]part, error) {
+	var reqs []request
+	for _, sp := range spans {
+		end := sp.Off + sp.Len
+		for off, i := sp.Off, sort.Search(len(m.Parts), func(j int) bool { return int64(m.Parts[j]) > sp.Off }); off < end; i++ {
+			_, pend := m.PartRange(i)
+			reqs = append(reqs, request{part: i, off: off, n: min(end, pend) - off})
+			off = min(end, pend)
+		}
+	}
+	return s.fetch(m, reqs)
+}
+
+// fetch issues reqs, a gate token held across each, and returns what each
+// fetched at its payload offset. The first failure stops the requests not
+// yet issued; a ranged read must return its n bytes.
+func (s *Store) fetch(m *Meta, reqs []request) ([]part, error) {
+	out := make([]part, len(reqs))
 	var failed atomic.Bool
-	err := pipe.FanOut(len(spans), cap(s.gate), func(i int) error {
-		sp := &spans[i]
+	err := pipe.FanOut(len(reqs), cap(s.gate), func(i int) error {
+		q := &reqs[i]
 		s.enter()
 		if failed.Load() {
 			s.leave()
 			return nil
 		}
-		data, err := s.oss.GetRange(DataKey(payload), sp.Off, sp.Len)
+		var data []byte
+		var err error
+		key, at := PartKey(m.Payload, q.part), q.off
+		if q.whole {
+			data, err = s.oss.Get(key)
+		} else {
+			start, _ := m.PartRange(q.part)
+			at -= start
+			data, err = s.oss.GetRange(key, at, q.n)
+		}
 		s.leave()
-		if err == nil && int64(len(data)) != sp.Len {
-			err = &CorruptError{Container: id,
-				Detail: fmt.Sprintf("ranged read [%d,+%d) returned %d bytes", sp.Off, sp.Len, len(data))}
-		} else if err != nil {
-			err = fmt.Errorf("container %s: read span [%d,+%d): %w", id, sp.Off, sp.Len, err)
+		switch {
+		case err != nil:
+			err = fmt.Errorf("container %s: read %s [%d,+%d): %w", m.ID, key, at, q.n, err)
+		case !q.whole && int64(len(data)) != q.n:
+			err = &CorruptError{Container: m.ID,
+				Detail: fmt.Sprintf("ranged read of %s [%d,+%d) returned %d bytes", key, at, q.n, len(data))}
 		}
 		if err != nil {
 			failed.Store(true)
 			return err
 		}
-		parts[i] = part{off: sp.Off, data: data[:len(data):len(data)]}
+		out[i] = part{off: q.off, data: data[:len(data):len(data)]}
 		return nil
 	})
-	return parts, err
+	return out, err
 }

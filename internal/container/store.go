@@ -1,9 +1,11 @@
 package container
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -25,8 +27,26 @@ const Prefix = "containers/"
 const QuarantinePrefix = "quarantine/"
 
 // DataKey is the OSS key of a data object, stored under the payload ID a
-// meta names (Meta.Payload). The scrub repair pass addresses stripes by it.
+// meta names (Meta.Payload): a payload's first part, or all of it.
 func DataKey(payload ID) string { return Prefix + payload.String() + ".data" }
+
+// PartKey is the OSS key of part i of a payload: DataKey for the first.
+// Every part key ends in ".data", which the redundancy tier stripes.
+func PartKey(payload ID, i int) string {
+	if i == 0 {
+		return DataKey(payload)
+	}
+	return Prefix + payload.String() + "." + strconv.Itoa(i) + ".data"
+}
+
+// DataKeys returns the keys of every part of the payload m names.
+func (m *Meta) DataKeys() []string {
+	keys := make([]string, m.NumParts())
+	for i := range keys {
+		keys[i] = PartKey(m.Payload, i)
+	}
+	return keys
+}
 
 // MetaKey is the OSS key of container id's metadata object.
 func MetaKey(id ID) string { return Prefix + id.String() + ".meta" }
@@ -44,6 +64,7 @@ type Store struct {
 // storeShared is the state common to all views of one container store.
 type storeShared struct {
 	capacity int
+	partLB   int64 // the PackPool's piece-count unit, L·B_w (SplitWrites); 0 = one object
 	nextID   atomic.Uint64
 
 	mu        sync.Mutex
@@ -148,6 +169,10 @@ func NewStore(s oss.Store, capacity int) (*Store, error) {
 	return cs, nil
 }
 
+// SplitWrites makes a PackPool over s put payloads in parts by Pieces at
+// lb = L·B_w. Call it at open time, before the store sees concurrent use.
+func (s *Store) SplitWrites(lb int64) { s.shared.partLB = lb }
+
 // View returns a store sharing this store's ID allocator and metadata
 // cache but performing I/O through o (e.g. a per-job metered wrapper).
 func (s *Store) View(o oss.Store) *Store {
@@ -244,9 +269,14 @@ func (s *Store) Write(c *Container) error {
 }
 
 // WritePayload seals c and puts its data object under c.Meta.Payload, an ID
-// no object is stored under yet. Chunk checksums are recomputed from the
-// payload. Nothing reads the payload until a meta that names it is written.
-func (s *Store) WritePayload(c *Container) error {
+// no object is stored under yet, as one object. Chunk checksums are
+// recomputed from the payload. Nothing reads the payload until a meta that
+// names it is written.
+func (s *Store) WritePayload(c *Container) error { return s.writePayload(c, 1) }
+
+// writePayload is WritePayload of up to k parts cut on chunk boundaries,
+// recorded in c.Meta.Parts and put side by side.
+func (s *Store) writePayload(c *Container, k int) error {
 	if c.Meta.ID == Invalid || c.Meta.Payload == Invalid {
 		return fmt.Errorf("container: write with invalid ID %s or payload %s", c.Meta.ID, c.Meta.Payload)
 	}
@@ -268,32 +298,51 @@ func (s *Store) WritePayload(c *Container) error {
 	} else {
 		enc = EncodeData(payload)
 	}
-	if err := s.oss.Put(DataKey(c.Meta.Payload), enc); err != nil {
+	m := &c.Meta
+	m.Parts = nil
+	if k <= 1 {
+		err = s.oss.Put(DataKey(m.Payload), enc)
+	} else {
+		for _, sp := range CutSpan(m, Span{Len: int64(len(payload)), Chunks: InOffsetOrder(m, false)}, k, s.shared.partLB)[1:] {
+			m.Parts = append(m.Parts, uint32(sp.Off))
+		}
+		err = pipe.FanOut(m.NumParts(), m.NumParts(), func(i int) error {
+			off, end := m.PartRange(i)
+			if i == len(m.Parts) {
+				end = int64(len(enc)) // the last part carries the footer
+			}
+			return s.oss.Put(PartKey(m.Payload, i), enc[off:end])
+		})
+	}
+	if err != nil {
 		return fmt.Errorf("container %s: write data: %w", c.Meta.ID, err)
 	}
 	c.Data = payload
 	return nil
 }
 
-// Read fetches a full container (metadata + payload) with one request and
-// verifies every live chunk against its checksum: ReadSpans with no spans.
+// Read fetches a full container (metadata + payload), one request per
+// part, and verifies every live chunk: ReadSpans with no spans.
 func (s *Store) Read(id ID) (*Container, error) { return s.ReadSpans(id, nil) }
 
 // ReadRaw fetches a container without chunk verification — the scrub path,
 // which wants the damaged payload to salvage intact chunks from. footerOK
-// reports the data object's whole-payload checksum.
-// The result is read-only, as Read's.
+// reports the whole-payload checksum over every part. The result is
+// read-only, as Read's.
 func (s *Store) ReadRaw(id ID) (c *Container, footerOK bool, err error) {
 	m, err := s.ReadMeta(id)
 	if err != nil {
 		return nil, false, err
 	}
-	raw, err := s.oss.Get(DataKey(m.Payload))
-	if err != nil {
-		return nil, false, fmt.Errorf("container %s: read data: %w", id, err)
+	c, footer, err := s.readWhole(m)
+	if err != nil || footer == nil {
+		return c, false, err
 	}
-	payload, footerOK := SplitData(m, raw)
-	return &Container{Meta: *m, Data: payload}, footerOK, nil
+	sum := ChecksumOf(c.Data)
+	for _, p := range c.parts {
+		sum = crc32.Update(sum, castagnoli, p.data)
+	}
+	return c, bytes.Equal(footer, appendFooter(make([]byte, 0, FooterSize), sum)), nil
 }
 
 // ReadMeta fetches container metadata, through the cache. A fetched meta
@@ -382,25 +431,26 @@ func (s *Store) ReadChunk(id ID, fp fingerprint.FP) ([]byte, error) {
 }
 
 // Quarantine moves a container's objects under QuarantinePrefix and drops
-// them from the live namespace, the meta first: a crash in between leaves
-// a payload no meta names, which FullSweep reclaims. Missing objects are
-// tolerated (a corrupt container may have lost either half), and so is an
-// undecodable meta (its payload is taken to be under the container's own
-// ID) and an unreadable payload — e.g. an erasure-coded stripe with more
-// than M shards lost, which cannot be materialised for preservation; the
-// live key is still dropped so the namespace heals. What is readable is
-// preserved verbatim for forensics; nothing reads quarantined keys.
+// them from the live namespace, the meta first, then every part: a crash
+// in between leaves parts no meta names, which FullSweep reclaims. Missing
+// objects are tolerated, and so is an undecodable meta (its payload is
+// taken to be one object under the container's own ID) and an unreadable
+// part — e.g. a stripe with more than M shards lost, which cannot be
+// materialised; the live key is still dropped so the namespace heals. What
+// is readable is preserved verbatim; nothing reads quarantined keys.
 func (s *Store) Quarantine(id ID) error {
 	raw, err := s.moveOut(id, MetaKey(id), QuarantinePrefix+id.String()+".meta")
 	if err != nil {
 		return err
 	}
-	payload := id
-	if m, err := DecodeMeta(raw); err == nil {
-		payload = m.Payload
+	m, err := DecodeMeta(raw)
+	if err != nil {
+		m = &Meta{Payload: id}
 	}
-	if _, err := s.moveOut(id, DataKey(payload), QuarantinePrefix+id.String()+".data"); err != nil {
-		return err
+	for i, key := range m.DataKeys() {
+		if _, err := s.moveOut(id, key, QuarantinePrefix+strings.TrimPrefix(PartKey(id, i), Prefix)); err != nil {
+			return err
+		}
 	}
 	s.InvalidateMeta(id)
 	return nil
@@ -425,18 +475,18 @@ func (s *Store) moveOut(id ID, key, dst string) ([]byte, error) {
 }
 
 // Delete removes a container: its meta, then the payload the meta names
-// (the container's own ID when the meta cannot be read). A crash in
-// between leaves a payload no meta names, which FullSweep reclaims.
+// (one object under the container's own ID when the meta cannot be read).
+// A crash in between leaves parts no meta names, which FullSweep reclaims.
 func (s *Store) Delete(id ID) error {
-	payload := id
-	if m, err := s.ReadMeta(id); err == nil {
-		payload = m.Payload
+	m, err := s.ReadMeta(id)
+	if err != nil {
+		m = &Meta{Payload: id}
 	}
 	if err := s.oss.Delete(MetaKey(id)); err != nil {
 		return fmt.Errorf("container %s: delete meta: %w", id, err)
 	}
 	s.InvalidateMeta(id)
-	return s.DeletePayload(payload)
+	return s.DeletePayload(m)
 }
 
 // List returns all container IDs in ascending order: those whose
@@ -448,9 +498,9 @@ func (s *Store) List() ([]ID, error) {
 
 // Scan lists the container namespace once, splitting it into containers
 // (a metadata object exists), as List returns them, and the IDs payloads
-// are stored under. A payload no live meta names is what a crash leaves
-// between a payload put and the meta that would name it, or between a
-// meta's delete or switch and the payload's delete.
+// are stored under, once each. A payload no live meta names is what a
+// crash leaves between a payload put and the meta that would name it, or
+// between a meta's delete or switch and the payload's: some of its parts.
 func (s *Store) Scan() (live, payloads []ID, err error) {
 	keys, err := s.oss.List(Prefix)
 	if err != nil {
@@ -463,26 +513,39 @@ func (s *Store) Scan() (live, payloads []ID, err error) {
 		case strings.HasSuffix(k, ".meta"):
 			live = append(live, id)
 		case strings.HasSuffix(k, ".data"):
-			payloads = append(payloads, id)
+			if n := len(payloads); n == 0 || payloads[n-1] != id { // a payload's keys list together
+				payloads = append(payloads, id)
+			}
 		}
 	}
 	return live, payloads, nil
 }
 
-// DropOrphan deletes a payload Scan returned that no live meta names and
-// reports its size. The caller excludes every writer (FullSweep stops the
-// world), so no write is between its payload and its meta put.
+// DropOrphan deletes the parts it lists of a payload Scan returned that no
+// live meta names, and reports their size. The caller excludes every
+// writer (FullSweep stops the world), so no write is between its payload
+// and its meta put.
 func (s *Store) DropOrphan(payload ID) (int64, error) {
-	size, err := s.oss.Head(DataKey(payload))
+	keys, err := s.oss.List(Prefix + payload.String() + ".")
+	keys = slices.DeleteFunc(keys, func(k string) bool { return !strings.HasSuffix(k, ".data") })
+	var size int64
+	for i := 0; err == nil && i < len(keys); i++ {
+		var n int64
+		n, err = s.oss.Head(keys[i])
+		size += n
+	}
 	if err != nil {
 		return 0, fmt.Errorf("container payload %s: orphan: %w", payload, err)
 	}
-	return size, s.DeletePayload(payload)
+	return size, s.deleteKeys(payload, keys)
 }
 
-// DeletePayload deletes a data object no meta names any more.
-func (s *Store) DeletePayload(payload ID) error {
-	if err := s.oss.Delete(DataKey(payload)); err != nil {
+// DeletePayload deletes the parts of m's payload, which no meta names now.
+func (s *Store) DeletePayload(m *Meta) error { return s.deleteKeys(m.Payload, m.DataKeys()) }
+
+// deleteKeys deletes payload's part objects keys side by side.
+func (s *Store) deleteKeys(payload ID, keys []string) error {
+	if err := pipe.FanOut(len(keys), len(keys), func(i int) error { return s.oss.Delete(keys[i]) }); err != nil {
 		return fmt.Errorf("container payload %s: delete: %w", payload, err)
 	}
 	return nil

@@ -272,6 +272,7 @@ func OpenRepo(store oss.Store, cfg Config) (*Repo, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: open containers: %w", err)
 	}
+	cs.SplitWrites(int64(cfg.Costs.OSSRequestLatency.Seconds() * cfg.Costs.OSSWriteBandwidth))
 	si, err := simindex.Open(store)
 	if err != nil {
 		return nil, fmt.Errorf("core: open similar file index: %w", err)

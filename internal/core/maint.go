@@ -98,10 +98,12 @@ func heldCovers(held, m *container.Meta) bool {
 // deleted and an error wrapping oss.ErrNotFound returned. was goes last.
 func (r *Repo) Switch(cs *container.Store, nm *container.Meta, was container.ID) error {
 	r.CLocks.Lock(nm.ID)
+	var old container.Meta // the meta switched from, which names was's parts
 	cur, err := cs.UpdateMeta(nm.ID, func(cur *container.Meta) *container.Meta {
 		if cur.Payload != was {
 			return nil
 		}
+		old = *cur
 		live := make(map[fingerprint.FP]bool, len(cur.Chunks))
 		for _, cm := range cur.Chunks {
 			live[cm.FP] = live[cm.FP] || !cm.Deleted
@@ -119,9 +121,9 @@ func (r *Repo) Switch(cs *container.Store, nm *container.Meta, was container.ID)
 	case err != nil && !errors.Is(err, oss.ErrNotFound):
 		return err
 	case cur != nm:
-		return errors.Join(fmt.Errorf("core: rewrite %s: switched meanwhile: %w", nm.ID, oss.ErrNotFound), cs.DeletePayload(nm.Payload))
+		return errors.Join(fmt.Errorf("core: rewrite %s: switched meanwhile: %w", nm.ID, oss.ErrNotFound), cs.DeletePayload(nm))
 	}
-	return cs.DeletePayload(was)
+	return cs.DeletePayload(&old)
 }
 
 // ReadMetas reads the metas of ids in one fan-out, width wide (pipe.FanOut:

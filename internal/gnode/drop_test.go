@@ -106,7 +106,9 @@ func unnamedPayloads(t *testing.T, mem *oss.Mem, repo *core.Repo) []string {
 	t.Helper()
 	named := map[string]bool{}
 	for _, m := range listedMetas(t, repo) {
-		named[container.DataKey(m.Payload)] = true
+		for _, k := range m.DataKeys() {
+			named[k] = true
+		}
 	}
 	keys, err := mem.List("")
 	if err != nil {

@@ -127,7 +127,7 @@ func TestReverseDedupParallelMatchesSerial(t *testing.T) {
 			}
 			serial := build(-1) // negative → strictly serial pool
 			parallel := build(8)
-			sizes := payloadSizes(t, parallel.repo)
+			sizes := payloadMetas(t, parallel.repo)
 			parallel.rec.Take()
 
 			ss, err := serial.gn.ReverseDedup(serial.new)
@@ -273,7 +273,7 @@ func TestCompactSparseParallelMatchesSerial(t *testing.T) {
 				mem := baseline.Clone()
 				var rec oss.Recorder
 				repo, gn := openOver(t, oss.With(mem, &rec), cfg, workers)
-				sizes := payloadSizes(t, repo)
+				sizes := payloadMetas(t, repo)
 				rec.Take()
 				stats, err := gn.CompactSparse("f", st.Version, st.SparseContainers)
 				if err != nil {

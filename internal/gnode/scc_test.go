@@ -94,20 +94,38 @@ func isDataRead(op oss.Op) bool {
 // extent is the byte range [Off, End) of a data object's payload.
 type extent struct{ Off, End int64 }
 
-// dataReads returns the ranges of the payload stored under id that rec saw
-// read, by offset; a whole GET is [0, payload size).
-func dataReads(rec *oss.Recorder, id container.ID) []extent {
+// dataReads returns the ranges of the payload m names that rec saw read, by
+// payload offset, whichever of its parts they were read from; a whole GET
+// of a part is the part's range.
+func dataReads(rec *oss.Recorder, m *container.Meta) []extent {
 	var out []extent
-	for _, q := range rec.Requests(func(op oss.Op) bool { return isDataRead(op) && op.Key == container.DataKey(id) }) {
-		switch {
-		case q.Err != nil:
-		case q.Kind == oss.KindGet:
-			out = append(out, extent{0, q.Bytes - container.FooterSize})
-		default:
-			out = append(out, extent{q.Off, q.Off + q.N})
+	for i, key := range m.DataKeys() {
+		start, end := m.PartRange(i)
+		for _, q := range rec.Requests(func(op oss.Op) bool { return isDataRead(op) && op.Key == key }) {
+			switch {
+			case q.Err != nil:
+			case q.Kind == oss.KindGet:
+				out = append(out, extent{start, end})
+			default:
+				out = append(out, extent{start + q.Off, start + q.Off + q.N})
+			}
 		}
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Off < out[b].Off })
+	return out
+}
+
+// payloadBytes returns the part objects of the payload m names, end to end.
+func payloadBytes(t *testing.T, mem *oss.Mem, m *container.Meta) []byte {
+	t.Helper()
+	var out []byte
+	for _, k := range m.DataKeys() {
+		raw, err := mem.Get(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, raw...)
+	}
 	return out
 }
 
@@ -132,31 +150,34 @@ func readBytes(exts []extent) (n int64) {
 	return n
 }
 
-// payloadSizes returns the payload size of every container of repo.
-func payloadSizes(t *testing.T, repo *core.Repo) map[container.ID]int64 {
+// payloadMetas returns the meta of every container of repo: what names its
+// payload's size and parts.
+func payloadMetas(t *testing.T, repo *core.Repo) map[container.ID]*container.Meta {
 	t.Helper()
-	sizes := map[container.ID]int64{}
+	metas := map[container.ID]*container.Meta{}
 	for _, m := range listedMetas(t, repo) {
-		sizes[m.ID] = int64(m.DataSize)
+		metas[m.ID] = m
 	}
-	return sizes
+	return metas
 }
 
 // assertRangedAndCut fails unless the pass rec recorded read one of the
-// containers in ranges — fewer bytes than its payload, sizes being the
+// containers in ranges — fewer bytes than its payload, metas naming the
 // payloads when the pass began — and, with wantCut, one read in pieces:
-// two requests that abut, which the planner's spans never do. A test that
-// means to run the planned reads must not pass on one GET per source.
-func assertRangedAndCut(t *testing.T, rec *oss.Recorder, sizes map[container.ID]int64, wantCut bool) {
+// two requests that abut, which the planner's spans never do, somewhere
+// other than where a part of the payload ends (the parts of a payload read
+// whole abut there). A test that means to run the planned reads must not
+// pass on one GET per source, nor per part.
+func assertRangedAndCut(t *testing.T, rec *oss.Recorder, metas map[container.ID]*container.Meta, wantCut bool) {
 	t.Helper()
 	ranged, cut := 0, 0
-	for id, size := range sizes {
-		reads := dataReads(rec, id)
-		if len(reads) > 0 && readBytes(reads) < size {
+	for _, m := range metas {
+		reads := dataReads(rec, m)
+		if len(reads) > 0 && readBytes(reads) < int64(m.DataSize) {
 			ranged++
 		}
 		for i := 1; i < len(reads); i++ {
-			if reads[i-1].End == reads[i].Off {
+			if at := reads[i].Off; reads[i-1].End == at && !slices.Contains(m.Parts, uint32(at)) {
 				cut++
 				break
 			}
@@ -215,7 +236,7 @@ func TestCompactSparseReadsEachSourceOnce(t *testing.T) {
 			if n < 4 {
 				t.Fatalf("only %d sparse sources; the overlap check would be vacuous", n)
 			}
-			before := payloadSizes(t, repo)
+			before := payloadMetas(t, repo)
 			needed := map[container.ID]int64{} // bytes v1 references, per source
 			r, err := repo.Recipes.GetRecipe("f", st.Version)
 			if err != nil {
@@ -245,18 +266,18 @@ func TestCompactSparseReadsEachSourceOnce(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				reads := dataReads(&rec.rec, id)
-				if int64(m.DataSize) < before[id] {
+				reads, size := dataReads(&rec.rec, before[id]), int64(before[id].DataSize)
+				if int64(m.DataSize) < size {
 					rewritten++
-					if m.StaleProportion() != 0 || !tiles(reads, before[id]) {
-						t.Errorf("rewritten source %s (stale %.2f now): read %v, want [0,%d) once", id, m.StaleProportion(), reads, before[id])
+					if m.StaleProportion() != 0 || !tiles(reads, size) {
+						t.Errorf("rewritten source %s (stale %.2f now): read %v, want [0,%d) once", id, m.StaleProportion(), reads, size)
 					}
 					continue
 				}
-				if ranged && needed[id]*10 <= before[id] {
+				if ranged && needed[id]*10 <= size {
 					sparseStays++
-					if got := readBytes(reads); got*4 >= before[id] {
-						t.Errorf("source %s, used to a tenth: read %d of %d bytes, want under a quarter", id, got, before[id])
+					if got := readBytes(reads); got*4 >= size {
+						t.Errorf("source %s, used to a tenth: read %d of %d bytes, want under a quarter", id, got, size)
 					}
 				}
 				if got, most := readBytes(reads), needed[id]+int64(len(reads))*gap; got > most {
@@ -311,7 +332,11 @@ func TestCompactSparseSkipsDrainedSources(t *testing.T) {
 		t.Fatalf("compacting the twin moved something: %+v", scc)
 	}
 	for _, id := range st2.SparseContainers {
-		if got := dataReads(&rec.rec, id); len(got) != 0 {
+		m, err := repo.Containers.ReadMeta(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := dataReads(&rec.rec, m); len(got) != 0 {
 			t.Errorf("drained source %s: read %v, want no read of either kind", id, got)
 		}
 	}
@@ -387,11 +412,8 @@ func TestCompactSparseVerifiesWhatItMoves(t *testing.T) {
 			rec := newRecStore(mem, 0)
 			repo, gn := openOver(t, rec.store, cfg, 4)
 			flipChunkAtRest(t, mem, repo, id, fp)
-			rotten, err := mem.Get(container.DataKey(id))
-			if err != nil {
-				t.Fatal(err)
-			}
-			existed := payloadSizes(t, repo)
+			existed := payloadMetas(t, repo)
+			rotten := payloadBytes(t, mem, existed[id])
 			rec.reset()
 
 			_, err = gn.CompactSparse("f", st.Version, st.SparseContainers)
@@ -399,8 +421,8 @@ func TestCompactSparseVerifiesWhatItMoves(t *testing.T) {
 				if err != nil {
 					t.Fatalf("rot in a chunk the pass has no business reading failed it: %v", err)
 				}
-				if after, err := mem.Get(container.DataKey(id)); err != nil || !bytes.Equal(after, rotten) {
-					t.Fatalf("the source that stays was rewritten (err %v)", err)
+				if after := payloadBytes(t, mem, existed[id]); !bytes.Equal(after, rotten) {
+					t.Fatal("the source that stays was rewritten")
 				}
 				scrub, err := gn.Scrub()
 				if err != nil {
@@ -416,8 +438,11 @@ func TestCompactSparseVerifiesWhatItMoves(t *testing.T) {
 				t.Fatalf("CompactSparse error = %v, want a CorruptError naming %s chunk %s", err, id, fp.Short())
 			}
 			old := map[string]bool{}
-			for id := range existed {
-				old[container.DataKey(id)], old[container.MetaKey(id)] = true, true
+			for id, m := range existed {
+				old[container.MetaKey(id)] = true
+				for _, k := range m.DataKeys() {
+					old[k] = true
+				}
 			}
 			for _, op := range rec.recorded() {
 				if op.Kind != oss.KindPut || !strings.HasPrefix(op.Key, container.Prefix) || old[op.Key] {
@@ -438,14 +463,22 @@ func padWithDeadChunk(t *testing.T, repo *core.Repo, id container.ID) {
 		t.Fatal(err)
 	}
 	junk := genData(777, 3000)
+	data := make([]byte, c.Meta.DataSize, int(c.Meta.DataSize)+len(junk)) // the payload, from its parts
+	for i := range c.Meta.Chunks {
+		cm := &c.Meta.Chunks[i]
+		b, err := c.ChunkData(cm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(data[cm.Offset:], b)
+	}
 	c.Meta.Chunks = append(c.Meta.Chunks, container.ChunkMeta{
 		FP:      repo.Fingerprint(nil, junk),
-		Offset:  uint32(len(c.Data)),
+		Offset:  c.Meta.DataSize,
 		Size:    uint32(len(junk)),
 		Deleted: true,
 	})
-	c.Data = append(append([]byte(nil), c.Data...), junk...)
-	if err := repo.Containers.Write(c); err != nil {
+	if err := repo.Containers.Write(&container.Container{Meta: c.Meta, Data: append(data, junk...)}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -463,15 +496,15 @@ func TestCompactSparseHeldPayloadLayoutMismatch(t *testing.T) {
 				repo, gn := openOver(t, rec.store, cfg, workers)
 				victim := st.SparseContainers[1]
 				padWithDeadChunk(t, repo, victim)
-				sizes := payloadSizes(t, repo)
+				sizes := payloadMetas(t, repo)
 
 				// The first catalog put opens the compaction's commit: every
 				// source has been read and its rewrite put by then, none
 				// marked or switched yet.
 				// (Not a sync.Once: the interloper's own puts re-enter the hook.)
 				var fired atomic.Bool
-				var rewrote int64      // the victim's payload once the interloper is done
-				var moved container.ID // the ID the interloper stored it under
+				var rewrote int64         // the victim's payload once the interloper is done
+				var moved *container.Meta // the victim as the interloper left it
 				rec.afterPut = func(key string) {
 					if !strings.HasPrefix(key, "catalog/") || !fired.CompareAndSwap(false, true) {
 						return
@@ -481,9 +514,11 @@ func TestCompactSparseHeldPayloadLayoutMismatch(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					moved = repo.Containers.AllocateID()
-					freed, err := repo.RewriteContainer(repo.Containers, m, nil, moved)
+					freed, err := repo.RewriteContainer(repo.Containers, m, nil, repo.Containers.AllocateID())
 					if err != nil {
+						t.Error(err)
+					}
+					if moved, err = repo.Containers.ReadMeta(victim); err != nil {
 						t.Error(err)
 					}
 					rewrote = int64(m.DataSize) - freed
@@ -494,11 +529,14 @@ func TestCompactSparseHeldPayloadLayoutMismatch(t *testing.T) {
 				}
 				// Prepare's read and the interloper's, then the fallback's of
 				// what the interloper left.
-				if got, want := readBytes(dataReads(&rec.rec, victim))+readBytes(dataReads(&rec.rec, moved)), 2*sizes[victim]+rewrote; got != want || rewrote == 0 {
-					t.Errorf("victim %s: %d payload bytes read, want %d twice and %d once", victim, got, sizes[victim], rewrote)
+				if moved == nil {
+					t.Fatal("the interloper never rewrote the victim")
 				}
-				if other := st.SparseContainers[0]; !tiles(dataReads(&rec.rec, other), sizes[other]) {
-					t.Errorf("undisturbed source: read %v, want [0,%d) once", dataReads(&rec.rec, other), sizes[other])
+				if got, want := readBytes(dataReads(&rec.rec, sizes[victim]))+readBytes(dataReads(&rec.rec, moved)), 2*int64(sizes[victim].DataSize)+rewrote; got != want || rewrote == 0 {
+					t.Errorf("victim %s: %d payload bytes read, want %d twice and %d once", victim, got, sizes[victim].DataSize, rewrote)
+				}
+				if other := sizes[st.SparseContainers[0]]; !tiles(dataReads(&rec.rec, other), int64(other.DataSize)) {
+					t.Errorf("undisturbed source: read %v, want [0,%d) once", dataReads(&rec.rec, other), other.DataSize)
 				}
 				if ranged {
 					assertRangedAndCut(t, &rec.rec, sizes, workers > 1)

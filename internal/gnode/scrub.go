@@ -27,10 +27,10 @@ type ScrubStats struct {
 	IndexPurged       int // global-index entries for unrecoverable chunks
 
 	// Redundancy-tier counters (zero when the EC tier is off). The EC
-	// pass runs before chunk verification: every container's payload stripe
+	// pass runs before chunk verification: every payload part's stripe
 	// is checked across all K+M backends and degraded-but-recoverable
 	// stripes are rebuilt to full redundancy.
-	ECStripesChecked  int // striped payloads checked across all backends
+	ECStripesChecked  int // striped payload parts checked across all backends
 	ECDegradedStripes int // stripes missing at least one healthy shard
 	ECRepairedShards  int // shards reconstructed and rewritten
 	ECRepairFailures  int // stripes whose rewrite failed (backend still down)
@@ -103,16 +103,16 @@ type ecRepairStats struct {
 	checked, degraded, repairedShards, repairFailed, unrecoverable int
 }
 
-// ecRepair is the redundancy-tier pass of Scrub (DESIGN.md §12): the
-// payload of every container is checked across all K+M backends, and
-// degraded but recoverable stripes are rebuilt to full redundancy. Each
-// repair runs under the container's stripe write lock (waiting out restores
-// that pinned it) and rewrites only missing, rotted, or foreign shards with
-// byte-identical reconstructions — no logical change, so no maintenance-
-// epoch bump is needed, and a crash mid-repair simply leaves fewer shards
-// for the next scrub to rewrite. Stripes below K healthy shards are
-// counted unrecoverable and left to the chunk-level quarantine/salvage
-// machinery, as a meta that does not read is.
+// ecRepair is the redundancy-tier pass of Scrub (DESIGN.md §12): every part
+// of every container's payload, a stripe each, is checked across all K+M
+// backends, and degraded but recoverable stripes are rebuilt to full
+// redundancy. Each repair runs under the container's stripe write lock
+// (waiting out restores that pinned it) and rewrites only missing, rotted,
+// or foreign shards with byte-identical reconstructions — no logical
+// change, so no maintenance-epoch bump is needed, and a crash mid-repair
+// simply leaves fewer shards for the next scrub to rewrite. Stripes below
+// K healthy shards are counted unrecoverable and left to the chunk-level
+// quarantine/salvage machinery, as a meta that does not read is.
 func (g *GNode) ecRepair() (*ecRepairStats, error) {
 	st := &ecRepairStats{}
 	ecs := g.repo.ECFor(g.acct)
@@ -134,35 +134,34 @@ func (g *GNode) ecRepair() (*ecRepairStats, error) {
 		case err != nil:
 			return fmt.Errorf("ec repair: meta %s: %w", id, err)
 		}
-		key := container.DataKey(m.Payload)
-		h, err := ecs.Check(key)
-		if err != nil {
+		for _, key := range m.DataKeys() { // each part is a stripe of its own
+			h, err := ecs.Check(key)
 			if errors.Is(err, oss.ErrNotFound) {
-				return nil // swept or rewritten since the meta was read
+				continue // swept or rewritten since the meta was read
+			} else if err != nil {
+				return fmt.Errorf("ec check %s: %w", key, err)
 			}
-			return fmt.Errorf("ec check %s: %w", key, err)
-		}
-		n, rerr := 0, error(nil)
-		if len(h.Bad) > 0 && h.Recoverable {
-			g.repo.CLocks.Lock(id)
-			n, rerr = ecs.Repair(key)
-			g.repo.CLocks.Unlock(id)
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		st.checked++
-		if len(h.Bad) == 0 {
-			return nil
-		}
-		st.degraded++
-		st.repairedShards += n
-		switch {
-		case !h.Recoverable:
-			st.unrecoverable++
-		case rerr != nil:
-			// Rewrite failed (backend still down): the stripe stays
-			// degraded for the next scrub — not fatal.
-			st.repairFailed++
+			n, rerr := 0, error(nil)
+			if len(h.Bad) > 0 && h.Recoverable {
+				g.repo.CLocks.Lock(id)
+				n, rerr = ecs.Repair(key)
+				g.repo.CLocks.Unlock(id)
+			}
+			mu.Lock()
+			st.checked++
+			if len(h.Bad) > 0 {
+				st.degraded++
+				st.repairedShards += n
+				switch {
+				case !h.Recoverable:
+					st.unrecoverable++
+				case rerr != nil:
+					// Rewrite failed (backend still down): the stripe stays
+					// degraded for the next scrub — not fatal.
+					st.repairFailed++
+				}
+			}
+			mu.Unlock()
 		}
 		return nil
 	})

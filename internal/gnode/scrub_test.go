@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -28,13 +29,15 @@ func flipChunkAtRest(t *testing.T, mem *oss.Mem, repo *core.Repo, id container.I
 	if cm == nil {
 		t.Fatalf("chunk %s not in %s", fp.Short(), id)
 	}
-	key := container.Prefix + id.String() + ".data"
+	part := sort.Search(len(m.Parts), func(i int) bool { return m.Parts[i] > cm.Offset })
+	start, _ := m.PartRange(part)
+	key := container.PartKey(m.Payload, part)
 	raw, err := mem.Get(key)
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw = bytes.Clone(raw) // a Get result is read-only; rot is a Put of changed bytes
-	raw[cm.Offset+cm.Size/2] ^= 0xFF
+	raw[int64(cm.Offset+cm.Size/2)-start] ^= 0xFF
 	if err := mem.Put(key, raw); err != nil {
 		t.Fatal(err)
 	}
@@ -327,4 +330,54 @@ func TestScrubCrashAtEveryMutation(t *testing.T) {
 		}
 		return false
 	})
+}
+
+// TestScrubQuarantinesEveryPart: a container whose payload is in parts,
+// one part of it missing or rotten where no other container holds the
+// chunk, is quarantined whole: its meta and every part it still had leave
+// the live namespace for quarantine.
+func TestScrubQuarantinesEveryPart(t *testing.T) {
+	for _, damage := range []string{"missing", "rotted"} {
+		t.Run(damage, func(t *testing.T) {
+			cfg := testConfig()
+			rangedCosts(&cfg) // L·B_w of ~5 KiB: the 128 KiB payloads go as parts
+			ln, gn, repo, mem := setup(t, cfg)
+			st, err := ln.Backup("f", genData(40, 512<<10))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := repo.Containers.ReadMeta(st.NewContainers[0])
+			if err != nil || m.NumParts() != 2 {
+				t.Fatalf("fixture: the payload is in %d parts (%v), want 2", m.NumParts(), err)
+			}
+			keys := append(m.DataKeys(), container.MetaKey(m.ID))
+			switch damage {
+			case "missing":
+				if err := mem.Delete(container.PartKey(m.Payload, 1)); err != nil {
+					t.Fatal(err)
+				}
+				keys = slices.Delete(keys, 1, 2)
+			case "rotted":
+				flipChunkAtRest(t, mem, repo, m.ID, m.Chunks[len(m.Chunks)-1].FP) // the last chunk lies in the last part
+			}
+			sc, err := gn.Scrub()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(sc.Quarantined, []container.ID{m.ID}) {
+				t.Fatalf("quarantined %v, want %s", sc.Quarantined, m.ID)
+			}
+			for _, k := range keys {
+				if _, err := mem.Head(k); err == nil {
+					t.Errorf("%s is still live", k)
+				}
+				if _, err := mem.Head(container.QuarantinePrefix + strings.TrimPrefix(strings.Replace(k, m.Payload.String(), m.ID.String(), 1), container.Prefix)); err != nil {
+					t.Errorf("%s was not quarantined: %v", k, err)
+				}
+			}
+			if left, _ := mem.List(container.QuarantinePrefix); len(left) != len(keys) {
+				t.Errorf("quarantine holds %v, want the %d objects the container had", left, len(keys))
+			}
+		})
+	}
 }

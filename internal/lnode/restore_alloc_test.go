@@ -43,6 +43,19 @@ func TestRestoreAllocatesNoPayloadCopies(t *testing.T) {
 	if _, err := n.Backup("f", data); err != nil {
 		t.Fatal(err)
 	}
+	ids, err := repo.Containers.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	split := 0
+	for _, id := range ids {
+		if m, err := repo.Containers.ReadMeta(id); err == nil && m.NumParts() > 1 {
+			split++
+		}
+	}
+	if split == 0 {
+		t.Fatal("fixture: no container's payload is in parts")
+	}
 	perByte, st := allocPerByte(t, n, "f", 0)
 	if st.Bytes != int64(len(data)) || st.Cache.SharedHits != 0 {
 		t.Fatalf("fixture: restored %d bytes with %d shared hits, want a cold restore of %d", st.Bytes, st.Cache.SharedHits, len(data))
@@ -74,10 +87,10 @@ func TestRestoreAllocatesNoPayloadCopies(t *testing.T) {
 	if st.Cache.RangedReads == 0 {
 		t.Fatalf("fixture: the old version was restored without ranged reads: %+v", st.Cache)
 	}
-	t.Logf("ranged-read restore: %.3f allocated bytes per restored byte (%d ranged reads, %d spans, %d full reads)",
+	t.Logf("ranged-read restore: %.3f allocated bytes per restored byte (%d ranged reads of %d requests, %d full reads)",
 		perByte, st.Cache.RangedReads, st.Cache.RangedSpans, st.Cache.ContainersRead-st.Cache.RangedReads)
 	if perByte > 0.5 {
-		t.Fatalf("ranged-read restore allocated %.2f bytes per restored byte, want <= 0.5 (%d ranged reads, %d spans)",
+		t.Fatalf("ranged-read restore allocated %.2f bytes per restored byte, want <= 0.5 (%d ranged reads of %d requests)",
 			perByte, st.Cache.RangedReads, st.Cache.RangedSpans)
 	}
 }

@@ -57,9 +57,10 @@ func prefetchConserved(t *testing.T, st *RestoreStats) {
 // nothing normalised — the same read count on the account and the same
 // data-object requests (as a multiset: which, not when). With no more than
 // one channel, and for a range restore whatever the thread count, the
-// requests are exactly the planner's — one GET per full container, one
-// ranged read per planned span; with six channels over 4 MiB containers
-// there are more.
+// requests are exactly the planner's — one GET per part of a container
+// read whole, one ranged read per planned span and part it touches, as
+// RangedSpans counts them; with six channels over 4 MiB containers, put
+// in parts as a backup puts them, there are more.
 func TestPrefetchStatsDeterministic(t *testing.T) {
 	t.Parallel()
 	type fixture struct {
@@ -111,10 +112,20 @@ func TestPrefetchStatsDeterministic(t *testing.T) {
 		Reads int64
 		Reqs  []string
 	}
-	planned := func(o outcome) int { // the requests of the plan, uncut
-		c := o.Stats.Cache
-		return c.ContainersRead - c.RangedReads + c.RangedSpans
+	// gets counts the whole-object GETs: a whole read takes one per part of
+	// its payload, and only a read Split cut is ranged reads instead.
+	gets := func(o outcome) (n int) {
+		for _, q := range o.Reqs {
+			if strings.HasPrefix(q, "get ") {
+				n++
+			}
+		}
+		return n
 	}
+	planned := func(o outcome) int { // the requests of the plans, whole reads uncut
+		return gets(o) + o.Stats.Cache.RangedSpans
+	}
+	parts := 0 // requests of a payload's second part
 	for _, fx := range fixtures {
 		t.Run(fx.name, func(t *testing.T) {
 			frozen := oss.NewFrozen(oss.NewMem())
@@ -167,8 +178,18 @@ func TestPrefetchStatsDeterministic(t *testing.T) {
 							t.Errorf("%s: %d direct fetches, %d rereads", name, pf.Direct, c.Rereads)
 						}
 					}
-					if threads <= 1 && len(first.Reqs) != planned(first) {
-						t.Errorf("%s: %d data requests, the plan has %d: a read was cut with one channel", name, len(first.Reqs), planned(first))
+					if threads <= 1 {
+						if len(first.Reqs) != planned(first) {
+							t.Errorf("%s: %d data requests, the plan has %d: a read was cut with one channel", name, len(first.Reqs), planned(first))
+						}
+						if full := c.ContainersRead - c.RangedReads; gets(first) < full {
+							t.Errorf("%s: %d whole-object GETs for %d whole reads", name, gets(first), full)
+						}
+					}
+					for _, q := range first.Reqs {
+						if strings.Contains(q, ".1.data") {
+							parts++
+						}
 					}
 					if fx.cuts {
 						if c.RangedReads == 0 || c.ContainersRead == c.RangedReads {
@@ -190,7 +211,40 @@ func TestPrefetchStatsDeterministic(t *testing.T) {
 			if !fx.cuts && rereads == 0 {
 				t.Error("fixture: no policy reread a container, so Direct == Rereads checked nothing")
 			}
+			if fx.cuts && parts == 0 {
+				t.Error("fixture: no restore read a payload in parts")
+			}
 		})
+	}
+}
+
+// TestRangedSpansCountsParts: RangedSpans is the number of ranged reads a
+// restore issued: a span across the cut between a payload's two parts is
+// two of them.
+func TestRangedSpansCountsParts(t *testing.T) {
+	log := newReqLog(oss.NewMem())
+	cfg := core.DefaultConfig()
+	cfg.SharedCacheBytes = -1
+	repo, err := core.OpenRepo(log.store, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := New(repo, "l0")
+	st, err := n.Backup("f", genData(5, 1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := repo.Containers.ReadMeta(st.NewContainers[0])
+	if err != nil || len(st.NewContainers) != 1 || m.NumParts() != 2 {
+		t.Fatalf("fixture: %d containers, the first in %d parts (%v); want one in two", len(st.NewContainers), m.NumParts(), err)
+	}
+	log.sorted()
+	rs, err := n.RestoreRange("f", 0, int64(m.Parts[0])-64<<10, 128<<10, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reqs := log.sorted(); rs.Cache.RangedReads != 1 || rs.Cache.RangedSpans != 2 || len(reqs) != 2 {
+		t.Fatalf("%d ranged reads counting %d requests; the store saw %v, want one read of two", rs.Cache.RangedReads, rs.Cache.RangedSpans, reqs)
 	}
 }
 

@@ -113,7 +113,7 @@ func (rio *restoreIO) fetch(id container.ID) (*container.Container, error) {
 		}
 		rio.mu.Lock()
 		rio.rangedReads++
-		rio.rangedSpans += len(p.Spans)
+		rio.rangedSpans += len(p.Reads)
 		rio.rangedBytes += p.SpanBytes
 		rio.mu.Unlock()
 		return c, nil

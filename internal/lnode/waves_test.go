@@ -539,6 +539,45 @@ func TestOpenBaseWave(t *testing.T) {
 	}
 }
 
+// TestPayloadPartsWave: a payload of at least 4·L·B_w goes as parts put
+// side by side — both wait at a barrier until the other is in flight — and
+// no meta is put before the last part has returned: the payload barrier
+// holds for every part.
+func TestPayloadPartsWave(t *testing.T) {
+	isPartPut := func(op oss.Op) bool { return op.Kind == oss.KindPut && isData(op) }
+	isMetaPut := func(op oss.Op) bool { return op.Kind == oss.KindPut && strings.HasSuffix(op.Key, ".meta") }
+	probe := newProbe(oss.NewMem())
+	cfg := testConfig()
+	cfg.ContainerCapacity = 1 << 20 // one payload of 1 MiB: two parts at the default costs
+	repo := mustOpen(t, probe.store, cfg)
+	probe.bar.Expect(isPartPut, 2)
+	st, err := New(repo, "l0").Backup("f", genData(91, 1<<20))
+	if err := probe.bar.Err(); err != nil {
+		t.Fatalf("the payload's parts were not put together: %v", err)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.NewContainers) != 1 {
+		t.Fatalf("fixture: %d new containers, want one", len(st.NewContainers))
+	}
+	m, err := repo.Containers.ReadMeta(st.NewContainers[0])
+	if err != nil || m.NumParts() != 2 {
+		t.Fatalf("fixture: the payload is in %d parts (%v), want 2", m.NumParts(), err)
+	}
+	parts, metas := probe.rec.Requests(isPartPut), probe.rec.Requests(isMetaPut)
+	if len(parts) != 2 || len(metas) == 0 {
+		t.Fatalf("%d part puts and %d meta puts, want 2 and some", len(parts), len(metas))
+	}
+	for _, q := range metas {
+		for _, p := range parts {
+			if q.Begin < p.End {
+				t.Errorf("%s began before %s returned", q.Op, p.Op)
+			}
+		}
+	}
+}
+
 // TestBackupCrashAtEveryMutation: a backup killed at any of its OSS
 // mutations — every payload put and every put of persist's waves among
 // them, and every delete — leaves, plain and over RS(4+2), where a payload
@@ -549,17 +588,26 @@ func TestOpenBaseWave(t *testing.T) {
 // to the baseline's containers, recipes and sketches; and a retry that
 // succeeds. The warm-mirror arms load the handle's similarity mirror first
 // — reads only, no budget spent — so the backup opens the base it guesses
-// beside the catalog listing.
+// beside the catalog listing. The parts arms price a request eight times
+// cheaper, so that the suite's 256 KiB payloads go as two parts each: no
+// meta names a payload short of a part, and the sweep reclaims every part
+// a cut backup left.
 func TestBackupCrashAtEveryMutation(t *testing.T) {
 	striped := testConfig()
 	striped.ECDataShards, striped.ECParityShards = 4, 2
+	split, splitStriped := testConfig(), striped
+	split.Costs.OSSRequestLatency /= 8
+	splitStriped.Costs.OSSRequestLatency /= 8
 	for _, arm := range []struct {
-		cfg  core.Config
-		warm bool
-	}{{testConfig(), false}, {striped, false}, {testConfig(), true}, {striped, true}} {
+		cfg         core.Config
+		warm, parts bool
+	}{{testConfig(), false, false}, {striped, false, false}, {testConfig(), true, false}, {striped, true, false}, {split, false, true}, {splitStriped, false, true}} {
 		cfg, name := arm.cfg, fmt.Sprintf("ec=%d+%d", arm.cfg.ECDataShards, arm.cfg.ECParityShards)
 		if arm.warm {
 			name += ",warm-mirror"
+		}
+		if arm.parts {
+			name += ",parts"
 		}
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -571,7 +619,7 @@ func TestBackupCrashAtEveryMutation(t *testing.T) {
 			namespaces := []string{container.Prefix, "recipes/", "simindex/", "ec/"}
 			want := keySet(t, baseline, namespaces)
 
-			committed := 0
+			committed, inParts := 0, 0
 			oss.CrashAtEvery(t, baseline, 1, 201, func(s oss.Store) error {
 				// The open and the mirror's load spend none of the budget: they
 				// mutate nothing.
@@ -593,8 +641,12 @@ func TestBackupCrashAtEveryMutation(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, id := range ids {
-					if _, err := repo.Containers.Read(id); err != nil {
+					c, err := repo.Containers.Read(id)
+					if err != nil {
 						t.Fatalf("budget %d: listed container %s: %v", budget, id, err)
+					}
+					if c.Meta.NumParts() > 1 {
+						inParts++
 					}
 				}
 				n := New(repo, "l0")
@@ -639,6 +691,9 @@ func TestBackupCrashAtEveryMutation(t *testing.T) {
 			})
 			if committed == 0 {
 				t.Fatal("no budget let the backup commit")
+			}
+			if arm.parts != (inParts > 0) {
+				t.Fatalf("fixture: %d containers in parts were read, want them only in the parts arms", inParts)
 			}
 		})
 	}

@@ -118,7 +118,7 @@ func DefaultCosts() Costs {
 
 		OSSRequestLatency: 2 * time.Millisecond,
 		OSSReadBandwidth:  40 << 20,  // 40 MiB/s per channel
-		OSSWriteBandwidth: 100 << 20, // multipart upload, per job
+		OSSWriteBandwidth: 100 << 20, // 100 MiB/s per put: a payload's parts go side by side (container.PackPool)
 
 		RestorePerByte:   4.6,
 		DiskCachePerByte: 0.8,

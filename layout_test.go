@@ -88,7 +88,8 @@ func TestStoreBytesTwin(t *testing.T) {
 	run := func(ec, workers int) (*oss.Mem, int) {
 		mem := oss.NewMem()
 		cfg := smallConfig()
-		cfg.SimilarityMinScore = 1.1 // miss the duplicates across files: reverse dedup's
+		cfg.Costs.OSSRequestLatency /= 8 // L·B_w of 25 KiB: a backup's 256 KiB payloads go as two parts
+		cfg.SimilarityMinScore = 1.1     // miss the duplicates across files: reverse dedup's
 		cfg.ECDataShards, cfg.ECParityShards, cfg.MaintWorkers = ec, ec, workers
 		sys, err := Open(mem, cfg)
 		if err != nil {
@@ -134,6 +135,9 @@ func TestStoreBytesTwin(t *testing.T) {
 			}
 			if len(xk) < 20 || !slices.Contains(xk, core.HeaderKey) {
 				t.Fatalf("fixture: %d keys, or no %s among them: %v", len(xk), core.HeaderKey, xk)
+			}
+			if !slices.ContainsFunc(xk, func(k string) bool { return strings.HasSuffix(k, ".1.data") }) {
+				t.Fatal("fixture: no payload is stored in parts")
 			}
 			// The namespaces a repository has, and no other: a journal/ key,
 			// or one of a namespace nobody listed here, fails the twin.

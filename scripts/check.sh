@@ -116,11 +116,13 @@ go test -race -count=1 -cpu 1,4 -run 'CompactSparse|MatchesSerial' ./internal/gn
 # beside a held backup of its file, and a deletion of its version either
 # waits for its pins or leaves it a deleted version (DESIGN.md §7). A
 # backup opens the base its handle's similarity mirror guesses beside the
-# catalog listing, and a guess the listing overrules leaves no trace
-# (DESIGN.md §13).
-go test -race -count=20 -cpu 1,4 -run 'TestPinFallsBackAfterRewrite|TestPinAcceptsFirstPassUnderMarks|TestRestoreRacingDeletionOfItsVersion|TestRestoreRunsBesideBackupOfSameFile|TestOpenBaseWave|TestStaleGuessMatchesColdHandle' ./internal/lnode/ ./internal/jobs/
-# Store bytes at G-node widths -1 and 4, plain and striped: the rewrites'
-# fresh payload IDs are drawn in container order, whatever the scheduler does.
+# catalog listing, and a guess the listing overrules leaves no trace; a
+# payload's parts are put together, and no meta put begins before the last
+# of them has returned (DESIGN.md §13).
+go test -race -count=20 -cpu 1,4 -run 'TestPinFallsBackAfterRewrite|TestPinAcceptsFirstPassUnderMarks|TestRestoreRacingDeletionOfItsVersion|TestRestoreRunsBesideBackupOfSameFile|TestOpenBaseWave|TestStaleGuessMatchesColdHandle|TestPayloadPartsWave' ./internal/lnode/ ./internal/jobs/
+# Store bytes at G-node widths -1 and 4, plain and striped, payloads in
+# parts among them: the rewrites' fresh payload IDs are drawn in container
+# order, whatever the scheduler does.
 go test -count=3 -cpu 1,4 -run 'StoreBytesTwin' .
 # A chaos seed replays one schedule at one P and at four: which mutation a
 # crash cuts does not depend on how a backup's puts race (~15 s; under
@@ -176,7 +178,7 @@ if [ "$FUZZTIME" != "0s" ]; then
 	# Container metadata as decoded, planned and split (whole-object seeds).
 	go test -run=NONE -fuzz='^FuzzReadPlan$' -fuzztime "$FUZZTIME" -fuzzminimizetime 1x ./internal/cache/
 	# A container's meta and data object as a read decodes, splits and
-	# verifies them (the v3 goldens are the seeds).
+	# verifies them (the v3 and v4 goldens are the seeds).
 	go test -run=NONE -fuzz='^FuzzContainerDecode$' -fuzztime "$FUZZTIME" -fuzzminimizetime 1x ./internal/container/
 	# The repository header: the one object every open trusts first.
 	go test -run=NONE -fuzz='^FuzzDecodeHeader$' -fuzztime "$FUZZTIME" ./internal/core/
