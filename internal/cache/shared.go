@@ -14,24 +14,17 @@ import (
 // container any job fetched recently is served from node memory, and
 // concurrent fetches of the same container collapse into one OSS GET.
 //
-// Three properties the engine relies on:
+// Two properties the engine relies on:
 //
 //   - Charging: exactly one job — the one that wins the singleflight race
 //     — pays the OSS simclock charge for a fetch; hits and riders record
 //     stats only. Per-job virtual-time composition is preserved: every
 //     charge on a job's account comes from that job's own calls.
-//   - Admission: the cache is segmented into a probation segment (new
-//     entries, at most a quarter of the budget) and a protected segment
-//     (entries hit again after admission). A cold sweep by one job churns
-//     probation only; it cannot evict another job's re-used working set.
-//   - Reference counting: each restore job holds a session; the entries
-//     the session touched most recently (a sliding window) carry a
-//     reference and are never evicted while referenced — the containers a
-//     job is actively assembling chunks from cannot be churned out by
-//     other jobs. References decay as the session touches further
-//     containers and are all dropped at Close. Eviction only reclaims
-//     unreferenced entries; when referenced entries hold all the space,
-//     admission is refused rather than the budget exceeded.
+//   - Bound: resident bytes never exceed the budget. The cache is one
+//     least-recently-used list: a fetched container enters at the front, a
+//     hit moves it there, and the tail is evicted until the budget holds.
+//     A container larger than the whole budget is served to its fetcher
+//     and not admitted.
 //
 // Lock order: the internal mutex is a leaf strictly below ContainerLocks
 // — jobs call into Shared while holding their restore pins, and Shared
@@ -39,27 +32,20 @@ import (
 // the mutex). Invalidation callbacks from container.Store likewise only
 // take the leaf mutex.
 type Shared struct {
-	budget  int64 // total byte budget across both segments
-	probCap int64 // probation segment budget (budget / 4)
+	budget int64
 
-	mu        sync.Mutex
-	entries   map[container.ID]*sharedEntry
-	probation *list.List // front = most recent; new entries land here
-	protected *list.List // front = most recent; entries hit again
-	probBytes int64
-	protBytes int64
-	inflight  map[container.ID]*sharedFlight
-	stats     SharedStats
+	mu       sync.Mutex
+	entries  map[container.ID]*list.Element // Value is a *sharedEntry
+	lru      *list.List                     // front = most recently used
+	bytes    int64                          // resident bytes
+	inflight map[container.ID]*sharedFlight
+	stats    SharedStats
 }
 
 // sharedEntry is one cached container.
 type sharedEntry struct {
-	id    container.ID
-	c     *container.Container
-	bytes int64
-	refs  int // sessions currently holding this entry
-	prot  bool
-	elem  *list.Element
+	id container.ID
+	c  *container.Container
 }
 
 // sharedFlight is one in-flight singleflight fetch.
@@ -75,11 +61,9 @@ type SharedStats struct {
 	Hits          int64 // fetches served from cached entries
 	Misses        int64 // fetches that went to OSS (singleflight owners)
 	InflightJoins int64 // fetches that rode another job's in-flight GET
-	Admits        int64 // containers admitted to the cache
 	Evictions     int64 // entries evicted for space
-	Rejects       int64 // admissions refused (referenced entries hold the space)
 	Invalidations int64 // entries dropped by store invalidation
-	Bytes         int64 // resident bytes, both segments
+	Bytes         int64 // resident bytes
 	Entries       int64 // resident containers
 }
 
@@ -88,25 +72,17 @@ type SharedStats struct {
 // rivaling the per-job policy budgets.
 const DefaultSharedBytes = 256 << 20
 
-// minSharedBytes keeps degenerate budgets functional in tests.
-const minSharedBytes = 64 << 10
-
 // NewShared returns a shared cache with the given byte budget.
 // budget <= 0 selects DefaultSharedBytes.
 func NewShared(budget int64) *Shared {
 	if budget <= 0 {
 		budget = DefaultSharedBytes
 	}
-	if budget < minSharedBytes {
-		budget = minSharedBytes
-	}
 	return &Shared{
-		budget:    budget,
-		probCap:   budget / 4,
-		entries:   make(map[container.ID]*sharedEntry),
-		probation: list.New(),
-		protected: list.New(),
-		inflight:  make(map[container.ID]*sharedFlight),
+		budget:   budget,
+		entries:  make(map[container.ID]*list.Element),
+		lru:      list.New(),
+		inflight: make(map[container.ID]*sharedFlight),
 	}
 }
 
@@ -115,7 +91,7 @@ func (s *Shared) Stats() SharedStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.Bytes = s.probBytes + s.protBytes
+	st.Bytes = s.bytes
 	st.Entries = int64(len(s.entries))
 	return st
 }
@@ -132,27 +108,20 @@ func (s *Shared) Invalidate(id container.ID) {
 	if f, ok := s.inflight[id]; ok {
 		f.stale = true
 	}
-	e, ok := s.entries[id]
-	if !ok {
-		return
+	if el, ok := s.entries[id]; ok {
+		s.removeLocked(el)
+		s.stats.Invalidations++
 	}
-	s.removeLocked(e)
-	s.stats.Invalidations++
 }
 
-// removeLocked detaches an entry from its segment and the map.
-func (s *Shared) removeLocked(e *sharedEntry) {
-	if e.prot {
-		s.protected.Remove(e.elem)
-		s.protBytes -= e.bytes
-	} else {
-		s.probation.Remove(e.elem)
-		s.probBytes -= e.bytes
-	}
+// removeLocked drops one entry from the list and the map.
+func (s *Shared) removeLocked(el *list.Element) {
+	e := s.lru.Remove(el).(*sharedEntry)
+	s.bytes -= e.c.Size()
 	delete(s.entries, e.id)
 }
 
-// FetchSource says how a session fetch was satisfied.
+// FetchSource says how a fetch was satisfied.
 type FetchSource int
 
 // Fetch outcomes.
@@ -162,143 +131,49 @@ const (
 	SrcJoined                     // rode another job's in-flight GET
 )
 
-// sessionRefWindow is how many recently touched entries a session keeps
-// referenced. It covers the containers a job's assembly pipeline (and its
-// prefetch workers) are actively drawing chunks from; older references
-// decay so one long job cannot pin its entire footprint and starve
-// admission for everyone else.
-const sessionRefWindow = 8
-
-// SharedSession is one job's handle on the shared cache. It holds
-// references on the entries the job touched most recently; all session
-// state is guarded by the shared cache's own mutex, so one session may be
-// used from many goroutines (the LAW prefetch workers).
-type SharedSession struct {
-	s    *Shared
-	ring []*sharedEntry // last touches, each holding one reference; nil = touch with no entry
-	pos  int
-}
-
-// NewSession opens a session. Callers must Close it when the job ends.
-func (s *Shared) NewSession() *SharedSession {
-	return &SharedSession{s: s}
-}
-
-// Close releases every reference the session holds. Safe to call twice.
-func (ss *SharedSession) Close() {
-	ss.s.mu.Lock()
-	defer ss.s.mu.Unlock()
-	for _, e := range ss.ring {
-		if e != nil {
-			e.refs--
-		}
-	}
-	ss.ring, ss.pos = nil, 0
-}
-
-// touchLocked records one fetch-path touch, referencing e (may be nil for
-// a touch that yielded no cache entry — the decay still advances, so
-// rejected admissions eventually release the references blocking them).
-// Decrementing a removed entry's count is harmless: eviction only ever
-// inspects entries still resident in the segments.
-func (ss *SharedSession) touchLocked(e *sharedEntry) {
-	if e != nil {
-		e.refs++
-	}
-	if len(ss.ring) < sessionRefWindow {
-		ss.ring = append(ss.ring, e)
-		return
-	}
-	old := ss.ring[ss.pos]
-	ss.ring[ss.pos] = e
-	ss.pos = (ss.pos + 1) % sessionRefWindow
-	if old != nil {
-		old.refs--
-	}
-}
-
-// Get returns a cached container, or (nil, false). A hit promotes the
-// entry to the protected segment and references it for this session.
-func (ss *SharedSession) Get(id container.ID) (*container.Container, bool) {
-	s := ss.s
+// Get returns a cached container and moves it to the front of the list,
+// or returns (nil, false).
+func (s *Shared) Get(id container.ID) (*container.Container, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.entries[id]
+	return s.getLocked(id)
+}
+
+func (s *Shared) getLocked(id container.ID) (*container.Container, bool) {
+	el, ok := s.entries[id]
 	if !ok {
 		return nil, false
 	}
 	s.stats.Hits++
-	s.promoteLocked(e)
-	ss.touchLocked(e)
-	return e.c, true
+	s.lru.MoveToFront(el)
+	return el.Value.(*sharedEntry).c, true
 }
 
 // Fetch returns the container for id: from the cache, by joining an
-// in-flight fetch from any session, or by running fetch (exactly one
-// caller per container runs it at a time — that caller's job account
-// carries the OSS charge). A successful owned fetch is admitted to the
-// probation segment when unreferenced space allows.
-func (ss *SharedSession) Fetch(id container.ID, fetch func() (*container.Container, error)) (*container.Container, FetchSource, error) {
-	s := ss.s
+// in-flight fetch, or by running fetch (exactly one caller per container
+// runs it at a time — that caller's job account carries the OSS charge).
+// A successful fetch that no Invalidate overtook is admitted.
+func (s *Shared) Fetch(id container.ID, fetch func() (*container.Container, error)) (*container.Container, FetchSource, error) {
+	s.mu.Lock()
 	for {
-		s.mu.Lock()
-		if e, ok := s.entries[id]; ok {
-			s.stats.Hits++
-			s.promoteLocked(e)
-			ss.touchLocked(e)
+		if c, ok := s.getLocked(id); ok {
 			s.mu.Unlock()
-			return e.c, SrcHit, nil
+			return c, SrcHit, nil
 		}
-		if f, ok := s.inflight[id]; ok {
-			s.mu.Unlock()
-			<-f.done
-			if f.err != nil {
-				// The owner's error may be transient for us (its context,
-				// its retry budget); retry the loop as a fresh owner.
-				return ss.ownFetch(id, fetch)
-			}
-			s.mu.Lock()
+		f, ok := s.inflight[id]
+		if !ok {
+			break
+		}
+		s.mu.Unlock()
+		<-f.done
+		s.mu.Lock()
+		if f.err == nil {
 			s.stats.InflightJoins++
-			if e, ok := s.entries[id]; ok && e.c == f.c {
-				ss.touchLocked(e)
-			} else {
-				ss.touchLocked(nil)
-			}
 			s.mu.Unlock()
 			return f.c, SrcJoined, nil
 		}
-		s.mu.Unlock()
-		return ss.ownFetch(id, fetch)
-	}
-}
-
-// ownFetch performs the singleflight-owned fetch for id. Registration can
-// lose a race with another would-be owner, in which case it joins.
-func (ss *SharedSession) ownFetch(id container.ID, fetch func() (*container.Container, error)) (*container.Container, FetchSource, error) {
-	s := ss.s
-	s.mu.Lock()
-	if e, ok := s.entries[id]; ok {
-		s.stats.Hits++
-		s.promoteLocked(e)
-		ss.touchLocked(e)
-		s.mu.Unlock()
-		return e.c, SrcHit, nil
-	}
-	if f, ok := s.inflight[id]; ok {
-		s.mu.Unlock()
-		<-f.done
-		if f.err != nil {
-			return ss.ownFetch(id, fetch)
-		}
-		s.mu.Lock()
-		s.stats.InflightJoins++
-		if e, ok := s.entries[id]; ok && e.c == f.c {
-			ss.touchLocked(e)
-		} else {
-			ss.touchLocked(nil)
-		}
-		s.mu.Unlock()
-		return f.c, SrcJoined, nil
+		// The owner's error may be transient for us (its context, its
+		// retry budget): look again, and fetch as owner if still absent.
 	}
 	f := &sharedFlight{done: make(chan struct{})}
 	s.inflight[id] = f
@@ -310,9 +185,7 @@ func (ss *SharedSession) ownFetch(id container.ID, fetch func() (*container.Cont
 	delete(s.inflight, id)
 	f.c, f.err = c, err
 	if err == nil && !f.stale {
-		// Reference (or, on a refused admission, just advance the decay
-		// window) regardless of the admission outcome.
-		ss.touchLocked(s.admitLocked(id, c))
+		s.admitLocked(id, c)
 	}
 	s.mu.Unlock()
 	close(f.done)
@@ -322,80 +195,19 @@ func (ss *SharedSession) ownFetch(id container.ID, fetch func() (*container.Cont
 	return c, SrcFetched, nil
 }
 
-// promoteLocked moves a hit entry to the protected segment's front,
-// demoting protected LRU entries to probation as needed to respect the
-// protected budget.
-func (s *Shared) promoteLocked(e *sharedEntry) {
-	if e.prot {
-		s.protected.MoveToFront(e.elem)
+// admitLocked puts a fetched container at the front of the list and evicts
+// from the tail until the budget holds. id is not resident: the owner of
+// its flight is the only caller that admits it. A container larger than
+// the budget is not admitted, so the newcomer itself is never evicted.
+func (s *Shared) admitLocked(id container.ID, c *container.Container) {
+	n := c.Size()
+	if n > s.budget {
 		return
 	}
-	s.probation.Remove(e.elem)
-	s.probBytes -= e.bytes
-	e.prot = true
-	e.elem = s.protected.PushFront(e)
-	s.protBytes += e.bytes
-
-	protCap := s.budget - s.probCap
-	for s.protBytes > protCap && s.protected.Len() > 1 {
-		back := s.protected.Back()
-		victim := back.Value.(*sharedEntry)
-		if victim == e {
-			break
-		}
-		s.protected.Remove(back)
-		s.protBytes -= victim.bytes
-		victim.prot = false
-		victim.elem = s.probation.PushFront(victim)
-		s.probBytes += victim.bytes
+	s.entries[id] = s.lru.PushFront(&sharedEntry{id: id, c: c})
+	s.bytes += n
+	for s.bytes > s.budget {
+		s.removeLocked(s.lru.Back())
+		s.stats.Evictions++
 	}
-	s.evictProbationLocked()
-}
-
-// admitLocked inserts a fetched container into probation, evicting
-// unreferenced probation tail entries to make room. Returns nil (and
-// counts a reject) when referenced entries hold all the space or the
-// container alone exceeds the probation budget.
-func (s *Shared) admitLocked(id container.ID, c *container.Container) *sharedEntry {
-	bytes := c.Size()
-	if bytes > s.probCap {
-		s.stats.Rejects++
-		return nil
-	}
-	if e, ok := s.entries[id]; ok {
-		// Another path admitted it while we fetched; keep the resident one.
-		return e
-	}
-	e := &sharedEntry{id: id, c: c, bytes: bytes}
-	e.elem = s.probation.PushFront(e)
-	s.probBytes += bytes
-	s.entries[id] = e
-	e.refs++ // shield the newcomer from its own eviction pass
-	fits := s.evictProbationLocked()
-	e.refs--
-	if !fits {
-		// Could not get back under budget (everything else is referenced):
-		// un-admit the newcomer rather than exceed the bound.
-		s.removeLocked(e)
-		s.stats.Rejects++
-		return nil
-	}
-	s.stats.Admits++
-	return e
-}
-
-// evictProbationLocked evicts unreferenced probation entries, oldest
-// first, until the probation segment fits its budget. Reports whether the
-// budget is respected afterwards.
-func (s *Shared) evictProbationLocked() bool {
-	for elem := s.probation.Back(); elem != nil && s.probBytes > s.probCap; {
-		e := elem.Value.(*sharedEntry)
-		prev := elem.Prev()
-		if e.refs == 0 {
-			s.removeLocked(e)
-			s.stats.Evictions++
-		}
-		elem = prev
-	}
-	return s.probBytes <= s.probCap
 }

@@ -3,8 +3,12 @@ package cache
 import (
 	"bytes"
 	"errors"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"slimstore/internal/container"
 )
@@ -38,10 +42,8 @@ func TestSharedSingleflightCollapsesConcurrentFetches(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ss := s.NewSession()
-			defer ss.Close()
 			arrived <- struct{}{}
-			c, src, err := ss.Fetch(id, fetch)
+			c, src, err := s.Fetch(id, fetch)
 			if err != nil || c == nil {
 				t.Errorf("rider %d: %v", i, err)
 				return
@@ -84,18 +86,13 @@ func TestSharedCacheHitAvoidsRefetch(t *testing.T) {
 		return synthContainer(id, 1024), nil
 	}
 
-	a := s.NewSession()
-	if _, src, err := a.Fetch(id, fetch); err != nil || src != SrcFetched {
+	if _, src, err := s.Fetch(id, fetch); err != nil || src != SrcFetched {
 		t.Fatalf("first fetch: src=%v err=%v", src, err)
 	}
-	a.Close()
-
-	b := s.NewSession()
-	defer b.Close()
-	if c, ok := b.Get(id); !ok || c == nil {
+	if c, ok := s.Get(id); !ok || c == nil {
 		t.Fatal("Get missed a resident container")
 	}
-	if _, src, err := b.Fetch(id, fetch); err != nil || src != SrcHit {
+	if _, src, err := s.Fetch(id, fetch); err != nil || src != SrcHit {
 		t.Fatalf("second fetch: src=%v err=%v, want SrcHit", src, err)
 	}
 	if fetches != 1 {
@@ -104,21 +101,19 @@ func TestSharedCacheHitAvoidsRefetch(t *testing.T) {
 }
 
 func TestSharedBudgetIsStrict(t *testing.T) {
-	const budget = minSharedBytes // 64 KiB, probation 16 KiB
+	const budget = 64 << 10
 	s := NewShared(budget)
-	ss := s.NewSession()
 
 	// A cold sweep of many 4 KiB containers: resident bytes must never
 	// exceed the budget even though every fetch succeeds.
 	for i := 1; i <= 64; i++ {
 		id := container.ID(i)
-		if _, _, err := ss.Fetch(id, func() (*container.Container, error) {
+		if _, _, err := s.Fetch(id, func() (*container.Container, error) {
 			return synthContainer(id, 4096), nil
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ss.Close()
 	st := s.Stats()
 	if st.Bytes > budget {
 		t.Fatalf("resident %d bytes exceeds budget %d", st.Bytes, budget)
@@ -128,103 +123,65 @@ func TestSharedBudgetIsStrict(t *testing.T) {
 	}
 }
 
-func TestSharedColdSweepCannotEvictProtectedWorkingSet(t *testing.T) {
-	s := NewShared(minSharedBytes)
-	warm := s.NewSession()
-
-	// Job 1 establishes a working set and re-uses it → each re-use
-	// promotes the entry out of probation into the protected segment.
-	workingSet := []container.ID{100, 101, 102}
-	for _, id := range workingSet {
-		id := id
-		if _, _, err := warm.Fetch(id, func() (*container.Container, error) {
-			return synthContainer(id, 8192), nil
-		}); err != nil {
-			t.Fatal(err)
+// TestSharedEvictsLeastRecentlyUsed: a hit moves its entry ahead of older
+// ones, so a sweep evicts the least recently used entry first; resident
+// bytes never exceed the budget; and a container larger than the budget
+// is served to its fetcher without being admitted.
+func TestSharedEvictsLeastRecentlyUsed(t *testing.T) {
+	const size, budget = 4 << 10, 4 * (4 << 10)
+	s := NewShared(budget)
+	fetch := func(id container.ID, n int) (*container.Container, FetchSource) {
+		t.Helper()
+		c, src, err := s.Fetch(id, func() (*container.Container, error) { return synthContainer(id, n), nil })
+		if err != nil || c == nil || c.Meta.ID != id {
+			t.Fatalf("fetch %d: c=%v err=%v", id, c, err)
 		}
-		if _, ok := warm.Get(id); !ok {
-			t.Fatalf("container %d evicted before the sweep", id)
+		if st := s.Stats(); st.Bytes > budget {
+			t.Fatalf("after fetching %d: resident %d bytes exceeds budget %d", id, st.Bytes, budget)
 		}
+		return c, src
 	}
-	warm.Close() // drop references: protection must come from the segment, not refs
-
-	// Job 2 sweeps 128 cold containers through the cache.
-	cold := s.NewSession()
-	for i := 1; i <= 128; i++ {
-		id := container.ID(i)
-		if _, _, err := cold.Fetch(id, func() (*container.Container, error) {
-			return synthContainer(id, 4096), nil
-		}); err != nil {
-			t.Fatal(err)
+	// resident looks at the map alone, so checking does not reorder the list.
+	resident := func(ids ...container.ID) (in []container.ID) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for _, id := range ids {
+			if _, ok := s.entries[id]; ok {
+				in = append(in, id)
+			}
 		}
-	}
-	cold.Close()
-
-	check := s.NewSession()
-	defer check.Close()
-	for _, id := range workingSet {
-		if _, ok := check.Get(id); !ok {
-			t.Fatalf("cold sweep evicted protected container %d", id)
-		}
-	}
-}
-
-func TestSharedReferencedEntriesAreNotEvicted(t *testing.T) {
-	s := NewShared(minSharedBytes) // probation budget 16 KiB
-	holder := s.NewSession()
-
-	// The holder pins one 12 KiB container (fits probation alone).
-	pinned := container.ID(1)
-	c1, _, err := holder.Fetch(pinned, func() (*container.Container, error) {
-		return synthContainer(pinned, 12<<10), nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		return in
 	}
 
-	// Another job sweeps 12 KiB containers: they cannot fit next to the
-	// pinned entry, must be rejected (never evict the referenced one).
-	sweeper := s.NewSession()
-	for i := 10; i < 20; i++ {
-		id := container.ID(i)
-		if _, _, err := sweeper.Fetch(id, func() (*container.Container, error) {
-			return synthContainer(id, 12<<10), nil
-		}); err != nil {
-			t.Fatal(err)
-		}
+	for id := container.ID(1); id <= 4; id++ {
+		fetch(id, size) // fills the budget exactly: 4 (front) 3 2 1 (tail)
 	}
-	sweeper.Close()
-
-	st := s.Stats()
-	if st.Rejects == 0 {
-		t.Fatalf("stats %+v: sweeps past a pinned entry must reject admissions", st)
+	if _, ok := s.Get(1); !ok { // 1 4 3 2
+		t.Fatal("container 1 not resident with the budget just full")
 	}
-	if st.Bytes > minSharedBytes {
-		t.Fatalf("resident %d bytes exceeds budget", st.Bytes)
+	fetch(5, size) // evicts 2, the least recently used
+	if got, want := resident(1, 2, 3, 4, 5), []container.ID{1, 3, 4, 5}; !slices.Equal(got, want) {
+		t.Fatalf("after a hit on 1 and a fetch of 5, resident %v, want %v", got, want)
 	}
-	if c, ok := holder.Get(pinned); !ok || c != c1 {
-		t.Fatal("referenced container was evicted or replaced")
+	fetch(6, size) // evicts 3
+	if got, want := resident(1, 3, 4, 5, 6), []container.ID{1, 4, 5, 6}; !slices.Equal(got, want) {
+		t.Fatalf("after a fetch of 6, resident %v, want %v", got, want)
 	}
 
-	// After release, the space is reclaimable again.
-	holder.Close()
-	late := s.NewSession()
-	defer late.Close()
-	id := container.ID(99)
-	if _, src, err := late.Fetch(id, func() (*container.Container, error) {
-		return synthContainer(id, 12<<10), nil
-	}); err != nil || src != SrcFetched {
-		t.Fatalf("post-release fetch: src=%v err=%v", src, err)
+	before := s.Stats()
+	if before.Evictions != 2 || before.Entries != 4 {
+		t.Fatalf("stats %+v: want 2 evictions and 4 entries", before)
 	}
-	if _, ok := late.Get(id); !ok {
-		t.Fatal("post-release admission failed with free space available")
+	if c, src := fetch(9, budget+1); len(c.Data) != budget+1 || src != SrcFetched {
+		t.Fatalf("oversized fetch: %d bytes, src=%v", len(c.Data), src)
+	}
+	if after := s.Stats(); len(resident(9)) != 0 || after.Bytes != before.Bytes || after.Evictions != before.Evictions {
+		t.Fatalf("an oversized container was admitted or evicted others: %+v, then %+v", before, after)
 	}
 }
 
 func TestSharedInvalidateDropsResidentAndPoisonsInflight(t *testing.T) {
 	s := NewShared(1 << 20)
-	ss := s.NewSession()
-	defer ss.Close()
 
 	// Resident entry invalidated → next fetch goes to OSS again.
 	id := container.ID(5)
@@ -233,14 +190,14 @@ func TestSharedInvalidateDropsResidentAndPoisonsInflight(t *testing.T) {
 		fetches++
 		return synthContainer(id, 2048), nil
 	}
-	if _, _, err := ss.Fetch(id, fetch); err != nil {
+	if _, _, err := s.Fetch(id, fetch); err != nil {
 		t.Fatal(err)
 	}
 	s.Invalidate(id)
-	if _, ok := ss.Get(id); ok {
+	if _, ok := s.Get(id); ok {
 		t.Fatal("invalidated container still resident")
 	}
-	if _, src, err := ss.Fetch(id, fetch); err != nil || src != SrcFetched {
+	if _, src, err := s.Fetch(id, fetch); err != nil || src != SrcFetched {
 		t.Fatalf("refetch after invalidate: src=%v err=%v", src, err)
 	}
 	if fetches != 2 {
@@ -255,9 +212,7 @@ func TestSharedInvalidateDropsResidentAndPoisonsInflight(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		other := s.NewSession()
-		defer other.Close()
-		c, _, err := other.Fetch(id2, func() (*container.Container, error) {
+		c, _, err := s.Fetch(id2, func() (*container.Container, error) {
 			close(started)
 			<-release
 			return synthContainer(id2, 2048), nil
@@ -270,30 +225,97 @@ func TestSharedInvalidateDropsResidentAndPoisonsInflight(t *testing.T) {
 	s.Invalidate(id2)
 	close(release)
 	<-done
-	if _, ok := ss.Get(id2); ok {
+	if _, ok := s.Get(id2); ok {
 		t.Fatal("container invalidated mid-flight was admitted")
 	}
 }
 
 func TestSharedFetchErrorPropagatesAndRetries(t *testing.T) {
 	s := NewShared(1 << 20)
-	ss := s.NewSession()
-	defer ss.Close()
 	id := container.ID(11)
 	boom := errors.New("oss unavailable")
-	if _, _, err := ss.Fetch(id, func() (*container.Container, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, _, err := s.Fetch(id, func() (*container.Container, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("got %v, want the fetch error", err)
 	}
 	// Errors are not cached: the next fetch runs again and can succeed.
-	c, src, err := ss.Fetch(id, func() (*container.Container, error) { return synthContainer(id, 512), nil })
+	c, src, err := s.Fetch(id, func() (*container.Container, error) { return synthContainer(id, 512), nil })
 	if err != nil || c == nil || src != SrcFetched {
 		t.Fatalf("retry after error: c=%v src=%v err=%v", c, src, err)
 	}
 }
 
+// TestSharedJoinerRetriesAfterOwnerFails: a caller waiting on a flight
+// whose owner fails does not inherit the error; it fetches as owner with
+// its own function, and the failed flight admits nothing.
+func TestSharedJoinerRetriesAfterOwnerFails(t *testing.T) {
+	s := NewShared(1 << 20)
+	const id = container.ID(12)
+	boom := errors.New("owner's read failed")
+	started, release := make(chan struct{}), make(chan struct{})
+	ownerErr := make(chan error, 1)
+	go func() {
+		_, _, err := s.Fetch(id, func() (*container.Container, error) {
+			close(started)
+			<-release
+			return nil, boom
+		})
+		ownerErr <- err
+	}()
+	<-started
+
+	type result struct {
+		c, own *container.Container
+		src    FetchSource
+		err    error
+		admits int64 // entries resident when the waiter's own fetch ran
+	}
+	waiter := make(chan result, 1)
+	go func() {
+		var r result
+		r.c, r.src, r.err = s.Fetch(id, func() (*container.Container, error) {
+			r.admits = s.Stats().Entries
+			r.own = synthContainer(id, 512)
+			return r.own, nil
+		})
+		waiter <- r
+	}()
+	waitForJoiner(t)
+	close(release)
+
+	if err := <-ownerErr; !errors.Is(err, boom) {
+		t.Fatalf("owner: got %v, want its own fetch error", err)
+	}
+	r := <-waiter
+	if r.err != nil || r.src != SrcFetched || r.own == nil || r.c != r.own {
+		t.Fatalf("waiter: src=%v err=%v, want its own container as SrcFetched", r.src, r.err)
+	}
+	if r.admits != 0 {
+		t.Fatalf("the failed flight admitted %d entries", r.admits)
+	}
+	if st := s.Stats(); st.Misses != 2 || st.InflightJoins != 0 {
+		t.Fatalf("stats %+v: want 2 misses and 0 joins", st)
+	}
+}
+
+// waitForJoiner returns once some goroutine is blocked in Shared.Fetch
+// itself on a channel receive: a caller waiting for another's flight.
+func waitForJoiner(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			head, frames, _ := strings.Cut(g, "\n")
+			if strings.HasSuffix(head, "[chan receive]:") && strings.HasPrefix(frames, "slimstore/internal/cache.(*Shared).Fetch(") {
+				return
+			}
+		}
+	}
+	t.Fatal("no caller joined the flight within 10 s")
+}
+
 // TestSharedWithPrefetcherAndTwoJobs composes the layers the engine
-// stacks: per-job LAW prefetch workers on top of per-job shared-cache
-// sessions. Two jobs restoring the same fragmented stream must together
+// stacks: per-job LAW prefetch workers on top of one node-wide shared
+// cache. Two jobs restoring the same fragmented stream must together
 // trigger at most one base fetch per unique container.
 func TestSharedWithPrefetcherAndTwoJobs(t *testing.T) {
 	repo, seq, want := fragmentedScenario(t)
@@ -309,10 +331,8 @@ func TestSharedWithPrefetcherAndTwoJobs(t *testing.T) {
 	}
 
 	runJob := func() ([]byte, Stats, error) {
-		ss := s.NewSession()
-		defer ss.Close()
 		shared := func(id container.ID) (*container.Container, error) {
-			c, _, err := ss.Fetch(id, func() (*container.Container, error) { return base(id) })
+			c, _, err := s.Fetch(id, func() (*container.Container, error) { return base(id) })
 			return c, err
 		}
 		pf := NewPrefetcher(shared, seq, 4, 8)

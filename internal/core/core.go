@@ -94,7 +94,8 @@ type Config struct {
 	// cost).
 	VerifyRestore bool
 	// SharedCacheBytes budgets the node-wide restore container cache
-	// shared by all concurrent jobs (DESIGN.md §10). 0 selects the
+	// shared by all concurrent jobs (DESIGN.md §10): resident containers
+	// never exceed it, the least recently used going first. 0 selects the
 	// default (256 MiB); negative disables the cache and singleflight
 	// entirely, making every job fetch for itself.
 	SharedCacheBytes int64
@@ -230,7 +231,7 @@ type Repo struct {
 	CLocks ContainerLocks
 
 	// RestoreIO is the node-wide shared restore container cache
-	// (singleflight fetches + bounded reference-counted caching across
+	// (singleflight fetches and one LRU list under a byte budget, across
 	// jobs); nil when Config.SharedCacheBytes is negative. Container
 	// mutations invalidate it via the store's OnInvalidate hook.
 	RestoreIO *cache.Shared

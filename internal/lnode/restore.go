@@ -126,7 +126,6 @@ func (n *LNode) restore(fileID string, version int, off, length int64, w io.Writ
 	// sparse need-sets, long reads cut to share the channels, at most
 	// `threads` requests in flight (DESIGN.md §10).
 	rio := newRestoreIO(n, containers, seq, res.Metas, threads)
-	defer rio.close()
 	fetch := cache.Fetcher(rio.fetch)
 	var pf *cache.Prefetcher
 	if threads > 0 {

@@ -29,8 +29,8 @@ import (
 //
 // The layer is safe for concurrent use by the LAW prefetch workers.
 type restoreIO struct {
-	containers *container.Store     // this job's metered view, gated at the job's read channels
-	session    *cache.SharedSession // nil = shared cache disabled
+	containers *container.Store // this job's metered view, gated at the job's read channels
+	shared     *cache.Shared    // nil = shared cache disabled
 	// plans holds every container of the pinned sequence that has
 	// metadata, planned and cut before the first read; read-only after.
 	plans map[container.ID]cache.ReadPlan
@@ -50,12 +50,9 @@ type restoreIO struct {
 // is planned here, in first-need order, and the long reads among them cut
 // (cache.Split): the requests a restore issues are a function of the
 // sequence, the metas, threads and the cost model, fixed before it reads a
-// byte. close the returned layer when the job ends.
+// byte.
 func newRestoreIO(n *LNode, containers *container.Store, seq []cache.Request, metas map[container.ID]*container.Meta, threads int) *restoreIO {
-	rio := &restoreIO{containers: containers.Gated(threads)}
-	if n.repo.RestoreIO != nil {
-		rio.session = n.repo.RestoreIO.NewSession()
-	}
+	rio := &restoreIO{containers: containers.Gated(threads), shared: n.repo.RestoreIO}
 	need := make(map[container.ID]map[fingerprint.FP]bool)
 	var order []container.ID // containers with metadata, in first-need order
 	for i := range seq {
@@ -85,19 +82,12 @@ func newRestoreIO(n *LNode, containers *container.Store, seq []cache.Request, me
 	return rio
 }
 
-// close releases the job's shared-cache references.
-func (rio *restoreIO) close() {
-	if rio.session != nil {
-		rio.session.Close()
-	}
-}
-
 // fetch is the cache.Fetcher the restore policy (and prefetcher) use. A
 // container the resolution pass has no metadata for has no plan and is
 // read whole.
 func (rio *restoreIO) fetch(id container.ID) (*container.Container, error) {
-	if rio.session != nil {
-		if c, ok := rio.session.Get(id); ok {
+	if rio.shared != nil {
+		if c, ok := rio.shared.Get(id); ok {
 			rio.mu.Lock()
 			rio.sharedHits++
 			rio.mu.Unlock()
@@ -118,10 +108,10 @@ func (rio *restoreIO) fetch(id container.ID) (*container.Container, error) {
 		rio.mu.Unlock()
 		return c, nil
 	}
-	if rio.session == nil {
+	if rio.shared == nil {
 		return read()
 	}
-	c, src, err := rio.session.Fetch(id, read)
+	c, src, err := rio.shared.Fetch(id, read)
 	if err != nil {
 		return nil, err
 	}

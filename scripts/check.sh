@@ -120,6 +120,8 @@ go test -race -count=1 -cpu 1,4 -run 'CompactSparse|MatchesSerial' ./internal/gn
 # payload's parts are put together, and no meta put begins before the last
 # of them has returned (DESIGN.md §13).
 go test -race -count=20 -cpu 1,4 -run 'TestPinFallsBackAfterRewrite|TestPinAcceptsFirstPassUnderMarks|TestRestoreRacingDeletionOfItsVersion|TestRestoreRunsBesideBackupOfSameFile|TestOpenBaseWave|TestStaleGuessMatchesColdHandle|TestPayloadPartsWave' ./internal/lnode/ ./internal/jobs/
+# The shared cache's only concurrency, singleflight and invalidation (DESIGN.md §10), under the same repeated race run.
+go test -race -count=20 -cpu 1,4 -run 'TestShared|TestConcurrentOverlappingRestoresShareFetches|TestRestoreAfterInvalidationRefetches' ./internal/cache/ ./internal/jobs/
 # Store bytes at G-node widths -1 and 4, plain and striped, payloads in
 # parts among them: the rewrites' fresh payload IDs are drawn in container
 # order, whatever the scheduler does.
