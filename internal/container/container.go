@@ -11,7 +11,7 @@
 //
 //	containers/<id>.meta      — per-chunk records (fp, offset, size, deleted), payload ID, part offsets
 //	containers/<pid>.data     — the payload, or its first part
-//	containers/<pid>.<i>.data — part i of a payload a PackPool put in parts (Pieces)
+//	containers/<pid>.<i>.data — part i of a payload put in parts (Store.WritePayload, Pieces)
 //
 // Parts are cut on chunk boundaries and the last ends in the footer, so
 // laid end to end they are the one-object data object byte for byte.
@@ -464,23 +464,8 @@ func DecodeMeta(b []byte) (*Meta, error) {
 	return m, nil
 }
 
-// EncodeData frames a payload as a data object: payload plus footer.
-func EncodeData(payload []byte) []byte {
-	out := make([]byte, len(payload)+FooterSize)
-	copy(out, payload)
-	binary.LittleEndian.PutUint32(out[len(payload):], footerMagic)
-	binary.LittleEndian.PutUint32(out[len(payload)+4:], ChecksumOf(payload))
-	return out
-}
-
-// appendFooter seals a payload whose CRC32C is sum into a data object in
-// place. The caller guarantees cap(payload) >= len(payload)+FooterSize; the
-// returned slice shares payload's backing array, extended over the footer
-// bytes.
+// appendFooter seals a payload whose CRC32C is sum into a data object: the
+// footer is appended, in place when cap(payload) has room for it.
 func appendFooter(payload []byte, sum uint32) []byte {
-	n := len(payload)
-	out := payload[:n+FooterSize]
-	binary.LittleEndian.PutUint32(out[n:], footerMagic)
-	binary.LittleEndian.PutUint32(out[n+4:], sum)
-	return out
+	return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(payload, footerMagic), sum)
 }

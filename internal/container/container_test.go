@@ -108,6 +108,16 @@ func TestMetaTrailerDetectsCorruption(t *testing.T) {
 	}
 }
 
+// EncodeData frames a payload as a data object, payload plus footer, by a
+// route of its own: the reference WritePayload's appended footer is held to.
+func EncodeData(payload []byte) []byte {
+	out := make([]byte, len(payload)+FooterSize)
+	copy(out, payload)
+	binary.LittleEndian.PutUint32(out[len(payload):], footerMagic)
+	binary.LittleEndian.PutUint32(out[len(payload)+4:], ChecksumOf(payload))
+	return out
+}
+
 func TestDataFooterRoundTrip(t *testing.T) {
 	payload := []byte("hello container payload")
 	raw := EncodeData(payload)
@@ -126,7 +136,7 @@ func TestDataFooterRoundTrip(t *testing.T) {
 // when the chunks tile the payload in order and from a separate pass over
 // the payload otherwise; either way the stored data object is exactly
 // EncodeData(payload), for every chunk layout and with or without footer
-// headroom in the payload buffer.
+// headroom in the payload buffer, and the payload view is left as it was.
 func TestWriteFooterAnyLayout(t *testing.T) {
 	payload := make([]byte, 10000)
 	rand.New(rand.NewSource(9)).Read(payload)

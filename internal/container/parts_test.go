@@ -40,16 +40,13 @@ func TestPiecesAtDefaultCosts(t *testing.T) {
 	}
 }
 
-// partsContainer writes n chunks of sz bytes as one container put in k
-// parts over store and returns the container store, its meta and the
-// chunks' bytes.
+// partsContainer stores n chunks of sz bytes as one container whose payload
+// is cut into k parts near k-ths over store, and returns the container
+// store, its meta and the chunks' bytes. Its objects are put directly, as a
+// reader may meet them: WritePayload puts at most maxParts.
 func partsContainer(t *testing.T, store oss.Store, n, sz, k int) (*Store, *Meta, [][]byte) {
 	t.Helper()
-	cs, err := NewStore(store, n*sz)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &Container{Meta: Meta{ID: cs.AllocateID()}}
+	c := &Container{Meta: Meta{ID: 1, Payload: 1}}
 	chunks := make([][]byte, n)
 	for i := range chunks {
 		fp, data := chunkOf(int64(100+i), sz)
@@ -57,17 +54,33 @@ func partsContainer(t *testing.T, store oss.Store, n, sz, k int) (*Store, *Meta,
 		c.Meta.Chunks = append(c.Meta.Chunks, ChunkMeta{FP: fp, Offset: uint32(i * sz), Size: uint32(sz)})
 		c.Data = append(c.Data, data...)
 	}
-	c.Meta.Payload = c.Meta.ID
-	if err := cs.writePayload(c, k); err != nil {
+	if _, _, err := c.seal(); err != nil {
 		t.Fatal(err)
 	}
-	if len(c.Meta.Parts) != k-1 {
-		t.Fatalf("fixture: %d parts, want %d", c.Meta.NumParts(), k)
+	m := &c.Meta
+	for _, sp := range CutSpan(m, Span{Len: int64(len(c.Data)), Chunks: InOffsetOrder(m, false)}, k, 0)[1:] {
+		m.Parts = append(m.Parts, uint32(sp.Off))
 	}
-	if err := cs.WriteMeta(&c.Meta); err != nil {
+	if len(m.Parts) != k-1 {
+		t.Fatalf("fixture: %d parts, want %d", m.NumParts(), k)
+	}
+	data := EncodeData(c.Data)
+	err := store.Put(MetaKey(m.ID), EncodeMeta(m))
+	for i, key := range m.DataKeys() {
+		off, end := m.PartRange(i)
+		if i == len(m.Parts) {
+			end = int64(len(data))
+		}
+		err = errors.Join(err, store.Put(key, data[off:end]))
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
-	return cs, &c.Meta, chunks
+	cs, err := NewStore(store, n*sz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cs, m, chunks
 }
 
 // TestPartsLayout: a payload put in parts is cut on chunk boundaries near
@@ -114,6 +127,9 @@ func TestReadSpansClipsAtParts(t *testing.T) {
 	var rec oss.Recorder
 	mem := oss.NewMem()
 	cs, m, chunks := partsContainer(t, oss.With(mem, &rec), 12, 1000, 3)
+	if _, err := cs.ReadMeta(m.ID); err != nil { // cached: what follows counts data requests
+		t.Fatal(err)
+	}
 	rec.Take()
 	c, err := cs.Read(m.ID)
 	if err != nil {

@@ -64,7 +64,7 @@ type Store struct {
 // storeShared is the state common to all views of one container store.
 type storeShared struct {
 	capacity int
-	partLB   int64 // the PackPool's piece-count unit, L·B_w (SplitWrites); 0 = one object
+	partLB   int64 // WritePayload's piece-count unit, L·B_w (SplitWrites); 0 = one object
 	nextID   atomic.Uint64
 
 	mu        sync.Mutex
@@ -75,8 +75,8 @@ type storeShared struct {
 	updating  [64]sync.Mutex // UpdateMeta's, striped by container ID
 
 	// bufPool recycles container payload buffers between builders and the
-	// pack stage. Buffers are sized capacity+FooterSize so Write can seal
-	// the data-object footer in place without the EncodeData copy.
+	// pack stage. Buffers are sized capacity+FooterSize so WritePayload
+	// appends the data-object footer in place.
 	bufPool sync.Pool
 }
 
@@ -169,8 +169,8 @@ func NewStore(s oss.Store, capacity int) (*Store, error) {
 	return cs, nil
 }
 
-// SplitWrites makes a PackPool over s put payloads in parts by Pieces at
-// lb = L·B_w. Call it at open time, before the store sees concurrent use.
+// SplitWrites makes WritePayload over s put every payload in parts by Pieces
+// at lb = L·B_w. Call it at open time, before the store sees concurrent use.
 func (s *Store) SplitWrites(lb int64) { s.shared.partLB = lb }
 
 // View returns a store sharing this store's ID allocator and metadata
@@ -268,15 +268,21 @@ func (s *Store) Write(c *Container) error {
 	return s.WriteMeta(&c.Meta)
 }
 
-// WritePayload seals c and puts its data object under c.Meta.Payload, an ID
-// no object is stored under yet, as one object. Chunk checksums are
-// recomputed from the payload. Nothing reads the payload until a meta that
-// names it is written.
-func (s *Store) WritePayload(c *Container) error { return s.writePayload(c, 1) }
+// maxParts caps the parts of a payload: a third part saves a sixth of a
+// full container's put and costs every later whole read (restore, scrub,
+// G-node pass) and the deletion a request, which measured more than the
+// backup time it bought.
+const maxParts = 2
 
-// writePayload is WritePayload of up to k parts cut on chunk boundaries,
-// recorded in c.Meta.Parts and put side by side.
-func (s *Store) writePayload(c *Container, k int) error {
+// WritePayload seals c and puts its data object under c.Meta.Payload, an ID
+// no object is stored under yet, whoever writes it: as min(Pieces(size,
+// L·B_w), maxParts) parts cut on chunk boundaries, recorded in c.Meta.Parts
+// and put side by side — one object on a store SplitWrites never set. Chunk
+// checksums are recomputed from the payload. The footer is appended in place
+// when c.Data has room for it (builder and rewrite buffers do), so the
+// payload is not copied. Nothing reads the payload until a meta that names
+// it is written.
+func (s *Store) WritePayload(c *Container) error {
 	if c.Meta.ID == Invalid || c.Meta.Payload == Invalid {
 		return fmt.Errorf("container: write with invalid ID %s or payload %s", c.Meta.ID, c.Meta.Payload)
 	}
@@ -284,40 +290,25 @@ func (s *Store) writePayload(c *Container, k int) error {
 	if err != nil {
 		return err
 	}
-	// Seal the data object in place when the payload buffer has footer
-	// headroom (builder buffers always do): the footer is appended into
-	// the same allocation and the payload view restored afterwards, so
-	// the hot path writes containers with zero payload copies.
-	payload := c.Data
-	var enc []byte
-	if cap(payload) >= len(payload)+FooterSize {
-		if !tiled {
-			sum = ChecksumOf(payload)
-		}
-		enc = appendFooter(payload, sum)
-	} else {
-		enc = EncodeData(payload)
+	if !tiled {
+		sum = ChecksumOf(c.Data)
 	}
+	enc := appendFooter(c.Data, sum)
 	m := &c.Meta
 	m.Parts = nil
-	if k <= 1 {
-		err = s.oss.Put(DataKey(m.Payload), enc)
-	} else {
-		for _, sp := range CutSpan(m, Span{Len: int64(len(payload)), Chunks: InOffsetOrder(m, false)}, k, s.shared.partLB)[1:] {
-			m.Parts = append(m.Parts, uint32(sp.Off))
-		}
-		err = pipe.FanOut(m.NumParts(), m.NumParts(), func(i int) error {
-			off, end := m.PartRange(i)
-			if i == len(m.Parts) {
-				end = int64(len(enc)) // the last part carries the footer
-			}
-			return s.oss.Put(PartKey(m.Payload, i), enc[off:end])
-		})
+	size := int64(len(c.Data))
+	for _, sp := range CutSpan(m, Span{Len: size, Chunks: InOffsetOrder(m, false)}, min(Pieces(size, s.shared.partLB), maxParts), s.shared.partLB)[1:] {
+		m.Parts = append(m.Parts, uint32(sp.Off))
 	}
-	if err != nil {
+	if err := pipe.FanOut(m.NumParts(), m.NumParts(), func(i int) error {
+		off, end := m.PartRange(i)
+		if i == len(m.Parts) {
+			end = int64(len(enc)) // the last part carries the footer
+		}
+		return s.oss.Put(PartKey(m.Payload, i), enc[off:end])
+	}); err != nil {
 		return fmt.Errorf("container %s: write data: %w", c.Meta.ID, err)
 	}
-	c.Data = payload
 	return nil
 }
 

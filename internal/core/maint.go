@@ -42,7 +42,9 @@ func (r *Repo) Rebuild(cs *container.Store, m *container.Meta, held *container.C
 			return nil, 0, fmt.Errorf("core: rewrite %s: %w", m.ID, err)
 		}
 	}
-	nc := &container.Container{Meta: container.Meta{ID: m.ID, Payload: payload}, Data: make([]byte, 0, m.LiveBytes())}
+	// Room for the footer: WritePayload appends it in place, so the rewrite
+	// copies the payload once, here.
+	nc := &container.Container{Meta: container.Meta{ID: m.ID, Payload: payload}, Data: make([]byte, 0, m.LiveBytes()+container.FooterSize)}
 	for i := range m.Chunks {
 		cm := &m.Chunks[i]
 		if cm.Deleted {

@@ -5,6 +5,9 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"slimstore/internal/container"
@@ -178,5 +181,55 @@ func TestRewriteSwitchesOnlyFromWhatItRead(t *testing.T) {
 	}
 	if want := []string{container.MetaKey(m.ID), first}; !reflect.DeepEqual(keys, want) {
 		t.Fatalf("the store holds %v, want %v", keys, want)
+	}
+}
+
+// TestRebuildCopiesPayloadOnce: a rewrite allocates its compacted payload
+// with room for the footer, which WritePayload appends in place, so one
+// Rebuild of a 1 MiB payload allocates under 1.5× its bytes — the payload
+// once, not again for a framed copy — over a store whose data puts drop
+// what they are given (a put that kept it would copy it).
+func TestRebuildCopiesPayloadOnce(t *testing.T) {
+	var drop atomic.Bool
+	mem := oss.NewMem()
+	repo, err := OpenRepo(oss.With(mem, oss.LayerFunc(func(op oss.Op, next oss.Store) (oss.Op, error) {
+		if drop.Load() && op.Kind == oss.KindPut && strings.HasSuffix(op.Key, ".data") {
+			return op, nil
+		}
+		return oss.Do(next, op)
+	})), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	b := container.NewBuilder(repo.Containers)
+	var id container.ID
+	for i := 0; i < 256; i++ {
+		data := make([]byte, 4<<10)
+		rng.Read(data)
+		if id, err = b.Add(repo.Fingerprint(nil, data), data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	held, err := repo.Containers.Read(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drop.Store(true)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	nm, _, err := repo.Rebuild(repo.Containers, &held.Meta, held, repo.Containers.AllocateID())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := int64(nm.DataSize)
+	perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(size)
+	t.Logf("Rebuild of %d bytes in %d parts: %.3f allocated bytes per payload byte", size, nm.NumParts(), perByte)
+	if size != 1<<20 || perByte >= 1.5 {
+		t.Fatalf("Rebuild of %d bytes allocated %.2f bytes per payload byte, want a 1 MiB payload under 1.5", size, perByte)
 	}
 }

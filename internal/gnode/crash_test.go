@@ -141,10 +141,11 @@ func rerunAfterReboot(t *testing.T, cfg core.Config, want map[string]map[int][]b
 
 // TestCompactSparseCrashAtEveryPut kills a compaction before every OSS
 // mutation it issues — puts and deletes — at the serial width and with
-// the fan-out on, and reboots from what reached the store: plain, and over
-// RS(4+2), where a payload put is six puts a crash can cut anywhere. Every
-// reboot restores both versions; the pass re-run on it completes, and after
-// it and a sweep no payload is left that no meta names.
+// the fan-out on, and reboots from what reached the store: plain, under
+// rangedCosts, where its payloads go in parts, and over RS(4+2), where a
+// payload put is six puts a crash can cut anywhere. Every reboot restores
+// both versions; the pass re-run on it completes, and after it and a sweep
+// no payload is left that no meta names.
 func TestCompactSparseCrashAtEveryPut(t *testing.T) {
 	for _, v := range []struct {
 		cfg    core.Config
@@ -168,11 +169,23 @@ func TestCompactSparseCrashAtEveryPut(t *testing.T) {
 					err := compact(New(repo))
 					if err == nil && v.ranged {
 						assertRangedAndCut(t, &rec, sizes, workers > 1)
+						assertPutInParts(t, &rec)
 					}
 					return err
 				}, rerunAfterReboot(t, cfg, map[string]map[int][]byte{"f": want}, compact))
 			})
 		}
+	}
+}
+
+// assertPutInParts fails unless the pass rec recorded put a payload's second
+// part. Under rangedCosts a rewrite of 4·L·B_w (~20 KiB) or more goes in two
+// parts, a wave of puts that lands in any order, so a crash loop over such
+// rewrites must cut between them somewhere.
+func assertPutInParts(t *testing.T, rec *oss.Recorder) {
+	t.Helper()
+	if len(rec.Requests(func(op oss.Op) bool { return op.Kind == oss.KindPut && strings.HasSuffix(op.Key, ".1.data") })) == 0 {
+		t.Fatal("no payload of the pass was put in parts")
 	}
 }
 
@@ -203,14 +216,21 @@ func variantName(cfg core.Config, workers int, ranged bool) string {
 // duplicates and physical rewrites before every OSS mutation it issues —
 // the index's WAL put, the metadata marks, each rewrite's payload put, meta
 // switch and old payload delete — at the serial width and with the fan-out
-// on, plain and over RS(4+2). After the reboot every file restores
+// on, plain, under rangedCosts (rewrites in parts) and over RS(4+2). After
+// the reboot every file restores
 // byte-identical (old copies gone or not, redirects resolve through what
 // the index made durable first), the sweep converges and leaves no payload
 // no meta names, and the pass re-run on the rebooted repo completes what
 // the crash cut short.
 func TestReverseDedupCrashAtEveryPut(t *testing.T) {
-	for _, base := range []core.Config{twinConfig(-1), ecLayout(twinConfig(-1))} {
-		tw := buildTwinCfg(t, base)
+	for _, v := range []struct {
+		cfg    core.Config
+		ranged bool
+	}{{twinConfig(-1), false}, {twinConfig(-1), true}, {ecLayout(twinConfig(-1)), false}} {
+		if v.ranged {
+			rangedCosts(&v.cfg)
+		}
+		tw := buildTwinCfg(t, v.cfg)
 		cfg := tw.repo.Config
 		want := map[string]map[int][]byte{}
 		for _, f := range []string{"a", "b", "c"} {
@@ -218,14 +238,18 @@ func TestReverseDedupCrashAtEveryPut(t *testing.T) {
 		}
 
 		for _, workers := range []int{-1, 4} {
-			t.Run(variantName(cfg, workers, false), func(t *testing.T) {
+			t.Run(variantName(cfg, workers, v.ranged), func(t *testing.T) {
 				t.Parallel()
 				cfg := cfg
 				cfg.MaintWorkers = workers
 				oss.CrashAtEvery(t, tw.mem, crashStride(cfg), 2000, func(s oss.Store) error {
-					st, err := New(mustOpen(t, s, cfg)).ReverseDedup(tw.new)
+					var rec oss.Recorder
+					st, err := New(mustOpen(t, oss.With(s, &rec), cfg)).ReverseDedup(tw.new)
 					if err == nil && (st.DuplicatesRemoved == 0 || st.ContainersRewritten == 0) {
 						t.Fatalf("degenerate pass, nothing to crash in: %+v", st)
+					}
+					if err == nil && v.ranged {
+						assertPutInParts(t, &rec)
 					}
 					return err
 				}, rerunAfterReboot(t, cfg, want, func(g *GNode) error {

@@ -374,7 +374,7 @@ func (g *GNode) scrubRepair(sv *scrubView) (*ScrubStats, error) {
 			// Full repair: rebuild from local intact bytes plus donor copies,
 			// beside the damaged payload; recipes and the index stay valid
 			// as-is.
-			nc := &container.Container{Meta: container.Meta{ID: id, Payload: cs.AllocateID()}}
+			nc := &container.Container{Meta: container.Meta{ID: id, Payload: cs.AllocateID()}, Data: make([]byte, 0, c.Meta.LiveBytes()+container.FooterSize)}
 			for j := range c.Meta.Chunks {
 				cm := &c.Meta.Chunks[j]
 				if cm.Deleted {

@@ -292,44 +292,56 @@ func TestScrubClearsDeadRegionRot(t *testing.T) {
 // name it. After each reboot every index entry names a container that
 // lists its fingerprint — the scrub repoints before it quarantines — and
 // after a second scrub every version restores byte-identical or fails
-// naming the lost chunk.
+// naming the lost chunk. Under rangedCosts the salvage is put in parts.
 func TestScrubCrashAtEveryMutation(t *testing.T) {
-	baseline, cfg, want, st := sccFixture(t, false)
-	repo := mustOpen(t, baseline, cfg)
-	if _, err := New(repo).CompactSparse("f", st.Version, st.SparseContainers); err != nil {
-		t.Fatal(err)
-	}
-	victim := container.Invalid
-	if err := repo.Global.Scan(func(_ fingerprint.FP, id container.ID) bool {
-		victim = id
-		return false
-	}); err != nil || victim == container.Invalid {
-		t.Fatalf("compaction left no index entry to repoint (%v)", err)
-	}
-	lostFP := firstLiveChunk(t, repo, victim)
-	flipChunkAtRest(t, baseline, repo, victim, lostFP)
-
-	oss.CrashAtEvery(t, baseline, 1, 400, func(s oss.Store) error {
-		sc, err := New(mustOpen(t, s, cfg)).Scrub()
-		if err == nil && (len(sc.Quarantined) != 1 || len(sc.Lost) != 1 || sc.IndexRepointed == 0) {
-			t.Fatalf("degenerate scrub, nothing salvaged, repointed and quarantined: %+v", sc)
-		}
-		return err
-	}, func(mem *oss.Mem, n int, _ error) bool {
-		rebooted := mustOpen(t, mem, cfg)
-		assertIndexSound(t, fmt.Sprintf("budget %d, rebooted", n), rebooted)
-		if _, err := New(rebooted).Scrub(); err != nil {
-			t.Fatalf("budget %d: second scrub: %v", n, err)
-		}
-		assertIndexSound(t, fmt.Sprintf("budget %d, scrubbed", n), rebooted)
-		rl := lnode.New(rebooted, "l0")
-		for v, data := range want {
-			if err := restoreMatches(rl, "f", v, data); err != nil && !strings.Contains(err.Error(), lostFP.Short()) {
-				t.Fatalf("budget %d: f v%d: %v, want the original bytes or a failure naming %s", n, v, err, lostFP.Short())
+	for _, ranged := range []bool{false, true} {
+		t.Run(fmt.Sprintf("ranged=%v", ranged), func(t *testing.T) {
+			cfg := testConfig()
+			if ranged {
+				rangedCosts(&cfg) // the salvaged payload goes in parts
 			}
-		}
-		return false
-	})
+			baseline, cfg, want, st := sccFixtureOn(t, cfg, false)
+			repo := mustOpen(t, baseline, cfg)
+			if _, err := New(repo).CompactSparse("f", st.Version, st.SparseContainers); err != nil {
+				t.Fatal(err)
+			}
+			victim := container.Invalid
+			if err := repo.Global.Scan(func(_ fingerprint.FP, id container.ID) bool {
+				victim = id
+				return false
+			}); err != nil || victim == container.Invalid {
+				t.Fatalf("compaction left no index entry to repoint (%v)", err)
+			}
+			lostFP := firstLiveChunk(t, repo, victim)
+			flipChunkAtRest(t, baseline, repo, victim, lostFP)
+
+			oss.CrashAtEvery(t, baseline, 1, 400, func(s oss.Store) error {
+				var rec oss.Recorder
+				sc, err := New(mustOpen(t, oss.With(s, &rec), cfg)).Scrub()
+				if err == nil && (len(sc.Quarantined) != 1 || len(sc.Lost) != 1 || sc.IndexRepointed == 0) {
+					t.Fatalf("degenerate scrub, nothing salvaged, repointed and quarantined: %+v", sc)
+				}
+				if err == nil && ranged {
+					assertPutInParts(t, &rec)
+				}
+				return err
+			}, func(mem *oss.Mem, n int, _ error) bool {
+				rebooted := mustOpen(t, mem, cfg)
+				assertIndexSound(t, fmt.Sprintf("budget %d, rebooted", n), rebooted)
+				if _, err := New(rebooted).Scrub(); err != nil {
+					t.Fatalf("budget %d: second scrub: %v", n, err)
+				}
+				assertIndexSound(t, fmt.Sprintf("budget %d, scrubbed", n), rebooted)
+				rl := lnode.New(rebooted, "l0")
+				for v, data := range want {
+					if err := restoreMatches(rl, "f", v, data); err != nil && !strings.Contains(err.Error(), lostFP.Short()) {
+						t.Fatalf("budget %d: f v%d: %v, want the original bytes or a failure naming %s", n, v, err, lostFP.Short())
+					}
+				}
+				return false
+			})
+		})
+	}
 }
 
 // TestScrubQuarantinesEveryPart: a container whose payload is in parts,

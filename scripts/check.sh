@@ -49,6 +49,13 @@ if grep -rl '\.WriteMeta(' --include='*.go' . | grep -vE '_test\.go$|^\./interna
 	exit 1
 fi
 
+# One payload writer (DESIGN.md §6): container.Store.WritePayload's one put site puts every data object.
+dataputs=$(grep -rnE '\.Put\((container\.)?(DataKey|PartKey)\(' --include='*.go' . | grep -v '_test\.go:' || true)
+if echo "$dataputs" | grep -v '^\./internal/container/store\.go:' | grep -q . || [ "$(echo "$dataputs" | grep -c '^\./internal/container/store\.go:')" -gt 1 ]; then
+	printf 'check: a data object is put outside container.Store.WritePayload, or store.go puts one at more than one site:\n%s\n' "$dataputs" >&2
+	exit 1
+fi
+
 # A restore takes no file lock (DESIGN.md §7): it reads one atomic recipe
 # and pins what that resolves to, so the restore path never names one.
 if grep -lE 'repo\.Files\b' internal/lnode/restore*.go internal/cache/*.go | grep -q .; then
