@@ -153,7 +153,8 @@ func (x *Index) Stats() Stats {
 }
 
 // Sync is the durability point: when it returns, every prior mutation
-// survives a crash. One OSS put on a plain kvstore backend.
+// survives a crash. One OSS put on a plain kvstore backend, plus a flush
+// when its live WAL fills one replay wave (kvstore.DB.Sync).
 func (x *Index) Sync() error { return x.db.Sync() }
 
 // Flush pushes the memtable of an LSM backend out to a table, so that
@@ -166,5 +167,6 @@ func (x *Index) Flush() error {
 	return x.db.Sync()
 }
 
-// Close syncs and closes the underlying store.
+// Close closes the backend. A kvstore flushes its memtable to a table
+// first, so the next Open replays no WAL (kvstore.DB.Close).
 func (x *Index) Close() error { return x.db.Close() }

@@ -215,13 +215,20 @@ func (s *Sharded) Sync() error {
 	return s.forEachShard(func(k int) error { return s.shards[k].Sync() })
 }
 
-// Close closes every shard, returning the first error.
+// Close closes every shard, the shards in parallel as Sync syncs them (a
+// close flushes its engine, so K shards take one flush chain's time, not
+// K), and returns the first error in shard order. A shard is closed
+// whatever another's close returns.
 func (s *Sharded) Close() error {
-	var first error
-	for _, sh := range s.shards {
-		if err := sh.Close(); err != nil && first == nil {
-			first = err
+	errs := make([]error, len(s.shards))
+	s.forEachShard(func(k int) error {
+		errs[k] = s.shards[k].Close()
+		return nil
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	return first
+	return nil
 }

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"slimstore/internal/container"
 	"slimstore/internal/fingerprint"
@@ -218,4 +220,44 @@ func TestShardedOnOpHook(t *testing.T) {
 func kvOpts(prefix string) (o kvstore.Options) {
 	o.Prefix = prefix
 	return o
+}
+
+// TestShardedCloseFlushesShardsTogether: a Close flushes every shard's
+// engine, and the shards close in parallel — the K SST puts are held at a
+// barrier until all K are in flight, which a shard-by-shard Close never
+// reaches. The next open over the store then replays no WAL.
+func TestShardedCloseFlushesShardsTogether(t *testing.T) {
+	const k = 4
+	mem := oss.NewMem()
+	bar := oss.Barrier{Timeout: 5 * time.Second}
+	store := oss.With(mem, &bar)
+	s := openSharded(t, store, k, 1, k)
+	var batch []Entry
+	for i := 0; i < 200; i++ {
+		batch = append(batch, Entry{FP: testFP(i), ID: container.ID(i + 1)})
+	}
+	if err := s.PutBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	bar.Expect(func(op oss.Op) bool { return op.Kind == oss.KindPut && strings.Contains(op.Key, "/sst/") }, k)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := bar.Err(); err != nil {
+		t.Fatalf("shards closed one after another: %v", err)
+	}
+
+	again := openSharded(t, mem, k, 1, k)
+	st := again.Stats()
+	if st.KV.WALReplayed != 0 || st.KV.TablesLive != k || st.Entries != int64(len(batch)) {
+		t.Fatalf("open after Close: %+v, want %d tables, %d entries, nothing replayed", st, k, len(batch))
+	}
+	for _, e := range batch {
+		if id, ok, err := again.Get(e.FP); err != nil || !ok || id != e.ID {
+			t.Fatalf("Get after reopen = %v, %v, %v; want %v", id, ok, err, e.ID)
+		}
+	}
 }

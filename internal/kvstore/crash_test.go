@@ -12,9 +12,9 @@ import (
 )
 
 // modelOp is one step of a generated schedule: a batch to Apply (ops
-// non-empty), or a Sync, engine Flush or Compact.
+// non-empty), or a Sync, engine Flush, Compact or Close (and a reopen).
 type modelOp struct {
-	kind string // "apply", "sync", "flush", "compact"
+	kind string // "apply", "sync", "flush", "compact", "close"
 	ops  []modelKV
 }
 
@@ -25,8 +25,8 @@ type modelKV struct {
 }
 
 // genSchedule draws a schedule over a small key space: mostly batches and
-// syncs (so WAL segments pile up between flushes), the odd explicit flush
-// and compaction, deletes among the puts.
+// syncs (so WAL segments pile up between flushes), the odd explicit flush,
+// compaction and close, deletes among the puts.
 func genSchedule(rng *rand.Rand, steps int) []modelOp {
 	var out []modelOp
 	for i := 0; i < steps; i++ {
@@ -43,10 +43,12 @@ func genSchedule(rng *rand.Rand, steps int) []modelOp {
 				}
 			}
 			out = append(out, modelOp{kind: "apply", ops: ops})
-		case r < 92:
+		case r < 89:
 			out = append(out, modelOp{kind: "sync"})
-		case r < 97:
+		case r < 94:
 			out = append(out, modelOp{kind: "flush"})
+		case r < 97:
+			out = append(out, modelOp{kind: "close"})
 		default:
 			out = append(out, modelOp{kind: "compact"})
 		}
@@ -54,11 +56,16 @@ func genSchedule(rng *rand.Rand, steps int) []modelOp {
 	return out
 }
 
-// run plays sched on db until the first error. It returns the number of
+// runSchedule opens a DB over s and plays sched on it until the first
+// error. A close step closes the DB and opens the next handle over s, which
+// must replay no WAL segment. It returns the last handle, the number of
 // batches attempted (a batch whose Apply failed may or may not be durable)
-// and the number known durable: those applied before the last Sync, Flush
-// or Compact that returned nil.
-func runSchedule(db *DB, sched []modelOp) (attempted, durable int, err error) {
+// and the number known durable: those applied before the last Sync, Flush,
+// Compact or Close that returned nil.
+func runSchedule(t *testing.T, s oss.Store, opts Options, sched []modelOp) (db *DB, attempted, durable int, err error) {
+	if db, err = Open(s, opts); err != nil {
+		t.Fatal(err)
+	}
 	for _, op := range sched {
 		switch op.kind {
 		case "apply":
@@ -78,15 +85,24 @@ func runSchedule(db *DB, sched []modelOp) (attempted, durable int, err error) {
 			err = db.Flush()
 		case "compact":
 			err = db.Compact()
+		case "close":
+			if err = db.Close(); err == nil {
+				if db, err = Open(s, opts); err != nil {
+					t.Fatal(err)
+				}
+				if n := db.Stats().WALReplayed; n != 0 {
+					t.Fatalf("the open after a completed Close replayed %d WAL segments", n)
+				}
+			}
 		}
 		if err != nil {
-			return attempted, durable, err
+			return db, attempted, durable, err
 		}
 		if op.kind != "apply" {
 			durable = attempted
 		}
 	}
-	return attempted, durable, nil
+	return db, attempted, durable, nil
 }
 
 // prefixStates returns the model's contents after each prefix of sched's
@@ -127,29 +143,46 @@ func scanAll(t *testing.T, db *DB) map[string]string {
 }
 
 // TestCrashAtEveryMutationMatchesModel runs seeded random schedules of
-// Apply, Sync, Flush and Compact — with memtables small enough to fill and
-// large enough that only the WAL-segment bound flushes them — and kills
-// the process before every OSS mutation of each. After a reopen from the
-// bare store the contents must be exactly the model after some prefix of
-// the batches, no shorter than the last batch a Sync (or flush) vouched
-// for: a synced batch is never lost, no batch is ever half there. Every
-// table the recovery and the checks read must be named by the manifest,
-// and the recovered store must carry on (more batches, a flush, a
-// compaction, another reopen) — a crash's orphaned objects are inert.
+// Apply, Sync, Flush, Compact and Close-then-reopen — with memtables small
+// enough to fill and large enough that only Flush, Compact and Close empty
+// them, and one of synced commits alone that the WAL-segment bound
+// flushes — and kills the process before every OSS mutation of each. After
+// a reopen from the bare store the contents must be exactly the model
+// after some prefix of the batches, no shorter than the last batch a Sync,
+// flush or completed Close vouched for: a synced batch is never lost, no
+// batch is ever half there; and the open after a completed Close replays
+// no segment. Every table the recovery and the checks read must be named
+// by the manifest, and the recovered store must carry on (more batches, a
+// flush, a compaction, another reopen) — a crash's orphaned objects are
+// inert.
 func TestCrashAtEveryMutationMatchesModel(t *testing.T) {
-	var flushes, compactions int64
-	for seed := int64(1); seed <= 6; seed++ {
+	var flushes, compactions, closes int64
+	for seed := int64(1); seed <= 7; seed++ {
 		opts := smallOpts()
 		opts.MemtableBytes = 2 << 10
 		opts.WALFlushBytes = 1 << 10
 		opts.TargetFileBytes = 2 << 10
 		opts.L0Threshold = 2
-		if seed%2 == 0 {
-			opts.MemtableBytes = 1 << 20 // only Sync's segment bound and Flush make tables
+		if seed%2 == 0 || seed == 7 {
+			opts.MemtableBytes = 1 << 20 // only Flush, Compact, Close and the WAL bound make tables
 			opts.WALFlushBytes = 64 << 10
 		}
 		sched := genSchedule(rand.New(rand.NewSource(seed)), 90)
+		if seed == 7 {
+			// Commits only, each batch synced: the WAL-segment bound flushes.
+			sched = nil
+			for _, op := range genSchedule(rand.New(rand.NewSource(seed)), 4*maxWALSegments) {
+				if op.kind == "apply" {
+					sched = append(sched, op, modelOp{kind: "sync"})
+				}
+			}
+		}
 		states := prefixStates(sched)
+		for _, op := range sched {
+			if op.kind == "close" {
+				closes++
+			}
+		}
 
 		// Crash before every mutation of the schedule; the run that
 		// completes is the uncrashed one, held to the whole model.
@@ -157,10 +190,7 @@ func TestCrashAtEveryMutationMatchesModel(t *testing.T) {
 		var attempted, durable int
 		oss.CrashAtEvery(t, oss.NewMem(), 1, 5000, func(s oss.Store) error {
 			var err error
-			if db, err = Open(s, opts); err != nil {
-				t.Fatal(err)
-			}
-			attempted, durable, err = runSchedule(db, sched)
+			db, attempted, durable, err = runSchedule(t, s, opts, sched)
 			return err
 		}, func(mem *oss.Mem, budget int, err error) bool {
 			what := fmt.Sprintf("seed %d budget %d", seed, budget)
@@ -169,6 +199,9 @@ func TestCrashAtEveryMutationMatchesModel(t *testing.T) {
 					t.Fatalf("%s: uncrashed run diverges from the model", what)
 				}
 				st := db.Stats()
+				if seed == 7 && st.Flushes == 0 {
+					t.Fatalf("%s: %d synced commits and no flush; the WAL bound never fired", what, len(sched)/2)
+				}
 				flushes += st.Flushes
 				compactions += st.Compactions
 				return true
@@ -178,8 +211,8 @@ func TestCrashAtEveryMutationMatchesModel(t *testing.T) {
 			return false
 		})
 	}
-	if flushes == 0 || compactions == 0 {
-		t.Fatalf("schedules made %d flushes and %d compactions; the crash points would be vacuous", flushes, compactions)
+	if flushes == 0 || compactions == 0 || closes == 0 {
+		t.Fatalf("schedules made %d flushes, %d compactions and %d closes; the crash points would be vacuous", flushes, compactions, closes)
 	}
 }
 

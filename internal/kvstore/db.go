@@ -218,15 +218,16 @@ func (db *DB) Delete(key []byte) error {
 }
 
 // maxWALSegments bounds the WAL segments a Sync leaves live: at that many
-// the memtable goes to a table, so a cold Open replays at most this many
-// segments (one read wave) however small the commits between syncs are.
-// Chosen from a 4/8/16 sweep, see DESIGN.md §8.
-const maxWALSegments = 8
+// the memtable goes to a table. It is one Open read wave, so a handle that
+// was never closed leaves the next Open one round of segment reads however
+// small its commits were; a closed one leaves none (Close flushes).
+const maxWALSegments = blockFetchWidth
 
 // Sync is the durability point: when it returns, every prior write
 // survives a crash. It costs one WAL-segment put (none when nothing is
 // buffered). Tables are not part of the promise — recovery replays the
-// WAL — so Sync flushes the memtable only to keep that replay short.
+// WAL — so Sync flushes the memtable only when the live segments fill one
+// replay wave.
 func (db *DB) Sync() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -654,15 +655,18 @@ func (db *DB) Stats() Stats {
 	return s
 }
 
-// Close flushes buffered WAL records and marks the DB closed. The memtable
-// is intentionally not flushed to a table: recovery replays the WAL.
+// Close flushes the memtable, as a full one is flushed (WAL put of what is
+// buffered, SST put, the compactions that makes due, MANIFEST put, one
+// delete wave), and marks the DB closed, so the next Open replays no
+// segment. Over an empty memtable it issues no request. A Close that fails
+// leaves the DB open, with what it put durable.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
 		return nil
 	}
-	if err := db.flushWALLocked(); err != nil {
+	if err := db.flushLocked(); err != nil {
 		return err
 	}
 	db.closed = true

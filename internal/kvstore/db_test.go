@@ -608,3 +608,61 @@ func TestBinaryKeysSurviveManifestReload(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkOpenReplay times a cold Open: over 8 and over 64 live WAL
+// segments of one 70-entry batch each (one rdata-jobs index commit), which
+// is what a handle that syncs and never closes leaves — at most one replay
+// wave — and over what 63 such commits and a Close leave.
+func BenchmarkOpenReplay(b *testing.B) {
+	const perCommit = 70
+	rng := rand.New(rand.NewSource(1))
+	batch := func() []entry {
+		es := make([]entry, perCommit)
+		for i := range es {
+			es[i] = entry{key: make([]byte, 20), value: make([]byte, 8), kind: kindPut}
+			rng.Read(es[i].key)
+		}
+		return es
+	}
+	bench := func(name string, mem *oss.Mem) {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Open(mem, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	for _, n := range []int{8, 64} {
+		mem := oss.NewMem()
+		db := &DB{opts: Options{Prefix: "kv/"}}
+		for s := 0; s < n; s++ {
+			if err := mem.Put(db.walKey(uint64(s)), appendRecord(nil, walBatchKind, batch(), uint64(1+s*perCommit))); err != nil {
+				b.Fatal(err)
+			}
+		}
+		bench(fmt.Sprintf("segments-%d", n), mem)
+	}
+
+	mem := oss.NewMem()
+	db, err := Open(mem, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for s := 0; s < blockFetchWidth-1; s++ {
+		var bt Batch
+		for _, e := range batch() {
+			bt.Put(e.key, e.value)
+		}
+		if err := db.Apply(&bt); err != nil {
+			b.Fatal(err)
+		}
+		if err := db.Sync(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		b.Fatal(err)
+	}
+	bench("closed", mem)
+}

@@ -102,8 +102,9 @@ func tailReads(t *testing.T, mem *oss.Mem, reqs []oss.Request) map[string]int {
 // Sync on a memtable that never fills.
 //
 //   - a round between flushes is exactly one put (the WAL segment);
-//   - every maxWALSegments-th round also flushes: put SST, put MANIFEST,
-//     then the covered segments deleted in one wave;
+//   - every blockFetchWidth-th round — the live segments fill one Open
+//     read wave — also flushes: put SST, put MANIFEST, then the covered
+//     segments deleted in one wave;
 //   - every L0Threshold-th flush also compacts before that manifest put:
 //     one whole-object read per input, together, one more SST put, and
 //     the inputs deleted in the same wave as the segments — never a
@@ -111,7 +112,8 @@ func tailReads(t *testing.T, mem *oss.Mem, reqs []oss.Request) map[string]int {
 //   - a table this handle wrote is probed with data-block reads only;
 //   - a cold handle opens each table it probes with exactly one tail read,
 //     and with none after a Scan, which reads every table whole in a wave;
-//   - a cold Open lists the live WAL segments and reads them in one wave.
+//   - a cold Open after blockFetchWidth−1 unclosed rounds lists the live
+//     WAL segments and reads every one of them in one wave.
 func TestRequestBudget(t *testing.T) {
 	mem := oss.NewMem()
 	rec := newReqStore(mem)
@@ -121,10 +123,11 @@ func TestRequestBudget(t *testing.T) {
 	}
 	rec.take()
 
-	// 64 rounds and three more flushes, so that the cold probe at the end
+	// L0Threshold flushes and three more, so that the cold probe at the end
 	// finds one L1 table and three L0 tables to open.
-	const rounds, perRound = 64 + 3*maxWALSegments, 64
 	l0 := db.opts.L0Threshold
+	const wave, perRound = blockFetchWidth, 64
+	rounds := (l0 + 3) * wave
 	rng := rand.New(rand.NewSource(7))
 	var keys [][]byte
 	tables := 0 // live, by the budget's own arithmetic
@@ -138,15 +141,15 @@ func TestRequestBudget(t *testing.T) {
 			keys = append(keys, k)
 		}
 		want := "put wal×1"
-		if round%maxWALSegments == 0 {
+		if round%wave == 0 {
 			rec.expectWave("delete wal", 2)
-			want = fmt.Sprintf("delete wal×%d put MANIFEST×1 put sst×1 put wal×1", maxWALSegments)
+			want = fmt.Sprintf("delete wal×%d put MANIFEST×1 put sst×1 put wal×1", wave)
 			tables++
-			if round%(maxWALSegments*l0) == 0 {
+			if round%(wave*l0) == 0 {
 				// Every L0 table plus the one L1 table earlier compactions left.
 				rec.expectWave("get sst", 2)
 				want = fmt.Sprintf("delete sst×%d delete wal×%d get sst×%d put MANIFEST×1 put sst×2 put wal×1",
-					tables, maxWALSegments, tables)
+					tables, wave, tables)
 				tables = 1
 			}
 		}
@@ -161,7 +164,7 @@ func TestRequestBudget(t *testing.T) {
 		}
 	}
 	st := db.Stats()
-	if st.Syncs != rounds || st.Flushes != rounds/maxWALSegments || st.Compactions != int64(rounds/maxWALSegments/l0) || st.TablesLive != tables {
+	if st.Syncs != int64(rounds) || st.Flushes != int64(rounds/wave) || st.Compactions != int64(rounds/wave/l0) || st.TablesLive != tables {
 		t.Fatalf("stats after %d rounds: %+v", rounds, st)
 	}
 
@@ -188,10 +191,11 @@ func TestRequestBudget(t *testing.T) {
 		t.Fatalf("probing tables this handle wrote re-read their tails: %v", tails)
 	}
 
-	// Leave k segments live, then open cold: one manifest read, one listing,
-	// the k segments in one wave, no table touched until a probe needs it — and
-	// then one tail read per table.
-	const k = 5
+	// Leave k segments live, one short of a flush, and open cold without a
+	// Close — a crash, or a process that never closes: one manifest read,
+	// one listing, the k segments in one wave, no table touched until a
+	// probe needs it — and then one tail read per table.
+	const k = wave - 1
 	for i := 0; i < k; i++ {
 		if err := db.Put([]byte(fmt.Sprintf("tail-%d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
@@ -240,6 +244,124 @@ func TestRequestBudget(t *testing.T) {
 		t.Fatalf("probing after a scan re-read table tails: %v", tails)
 	}
 
+	if err := rec.serial(); err != nil {
+		t.Fatalf("requests that should overlap went one at a time: %v", err)
+	}
+}
+
+// TestCloseRequestBudget pins what Close asks of the store and what it
+// leaves the next Open:
+//
+//   - over a synced, non-empty memtable: put SST → put MANIFEST → the
+//     covered segments deleted in one wave;
+//   - with writes still buffered, their WAL segment put first;
+//   - when the flush makes a compaction due, the compaction before the
+//     MANIFEST put, as in an Apply- or Sync-triggered flush;
+//   - over an empty memtable: no request;
+//   - the Open after a clean Close: get MANIFEST and list WAL, no segment
+//     read, nothing replayed.
+func TestCloseRequestBudget(t *testing.T) {
+	mem := oss.NewMem()
+	rec := newReqStore(mem)
+	var n int
+	write := func(db *DB, sync bool) {
+		t.Helper()
+		var b Batch
+		for i := 0; i < 70; i++ {
+			b.Put([]byte(fmt.Sprintf("key-%06d", n)), []byte("v"))
+			n++
+		}
+		if err := db.Apply(&b); err != nil {
+			t.Fatal(err)
+		}
+		if sync {
+			if err := db.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	open := func() *DB {
+		t.Helper()
+		db, err := Open(rec.store, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	// closeAs closes db and checks the requests in arrival order. "get
+	// sst*" matches a run of one or more table reads and "delete*" one of
+	// deletes, whatever they delete.
+	closeAs := func(db *DB, want ...string) {
+		t.Helper()
+		rec.take()
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, log := rec.take()
+		var got []string
+		for _, r := range log {
+			c := class(r.Op)
+			switch {
+			case r.Kind == oss.KindDelete:
+				c = "delete*"
+			case c == "get sst":
+				c += "*"
+			}
+			if len(got) == 0 || got[len(got)-1] != c || !strings.HasSuffix(c, "*") {
+				got = append(got, c)
+			}
+		}
+		if strings.Join(got, ", ") != strings.Join(want, ", ") {
+			t.Fatalf("Close issued %q, want %q", got, want)
+		}
+	}
+	reopen := func() *DB {
+		t.Helper()
+		rec.take()
+		db := open()
+		if got, _ := rec.take(); got != "get MANIFEST×1 list wal×1" {
+			t.Fatalf("open after a clean Close issued %q", got)
+		}
+		if st := db.Stats(); st.WALReplayed != 0 || st.WALSegments != 0 {
+			t.Fatalf("open after a clean Close: %+v", st)
+		}
+		return db
+	}
+
+	const synced = 5
+	db := open()
+	for i := 0; i < synced; i++ {
+		write(db, true)
+	}
+	rec.take()
+	rec.expectWave("delete wal", synced)
+	closeAs(db, "put sst", "put MANIFEST", "delete*")
+
+	db = reopen()
+	closeAs(db) // empty memtable
+
+	db = reopen()
+	write(db, true)
+	write(db, false)
+	rec.expectWave("delete wal", 2)
+	closeAs(db, "put wal", "put sst", "put MANIFEST", "delete*")
+
+	// Two tables so far: flush up to L0Threshold−1, and the Close's table
+	// makes the compaction due.
+	db = reopen()
+	for i := 2; i < db.opts.L0Threshold-1; i++ {
+		write(db, false)
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(db, true)
+	rec.expectWave("get sst", db.opts.L0Threshold)
+	closeAs(db, "put sst", "get sst*", "put sst", "put MANIFEST", "delete*")
+	db = reopen()
+	if st := db.Stats(); st.TablesLive != 1 || st.Entries != int64(n) {
+		t.Fatalf("after the compacting Close: %+v, want 1 table of %d entries", st, n)
+	}
 	if err := rec.serial(); err != nil {
 		t.Fatalf("requests that should overlap went one at a time: %v", err)
 	}
