@@ -56,6 +56,9 @@ import (
 	"slimstore"
 )
 
+// opened is the System the command opened, closed once it is done.
+var opened *slimstore.System
+
 // openSystem opens the repository or exits. cfg's layout fields are zero —
 // the repository's header supplies them, the defaults for an empty
 // location — except what init was given.
@@ -75,6 +78,7 @@ func openSystem(repo string, cfg slimstore.Config) *slimstore.System {
 	if err != nil {
 		fatalf("%v", err)
 	}
+	opened = sys
 	return sys
 }
 
@@ -451,5 +455,12 @@ func main() {
 
 	default:
 		fatalf("unknown command %q", cmd)
+	}
+	// A clean close flushes the global index: the next command's open
+	// replays no log.
+	if opened != nil {
+		if err := opened.Close(); err != nil {
+			fatalf("close: %v", err)
+		}
 	}
 }

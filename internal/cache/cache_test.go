@@ -264,56 +264,53 @@ func TestStatsReadAmplification(t *testing.T) {
 
 func TestPrefetcher(t *testing.T) {
 	repo, seq, want := fragmentedScenario(t)
-	for _, threads := range []int{0, 1, 2, 6} {
-		pf := NewPrefetcher(repo.fetcher(), seq, threads, 8)
+	for _, buffer := range []int{0, 1, 2, 8} {
+		pf := NewPrefetcher(repo.fetcher(), seq, buffer)
 		p := NewFV(Config{MemBytes: 64 << 20, DiskBytes: 256 << 20, LAW: 32})
 		stats, out := runPolicy(t, p, seq, pf.Fetch)
 		pf.Close()
 		if !bytes.Equal(out, want) {
-			t.Fatalf("threads=%d: output mismatch", threads)
+			t.Fatalf("buffer=%d: output mismatch", buffer)
 		}
 		if stats.Rereads != 0 {
-			t.Fatalf("threads=%d: rereads = %d", threads, stats.Rereads)
+			t.Fatalf("buffer=%d: rereads = %d", buffer, stats.Rereads)
 		}
 	}
 }
 
-// TestPrefetcherEarlyClose: a restore that gives up stops issuing reads. Of
-// the eight reads the window has started, the two the thread count admits
-// are running when the consumer abandons it without taking one; they finish,
-// the six queued behind them never call the fetcher, and Close returns only
-// then. Close is what abandons: after it — on a window nobody abandoned by
-// hand — a read started late never reaches the fetcher either. Closing
-// again is harmless.
+// TestPrefetcherEarlyClose: a restore that gives up stops issuing reads.
+// The window's eight reads all run at once — the fetcher's store gates the
+// requests in flight, not the window — and Close returns only once every
+// one of them has. Close is what abandons: after it a read started late
+// never reaches the fetcher. Closing again is harmless.
 func TestPrefetcherEarlyClose(t *testing.T) {
 	repo, seq, _ := fragmentedScenario(t)
-	const threads, buffer = 2, 8
-	var calls atomic.Int64
+	const buffer = 8
+	var calls, running atomic.Int64
 	entered := make(chan struct{}, buffer)
 	release := make(chan struct{})
 	pf := NewPrefetcher(func(id container.ID) (*container.Container, error) {
 		calls.Add(1)
+		running.Add(1)
+		defer running.Add(-1)
 		entered <- struct{}{}
 		<-release
 		return repo.cs.Read(id)
-	}, seq, threads, buffer)
+	}, seq, buffer)
 	if got := pf.Stats().Dispatched; got != buffer {
 		t.Fatalf("fixture: %d reads started, want the buffer's %d", got, buffer)
 	}
-	for i := 0; i < threads; i++ {
-		<-entered
+	for i := 0; i < buffer; i++ {
+		<-entered // a window that ran fewer at once would hang here
 	}
-	// Close would do this itself, but only the test can order it before the
-	// running reads are let go.
-	pf.ahead.Abandon()
 	close(release)
 	pf.Close()
-	if got := calls.Load(); got != threads {
-		t.Fatalf("the fetcher ran %d times, want only the %d reads in flight when the window was abandoned", got, threads)
+	if got, left := calls.Load(), running.Load(); got != buffer || left != 0 {
+		t.Fatalf("the fetcher ran %d times and %d still run after Close, want %d and none", got, left, buffer)
 	}
 	pf.Close() // idempotent
 
-	pf = NewPrefetcher(repo.fetcher(), seq[:1], threads, buffer)
+	pf = NewPrefetcher(repo.fetcher(), seq[:1], buffer)
 	pf.Close()
 	late := seq[len(seq)-1].Container
 	pf.ahead.Start(late)
@@ -372,7 +369,7 @@ func TestPrefetcherOutOfOrderDegradesGracefully(t *testing.T) {
 	// The contract allows consumers to deviate from first-need order; the
 	// prefetcher must never deadlock, falling back to direct fetches.
 	repo, seq, _ := fragmentedScenario(t)
-	pf := NewPrefetcher(repo.fetcher(), seq, 2, 2) // tiny buffer
+	pf := NewPrefetcher(repo.fetcher(), seq, 2) // tiny buffer
 	defer pf.Close()
 
 	// Consume unique containers in REVERSE first-need order.

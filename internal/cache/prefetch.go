@@ -16,21 +16,24 @@ import (
 // simclock.Account.ElapsedOverlapped(threads).
 //
 // It is a demand-driven window (pipe.Ahead) over the unique containers in
-// first-need order: `buffer` reads are started at construction and every
-// Fetch tops the window back up, so which reads run ahead — and every
-// counter in PrefetchStats — follows from the Fetch sequence alone, never
-// from timing. Any consumption order is safe: a container asked for before
-// the window reached it (the consumer skipped ahead) is fetched on the
-// caller and never started later, so at worst the restore degrades to
-// direct fetching.
+// first-need order: `buffer` reads are started at construction, every one
+// of them running at once, and every Fetch tops the window back up. How
+// many requests are in flight is the fetcher's store's business (its gate,
+// container.Store.Gated, which also picks which waiting request goes
+// next); which reads run ahead — and every counter in PrefetchStats —
+// follows from the Fetch sequence alone, never from timing. Any
+// consumption order is safe: a container asked for before the window
+// reached it (the consumer skipped ahead) is fetched on the caller and
+// never started later, so at worst the restore degrades to direct
+// fetching.
 //
-// Fetch, Stats and Close belong to one goroutine, the one running the
-// restore policy; only the wrapped Fetcher runs elsewhere.
+// Fetch, Begin, Follow, Stats and Close belong to one goroutine, the one
+// running the restore; only the wrapped Fetcher runs elsewhere.
 type Prefetcher struct {
 	ahead  *pipe.Ahead[container.ID, *container.Container]
 	order  []container.ID        // unique containers in first-need order
 	next   int                   // order[next:] has not been considered yet
-	asked  map[container.ID]bool // containers Fetch has been called for
+	seen   map[container.ID]bool // containers started or asked for: never started again
 	buffer int                   // started-and-untaken reads to keep
 	stats  PrefetchStats
 }
@@ -40,9 +43,10 @@ type Prefetcher struct {
 // those the consumer took, how many requests ran on the consumer instead
 // (rereads, or the consumer skipped past the window), and how many started
 // reads were never taken (work done for nothing — zero unless the restore
-// aborted early). The counters are a function of the request sequence,
-// the thread count and the buffer: the same restore reports the same
-// numbers on any host and core count.
+// aborted early, or began a read its sequence then did not need). The
+// counters are a function of the reads begun, the request sequence and the
+// buffer: the same restore reports the same numbers on any host and core
+// count.
 type PrefetchStats struct {
 	Dispatched int // reads started ahead of their demand
 	Consumed   int // fetches served by a started read
@@ -51,38 +55,67 @@ type PrefetchStats struct {
 }
 
 // NewPrefetcher starts prefetching the containers of seq in first-need
-// order, `threads` reads at a time. buffer bounds how many
-// started-but-unconsumed containers may be held (raised to threads if
-// below it; it also bounds memory). threads <= 0 disables prefetching
-// (Fetch degenerates to fetch).
-func NewPrefetcher(fetch Fetcher, seq []Request, threads, buffer int) *Prefetcher {
+// order. buffer bounds how many started-but-unconsumed containers may be
+// held, and so memory; buffer <= 0 disables prefetching (Fetch degenerates
+// to fetch). seq may be nil, to Begin reads before the sequence is known
+// and Follow it later.
+func NewPrefetcher(fetch Fetcher, seq []Request, buffer int) *Prefetcher {
 	p := &Prefetcher{
-		ahead:  pipe.NewAhead(threads, fetch),
-		asked:  make(map[container.ID]bool),
-		buffer: max(buffer, threads),
+		ahead:  pipe.NewAhead(buffer, fetch),
+		seen:   make(map[container.ID]bool),
+		buffer: buffer,
 	}
-	if threads <= 0 {
-		return p
+	p.Follow(seq)
+	return p
+}
+
+// Begin starts reads of ids, in order, while the window has room: the
+// containers a restore knows it will read before its whole sequence is
+// resolved (DESIGN.md §14). They count against the window like any
+// started read, and Follow takes them in where its sequence first needs
+// them; one it never needs is reported Cancelled.
+func (p *Prefetcher) Begin(ids []container.ID) {
+	for _, id := range ids {
+		if p.buffer <= 0 || p.stats.Dispatched-p.stats.Consumed >= p.buffer {
+			return
+		}
+		p.start(id)
 	}
-	seen := make(map[container.ID]bool)
+}
+
+// Follow appends the unique containers of seq to the first-need order and
+// tops the window up.
+func (p *Prefetcher) Follow(seq []Request) {
+	if p.buffer <= 0 {
+		return
+	}
+	ordered := make(map[container.ID]bool, len(p.order))
+	for _, id := range p.order {
+		ordered[id] = true
+	}
 	for i := range seq {
-		if id := seq[i].Container; !seen[id] {
-			seen[id] = true
+		if id := seq[i].Container; !ordered[id] {
+			ordered[id] = true
 			p.order = append(p.order, id)
 		}
 	}
 	p.topUp()
-	return p
+}
+
+// start starts id's read unless it was started or asked for before.
+func (p *Prefetcher) start(id container.ID) {
+	if !p.seen[id] {
+		p.seen[id] = true
+		p.ahead.Start(id)
+		p.stats.Dispatched++
+	}
 }
 
 // topUp starts reads, in first-need order, until `buffer` are started and
-// untaken. A container already asked for is skipped for good.
+// untaken. A container already started or asked for is skipped for good.
 func (p *Prefetcher) topUp() {
 	for ; p.next < len(p.order) && p.stats.Dispatched-p.stats.Consumed < p.buffer; p.next++ {
-		if id := p.order[p.next]; !p.asked[id] {
-			p.ahead.Start(id)
-			p.stats.Dispatched++
-		}
+		p.start(p.order[p.next])
 	}
 }
 
@@ -96,10 +129,14 @@ func (p *Prefetcher) Fetch(id container.ID) (*container.Container, error) {
 	} else {
 		p.stats.Direct++
 	}
-	p.asked[id] = true
+	p.seen[id] = true
 	p.topUp()
 	return c, err
 }
+
+// Settle waits until no started read is running; their results stay
+// takeable.
+func (p *Prefetcher) Settle() { p.ahead.Join() }
 
 // Stats reports the effectiveness counters so far. Cancelled is derived:
 // started reads no Fetch took.
@@ -109,9 +146,10 @@ func (p *Prefetcher) Stats() PrefetchStats {
 	return st
 }
 
-// Close abandons the reads that have not begun — a restore that failed on
-// its first container issues no further GETs — and waits for the running
-// ones to finish; safe to call multiple times.
+// Close abandons the window — a read started from now on never calls the
+// fetcher — and waits for the started ones to return. Every started read
+// is running, so a restore that fails still issues the requests its window
+// has queued at the store's gate; safe to call multiple times.
 func (p *Prefetcher) Close() {
 	p.ahead.Abandon()
 	p.ahead.Join()

@@ -335,7 +335,7 @@ func TestSharedWithPrefetcherAndTwoJobs(t *testing.T) {
 			c, _, err := s.Fetch(id, func() (*container.Container, error) { return base(id) })
 			return c, err
 		}
-		pf := NewPrefetcher(shared, seq, 4, 8)
+		pf := NewPrefetcher(shared, seq, 8)
 		defer pf.Close()
 		var out bytes.Buffer
 		pol := NewFV(Config{MemBytes: 1 << 30, LAW: 64})
@@ -394,7 +394,7 @@ func TestPrefetcherMidSequenceErrorShutsDownCleanly(t *testing.T) {
 		return repo.cs.Read(id)
 	}
 
-	pf := NewPrefetcher(base, seq, 3, 6)
+	pf := NewPrefetcher(base, seq, 6)
 	var err error
 	for i := range seq {
 		if _, ferr := pf.Fetch(seq[i].Container); ferr != nil {

@@ -169,9 +169,9 @@ func (s *Store) fetchSpans(m *Meta, spans []Span) ([]part, error) {
 func (s *Store) fetch(m *Meta, reqs []request) ([]part, error) {
 	out := make([]part, len(reqs))
 	var failed atomic.Bool
-	err := pipe.FanOut(len(reqs), cap(s.gate), func(i int) error {
+	err := pipe.FanOut(len(reqs), s.width(), func(i int) error {
 		q := &reqs[i]
-		s.enter()
+		s.enter(q.n)
 		if failed.Load() {
 			s.leave()
 			return nil

@@ -2,6 +2,7 @@ package container
 
 import (
 	"bytes"
+	"container/heap"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -58,7 +59,7 @@ func MetaKey(id ID) string { return Prefix + id.String() + ".meta" }
 type Store struct {
 	oss    oss.Store
 	shared *storeShared
-	gate   chan struct{} // one token per data-object read in flight; nil = ungated (see Gated)
+	gate   *gate // the data-object requests in flight; nil = ungated (see Gated)
 }
 
 // storeShared is the state common to all views of one container store.
@@ -179,31 +180,103 @@ func (s *Store) View(o oss.Store) *Store {
 	return &Store{oss: o, shared: s.shared}
 }
 
-// Gated returns a view of s that keeps at most n of its data-object reads
-// (Read, ReadSpans) in flight, whichever goroutines issue them, and runs
-// the requests of one ReadSpans up to n at a time. A token is held across
-// exactly one object-store call and never while waiting for another. n < 1
-// returns s: an ungated view issues a read's requests one after another on
-// the caller.
+// Gated returns a view of s that keeps at most n of its data-object
+// requests (Read, ReadSpans) in flight, whichever goroutines issue them, and
+// runs the requests of one ReadSpans up to n at a time. A token is held
+// across exactly one object-store call and never while waiting for another;
+// a token that falls free goes to the longest request waiting, ties in
+// arrival order (DESIGN.md §10). n < 1 returns s: an ungated view issues a
+// read's requests one after another on the caller.
 func (s *Store) Gated(n int) *Store {
 	if n < 1 {
 		return s
 	}
-	return &Store{oss: s.oss, shared: s.shared, gate: make(chan struct{}, n)}
+	return &Store{oss: s.oss, shared: s.shared, gate: &gate{width: n, free: n}}
 }
 
-// enter takes one of the view's read tokens and leave returns it; both are
-// no-ops on an ungated view.
-func (s *Store) enter() {
-	if s.gate != nil {
-		s.gate <- struct{}{}
+// gate is a Gated view's tokens. Handing a free one to the longest waiting
+// request is longest-processing-time-first list scheduling: whatever a job
+// has queued — the window of a restore's prefetcher, a G-node pass's pool —
+// its long reads start first and its short ones fill in beside them, so the
+// channels run dry together instead of one long read setting the tail.
+// Which requests run is the callers' business; the gate orders them only.
+type gate struct {
+	width int
+
+	mu      sync.Mutex
+	free    int
+	arrived uint64
+	waiting waiters
+}
+
+// waiter is one request waiting for a token: n bytes, the arrived-th to
+// wait, let in by closing ready.
+type waiter struct {
+	n     int64
+	at    uint64
+	ready chan struct{}
+}
+
+// waiters is a heap of waiting requests, longest first, then earliest.
+type waiters []*waiter
+
+func (h waiters) Len() int { return len(h) }
+func (h waiters) Less(i, j int) bool {
+	if h[i].n != h[j].n {
+		return h[i].n > h[j].n
 	}
+	return h[i].at < h[j].at
+}
+func (h waiters) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *waiters) Push(x any)   { *h = append(*h, x.(*waiter)) }
+func (h *waiters) Pop() any {
+	old := *h
+	w := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return w
+}
+
+// enter takes one of the view's tokens for a request of n bytes, waiting
+// its turn if none is free; leave returns it. Both are no-ops on an
+// ungated view.
+func (s *Store) enter(n int64) {
+	g := s.gate
+	if g == nil {
+		return
+	}
+	g.mu.Lock()
+	if g.free > 0 {
+		g.free--
+		g.mu.Unlock()
+		return
+	}
+	w := &waiter{n: n, at: g.arrived, ready: make(chan struct{})}
+	g.arrived++
+	heap.Push(&g.waiting, w)
+	g.mu.Unlock()
+	<-w.ready
 }
 
 func (s *Store) leave() {
-	if s.gate != nil {
-		<-s.gate
+	g := s.gate
+	if g == nil {
+		return
 	}
+	g.mu.Lock()
+	if len(g.waiting) > 0 {
+		close(heap.Pop(&g.waiting).(*waiter).ready) // the token passes on
+	} else {
+		g.free++
+	}
+	g.mu.Unlock()
+}
+
+// width is how many requests the view runs at once: 0 when ungated.
+func (s *Store) width() int {
+	if s.gate == nil {
+		return 0
+	}
+	return s.gate.width
 }
 
 // parseKey extracts the ID from an OSS key of either namespace.

@@ -163,3 +163,35 @@ func (l *ContainerLocks) Pin(ids []container.ID) (release func()) {
 		}
 	}
 }
+
+// PinMore extends a pin of held to ids without waiting: it read-locks the
+// stripes covering ids that held's do not, and returns their release — or
+// false, having locked nothing, when a writer holds or waits for one of
+// them. An extension breaks Pin's ascending order, so it must not block: a
+// writer waiting for a stripe it would take may be waiting behind a reader
+// that waits for a stripe the pin holds.
+func (l *ContainerLocks) PinMore(held, ids []container.ID) (release func(), ok bool) {
+	have := make(map[int]bool, len(held))
+	for _, id := range held {
+		have[int(uint64(id)%containerLockShards)] = true
+	}
+	var took []int
+	release = func() {
+		for _, s := range took {
+			l.shards[s].RUnlock()
+		}
+	}
+	for _, id := range ids {
+		s := int(uint64(id) % containerLockShards)
+		if have[s] {
+			continue
+		}
+		if !l.shards[s].TryRLock() {
+			release()
+			return nil, false
+		}
+		have[s] = true
+		took = append(took, s)
+	}
+	return release, true
+}

@@ -41,7 +41,15 @@ type Resolution struct {
 // any other read failure is returned: a fault must not pass for relocation.
 // What a lost chunk means is the caller's: a restore fails, a sweep leaves
 // it unmarked.
-func (r *Repo) Resolve(cs *container.Store, recs []*recipe.ChunkRecord, width int, acct *simclock.Account) (*Resolution, error) {
+//
+// settled, when not nil and there is an index probe to come, is called on
+// the caller's goroutine between the home-meta wave and the probe, with the
+// requests of the records found at their homes (in record order) and the
+// metas read so far: nothing the probe answers changes those, so a restore
+// starts their reads there (DESIGN.md §14). metas is valid during the call
+// only.
+func (r *Repo) Resolve(cs *container.Store, recs []*recipe.ChunkRecord, width int, acct *simclock.Account,
+	settled func(seq []cache.Request, metas map[container.ID]*container.Meta)) (*Resolution, error) {
 	res := &Resolution{Seq: make([]cache.Request, len(recs)), Metas: make(map[container.ID]*container.Meta)}
 	// readNew reads the metas of those ids not yet in res.Metas, each once.
 	readNew := func(ids []container.ID) error {
@@ -79,6 +87,17 @@ func (r *Repo) Resolve(cs *container.Store, recs []*recipe.ChunkRecord, width in
 		movedFPs = append(movedFPs, rec.FP)
 	}
 	if len(moved) > 0 {
+		if settled != nil {
+			home := make([]cache.Request, 0, len(recs)-len(moved))
+			for i, k := 0, 0; i < len(recs); i++ {
+				if k < len(moved) && moved[k] == i {
+					k++
+					continue
+				}
+				home = append(home, res.Seq[i])
+			}
+			settled(home, res.Metas)
+		}
 		acct.ChargeCPU(simclock.PhaseIndexQuery, time.Duration(len(moved))*r.Config.Costs.IndexLookup)
 		ids, found, _, err := r.Global.GetBatch(movedFPs)
 		if err != nil {

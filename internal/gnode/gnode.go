@@ -498,7 +498,8 @@ func markAll(m *container.Meta, fps []fingerprint.FP) (marked *container.Meta) {
 // metas[i], and a zero plan — a container the pass does not read — adds
 // nothing) and returns the view of cs every read of the pass goes through:
 // one gate, so at most MaintWorkers data requests are in flight however
-// the pool and a read's own requests multiply out. A serial pool cuts
+// the pool and a read's own requests multiply out, the longest waiting
+// first. A serial pool cuts
 // nothing and reads through cs itself, one request after another.
 func (g *GNode) schedule(cs *container.Store, plans []cache.ReadPlan, metas []*container.Meta) *container.Store {
 	w := g.repo.Config.MaintWorkers
@@ -1027,7 +1028,7 @@ func (g *GNode) FullSweep() (*AuditStats, error) {
 			recs = append(recs, rec)
 			return true
 		})
-		res, err := g.repo.Resolve(cs, recs, 1, g.acct)
+		res, err := g.repo.Resolve(cs, recs, 1, g.acct, nil)
 		if err != nil {
 			return fmt.Errorf("gnode: sweep: mark %s v%d: %w", r.FileID, r.Version, err)
 		}

@@ -914,7 +914,7 @@ func (j *backupJob) persist(fileID string) error {
 		})
 	}
 	if len(moved) > 0 {
-		res, err := j.node.resolve(j.containers, r, moved, j.acct)
+		res, err := j.node.resolve(j.containers, r, moved, j.acct, nil)
 		if err != nil {
 			return err
 		}

@@ -54,7 +54,7 @@ func onePass(t *testing.T, mem oss.Store, cfg core.Config, fileID string) (int, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := New(ref, "ref").resolve(ref.Containers, r, allRecords(r), simclock.NewAccount())
+	res, err := New(ref, "ref").resolve(ref.Containers, r, allRecords(r), simclock.NewAccount(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

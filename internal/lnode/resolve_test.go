@@ -92,7 +92,7 @@ func TestResolveSequenceEqualsReference(t *testing.T) {
 					recs := allRecords(r)
 					wantSeq, wantRedirects, wantErr := resolveReference(repo, r, recs)
 					acct := simclock.NewAccount()
-					res, err := n.resolve(repo.Containers, r, recs, acct)
+					res, err := n.resolve(repo.Containers, r, recs, acct, nil)
 					if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 						t.Fatalf("v%d: error %v, reference %v", v, err, wantErr)
 					}

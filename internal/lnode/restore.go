@@ -86,33 +86,6 @@ func (n *LNode) restore(fileID string, version int, off, length int64, w io.Writ
 	}
 	stats := &RestoreStats{FileID: fileID, Version: version, Account: acct}
 
-	// Only the window's records are resolved and pinned, so a small range
-	// of a large version reads the metadata of the window's containers,
-	// not the version's; the need-set the read planner works from comes
-	// from the same windowed sequence.
-	recs, headTrim := windowRecords(r, off, end)
-	res, release, err := n.pinSequence(containers, r, recs, acct)
-	if err != nil {
-		// A deletion that ran since the recipe was read leaves chunks lost:
-		// that is a version deleted, if its catalog entry is gone.
-		if _, ierr := recipes.GetInfo(fileID, version); errors.Is(ierr, oss.ErrNotFound) {
-			err = fmt.Errorf("lnode: restore %s v%d: version deleted meanwhile: %w", fileID, version, ierr)
-		}
-		return nil, err
-	}
-	defer release()
-	seq := res.Seq
-	stats.Redirects = res.Redirects
-
-	policy, err := cache.New(cfg.RestorePolicy, cache.Config{
-		MemBytes:  cfg.CacheMemBytes,
-		DiskBytes: cfg.CacheDiskBytes,
-		LAW:       cfg.LAWChunks,
-	})
-	if err != nil {
-		return nil, err
-	}
-
 	threads := cfg.PrefetchThreads
 	if off > 0 || end < total {
 		// A windowed restore runs without the prefetcher and reports
@@ -124,18 +97,58 @@ func (n *LNode) restore(fileID string, version int, off, length int64, w io.Writ
 	// All container reads go through the node-level restore I/O layer:
 	// shared cache + singleflight across jobs, cost-model ranged reads for
 	// sparse need-sets, long reads cut to share the channels, at most
-	// `threads` requests in flight (DESIGN.md §10).
-	rio := newRestoreIO(n, containers, seq, res.Metas, threads)
+	// `threads` requests in flight, the longest waiting first (DESIGN.md §10).
+	rio := newRestoreIO(n, containers, threads)
 	fetch := cache.Fetcher(rio.fetch)
 	var pf *cache.Prefetcher
 	if threads > 0 {
 		// LAW prefetching is policy-agnostic: the read-ahead order derives
 		// from the pinned request sequence, not from the policy, so OSS
 		// reads overlap the emit for every policy — the policy's own
-		// fetches take the reads the window started.
-		pf = cache.NewPrefetcher(fetch, seq, threads, threads*2)
-		defer pf.Close()
+		// fetches take the reads the window started. Its window is
+		// 2 × threads containers, every read of it started at once.
+		pf = cache.NewPrefetcher(fetch, nil, 2*threads)
 		fetch = pf.Fetch
+	}
+
+	// Only the window's records are resolved and pinned, so a small range
+	// of a large version reads the metadata of the window's containers,
+	// not the version's; the need-set the read planner works from comes
+	// from the same windowed sequence.
+	recs, headTrim := windowRecords(r, off, end)
+	res, release, err := n.pinSequence(containers, r, recs, acct, rio, pf)
+	if err != nil {
+		if pf != nil {
+			pf.Close()
+		}
+		// A deletion that ran since the recipe was read leaves chunks lost:
+		// that is a version deleted, if its catalog entry is gone.
+		if _, ierr := recipes.GetInfo(fileID, version); errors.Is(ierr, oss.ErrNotFound) {
+			err = fmt.Errorf("lnode: restore %s v%d: version deleted meanwhile: %w", fileID, version, ierr)
+		}
+		return nil, err
+	}
+	defer func() {
+		// Every read has returned before a pin goes.
+		if pf != nil {
+			pf.Close()
+		}
+		release()
+	}()
+	seq := res.Seq
+	stats.Redirects = res.Redirects
+	rio.plan(seq, res.Metas)
+	if pf != nil {
+		pf.Follow(seq)
+	}
+
+	policy, err := cache.New(cfg.RestorePolicy, cache.Config{
+		MemBytes:  cfg.CacheMemBytes,
+		DiskBytes: cfg.CacheDiskBytes,
+		LAW:       cfg.LAWChunks,
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// The emit charges (and verifies) whole chunks; the window's head and
@@ -262,20 +275,63 @@ func (n *LNode) RestoreHandoff(chunks [][]byte, seq []cache.Request, verify bool
 // The resolution returned is the last pass's — its Metas are the states
 // the restore I/O layer plans its ranged reads from — with MetaReads and
 // MemoHits summed over every pass.
-func (n *LNode) pinSequence(containers *container.Store, r *recipe.Recipe, recs []*recipe.ChunkRecord, acct *simclock.Account) (*core.Resolution, func(), error) {
-	writes := n.repo.CLocks.Writes()
-	res, err := n.resolve(containers, r, recs, acct)
+//
+// With a prefetcher, the first pass starts reads before it probes the
+// index (DESIGN.md §14): once the home metas land, the homes rio.early
+// finds read whole are pinned and begun, while the probe and the target
+// metas are read. Only while the counter has not moved: a write that
+// ended before that pin leaves the pass to the path above, beginning
+// nothing. Pinning the rest extends that pin without waiting (PinMore); if
+// a writer is at one of its stripes, the begun reads are let finish, their
+// pin goes, and the whole set is pinned as above.
+func (n *LNode) pinSequence(containers *container.Store, r *recipe.Recipe, recs []*recipe.ChunkRecord, acct *simclock.Account, rio *restoreIO, pf *cache.Prefetcher) (*core.Resolution, func(), error) {
+	locks := &n.repo.CLocks
+	writes := locks.Writes()
+	var (
+		begun   []container.ID
+		release = func() {}
+		settled func([]cache.Request, map[container.ID]*container.Meta)
+	)
+	if pf != nil {
+		settled = func(home []cache.Request, metas map[container.ID]*container.Meta) {
+			ids, plans := rio.early(home, metas, 2*rio.threads)
+			if len(ids) == 0 {
+				return
+			}
+			unpin := locks.Pin(ids)
+			if locks.Writes() != writes {
+				unpin()
+				return
+			}
+			begun = ids
+			release = func() { pf.Settle(); unpin() }
+			rio.begin(ids, plans)
+			pf.Begin(ids)
+		}
+	}
+	res, err := n.resolve(containers, r, recs, acct, settled)
 	if err != nil {
+		release()
 		return nil, nil, err
 	}
-	release := n.repo.CLocks.Pin(requestContainers(res.Seq))
-	if n.repo.CLocks.Writes() == writes {
+	ids := requestContainers(res.Seq)
+	if begun == nil {
+		release = locks.Pin(ids)
+	} else if more, ok := locks.PinMore(begun, ids); ok {
+		early := release
+		release = func() { early(); more() }
+	} else {
+		release() // the begun reads return first
+		rio.begin(begun, nil)
+		release = locks.Pin(ids)
+	}
+	if locks.Writes() == writes {
 		return res, release, nil
 	}
 	reads, hits := res.MetaReads, res.MemoHits
 	const maxAttempts = 8
 	for attempt := 0; ; attempt++ {
-		again, err := n.resolve(containers, r, recs, acct)
+		again, err := n.resolve(containers, r, recs, acct, nil)
 		if err != nil {
 			release()
 			return nil, nil, err
@@ -291,7 +347,7 @@ func (n *LNode) pinSequence(containers *container.Store, r *recipe.Recipe, recs 
 				r.FileID, r.Version, maxAttempts)
 		}
 		res = again
-		release = n.repo.CLocks.Pin(requestContainers(res.Seq))
+		release = locks.Pin(requestContainers(res.Seq))
 	}
 }
 
@@ -323,8 +379,9 @@ func sameContainers(a, b []cache.Request) bool {
 // Its metas live for ONE pass only: when pinSequence re-resolves, it is to
 // observe a write that slid in, and a memo surviving between the passes
 // would blind that revalidation.
-func (n *LNode) resolve(containers *container.Store, r *recipe.Recipe, recs []*recipe.ChunkRecord, acct *simclock.Account) (*core.Resolution, error) {
-	res, err := n.repo.Resolve(containers, recs, metaWave, acct)
+func (n *LNode) resolve(containers *container.Store, r *recipe.Recipe, recs []*recipe.ChunkRecord, acct *simclock.Account,
+	settled func([]cache.Request, map[container.ID]*container.Meta)) (*core.Resolution, error) {
+	res, err := n.repo.Resolve(containers, recs, metaWave, acct, settled)
 	if err != nil {
 		return nil, fmt.Errorf("lnode: resolve %s v%d: %w", r.FileID, r.Version, err)
 	}

@@ -6,6 +6,7 @@ import (
 	"slimstore/internal/cache"
 	"slimstore/internal/container"
 	"slimstore/internal/fingerprint"
+	"slimstore/internal/simclock"
 )
 
 // restoreIO is the node-level fetch layer every restore's container reads
@@ -25,17 +26,21 @@ import (
 // Either kind of read is issued as the requests its plan lists — one, or
 // the pieces cache.Split cut it into — through the job's gated store view,
 // so what the job keeps in flight is requests, PrefetchThreads of them,
-// whichever containers they belong to.
+// the longest waiting first, whichever containers they belong to.
 //
 // The layer is safe for concurrent use by the LAW prefetch workers.
 type restoreIO struct {
 	containers *container.Store // this job's metered view, gated at the job's read channels
 	shared     *cache.Shared    // nil = shared cache disabled
-	// plans holds every container of the pinned sequence that has
-	// metadata, planned and cut before the first read; read-only after.
-	plans map[container.ID]cache.ReadPlan
+	threads    int
+	costs      simclock.Costs
 
-	mu          sync.Mutex // the counters below
+	mu sync.Mutex // plans and the counters below
+	// plans holds every container of the pinned sequence that has
+	// metadata, planned and cut before its read starts, and never replaced:
+	// the reads a restore begins before its sequence is resolved (begin)
+	// keep the plans they were started with.
+	plans       map[container.ID]cache.ReadPlan
 	sharedHits  int
 	sharedJoins int
 	rangedReads int
@@ -43,16 +48,25 @@ type restoreIO struct {
 	rangedBytes int64
 }
 
-// newRestoreIO builds the fetch layer for one pinned request sequence read
-// over `threads` channels. metas is the metadata memo of the pinned
-// resolution pass — exactly the state the sequence was resolved against,
-// so plans derived from it match what the spans will serve. Every container
-// is planned here, in first-need order, and the long reads among them cut
-// (cache.Split): the requests a restore issues are a function of the
-// sequence, the metas, threads and the cost model, fixed before it reads a
-// byte.
-func newRestoreIO(n *LNode, containers *container.Store, seq []cache.Request, metas map[container.ID]*container.Meta, threads int) *restoreIO {
-	rio := &restoreIO{containers: containers.Gated(threads), shared: n.repo.RestoreIO}
+// newRestoreIO builds the fetch layer of one restore read over `threads`
+// channels; begin and plan give it its plans.
+func newRestoreIO(n *LNode, containers *container.Store, threads int) *restoreIO {
+	return &restoreIO{
+		containers: containers.Gated(threads),
+		shared:     n.repo.RestoreIO,
+		threads:    threads,
+		costs:      n.repo.Config.Costs,
+		plans:      make(map[container.ID]cache.ReadPlan),
+	}
+}
+
+// planAll plans every container of seq that has metadata in metas, in
+// first-need order, and cuts the long reads among them (cache.Split).
+// metas is the memo of one resolution pass — exactly the states seq was
+// resolved against, so plans derived from it match what the spans will
+// serve. The result is a function of seq, metas, threads and the cost
+// model.
+func (rio *restoreIO) planAll(seq []cache.Request, metas map[container.ID]*container.Meta) ([]container.ID, []cache.ReadPlan) {
 	need := make(map[container.ID]map[fingerprint.FP]bool)
 	var order []container.ID // containers with metadata, in first-need order
 	for i := range seq {
@@ -67,19 +81,62 @@ func newRestoreIO(n *LNode, containers *container.Store, seq []cache.Request, me
 		}
 		set[seq[i].FP] = true
 	}
-	costs := n.repo.Config.Costs
 	plans := make([]cache.ReadPlan, len(order))
 	ms := make([]*container.Meta, len(order))
 	for i, id := range order {
 		ms[i] = metas[id]
-		plans[i] = cache.Plan(ms[i], need[id], costs)
+		plans[i] = cache.Plan(ms[i], need[id], rio.costs)
 	}
-	cache.Split(plans, ms, threads, costs)
-	rio.plans = make(map[container.ID]cache.ReadPlan, len(order))
+	cache.Split(plans, ms, rio.threads, rio.costs)
+	return order, plans
+}
+
+// early plans the reads a restore can start before its index probe
+// answers (DESIGN.md §14). home is the requests found at their homes and
+// metas the home metas: among the first `window` containers home first
+// needs, those read whole — a whole read serves any chunk the probe can add
+// to its container, so no answer changes its plan — are returned with
+// their plans, cut as among every home container. Nothing is kept until
+// begin.
+func (rio *restoreIO) early(home []cache.Request, metas map[container.ID]*container.Meta, window int) ([]container.ID, []cache.ReadPlan) {
+	order, plans := rio.planAll(home, metas)
+	var ids []container.ID
+	var whole []cache.ReadPlan
+	for i := range order[:min(window, len(order))] {
+		if plans[i].Full {
+			ids, whole = append(ids, order[i]), append(whole, plans[i])
+		}
+	}
+	return ids, whole
+}
+
+// begin keeps the plans of the reads about to be begun; with nil plans it
+// drops them again, for plan to make afresh.
+func (rio *restoreIO) begin(ids []container.ID, plans []cache.ReadPlan) {
+	rio.mu.Lock()
+	defer rio.mu.Unlock()
+	for i, id := range ids {
+		if plans == nil {
+			delete(rio.plans, id)
+		} else {
+			rio.plans[id] = plans[i]
+		}
+	}
+}
+
+// plan plans the pinned sequence: every container with metadata that has
+// no plan yet. The requests a restore issues are a function of the
+// sequence, the metas of its passes, threads and the cost model, fixed
+// before the reads that use them start.
+func (rio *restoreIO) plan(seq []cache.Request, metas map[container.ID]*container.Meta) {
+	order, plans := rio.planAll(seq, metas)
+	rio.mu.Lock()
+	defer rio.mu.Unlock()
 	for i, id := range order {
-		rio.plans[id] = plans[i]
+		if _, begun := rio.plans[id]; !begun {
+			rio.plans[id] = plans[i]
+		}
 	}
-	return rio
 }
 
 // fetch is the cache.Fetcher the restore policy (and prefetcher) use. A
@@ -94,7 +151,9 @@ func (rio *restoreIO) fetch(id container.ID) (*container.Container, error) {
 			return c, nil
 		}
 	}
+	rio.mu.Lock()
 	p, planned := rio.plans[id]
+	rio.mu.Unlock()
 	read := func() (*container.Container, error) { return rio.containers.ReadSpans(id, p.Reads) }
 	if planned && !p.Full {
 		c, err := read()

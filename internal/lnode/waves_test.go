@@ -94,7 +94,8 @@ func optimizedChain(t *testing.T, store oss.Store, cfg core.Config, seed int64, 
 // redirect targets together, each one round trip at the default
 // PrefetchThreads, which bounds data reads only — and one batched index
 // probe, whatever the number of records: with no maintenance running, the
-// pinned first pass is the only one.
+// pinned first pass is the only one. Data is read of home containers only
+// until the last of those metas has landed.
 func TestResolveWaves(t *testing.T) {
 	cfg := testConfig()
 	cfg.SparseUtilization = 0.9
@@ -155,12 +156,26 @@ func TestResolveWaves(t *testing.T) {
 	if st.Redirects != redirects {
 		t.Errorf("Redirects = %d, want %d", st.Redirects, redirects)
 	}
-	// No data byte is requested before resolution finished.
-	sawData := false
-	for _, q := range probe.rec.Requests(nil) {
-		sawData = sawData || isData(q.Op)
-		if sawData && isMetaGet(q.Op) {
-			t.Fatalf("metadata read %q after the first data read", q.Op)
+	// Before resolution finishes, the only data requested is of home
+	// containers, begun while the probe and the target wave run.
+	homeKeys := map[string]bool{}
+	for id := range homes {
+		if m, err := ref.Containers.ReadMeta(id); err == nil {
+			for _, k := range m.DataKeys() {
+				homeKeys[k] = true
+			}
+		}
+	}
+	reqs := probe.rec.Requests(nil)
+	lastMeta := -1
+	for i, q := range reqs {
+		if isMetaGet(q.Op) {
+			lastMeta = i
+		}
+	}
+	for _, q := range reqs[:lastMeta+1] {
+		if isData(q.Op) && !homeKeys[q.Op.Key] {
+			t.Fatalf("data read %q of no home container before the last metadata read", q.Op)
 		}
 	}
 }

@@ -125,8 +125,11 @@ go test -race -count=1 -cpu 1,4 -run 'CompactSparse|MatchesSerial' ./internal/gn
 # backup opens the base its handle's similarity mirror guesses beside the
 # catalog listing, and a guess the listing overrules leaves no trace; a
 # payload's parts are put together, and no meta put begins before the last
-# of them has returned (DESIGN.md §13).
-go test -race -count=20 -cpu 1,4 -run 'TestPinFallsBackAfterRewrite|TestPinAcceptsFirstPassUnderMarks|TestRestoreRacingDeletionOfItsVersion|TestRestoreRunsBesideBackupOfSameFile|TestOpenBaseWave|TestStaleGuessMatchesColdHandle|TestPayloadPartsWave' ./internal/lnode/ ./internal/jobs/
+# of them has returned (DESIGN.md §13). A restore with redirects reads the
+# homes it reads whole while its index probe runs, unless a container write
+# ended before it pinned them; a gate's free token goes to the longest
+# waiting request (DESIGN.md §10, §14).
+go test -race -count=20 -cpu 1,4 -run 'TestPinFallsBackAfterRewrite|TestPinAcceptsFirstPassUnderMarks|TestRestoreRacingDeletionOfItsVersion|TestRestoreRunsBesideBackupOfSameFile|TestOpenBaseWave|TestStaleGuessMatchesColdHandle|TestPayloadPartsWave|TestBegunReadsOverlapTheProbe|TestBegunReadsFallBackAfterRewrite|TestGateLongestFirst' ./internal/lnode/ ./internal/jobs/ ./internal/container/
 # The shared cache's only concurrency, singleflight and invalidation (DESIGN.md §10), under the same repeated race run.
 go test -race -count=20 -cpu 1,4 -run 'TestShared|TestConcurrentOverlappingRestoresShareFetches|TestRestoreAfterInvalidationRefetches' ./internal/cache/ ./internal/jobs/
 # Store bytes at G-node widths -1 and 4, plain and striped, payloads in

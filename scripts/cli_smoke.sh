@@ -76,6 +76,8 @@ drive() {
 	# The global index's engine counters: entries it holds, and how this process
 	# found and left its WAL (commits sync it; they do not flush).
 	grep -Eq '^global index: [1-9][0-9]* entries, [0-9]+ tables, [0-9]+ wal segments \([0-9]+ replayed at open\), [0-9]+ syncs, [0-9]+ flushes, [0-9]+ compactions$' "$out/stats.txt" || { echo "cli_smoke: stats has no global index line:" >&2; cat "$out/stats.txt" >&2; exit 1; }
+	# Every command before it closed the index: this open replayed nothing.
+	grep -Eq '^global index: .*\(0 replayed at open\)' "$out/stats.txt" || { echo "cli_smoke: stats' open replayed the index log: a command before it did not close the index:" >&2; cat "$out/stats.txt" >&2; exit 1; }
 	grep -Fq "$2" "$out/stats.txt" || { echo "cli_smoke: stats of $1 does not print '$2':" >&2; cat "$out/stats.txt" >&2; exit 1; }
 }
 

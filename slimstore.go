@@ -105,6 +105,14 @@ func Open(store ObjectStore, cfg Config) (*System, error) {
 	return &System{repo: repo, g: gnode.New(repo), l: lnode.New(repo, "L0")}, nil
 }
 
+// Close closes the L-node and the global index, whose shards flush what
+// their logs hold, so the next Open replays nothing; it returns the first
+// error. The System must not be used after.
+func (s *System) Close() error {
+	s.l.Close()
+	return s.repo.Global.Close()
+}
+
 // OpenMemory opens a System over an in-memory object store (tests,
 // experiments).
 func OpenMemory(cfg Config) (*System, error) {
